@@ -1,10 +1,12 @@
-//! F1 bench: certificate operations — signing, chain verification vs
-//! delegation depth, and the rendezvous-side unordered cert-set search.
+//! F1 bench: the bare Ed25519 sign/verify under every certificate, then
+//! certificate operations — signing, chain verification vs delegation
+//! depth, and the rendezvous-side unordered cert-set search.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use packetlab::cert::{self, CertPayload, Certificate, Restrictions};
 use packetlab::descriptor::ExperimentDescriptor;
 use plab_crypto::{KeyHash, Keypair};
+use std::hint::black_box;
 
 fn descriptor() -> ExperimentDescriptor {
     ExperimentDescriptor {
@@ -45,6 +47,14 @@ fn chain_of_depth(
 fn bench_certs(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig1");
     g.sample_size(20);
+
+    let kp = Keypair::from_seed(&[7; 32]);
+    let msg = [0x5au8; 96];
+    let sig = kp.sign(&msg);
+    g.bench_function("ed25519_sign", |b| b.iter(|| kp.sign(black_box(&msg))));
+    g.bench_function("ed25519_verify", |b| {
+        b.iter(|| assert!(plab_crypto::ed25519::verify(&kp.public, black_box(&msg), &sig)));
+    });
 
     g.bench_function("sign_delegation", |b| {
         let op = Keypair::from_seed(&[1; 32]);

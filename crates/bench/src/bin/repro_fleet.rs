@@ -20,7 +20,7 @@
 //!   `min(4, cores)`; wall time varies with this, the report does not).
 
 use plab_bench::fleet;
-use plab_bench::reportjson::{emit_report, json_f, json_rows};
+use plab_bench::reportjson::{emit_report, json_f, json_rows, machine_members};
 use plab_runner::{FleetRun, Outcome};
 
 struct Point {
@@ -118,7 +118,7 @@ fn main() {
     let pass = clean.iter().all(|p| p.replay_identical) && chaos.replay_identical && chaos_bites;
 
     let rows: Vec<String> = clean.iter().map(render_row).collect();
-    let mut out = String::from("{\n  \"bench\": \"fleet\",\n");
+    let mut out = format!("{{\n  \"bench\": \"fleet\",\n  {},\n", machine_members());
     out.push_str(&format!(
         "  \"shards\": {},\n  \"threads\": {threads},\n  \"seed\": {},\n  \"sweep\": [\n",
         fleet::SHARDS,

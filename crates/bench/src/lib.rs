@@ -715,6 +715,23 @@ pub mod reportjson {
             .join(",\n")
     }
 
+    /// The members every `BENCH_*.json` should open with, so a number is
+    /// never read without the machine and build that produced it:
+    /// `"cores": N, "profile": "release", "commit": "abc1234"` (`-dirty`
+    /// when the tree has uncommitted changes, `unknown` outside git).
+    pub fn machine_members() -> String {
+        let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
+        let profile = if cfg!(debug_assertions) { "debug" } else { "release" };
+        let commit = std::process::Command::new("git")
+            .args(["describe", "--always", "--dirty"])
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .and_then(|o| String::from_utf8(o.stdout).ok())
+            .map_or("unknown".to_string(), |s| s.trim().to_string());
+        format!("\"cores\": {cores}, \"profile\": \"{profile}\", \"commit\": \"{commit}\"")
+    }
+
     /// Emit a finished report per the repro-bin convention: always write
     /// the `BENCH_*` baseline file, then either print the report itself
     /// (`--json`) or a human note saying where it went.

@@ -27,30 +27,34 @@ impl Fe {
     /// The multiplicative identity.
     pub const ONE: Fe = Fe([1, 0, 0, 0, 0]);
 
-    /// d = −121665/121666 mod p (the Edwards curve constant).
-    pub fn d() -> Fe {
-        // 37095705934669439343138083508754565189542113879843219016388785533085940283555
-        Fe::from_bytes(&[
-            0xa3, 0x78, 0x59, 0x13, 0xca, 0x4d, 0xeb, 0x75, 0xab, 0xd8, 0x41, 0x41, 0x4d, 0x0a,
-            0x70, 0x00, 0x98, 0xe8, 0x79, 0x77, 0x79, 0x40, 0xc7, 0x8c, 0x73, 0xfe, 0x6f, 0x2b,
-            0xee, 0x6c, 0x03, 0x52,
-        ])
-    }
+    /// d = −121665/121666 mod p (the Edwards curve constant):
+    /// 37095705934669439343138083508754565189542113879843219016388785533085940283555.
+    pub const D: Fe = Fe([
+        0x34dca135978a3,
+        0x1a8283b156ebd,
+        0x5e7a26001c029,
+        0x739c663a03cbb,
+        0x52036cee2b6ff,
+    ]);
 
     /// 2d mod p.
-    pub fn d2() -> Fe {
-        Fe::d().add(&Fe::d())
-    }
+    pub const D2: Fe = Fe([
+        0x69b9426b2f159,
+        0x35050762add7a,
+        0x3cf44c0038052,
+        0x6738cc7407977,
+        0x2406d9dc56dff,
+    ]);
 
-    /// sqrt(−1) mod p.
-    pub fn sqrt_m1() -> Fe {
-        // 19681161376707505956807079304988542015446066515923890162744021073123829784752
-        Fe::from_bytes(&[
-            0xb0, 0xa0, 0x0e, 0x4a, 0x27, 0x1b, 0xee, 0xc4, 0x78, 0xe4, 0x2f, 0xad, 0x06, 0x18,
-            0x43, 0x2f, 0xa7, 0xd7, 0xfb, 0x3d, 0x99, 0x00, 0x4d, 0x2b, 0x0b, 0xdf, 0xc1, 0x4f,
-            0x80, 0x24, 0x83, 0x2b,
-        ])
-    }
+    /// sqrt(−1) mod p:
+    /// 19681161376707505956807079304988542015446066515923890162744021073123829784752.
+    pub const SQRT_M1: Fe = Fe([
+        0x61b274a0ea0b0,
+        0x0d5a5fc8f189d,
+        0x7ef5e9cbd0c60,
+        0x78595a6804c9e,
+        0x2b8324804fc1d,
+    ]);
 
     /// Load a little-endian 32-byte value (top bit ignored, per RFC 8032).
     pub fn from_bytes(b: &[u8; 32]) -> Fe {
@@ -106,74 +110,100 @@ impl Fe {
     }
 
     /// a + b.
-    pub fn add(&self, other: &Fe) -> Fe {
-        let mut r = [0u64; 5];
-        for (i, limb) in r.iter_mut().enumerate() {
-            *limb = self.0[i] + other.0[i];
-        }
-        Fe(carry(r))
+    pub const fn add(&self, other: &Fe) -> Fe {
+        let (a, b) = (&self.0, &other.0);
+        Fe(carry([a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3], a[4] + b[4]]))
     }
 
     /// a − b (inputs must have limbs < 2^52, which all public ops guarantee).
-    pub fn sub(&self, other: &Fe) -> Fe {
+    pub const fn sub(&self, other: &Fe) -> Fe {
         // Scale 2p by 8 so the minuend dominates any limb < 2^55.
-        let mut r = [0u64; 5];
-        for i in 0..5 {
-            r[i] = self.0[i] + 8 * TWO_P[i] - other.0[i];
-        }
-        Fe(carry(r))
+        let (a, b) = (&self.0, &other.0);
+        Fe(carry([
+            a[0] + 8 * TWO_P[0] - b[0],
+            a[1] + 8 * TWO_P[1] - b[1],
+            a[2] + 8 * TWO_P[2] - b[2],
+            a[3] + 8 * TWO_P[3] - b[3],
+            a[4] + 8 * TWO_P[4] - b[4],
+        ]))
     }
 
     /// −a.
-    pub fn neg(&self) -> Fe {
+    pub const fn neg(&self) -> Fe {
         Fe::ZERO.sub(self)
     }
 
     /// a * b.
-    pub fn mul(&self, other: &Fe) -> Fe {
+    pub const fn mul(&self, other: &Fe) -> Fe {
         let a = &self.0;
         let b = &other.0;
-        let m = |x: u64, y: u64| -> u128 { (x as u128) * (y as u128) };
         // Products of limb pairs whose indices sum past 4 wrap with * 19.
         let b1_19 = b[1] * 19;
         let b2_19 = b[2] * 19;
         let b3_19 = b[3] * 19;
         let b4_19 = b[4] * 19;
-        let t0 = m(a[0], b[0]) + m(a[1], b4_19) + m(a[2], b3_19) + m(a[3], b2_19) + m(a[4], b1_19);
-        let mut t1 = m(a[0], b[1]) + m(a[1], b[0]) + m(a[2], b4_19) + m(a[3], b3_19) + m(a[4], b2_19);
-        let mut t2 = m(a[0], b[2]) + m(a[1], b[1]) + m(a[2], b[0]) + m(a[3], b4_19) + m(a[4], b3_19);
-        let mut t3 = m(a[0], b[3]) + m(a[1], b[2]) + m(a[2], b[1]) + m(a[3], b[0]) + m(a[4], b4_19);
-        let mut t4 = m(a[0], b[4]) + m(a[1], b[3]) + m(a[2], b[2]) + m(a[3], b[1]) + m(a[4], b[0]);
-        // Carry chain over the 128-bit accumulators.
-        let mut r = [0u64; 5];
-        let mut c: u128;
-        c = t0 >> 51;
-        r[0] = (t0 as u64) & MASK;
-        t1 += c;
-        c = t1 >> 51;
-        r[1] = (t1 as u64) & MASK;
-        t2 += c;
-        c = t2 >> 51;
-        r[2] = (t2 as u64) & MASK;
-        t3 += c;
-        c = t3 >> 51;
-        r[3] = (t3 as u64) & MASK;
-        t4 += c;
-        c = t4 >> 51;
-        r[4] = (t4 as u64) & MASK;
-        r[0] += (c as u64) * 19;
-        let c2 = r[0] >> 51;
-        r[0] &= MASK;
-        r[1] += c2;
-        Fe(r)
+        reduce_wide([
+            m(a[0], b[0]) + m(a[1], b4_19) + m(a[2], b3_19) + m(a[3], b2_19) + m(a[4], b1_19),
+            m(a[0], b[1]) + m(a[1], b[0]) + m(a[2], b4_19) + m(a[3], b3_19) + m(a[4], b2_19),
+            m(a[0], b[2]) + m(a[1], b[1]) + m(a[2], b[0]) + m(a[3], b4_19) + m(a[4], b3_19),
+            m(a[0], b[3]) + m(a[1], b[2]) + m(a[2], b[1]) + m(a[3], b[0]) + m(a[4], b4_19),
+            m(a[0], b[4]) + m(a[1], b[3]) + m(a[2], b[2]) + m(a[3], b[1]) + m(a[4], b[0]),
+        ])
     }
 
-    /// a².
-    pub fn square(&self) -> Fe {
-        self.mul(self)
+    /// a², with each cross product a[i]·a[j] (i ≠ j) formed once and
+    /// doubled: 15 limb multiplications where `mul` takes 25.
+    pub const fn square(&self) -> Fe {
+        let a = &self.0;
+        let a0_2 = a[0] * 2;
+        let a1_2 = a[1] * 2;
+        let a3_19 = a[3] * 19;
+        let a4_19 = a[4] * 19;
+        reduce_wide([
+            m(a[0], a[0]) + m(a1_2, a4_19) + m(a[2] * 2, a3_19),
+            m(a0_2, a[1]) + m(a[2] * 2, a4_19) + m(a[3], a3_19),
+            m(a0_2, a[2]) + m(a[1], a[1]) + m(a[3] * 2, a4_19),
+            m(a0_2, a[3]) + m(a1_2, a[2]) + m(a[4], a4_19),
+            m(a0_2, a[4]) + m(a1_2, a[3]) + m(a[2], a[2]),
+        ])
     }
 
-    /// a^e where `e` is a 256-bit little-endian exponent.
+    /// a^(2^n): `n` successive squarings.
+    fn square_n(&self, n: u32) -> Fe {
+        (0..n).fold(*self, |x, _| x.square())
+    }
+
+    /// (a^(2^250 − 1), a^11): the addition chain `invert` and `pow_p58`
+    /// share (11 multiplications, 249 squarings).
+    fn pow_2_250_m1(&self) -> (Fe, Fe) {
+        let x2 = self.square();
+        let x9 = x2.square_n(2).mul(self);
+        let x11 = x9.mul(&x2);
+        let e5 = x11.square().mul(&x9); // exponent 2^5 − 1
+        let e10 = e5.square_n(5).mul(&e5); // 2^10 − 1, and so on
+        let e20 = e10.square_n(10).mul(&e10);
+        let e40 = e20.square_n(20).mul(&e20);
+        let e50 = e40.square_n(10).mul(&e10);
+        let e100 = e50.square_n(50).mul(&e50);
+        let e200 = e100.square_n(100).mul(&e100);
+        (e200.square_n(50).mul(&e50), x11)
+    }
+
+    /// Multiplicative inverse via Fermat: a^(p−2) = a^(2^255 − 21).
+    pub fn invert(&self) -> Fe {
+        let (e250, x11) = self.pow_2_250_m1();
+        e250.square_n(5).mul(&x11)
+    }
+
+    /// a^((p−5)/8) = a^(2^252 − 3), used in square-root extraction.
+    pub fn pow_p58(&self) -> Fe {
+        let (e250, _) = self.pow_2_250_m1();
+        e250.square_n(2).mul(self)
+    }
+
+    /// a^e where `e` is a 256-bit little-endian exponent, by binary
+    /// square-and-multiply: the oracle for the addition chains.
+    #[cfg(test)]
     pub fn pow_le(&self, e: &[u8; 32]) -> Fe {
         let mut result = Fe::ONE;
         // MSB-to-LSB binary exponentiation.
@@ -186,24 +216,6 @@ impl Fe {
             }
         }
         result
-    }
-
-    /// Multiplicative inverse via Fermat: a^(p−2).
-    pub fn invert(&self) -> Fe {
-        // p − 2 = 2^255 − 21, little-endian bytes.
-        let mut e = [0xffu8; 32];
-        e[0] = 0xeb; // 0xff - 20
-        e[31] = 0x7f;
-        self.pow_le(&e)
-    }
-
-    /// a^((p−5)/8) = a^(2^252 − 3), used in square-root extraction.
-    pub fn pow_p58(&self) -> Fe {
-        // 2^252 − 3, little-endian bytes.
-        let mut e = [0xffu8; 32];
-        e[0] = 0xfd;
-        e[31] = 0x0f;
-        self.pow_le(&e)
     }
 
     /// True if the element is zero mod p.
@@ -223,8 +235,31 @@ impl Fe {
     }
 }
 
+/// 64×64 → 128-bit limb product.
+const fn m(x: u64, y: u64) -> u128 {
+    (x as u128) * (y as u128)
+}
+
+/// Carry five 128-bit column sums of a product down to limbs < 2^52.
+const fn reduce_wide(t: [u128; 5]) -> Fe {
+    let mut r = [0u64; 5];
+    let mut c = t[0] >> 51;
+    r[0] = (t[0] as u64) & MASK;
+    let mut i = 1;
+    while i < 5 {
+        let ti = t[i] + c;
+        c = ti >> 51;
+        r[i] = (ti as u64) & MASK;
+        i += 1;
+    }
+    r[0] += (c as u64) * 19;
+    r[1] += r[0] >> 51;
+    r[0] &= MASK;
+    Fe(r)
+}
+
 /// One carry pass: brings all limbs below 2^52 given limbs below ~2^63.
-fn carry(mut l: [u64; 5]) -> [u64; 5] {
+const fn carry(mut l: [u64; 5]) -> [u64; 5] {
     let mut c: u64;
     c = l[0] >> 51;
     l[0] &= MASK;
@@ -358,7 +393,7 @@ mod tests {
 
     #[test]
     fn sqrt_m1_squares_to_minus_one() {
-        let i = Fe::sqrt_m1();
+        let i = Fe::SQRT_M1;
         let minus_one = Fe::ZERO.sub(&Fe::ONE);
         assert_eq!(i.square().to_bytes(), minus_one.to_bytes());
     }
@@ -366,10 +401,68 @@ mod tests {
     #[test]
     fn d_constant_satisfies_definition() {
         // d * 121666 == -121665 mod p
-        let d = Fe::d();
+        let d = Fe::D;
         let lhs = d.mul(&fe(121666));
         let rhs = fe(121665).neg();
         assert_eq!(lhs.to_bytes(), rhs.to_bytes());
+    }
+
+    #[test]
+    fn const_limbs_match_their_byte_encodings() {
+        let d = [
+            0xa3, 0x78, 0x59, 0x13, 0xca, 0x4d, 0xeb, 0x75, 0xab, 0xd8, 0x41, 0x41, 0x4d, 0x0a,
+            0x70, 0x00, 0x98, 0xe8, 0x79, 0x77, 0x79, 0x40, 0xc7, 0x8c, 0x73, 0xfe, 0x6f, 0x2b,
+            0xee, 0x6c, 0x03, 0x52,
+        ];
+        let sqrt_m1 = [
+            0xb0, 0xa0, 0x0e, 0x4a, 0x27, 0x1b, 0xee, 0xc4, 0x78, 0xe4, 0x2f, 0xad, 0x06, 0x18,
+            0x43, 0x2f, 0xa7, 0xd7, 0xfb, 0x3d, 0x99, 0x00, 0x4d, 0x2b, 0x0b, 0xdf, 0xc1, 0x4f,
+            0x80, 0x24, 0x83, 0x2b,
+        ];
+        assert_eq!(Fe::D.0, Fe::from_bytes(&d).0);
+        assert_eq!(Fe::D2.to_bytes(), Fe::D.add(&Fe::D).to_bytes());
+        assert_eq!(Fe::SQRT_M1.0, Fe::from_bytes(&sqrt_m1).0);
+    }
+
+    /// Deterministic pseudo-random field elements (xorshift), salted with
+    /// the loosest limbs any operation may be handed (all 2^52 − 1).
+    fn samples() -> Vec<Fe> {
+        let mut s = 0x9e3779b97f4a7c15u64;
+        let mut next = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s
+        };
+        let mut v = vec![Fe::ZERO, Fe::ONE, Fe::ONE.neg(), Fe([(1 << 52) - 1; 5])];
+        for _ in 0..60 {
+            let mut b = [0u8; 32];
+            b.iter_mut().for_each(|x| *x = next() as u8);
+            v.push(Fe::from_bytes(&b));
+        }
+        v
+    }
+
+    #[test]
+    fn square_matches_mul() {
+        for a in samples() {
+            assert_eq!(a.square().to_bytes(), a.mul(&a).to_bytes(), "{a:?}");
+        }
+    }
+
+    #[test]
+    fn addition_chains_match_binary_exponentiation() {
+        // p − 2 = 2^255 − 21 and (p − 5)/8 = 2^252 − 3, little-endian.
+        let mut p_m2 = [0xffu8; 32];
+        p_m2[0] = 0xeb;
+        p_m2[31] = 0x7f;
+        let mut p58 = [0xffu8; 32];
+        p58[0] = 0xfd;
+        p58[31] = 0x0f;
+        for a in samples() {
+            assert_eq!(a.invert().to_bytes(), a.pow_le(&p_m2).to_bytes(), "{a:?}");
+            assert_eq!(a.pow_p58().to_bytes(), a.pow_le(&p58).to_bytes(), "{a:?}");
+        }
     }
 
     #[test]

@@ -90,9 +90,56 @@ impl Scalar {
         self.0 == [0, 0, 0, 0]
     }
 
-    /// Iterate bits little-endian (bit 0 first).
+    /// Bit `i`, little-endian (bit 0 first).
+    #[cfg(test)]
     pub fn bit(&self, i: usize) -> u8 {
         ((self.0[i / 64] >> (i % 64)) & 1) as u8
+    }
+
+    /// Signed radix-16 digits, least significant first: the scalar is
+    /// Σ d[i]·16^i with every d[i] in [−8, 8].
+    pub fn radix16(&self) -> [i8; 64] {
+        debug_assert!(self.0[3] >> 61 == 0, "scalar not reduced");
+        let mut d = [0i8; 64];
+        for (i, digit) in d.iter_mut().enumerate() {
+            *digit = ((self.0[i / 16] >> (4 * (i % 16))) & 15) as i8;
+        }
+        // Recenter [0, 16) to [−8, 8), carrying upward; a reduced scalar's
+        // top nibble is at most 1, so the last digit stays small.
+        for i in 0..63 {
+            let carry = (d[i] + 8) >> 4;
+            d[i] -= carry << 4;
+            d[i + 1] += carry;
+        }
+        d
+    }
+
+    /// Width-`w` non-adjacent form (2 ≤ w ≤ 8), least significant first:
+    /// the scalar is Σ naf[i]·2^i, every nonzero digit is odd with
+    /// |naf[i]| < 2^(w−1), and any `w` consecutive digits hold at most one
+    /// nonzero — a signed sliding window over 2^(w−2) odd multiples.
+    pub fn naf(&self, w: u32) -> [i8; 256] {
+        debug_assert!((2..=8).contains(&w) && self.0[3] >> 61 == 0);
+        let width = 1u64 << w;
+        let limb = |i: usize| self.0.get(i).copied().unwrap_or(0);
+        let mut naf = [0i8; 256];
+        let (mut pos, mut carry) = (0usize, 0u64);
+        while pos < 256 {
+            // The w bits at `pos`, which may straddle two limbs.
+            let (idx, bit) = (pos / 64, pos % 64);
+            let bits = (limb(idx) >> bit) | (limb(idx + 1) << 1 << (63 - bit));
+            let window = carry + (bits & (width - 1));
+            if window & 1 == 0 {
+                pos += 1;
+                continue;
+            }
+            // Odd window: take it as a digit in (−2^(w−1), 2^(w−1)),
+            // borrowing 2^w from the bits above when it is in the top half.
+            carry = (window >= width / 2) as u64;
+            naf[pos] = (window as i64 - (carry << w) as i64) as i8;
+            pos += w as usize;
+        }
+        naf
     }
 }
 
@@ -222,6 +269,68 @@ mod tests {
         // Just a determinism / bounds check: result must be < L.
         let r = reduce_wide([u64::MAX; 8]);
         assert!(lt(&r, &L));
+    }
+
+    /// Seeded reduced scalars plus the edges: 0, 1, L − 1, dense nibbles.
+    fn samples() -> Vec<Scalar> {
+        let mut v = vec![
+            Scalar::ZERO,
+            sc(1),
+            sc(u64::MAX),
+            Scalar([L[0] - 1, L[1], L[2], L[3]]),
+        ];
+        for seed in 0..64u8 {
+            let mut wide = [0u8; 64];
+            for (i, b) in wide.iter_mut().enumerate() {
+                *b = seed
+                    .wrapping_mul(151)
+                    .wrapping_add((i as u8).wrapping_mul(seed | 1))
+                    ^ 0x88;
+            }
+            v.push(Scalar::from_wide_bytes_mod_order(&wide));
+        }
+        v
+    }
+
+    /// Σ digits[i]·2^(shift·i) mod L, by Horner from the top digit.
+    fn recompose(digits: &[i8], shift: u32) -> Scalar {
+        let neg = |m: u64| sc(m).mul_add(&Scalar([L[0] - 1, L[1], L[2], L[3]]), &Scalar::ZERO);
+        digits.iter().rev().fold(Scalar::ZERO, |acc, &d| {
+            let d_mod_l = if d < 0 {
+                neg(d.unsigned_abs() as u64)
+            } else {
+                sc(d as u64)
+            };
+            acc.mul_add(&sc(1 << shift), &d_mod_l)
+        })
+    }
+
+    #[test]
+    fn radix16_digits_are_small_and_recompose() {
+        for s in samples() {
+            let d = s.radix16();
+            assert!(d.iter().all(|x| (-8..=8).contains(x)), "{s:?}");
+            assert_eq!(recompose(&d, 4), s);
+        }
+    }
+
+    #[test]
+    fn naf_digits_are_odd_sparse_and_recompose() {
+        for s in samples() {
+            for w in [2u32, 5, 8] {
+                let naf = s.naf(w);
+                assert_eq!(recompose(&naf, 1), s, "w={w} {s:?}");
+                let bound = 1i16 << (w - 1);
+                assert!(naf
+                    .iter()
+                    .all(|&d| d == 0 || (d & 1 == 1 && (d as i16).abs() < bound)));
+                let nonzero: Vec<usize> = (0..256).filter(|&i| naf[i] != 0).collect();
+                assert!(
+                    nonzero.windows(2).all(|p| p[1] - p[0] >= w as usize),
+                    "w={w} {s:?}"
+                );
+            }
+        }
     }
 
     #[test]

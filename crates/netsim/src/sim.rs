@@ -451,6 +451,9 @@ impl Sim {
                 if let Some(host) = n.host.as_mut() {
                     host.tcp.reset_conns();
                 }
+                // The node's sockets changed state with no packet
+                // delivered: whoever watches dirty nodes must look.
+                self.mark_dirty(node);
             }
             FaultAction::NodeCrash { node } => self.crash_node(NodeId(node)),
             FaultAction::NodeRestart { node } => self.restart_node(NodeId(node)),

@@ -24,12 +24,19 @@
 //! A call the simulator cannot answer at the current instant (`recv` with
 //! no buffered data, a dial mid-handshake, a rate-limited send, a
 //! `wait_until`) *parks* the task with a typed [`Wait`] condition instead
-//! of replying. The main loop then advances the simulator and re-examines
-//! parked tasks whose controller node the simulator touched (the sparse
-//! harness reports serviced nodes) or whose deadline arrived, waking the
-//! lowest-indexed satisfiable task first.
+//! of replying. A parked task is examined again only on a fresh *wake
+//! signal*: the simulator touched its controller node (the sparse harness
+//! reports serviced nodes) or one of its deadlines arrived. Nothing else
+//! can satisfy a wait, so a probe that fails drops the task until its
+//! next signal; signalled tasks wake lowest index first. Debug builds
+//! check after every advance that no satisfiable task lacks a signal.
+//!
+//! The virtual clock rides on every reply: a worker only runs between a
+//! reply and its next call, while the simulator stands still, so `now()`
+//! reads the value cached in its [`Handle`] without a round trip.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::cell::Cell;
+use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
 use std::panic::AssertUnwindSafe;
 use std::rc::Rc;
@@ -61,6 +68,10 @@ static M_FAILED: plab_obs::metrics::Counter = plab_obs::metrics::Counter::new("r
 static M_ABORTED: plab_obs::metrics::Counter = plab_obs::metrics::Counter::new("runner.aborted");
 static M_LATENCY: plab_obs::metrics::Histogram =
     plab_obs::metrics::Histogram::new("runner.task_latency_ns");
+static M_WAKE_PROBES: plab_obs::metrics::Counter =
+    plab_obs::metrics::Counter::new("runner.wake_probes");
+static M_BATON_CALLS: plab_obs::metrics::Counter =
+    plab_obs::metrics::Counter::new("runner.baton_calls");
 
 /// Handshake-establishment grace before a dial counts as failed.
 const DIAL_DEADLINE: u64 = 10 * SECOND;
@@ -76,8 +87,6 @@ enum Call {
     Recv { conn: u64, deadline: Option<u64> },
     /// Close a control connection.
     Close { conn: u64 },
-    /// Virtual now.
-    Now,
     /// Park until the given virtual time.
     WaitUntil(u64),
     /// Bind a UDP port on the controller host (bandwidth sink).
@@ -92,7 +101,7 @@ enum Call {
     Done(Box<WorkerResult>),
 }
 
-/// Scheduler→worker reply.
+/// Scheduler→worker reply, sent with the virtual time it was made at.
 enum Reply {
     Unit,
     Conn(Option<u64>),
@@ -101,7 +110,6 @@ enum Reply {
     Udp(Vec<(u64, Ipv4Addr, u16, usize)>),
     UdpSeq(Vec<(u64, u32, usize)>),
     Addr(Ipv4Addr),
-    Time(u64),
 }
 
 /// Why a parked task is waiting.
@@ -128,23 +136,32 @@ struct WorkerResult {
 struct Handle {
     task: usize,
     calls: Sender<(usize, Call)>,
-    replies: Receiver<Reply>,
+    replies: Receiver<(u64, Reply)>,
     poisoned: Arc<AtomicBool>,
+    /// Virtual time of the last reply (of the launch, before the first).
+    now: Cell<u64>,
 }
 
 impl Handle {
-    /// Issue one call and block for its reply (the baton comes back with
-    /// it). A hung-up scheduler yields `Unit`, which every caller treats
-    /// as a terminal condition.
+    /// Issue one call and block for its reply (the baton and the clock
+    /// come back with it). A hung-up scheduler yields `Unit` at time
+    /// `u64::MAX`, which every caller treats as a terminal condition.
     fn call(&self, c: Call) -> Reply {
-        if self.calls.send((self.task, c)).is_err() {
-            return Reply::Unit;
-        }
-        self.replies.recv().unwrap_or(Reply::Unit)
+        let answer = self.calls.send((self.task, c)).ok().and_then(|()| self.replies.recv().ok());
+        let (now, reply) = answer.unwrap_or((u64::MAX, Reply::Unit));
+        self.now.set(now);
+        reply
     }
 
     fn poisoned(&self) -> bool {
         self.poisoned.load(Ordering::Relaxed)
+    }
+
+    fn now(&self) -> u64 {
+        if self.poisoned() {
+            return u64::MAX;
+        }
+        self.now.get()
     }
 }
 
@@ -188,13 +205,7 @@ impl ControlChannel for FleetChannel {
     }
 
     fn now(&self) -> u64 {
-        if self.h.poisoned() {
-            return u64::MAX;
-        }
-        match self.h.call(Call::Now) {
-            Reply::Time(t) => t,
-            _ => u64::MAX,
-        }
+        self.h.now()
     }
 }
 
@@ -230,13 +241,7 @@ impl Dialer for FleetDialer {
     }
 
     fn now(&self) -> u64 {
-        if self.h.poisoned() {
-            return u64::MAX;
-        }
-        match self.h.call(Call::Now) {
-            Reply::Time(t) => t,
-            _ => u64::MAX,
-        }
+        self.h.now()
     }
 
     fn wait_until(&mut self, time: u64) {
@@ -440,7 +445,7 @@ pub fn build_fleet(roster: &RosterSpec, operator: &Keypair) -> FleetWorld {
 }
 
 struct TaskSlot {
-    replies: Sender<Reply>,
+    replies: Sender<(u64, Reply)>,
     poisoned: Arc<AtomicBool>,
     wait: Option<Wait>,
     bucket: TokenBucket,
@@ -457,8 +462,9 @@ struct Sched {
     tasks: Vec<Option<TaskSlot>>,
     /// Controller node index → task index (live tasks only).
     by_node: HashMap<usize, usize>,
-    /// Parked tasks worth re-examining, sorted.
-    ready: BTreeSet<usize>,
+    /// Parked tasks with a fresh wake signal, unsorted and possibly
+    /// repeated; `wake_ready` sorts, probes and empties it.
+    ready: Vec<usize>,
     /// Deadline → tasks to re-examine then (lazy removal: entries may be
     /// stale; `try_wake` checks the task's actual wait).
     timed: BTreeMap<u64, Vec<usize>>,
@@ -503,7 +509,8 @@ impl Sched {
     }
 
     fn reply(&mut self, i: usize, r: Reply) {
-        let _ = self.tasks[i].as_ref().expect("replying to a live task").replies.send(r);
+        let stamped = (self.now(), r);
+        let _ = self.tasks[i].as_ref().expect("replying to a live task").replies.send(stamped);
     }
 
     /// Drain all readable bytes of `conn` at the controller node.
@@ -527,6 +534,7 @@ impl Sched {
                 Err(_) => return,
             };
             debug_assert_eq!(from, i, "baton violation: call from a non-running task");
+            M_BATON_CALLS.inc();
             let node = self.pairs[i].controller;
             let now = self.now();
             match call {
@@ -579,9 +587,6 @@ impl Sched {
                 Call::Close { conn } => {
                     self.net.sim.tcp_close(node, conn);
                     self.reply(i, Reply::Unit);
-                }
-                Call::Now => {
-                    self.reply(i, Reply::Time(now));
                 }
                 Call::WaitUntil(t) => {
                     if t <= now {
@@ -636,7 +641,6 @@ impl Sched {
             let _ = t.join();
         }
         self.by_node.remove(&self.pairs[i].controller.0);
-        self.ready.remove(&i);
         self.active -= 1;
         let result = TaskResult {
             endpoint: i,
@@ -676,6 +680,7 @@ impl Sched {
             calls: self.calls_tx.clone(),
             replies: reply_rx,
             poisoned: Arc::clone(&poisoned),
+            now: Cell::new(now),
         };
         let creds = self.creds[i % self.creds.len()].clone();
         let mut policy = self.config.retry;
@@ -706,118 +711,78 @@ impl Sched {
         self.serve(i);
     }
 
-    /// Attempt to wake parked task `i`. Returns true when it was woken
-    /// (and served until it parked again or finished).
-    fn try_wake(&mut self, i: usize) -> bool {
-        enum Probe {
-            Data(u64, Option<u64>),
-            Est(u64, u64),
-            Send(u64),
-            Until(u64),
-        }
-        let probe = match self.tasks[i].as_ref().and_then(|s| s.wait.as_ref()) {
-            None => return false,
-            Some(Wait::Data { conn, deadline }) => Probe::Data(*conn, *deadline),
-            Some(Wait::Established { conn, deadline }) => Probe::Est(*conn, *deadline),
-            Some(Wait::SendReady { at, .. }) => Probe::Send(*at),
-            Some(Wait::Until(t)) => Probe::Until(*t),
-        };
-        let node = self.pairs[i].controller;
-        let now = self.now();
-        let reply = match probe {
-            Probe::Data(conn, deadline) => {
-                if self.net.sim.tcp_readable(node, conn) > 0 {
-                    let data = self.drain_conn(node, conn);
-                    Some(Reply::Bytes(data))
-                } else if self.net.sim.tcp_closed(node, conn)
-                    || self.net.sim.tcp_peer_done(node, conn)
-                    || deadline.is_some_and(|d| d <= now)
-                {
-                    Some(Reply::Bytes(Vec::new()))
-                } else {
-                    None
-                }
-            }
-            Probe::Est(conn, deadline) => {
-                if self.net.sim.tcp_established(node, conn) {
-                    Some(Reply::Conn(Some(conn)))
-                } else if self.net.sim.tcp_closed(node, conn) {
-                    Some(Reply::Conn(None))
-                } else if deadline <= now {
-                    self.net.sim.tcp_close(node, conn);
-                    Some(Reply::Conn(None))
-                } else {
-                    None
-                }
-            }
-            Probe::Send(at) => {
-                if at <= now {
-                    // The per-task bucket is only drained by this task, so
-                    // the token computed at park time is available now.
-                    let Some(Wait::SendReady { conn, bytes, .. }) =
-                        self.tasks[i].as_mut().and_then(|s| s.wait.take())
-                    else {
-                        unreachable!("wait kind changed under us");
-                    };
-                    let taken = self.tasks[i]
-                        .as_mut()
-                        .expect("waking a live task")
-                        .bucket
-                        .try_take(now);
-                    debug_assert!(taken, "send token not ready at its own next_ready time");
-                    self.net.sim.tcp_send(node, conn, &bytes);
-                    self.reply(i, Reply::Unit);
-                    self.serve(i);
-                    return true;
-                }
-                None
-            }
-            Probe::Until(t) => {
-                if t <= now {
-                    Some(Reply::Unit)
-                } else {
-                    None
-                }
-            }
-        };
-        match reply {
-            Some(r) => {
-                self.tasks[i].as_mut().expect("waking a live task").wait = None;
-                self.reply(i, r);
-                self.serve(i);
-                true
-            }
+    /// Is task `i` parked on a wait the world satisfies at this instant?
+    fn satisfied(&self, i: usize) -> bool {
+        let (sim, node, now) = (&self.net.sim, self.pairs[i].controller, self.now());
+        match self.tasks[i].as_ref().and_then(|s| s.wait.as_ref()) {
             None => false,
+            Some(Wait::Data { conn, deadline }) => {
+                sim.tcp_readable(node, *conn) > 0
+                    || sim.tcp_closed(node, *conn)
+                    || sim.tcp_peer_done(node, *conn)
+                    || deadline.is_some_and(|d| d <= now)
+            }
+            Some(Wait::Established { conn, deadline }) => {
+                sim.tcp_established(node, *conn) || sim.tcp_closed(node, *conn) || *deadline <= now
+            }
+            Some(Wait::SendReady { at, .. }) => *at <= now,
+            Some(Wait::Until(t)) => *t <= now,
         }
     }
 
-    /// Examine every candidate in the ready set (ascending task index)
-    /// until a full pass wakes nobody.
-    fn wake_ready(&mut self) {
-        loop {
-            let candidates: Vec<usize> = self.ready.iter().copied().collect();
-            self.ready.clear();
-            let mut woke = false;
-            for i in candidates {
-                if self.tasks[i].as_ref().is_some_and(|s| s.wait.is_some()) {
-                    if self.try_wake(i) {
-                        woke = true;
-                        // The served task may have touched connections of
-                        // other parked tasks only via the simulator, which
-                        // marks their nodes dirty — picked up after the
-                        // next advance. Re-park candidates we cleared.
-                        if self.tasks[i].as_ref().is_some_and(|s| s.wait.is_some()) {
-                            self.ready.insert(i);
-                        }
-                    } else {
-                        self.ready.insert(i);
-                    }
-                }
-            }
-            if !woke {
-                return;
-            }
+    /// Probe signalled task `i`: if its wait is satisfied, answer it and
+    /// serve it until it parks again or finishes.
+    fn try_wake(&mut self, i: usize) {
+        M_WAKE_PROBES.inc();
+        if !self.satisfied(i) {
+            return;
         }
+        let (node, now) = (self.pairs[i].controller, self.now());
+        let slot = self.tasks[i].as_mut().expect("satisfied implies live");
+        let wait = slot.wait.take().expect("satisfied implies parked");
+        if matches!(wait, Wait::SendReady { .. }) {
+            // The per-task bucket is only drained by this task, so the
+            // token computed at park time is available now.
+            let taken = slot.bucket.try_take(now);
+            debug_assert!(taken, "send token not ready at its own next_ready time");
+        }
+        let sim = &mut self.net.sim;
+        let reply = match wait {
+            // Empty when the wait ended on close or deadline instead.
+            Wait::Data { conn, .. } => Reply::Bytes(self.drain_conn(node, conn)),
+            Wait::Established { conn, .. } if sim.tcp_established(node, conn) => {
+                Reply::Conn(Some(conn))
+            }
+            Wait::Established { conn, .. } => {
+                if !sim.tcp_closed(node, conn) {
+                    sim.tcp_close(node, conn);
+                }
+                Reply::Conn(None)
+            }
+            Wait::SendReady { conn, bytes, .. } => {
+                sim.tcp_send(node, conn, &bytes);
+                Reply::Unit
+            }
+            Wait::Until(_) => Reply::Unit,
+        };
+        self.reply(i, reply);
+        self.serve(i);
+    }
+
+    /// Probe every signalled task once, ascending by task index. Serving
+    /// a woken task raises no signal (it reaches other tasks only through
+    /// simulator events, which the next advance reports), so one pass
+    /// leaves `ready` empty.
+    fn wake_ready(&mut self) {
+        let mut signalled = std::mem::take(&mut self.ready);
+        signalled.sort_unstable();
+        signalled.dedup();
+        for &i in &signalled {
+            self.try_wake(i);
+        }
+        debug_assert!(self.ready.is_empty(), "a wake signal was raised while serving");
+        signalled.clear();
+        self.ready = signalled;
     }
 
     /// Move expired timed re-examinations into the ready set.
@@ -828,11 +793,7 @@ impl Sched {
                 break;
             }
             let tasks = self.timed.remove(&t).expect("first key exists");
-            for i in tasks {
-                if self.tasks[i].as_ref().is_some_and(|s| s.wait.is_some()) {
-                    self.ready.insert(i);
-                }
-            }
+            self.ready.extend(tasks);
         }
     }
 
@@ -880,9 +841,7 @@ impl Sched {
     fn drain_serviced(&mut self) {
         for n in self.net.take_serviced_nodes() {
             if let Some(&i) = self.by_node.get(&n.0) {
-                if self.tasks[i].as_ref().is_some_and(|s| s.wait.is_some()) {
-                    self.ready.insert(i);
-                }
+                self.ready.push(i);
             }
         }
     }
@@ -890,6 +849,10 @@ impl Sched {
     fn run(&mut self) {
         let n = self.pairs.len();
         loop {
+            debug_assert!(
+                (0..n).all(|i| !self.satisfied(i) || self.ready.contains(&i)),
+                "missed wake signal: a satisfiable parked task is not in `ready`"
+            );
             self.wake_ready();
             // Launch while capacity and the global launch limiter allow.
             while self.next_pending < n && self.active < self.config.max_concurrency {
@@ -900,7 +863,6 @@ impl Sched {
                 let i = self.next_pending;
                 self.next_pending += 1;
                 self.launch(i);
-                self.wake_ready();
             }
             if self.active == 0 && self.next_pending >= n {
                 return;
@@ -999,7 +961,7 @@ pub fn run_fleet(
         calls_tx,
         tasks: (0..n).map(|_| None).collect(),
         by_node: HashMap::new(),
-        ready: BTreeSet::new(),
+        ready: Vec::new(),
         timed: BTreeMap::new(),
         next_pending: 0,
         active: 0,

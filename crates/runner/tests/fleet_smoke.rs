@@ -3,6 +3,7 @@
 
 use plab_crypto::Keypair;
 use plab_netsim::roster::RosterSpec;
+use plab_netsim::{FaultAction, SECOND};
 use plab_runner::{
     build_fleet, run_fleet, ExperimentSpec, FleetRun, Outcome, Program, RateLimit,
     SchedulerConfig,
@@ -231,4 +232,70 @@ fn replay_is_bit_identical() {
     assert_eq!(a.report.events, b.report.events, "event streams diverge");
     assert_eq!(a.report.summary, b.report.summary, "summaries diverge");
     assert_eq!(a.report.json_seq(), b.report.json_seq());
+}
+
+#[test]
+fn wake_probes_follow_signals_not_iterations() {
+    // A parked task is probed when its node was serviced or a deadline of
+    // its came due, and each baton call answers at most a couple of such
+    // signals. Re-probing every parked task on every scheduler iteration
+    // (the 64-pair fleet keeps dozens in flight) costs hundreds of probes
+    // per call.
+    plab_obs::enable();
+    plab_obs::reset();
+    let roster = RosterSpec { pairs: 64, shards: 2, threads: 1, seed: 42, access_mbps: 0 };
+    let r = run(&ExperimentSpec::ping("smoke-wake"), &roster, &SchedulerConfig::default());
+    plab_obs::disable();
+    assert!(r.results.iter().all(|t| t.outcome == Outcome::Completed));
+    let probes = plab_obs::metrics::counter("runner.wake_probes");
+    let calls = plab_obs::metrics::counter("runner.baton_calls");
+    // dial + close + done, and at least the handshake and two probes' ops.
+    assert!(calls >= 64 * 10, "baton calls not counted: {calls}");
+    assert!(probes <= 2 * calls, "{probes} wake probes for {calls} baton calls");
+}
+
+#[test]
+fn controller_host_reset_wakes_its_task_at_the_reset() {
+    // The reset wipes the controller host's connections with no packet
+    // delivered to it. The task parked on one of them must see the close
+    // then — not when the endpoint's next segment or its own request
+    // timeout happens to stir the node.
+    let operator = Keypair::from_seed(&[1; 32]);
+    let experimenter = Keypair::from_seed(&[2; 32]);
+    let mut world = build_fleet(&small_roster(), &operator);
+    let (victim, reset_at) = (3, SECOND / 4);
+    let node = world.pairs[victim].controller.0;
+    world.net.sim.schedule_fault(reset_at, FaultAction::TcpReset { node });
+    let spec = ExperimentSpec {
+        // One probe a second: at the reset the task is mid-session,
+        // parked in a recv that nothing will answer for a long while.
+        program: Program::Ping { count: 2, interval_ns: SECOND, payload_len: 8 },
+        ..ExperimentSpec::ping("smoke-ctrl-reset")
+    };
+    plab_obs::enable();
+    plab_obs::reset();
+    let r = run_fleet(world, &spec, &operator, &experimenter, &SchedulerConfig::default())
+        .expect("spec is valid");
+    plab_obs::disable();
+    for t in &r.results {
+        assert_eq!(t.outcome, Outcome::Completed, "endpoint {}: {:?}", t.endpoint, t.cause);
+        let hit = t.endpoint == victim;
+        // The close surfaces through the controller's timeout path, then
+        // one redial resumes the lingering session.
+        assert_eq!((t.stats.timeouts, t.stats.connects), (hit as u32, 1 + hit as u32));
+    }
+    assert!(r.results[victim].started_ns < reset_at);
+    // The endpoint stamps the re-authentication that adopts the lingering
+    // session: a dial and an Auth after the reset, two round trips.
+    let resumes: Vec<u64> = plab_obs::tail_for(plab_obs::Component::Endpoint, usize::MAX)
+        .iter()
+        .filter(|e| e.name == "session.resume")
+        .map(|e| e.t)
+        .collect();
+    assert_eq!(resumes.len(), 1, "{resumes:?}");
+    assert!(
+        (reset_at..reset_at + SECOND / 10).contains(&resumes[0]),
+        "session resumed at {} ns, reset at {reset_at} ns",
+        resumes[0]
+    );
 }
