@@ -17,15 +17,19 @@
 //! (one core, 64-host pods, manual routes) at 1k/10k/100k hosts, split
 //! across 1/2/4/8 shards under conservative-lookahead windows. Columns
 //! record events/sec, ns/event, cross-shard handoffs, windows run, and
-//! the speedup over the same world at one shard. On a single-core
-//! machine the speedup hovers around 1.0 (the windowed advance is
-//! communication-free but there is no second core to run it on) — the
-//! column is honest, not aspirational; the 100k-host ns/event bound is
-//! what the guard enforces either way.
+//! the speedup over the same world at one shard; each point runs on one
+//! thread and, where the machine has a second core, again on
+//! `min(shards, cores)` threads, so the `threads` column says which
+//! rows can show parallel speedup at all (the header carries the core
+//! count). `build_s` and `build_rss_mb` are what constructing the world
+//! costs — excluded from the event timings, measured in a fresh process
+//! per shard count ([`netsim_scale::build_cost`]).
 //!
 //! `--json` prints the report on stdout (the file is still written).
 //! `NETSIM_SCALE_ROUNDS` overrides the per-size round count (default 4;
-//! the statistic is the minimum, so more rounds only tighten it).
+//! the statistic is the minimum, so more rounds only tighten it; the
+//! sharded sweep caps the count at two a point, then keeps going until
+//! half a second has passed).
 //! `NETSIM_SHARD_SIZES` overrides the sharded sweep's host counts
 //! (comma-separated, each a multiple of 64).
 
@@ -56,9 +60,12 @@ struct ShardRow {
     handoffs: u64,
     windows: u64,
     speedup_vs_1shard: f64,
+    build_s: f64,
+    build_rss_mb: f64,
 }
 
 fn main() {
+    netsim_scale::serve_build_cost();
     let json = plab_bench::reportjson::json_flag();
     let rounds: usize = std::env::var("NETSIM_SCALE_ROUNDS")
         .ok()
@@ -135,20 +142,36 @@ fn main() {
     if !json {
         println!(
             "\nsharded pod sweep: {shard_sizes:?} hosts x {SHARD_COUNTS:?} shards, \
-             min over {shard_rounds} rounds each\n"
+             min over {shard_rounds} rounds and 0.5 s each\n"
         );
     }
     let mut shard_rows: Vec<ShardRow> = Vec::new();
+    // Every shard count on one thread, then on as many as it and the
+    // machine allow, when that is more than one.
+    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let mut points = Vec::new();
+    for (at, &shards) in SHARD_COUNTS.iter().enumerate() {
+        points.push((at, shards, 1));
+        if shards.min(cores) > 1 {
+            points.push((at, shards, shards.min(cores)));
+        }
+    }
     for &n in &shard_sizes {
         let mut base_ns = 0.0f64;
-        for &shards in &SHARD_COUNTS {
-            let threads = shards.min(
-                std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1),
-            );
+        // One build measurement per shard count (threads do not enter
+        // construction), all taken before this size's event rounds.
+        let builds = SHARD_COUNTS.map(|shards| netsim_scale::build_cost(n, shards));
+        for &(at, shards, threads) in &points {
+            let build = &builds[at];
             let mut best = f64::MAX;
             let mut events = 0u64;
             let mut world = None;
-            for _ in 0..shard_rounds {
+            // At least `shard_rounds` rounds and half a second: the guard
+            // holds its own many-round minimum to these rows, and two
+            // rounds of a 10 ms world are not yet a minimum.
+            let (start, mut done) = (std::time::Instant::now(), 0);
+            while done < shard_rounds || start.elapsed().as_secs_f64() < 0.5 {
+                done += 1;
                 let (ev, secs, w) = netsim_scale::round_pods(n, shards, threads);
                 events = ev;
                 if secs < best {
@@ -178,12 +201,14 @@ fn main() {
                 handoffs: world.sim.handoffs(),
                 windows: world.sim.windows_run(),
                 speedup_vs_1shard: base_ns / ns_per_event,
+                build_s: build.secs,
+                build_rss_mb: build.rss_kb as f64 / 1024.0,
             };
             if !json {
                 println!(
                     "{:>6} hosts x {} shards ({} threads): {:>8} events, \
                      {:>6.2} M events/s ({:>6.1} ns/event), {:>6} handoffs, \
-                     {:>5} windows, speedup {:.2}x",
+                     {:>5} windows, speedup {:.2}x, build {:.3} s / {:.1} MB",
                     row.hosts,
                     row.shards,
                     row.threads,
@@ -192,7 +217,9 @@ fn main() {
                     row.ns_per_event,
                     row.handoffs,
                     row.windows,
-                    row.speedup_vs_1shard
+                    row.speedup_vs_1shard,
+                    row.build_s,
+                    row.build_rss_mb
                 );
             }
             shard_rows.push(row);
@@ -217,7 +244,10 @@ fn main() {
         );
     }
 
-    let mut out = String::from("{\n  \"bench\": \"netsim_scale\",\n  \"sweep\": [\n");
+    let mut out = format!(
+        "{{\n  \"bench\": \"netsim_scale\",\n  {},\n  \"sweep\": [\n",
+        plab_bench::reportjson::machine_members()
+    );
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"hosts\": {}, \"events\": {}, \"events_per_sec\": {:.1}, \
@@ -241,7 +271,8 @@ fn main() {
         out.push_str(&format!(
             "    {{\"hosts\": {}, \"shards\": {}, \"threads\": {}, \"events\": {}, \
              \"events_per_sec\": {:.1}, \"ns_per_event\": {:.2}, \"handoffs\": {}, \
-             \"windows\": {}, \"speedup_vs_1shard\": {:.3}}}{}\n",
+             \"windows\": {}, \"speedup_vs_1shard\": {:.3}, \"build_s\": {:.3}, \
+             \"build_rss_mb\": {:.1}}}{}\n",
             r.hosts,
             r.shards,
             r.threads,
@@ -251,6 +282,8 @@ fn main() {
             r.handoffs,
             r.windows,
             r.speedup_vs_1shard,
+            r.build_s,
+            r.build_rss_mb,
             if i + 1 < shard_rows.len() { "," } else { "" }
         ));
     }

@@ -436,6 +436,61 @@ pub mod netsim_scale {
         PodWorld { sim, hosts, socks, n, pods }
     }
 
+    /// What building a pod world costs.
+    pub struct BuildCost {
+        /// Wall seconds inside [`build_pods`].
+        pub secs: f64,
+        /// Resident memory the build added, kB (0 without procfs).
+        pub rss_kb: u64,
+    }
+
+    const BUILD_COST_ARG: &str = "--build-cost";
+
+    fn vm_rss_kb() -> u64 {
+        let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+        let field = status.lines().find_map(|l| l.strip_prefix("VmRSS:"));
+        field.and_then(|f| f.split_whitespace().next()?.parse().ok()).unwrap_or(0)
+    }
+
+    /// Build cost of the `n`-host pod world on `shards` shards, measured
+    /// in a fresh process — the resident set of one that has built and
+    /// dropped other worlds says little about this one. The child is the
+    /// calling binary itself, whose `main` must open with
+    /// [`serve_build_cost`].
+    pub fn build_cost(n: usize, shards: usize) -> BuildCost {
+        let exe = std::env::current_exe().expect("own path");
+        let out = std::process::Command::new(exe)
+            .args([BUILD_COST_ARG, &n.to_string(), &shards.to_string()])
+            .output()
+            .expect("spawn build-cost child");
+        assert!(out.status.success(), "build-cost child failed: {out:?}");
+        let text = String::from_utf8_lossy(&out.stdout);
+        let mut fields = text.split_whitespace();
+        let mut next = || fields.next().expect("child prints secs and kB");
+        BuildCost {
+            secs: next().parse().expect("seconds"),
+            rss_kb: next().parse().expect("kB"),
+        }
+    }
+
+    /// The child half of [`build_cost`]: when the process was started
+    /// for it, build the world, print the cost and exit; otherwise
+    /// return at once.
+    pub fn serve_build_cost() {
+        let args: Vec<String> = std::env::args().collect();
+        if args.get(1).map(String::as_str) != Some(BUILD_COST_ARG) {
+            return;
+        }
+        let size = |i: usize| args[i].parse().expect("host and shard counts");
+        let before = vm_rss_kb();
+        let start = std::time::Instant::now();
+        let world = build_pods(size(2), size(3), 1);
+        let secs = start.elapsed().as_secs_f64();
+        println!("{secs} {}", vm_rss_kb().saturating_sub(before));
+        drop(world);
+        std::process::exit(0);
+    }
+
     /// Schedule every host's probe burst: intra-pod ping-pong partners,
     /// with every [`CROSS_POD_STRIDE`]-th host instead probing into the
     /// next pod (through the core, across shards).

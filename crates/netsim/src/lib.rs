@@ -50,6 +50,7 @@ pub mod tcp;
 pub mod time;
 pub mod topology;
 pub mod trace;
+mod world;
 
 pub use fault::{FaultAction, GilbertElliott, ScheduledFault};
 pub use link::LinkParams;

@@ -127,9 +127,8 @@ impl HostState {
     }
 }
 
-/// A simulation node. `Clone` exists so shard replicas can be stamped
-/// out of one built topology (cheap at build time: stacks are empty).
-#[derive(Clone)]
+/// A simulation node. In a sharded world exactly one shard, its owner,
+/// holds it; the others keep a ghost (see `world.rs`).
 pub struct Node {
     /// Human-readable name (unique within a topology).
     pub name: String,

@@ -1,11 +1,14 @@
 //! Conservative-lookahead sharding: partition the world across cores.
 //!
 //! A [`ShardedSim`] splits a topology into N shards. Each shard is a
-//! complete [`Sim`] replica — every node and link exists in every shard,
-//! with routes computed once and cloned — but a shard only *processes*
-//! events for the nodes it owns. Packets that cross a shard boundary are
-//! diverted into per-destination outboxes and exchanged at window
-//! boundaries.
+//! [`Sim`] over a partition: it allocates host stacks, route tables,
+//! NAT tables and link queues only for the nodes it owns (and the links
+//! that touch them) and keeps every other id as a ghost — a slot entry
+//! that says "not mine" (see `world.rs`). What no one changes
+//! after build — the name index, who owns which node — is held once and
+//! shared. A shard never needs a foreign node's state: a packet toward
+//! one is diverted at the link into a per-destination outbox and
+//! exchanged at window boundaries, and the owner does the rest.
 //!
 //! # Why determinism survives (see DESIGN.md for the full argument)
 //!
@@ -47,7 +50,10 @@ use crate::node::{Node, NodeId};
 use crate::pool::{BufPool, Frame};
 use crate::sim::{NodeTransition, Sim};
 use crate::time::SimTime;
+use crate::world::{Owned, World};
+use fxhash::FxHashMap;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// splitmix64: derives per-shard RNG seeds from the world seed. Shard 0
 /// keeps the world seed itself so 1-shard runs replay the sequential
@@ -63,14 +69,14 @@ fn shard_seed(seed: u64, shard: usize) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A sharded simulator: N [`Sim`] replicas advancing under conservative
+/// A sharded simulator: N [`Sim`] partitions advancing under conservative
 /// lookahead. Mirrors the [`Sim`] driving API (sockets, timers, faults,
 /// `step`/`run_until`) by routing each call to the owning shard, so a
 /// harness written against `Sim` drives a `ShardedSim` unchanged.
 pub struct ShardedSim {
     shards: Vec<Sim>,
-    /// Owning shard per node index.
-    shard_of: Vec<usize>,
+    /// The fixed part every shard shares: name index, owner per node.
+    world: Arc<World>,
     /// Conservative lookahead: minimum cross-shard link latency.
     /// `SimTime::MAX` when single-sharded or no link crosses shards.
     window: SimTime,
@@ -85,10 +91,9 @@ impl ShardedSim {
     /// Wrap an existing sequential [`Sim`] as a single-shard world: every
     /// operation delegates straight through — bit-identical behaviour.
     pub fn single(sim: Sim) -> ShardedSim {
-        let nodes = sim.nodes.len();
         ShardedSim {
+            world: sim.world.clone(),
             shards: vec![sim],
-            shard_of: vec![0; nodes],
             window: SimTime::MAX,
             threads: 1,
             windows_run: 0,
@@ -101,6 +106,7 @@ impl ShardedSim {
         nodes: Vec<Node>,
         links: Vec<Link>,
         seed: u64,
+        names: FxHashMap<String, usize>,
         shard_of: &[usize],
         threads: usize,
     ) -> ShardedSim {
@@ -117,20 +123,40 @@ impl ShardedSim {
                 window = window.min(l.params.latency);
             }
         }
-        let shard_of_u8: Vec<u8> = shard_of.iter().map(|&s| s as u8).collect();
-        let mut shards = Vec::with_capacity(count);
-        for i in 0..count {
-            // Each replica clones the built topology (cheap: empty stacks,
-            // routes computed once before the clone).
-            let mut sim = Sim::from_parts(nodes.clone(), links.clone(), shard_seed(seed, i));
-            if count > 1 {
-                sim.enable_sharding(i, shard_of_u8.clone(), count);
-            }
-            shards.push(sim);
+        // Deal every node to its owner, every link to the owner of each
+        // end (a cross-shard link lives in both, as two half-used copies:
+        // each side queues and paces only the direction it transmits).
+        let mut parts: Vec<_> = (0..count)
+            .map(|_| (Owned::ghosts(nodes.len()), Owned::ghosts(links.len())))
+            .collect();
+        for (id, node) in nodes.into_iter().enumerate() {
+            parts[shard_of[id]].0.own(id, node);
         }
+        for (id, link) in links.into_iter().enumerate() {
+            let (a, b) = (shard_of[link.a.0], shard_of[link.b.0]);
+            if a != b {
+                parts[b].1.own(id, link.clone());
+            }
+            parts[a].1.own(id, link);
+        }
+        let world = Arc::new(World {
+            names,
+            shard_of: shard_of.iter().map(|&s| s as u8).collect(),
+        });
+        let shards = parts
+            .into_iter()
+            .enumerate()
+            .map(|(i, (nodes, links))| {
+                let mut sim = Sim::from_parts(nodes, links, shard_seed(seed, i), world.clone());
+                if count > 1 {
+                    sim.enable_sharding(i, count);
+                }
+                sim
+            })
+            .collect();
         ShardedSim {
             shards,
-            shard_of: shard_of.to_vec(),
+            world,
             window,
             threads: threads.max(1),
             windows_run: 0,
@@ -154,25 +180,32 @@ impl ShardedSim {
         self.threads = threads.max(1);
     }
 
-    /// The shard replicas, in index order (per-shard traces and stats).
+    /// The shards, in index order (per-shard traces and stats).
     pub fn shards(&self) -> &[Sim] {
         &self.shards
     }
 
     /// Owning shard of `node`.
     pub fn shard_of(&self, node: NodeId) -> usize {
-        self.shard_of[node.0]
+        self.world.shard_of[node.0] as usize
     }
 
     /// Mutable access to the shard that owns `node` (the harness builds
     /// its per-node `NetStack` views over this).
     pub fn shard_mut(&mut self, node: NodeId) -> &mut Sim {
-        let s = self.shard_of[node.0];
+        let s = self.shard_of(node);
         &mut self.shards[s]
     }
 
     fn shard(&self, node: NodeId) -> &Sim {
-        &self.shards[self.shard_of[node.0]]
+        &self.shards[self.shard_of(node)]
+    }
+
+    /// `link` as a shard that holds it sees it (holders agree on
+    /// everything faults can set, and on where it runs).
+    fn link(&self, link: usize) -> &Link {
+        let held = self.shards.iter().find_map(|s| s.links.get(link));
+        held.expect("every link has an owned end")
     }
 
     /// Every shard's buffer pool, for aggregate leak accounting
@@ -191,20 +224,14 @@ impl ShardedSim {
         self.shards.iter().map(|s| s.events_processed()).sum()
     }
 
-    /// Install a host route on every replica (see [`Sim::install_route`];
-    /// topology, including routes, is identical in all shards).
+    /// See [`Sim::install_route`]. Only `node`'s owner has its table.
     pub fn install_route(&mut self, node: NodeId, dst: Ipv4Addr, iface: usize) {
-        for s in &mut self.shards {
-            s.install_route(node, dst, iface);
-        }
+        self.shard_mut(node).install_route(node, dst, iface);
     }
 
-    /// Set a default interface on every replica (see
-    /// [`Sim::set_default_route`]).
+    /// See [`Sim::set_default_route`].
     pub fn set_default_route(&mut self, node: NodeId, iface: usize) {
-        for s in &mut self.shards {
-            s.set_default_route(node, iface);
-        }
+        self.shard_mut(node).set_default_route(node, iface);
     }
 
     /// Window barriers executed so far.
@@ -328,25 +355,24 @@ impl ShardedSim {
     // Delegated driving API (routes to the owning shard)
     // ------------------------------------------------------------------
 
-    /// See [`Sim::node_by_name`]. Topology is identical in every replica.
+    /// See [`Sim::node_by_name`]: the shared index, no shard involved.
     pub fn node_by_name(&self, name: &str) -> Option<NodeId> {
-        self.shards[0].node_by_name(name)
+        self.world.names.get(name).copied().map(NodeId)
     }
 
     /// See [`Sim::addr_of`].
     pub fn addr_of(&self, node: NodeId) -> Ipv4Addr {
-        self.shards[0].addr_of(node)
+        self.shard(node).addr_of(node)
     }
 
-    /// See [`Sim::link_between`].
+    /// See [`Sim::link_between`]. `a`'s owner holds every link of `a`.
     pub fn link_between(&self, a: NodeId, b: NodeId) -> Option<usize> {
-        self.shards[0].link_between(a, b)
+        self.shard(a).link_between(a, b)
     }
 
-    /// See [`Sim::link_up`] (link faults apply to every replica; queried
-    /// on shard 0).
+    /// See [`Sim::link_up`].
     pub fn link_up(&self, link: usize) -> bool {
-        self.shards[0].link_up(link)
+        self.link(link).up
     }
 
     /// Shard 0's buffer pool (sequential-engine statistics). For
@@ -360,13 +386,19 @@ impl ShardedSim {
         self.shard_mut(node).schedule_timer(node, key, time);
     }
 
+    /// Drain a per-shard log, concatenated in shard order — so the
+    /// merged sequence is a pure function of `(seed, shard_count)` like
+    /// every other cross-shard observable. By `append`: the harness
+    /// drains around every event, and an empty log must cost nothing.
+    fn gather<T>(&mut self, take: impl Fn(&mut Sim) -> Vec<T>) -> Vec<T> {
+        let mut out = Vec::new();
+        self.shards.iter_mut().for_each(|s| out.append(&mut take(s)));
+        out
+    }
+
     /// Fired timers across shards, concatenated in shard order.
     pub fn take_fired_timers(&mut self) -> Vec<(NodeId, u64)> {
-        let mut out = Vec::new();
-        for s in &mut self.shards {
-            out.append(&mut s.take_fired_timers());
-        }
-        out
+        self.gather(Sim::take_fired_timers)
     }
 
     /// See [`Sim::set_track_dirty`]. Applied to every shard.
@@ -376,15 +408,9 @@ impl ShardedSim {
         }
     }
 
-    /// See [`Sim::take_dirty_nodes`]. Concatenated in shard order, so
-    /// the merged sequence is a pure function of `(seed, shard_count)`
-    /// like every other cross-shard observable.
+    /// See [`Sim::take_dirty_nodes`]. Concatenated in shard order.
     pub fn take_dirty_nodes(&mut self) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        for s in &mut self.shards {
-            out.append(&mut s.take_dirty_nodes());
-        }
-        out
+        self.gather(Sim::take_dirty_nodes)
     }
 
     /// See [`Sim::schedule_send`].
@@ -394,11 +420,7 @@ impl ShardedSim {
 
     /// Send log across shards, concatenated in shard order.
     pub fn take_send_log(&mut self) -> Vec<(NodeId, u64, SimTime)> {
-        let mut out = Vec::new();
-        for s in &mut self.shards {
-            out.append(&mut s.take_send_log());
-        }
-        out
+        self.gather(Sim::take_send_log)
     }
 
     /// See [`Sim::push_send_log`].
@@ -407,68 +429,46 @@ impl ShardedSim {
     }
 
     /// Schedule a fault: node faults go to the owning shard; link faults
-    /// broadcast to every replica (each applies it at the same virtual
-    /// time in its own timeline). A `SetDelay` that lowers a cross-shard
-    /// latency below the current window conservatively shrinks the
-    /// window immediately — at schedule time, deterministically — so the
-    /// lookahead stays sound from the moment the new latency can matter.
+    /// go to every shard (each applies it at the same virtual time in its
+    /// own timeline; only the shards holding the link have anything to
+    /// change). A `SetDelay` that lowers a cross-shard latency below the
+    /// current window conservatively shrinks the window immediately — at
+    /// schedule time, deterministically — so the lookahead stays sound
+    /// from the moment the new latency can matter.
     pub fn schedule_fault(&mut self, at: SimTime, action: FaultAction) {
-        match action {
-            FaultAction::TcpReset { node }
-            | FaultAction::NodeCrash { node }
-            | FaultAction::NodeRestart { node } => {
-                self.shards[self.shard_of[node]].schedule_fault(at, action);
-            }
-            ref link_fault => {
-                if self.shards.len() > 1 {
-                    if let FaultAction::SetDelay { link, latency, .. } = *link_fault {
-                        let l = &self.shards[0].links[link];
-                        let crosses = self.shard_of[l.a.0] != self.shard_of[l.b.0];
-                        if crosses && latency < self.window {
-                            self.window = latency.max(1);
-                        }
-                    }
-                }
-                for s in &mut self.shards {
-                    s.schedule_fault(at, link_fault.clone());
-                }
-            }
-        }
+        self.route_fault(action, |s, action| s.schedule_fault(at, action));
     }
 
     /// Apply a fault immediately (same routing as
     /// [`ShardedSim::schedule_fault`]).
     pub fn apply_fault(&mut self, action: FaultAction) {
+        self.route_fault(action, Sim::apply_fault);
+    }
+
+    fn route_fault(&mut self, action: FaultAction, deliver: impl Fn(&mut Sim, FaultAction)) {
         match action {
             FaultAction::TcpReset { node }
             | FaultAction::NodeCrash { node }
             | FaultAction::NodeRestart { node } => {
-                self.shards[self.shard_of[node]].apply_fault(action);
+                return deliver(self.shard_mut(NodeId(node)), action);
             }
-            ref link_fault => {
-                if self.shards.len() > 1 {
-                    if let FaultAction::SetDelay { link, latency, .. } = *link_fault {
-                        let l = &self.shards[0].links[link];
-                        let crosses = self.shard_of[l.a.0] != self.shard_of[l.b.0];
-                        if crosses && latency < self.window {
-                            self.window = latency.max(1);
-                        }
-                    }
-                }
-                for s in &mut self.shards {
-                    s.apply_fault(link_fault.clone());
+            FaultAction::SetDelay { link, latency, .. } if self.shards.len() > 1 => {
+                let l = self.link(link);
+                let crosses = self.world.shard_of[l.a.0] != self.world.shard_of[l.b.0];
+                if crosses && latency < self.window {
+                    self.window = latency.max(1);
                 }
             }
+            _ => {}
+        }
+        for s in &mut self.shards {
+            deliver(s, action.clone());
         }
     }
 
     /// Node transitions across shards, concatenated in shard order.
     pub fn take_node_transitions(&mut self) -> Vec<NodeTransition> {
-        let mut out = Vec::new();
-        for s in &mut self.shards {
-            out.append(&mut s.take_node_transitions());
-        }
-        out
+        self.gather(Sim::take_node_transitions)
     }
 
     /// See [`Sim::raw_open`].
@@ -742,6 +742,40 @@ mod tests {
             vec![NodeTransition::Crashed(h2)]
         );
         let _ = h1;
+    }
+
+    #[test]
+    fn pod_world_lookups_reach_every_shard_and_routes_land_at_the_owner() {
+        use crate::roster::{build_roster, RosterSpec};
+        let spec = RosterSpec { pairs: 256, shards: 4, threads: 1, seed: 1, access_mbps: 0 };
+        let mut w = build_roster(&spec);
+        let mut seen = [false; 4];
+        for (i, p) in w.pairs.iter().enumerate() {
+            for (name, node, addr) in [
+                (format!("c{i}"), p.controller, p.controller_addr),
+                (format!("e{i}"), p.endpoint, p.endpoint_addr),
+            ] {
+                seen[w.sim.shard_of(node)] = true;
+                assert_eq!(w.sim.node_by_name(&name), Some(node));
+                assert_eq!(w.sim.addr_of(node), addr);
+            }
+            let pod = w.sim.node_by_name(&format!("epod{}", i / 64)).unwrap();
+            let link = w.sim.link_between(p.endpoint, pod).expect("access link");
+            assert_eq!(w.sim.link_between(pod, p.endpoint), Some(link));
+            assert!(w.sim.link_up(link));
+            assert_eq!(w.sim.link_between(p.endpoint, p.controller), None);
+        }
+        assert_eq!(seen, [true; 4], "the roster spans every shard");
+
+        // A route installed after build exists at the owner and nowhere
+        // else: the other shards hold a ghost, not a table.
+        let pod = w.sim.node_by_name("epod2").unwrap();
+        let (owner, dst) = (w.sim.shard_of(pod), addr(9, 9));
+        w.sim.install_route(pod, dst, 3);
+        for (i, shard) in w.sim.shards().iter().enumerate() {
+            let table = shard.nodes.get(pod.0).map(|n| n.routes.lookup(dst));
+            assert_eq!(table, (i == owner).then_some(Some(3)), "shard {i}");
+        }
     }
 
     #[test]

@@ -7,11 +7,12 @@ use crate::node::{Node, NodeId, NodeKind};
 use crate::pool::{BufPool, Frame};
 use crate::time::SimTime;
 use crate::trace::{DropReason, Trace, TraceEvent};
-use fxhash::FxHashMap;
+use crate::world::{Owned, World};
 use plab_packet::{builder, icmp, ipv4, proto, udp};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// A host's up/down transition, observable by the driving harness (which
 /// must re-establish listeners after a restart).
@@ -41,14 +42,13 @@ pub(crate) struct CrossPacket {
     pub bytes: Vec<u8>,
 }
 
-/// Per-shard context: who owns which node, and the per-destination
-/// outboxes a [`crate::shard::ShardedSim`] drains at window boundaries.
+/// Per-shard context: which shard this is (`World::shard_of` says who
+/// owns which node), and the per-destination outboxes a
+/// [`crate::shard::ShardedSim`] drains at window boundaries.
 #[derive(Debug)]
 struct ShardCtx {
     /// This shard's index.
     index: usize,
-    /// Owning shard for every node index.
-    shard_of: Vec<u8>,
     /// Diverted packets keyed by destination shard.
     outbox: Vec<Vec<CrossPacket>>,
     /// Total cross-shard handoffs originated here.
@@ -59,17 +59,19 @@ struct ShardCtx {
 pub struct Sim {
     time: SimTime,
     events: EventQueue,
-    /// All nodes, indexable by [`NodeId`].
-    pub nodes: Vec<Node>,
-    pub(crate) links: Vec<Link>,
+    /// Nodes by [`NodeId`]: state for the ones this sim owns (all of
+    /// them unless it is one shard of several), ghosts for the rest.
+    pub(crate) nodes: Owned<Node>,
+    /// Links by index: state for those with an end on an owned node.
+    pub(crate) links: Owned<Link>,
+    /// The world's fixed part, shared with the other shards.
+    pub(crate) world: Arc<World>,
     rng: StdRng,
     /// Packet trace for assertions.
     pub trace: Trace,
     fired_timers: Vec<(NodeId, u64)>,
     send_log: Vec<(NodeId, u64, SimTime)>,
     node_transitions: Vec<NodeTransition>,
-    /// Name → node index, built once at construction.
-    name_index: FxHashMap<String, usize>,
     /// Recycled packet buffers (see [`crate::pool`]).
     pool: BufPool,
     /// Cross-shard context; `None` for ordinary single-queue sims (the
@@ -89,23 +91,23 @@ pub struct Sim {
 }
 
 impl Sim {
-    pub(crate) fn from_parts(nodes: Vec<Node>, links: Vec<Link>, seed: u64) -> Self {
-        let name_index = nodes
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.name.clone(), i))
-            .collect();
+    pub(crate) fn from_parts(
+        nodes: Owned<Node>,
+        links: Owned<Link>,
+        seed: u64,
+        world: Arc<World>,
+    ) -> Self {
         Sim {
             time: 0,
             events: EventQueue::new(),
             nodes,
             links,
+            world,
             rng: StdRng::seed_from_u64(seed),
             trace: Trace::default(),
             fired_timers: Vec::new(),
             send_log: Vec::new(),
             node_transitions: Vec::new(),
-            name_index,
             pool: BufPool::new(),
             shard: None,
             processed: 0,
@@ -152,10 +154,9 @@ impl Sim {
     /// `shard_of` entry differs are foreign, and packets toward them are
     /// diverted into per-destination outboxes instead of being scheduled
     /// locally.
-    pub(crate) fn enable_sharding(&mut self, index: usize, shard_of: Vec<u8>, shards: usize) {
+    pub(crate) fn enable_sharding(&mut self, index: usize, shards: usize) {
         self.shard = Some(ShardCtx {
             index,
-            shard_of,
             outbox: (0..shards).map(|_| Vec::new()).collect(),
             handoffs: 0,
         });
@@ -163,10 +164,8 @@ impl Sim {
 
     /// Drain the outbox of packets bound for shard `dest`.
     pub(crate) fn take_outbox(&mut self, dest: usize) -> Vec<CrossPacket> {
-        match &mut self.shard {
-            Some(ctx) => std::mem::take(&mut ctx.outbox[dest]),
-            None => Vec::new(),
-        }
+        let ctx = self.shard.as_mut().expect("only shards of several exchange");
+        std::mem::take(&mut ctx.outbox[dest])
     }
 
     /// Accept a packet handed over from a foreign shard: re-ingest the
@@ -194,10 +193,10 @@ impl Sim {
         self.time
     }
 
-    /// Find a node by name. O(1): backed by an index built at
-    /// construction (node names are fixed once the topology is built).
+    /// Find a node by name. O(1): backed by the index the builder
+    /// checked names against (they are fixed once the topology is built).
     pub fn node_by_name(&self, name: &str) -> Option<NodeId> {
-        self.name_index.get(name).copied().map(NodeId)
+        self.world.names.get(name).copied().map(NodeId)
     }
 
     /// Buffer-pool statistics (reuse counters for the perf harness).
@@ -259,18 +258,14 @@ impl Sim {
                 let foreign_src = self
                     .shard
                     .as_ref()
-                    .is_some_and(|c| c.shard_of[l.src_node(dir)] as usize != c.index);
+                    .is_some_and(|c| self.world.shard_of[l.src_node(dir)] as usize != c.index);
                 if !foreign_src {
                     l.departed(dir, packet.len());
                 }
                 let dst = l.dst_node(dir);
                 if !l.up {
                     // A flap kills what is in flight on the wire.
-                    self.trace.record(TraceEvent::Dropped {
-                        time: self.time,
-                        node: dst,
-                        reason: DropReason::LinkDown,
-                    });
+                    self.trace_drop(dst, DropReason::LinkDown);
                     return true;
                 }
                 // Loss decisions are integer comparisons on rolls drawn
@@ -281,11 +276,7 @@ impl Sim {
                     self.links[link].sample_loss(dir, rolls)
                 };
                 if lost {
-                    self.trace.record(TraceEvent::Dropped {
-                        time: self.time,
-                        node: dst,
-                        reason: DropReason::RandomLoss,
-                    });
+                    self.trace_drop(dst, DropReason::RandomLoss);
                     drop(packet);
                 } else {
                     self.deliver(dst, packet);
@@ -293,11 +284,7 @@ impl Sim {
             }
             EventKind::ScheduledSend { node, packet, tag } => {
                 if self.nodes[node].crashed {
-                    self.trace.record(TraceEvent::Dropped {
-                        time: self.time,
-                        node,
-                        reason: DropReason::NodeDown,
-                    });
+                    self.trace_drop(node, DropReason::NodeDown);
                     return true;
                 }
                 self.mark_dirty(node);
@@ -438,14 +425,14 @@ impl Sim {
             );
         }
         match action {
-            FaultAction::LinkDown { link } => self.links[link].up = false,
-            FaultAction::LinkUp { link } => self.links[link].up = true,
-            FaultAction::SetLoss { link, loss } => self.links[link].params.loss = loss,
-            FaultAction::SetBurstLoss { link, model } => self.links[link].ge = model,
-            FaultAction::SetDelay { link, latency, jitter } => {
-                self.links[link].params.latency = latency;
-                self.links[link].params.jitter = jitter;
-            }
+            FaultAction::LinkDown { link } => self.on_link(link, |l| l.up = false),
+            FaultAction::LinkUp { link } => self.on_link(link, |l| l.up = true),
+            FaultAction::SetLoss { link, loss } => self.on_link(link, |l| l.params.loss = loss),
+            FaultAction::SetBurstLoss { link, model } => self.on_link(link, |l| l.ge = model),
+            FaultAction::SetDelay { link, latency, jitter } => self.on_link(link, |l| {
+                l.params.latency = latency;
+                l.params.jitter = jitter;
+            }),
             FaultAction::TcpReset { node } => {
                 let n = &mut self.nodes[node];
                 if let Some(host) = n.host.as_mut() {
@@ -460,11 +447,23 @@ impl Sim {
         }
     }
 
-    /// Index of the link directly connecting `a` and `b`, if any.
+    /// Link faults reach every shard of a world; one that owns neither
+    /// end holds no state for the link and has nothing to change.
+    fn on_link(&mut self, link: usize, f: impl FnOnce(&mut Link)) {
+        if let Some(l) = self.links.get_mut(link) {
+            f(l);
+        }
+    }
+
+    /// Index of the link directly connecting `a` and `b`, if any (the
+    /// lowest, should several). Walks `a`'s interfaces — one, for a host
+    /// — so name the end with fewer links first.
     pub fn link_between(&self, a: NodeId, b: NodeId) -> Option<usize> {
-        self.links.iter().position(|l| {
-            (l.a.0 == a.0 && l.b.0 == b.0) || (l.a.0 == b.0 && l.b.0 == a.0)
-        })
+        let joins = |l: &usize| {
+            let ends = (self.links[*l].a.0, self.links[*l].b.0);
+            ends == (a.0, b.0) || ends == (b.0, a.0)
+        };
+        self.nodes[a.0].ifaces.iter().filter_map(|i| i.link).find(joins)
     }
 
     /// Is a link administratively up?
@@ -692,14 +691,14 @@ impl Sim {
         }
     }
 
+    fn trace_drop(&mut self, node: usize, reason: DropReason) {
+        self.trace.record(TraceEvent::Dropped { time: self.time, node, reason });
+    }
+
     /// Inject a packet originating at `node` into the network.
     pub fn send_from(&mut self, node: NodeId, packet: Frame) {
         let Ok(view) = ipv4::Ipv4View::new_unchecked(&packet) else {
-            self.trace.record(TraceEvent::Dropped {
-                time: self.time,
-                node: node.0,
-                reason: DropReason::Malformed,
-            });
+            self.trace_drop(node.0, DropReason::Malformed);
             return;
         };
         self.trace.record(TraceEvent::Sent {
@@ -722,11 +721,7 @@ impl Sim {
     /// Route `packet` out of `node` toward `dst`.
     fn transmit(&mut self, node: usize, mut packet: Frame, dst: Ipv4Addr) {
         let Some(iface_idx) = self.nodes[node].routes.lookup(dst) else {
-            self.trace.record(TraceEvent::Dropped {
-                time: self.time,
-                node,
-                reason: DropReason::NoRoute,
-            });
+            self.trace_drop(node, DropReason::NoRoute);
             return;
         };
         // NAT egress: traffic leaving a NAT node through its external
@@ -746,29 +741,17 @@ impl Sim {
                 // Copy-on-write: the rewrite copies only if the buffer
                 // is shared (e.g. a raw socket captured it upstream).
                 if !nat.translate_outbound(packet.make_mut()) {
-                    self.trace.record(TraceEvent::Dropped {
-                        time: self.time,
-                        node,
-                        reason: DropReason::Malformed,
-                    });
+                    self.trace_drop(node, DropReason::Malformed);
                     return;
                 }
             }
         }
         let Some(link_idx) = self.nodes[node].ifaces[iface_idx].link else {
-            self.trace.record(TraceEvent::Dropped {
-                time: self.time,
-                node,
-                reason: DropReason::NoRoute,
-            });
+            self.trace_drop(node, DropReason::NoRoute);
             return;
         };
         if !self.links[link_idx].up {
-            self.trace.record(TraceEvent::Dropped {
-                time: self.time,
-                node,
-                reason: DropReason::LinkDown,
-            });
+            self.trace_drop(node, DropReason::LinkDown);
             return;
         }
         let jitter_ceiling = self.links[link_idx].params.jitter;
@@ -786,7 +769,7 @@ impl Sim {
                 QUEUE_DEPTH.observe(link.dirs[dir].queued_bytes as u64);
                 let dst_node = link.dst_node(dir);
                 if let Some(ctx) = &mut self.shard {
-                    let dest = ctx.shard_of[dst_node] as usize;
+                    let dest = self.world.shard_of[dst_node] as usize;
                     if dest != ctx.index {
                         // Foreign destination: hand the packet over at the
                         // next window boundary, and keep a local event to
@@ -821,11 +804,7 @@ impl Sim {
                 );
             }
             Offer::QueueFull => {
-                self.trace.record(TraceEvent::Dropped {
-                    time: self.time,
-                    node,
-                    reason: DropReason::QueueFull,
-                });
+                self.trace_drop(node, DropReason::QueueFull);
                 drop(packet);
             }
         }
@@ -834,19 +813,11 @@ impl Sim {
     /// A packet has arrived at `node`.
     fn deliver(&mut self, node: usize, mut packet: Frame) {
         if self.nodes[node].crashed {
-            self.trace.record(TraceEvent::Dropped {
-                time: self.time,
-                node,
-                reason: DropReason::NodeDown,
-            });
+            self.trace_drop(node, DropReason::NodeDown);
             return;
         }
         let Ok(view) = ipv4::Ipv4View::new_unchecked(&packet) else {
-            self.trace.record(TraceEvent::Dropped {
-                time: self.time,
-                node,
-                reason: DropReason::Malformed,
-            });
+            self.trace_drop(node, DropReason::Malformed);
             return;
         };
         let dst = view.dst();
@@ -857,11 +828,7 @@ impl Sim {
         match self.nodes[node].kind {
             NodeKind::Host => {
                 if !self.nodes[node].owns_addr(dst) {
-                    self.trace.record(TraceEvent::Dropped {
-                        time: self.time,
-                        node,
-                        reason: DropReason::WrongHost,
-                    });
+                    self.trace_drop(node, DropReason::WrongHost);
                     return;
                 }
                 self.trace.record(TraceEvent::Delivered {
@@ -910,11 +877,7 @@ impl Sim {
         if ttl <= 1 {
             // TTL expired: ICMP Time Exceeded back to the source, from this
             // router's address (§4's traceroute depends on this).
-            self.trace.record(TraceEvent::Dropped {
-                time: self.time,
-                node,
-                reason: DropReason::TtlExpired,
-            });
+            self.trace_drop(node, DropReason::TtlExpired);
             let router_addr = self.nodes[node].addr();
             let mut te = self.pool.take();
             builder::icmp_time_exceeded_into(router_addr, src, &packet, te.make_mut());

@@ -5,7 +5,10 @@ use crate::nat::NatTable;
 use crate::node::{HostState, Iface, Node, NodeId, NodeKind};
 use crate::routing::{compute_routes, Adjacency, RouteTable};
 use crate::sim::Sim;
+use crate::world::{Owned, World};
+use fxhash::FxHashMap;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// Builder for simulation topologies.
 ///
@@ -23,6 +26,8 @@ use std::net::Ipv4Addr;
 /// ```
 pub struct TopologyBuilder {
     nodes: Vec<Node>,
+    /// Name → node index; becomes the built world's name index.
+    names: FxHashMap<String, usize>,
     links: Vec<(NodeId, NodeId, LinkParams)>,
     seed: u64,
     auto_routes: bool,
@@ -32,6 +37,7 @@ impl Default for TopologyBuilder {
     fn default() -> Self {
         TopologyBuilder {
             nodes: Vec::new(),
+            names: FxHashMap::default(),
             links: Vec::new(),
             seed: 0,
             auto_routes: true,
@@ -52,22 +58,24 @@ impl TopologyBuilder {
     }
 
     /// Skip automatic (all-pairs BFS) route computation. The caller
-    /// installs routes after `build` via `sim.nodes[i].routes` — required
-    /// for very large worlds where O(nodes²) routing is infeasible
-    /// (hosts still get their single-link default route).
+    /// installs routes after `build` with [`Sim::install_route`] and
+    /// [`Sim::set_default_route`] (or their `ShardedSim` namesakes) —
+    /// required for very large worlds where O(nodes²) routing is
+    /// infeasible (hosts still get their single-link default route).
     pub fn manual_routes(&mut self) -> &mut Self {
         self.auto_routes = false;
         self
     }
 
     fn push(&mut self, node: Node) -> NodeId {
+        let id = self.nodes.len();
         assert!(
-            !self.nodes.iter().any(|n| n.name == node.name),
+            self.names.insert(node.name.clone(), id).is_none(),
             "duplicate node name `{}`",
             node.name
         );
         self.nodes.push(node);
-        NodeId(self.nodes.len() - 1)
+        NodeId(id)
     }
 
     /// Add an end host.
@@ -135,8 +143,9 @@ impl TopologyBuilder {
 
     /// Finalize: allocate interfaces, compute routes, return the sim.
     pub fn build(self) -> Sim {
-        let (nodes, links, seed) = self.assemble();
-        Sim::from_parts(nodes, links, seed)
+        let (nodes, links, seed, names) = self.assemble();
+        let world = World { names, shard_of: vec![0; nodes.len()] };
+        Sim::from_parts(Owned::all(nodes), Owned::all(links), seed, Arc::new(world))
     }
 
     /// Finalize into a sharded simulator: `shard_of[node]` assigns each
@@ -145,13 +154,13 @@ impl TopologyBuilder {
     /// Every cross-shard link must have non-zero latency — the minimum
     /// such latency is the lookahead window.
     pub fn build_sharded(self, shard_of: &[usize], threads: usize) -> crate::shard::ShardedSim {
-        let (nodes, links, seed) = self.assemble();
-        crate::shard::ShardedSim::from_parts(nodes, links, seed, shard_of, threads)
+        let (nodes, links, seed, names) = self.assemble();
+        crate::shard::ShardedSim::from_parts(nodes, links, seed, names, shard_of, threads)
     }
 
     /// Allocate interfaces and routes, producing the parts a [`Sim`] (or
-    /// each shard replica) is constructed from.
-    pub(crate) fn assemble(mut self) -> (Vec<Node>, Vec<Link>, u64) {
+    /// a sharded world's partitions) is constructed from.
+    fn assemble(mut self) -> (Vec<Node>, Vec<Link>, u64, FxHashMap<String, usize>) {
         let mut links = Vec::new();
         for (a, b, params) in std::mem::take(&mut self.links) {
             let ia = self.attach_iface(a.0, links.len());
@@ -181,7 +190,7 @@ impl TopologyBuilder {
                 node.routes.default_iface = Some(0);
             }
         }
-        (self.nodes, links, self.seed)
+        (self.nodes, links, self.seed, self.names)
     }
 
     /// Attach a link to a node, allocating an interface slot.
@@ -189,7 +198,10 @@ impl TopologyBuilder {
         let n = &mut self.nodes[node];
         // Reuse the first unattached interface; otherwise clone the last
         // address into a new interface slot (routers are multi-iface).
-        if let Some(pos) = n.ifaces.iter().position(|i| i.link.is_none()) {
+        // Slots fill in index order and new ones are born attached, so
+        // the first free slot is the one after the last attached.
+        let pos = n.ifaces.iter().rposition(|i| i.link.is_some()).map_or(0, |p| p + 1);
+        if pos < n.ifaces.len() {
             n.ifaces[pos].link = Some(link_idx);
             return pos;
         }
@@ -548,6 +560,30 @@ mod tests {
         }
         sim.run_until(SECOND);
         assert!(sim.trace.drops(DropReason::QueueFull) > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate node name `h`")]
+    fn duplicate_node_name_panics() {
+        let mut t = TopologyBuilder::new();
+        t.host("h", a(0, 1));
+        t.router("h", a(0, 254));
+    }
+
+    #[test]
+    fn nat_links_fill_internal_then_external_then_new_slots() {
+        let mut t = TopologyBuilder::new();
+        let nat = t.nat("nat", Ipv4Addr::new(192, 168, 1, 1), a(9, 9));
+        let hosts: Vec<NodeId> =
+            (0..3).map(|i| t.host(&format!("h{i}"), a(1, i))).collect();
+        for &h in &hosts {
+            t.link(h, nat, LinkParams::default());
+        }
+        let sim = t.build();
+        let ifaces = &sim.nodes[nat.0].ifaces;
+        let links: Vec<_> = ifaces.iter().map(|i| i.link).collect();
+        assert_eq!(links, [Some(0), Some(1), Some(2)]);
+        assert_eq!(ifaces[2].addr, a(9, 9), "a grown slot clones the last address");
     }
 
     #[test]

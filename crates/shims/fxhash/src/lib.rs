@@ -12,7 +12,10 @@
 //!
 //! The algorithm follows the classic FxHasher: for each machine word of
 //! input, `state = (state.rotate_left(5) ^ word) * K` with K an odd
-//! multiplicative constant derived from the golden ratio.
+//! multiplicative constant derived from the golden ratio. `finish`
+//! rotates the product's high bits down, as rustc-hash 2.x does: a
+//! multiply leaves its entropy at the top, and hashbrown takes the
+//! bucket from the bottom.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -80,7 +83,11 @@ impl Hasher for FxHasher {
 
     #[inline]
     fn finish(&self) -> u64 {
-        self.hash
+        // The low n bits of a product depend only on the low n bits of
+        // its operands, so keys that agree there (every `10.128.x.y`
+        // address: its word's low 16 bits are the first two octets)
+        // would share one bucket chain. The high bits mix all of them.
+        self.hash.rotate_left(20)
     }
 }
 
@@ -125,6 +132,32 @@ mod tests {
         let mut s: FxHashSet<u16> = FxHashSet::default();
         s.insert(443);
         assert!(s.contains(&443));
+    }
+
+    /// Largest bucket when `keys` are placed by the low 16 bits of their
+    /// hash, as a 2^16-bucket hashbrown table would place them.
+    fn max_occupancy<T: Hash>(keys: impl Iterator<Item = T>) -> usize {
+        let mut buckets = vec![0usize; 1 << 16];
+        for k in keys {
+            buckets[hash_of(&k) as usize & 0xffff] += 1;
+        }
+        buckets.into_iter().max().unwrap()
+    }
+
+    #[test]
+    fn simulator_keys_spread_over_low_bits() {
+        // What netsim's maps hold: host addresses that share their first
+        // two octets (route tables), ports (UDP sockets, TCP listeners),
+        // and (protocol, id) pairs (NAT). 65,536 keys into 65,536
+        // buckets: a uniform hash peaks near 8.
+        let addrs = (0..=255u8)
+            .flat_map(|x| (0..=255u8).map(move |y| std::net::Ipv4Addr::new(10, 128, x, y)));
+        assert!(max_occupancy(addrs) <= 16, "addresses pile up");
+        assert!(max_occupancy(0..=u16::MAX) <= 16, "ports pile up");
+        let nat = [1u8, 6, 17, 47]
+            .into_iter()
+            .flat_map(|p| (0..1u16 << 14).map(move |id| (p, 50_000u16.wrapping_add(id))));
+        assert!(max_occupancy(nat) <= 16, "NAT keys pile up");
     }
 
     #[test]
