@@ -24,7 +24,7 @@
 //! - `CTRL_OPS`: round trips per session per point (default `100`).
 
 use plab_bench::ctrl::{self, PhaseStats, RTT_NS};
-use plab_bench::reportjson::{emit_report, json_f, json_rows};
+use plab_bench::reportjson::{emit_report, json_f, json_rows, machine_members};
 
 struct Point {
     stats: PhaseStats,
@@ -131,7 +131,7 @@ fn main() {
         .iter()
         .map(|p| render_row(p, p.stats.virtual_ops_per_sec() / serial_vops))
         .collect();
-    let mut out = String::from("{\n  \"bench\": \"ctrl_scale\",\n");
+    let mut out = format!("{{\n  \"bench\": \"ctrl_scale\",\n  {},\n", machine_members());
     out.push_str(&format!(
         "  \"rtt_ms\": {:.1},\n  \"ops_per_session\": {ops},\n  \"sweep\": [\n",
         RTT_NS as f64 / 1e6

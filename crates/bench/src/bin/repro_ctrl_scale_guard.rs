@@ -2,7 +2,7 @@
 //! reactor regresses in throughput, in scaling, or — far worse — in
 //! determinism.
 //!
-//! Three independent checks, all must pass:
+//! Four independent checks, all must pass:
 //!
 //! 1. **Throughput.** The 1024-session guard point (stop-and-wait clients
 //!    over the 10 ms virtual RTT, the same construction `repro_ctrl_scale`
@@ -21,6 +21,13 @@
 //!    the pinned digest. Any drift means multiplexed replay is broken — a
 //!    hard failure regardless of throughput.
 //!
+//! 4. **Idle turns.** With 4096 sessions enrolled and none of them
+//!    sending, a pump + dispatch + flush turn may cost at most 3x the
+//!    4096 `tcp_recv` readiness polls it has to make, both timed in this
+//!    process. A reactor that hashes and sorts its way over every
+//!    enrolled session each turn reads 6x or more; the dense table and
+//!    cursor ring read under 2x.
+//!
 //! Env overrides:
 //! - `CTRL_GUARD_SECS`: throughput measurement budget (default 6.0 s).
 //! - `CTRL_GUARD_MIN_RATIO`: pass threshold (default 0.25).
@@ -29,8 +36,9 @@
 //!
 //! The baseline records numbers from whatever machine last ran
 //! `repro_ctrl_scale`; on a much slower machine, regenerate it first or
-//! lower the ratio. The scaling and determinism halves have no knobs —
-//! virtual time is machine-independent by construction. To re-pin after
+//! lower the ratio. The scaling, determinism and idle-turn checks have no
+//! knobs — virtual time is machine-independent by construction, and the
+//! idle-turn check divides the machine out. To re-pin after
 //! an *intentional* wire or agent change, run `repro_ctrl_scale` and
 //! paste the printed 1024-session digest.
 
@@ -48,6 +56,12 @@ const GUARD_OPS: u32 = 100;
 /// Digest of the 1024-session reply stream (matches the
 /// `BENCH_ctrl.json` sweep row and `repro_ctrl_scale`'s printed digest).
 const PINNED_CTRL_DIGEST: u64 = 0x27b8_c596_556e_9713;
+
+/// Sessions enrolled for the idle-turn check (the sweep's largest point),
+/// and how many times the cost of their readiness polls an idle turn may
+/// cost.
+const IDLE_SESSIONS: usize = 4096;
+const IDLE_MAX_OVER_POLLS: f64 = 3.0;
 
 /// Pull `"wall_ops_per_sec": <num>` out of the baseline's sweep row for
 /// the guard session count without a JSON dependency (same trick the
@@ -103,7 +117,11 @@ fn main() {
     let speedup = stats.virtual_ops_per_sec() / serial.virtual_ops_per_sec();
     let scales = speedup >= 10.0 && stats.p99_ns <= RTT_NS && serial.p99_ns <= RTT_NS;
 
-    let pass = fast_enough && scales && pinned;
+    // --- idle-turn half -------------------------------------------------
+    let idle_over_polls = ctrl::ScaleWorld::new(IDLE_SESSIONS).idle_turn_over_polls(200);
+    let idle_cheap = idle_over_polls <= IDLE_MAX_OVER_POLLS;
+
+    let pass = fast_enough && scales && pinned && idle_cheap;
 
     if json {
         print!(
@@ -113,7 +131,8 @@ fn main() {
              \"baseline_wall_ops_per_sec\": {baseline:.1},\n  \"ratio\": {ratio:.4},\n  \
              \"min_ratio\": {min_ratio},\n  \"speedup_vs_serial\": {speedup:.1},\n  \
              \"p99_ms\": {:.1},\n  \"digest\": \"{:#018x}\",\n  \"pinned\": {pinned},\n  \
-             \"scales\": {scales},\n  \"pass\": {pass}\n}}\n",
+             \"scales\": {scales},\n  \"idle_turn_over_polls\": {idle_over_polls:.2},\n  \
+             \"idle_cheap\": {idle_cheap},\n  \"pass\": {pass}\n}}\n",
             stats.p99_ns as f64 / 1e6,
             stats.digest,
         );
@@ -136,8 +155,13 @@ fn main() {
             if pinned { "ok" } else { "DRIFT" }
         );
         println!(
+            "ctrl idle turn: {idle_over_polls:.2}x the cost of {IDLE_SESSIONS} readiness polls \
+             (threshold {IDLE_MAX_OVER_POLLS}x) {}",
+            if idle_cheap { "ok" } else { "TURN COST GROWS WITH ENROLLED SESSIONS" }
+        );
+        println!(
             "{}",
-            match (fast_enough, scales && pinned) {
+            match (fast_enough && idle_cheap, scales && pinned) {
                 (true, true) => "PASS: control-plane throughput, scaling, and determinism hold",
                 (false, true) => "FAIL: control-plane throughput regressed more than the budget allows",
                 (true, false) => "FAIL: control-plane scaling or replay drifted",

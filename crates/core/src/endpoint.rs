@@ -634,16 +634,19 @@ impl EndpointAgent {
         // same-experiment sessions stay independent.
         let exp_id = (leaf_signer, dhash.0);
         let takeover = self.config.session_linger_ns > 0;
+        // The oldest candidate, so the choice does not depend on the
+        // map's per-process iteration order.
         let adopt = self
             .sessions
             .iter()
-            .find(|(osid, s)| {
+            .filter(|(osid, s)| {
                 **osid != sid
                     && s.experiment_id == Some(exp_id)
                     && (s.detached_at.is_some()
                         || (takeover && matches!(s.state, SessionState::Ready)))
             })
-            .map(|(osid, _)| *osid);
+            .map(|(osid, _)| *osid)
+            .min();
         if let Some(osid) = adopt {
             let mut old = self.sessions.remove(&osid).unwrap();
             old.sid = sid;
@@ -766,20 +769,22 @@ impl EndpointAgent {
         let Some(s) = self.sessions.get_mut(&sid) else {
             return out;
         };
-        // Replay of an already-answered command: return the cached response
-        // without re-executing (idempotence across reconnects).
-        if let Some((_, _, resp)) = s.replay.iter().find(|(q, _, _)| *q == seq) {
-            M_REPLAY_HITS.inc();
-            plab_obs::obs_event!(
-                plab_obs::Component::Endpoint,
-                "replay.hit",
-                "sid" = sid,
-                "seq" = seq
-            );
-            out.push((sid, Message::RespSeq { seq, resp: resp.clone() }));
-            return out;
-        }
+        // A cached seq is never above `last_seq`, so a fresh command skips
+        // the cache scan.
         if seq <= s.last_seq {
+            // Replay of an already-answered command: return the cached
+            // response without re-executing (idempotence across reconnects).
+            if let Some((_, _, resp)) = s.replay.iter().find(|(q, _, _)| *q == seq) {
+                M_REPLAY_HITS.inc();
+                plab_obs::obs_event!(
+                    plab_obs::Component::Endpoint,
+                    "replay.hit",
+                    "sid" = sid,
+                    "seq" = seq
+                );
+                out.push((sid, Message::RespSeq { seq, resp: resp.clone() }));
+                return out;
+            }
             if s.pending_poll_seq == Some(seq) {
                 // The poll this seq named is still in flight; its sequenced
                 // response arrives when the deadline passes or data shows up.
@@ -2088,6 +2093,39 @@ mod tests {
             panic!("{resp:?}");
         };
         assert_eq!(data, vec![9, 8, 7]);
+    }
+
+    /// Two lingering sessions of one experiment (authenticated while the
+    /// operator had lingering off, so neither adopted the other): a
+    /// re-authentication adopts the older, whatever order the session map
+    /// iterates in. Every round has a fresh map, so a choice by iteration
+    /// order would not survive eight of them. Priorities rise with the
+    /// sid so that each session is in control when it touches memory.
+    #[test]
+    fn reauthentication_adopts_the_lowest_matching_session() {
+        for round in 0..8 {
+            let mut a = agent();
+            let mut s = MockStack::new();
+            for sid in [1u8, 2] {
+                authenticate(&mut a, &mut s, sid.into(), sid);
+                let mark = Command::MWrite { memaddr: 0x40, data: vec![sid] };
+                cmd(&mut a, &mut s, sid.into(), mark);
+            }
+            a.config.session_linger_ns = 1_000_000_000;
+            a.on_session_closed(2, &mut s);
+            a.on_session_closed(1, &mut s);
+            assert_eq!(a.session_count(), 2, "both linger");
+
+            for (sid, adopted) in [(3u8, 1u8), (4, 2)] {
+                authenticate(&mut a, &mut s, sid.into(), sid);
+                let read = Command::MRead { memaddr: 0x40, bytecnt: 1 };
+                let resp = cmd(&mut a, &mut s, sid.into(), read);
+                let Message::Resp(Response::Mem { data }) = resp else {
+                    panic!("{resp:?}");
+                };
+                assert_eq!(data, vec![adopted], "round {round}: sid {sid} adopted the wrong session");
+            }
+        }
     }
 
     /// A detached session whose linger window passes is reclaimed by

@@ -575,12 +575,11 @@ impl SimNet {
         let dead: Vec<u64> = {
             let ep = &self.endpoints[i];
             ep.reactor
-                .session_ids()
-                .into_iter()
-                .filter(|&sid| {
-                    let conn = ep.reactor.conn_of(sid).expect("listed session has a conn");
+                .sessions()
+                .filter(|&(_, conn)| {
                     self.sim.tcp_closed(node, conn) || self.sim.tcp_peer_done(node, conn)
                 })
+                .map(|(sid, _)| sid)
                 .collect()
         };
 

@@ -38,7 +38,7 @@ use crate::endpoint::{EndpointAgent, EndpointConfig, Out};
 use crate::netstack::NetStack;
 use crate::wire::{ErrCode, FrameDecoder, Message, Response};
 use plab_netsim::RawDisposition;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 static M_REJECTED: plab_obs::metrics::Counter =
     plab_obs::metrics::Counter::new("endpoint.sessions.rejected");
@@ -55,47 +55,59 @@ static M_STALLED: plab_obs::metrics::Counter =
 /// credit resets, so credit cannot be hoarded across idle periods —
 /// classic DRR (Shreedhar & Varghese).
 ///
-/// The scheduler never iterates a hash map: given the same enrollment
-/// order and the same per-poll cost answers, it produces the same service
-/// order, which is what `tests/proptest_drr.rs` pins.
+/// The ring is a `Vec` read cyclically from a cursor, credits beside it:
+/// passing an idle session is one array write and a cursor step. The same
+/// enrollment order and per-poll cost answers give the same service order,
+/// which is what `tests/proptest_drr.rs` pins.
+#[derive(Default)]
 pub struct DrrScheduler {
-    /// Enrolled session ids in arrival order; the front is the session
-    /// currently being offered service.
-    ring: VecDeque<u64>,
-    /// Accumulated credit per session, in cost units (bytes).
-    deficit: HashMap<u64, u64>,
+    /// Enrolled session ids. Read cyclically from `cursor`, this is
+    /// arrival order: the session just before the cursor enrolled last.
+    ring: Vec<u64>,
+    /// `deficit[i]` is the credit of `ring[i]`, in cost units (bytes).
+    deficit: Vec<u64>,
+    /// Index of the session being offered service (0 on an empty ring).
+    cursor: usize,
     quantum: u64,
-    /// The session at the ring front that has already received its quantum
-    /// for the current visit (one quantum per visit, however many units it
-    /// serves with it).
-    charged: Option<u64>,
+    /// The session at the cursor already has its quantum for the current
+    /// visit (one per visit, however many units it serves with it).
+    charged: bool,
 }
 
 impl DrrScheduler {
     /// Scheduler with the given per-visit quantum (cost units / bytes).
     pub fn new(quantum: u64) -> Self {
-        DrrScheduler {
-            ring: VecDeque::new(),
-            deficit: HashMap::new(),
-            quantum: quantum.max(1),
-            charged: None,
-        }
+        DrrScheduler { quantum: quantum.max(1), ..Default::default() }
     }
 
     /// Enroll a session at the back of the ring (no-op if present).
     pub fn enroll(&mut self, sid: u64) {
-        if let std::collections::hash_map::Entry::Vacant(e) = self.deficit.entry(sid) {
-            e.insert(0);
-            self.ring.push_back(sid);
+        if self.ring.contains(&sid) {
+            return;
+        }
+        // The back of the ring is just before the cursor: at 0, the end.
+        if self.cursor == 0 {
+            self.ring.push(sid);
+            self.deficit.push(0);
+        } else {
+            self.ring.insert(self.cursor, sid);
+            self.deficit.insert(self.cursor, 0);
+            self.cursor += 1;
         }
     }
 
     /// Remove a session entirely.
     pub fn remove(&mut self, sid: u64) {
-        if self.deficit.remove(&sid).is_some() {
-            self.ring.retain(|&s| s != sid);
-            if self.charged == Some(sid) {
-                self.charged = None;
+        let Some(i) = self.ring.iter().position(|&s| s == sid) else { return };
+        self.ring.remove(i);
+        self.deficit.remove(i);
+        if i < self.cursor {
+            self.cursor -= 1;
+        } else if i == self.cursor {
+            // The next session in the ring moved under the cursor.
+            self.charged = false;
+            if self.cursor == self.ring.len() {
+                self.cursor = 0;
             }
         }
     }
@@ -118,36 +130,29 @@ impl DrrScheduler {
     /// must then actually serve that unit. Returns `None` when no session
     /// can be served this poll (each enrolled session was visited once).
     pub fn poll(&mut self, mut cost: impl FnMut(u64) -> Option<u64>) -> Option<u64> {
-        let mut visited = 0;
-        let n = self.ring.len();
-        while visited < n {
-            let &sid = self.ring.front()?;
+        for _ in 0..self.ring.len() {
+            let i = self.cursor;
+            let sid = self.ring[i];
             match cost(sid) {
                 Some(c) => {
-                    let d = self.deficit.get_mut(&sid).expect("ring member has deficit");
-                    if self.charged != Some(sid) {
+                    let d = &mut self.deficit[i];
+                    if !self.charged {
                         // One quantum per visit, however many units it
                         // buys; if still short, the deficit persists and
                         // the session waits for its next turn.
                         *d += self.quantum;
-                        self.charged = Some(sid);
+                        self.charged = true;
                     }
                     if *d >= c {
                         *d -= c;
                         return Some(sid);
                     }
-                    self.charged = None;
-                    self.ring.rotate_left(1);
-                    visited += 1;
                 }
-                None => {
-                    // Idle sessions don't accumulate credit.
-                    self.deficit.insert(sid, 0);
-                    self.charged = None;
-                    self.ring.rotate_left(1);
-                    visited += 1;
-                }
+                // Idle sessions don't accumulate credit.
+                None => self.deficit[i] = 0,
             }
+            self.charged = false;
+            self.cursor = if i + 1 == self.ring.len() { 0 } else { i + 1 };
         }
         None
     }
@@ -177,7 +182,9 @@ impl Default for ReactorLimits {
 }
 
 /// Per-session IO state.
+#[derive(Default)]
 struct SessionIo {
+    sid: u64,
     conn: u64,
     decoder: FrameDecoder,
     /// Decoded inbound messages awaiting dispatch, with their frame cost
@@ -194,24 +201,56 @@ struct SessionIo {
 }
 
 impl SessionIo {
-    fn new(conn: u64) -> Self {
-        SessionIo {
-            conn,
-            decoder: FrameDecoder::new(),
-            inq: VecDeque::new(),
-            outq: VecDeque::new(),
-            outq_bytes: 0,
-            rejected: false,
-            poisoned: false,
-        }
-    }
-
     fn push_out(&mut self, frame: Vec<u8>) -> usize {
         let n = frame.len();
         self.outq_bytes += n;
         self.outq.push_back(frame);
         n
     }
+
+    /// Read what the connection has and decode it into `inq`.
+    fn pump(&mut self, stack: &mut dyn NetStack) {
+        loop {
+            let data = stack.tcp_recv(self.conn, 65536);
+            if data.is_empty() {
+                break;
+            }
+            self.decoder.extend(&data);
+        }
+        loop {
+            match self.decoder.next_frame() {
+                Ok(Some(payload)) => match Message::decode(&payload) {
+                    // Rejected sessions' traffic is discarded; the Busy
+                    // response is already queued.
+                    Ok(_) if self.rejected => {}
+                    Ok(msg) => self.inq.push_back((msg, payload.len() as u64 + 4)),
+                    Err(_) => {
+                        self.poisoned = true;
+                        break;
+                    }
+                },
+                Ok(None) => break,
+                Err(_) => {
+                    // Corrupt framing: drop the session once its queue flushes.
+                    self.poisoned = true;
+                    break;
+                }
+            }
+        }
+    }
+}
+
+/// Where `sid` sits in a table kept in ascending sid order. Sids are
+/// distinct integers, so a session is at most `sid - first` slots in, and
+/// exactly there until a lower session closes: the common lookup is one
+/// probe, the rest a binary search below it.
+fn slot(table: &[SessionIo], sid: u64) -> Option<usize> {
+    let ahead = sid.checked_sub(table.first()?.sid)?;
+    let hi = usize::try_from(ahead).unwrap_or(usize::MAX).min(table.len() - 1);
+    if table[hi].sid == sid {
+        return Some(hi);
+    }
+    table[..hi].binary_search_by_key(&sid, |s| s.sid).ok()
 }
 
 /// The endpoint reactor: one [`EndpointAgent`] multiplexed over many
@@ -231,7 +270,10 @@ impl SessionIo {
 ///    rejected/poisoned connections whose queues drained).
 pub struct EndpointReactor {
     agent: EndpointAgent,
-    io: HashMap<u64, SessionIo>,
+    /// Sessions with live IO state, in ascending sid order. `accept` hands
+    /// sids out ascending and appends, so arrival order, sid order and
+    /// flush order are one order and nothing is ever sorted.
+    table: Vec<SessionIo>,
     sched: DrrScheduler,
     limits: ReactorLimits,
     global_out_bytes: usize,
@@ -250,7 +292,7 @@ impl EndpointReactor {
     pub fn with_limits(config: EndpointConfig, limits: ReactorLimits) -> Self {
         EndpointReactor {
             agent: EndpointAgent::new(config),
-            io: HashMap::new(),
+            table: Vec::new(),
             sched: DrrScheduler::new(limits.quantum),
             limits,
             global_out_bytes: 0,
@@ -280,16 +322,10 @@ impl EndpointReactor {
         self.next_sid = self.next_sid.max(sid);
     }
 
-    /// Session ids with live IO state, ascending.
-    pub fn session_ids(&self) -> Vec<u64> {
-        let mut ids: Vec<u64> = self.io.keys().copied().collect();
-        ids.sort_unstable();
-        ids
-    }
-
-    /// The connection a session rides on.
-    pub fn conn_of(&self, sid: u64) -> Option<u64> {
-        self.io.get(&sid).map(|s| s.conn)
+    /// Every session with live IO state and the connection it rides on,
+    /// as `(sid, conn)` in ascending sid order.
+    pub fn sessions(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.table.iter().map(|s| (s.sid, s.conn))
     }
 
     /// Admit (or refuse) a new connection; returns the assigned sid.
@@ -299,7 +335,7 @@ impl EndpointReactor {
     pub fn accept(&mut self, conn: u64) -> u64 {
         let sid = self.next_sid;
         self.next_sid += 1;
-        let mut io = SessionIo::new(conn);
+        let mut io = SessionIo { sid, conn, ..Default::default() };
         if self.agent.can_accept() {
             self.agent.on_session_open(sid);
             self.sched.enroll(sid);
@@ -318,54 +354,15 @@ impl EndpointReactor {
             });
             self.global_out_bytes += io.push_out(resp.to_frame());
         }
-        self.io.insert(sid, io);
+        self.table.push(io);
         sid
     }
 
     /// Read available inbound bytes for every session (readiness polling
     /// over the `NetStack`) and decode them into per-session queues.
     pub fn pump(&mut self, stack: &mut dyn NetStack) {
-        let sids = self.session_ids();
-        for sid in sids {
-            self.pump_session(sid, stack);
-        }
-    }
-
-    fn pump_session(&mut self, sid: u64, stack: &mut dyn NetStack) {
-        let Some(io) = self.io.get_mut(&sid) else { return };
-        loop {
-            let data = stack.tcp_recv(io.conn, 65536);
-            if data.is_empty() {
-                break;
-            }
-            io.decoder.extend(&data);
-        }
-        loop {
-            match io.decoder.next_frame() {
-                Ok(Some(payload)) => {
-                    let cost = payload.len() as u64 + 4;
-                    match Message::decode(&payload) {
-                        Ok(msg) => {
-                            if !io.rejected {
-                                io.inq.push_back((msg, cost));
-                            }
-                            // Rejected sessions' traffic is discarded; the
-                            // Busy response is already queued.
-                        }
-                        Err(_) => {
-                            io.poisoned = true;
-                            break;
-                        }
-                    }
-                }
-                Ok(None) => break,
-                Err(_) => {
-                    // Corrupt framing: drop the session (after flushing
-                    // queued responses).
-                    io.poisoned = true;
-                    break;
-                }
-            }
+        for io in &mut self.table {
+            io.pump(stack);
         }
     }
 
@@ -373,40 +370,37 @@ impl EndpointReactor {
     /// backpressure. Returns the number of messages dispatched.
     pub fn dispatch(&mut self, stack: &mut dyn NetStack) -> usize {
         let mut served = 0usize;
+        let session_bound = self.limits.session_outq_bytes;
         loop {
             if self.global_out_bytes > self.limits.global_outq_bytes {
                 M_STALLED.inc();
                 break;
             }
-            let session_bound = self.limits.session_outq_bytes;
-            let io = &self.io;
+            let table = &self.table;
+            // A poll pass grants each session at most one quantum, and a
+            // head frame larger than that needs more passes: the round
+            // must drain everything not backpressured, DRR only decides
+            // the order. A poll that serves nobody has visited every
+            // enrolled session once, so whether any of them offered a unit
+            // tells "short of credit" from "nothing left".
+            let mut offered = false;
             let next = self.sched.poll(|sid| {
-                let s = io.get(&sid)?;
+                let s = &table[slot(table, sid)?];
                 if s.poisoned || s.outq_bytes > session_bound {
                     return None;
                 }
-                s.inq.front().map(|(_, c)| *c)
+                let cost = s.inq.front().map(|(_, c)| *c);
+                offered |= cost.is_some();
+                cost
             });
             let Some(sid) = next else {
-                // A poll pass grants each session at most one quantum; a
-                // head frame larger than that needs more passes. Keep
-                // granting rounds while servable work remains — the round
-                // must drain everything not backpressured, DRR only decides
-                // the order.
-                let servable = self.io.values().any(|s| {
-                    !s.poisoned && !s.rejected
-                        && s.outq_bytes <= session_bound
-                        && !s.inq.is_empty()
-                });
-                if servable {
+                if offered {
                     continue;
                 }
                 break;
             };
-            let (msg, _) = self
-                .io
-                .get_mut(&sid)
-                .and_then(|s| s.inq.pop_front())
+            let (msg, _) = slot(&self.table, sid)
+                .and_then(|i| self.table[i].inq.pop_front())
                 .expect("polled session has a queued message");
             let out = self.agent.on_message(sid, msg, stack);
             self.route_out(out);
@@ -443,7 +437,8 @@ impl EndpointReactor {
     /// The transport reports `sid`'s connection dead: tear down IO state
     /// and let the agent detach or destroy the session (lingering applies).
     pub fn on_conn_closed(&mut self, sid: u64, stack: &mut dyn NetStack) {
-        let Some(io) = self.io.remove(&sid) else { return };
+        let Some(i) = slot(&self.table, sid) else { return };
+        let io = self.table.remove(i);
         self.global_out_bytes -= io.outq_bytes;
         self.sched.remove(sid);
         if !io.rejected {
@@ -455,8 +450,8 @@ impl EndpointReactor {
     /// Queue agent output onto the owning sessions' outbound queues.
     fn route_out(&mut self, out: Out) {
         for (sid, msg) in out {
-            if let Some(io) = self.io.get_mut(&sid) {
-                self.global_out_bytes += io.push_out(msg.to_frame());
+            if let Some(i) = slot(&self.table, sid) {
+                self.global_out_bytes += self.table[i].push_out(msg.to_frame());
             }
             // Output for sessions with no connection (e.g. already closed)
             // is dropped, as the blocking serve loop did.
@@ -469,24 +464,28 @@ impl EndpointReactor {
     /// (their `tcp_close` has already been issued).
     pub fn flush(&mut self, stack: &mut dyn NetStack) -> Vec<u64> {
         let mut closed = Vec::new();
-        let sids = self.session_ids();
-        for sid in sids {
-            let Some(io) = self.io.get_mut(&sid) else { continue };
+        let mut i = 0;
+        while i < self.table.len() {
+            let io = &mut self.table[i];
             while let Some(frame) = io.outq.pop_front() {
                 io.outq_bytes -= frame.len();
                 self.global_out_bytes -= frame.len();
                 stack.tcp_send(io.conn, &frame);
             }
-            if io.rejected || io.poisoned {
-                let io = self.io.remove(&sid).unwrap();
-                stack.tcp_close(io.conn);
-                self.sched.remove(sid);
-                if io.poisoned && !io.rejected {
-                    let out = self.agent.on_session_closed(sid, stack);
-                    self.route_out(out);
-                }
-                closed.push(sid);
+            if !(io.rejected || io.poisoned) {
+                i += 1;
+                continue;
             }
+            // Closing takes the session out from under the walk: the next
+            // one slides into slot `i`.
+            let io = self.table.remove(i);
+            stack.tcp_close(io.conn);
+            self.sched.remove(io.sid);
+            if !io.rejected {
+                let out = self.agent.on_session_closed(io.sid, stack);
+                self.route_out(out);
+            }
+            closed.push(io.sid);
         }
         closed
     }
@@ -498,13 +497,15 @@ impl EndpointReactor {
 
     /// Messages currently queued inbound across all sessions.
     pub fn queued_in_messages(&self) -> usize {
-        self.io.values().map(|s| s.inq.len()).sum()
+        self.table.iter().map(|s| s.inq.len()).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
+    use std::net::Ipv4Addr;
 
     /// Drain everything with repeated single-unit polls.
     fn drain(sched: &mut DrrScheduler, queues: &mut HashMap<u64, VecDeque<u64>>) -> Vec<u64> {
@@ -576,5 +577,106 @@ mod tests {
         let order = drain(&mut sched, &mut queues);
         assert!(order.iter().all(|&s| s != 9));
         assert_eq!(order.len(), 4);
+    }
+
+    /// Inboxes the test feeds; every `tcp_send` and `tcp_close` recorded in
+    /// call order.
+    #[derive(Default)]
+    struct TestStack {
+        inbox: HashMap<u64, Vec<u8>>,
+        sent: Vec<(u64, Vec<u8>)>,
+        closed: Vec<u64>,
+    }
+
+    impl NetStack for TestStack {
+        fn clock(&self) -> u64 {
+            1_000
+        }
+        fn local_addr(&self) -> Ipv4Addr {
+            Ipv4Addr::new(10, 0, 0, 1)
+        }
+        fn external_addr(&self) -> Ipv4Addr {
+            self.local_addr()
+        }
+        fn mtu(&self) -> u32 {
+            1500
+        }
+        fn raw_supported(&self) -> bool {
+            false
+        }
+        fn raw_send_at(&mut self, _: u64, _: Vec<u8>, _: u64) {}
+        fn udp_bind(&mut self, _: u16) -> bool {
+            true
+        }
+        fn udp_unbind(&mut self, _: u16) {}
+        fn udp_send_at(&mut self, _: u64, _: u16, _: Ipv4Addr, _: u16, _: &[u8], _: u64) {}
+        fn take_udp(&mut self, _: u16) -> Vec<(u64, Ipv4Addr, u16, Vec<u8>)> {
+            Vec::new()
+        }
+        fn tcp_connect(&mut self, _: Ipv4Addr, _: u16) -> u64 {
+            0
+        }
+        fn tcp_send(&mut self, conn: u64, data: &[u8]) {
+            self.sent.push((conn, data.to_vec()));
+        }
+        fn tcp_recv(&mut self, conn: u64, _: usize) -> Vec<u8> {
+            self.inbox.remove(&conn).unwrap_or_default()
+        }
+        fn tcp_readable(&self, conn: u64) -> usize {
+            self.inbox.get(&conn).map_or(0, Vec::len)
+        }
+        fn tcp_close(&mut self, conn: u64) {
+            self.closed.push(conn);
+        }
+        fn tcp_alive(&self, _: u64) -> bool {
+            true
+        }
+        fn schedule_wakeup(&mut self, _: u64, _: u64) {}
+        fn take_send_log(&mut self) -> Vec<(u64, u64)> {
+            Vec::new()
+        }
+    }
+
+    /// One `flush` closes rejected and poisoned sessions in ascending sid
+    /// order, adjacent ones included, while the table shrinks under its
+    /// walk; the live sessions between them are flushed and kept; and
+    /// output for a sid closed earlier in the turn goes nowhere.
+    #[test]
+    fn flush_closes_rejected_and_poisoned_in_sid_order() {
+        let mut stack = TestStack::default();
+        let mut reactor =
+            EndpointReactor::new(EndpointConfig { max_sessions: 3, ..Default::default() });
+        // Connection numbers are 100 + sid. Sids 1-3 fill the endpoint, 4
+        // is refused, closing 2 makes room for 5, and 6 is refused again.
+        for conn in 101..=104 {
+            reactor.accept(conn);
+        }
+        reactor.on_conn_closed(2, &mut stack);
+        assert_eq!(reactor.accept(105), 5);
+        assert_eq!(reactor.accept(106), 6);
+        assert_eq!(reactor.rejected_sessions, 2);
+
+        let hello = Message::Hello { version: crate::PROTOCOL_VERSION }.to_frame();
+        stack.inbox.insert(101, hello.clone());
+        stack.inbox.insert(105, hello);
+        // A framed payload no message decodes from poisons session 3, which
+        // sits right before rejected session 4 in the table.
+        stack.inbox.insert(103, vec![1, 0, 0, 0, 0xff]);
+        reactor.pump(&mut stack);
+        assert_eq!(reactor.dispatch(&mut stack), 2);
+
+        assert_eq!(reactor.flush(&mut stack), vec![3, 4, 6]);
+        assert_eq!(stack.closed, vec![103, 104, 106]);
+        let sent_to: Vec<u64> = stack.sent.iter().map(|(conn, _)| *conn).collect();
+        assert_eq!(sent_to, vec![101, 104, 105, 106], "HelloAcks and Busy refusals, in sid order");
+        assert_eq!(reactor.sessions().collect::<Vec<_>>(), vec![(1, 101), (5, 105)]);
+        assert_eq!(reactor.sched.len(), 2);
+        assert_eq!(reactor.agent().session_count(), 2, "the poisoned session left the agent too");
+        assert_eq!(reactor.queued_out_bytes(), 0);
+
+        reactor.route_out(vec![(3, Message::AuthOk), (4, Message::AuthOk)]);
+        assert_eq!(reactor.queued_out_bytes(), 0, "output for closed sids is dropped");
+        assert!(reactor.flush(&mut stack).is_empty());
+        assert_eq!(stack.sent.len(), 4);
     }
 }

@@ -5,15 +5,19 @@
 //! of unit costs, and the quantum, all derived from one seed — are served
 //! three ways:
 //!
-//! 1. through a fresh [`DrrScheduler`] (the production scheduler, which
-//!    keeps its deficits in a `HashMap` — the property proves map
-//!    iteration order never leaks into the schedule),
+//! 1. through a fresh [`DrrScheduler`] (the production scheduler: a `Vec`
+//!    ring read cyclically from a cursor, credits beside it),
 //! 2. through a second fresh `DrrScheduler` (replay: bit-identical), and
 //! 3. through an independently written single-step oracle that carries
 //!    its state only in `Vec`s, in strict arrival order.
 //!
 //! All three must produce the same service order, and the order must be
 //! work-conserving: every queued unit is served exactly once.
+//!
+//! A second, dynamic property runs the scheduler in lockstep with a
+//! rotating-queue model while sessions enroll and leave mid-stream, units
+//! arrive between polls and sessions turn unservable and back: what the
+//! cursor arithmetic has to get right.
 
 use packetlab::reactor::DrrScheduler;
 use proptest::prelude::*;
@@ -120,6 +124,171 @@ fn run_oracle(spec: &Spec) -> Vec<u64> {
     order
 }
 
+/// Single-step reference for the dynamic property: the ring is a queue
+/// whose front is the session being offered service, moved on by rotation,
+/// with each session's credit riding along in its entry. It shares no
+/// index arithmetic with the production scheduler's cursor.
+struct Model {
+    quantum: u64,
+    ring: VecDeque<(u64, u64)>, // (sid, credit)
+    /// The front session already has this visit's quantum.
+    granted: bool,
+}
+
+impl Model {
+    fn enroll(&mut self, sid: u64) {
+        if self.ring.iter().all(|&(s, _)| s != sid) {
+            self.ring.push_back((sid, 0));
+        }
+    }
+
+    fn remove(&mut self, sid: u64) {
+        if self.ring.front().is_some_and(|&(s, _)| s == sid) {
+            self.granted = false;
+        }
+        self.ring.retain(|&(s, _)| s != sid);
+    }
+
+    fn poll(&mut self, cost: impl Fn(u64) -> Option<u64>) -> Option<u64> {
+        for _ in 0..self.ring.len() {
+            let (sid, credit) = self.ring.front_mut()?;
+            match cost(*sid) {
+                Some(c) => {
+                    if !self.granted {
+                        *credit += self.quantum;
+                        self.granted = true;
+                    }
+                    if *credit >= c {
+                        *credit -= c;
+                        return Some(*sid);
+                    }
+                }
+                None => *credit = 0,
+            }
+            self.granted = false;
+            self.ring.rotate_left(1);
+        }
+        None
+    }
+}
+
+/// One session of the dynamic property.
+struct Peer {
+    sid: u64,
+    queue: VecDeque<u64>,
+    /// Unservable for now (the reactor's backpressured or poisoned
+    /// session): its cost reads `None` whatever it has queued.
+    blocked: bool,
+}
+
+fn head_cost(peers: &[Peer], sid: u64) -> Option<u64> {
+    let p = peers.iter().find(|p| p.sid == sid)?;
+    if p.blocked {
+        return None;
+    }
+    p.queue.front().copied()
+}
+
+/// One poll of both schedulers with the same answers: they must agree, and
+/// the unit they chose is served.
+fn poll_both(
+    sched: &mut DrrScheduler,
+    model: &mut Model,
+    peers: &mut [Peer],
+    seed: u64,
+) -> Result<Option<u64>, TestCaseError> {
+    let got = sched.poll(|sid| head_cost(peers, sid));
+    let want = model.poll(|sid| head_cost(peers, sid));
+    prop_assert_eq!(got, want, "poll diverged (seed {:#x})", seed);
+    if let Some(sid) = got {
+        peers.iter_mut().find(|p| p.sid == sid).unwrap().queue.pop_front();
+    }
+    Ok(got)
+}
+
+/// Drive the production scheduler and the model through one seed-derived
+/// script, polling both with the same answers; the polls' results are
+/// compared as they happen. Returns how many units were served.
+fn run_dynamic(seed: u64) -> Result<usize, TestCaseError> {
+    let mut s = seed;
+    let quantum = 1 + splitmix64(&mut s) % 64;
+    let mut sched = DrrScheduler::new(quantum);
+    let mut model = Model { quantum, ring: VecDeque::new(), granted: false };
+    let mut peers: Vec<Peer> = Vec::new();
+    let mut enrolled = 0u64;
+    let mut served = 0usize;
+
+    let steps = 40 + splitmix64(&mut s) % 80;
+    for step in 0..steps {
+        let r = splitmix64(&mut s);
+        let pick = (splitmix64(&mut s) % peers.len().max(1) as u64) as usize;
+        // The session under the cursor and the one just before it are
+        // where an off-by-one in `remove` would show.
+        let target = match r >> 8 & 3 {
+            0 => model.ring.front().map(|&(sid, _)| sid),
+            1 => model.ring.back().map(|&(sid, _)| sid),
+            _ => peers.get(pick).map(|p| p.sid),
+        };
+        match r % 16 {
+            // The script opens with a few enrollments, then they are rare.
+            _ if step < 3 => {}
+            0..=4 => {
+                if let Some(p) = peers.get_mut(pick) {
+                    p.queue.push_back(1 + (r >> 16) % (2 * quantum));
+                }
+                continue;
+            }
+            5..=10 => {
+                let polls = 1 + (r >> 16) % 3;
+                for _ in 0..polls {
+                    let got = poll_both(&mut sched, &mut model, &mut peers, seed)?;
+                    served += usize::from(got.is_some());
+                }
+                continue;
+            }
+            11 | 12 => {
+                if let Some(sid) = target {
+                    sched.remove(sid);
+                    model.remove(sid);
+                    peers.retain(|p| p.sid != sid);
+                }
+                continue;
+            }
+            13 | 14 => {
+                if let Some(p) = target.and_then(|sid| peers.iter_mut().find(|p| p.sid == sid)) {
+                    p.blocked = !p.blocked;
+                }
+                continue;
+            }
+            _ => {}
+        }
+        if enrolled < 31 {
+            // Distinct, non-contiguous and out of order.
+            let sid = 10 + 7 * (enrolled * 11 % 31);
+            enrolled += 1;
+            sched.enroll(sid);
+            model.enroll(sid);
+            let len = splitmix64(&mut s) % 4;
+            let queue = (0..len).map(|_| 1 + splitmix64(&mut s) % (2 * quantum)).collect();
+            peers.push(Peer { sid, queue, blocked: false });
+        }
+    }
+
+    // Everything becomes servable again and the rest drains, still in
+    // lockstep: work conservation across all of the above.
+    for p in &mut peers {
+        p.blocked = false;
+    }
+    prop_assert_eq!(sched.len(), peers.len());
+    let mut polls = 0;
+    while peers.iter().any(|p| !p.queue.is_empty()) {
+        polls += 1;
+        prop_assert!(polls < 100_000, "drain does not end (seed {:#x})", seed);
+        served += usize::from(poll_both(&mut sched, &mut model, &mut peers, seed)?.is_some());
+    }
+    Ok(served)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256 })]
 
@@ -159,5 +328,15 @@ proptest! {
         let got = run_scheduler(&relabeled);
         let want: Vec<u64> = base.iter().map(|sid| *sid * 131 + 9).collect();
         prop_assert_eq!(got, want, "relabeling changed the schedule shape (seed {:#x})", seed);
+    }
+
+    /// Enrollment, removal, arrivals and blocking between polls: the
+    /// cursor ring serves exactly what the rotating-queue model serves,
+    /// poll for poll, and replays identically.
+    #[test]
+    fn drr_matches_model_under_enroll_remove_and_blocking(seed in any::<u64>()) {
+        let first = run_dynamic(seed)?;
+        let second = run_dynamic(seed)?;
+        prop_assert_eq!(first, second, "replay diverged (seed {:#x})", seed);
     }
 }
