@@ -15,20 +15,16 @@
 //! - `bwest_metrics.prom`  — the metric snapshot in Prometheus text
 //!   exposition format.
 //! - `BENCH_bwest.json`    — the accuracy table + artifact digests (the
-//!   committed baseline `repro_bwest_guard` reads).
+//!   committed record; `repro_guard bwest` pins the same trace digest).
 //!
 //! Pass bar (same as the guard's): ≥ 18 of 20 topologies with every
 //! destination inside the 20% accuracy budget. `--json` prints the
 //! report on stdout.
 
-use plab_bench::bwest::{self, BwestPoint};
-use plab_bench::reportjson::{emit_report, json_rows};
-use plab_netsim::roster::bw_corpus;
-use plab_obs::export::{fnv1a64, prometheus_text, qlog_seq};
+use plab_bench::bwest::{run_corpus, BwestPoint, MIN_WITHIN, TOLERANCE_PCT};
+use plab_bench::reportjson::{emit_report, json_rows, machine_members};
+use plab_obs::export::fnv1a64;
 use packetlab::controller::experiments::bwest::Confidence;
-
-const TOLERANCE_PCT: f64 = 20.0;
-const MIN_WITHIN: usize = 18;
 
 fn confidence_name(c: Confidence) -> &'static str {
     match c {
@@ -36,19 +32,6 @@ fn confidence_name(c: Confidence) -> &'static str {
         Confidence::Medium => "medium",
         Confidence::Low => "low",
     }
-}
-
-/// Run the full corpus once under a fresh flight recorder; return the
-/// points plus the rendered trace and metric artifacts.
-fn run_corpus() -> (Vec<BwestPoint>, String, String) {
-    plab_obs::enable();
-    plab_obs::reset();
-    let corpus = bw_corpus();
-    let points: Vec<BwestPoint> = corpus.iter().map(bwest::point).collect();
-    let qlog = qlog_seq(&plab_obs::snapshot());
-    let prom = prometheus_text();
-    plab_obs::disable();
-    (points, qlog, prom)
 }
 
 fn render_row(p: &BwestPoint) -> String {
@@ -117,7 +100,7 @@ fn main() {
     std::fs::write("bwest_metrics.prom", &prom).expect("write prometheus exposition");
 
     let rows: Vec<String> = points.iter().map(render_row).collect();
-    let mut out = String::from("{\n  \"bench\": \"bwest\",\n");
+    let mut out = format!("{{\n  \"bench\": \"bwest\",\n  {},\n", machine_members());
     out.push_str(&format!(
         "  \"tolerance_pct\": {TOLERANCE_PCT},\n  \"min_within\": {MIN_WITHIN},\n  \
          \"within\": {within},\n  \"topologies\": {},\n  \

@@ -16,7 +16,7 @@
 //! the RTT floor exits non-zero.
 //!
 //! Results land in `BENCH_ctrl.json` (the committed baseline the
-//! `repro_ctrl_scale_guard` CI gate reads). `--json` prints the same
+//! `repro_guard ctrl` CI gate reads). `--json` prints the same
 //! report on stdout.
 //!
 //! Env knobs:

@@ -11,7 +11,7 @@
 //! Any divergence exits non-zero.
 //!
 //! Results land in `BENCH_fleet.json` (the committed baseline the
-//! `repro_fleet_guard` CI gate reads). `--json` prints the same report on
+//! `repro_guard fleet` CI gate reads). `--json` prints the same report on
 //! stdout.
 //!
 //! Env knobs:

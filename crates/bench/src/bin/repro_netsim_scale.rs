@@ -1,6 +1,6 @@
 //! Netsim scale sweep: events/sec, zero-copy effectiveness, and pool
 //! residency across 16-, 128-, and 1024-host worlds, written to
-//! `BENCH_netsim.json` (the baseline `repro_netsim_guard` regresses
+//! `BENCH_netsim.json` (the baseline `repro_guard netsim` regresses
 //! against).
 //!
 //! The sweep exists to answer the question the single-line throughput
@@ -33,7 +33,9 @@
 //! `NETSIM_SHARD_SIZES` overrides the sharded sweep's host counts
 //! (comma-separated, each a multiple of 64).
 
+use plab_bench::guard::min_over_rounds;
 use plab_bench::netsim_scale;
+use std::time::Duration;
 
 const SIZES: [usize; 3] = [16, 128, 1024];
 const SHARD_SIZES: [usize; 3] = [1024, 10_240, 102_400];
@@ -78,20 +80,14 @@ fn main() {
 
     let mut rows = Vec::new();
     for &n in &SIZES {
-        // Minimum wall time over rounds: interference only adds time, so
-        // the min converges on the true cost (same policy as the guards).
-        let mut best = f64::MAX;
-        let mut events = 0u64;
-        let mut sim = None;
-        for _ in 0..rounds.max(1) {
-            let (ev, secs, s) = netsim_scale::round(n);
-            events = ev;
-            if secs < best {
-                best = secs;
-            }
-            sim = Some(s);
-        }
-        let sim = sim.expect("at least one round");
+        // Minimum wall time over rounds (the guards' timer and policy).
+        let mut last = None;
+        let ([best], _) = min_over_rounds(Duration::ZERO, rounds.max(1) as u32, |_| {
+            let (events, secs, sim) = netsim_scale::round(n);
+            last = Some((events, sim));
+            [secs]
+        });
+        let (events, sim) = last.expect("at least one round");
         let pool = sim.pool();
         let row = Row {
             hosts: n,
@@ -138,7 +134,7 @@ fn main() {
         .ok()
         .map(|s| s.split(',').filter_map(|x| x.trim().parse().ok()).collect())
         .unwrap_or_else(|| SHARD_SIZES.to_vec());
-    let shard_rounds = rounds.clamp(1, 2);
+    let shard_rounds = rounds.clamp(1, 2) as u32;
     if !json {
         println!(
             "\nsharded pod sweep: {shard_sizes:?} hosts x {SHARD_COUNTS:?} shards, \
@@ -163,23 +159,16 @@ fn main() {
         let builds = SHARD_COUNTS.map(|shards| netsim_scale::build_cost(n, shards));
         for &(at, shards, threads) in &points {
             let build = &builds[at];
-            let mut best = f64::MAX;
-            let mut events = 0u64;
-            let mut world = None;
             // At least `shard_rounds` rounds and half a second: the guard
             // holds its own many-round minimum to these rows, and two
             // rounds of a 10 ms world are not yet a minimum.
-            let (start, mut done) = (std::time::Instant::now(), 0);
-            while done < shard_rounds || start.elapsed().as_secs_f64() < 0.5 {
-                done += 1;
-                let (ev, secs, w) = netsim_scale::round_pods(n, shards, threads);
-                events = ev;
-                if secs < best {
-                    best = secs;
-                }
-                world = Some(w);
-            }
-            let world = world.expect("at least one round");
+            let mut last = None;
+            let ([best], _) = min_over_rounds(Duration::from_millis(500), shard_rounds, |_| {
+                let (events, secs, world) = netsim_scale::round_pods(n, shards, threads);
+                last = Some((events, world));
+                [secs]
+            });
+            let (events, world) = last.expect("at least one round");
             for (i, pool) in world.sim.pool_handles().iter().enumerate() {
                 assert_eq!(
                     pool.taken(),

@@ -8,31 +8,13 @@
 
 use packetlab::monitor::MonitorSet;
 use plab_netsim::{LinkParams, NodeId, Sim, TopologyBuilder};
-use plab_packet::{builder, layout};
+use plab_packet::builder;
 use std::net::Ipv4Addr;
 use std::time::{Duration, Instant};
 
-fn info_block(me: Ipv4Addr) -> Vec<u8> {
-    let mut info = vec![0u8; layout::INFO_SIZE];
-    layout::resolve_info("addr.ip")
-        .unwrap()
-        .write_le(&mut info, u32::from(me) as u64);
-    info
-}
-
-fn encoded_chain(n: usize) -> Vec<Vec<u8>> {
-    let encoded = plab_cpf::compile(plab_bench::FIGURE2_MONITOR)
-        .expect("Figure 2 compiles")
-        .encode();
-    (0..n).map(|_| encoded.clone()).collect()
-}
-
-fn chain(n: usize, info: &[u8]) -> MonitorSet {
-    MonitorSet::instantiate(&encoded_chain(n), info).expect("monitors instantiate")
-}
-
-fn chain_sequential(n: usize, info: &[u8]) -> MonitorSet {
-    MonitorSet::instantiate_sequential(&encoded_chain(n), info).expect("monitors instantiate")
+fn chain_sequential(n: usize, encoded: &[u8], info: &[u8]) -> MonitorSet {
+    MonitorSet::instantiate_sequential(&vec![encoded.to_vec(); n], info)
+        .expect("monitors instantiate")
 }
 
 /// Run `op` repeatedly for roughly `budget`, returning ops/sec.
@@ -96,10 +78,8 @@ fn main() {
         .map(Duration::from_secs_f64)
         .unwrap_or(Duration::from_millis(500));
 
-    let me: Ipv4Addr = "10.0.0.1".parse().unwrap();
-    let target: Ipv4Addr = "10.0.99.1".parse().unwrap();
-    let info = info_block(me);
-    let probe = builder::icmp_echo_request(me, target, 5, 1, 1, &[0, 1]);
+    let (encoded, probe, info) = plab_bench::figure2_fixture();
+    let (me, target) = ("10.0.0.1".parse().unwrap(), "10.0.99.1".parse().unwrap());
     let reply = builder::icmp_echo_reply(target, me, 1, 1, &[0, 1]);
 
     if !json {
@@ -118,12 +98,12 @@ fn main() {
     let mut insns = Vec::new();
     let mut fusion = None;
     for n in [1usize, 2, 4, 8] {
-        let mut set = chain(n, &info);
+        let mut set = plab_bench::figure2_chain(n, &encoded, &info);
         assert!(set.allow_send(&probe, &info), "probe allowed");
         let (send_rate, _) = measure(budget, || u64::from(set.allow_send(&probe, &info)));
         assert!(set.allow_recv(&reply, &info), "reply allowed");
         let (recv_rate, _) = measure(budget, || u64::from(set.allow_recv(&reply, &info)));
-        let mut seq = chain_sequential(n, &info);
+        let mut seq = chain_sequential(n, &encoded, &info);
         let (seq_send, _) = measure(budget, || u64::from(seq.allow_send(&probe, &info)));
         let (seq_recv, _) = measure(budget, || u64::from(seq.allow_recv(&reply, &info)));
         if !json {
@@ -163,7 +143,10 @@ fn main() {
         );
     }
 
-    let mut out = String::from("{\n  \"bench\": \"throughput\",\n");
+    let mut out = format!(
+        "{{\n  \"bench\": \"throughput\",\n  {},\n",
+        plab_bench::reportjson::machine_members()
+    );
     out.push_str(&format!(
         "  \"budget_ms\": {},\n  \"monitor_chains\": [\n",
         budget.as_millis()

@@ -10,6 +10,7 @@ use packetlab::controller::{ControlPlane, Controller, Credentials};
 use packetlab::descriptor::ExperimentDescriptor;
 use packetlab::endpoint::EndpointConfig;
 use packetlab::harness::{SimChannel, SimNet};
+use packetlab::monitor::MonitorSet;
 use plab_crypto::{Keypair, KeyHash};
 use plab_netsim::{LinkParams, NodeId, TopologyBuilder};
 use std::cell::RefCell;
@@ -140,6 +141,24 @@ uint32_t recv(const union packet * pkt, uint32_t len) {
 }
 "#;
 
+/// What the adjudication benches feed [`FIGURE2_MONITOR`]: the encoded
+/// monitor, an ICMP echo request from 10.0.0.1 that it allows, and the
+/// info block of the endpoint at that address.
+pub fn figure2_fixture() -> (Vec<u8>, Vec<u8>, Vec<u8>) {
+    let me: Ipv4Addr = "10.0.0.1".parse().unwrap();
+    let mut info = vec![0u8; plab_packet::layout::INFO_SIZE];
+    plab_packet::layout::resolve_info("addr.ip").unwrap().write_le(&mut info, u32::from(me) as u64);
+    let probe =
+        plab_packet::builder::icmp_echo_request(me, "10.0.99.1".parse().unwrap(), 5, 1, 1, &[0, 1]);
+    let encoded = plab_cpf::compile(FIGURE2_MONITOR).expect("Figure 2 compiles").encode();
+    (encoded, probe, info)
+}
+
+/// `depth` copies of the encoded monitor on the default (fused) engine.
+pub fn figure2_chain(depth: usize, encoded: &[u8], info: &[u8]) -> MonitorSet {
+    MonitorSet::instantiate(&vec![encoded.to_vec(); depth], info).expect("monitors instantiate")
+}
+
 /// Reactive-response measurement for the §3.5 limitation experiment: a
 /// peer (the target host) sends a UDP request to the endpoint; the
 /// *controller* — not the endpoint — decides the response and commands it
@@ -213,8 +232,11 @@ pub fn scheduled_send_error(world: &World, ctrl: &mut Controller<SimChannel>) ->
     actual.abs_diff(when)
 }
 
+pub mod ctrl;
+pub mod guard;
+
 /// Scale-sweep world for the netsim hot-path benches
-/// (`repro_netsim_scale`, `repro_netsim_guard`).
+/// (`repro_netsim_scale`, `repro_guard netsim`).
 ///
 /// The throughput snapshot's 4-router line is deliberately tiny — it
 /// measures per-event cost with everything in cache. This module builds
@@ -226,8 +248,6 @@ pub fn scheduled_send_error(world: &World, ctrl: &mut Controller<SimChannel>) ->
 /// deterministic offset inside a 50 ms window toward a partner on the
 /// far side of the chain; routers forward, partners reply, TTLs are
 /// generous enough that every probe completes.
-pub mod ctrl;
-
 pub mod netsim_scale {
     use plab_netsim::{LinkParams, NodeId, Sim, TopologyBuilder, MILLISECOND};
     use plab_packet::builder;
@@ -546,7 +566,7 @@ pub mod netsim_scale {
 }
 
 /// Shared construction for the fleet-orchestration bench and its CI guard
-/// (`repro_fleet`, `repro_fleet_guard`). Both must build *bit-identical*
+/// (`repro_fleet`, `repro_guard fleet`). Both must build *bit-identical*
 /// worlds — the guard pins report digests against the committed
 /// `BENCH_fleet.json` baseline — so every knob that feeds the digest
 /// (roster seed, keypairs, experiment spec, scheduler config, fault plan)
@@ -639,10 +659,10 @@ pub mod fleet {
 }
 
 /// Shared construction for the bandwidth-estimation bench and its CI
-/// guard (`repro_bwest`, `repro_bwest_guard`). Both must build
+/// guard (`repro_bwest`, `repro_guard bwest`). Both must build
 /// bit-identical worlds — the guard pins artifact digests — so every
-/// knob (corpus, keypair seeds, estimator config, socket layout) lives
-/// here once.
+/// knob (corpus, keypair seeds, estimator config, socket layout, pass
+/// bar) lives here once.
 pub mod bwest {
     use packetlab::cert::Restrictions;
     use packetlab::controller::experiments::bwest::{
@@ -654,9 +674,17 @@ pub mod bwest {
     use packetlab::endpoint::EndpointConfig;
     use packetlab::harness::{SimDialer, SimNet};
     use plab_crypto::{KeyHash, Keypair};
-    use plab_netsim::roster::{build_bw_world, BwTopoSpec};
+    use plab_netsim::roster::{build_bw_world, bw_corpus, BwTopoSpec};
+    use plab_obs::export::{prometheus_text, qlog_seq};
     use std::cell::RefCell;
     use std::rc::Rc;
+
+    /// Accuracy budget: a topology is within when every destination's
+    /// estimate is this close to the configured bottleneck, percent.
+    pub const TOLERANCE_PCT: f64 = 20.0;
+
+    /// Pass bar: how many of the 20 corpus topologies must be within.
+    pub const MIN_WITHIN: usize = 18;
 
     /// One corpus point: the estimator's report next to the configured
     /// truth.
@@ -737,6 +765,19 @@ pub mod bwest {
             .expect("bwest suite completes");
         BwestPoint { name: spec.name, truth: w.ground_truth, report }
     }
+
+    /// Run the full corpus once under a fresh flight recorder; return the
+    /// points plus the rendered artifacts: the qlog-style JSON-SEQ trace
+    /// and the Prometheus text exposition.
+    pub fn run_corpus() -> (Vec<BwestPoint>, String, String) {
+        plab_obs::enable();
+        plab_obs::reset();
+        let points = bw_corpus().iter().map(point).collect();
+        let qlog = qlog_seq(&plab_obs::snapshot());
+        let prom = prometheus_text();
+        plab_obs::disable();
+        (points, qlog, prom)
+    }
 }
 
 /// Shared `--json` report plumbing for the repro binaries. Every bin used
@@ -770,12 +811,17 @@ pub mod reportjson {
             .join(",\n")
     }
 
+    /// Cores this process may run on (0 when the platform will not say).
+    pub fn cores() -> usize {
+        std::thread::available_parallelism().map_or(0, |n| n.get())
+    }
+
     /// The members every `BENCH_*.json` should open with, so a number is
     /// never read without the machine and build that produced it:
     /// `"cores": N, "profile": "release", "commit": "abc1234"` (`-dirty`
     /// when the tree has uncommitted changes, `unknown` outside git).
     pub fn machine_members() -> String {
-        let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
+        let cores = cores();
         let profile = if cfg!(debug_assertions) { "debug" } else { "release" };
         let commit = std::process::Command::new("git")
             .args(["describe", "--always", "--dirty"])

@@ -1,11 +1,13 @@
-//! A deliberately naive PFVM interpreter used as the differential oracle.
+//! A deliberately naive PFVM interpreter: the one differential oracle, for
+//! the fuzz targets here and for `tests/proptest_pfvm.rs`.
 //!
-//! Same semantics contract as the reference interpreter in
-//! `tests/proptest_pfvm.rs`: string-keyed entry lookup, fresh scratch per
-//! call, byte-at-a-time loads, per-instruction fuel and accounting. The
-//! optimized interpreter in `plab-filter` must be observationally identical
-//! on every validated program — same verdicts, same persistent memory
-//! evolution, same traps, same instruction counts.
+//! It preserves the pre-optimization execution strategy: string-keyed
+//! entry lookup per invocation, a freshly allocated scratch vector per
+//! call, byte-at-a-time multi-byte loads, per-instruction fuel and
+//! `insns_executed` accounting. The optimized interpreter in `plab-filter`
+//! must be observationally identical on every validated program — same
+//! verdicts, same persistent memory evolution, same traps (fuel
+//! exhaustion included), same instruction counts.
 
 use plab_filter::{Op, Program, Trap, Verdict};
 

@@ -8,6 +8,7 @@
 //! digests.
 
 use crate::exec::FleetWorld;
+use crate::splitmix64;
 use plab_netsim::{FaultAction, GilbertElliott};
 
 /// Parameters for [`schedule_fleet_faults`].
@@ -45,14 +46,6 @@ impl Default for FleetFaultPlan {
             burst_len_ns: 4 * plab_netsim::SECOND,
         }
     }
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// Schedule `plan` onto `world`: endpoint-host crash (+ restart unless

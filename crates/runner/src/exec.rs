@@ -58,6 +58,7 @@ use plab_obs::export::json_escape;
 use crate::config::{SchedulerConfig, TokenBucket};
 use crate::report::{outcome_event, summarize, Detail, Outcome, RunReport, TaskResult};
 use crate::spec::{ExperimentSpec, Program};
+use crate::splitmix64;
 
 static M_SCHEDULED: plab_obs::metrics::Gauge = plab_obs::metrics::Gauge::new("runner.scheduled");
 static M_ACTIVE: plab_obs::metrics::Gauge = plab_obs::metrics::Gauge::new("runner.active");
@@ -478,14 +479,6 @@ struct Sched {
     /// group, see [`SchedulerConfig::sessions_per_endpoint`]).
     creds: Vec<packetlab::controller::Credentials>,
     program: Program,
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 impl Sched {

@@ -36,3 +36,13 @@ pub use chaos::{schedule_fleet_faults, FleetFaultPlan};
 pub use exec::{build_fleet, run_fleet, FleetRun, FleetWorld};
 pub use report::{Detail, Outcome, RunReport, TaskResult};
 pub use spec::{ExperimentSpec, Program};
+
+/// splitmix64: the stateless seed expander every per-task derivation in
+/// this crate uses (retry jitter seeds, fault-plan onsets).
+pub(crate) fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = x;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
