@@ -4,7 +4,8 @@
 //!
 //! `--json` prints the same JSON report on stdout (the file is still
 //! written). Set `REPRO_THROUGHPUT_SECS` to stretch or shrink the
-//! per-measurement budget (default 0.5 s; CI smoke uses 0.05).
+//! per-measurement budget (default 0.5 s; CI smoke uses 0.05); a value
+//! that is not a non-negative number of seconds exits 2.
 
 use packetlab::monitor::MonitorSet;
 use plab_netsim::{LinkParams, NodeId, Sim, TopologyBuilder};
@@ -72,11 +73,16 @@ use plab_bench::reportjson::json_f;
 
 fn main() {
     let json = plab_bench::reportjson::json_flag();
-    let budget = std::env::var("REPRO_THROUGHPUT_SECS")
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .map(Duration::from_secs_f64)
-        .unwrap_or(Duration::from_millis(500));
+    let budget = match std::env::var("REPRO_THROUGHPUT_SECS") {
+        Err(_) => Duration::from_millis(500),
+        Ok(s) => {
+            let secs = s.parse().ok().and_then(|v| Duration::try_from_secs_f64(v).ok());
+            secs.unwrap_or_else(|| {
+                eprintln!("REPRO_THROUGHPUT_SECS=`{s}`: not a non-negative number of seconds");
+                std::process::exit(2);
+            })
+        }
+    };
 
     let (encoded, probe, info) = plab_bench::figure2_fixture();
     let (me, target) = ("10.0.0.1".parse().unwrap(), "10.0.99.1".parse().unwrap());

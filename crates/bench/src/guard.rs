@@ -19,7 +19,7 @@
 
 use crate::reportjson::cores;
 use crate::{bwest, ctrl, figure2_chain, figure2_fixture, fleet, netsim_scale};
-use plab_filter::{EntryPoint, Program, Vm};
+use plab_filter::{EntryPoint, FusedVm, Program, VmConfig};
 use plab_obs::export::{fnv1a64, json_escape};
 use std::time::{Duration, Instant};
 
@@ -244,10 +244,11 @@ fn throughput(ctx: &Ctx) -> Vec<Check> {
 
 /// Disabled instrumentation costs (effectively) nothing on the PFVM hot
 /// path: with `plab-obs` off (the default), depth-1 send adjudications
-/// through the instrumented `MonitorSet` against an uninstrumented twin,
-/// a plain loop over the same `plab_filter::Vm::check_entry` calls
-/// (plab-filter carries no instrumentation, so the twin is exactly the
-/// pre-obs hot path). 0.99 means at most 1 % overhead. Here `--secs` is
+/// through the instrumented `MonitorSet` against an uninstrumented twin:
+/// the one-section `plab_filter::FusedVm` that `MonitorSet::instantiate`
+/// builds, called directly (plab-filter carries no instrumentation, so the
+/// twin is the same engine minus the `MonitorSet` wrapper and its
+/// `obs_on` test). 0.99 means at most 1 % overhead. Here `--secs` is
 /// the length of one batch, not of the run: min-of-batches is robust to
 /// shared-runner noise only if each batch amortizes the timer, so CI
 /// stretches the batch and keeps the 24 rounds.
@@ -257,8 +258,10 @@ fn obs(ctx: &Ctx) -> Vec<Check> {
     // The obs snapshot is taken at instantiation: the production shape.
     let mut set = figure2_chain(1, &encoded, &info);
     assert!(set.allow_send(&probe, &info), "probe allowed");
-    let mut twin = Vm::new(Program::decode(&encoded).unwrap()).unwrap();
-    twin.init(&info);
+    let program = Program::decode(&encoded).expect("the fixture decodes");
+    let mut twin = FusedVm::new(vec![program], vec![VmConfig::default().fuel])
+        .expect("the fixture validates");
+    twin.init_all(&info);
     let mut inst_op = || u64::from(set.allow_send(&probe, &info));
     let mut twin_op = || u64::from(twin.check_entry(EntryPoint::Send, &probe, &info).allowed());
     assert_eq!(twin_op(), 1, "twin allows probe");

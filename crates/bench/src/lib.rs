@@ -1,9 +1,10 @@
-//! Shared scaffolding for the reproduction benches and harness binaries.
+//! Shared scaffolding for the reproduction harness binaries.
 //!
-//! Every table/figure/experiment in the paper has (a) a `repro-*` binary
-//! that regenerates its rows (see `src/bin/`), and (b) a Criterion bench
-//! measuring the implementation's own cost (see `benches/`). This module
-//! holds the world-building helpers they share.
+//! Every table/figure/experiment in the paper has a `repro_*` binary that
+//! regenerates its rows, the implementation's own wall-clock cost beside
+//! them (see `src/bin/`; outputs are committed under `results/` and as
+//! `BENCH_*.json`, which [`guard`] holds CI to). This module holds the
+//! world-building helpers they share.
 
 use packetlab::cert::Restrictions;
 use packetlab::controller::{ControlPlane, Controller, Credentials};

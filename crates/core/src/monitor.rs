@@ -16,16 +16,19 @@
 //!
 //! # Execution engines
 //!
-//! By default the set is adjudicated by a cached **fused** execution
-//! ([`plab_filter::FusedVm`]): the whole chain prepared as one threaded
-//! program with cross-monitor field-load dedup and shared-prefix replay.
-//! The cache is invalidated — and eagerly rebuilt, carrying every
+//! PFVM has one dispatch loop (`plab_filter::lower`) and two drivers over
+//! it. A set is adjudicated by the chain driver, a cached **fused**
+//! execution ([`plab_filter::FusedVm`]): the whole chain prepared as one
+//! threaded program with cross-monitor field-load dedup and shared-prefix
+//! replay. The cache is invalidated — and eagerly rebuilt, carrying every
 //! monitor's persistent memory and fuel attribution across — when a
 //! monitor is [installed](MonitorSet::install) or
 //! [removed](MonitorSet::remove). [`MonitorSet::instantiate_sequential`]
-//! keeps the one-`Vm`-per-monitor reference walk; the fuzz and property
-//! suites hold the two engines bit-identical on verdicts, persistent
-//! memory, and per-monitor fuel.
+//! walks one single-program driver ([`plab_filter::Vm`]) per monitor: it
+//! is the reference the fuzz and property suites, and the repo
+//! benchmark's `monitor_chain` check, hold the fused driver bit-identical
+//! to on verdicts, persistent memory, and per-monitor fuel — which is why
+//! it stays.
 
 use plab_filter::{EntryPoint, FuseStats, FusedVm, Program, Vm, VmConfig};
 
@@ -92,13 +95,44 @@ fn decode_all(encoded: &[Vec<u8>]) -> Result<Vec<Program>, MonitorError> {
         .collect()
 }
 
-/// Build a fused chain, mapping validation failures to [`MonitorError`].
-fn build_fused(programs: Vec<Program>) -> Result<FusedVm, MonitorError> {
+/// Build a fused chain over `segments` (fresh zeroed memory when `None`),
+/// mapping validation failures to [`MonitorError`].
+fn build_fused(
+    programs: Vec<Program>,
+    segments: Option<Vec<Vec<u8>>>,
+) -> Result<FusedVm, MonitorError> {
     let fuels = vec![VmConfig::default().fuel; programs.len()];
-    let fused = FusedVm::new(programs, fuels)
-        .map_err(|(i, e)| MonitorError::Invalid(i, e.to_string()))?;
+    let fused = match segments {
+        Some(segments) => FusedVm::with_persistent(programs, fuels, segments),
+        None => FusedVm::new(programs, fuels),
+    }
+    .map_err(|(i, e)| MonitorError::Invalid(i, e.to_string()))?;
     record_build_metrics(&fused.stats());
     Ok(fused)
+}
+
+/// Replace `fused` by a chain built from its own programs and persistent
+/// segments after `edit` changed the two lists in step, folding the old
+/// chain's fuel attribution into `base_attributed`. Nothing changes when
+/// the edited chain fails to validate.
+fn rebuild_fused(
+    fused: &mut FusedVm,
+    base_attributed: &mut [u64],
+    rebuilds: &mut u64,
+    edit: impl FnOnce(&mut Vec<Program>, &mut Vec<Vec<u8>>),
+) -> Result<(), MonitorError> {
+    let mut programs: Vec<Program> =
+        (0..fused.len()).map(|i| fused.section_program(i).clone()).collect();
+    let mut segments: Vec<Vec<u8>> =
+        (0..fused.len()).map(|i| fused.persistent_segment(i).to_vec()).collect();
+    edit(&mut programs, &mut segments);
+    let rebuilt = build_fused(programs, Some(segments))?;
+    for (base, run) in base_attributed.iter_mut().zip(fused.attributed()) {
+        *base += run;
+    }
+    *rebuilds += 1;
+    *fused = rebuilt;
+    Ok(())
 }
 
 /// Fusion build counters (cache rebuilds, superinstruction shape, dedup
@@ -131,7 +165,7 @@ impl MonitorSet {
     pub fn instantiate(encoded: &[Vec<u8>], info: &[u8]) -> Result<MonitorSet, MonitorError> {
         let programs = decode_all(encoded)?;
         let n = programs.len();
-        let mut fused = build_fused(programs)?;
+        let mut fused = build_fused(programs, None)?;
         fused.init_all(info);
         Ok(MonitorSet {
             engine: Engine::Fused { fused, base_attributed: vec![0; n], rebuilds: 0 },
@@ -187,26 +221,12 @@ impl MonitorSet {
                 vms.push(vm);
             }
             Engine::Fused { fused, base_attributed, rebuilds } => {
-                let mut programs: Vec<Program> =
-                    (0..fused.len()).map(|i| fused.section_program(i).clone()).collect();
-                let mut segments: Vec<Vec<u8>> =
-                    (0..fused.len()).map(|i| fused.persistent_segment(i).to_vec()).collect();
-                for (base, run) in base_attributed.iter_mut().zip(fused.attributed()) {
-                    *base += run;
-                }
-                programs.push(program);
-                segments.push(vec![
-                    0u8;
-                    programs[idx].persistent_size as usize
-                ]);
-                let fuels = vec![VmConfig::default().fuel; programs.len()];
-                let mut rebuilt = FusedVm::with_persistent(programs, fuels, segments)
-                    .map_err(|(i, e)| MonitorError::Invalid(i, e.to_string()))?;
-                record_build_metrics(&rebuilt.stats());
-                rebuilt.init_section(idx, info);
+                rebuild_fused(fused, base_attributed, rebuilds, |programs, segments| {
+                    segments.push(vec![0u8; program.persistent_size as usize]);
+                    programs.push(program);
+                })?;
                 base_attributed.push(0);
-                *rebuilds += 1;
-                *fused = rebuilt;
+                fused.init_section(idx, info);
             }
         }
         Ok(())
@@ -222,22 +242,12 @@ impl MonitorSet {
                 vms.remove(idx);
             }
             Engine::Fused { fused, base_attributed, rebuilds } => {
-                for (base, run) in base_attributed.iter_mut().zip(fused.attributed()) {
-                    *base += run;
-                }
+                rebuild_fused(fused, base_attributed, rebuilds, |programs, segments| {
+                    programs.remove(idx);
+                    segments.remove(idx);
+                })
+                .expect("previously valid programs still fuse");
                 base_attributed.remove(idx);
-                let mut programs: Vec<Program> =
-                    (0..fused.len()).map(|i| fused.section_program(i).clone()).collect();
-                let mut segments: Vec<Vec<u8>> =
-                    (0..fused.len()).map(|i| fused.persistent_segment(i).to_vec()).collect();
-                programs.remove(idx);
-                segments.remove(idx);
-                let fuels = vec![VmConfig::default().fuel; programs.len()];
-                let rebuilt = FusedVm::with_persistent(programs, fuels, segments)
-                    .expect("previously valid programs still fuse");
-                record_build_metrics(&rebuilt.stats());
-                *rebuilds += 1;
-                *fused = rebuilt;
             }
         }
     }
@@ -295,16 +305,25 @@ impl MonitorSet {
     #[inline]
     fn allow_entry(&mut self, entry: EntryPoint, packet: &[u8], info: &[u8]) -> bool {
         if !self.obs_on {
-            return match &mut self.engine {
-                Engine::Sequential(vms) => {
-                    vms.iter_mut().all(|vm| vm.check_entry(entry, packet, info).allowed())
-                }
-                Engine::Fused { fused, .. } => {
-                    fused.check_entry(entry, packet, info).allowed()
-                }
-            };
+            return self.adjudicate(entry, packet, info);
         }
         self.allow_entry_observed(entry, packet, info)
+    }
+
+    /// The engine's verdict on `entry`.
+    #[inline]
+    fn adjudicate(&mut self, entry: EntryPoint, packet: &[u8], info: &[u8]) -> bool {
+        /// The reference walk, kept out of line: inlined beside the fused
+        /// call it costs every caller's adjudication loop its registers
+        /// (`repro_guard obs` read 0.94–0.98 with it inline).
+        #[inline(never)]
+        fn walk(vms: &mut [Vm], entry: EntryPoint, packet: &[u8], info: &[u8]) -> bool {
+            vms.iter_mut().all(|vm| vm.check_entry(entry, packet, info).allowed())
+        }
+        match &mut self.engine {
+            Engine::Sequential(vms) => walk(vms, entry, packet, info),
+            Engine::Fused { fused, .. } => fused.check_entry(entry, packet, info).allowed(),
+        }
     }
 
     /// The instrumented twin of the adjudication loop: identical verdict
@@ -325,12 +344,7 @@ impl MonitorSet {
         static REPLAYS: Counter = Counter::new("pfvm.fuse.replays");
         let before = self.insns_executed();
         let fuse_before = self.fuse_stats();
-        let allowed = match &mut self.engine {
-            Engine::Sequential(vms) => {
-                vms.iter_mut().all(|vm| vm.check_entry(entry, packet, info).allowed())
-            }
-            Engine::Fused { fused, .. } => fused.check_entry(entry, packet, info).allowed(),
-        };
+        let allowed = self.adjudicate(entry, packet, info);
         let fuel = self.insns_executed() - before;
         ADJUDICATIONS.inc();
         if !allowed {
@@ -539,6 +553,25 @@ mod tests {
         assert!(m.allow_send(&pkt(1), &[]));
         assert!(!m.allow_send(&pkt(1), &[]), "carried-over quota exhausted");
         assert!(m.insns_attributed()[0] > used_before, "attribution carried across rebuild");
+    }
+
+    #[test]
+    fn refused_install_changes_nothing() {
+        let mut m = MonitorSet::instantiate(&[quota_monitor(5)], &[]).unwrap();
+        assert!(m.allow_send(&pkt(1), &[]));
+        let attributed = m.insns_attributed();
+        // Decodes, but execution would run off the end of the code.
+        let falls_off = Program {
+            code: vec![plab_filter::Insn::new(plab_filter::Op::MovI, 0, 0, 1)],
+            entries: Default::default(),
+            persistent_size: 0,
+            scratch_size: 0,
+        }
+        .encode();
+        assert!(matches!(m.install(&falls_off, &[]), Err(MonitorError::Invalid(1, _))));
+        assert_eq!((m.len(), m.fuse_rebuilds()), (1, 0));
+        assert_eq!(m.insns_attributed(), attributed, "attribution folded by a refused install");
+        assert_eq!(u64::from_le_bytes(m.persistent(0)[..8].try_into().unwrap()), 1);
     }
 
     #[test]

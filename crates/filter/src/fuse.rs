@@ -78,8 +78,8 @@ pub struct FuseStats {
 
 /// One monitor inside the fused chain.
 struct Section {
-    /// Original (validated) program — kept for the scalar fuel-exactness
-    /// fallback and for disassembly.
+    /// Original (validated) program — kept for identical-section
+    /// detection, rebuilds and disassembly.
     program: Program,
     /// Threaded code (after cross-monitor load-dedup rewriting).
     lowered: Lowered,
@@ -110,9 +110,7 @@ enum SnapKind {
     /// its outcome.
     Done,
     /// Paused before the threaded instruction at `resume`.
-    PausedT,
-    /// Paused inside the scalar fallback before original pc `resume`.
-    PausedS,
+    Paused,
 }
 
 /// A recorded prefix snapshot (valid only when `epoch` matches the
@@ -125,7 +123,7 @@ struct Snapshot {
     used: u64,
     /// Outcome when `kind == Done`.
     result: Result<u64, Trap>,
-    /// Threaded pc (PausedT) or original pc (PausedS) to resume from.
+    /// Threaded pc to resume from when `kind == Paused`.
     resume: usize,
     regs: [u64; NUM_REGS as usize],
     /// Scratch contents at the pause point (length = section scratch
@@ -395,33 +393,10 @@ impl FusedVm {
     /// Run one monitor's `init` entry in isolation (a monitor freshly
     /// installed into an existing chain must not re-init its peers).
     pub fn init_section(&mut self, idx: usize, info: &[u8]) {
-        self.epoch += 1;
-        self.cache.epoch = self.epoch;
-        if !self.scratch.is_empty() {
-            self.scratch.fill(0);
-        }
-        let FusedVm { sections, persistent, scratch, cache, attributed, .. } = self;
-        let sec = &sections[idx];
-        let Some(tpc) = sec.entry_tpcs[EntryPoint::Init as usize] else { return };
-        let mem = &mut persistent[sec.mem_off..sec.mem_off + sec.mem_len];
-        let scr = &mut scratch[sec.scr_off..sec.scr_off + sec.scr_len];
-        let mut regs = [0u64; NUM_REGS as usize];
-        let mut fuel = sec.fuel;
-        let mut sink = Vec::new();
-        let _ = lower::run::<false>(
-            &sec.lowered.tcode,
-            &sec.program.code,
-            tpc as usize,
-            &mut regs,
-            &[],
-            info,
-            mem,
-            scr,
-            &mut fuel,
-            cache,
-            &mut sink,
-        );
-        attributed[idx] += sec.fuel - fuel;
+        let Some(tpc) = self.sections[idx].entry_tpcs[EntryPoint::Init as usize] else { return };
+        self.begin_invocation();
+        let (_, used) = self.run_link(idx, tpc as usize, &[], info);
+        self.attributed[idx] += used;
     }
 
     /// Adjudicate an outgoing packet: the chain's `send` entries.
@@ -449,11 +424,7 @@ impl FusedVm {
         info: &[u8],
         short_circuit: bool,
     ) -> Verdict {
-        self.epoch += 1;
-        self.cache.epoch = self.epoch;
-        if !self.scratch.is_empty() {
-            self.scratch.fill(0);
-        }
+        self.begin_invocation();
         let default_allow = Verdict::Allow(packet.len().max(1) as u64);
         let n_links = self.chains[entry as usize].links.len();
         let mut last = default_allow;
@@ -482,6 +453,17 @@ impl FusedVm {
         }
     }
 
+    /// Start an invocation: a new epoch retires every cache slot and
+    /// snapshot, and scratch is fresh.
+    #[inline]
+    fn begin_invocation(&mut self) {
+        self.epoch += 1;
+        self.cache.epoch = self.epoch;
+        if !self.scratch.is_empty() {
+            self.scratch.fill(0);
+        }
+    }
+
     /// Run one section of the chain; returns (result, fuel consumed).
     fn run_link(
         &mut self,
@@ -495,110 +477,71 @@ impl FusedVm {
         } = self;
         let sec = &sections[sec_idx];
         let mem = &mut persistent[sec.mem_off..sec.mem_off + sec.mem_len];
-        let tcode = &sec.lowered.tcode;
-        let code = &sec.program.code;
-        let mut fuel = sec.fuel;
-
-        // Fast path: an identical earlier section already executed the
-        // persistent-independent prefix this invocation. Apply its write
-        // log to this section's segment, then replay its outcome (Done) or
-        // resume from its pause point (Paused*).
-        if let Some(j) = sec.replay_from {
-            let snap = &snapshots[j];
-            if snap.epoch == *epoch {
-                *replays += 1;
-                for &(addr, val) in &snap.log {
-                    // Logged stores succeeded in an identically-sized
-                    // segment, so the span is in bounds here too.
-                    let a = addr as usize;
-                    mem[a..a + 8].copy_from_slice(&val.to_le_bytes());
-                }
-                if snap.kind == SnapKind::Done {
-                    return (snap.result, snap.used);
-                }
-                let scr = &mut scratch[sec.scr_off..sec.scr_off + sec.scr_len];
-                let mut regs = snap.regs;
-                scr.copy_from_slice(&snap.scratch);
-                fuel -= snap.used;
-                let mut sink = Vec::new();
-                let out = match snap.kind {
-                    SnapKind::PausedT => lower::run::<false>(
-                        tcode, code, snap.resume, &mut regs, packet, info, mem, scr,
-                        &mut fuel, cache, &mut sink,
-                    ),
-                    _ => lower::run_scalar::<false>(
-                        code, snap.resume, &mut regs, packet, info, mem, scr, &mut fuel,
-                        &mut sink,
-                    ),
-                };
-                return (finish(out), sec.fuel - fuel);
-            }
-            // Stale snapshot (recorder skipped this invocation — possible
-            // only via init_section): fall through to a plain run.
-        }
-
         let scr = &mut scratch[sec.scr_off..sec.scr_off + sec.scr_len];
-        let mut regs = [0u64; NUM_REGS as usize];
-        regs[1] = packet.len() as u64;
+        let mut fuel = sec.fuel;
+        // Where the plain stream starts, and on which registers.
+        let mut start = tpc;
+        let mut regs;
 
-        if sec.records {
-            // Execute the record-variant stream: persistent writes are
-            // logged, the first persistent read pauses; snapshot, then
-            // resume on the plain stream.
-            let snap = &mut snapshots[sec_idx];
-            snap.log.clear();
-            let out = lower::run::<true>(
-                &sec.record_tcode, code, tpc, &mut regs, packet, info, mem, scr, &mut fuel,
-                cache, &mut snap.log,
-            );
-            snap.epoch = *epoch;
-            snap.used = sec.fuel - fuel;
-            match out {
-                RunOutcome::Done(r) => {
-                    snap.kind = SnapKind::Done;
-                    snap.result = r;
-                    (r, sec.fuel - fuel)
-                }
-                RunOutcome::PausedT(resume) => {
-                    snap.kind = SnapKind::PausedT;
-                    snap.resume = resume;
-                    snap.regs = regs;
-                    snap.scratch.copy_from_slice(scr);
-                    let mut sink = Vec::new();
-                    let out = lower::run::<false>(
-                        tcode, code, resume, &mut regs, packet, info, mem, scr, &mut fuel,
-                        cache, &mut sink,
-                    );
-                    (finish(out), sec.fuel - fuel)
-                }
-                RunOutcome::PausedS(resume) => {
-                    snap.kind = SnapKind::PausedS;
-                    snap.resume = resume;
-                    snap.regs = regs;
-                    snap.scratch.copy_from_slice(scr);
-                    let mut sink = Vec::new();
-                    let out = lower::run_scalar::<false>(
-                        code, resume, &mut regs, packet, info, mem, scr, &mut fuel, &mut sink,
-                    );
-                    (finish(out), sec.fuel - fuel)
+        let recorded =
+            sec.replay_from.map(|j| &snapshots[j]).filter(|snap| snap.epoch == *epoch);
+        if let Some(snap) = recorded {
+            // Fast path: an identical earlier section already executed the
+            // persistent-independent prefix this invocation. Apply its write
+            // log to this section's segment, then replay its outcome (Done) or
+            // resume from its pause point (Paused).
+            *replays += 1;
+            for &(addr, val) in &snap.log {
+                // Logged stores succeeded in an identically-sized
+                // segment, so the span is in bounds here too.
+                let a = addr as usize;
+                mem[a..a + 8].copy_from_slice(&val.to_le_bytes());
+            }
+            if snap.kind == SnapKind::Done {
+                return (snap.result, snap.used);
+            }
+            regs = snap.regs;
+            scr.copy_from_slice(&snap.scratch);
+            fuel -= snap.used;
+            start = snap.resume;
+        } else {
+            // No snapshot to replay, or a stale one (the recorder skipped
+            // this invocation: init_section runs one section alone).
+            regs = [0u64; NUM_REGS as usize];
+            regs[1] = packet.len() as u64;
+            if sec.records {
+                // Execute the record-variant stream: persistent writes are
+                // logged, the first persistent read pauses; snapshot, then
+                // resume on the plain stream.
+                let snap = &mut snapshots[sec_idx];
+                snap.log.clear();
+                let out = lower::run(
+                    &sec.record_tcode, tpc, &mut regs, packet, info, mem, scr, &mut fuel,
+                    cache, &mut snap.log,
+                );
+                snap.epoch = *epoch;
+                snap.used = sec.fuel - fuel;
+                match out {
+                    RunOutcome::Done(r) => {
+                        snap.kind = SnapKind::Done;
+                        snap.result = r;
+                        return (r, snap.used);
+                    }
+                    RunOutcome::Paused(resume) => {
+                        snap.kind = SnapKind::Paused;
+                        snap.resume = resume;
+                        snap.regs = regs;
+                        snap.scratch.copy_from_slice(scr);
+                        start = resume;
+                    }
                 }
             }
-        } else {
-            let mut sink = Vec::new();
-            let out = lower::run::<false>(
-                tcode, code, tpc, &mut regs, packet, info, mem, scr, &mut fuel, cache,
-                &mut sink,
-            );
-            (finish(out), sec.fuel - fuel)
         }
-    }
-}
-
-/// Unwrap a non-RECORD outcome (pauses cannot occur).
-fn finish(out: RunOutcome) -> Result<u64, Trap> {
-    match out {
-        RunOutcome::Done(r) => r,
-        RunOutcome::PausedT(_) | RunOutcome::PausedS(_) => unreachable!(),
+        let out = lower::run(
+            &sec.lowered.tcode, start, &mut regs, packet, info, mem, scr, &mut fuel, cache,
+            &mut Vec::new(),
+        );
+        (out.done(), sec.fuel - fuel)
     }
 }
 

@@ -3,6 +3,11 @@
 //! *superinstructions* covering the hot opcode sequences the Cpf compiler
 //! and the assembler's canonical field loads emit.
 //!
+//! `run` is the only PFVM interpreter in production: [`crate::vm::Vm`]
+//! (one program) and [`crate::fuse::FusedVm`] (a chain) are two drivers
+//! over it, and the source-[`Insn`] interpreter it is checked against
+//! lives in `plab-fuzz` (`reference::RefVm`).
+//!
 //! # Why
 //!
 //! The wire [`Insn`] format optimizes for auditability and a simple
@@ -23,13 +28,18 @@
 //!
 //! Every [`TInsn`] carries the number of source instructions it covers
 //! (`cost`) and the pc of the first one (`src_pc`). Fuel is charged by
-//! cost, so `insns_executed` attribution is **bit-identical** to the
-//! unfused interpreter. Two edge cases keep that exact:
+//! cost, so `insns_executed` attribution is **bit-identical** to an
+//! interpreter over the source instructions. Two edge cases keep that
+//! exact:
 //!
 //! - when remaining fuel is smaller than a superinstruction's cost, the
-//!   engine falls back to executing the *original* instructions one by one
-//!   from `src_pc` (at most `cost - 1` of them can run before fuel hits
-//!   zero), so out-of-fuel traps land on exactly the same instruction;
+//!   instruction settles its own partial outcome (`out_of_fuel`). Every
+//!   superinstruction is one non-trapping `mov` followed by one or two
+//!   more source instructions, and what a caller can see of an invocation
+//!   is its trap, the fuel it consumed and persistent memory — so the
+//!   outcome is "all fuel gone, `OutOfFuel`", except a load-compare-branch
+//!   holding exactly the fuel of its `mov` and load, which performs the
+//!   load and surfaces `OutOfBounds` if that traps;
 //! - a load-compare-branch that traps on the load refunds the fuel of the
 //!   never-fetched compare.
 //!
@@ -214,8 +224,7 @@ pub struct TInsn {
     pub aux: u8,
     /// Source instructions covered (fuel charged per execution).
     pub cost: u8,
-    /// Original pc of the first covered instruction (partial-fuel
-    /// fallback entry, diagnostics).
+    /// Original pc of the first covered instruction (disassembly notes).
     pub src_pc: u32,
     /// Primary immediate: value, absolute address, or absolute branch
     /// target.
@@ -612,12 +621,20 @@ impl DedupCache {
 pub(crate) enum RunOutcome {
     /// Invocation finished (return value or trap).
     Done(Result<u64, Trap>),
-    /// `RECORD` mode only: paused *before* executing the threaded
-    /// instruction at this tpc, which touches persistent memory.
-    PausedT(usize),
-    /// `RECORD` mode only: paused inside the scalar fallback before the
-    /// original instruction at this pc.
-    PausedS(usize),
+    /// [`record_variant`] streams only: paused *before* executing the
+    /// threaded instruction at this tpc, which reads persistent memory.
+    Paused(usize),
+}
+
+impl RunOutcome {
+    /// The result of a plain (non-record) stream, which holds no
+    /// [`TOp::Pause`] to pause at.
+    pub(crate) fn done(self) -> Result<u64, Trap> {
+        match self {
+            RunOutcome::Done(r) => r,
+            RunOutcome::Paused(_) => unreachable!("plain streams hold no Pause"),
+        }
+    }
 }
 
 /// Absolute fixed-width load from the selected space.
@@ -656,15 +673,36 @@ fn abs_load(
     }
 }
 
+/// Settle the instruction `t` that the remaining `fuel` cannot cover: the
+/// source instructions it stands for run until the fuel is gone, and only
+/// a load among them can trap first (module docs, "Fuel fidelity").
+#[cold]
+fn out_of_fuel(
+    t: &TInsn,
+    fuel: &mut u64,
+    packet: &[u8],
+    info: &[u8],
+    persistent: &[u8],
+    scratch: &[u8],
+) -> RunOutcome {
+    let had = core::mem::take(fuel);
+    if t.op == TOp::AbsLdCmpBr && had == 2 {
+        if let Err(trap) = abs_load(t.aux & !CMP_NE, t.imm as u64, packet, info, persistent, scratch)
+        {
+            return RunOutcome::Done(Err(trap));
+        }
+    }
+    RunOutcome::Done(Err(Trap::OutOfFuel))
+}
+
 /// Execute threaded code from `tpc` until return, trap, or — when running
 /// a [`record_variant`] stream — a pause before the next persistent-memory
 /// *read* (persistent writes are appended to `log`). `fuel` is consumed in
-/// place so callers settle attribution exactly once. `RECORD` only selects
-/// the scalar-fallback flavour; the dispatch loop itself is check-free.
+/// place so callers settle attribution exactly once. Recording is baked
+/// into the stream's opcodes; the dispatch loop itself is check-free.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run<const RECORD: bool>(
+pub(crate) fn run(
     tcode: &[TInsn],
-    code: &[Insn],
     mut tpc: usize,
     regs: &mut [u64; NUM_REGS as usize],
     packet: &[u8],
@@ -692,12 +730,7 @@ pub(crate) fn run<const RECORD: bool>(
         let t = &tcode[tpc];
         let cost = t.cost as u64;
         if *fuel < cost {
-            // Not enough fuel for the whole superinstruction: replay its
-            // source instructions one at a time so the out-of-fuel trap
-            // lands on exactly the right one.
-            return run_scalar::<RECORD>(
-                code, t.src_pc as usize, regs, packet, info, persistent, scratch, fuel, log,
-            );
+            return out_of_fuel(t, fuel, packet, info, persistent, scratch);
         }
         *fuel -= cost;
         // The mask is a no-op (the validator bounds register indices);
@@ -914,7 +947,7 @@ pub(crate) fn run<const RECORD: bool>(
                 }
             }
 
-            TOp::Pause => return RunOutcome::PausedT(tpc - 1),
+            TOp::Pause => return RunOutcome::Paused(tpc - 1),
             TOp::StMemLog => {
                 let addr = regs[dst].wrapping_add(immu) as usize;
                 let val = regs[src];
@@ -939,205 +972,6 @@ pub(crate) fn run<const RECORD: bool>(
                 }
             }
         }
-    }
-}
-
-/// Scalar fallback: execute *original* instructions from `pc`. Used when
-/// remaining fuel cannot cover a whole superinstruction (runs at most
-/// `cost - 1` instructions before trapping out of fuel) and to resume
-/// recorded prefixes that paused mid-superinstruction. With `RECORD`,
-/// pauses before persistent reads and write-logs persistent stores, like
-/// the [`record_variant`] threaded stream.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_scalar<const RECORD: bool>(
-    code: &[Insn],
-    mut pc: usize,
-    regs: &mut [u64; NUM_REGS as usize],
-    packet: &[u8],
-    info: &[u8],
-    persistent: &mut [u8],
-    scratch: &mut [u8],
-    fuel: &mut u64,
-    log: &mut Vec<(u64, u64)>,
-) -> RunOutcome {
-    macro_rules! load {
-        ($region:expr, $addr:expr, $ty:ty, $conv:ident) => {{
-            const W: usize = core::mem::size_of::<$ty>();
-            let addr = $addr;
-            match addr.checked_add(W).and_then(|end| $region.get(addr..end)) {
-                // SAFETY-COMMENT: `get` returned Some ⇒ exactly W bytes.
-                Some(bytes) => <$ty>::$conv(bytes.try_into().unwrap()) as u64,
-                None => return RunOutcome::Done(Err(Trap::OutOfBounds)),
-            }
-        }};
-    }
-    loop {
-        let insn = code[pc];
-        if RECORD && insn.op == Op::LdMem {
-            return RunOutcome::PausedS(pc);
-        }
-        if *fuel == 0 {
-            return RunOutcome::Done(Err(Trap::OutOfFuel));
-        }
-        *fuel -= 1;
-        let dst = (insn.dst & (NUM_REGS - 1)) as usize;
-        let src = (insn.src & (NUM_REGS - 1)) as usize;
-        let imm = insn.imm;
-        let immu = imm as u64;
-        pc += 1;
-        let mut next = pc as i64;
-        match insn.op {
-            Op::MovI => regs[dst] = immu,
-            Op::MovR => regs[dst] = regs[src],
-            Op::AddI => regs[dst] = regs[dst].wrapping_add(immu),
-            Op::AddR => regs[dst] = regs[dst].wrapping_add(regs[src]),
-            Op::SubI => regs[dst] = regs[dst].wrapping_sub(immu),
-            Op::SubR => regs[dst] = regs[dst].wrapping_sub(regs[src]),
-            Op::MulI => regs[dst] = regs[dst].wrapping_mul(immu),
-            Op::MulR => regs[dst] = regs[dst].wrapping_mul(regs[src]),
-            Op::DivI | Op::DivR => {
-                let d = if insn.op == Op::DivI { immu } else { regs[src] };
-                if d == 0 {
-                    return RunOutcome::Done(Err(Trap::DivByZero));
-                }
-                regs[dst] /= d;
-            }
-            Op::ModI | Op::ModR => {
-                let d = if insn.op == Op::ModI { immu } else { regs[src] };
-                if d == 0 {
-                    return RunOutcome::Done(Err(Trap::DivByZero));
-                }
-                regs[dst] %= d;
-            }
-            Op::AndI => regs[dst] &= immu,
-            Op::AndR => regs[dst] &= regs[src],
-            Op::OrI => regs[dst] |= immu,
-            Op::OrR => regs[dst] |= regs[src],
-            Op::XorI => regs[dst] ^= immu,
-            Op::XorR => regs[dst] ^= regs[src],
-            Op::ShlI => regs[dst] <<= immu & 63,
-            Op::ShlR => regs[dst] <<= regs[src] & 63,
-            Op::ShrI => regs[dst] >>= immu & 63,
-            Op::ShrR => regs[dst] >>= regs[src] & 63,
-            Op::Neg => regs[dst] = (regs[dst] as i64).wrapping_neg() as u64,
-            Op::Not => regs[dst] = !regs[dst],
-            Op::LdPkt8 => {
-                let addr = regs[src].wrapping_add(immu) as usize;
-                match packet.get(addr) {
-                    Some(b) => regs[dst] = *b as u64,
-                    None => return RunOutcome::Done(Err(Trap::OutOfBounds)),
-                }
-            }
-            Op::LdPkt16 => {
-                regs[dst] =
-                    load!(packet, regs[src].wrapping_add(immu) as usize, u16, from_be_bytes);
-            }
-            Op::LdPkt32 => {
-                regs[dst] =
-                    load!(packet, regs[src].wrapping_add(immu) as usize, u32, from_be_bytes);
-            }
-            Op::LdInfo8 => {
-                let addr = regs[src].wrapping_add(immu) as usize;
-                match info.get(addr) {
-                    Some(b) => regs[dst] = *b as u64,
-                    None => return RunOutcome::Done(Err(Trap::OutOfBounds)),
-                }
-            }
-            Op::LdInfo16 => {
-                regs[dst] =
-                    load!(info, regs[src].wrapping_add(immu) as usize, u16, from_le_bytes);
-            }
-            Op::LdInfo32 => {
-                regs[dst] =
-                    load!(info, regs[src].wrapping_add(immu) as usize, u32, from_le_bytes);
-            }
-            Op::LdInfo64 => {
-                regs[dst] =
-                    load!(info, regs[src].wrapping_add(immu) as usize, u64, from_le_bytes);
-            }
-            Op::LdMem => {
-                regs[dst] =
-                    load!(persistent, regs[src].wrapping_add(immu) as usize, u64, from_le_bytes);
-            }
-            Op::StMem => {
-                let addr = regs[dst].wrapping_add(immu) as usize;
-                let val = regs[src];
-                match addr.checked_add(8).and_then(|end| persistent.get_mut(addr..end)) {
-                    Some(bytes) => {
-                        bytes.copy_from_slice(&val.to_le_bytes());
-                        if RECORD {
-                            log.push((addr as u64, val));
-                        }
-                    }
-                    None => return RunOutcome::Done(Err(Trap::OutOfBounds)),
-                }
-            }
-            Op::LdScr => {
-                regs[dst] =
-                    load!(scratch, regs[src].wrapping_add(immu) as usize, u64, from_le_bytes);
-            }
-            Op::StScr => {
-                let addr = regs[dst].wrapping_add(immu) as usize;
-                let val = regs[src];
-                match addr.checked_add(8).and_then(|end| scratch.get_mut(addr..end)) {
-                    Some(bytes) => bytes.copy_from_slice(&val.to_le_bytes()),
-                    None => return RunOutcome::Done(Err(Trap::OutOfBounds)),
-                }
-            }
-            Op::Ja => next += insn.branch(),
-            Op::JeqR => {
-                if regs[dst] == regs[src] {
-                    next += insn.branch();
-                }
-            }
-            Op::JeqI => {
-                if regs[dst] == insn.cmp_imm() {
-                    next += insn.branch();
-                }
-            }
-            Op::JneR => {
-                if regs[dst] != regs[src] {
-                    next += insn.branch();
-                }
-            }
-            Op::JneI => {
-                if regs[dst] != insn.cmp_imm() {
-                    next += insn.branch();
-                }
-            }
-            Op::JltR => {
-                if regs[dst] < regs[src] {
-                    next += insn.branch();
-                }
-            }
-            Op::JltI => {
-                if regs[dst] < insn.cmp_imm() {
-                    next += insn.branch();
-                }
-            }
-            Op::JleR => {
-                if regs[dst] <= regs[src] {
-                    next += insn.branch();
-                }
-            }
-            Op::JleI => {
-                if regs[dst] <= insn.cmp_imm() {
-                    next += insn.branch();
-                }
-            }
-            Op::JsltR => {
-                if (regs[dst] as i64) < (regs[src] as i64) {
-                    next += insn.branch();
-                }
-            }
-            Op::JsltI => {
-                if (regs[dst] as i64) < (insn.cmp_imm() as i32 as i64) {
-                    next += insn.branch();
-                }
-            }
-            Op::Ret => return RunOutcome::Done(Ok(regs[dst])),
-        }
-        pc = next as usize;
     }
 }
 
@@ -1232,8 +1066,8 @@ mod tests {
         regs[1] = 42;
         let mut scratch = vec![0u8; 64];
         let mut fuel = 100;
-        let out = run::<false>(
-            &l.tcode, &p.code, 0, &mut regs, &[], &[], &mut [], &mut scratch, &mut fuel,
+        let out = run(
+            &l.tcode, 0, &mut regs, &[], &[], &mut [], &mut scratch, &mut fuel,
             &mut DedupCache::empty(),
             &mut Vec::new(),
         );
@@ -1243,50 +1077,95 @@ mod tests {
         assert_eq!(fuel, 100 - 4);
     }
 
-    #[test]
-    fn partial_fuel_falls_back_to_scalar() {
-        // RetImm costs 2; with 1 fuel the mov.i runs and the ret traps
-        // out of fuel — exactly like the unfused interpreter.
-        let mut a = Asm::new();
-        a.mov_i(0, 5);
-        a.ret(0);
-        let p = prog(a.finish());
-        let l = lower(&p);
-        assert_eq!(l.tcode[0].op, TOp::RetImm);
-        let mut regs = [0u64; 16];
-        let mut fuel = 1;
-        let out = run::<false>(
-            &l.tcode, &p.code, 0, &mut regs, &[], &[], &mut [], &mut [], &mut fuel,
+    /// `run` from tpc 0 with empty info/scratch; returns (outcome, fuel left).
+    fn run_with(
+        l: &Lowered,
+        packet: &[u8],
+        persistent: &mut [u8],
+        mut fuel: u64,
+    ) -> (RunOutcome, u64) {
+        let out = run(
+            &l.tcode, 0, &mut [0u64; 16], packet, &[], persistent, &mut [], &mut fuel,
             &mut DedupCache::empty(),
             &mut Vec::new(),
         );
-        assert_eq!(out, RunOutcome::Done(Err(Trap::OutOfFuel)));
-        assert_eq!(fuel, 0);
-        assert_eq!(regs[0], 5, "mov.i must have executed before fuel ran out");
+        (out, fuel)
     }
 
     #[test]
-    fn trapping_load_compare_refunds_unfetched_compare() {
+    fn partial_fuel_settles_out_of_fuel() {
+        // RetImm costs 2; with 1 fuel the mov.i runs and the ret traps out
+        // of fuel — what an interpreter over the source instructions does.
+        let mut a = Asm::new();
+        a.mov_i(0, 5);
+        a.ret(0);
+        let l = lower(&prog(a.finish()));
+        assert_eq!(l.tcode[0].op, TOp::RetImm);
+        for fuel in [0, 1] {
+            assert_eq!(
+                run_with(&l, &[], &mut [], fuel),
+                (RunOutcome::Done(Err(Trap::OutOfFuel)), 0)
+            );
+        }
+
+        // mov.i r3, 0; st.mem r3, r1, 0: the store is the instruction the
+        // fuel does not reach, so persistent memory must stay untouched.
+        let mut a = Asm::new();
+        a.mov_i(3, 0);
+        a.st_mem(3, 1, 0);
+        a.ret(0);
+        let l = lower(&prog(a.finish()));
+        assert_eq!(l.tcode[0].op, TOp::AbsSt);
+        let mut persistent = [0xaau8; 8];
+        assert_eq!(
+            run_with(&l, &[9; 4], &mut persistent, 1),
+            (RunOutcome::Done(Err(Trap::OutOfFuel)), 0)
+        );
+        assert_eq!(persistent, [0xaa; 8]);
+    }
+
+    /// `mov.i r2, 0; ld.pkt8 r2, r2, 50; jeq.i r2, 1, L` — out of bounds
+    /// for a packet shorter than 51 bytes.
+    fn load_compare_at_50() -> Lowered {
         let mut a = Asm::new();
         a.mov_i(2, 0);
-        a.ld_pkt8(2, 2, 50); // OOB for a short packet
+        a.ld_pkt8(2, 2, 50);
         let l1 = a.forward_jeq_i(2, 1);
         a.ret(0);
         a.bind(l1);
         a.ret(0);
-        let p = prog(a.finish());
-        let l = lower(&p);
+        let l = lower(&prog(a.finish()));
         assert_eq!(l.tcode[0].op, TOp::AbsLdCmpBr);
-        let mut regs = [0u64; 16];
-        let mut fuel = 100;
-        let out = run::<false>(
-            &l.tcode, &p.code, 0, &mut regs, &[0u8; 4], &[], &mut [], &mut [], &mut fuel,
-            &mut DedupCache::empty(),
-            &mut Vec::new(),
-        );
-        assert_eq!(out, RunOutcome::Done(Err(Trap::OutOfBounds)));
+        l
+    }
+
+    #[test]
+    fn trapping_load_compare_refunds_unfetched_compare() {
         // mov.i + ld fetched, jeq.i never fetched: 2 instructions.
-        assert_eq!(fuel, 98);
+        assert_eq!(
+            run_with(&load_compare_at_50(), &[0u8; 4], &mut [], 100),
+            (RunOutcome::Done(Err(Trap::OutOfBounds)), 98)
+        );
+    }
+
+    #[test]
+    fn load_compare_with_two_fuel_still_performs_its_load() {
+        let l = load_compare_at_50();
+        // Fuel covers mov.i + ld: a trapping load is what ends the run…
+        assert_eq!(
+            run_with(&l, &[0u8; 4], &mut [], 2),
+            (RunOutcome::Done(Err(Trap::OutOfBounds)), 0)
+        );
+        // …a load in bounds leaves the compare to run out of fuel…
+        assert_eq!(
+            run_with(&l, &[0u8; 64], &mut [], 2),
+            (RunOutcome::Done(Err(Trap::OutOfFuel)), 0)
+        );
+        // …and with 1 fuel the load is never reached.
+        assert_eq!(
+            run_with(&l, &[0u8; 4], &mut [], 1),
+            (RunOutcome::Done(Err(Trap::OutOfFuel)), 0)
+        );
     }
 
     #[test]
@@ -1311,13 +1190,13 @@ mod tests {
         persistent[0] = 7;
         let mut fuel = 100;
         let mut log = Vec::new();
-        let out = run::<true>(
-            &rec, &p.code, 0, &mut regs, &[], &[], &mut persistent, &mut [], &mut fuel,
+        let out = run(
+            &rec, 0, &mut regs, &[], &[], &mut persistent, &mut [], &mut fuel,
             &mut DedupCache::empty(),
             &mut log,
         );
         let at = match out {
-            RunOutcome::PausedT(at) => at,
+            RunOutcome::Paused(at) => at,
             other => panic!("expected pause, got {other:?}"),
         };
         assert_eq!(rec[at].op, TOp::Pause);
@@ -1329,8 +1208,8 @@ mod tests {
         // store pair = 4 instructions.
         assert_eq!(100 - fuel, 4);
         // Resuming on the *plain* stream completes the run.
-        let out = run::<false>(
-            &l.tcode, &p.code, at, &mut regs, &[], &[], &mut persistent, &mut [], &mut fuel,
+        let out = run(
+            &l.tcode, at, &mut regs, &[], &[], &mut persistent, &mut [], &mut fuel,
             &mut DedupCache::empty(),
             &mut Vec::new(),
         );

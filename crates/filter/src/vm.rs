@@ -1,4 +1,12 @@
-//! The PFVM interpreter.
+//! The single-program PFVM driver.
+//!
+//! [`Vm`] and [`crate::fuse::FusedVm`] are two drivers over one dispatch
+//! loop (`lower::run`): a `Vm` runs one program against its own memory, a
+//! `FusedVm` runs a monitor chain. `MonitorSet` adjudicates with the fused
+//! driver at every depth; `Vm` serves single filters (`ncap`, the `pfvm`
+//! CLI) and is the per-monitor reference walk (`Engine::Sequential`) the
+//! differential tests and the repo benchmark's `monitor_chain` check hold
+//! the fused driver to.
 //!
 //! A [`Vm`] instance holds the persistent memory for one monitor/filter
 //! attached to one experiment: it is created when the experiment is
@@ -28,10 +36,10 @@
 //! - Fuel is tracked in a register-allocated local and the cumulative
 //!   `insns_executed` counter is settled once per invocation, not once per
 //!   instruction. Superinstructions charge the fuel of every source
-//!   instruction they cover, so attribution is bit-identical to the
-//!   pre-threading interpreter.
+//!   instruction they cover, so attribution is bit-identical to an
+//!   interpreter over the source instructions (`plab-fuzz`'s `RefVm`).
 
-use crate::lower::{self, DedupCache, Lowered, RunOutcome};
+use crate::lower::{self, DedupCache, Lowered};
 use crate::program::{EntryPoint, Program};
 use crate::validate::{validate, NUM_REGS, ValidateError};
 use crate::Verdict;
@@ -205,7 +213,7 @@ impl Vm {
 
     fn exec(&mut self, entry_tpc: u32, packet: &[u8], info: &[u8]) -> Result<u64, Trap> {
         // Split borrows: code, persistent, and scratch are disjoint fields.
-        let Vm { program, lowered, persistent, scratch, config, insns_executed, .. } = self;
+        let Vm { lowered, persistent, scratch, config, insns_executed, .. } = self;
         #[cfg(debug_assertions)]
         let scratch_cap = scratch.capacity();
         // Scratch is semantically fresh per invocation; zeroing the owned
@@ -224,9 +232,8 @@ impl Vm {
         // cost no allocation.
         let mut cache = DedupCache::empty();
         let mut log = Vec::new();
-        let result = match lower::run::<false>(
+        let result = lower::run(
             &lowered.tcode,
-            &program.code,
             entry_tpc as usize,
             &mut regs,
             packet,
@@ -236,11 +243,8 @@ impl Vm {
             &mut fuel,
             &mut cache,
             &mut log,
-        ) {
-            RunOutcome::Done(r) => r,
-            // Pauses only occur in RECORD mode.
-            RunOutcome::PausedT(_) | RunOutcome::PausedS(_) => unreachable!(),
-        };
+        )
+        .done();
         // Batched accounting: one counter update per invocation instead of
         // one per instruction. `config.fuel - fuel` is exactly the number
         // of source instructions fetched (superinstructions charge the

@@ -2,7 +2,7 @@
 //! programs never fault unsafely, fuel always bounds execution, and the
 //! decoder/validator reject garbage gracefully.
 
-use plab_filter::{validate, Insn, Op, Program, Vm, VmConfig};
+use plab_filter::{validate, FusedVm, Insn, Op, Program, Vm, VmConfig};
 use plab_fuzz::reference::RefVm;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -20,20 +20,60 @@ fn arb_insn() -> impl Strategy<Value = Insn> {
     })
 }
 
+/// `code` entered at pc 0 as `send`, with 8-byte-granular memory sizes.
+fn send_program(code: Vec<Insn>, persistent: u32, scratch: u32) -> Program {
+    let mut entries = BTreeMap::new();
+    entries.insert("send".to_string(), 0);
+    Program { code, entries, persistent_size: persistent & !7, scratch_size: scratch & !7 }
+}
+
 fn arb_program() -> impl Strategy<Value = Program> {
     (prop::collection::vec(arb_insn(), 1..40), 0u32..256, 0u32..256).prop_map(
         |(mut code, persistent, scratch)| {
             // Force a terminating final instruction so programs have a
             // chance of validating.
             code.push(Insn::new(Op::Ret, 0, 0, 0));
-            let mut entries = BTreeMap::new();
-            entries.insert("send".to_string(), 0);
-            Program {
-                code,
-                entries,
-                persistent_size: persistent & !7,
-                scratch_size: scratch & !7,
+            send_program(code, persistent, scratch)
+        },
+    )
+}
+
+/// A program assembled from the idioms `lower` fuses into superinstructions
+/// (`mov.i; ld`, `mov.i; ld; jeq.i/jne.i`, `mov.i; st`, `mov; ret`) between
+/// plain instructions, valid by construction: a uniformly random stream
+/// almost never contains one, and partial fuel inside one is what the
+/// differential below is for.
+fn arb_idiom_program() -> impl Strategy<Value = Program> {
+    const LOADS: [Op; 9] = [
+        Op::LdPkt8, Op::LdPkt16, Op::LdPkt32, Op::LdInfo8, Op::LdInfo16, Op::LdInfo32,
+        Op::LdInfo64, Op::LdMem, Op::LdScr,
+    ];
+    let chunk = (0u8..10, 0u8..16, 0u8..16, -4i64..8, 0i64..100, 0u32..4).prop_map(
+        |(shape, r, s, k, off, cmp)| {
+            let mov = Insn::new(Op::MovI, r, 0, k);
+            let ld = Insn::new(LOADS[s as usize % LOADS.len()], r, r, off);
+            match shape {
+                0 | 1 => vec![mov, ld],
+                2..=4 => {
+                    let op = if shape == 2 { Op::JeqI } else { Op::JneI };
+                    // Lands on the next chunk's first or second instruction;
+                    // the two-instruction epilogue keeps both in bounds.
+                    vec![mov, ld, Insn::pack_cmp(op, r, cmp >> 1, (cmp & 1) as i32)]
+                }
+                5 => vec![mov, Insn::new(Op::StMem, r, s, off)],
+                6 => vec![mov, Insn::new(Op::StScr, r, s, off)],
+                7 => vec![mov, Insn::new(Op::Ret, r, 0, 0)],
+                8 => vec![Insn::new(Op::MovR, r, s, 0), Insn::new(Op::Ret, r, 0, 0)],
+                _ => vec![Insn::new(Op::AddI, r, 0, k)],
             }
+        },
+    );
+    (prop::collection::vec(chunk, 1..8), 0u32..256, 0u32..256).prop_map(
+        |(chunks, persistent, scratch)| {
+            let mut code = chunks.concat();
+            // Allow with the packet length, so a chain's next monitor runs.
+            code.extend([Insn::new(Op::MovR, 0, 1, 0), Insn::new(Op::Ret, 0, 0, 0)]);
+            send_program(code, persistent, scratch)
         },
     )
 }
@@ -89,37 +129,57 @@ proptest! {
 }
 
 proptest! {
-    /// Differential check of the optimized interpreter against the naive
+    /// Differential check of both drivers of the threaded interpreter — a
+    /// `Vm`, and a two-section `FusedVm` whose second section replays the
+    /// prefix its identical first section records — against the naive
     /// reference: across random validated programs, packets, info blocks,
-    /// and fuel budgets (including tiny ones that exhaust mid-program),
-    /// every invocation must produce the same verdict, leave identical
-    /// persistent memory, and report identical instruction counts. Run as
-    /// a sequence so persistent state carried between invocations is
-    /// compared too.
+    /// and fuel budgets (including tiny ones that exhaust mid-program and
+    /// mid-superinstruction), every invocation must produce the same
+    /// verdict, leave identical persistent memory, and report identical
+    /// instruction counts. Run as a sequence so persistent state carried
+    /// between invocations is compared too.
     #[test]
     fn optimized_vm_matches_reference(
-        program in arb_program(),
+        program in prop_oneof![arb_program(), arb_idiom_program()],
         packets in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..96), 1..5),
         info in prop::collection::vec(any::<u8>(), 0..64),
         fuel in prop_oneof![Just(0u64), 1u64..40, Just(10_000u64)],
     ) {
         if validate(&program).is_ok() {
             let mut opt = Vm::with_config(program.clone(), VmConfig { fuel }).unwrap();
-            let mut reference = RefVm::new(program, fuel);
+            let mut fused =
+                FusedVm::new(vec![program.clone(), program.clone()], vec![fuel; 2]).unwrap();
+            let mut refs = [RefVm::new(program.clone(), fuel), RefVm::new(program, fuel)];
             for packet in &packets {
                 let got = opt.check_send(packet, &info);
-                let want = reference.check_send(packet, &info);
+                let want = refs[0].check_send(packet, &info);
                 prop_assert_eq!(got, want, "verdicts diverge");
                 prop_assert_eq!(
                     opt.persistent(),
-                    reference.persistent.as_slice(),
+                    refs[0].persistent.as_slice(),
                     "persistent memory diverges"
                 );
                 prop_assert_eq!(
                     opt.insns_executed,
-                    reference.insns_executed,
+                    refs[0].insns_executed,
                     "instruction accounting diverges"
                 );
+                // A chain stops at the first monitor that does not allow.
+                let want_chain =
+                    if want.allowed() { refs[1].check_send(packet, &info) } else { want };
+                prop_assert_eq!(fused.check_send(packet, &info), want_chain, "fused verdict");
+                for (i, r) in refs.iter().enumerate() {
+                    prop_assert_eq!(
+                        fused.persistent_segment(i),
+                        r.persistent.as_slice(),
+                        "section {} persistent memory diverges", i
+                    );
+                    prop_assert_eq!(
+                        fused.attributed()[i],
+                        r.insns_executed,
+                        "section {} instruction accounting diverges", i
+                    );
+                }
             }
         }
     }
