@@ -5,35 +5,54 @@
 //! experiment logic is located on the experiment controller so that the
 //! measurement endpoint interface can remain simple and universal."
 //!
-//! [`Controller`] is generic over a [`ControlChannel`] — the framed,
-//! reliable pipe to one endpoint — so the same experiment code drives
-//! simulated endpoints (via [`crate::harness::SimChannel`]) or remote ones.
-//! The [`experiments`] submodule contains the measurement library written
-//! purely against the public command set, exactly as an outside
-//! experimenter would write it: ping, traceroute (§4), and uplink
-//! bandwidth estimation (§4).
+//! The library's logic exists once, as `async fn` over the traits of
+//! [`aio`] (one async core, two drivers — see that module). What this
+//! module adds are the **blocking shells** every single-endpoint caller
+//! uses: [`ControlChannel`], [`ControlPlane`], [`SinkHost`],
+//! [`robust::Dialer`], [`handshake`] and the `experiments::*` functions
+//! each run the corresponding [`aio`] future through [`aio::block_on`].
+//! A shell trait has no required methods; a backend implements the
+//! [`aio`] trait and adds the empty shell impl as its promise that every
+//! operation completes inside the call (`crate::harness::SimChannel`
+//! advances the simulator itself, `crate::transport::TcpChannel` sleeps
+//! on its socket), which is why `block_on` may poll once and treat
+//! `Pending` as a bug.
+//!
+//! [`Controller`] is generic over its channel, so the same experiment
+//! code drives simulated endpoints or remote ones. The [`experiments`]
+//! submodule contains the measurement library written purely against the
+//! public command set, exactly as an outside experimenter would write it:
+//! ping, traceroute (§4), and uplink bandwidth estimation (§4).
 
 use crate::cert::{CertPayload, Certificate, Restrictions};
 use crate::descriptor::ExperimentDescriptor;
-use crate::memory::EndpointMemory;
-use crate::wire::{Command, ErrCode, Message, Notification, Proto, Response};
+use crate::wire::{Command, ErrCode, Message, Notification, Response};
+use aio::block_on;
 use plab_crypto::{KeyHash, Keypair, PublicKey};
 use std::net::Ipv4Addr;
 
+pub mod aio;
 pub mod compat;
 pub mod experiments;
 pub mod robust;
 
-/// A reliable, framed, ordered channel to one endpoint.
-pub trait ControlChannel {
+/// Blocking shell of [`aio::Channel`]: a reliable, framed, ordered channel
+/// to one endpoint whose operations complete inside the call.
+pub trait ControlChannel: aio::Channel {
     /// Send a message.
-    fn send(&mut self, msg: &Message);
+    fn send(&mut self, msg: &Message) {
+        block_on(aio::Channel::send(self, msg))
+    }
     /// Receive the next message, waiting (virtual or real time) until
     /// `deadline` (controller clock, ns; `None` = wait as long as
     /// progress is possible).
-    fn recv(&mut self, deadline: Option<u64>) -> Option<Message>;
+    fn recv(&mut self, deadline: Option<u64>) -> Option<Message> {
+        block_on(aio::Channel::recv(self, deadline))
+    }
     /// The controller's local clock, ns.
-    fn now(&self) -> u64;
+    fn now(&self) -> u64 {
+        aio::Channel::now(self)
+    }
 }
 
 /// Everything needed to authenticate to endpoints for one experiment:
@@ -176,287 +195,112 @@ impl ClockSync {
     }
 }
 
-/// Run the Hello → HelloAck → Auth → AuthOk handshake over an established
-/// channel. Shared by [`Controller::connect`] and the reconnect path of
-/// [`robust::RobustController`].
+/// Blocking shell of [`aio::handshake`].
 pub fn handshake<C: ControlChannel>(
     chan: &mut C,
     creds: &Credentials,
     timeout_ns: u64,
 ) -> Result<(), ControllerError> {
-    chan.send(&Message::Hello { version: crate::PROTOCOL_VERSION });
-    let deadline = chan.now() + timeout_ns;
-    let nonce = match chan.recv(Some(deadline)) {
-        Some(Message::HelloAck { version, nonce }) => {
-            if version != crate::PROTOCOL_VERSION {
-                return Err(ControllerError::Protocol("version mismatch".into()));
-            }
-            nonce
-        }
-        // An admission rejection (e.g. `ErrCode::Busy` from an endpoint at
-        // session capacity) arrives before the HelloAck: surface it typed so
-        // the robust reconnect path can classify it.
-        Some(Message::Resp(Response::Err { code, msg })) => {
-            return Err(ControllerError::Endpoint(code, msg))
-        }
-        Some(other) => {
-            return Err(ControllerError::Protocol(format!("expected HelloAck, got {other:?}")))
-        }
-        None => return Err(ControllerError::Timeout),
-    };
-    chan.send(&creds.auth_message(&nonce));
-    let deadline = chan.now() + timeout_ns;
-    loop {
-        match chan.recv(Some(deadline)) {
-            Some(Message::AuthOk) => return Ok(()),
-            Some(Message::Resp(Response::Err { code, msg })) => {
-                return Err(ControllerError::Endpoint(code, msg))
-            }
-            Some(Message::Notify(_)) => continue,
-            Some(other) => {
-                return Err(ControllerError::Protocol(format!("expected AuthOk, got {other:?}")))
-            }
-            None => return Err(ControllerError::Timeout),
-        }
-    }
+    block_on(aio::handshake(chan, creds, timeout_ns))
 }
 
-/// The experiment-facing control surface: issue Table 1 commands against
-/// one endpoint and get typed results.
-///
-/// Experiment code (the [`experiments`] library, bench binaries, tests) is
-/// written against this trait, so the same measurement logic runs over a
-/// plain [`Controller`] — one connection, fail on first loss — or a
-/// [`robust::RobustController`] that reconnects, replays, and aborts with
-/// [`ControllerError::Unreachable`] only after its retry budget.
-///
-/// Only [`ControlPlane::request`], [`ControlPlane::request_until`], and
-/// [`ControlPlane::now`] are required; the Table 1 helpers and derived
-/// operations are provided in terms of them.
-pub trait ControlPlane {
-    /// Issue a command and wait for its response.
-    fn request(&mut self, cmd: Command) -> Result<Response, ControllerError>;
+/// One blocking shell per listed signature: the [`aio::Plane`] method of
+/// the same name, driven by [`block_on`].
+macro_rules! plane_shells {
+    ($($(#[$doc:meta])* fn $name:ident(&mut self $(, $arg:ident: $ty:ty)*) -> $ret:ty;)*) => {$(
+        $(#[$doc])*
+        fn $name(&mut self $(, $arg: $ty)*) -> $ret {
+            block_on(aio::Plane::$name(self $(, $arg)*))
+        }
+    )*};
+}
 
-    /// Issue a command whose response may take until `deadline`
-    /// (endpoint-paced commands like `npoll`).
-    fn request_until(&mut self, cmd: Command, deadline: u64) -> Result<Response, ControllerError>;
-
+/// Blocking shell of [`aio::Plane`]: issue Table 1 commands against one
+/// endpoint and get typed results, each call returning when its response
+/// has arrived.
+///
+/// Tests, examples and the `repro_*` binaries drive a concrete
+/// [`Controller`] or [`robust::RobustController`] through this trait.
+/// Experiment code meant to run under either driver is generic over
+/// [`aio::Plane`] instead (a `P: ControlPlane` bound sees both traits'
+/// methods, so a call through it would be ambiguous).
+pub trait ControlPlane: aio::Plane {
     /// Controller-clock now, ns.
-    fn now(&self) -> u64;
-
-    /// Issue many commands and collect their responses in order.
-    /// Implementations that can pipeline (send all, then read all) should
-    /// override this — the default is sequential.
-    fn request_batch(&mut self, cmds: Vec<Command>) -> Result<Vec<Response>, ControllerError> {
-        cmds.into_iter().map(|c| self.request(c)).collect()
+    fn now(&self) -> u64 {
+        aio::Plane::now(self)
     }
 
-    /// Issue a command and require `Response::Ok`.
-    fn expect_ok(&mut self, cmd: Command) -> Result<(), ControllerError> {
-        match self.request(cmd)? {
-            Response::Ok => Ok(()),
-            Response::Err { code, msg } => Err(ControllerError::Endpoint(code, msg)),
-            other => Err(ControllerError::Protocol(format!("expected Ok, got {other:?}"))),
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Table 1 commands
-    // ------------------------------------------------------------------
-
-    /// `nopen(sktid, raw)`.
-    fn nopen_raw(&mut self, sktid: u32) -> Result<(), ControllerError> {
-        self.expect_ok(Command::NOpen {
-            sktid,
-            proto: Proto::Raw,
-            locport: 0,
-            remaddr: 0,
-            remport: 0,
-        })
-    }
-
-    /// `nopen(sktid, udp, locport, remaddr, remport)`.
-    fn nopen_udp(
-        &mut self,
-        sktid: u32,
-        locport: u16,
-        remaddr: Ipv4Addr,
-        remport: u16,
-    ) -> Result<(), ControllerError> {
-        self.expect_ok(Command::NOpen {
-            sktid,
-            proto: Proto::Udp,
-            locport,
-            remaddr: u32::from(remaddr),
-            remport,
-        })
-    }
-
-    /// `nopen(sktid, tcp, locport, remaddr, remport)`.
-    fn nopen_tcp(
-        &mut self,
-        sktid: u32,
-        locport: u16,
-        remaddr: Ipv4Addr,
-        remport: u16,
-    ) -> Result<(), ControllerError> {
-        self.expect_ok(Command::NOpen {
-            sktid,
-            proto: Proto::Tcp,
-            locport,
-            remaddr: u32::from(remaddr),
-            remport,
-        })
-    }
-
-    /// `nclose(sktid)`.
-    fn nclose(&mut self, sktid: u32) -> Result<(), ControllerError> {
-        self.expect_ok(Command::NClose { sktid })
-    }
-
-    /// `nsend(sktid, time, data)` → send-log tag.
-    fn nsend(&mut self, sktid: u32, time: u64, data: Vec<u8>) -> Result<u64, ControllerError> {
-        match self.request(Command::NSend { sktid, time, data })? {
-            Response::SendQueued { tag } => Ok(tag),
-            Response::Err { code, msg } => Err(ControllerError::Endpoint(code, msg)),
-            other => Err(ControllerError::Protocol(format!("expected SendQueued, got {other:?}"))),
-        }
-    }
-
-    /// `ncap(sktid, time, filt)` with an already-encoded PFVM program.
-    fn ncap(&mut self, sktid: u32, time: u64, filt: Vec<u8>) -> Result<(), ControllerError> {
-        self.expect_ok(Command::NCap { sktid, time, filt })
-    }
-
-    /// `ncap` with a Cpf source filter, compiled client-side.
-    fn ncap_cpf(&mut self, sktid: u32, time: u64, source: &str) -> Result<(), ControllerError> {
-        let program = plab_cpf::compile(source)
-            .map_err(|e| ControllerError::Protocol(format!("cpf: {e}")))?;
-        self.ncap(sktid, time, program.encode())
-    }
-
-    /// `npoll(time)`.
-    fn npoll(&mut self, until_endpoint_time: u64) -> Result<PollResult, ControllerError> {
-        match self.request_until(Command::NPoll { time: until_endpoint_time }, until_endpoint_time)? {
-            Response::Poll { packets, dropped_packets, dropped_bytes } => Ok(PollResult {
-                packets,
-                dropped_packets,
-                dropped_bytes,
-            }),
-            Response::Err { code, msg } => Err(ControllerError::Endpoint(code, msg)),
-            other => Err(ControllerError::Protocol(format!("expected Poll, got {other:?}"))),
-        }
-    }
-
-    /// `mread(memaddr, bytecnt)`.
-    fn mread(&mut self, memaddr: u32, bytecnt: u32) -> Result<Vec<u8>, ControllerError> {
-        match self.request(Command::MRead { memaddr, bytecnt })? {
-            Response::Mem { data } => Ok(data),
-            Response::Err { code, msg } => Err(ControllerError::Endpoint(code, msg)),
-            other => Err(ControllerError::Protocol(format!("expected Mem, got {other:?}"))),
-        }
-    }
-
-    /// `mwrite(memaddr, data)`.
-    fn mwrite(&mut self, memaddr: u32, data: Vec<u8>) -> Result<(), ControllerError> {
-        self.expect_ok(Command::MWrite { memaddr, data })
-    }
-
-    /// Yield the endpoint (ends our control; resumes a suspended
-    /// experiment if any).
-    fn yield_endpoint(&mut self) -> Result<(), ControllerError> {
-        self.expect_ok(Command::Yield)
-    }
-
-    // ------------------------------------------------------------------
-    // Derived helpers
-    // ------------------------------------------------------------------
-
-    /// Read the endpoint's 64-bit clock (info offset 0).
-    fn read_clock(&mut self) -> Result<u64, ControllerError> {
-        let data = self.mread(0, 8)?;
-        Ok(u64::from_le_bytes(data.try_into().map_err(|_| {
-            ControllerError::Protocol("short clock read".into())
-        })?))
-    }
-
-    /// Read an info field by name.
-    fn read_info(&mut self, field: &str) -> Result<u64, ControllerError> {
-        let spec = plab_packet::layout::resolve_info(field)
-            .ok_or_else(|| ControllerError::Protocol(format!("unknown info field {field}")))?;
-        let data = self.mread(spec.offset as u32, spec.width as u32)?;
-        let mut v = 0u64;
-        for (i, b) in data.iter().enumerate() {
-            v |= (*b as u64) << (8 * i);
-        }
-        Ok(v)
-    }
-
-    /// The endpoint's internal IPv4 address ("to craft a valid IP packet
-    /// in raw mode, a controller needs to know the endpoint's internal IP
-    /// address").
-    fn endpoint_addr(&mut self) -> Result<Ipv4Addr, ControllerError> {
-        Ok(Ipv4Addr::from(self.read_info("addr.ip")? as u32))
-    }
-
-    /// Read back the actual transmit time of a scheduled send (§3.1: "the
-    /// endpoint then attempts to send the data at the specified time,
-    /// recording the time it was actually sent; an endpoint can retrieve
-    /// this timestamp using the mread command").
-    fn read_send_time(&mut self, tag: u64) -> Result<Option<u64>, ControllerError> {
-        let slot = EndpointMemory::sendlog_slot(tag);
-        let data = self.mread(slot, crate::memory::SENDLOG_ENTRY as u32)?;
-        match EndpointMemory::parse_sendlog_entry(&data) {
-            Some((t, time)) if t == tag => Ok(Some(time)),
-            _ => Ok(None),
-        }
-    }
-
-    /// NTP-style clock synchronization (§3.1 Timekeeping: "the experiment
-    /// controller should start by determining its clock offset with
-    /// respect to the endpoint using a clock synchronization algorithm
-    /// such as NTP"). Takes `samples` round trips and keeps the
-    /// minimum-RTT estimate.
-    fn sync_clock(&mut self, samples: u32) -> Result<ClockSync, ControllerError> {
-        let mut best: Option<(u64, i128)> = None;
-        for _ in 0..samples.max(1) {
-            let t0 = self.now();
-            let endpoint_clock = self.read_clock()?;
-            let t1 = self.now();
-            let rtt = t1.saturating_sub(t0);
-            // The endpoint read the clock roughly mid-flight.
-            let midpoint = t0 as i128 + (rtt / 2) as i128;
-            let offset = endpoint_clock as i128 - midpoint;
-            if best.is_none_or(|(r, _)| rtt < r) {
-                best = Some((rtt, offset));
-            }
-        }
-        let (min_rtt, offset) = best.expect("at least one sample");
-        Ok(ClockSync { offset, min_rtt, samples })
+    plane_shells! {
+        /// Issue a command and wait for its response.
+        fn request(&mut self, cmd: Command) -> Result<Response, ControllerError>;
+        /// Issue a command whose response may take until `deadline`
+        /// (endpoint-paced commands like `npoll`).
+        fn request_until(&mut self, cmd: Command, deadline: u64) -> Result<Response, ControllerError>;
+        /// Issue many commands and collect their responses in order.
+        fn request_batch(&mut self, cmds: Vec<Command>) -> Result<Vec<Response>, ControllerError>;
+        /// Issue a command and require `Response::Ok`.
+        fn expect_ok(&mut self, cmd: Command) -> Result<(), ControllerError>;
+        /// `nopen(sktid, raw)`.
+        fn nopen_raw(&mut self, sktid: u32) -> Result<(), ControllerError>;
+        /// `nopen(sktid, udp, locport, remaddr, remport)`.
+        fn nopen_udp(&mut self, sktid: u32, locport: u16, remaddr: Ipv4Addr, remport: u16) -> Result<(), ControllerError>;
+        /// `nopen(sktid, tcp, locport, remaddr, remport)`.
+        fn nopen_tcp(&mut self, sktid: u32, locport: u16, remaddr: Ipv4Addr, remport: u16) -> Result<(), ControllerError>;
+        /// `nclose(sktid)`.
+        fn nclose(&mut self, sktid: u32) -> Result<(), ControllerError>;
+        /// `nsend(sktid, time, data)` → send-log tag.
+        fn nsend(&mut self, sktid: u32, time: u64, data: Vec<u8>) -> Result<u64, ControllerError>;
+        /// `ncap(sktid, time, filt)` with an already-encoded PFVM program.
+        fn ncap(&mut self, sktid: u32, time: u64, filt: Vec<u8>) -> Result<(), ControllerError>;
+        /// `ncap` with a Cpf source filter, compiled client-side.
+        fn ncap_cpf(&mut self, sktid: u32, time: u64, source: &str) -> Result<(), ControllerError>;
+        /// `npoll(time)`.
+        fn npoll(&mut self, until_endpoint_time: u64) -> Result<PollResult, ControllerError>;
+        /// `mread(memaddr, bytecnt)`.
+        fn mread(&mut self, memaddr: u32, bytecnt: u32) -> Result<Vec<u8>, ControllerError>;
+        /// `mwrite(memaddr, data)`.
+        fn mwrite(&mut self, memaddr: u32, data: Vec<u8>) -> Result<(), ControllerError>;
+        /// Yield the endpoint (ends our control; resumes a suspended
+        /// experiment if any).
+        fn yield_endpoint(&mut self) -> Result<(), ControllerError>;
+        /// Read the endpoint's 64-bit clock (info offset 0).
+        fn read_clock(&mut self) -> Result<u64, ControllerError>;
+        /// Read an info field by name.
+        fn read_info(&mut self, field: &str) -> Result<u64, ControllerError>;
+        /// The endpoint's internal IPv4 address.
+        fn endpoint_addr(&mut self) -> Result<Ipv4Addr, ControllerError>;
+        /// Read back the actual transmit time of a scheduled send.
+        fn read_send_time(&mut self, tag: u64) -> Result<Option<u64>, ControllerError>;
+        /// NTP-style clock synchronization over `samples` round trips.
+        fn sync_clock(&mut self, samples: u32) -> Result<ClockSync, ControllerError>;
     }
 }
 
-/// Controller-host sockets an experiment may need beyond the control
-/// channel: the §4 bandwidth measurement sinks the endpoint's UDP burst on
-/// the controller's own host. Implemented by control planes whose
-/// underlying transport can expose local sockets (the simulation harness;
-/// a real deployment would back this with OS sockets).
-pub trait SinkHost {
+/// Blocking shell of [`aio::Sink`]: controller-host sockets an experiment
+/// may need beyond the control channel.
+pub trait SinkHost: aio::Sink {
     /// The controller host's address (for descriptors and UDP sinks).
-    fn sink_addr(&self) -> Ipv4Addr;
+    fn sink_addr(&self) -> Ipv4Addr {
+        aio::Sink::sink_addr(self)
+    }
     /// Bind a UDP port on the controller host.
-    fn sink_bind(&mut self, port: u16) -> bool;
+    fn sink_bind(&mut self, port: u16) -> bool {
+        aio::Sink::sink_bind(self, port)
+    }
     /// Drain UDP arrivals: (arrival time, source, source port, payload
     /// length).
-    fn sink_take(&mut self, port: u16) -> Vec<(u64, Ipv4Addr, u16, usize)>;
+    fn sink_take(&mut self, port: u16) -> Vec<(u64, Ipv4Addr, u16, usize)> {
+        aio::Sink::sink_take(self, port)
+    }
     /// Drain UDP arrivals with their probe sequence numbers: (arrival
-    /// time, sequence from the payload's first 4 LE bytes, payload
-    /// length). Dispersion-based bandwidth estimation needs the sequence
-    /// gap between consecutive arrivals to stay loss-robust; datagrams
-    /// shorter than 4 bytes read as sequence 0.
-    fn sink_take_seq(&mut self, port: u16) -> Vec<(u64, u32, usize)>;
+    /// time, sequence, payload length).
+    fn sink_take_seq(&mut self, port: u16) -> Vec<(u64, u32, usize)> {
+        aio::Sink::sink_take_seq(self, port)
+    }
     /// Advance (virtual or real) time to `time`, letting traffic drain.
-    fn wait_until(&mut self, time: u64);
+    fn wait_until(&mut self, time: u64) {
+        block_on(aio::Sink::wait_until(self, time))
+    }
 }
 
 /// Decode a probe datagram's sequence number: first 4 payload bytes, LE,
@@ -469,7 +313,7 @@ pub fn probe_seq(payload: &[u8]) -> u32 {
 }
 
 /// An authenticated control session with one endpoint.
-pub struct Controller<C: ControlChannel> {
+pub struct Controller<C: aio::Channel> {
     chan: C,
     /// Asynchronous notifications collected while waiting for responses
     /// (`Interrupted` / `Resumed`, §3.3).
@@ -487,7 +331,9 @@ impl<C: ControlChannel> Controller<C> {
             request_timeout: 60_000_000_000,
         })
     }
+}
 
+impl<C: aio::Channel> Controller<C> {
     /// Set the per-request timeout (controller-clock ns). Defaults to 60
     /// virtual seconds — generous for simulation; real deployments tune it
     /// to a few control RTTs.
@@ -500,10 +346,10 @@ impl<C: ControlChannel> Controller<C> {
         &mut self.chan
     }
 
-    fn wait_response(&mut self, budget: u64) -> Result<Response, ControllerError> {
+    async fn wait_response(&mut self, budget: u64) -> Result<Response, ControllerError> {
         let deadline = self.chan.now() + budget;
         loop {
-            match self.chan.recv(Some(deadline)) {
+            match self.chan.recv(Some(deadline)).await {
                 Some(Message::Resp(r)) => return Ok(r),
                 Some(Message::Notify(n)) => self.notifications.push(n),
                 Some(other) => {
@@ -515,10 +361,10 @@ impl<C: ControlChannel> Controller<C> {
     }
 }
 
-impl<C: ControlChannel> ControlPlane for Controller<C> {
-    fn request(&mut self, cmd: Command) -> Result<Response, ControllerError> {
-        self.chan.send(&Message::Cmd(cmd));
-        self.wait_response(self.request_timeout)
+impl<C: aio::Channel> aio::Plane for Controller<C> {
+    async fn request(&mut self, cmd: Command) -> Result<Response, ControllerError> {
+        self.chan.send(&Message::Cmd(cmd)).await;
+        self.wait_response(self.request_timeout).await
     }
 
     /// Pipelined override: all commands are sent back-to-back, then all
@@ -526,22 +372,29 @@ impl<C: ControlChannel> ControlPlane for Controller<C> {
     /// critical path of scheduled sends — e.g. the §4 bandwidth experiment
     /// schedules its whole burst in ~one round trip instead of one RTT per
     /// datagram.
-    fn request_batch(&mut self, cmds: Vec<Command>) -> Result<Vec<Response>, ControllerError> {
+    async fn request_batch(
+        &mut self,
+        cmds: Vec<Command>,
+    ) -> Result<Vec<Response>, ControllerError> {
         let n = cmds.len();
         for cmd in cmds {
-            self.chan.send(&Message::Cmd(cmd));
+            self.chan.send(&Message::Cmd(cmd)).await;
         }
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
-            out.push(self.wait_response(self.request_timeout)?);
+            out.push(self.wait_response(self.request_timeout).await?);
         }
         Ok(out)
     }
 
-    fn request_until(&mut self, cmd: Command, deadline: u64) -> Result<Response, ControllerError> {
-        self.chan.send(&Message::Cmd(cmd));
+    async fn request_until(
+        &mut self,
+        cmd: Command,
+        deadline: u64,
+    ) -> Result<Response, ControllerError> {
+        self.chan.send(&Message::Cmd(cmd)).await;
         let budget = deadline.saturating_sub(self.chan.now()) + self.request_timeout;
-        self.wait_response(budget)
+        self.wait_response(budget).await
     }
 
     fn now(&self) -> u64 {
@@ -549,7 +402,9 @@ impl<C: ControlChannel> ControlPlane for Controller<C> {
     }
 }
 
-impl<C: ControlChannel + SinkHost> SinkHost for Controller<C> {
+impl<C: ControlChannel> ControlPlane for Controller<C> {}
+
+impl<C: aio::Channel + aio::Sink> aio::Sink for Controller<C> {
     fn sink_addr(&self) -> Ipv4Addr {
         self.chan.sink_addr()
     }
@@ -566,10 +421,12 @@ impl<C: ControlChannel + SinkHost> SinkHost for Controller<C> {
         self.chan.sink_take_seq(port)
     }
 
-    fn wait_until(&mut self, time: u64) {
-        self.chan.wait_until(time)
+    async fn wait_until(&mut self, time: u64) {
+        aio::Sink::wait_until(&mut self.chan, time).await
     }
 }
+
+impl<C: ControlChannel + SinkHost> SinkHost for Controller<C> {}
 
 /// Result of an `npoll`.
 #[derive(Debug, Clone, PartialEq, Eq)]

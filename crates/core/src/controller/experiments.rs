@@ -8,7 +8,12 @@
 //! bandwidth measurement ("schedules a block of UDP datagrams to be sent
 //! from the endpoint to the controller at time t0 + δ ... records their
 //! arrival times, and calculates the uplink bandwidth").
+//!
+//! Each probe has one body, an `async fn` in [`aio`] over any
+//! [`Plane`](super::aio::Plane); the functions here are its blocking
+//! shells for planes whose operations complete inside the call.
 
+use super::aio::block_on;
 use super::{ClockSync, ControlPlane, ControllerError, SinkHost};
 use plab_packet::{builder, icmp, ipv4};
 use std::net::Ipv4Addr;
@@ -172,62 +177,7 @@ pub fn ping<P: ControlPlane>(
     interval: u64,
     payload_len: usize,
 ) -> Result<PingStats, ControllerError> {
-    const SKT: u32 = 1;
-    let sync = ctrl.sync_clock(4)?;
-    let src = ctrl.endpoint_addr()?;
-    ctrl.nopen_raw(SKT)?;
-    ctrl.ncap_cpf(SKT, u64::MAX, ICMP_CAPTURE_FILTER)?;
-
-    // Schedule all probes slightly in the future so control traffic does
-    // not contend with the measurement (§3.1's rationale for nsend times).
-    let t0 = ctrl.read_clock()?;
-    let start = t0 + 2 * sync.min_rtt.max(1_000_000);
-    let mut tags = Vec::new();
-    for i in 0..count {
-        let probe = builder::icmp_echo_request(
-            src,
-            dst,
-            64,
-            PING_IDENT,
-            i as u16,
-            &vec![0xa5; payload_len],
-        );
-        let tag = ctrl.nsend(SKT, start + i as u64 * interval, probe)?;
-        tags.push(tag);
-    }
-
-    // Poll for replies until shortly after the last probe + a grace RTT.
-    let deadline = start + count as u64 * interval + 2_000_000_000;
-    let mut replies = Vec::new();
-    while replies.len() < count as usize {
-        let poll = ctrl.npoll(deadline)?;
-        let mut got_any = false;
-        for (_skt, trcv, pkt) in &poll.packets {
-            got_any = true;
-            let Ok(view) = ipv4::Ipv4View::new_unchecked(pkt) else { continue };
-            if view.src() != dst {
-                continue;
-            }
-            if let Ok(icmp::IcmpMessage::EchoReply { ident, seq, .. }) = icmp::parse(view.payload())
-            {
-                if ident == PING_IDENT && (seq as u32) < count {
-                    if let Some(tsnd) = ctrl.read_send_time(tags[seq as usize])? {
-                        replies.push(PingReply { seq, rtt: trcv.saturating_sub(tsnd) });
-                    }
-                }
-            }
-        }
-        if !got_any && ctrl.read_clock()? >= deadline {
-            break;
-        }
-        if poll.packets.is_empty() {
-            break;
-        }
-    }
-    ctrl.nclose(SKT)?;
-    replies.sort_by_key(|r| r.seq);
-    replies.dedup_by_key(|r| r.seq);
-    Ok(PingStats { sent: count, replies, sync })
+    block_on(aio::ping(ctrl, dst, count, interval, payload_len))
 }
 
 /// One traceroute hop.
@@ -261,75 +211,7 @@ pub fn traceroute<P: ControlPlane>(
     dst: Ipv4Addr,
     max_ttl: u8,
 ) -> Result<TracerouteResult, ControllerError> {
-    const SKT: u32 = 2;
-    let sync = ctrl.sync_clock(4)?;
-    let src = ctrl.endpoint_addr()?;
-    ctrl.nopen_raw(SKT)?;
-    ctrl.ncap_cpf(SKT, u64::MAX, ICMP_CAPTURE_FILTER)?;
-
-    let mut hops: Vec<Hop> = Vec::new();
-    let mut reached = false;
-    let mut ttl = 1u8;
-    while ttl <= max_ttl && !reached {
-        // Probe a small batch of TTLs, scheduled ahead of time.
-        let batch_end = (ttl + 3).min(max_ttl);
-        let t0 = ctrl.read_clock()?;
-        let start = t0 + 2 * sync.min_rtt.max(1_000_000);
-        let mut tags = std::collections::HashMap::new();
-        for t in ttl..=batch_end {
-            // "the payload set to contain a two-byte sequence number".
-            let seq = t as u16;
-            let payload = seq.to_be_bytes();
-            let probe = builder::icmp_echo_request(src, dst, t, PING_IDENT, seq, &payload);
-            let tag = ctrl.nsend(SKT, start + (t - ttl) as u64 * 1_000_000, probe)?;
-            tags.insert(seq, tag);
-        }
-        let deadline = start + 3_000_000_000;
-        let mut answered: std::collections::HashMap<u16, (Ipv4Addr, u64, bool)> =
-            std::collections::HashMap::new();
-        while answered.len() < tags.len() {
-            let poll = ctrl.npoll(deadline)?;
-            if poll.packets.is_empty() {
-                break;
-            }
-            for (_skt, trcv, pkt) in &poll.packets {
-                let Ok(view) = ipv4::Ipv4View::new_unchecked(pkt) else { continue };
-                match icmp::parse(view.payload()) {
-                    Ok(icmp::IcmpMessage::TimeExceeded { original, .. }) => {
-                        // "The sequence number is extracted from the packet
-                        // and used to match the original ICMP's tsnd."
-                        if let Some(seq) = quoted_seq(original) {
-                            answered.entry(seq).or_insert((view.src(), *trcv, false));
-                        }
-                    }
-                    Ok(icmp::IcmpMessage::EchoReply { ident, seq, .. })
-                        if ident == PING_IDENT && view.src() == dst =>
-                    {
-                        answered.entry(seq).or_insert((view.src(), *trcv, true));
-                    }
-                    _ => {}
-                }
-            }
-        }
-        for t in ttl..=batch_end {
-            let seq = t as u16;
-            match answered.get(&seq) {
-                Some((addr, trcv, is_dst)) => {
-                    let tsnd = ctrl.read_send_time(tags[&seq])?;
-                    let rtt = tsnd.map(|ts| trcv.saturating_sub(ts));
-                    hops.push(Hop { ttl: t, addr: Some(*addr), rtt, reached: *is_dst });
-                    if *is_dst {
-                        reached = true;
-                        break;
-                    }
-                }
-                None => hops.push(Hop { ttl: t, addr: None, rtt: None, reached: false }),
-            }
-        }
-        ttl = batch_end + 1;
-    }
-    ctrl.nclose(SKT)?;
-    Ok(TracerouteResult { hops, reached })
+    block_on(aio::traceroute(ctrl, dst, max_ttl))
 }
 
 /// Extract the two-byte sequence number from the quoted original datagram
@@ -433,45 +315,7 @@ pub fn measure_uplink_bandwidth_unscheduled<P: ControlPlane + SinkHost>(
     n_packets: u32,
     payload_len: usize,
 ) -> Result<BandwidthEstimate, ControllerError> {
-    const SKT: u32 = 4;
-    let sink_addr = ctrl.sink_addr();
-    ctrl.sink_bind(sink_port);
-    ctrl.nopen_udp(SKT, 20_001, sink_addr, sink_port)?;
-    // One command per datagram, each waiting for its response: the control
-    // RTT paces the burst.
-    for i in 0..n_packets {
-        let mut payload = vec![0u8; payload_len];
-        payload[..4.min(payload_len)]
-            .copy_from_slice(&i.to_le_bytes()[..4.min(payload_len)]);
-        ctrl.nsend(SKT, 0, payload)?;
-    }
-    // Adaptive arrival horizon. The burst is paced by the control-channel
-    // round trip, so its duration scales with the link: a fixed horizon
-    // cuts slow links off mid-burst and silently undercounts. Keep
-    // extending the wait while arrivals are still landing, bounded by a
-    // hard deadline; report hitting that wall as truncation.
-    let hard_deadline = ctrl.now() + 30_000_000_000;
-    let mut arrivals = Vec::new();
-    let mut truncated = false;
-    loop {
-        let window_end = (ctrl.now() + 2_000_000_000).min(hard_deadline);
-        ctrl.wait_until(window_end);
-        let batch = ctrl.sink_take(sink_port);
-        let progress = !batch.is_empty();
-        arrivals.extend(batch);
-        if arrivals.len() as u32 >= n_packets {
-            break;
-        }
-        if ctrl.now() >= hard_deadline {
-            truncated = progress;
-            break;
-        }
-        if !progress {
-            break;
-        }
-    }
-    ctrl.nclose(SKT)?;
-    Ok(estimate_from_arrivals(n_packets, &arrivals, truncated))
+    block_on(aio::measure_uplink_bandwidth_unscheduled(ctrl, sink_port, n_packets, payload_len))
 }
 
 /// §4's uplink bandwidth measurement, verbatim in structure:
@@ -493,76 +337,287 @@ pub fn measure_uplink_bandwidth<P: ControlPlane + SinkHost>(
     payload_len: usize,
     delay_ns: u64,
 ) -> Result<BandwidthEstimate, ControllerError> {
-    // The nsend commands themselves traverse the (slow) access link, and
-    // their responses share the uplink with the measurement — the very
-    // contention §3.1's scheduling exists to avoid. For large bursts, run
-    // a small probe burst first to coarsely estimate the link, then size
-    // the scheduling delay so all control traffic completes before the
-    // burst departs.
-    let mut delay = delay_ns;
-    if n_packets > 16 {
-        let coarse = burst_once(ctrl, 30, 20_002, sink_port, 10, payload_len, delay_ns)?;
-        if coarse.bits_per_sec > 0.0 {
-            // Bytes of command traffic still to deliver, with generous
-            // framing overhead, at the coarse rate — double it for slack.
-            let cmd_bytes = n_packets as u64 * (payload_len as u64 + 120);
-            let deliver_ns = (cmd_bytes as f64 * 8.0 / coarse.bits_per_sec * 1e9) as u64;
-            delay = delay_ns + 2 * deliver_ns + 100_000_000;
-        }
-    }
-    burst_once(ctrl, 3, 20_000, sink_port, n_packets, payload_len, delay)
+    block_on(aio::measure_uplink_bandwidth(ctrl, sink_port, n_packets, payload_len, delay_ns))
 }
 
-/// One scheduled burst round of the §4 bandwidth experiment.
-fn burst_once<P: ControlPlane + SinkHost>(
-    ctrl: &mut P,
-    skt: u32,
-    locport: u16,
-    sink_port: u16,
-    n_packets: u32,
-    payload_len: usize,
-    delay_ns: u64,
-) -> Result<BandwidthEstimate, ControllerError> {
-    let sink_addr = ctrl.sink_addr();
-    ctrl.sink_bind(sink_port);
-    // Drain anything a previous round left in the sink.
-    let _ = ctrl.sink_take(sink_port);
+/// The probes themselves: one `async` body each, over any
+/// [`Plane`](crate::controller::aio::Plane). The functions of the parent
+/// module are their blocking shells; the fleet runner awaits these
+/// directly.
+pub mod aio {
+    use super::*;
+    use crate::controller::aio::{Plane, Sink};
 
-    // 1. Endpoint time.
-    let t0 = ctrl.read_clock()?;
-    // 2. UDP socket on the endpoint.
-    ctrl.nopen_udp(skt, locport, sink_addr, sink_port)?;
-    // 3. Schedule the burst at t0 + δ: all datagrams queued for the same
-    //    instant; the access link's serialization paces them out, which is
-    //    precisely what the estimate measures.
-    let burst_time = t0 + delay_ns;
-    let cmds: Vec<_> = (0..n_packets)
-        .map(|i| {
+    /// [`super::ping`], resumable.
+    pub async fn ping<P: Plane>(
+        ctrl: &mut P,
+        dst: Ipv4Addr,
+        count: u32,
+        interval: u64,
+        payload_len: usize,
+    ) -> Result<PingStats, ControllerError> {
+        const SKT: u32 = 1;
+        let sync = ctrl.sync_clock(4).await?;
+        let src = ctrl.endpoint_addr().await?;
+        ctrl.nopen_raw(SKT).await?;
+        ctrl.ncap_cpf(SKT, u64::MAX, ICMP_CAPTURE_FILTER).await?;
+
+        // Schedule all probes slightly in the future so control traffic does
+        // not contend with the measurement (§3.1's rationale for nsend times).
+        let t0 = ctrl.read_clock().await?;
+        let start = t0 + 2 * sync.min_rtt.max(1_000_000);
+        let mut tags = Vec::new();
+        for i in 0..count {
+            let probe = builder::icmp_echo_request(
+                src,
+                dst,
+                64,
+                PING_IDENT,
+                i as u16,
+                &vec![0xa5; payload_len],
+            );
+            let tag = ctrl.nsend(SKT, start + i as u64 * interval, probe).await?;
+            tags.push(tag);
+        }
+
+        // Poll for replies until shortly after the last probe + a grace RTT.
+        let deadline = start + count as u64 * interval + 2_000_000_000;
+        let mut replies = Vec::new();
+        while replies.len() < count as usize {
+            let poll = ctrl.npoll(deadline).await?;
+            let mut got_any = false;
+            for (_skt, trcv, pkt) in &poll.packets {
+                got_any = true;
+                let Ok(view) = ipv4::Ipv4View::new_unchecked(pkt) else { continue };
+                if view.src() != dst {
+                    continue;
+                }
+                if let Ok(icmp::IcmpMessage::EchoReply { ident, seq, .. }) = icmp::parse(view.payload())
+                {
+                    if ident == PING_IDENT && (seq as u32) < count {
+                        if let Some(tsnd) = ctrl.read_send_time(tags[seq as usize]).await? {
+                            replies.push(PingReply { seq, rtt: trcv.saturating_sub(tsnd) });
+                        }
+                    }
+                }
+            }
+            if !got_any && ctrl.read_clock().await? >= deadline {
+                break;
+            }
+            if poll.packets.is_empty() {
+                break;
+            }
+        }
+        ctrl.nclose(SKT).await?;
+        replies.sort_by_key(|r| r.seq);
+        replies.dedup_by_key(|r| r.seq);
+        Ok(PingStats { sent: count, replies, sync })
+    }
+
+    /// [`super::traceroute`], resumable.
+    pub async fn traceroute<P: Plane>(
+        ctrl: &mut P,
+        dst: Ipv4Addr,
+        max_ttl: u8,
+    ) -> Result<TracerouteResult, ControllerError> {
+        const SKT: u32 = 2;
+        let sync = ctrl.sync_clock(4).await?;
+        let src = ctrl.endpoint_addr().await?;
+        ctrl.nopen_raw(SKT).await?;
+        ctrl.ncap_cpf(SKT, u64::MAX, ICMP_CAPTURE_FILTER).await?;
+
+        let mut hops: Vec<Hop> = Vec::new();
+        let mut reached = false;
+        let mut ttl = 1u8;
+        while ttl <= max_ttl && !reached {
+            // Probe a small batch of TTLs, scheduled ahead of time.
+            let batch_end = (ttl + 3).min(max_ttl);
+            let t0 = ctrl.read_clock().await?;
+            let start = t0 + 2 * sync.min_rtt.max(1_000_000);
+            let mut tags = std::collections::HashMap::new();
+            for t in ttl..=batch_end {
+                // "the payload set to contain a two-byte sequence number".
+                let seq = t as u16;
+                let payload = seq.to_be_bytes();
+                let probe = builder::icmp_echo_request(src, dst, t, PING_IDENT, seq, &payload);
+                let tag = ctrl.nsend(SKT, start + (t - ttl) as u64 * 1_000_000, probe).await?;
+                tags.insert(seq, tag);
+            }
+            let deadline = start + 3_000_000_000;
+            let mut answered: std::collections::HashMap<u16, (Ipv4Addr, u64, bool)> =
+                std::collections::HashMap::new();
+            while answered.len() < tags.len() {
+                let poll = ctrl.npoll(deadline).await?;
+                if poll.packets.is_empty() {
+                    break;
+                }
+                for (_skt, trcv, pkt) in &poll.packets {
+                    let Ok(view) = ipv4::Ipv4View::new_unchecked(pkt) else { continue };
+                    match icmp::parse(view.payload()) {
+                        Ok(icmp::IcmpMessage::TimeExceeded { original, .. }) => {
+                            // "The sequence number is extracted from the packet
+                            // and used to match the original ICMP's tsnd."
+                            if let Some(seq) = quoted_seq(original) {
+                                answered.entry(seq).or_insert((view.src(), *trcv, false));
+                            }
+                        }
+                        Ok(icmp::IcmpMessage::EchoReply { ident, seq, .. })
+                            if ident == PING_IDENT && view.src() == dst =>
+                        {
+                            answered.entry(seq).or_insert((view.src(), *trcv, true));
+                        }
+                        _ => {}
+                    }
+                }
+            }
+            for t in ttl..=batch_end {
+                let seq = t as u16;
+                match answered.get(&seq) {
+                    Some((addr, trcv, is_dst)) => {
+                        let tsnd = ctrl.read_send_time(tags[&seq]).await?;
+                        let rtt = tsnd.map(|ts| trcv.saturating_sub(ts));
+                        hops.push(Hop { ttl: t, addr: Some(*addr), rtt, reached: *is_dst });
+                        if *is_dst {
+                            reached = true;
+                            break;
+                        }
+                    }
+                    None => hops.push(Hop { ttl: t, addr: None, rtt: None, reached: false }),
+                }
+            }
+            ttl = batch_end + 1;
+        }
+        ctrl.nclose(SKT).await?;
+        Ok(TracerouteResult { hops, reached })
+    }
+
+    /// [`super::measure_uplink_bandwidth_unscheduled`], resumable.
+    pub async fn measure_uplink_bandwidth_unscheduled<P: Plane + Sink>(
+        ctrl: &mut P,
+        sink_port: u16,
+        n_packets: u32,
+        payload_len: usize,
+    ) -> Result<BandwidthEstimate, ControllerError> {
+        const SKT: u32 = 4;
+        let sink_addr = ctrl.sink_addr();
+        ctrl.sink_bind(sink_port);
+        ctrl.nopen_udp(SKT, 20_001, sink_addr, sink_port).await?;
+        // One command per datagram, each waiting for its response: the control
+        // RTT paces the burst.
+        for i in 0..n_packets {
             let mut payload = vec![0u8; payload_len];
             payload[..4.min(payload_len)]
                 .copy_from_slice(&i.to_le_bytes()[..4.min(payload_len)]);
-            crate::wire::Command::NSend { sktid: skt, time: burst_time, data: payload }
-        })
-        .collect();
-    // Pipelined: the whole block is scheduled in ~one control round trip,
-    // so control traffic is off the access link before the burst departs.
-    for resp in ctrl.request_batch(cmds)? {
-        if let crate::wire::Response::Err { code, msg } = resp {
-            return Err(ControllerError::Endpoint(code, msg));
+            ctrl.nsend(SKT, 0, payload).await?;
         }
+        // Adaptive arrival horizon. The burst is paced by the control-channel
+        // round trip, so its duration scales with the link: a fixed horizon
+        // cuts slow links off mid-burst and silently undercounts. Keep
+        // extending the wait while arrivals are still landing, bounded by a
+        // hard deadline; report hitting that wall as truncation.
+        let hard_deadline = ctrl.now() + 30_000_000_000;
+        let mut arrivals = Vec::new();
+        let mut truncated = false;
+        loop {
+            let window_end = (ctrl.now() + 2_000_000_000).min(hard_deadline);
+            ctrl.wait_until(window_end).await;
+            let batch = ctrl.sink_take(sink_port);
+            let progress = !batch.is_empty();
+            arrivals.extend(batch);
+            if arrivals.len() as u32 >= n_packets {
+                break;
+            }
+            if ctrl.now() >= hard_deadline {
+                truncated = progress;
+                break;
+            }
+            if !progress {
+                break;
+            }
+        }
+        ctrl.nclose(SKT).await?;
+        Ok(estimate_from_arrivals(n_packets, &arrivals, truncated))
     }
 
-    // 4. Wait for the burst to drain and record arrivals.
-    let sync = ctrl.sync_clock(2)?;
-    let ctrl_burst_time = sync.to_controller(burst_time);
-    // Generous horizon: burst duration at 1 Mbps plus slack.
-    let ip_len = (payload_len + 28) as u64;
-    let horizon = ctrl_burst_time + n_packets as u64 * ip_len * 8 * 1_000 + 5_000_000_000;
-    ctrl.wait_until(horizon);
+    /// [`super::measure_uplink_bandwidth`], resumable.
+    pub async fn measure_uplink_bandwidth<P: Plane + Sink>(
+        ctrl: &mut P,
+        sink_port: u16,
+        n_packets: u32,
+        payload_len: usize,
+        delay_ns: u64,
+    ) -> Result<BandwidthEstimate, ControllerError> {
+        // The nsend commands themselves traverse the (slow) access link, and
+        // their responses share the uplink with the measurement — the very
+        // contention §3.1's scheduling exists to avoid. For large bursts, run
+        // a small probe burst first to coarsely estimate the link, then size
+        // the scheduling delay so all control traffic completes before the
+        // burst departs.
+        let mut delay = delay_ns;
+        if n_packets > 16 {
+            let coarse = burst_once(ctrl, 30, 20_002, sink_port, 10, payload_len, delay_ns).await?;
+            if coarse.bits_per_sec > 0.0 {
+                // Bytes of command traffic still to deliver, with generous
+                // framing overhead, at the coarse rate — double it for slack.
+                let cmd_bytes = n_packets as u64 * (payload_len as u64 + 120);
+                let deliver_ns = (cmd_bytes as f64 * 8.0 / coarse.bits_per_sec * 1e9) as u64;
+                delay = delay_ns + 2 * deliver_ns + 100_000_000;
+            }
+        }
+        burst_once(ctrl, 3, 20_000, sink_port, n_packets, payload_len, delay).await
+    }
 
-    let arrivals = ctrl.sink_take(sink_port);
-    ctrl.nclose(skt)?;
-    Ok(estimate_from_arrivals(n_packets, &arrivals, false))
+    /// One scheduled burst round of the §4 bandwidth experiment.
+    async fn burst_once<P: Plane + Sink>(
+        ctrl: &mut P,
+        skt: u32,
+        locport: u16,
+        sink_port: u16,
+        n_packets: u32,
+        payload_len: usize,
+        delay_ns: u64,
+    ) -> Result<BandwidthEstimate, ControllerError> {
+        let sink_addr = ctrl.sink_addr();
+        ctrl.sink_bind(sink_port);
+        // Drain anything a previous round left in the sink.
+        let _ = ctrl.sink_take(sink_port);
+
+        // 1. Endpoint time.
+        let t0 = ctrl.read_clock().await?;
+        // 2. UDP socket on the endpoint.
+        ctrl.nopen_udp(skt, locport, sink_addr, sink_port).await?;
+        // 3. Schedule the burst at t0 + δ: all datagrams queued for the same
+        //    instant; the access link's serialization paces them out, which is
+        //    precisely what the estimate measures.
+        let burst_time = t0 + delay_ns;
+        let cmds: Vec<_> = (0..n_packets)
+            .map(|i| {
+                let mut payload = vec![0u8; payload_len];
+                payload[..4.min(payload_len)]
+                    .copy_from_slice(&i.to_le_bytes()[..4.min(payload_len)]);
+                crate::wire::Command::NSend { sktid: skt, time: burst_time, data: payload }
+            })
+            .collect();
+        // Pipelined: the whole block is scheduled in ~one control round trip,
+        // so control traffic is off the access link before the burst departs.
+        for resp in ctrl.request_batch(cmds).await? {
+            if let crate::wire::Response::Err { code, msg } = resp {
+                return Err(ControllerError::Endpoint(code, msg));
+            }
+        }
+
+        // 4. Wait for the burst to drain and record arrivals.
+        let sync = ctrl.sync_clock(2).await?;
+        let ctrl_burst_time = sync.to_controller(burst_time);
+        // Generous horizon: burst duration at 1 Mbps plus slack.
+        let ip_len = (payload_len + 28) as u64;
+        let horizon = ctrl_burst_time + n_packets as u64 * ip_len * 8 * 1_000 + 5_000_000_000;
+        ctrl.wait_until(horizon).await;
+
+        let arrivals = ctrl.sink_take(sink_port);
+        ctrl.nclose(skt).await?;
+        Ok(estimate_from_arrivals(n_packets, &arrivals, false))
+    }
 }
 
 #[cfg(test)]

@@ -28,6 +28,7 @@
 //! grade.
 
 use super::UDP_IP_OVERHEAD;
+use crate::controller::aio::{block_on, Plane, Sink};
 use crate::controller::{probe_seq, ClockSync, ControlPlane, ControllerError, SinkHost};
 use crate::memory::{EndpointMemory, SockStat, SOCKSTAT_ENTRY};
 use crate::wire::{Command, Response};
@@ -193,11 +194,11 @@ pub fn dispersion_from_arrivals(arrivals: &[(u64, u32, usize)]) -> Option<(u64, 
 
 /// Read one socket-state entry; `None` when the slot describes another
 /// socket (ring collision) or was cleared.
-fn read_sockstat<P: ControlPlane>(
+async fn read_sockstat<P: Plane>(
     ctrl: &mut P,
     sktid: u32,
 ) -> Result<Option<SockStat>, ControllerError> {
-    let data = ctrl.mread(EndpointMemory::sockstat_slot(sktid), SOCKSTAT_ENTRY as u32)?;
+    let data = ctrl.mread(EndpointMemory::sockstat_slot(sktid), SOCKSTAT_ENTRY as u32).await?;
     Ok(EndpointMemory::parse_sockstat_entry(&data).filter(|s| s.sktid == sktid && s.is_open()))
 }
 
@@ -208,7 +209,7 @@ fn read_sockstat<P: ControlPlane>(
 /// that retry use the overrun to size the next attempt's lead: on a
 /// lossy control channel batch delivery time is dominated by RTO stalls,
 /// which no a-priori `k·rtt` guess predicts.
-fn schedule_block<P: ControlPlane>(
+async fn schedule_block<P: Plane>(
     ctrl: &mut P,
     skt: u32,
     n: u32,
@@ -216,13 +217,13 @@ fn schedule_block<P: ControlPlane>(
     rtt: u64,
     mut payload: impl FnMut(u32) -> Vec<u8>,
 ) -> Result<(Vec<u64>, u64, u64), ControllerError> {
-    let t0 = ctrl.read_clock()?;
+    let t0 = ctrl.read_clock().await?;
     let start = t0 + lead_ns;
     let cmds: Vec<Command> = (0..n)
         .map(|i| Command::NSend { sktid: skt, time: start, data: payload(i) })
         .collect();
     let mut tags = Vec::with_capacity(n as usize);
-    for resp in ctrl.request_batch(cmds)? {
+    for resp in ctrl.request_batch(cmds).await? {
         match resp {
             Response::SendQueued { tag } => tags.push(tag),
             Response::Err { code, msg } => return Err(ControllerError::Endpoint(code, msg)),
@@ -231,7 +232,7 @@ fn schedule_block<P: ControlPlane>(
             }
         }
     }
-    let after = ctrl.read_clock()?;
+    let after = ctrl.read_clock().await?;
     let late_ns = (after + rtt).saturating_sub(start);
     if late_ns > 0 {
         M_SLIPS.inc();
@@ -261,7 +262,7 @@ struct DrainOutcome {
 /// probe); a positive interval sleeps between samples via an empty
 /// `npoll` so the sampling itself stays off the measured uplink.
 #[allow(clippy::too_many_arguments)]
-fn timed_drain<P: ControlPlane>(
+async fn timed_drain<P: Plane>(
     ctrl: &mut P,
     skt: u32,
     sync: &ClockSync,
@@ -274,11 +275,11 @@ fn timed_drain<P: ControlPlane>(
     let rtt = sync.min_rtt.max(1_000_000);
     let total = chunk as u64 * n_chunks;
     let (_tags, start, late) =
-        schedule_block(ctrl, skt, n_chunks as u32, lead_ns, rtt, |_| vec![0u8; chunk])?;
+        schedule_block(ctrl, skt, n_chunks as u32, lead_ns, rtt, |_| vec![0u8; chunk]).await?;
     let slipped = late > 0;
     // Wait out the remaining lead (each clock read is one control round
     // trip; the block only enters the TCP send buffer at `start`).
-    while ctrl.read_clock()? < start {}
+    while ctrl.read_clock().await? < start {}
     let start_ctrl = sync.to_controller(start);
     let deadline_ctrl = start_ctrl + deadline_ns;
     let mut peak = 0u64;
@@ -288,9 +289,9 @@ fn timed_drain<P: ControlPlane>(
     let (drained, t_end, final_b) = loop {
         if sample_interval_ns > 0 {
             let wake = sync.to_endpoint(ctrl.now()) + sample_interval_ns;
-            let _ = ctrl.npoll(wake)?;
+            let _ = ctrl.npoll(wake).await?;
         }
-        let b = read_sockstat(ctrl, skt)?.map(|s| s.backlog).unwrap_or(0);
+        let b = read_sockstat(ctrl, skt).await?.map(|s| s.backlog).unwrap_or(0);
         let now = ctrl.now();
         samples += 1;
         peak = peak.max(b);
@@ -332,7 +333,7 @@ fn soft<T>(r: Result<T, ControllerError>) -> Result<Option<T>, ControllerError> 
 /// bulk from a coarse 64 KiB drain, schedule the bulk for one instant,
 /// and time the backlog drain. Returns `None` when the connection never
 /// establishes (no sink at the destination).
-fn tcp_probe<P: ControlPlane>(
+async fn tcp_probe<P: Plane>(
     ctrl: &mut P,
     skt: u32,
     locport: u16,
@@ -340,7 +341,7 @@ fn tcp_probe<P: ControlPlane>(
     cfg: &BwestConfig,
     sync: &ClockSync,
 ) -> Result<Option<TcpProbeResult>, ControllerError> {
-    if soft(ctrl.nopen_tcp(skt, locport, dest, TCP_SINK_PORT))?.is_none() {
+    if soft(ctrl.nopen_tcp(skt, locport, dest, TCP_SINK_PORT).await)?.is_none() {
         return Ok(None);
     }
     M_PROBES.inc();
@@ -349,7 +350,7 @@ fn tcp_probe<P: ControlPlane>(
     // by the endpoint stack's own retransmission).
     let est_deadline = ctrl.now() + 10_000_000_000;
     let established = loop {
-        if read_sockstat(ctrl, skt)?.is_some_and(|s| s.is_alive()) {
+        if read_sockstat(ctrl, skt).await?.is_some_and(|s| s.is_alive()) {
             break true;
         }
         if ctrl.now() >= est_deadline {
@@ -357,20 +358,20 @@ fn tcp_probe<P: ControlPlane>(
         }
     };
     if !established {
-        let _ = soft(ctrl.nclose(skt))?;
+        let _ = soft(ctrl.nclose(skt).await)?;
         return Ok(None);
     }
-    let retrans0 = read_sockstat(ctrl, skt)?.map(|s| s.retrans()).unwrap_or(0);
+    let retrans0 = read_sockstat(ctrl, skt).await?.map(|s| s.retrans()).unwrap_or(0);
 
     // Coarse drain: one 64 KiB chunk, generous lead (unknown link — budget
     // delivery at 1 Mbit/s; idle virtual time is cheap).
     let coarse_chunk = 64 * 1024usize;
     let coarse_lead = 2 * (coarse_chunk as u64 * 8 * 1_000) + 8 * rtt + 300_000_000;
     let coarse =
-        timed_drain(ctrl, skt, sync, coarse_chunk, 1, coarse_lead, 0, cfg.probe_deadline_ns)?;
+        timed_drain(ctrl, skt, sync, coarse_chunk, 1, coarse_lead, 0, cfg.probe_deadline_ns).await?;
     let result = if !coarse.drained {
         M_STALLS.inc();
-        let retrans1 = read_sockstat(ctrl, skt)?.map(|s| s.retrans()).unwrap_or(retrans0);
+        let retrans1 = read_sockstat(ctrl, skt).await?.map(|s| s.retrans()).unwrap_or(retrans0);
         TcpProbeResult {
             bits_per_sec: coarse.bytes.saturating_mul(8_000_000_000) / coarse.elapsed_ns,
             bytes: coarse.bytes,
@@ -407,11 +408,11 @@ fn tcp_probe<P: ControlPlane>(
             lead,
             interval,
             cfg.probe_deadline_ns,
-        )?;
+        ).await?;
         if !main.drained {
             M_STALLS.inc();
         }
-        let retrans1 = read_sockstat(ctrl, skt)?.map(|s| s.retrans()).unwrap_or(retrans0);
+        let retrans1 = read_sockstat(ctrl, skt).await?.map(|s| s.retrans()).unwrap_or(retrans0);
         TcpProbeResult {
             bits_per_sec: main.bytes.saturating_mul(8_000_000_000) / main.elapsed_ns,
             bytes: main.bytes,
@@ -423,7 +424,7 @@ fn tcp_probe<P: ControlPlane>(
             slipped: main.slipped,
         }
     };
-    let _ = soft(ctrl.nclose(skt))?;
+    let _ = soft(ctrl.nclose(skt).await)?;
     plab_obs::obs_event!(
         plab_obs::Component::Controller,
         "bwest.tcp",
@@ -438,7 +439,7 @@ fn tcp_probe<P: ControlPlane>(
 /// median sequence-gap-normalized spacing rate. Retries with a longer
 /// lead when command delivery overruns the scheduled departure (each
 /// attempt uses a disjoint sequence range so stale echoes are ignored).
-fn dispersion_probe<P: ControlPlane>(
+async fn dispersion_probe<P: Plane>(
     ctrl: &mut P,
     skt: u32,
     locport: u16,
@@ -446,7 +447,7 @@ fn dispersion_probe<P: ControlPlane>(
     cfg: &BwestConfig,
     sync: &ClockSync,
 ) -> Result<Option<DispersionResult>, ControllerError> {
-    if soft(ctrl.nopen_udp(skt, locport, dest, UDP_ECHO_PORT))?.is_none() {
+    if soft(ctrl.nopen_udp(skt, locport, dest, UDP_ECHO_PORT).await)?.is_none() {
         return Ok(None);
     }
     M_PROBES.inc();
@@ -461,7 +462,7 @@ fn dispersion_probe<P: ControlPlane>(
                 let mut p = vec![0u8; payload_len];
                 p[..4].copy_from_slice(&(seq_base + i).to_le_bytes());
                 p
-            })?;
+            }).await?;
         if late > 0 {
             // The overrun is a direct measurement of batch delivery time
             // on the current channel; cover it with 2× margin next round.
@@ -473,7 +474,7 @@ fn dispersion_probe<P: ControlPlane>(
         let deadline = start + 3_000_000_000 + 2 * rtt;
         let mut arrivals: Vec<(u64, u32, usize)> = Vec::new();
         loop {
-            let poll = ctrl.npoll(deadline)?;
+            let poll = ctrl.npoll(deadline).await?;
             let got = !poll.packets.is_empty();
             for (pskt, trcv, payload) in &poll.packets {
                 if *pskt != skt {
@@ -488,7 +489,7 @@ fn dispersion_probe<P: ControlPlane>(
             if arrivals.len() >= cfg.train_len as usize {
                 break;
             }
-            if !got || ctrl.read_clock()? >= deadline {
+            if !got || ctrl.read_clock().await? >= deadline {
                 break;
             }
         }
@@ -503,7 +504,7 @@ fn dispersion_probe<P: ControlPlane>(
             // actual transmit time from the send-time log.
             let mut rtt_ns = 0u64;
             if let Some(&(trcv, seq, _)) = arrivals.iter().min_by_key(|a| a.0) {
-                if let Some(tsnd) = ctrl.read_send_time(tags[seq as usize])? {
+                if let Some(tsnd) = ctrl.read_send_time(tags[seq as usize]).await? {
                     rtt_ns = trcv.saturating_sub(tsnd);
                 }
             }
@@ -516,7 +517,7 @@ fn dispersion_probe<P: ControlPlane>(
             break;
         }
     }
-    let _ = soft(ctrl.nclose(skt))?;
+    let _ = soft(ctrl.nclose(skt).await)?;
     Ok(best)
 }
 
@@ -562,43 +563,7 @@ pub fn estimate_path_bandwidth<P: ControlPlane>(
     dests: &[Ipv4Addr],
     cfg: &BwestConfig,
 ) -> Result<BwestReport, ControllerError> {
-    let sync = ctrl.sync_clock(4)?;
-    let mut out = Vec::with_capacity(dests.len());
-    for (i, &dest) in dests.iter().enumerate() {
-        let skt = 10 + 2 * i as u32;
-        let locport = 21_000 + 2 * i as u16;
-        // Endpoint-side failures mid-probe (e.g. a control-channel
-        // reconnect that lost the session, taking its sockets with it)
-        // degrade this destination to a missing probe instead of
-        // aborting the remaining destinations; transport failures
-        // (`Unreachable`) still abort the suite.
-        let dispersion = match dispersion_probe(ctrl, skt, locport, dest, cfg, &sync) {
-            Ok(d) => d,
-            Err(ControllerError::Endpoint(..)) => None,
-            Err(e) => return Err(e),
-        };
-        let tcp = match tcp_probe(ctrl, skt + 1, locport + 1, dest, cfg, &sync) {
-            Ok(t) => t,
-            Err(ControllerError::Endpoint(..)) => None,
-            Err(e) => return Err(e),
-        };
-        let (bits_per_sec, confidence, window_limited) = combine(&tcp, &dispersion);
-        plab_obs::obs_event!(
-            plab_obs::Component::Controller,
-            "bwest.estimate",
-            "bps" = bits_per_sec,
-            "confidence" = confidence as u64
-        );
-        out.push(DestEstimate {
-            dest,
-            bits_per_sec,
-            confidence,
-            window_limited,
-            tcp,
-            dispersion,
-        });
-    }
-    Ok(BwestReport { dests: out, sync })
+    block_on(aio::estimate_path_bandwidth(ctrl, dests, cfg))
 }
 
 /// Fleet-scale uplink variant: the dispersion train targets a UDP sink on
@@ -610,63 +575,124 @@ pub fn measure_uplink_dispersion<P: ControlPlane + SinkHost>(
     sink_port: u16,
     cfg: &BwestConfig,
 ) -> Result<Option<DispersionResult>, ControllerError> {
-    const SKT: u32 = 8;
-    let sync = ctrl.sync_clock(4)?;
-    let rtt = sync.min_rtt.max(1_000_000);
-    let sink_addr = ctrl.sink_addr();
-    ctrl.sink_bind(sink_port);
-    let _ = ctrl.sink_take_seq(sink_port);
-    if soft(ctrl.nopen_udp(SKT, 21_900, sink_addr, sink_port))?.is_none() {
-        return Ok(None);
-    }
-    M_PROBES.inc();
-    let mut lead = cfg.train_len as u64 * 2 * rtt + 300_000_000;
-    let mut best = None;
-    for attempt in 0..4u32 {
-        let seq_base = attempt * 1000;
-        let payload_len = cfg.train_payload.max(4);
-        let (_tags, start, late) =
-            schedule_block(ctrl, SKT, cfg.train_len, lead, rtt, |i| {
-                let mut p = vec![0u8; payload_len];
-                p[..4].copy_from_slice(&(seq_base + i).to_le_bytes());
-                p
-            })?;
-        if late > 0 {
-            let _ = ctrl.sink_take_seq(sink_port);
-            lead = (lead + late) * 2;
-            continue;
-        }
-        // One-way train: wait for it to land (train duration at 500 kbit/s
-        // plus grace), then drain the sink once — no control traffic rides
-        // the uplink while the train is in flight.
-        let train_bits =
-            cfg.train_len as u64 * (payload_len as u64 + UDP_IP_OVERHEAD) * 8;
-        let horizon = sync.to_controller(start) + train_bits * 2_000 + 2 * rtt + 500_000_000;
-        ctrl.wait_until(horizon);
-        let arrivals: Vec<(u64, u32, usize)> = ctrl
-            .sink_take_seq(sink_port)
-            .into_iter()
-            .filter(|&(_, seq, _)| seq >= seq_base && seq < seq_base + cfg.train_len)
-            .map(|(t, seq, len)| (t, seq - seq_base, len))
-            .collect();
-        plab_obs::obs_event!(
-            plab_obs::Component::Controller,
-            "bwest.train",
-            "echoes" = arrivals.len() as u64,
-            "attempt" = attempt as u64
-        );
-        if let Some((bps, pairs)) = dispersion_from_arrivals(&arrivals) {
-            best = Some(DispersionResult {
-                bits_per_sec: bps,
-                echoes: arrivals.len() as u32,
-                pairs,
-                rtt_ns: sync.min_rtt,
+    block_on(aio::measure_uplink_dispersion(ctrl, sink_port, cfg))
+}
+
+/// The suite's two entry points as `async` bodies over any
+/// [`Plane`]; the functions of the parent module are their blocking
+/// shells.
+pub mod aio {
+    use super::*;
+
+    /// [`super::estimate_path_bandwidth`], resumable.
+    pub async fn estimate_path_bandwidth<P: Plane>(
+        ctrl: &mut P,
+        dests: &[Ipv4Addr],
+        cfg: &BwestConfig,
+    ) -> Result<BwestReport, ControllerError> {
+        let sync = ctrl.sync_clock(4).await?;
+        let mut out = Vec::with_capacity(dests.len());
+        for (i, &dest) in dests.iter().enumerate() {
+            let skt = 10 + 2 * i as u32;
+            let locport = 21_000 + 2 * i as u16;
+            // Endpoint-side failures mid-probe (e.g. a control-channel
+            // reconnect that lost the session, taking its sockets with it)
+            // degrade this destination to a missing probe instead of
+            // aborting the remaining destinations; transport failures
+            // (`Unreachable`) still abort the suite.
+            let dispersion = match dispersion_probe(ctrl, skt, locport, dest, cfg, &sync).await {
+                Ok(d) => d,
+                Err(ControllerError::Endpoint(..)) => None,
+                Err(e) => return Err(e),
+            };
+            let tcp = match tcp_probe(ctrl, skt + 1, locport + 1, dest, cfg, &sync).await {
+                Ok(t) => t,
+                Err(ControllerError::Endpoint(..)) => None,
+                Err(e) => return Err(e),
+            };
+            let (bits_per_sec, confidence, window_limited) = combine(&tcp, &dispersion);
+            plab_obs::obs_event!(
+                plab_obs::Component::Controller,
+                "bwest.estimate",
+                "bps" = bits_per_sec,
+                "confidence" = confidence as u64
+            );
+            out.push(DestEstimate {
+                dest,
+                bits_per_sec,
+                confidence,
+                window_limited,
+                tcp,
+                dispersion,
             });
-            break;
         }
+        Ok(BwestReport { dests: out, sync })
     }
-    let _ = soft(ctrl.nclose(SKT))?;
-    Ok(best)
+
+    /// [`super::measure_uplink_dispersion`], resumable.
+    pub async fn measure_uplink_dispersion<P: Plane + Sink>(
+        ctrl: &mut P,
+        sink_port: u16,
+        cfg: &BwestConfig,
+    ) -> Result<Option<DispersionResult>, ControllerError> {
+        const SKT: u32 = 8;
+        let sync = ctrl.sync_clock(4).await?;
+        let rtt = sync.min_rtt.max(1_000_000);
+        let sink_addr = ctrl.sink_addr();
+        ctrl.sink_bind(sink_port);
+        let _ = ctrl.sink_take_seq(sink_port);
+        if soft(ctrl.nopen_udp(SKT, 21_900, sink_addr, sink_port).await)?.is_none() {
+            return Ok(None);
+        }
+        M_PROBES.inc();
+        let mut lead = cfg.train_len as u64 * 2 * rtt + 300_000_000;
+        let mut best = None;
+        for attempt in 0..4u32 {
+            let seq_base = attempt * 1000;
+            let payload_len = cfg.train_payload.max(4);
+            let (_tags, start, late) =
+                schedule_block(ctrl, SKT, cfg.train_len, lead, rtt, |i| {
+                    let mut p = vec![0u8; payload_len];
+                    p[..4].copy_from_slice(&(seq_base + i).to_le_bytes());
+                    p
+                }).await?;
+            if late > 0 {
+                let _ = ctrl.sink_take_seq(sink_port);
+                lead = (lead + late) * 2;
+                continue;
+            }
+            // One-way train: wait for it to land (train duration at 500 kbit/s
+            // plus grace), then drain the sink once — no control traffic rides
+            // the uplink while the train is in flight.
+            let train_bits =
+                cfg.train_len as u64 * (payload_len as u64 + UDP_IP_OVERHEAD) * 8;
+            let horizon = sync.to_controller(start) + train_bits * 2_000 + 2 * rtt + 500_000_000;
+            ctrl.wait_until(horizon).await;
+            let arrivals: Vec<(u64, u32, usize)> = ctrl
+                .sink_take_seq(sink_port)
+                .into_iter()
+                .filter(|&(_, seq, _)| seq >= seq_base && seq < seq_base + cfg.train_len)
+                .map(|(t, seq, len)| (t, seq - seq_base, len))
+                .collect();
+            plab_obs::obs_event!(
+                plab_obs::Component::Controller,
+                "bwest.train",
+                "echoes" = arrivals.len() as u64,
+                "attempt" = attempt as u64
+            );
+            if let Some((bps, pairs)) = dispersion_from_arrivals(&arrivals) {
+                best = Some(DispersionResult {
+                    bits_per_sec: bps,
+                    echoes: arrivals.len() as u32,
+                    pairs,
+                    rtt_ns: sync.min_rtt,
+                });
+                break;
+            }
+        }
+        let _ = soft(ctrl.nclose(SKT).await)?;
+        Ok(best)
+    }
 }
 
 #[cfg(test)]

@@ -14,10 +14,17 @@
 //! an operation has made no progress for the policy's unreachable budget,
 //! it fails with [`ControllerError::Unreachable`] so the experiment can
 //! abort cleanly with whatever partial results it already holds.
+//!
+//! There is one retry driver: `reconnect` and `sequenced` are `async fn`
+//! over [`aio::Dialer`], so every backoff sleep, dial and response wait is
+//! a point where a task can be suspended. The fleet runner polls thousands
+//! of these futures on one thread; a [`Dialer`] whose operations complete
+//! inside the call (`crate::harness::SimDialer`) gets the blocking
+//! [`RobustController::connect`] and [`ControlPlane`] shell over the same
+//! code, driven by [`aio::block_on`].
 
-use super::{
-    handshake, ControlChannel, ControlPlane, Controller, ControllerError, Credentials, SinkHost,
-};
+use super::aio::{self, block_on, handshake, Channel as _};
+use super::{ControlChannel, ControlPlane, Controller, ControllerError, Credentials, SinkHost};
 use crate::wire::{Command, Message, Notification, Response};
 use std::net::Ipv4Addr;
 
@@ -38,19 +45,22 @@ static M_SUSPENDED_WAITS: plab_obs::metrics::Counter =
 static M_BACKOFF: plab_obs::metrics::Histogram =
     plab_obs::metrics::Histogram::new("controller.backoff_ns");
 
-/// Establishes control channels to one endpoint, on demand. The dialer is
-/// what survives a connection loss — it can always make another channel.
-pub trait Dialer {
-    /// The channel type produced.
-    type Chan: ControlChannel;
+/// Blocking shell of [`aio::Dialer`]: a dialer whose operations complete
+/// inside the call.
+pub trait Dialer: aio::Dialer<Chan: ControlChannel> {
     /// Attempt to establish a new control channel; `None` when the attempt
-    /// fails (endpoint unreachable, connection refused, handshake-layer
-    /// transport error).
-    fn dial(&mut self) -> Option<Self::Chan>;
+    /// fails.
+    fn dial(&mut self) -> Option<Self::Chan> {
+        block_on(aio::Dialer::dial(self))
+    }
     /// Controller-clock now, ns.
-    fn now(&self) -> u64;
+    fn now(&self) -> u64 {
+        aio::Dialer::now(self)
+    }
     /// Let (virtual or real) time advance to `time` without a channel.
-    fn wait_until(&mut self, time: u64);
+    fn wait_until(&mut self, time: u64) {
+        block_on(aio::Dialer::wait_until(self, time))
+    }
 }
 
 /// Retry/backoff policy for [`RobustController`].
@@ -101,8 +111,9 @@ pub struct RetryStats {
     pub suspended_waits: u32,
 }
 
-/// A [`ControlPlane`] that survives control-channel loss.
-pub struct RobustController<D: Dialer> {
+/// A control plane ([`aio::Plane`], and [`ControlPlane`] over a blocking
+/// [`Dialer`]) that survives control-channel loss.
+pub struct RobustController<D: aio::Dialer> {
     dialer: D,
     chan: Option<D::Chan>,
     creds: Credentials,
@@ -117,9 +128,20 @@ pub struct RobustController<D: Dialer> {
 }
 
 impl<D: Dialer> RobustController<D> {
+    /// Blocking shell of [`RobustController::establish`].
+    pub fn connect(
+        dialer: D,
+        creds: Credentials,
+        policy: RetryPolicy,
+    ) -> Result<Self, ControllerError> {
+        block_on(Self::establish(dialer, creds, policy))
+    }
+}
+
+impl<D: aio::Dialer> RobustController<D> {
     /// Establish the initial connection (retrying within the policy's
     /// unreachable budget) and authenticate.
-    pub fn connect(
+    pub async fn establish(
         dialer: D,
         creds: Credentials,
         policy: RetryPolicy,
@@ -136,7 +158,7 @@ impl<D: Dialer> RobustController<D> {
         };
         let start = rc.dialer.now();
         let overall_end = start.saturating_add(policy.unreachable_budget);
-        rc.reconnect(start, overall_end)?;
+        rc.reconnect(start, overall_end).await?;
         Ok(rc)
     }
 
@@ -197,7 +219,7 @@ impl<D: Dialer> RobustController<D> {
     /// Dial + handshake until success or `overall_end`. Backoff grows
     /// exponentially from the policy base with equal-jitter randomization;
     /// the first attempt is immediate.
-    fn reconnect(&mut self, op_start: u64, overall_end: u64) -> Result<(), ControllerError> {
+    async fn reconnect(&mut self, op_start: u64, overall_end: u64) -> Result<(), ControllerError> {
         let mut failures = 0u32;
         loop {
             let now = self.dialer.now();
@@ -221,14 +243,14 @@ impl<D: Dialer> RobustController<D> {
                     "sleep_ns" = sleep,
                     "failures" = failures
                 );
-                self.dialer.wait_until((now + sleep).min(overall_end));
+                self.dialer.wait_until((now + sleep).min(overall_end)).await;
                 if self.dialer.now() >= overall_end {
                     return Err(self.unreachable(op_start, self.dialer.now()));
                 }
             }
-            match self.dialer.dial() {
+            match self.dialer.dial().await {
                 Some(mut chan) => {
-                    match handshake(&mut chan, &self.creds, self.policy.request_timeout) {
+                    match handshake(&mut chan, &self.creds, self.policy.request_timeout).await {
                         Ok(()) => {
                             self.stats.connects += 1;
                             M_CONNECTS.inc();
@@ -290,7 +312,7 @@ impl<D: Dialer> RobustController<D> {
     /// wait for the matching `RespSeq`, and on timeout reconnect and
     /// replay the same sequence number until the response arrives or the
     /// unreachable budget is spent.
-    fn sequenced(
+    async fn sequenced(
         &mut self,
         cmd: Command,
         resp_deadline: Option<u64>,
@@ -308,7 +330,7 @@ impl<D: Dialer> RobustController<D> {
         let mut suspended_waits = 0u32;
         loop {
             if self.chan.is_none() {
-                self.reconnect(op_start, overall_end)?;
+                self.reconnect(op_start, overall_end).await?;
                 if sent_before {
                     self.stats.replays += 1;
                     M_REPLAYS.inc();
@@ -320,7 +342,7 @@ impl<D: Dialer> RobustController<D> {
                 }
             }
             let chan = self.chan.as_mut().expect("reconnect established a channel");
-            chan.send(&Message::CmdSeq { seq, cmd: cmd.clone() });
+            chan.send(&Message::CmdSeq { seq, cmd: cmd.clone() }).await;
             sent_before = true;
             let wait_end = resp_deadline
                 .unwrap_or(0)
@@ -328,7 +350,7 @@ impl<D: Dialer> RobustController<D> {
                 .saturating_add(self.policy.request_timeout)
                 .min(overall_end.max(chan.now().saturating_add(self.policy.request_timeout)));
             let resp = loop {
-                match chan.recv(Some(wait_end)) {
+                match chan.recv(Some(wait_end)).await {
                     Some(Message::RespSeq { seq: s, resp }) if s == seq => break Some(resp),
                     // A stale response to an earlier sequence number
                     // (answered on a channel that died before we read it).
@@ -390,7 +412,7 @@ impl<D: Dialer> RobustController<D> {
                         .max(1);
                     let sleep = ceiling / 2 + self.next_jitter() % (ceiling / 2 + 1);
                     M_BACKOFF.observe(sleep);
-                    self.dialer.wait_until((now + sleep).min(overall_end));
+                    self.dialer.wait_until((now + sleep).min(overall_end)).await;
                     seq = self.next_seq;
                     self.next_seq += 1;
                     sent_before = false;
@@ -407,13 +429,17 @@ impl<D: Dialer> RobustController<D> {
     }
 }
 
-impl<D: Dialer> ControlPlane for RobustController<D> {
-    fn request(&mut self, cmd: Command) -> Result<Response, ControllerError> {
-        self.sequenced(cmd, None)
+impl<D: aio::Dialer> aio::Plane for RobustController<D> {
+    async fn request(&mut self, cmd: Command) -> Result<Response, ControllerError> {
+        self.sequenced(cmd, None).await
     }
 
-    fn request_until(&mut self, cmd: Command, deadline: u64) -> Result<Response, ControllerError> {
-        self.sequenced(cmd, Some(deadline))
+    async fn request_until(
+        &mut self,
+        cmd: Command,
+        deadline: u64,
+    ) -> Result<Response, ControllerError> {
+        self.sequenced(cmd, Some(deadline)).await
     }
 
     fn now(&self) -> u64 {
@@ -425,7 +451,9 @@ impl<D: Dialer> ControlPlane for RobustController<D> {
     // measurable gain under faults.
 }
 
-impl<D: Dialer + SinkHost> SinkHost for RobustController<D> {
+impl<D: Dialer> ControlPlane for RobustController<D> {}
+
+impl<D: aio::Dialer + aio::Sink> aio::Sink for RobustController<D> {
     fn sink_addr(&self) -> Ipv4Addr {
         self.dialer.sink_addr()
     }
@@ -442,10 +470,12 @@ impl<D: Dialer + SinkHost> SinkHost for RobustController<D> {
         self.dialer.sink_take_seq(port)
     }
 
-    fn wait_until(&mut self, time: u64) {
-        SinkHost::wait_until(&mut self.dialer, time)
+    async fn wait_until(&mut self, time: u64) {
+        aio::Sink::wait_until(&mut self.dialer, time).await
     }
 }
+
+impl<D: Dialer + SinkHost> SinkHost for RobustController<D> {}
 
 /// Convenience: a plain [`Controller`] can also be built from a dialer
 /// (one shot, no retries) — used by tests comparing behaviours.
@@ -453,8 +483,6 @@ pub fn connect_once<D: Dialer>(
     dialer: &mut D,
     creds: &Credentials,
 ) -> Result<Controller<D::Chan>, ControllerError> {
-    let chan = dialer
-        .dial()
-        .ok_or(ControllerError::Timeout)?;
+    let chan = Dialer::dial(dialer).ok_or(ControllerError::Timeout)?;
     Controller::connect(chan, creds)
 }

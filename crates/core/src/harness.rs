@@ -6,11 +6,14 @@
 //! servers accept publishes and subscriptions, controllers connect through
 //! [`SimChannel`], and everything advances on the simulator's virtual
 //! clock. Experiment code is identical to what would run against real
-//! endpoints — only the [`crate::controller::ControlChannel`]
-//! implementation differs.
+//! endpoints — only the [`crate::controller::aio::Channel`]
+//! implementation differs. [`SimChannel`] and [`SimDialer`] advance the
+//! simulator themselves until an operation is done, so their `async fn`s
+//! never suspend and both carry the blocking shells
+//! ([`crate::controller::ControlChannel`] and friends).
 
 use crate::controller::robust::Dialer;
-use crate::controller::{ControlChannel, SinkHost};
+use crate::controller::{aio, ControlChannel, SinkHost};
 use crate::endpoint::{EndpointAgent, EndpointConfig};
 use crate::reactor::EndpointReactor;
 use crate::rendezvous::{RendezvousServer, RvMessage};
@@ -781,7 +784,7 @@ fn parse_addr(s: &str) -> Option<(Ipv4Addr, u16)> {
     Some((host.parse().ok()?, port.parse().ok()?))
 }
 
-/// A [`ControlChannel`] over a [`SimNet`] TCP connection. The controller
+/// A control channel over a [`SimNet`] TCP connection. The controller
 /// "runs" on a simulated host; waiting for a reply advances virtual time.
 pub struct SimChannel {
     net: Rc<RefCell<SimNet>>,
@@ -872,7 +875,7 @@ impl SimChannel {
     }
 }
 
-impl SinkHost for SimChannel {
+impl aio::Sink for SimChannel {
     fn sink_addr(&self) -> Ipv4Addr {
         self.addr()
     }
@@ -889,10 +892,12 @@ impl SinkHost for SimChannel {
         udp_take_seq(&self.net, self.node, port)
     }
 
-    fn wait_until(&mut self, time: u64) {
+    async fn wait_until(&mut self, time: u64) {
         SimChannel::wait_until(self, time)
     }
 }
+
+impl SinkHost for SimChannel {}
 
 /// Drain UDP arrivals on `node`:`port` as (arrival time, probe sequence,
 /// payload length) — the [`SinkHost::sink_take_seq`] shape.
@@ -905,7 +910,7 @@ fn udp_take_seq(net: &Rc<RefCell<SimNet>>, node: NodeId, port: u16) -> Vec<(u64,
         .collect()
 }
 
-/// A [`Dialer`] that connects to one endpoint's control port over the
+/// A dialer that connects to one endpoint's control port over the
 /// simulation, giving [`crate::controller::robust::RobustController`] the
 /// ability to re-establish its channel after faults.
 pub struct SimDialer {
@@ -926,10 +931,10 @@ impl SimDialer {
     }
 }
 
-impl Dialer for SimDialer {
+impl aio::Dialer for SimDialer {
     type Chan = SimChannel;
 
-    fn dial(&mut self) -> Option<SimChannel> {
+    async fn dial(&mut self) -> Option<SimChannel> {
         let chan = SimChannel::connect(&self.net, self.node, self.endpoint);
         // connect() pumps the handshake; if it did not establish (endpoint
         // down, link cut), report failure — dropping the channel closes
@@ -945,12 +950,14 @@ impl Dialer for SimDialer {
         self.net.borrow().sim.now()
     }
 
-    fn wait_until(&mut self, time: u64) {
+    async fn wait_until(&mut self, time: u64) {
         self.net.borrow_mut().run_until(time);
     }
 }
 
-impl SinkHost for SimDialer {
+impl Dialer for SimDialer {}
+
+impl aio::Sink for SimDialer {
     fn sink_addr(&self) -> Ipv4Addr {
         let n = self.net.borrow();
         n.sim.addr_of(self.node)
@@ -974,10 +981,12 @@ impl SinkHost for SimDialer {
         udp_take_seq(&self.net, self.node, port)
     }
 
-    fn wait_until(&mut self, time: u64) {
+    async fn wait_until(&mut self, time: u64) {
         self.net.borrow_mut().run_until(time);
     }
 }
+
+impl SinkHost for SimDialer {}
 
 impl Drop for SimChannel {
     fn drop(&mut self) {
@@ -992,15 +1001,15 @@ impl Drop for SimChannel {
     }
 }
 
-impl ControlChannel for SimChannel {
-    fn send(&mut self, msg: &Message) {
+impl aio::Channel for SimChannel {
+    async fn send(&mut self, msg: &Message) {
         let frame = msg.to_frame();
         let mut n = self.net.borrow_mut();
         n.sim.tcp_send(self.node, self.conn, &frame);
         n.process();
     }
 
-    fn recv(&mut self, deadline: Option<u64>) -> Option<Message> {
+    async fn recv(&mut self, deadline: Option<u64>) -> Option<Message> {
         loop {
             self.drain();
             match self.decoder.next_message() {
@@ -1037,6 +1046,8 @@ impl ControlChannel for SimChannel {
         self.net.borrow().sim.now()
     }
 }
+
+impl ControlChannel for SimChannel {}
 
 #[cfg(test)]
 mod tests {

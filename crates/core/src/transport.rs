@@ -5,7 +5,9 @@
 //! substrate, but the protocol stack is transport-agnostic by
 //! construction; this module proves it by providing
 //!
-//! - [`TcpChannel`] — a [`ControlChannel`] over a real `TcpStream`, and
+//! - [`TcpChannel`] — a control channel over a real `TcpStream` (its
+//!   `recv` sleeps on the socket until the reply or the deadline, so it
+//!   never suspends and carries the blocking [`ControlChannel`] shell), and
 //! - [`EndpointServer`] — an [`EndpointAgent`] driven by a real listener
 //!   with a [`RealStack`] backed by OS UDP sockets and a monotonic clock.
 //!
@@ -18,7 +20,7 @@
 //! `examples/loopback_realtime.rs`. Native TCP sockets are likewise
 //! stubbed off in this minimal deployment (`nopen(tcp)` is refused).
 
-use crate::controller::ControlChannel;
+use crate::controller::{aio, ControlChannel};
 use crate::endpoint::{EndpointAgent, EndpointConfig};
 use crate::netstack::NetStack;
 use crate::wire::{FrameDecoder, Message};
@@ -29,7 +31,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// A [`ControlChannel`] over a real TCP connection.
+/// A control channel over a real TCP connection.
 pub struct TcpChannel {
     stream: TcpStream,
     decoder: FrameDecoder,
@@ -58,8 +60,8 @@ impl TcpChannel {
     }
 }
 
-impl ControlChannel for TcpChannel {
-    fn send(&mut self, msg: &Message) {
+impl aio::Channel for TcpChannel {
+    async fn send(&mut self, msg: &Message) {
         let frame = msg.to_frame();
         // Blocking write for simplicity: control frames are small.
         let _ = self.stream.set_nonblocking(false);
@@ -67,14 +69,14 @@ impl ControlChannel for TcpChannel {
         let _ = self.stream.set_nonblocking(true);
     }
 
-    fn recv(&mut self, deadline: Option<u64>) -> Option<Message> {
+    async fn recv(&mut self, deadline: Option<u64>) -> Option<Message> {
         loop {
             self.pump();
             if let Ok(Some(m)) = self.decoder.next_message() {
                 return Some(m);
             }
             if let Some(d) = deadline {
-                if self.now() >= d {
+                if aio::Channel::now(self) >= d {
                     return None;
                 }
             }
@@ -86,6 +88,8 @@ impl ControlChannel for TcpChannel {
         self.epoch.elapsed().as_nanos() as u64
     }
 }
+
+impl ControlChannel for TcpChannel {}
 
 /// A scheduled UDP transmission awaiting its departure time.
 struct PendingSend {

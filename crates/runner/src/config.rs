@@ -1,5 +1,5 @@
 //! Scheduler configuration: concurrency cap, token-bucket rate limits,
-//! retry/backoff budget, deadlines, and report rotation.
+//! retry/backoff budget, and deadlines.
 
 use packetlab::controller::robust::RetryPolicy;
 
@@ -25,7 +25,7 @@ impl RateLimit {
 /// Everything the fleet scheduler needs besides the spec and the roster.
 #[derive(Debug, Clone)]
 pub struct SchedulerConfig {
-    /// Maximum experiments in flight at once.
+    /// Maximum experiments in flight at once. `run_fleet` rejects 0.
     pub max_concurrency: usize,
     /// Global launch rate limit: how fast new experiments may start.
     pub launch: RateLimit,
@@ -37,9 +37,6 @@ pub struct SchedulerConfig {
     /// Abort the whole run at this virtual time if tasks are still
     /// outstanding. `None` runs until the fleet drains.
     pub fleet_deadline_ns: Option<u64>,
-    /// Rotate JSON-SEQ result files after this many event records when
-    /// writing a report to disk.
-    pub rotate_events: usize,
     /// Controller sessions multiplexed onto each endpoint: tasks are
     /// grouped in runs of this size, and every task in a group dials the
     /// group's first endpoint. 1 (the default) keeps the classic
@@ -59,7 +56,6 @@ impl Default for SchedulerConfig {
             per_endpoint: RateLimit::UNLIMITED,
             retry: RetryPolicy::default(),
             fleet_deadline_ns: None,
-            rotate_events: 4096,
             sessions_per_endpoint: 1,
         }
     }

@@ -1,58 +1,56 @@
-//! The fleet executor: a baton-passing scheduler that runs the unmodified
-//! blocking measurement library over thousands of endpoints of one
-//! simulated world.
+//! The fleet executor: one thread runs the measurement library over
+//! thousands of endpoints of one simulated world, each task a resumable
+//! future the scheduler polls.
 //!
-//! ## Why baton passing
+//! ## Tasks are futures, not threads
 //!
 //! The controller library (`RobustController` + the §4 experiments) is
-//! written as straight-line blocking code against a [`ControlChannel`].
-//! Rewriting it into a poll-driven state machine would fork the very code
-//! the paper says runs unchanged everywhere. Instead, each in-flight
-//! experiment runs on its own OS thread against a proxy channel
-//! ([`FleetChannel`]) whose every operation is an RPC over an mpsc pair to
-//! the scheduler thread, which owns the [`SimNet`]. The scheduler *serves*
-//! exactly one worker at a time: it replies to a call only when the
-//! worker may continue, and a worker only runs between receiving a reply
-//! and issuing its next call. At any instant at most one thread is
-//! runnable, so the interleaving — and therefore every byte of the run
-//! report — is a pure function of `(seed, roster, config)`: no data
-//! races, no OS-scheduler nondeterminism, bit-identical replays even
-//! under chaos fault schedules.
+//! straight-line code that waits: for a dial, a reply, a rate-limit
+//! token, a point in virtual time. It is written once, as `async fn`
+//! over `packetlab::controller::aio`, so every such wait is a point
+//! where the compiler-generated state machine can be suspended with its
+//! statement order intact. The scheduler keeps one boxed future per
+//! in-flight task and owns the [`SimNet`] together with them (one thread,
+//! so an `Rc<RefCell<_>>`). An operation the world can answer at the
+//! current instant — a send with a token, a close, a UDP bind or take,
+//! the clock — is a direct call on the simulator. One it cannot answer
+//! (`recv` with no buffered data, a dial mid-handshake, a rate-limited
+//! send, a `wait_until`) leaves a typed `Wait` in the task's slot and
+//! returns `Pending`; the scheduler parks the task under that wait.
+//! Only the task being polled runs, and a poll ends at the task's next
+//! park, so the interleaving — and therefore every byte of the run
+//! report — is a pure function of `(seed, roster, config)`: bit-identical
+//! replays even under chaos fault schedules, with no hand-off to order.
 //!
-//! ## Blocking calls park, virtual time advances
+//! ## Parked tasks wake on signals, virtual time advances
 //!
-//! A call the simulator cannot answer at the current instant (`recv` with
-//! no buffered data, a dial mid-handshake, a rate-limited send, a
-//! `wait_until`) *parks* the task with a typed [`Wait`] condition instead
-//! of replying. A parked task is examined again only on a fresh *wake
-//! signal*: the simulator touched its controller node (the sparse harness
-//! reports serviced nodes) or one of its deadlines arrived. Nothing else
-//! can satisfy a wait, so a probe that fails drops the task until its
-//! next signal; signalled tasks wake lowest index first. Debug builds
+//! A parked task is examined again only on a fresh *wake signal*: the
+//! simulator touched its controller node (the sparse harness reports
+//! serviced nodes) or one of its deadlines arrived. Nothing else can
+//! satisfy a wait, so a probe that fails drops the task until its next
+//! signal; signalled tasks are polled lowest index first. Debug builds
 //! check after every advance that no satisfiable task lacks a signal.
-//!
-//! The virtual clock rides on every reply: a worker only runs between a
-//! reply and its next call, while the simulator stands still, so `now()`
-//! reads the value cached in its [`Handle`] without a round trip.
+//! Virtual time moves only when no signalled task is left to poll.
 
-use std::cell::Cell;
-use std::collections::{BTreeMap, HashMap};
+use std::cell::{RefCell, RefMut};
+use std::collections::BTreeMap;
+use std::future::{poll_fn, Future};
 use std::net::Ipv4Addr;
 use std::panic::AssertUnwindSafe;
+use std::pin::Pin;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc;
+use std::task::{Context, Poll, Waker};
 
-use packetlab::controller::experiments;
-use packetlab::controller::robust::{Dialer, RetryPolicy, RetryStats, RobustController};
-use packetlab::controller::{ControlChannel, ControlPlane, ControllerError, SinkHost};
+use packetlab::controller::aio::{Channel, Dialer, Plane, Sink};
+use packetlab::controller::experiments::{aio as probes, bwest};
+use packetlab::controller::robust::{RetryPolicy, RetryStats, RobustController};
+use packetlab::controller::{probe_seq, ControllerError, Credentials};
 use packetlab::endpoint::EndpointConfig;
 use packetlab::harness::{SimNet, CONTROL_PORT};
 use packetlab::wire::{FrameDecoder, Message};
 use plab_crypto::{KeyHash, Keypair};
 use plab_netsim::roster::{build_roster, RosterPair, RosterSpec};
-use plab_netsim::{NodeId, SECOND};
+use plab_netsim::{NodeId, ShardedSim, SECOND};
 use plab_obs::export::json_escape;
 
 use crate::config::{SchedulerConfig, TokenBucket};
@@ -71,61 +69,57 @@ static M_LATENCY: plab_obs::metrics::Histogram =
     plab_obs::metrics::Histogram::new("runner.task_latency_ns");
 static M_WAKE_PROBES: plab_obs::metrics::Counter =
     plab_obs::metrics::Counter::new("runner.wake_probes");
-static M_BATON_CALLS: plab_obs::metrics::Counter =
-    plab_obs::metrics::Counter::new("runner.baton_calls");
+static M_TASK_POLLS: plab_obs::metrics::Counter =
+    plab_obs::metrics::Counter::new("runner.task_polls");
 
 /// Handshake-establishment grace before a dial counts as failed.
 const DIAL_DEADLINE: u64 = 10 * SECOND;
 
-/// One worker→scheduler request. Every variant either gets an immediate
-/// reply or parks the task under a [`Wait`].
-enum Call {
-    /// Open a control connection to the task's endpoint.
-    Dial,
-    /// Send bytes on a control connection (rate-limited per endpoint).
-    Send { conn: u64, bytes: Vec<u8> },
-    /// Receive buffered bytes, waiting until `deadline` if none.
-    Recv { conn: u64, deadline: Option<u64> },
-    /// Close a control connection.
-    Close { conn: u64 },
-    /// Park until the given virtual time.
-    WaitUntil(u64),
-    /// Bind a UDP port on the controller host (bandwidth sink).
-    UdpBind(u16),
-    /// Drain UDP arrivals on the controller host.
-    UdpTake(u16),
-    /// Drain UDP arrivals with probe sequence numbers (bwest dispersion).
-    UdpTakeSeq(u16),
-    /// The controller host's address.
-    Addr,
-    /// The task finished; scheduler stops serving it.
-    Done(Box<WorkerResult>),
-}
-
-/// Scheduler→worker reply, sent with the virtual time it was made at.
-enum Reply {
-    Unit,
-    Conn(Option<u64>),
-    Bytes(Vec<u8>),
-    Bool(bool),
-    Udp(Vec<(u64, Ipv4Addr, u16, usize)>),
-    UdpSeq(Vec<(u64, u32, usize)>),
-    Addr(Ipv4Addr),
-}
-
 /// Why a parked task is waiting.
+#[derive(Clone, Copy)]
 enum Wait {
     /// Readable data on `conn` (or close / deadline).
     Data { conn: u64, deadline: Option<u64> },
     /// TCP establishment of `conn` (or close / deadline).
     Established { conn: u64, deadline: u64 },
     /// A rate-limited send deferred to `at`.
-    SendReady { conn: u64, bytes: Vec<u8>, at: u64 },
+    SendReady { at: u64 },
     /// Plain virtual-time sleep.
     Until(u64),
 }
 
-/// What a worker hands back in `Call::Done`.
+impl Wait {
+    /// Does the world, seen from controller host `node`, satisfy this
+    /// wait at this instant?
+    fn holds(self, sim: &ShardedSim, node: NodeId) -> bool {
+        let now = sim.now();
+        match self {
+            Wait::Data { conn, deadline } => {
+                sim.tcp_readable(node, conn) > 0
+                    || sim.tcp_closed(node, conn)
+                    || sim.tcp_peer_done(node, conn)
+                    || deadline.is_some_and(|d| d <= now)
+            }
+            Wait::Established { conn, deadline } => {
+                sim.tcp_established(node, conn) || sim.tcp_closed(node, conn) || deadline <= now
+            }
+            Wait::SendReady { at } => at <= now,
+            Wait::Until(t) => t <= now,
+        }
+    }
+
+    /// When to look again even if nothing touches the node.
+    fn deadline(self) -> Option<u64> {
+        match self {
+            Wait::Data { deadline, .. } => deadline,
+            Wait::Established { deadline, .. } => Some(deadline),
+            Wait::SendReady { at } => Some(at),
+            Wait::Until(t) => Some(t),
+        }
+    }
+}
+
+/// What a task's future resolves to.
 struct WorkerResult {
     outcome: Outcome,
     cause: Option<String>,
@@ -133,169 +127,210 @@ struct WorkerResult {
     stats: RetryStats,
 }
 
-/// Worker-side endpoint of the baton protocol.
-struct Handle {
+impl WorkerResult {
+    /// A task that ended without a measurement.
+    fn without_detail(outcome: Outcome, cause: String, stats: RetryStats) -> WorkerResult {
+        WorkerResult { outcome, cause: Some(cause), detail: Detail::None, stats }
+    }
+}
+
+type TaskFuture = Pin<Box<dyn Future<Output = WorkerResult>>>;
+
+/// The scheduler's record of one in-flight task. The task's own
+/// operations set `wait` and draw on `bucket`; the scheduler reads `wait`
+/// and sets the two flags.
+struct TaskSlot {
+    /// What the operation that returned `Pending` waits for.
+    wait: Option<Wait>,
+    /// Fleet deadline: every operation short-circuits from now on (sends
+    /// drop, receives and dials fail, the clock reads `u64::MAX`), so the
+    /// `RobustController` trips its unreachable budget at once and the
+    /// future runs to completion without touching the world again.
+    poisoned: bool,
+    /// Stall break: the parked operation alone gives up, once.
+    cut: bool,
+    bucket: TokenBucket,
+    started_ns: u64,
+}
+
+/// What the scheduler and the futures it polls both touch. The scheduler
+/// lets go of its borrow before every poll.
+struct Shared {
+    net: SimNet,
+    slots: Vec<Option<TaskSlot>>,
+}
+
+/// A task's end of [`Shared`], as the dialer and UDP sink on its
+/// controller host: what the task's `RobustController` reconnects (and
+/// the §4 bandwidth sink binds) through. Every [`FleetChannel`] it makes
+/// keeps a copy to reach the world with.
+#[derive(Clone)]
+struct FleetDialer {
+    shared: Rc<RefCell<Shared>>,
     task: usize,
-    calls: Sender<(usize, Call)>,
-    replies: Receiver<(u64, Reply)>,
-    poisoned: Arc<AtomicBool>,
-    /// Virtual time of the last reply (of the launch, before the first).
-    now: Cell<u64>,
+    /// The task's controller host.
+    node: NodeId,
+    /// Where its dials go.
+    endpoint: Ipv4Addr,
 }
 
-impl Handle {
-    /// Issue one call and block for its reply (the baton and the clock
-    /// come back with it). A hung-up scheduler yields `Unit` at time
-    /// `u64::MAX`, which every caller treats as a terminal condition.
-    fn call(&self, c: Call) -> Reply {
-        let answer = self.calls.send((self.task, c)).ok().and_then(|()| self.replies.recv().ok());
-        let (now, reply) = answer.unwrap_or((u64::MAX, Reply::Unit));
-        self.now.set(now);
-        reply
-    }
-
-    fn poisoned(&self) -> bool {
-        self.poisoned.load(Ordering::Relaxed)
-    }
-
-    fn now(&self) -> u64 {
-        if self.poisoned() {
-            return u64::MAX;
+impl FleetDialer {
+    /// An operation the world answers at once. A poisoned task gets
+    /// `gave_up` and the world is left alone.
+    fn with<T>(&self, gave_up: T, op: impl FnOnce(&mut ShardedSim, &mut TaskSlot) -> T) -> T {
+        let sh = &mut *self.shared.borrow_mut();
+        match sh.slots[self.task].as_mut() {
+            Some(slot) if !slot.poisoned => op(&mut sh.net.sim, slot),
+            _ => gave_up,
         }
-        self.now.get()
+    }
+
+    /// The virtual clock; a poisoned task's has run out.
+    fn clock(&self) -> u64 {
+        self.with(u64::MAX, |sim, _| sim.now())
+    }
+
+    /// Suspend until the world satisfies `wait` — not at all if it already
+    /// does. Otherwise the wait sits in the task's slot and the scheduler
+    /// polls again once it [`Wait::holds`]. False if the task was poisoned
+    /// or cut loose instead.
+    async fn until(&self, wait: Wait) -> bool {
+        poll_fn(|_| {
+            let sh = &mut *self.shared.borrow_mut();
+            let slot = sh.slots[self.task].as_mut().expect("a polled task is live");
+            slot.wait = None;
+            if slot.poisoned || std::mem::take(&mut slot.cut) {
+                Poll::Ready(false)
+            } else if wait.holds(&sh.net.sim, self.node) {
+                Poll::Ready(true)
+            } else {
+                slot.wait = Some(wait);
+                Poll::Pending
+            }
+        })
+        .await
     }
 }
 
-/// A [`ControlChannel`] proxied to the scheduler. After the task is
-/// poisoned (fleet deadline) every operation short-circuits: sends drop,
-/// receives fail, and `now()` reports `u64::MAX` so the
-/// `RobustController` trips its unreachable budget immediately and winds
-/// the experiment down without touching the scheduler again.
-pub struct FleetChannel {
-    h: Rc<Handle>,
+/// A control channel over the scheduler's world.
+struct FleetChannel {
+    host: FleetDialer,
     conn: u64,
     decoder: FrameDecoder,
 }
 
-impl ControlChannel for FleetChannel {
-    fn send(&mut self, msg: &Message) {
-        if self.h.poisoned() {
-            return;
+impl Channel for FleetChannel {
+    /// Rate-limited per endpoint: without a token the task parks until
+    /// the bucket has one. The bucket is only drained by this task, so
+    /// the token it waited for is there when it wakes.
+    async fn send(&mut self, msg: &Message) {
+        let (host, node, conn) = (&self.host, self.host.node, self.conn);
+        let at = host.with(0, |sim, slot| slot.bucket.next_ready(sim.now()));
+        if host.until(Wait::SendReady { at }).await {
+            host.with((), |sim, slot| {
+                let taken = slot.bucket.try_take(sim.now());
+                debug_assert!(taken, "send token not ready at its own next_ready time");
+                sim.tcp_send(node, conn, &msg.to_frame());
+            });
         }
-        let _ = self.h.call(Call::Send { conn: self.conn, bytes: msg.to_frame() });
     }
 
-    fn recv(&mut self, deadline: Option<u64>) -> Option<Message> {
+    async fn recv(&mut self, deadline: Option<u64>) -> Option<Message> {
+        let (node, conn) = (self.host.node, self.conn);
         loop {
             match self.decoder.next_message() {
                 Ok(Some(m)) => return Some(m),
                 Ok(None) => {}
                 Err(_) => return None,
             }
-            if self.h.poisoned() {
-                return None;
-            }
-            match self.h.call(Call::Recv { conn: self.conn, deadline }) {
-                Reply::Bytes(b) if !b.is_empty() => self.decoder.extend(&b),
-                // Empty bytes: deadline passed, connection closed, or the
-                // task was poisoned while parked. One final decode attempt.
-                Reply::Bytes(_) => return self.decoder.next_message().ok().flatten(),
-                _ => return None,
+            let decoder = &mut self.decoder;
+            let more = self.host.until(Wait::Data { conn, deadline }).await
+                && self.host.with(false, |sim, _| {
+                    let mut more = false;
+                    loop {
+                        let chunk = sim.tcp_recv(node, conn, 65536);
+                        if chunk.is_empty() {
+                            break more;
+                        }
+                        decoder.extend(&chunk);
+                        more = true;
+                    }
+                });
+            if !more {
+                // Deadline passed, connection closed, or the task was
+                // poisoned while parked. One final decode attempt.
+                return self.decoder.next_message().ok().flatten();
             }
         }
     }
 
     fn now(&self) -> u64 {
-        self.h.now()
+        self.host.clock()
     }
 }
 
 impl Drop for FleetChannel {
     fn drop(&mut self) {
-        if self.h.poisoned() {
-            return;
+        // try_borrow: a channel dropped by a poll that is unwinding must
+        // not panic again.
+        if let Ok(mut sh) = self.host.shared.try_borrow_mut() {
+            if sh.slots[self.host.task].as_ref().is_some_and(|s| !s.poisoned) {
+                sh.net.sim.tcp_close(self.host.node, self.conn);
+            }
         }
-        let _ = self.h.call(Call::Close { conn: self.conn });
     }
-}
-
-/// A [`Dialer`] + [`SinkHost`] proxied to the scheduler: what each task's
-/// `RobustController` reconnects (and the §4 bandwidth sink binds)
-/// through.
-pub struct FleetDialer {
-    h: Rc<Handle>,
 }
 
 impl Dialer for FleetDialer {
     type Chan = FleetChannel;
 
-    fn dial(&mut self) -> Option<FleetChannel> {
-        if self.h.poisoned() {
-            return None;
-        }
-        match self.h.call(Call::Dial) {
-            Reply::Conn(Some(conn)) => {
-                Some(FleetChannel { h: Rc::clone(&self.h), conn, decoder: FrameDecoder::new() })
-            }
-            _ => None,
-        }
+    async fn dial(&mut self) -> Option<FleetChannel> {
+        let node = self.node;
+        let (conn, deadline) = self.with(None, |sim, _| {
+            let conn = sim.tcp_connect(node, self.endpoint, CONTROL_PORT);
+            Some((conn, sim.now() + DIAL_DEADLINE))
+        })?;
+        let up = self.until(Wait::Established { conn, deadline }).await
+            && self.with(false, |sim, _| {
+                let up = sim.tcp_established(node, conn);
+                if !up && !sim.tcp_closed(node, conn) {
+                    sim.tcp_close(node, conn);
+                }
+                up
+            });
+        up.then(|| FleetChannel { host: self.clone(), conn, decoder: FrameDecoder::new() })
     }
 
     fn now(&self) -> u64 {
-        self.h.now()
+        self.clock()
     }
 
-    fn wait_until(&mut self, time: u64) {
-        if self.h.poisoned() {
-            return;
-        }
-        let _ = self.h.call(Call::WaitUntil(time));
+    async fn wait_until(&mut self, time: u64) {
+        self.until(Wait::Until(time)).await;
     }
 }
 
-impl SinkHost for FleetDialer {
+impl Sink for FleetDialer {
     fn sink_addr(&self) -> Ipv4Addr {
-        if self.h.poisoned() {
-            return Ipv4Addr::UNSPECIFIED;
-        }
-        match self.h.call(Call::Addr) {
-            Reply::Addr(a) => a,
-            _ => Ipv4Addr::UNSPECIFIED,
-        }
+        self.with(Ipv4Addr::UNSPECIFIED, |sim, _| sim.addr_of(self.node))
     }
 
     fn sink_bind(&mut self, port: u16) -> bool {
-        if self.h.poisoned() {
-            return false;
-        }
-        matches!(self.h.call(Call::UdpBind(port)), Reply::Bool(true))
+        self.with(false, |sim, _| sim.udp_bind(self.node, port))
     }
 
     fn sink_take(&mut self, port: u16) -> Vec<(u64, Ipv4Addr, u16, usize)> {
-        if self.h.poisoned() {
-            return Vec::new();
-        }
-        match self.h.call(Call::UdpTake(port)) {
-            Reply::Udp(v) => v,
-            _ => Vec::new(),
-        }
+        let arrivals = self.with(Vec::new(), |sim, _| sim.udp_recv(self.node, port));
+        arrivals.into_iter().map(|(t, a, p, d)| (t, a, p, d.len())).collect()
     }
 
     fn sink_take_seq(&mut self, port: u16) -> Vec<(u64, u32, usize)> {
-        if self.h.poisoned() {
-            return Vec::new();
-        }
-        match self.h.call(Call::UdpTakeSeq(port)) {
-            Reply::UdpSeq(v) => v,
-            _ => Vec::new(),
-        }
+        let arrivals = self.with(Vec::new(), |sim, _| sim.udp_recv(self.node, port));
+        arrivals.into_iter().map(|(t, _, _, d)| (t, probe_seq(&d), d.len())).collect()
     }
 
-    fn wait_until(&mut self, time: u64) {
-        if self.h.poisoned() {
-            return;
-        }
-        let _ = self.h.call(Call::WaitUntil(time));
+    async fn wait_until(&mut self, time: u64) {
+        self.until(Wait::Until(time)).await;
     }
 }
 
@@ -308,28 +343,26 @@ fn cause_label(e: &ControllerError) -> String {
     }
 }
 
-/// The blocking body of one task: connect, run the program, convert the
-/// result. This is the same call sequence a single-endpoint example
-/// performs against `SimDialer` — only the dialer type differs.
-fn run_task(
-    h: Handle,
-    creds: packetlab::controller::Credentials,
+/// The body of one task: connect, run the program against the task's own
+/// controller host, convert the result. This is the same call sequence a
+/// single-endpoint example performs against `SimDialer` — only the
+/// dialer type, and who polls, differ.
+async fn run_task(
+    dialer: FleetDialer,
+    creds: Credentials,
     policy: RetryPolicy,
     program: Program,
-    dst: Ipv4Addr,
     multiplexed: bool,
-) -> (Outcome, Option<String>, Detail, RetryStats) {
-    let h = Rc::new(h);
-    let dialer = FleetDialer { h: Rc::clone(&h) };
-    let mut ctrl = match RobustController::connect(dialer, creds, policy) {
+) -> WorkerResult {
+    let failed = |e, stats| WorkerResult::without_detail(Outcome::Failed, cause_label(&e), stats);
+    let dst = dialer.sink_addr();
+    let mut ctrl = match RobustController::establish(dialer, creds, policy).await {
         Ok(c) => c,
-        Err(e) => {
-            return (Outcome::Failed, Some(cause_label(&e)), Detail::None, RetryStats::default())
-        }
+        Err(e) => return failed(e, RetryStats::default()),
     };
     let r = match program {
         Program::Ping { count, interval_ns, payload_len } => {
-            experiments::ping(&mut ctrl, dst, count, interval_ns, payload_len).map(|s| {
+            probes::ping(&mut ctrl, dst, count, interval_ns, payload_len).await.map(|s| {
                 Detail::Ping {
                     sent: s.sent,
                     replies: s.replies.len() as u32,
@@ -338,10 +371,12 @@ fn run_task(
                 }
             })
         }
-        Program::Traceroute { max_ttl } => experiments::traceroute(&mut ctrl, dst, max_ttl)
+        Program::Traceroute { max_ttl } => probes::traceroute(&mut ctrl, dst, max_ttl)
+            .await
             .map(|t| Detail::Traceroute { hops: t.hops.len() as u32, reached: t.reached }),
         Program::Bandwidth { sink_port, packets, payload_len, delay_ns } => {
-            experiments::measure_uplink_bandwidth(&mut ctrl, sink_port, packets, payload_len, delay_ns)
+            probes::measure_uplink_bandwidth(&mut ctrl, sink_port, packets, payload_len, delay_ns)
+                .await
                 .map(|b| Detail::Bandwidth {
                     sent: b.sent,
                     received: b.received,
@@ -349,12 +384,9 @@ fn run_task(
                 })
         }
         Program::Bwest { sink_port, train_len, payload_len } => {
-            let cfg = experiments::bwest::BwestConfig {
-                train_len,
-                train_payload: payload_len,
-                ..Default::default()
-            };
-            experiments::bwest::measure_uplink_dispersion(&mut ctrl, sink_port, &cfg).map(|d| {
+            let cfg =
+                bwest::BwestConfig { train_len, train_payload: payload_len, ..Default::default() };
+            bwest::aio::measure_uplink_dispersion(&mut ctrl, sink_port, &cfg).await.map(|d| {
                 match d {
                     Some(d) => Detail::Bwest {
                         echoes: d.echoes,
@@ -373,41 +405,14 @@ fn run_task(
     // waiting out our session's linger window. Single-session fleets
     // skip this (keeping their replay pins byte-identical).
     if multiplexed {
-        let _ = ctrl.yield_endpoint();
+        let _ = ctrl.yield_endpoint().await;
     }
-    let stats = ctrl.stats;
     match r {
-        Ok(detail) => (Outcome::Completed, None, detail, stats),
-        Err(e) => (Outcome::Failed, Some(cause_label(&e)), Detail::None, stats),
+        Ok(detail) => {
+            WorkerResult { outcome: Outcome::Completed, cause: None, detail, stats: ctrl.stats }
+        }
+        Err(e) => failed(e, ctrl.stats),
     }
-}
-
-fn worker_main(
-    h: Handle,
-    creds: packetlab::controller::Credentials,
-    policy: RetryPolicy,
-    program: Program,
-    dst: Ipv4Addr,
-    multiplexed: bool,
-) {
-    let task = h.task;
-    let calls = h.calls.clone();
-    let poisoned = Arc::clone(&h.poisoned);
-    let body = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        run_task(h, creds, policy, program, dst, multiplexed)
-    }));
-    let (outcome, cause, detail, stats) = match body {
-        Ok(r) => r,
-        Err(_) => (Outcome::Aborted, Some("panic".into()), Detail::None, RetryStats::default()),
-    };
-    // A poisoned task aborted on the fleet deadline, whatever the body's
-    // error path reported on the way down.
-    let (outcome, cause) = if poisoned.load(Ordering::Relaxed) {
-        (Outcome::Aborted, Some("fleet-deadline".into()))
-    } else {
-        (outcome, cause)
-    };
-    let _ = calls.send((task, Call::Done(Box::new(WorkerResult { outcome, cause, detail, stats }))));
 }
 
 /// A built fleet: the harness (sparse-serviced, serviced-node tracking
@@ -445,24 +450,17 @@ pub fn build_fleet(roster: &RosterSpec, operator: &Keypair) -> FleetWorld {
     FleetWorld { net, pairs: world.pairs, pods: world.pods }
 }
 
-struct TaskSlot {
-    replies: Sender<(u64, Reply)>,
-    poisoned: Arc<AtomicBool>,
-    wait: Option<Wait>,
-    bucket: TokenBucket,
-    started_ns: u64,
-    thread: Option<std::thread::JoinHandle<()>>,
-}
-
-struct Sched {
-    net: SimNet,
+struct Sched<'a> {
+    shared: Rc<RefCell<Shared>>,
+    /// The in-flight tasks' futures, task index == pair index. Outside
+    /// `shared`, so that a poll holds no borrow of it.
+    futures: Vec<Option<TaskFuture>>,
+    /// Makes task `i`'s future at its launch.
+    spawn: &'a mut dyn FnMut(usize, FleetDialer) -> TaskFuture,
     pairs: Vec<RosterPair>,
-    config: SchedulerConfig,
-    calls_rx: Receiver<(usize, Call)>,
-    calls_tx: Sender<(usize, Call)>,
-    tasks: Vec<Option<TaskSlot>>,
+    config: &'a SchedulerConfig,
     /// Controller node index → task index (live tasks only).
-    by_node: HashMap<usize, usize>,
+    by_node: Vec<Option<usize>>,
     /// Parked tasks with a fresh wake signal, unsorted and possibly
     /// repeated; `wake_ready` sorts, probes and empties it.
     ready: Vec<usize>,
@@ -474,180 +472,52 @@ struct Sched {
     active: usize,
     results: Vec<Option<TaskResult>>,
     events: Vec<String>,
-    /// Per-multiplex-slot credentials; task `i` runs under
-    /// `creds[i % creds.len()]` (one entry per slot of an endpoint
-    /// group, see [`SchedulerConfig::sessions_per_endpoint`]).
-    creds: Vec<packetlab::controller::Credentials>,
-    program: Program,
 }
 
-impl Sched {
+impl Sched<'_> {
     fn now(&self) -> u64 {
-        self.net.sim.now()
+        self.shared.borrow().net.sim.now()
     }
 
-    /// Park task `i` under `wait`, registering any deadline for a timed
-    /// re-examination.
-    fn park(&mut self, i: usize, wait: Wait) {
-        let deadline = match &wait {
-            Wait::Data { deadline, .. } => *deadline,
-            Wait::Established { deadline, .. } => Some(*deadline),
-            Wait::SendReady { at, .. } => Some(*at),
-            Wait::Until(t) => Some(*t),
+    /// Poll task `i` until it parks or finishes. A panic inside the
+    /// task's code ends that task alone.
+    fn poll(&mut self, i: usize) {
+        M_TASK_POLLS.inc();
+        let fut = self.futures[i].as_mut().expect("polling a live task");
+        let mut cx = Context::from_waker(Waker::noop());
+        let result = match std::panic::catch_unwind(AssertUnwindSafe(|| fut.as_mut().poll(&mut cx)))
+        {
+            Ok(Poll::Pending) => return self.park(i),
+            Ok(Poll::Ready(r)) => r,
+            Err(_) => {
+                WorkerResult::without_detail(Outcome::Aborted, "panic".into(), RetryStats::default())
+            }
         };
-        if let Some(d) = deadline {
+        // Before the slot goes: a channel the future still holds closes
+        // its connection as it drops.
+        self.futures[i] = None;
+        self.finish(i, result);
+    }
+
+    /// Task `i`'s poll returned `Pending`: file the deadline of the wait
+    /// its operation left in the slot for a timed re-examination.
+    fn park(&mut self, i: usize) {
+        let wait = self.shared.borrow().slots[i].as_ref().and_then(|s| s.wait);
+        let wait = wait.expect("a task may only suspend in its channel or dialer");
+        if let Some(d) = wait.deadline() {
             self.timed.entry(d).or_default().push(i);
         }
-        self.tasks[i].as_mut().expect("parking a live task").wait = Some(wait);
     }
 
-    fn reply(&mut self, i: usize, r: Reply) {
-        let stamped = (self.now(), r);
-        let _ = self.tasks[i].as_ref().expect("replying to a live task").replies.send(stamped);
-    }
-
-    /// Drain all readable bytes of `conn` at the controller node.
-    fn drain_conn(&mut self, node: NodeId, conn: u64) -> Vec<u8> {
-        let mut out = Vec::new();
-        loop {
-            let chunk = self.net.sim.tcp_recv(node, conn, 65536);
-            if chunk.is_empty() {
-                break;
-            }
-            out.extend_from_slice(&chunk);
-        }
-        out
-    }
-
-    /// Serve task `i` (which holds the baton) until it parks or finishes.
-    fn serve(&mut self, i: usize) {
-        loop {
-            let (from, call) = match self.calls_rx.recv() {
-                Ok(x) => x,
-                Err(_) => return,
-            };
-            debug_assert_eq!(from, i, "baton violation: call from a non-running task");
-            M_BATON_CALLS.inc();
-            let node = self.pairs[i].controller;
-            let now = self.now();
-            match call {
-                Call::Dial => {
-                    // Tasks are grouped in runs of `sessions_per_endpoint`;
-                    // every task in a group multiplexes onto the group's
-                    // first endpoint.
-                    let k = self.config.sessions_per_endpoint.max(1);
-                    let target = (i / k) * k;
-                    let conn = self
-                        .net
-                        .sim
-                        .tcp_connect(node, self.pairs[target].endpoint_addr, CONTROL_PORT);
-                    self.park(i, Wait::Established { conn, deadline: now + DIAL_DEADLINE });
-                    return;
-                }
-                Call::Send { conn, bytes } => {
-                    let ready = self.tasks[i]
-                        .as_mut()
-                        .expect("serving a live task")
-                        .bucket
-                        .try_take(now);
-                    if ready {
-                        self.net.sim.tcp_send(node, conn, &bytes);
-                        self.reply(i, Reply::Unit);
-                    } else {
-                        let at = self.tasks[i]
-                            .as_mut()
-                            .expect("serving a live task")
-                            .bucket
-                            .next_ready(now);
-                        self.park(i, Wait::SendReady { conn, bytes, at });
-                        return;
-                    }
-                }
-                Call::Recv { conn, deadline } => {
-                    let data = self.drain_conn(node, conn);
-                    if !data.is_empty() {
-                        self.reply(i, Reply::Bytes(data));
-                    } else if self.net.sim.tcp_closed(node, conn)
-                        || self.net.sim.tcp_peer_done(node, conn)
-                        || deadline.is_some_and(|d| d <= now)
-                    {
-                        self.reply(i, Reply::Bytes(Vec::new()));
-                    } else {
-                        self.park(i, Wait::Data { conn, deadline });
-                        return;
-                    }
-                }
-                Call::Close { conn } => {
-                    self.net.sim.tcp_close(node, conn);
-                    self.reply(i, Reply::Unit);
-                }
-                Call::WaitUntil(t) => {
-                    if t <= now {
-                        self.reply(i, Reply::Unit);
-                    } else {
-                        self.park(i, Wait::Until(t));
-                        return;
-                    }
-                }
-                Call::UdpBind(port) => {
-                    let ok = self.net.sim.udp_bind(node, port);
-                    self.reply(i, Reply::Bool(ok));
-                }
-                Call::UdpTake(port) => {
-                    let v: Vec<(u64, Ipv4Addr, u16, usize)> = self
-                        .net
-                        .sim
-                        .udp_recv(node, port)
-                        .into_iter()
-                        .map(|(t, a, p, d)| (t, a, p, d.len()))
-                        .collect();
-                    self.reply(i, Reply::Udp(v));
-                }
-                Call::UdpTakeSeq(port) => {
-                    let v: Vec<(u64, u32, usize)> = self
-                        .net
-                        .sim
-                        .udp_recv(node, port)
-                        .into_iter()
-                        .map(|(t, _, _, d)| {
-                            (t, packetlab::controller::probe_seq(&d), d.len())
-                        })
-                        .collect();
-                    self.reply(i, Reply::UdpSeq(v));
-                }
-                Call::Addr => {
-                    let a = self.net.sim.addr_of(node);
-                    self.reply(i, Reply::Addr(a));
-                }
-                Call::Done(result) => {
-                    self.finish(i, *result);
-                    return;
-                }
-            }
-        }
-    }
-
-    fn finish(&mut self, i: usize, r: WorkerResult) {
+    fn finish(&mut self, i: usize, mut r: WorkerResult) {
         let now = self.now();
-        let slot = self.tasks[i].take().expect("finishing a live task");
-        if let Some(t) = slot.thread {
-            let _ = t.join();
-        }
-        self.by_node.remove(&self.pairs[i].controller.0);
+        let slot = self.shared.borrow_mut().slots[i].take().expect("finishing a live task");
+        self.by_node[self.pairs[i].controller.0] = None;
         self.active -= 1;
-        let result = TaskResult {
-            endpoint: i,
-            outcome: r.outcome,
-            cause: r.cause,
-            detail: r.detail,
-            stats: r.stats,
-            started_ns: slot.started_ns,
-            finished_ns: now,
-        };
-        match r.outcome {
-            Outcome::Completed => M_COMPLETED.inc(),
-            Outcome::Failed => M_FAILED.inc(),
-            Outcome::Aborted => M_ABORTED.inc(),
+        // A poisoned task aborted on the fleet deadline, whatever the
+        // body's error path reported on the way down.
+        if slot.poisoned {
+            (r.outcome, r.cause) = (Outcome::Aborted, Some("fleet-deadline".into()));
         }
         M_ACTIVE.sub(1);
         M_DONE.add(1);
@@ -658,111 +528,78 @@ impl Sched {
             "endpoint" = i as u64,
             "outcome" = r.outcome as u64
         );
+        self.record(i, slot.started_ns, r);
+    }
+
+    /// Enter task `i`'s outcome in the report, at the current instant.
+    fn record(&mut self, i: usize, started_ns: u64, r: WorkerResult) {
+        let now = self.now();
+        let result = TaskResult {
+            endpoint: i,
+            outcome: r.outcome,
+            cause: r.cause,
+            detail: r.detail,
+            stats: r.stats,
+            started_ns,
+            finished_ns: now,
+        };
+        match r.outcome {
+            Outcome::Completed => M_COMPLETED.inc(),
+            Outcome::Failed => M_FAILED.inc(),
+            Outcome::Aborted => M_ABORTED.inc(),
+        }
         self.events.push(outcome_event(now, &result));
         self.results[i] = Some(result);
     }
 
-    /// Launch task `i`: spawn its worker thread and serve it until it
-    /// parks (typically on its first dial).
+    /// Launch task `i`: make its future and poll it until it parks
+    /// (typically on its first dial).
     fn launch(&mut self, i: usize) {
         let now = self.now();
-        let (reply_tx, reply_rx) = channel();
-        let poisoned = Arc::new(AtomicBool::new(false));
-        let h = Handle {
+        // Tasks are grouped in runs of `sessions_per_endpoint`; every
+        // task in a group multiplexes onto the group's first endpoint.
+        let k = self.config.sessions_per_endpoint.max(1);
+        let dialer = FleetDialer {
+            shared: Rc::clone(&self.shared),
             task: i,
-            calls: self.calls_tx.clone(),
-            replies: reply_rx,
-            poisoned: Arc::clone(&poisoned),
-            now: Cell::new(now),
+            node: self.pairs[i].controller,
+            endpoint: self.pairs[(i / k) * k].endpoint_addr,
         };
-        let creds = self.creds[i % self.creds.len()].clone();
-        let mut policy = self.config.retry;
-        // Decorrelate per-task backoff jitter deterministically.
-        policy.jitter_seed = splitmix64(policy.jitter_seed ^ i as u64).max(1);
-        let program = self.program;
-        let dst = self.pairs[i].controller_addr;
-        let multiplexed = self.config.sessions_per_endpoint.max(1) > 1;
-        let thread = std::thread::Builder::new()
-            .name(format!("fleet-{i}"))
-            .spawn(move || worker_main(h, creds, policy, program, dst, multiplexed))
-            .expect("spawn fleet worker");
-        self.tasks[i] = Some(TaskSlot {
-            replies: reply_tx,
-            poisoned,
+        self.shared.borrow_mut().slots[i] = Some(TaskSlot {
             wait: None,
+            poisoned: false,
+            cut: false,
             bucket: TokenBucket::new(self.config.per_endpoint, now),
             started_ns: now,
-            thread: Some(thread),
         });
-        self.by_node.insert(self.pairs[i].controller.0, i);
+        self.futures[i] = Some((self.spawn)(i, dialer));
+        self.by_node[self.pairs[i].controller.0] = Some(i);
         self.active += 1;
         M_ACTIVE.add(1);
         M_SCHEDULED.add(1);
         plab_obs::obs_event!(plab_obs::Component::Runner, "task.launch", "endpoint" = i as u64);
         self.events
             .push(format!("{{\"event\":\"launch\",\"t_ns\":{now},\"endpoint\":{i}}}"));
-        self.serve(i);
+        self.poll(i);
     }
 
     /// Is task `i` parked on a wait the world satisfies at this instant?
     fn satisfied(&self, i: usize) -> bool {
-        let (sim, node, now) = (&self.net.sim, self.pairs[i].controller, self.now());
-        match self.tasks[i].as_ref().and_then(|s| s.wait.as_ref()) {
-            None => false,
-            Some(Wait::Data { conn, deadline }) => {
-                sim.tcp_readable(node, *conn) > 0
-                    || sim.tcp_closed(node, *conn)
-                    || sim.tcp_peer_done(node, *conn)
-                    || deadline.is_some_and(|d| d <= now)
-            }
-            Some(Wait::Established { conn, deadline }) => {
-                sim.tcp_established(node, *conn) || sim.tcp_closed(node, *conn) || *deadline <= now
-            }
-            Some(Wait::SendReady { at, .. }) => *at <= now,
-            Some(Wait::Until(t)) => *t <= now,
-        }
+        let sh = self.shared.borrow();
+        let wait = sh.slots[i].as_ref().and_then(|s| s.wait);
+        wait.is_some_and(|w| w.holds(&sh.net.sim, self.pairs[i].controller))
     }
 
-    /// Probe signalled task `i`: if its wait is satisfied, answer it and
-    /// serve it until it parks again or finishes.
+    /// Probe signalled task `i`: if its wait is satisfied, poll it until
+    /// it parks again or finishes.
     fn try_wake(&mut self, i: usize) {
         M_WAKE_PROBES.inc();
-        if !self.satisfied(i) {
-            return;
+        if self.satisfied(i) {
+            self.poll(i);
         }
-        let (node, now) = (self.pairs[i].controller, self.now());
-        let slot = self.tasks[i].as_mut().expect("satisfied implies live");
-        let wait = slot.wait.take().expect("satisfied implies parked");
-        if matches!(wait, Wait::SendReady { .. }) {
-            // The per-task bucket is only drained by this task, so the
-            // token computed at park time is available now.
-            let taken = slot.bucket.try_take(now);
-            debug_assert!(taken, "send token not ready at its own next_ready time");
-        }
-        let sim = &mut self.net.sim;
-        let reply = match wait {
-            // Empty when the wait ended on close or deadline instead.
-            Wait::Data { conn, .. } => Reply::Bytes(self.drain_conn(node, conn)),
-            Wait::Established { conn, .. } if sim.tcp_established(node, conn) => {
-                Reply::Conn(Some(conn))
-            }
-            Wait::Established { conn, .. } => {
-                if !sim.tcp_closed(node, conn) {
-                    sim.tcp_close(node, conn);
-                }
-                Reply::Conn(None)
-            }
-            Wait::SendReady { conn, bytes, .. } => {
-                sim.tcp_send(node, conn, &bytes);
-                Reply::Unit
-            }
-            Wait::Until(_) => Reply::Unit,
-        };
-        self.reply(i, reply);
-        self.serve(i);
     }
 
-    /// Probe every signalled task once, ascending by task index. Serving
+    /// Probe every signalled task once, ascending by task index. Polling
     /// a woken task raises no signal (it reaches other tasks only through
     /// simulator events, which the next advance reports), so one pass
     /// leaves `ready` empty.
@@ -773,7 +610,7 @@ impl Sched {
         for &i in &signalled {
             self.try_wake(i);
         }
-        debug_assert!(self.ready.is_empty(), "a wake signal was raised while serving");
+        debug_assert!(self.ready.is_empty(), "a wake signal was raised while polling");
         signalled.clear();
         self.ready = signalled;
     }
@@ -790,53 +627,33 @@ impl Sched {
         }
     }
 
-    /// Fleet deadline: poison and unblock every parked task (each winds
-    /// down and reports via `Done`), then record unlaunched tasks as
+    /// The slot of live task `i`. Between polls every live task is parked.
+    fn slot(&self, i: usize) -> RefMut<'_, TaskSlot> {
+        RefMut::map(self.shared.borrow_mut(), |sh| sh.slots[i].as_mut().expect("a live task"))
+    }
+
+    /// Fleet deadline: poison and poll every parked task (each winds down
+    /// and resolves within that poll), then record unlaunched tasks as
     /// aborted outright.
     fn abort_all(&mut self) {
-        for i in 0..self.tasks.len() {
-            let Some(slot) = self.tasks[i].as_mut() else {
-                continue;
-            };
-            let Some(wait) = slot.wait.take() else {
-                continue;
-            };
-            slot.poisoned.store(true, Ordering::Relaxed);
-            let reply = match wait {
-                Wait::Data { .. } => Reply::Bytes(Vec::new()),
-                Wait::Established { .. } => Reply::Conn(None),
-                // The send is dropped: the endpoint never sees it, the
-                // worker is winding down anyway.
-                Wait::SendReady { .. } => Reply::Unit,
-                Wait::Until(_) => Reply::Unit,
-            };
-            self.reply(i, reply);
-            self.serve(i);
+        for i in 0..self.futures.len() {
+            if self.futures[i].is_some() {
+                self.slot(i).poisoned = true;
+                self.poll(i);
+            }
         }
         let now = self.now();
         for i in self.next_pending..self.pairs.len() {
-            let result = TaskResult {
-                endpoint: i,
-                outcome: Outcome::Aborted,
-                cause: Some("fleet-deadline".into()),
-                detail: Detail::None,
-                stats: RetryStats::default(),
-                started_ns: now,
-                finished_ns: now,
-            };
-            M_ABORTED.inc();
-            self.events.push(outcome_event(now, &result));
-            self.results[i] = Some(result);
+            let stats = RetryStats::default();
+            let r = WorkerResult::without_detail(Outcome::Aborted, "fleet-deadline".into(), stats);
+            self.record(i, now, r);
         }
         self.next_pending = self.pairs.len();
     }
 
     fn drain_serviced(&mut self) {
-        for n in self.net.take_serviced_nodes() {
-            if let Some(&i) = self.by_node.get(&n.0) {
-                self.ready.push(i);
-            }
-        }
+        let serviced = self.shared.borrow_mut().net.take_serviced_nodes();
+        self.ready.extend(serviced.iter().filter_map(|n| *self.by_node.get(n.0)?));
     }
 
     fn run(&mut self) {
@@ -876,49 +693,36 @@ impl Sched {
             if let Some(d) = self.config.fleet_deadline_ns {
                 target = target.min(d);
             }
-            match self.net.sim.next_event_time() {
+            let next_event = self.shared.borrow().net.sim.next_event_time();
+            match next_event {
                 Some(t) if t <= target => {
-                    self.net.step();
-                    self.drain_serviced();
-                    self.pop_timed();
+                    self.shared.borrow_mut().net.step();
                 }
-                _ if target <= now => {
-                    // A stale timed entry due at the current instant;
-                    // popping removes it, so this cannot spin.
-                    self.pop_timed();
-                }
-                _ if target < u64::MAX => {
-                    self.net.run_until(target);
-                    self.drain_serviced();
-                    self.pop_timed();
-                }
+                // A stale timed entry due at the current instant; popping
+                // removes it, so this cannot spin.
+                _ if target <= now => {}
+                _ if target < u64::MAX => self.shared.borrow_mut().net.run_until(target),
                 _ => {
                     // No events, no deadlines, yet tasks are parked: the
                     // world is idle and nothing will ever wake them.
                     self.stall_break();
+                    continue;
                 }
             }
+            self.drain_serviced();
+            self.pop_timed();
         }
     }
 
     /// Safety valve against a fully idle world with parked tasks (cannot
     /// happen with the RobustController's bounded waits, but a buggy or
-    /// exotic program must not hang the fleet): force-fail the
-    /// lowest-indexed parked task deterministically.
+    /// exotic program must not hang the fleet): the lowest-indexed parked
+    /// task's operation gives up, deterministically.
     fn stall_break(&mut self) {
-        let parked = (0..self.tasks.len())
-            .find(|&i| self.tasks[i].as_ref().is_some_and(|s| s.wait.is_some()));
-        let Some(i) = parked else {
-            return;
-        };
-        let wait = self.tasks[i].as_mut().expect("parked task is live").wait.take();
-        let reply = match wait {
-            Some(Wait::Data { .. }) => Reply::Bytes(Vec::new()),
-            Some(Wait::Established { .. }) => Reply::Conn(None),
-            Some(Wait::SendReady { .. }) | Some(Wait::Until(_)) | None => Reply::Unit,
-        };
-        self.reply(i, reply);
-        self.serve(i);
+        if let Some(i) = self.futures.iter().position(Option::is_some) {
+            self.slot(i).cut = true;
+            self.poll(i);
+        }
     }
 }
 
@@ -930,43 +734,66 @@ impl Sched {
 /// including any chaos faults scheduled on `world.net.sim` beforehand —
 /// the returned report is bit-identical across replays.
 pub fn run_fleet(
-    mut world: FleetWorld,
+    world: FleetWorld,
     spec: &ExperimentSpec,
     operator: &Keypair,
     experimenter: &Keypair,
     config: &SchedulerConfig,
 ) -> Result<FleetRun, String> {
-    let n = world.pairs.len();
+    if config.max_concurrency == 0 {
+        return Err("max_concurrency is 0: no task could ever launch".into());
+    }
     let controller_addr = format!("{}:{}", world.pairs[0].controller_addr, CONTROL_PORT);
     let slots = config.sessions_per_endpoint.max(1);
+    // Per-multiplex-slot credentials; task `i` runs under `creds[i % slots]`
+    // (one entry per slot of an endpoint group, see
+    // [`SchedulerConfig::sessions_per_endpoint`]).
     let creds = (0..slots)
         .map(|s| spec.slot_credentials(operator, experimenter, &controller_addr, s))
         .collect::<Result<Vec<_>, _>>()?;
+    let mut spawn = |i: usize, dialer: FleetDialer| -> TaskFuture {
+        let mut policy = config.retry;
+        // Decorrelate per-task backoff jitter deterministically.
+        policy.jitter_seed = splitmix64(policy.jitter_seed ^ i as u64).max(1);
+        Box::pin(run_task(dialer, creds[i % slots].clone(), policy, spec.program, slots > 1))
+    };
+    Ok(execute(world, &spec.name, config, &mut spawn))
+}
+
+/// The scheduler proper: launch, poll, park and record one task per pair
+/// of `world`, task `i`'s future made by `spawn(i, dialer)`.
+fn execute(
+    mut world: FleetWorld,
+    name: &str,
+    config: &SchedulerConfig,
+    spawn: &mut dyn FnMut(usize, FleetDialer) -> TaskFuture,
+) -> FleetRun {
+    let n = world.pairs.len();
     world.net.set_track_serviced(true);
     let now = world.net.sim.now();
-    let (calls_tx, calls_rx) = channel();
+    let nodes = world.pairs.iter().map(|p| p.controller.0 + 1).max().unwrap_or(0);
     let mut sched = Sched {
         launch_bucket: TokenBucket::new(config.launch, now),
-        net: world.net,
+        shared: Rc::new(RefCell::new(Shared {
+            net: world.net,
+            slots: (0..n).map(|_| None).collect(),
+        })),
+        futures: (0..n).map(|_| None).collect(),
+        spawn,
         pairs: world.pairs,
-        config: config.clone(),
-        calls_rx,
-        calls_tx,
-        tasks: (0..n).map(|_| None).collect(),
-        by_node: HashMap::new(),
+        config,
+        by_node: vec![None; nodes],
         ready: Vec::new(),
         timed: BTreeMap::new(),
         next_pending: 0,
         active: 0,
         results: (0..n).map(|_| None).collect(),
         events: Vec::new(),
-        creds,
-        program: spec.program,
     };
     sched.events.push(format!(
         "{{\"event\":\"run_start\",\"t_ns\":{now},\"experiment\":\"{}\",\"roster\":{n},\
          \"max_concurrency\":{},\"launch_per_sec\":{},\"per_endpoint_per_sec\":{}}}",
-        json_escape(&spec.name),
+        json_escape(name),
         config.max_concurrency,
         config.launch.rate_per_sec,
         config.per_endpoint.rate_per_sec,
@@ -980,9 +807,9 @@ pub fn run_fleet(
         .enumerate()
         .map(|(i, r)| r.unwrap_or_else(|| panic!("task {i} finished without a result")))
         .collect();
-    let summary = summarize(&spec.name, n, &results, end);
+    let summary = summarize(name, n, &results, end);
     let report = RunReport::seal(sched.events, summary);
-    Ok(FleetRun { report, results, end_ns: end })
+    FleetRun { report, results, end_ns: end }
 }
 
 /// Everything a finished fleet run yields.
@@ -993,4 +820,37 @@ pub struct FleetRun {
     pub results: Vec<TaskResult>,
     /// Virtual time when the fleet drained.
     pub end_ns: u64,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A panic inside a task's code ends that task alone: the scheduler
+    /// records it and carries on polling the others.
+    #[test]
+    fn a_task_that_panics_on_its_first_poll_is_aborted_and_the_rest_complete() {
+        let (operator, experimenter) = (Keypair::from_seed(&[1; 32]), Keypair::from_seed(&[2; 32]));
+        let roster = RosterSpec { pairs: 4, shards: 1, threads: 1, seed: 42, access_mbps: 0 };
+        let world = build_fleet(&roster, &operator);
+        let spec = ExperimentSpec::ping("unit-panic");
+        let addr = format!("{}:{CONTROL_PORT}", world.pairs[0].controller_addr);
+        let creds = spec.credentials(&operator, &experimenter, &addr).expect("nothing to compile");
+        let config = SchedulerConfig::default();
+        let mut spawn = |i: usize, dialer: FleetDialer| -> TaskFuture {
+            if i == 2 {
+                return Box::pin(async { panic!("task 2 panics on its first poll") });
+            }
+            Box::pin(run_task(dialer, creds.clone(), config.retry, spec.program, false))
+        };
+        let run = execute(world, &spec.name, &config, &mut spawn);
+        for t in &run.results {
+            let expected = if t.endpoint == 2 {
+                (Outcome::Aborted, Some("panic"))
+            } else {
+                (Outcome::Completed, None)
+            };
+            assert_eq!((t.outcome, t.cause.as_deref()), expected, "endpoint {}", t.endpoint);
+        }
+    }
 }

@@ -11,16 +11,16 @@
 //! JSON-SEQ event stream, aggregate summary with percentile histograms,
 //! rotated result files).
 //!
-//! The experiment code itself is the unmodified blocking measurement
-//! library (`packetlab::controller::experiments`) driven through
-//! [`packetlab::controller::robust::RobustController`] — exactly what a
-//! single-endpoint run uses. Each in-flight experiment runs on its own OS
-//! thread against a proxy channel ([`exec::FleetChannel`]); a baton
-//! protocol guarantees **exactly one thread runs at any instant**, so the
-//! scheduler's interleaving is a pure function of virtual time and the
-//! run report is bit-identical across replays — including replays where
-//! chaos fault schedules ([`chaos`]) crash and restart endpoints
-//! mid-experiment.
+//! The experiment code itself is the measurement library every
+//! single-endpoint run uses (`packetlab::controller::experiments` driven
+//! through [`packetlab::controller::robust::RobustController`]): it is
+//! written once, as `async fn`, and this crate is its second driver. Each
+//! in-flight experiment is a future the scheduler polls on its own thread
+//! — no worker threads, no channels — so **only the task being polled
+//! runs**, the scheduler's interleaving is a pure function of virtual
+//! time, and the run report is bit-identical across replays — including
+//! replays where chaos fault schedules ([`chaos`]) crash and restart
+//! endpoints mid-experiment. See [`exec`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -65,6 +65,35 @@ fn chaos_fleet_digest_is_pinned() {
     );
 }
 
+/// The tasks run on the calling thread, so its `plab_obs` switch reaches
+/// the controller library inside them: the pins hold with it on (the
+/// flight-recorder tail an `Unreachable` abort carries then interleaves
+/// tasks, and stays out of the report), and the retry counters read what
+/// the per-task stats sum to instead of 0.
+#[test]
+fn pinned_digests_hold_with_obs_on_and_the_controller_is_counted() {
+    plab_obs::enable();
+    plab_obs::reset();
+    let clean = pinned_run(false);
+    assert_eq!(clean.report.digest, PINNED_CLEAN_DIGEST, "obs changed the clean report");
+    plab_obs::reset();
+    let chaos = pinned_run(true);
+    plab_obs::disable();
+    assert_eq!(chaos.report.digest, PINNED_CHAOS_DIGEST, "obs changed the chaos report");
+    type Stat = fn(&packetlab::controller::robust::RetryStats) -> u32;
+    let stats: [(&str, Stat); 3] = [
+        ("controller.connects", |s| s.connects),
+        ("controller.timeouts", |s| s.timeouts),
+        ("controller.replays", |s| s.replays),
+    ];
+    for (name, stat) in stats {
+        let counted = plab_obs::metrics::counter(name);
+        let summed: u64 = chaos.results.iter().map(|t| u64::from(stat(&t.stats))).sum();
+        assert!(counted > 0, "{name} is dark in the chaos fleet");
+        assert_eq!(counted, summed, "{name} disagrees with the per-task stats");
+    }
+}
+
 /// Not a regression test: prints paste-ready pin values.
 #[test]
 #[ignore]

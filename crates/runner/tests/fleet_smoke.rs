@@ -182,6 +182,18 @@ fn fleet_deadline_aborts_exactly() {
 }
 
 #[test]
+fn zero_concurrency_is_rejected_not_spun_on() {
+    // With no task ever allowed in flight nothing is launched, nothing
+    // parks and nothing has a deadline: the run would spin forever.
+    let operator = Keypair::from_seed(&[1; 32]);
+    let experimenter = Keypair::from_seed(&[2; 32]);
+    let world = build_fleet(&small_roster(), &operator);
+    let config = SchedulerConfig { max_concurrency: 0, ..Default::default() };
+    let refused = run_fleet(world, &ExperimentSpec::ping("smoke-zero"), &operator, &experimenter, &config);
+    assert!(refused.is_err_and(|e| e.contains("max_concurrency")));
+}
+
+#[test]
 fn multiplexed_sessions_share_endpoints_and_complete() {
     // 8 tasks multiplexed 4-per-endpoint: only pairs 0 and 4 serve
     // sessions. Slot-mates contend under §3.3 — the first to authenticate
@@ -237,10 +249,10 @@ fn replay_is_bit_identical() {
 #[test]
 fn wake_probes_follow_signals_not_iterations() {
     // A parked task is probed when its node was serviced or a deadline of
-    // its came due, and each baton call answers at most a couple of such
-    // signals. Re-probing every parked task on every scheduler iteration
-    // (the 64-pair fleet keeps dozens in flight) costs hundreds of probes
-    // per call.
+    // its came due, and each poll (one per launch and per wait that came
+    // true) answers at most a couple of such signals. Re-probing every
+    // parked task on every scheduler iteration (the 64-pair fleet keeps
+    // dozens in flight) costs hundreds of probes per poll.
     plab_obs::enable();
     plab_obs::reset();
     let roster = RosterSpec { pairs: 64, shards: 2, threads: 1, seed: 42, access_mbps: 0 };
@@ -248,10 +260,11 @@ fn wake_probes_follow_signals_not_iterations() {
     plab_obs::disable();
     assert!(r.results.iter().all(|t| t.outcome == Outcome::Completed));
     let probes = plab_obs::metrics::counter("runner.wake_probes");
-    let calls = plab_obs::metrics::counter("runner.baton_calls");
-    // dial + close + done, and at least the handshake and two probes' ops.
-    assert!(calls >= 64 * 10, "baton calls not counted: {calls}");
-    assert!(probes <= 2 * calls, "{probes} wake probes for {calls} baton calls");
+    let polls = plab_obs::metrics::counter("runner.task_polls");
+    // The launch, the dial, and at least the handshake's and two probes'
+    // replies.
+    assert!(polls >= 64 * 10, "task polls not counted: {polls}");
+    assert!(probes <= 2 * polls, "{probes} wake probes for {polls} task polls");
 }
 
 #[test]
