@@ -8,7 +8,7 @@
 //! sessions, so aggregate throughput scales with the session count until
 //! the agent saturates — which is precisely the claim the reactor makes.
 //!
-//! The clock is virtual (the in-memory [`NetStack`] is advanced in fixed
+//! The clock is virtual (the in-memory [`MemStack`] is advanced in fixed
 //! ticks), so virtual throughput and per-op latency are bit-deterministic
 //! and the flushed reply stream can be digest-pinned; wall-clock cost of
 //! the same run is reported separately as the machine-dependent number a
@@ -25,12 +25,11 @@ use packetlab::cert::Restrictions;
 use packetlab::controller::Credentials;
 use packetlab::descriptor::ExperimentDescriptor;
 use packetlab::endpoint::EndpointConfig;
-use packetlab::netstack::NetStack;
+use packetlab::netstack::{MemStack, NetStack};
 use packetlab::reactor::EndpointReactor;
 use packetlab::wire::{Command, FrameDecoder, Message};
 use plab_crypto::{KeyHash, Keypair};
-use std::collections::{BTreeMap, HashMap};
-use std::net::Ipv4Addr;
+use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// Control-link round-trip time modelled by the stop-and-wait clients.
@@ -38,83 +37,6 @@ pub const RTT_NS: u64 = 10_000_000;
 /// Service tick: how often the reactor is pumped, and the granularity at
 /// which client send times are staggered across the RTT window.
 pub const TICK_NS: u64 = 1_000_000;
-
-/// In-memory [`NetStack`]: a virtual clock, per-connection inboxes the
-/// harness feeds, and per-connection outboxes the reactor flushes into.
-/// `BTreeMap` outboxes make drain order (and thus digests) deterministic.
-struct BenchStack {
-    clock: u64,
-    inbox: HashMap<u64, Vec<u8>>,
-    outbox: BTreeMap<u64, Vec<u8>>,
-}
-
-impl BenchStack {
-    fn new() -> BenchStack {
-        BenchStack { clock: 1_000, inbox: HashMap::new(), outbox: BTreeMap::new() }
-    }
-
-    fn feed(&mut self, conn: u64, bytes: &[u8]) {
-        self.inbox.entry(conn).or_default().extend_from_slice(bytes);
-    }
-}
-
-impl NetStack for BenchStack {
-    fn clock(&self) -> u64 {
-        self.clock
-    }
-    fn local_addr(&self) -> Ipv4Addr {
-        Ipv4Addr::new(10, 0, 0, 1)
-    }
-    fn external_addr(&self) -> Ipv4Addr {
-        Ipv4Addr::new(10, 0, 0, 1)
-    }
-    fn mtu(&self) -> u32 {
-        1500
-    }
-    fn raw_supported(&self) -> bool {
-        false
-    }
-    fn raw_send_at(&mut self, _time: u64, _packet: Vec<u8>, _tag: u64) {}
-    fn udp_bind(&mut self, _port: u16) -> bool {
-        true
-    }
-    fn udp_unbind(&mut self, _port: u16) {}
-    fn udp_send_at(
-        &mut self,
-        _time: u64,
-        _src_port: u16,
-        _dst: Ipv4Addr,
-        _dst_port: u16,
-        _payload: &[u8],
-        _tag: u64,
-    ) {
-    }
-    fn take_udp(&mut self, _port: u16) -> Vec<(u64, Ipv4Addr, u16, Vec<u8>)> {
-        Vec::new()
-    }
-    fn tcp_connect(&mut self, _dst: Ipv4Addr, _dst_port: u16) -> u64 {
-        0
-    }
-    fn tcp_send(&mut self, conn: u64, data: &[u8]) {
-        self.outbox.entry(conn).or_default().extend_from_slice(data);
-    }
-    fn tcp_recv(&mut self, conn: u64, max: usize) -> Vec<u8> {
-        let Some(buf) = self.inbox.get_mut(&conn) else { return Vec::new() };
-        let n = buf.len().min(max);
-        buf.drain(..n).collect()
-    }
-    fn tcp_readable(&self, conn: u64) -> usize {
-        self.inbox.get(&conn).map_or(0, Vec::len)
-    }
-    fn tcp_close(&mut self, _conn: u64) {}
-    fn tcp_alive(&self, _conn: u64) -> bool {
-        true
-    }
-    fn schedule_wakeup(&mut self, _key: u64, _time: u64) {}
-    fn take_send_log(&mut self) -> Vec<(u64, u64)> {
-        Vec::new()
-    }
-}
 
 fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
@@ -172,7 +94,7 @@ impl PhaseStats {
 /// A built world: one reactor with `n` authenticated sessions, ready to
 /// run measured phases.
 pub struct ScaleWorld {
-    stack: BenchStack,
+    stack: MemStack,
     reactor: EndpointReactor,
     sessions: Vec<Session>,
 }
@@ -195,7 +117,8 @@ impl ScaleWorld {
         let creds =
             Credentials::issue(&operator, &experimenter, descriptor, Restrictions::none(), 10);
 
-        let mut stack = BenchStack::new();
+        // Replies carry clock reads, so the pinned digest fixes the epoch.
+        let mut stack = MemStack { clock: 1_000, ..Default::default() };
         let mut reactor = EndpointReactor::new(EndpointConfig {
             trusted_keys: vec![KeyHash::of(&operator.public)],
             max_sessions: n.max(8) * 2,

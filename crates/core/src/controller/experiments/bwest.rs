@@ -33,6 +33,7 @@ use crate::controller::{probe_seq, ClockSync, ControlPlane, ControllerError, Sin
 use crate::memory::{EndpointMemory, SockStat, SOCKSTAT_ENTRY};
 use crate::wire::{Command, Response};
 use std::net::Ipv4Addr;
+use std::ops::Range;
 
 /// Destination UDP echo service port (the classic inetd echo port).
 pub const UDP_ECHO_PORT: u16 = 7;
@@ -47,40 +48,32 @@ static M_STALLS: plab_obs::metrics::Counter = plab_obs::metrics::Counter::new("b
 static M_SLIPS: plab_obs::metrics::Counter =
     plab_obs::metrics::Counter::new("bwest.schedule.slips");
 
-/// Tunables for the probe suite. The defaults suit access links in the
-/// 1–50 Mbit/s range (the ground-truth corpus in `plab_netsim::roster`).
+/// Target drain duration for the TCP bulk probe, ns. The bulk size is
+/// chosen so the drain takes about this long at the coarse estimate.
+const BULK_TARGET_NS: u64 = 1_200_000_000;
+/// Bulk size floor and ceiling, bytes.
+const BULK_MIN_BYTES: u64 = 96 * 1024;
+const BULK_MAX_BYTES: u64 = 4 * 1024 * 1024;
+/// Bytes per scheduled `nsend` chunk.
+const CHUNK_BYTES: usize = 64 * 1024;
+/// Hard per-probe deadline, ns (controller clock): a transfer still
+/// unfinished this long after its scheduled start is reported stalled.
+const PROBE_DEADLINE_NS: u64 = 15_000_000_000;
+
+/// The dispersion train's shape: what callers size to the link under
+/// test. The defaults suit access links in the 1–50 Mbit/s range (the
+/// ground-truth corpus in `plab_netsim::roster`).
 #[derive(Debug, Clone, Copy)]
 pub struct BwestConfig {
     /// Datagrams in the dispersion train.
     pub train_len: u32,
     /// Dispersion probe payload bytes (sequence number in the first 4).
     pub train_payload: usize,
-    /// Target drain duration for the TCP bulk probe, ns. The bulk size is
-    /// chosen so the drain takes about this long at the coarse estimate.
-    pub bulk_target_ns: u64,
-    /// Bulk size floor, bytes.
-    pub bulk_min_bytes: u64,
-    /// Bulk size ceiling, bytes.
-    pub bulk_max_bytes: u64,
-    /// Bytes per scheduled `nsend` chunk.
-    pub chunk_bytes: usize,
-    /// Hard per-probe deadline, ns (controller clock) — a transfer still
-    /// unfinished this long after its scheduled start is reported
-    /// stalled.
-    pub probe_deadline_ns: u64,
 }
 
 impl Default for BwestConfig {
     fn default() -> Self {
-        BwestConfig {
-            train_len: 24,
-            train_payload: 1000,
-            bulk_target_ns: 1_200_000_000,
-            bulk_min_bytes: 96 * 1024,
-            bulk_max_bytes: 4 * 1024 * 1024,
-            chunk_bytes: 64 * 1024,
-            probe_deadline_ns: 15_000_000_000,
-        }
+        BwestConfig { train_len: 24, train_payload: 1000 }
     }
 }
 
@@ -256,6 +249,23 @@ struct DrainOutcome {
     slipped: bool,
 }
 
+impl DrainOutcome {
+    /// The probe result this drain stands for, given the retransmissions
+    /// counted across it.
+    fn into_result(self, retrans: u32) -> TcpProbeResult {
+        TcpProbeResult {
+            bits_per_sec: self.bytes.saturating_mul(8_000_000_000) / self.elapsed_ns,
+            bytes: self.bytes,
+            elapsed_ns: self.elapsed_ns,
+            peak_backlog: self.peak_backlog,
+            samples: self.samples,
+            retrans,
+            stalled: !self.drained,
+            slipped: self.slipped,
+        }
+    }
+}
+
 /// Schedule `n_chunks · chunk` bytes of bulk at one instant, then sample
 /// the socket-state backlog until it drains. `sample_interval_ns = 0`
 /// samples at the natural control-round-trip cadence (used by the coarse
@@ -338,7 +348,6 @@ async fn tcp_probe<P: Plane>(
     skt: u32,
     locport: u16,
     dest: Ipv4Addr,
-    cfg: &BwestConfig,
     sync: &ClockSync,
 ) -> Result<Option<TcpProbeResult>, ControllerError> {
     if soft(ctrl.nopen_tcp(skt, locport, dest, TCP_SINK_PORT).await)?.is_none() {
@@ -368,62 +377,34 @@ async fn tcp_probe<P: Plane>(
     let coarse_chunk = 64 * 1024usize;
     let coarse_lead = 2 * (coarse_chunk as u64 * 8 * 1_000) + 8 * rtt + 300_000_000;
     let coarse =
-        timed_drain(ctrl, skt, sync, coarse_chunk, 1, coarse_lead, 0, cfg.probe_deadline_ns).await?;
-    let result = if !coarse.drained {
-        M_STALLS.inc();
-        let retrans1 = read_sockstat(ctrl, skt).await?.map(|s| s.retrans()).unwrap_or(retrans0);
-        TcpProbeResult {
-            bits_per_sec: coarse.bytes.saturating_mul(8_000_000_000) / coarse.elapsed_ns,
-            bytes: coarse.bytes,
-            elapsed_ns: coarse.elapsed_ns,
-            peak_backlog: coarse.peak_backlog,
-            samples: coarse.samples,
-            retrans: retrans1.saturating_sub(retrans0),
-            stalled: true,
-            slipped: coarse.slipped,
-        }
+        timed_drain(ctrl, skt, sync, coarse_chunk, 1, coarse_lead, 0, PROBE_DEADLINE_NS).await?;
+    // A coarse drain that stalled is the result; one that finished sizes
+    // the timed bulk.
+    let outcome = if !coarse.drained {
+        coarse
     } else {
         let coarse_bps =
             (coarse_chunk as u64).saturating_mul(8_000_000_000) / coarse.elapsed_ns;
-        // Size the bulk for ~bulk_target_ns of drain at the coarse rate.
-        let bulk = (coarse_bps / 8)
-            .saturating_mul(cfg.bulk_target_ns)
-            / 1_000_000_000;
-        let bulk = bulk.clamp(cfg.bulk_min_bytes, cfg.bulk_max_bytes);
-        let n_chunks = bulk.div_ceil(cfg.chunk_bytes as u64).max(1);
-        let total = n_chunks * cfg.chunk_bytes as u64;
+        // Size the bulk for ~BULK_TARGET_NS of drain at the coarse rate.
+        let bulk = (coarse_bps / 8).saturating_mul(BULK_TARGET_NS) / 1_000_000_000;
+        let bulk = bulk.clamp(BULK_MIN_BYTES, BULK_MAX_BYTES);
+        let n_chunks = bulk.div_ceil(CHUNK_BYTES as u64).max(1);
+        let total = n_chunks * CHUNK_BYTES as u64;
         // Delivery budget: the batch crosses the control channel at least
         // as fast as the coarse drain rate (downlink ≥ path bottleneck),
         // doubled for slack, plus per-command round trips.
         let lead = 2 * total.saturating_mul(8_000_000_000) / coarse_bps.max(1)
             + n_chunks * 4 * rtt
             + 500_000_000;
-        let interval = (cfg.bulk_target_ns / 48).max(4 * rtt);
-        let main = timed_drain(
-            ctrl,
-            skt,
-            sync,
-            cfg.chunk_bytes,
-            n_chunks,
-            lead,
-            interval,
-            cfg.probe_deadline_ns,
-        ).await?;
-        if !main.drained {
-            M_STALLS.inc();
-        }
-        let retrans1 = read_sockstat(ctrl, skt).await?.map(|s| s.retrans()).unwrap_or(retrans0);
-        TcpProbeResult {
-            bits_per_sec: main.bytes.saturating_mul(8_000_000_000) / main.elapsed_ns,
-            bytes: main.bytes,
-            elapsed_ns: main.elapsed_ns,
-            peak_backlog: main.peak_backlog,
-            samples: main.samples,
-            retrans: retrans1.saturating_sub(retrans0),
-            stalled: !main.drained,
-            slipped: main.slipped,
-        }
+        let interval = (BULK_TARGET_NS / 48).max(4 * rtt);
+        timed_drain(ctrl, skt, sync, CHUNK_BYTES, n_chunks, lead, interval, PROBE_DEADLINE_NS)
+            .await?
     };
+    if !outcome.drained {
+        M_STALLS.inc();
+    }
+    let retrans1 = read_sockstat(ctrl, skt).await?.map(|s| s.retrans()).unwrap_or(retrans0);
+    let result = outcome.into_result(retrans1.saturating_sub(retrans0));
     let _ = soft(ctrl.nclose(skt).await)?;
     plab_obs::obs_event!(
         plab_obs::Component::Controller,
@@ -434,65 +415,46 @@ async fn tcp_probe<P: Plane>(
     Ok(Some(result))
 }
 
-/// The dispersion probe: schedule a back-to-back train to the
-/// destination's echo port, gather echoes via `npoll`, and take the
-/// median sequence-gap-normalized spacing rate. Retries with a longer
-/// lead when command delivery overruns the scheduled departure (each
-/// attempt uses a disjoint sequence range so stale echoes are ignored).
-async fn dispersion_probe<P: Plane>(
+/// A train's arrivals: (arrival time ns, sequence within the train,
+/// payload length).
+type Arrivals = Vec<(u64, u32, usize)>;
+
+/// One dispersion measurement over the open UDP socket `skt`, closed on
+/// the way out: schedule a back-to-back train, let `gather` collect its
+/// [`Arrivals`], take the median sequence-gap-normalized spacing rate.
+/// Retries with a longer lead when command delivery overruns the scheduled
+/// departure; each attempt numbers its probes from a disjoint range, handed
+/// to `gather` with the scheduled start, so an earlier attempt's arrivals
+/// are ignored. `rtt_ns` is `path_rtt` when the caller has one, else the
+/// earliest arrival's stamp minus its actual transmit time from the
+/// send-time log (an echo's round trip).
+async fn dispersion_train<P: Plane>(
     ctrl: &mut P,
     skt: u32,
-    locport: u16,
-    dest: Ipv4Addr,
     cfg: &BwestConfig,
-    sync: &ClockSync,
+    rtt: u64,
+    path_rtt: Option<u64>,
+    mut gather: impl AsyncFnMut(&mut P, u64, Range<u32>) -> Result<Arrivals, ControllerError>,
 ) -> Result<Option<DispersionResult>, ControllerError> {
-    if soft(ctrl.nopen_udp(skt, locport, dest, UDP_ECHO_PORT).await)?.is_none() {
-        return Ok(None);
-    }
     M_PROBES.inc();
-    let rtt = sync.min_rtt.max(1_000_000);
+    let payload_len = cfg.train_payload.max(4);
     let mut lead = cfg.train_len as u64 * 2 * rtt + 300_000_000;
-    let mut best: Option<DispersionResult> = None;
+    let mut best = None;
     for attempt in 0..4u32 {
         let seq_base = attempt * 1000;
-        let payload_len = cfg.train_payload.max(4);
-        let (tags, start, late) =
-            schedule_block(ctrl, skt, cfg.train_len, lead, rtt, |i| {
-                let mut p = vec![0u8; payload_len];
-                p[..4].copy_from_slice(&(seq_base + i).to_le_bytes());
-                p
-            }).await?;
+        let (tags, start, late) = schedule_block(ctrl, skt, cfg.train_len, lead, rtt, |i| {
+            let mut p = vec![0u8; payload_len];
+            p[..4].copy_from_slice(&(seq_base + i).to_le_bytes());
+            p
+        })
+        .await?;
         if late > 0 {
             // The overrun is a direct measurement of batch delivery time
             // on the current channel; cover it with 2× margin next round.
             lead = (lead + late) * 2;
             continue;
         }
-        // Gather echoes until the train is fully answered or the deadline
-        // (endpoint clock) lapses.
-        let deadline = start + 3_000_000_000 + 2 * rtt;
-        let mut arrivals: Vec<(u64, u32, usize)> = Vec::new();
-        loop {
-            let poll = ctrl.npoll(deadline).await?;
-            let got = !poll.packets.is_empty();
-            for (pskt, trcv, payload) in &poll.packets {
-                if *pskt != skt {
-                    continue;
-                }
-                let seq = probe_seq(payload);
-                if seq < seq_base || seq >= seq_base + cfg.train_len {
-                    continue;
-                }
-                arrivals.push((*trcv, seq - seq_base, payload.len()));
-            }
-            if arrivals.len() >= cfg.train_len as usize {
-                break;
-            }
-            if !got || ctrl.read_clock().await? >= deadline {
-                break;
-            }
-        }
+        let arrivals = gather(ctrl, start, seq_base..seq_base + cfg.train_len).await?;
         plab_obs::obs_event!(
             plab_obs::Component::Controller,
             "bwest.train",
@@ -500,14 +462,14 @@ async fn dispersion_probe<P: Plane>(
             "attempt" = attempt as u64
         );
         if let Some((bps, pairs)) = dispersion_from_arrivals(&arrivals) {
-            // Round trip of the earliest echo: its arrival stamp minus the
-            // actual transmit time from the send-time log.
-            let mut rtt_ns = 0u64;
-            if let Some(&(trcv, seq, _)) = arrivals.iter().min_by_key(|a| a.0) {
-                if let Some(tsnd) = ctrl.read_send_time(tags[seq as usize]).await? {
-                    rtt_ns = trcv.saturating_sub(tsnd);
-                }
-            }
+            let rtt_ns = match (path_rtt, arrivals.iter().min_by_key(|a| a.0)) {
+                (Some(known), _) => known,
+                (None, Some(&(trcv, seq, _))) => ctrl
+                    .read_send_time(tags[seq as usize])
+                    .await?
+                    .map_or(0, |tsnd| trcv.saturating_sub(tsnd)),
+                (None, None) => 0,
+            };
             best = Some(DispersionResult {
                 bits_per_sec: bps,
                 echoes: arrivals.len() as u32,
@@ -519,6 +481,47 @@ async fn dispersion_probe<P: Plane>(
     }
     let _ = soft(ctrl.nclose(skt).await)?;
     Ok(best)
+}
+
+/// The dispersion probe: a train to the destination's echo port, its
+/// echoes gathered via `npoll`.
+async fn dispersion_probe<P: Plane>(
+    ctrl: &mut P,
+    skt: u32,
+    locport: u16,
+    dest: Ipv4Addr,
+    cfg: &BwestConfig,
+    sync: &ClockSync,
+) -> Result<Option<DispersionResult>, ControllerError> {
+    if soft(ctrl.nopen_udp(skt, locport, dest, UDP_ECHO_PORT).await)?.is_none() {
+        return Ok(None);
+    }
+    let rtt = sync.min_rtt.max(1_000_000);
+    let train_len = cfg.train_len as usize;
+    dispersion_train(ctrl, skt, cfg, rtt, None, async |ctrl: &mut P, start, seqs: Range<u32>| {
+        // Gather echoes until the train is fully answered or the deadline
+        // (endpoint clock) lapses.
+        let deadline = start + 3_000_000_000 + 2 * rtt;
+        let mut arrivals = Arrivals::new();
+        loop {
+            let poll = ctrl.npoll(deadline).await?;
+            let got = !poll.packets.is_empty();
+            for (pskt, trcv, payload) in &poll.packets {
+                let seq = probe_seq(payload);
+                if *pskt == skt && seqs.contains(&seq) {
+                    arrivals.push((*trcv, seq - seqs.start, payload.len()));
+                }
+            }
+            if arrivals.len() >= train_len {
+                break;
+            }
+            if !got || ctrl.read_clock().await? >= deadline {
+                break;
+            }
+        }
+        Ok(arrivals)
+    })
+    .await
 }
 
 /// Merge the two probes into one estimate. The TCP probe wins while its
@@ -600,16 +603,9 @@ pub mod aio {
             // degrade this destination to a missing probe instead of
             // aborting the remaining destinations; transport failures
             // (`Unreachable`) still abort the suite.
-            let dispersion = match dispersion_probe(ctrl, skt, locport, dest, cfg, &sync).await {
-                Ok(d) => d,
-                Err(ControllerError::Endpoint(..)) => None,
-                Err(e) => return Err(e),
-            };
-            let tcp = match tcp_probe(ctrl, skt + 1, locport + 1, dest, cfg, &sync).await {
-                Ok(t) => t,
-                Err(ControllerError::Endpoint(..)) => None,
-                Err(e) => return Err(e),
-            };
+            let dispersion =
+                soft(dispersion_probe(ctrl, skt, locport, dest, cfg, &sync).await)?.flatten();
+            let tcp = soft(tcp_probe(ctrl, skt + 1, locport + 1, dest, &sync).await)?.flatten();
             let (bits_per_sec, confidence, window_limited) = combine(&tcp, &dispersion);
             plab_obs::obs_event!(
                 plab_obs::Component::Controller,
@@ -644,54 +640,31 @@ pub mod aio {
         if soft(ctrl.nopen_udp(SKT, 21_900, sink_addr, sink_port).await)?.is_none() {
             return Ok(None);
         }
-        M_PROBES.inc();
-        let mut lead = cfg.train_len as u64 * 2 * rtt + 300_000_000;
-        let mut best = None;
-        for attempt in 0..4u32 {
-            let seq_base = attempt * 1000;
-            let payload_len = cfg.train_payload.max(4);
-            let (_tags, start, late) =
-                schedule_block(ctrl, SKT, cfg.train_len, lead, rtt, |i| {
-                    let mut p = vec![0u8; payload_len];
-                    p[..4].copy_from_slice(&(seq_base + i).to_le_bytes());
-                    p
-                }).await?;
-            if late > 0 {
-                let _ = ctrl.sink_take_seq(sink_port);
-                lead = (lead + late) * 2;
-                continue;
-            }
-            // One-way train: wait for it to land (train duration at 500 kbit/s
-            // plus grace), then drain the sink once — no control traffic rides
-            // the uplink while the train is in flight.
-            let train_bits =
-                cfg.train_len as u64 * (payload_len as u64 + UDP_IP_OVERHEAD) * 8;
-            let horizon = sync.to_controller(start) + train_bits * 2_000 + 2 * rtt + 500_000_000;
-            ctrl.wait_until(horizon).await;
-            let arrivals: Vec<(u64, u32, usize)> = ctrl
-                .sink_take_seq(sink_port)
-                .into_iter()
-                .filter(|&(_, seq, _)| seq >= seq_base && seq < seq_base + cfg.train_len)
-                .map(|(t, seq, len)| (t, seq - seq_base, len))
-                .collect();
-            plab_obs::obs_event!(
-                plab_obs::Component::Controller,
-                "bwest.train",
-                "echoes" = arrivals.len() as u64,
-                "attempt" = attempt as u64
-            );
-            if let Some((bps, pairs)) = dispersion_from_arrivals(&arrivals) {
-                best = Some(DispersionResult {
-                    bits_per_sec: bps,
-                    echoes: arrivals.len() as u32,
-                    pairs,
-                    rtt_ns: sync.min_rtt,
-                });
-                break;
-            }
-        }
-        let _ = soft(ctrl.nclose(SKT).await)?;
-        Ok(best)
+        let train_bits =
+            cfg.train_len as u64 * (cfg.train_payload.max(4) as u64 + UDP_IP_OVERHEAD) * 8;
+        dispersion_train(
+            ctrl,
+            SKT,
+            cfg,
+            rtt,
+            Some(sync.min_rtt),
+            async |ctrl: &mut P, start, seqs: Range<u32>| {
+                // One-way train: wait for it to land (train duration at
+                // 500 kbit/s plus grace), then drain the sink once — no
+                // control traffic rides the uplink while the train is in
+                // flight.
+                let horizon =
+                    sync.to_controller(start) + train_bits * 2_000 + 2 * rtt + 500_000_000;
+                ctrl.wait_until(horizon).await;
+                Ok(ctrl
+                    .sink_take_seq(sink_port)
+                    .into_iter()
+                    .filter(|(_, seq, _)| seqs.contains(seq))
+                    .map(|(t, seq, len)| (t, seq - seqs.start, len))
+                    .collect())
+            },
+        )
+        .await
     }
 }
 

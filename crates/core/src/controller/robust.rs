@@ -24,7 +24,7 @@
 //! code, driven by [`aio::block_on`].
 
 use super::aio::{self, block_on, handshake, Channel as _};
-use super::{ControlChannel, ControlPlane, Controller, ControllerError, Credentials, SinkHost};
+use super::{ControlChannel, ControlPlane, ControllerError, Credentials, SinkHost};
 use crate::wire::{Command, Message, Notification, Response};
 use std::net::Ipv4Addr;
 
@@ -170,12 +170,6 @@ impl<D: aio::Dialer> RobustController<D> {
     /// Whether a channel is currently established.
     pub fn connected(&self) -> bool {
         self.chan.is_some()
-    }
-
-    /// Drop the current channel, as if it had just failed. Next operation
-    /// reconnects. (Test hook; also lets callers force a fresh connection.)
-    pub fn kill_channel(&mut self) {
-        self.chan = None;
     }
 
     /// Build the typed abort for a spent unreachable budget: retry
@@ -476,13 +470,3 @@ impl<D: aio::Dialer + aio::Sink> aio::Sink for RobustController<D> {
 }
 
 impl<D: Dialer + SinkHost> SinkHost for RobustController<D> {}
-
-/// Convenience: a plain [`Controller`] can also be built from a dialer
-/// (one shot, no retries) — used by tests comparing behaviours.
-pub fn connect_once<D: Dialer>(
-    dialer: &mut D,
-    creds: &Credentials,
-) -> Result<Controller<D::Chan>, ControllerError> {
-    let chan = Dialer::dial(dialer).ok_or(ControllerError::Timeout)?;
-    Controller::connect(chan, creds)
-}

@@ -21,7 +21,7 @@ use plab_crypto::{KeyHash, PublicKey, Signature};
 use plab_filter::{Program, Vm};
 use plab_netsim::RawDisposition;
 use plab_packet::layout;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::net::Ipv4Addr;
 
 /// Frames the agent wants sent, tagged by control-session id.
@@ -228,7 +228,9 @@ struct Session {
     monitors: MonitorSet,
     restrictions: EffectiveRestrictions,
     memory: EndpointMemory,
-    sockets: HashMap<u32, SocketBinding>,
+    /// By sktid, ascending: sockets are drained, offered packets and torn
+    /// down in that order on every run.
+    sockets: BTreeMap<u32, SocketBinding>,
     capture: CaptureBuffer,
     /// Outstanding `npoll` deadline (endpoint clock ns).
     pending_poll: Option<u64>,
@@ -265,7 +267,7 @@ impl Session {
             monitors: MonitorSet::unrestricted(),
             restrictions: EffectiveRestrictions::default(),
             memory: EndpointMemory::new(),
-            sockets: HashMap::new(),
+            sockets: BTreeMap::new(),
             capture: CaptureBuffer::new(default_buffer),
             pending_poll: None,
             pending_poll_seq: None,
@@ -376,6 +378,17 @@ impl EndpointAgent {
         self.sessions.len() < self.config.max_sessions
     }
 
+    /// The sids of the live sessions `keep` holds for, ascending. The
+    /// session table is a hash map for its lookups; paths that walk it and
+    /// produce output walk it through here, so nothing the agent emits
+    /// depends on the map's per-process iteration order.
+    fn sids(&self, keep: impl Fn(&Session) -> bool) -> Vec<u64> {
+        let mut sids: Vec<u64> =
+            self.sessions.values().filter(|s| keep(s)).map(|s| s.sid).collect();
+        sids.sort_unstable();
+        sids
+    }
+
     /// A new control connection was accepted / dialed.
     pub fn on_session_open(&mut self, sid: u64) {
         if self.can_accept() {
@@ -435,7 +448,7 @@ impl EndpointAgent {
     }
 
     fn teardown_sockets(&mut self, s: &mut Session, stack: &mut dyn NetStack) {
-        for (sktid, binding) in s.sockets.drain() {
+        for (sktid, binding) in std::mem::take(&mut s.sockets) {
             match binding {
                 SocketBinding::Udp { locport, .. } => stack.udp_unbind(locport),
                 SocketBinding::Tcp { conn, .. } => {
@@ -452,15 +465,8 @@ impl EndpointAgent {
     /// ("the current socket state", §3.1). Refreshed on every service
     /// pass and immediately before each `mread`.
     fn refresh_sockstat(s: &mut Session, stack: &mut dyn NetStack) {
-        let tcp: Vec<(u32, u64)> = s
-            .sockets
-            .iter()
-            .filter_map(|(id, b)| match b {
-                SocketBinding::Tcp { conn, .. } => Some((*id, *conn)),
-                _ => None,
-            })
-            .collect();
-        for (sktid, conn) in tcp {
+        for (&sktid, binding) in &s.sockets {
+            let SocketBinding::Tcp { conn, .. } = *binding else { continue };
             let mut flags = crate::memory::SOCKSTAT_FLAG_OPEN;
             if stack.tcp_alive(conn) {
                 flags |= crate::memory::SOCKSTAT_FLAG_ALIVE;
@@ -1155,8 +1161,7 @@ impl EndpointAgent {
         let mut out = Out::new();
         let mut disposition = RawDisposition::Ignore;
         let now = stack.clock();
-        let sids: Vec<u64> = self.sessions.keys().copied().collect();
-        for sid in sids {
+        for sid in self.sids(|_| true) {
             // Snapshot info per session (refreshed lazily, on the stack).
             let info = {
                 let s = self.sessions.get_mut(&sid).unwrap();
@@ -1260,15 +1265,9 @@ impl EndpointAgent {
         let now = stack.clock();
         // Detached sessions whose linger window lapsed without a resumption
         // tear down for real.
-        let expired: Vec<u64> = self
-            .sessions
-            .iter()
-            .filter(|(_, s)| {
-                s.detached_at
-                    .is_some_and(|t| now.saturating_sub(t) > self.config.session_linger_ns)
-            })
-            .map(|(sid, _)| *sid)
-            .collect();
+        let linger = self.config.session_linger_ns;
+        let expired =
+            self.sids(|s| s.detached_at.is_some_and(|t| now.saturating_sub(t) > linger));
         for sid in expired {
             if let Some(mut s) = self.sessions.remove(&sid) {
                 self.teardown_sockets(&mut s, stack);
@@ -1280,7 +1279,7 @@ impl EndpointAgent {
                 }
             }
         }
-        let sids: Vec<u64> = self.sessions.keys().copied().collect();
+        let sids = self.sids(|_| true);
         for (tag, time) in &send_log {
             // Tags are per-session counters; a tag may collide across
             // sessions, so record into every session that issued it (the
@@ -1297,22 +1296,9 @@ impl EndpointAgent {
             // Drain OS sockets into the capture buffer, respecting
             // capacity: when full we simply stop reading (§3.1 — this is
             // what creates TCP backpressure).
-            enum Drain {
-                Udp(u16),
-                Tcp(u64),
-            }
-            let bindings: Vec<(u32, Drain)> = s
-                .sockets
-                .iter()
-                .filter_map(|(id, b)| match b {
-                    SocketBinding::Udp { locport, .. } => Some((*id, Drain::Udp(*locport))),
-                    SocketBinding::Tcp { conn, .. } => Some((*id, Drain::Tcp(*conn))),
-                    SocketBinding::Raw { .. } => None,
-                })
-                .collect();
-            for (sktid, drain) in bindings {
-                match drain {
-                    Drain::Tcp(conn) => loop {
+            for (&sktid, binding) in &s.sockets {
+                match *binding {
+                    SocketBinding::Tcp { conn, .. } => loop {
                         let space = s.capture.space();
                         if space == 0 || stack.tcp_readable(conn) == 0 {
                             break;
@@ -1323,13 +1309,14 @@ impl EndpointAgent {
                         }
                         s.capture.push(sktid, now, data);
                     },
-                    Drain::Udp(locport) => {
+                    SocketBinding::Udp { locport, .. } => {
                         if s.capture.space() > 0 {
                             for (t, _src, _sport, payload) in stack.take_udp(locport) {
                                 s.capture.push(sktid, t, payload);
                             }
                         }
                     }
+                    SocketBinding::Raw { .. } => {}
                 }
             }
             s.memory.set_info("buffer.capacity", s.capture.capacity as u64);
@@ -1393,6 +1380,9 @@ mod tests {
         addr: Ipv4Addr,
         raw_ok: bool,
         bound_udp: Vec<u16>,
+        /// Ports in the order `take_udp` / `udp_unbind` were called with.
+        udp_drained: Vec<u16>,
+        udp_unbound: Vec<u16>,
         raw_sends: Vec<(u64, Vec<u8>, u64)>,
         udp_sends: Vec<(u64, u16, Ipv4Addr, u16, Vec<u8>, u64)>,
         wakeups: Vec<(u64, u64)>,
@@ -1407,6 +1397,8 @@ mod tests {
                 addr: Ipv4Addr::new(10, 0, 0, 1),
                 raw_ok: true,
                 bound_udp: Vec::new(),
+                udp_drained: Vec::new(),
+                udp_unbound: Vec::new(),
                 raw_sends: Vec::new(),
                 udp_sends: Vec::new(),
                 wakeups: Vec::new(),
@@ -1444,6 +1436,7 @@ mod tests {
         }
         fn udp_unbind(&mut self, port: u16) {
             self.bound_udp.retain(|p| *p != port);
+            self.udp_unbound.push(port);
         }
         fn udp_send_at(
             &mut self,
@@ -1457,7 +1450,8 @@ mod tests {
             self.udp_sends
                 .push((time, src_port, dst, dst_port, payload.to_vec(), tag));
         }
-        fn take_udp(&mut self, _port: u16) -> Vec<(u64, Ipv4Addr, u16, Vec<u8>)> {
+        fn take_udp(&mut self, port: u16) -> Vec<(u64, Ipv4Addr, u16, Vec<u8>)> {
+            self.udp_drained.push(port);
             std::mem::take(&mut self.udp_inbox)
         }
         fn tcp_connect(&mut self, _dst: Ipv4Addr, _dst_port: u16) -> u64 {
@@ -1783,6 +1777,72 @@ mod tests {
         let _ = a.on_session_closed(1, &mut s);
         assert!(s.bound_udp.is_empty(), "teardown unbinds");
         assert_eq!(a.session_count(), 0);
+    }
+
+    /// Sessions are walked in ascending sid order and a session's sockets
+    /// in ascending sktid order wherever the walk shows: which socket is
+    /// drained first, which copy of a packet is captured first, which port
+    /// is released first. The same scenario built eight times gives one
+    /// order (a `RandomState` map gives a different one per build).
+    #[test]
+    fn session_and_socket_walks_are_in_id_order() {
+        let open = |sktid, proto, locport| Command::NOpen {
+            sktid,
+            proto,
+            locport,
+            remaddr: 0,
+            remport: 53,
+        };
+        let ok = Message::Resp(Response::Ok);
+        let filt = plab_cpf::compile(
+            "uint32_t recv(const union packet *pkt, uint32_t len) { return len; }",
+        )
+        .unwrap()
+        .encode();
+        for _ in 0..8 {
+            let mut a = agent();
+            let mut s = MockStack::new();
+            // Session 2 outranks session 1, so each opens its sockets while
+            // in control. Sockets go in descending: insertion order is not
+            // the order either.
+            for sid in [1u64, 2] {
+                authenticate(&mut a, &mut s, sid, 10 * sid as u8);
+                for sktid in (1..=8u32).rev() {
+                    let port = 4000 + 100 * sid as u16 + sktid as u16;
+                    assert_eq!(cmd(&mut a, &mut s, sid, open(sktid, Proto::Udp, port)), ok);
+                }
+            }
+            for sktid in [22u32, 21, 20] {
+                assert_eq!(cmd(&mut a, &mut s, 2, open(sktid, Proto::Raw, 0)), ok);
+                let ncap = Command::NCap { sktid, time: u64::MAX, filt: filt.clone() };
+                assert_eq!(cmd(&mut a, &mut s, 2, ncap), ok);
+            }
+            let ports: Vec<u16> =
+                (1..=2).flat_map(|sid| (1..=8).map(move |k| 4000 + 100 * sid + k)).collect();
+
+            a.service(&mut s);
+            assert_eq!(s.udp_drained, ports, "drained by (sid, sktid)");
+
+            let pkt = plab_packet::builder::icmp_echo_reply(
+                Ipv4Addr::new(10, 0, 0, 9),
+                s.addr,
+                1,
+                1,
+                b"data",
+            );
+            a.on_packet(2_000, &pkt, &mut s);
+            let Message::Resp(Response::Poll { packets, .. }) =
+                cmd(&mut a, &mut s, 2, Command::NPoll { time: 0 })
+            else {
+                panic!("expected the captured copies");
+            };
+            let copies: Vec<u32> = packets.iter().map(|(sktid, _, _)| *sktid).collect();
+            assert_eq!(copies, vec![20, 21, 22], "one copy per raw socket, by sktid");
+
+            let _ = a.on_session_closed(1, &mut s);
+            let _ = a.on_session_closed(2, &mut s);
+            assert_eq!(s.udp_unbound, ports, "released by sktid");
+        }
     }
 
     #[test]

@@ -82,8 +82,6 @@ struct TcpSinkHost {
 struct UdpEchoHost {
     node: NodeId,
     port: u16,
-    /// Datagrams echoed (for assertions).
-    echoed: u64,
 }
 
 /// Handle identifying an endpoint within a [`SimNet`].
@@ -336,15 +334,7 @@ impl SimNet {
     /// services agents. The bwest dispersion probe's destination side.
     pub fn add_udp_echo(&mut self, node: NodeId, port: u16) {
         self.sim.udp_bind(node, port);
-        self.udp_echoes.push(UdpEchoHost { node, port, echoed: 0 });
-    }
-
-    /// Datagrams echoed so far by the echo service on `node`:`port`.
-    pub fn udp_echo_count(&self, node: NodeId, port: u16) -> u64 {
-        self.udp_echoes
-            .iter()
-            .find(|e| e.node == node && e.port == port)
-            .map_or(0, |e| e.echoed)
+        self.udp_echoes.push(UdpEchoHost { node, port });
     }
 
     /// Open a controller-side listener (for endpoint-initiated control
@@ -471,10 +461,9 @@ impl SimNet {
         // UDP echo services: bounce every arrival back to its source.
         // Serviced unconditionally, like the TCP sinks — the echo must
         // depart at the delivery event's instant.
-        for e in &mut self.udp_echoes {
+        for e in &self.udp_echoes {
             for (_t, src, src_port, payload) in self.sim.udp_recv(e.node, e.port) {
                 self.sim.udp_send(e.node, e.port, src, src_port, &payload);
-                e.echoed += 1;
             }
         }
         let fired = self.sim.take_fired_timers();
@@ -543,14 +532,8 @@ impl SimNet {
         let pending = self.sim.take_pending_os(node);
         for (time, pkt) in pending {
             let disposition = {
-                let ep = &mut self.endpoints[i];
-                let mut stack = SimStack {
-                    sim: self.sim.shard_mut(node),
-                    node,
-                    ext_addr: ep.ext_addr,
-                    raw_ok: ep.raw_ok,
-                };
-                ep.reactor.on_packet(time, &pkt, &mut stack)
+                let (reactor, mut stack) = self.endpoint_io(i);
+                reactor.on_packet(time, &pkt, &mut stack)
             };
             if disposition != RawDisposition::Consume {
                 self.sim.os_process(node, &pkt);
@@ -561,20 +544,14 @@ impl SimNet {
         // Timers for this node.
         for (t_node, key) in fired {
             if *t_node == node {
-                let ep = &mut self.endpoints[i];
-                let mut stack = SimStack {
-                    sim: self.sim.shard_mut(node),
-                    node,
-                    ext_addr: ep.ext_addr,
-                    raw_ok: ep.raw_ok,
-                };
-                ep.reactor.on_wakeup(*key, &mut stack);
+                let (reactor, mut stack) = self.endpoint_io(i);
+                reactor.on_wakeup(*key, &mut stack);
                 self.flush_endpoint(i);
             }
         }
 
-        // Note which connections died before draining them (the old serve
-        // loop's order: a dying session's buffered commands still run).
+        // Note which connections died before draining them: they close
+        // after the dispatch, so a dying session's buffered commands run.
         let dead: Vec<u64> = {
             let ep = &self.endpoints[i];
             ep.reactor
@@ -589,17 +566,11 @@ impl SimNet {
         // Readiness-poll inbound bytes, dispatch queued commands under
         // deficit round-robin, then tear down dead connections.
         {
-            let ep = &mut self.endpoints[i];
-            let mut stack = SimStack {
-                sim: self.sim.shard_mut(node),
-                node,
-                ext_addr: ep.ext_addr,
-                raw_ok: ep.raw_ok,
-            };
-            ep.reactor.pump(&mut stack);
-            ep.reactor.dispatch(&mut stack);
+            let (reactor, mut stack) = self.endpoint_io(i);
+            reactor.pump(&mut stack);
+            reactor.dispatch(&mut stack);
             for sid in dead {
-                ep.reactor.on_conn_closed(sid, &mut stack);
+                reactor.on_conn_closed(sid, &mut stack);
             }
         }
         self.flush_endpoint(i);
@@ -609,30 +580,30 @@ impl SimNet {
 
         // Periodic service.
         {
-            let ep = &mut self.endpoints[i];
-            let mut stack = SimStack {
-                sim: self.sim.shard_mut(node),
-                node,
-                ext_addr: ep.ext_addr,
-                raw_ok: ep.raw_ok,
-            };
-            ep.reactor.service(&mut stack);
+            let (reactor, mut stack) = self.endpoint_io(i);
+            reactor.service(&mut stack);
         }
         self.flush_endpoint(i);
+    }
+
+    /// Endpoint `i`'s reactor and the [`SimStack`] it runs over: its node's
+    /// shard, with the endpoint's NAT address and raw-socket capability.
+    fn endpoint_io(&mut self, i: usize) -> (&mut EndpointReactor, SimStack<'_>) {
+        let ep = &mut self.endpoints[i];
+        let stack = SimStack {
+            sim: self.sim.shard_mut(ep.node),
+            node: ep.node,
+            ext_addr: ep.ext_addr,
+            raw_ok: ep.raw_ok,
+        };
+        (&mut ep.reactor, stack)
     }
 
     /// Transmit an endpoint's queued outbound frames (and close rejected
     /// or poisoned connections whose queues drained).
     fn flush_endpoint(&mut self, i: usize) {
-        let ep = &mut self.endpoints[i];
-        let node = ep.node;
-        let mut stack = SimStack {
-            sim: self.sim.shard_mut(node),
-            node,
-            ext_addr: ep.ext_addr,
-            raw_ok: ep.raw_ok,
-        };
-        ep.reactor.flush(&mut stack);
+        let (reactor, mut stack) = self.endpoint_io(i);
+        reactor.flush(&mut stack);
     }
 
     fn drain_endpoint_rendezvous(&mut self, i: usize) {

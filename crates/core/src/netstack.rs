@@ -3,13 +3,15 @@
 //! PacketLab endpoints are "software or hardware agents capable of sending
 //! and receiving packets on the Internet" (§3.1). [`NetStack`] is the
 //! narrow waist between the protocol agent ([`crate::endpoint`]) and
-//! whatever provides packets underneath — the `plab-netsim` simulator here
-//! ([`SimStack`]), a real OS socket layer in a deployment. Keeping the
-//! agent generic over this trait is what makes the endpoint logic
-//! testable and portable, mirroring the paper's point that the endpoint
-//! interface "can remain simple and universal".
+//! whatever provides packets underneath — the `plab-netsim` simulator
+//! ([`SimStack`]), real OS sockets (`crate::transport::RealStack`), or
+//! nothing but memory ([`MemStack`], for control-plane benches and churn
+//! tests). Keeping the agent generic over this trait is what makes the
+//! endpoint logic testable and portable, mirroring the paper's point that
+//! the endpoint interface "can remain simple and universal".
 
 use plab_netsim::{NodeId, Sim};
+use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
 
 /// Network and timing services an endpoint agent needs.
@@ -223,6 +225,86 @@ impl NetStack for SimStack<'_> {
             }
         }
         mine
+    }
+}
+
+/// A minimal in-memory [`NetStack`]: a clock the host sets, per-connection
+/// inboxes that feed `tcp_recv`, per-connection outboxes `tcp_send` appends
+/// to. No simulation, no sockets: nothing but the reactor and the agent
+/// runs under a control-plane bench or a thousand-session churn test.
+#[derive(Default)]
+pub struct MemStack {
+    /// What [`NetStack::clock`] reads, ns.
+    pub clock: u64,
+    /// Bytes waiting to be read, by connection.
+    pub inbox: HashMap<u64, Vec<u8>>,
+    /// Bytes sent, by connection, in ascending order: a digest over a
+    /// drain of it repeats.
+    pub outbox: BTreeMap<u64, Vec<u8>>,
+}
+
+impl MemStack {
+    /// Append `bytes` to what `conn` will read.
+    pub fn feed(&mut self, conn: u64, bytes: &[u8]) {
+        self.inbox.entry(conn).or_default().extend_from_slice(bytes);
+    }
+}
+
+impl NetStack for MemStack {
+    fn clock(&self) -> u64 {
+        self.clock
+    }
+    fn local_addr(&self) -> Ipv4Addr {
+        Ipv4Addr::new(10, 0, 0, 1)
+    }
+    fn external_addr(&self) -> Ipv4Addr {
+        Ipv4Addr::new(10, 0, 0, 1)
+    }
+    fn mtu(&self) -> u32 {
+        1500
+    }
+    fn raw_supported(&self) -> bool {
+        false
+    }
+    fn raw_send_at(&mut self, _time: u64, _packet: Vec<u8>, _tag: u64) {}
+    fn udp_bind(&mut self, _port: u16) -> bool {
+        true
+    }
+    fn udp_unbind(&mut self, _port: u16) {}
+    fn udp_send_at(
+        &mut self,
+        _time: u64,
+        _src_port: u16,
+        _dst: Ipv4Addr,
+        _dst_port: u16,
+        _payload: &[u8],
+        _tag: u64,
+    ) {
+    }
+    fn take_udp(&mut self, _port: u16) -> Vec<(u64, Ipv4Addr, u16, Vec<u8>)> {
+        Vec::new()
+    }
+    fn tcp_connect(&mut self, _dst: Ipv4Addr, _dst_port: u16) -> u64 {
+        0
+    }
+    fn tcp_send(&mut self, conn: u64, data: &[u8]) {
+        self.outbox.entry(conn).or_default().extend_from_slice(data);
+    }
+    fn tcp_recv(&mut self, conn: u64, max: usize) -> Vec<u8> {
+        let Some(buf) = self.inbox.get_mut(&conn) else { return Vec::new() };
+        let n = buf.len().min(max);
+        buf.drain(..n).collect()
+    }
+    fn tcp_readable(&self, conn: u64) -> usize {
+        self.inbox.get(&conn).map_or(0, Vec::len)
+    }
+    fn tcp_close(&mut self, _conn: u64) {}
+    fn tcp_alive(&self, _conn: u64) -> bool {
+        true
+    }
+    fn schedule_wakeup(&mut self, _key: u64, _time: u64) {}
+    fn take_send_log(&mut self) -> Vec<(u64, u64)> {
+        Vec::new()
     }
 }
 

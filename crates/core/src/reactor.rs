@@ -29,10 +29,16 @@
 //! *whose commands execute*; the reactor only decides *when queued frames
 //! get decoded, dispatched, and flushed*.
 //!
-//! The reactor is transport-agnostic: the simulation harness
-//! ([`crate::harness`]) and benches drive it with their own accept/close
-//! notifications, and all byte IO goes through the [`NetStack`] the caller
-//! passes in.
+//! The reactor is transport-agnostic, and it is the only thing that
+//! drives an [`EndpointAgent`]: all byte IO goes through the [`NetStack`]
+//! the caller passes in, and a host supplies nothing but accept and close
+//! notifications. Three hosts run it, each with the service round
+//! documented on [`EndpointReactor`]: the simulation harness
+//! ([`crate::harness`], over `SimStack`), the real-socket server
+//! ([`crate::transport::EndpointServer`], over `RealStack`), and the
+//! control-plane benches and churn tests (over
+//! [`crate::netstack::MemStack`]). What the reactor enforces is therefore
+//! enforced on every backend.
 
 use crate::endpoint::{EndpointAgent, EndpointConfig, Out};
 use crate::netstack::NetStack;
@@ -259,15 +265,17 @@ fn slot(table: &[SessionIo], sid: u64) -> Option<usize> {
 /// Drive it each service round with:
 ///
 /// 1. [`EndpointReactor::accept`] for each newly accepted connection,
-/// 2. [`EndpointReactor::pump`] to read inbound bytes (readiness-polls
+/// 2. the agent pass-throughs for what arrived since the last round
+///    ([`EndpointReactor::on_packet`], [`EndpointReactor::on_wakeup`]),
+/// 3. [`EndpointReactor::pump`] to read inbound bytes (readiness-polls
 ///    every session's connection through the [`NetStack`]),
-/// 3. [`EndpointReactor::on_conn_closed`] for connections the transport
-///    reports dead,
-/// 4. agent pass-throughs as events arrive ([`EndpointReactor::on_packet`],
-///    [`EndpointReactor::on_wakeup`], [`EndpointReactor::service`]),
-/// 5. [`EndpointReactor::dispatch`] to run queued commands under DRR, and
+/// 4. [`EndpointReactor::dispatch`] to run queued commands under DRR,
+/// 5. [`EndpointReactor::on_conn_closed`] for connections the transport
+///    reports dead — after the dispatch, so commands a dying session had
+///    already delivered still run — and
 /// 6. [`EndpointReactor::flush`] to transmit queued responses (and close
-///    rejected/poisoned connections whose queues drained).
+///    rejected/poisoned connections whose queues drained), then
+///    [`EndpointReactor::service`] and a second flush for what it queued.
 pub struct EndpointReactor {
     agent: EndpointAgent,
     /// Sessions with live IO state, in ascending sid order. `accept` hands
@@ -304,11 +312,6 @@ impl EndpointReactor {
     /// The wrapped agent (statistics, configuration).
     pub fn agent(&self) -> &EndpointAgent {
         &self.agent
-    }
-
-    /// Mutable access to the wrapped agent.
-    pub fn agent_mut(&mut self) -> &mut EndpointAgent {
-        &mut self.agent
     }
 
     /// Next session id to be assigned (for hosts that re-seed after a
@@ -453,8 +456,8 @@ impl EndpointReactor {
             if let Some(i) = slot(&self.table, sid) {
                 self.global_out_bytes += self.table[i].push_out(msg.to_frame());
             }
-            // Output for sessions with no connection (e.g. already closed)
-            // is dropped, as the blocking serve loop did.
+            // Output for a session with no connection (already closed) is
+            // dropped.
         }
     }
 

@@ -1,28 +1,33 @@
-//! Real-transport deployment: the same endpoint agent and controller
+//! Real-transport deployment: the same endpoint reactor and controller
 //! running over `std::net` sockets in real time.
 //!
-//! The simulator harness ([`crate::harness`]) is the primary evaluation
-//! substrate, but the protocol stack is transport-agnostic by
-//! construction; this module proves it by providing
+//! **Three hosts, one loop.** An endpoint is an [`EndpointReactor`] over a
+//! [`NetStack`], and every host runs the same service round (accept,
+//! wakeups, `pump`, `dispatch`, close of dead connections, `flush`,
+//! `service`, `flush`): [`crate::harness::SimNet`] over `SimStack`, the
+//! control-plane benches and churn tests over
+//! [`crate::netstack::MemStack`], and [`EndpointServer`] here over
+//! [`RealStack`]. No host touches the agent, so what a controller meets —
+//! typed `Busy` at the session cap, ring-order service, a corrupt stream
+//! closed — is the same on a socket as in the simulator. The controller's
+//! side is [`TcpChannel`]: its `recv` sleeps on the socket until the reply,
+//! the deadline or the peer's close, so it never suspends and carries the
+//! blocking [`ControlChannel`] shell.
 //!
-//! - [`TcpChannel`] — a control channel over a real `TcpStream` (its
-//!   `recv` sleeps on the socket until the reply or the deadline, so it
-//!   never suspends and carries the blocking [`ControlChannel`] shell), and
-//! - [`EndpointServer`] — an [`EndpointAgent`] driven by a real listener
-//!   with a [`RealStack`] backed by OS UDP sockets and a monotonic clock.
-//!
-//! `RealStack` deliberately reports raw sockets as unavailable: an
-//! unprivileged process cannot open them, which is exactly the
-//! software-agent case the paper discusses ("If a PacketLab endpoint is a
-//! software agent running without root privileges, it will be unable to
-//! open a raw socket"). UDP experiments — including §4's bandwidth
-//! measurement — work end-to-end over loopback; see
-//! `examples/loopback_realtime.rs`. Native TCP sockets are likewise
-//! stubbed off in this minimal deployment (`nopen(tcp)` is refused).
+//! **What `RealStack` carries.** OS UDP sockets with scheduled sends, a
+//! monotonic clock, wakeups, and the accepted control streams (handed over
+//! with [`RealStack::adopt`], then served through the `tcp_*` methods like
+//! any stack's connections). Nothing else: raw sockets are reported
+//! unavailable — the unprivileged software agent of §3.1 ("it will be
+//! unable to open a raw socket") — and `tcp_connect` refuses, so
+//! `nopen(tcp)` is answered `Unsupported`. UDP experiments, §4's bandwidth
+//! measurement included, work end-to-end over loopback; see
+//! `examples/loopback_realtime.rs`.
 
 use crate::controller::{aio, ControlChannel};
-use crate::endpoint::{EndpointAgent, EndpointConfig};
+use crate::endpoint::EndpointConfig;
 use crate::netstack::NetStack;
+use crate::reactor::EndpointReactor;
 use crate::wire::{FrameDecoder, Message};
 use std::collections::{BinaryHeap, HashMap};
 use std::io::{Read, Write};
@@ -31,9 +36,48 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// One end of a control connection: a non-blocking `TcpStream` that
+/// remembers its peer's close. [`TcpChannel`] holds the controller's end,
+/// [`RealStack`] the endpoint's.
+struct ControlStream {
+    stream: TcpStream,
+    /// The peer closed or the socket failed: nothing more will arrive.
+    closed: bool,
+}
+
+impl ControlStream {
+    fn new(stream: TcpStream) -> std::io::Result<ControlStream> {
+        stream.set_nodelay(true)?;
+        stream.set_nonblocking(true)?;
+        Ok(ControlStream { stream, closed: false })
+    }
+
+    /// Read what is waiting into `buf`; 0 when nothing is, yet or ever.
+    fn read(&mut self, buf: &mut [u8]) -> usize {
+        if !self.closed {
+            match self.stream.read(buf) {
+                Ok(0) => self.closed = true,
+                Ok(n) => return n,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
+                Err(_) => self.closed = true,
+            }
+        }
+        0
+    }
+
+    /// Blocking write for simplicity: control frames are small.
+    fn write(&mut self, data: &[u8]) {
+        let _ = self.stream.set_nonblocking(false);
+        if self.stream.write_all(data).is_err() {
+            self.closed = true;
+        }
+        let _ = self.stream.set_nonblocking(true);
+    }
+}
+
 /// A control channel over a real TCP connection.
 pub struct TcpChannel {
-    stream: TcpStream,
+    io: ControlStream,
     decoder: FrameDecoder,
     epoch: Instant,
 }
@@ -41,32 +85,21 @@ pub struct TcpChannel {
 impl TcpChannel {
     /// Connect to an endpoint's control address.
     pub fn connect(addr: SocketAddr) -> std::io::Result<TcpChannel> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        stream.set_nonblocking(true)?;
-        Ok(TcpChannel { stream, decoder: FrameDecoder::new(), epoch: Instant::now() })
+        let io = ControlStream::new(TcpStream::connect(addr)?)?;
+        Ok(TcpChannel { io, decoder: FrameDecoder::new(), epoch: Instant::now() })
     }
 
     fn pump(&mut self) {
         let mut buf = [0u8; 16384];
-        loop {
-            match self.stream.read(&mut buf) {
-                Ok(0) => break,
-                Ok(n) => self.decoder.extend(&buf[..n]),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(_) => break,
-            }
+        while let n @ 1.. = self.io.read(&mut buf) {
+            self.decoder.extend(&buf[..n]);
         }
     }
 }
 
 impl aio::Channel for TcpChannel {
     async fn send(&mut self, msg: &Message) {
-        let frame = msg.to_frame();
-        // Blocking write for simplicity: control frames are small.
-        let _ = self.stream.set_nonblocking(false);
-        let _ = self.stream.write_all(&frame);
-        let _ = self.stream.set_nonblocking(true);
+        self.io.write(&msg.to_frame());
     }
 
     async fn recv(&mut self, deadline: Option<u64>) -> Option<Message> {
@@ -74,6 +107,11 @@ impl aio::Channel for TcpChannel {
             self.pump();
             if let Ok(Some(m)) = self.decoder.next_message() {
                 return Some(m);
+            }
+            // A closed peer is not a slow one: what it sent is decoded, and
+            // no deadline will bring more.
+            if self.io.closed {
+                return None;
             }
             if let Some(d) = deadline {
                 if aio::Channel::now(self) >= d {
@@ -117,12 +155,17 @@ impl Ord for PendingSend {
     }
 }
 
-/// [`NetStack`] over real OS sockets: UDP only, monotonic ns clock, no
-/// raw-socket privilege.
+/// [`NetStack`] over real OS sockets: UDP experiment sockets, accepted
+/// control streams, monotonic ns clock, no raw-socket privilege.
 pub struct RealStack {
     epoch: Instant,
     local: Ipv4Addr,
     udp: HashMap<u16, UdpSocket>,
+    /// Control streams by connection handle (looked up, never iterated).
+    conns: HashMap<u64, ControlStream>,
+    next_conn: u64,
+    /// Where `tcp_recv` reads into: one buffer, not one per poll per session.
+    scratch: Box<[u8; 16384]>,
     pending: BinaryHeap<PendingSend>,
     wakeups: Vec<(u64, u64)>,
     send_log: Vec<(u64, u64)>,
@@ -135,10 +178,26 @@ impl RealStack {
             epoch: Instant::now(),
             local,
             udp: HashMap::new(),
+            conns: HashMap::new(),
+            // 0 is what `tcp_connect` answers: a handle that is never alive.
+            next_conn: 1,
+            scratch: Box::new([0; 16384]),
             pending: BinaryHeap::new(),
             wakeups: Vec::new(),
             send_log: Vec::new(),
         }
+    }
+
+    /// Take over an accepted control stream; returns the connection handle
+    /// the `tcp_*` methods know it by (one that is not alive, should the
+    /// socket refuse to go non-blocking).
+    pub fn adopt(&mut self, stream: TcpStream) -> u64 {
+        let conn = self.next_conn;
+        self.next_conn += 1;
+        if let Ok(stream) = ControlStream::new(stream) {
+            self.conns.insert(conn, stream);
+        }
+        conn
     }
 
     /// Fire due scheduled sends; returns wakeup keys that are due.
@@ -191,7 +250,7 @@ impl NetStack for RealStack {
     }
 
     fn tcp_supported(&self) -> bool {
-        false // minimal loopback deployment is UDP-only
+        false // experiment sockets are UDP-only; control streams are adopted
     }
 
     fn raw_send_at(&mut self, _time: u64, _packet: Vec<u8>, _tag: u64) {
@@ -254,20 +313,28 @@ impl NetStack for RealStack {
         0 // never alive; nopen(tcp) paths are not offered by this stack
     }
 
-    fn tcp_send(&mut self, _conn: u64, _data: &[u8]) {}
+    fn tcp_send(&mut self, conn: u64, data: &[u8]) {
+        if let Some(c) = self.conns.get_mut(&conn) {
+            c.write(data);
+        }
+    }
 
-    fn tcp_recv(&mut self, _conn: u64, _max: usize) -> Vec<u8> {
-        Vec::new()
+    fn tcp_recv(&mut self, conn: u64, max: usize) -> Vec<u8> {
+        let buf = &mut self.scratch[..max.min(16384)];
+        let n = self.conns.get_mut(&conn).map_or(0, |c| c.read(buf));
+        buf[..n].to_vec()
     }
 
     fn tcp_readable(&self, _conn: u64) -> usize {
-        0
+        0 // control streams are read, never sized; no experiment TCP here
     }
 
-    fn tcp_close(&mut self, _conn: u64) {}
+    fn tcp_close(&mut self, conn: u64) {
+        self.conns.remove(&conn); // dropping the stream closes it
+    }
 
-    fn tcp_alive(&self, _conn: u64) -> bool {
-        false
+    fn tcp_alive(&self, conn: u64) -> bool {
+        self.conns.get(&conn).is_some_and(|c| !c.closed)
     }
 
     fn schedule_wakeup(&mut self, key: u64, time: u64) {
@@ -283,10 +350,8 @@ impl NetStack for RealStack {
 /// cadence. Run it on a thread; flip `stop` to shut down.
 pub struct EndpointServer {
     listener: TcpListener,
-    agent: EndpointAgent,
+    reactor: EndpointReactor,
     stack: RealStack,
-    conns: HashMap<u64, (TcpStream, FrameDecoder)>,
-    next_sid: u64,
 }
 
 impl EndpointServer {
@@ -300,10 +365,8 @@ impl EndpointServer {
         };
         Ok(EndpointServer {
             listener,
-            agent: EndpointAgent::new(config),
+            reactor: EndpointReactor::new(config),
             stack: RealStack::new(local),
-            conns: HashMap::new(),
-            next_sid: 1,
         })
     }
 
@@ -320,64 +383,30 @@ impl EndpointServer {
         }
     }
 
-    /// One polling iteration (exposed for tests).
+    /// One service round (exposed for tests): the round
+    /// [`EndpointReactor`] documents, as the simulator's host runs it.
     pub fn poll_once(&mut self) {
-        // Accept.
+        let (reactor, stack) = (&mut self.reactor, &mut self.stack);
         while let Ok((stream, _)) = self.listener.accept() {
-            let _ = stream.set_nodelay(true);
-            let _ = stream.set_nonblocking(true);
-            let sid = self.next_sid;
-            self.next_sid += 1;
-            self.agent.on_session_open(sid);
-            self.conns.insert(sid, (stream, FrameDecoder::new()));
+            reactor.accept(stack.adopt(stream));
         }
         // Scheduled sends + wakeups.
-        let mut frames = Vec::new();
-        for key in self.stack.tick() {
-            frames.extend(self.agent.on_wakeup(key, &mut self.stack));
+        for key in stack.tick() {
+            reactor.on_wakeup(key, stack);
         }
-        // Drain control connections.
-        let sids: Vec<u64> = self.conns.keys().copied().collect();
-        let mut buf = [0u8; 16384];
-        for sid in sids {
-            let mut dead = false;
-            loop {
-                let (stream, decoder) = self.conns.get_mut(&sid).unwrap();
-                match stream.read(&mut buf) {
-                    Ok(0) => {
-                        dead = true;
-                        break;
-                    }
-                    Ok(n) => decoder.extend(&buf[..n]),
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(_) => {
-                        dead = true;
-                        break;
-                    }
-                }
-            }
-            loop {
-                let msg = {
-                    let (_, decoder) = self.conns.get_mut(&sid).unwrap();
-                    decoder.next_message().unwrap_or(None)
-                };
-                let Some(msg) = msg else { break };
-                frames.extend(self.agent.on_message(sid, msg, &mut self.stack));
-            }
-            if dead {
-                self.conns.remove(&sid);
-                frames.extend(self.agent.on_session_closed(sid, &mut self.stack));
-            }
+        reactor.pump(stack);
+        reactor.dispatch(stack);
+        // A read that hit EOF handed over everything before it, so a dying
+        // session's buffered commands ran in the dispatch above.
+        let dead: Vec<(u64, u64)> =
+            reactor.sessions().filter(|&(_, conn)| !stack.tcp_alive(conn)).collect();
+        for (sid, conn) in dead {
+            reactor.on_conn_closed(sid, stack);
+            stack.tcp_close(conn);
         }
+        reactor.flush(stack);
         // Periodic service (drains UDP inboxes into capture buffers).
-        frames.extend(self.agent.service(&mut self.stack));
-        // Transmit.
-        for (sid, msg) in frames {
-            if let Some((stream, _)) = self.conns.get_mut(&sid) {
-                let _ = stream.set_nonblocking(false);
-                let _ = stream.write_all(&msg.to_frame());
-                let _ = stream.set_nonblocking(true);
-            }
-        }
+        reactor.service(stack);
+        reactor.flush(stack);
     }
 }

@@ -13,13 +13,12 @@ use packetlab::controller::{ControlPlane, Controller, ControllerError, Credentia
 use packetlab::descriptor::ExperimentDescriptor;
 use packetlab::endpoint::EndpointConfig;
 use packetlab::harness::{EndpointId, SimChannel, SimNet};
-use packetlab::netstack::NetStack;
+use packetlab::netstack::MemStack;
 use packetlab::reactor::EndpointReactor;
 use packetlab::wire::{Command, ErrCode, Message, Notification};
 use plab_crypto::{Keypair, KeyHash};
 use plab_netsim::{LinkParams, NodeId, TopologyBuilder, SECOND};
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
 use std::rc::Rc;
 
@@ -345,84 +344,6 @@ fn session_cap_rejects_with_typed_busy_and_counts() {
 // Reactor churn at scale: 1 000 concurrent sessions with crash/restart.
 // ---------------------------------------------------------------------------
 
-/// A minimal in-memory [`NetStack`]: per-connection inboxes feed
-/// `tcp_recv`, `tcp_send` accumulates per-connection outboxes. No
-/// simulation, no crypto — this drives the reactor directly, which is the
-/// only way to hold 1 000 live sessions in a debug-profile test.
-struct LoopStack {
-    clock: u64,
-    inbox: HashMap<u64, Vec<u8>>,
-    outbox: BTreeMap<u64, Vec<u8>>,
-}
-
-impl LoopStack {
-    fn new() -> LoopStack {
-        LoopStack { clock: 1_000, inbox: HashMap::new(), outbox: BTreeMap::new() }
-    }
-
-    fn feed(&mut self, conn: u64, bytes: &[u8]) {
-        self.inbox.entry(conn).or_default().extend_from_slice(bytes);
-    }
-}
-
-impl NetStack for LoopStack {
-    fn clock(&self) -> u64 {
-        self.clock
-    }
-    fn local_addr(&self) -> Ipv4Addr {
-        Ipv4Addr::new(10, 0, 0, 1)
-    }
-    fn external_addr(&self) -> Ipv4Addr {
-        Ipv4Addr::new(10, 0, 0, 1)
-    }
-    fn mtu(&self) -> u32 {
-        1500
-    }
-    fn raw_supported(&self) -> bool {
-        false
-    }
-    fn raw_send_at(&mut self, _time: u64, _packet: Vec<u8>, _tag: u64) {}
-    fn udp_bind(&mut self, _port: u16) -> bool {
-        true
-    }
-    fn udp_unbind(&mut self, _port: u16) {}
-    fn udp_send_at(
-        &mut self,
-        _time: u64,
-        _src_port: u16,
-        _dst: Ipv4Addr,
-        _dst_port: u16,
-        _payload: &[u8],
-        _tag: u64,
-    ) {
-    }
-    fn take_udp(&mut self, _port: u16) -> Vec<(u64, Ipv4Addr, u16, Vec<u8>)> {
-        Vec::new()
-    }
-    fn tcp_connect(&mut self, _dst: Ipv4Addr, _dst_port: u16) -> u64 {
-        0
-    }
-    fn tcp_send(&mut self, conn: u64, data: &[u8]) {
-        self.outbox.entry(conn).or_default().extend_from_slice(data);
-    }
-    fn tcp_recv(&mut self, conn: u64, max: usize) -> Vec<u8> {
-        let Some(buf) = self.inbox.get_mut(&conn) else { return Vec::new() };
-        let n = buf.len().min(max);
-        buf.drain(..n).collect()
-    }
-    fn tcp_readable(&self, conn: u64) -> usize {
-        self.inbox.get(&conn).map_or(0, Vec::len)
-    }
-    fn tcp_close(&mut self, _conn: u64) {}
-    fn tcp_alive(&self, _conn: u64) -> bool {
-        true
-    }
-    fn schedule_wakeup(&mut self, _key: u64, _time: u64) {}
-    fn take_send_log(&mut self) -> Vec<(u64, u64)> {
-        Vec::new()
-    }
-}
-
 fn xorshift(state: &mut u64) -> u64 {
     let mut x = *state;
     x ^= x << 13;
@@ -445,7 +366,7 @@ fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
 /// from the seed. Returns a digest over every flushed byte (in connection
 /// order) plus the final live-session count.
 fn churn_run(seed: u64) -> (u64, usize) {
-    let mut stack = LoopStack::new();
+    let mut stack = MemStack::default();
     let mut reactor = EndpointReactor::new(EndpointConfig {
         max_sessions: 2_048,
         ..Default::default()

@@ -1,38 +1,69 @@
 //! The real-socket deployment, tested headlessly: endpoint server thread,
 //! controller over a real TCP control channel, UDP experiment over
-//! loopback.
+//! loopback — and what the reactor enforces (session cap, ring-order
+//! service, poisoned-stream close), asserted on this backend too.
 
 use packetlab::cert::Restrictions;
-use packetlab::controller::{ControlPlane, Controller, ControllerError, Credentials};
+use packetlab::controller::robust::{Dialer, RetryPolicy, RobustController};
+use packetlab::controller::{
+    aio, ControlChannel, ControlPlane, Controller, ControllerError, Credentials,
+};
 use packetlab::descriptor::ExperimentDescriptor;
 use packetlab::endpoint::EndpointConfig;
 use packetlab::transport::{EndpointServer, TcpChannel};
-use packetlab::wire::ErrCode;
+use packetlab::wire::{Command, ErrCode, Message, Response};
 use plab_crypto::{Keypair, KeyHash};
-use std::net::UdpSocket;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn kp(seed: u8) -> Keypair {
     Keypair::from_seed(&[seed; 32])
 }
 
 struct Deployment {
-    control_addr: std::net::SocketAddr,
+    control_addr: SocketAddr,
     stop: Arc<AtomicBool>,
     thread: Option<std::thread::JoinHandle<()>>,
 }
 
+fn bind(operator: &Keypair, max_sessions: usize) -> EndpointServer {
+    EndpointServer::bind(
+        "127.0.0.1:0".parse().unwrap(),
+        EndpointConfig {
+            trusted_keys: vec![KeyHash::of(&operator.public)],
+            max_sessions,
+            ..Default::default()
+        },
+    )
+    .unwrap()
+}
+
+fn creds(operator: &Keypair, control_addr: SocketAddr) -> Credentials {
+    let experimenter = kp(42);
+    Credentials::issue(
+        operator,
+        &experimenter,
+        ExperimentDescriptor {
+            name: "loopback-test".into(),
+            controller_addr: control_addr.to_string(),
+            info_url: String::new(),
+            experimenter: KeyHash::of(&experimenter.public),
+        },
+        Restrictions::none(),
+        1,
+    )
+}
+
 impl Deployment {
     fn start(operator: &Keypair) -> Deployment {
-        let server = EndpointServer::bind(
-            "127.0.0.1:0".parse().unwrap(),
-            EndpointConfig {
-                trusted_keys: vec![KeyHash::of(&operator.public)],
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        Deployment::start_capped(operator, EndpointConfig::default().max_sessions)
+    }
+
+    fn start_capped(operator: &Keypair, max_sessions: usize) -> Deployment {
+        let server = bind(operator, max_sessions);
         let control_addr = server.local_addr();
         let stop = Arc::new(AtomicBool::new(false));
         let thread = {
@@ -43,21 +74,9 @@ impl Deployment {
     }
 
     fn connect(&self, operator: &Keypair) -> Controller<TcpChannel> {
-        let experimenter = kp(42);
-        let creds = Credentials::issue(
-            operator,
-            &experimenter,
-            ExperimentDescriptor {
-                name: "loopback-test".into(),
-                controller_addr: self.control_addr.to_string(),
-                info_url: String::new(),
-                experimenter: KeyHash::of(&experimenter.public),
-            },
-            Restrictions::none(),
-            1,
-        );
         let chan = TcpChannel::connect(self.control_addr).unwrap();
-        Controller::connect(chan, &creds).expect("authenticate over real TCP")
+        Controller::connect(chan, &creds(operator, self.control_addr))
+            .expect("authenticate over real TCP")
     }
 }
 
@@ -168,4 +187,158 @@ fn wrong_operator_rejected_over_real_tcp() {
     );
     let chan = TcpChannel::connect(d.control_addr).unwrap();
     assert!(Controller::connect(chan, &creds).is_err());
+}
+
+/// Dials the deployment over real TCP. Its first backoff drops `holder`,
+/// the controller occupying the endpoint's only session, so the redial
+/// after it finds a free slot.
+struct TcpDialer {
+    addr: SocketAddr,
+    epoch: Instant,
+    holder: Option<Controller<TcpChannel>>,
+}
+
+impl aio::Dialer for TcpDialer {
+    type Chan = TcpChannel;
+
+    async fn dial(&mut self) -> Option<TcpChannel> {
+        TcpChannel::connect(self.addr).ok()
+    }
+
+    fn now(&self) -> u64 {
+        self.epoch.elapsed().as_nanos() as u64
+    }
+
+    async fn wait_until(&mut self, time: u64) {
+        self.holder = None;
+        std::thread::sleep(Duration::from_nanos(time.saturating_sub(aio::Dialer::now(self))));
+    }
+}
+
+impl Dialer for TcpDialer {}
+
+/// The session cap is enforced on real sockets as it is in the simulator
+/// (`contention.rs::session_cap_rejects_with_typed_busy_and_counts`): an
+/// over-capacity handshake is answered with a typed `Busy` at once, and a
+/// robust controller counts it, backs off and gets in when a slot frees.
+#[test]
+fn session_cap_answers_typed_busy_over_real_tcp() {
+    let operator = kp(1);
+    let d = Deployment::start_capped(&operator, 1);
+    let mut first = d.connect(&operator);
+    first.read_clock().unwrap();
+
+    let creds = creds(&operator, d.control_addr);
+    let asked = Instant::now();
+    let chan = TcpChannel::connect(d.control_addr).unwrap();
+    match Controller::connect(chan, &creds) {
+        Err(ControllerError::Endpoint(ErrCode::Busy, _)) => {}
+        Err(other) => panic!("expected typed Busy at capacity, got {other:?}"),
+        Ok(_) => panic!("expected typed Busy at capacity, got a session"),
+    }
+    assert!(asked.elapsed() < Duration::from_secs(1), "refused at once, not by timeout");
+    first.read_clock().unwrap();
+
+    plab_obs::enable();
+    plab_obs::reset();
+    let dialer = TcpDialer { addr: d.control_addr, epoch: Instant::now(), holder: Some(first) };
+    let policy = RetryPolicy { base_backoff: 20_000_000, ..Default::default() };
+    let mut robust = RobustController::connect(dialer, creds, policy).expect("admitted on redial");
+    assert!(robust.stats.failed_dials >= 1 && robust.stats.connects == 1, "{:?}", robust.stats);
+    assert!(plab_obs::metrics::counter("controller.busy_rejections") >= 1);
+    robust.read_clock().unwrap();
+}
+
+/// A length-prefixed frame no `Message` decodes from poisons its stream:
+/// the server closes that connection, and the session next to it never
+/// notices.
+#[test]
+fn corrupt_frame_closes_its_connection_and_no_other() {
+    let operator = kp(1);
+    let d = Deployment::start(&operator);
+    let mut neighbour = d.connect(&operator);
+
+    let mut bad = TcpStream::connect(d.control_addr).unwrap();
+    bad.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+    bad.write_all(&[1, 0, 0, 0, 0xff]).unwrap();
+    let mut buf = [0u8; 64];
+    assert!(matches!(bad.read(&mut buf), Ok(0)), "the server hangs up on a corrupt stream");
+
+    neighbour.mwrite(64, vec![7; 4]).unwrap();
+    assert_eq!(neighbour.mread(64, 4).unwrap(), vec![7; 4]);
+}
+
+/// Run the server on this thread until `chan` has a message.
+fn serve_until_reply(server: &mut EndpointServer, chan: &mut TcpChannel) -> Message {
+    for _ in 0..20_000 {
+        server.poll_once();
+        if let Some(msg) = chan.recv(Some(0)) {
+            return msg;
+        }
+        std::thread::sleep(Duration::from_micros(100));
+    }
+    panic!("no reply within 2 s");
+}
+
+/// Commands queued on two sessions in one service round run in the DRR
+/// ring's order — sid order, read from where the last round stopped — on
+/// every run. The Hellos go last session first so the ring rests on
+/// session 1; when both then authenticate at equal priority in one round,
+/// §3.3 hands control to session 1, whichever wrote first and whatever
+/// order a hash map would list the connections in.
+#[test]
+fn queued_sessions_are_served_in_sid_order() {
+    let operator = kp(1);
+    for _ in 0..8 {
+        let mut server = bind(&operator, 8);
+        let addr = server.local_addr();
+        let creds = creds(&operator, addr);
+        // Accepted one by one: sids 1 and 2.
+        let mut chans: Vec<TcpChannel> = (0..2)
+            .map(|_| {
+                let chan = TcpChannel::connect(addr).unwrap();
+                server.poll_once();
+                chan
+            })
+            .collect();
+        // Session 2 goes first at every step; both Auth frames are in the
+        // server's socket buffers before the round that serves them.
+        let mut auths = Vec::new();
+        for chan in chans.iter_mut().rev() {
+            chan.send(&Message::Hello { version: packetlab::PROTOCOL_VERSION });
+            let Message::HelloAck { nonce, .. } = serve_until_reply(&mut server, chan) else {
+                panic!("expected HelloAck");
+            };
+            auths.push(creds.auth_message(&nonce));
+        }
+        for (chan, auth) in chans.iter_mut().rev().zip(&auths) {
+            chan.send(auth);
+        }
+        std::thread::sleep(Duration::from_millis(20));
+        for chan in chans.iter_mut().rev() {
+            assert_eq!(serve_until_reply(&mut server, chan), Message::AuthOk);
+            chan.send(&Message::Cmd(Command::MRead { memaddr: 0, bytecnt: 8 }));
+        }
+        let first = serve_until_reply(&mut server, &mut chans[0]);
+        assert!(matches!(first, Message::Resp(Response::Mem { .. })), "sid 1 in control: {first:?}");
+        let second = serve_until_reply(&mut server, &mut chans[1]);
+        assert!(
+            matches!(second, Message::Resp(Response::Err { code: ErrCode::Suspended, .. })),
+            "sid 2 suspended: {second:?}"
+        );
+    }
+}
+
+/// A server that went away is a failed call, not a slow reply: the
+/// request fails as soon as the close is seen, far inside its timeout.
+#[test]
+fn closed_peer_fails_the_call_before_its_timeout() {
+    let operator = kp(1);
+    let d = Deployment::start(&operator);
+    let mut ctrl = d.connect(&operator);
+    ctrl.set_request_timeout(3_000_000_000);
+    drop(d);
+    let asked = Instant::now();
+    assert_eq!(ctrl.read_clock(), Err(ControllerError::Timeout));
+    assert!(asked.elapsed() < Duration::from_secs(1), "took {:?}", asked.elapsed());
 }

@@ -96,7 +96,7 @@ impl BufPool {
         let rc = self.inner.pop_free();
         let mut frame = Frame {
             buf: Some(rc),
-            pool: Some(self.inner.clone()),
+            pool: self.inner.clone(),
             off: 0,
             len: WHOLE,
         };
@@ -120,7 +120,7 @@ impl BufPool {
         self.inner.count_take();
         Frame {
             buf: Some(Arc::new(buf)),
-            pool: Some(self.inner.clone()),
+            pool: self.inner.clone(),
             off: 0,
             len: WHOLE,
         }
@@ -187,24 +187,13 @@ impl BufPool {
 pub struct Frame {
     /// Always `Some` until `Drop` (taken there to release the Arc).
     buf: Option<Arc<Vec<u8>>>,
-    pool: Option<Arc<PoolShared>>,
+    pool: Arc<PoolShared>,
     off: u32,
     /// Slice length, or [`WHOLE`] for "track the buffer's full length".
     len: u32,
 }
 
 impl Frame {
-    /// A standalone (pool-less) frame, for tests and external callers;
-    /// its buffer is freed rather than recycled.
-    pub fn from_vec(buf: Vec<u8>) -> Frame {
-        Frame {
-            buf: Some(Arc::new(buf)),
-            pool: None,
-            off: 0,
-            len: WHOLE,
-        }
-    }
-
     fn rc(&self) -> &Arc<Vec<u8>> {
         self.buf.as_ref().expect("frame buffer live until drop")
     }
@@ -229,18 +218,12 @@ impl Frame {
     pub fn make_mut(&mut self) -> &mut Vec<u8> {
         let shared = Arc::strong_count(self.rc()) > 1;
         if shared || self.len != WHOLE {
-            let fresh = match &self.pool {
-                Some(pool) => {
-                    pool.count_take();
-                    pool.cow_copies.fetch_add(1, Relaxed);
-                    pool.pop_free()
-                }
-                None => Arc::default(),
-            };
+            self.pool.count_take();
+            self.pool.cow_copies.fetch_add(1, Relaxed);
+            let mut fresh = self.pool.pop_free();
             static COW: plab_obs::metrics::Counter =
                 plab_obs::metrics::Counter::new("netsim.pool.cow_copies");
             COW.inc();
-            let mut fresh = fresh;
             {
                 let v = Arc::get_mut(&mut fresh).expect("free-list buffers are unique");
                 v.clear();
@@ -264,20 +247,15 @@ impl Frame {
 
 /// End-of-life check shared by `Drop` and copy-on-write: if `rc` was the
 /// last reference, return the buffer to the pool.
-fn release(pool: &Option<Arc<PoolShared>>, rc: Arc<Vec<u8>>) {
+fn release(pool: &PoolShared, rc: Arc<Vec<u8>>) {
     if Arc::strong_count(&rc) == 1 {
-        match pool {
-            Some(pool) => pool.recycle(rc),
-            None => drop(rc),
-        }
+        pool.recycle(rc);
     }
 }
 
 impl Clone for Frame {
     fn clone(&self) -> Frame {
-        if let Some(pool) = &self.pool {
-            pool.borrowed.fetch_add(1, Relaxed);
-        }
+        self.pool.borrowed.fetch_add(1, Relaxed);
         Frame {
             buf: self.buf.clone(),
             pool: self.pool.clone(),

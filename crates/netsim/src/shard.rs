@@ -174,12 +174,6 @@ impl ShardedSim {
         self.window
     }
 
-    /// Force the number of advance threads (≥ 1). Results are identical
-    /// regardless; exposed so tests can assert exactly that.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-    }
-
     /// The shards, in index order (per-shard traces and stats).
     pub fn shards(&self) -> &[Sim] {
         &self.shards

@@ -333,16 +333,6 @@ impl Sim {
         }
     }
 
-    /// Run until no events remain or `limit` is reached.
-    pub fn run_to_quiescence(&mut self, limit: SimTime) {
-        while let Some(t) = self.events.peek_time() {
-            if t > limit {
-                break;
-            }
-            self.step();
-        }
-    }
-
     /// Time of the next pending event, if any.
     pub fn next_event_time(&self) -> Option<SimTime> {
         self.events.peek_time()

@@ -225,11 +225,6 @@ impl TcpHost {
         self.listeners.entry(port).or_default();
     }
 
-    /// Stop listening on `port`.
-    pub fn unlisten(&mut self, port: u16) {
-        self.listeners.remove(&port);
-    }
-
     /// Pop an established connection from `port`'s accept queue.
     pub fn accept(&mut self, port: u16) -> Option<u64> {
         self.listeners.get_mut(&port)?.pop_front()

@@ -384,8 +384,7 @@ async fn run_task(
                 })
         }
         Program::Bwest { sink_port, train_len, payload_len } => {
-            let cfg =
-                bwest::BwestConfig { train_len, train_payload: payload_len, ..Default::default() };
+            let cfg = bwest::BwestConfig { train_len, train_payload: payload_len };
             bwest::aio::measure_uplink_dispersion(&mut ctrl, sink_port, &cfg).await.map(|d| {
                 match d {
                     Some(d) => Detail::Bwest {
