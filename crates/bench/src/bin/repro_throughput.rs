@@ -177,18 +177,13 @@ fn main() {
         out.push_str(&format!(
             "  \"fusion\": {{\n    \"monitors\": {n},\n    \"sections\": {},\n    \
              \"orig_insns\": {},\n    \"fused_insns\": {},\n    \"superinsns\": {},\n    \
-             \"dedup_sites\": {},\n    \"dedup_slots\": {},\n    \"replay_sections\": {},\n    \
-             \"dedup_hits\": {},\n    \"dedup_misses\": {},\n    \"replays\": {},\n    \
+             \"replay_sections\": {},\n    \"replays\": {},\n    \
              \"superinsn_len_hist\": [{}]\n  }},\n",
             s.sections,
             s.orig_insns,
             s.fused_insns,
             s.superinsns,
-            s.dedup_sites,
-            s.dedup_slots,
             s.replay_sections,
-            s.dedup_hits,
-            s.dedup_misses,
             s.replays,
             s.super_len.map(|c| c.to_string()).join(",")
         ));

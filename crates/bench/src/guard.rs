@@ -228,8 +228,8 @@ fn time_batch(batch: u64, op: &mut impl FnMut() -> u64) -> f64 {
 }
 
 /// Fused adjudication: the depth-4 Figure-2 chain (the fusion sweep's
-/// headline point: deep enough that prefix replay and load dedup carry
-/// the number, small enough to stay cache-resident) against
+/// headline point: deep enough that prefix replay carries the number,
+/// small enough to stay cache-resident) against
 /// `repro_throughput`'s 4-monitor `send_adjudications_per_sec`. Losing
 /// fusion entirely is a 3x cliff.
 fn throughput(ctx: &Ctx) -> Vec<Check> {

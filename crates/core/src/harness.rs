@@ -622,10 +622,21 @@ impl SimNet {
         }
         loop {
             let frame = match &mut self.endpoints[i].rv_conn {
-                Some((_, dec)) => dec.next_frame().unwrap_or(None),
-                None => None,
+                Some((_, dec)) => dec.next_frame(),
+                None => Ok(None),
             };
-            let Some(payload) = frame else { break };
+            let payload = match frame {
+                Ok(Some(payload)) => payload,
+                Ok(None) => break,
+                Err(_) => {
+                    // A poisoned stream has no framing left to recover:
+                    // hang up rather than hold a connection that can
+                    // never deliver another announcement.
+                    self.sim.tcp_close(node, conn);
+                    self.endpoints[i].rv_conn = None;
+                    break;
+                }
+            };
             if let Some(RvMessage::Announce { descriptor, .. }) = RvMessage::decode(&payload) {
                 self.endpoints[i].announcements.push(descriptor.clone());
                 if self.endpoints[i].auto_dial {
@@ -672,7 +683,7 @@ impl SimNet {
             // A session can be pruned mid-pass when a publish batch finds
             // its connection already closed; skip it here rather than
             // draining a stale slot.
-            let Some((conn, closed)) = self.rendezvous[i]
+            let Some((conn, mut closed)) = self.rendezvous[i]
                 .sessions
                 .get(&sid)
                 .map(|sc| sc.conn)
@@ -695,16 +706,20 @@ impl SimNet {
                     .extend(&data);
             }
             loop {
-                let payload = {
-                    let rv = &mut self.rendezvous[i];
-                    rv.sessions
-                        .get_mut(&sid)
-                        .unwrap()
-                        .decoder
-                        .next_frame()
-                        .unwrap_or(None)
+                let frame =
+                    self.rendezvous[i].sessions.get_mut(&sid).unwrap().decoder.next_frame();
+                let payload = match frame {
+                    Ok(Some(payload)) => payload,
+                    Ok(None) => break,
+                    Err(_) => {
+                        // The decoder answers `Err` for good: hang up, or
+                        // the session (and its subscriber slot) would live
+                        // until the peer chose to close.
+                        self.sim.tcp_close(node, conn);
+                        closed = true;
+                        break;
+                    }
                 };
-                let Some(payload) = payload else { break };
                 let Some(msg) = RvMessage::decode(&payload) else { continue };
                 let replies = self.rendezvous[i].server.on_message(sid, msg);
                 for (to_sid, reply) in replies {
@@ -720,7 +735,7 @@ impl SimNet {
                             let frame = rv_frame(&reply);
                             self.sim.tcp_send(node, c, &frame);
                         }
-                        Some(_) => {
+                        Some(_) if to_sid != sid => {
                             // The subscriber hung up during the publish
                             // batch: its sid still maps to a dead
                             // connection. Waking it would queue bytes on
@@ -729,11 +744,14 @@ impl SimNet {
                             self.rendezvous[i].sessions.remove(&to_sid);
                             self.rendezvous[i].server.on_session_closed(to_sid);
                         }
-                        None => {}
+                        // The session being drained hung up behind its own
+                        // message: its buffered frames still run, and it is
+                        // pruned below.
+                        _ => {}
                     }
                 }
             }
-            if closed && self.rendezvous[i].sessions.contains_key(&sid) {
+            if closed {
                 self.rendezvous[i].sessions.remove(&sid);
                 self.rendezvous[i].server.on_session_closed(sid);
             }
@@ -743,11 +761,7 @@ impl SimNet {
 }
 
 fn rv_frame(msg: &RvMessage) -> Vec<u8> {
-    let payload = msg.encode();
-    let mut out = Vec::with_capacity(4 + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
+    crate::wire::framed(|w| msg.write(w))
 }
 
 fn parse_addr(s: &str) -> Option<(Ipv4Addr, u16)> {

@@ -17,18 +17,18 @@
 //! # Execution engines
 //!
 //! PFVM has one dispatch loop (`plab_filter::lower`) and two drivers over
-//! it. A set is adjudicated by the chain driver, a cached **fused**
-//! execution ([`plab_filter::FusedVm`]): the whole chain prepared as one
-//! threaded program with cross-monitor field-load dedup and shared-prefix
-//! replay. The cache is invalidated — and eagerly rebuilt, carrying every
-//! monitor's persistent memory and fuel attribution across — when a
-//! monitor is [installed](MonitorSet::install) or
-//! [removed](MonitorSet::remove). [`MonitorSet::instantiate_sequential`]
-//! walks one single-program driver ([`plab_filter::Vm`]) per monitor: it
-//! is the reference the fuzz and property suites, and the repo
-//! benchmark's `monitor_chain` check, hold the fused driver bit-identical
-//! to on verdicts, persistent memory, and per-monitor fuel — which is why
-//! it stays.
+//! it. A set is adjudicated by the chain driver, a **fused** execution
+//! ([`plab_filter::FusedVm`]): the whole chain prepared once, when the
+//! certificates are presented, as one threaded program with
+//! shared-prefix replay between identical monitors. A set is built by
+//! [`MonitorSet::instantiate`] and lives as long as its session; nothing
+//! adds or removes a monitor afterwards (Table 1 has no such operation,
+//! and re-authentication builds a fresh set).
+//! [`MonitorSet::instantiate_sequential`] walks one single-program driver
+//! ([`plab_filter::Vm`]) per monitor: it is the reference the fuzz and
+//! property suites, and the repo benchmark's `monitor_chain` check, hold
+//! the fused driver bit-identical to on verdicts, persistent memory, and
+//! per-monitor fuel — which is why it stays.
 
 use plab_filter::{EntryPoint, FuseStats, FusedVm, Program, Vm, VmConfig};
 
@@ -39,16 +39,8 @@ use plab_filter::{EntryPoint, FuseStats, FusedVm, Program, Vm, VmConfig};
 enum Engine {
     /// One `Vm` per monitor, walked in order (reference semantics).
     Sequential(Vec<Vm>),
-    /// Cached fused chain (the default engine).
-    Fused {
-        fused: FusedVm,
-        /// Per-monitor fuel attribution accumulated by *earlier*
-        /// incarnations of the fused chain (each rebuild starts the inner
-        /// counters at zero).
-        base_attributed: Vec<u64>,
-        /// Times the fused cache was invalidated and rebuilt.
-        rebuilds: u64,
-    },
+    /// Fused chain (the default engine).
+    Fused(FusedVm),
 }
 
 /// The set of monitors guarding one experiment session.
@@ -95,62 +87,18 @@ fn decode_all(encoded: &[Vec<u8>]) -> Result<Vec<Program>, MonitorError> {
         .collect()
 }
 
-/// Build a fused chain over `segments` (fresh zeroed memory when `None`),
-/// mapping validation failures to [`MonitorError`].
-fn build_fused(
-    programs: Vec<Program>,
-    segments: Option<Vec<Vec<u8>>>,
-) -> Result<FusedVm, MonitorError> {
-    let fuels = vec![VmConfig::default().fuel; programs.len()];
-    let fused = match segments {
-        Some(segments) => FusedVm::with_persistent(programs, fuels, segments),
-        None => FusedVm::new(programs, fuels),
-    }
-    .map_err(|(i, e)| MonitorError::Invalid(i, e.to_string()))?;
-    record_build_metrics(&fused.stats());
-    Ok(fused)
-}
-
-/// Replace `fused` by a chain built from its own programs and persistent
-/// segments after `edit` changed the two lists in step, folding the old
-/// chain's fuel attribution into `base_attributed`. Nothing changes when
-/// the edited chain fails to validate.
-fn rebuild_fused(
-    fused: &mut FusedVm,
-    base_attributed: &mut [u64],
-    rebuilds: &mut u64,
-    edit: impl FnOnce(&mut Vec<Program>, &mut Vec<Vec<u8>>),
-) -> Result<(), MonitorError> {
-    let mut programs: Vec<Program> =
-        (0..fused.len()).map(|i| fused.section_program(i).clone()).collect();
-    let mut segments: Vec<Vec<u8>> =
-        (0..fused.len()).map(|i| fused.persistent_segment(i).to_vec()).collect();
-    edit(&mut programs, &mut segments);
-    let rebuilt = build_fused(programs, Some(segments))?;
-    for (base, run) in base_attributed.iter_mut().zip(fused.attributed()) {
-        *base += run;
-    }
-    *rebuilds += 1;
-    *fused = rebuilt;
-    Ok(())
-}
-
-/// Fusion build counters (cache rebuilds, superinstruction shape, dedup
-/// coverage). Gated on `plab_obs::enabled()` by the metrics layer itself;
-/// builds are cold so no `obs_on` snapshot is involved.
+/// Fusion build counters (chains built, superinstruction shape). Gated on
+/// `plab_obs::enabled()` by the metrics layer itself; builds are cold so no
+/// `obs_on` snapshot is involved.
 fn record_build_metrics(stats: &FuseStats) {
     use plab_obs::metrics::{Counter, Histogram};
     static BUILDS: Counter = Counter::new("pfvm.fuse.builds");
     static FUSED_INSNS: Counter = Counter::new("pfvm.fuse.fused_insns");
     static SUPERINSNS: Counter = Counter::new("pfvm.fuse.superinsns");
-    static DEDUP_SITES: Counter = Counter::new("pfvm.fuse.dedup_sites");
-    static DEDUP_SLOTS: Counter = Counter::new("pfvm.fuse.dedup_slots");
     static SUPER_LEN: Histogram = Histogram::new("pfvm.fuse.superinsn_len");
     BUILDS.inc();
     FUSED_INSNS.add(stats.fused_insns);
     SUPERINSNS.add(stats.superinsns);
-    DEDUP_SITES.add(stats.dedup_sites);
-    DEDUP_SLOTS.add(stats.dedup_slots);
     for (len, &n) in stats.super_len.iter().enumerate() {
         for _ in 0..n {
             SUPER_LEN.observe(len as u64);
@@ -164,13 +112,12 @@ impl MonitorSet {
     /// program's `init` entry. The chain is prepared as a fused execution.
     pub fn instantiate(encoded: &[Vec<u8>], info: &[u8]) -> Result<MonitorSet, MonitorError> {
         let programs = decode_all(encoded)?;
-        let n = programs.len();
-        let mut fused = build_fused(programs, None)?;
+        let fuels = vec![VmConfig::default().fuel; programs.len()];
+        let mut fused = FusedVm::new(programs, fuels)
+            .map_err(|(i, e)| MonitorError::Invalid(i, e.to_string()))?;
+        record_build_metrics(&fused.stats());
         fused.init_all(info);
-        Ok(MonitorSet {
-            engine: Engine::Fused { fused, base_attributed: vec![0; n], rebuilds: 0 },
-            obs_on: plab_obs::enabled(),
-        })
+        Ok(MonitorSet { engine: Engine::Fused(fused), obs_on: plab_obs::enabled() })
     }
 
     /// Instantiate with the sequential reference engine: one `Vm` per
@@ -195,60 +142,10 @@ impl MonitorSet {
     /// An unrestricted monitor set (no certificates attached monitors).
     pub fn unrestricted() -> MonitorSet {
         MonitorSet {
-            engine: Engine::Fused {
-                fused: FusedVm::new(Vec::new(), Vec::new())
-                    .expect("empty chain always fuses"),
-                base_attributed: Vec::new(),
-                rebuilds: 0,
-            },
+            engine: Engine::Fused(
+                FusedVm::new(Vec::new(), Vec::new()).expect("empty chain always fuses"),
+            ),
             obs_on: plab_obs::enabled(),
-        }
-    }
-
-    /// Install an additional monitor at the end of the chain (a
-    /// certificate delegation arriving mid-session). Existing monitors
-    /// keep their persistent memory and fuel attribution; only the new
-    /// monitor's `init` runs. On the fused engine this invalidates the
-    /// cached fused program and rebuilds it.
-    pub fn install(&mut self, encoded: &[u8], info: &[u8]) -> Result<(), MonitorError> {
-        let idx = self.len();
-        let program = Program::decode(encoded).map_err(|_| MonitorError::Undecodable(idx))?;
-        match &mut self.engine {
-            Engine::Sequential(vms) => {
-                let mut vm = Vm::new(program)
-                    .map_err(|e| MonitorError::Invalid(idx, e.to_string()))?;
-                vm.init(info);
-                vms.push(vm);
-            }
-            Engine::Fused { fused, base_attributed, rebuilds } => {
-                rebuild_fused(fused, base_attributed, rebuilds, |programs, segments| {
-                    segments.push(vec![0u8; program.persistent_size as usize]);
-                    programs.push(program);
-                })?;
-                base_attributed.push(0);
-                fused.init_section(idx, info);
-            }
-        }
-        Ok(())
-    }
-
-    /// Remove the monitor at `idx` (its authorizing certificate was
-    /// revoked). Remaining monitors keep their persistent memory and fuel
-    /// attribution. Panics if `idx` is out of range — a caller bug.
-    pub fn remove(&mut self, idx: usize) {
-        assert!(idx < self.len(), "monitor index out of range");
-        match &mut self.engine {
-            Engine::Sequential(vms) => {
-                vms.remove(idx);
-            }
-            Engine::Fused { fused, base_attributed, rebuilds } => {
-                rebuild_fused(fused, base_attributed, rebuilds, |programs, segments| {
-                    programs.remove(idx);
-                    segments.remove(idx);
-                })
-                .expect("previously valid programs still fuse");
-                base_attributed.remove(idx);
-            }
         }
     }
 
@@ -256,7 +153,7 @@ impl MonitorSet {
     pub fn len(&self) -> usize {
         match &self.engine {
             Engine::Sequential(vms) => vms.len(),
-            Engine::Fused { fused, .. } => fused.len(),
+            Engine::Fused(fused) => fused.len(),
         }
     }
 
@@ -322,13 +219,13 @@ impl MonitorSet {
         }
         match &mut self.engine {
             Engine::Sequential(vms) => walk(vms, entry, packet, info),
-            Engine::Fused { fused, .. } => fused.check_entry(entry, packet, info).allowed(),
+            Engine::Fused(fused) => fused.check_entry(entry, packet, info).allowed(),
         }
     }
 
     /// The instrumented twin of the adjudication loop: identical verdict
-    /// and fuel semantics (same short-circuit order), plus verdict/fuel
-    /// and fusion-cache accounting into `plab-obs`. Kept out of line (and
+    /// and fuel semantics (same short-circuit order), plus verdict, fuel
+    /// and prefix-replay accounting into `plab-obs`. Kept out of line (and
     /// marked cold) so its register pressure cannot leak into the disabled
     /// fast path.
     #[cold]
@@ -338,9 +235,6 @@ impl MonitorSet {
         static ADJUDICATIONS: Counter = Counter::new("pfvm.adjudications");
         static DENIALS: Counter = Counter::new("pfvm.denials");
         static FUEL: Histogram = Histogram::new("pfvm.fuel_per_adjudication");
-        static FUSE_CACHE_HITS: Counter = Counter::new("pfvm.fuse.cache_hits");
-        static DEDUP_HITS: Counter = Counter::new("pfvm.fuse.dedup_hits");
-        static DEDUP_MISSES: Counter = Counter::new("pfvm.fuse.dedup_misses");
         static REPLAYS: Counter = Counter::new("pfvm.fuse.replays");
         let before = self.insns_executed();
         let fuse_before = self.fuse_stats();
@@ -352,11 +246,6 @@ impl MonitorSet {
         }
         FUEL.observe(fuel);
         if let (Some(b), Some(a)) = (fuse_before, self.fuse_stats()) {
-            // Every adjudication on the fused engine reuses the cached
-            // fused program (rebuilds only happen in install/remove).
-            FUSE_CACHE_HITS.inc();
-            DEDUP_HITS.add(a.dedup_hits - b.dedup_hits);
-            DEDUP_MISSES.add(a.dedup_misses - b.dedup_misses);
             REPLAYS.add(a.replays - b.replays);
         }
         plab_obs::obs_event!(
@@ -372,22 +261,15 @@ impl MonitorSet {
     pub fn insns_executed(&self) -> u64 {
         match &self.engine {
             Engine::Sequential(vms) => vms.iter().map(|vm| vm.insns_executed).sum(),
-            Engine::Fused { fused, base_attributed, .. } => {
-                base_attributed.iter().sum::<u64>() + fused.insns_executed()
-            }
+            Engine::Fused(fused) => fused.insns_executed(),
         }
     }
 
-    /// Per-monitor instructions executed, in chain order. Survives fused
-    /// rebuilds (install/remove).
+    /// Per-monitor instructions executed, in chain order.
     pub fn insns_attributed(&self) -> Vec<u64> {
         match &self.engine {
             Engine::Sequential(vms) => vms.iter().map(|vm| vm.insns_executed).collect(),
-            Engine::Fused { fused, base_attributed, .. } => base_attributed
-                .iter()
-                .zip(fused.attributed())
-                .map(|(b, r)| b + r)
-                .collect(),
+            Engine::Fused(fused) => fused.attributed().to_vec(),
         }
     }
 
@@ -395,7 +277,7 @@ impl MonitorSet {
     pub fn persistent(&self, i: usize) -> &[u8] {
         match &self.engine {
             Engine::Sequential(vms) => vms[i].persistent(),
-            Engine::Fused { fused, .. } => fused.persistent_segment(i),
+            Engine::Fused(fused) => fused.persistent_segment(i),
         }
     }
 
@@ -404,16 +286,7 @@ impl MonitorSet {
     pub fn fuse_stats(&self) -> Option<FuseStats> {
         match &self.engine {
             Engine::Sequential(_) => None,
-            Engine::Fused { fused, .. } => Some(fused.stats()),
-        }
-    }
-
-    /// Times the fused cache was invalidated and rebuilt by
-    /// install/remove (0 on the sequential engine).
-    pub fn fuse_rebuilds(&self) -> u64 {
-        match &self.engine {
-            Engine::Sequential(_) => 0,
-            Engine::Fused { rebuilds, .. } => *rebuilds,
+            Engine::Fused(fused) => Some(fused.stats()),
         }
     }
 }
@@ -534,59 +407,6 @@ mod tests {
         for i in 0..monitors.len() {
             assert_eq!(fused.persistent(i), seq.persistent(i), "monitor {i} memory");
         }
-    }
-
-    #[test]
-    fn install_preserves_state_and_enforces_new_monitor() {
-        let mut m = MonitorSet::instantiate(&[quota_monitor(5)], &[]).unwrap();
-        assert!(m.allow_send(&pkt(17), &[]));
-        assert!(m.allow_send(&pkt(17), &[]));
-        let used_before = m.insns_attributed()[0];
-        // Installing deny-UDP must not reset the quota already consumed.
-        m.install(&deny_udp_monitor(), &[]).unwrap();
-        assert_eq!(m.len(), 2);
-        assert_eq!(m.fuse_rebuilds(), 1);
-        assert!(!m.allow_send(&pkt(17), &[]), "new monitor denies UDP");
-        // The UDP denial above still charged the quota monitor (it runs
-        // first and allows): 3 of 5 used, 2 left.
-        assert!(m.allow_send(&pkt(1), &[]));
-        assert!(m.allow_send(&pkt(1), &[]));
-        assert!(!m.allow_send(&pkt(1), &[]), "carried-over quota exhausted");
-        assert!(m.insns_attributed()[0] > used_before, "attribution carried across rebuild");
-    }
-
-    #[test]
-    fn refused_install_changes_nothing() {
-        let mut m = MonitorSet::instantiate(&[quota_monitor(5)], &[]).unwrap();
-        assert!(m.allow_send(&pkt(1), &[]));
-        let attributed = m.insns_attributed();
-        // Decodes, but execution would run off the end of the code.
-        let falls_off = Program {
-            code: vec![plab_filter::Insn::new(plab_filter::Op::MovI, 0, 0, 1)],
-            entries: Default::default(),
-            persistent_size: 0,
-            scratch_size: 0,
-        }
-        .encode();
-        assert!(matches!(m.install(&falls_off, &[]), Err(MonitorError::Invalid(1, _))));
-        assert_eq!((m.len(), m.fuse_rebuilds()), (1, 0));
-        assert_eq!(m.insns_attributed(), attributed, "attribution folded by a refused install");
-        assert_eq!(u64::from_le_bytes(m.persistent(0)[..8].try_into().unwrap()), 1);
-    }
-
-    #[test]
-    fn remove_lifts_restriction_and_keeps_peer_state() {
-        let mut m =
-            MonitorSet::instantiate(&[icmp_only_monitor(), quota_monitor(10)], &[]).unwrap();
-        assert!(!m.allow_send(&pkt(6), &[]), "TCP blocked by ICMP-only");
-        assert!(m.allow_send(&pkt(1), &[]));
-        m.remove(0);
-        assert_eq!(m.len(), 1);
-        assert_eq!(m.fuse_rebuilds(), 1);
-        assert!(m.allow_send(&pkt(6), &[]), "TCP allowed once ICMP-only removed");
-        // Quota memory survived: 1 (before) + 1 (after) used.
-        let used = u64::from_le_bytes(m.persistent(0)[..8].try_into().unwrap());
-        assert_eq!(used, 2);
     }
 
     #[test]

@@ -12,6 +12,7 @@
 
 use crate::cert::{self, Certificate};
 use crate::descriptor::ExperimentDescriptor;
+use crate::wire::{self, Reader, WireError, Writer};
 use plab_crypto::{KeyHash, PublicKey};
 use std::collections::HashMap;
 
@@ -64,113 +65,68 @@ pub enum RvMessage {
     },
 }
 
-/// Wire-decoded experiment bundle: (descriptor, cert chain, endpoint keys).
-type DecodedBundle = (Vec<u8>, Vec<Vec<u8>>, Vec<[u8; 32]>);
-
 impl RvMessage {
     /// Encode to a frame payload.
     pub fn encode(&self) -> Vec<u8> {
-        fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-            out.extend_from_slice(&(b.len() as u32).to_le_bytes());
-            out.extend_from_slice(b);
-        }
-        fn put_bundle(out: &mut Vec<u8>, descriptor: &[u8], chain: &[Vec<u8>], keys: &[[u8; 32]]) {
-            put_bytes(out, descriptor);
-            out.extend_from_slice(&(chain.len() as u16).to_le_bytes());
-            for c in chain {
-                put_bytes(out, c);
-            }
-            out.extend_from_slice(&(keys.len() as u16).to_le_bytes());
-            for k in keys {
-                out.extend_from_slice(k);
-            }
-        }
-        let mut out = Vec::new();
+        wire::payload(|w| self.write(w))
+    }
+
+    pub(crate) fn write(&self, w: &mut Writer) {
         match self {
             RvMessage::Publish { descriptor, chain, keys } => {
-                out.push(0);
-                put_bundle(&mut out, descriptor, chain, keys);
+                w.u8(0);
+                w.bundle(descriptor, chain, keys);
             }
-            RvMessage::PublishOk => out.push(1),
+            RvMessage::PublishOk => w.u8(1),
             RvMessage::PublishErr { reason } => {
-                out.push(2);
-                put_bytes(&mut out, reason.as_bytes());
+                w.u8(2);
+                w.bytes(reason.as_bytes());
             }
             RvMessage::Subscribe { channels } => {
-                out.push(3);
-                out.extend_from_slice(&(channels.len() as u16).to_le_bytes());
+                w.u8(3);
+                w.u16(channels.len() as u16);
                 for c in channels {
-                    out.extend_from_slice(c);
+                    w.raw(c);
                 }
             }
             RvMessage::Announce { descriptor, chain, keys } => {
-                out.push(4);
-                put_bundle(&mut out, descriptor, chain, keys);
+                w.u8(4);
+                w.bundle(descriptor, chain, keys);
             }
         }
-        out
     }
 
-    /// Decode from a frame payload.
+    /// Decode from a frame payload. A bundle is held to the limits
+    /// [`crate::wire::Message::Auth`] holds it to
+    /// ([`crate::wire::MAX_CHAIN`], [`crate::wire::MAX_KEYS`]): what could
+    /// not authenticate is not worth announcing.
     pub fn decode(bytes: &[u8]) -> Option<RvMessage> {
-        fn take<'a>(r: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
-            if r.len() < n {
-                return None;
-            }
-            let (a, b) = r.split_at(n);
-            *r = b;
-            Some(a)
-        }
-        fn take_bytes(r: &mut &[u8]) -> Option<Vec<u8>> {
-            let len = u32::from_le_bytes(take(r, 4)?.try_into().ok()?) as usize;
-            if len > 1 << 24 {
-                return None;
-            }
-            Some(take(r, len)?.to_vec())
-        }
-        fn take_bundle(r: &mut &[u8]) -> Option<DecodedBundle> {
-            let descriptor = take_bytes(r)?;
-            let n = u16::from_le_bytes(take(r, 2)?.try_into().ok()?) as usize;
-            let mut chain = Vec::with_capacity(n.min(64));
-            for _ in 0..n {
-                chain.push(take_bytes(r)?);
-            }
-            let n = u16::from_le_bytes(take(r, 2)?.try_into().ok()?) as usize;
-            let mut keys = Vec::with_capacity(n.min(64));
-            for _ in 0..n {
-                keys.push(take(r, 32)?.try_into().ok()?);
-            }
-            Some((descriptor, chain, keys))
-        }
-        let mut r = bytes;
-        let tag = take(&mut r, 1)?[0];
-        let msg = match tag {
-            0 => {
-                let (descriptor, chain, keys) = take_bundle(&mut r)?;
-                RvMessage::Publish { descriptor, chain, keys }
-            }
-            1 => RvMessage::PublishOk,
-            2 => RvMessage::PublishErr {
-                reason: String::from_utf8(take_bytes(&mut r)?).ok()?,
-            },
-            3 => {
-                let n = u16::from_le_bytes(take(&mut r, 2)?.try_into().ok()?) as usize;
-                let mut channels = Vec::with_capacity(n.min(256));
-                for _ in 0..n {
-                    channels.push(take(&mut r, 32)?.try_into().ok()?);
+        fn message(r: &mut Reader) -> Result<RvMessage, WireError> {
+            let msg = match r.u8()? {
+                0 => {
+                    let (descriptor, chain, keys) = r.bundle()?;
+                    RvMessage::Publish { descriptor, chain, keys }
                 }
-                RvMessage::Subscribe { channels }
-            }
-            4 => {
-                let (descriptor, chain, keys) = take_bundle(&mut r)?;
-                RvMessage::Announce { descriptor, chain, keys }
-            }
-            _ => return None,
-        };
-        if !r.is_empty() {
-            return None;
+                1 => RvMessage::PublishOk,
+                2 => RvMessage::PublishErr { reason: r.string()? },
+                3 => {
+                    let n = r.u16()? as usize;
+                    let mut channels = Vec::with_capacity(n.min(256));
+                    for _ in 0..n {
+                        channels.push(r.take()?);
+                    }
+                    RvMessage::Subscribe { channels }
+                }
+                4 => {
+                    let (descriptor, chain, keys) = r.bundle()?;
+                    RvMessage::Announce { descriptor, chain, keys }
+                }
+                _ => return Err(WireError::BadTag),
+            };
+            r.done()?;
+            Ok(msg)
         }
-        Some(msg)
+        message(&mut Reader::new(bytes)).ok()
     }
 }
 
@@ -188,24 +144,14 @@ pub struct PublishedExperiment {
     pub channels: Vec<KeyHash>,
 }
 
-/// Number of channel shards in the subscription index. Channels (key
-/// hashes) are uniformly distributed, so any byte of the hash spreads
-/// subscribers evenly.
-pub const RV_SHARDS: usize = 64;
-
-fn shard_of(ch: &KeyHash) -> usize {
-    usize::from(ch.0[0]) % RV_SHARDS
-}
-
 /// The rendezvous server: "the only permanent infrastructure required by
 /// PacketLab".
 ///
-/// Subscriptions live in a channel-sharded inverted index
-/// (shard → channel → subscriber sids), so a publish touches only the
-/// shards its experiment-key channels hash into — O(dirty shards) plus a
-/// drain of the matched sids — instead of iterating every subscriber
-/// slot. [`RendezvousServer::scanned_slots`] counts the slots publishes
-/// actually scanned, which tests assert stays decoupled from the
+/// Subscriptions live in an inverted index (channel → subscriber sids), so
+/// a publish looks up only its experiment-key channels — one probe each
+/// plus a drain of the matched sids — instead of iterating every
+/// subscriber slot. [`RendezvousServer::scanned_slots`] counts the slots
+/// publishes actually scanned, which tests assert stays decoupled from the
 /// subscriber count.
 pub struct RendezvousServer {
     /// Keys accepted to anchor publish chains ("Each rendezvous server has
@@ -217,8 +163,8 @@ pub struct RendezvousServer {
     /// Subscriber session → channels (authoritative; also what
     /// unsubscribe uses to find the index entries to drop).
     subscribers: HashMap<u64, Vec<KeyHash>>,
-    /// Sharded inverted index: shard → channel → subscribed sids.
-    shards: Vec<HashMap<KeyHash, Vec<u64>>>,
+    /// Inverted index: channel → subscribed sids.
+    index: HashMap<KeyHash, Vec<u64>>,
     /// Cumulative subscription slots scanned by publish fan-out.
     scanned_slots: u64,
 }
@@ -231,7 +177,7 @@ impl RendezvousServer {
             wall_time,
             published: Vec::new(),
             subscribers: HashMap::new(),
-            shards: (0..RV_SHARDS).map(|_| HashMap::new()).collect(),
+            index: HashMap::new(),
             scanned_slots: 0,
         }
     }
@@ -249,7 +195,7 @@ impl RendezvousServer {
     /// Cumulative subscription slots scanned by publish fan-out since the
     /// server started: each publish adds one per channel looked up plus
     /// one per subscriber sid in the channels' match lists. With the
-    /// sharded index this grows with *matches*, not with the subscriber
+    /// inverted index this grows with *matches*, not with the subscriber
     /// population.
     pub fn scanned_slots(&self) -> u64 {
         self.scanned_slots
@@ -257,7 +203,7 @@ impl RendezvousServer {
 
     fn index_insert(&mut self, sid: u64, channels: &[KeyHash]) {
         for ch in channels {
-            let slot = self.shards[shard_of(ch)].entry(*ch).or_default();
+            let slot = self.index.entry(*ch).or_default();
             if !slot.contains(&sid) {
                 slot.push(sid);
             }
@@ -266,11 +212,10 @@ impl RendezvousServer {
 
     fn index_remove(&mut self, sid: u64, channels: &[KeyHash]) {
         for ch in channels {
-            let shard = &mut self.shards[shard_of(ch)];
-            if let Some(slot) = shard.get_mut(ch) {
+            if let Some(slot) = self.index.get_mut(ch) {
                 slot.retain(|&s| s != sid);
                 if slot.is_empty() {
-                    shard.remove(ch);
+                    self.index.remove(ch);
                 }
             }
         }
@@ -381,16 +326,15 @@ impl RendezvousServer {
         self.published.push(exp);
 
         let mut out = vec![(sid, RvMessage::PublishOk)];
-        // Fan out via the sharded inverted index: only the shards the
-        // experiment's channels hash into are touched, and only matching
-        // sids are drained. Announce in ascending-sid order (deduplicated
-        // across channels) — map iteration order must never decide announce
-        // order, or two replays of the same publish would wake subscribers
-        // differently.
+        // Fan out via the inverted index: only the experiment's channels
+        // are looked up, and only matching sids are drained. Announce in
+        // ascending-sid order (deduplicated across channels) — map
+        // iteration order must never decide announce order, or two replays
+        // of the same publish would wake subscribers differently.
         let mut matched: Vec<u64> = Vec::new();
         let mut scanned = channels.len() as u64;
         for ch in &channels {
-            if let Some(slot) = self.shards[shard_of(ch)].get(ch) {
+            if let Some(slot) = self.index.get(ch) {
                 scanned += slot.len() as u64;
                 matched.extend_from_slice(slot);
             }
@@ -490,6 +434,27 @@ mod tests {
     }
 
     #[test]
+    fn bundles_over_the_auth_limits_are_refused() {
+        use crate::wire::{MAX_CHAIN, MAX_KEYS};
+        // A bundle `Message::Auth` would refuse is not worth relaying.
+        let bundle = |n_chain: usize, n_keys: usize| RvMessage::Publish {
+            descriptor: vec![1],
+            chain: vec![vec![2]; n_chain],
+            keys: vec![[3; 32]; n_keys],
+        };
+        let at_limit = bundle(MAX_CHAIN, MAX_KEYS);
+        assert_eq!(RvMessage::decode(&at_limit.encode()), Some(at_limit));
+        assert_eq!(RvMessage::decode(&bundle(MAX_CHAIN + 1, 0).encode()), None);
+        assert_eq!(RvMessage::decode(&bundle(0, MAX_KEYS + 1).encode()), None);
+        let announce = RvMessage::Announce {
+            descriptor: vec![],
+            chain: vec![vec![]; MAX_CHAIN + 1],
+            keys: vec![],
+        };
+        assert_eq!(RvMessage::decode(&announce.encode()), None);
+    }
+
+    #[test]
     fn publish_verifies_chain_and_broadcasts() {
         let root = kp(1);
         let exp = kp(2);
@@ -567,7 +532,7 @@ mod tests {
     }
 
     #[test]
-    fn publish_scans_dirty_shards_not_subscribers() {
+    fn publish_scans_matches_not_subscribers() {
         let root = kp(1);
         let exp = kp(2);
         let mut server = RendezvousServer::new(vec![KeyHash::of(&root.public)], 1000);
@@ -600,7 +565,7 @@ mod tests {
         let announced: Vec<u64> = out[1..].iter().map(|(sid, _)| *sid).collect();
         assert_eq!(announced, interested);
 
-        // The fan-out scanned O(dirty shards + matches), decoupled from
+        // The fan-out scanned O(channels + matches), decoupled from
         // the 100k-strong population: a per-slot iteration would have
         // scanned at least POPULATION slots.
         let scanned = server.scanned_slots() - scanned_before;

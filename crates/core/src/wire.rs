@@ -10,8 +10,6 @@
 //! its wire representation rather than inherit one from a serialization
 //! framework.
 
-use bytes::{Buf, BufMut, BytesMut};
-
 /// Frame length prefix size.
 pub const FRAME_HEADER: usize = 4;
 /// Maximum frame size accepted (guards allocation).
@@ -299,13 +297,74 @@ pub enum Message {
 // Encoding
 // ---------------------------------------------------------------------
 
-fn put_bytes(buf: &mut BytesMut, data: &[u8]) {
-    buf.put_u32_le(data.len() as u32);
-    buf.put_slice(data);
+/// Little-endian field writer over the payload being built: the encode
+/// half of [`Reader`]. Shared with the rendezvous codec.
+pub(crate) struct Writer(Vec<u8>);
+
+impl Writer {
+    pub(crate) fn u8(&mut self, v: u8) {
+        self.0.push(v);
+    }
+
+    pub(crate) fn u16(&mut self, v: u16) {
+        self.raw(&v.to_le_bytes());
+    }
+
+    pub(crate) fn u32(&mut self, v: u32) {
+        self.raw(&v.to_le_bytes());
+    }
+
+    pub(crate) fn u64(&mut self, v: u64) {
+        self.raw(&v.to_le_bytes());
+    }
+
+    /// Fixed-size field: the bytes as they are.
+    pub(crate) fn raw(&mut self, data: &[u8]) {
+        self.0.extend_from_slice(data);
+    }
+
+    /// Variable-size field: `u32` length, then the bytes.
+    pub(crate) fn bytes(&mut self, data: &[u8]) {
+        self.u32(data.len() as u32);
+        self.raw(data);
+    }
+
+    /// An experiment bundle — descriptor, certificate chain, raw keys —
+    /// as [`Message::Auth`] and the rendezvous `Publish`/`Announce` carry
+    /// it.
+    pub(crate) fn bundle(&mut self, descriptor: &[u8], chain: &[Vec<u8>], keys: &[[u8; 32]]) {
+        self.bytes(descriptor);
+        self.u16(chain.len() as u16);
+        for c in chain {
+            self.bytes(c);
+        }
+        self.u16(keys.len() as u16);
+        for k in keys {
+            self.raw(k);
+        }
+    }
 }
 
-fn put_str(buf: &mut BytesMut, s: &str) {
-    put_bytes(buf, s.as_bytes());
+/// Capacity a payload buffer starts with: every command and every response
+/// without a data blob fits, so the common message is one allocation.
+const SMALL_MESSAGE: usize = 64;
+
+/// The payload `write` produces, alone.
+pub(crate) fn payload(write: impl FnOnce(&mut Writer)) -> Vec<u8> {
+    let mut w = Writer(Vec::with_capacity(SMALL_MESSAGE));
+    write(&mut w);
+    w.0
+}
+
+/// The payload `write` produces behind its length prefix, built in place:
+/// the header is a placeholder until the payload's size is known.
+pub(crate) fn framed(write: impl FnOnce(&mut Writer)) -> Vec<u8> {
+    let mut w = Writer(Vec::with_capacity(FRAME_HEADER + SMALL_MESSAGE));
+    w.raw(&[0; FRAME_HEADER]);
+    write(&mut w);
+    let len = (w.0.len() - FRAME_HEADER) as u32;
+    w.0[..FRAME_HEADER].copy_from_slice(&len.to_le_bytes());
+    w.0
 }
 
 /// Codec errors.
@@ -334,70 +393,83 @@ impl core::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-struct Reader<'a> {
+/// A decoded experiment bundle: (descriptor, certificate chain, raw keys).
+pub(crate) type Bundle = (Vec<u8>, Vec<Vec<u8>>, Vec<[u8; 32]>);
+
+/// Advancing little-endian field reader over one payload.
+pub(crate) struct Reader<'a> {
     buf: &'a [u8],
 }
 
 impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
         Reader { buf }
     }
 
-    fn u8(&mut self) -> Result<u8, WireError> {
-        if self.buf.remaining() < 1 {
-            return Err(WireError::Truncated);
-        }
-        Ok(self.buf.get_u8())
+    /// The next `N` bytes.
+    pub(crate) fn take<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        let (head, rest) = self.buf.split_first_chunk::<N>().ok_or(WireError::Truncated)?;
+        self.buf = rest;
+        Ok(*head)
     }
 
-    fn u16(&mut self) -> Result<u16, WireError> {
-        if self.buf.remaining() < 2 {
-            return Err(WireError::Truncated);
-        }
-        Ok(self.buf.get_u16_le())
+    pub(crate) fn u8(&mut self) -> Result<u8, WireError> {
+        Ok(self.take::<1>()?[0])
     }
 
-    fn u32(&mut self) -> Result<u32, WireError> {
-        if self.buf.remaining() < 4 {
-            return Err(WireError::Truncated);
-        }
-        Ok(self.buf.get_u32_le())
+    pub(crate) fn u16(&mut self) -> Result<u16, WireError> {
+        Ok(u16::from_le_bytes(self.take()?))
     }
 
-    fn u64(&mut self) -> Result<u64, WireError> {
-        if self.buf.remaining() < 8 {
-            return Err(WireError::Truncated);
-        }
-        Ok(self.buf.get_u64_le())
+    pub(crate) fn u32(&mut self) -> Result<u32, WireError> {
+        Ok(u32::from_le_bytes(self.take()?))
     }
 
-    fn bytes(&mut self) -> Result<Vec<u8>, WireError> {
+    pub(crate) fn u64(&mut self) -> Result<u64, WireError> {
+        Ok(u64::from_le_bytes(self.take()?))
+    }
+
+    pub(crate) fn bytes(&mut self) -> Result<Vec<u8>, WireError> {
         let len = self.u32()? as usize;
         if len > MAX_FRAME {
             return Err(WireError::TooLarge);
         }
-        if self.buf.remaining() < len {
-            return Err(WireError::Truncated);
-        }
-        let mut v = vec![0u8; len];
-        self.buf.copy_to_slice(&mut v);
-        Ok(v)
+        let (head, rest) = self.buf.split_at_checked(len).ok_or(WireError::Truncated)?;
+        self.buf = rest;
+        Ok(head.to_vec())
     }
 
-    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
-        if self.buf.remaining() < N {
-            return Err(WireError::Truncated);
-        }
-        let mut v = [0u8; N];
-        self.buf.copy_to_slice(&mut v);
-        Ok(v)
-    }
-
-    fn string(&mut self) -> Result<String, WireError> {
+    pub(crate) fn string(&mut self) -> Result<String, WireError> {
         String::from_utf8(self.bytes()?).map_err(|_| WireError::BadString)
     }
 
-    fn done(&self) -> Result<(), WireError> {
+    /// The decode half of [`Writer::bundle`]. Counts are
+    /// attacker-controlled: reject above the protocol limit instead of
+    /// looping an attacker-chosen number of times (clamping only the Vec
+    /// *capacity* still loops).
+    pub(crate) fn bundle(&mut self) -> Result<Bundle, WireError> {
+        let descriptor = self.bytes()?;
+        let n_chain = self.u16()? as usize;
+        if n_chain > MAX_CHAIN {
+            return Err(WireError::TooLarge);
+        }
+        let mut chain = Vec::with_capacity(n_chain);
+        for _ in 0..n_chain {
+            chain.push(self.bytes()?);
+        }
+        let n_keys = self.u16()? as usize;
+        if n_keys > MAX_KEYS {
+            return Err(WireError::TooLarge);
+        }
+        let mut keys = Vec::with_capacity(n_keys);
+        for _ in 0..n_keys {
+            keys.push(self.take()?);
+        }
+        Ok((descriptor, chain, keys))
+    }
+
+    /// The payload must end where the message does.
+    pub(crate) fn done(&self) -> Result<(), WireError> {
         if self.buf.is_empty() {
             Ok(())
         } else {
@@ -409,64 +481,56 @@ impl<'a> Reader<'a> {
 impl Message {
     /// Encode into a payload (no frame header).
     pub fn encode(&self) -> Vec<u8> {
-        let mut b = BytesMut::new();
+        payload(|w| self.write(w))
+    }
+
+    fn write(&self, b: &mut Writer) {
         match self {
             Message::Hello { version } => {
-                b.put_u8(0);
-                b.put_u8(*version);
+                b.u8(0);
+                b.u8(*version);
             }
             Message::HelloAck { version, nonce } => {
-                b.put_u8(1);
-                b.put_u8(*version);
-                b.put_slice(nonce);
+                b.u8(1);
+                b.u8(*version);
+                b.raw(nonce);
             }
             Message::Auth { descriptor, chain, keys, priority, proof } => {
-                b.put_u8(2);
-                put_bytes(&mut b, descriptor);
-                b.put_u16_le(chain.len() as u16);
-                for c in chain {
-                    put_bytes(&mut b, c);
-                }
-                b.put_u16_le(keys.len() as u16);
-                for k in keys {
-                    b.put_slice(k);
-                }
-                b.put_u8(*priority);
-                b.put_slice(proof);
+                b.u8(2);
+                b.bundle(descriptor, chain, keys);
+                b.u8(*priority);
+                b.raw(proof);
             }
-            Message::AuthOk => {
-                b.put_u8(3);
-            }
+            Message::AuthOk => b.u8(3),
             Message::Cmd(cmd) => {
-                b.put_u8(4);
-                encode_command(&mut b, cmd);
+                b.u8(4);
+                encode_command(b, cmd);
             }
             Message::Resp(resp) => {
-                b.put_u8(5);
-                encode_response(&mut b, resp);
+                b.u8(5);
+                encode_response(b, resp);
             }
             Message::Notify(n) => {
-                b.put_u8(6);
+                b.u8(6);
                 match n {
                     Notification::Interrupted { by_priority } => {
-                        b.put_u8(0);
-                        b.put_u8(*by_priority);
+                        b.u8(0);
+                        b.u8(*by_priority);
                     }
-                    Notification::Resumed => b.put_u8(1),
+                    Notification::Resumed => b.u8(1),
                 }
             }
             Message::CmdSeq { seq, cmd } => {
-                b.put_u8(7);
-                b.put_u64_le(*seq);
-                encode_command(&mut b, cmd);
+                b.u8(7);
+                b.u64(*seq);
+                encode_command(b, cmd);
             }
             Message::RespSeq { seq, resp } => {
-                b.put_u8(8);
-                b.put_u64_le(*seq);
-                encode_response(&mut b, resp);
+                b.u8(8);
+                b.u64(*seq);
+                encode_response(b, resp);
             }
         }
-        b.to_vec()
     }
 
     /// Decode from a payload.
@@ -474,35 +538,10 @@ impl Message {
         let mut r = Reader::new(payload);
         let msg = match r.u8()? {
             0 => Message::Hello { version: r.u8()? },
-            1 => Message::HelloAck { version: r.u8()?, nonce: r.array()? },
+            1 => Message::HelloAck { version: r.u8()?, nonce: r.take()? },
             2 => {
-                let descriptor = r.bytes()?;
-                // Counts are attacker-controlled: reject above the protocol
-                // limit instead of looping an attacker-chosen number of
-                // times (clamping only the Vec *capacity* still loops).
-                let n_chain = r.u16()? as usize;
-                if n_chain > MAX_CHAIN {
-                    return Err(WireError::TooLarge);
-                }
-                let mut chain = Vec::with_capacity(n_chain);
-                for _ in 0..n_chain {
-                    chain.push(r.bytes()?);
-                }
-                let n_keys = r.u16()? as usize;
-                if n_keys > MAX_KEYS {
-                    return Err(WireError::TooLarge);
-                }
-                let mut keys = Vec::with_capacity(n_keys);
-                for _ in 0..n_keys {
-                    keys.push(r.array()?);
-                }
-                Message::Auth {
-                    descriptor,
-                    chain,
-                    keys,
-                    priority: r.u8()?,
-                    proof: r.array()?,
-                }
+                let (descriptor, chain, keys) = r.bundle()?;
+                Message::Auth { descriptor, chain, keys, priority: r.u8()?, proof: r.take()? }
             }
             3 => Message::AuthOk,
             4 => Message::Cmd(decode_command(&mut r)?),
@@ -522,55 +561,51 @@ impl Message {
 
     /// Encode as a complete frame (length prefix + payload).
     pub fn to_frame(&self) -> Vec<u8> {
-        let payload = self.encode();
-        let mut out = Vec::with_capacity(FRAME_HEADER + payload.len());
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out
+        framed(|w| self.write(w))
     }
 }
 
-fn encode_command(b: &mut BytesMut, cmd: &Command) {
+fn encode_command(b: &mut Writer, cmd: &Command) {
     match cmd {
         Command::NOpen { sktid, proto, locport, remaddr, remport } => {
-            b.put_u8(0);
-            b.put_u32_le(*sktid);
-            b.put_u8(proto.to_u8());
-            b.put_u16_le(*locport);
-            b.put_u32_le(*remaddr);
-            b.put_u16_le(*remport);
+            b.u8(0);
+            b.u32(*sktid);
+            b.u8(proto.to_u8());
+            b.u16(*locport);
+            b.u32(*remaddr);
+            b.u16(*remport);
         }
         Command::NClose { sktid } => {
-            b.put_u8(1);
-            b.put_u32_le(*sktid);
+            b.u8(1);
+            b.u32(*sktid);
         }
         Command::NSend { sktid, time, data } => {
-            b.put_u8(2);
-            b.put_u32_le(*sktid);
-            b.put_u64_le(*time);
-            put_bytes(b, data);
+            b.u8(2);
+            b.u32(*sktid);
+            b.u64(*time);
+            b.bytes(data);
         }
         Command::NCap { sktid, time, filt } => {
-            b.put_u8(3);
-            b.put_u32_le(*sktid);
-            b.put_u64_le(*time);
-            put_bytes(b, filt);
+            b.u8(3);
+            b.u32(*sktid);
+            b.u64(*time);
+            b.bytes(filt);
         }
         Command::NPoll { time } => {
-            b.put_u8(4);
-            b.put_u64_le(*time);
+            b.u8(4);
+            b.u64(*time);
         }
         Command::MRead { memaddr, bytecnt } => {
-            b.put_u8(5);
-            b.put_u32_le(*memaddr);
-            b.put_u32_le(*bytecnt);
+            b.u8(5);
+            b.u32(*memaddr);
+            b.u32(*bytecnt);
         }
         Command::MWrite { memaddr, data } => {
-            b.put_u8(6);
-            b.put_u32_le(*memaddr);
-            put_bytes(b, data);
+            b.u8(6);
+            b.u32(*memaddr);
+            b.bytes(data);
         }
-        Command::Yield => b.put_u8(7),
+        Command::Yield => b.u8(7),
     }
 }
 
@@ -594,32 +629,32 @@ fn decode_command(r: &mut Reader) -> Result<Command, WireError> {
     })
 }
 
-fn encode_response(b: &mut BytesMut, resp: &Response) {
+fn encode_response(b: &mut Writer, resp: &Response) {
     match resp {
-        Response::Ok => b.put_u8(0),
+        Response::Ok => b.u8(0),
         Response::SendQueued { tag } => {
-            b.put_u8(1);
-            b.put_u64_le(*tag);
+            b.u8(1);
+            b.u64(*tag);
         }
         Response::Mem { data } => {
-            b.put_u8(2);
-            put_bytes(b, data);
+            b.u8(2);
+            b.bytes(data);
         }
         Response::Poll { packets, dropped_packets, dropped_bytes } => {
-            b.put_u8(3);
-            b.put_u32_le(packets.len() as u32);
+            b.u8(3);
+            b.u32(packets.len() as u32);
             for (sktid, time, data) in packets {
-                b.put_u32_le(*sktid);
-                b.put_u64_le(*time);
-                put_bytes(b, data);
+                b.u32(*sktid);
+                b.u64(*time);
+                b.bytes(data);
             }
-            b.put_u64_le(*dropped_packets);
-            b.put_u64_le(*dropped_bytes);
+            b.u64(*dropped_packets);
+            b.u64(*dropped_bytes);
         }
         Response::Err { code, msg } => {
-            b.put_u8(4);
-            b.put_u8(code.to_u8());
-            put_str(b, msg);
+            b.u8(4);
+            b.u8(code.to_u8());
+            b.bytes(msg.as_bytes());
         }
     }
 }
@@ -635,7 +670,7 @@ fn decode_response(r: &mut Reader) -> Result<Response, WireError> {
             // hold (each entry encodes to at least POLL_ENTRY_MIN bytes), so
             // a short message with a huge count is rejected before looping.
             let n = r.u32()? as usize;
-            if n > MAX_POLL_PACKETS || n > r.buf.remaining() / POLL_ENTRY_MIN {
+            if n > MAX_POLL_PACKETS || n > r.buf.len() / POLL_ENTRY_MIN {
                 return Err(WireError::TooLarge);
             }
             let mut packets = Vec::with_capacity(n);

@@ -44,6 +44,15 @@ fn publish(
     server.on_message(sid, publish_message(name, rv_operator, experimenter))
 }
 
+/// `msg` behind its length prefix, as it travels on the rendezvous port.
+fn frame(msg: &RvMessage) -> Vec<u8> {
+    let payload = msg.encode();
+    let mut out = Vec::with_capacity(4 + payload.len());
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&payload);
+    out
+}
+
 #[test]
 fn subscriber_churn_leaks_no_slots() {
     plab_obs::enable();
@@ -110,14 +119,6 @@ fn churn_during_publish_skips_stale_slots() {
     use packetlab::wire::FrameDecoder;
     use plab_netsim::{LinkParams, TopologyBuilder, SECOND};
     use std::net::Ipv4Addr;
-
-    fn frame(msg: &RvMessage) -> Vec<u8> {
-        let payload = msg.encode();
-        let mut out = Vec::with_capacity(4 + payload.len());
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out
-    }
 
     let run = || {
         plab_obs::enable();
@@ -203,4 +204,115 @@ fn churn_during_publish_skips_stale_slots() {
     // Same world, same interleaving: the run is a pure function of the
     // spec even with churn inside the publish batch.
     assert_eq!(run(), run());
+}
+
+/// A subscriber whose stream turns to garbage (a length prefix above
+/// `MAX_FRAME` poisons its decoder for good) is hung up on in the round
+/// that sees it: its slot is freed while its connection is still open on
+/// its own side, and its neighbour goes on receiving announcements.
+#[test]
+fn poisoned_stream_frees_the_slot_and_spares_the_neighbour() {
+    use packetlab::harness::{SimNet, RENDEZVOUS_PORT};
+    use packetlab::wire::FrameDecoder;
+    use plab_netsim::{LinkParams, TopologyBuilder, SECOND};
+    use std::net::Ipv4Addr;
+
+    let rv_operator = Keypair::from_seed(&[1; 32]);
+    let experimenter = Keypair::from_seed(&[2; 32]);
+    let channel = KeyHash::of(&rv_operator.public).0;
+
+    let mut t = TopologyBuilder::new();
+    let r = t.router("r", Ipv4Addr::new(10, 0, 0, 254));
+    let rv = t.host("rv", Ipv4Addr::new(10, 0, 0, 1));
+    let publisher = t.host("pub", Ipv4Addr::new(10, 0, 0, 2));
+    let sub1 = t.host("sub1", Ipv4Addr::new(10, 0, 0, 3));
+    let sub2 = t.host("sub2", Ipv4Addr::new(10, 0, 0, 4));
+    for h in [rv, publisher, sub1, sub2] {
+        t.link(r, h, LinkParams::new(1, 0));
+    }
+    let mut net = SimNet::new(t.build());
+    net.add_rendezvous(
+        rv,
+        RendezvousServer::new(vec![KeyHash::of(&rv_operator.public)], 1_700_000_000),
+    );
+    let rv_addr = Ipv4Addr::new(10, 0, 0, 1);
+
+    let c1 = net.sim.tcp_connect(sub1, rv_addr, RENDEZVOUS_PORT);
+    net.sim.tcp_send(sub1, c1, &frame(&RvMessage::Subscribe { channels: vec![channel] }));
+    let c2 = net.sim.tcp_connect(sub2, rv_addr, RENDEZVOUS_PORT);
+    net.sim.tcp_send(sub2, c2, &frame(&RvMessage::Subscribe { channels: vec![channel] }));
+    net.run_until(SECOND);
+    assert_eq!(net.rendezvous_server(0).subscriber_count(), 2);
+
+    // sub1 sends a corrupt header and keeps its connection open.
+    net.sim.tcp_send(sub1, c1, &u32::MAX.to_le_bytes());
+    net.run_until(2 * SECOND);
+    assert_eq!(
+        net.rendezvous_server(0).subscriber_count(),
+        1,
+        "a poisoned session kept its subscriber slot"
+    );
+    assert!(
+        net.sim.tcp_closed(sub1, c1) || net.sim.tcp_peer_done(sub1, c1),
+        "the server did not hang up on the poisoned stream"
+    );
+
+    // The neighbour still receives the next announce.
+    let msg = publish_message("after-poison", &rv_operator, &experimenter);
+    let pub_conn = net.sim.tcp_connect(publisher, rv_addr, RENDEZVOUS_PORT);
+    net.sim.tcp_send(publisher, pub_conn, &frame(&msg));
+    net.run_until(3 * SECOND);
+    let mut dec = FrameDecoder::new();
+    loop {
+        let data = net.sim.tcp_recv(sub2, c2, 65536);
+        if data.is_empty() {
+            break;
+        }
+        dec.extend(&data);
+    }
+    let mut announces = 0u32;
+    while let Ok(Some(payload)) = dec.next_frame() {
+        if let Some(RvMessage::Announce { .. }) = RvMessage::decode(&payload) {
+            announces += 1;
+        }
+    }
+    assert_eq!(announces, 1, "the neighbour missed the announce");
+}
+
+/// A publisher that hangs up right behind two publishes: FIN and frames
+/// reach the server in one servicing pass, so the first `PublishOk` finds
+/// its own session's connection closed. The session must outlive the frames
+/// it buffered (pruning it there made the next frame's lookup panic) and be
+/// gone by the end of the pass.
+#[test]
+fn publisher_gone_before_its_ack_still_publishes() {
+    use packetlab::harness::{SimNet, RENDEZVOUS_PORT};
+    use plab_netsim::{LinkParams, TopologyBuilder, SECOND};
+    use std::net::Ipv4Addr;
+
+    let rv_operator = Keypair::from_seed(&[1; 32]);
+    let experimenter = Keypair::from_seed(&[2; 32]);
+    let mut t = TopologyBuilder::new();
+    let r = t.router("r", Ipv4Addr::new(10, 0, 0, 254));
+    let rv = t.host("rv", Ipv4Addr::new(10, 0, 0, 1));
+    let publisher = t.host("pub", Ipv4Addr::new(10, 0, 0, 2));
+    for h in [rv, publisher] {
+        t.link(r, h, LinkParams::new(1, 0));
+    }
+    let mut net = SimNet::new(t.build());
+    net.add_rendezvous(
+        rv,
+        RendezvousServer::new(vec![KeyHash::of(&rv_operator.public)], 1_700_000_000),
+    );
+    let rv_addr = Ipv4Addr::new(10, 0, 0, 1);
+    let conn = net.sim.tcp_connect(publisher, rv_addr, RENDEZVOUS_PORT);
+    net.run_until(SECOND);
+    let msg = publish_message("fire-and-forget", &rv_operator, &experimenter);
+    net.sim.tcp_send(publisher, conn, &frame(&msg));
+    net.sim.tcp_send(publisher, conn, &frame(&msg));
+    net.sim.tcp_close(publisher, conn);
+    let deadline = net.sim.now() + SECOND;
+    net.sim.run_until(deadline);
+    net.process();
+    assert_eq!(net.rendezvous_server(0).published_count(), 2);
 }

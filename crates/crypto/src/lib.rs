@@ -10,17 +10,14 @@
 //!
 //! - [`sha256`] / [`sha512`] — FIPS 180-4 hash functions (SHA-256 is the
 //!   certificate object/key hash; SHA-512 is required internally by Ed25519).
-//! - [`hmac`] — HMAC (RFC 2104) over SHA-256, used for keyed channel binding.
 //! - [`ed25519`] — RFC 8032 Ed25519 signatures, used to sign certificates and
 //!   experiment descriptors.
-//! - [`chacha20`] — RFC 7539 ChaCha20 stream cipher, used for optional
-//!   control-channel confidentiality.
 //!
 //! ## Why from scratch?
 //!
 //! The approved offline dependency set for this reproduction contains no
 //! cryptography crate, so the primitives are implemented here and validated
-//! against the published test vectors (FIPS / RFC 8032 / RFC 7539) in each
+//! against the published test vectors (FIPS 180-4 / RFC 8032) in each
 //! module's tests. The implementations favour clarity and correctness over
 //! raw speed; they are *not* hardened against timing side channels and should
 //! not be lifted into unrelated production systems.
@@ -28,10 +25,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod chacha20;
 pub mod ed25519;
 pub mod hex;
-pub mod hmac;
 pub mod sha256;
 pub mod sha512;
 

@@ -3,65 +3,13 @@
 //! Useful for auditing monitors attached to certificates — an endpoint
 //! operator reviewing a delegation can print exactly what the monitor does.
 
-use crate::fuse::FusedVm;
 use crate::insn::{Insn, Op};
-use crate::lower::{self, kind, Lowered, TInsn, TOp, CMP_NE};
 use crate::program::Program;
 use std::collections::BTreeMap;
 use std::fmt::Write;
 
 /// Render a whole program as assembly text.
 pub fn disassemble(p: &Program) -> String {
-    disassemble_inner(p, &BTreeMap::new())
-}
-
-/// Render a program's assembly annotated with the superinstructions the
-/// threaded-code lowering pass forms over it. Annotations are `;` comment
-/// lines above the covered instructions, so the output reassembles to the
-/// same program as [`disassemble`].
-pub fn disassemble_threaded(p: &Program) -> String {
-    let lowered = lower::lower(p);
-    let mut out = disassemble_inner(p, &threaded_annotations(&lowered));
-    let s = &lowered.stats;
-    let _ = writeln!(
-        out,
-        "; threaded: {} insns -> {} ({} superinsns)",
-        s.orig_insns, s.threaded_insns, s.superinsns
-    );
-    out
-}
-
-/// Render a fused monitor chain: each monitor's program under a
-/// `; ===== section i =====` marker, annotated with its *post-fusion*
-/// threaded code (including cross-monitor [`TOp::CachedLd`] rewrites and
-/// prefix-replay notes). Concatenated sections do not reassemble as one
-/// program (entry names repeat); each section individually round-trips.
-pub fn disassemble_fused(vm: &FusedVm) -> String {
-    let mut out = String::new();
-    if vm.is_empty() {
-        out.push_str("; ===== empty chain (unrestricted) =====\n");
-        return out;
-    }
-    for i in 0..vm.len() {
-        let p = vm.section_program(i);
-        let lowered = vm.section_lowered(i);
-        let _ = writeln!(
-            out,
-            "; ===== section {i}: persistent {} scratch {} =====",
-            p.persistent_size, p.scratch_size
-        );
-        out.push_str(&disassemble_inner(p, &threaded_annotations(lowered)));
-    }
-    let s = vm.stats();
-    let _ = writeln!(
-        out,
-        "; fused: {} sections, {} insns -> {} ({} superinsns, {} dedup sites, {} replay sections)",
-        s.sections, s.orig_insns, s.fused_insns, s.superinsns, s.dedup_sites, s.replay_sections
-    );
-    out
-}
-
-fn disassemble_inner(p: &Program, annotations: &BTreeMap<usize, Vec<String>>) -> String {
     let mut out = String::new();
     let _ = writeln!(out, ".persistent {}", p.persistent_size);
     let _ = writeln!(out, ".scratch {}", p.scratch_size);
@@ -89,85 +37,9 @@ fn disassemble_inner(p: &Program, annotations: &BTreeMap<usize, Vec<String>>) ->
         if let Some(label) = targets.get(&pc) {
             let _ = writeln!(out, "{label}:");
         }
-        if let Some(notes) = annotations.get(&pc) {
-            for note in notes {
-                let _ = writeln!(out, "    ; {note}");
-            }
-        }
         let _ = writeln!(out, "    {}", render(insn, pc, &targets));
     }
     out
-}
-
-fn kind_name(k: u8) -> &'static str {
-    match k {
-        kind::PKT8 => "pkt8",
-        kind::PKT16 => "pkt16",
-        kind::PKT32 => "pkt32",
-        kind::INFO8 => "info8",
-        kind::INFO16 => "info16",
-        kind::INFO32 => "info32",
-        kind::INFO64 => "info64",
-        kind::MEM => "mem",
-        kind::SCR => "scr",
-        _ => "?",
-    }
-}
-
-/// Describe a threaded superinstruction for annotation; `None` for plain
-/// one-for-one lowerings.
-fn super_note(t: &TInsn) -> Option<String> {
-    Some(match t.op {
-        TOp::AbsLd => format!(
-            "[{}] abs.ld.{} r{}, [{}]",
-            t.cost,
-            kind_name(t.aux),
-            t.dst,
-            t.imm
-        ),
-        TOp::CachedLd => format!(
-            "[{}] cached.ld.{} r{}, [{}], slot {}",
-            t.cost,
-            kind_name(t.aux),
-            t.dst,
-            t.imm,
-            t.imm2
-        ),
-        TOp::AbsSt => format!(
-            "[{}] abs.st.{} [{}], r{}",
-            t.cost,
-            kind_name(t.aux),
-            t.imm,
-            t.dst
-        ),
-        TOp::RetImm => format!("[{}] ret.imm {}", t.cost, t.imm),
-        TOp::RetReg => format!("[{}] ret.reg r{}", t.cost, t.src),
-        TOp::AbsLdCmpBr => {
-            let cmp = (t.imm2 as u64 & 0xffff_ffff) as u32;
-            let tgt = t.imm2 >> 32;
-            format!(
-                "[{}] abs.ld.{} r{}, [{}]; j{}.i {cmp}, tpc {tgt}",
-                t.cost,
-                kind_name(t.aux & !CMP_NE),
-                t.dst,
-                t.imm,
-                if t.aux & CMP_NE != 0 { "ne" } else { "eq" },
-            )
-        }
-        _ => return None,
-    })
-}
-
-/// Annotation map: original pc → `;` comment lines describing the
-/// superinstructions beginning there.
-fn threaded_annotations(lowered: &Lowered) -> BTreeMap<usize, Vec<String>> {
-    let mut notes: BTreeMap<usize, Vec<String>> = BTreeMap::new();
-    for t in &lowered.tcode {
-        if let Some(note) = super_note(t) {
-            notes.entry(t.src_pc as usize).or_default().push(note);
-        }
-    }
-    notes
 }
 
 /// Render a single instruction.
@@ -269,68 +141,6 @@ entry recv:
         assert!(text.contains("entry send:"));
         assert!(text.contains("mov.i r0, 1"));
         assert!(text.contains("ret r0"));
-    }
-
-    #[test]
-    fn threaded_annotations_are_comments_and_round_trip() {
-        // Canonical cpf-style emission: field load + compare-branch +
-        // store + immediate return, all superinstruction material.
-        let src = r#"
-.persistent 8
-entry send:
-    mov.i r2, 0
-    ld.pkt8 r2, r2, 9
-    jne.i r2, 1, deny
-    mov.i r14, 0
-    st.mem r14, r1, 0
-    mov.r r0, r1
-    ret r0
-deny:
-    mov.i r0, 0
-    ret r0
-"#;
-        let p1 = assemble(src).unwrap();
-        let text = disassemble_threaded(&p1);
-        assert!(text.contains("; [3] abs.ld.pkt8"), "compare-branch annotated:\n{text}");
-        assert!(text.contains("; [2] abs.st.mem"), "store annotated:\n{text}");
-        assert!(text.contains("; [2] ret.imm 0"), "return annotated:\n{text}");
-        assert!(text.contains("; threaded:"), "summary line:\n{text}");
-        // `;` comments are stripped by the assembler: identical program.
-        let p2 = assemble(&text).unwrap_or_else(|e| panic!("reassemble failed: {e}\n{text}"));
-        assert_eq!(p1.code, p2.code);
-        assert_eq!(p1.entries, p2.entries);
-        assert_eq!(p1.persistent_size, p2.persistent_size);
-    }
-
-    #[test]
-    fn fused_render_marks_sections_and_dedup() {
-        use crate::fuse::FusedVm;
-        let src = r#"
-entry send:
-    mov.i r2, 0
-    ld.pkt16 r2, r2, 14
-    mov.r r0, r2
-    ret r0
-"#;
-        let p = assemble(src).unwrap();
-        let vm = FusedVm::new(vec![p.clone(), p], vec![1000, 1000]).unwrap();
-        let text = disassemble_fused(&vm);
-        assert!(text.contains("; ===== section 0:"), "{text}");
-        assert!(text.contains("; ===== section 1:"), "{text}");
-        assert!(text.contains("cached.ld.pkt16"), "shared load rewritten:\n{text}");
-        assert!(text.contains("; fused: 2 sections"), "{text}");
-        // Each section body individually reassembles to its program.
-        let section1 = text
-            .split("; ===== section 1:")
-            .nth(1)
-            .unwrap()
-            .lines()
-            .skip(1)
-            .take_while(|l| !l.starts_with("; fused:"))
-            .collect::<Vec<_>>()
-            .join("\n");
-        let p2 = assemble(&section1).unwrap_or_else(|e| panic!("{e}\n{section1}"));
-        assert_eq!(vm.section_program(1).code, p2.code);
     }
 
     #[test]

@@ -27,10 +27,9 @@
 //! # Fuel fidelity
 //!
 //! Every [`TInsn`] carries the number of source instructions it covers
-//! (`cost`) and the pc of the first one (`src_pc`). Fuel is charged by
-//! cost, so `insns_executed` attribution is **bit-identical** to an
-//! interpreter over the source instructions. Two edge cases keep that
-//! exact:
+//! (`cost`). Fuel is charged by cost, so `insns_executed` attribution is
+//! **bit-identical** to an interpreter over the source instructions. Two
+//! edge cases keep that exact:
 //!
 //! - when remaining fuel is smaller than a superinstruction's cost, the
 //!   instruction settles its own partial outcome (`out_of_fuel`). Every
@@ -52,8 +51,7 @@ use crate::validate::NUM_REGS;
 use crate::vm::Trap;
 
 /// Memory-space/width selector for absolute loads (the `aux` field of
-/// [`TOp::AbsLd`], [`TOp::CachedLd`] and, OR-ed with [`CMP_NE`], of
-/// [`TOp::AbsLdCmpBr`]).
+/// [`TOp::AbsLd`] and, OR-ed with [`CMP_NE`], of [`TOp::AbsLdCmpBr`]).
 pub mod kind {
     /// Packet byte (big-endian widths follow).
     pub const PKT8: u8 = 0;
@@ -192,10 +190,6 @@ pub enum TOp {
     /// dst = space-of-`aux & !CMP_NE`\[imm\]; branch to `imm2 >> 32` when
     /// dst compares to `imm2 & 0xffff_ffff` per the [`CMP_NE`] bit.
     AbsLdCmpBr,
-    /// A fused-chain [`TOp::AbsLd`] routed through the cross-monitor
-    /// deduplicated-load cache (slot index in imm2). Only emitted by the
-    /// fusion pass, never by plain lowering.
-    CachedLd,
 
     /// Record-variant stand-in for a persistent-memory *read*: ends the
     /// recordable prefix by pausing before the instruction executes
@@ -224,15 +218,12 @@ pub struct TInsn {
     pub aux: u8,
     /// Source instructions covered (fuel charged per execution).
     pub cost: u8,
-    /// Original pc of the first covered instruction (disassembly notes).
-    pub src_pc: u32,
     /// Primary immediate: value, absolute address, or absolute branch
     /// target.
     pub imm: i64,
     /// Secondary immediate: compare value, branch target of
     /// compare-immediate forms, packed target/compare of
-    /// [`TOp::AbsLdCmpBr`], store value of [`TOp::AbsSt`], or cache slot
-    /// of [`TOp::CachedLd`].
+    /// [`TOp::AbsLdCmpBr`], or store value of [`TOp::AbsSt`].
     pub imm2: i64,
 }
 
@@ -243,7 +234,7 @@ impl TInsn {
     pub(crate) fn reads_persistent(&self) -> bool {
         match self.op {
             TOp::LdMem => true,
-            TOp::AbsLd | TOp::CachedLd => self.aux == kind::MEM,
+            TOp::AbsLd => self.aux == kind::MEM,
             TOp::AbsLdCmpBr => self.aux & !CMP_NE == kind::MEM,
             _ => false,
         }
@@ -427,7 +418,6 @@ fn try_superinsn(code: &[Insn], pc: usize, barrier: &[bool]) -> Option<(TInsn, u
                                     src: 0,
                                     aux: k | ne,
                                     cost: 3,
-                                    src_pc: pc as u32,
                                     imm: addr,
                                     imm2: (target << 32) | c.cmp_imm() as i64,
                                 },
@@ -442,7 +432,6 @@ fn try_superinsn(code: &[Insn], pc: usize, barrier: &[bool]) -> Option<(TInsn, u
                             src: 0,
                             aux: k,
                             cost: 2,
-                            src_pc: pc as u32,
                             imm: addr,
                             imm2: 0,
                         },
@@ -461,7 +450,6 @@ fn try_superinsn(code: &[Insn], pc: usize, barrier: &[bool]) -> Option<(TInsn, u
                         src: a.dst,
                         aux: k,
                         cost: 2,
-                        src_pc: pc as u32,
                         imm: addr,
                         imm2: a.imm,
                     },
@@ -477,7 +465,6 @@ fn try_superinsn(code: &[Insn], pc: usize, barrier: &[bool]) -> Option<(TInsn, u
                         src: 0,
                         aux: 0,
                         cost: 2,
-                        src_pc: pc as u32,
                         imm: a.imm,
                         imm2: 0,
                     },
@@ -500,7 +487,6 @@ fn try_superinsn(code: &[Insn], pc: usize, barrier: &[bool]) -> Option<(TInsn, u
                         src: a.src,
                         aux: 0,
                         cost: 2,
-                        src_pc: pc as u32,
                         imm: 0,
                         imm2: 0,
                     },
@@ -523,7 +509,6 @@ fn lower_one(insn: &Insn, pc: usize) -> TInsn {
         src: insn.src,
         aux: 0,
         cost: 1,
-        src_pc: pc as u32,
         imm: insn.imm,
         imm2: 0,
     };
@@ -591,29 +576,6 @@ fn lower_one(insn: &Insn, pc: usize) -> TInsn {
         }
     };
     t
-}
-
-/// Cross-monitor deduplicated-load cache used by fused chains. Slots are
-/// assigned at fuse time to absolute packet/info loads that appear in more
-/// than one monitor; values are tagged with the invocation epoch so the
-/// cache resets without clearing.
-#[derive(Debug, Clone, Default)]
-pub struct DedupCache {
-    /// Current invocation epoch (bumped by the fused driver).
-    pub(crate) epoch: u64,
-    /// (epoch, value) per slot; valid iff epoch matches.
-    pub(crate) slots: Vec<(u64, u64)>,
-    /// Loads answered from the cache.
-    pub hits: u64,
-    /// Loads that filled the cache.
-    pub misses: u64,
-}
-
-impl DedupCache {
-    /// A cache with no slots (plain, unfused execution).
-    pub fn empty() -> DedupCache {
-        DedupCache::default()
-    }
 }
 
 /// Outcome of one threaded run.
@@ -710,7 +672,6 @@ pub(crate) fn run(
     persistent: &mut [u8],
     scratch: &mut [u8],
     fuel: &mut u64,
-    cache: &mut DedupCache,
     log: &mut Vec<(u64, u64)>,
 ) -> RunOutcome {
     /// Bounds-checked fixed-width load (same shape as the pre-threading
@@ -894,25 +855,6 @@ pub(crate) fn run(
                     Err(trap) => return RunOutcome::Done(Err(trap)),
                 }
             }
-            TOp::CachedLd => {
-                let slot = t.imm2 as usize;
-                let (epoch, val) = cache.slots[slot];
-                if epoch == cache.epoch {
-                    cache.hits += 1;
-                    regs[dst] = val;
-                } else {
-                    match abs_load(t.aux, immu, packet, info, persistent, scratch) {
-                        Ok(v) => {
-                            cache.misses += 1;
-                            cache.slots[slot] = (cache.epoch, v);
-                            regs[dst] = v;
-                        }
-                        // Out-of-bounds loads are never cached: every
-                        // monitor reaching this site must trap itself.
-                        Err(trap) => return RunOutcome::Done(Err(trap)),
-                    }
-                }
-            }
             TOp::AbsSt => {
                 // The folded mov.i wrote the address register; later code
                 // may read it, so the side effect must be preserved.
@@ -985,6 +927,13 @@ mod tests {
         let mut entries = BTreeMap::new();
         entries.insert("send".to_string(), 0);
         Program { code, entries, persistent_size: 64, scratch_size: 64 }
+    }
+
+    #[test]
+    fn threaded_insn_is_three_words() {
+        // Five byte-wide fields and two immediates: nothing else rides in
+        // the hot loop's instruction stream.
+        assert_eq!(core::mem::size_of::<TInsn>(), 24);
     }
 
     #[test]
@@ -1067,9 +1016,7 @@ mod tests {
         let mut scratch = vec![0u8; 64];
         let mut fuel = 100;
         let out = run(
-            &l.tcode, 0, &mut regs, &[], &[], &mut [], &mut scratch, &mut fuel,
-            &mut DedupCache::empty(),
-            &mut Vec::new(),
+            &l.tcode, 0, &mut regs, &[], &[], &mut [], &mut scratch, &mut fuel, &mut Vec::new(),
         );
         assert_eq!(out, RunOutcome::Done(Ok(0)));
         assert_eq!(regs[14], 0, "folded mov.i side effect lost");
@@ -1086,7 +1033,6 @@ mod tests {
     ) -> (RunOutcome, u64) {
         let out = run(
             &l.tcode, 0, &mut [0u64; 16], packet, &[], persistent, &mut [], &mut fuel,
-            &mut DedupCache::empty(),
             &mut Vec::new(),
         );
         (out, fuel)
@@ -1191,9 +1137,7 @@ mod tests {
         let mut fuel = 100;
         let mut log = Vec::new();
         let out = run(
-            &rec, 0, &mut regs, &[], &[], &mut persistent, &mut [], &mut fuel,
-            &mut DedupCache::empty(),
-            &mut log,
+            &rec, 0, &mut regs, &[], &[], &mut persistent, &mut [], &mut fuel, &mut log,
         );
         let at = match out {
             RunOutcome::Paused(at) => at,
@@ -1210,7 +1154,6 @@ mod tests {
         // Resuming on the *plain* stream completes the run.
         let out = run(
             &l.tcode, at, &mut regs, &[], &[], &mut persistent, &mut [], &mut fuel,
-            &mut DedupCache::empty(),
             &mut Vec::new(),
         );
         assert_eq!(out, RunOutcome::Done(Ok(7)));

@@ -39,7 +39,7 @@
 //!   instruction they cover, so attribution is bit-identical to an
 //!   interpreter over the source instructions (`plab-fuzz`'s `RefVm`).
 
-use crate::lower::{self, DedupCache, Lowered};
+use crate::lower::{self, Lowered};
 use crate::program::{EntryPoint, Program};
 use crate::validate::{validate, NUM_REGS, ValidateError};
 use crate::Verdict;
@@ -227,11 +227,8 @@ impl Vm {
         let mut regs = [0u64; NUM_REGS as usize];
         regs[1] = packet.len() as u64;
         let mut fuel = config.fuel;
-        // A slot-less cache and an empty write log: plain Vms execute
-        // neither CachedLd nor the record-variant log ops, and empty Vecs
-        // cost no allocation.
-        let mut cache = DedupCache::empty();
-        let mut log = Vec::new();
+        // An empty write log: a plain Vm executes none of the
+        // record-variant log ops, and an empty Vec costs no allocation.
         let result = lower::run(
             &lowered.tcode,
             entry_tpc as usize,
@@ -241,8 +238,7 @@ impl Vm {
             persistent,
             scratch,
             &mut fuel,
-            &mut cache,
-            &mut log,
+            &mut Vec::new(),
         )
         .done();
         // Batched accounting: one counter update per invocation instead of

@@ -5,13 +5,12 @@
 //! encodings; any remaining bytes become packet material. Oracles:
 //!
 //! - chains of individually validated programs always fuse;
-//! - the fused, threaded, dedup-rewritten, prefix-replaying execution is
-//!   observationally identical to running each monitor sequentially on the
-//!   naive reference interpreter: same composite verdicts (short-circuit
-//!   order included), same per-monitor persistent memory, same per-monitor
-//!   fuel attribution;
+//! - the fused, threaded, prefix-replaying execution is observationally
+//!   identical to running each monitor sequentially on the naive reference
+//!   interpreter: same composite verdicts (short-circuit order included),
+//!   same per-monitor persistent memory, same per-monitor fuel attribution;
 //! - re-adjudication after persistent state has evolved stays identical
-//!   (prefix-replay snapshots must not leak stale state across epochs).
+//!   (prefix-replay snapshots must not leak stale state across packets).
 
 use crate::mutate::{mutate, random_bytes};
 use crate::reference::RefVm;
@@ -107,7 +106,7 @@ pub fn check(bytes: &[u8]) -> Result<Exec, String> {
     let pkt_big: Vec<u8> = (0u8..96).map(|i| i.wrapping_mul(3).wrapping_add(7)).collect();
     let packets: [&[u8]; 4] = [&[], &pkt_small, &pkt_big, tail];
     // Two rounds so round 2 adjudicates against persistent state written in
-    // round 1 — the prefix-replay epoch discipline is on trial here.
+    // round 1 — a snapshot must never outlive the packet that recorded it.
     for round in 0..2 {
         for (pi, pkt) in packets.iter().enumerate() {
             for entry in [EntryPoint::Send, EntryPoint::Recv, EntryPoint::Open] {

@@ -108,7 +108,16 @@ proptest! {
     #[test]
     fn wire_message_roundtrip(msg in arb_message()) {
         let enc = msg.encode();
-        prop_assert_eq!(Message::decode(&enc), Ok(msg));
+        prop_assert_eq!(Message::decode(&enc), Ok(msg.clone()));
+        // The frame is that payload, built in place behind a header that
+        // was back-filled once its length was known.
+        let frame = msg.to_frame();
+        prop_assert_eq!(&frame[..4], &(enc.len() as u32).to_le_bytes()[..]);
+        prop_assert_eq!(&frame[4..], &enc[..]);
+        let mut dec = packetlab::wire::FrameDecoder::new();
+        dec.extend(&frame);
+        prop_assert_eq!(dec.next_message(), Ok(Some(msg)));
+        prop_assert_eq!(dec.buffered(), 0);
     }
 
     #[test]
