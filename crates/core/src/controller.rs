@@ -287,15 +287,10 @@ pub trait SinkHost: aio::Sink {
     fn sink_bind(&mut self, port: u16) -> bool {
         aio::Sink::sink_bind(self, port)
     }
-    /// Drain UDP arrivals: (arrival time, source, source port, payload
-    /// length).
-    fn sink_take(&mut self, port: u16) -> Vec<(u64, Ipv4Addr, u16, usize)> {
+    /// Drain UDP arrivals: (arrival time, source, source port, probe
+    /// sequence, payload length).
+    fn sink_take(&mut self, port: u16) -> Vec<(u64, Ipv4Addr, u16, u32, usize)> {
         aio::Sink::sink_take(self, port)
-    }
-    /// Drain UDP arrivals with their probe sequence numbers: (arrival
-    /// time, sequence, payload length).
-    fn sink_take_seq(&mut self, port: u16) -> Vec<(u64, u32, usize)> {
-        aio::Sink::sink_take_seq(self, port)
     }
     /// Advance (virtual or real) time to `time`, letting traffic drain.
     fn wait_until(&mut self, time: u64) {
@@ -413,12 +408,8 @@ impl<C: aio::Channel + aio::Sink> aio::Sink for Controller<C> {
         self.chan.sink_bind(port)
     }
 
-    fn sink_take(&mut self, port: u16) -> Vec<(u64, Ipv4Addr, u16, usize)> {
+    fn sink_take(&mut self, port: u16) -> Vec<(u64, Ipv4Addr, u16, u32, usize)> {
         self.chan.sink_take(port)
-    }
-
-    fn sink_take_seq(&mut self, port: u16) -> Vec<(u64, u32, usize)> {
-        self.chan.sink_take_seq(port)
     }
 
     async fn wait_until(&mut self, time: u64) {

@@ -94,15 +94,12 @@ pub trait Sink {
     fn sink_addr(&self) -> Ipv4Addr;
     /// Bind a UDP port on the controller host.
     fn sink_bind(&mut self, port: u16) -> bool;
-    /// Drain UDP arrivals: (arrival time, source, source port, payload
-    /// length).
-    fn sink_take(&mut self, port: u16) -> Vec<(u64, Ipv4Addr, u16, usize)>;
-    /// Drain UDP arrivals with their probe sequence numbers: (arrival
-    /// time, sequence from the payload's first 4 LE bytes, payload
-    /// length). Dispersion-based bandwidth estimation needs the sequence
-    /// gap between consecutive arrivals to stay loss-robust; datagrams
-    /// shorter than 4 bytes read as sequence 0.
-    fn sink_take_seq(&mut self, port: u16) -> Vec<(u64, u32, usize)>;
+    /// Drain UDP arrivals: (arrival time, source, source port, probe
+    /// sequence from the payload's first 4 LE bytes, payload length).
+    /// Dispersion-based bandwidth estimation needs the sequence gap
+    /// between consecutive arrivals to stay loss-robust; datagrams shorter
+    /// than 4 bytes read as sequence 0.
+    fn sink_take(&mut self, port: u16) -> Vec<(u64, Ipv4Addr, u16, u32, usize)>;
     /// Advance (virtual or real) time to `time`, letting traffic drain.
     async fn wait_until(&mut self, time: u64);
 }

@@ -258,7 +258,7 @@ pub const UDP_IP_OVERHEAD: u64 = 28;
 /// not inside the measured interval.
 pub fn estimate_from_arrivals(
     sent: u32,
-    arrivals: &[(u64, Ipv4Addr, u16, usize)],
+    arrivals: &[(u64, Ipv4Addr, u16, u32, usize)],
     truncated: bool,
 ) -> BandwidthEstimate {
     if arrivals.len() < 2 {
@@ -287,7 +287,7 @@ pub fn estimate_from_arrivals(
         .iter()
         .enumerate()
         .filter(|(i, _)| *i != earliest)
-        .map(|(_, (_, _, _, len))| *len as u64 + UDP_IP_OVERHEAD)
+        .map(|(_, (.., len))| *len as u64 + UDP_IP_OVERHEAD)
         .sum();
     let duration = (last - first).max(1);
     BandwidthEstimate {
@@ -624,10 +624,10 @@ pub mod aio {
 mod estimate_tests {
     use super::*;
 
-    fn arr(entries: &[(u64, usize)]) -> Vec<(u64, Ipv4Addr, u16, usize)> {
+    fn arr(entries: &[(u64, usize)]) -> Vec<(u64, Ipv4Addr, u16, u32, usize)> {
         entries
             .iter()
-            .map(|&(t, len)| (t, Ipv4Addr::new(10, 0, 0, 1), 9999, len))
+            .map(|&(t, len)| (t, Ipv4Addr::new(10, 0, 0, 1), 9999, 0, len))
             .collect()
     }
 

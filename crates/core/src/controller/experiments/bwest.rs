@@ -571,7 +571,7 @@ pub fn estimate_path_bandwidth<P: ControlPlane>(
 
 /// Fleet-scale uplink variant: the dispersion train targets a UDP sink on
 /// the *controller's* host (no destination infrastructure needed), and
-/// arrivals come from [`SinkHost::sink_take_seq`]. This is the probe the
+/// arrivals come from [`SinkHost::sink_take`]. This is the probe the
 /// runner's `ExperimentSpec` dispatches across thousands of endpoints.
 pub fn measure_uplink_dispersion<P: ControlPlane + SinkHost>(
     ctrl: &mut P,
@@ -636,7 +636,7 @@ pub mod aio {
         let rtt = sync.min_rtt.max(1_000_000);
         let sink_addr = ctrl.sink_addr();
         ctrl.sink_bind(sink_port);
-        let _ = ctrl.sink_take_seq(sink_port);
+        let _ = ctrl.sink_take(sink_port);
         if soft(ctrl.nopen_udp(SKT, 21_900, sink_addr, sink_port).await)?.is_none() {
             return Ok(None);
         }
@@ -657,10 +657,10 @@ pub mod aio {
                     sync.to_controller(start) + train_bits * 2_000 + 2 * rtt + 500_000_000;
                 ctrl.wait_until(horizon).await;
                 Ok(ctrl
-                    .sink_take_seq(sink_port)
+                    .sink_take(sink_port)
                     .into_iter()
-                    .filter(|(_, seq, _)| seqs.contains(seq))
-                    .map(|(t, seq, len)| (t, seq - seqs.start, len))
+                    .filter(|(.., seq, _)| seqs.contains(seq))
+                    .map(|(t, _, _, seq, len)| (t, seq - seqs.start, len))
                     .collect())
             },
         )

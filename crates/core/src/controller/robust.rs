@@ -456,12 +456,8 @@ impl<D: aio::Dialer + aio::Sink> aio::Sink for RobustController<D> {
         self.dialer.sink_bind(port)
     }
 
-    fn sink_take(&mut self, port: u16) -> Vec<(u64, Ipv4Addr, u16, usize)> {
+    fn sink_take(&mut self, port: u16) -> Vec<(u64, Ipv4Addr, u16, u32, usize)> {
         self.dialer.sink_take(port)
-    }
-
-    fn sink_take_seq(&mut self, port: u16) -> Vec<(u64, u32, usize)> {
-        self.dialer.sink_take_seq(port)
     }
 
     async fn wait_until(&mut self, time: u64) {

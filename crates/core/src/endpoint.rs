@@ -219,6 +219,11 @@ fn resp_cost(resp: &Response) -> usize {
 
 struct Session {
     sid: u64,
+    /// Which `Session` object this is, unique within the agent. Unlike
+    /// `sid` it stays with the object when a re-authentication adopts it,
+    /// so a send scheduled before the adoption still finds its way home
+    /// (see [`stack_tag`]).
+    owner: u32,
     state: SessionState,
     priority: u8,
     suspended: bool,
@@ -257,9 +262,10 @@ struct Session {
 }
 
 impl Session {
-    fn new(sid: u64, default_buffer: usize, replay_budget: usize) -> Self {
+    fn new(sid: u64, owner: u32, default_buffer: usize, replay_budget: usize) -> Self {
         Session {
             sid,
+            owner,
             state: SessionState::New,
             priority: 0,
             suspended: false,
@@ -312,6 +318,19 @@ impl Session {
     }
 }
 
+/// The tag a [`NetStack`] carries for a scheduled raw or UDP send: the
+/// session's own tag — a per-session counter from 1, what `SendQueued`
+/// reports and the send-log slot is keyed by — under the issuing session's
+/// `owner`. Two sessions' tag 1 are two different sends; the stack's log
+/// must say whose left when. A session's tags stay below 2^32.
+fn stack_tag(owner: u32, tag: u64) -> u64 {
+    (owner as u64) << 32 | (tag & 0xffff_ffff)
+}
+
+fn stack_tag_parts(stack_tag: u64) -> (u32, u64) {
+    ((stack_tag >> 32) as u32, stack_tag & 0xffff_ffff)
+}
+
 /// Wakeup-key kinds (encoded into the [`NetStack::schedule_wakeup`] key).
 const WAKE_POLL: u64 = 1;
 const WAKE_TCP_SEND: u64 = 2;
@@ -334,6 +353,8 @@ pub struct EndpointAgent {
     /// Deferred TCP scheduled sends: seq → (sid, sktid, payload, tag).
     pending_tcp: HashMap<u32, (u64, u32, Vec<u8>, u64)>,
     next_tcp_seq: u32,
+    /// The next new session's [`Session::owner`].
+    next_owner: u32,
     /// Statistics: total packets captured across all sessions.
     pub captured_packets: u64,
     /// Statistics: total sends denied by monitors.
@@ -349,6 +370,7 @@ impl EndpointAgent {
             active: None,
             pending_tcp: HashMap::new(),
             next_tcp_seq: 1,
+            next_owner: 0,
             captured_packets: 0,
             denied_sends: 0,
         }
@@ -405,10 +427,12 @@ impl EndpointAgent {
                 sid,
                 Session::new(
                     sid,
+                    self.next_owner,
                     self.config.default_buffer_bytes as usize,
                     self.config.replay_cache_bytes,
                 ),
             );
+            self.next_owner = self.next_owner.wrapping_add(1);
         }
     }
 
@@ -1066,7 +1090,7 @@ impl EndpointAgent {
                     return err(ErrCode::Denied, "monitor denied send");
                 }
                 s.next_tag += 1;
-                stack.raw_send_at(time, data, tag);
+                stack.raw_send_at(time, data, stack_tag(s.owner, tag));
                 Message::Resp(Response::SendQueued { tag })
             }
             Some(SocketBinding::Udp { locport, remaddr, remport }) => {
@@ -1084,7 +1108,7 @@ impl EndpointAgent {
                     return err(ErrCode::Denied, "monitor denied send");
                 }
                 s.next_tag += 1;
-                stack.udp_send_at(time, locport, remaddr, remport, &data, tag);
+                stack.udp_send_at(time, locport, remaddr, remport, &data, stack_tag(s.owner, tag));
                 Message::Resp(Response::SendQueued { tag })
             }
             Some(SocketBinding::Tcp { conn, remaddr, remport, locport }) => {
@@ -1279,19 +1303,15 @@ impl EndpointAgent {
                 }
             }
         }
-        let sids = self.sids(|_| true);
-        for (tag, time) in &send_log {
-            // Tags are per-session counters; a tag may collide across
-            // sessions, so record into every session that issued it (the
-            // controller only reads its own session's memory).
-            for sid in &sids {
-                let s = self.sessions.get_mut(sid).unwrap();
-                if *tag < s.next_tag {
-                    s.memory.record_send(*tag, *time);
-                }
+        for (stack_tag, time) in send_log {
+            // Into the session that issued it and no other; a send whose
+            // session has since closed has no reader left.
+            let (owner, tag) = stack_tag_parts(stack_tag);
+            if let Some(s) = self.sessions.values_mut().find(|s| s.owner == owner) {
+                s.memory.record_send(tag, time);
             }
         }
-        for sid in sids {
+        for sid in self.sids(|_| true) {
             let s = self.sessions.get_mut(&sid).unwrap();
             // Drain OS sockets into the capture buffer, respecting
             // capacity: when full we simply stop reading (§3.1 — this is
@@ -1605,7 +1625,7 @@ mod tests {
             panic!()
         };
         // The stack reports the actual transmit time; service() records it.
-        s.send_log.push((tag, 4_242));
+        s.send_log.push((s.raw_sends[0].2, 4_242));
         let _ = a.service(&mut s);
         let slot = crate::memory::EndpointMemory::sendlog_slot(tag);
         let resp = cmd(&mut a, &mut s, 1, Command::MRead {
@@ -1617,6 +1637,41 @@ mod tests {
             crate::memory::EndpointMemory::parse_sendlog_entry(&data),
             Some((tag, 4_242))
         );
+    }
+
+    /// §3.3 contention: a preempted experiment's scheduled send still
+    /// fires. Tags are per-session counters, so both sessions' first send
+    /// is tag 1 — each must read back its own departure, not the other's.
+    #[test]
+    fn send_times_stay_with_the_session_that_scheduled_them() {
+        let mut a = agent();
+        let mut s = MockStack::new();
+        let pkt =
+            plab_packet::builder::icmp_echo_request(s.addr, Ipv4Addr::new(10, 0, 0, 9), 64, 1, 1, &[]);
+        // Session 1 schedules for t=100; session 2 outranks it, takes the
+        // endpoint and schedules for t=50.
+        for (sid, priority, time) in [(1, 5, 100), (2, 10, 50)] {
+            authenticate(&mut a, &mut s, sid, priority);
+            let open =
+                Command::NOpen { sktid: 1, proto: Proto::Raw, locport: 0, remaddr: 0, remport: 0 };
+            cmd(&mut a, &mut s, sid, open);
+            let resp = cmd(&mut a, &mut s, sid, Command::NSend { sktid: 1, time, data: pkt.clone() });
+            assert!(matches!(resp, Message::Resp(Response::SendQueued { tag: 1 })), "{resp:?}");
+        }
+        // The stack reports each departure under the tag it was handed.
+        for (sent, left) in [(1, 50), (0, 100)] {
+            s.send_log.push((s.raw_sends[sent].2, left));
+            let _ = a.service(&mut s);
+        }
+        for (sid, left) in [(1, 100), (2, 50)] {
+            let slot = crate::memory::EndpointMemory::sendlog_slot(1);
+            let entry = a.sessions[&sid].memory.read(slot, crate::memory::SENDLOG_ENTRY as u32);
+            assert_eq!(
+                crate::memory::EndpointMemory::parse_sendlog_entry(entry.unwrap()),
+                Some((1, left)),
+                "session {sid}"
+            );
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! ([`crate::controller::ControlChannel`] and friends).
 
 use crate::controller::robust::Dialer;
-use crate::controller::{aio, ControlChannel, SinkHost};
+use crate::controller::{aio, probe_seq, ControlChannel, SinkHost};
 use crate::endpoint::{EndpointAgent, EndpointConfig};
 use crate::reactor::EndpointReactor;
 use crate::rendezvous::{RendezvousServer, RvMessage};
@@ -120,10 +120,8 @@ pub struct SimNet {
     node_eps: HashMap<usize, Vec<usize>>,
     /// node index → rendezvous indices on that node (sparse-mode lookup).
     node_rvs: HashMap<usize, Vec<usize>>,
-    /// When set (sparse mode only), dirty nodes are also accumulated here
-    /// for an external scheduler to drain via
-    /// [`SimNet::take_serviced_nodes`].
-    track_serviced: bool,
+    /// Sparse mode: the dirty nodes of every pass, for an external
+    /// scheduler to drain via [`SimNet::take_serviced_nodes`].
     serviced: Vec<NodeId>,
 }
 
@@ -149,22 +147,12 @@ impl SimNet {
             sparse: false,
             node_eps: HashMap::new(),
             node_rvs: HashMap::new(),
-            track_serviced: false,
             serviced: Vec::new(),
         }
     }
 
-    /// Also accumulate sparse-mode dirty nodes for an external scheduler
-    /// (e.g. the fleet runner deciding which parked tasks to re-examine).
-    /// Only meaningful with [`SimNet::set_sparse`] on; the accumulated
-    /// list must be drained with [`SimNet::take_serviced_nodes`].
-    pub fn set_track_serviced(&mut self, on: bool) {
-        self.track_serviced = on;
-        self.serviced.clear();
-    }
-
-    /// Drain the nodes serviced since the last call (sparse mode with
-    /// [`SimNet::set_track_serviced`] on). May contain duplicates.
+    /// Drain the nodes serviced since the last call (sparse mode only).
+    /// May contain duplicates.
     pub fn take_serviced_nodes(&mut self) -> Vec<NodeId> {
         std::mem::take(&mut self.serviced)
     }
@@ -176,7 +164,10 @@ impl SimNet {
     /// this turns the O(endpoints) per-event scan into O(dirty). The
     /// servicing *order* stays a pure function of the event sequence, so
     /// sparse runs replay bit-identically; dense (default) mode is
-    /// untouched and keeps its pinned chaos digests.
+    /// untouched and keeps its pinned chaos digests. The nodes each pass
+    /// serviced accumulate for [`SimNet::take_serviced_nodes`] (the fleet
+    /// runner re-examines the tasks parked on them), so whoever switches
+    /// this on drains that list.
     pub fn set_sparse(&mut self, on: bool) {
         self.sparse = on;
         self.sim.set_track_dirty(on);
@@ -473,9 +464,7 @@ impl SimNet {
             // sorted agent indices makes the service order a pure function
             // of the event sequence regardless of touch order.
             let dirty = self.sim.take_dirty_nodes();
-            if self.track_serviced {
-                self.serviced.extend_from_slice(&dirty);
-            }
+            self.serviced.extend_from_slice(&dirty);
             let mut eps: Vec<usize> = Vec::new();
             let mut rvs: Vec<usize> = Vec::new();
             for n in &dirty {
@@ -608,18 +597,11 @@ impl SimNet {
 
     fn drain_endpoint_rendezvous(&mut self, i: usize) {
         let node = self.endpoints[i].node;
-        let Some((conn, _)) = self.endpoints[i].rv_conn else {
+        let Some((conn, dec)) = &mut self.endpoints[i].rv_conn else {
             return;
         };
-        loop {
-            let data = self.sim.tcp_recv(node, conn, 65536);
-            if data.is_empty() {
-                break;
-            }
-            if let Some((_, dec)) = &mut self.endpoints[i].rv_conn {
-                dec.extend(&data);
-            }
-        }
+        let conn = *conn;
+        dec.fill(|max| self.sim.tcp_recv(node, conn, max));
         loop {
             let frame = match &mut self.endpoints[i].rv_conn {
                 Some((_, dec)) => dec.next_frame(),
@@ -693,18 +675,8 @@ impl SimNet {
             else {
                 continue;
             };
-            loop {
-                let data = self.sim.tcp_recv(node, conn, 65536);
-                if data.is_empty() {
-                    break;
-                }
-                self.rendezvous[i]
-                    .sessions
-                    .get_mut(&sid)
-                    .unwrap()
-                    .decoder
-                    .extend(&data);
-            }
+            let decoder = &mut self.rendezvous[i].sessions.get_mut(&sid).unwrap().decoder;
+            decoder.fill(|max| self.sim.tcp_recv(node, conn, max));
             loop {
                 let frame =
                     self.rendezvous[i].sessions.get_mut(&sid).unwrap().decoder.next_frame();
@@ -805,13 +777,7 @@ impl SimChannel {
 
     fn drain(&mut self) {
         let mut n = self.net.borrow_mut();
-        loop {
-            let data = n.sim.tcp_recv(self.node, self.conn, 65536);
-            if data.is_empty() {
-                break;
-            }
-            self.decoder.extend(&data);
-        }
+        self.decoder.fill(|max| n.sim.tcp_recv(self.node, self.conn, max));
     }
 
     /// The harness (for experiment code needing controller-host sockets,
@@ -828,18 +794,6 @@ impl SimChannel {
     /// Bind a UDP port on the controller host.
     pub fn udp_bind(&self, port: u16) -> bool {
         self.net.borrow_mut().sim.udp_bind(self.node, port)
-    }
-
-    /// Drain UDP arrivals on the controller host: (arrival time, source,
-    /// source port, payload length).
-    pub fn udp_take(&self, port: u16) -> Vec<(u64, Ipv4Addr, u16, usize)> {
-        self.net
-            .borrow_mut()
-            .sim
-            .udp_recv(self.node, port)
-            .into_iter()
-            .map(|(t, a, p, d)| (t, a, p, d.len()))
-            .collect()
     }
 
     /// The controller host's address (for descriptors and UDP sinks).
@@ -869,12 +823,8 @@ impl aio::Sink for SimChannel {
         self.udp_bind(port)
     }
 
-    fn sink_take(&mut self, port: u16) -> Vec<(u64, Ipv4Addr, u16, usize)> {
-        self.udp_take(port)
-    }
-
-    fn sink_take_seq(&mut self, port: u16) -> Vec<(u64, u32, usize)> {
-        udp_take_seq(&self.net, self.node, port)
+    fn sink_take(&mut self, port: u16) -> Vec<(u64, Ipv4Addr, u16, u32, usize)> {
+        udp_take(&self.net, self.node, port)
     }
 
     async fn wait_until(&mut self, time: u64) {
@@ -884,15 +834,15 @@ impl aio::Sink for SimChannel {
 
 impl SinkHost for SimChannel {}
 
-/// Drain UDP arrivals on `node`:`port` as (arrival time, probe sequence,
-/// payload length) — the [`SinkHost::sink_take_seq`] shape.
-fn udp_take_seq(net: &Rc<RefCell<SimNet>>, node: NodeId, port: u16) -> Vec<(u64, u32, usize)> {
-    net.borrow_mut()
-        .sim
-        .udp_recv(node, port)
-        .into_iter()
-        .map(|(t, _, _, d)| (t, crate::controller::probe_seq(&d), d.len()))
-        .collect()
+/// Drain UDP arrivals on `node`:`port` in the [`aio::Sink::sink_take`]
+/// shape.
+fn udp_take(
+    net: &Rc<RefCell<SimNet>>,
+    node: NodeId,
+    port: u16,
+) -> Vec<(u64, Ipv4Addr, u16, u32, usize)> {
+    let arrivals = net.borrow_mut().sim.udp_recv(node, port);
+    arrivals.into_iter().map(|(t, a, p, d)| (t, a, p, probe_seq(&d), d.len())).collect()
 }
 
 /// A dialer that connects to one endpoint's control port over the
@@ -952,18 +902,8 @@ impl aio::Sink for SimDialer {
         self.net.borrow_mut().sim.udp_bind(self.node, port)
     }
 
-    fn sink_take(&mut self, port: u16) -> Vec<(u64, Ipv4Addr, u16, usize)> {
-        self.net
-            .borrow_mut()
-            .sim
-            .udp_recv(self.node, port)
-            .into_iter()
-            .map(|(t, a, p, d)| (t, a, p, d.len()))
-            .collect()
-    }
-
-    fn sink_take_seq(&mut self, port: u16) -> Vec<(u64, u32, usize)> {
-        udp_take_seq(&self.net, self.node, port)
+    fn sink_take(&mut self, port: u16) -> Vec<(u64, Ipv4Addr, u16, u32, usize)> {
+        udp_take(&self.net, self.node, port)
     }
 
     async fn wait_until(&mut self, time: u64) {

@@ -29,7 +29,7 @@ pub const SENDLOG_OFFSET: usize = layout::INFO_SIZE;
 pub const SENDLOG_SLOTS: usize = 64;
 /// Bytes per send-log entry (tag, time).
 pub const SENDLOG_ENTRY: usize = 16;
-/// Offset of the socket-state table ("the current socket state [is]
+/// Offset of the socket-state table ("the current socket state \[is\]
 /// available to the controller via a structured block of memory", §3.1).
 pub const SOCKSTAT_OFFSET: usize = SENDLOG_OFFSET + SENDLOG_SLOTS * SENDLOG_ENTRY;
 /// Entries in the socket-state ring.

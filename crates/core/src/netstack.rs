@@ -36,7 +36,8 @@ pub trait NetStack {
 
     /// Queue a complete IP datagram for transmission at `time` (endpoint
     /// clock). The actual transmit time is reported back with `tag`
-    /// through [`NetStack::take_send_log`].
+    /// through [`NetStack::take_send_log`]; the tag is the caller's to
+    /// choose and opaque to the stack.
     fn raw_send_at(&mut self, time: u64, packet: Vec<u8>, tag: u64);
 
     /// Bind a local UDP port. False if in use.
@@ -211,20 +212,7 @@ impl NetStack for SimStack<'_> {
     }
 
     fn take_send_log(&mut self) -> Vec<(u64, u64)> {
-        // The sim's send log is global; the harness filters per node before
-        // constructing the stack... but SimStack is per-node, so filter here
-        // and push back foreign entries.
-        let all = self.sim.take_send_log();
-        let mut mine = Vec::new();
-        for (node, tag, time) in all {
-            if node == self.node {
-                mine.push((tag, time));
-            } else {
-                // Restore for other nodes' stacks.
-                self.sim.push_send_log(node, tag, time);
-            }
-        }
-        mine
+        self.sim.take_send_log(self.node)
     }
 }
 
@@ -366,13 +354,14 @@ mod tests {
         }
         {
             let mut sb = SimStack::new(&mut sim, b);
-            sb.udp_send_at(0, 1, "10.0.0.1".parse().unwrap(), 9, b"y", 2);
+            sb.udp_send_at(2_000, 1, "10.0.0.1".parse().unwrap(), 9, b"y", 2);
+            sb.udp_send_at(1_000, 1, "10.0.0.1".parse().unwrap(), 9, b"z", 3);
         }
         sim.run_until(SECOND);
-        let mine = SimStack::new(&mut sim, a).take_send_log();
-        assert_eq!(mine, vec![(1, 0)]);
+        assert_eq!(SimStack::new(&mut sim, a).take_send_log(), vec![(1, 0)]);
+        assert!(SimStack::new(&mut sim, a).take_send_log().is_empty());
         let theirs = SimStack::new(&mut sim, b).take_send_log();
-        assert_eq!(theirs, vec![(2, 0)]);
+        assert_eq!(theirs, vec![(3, 1_000), (2, 2_000)], "untouched, in firing order");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! - **Admission control.** New connections are admitted only while the
 //!   agent is under [`crate::endpoint::EndpointConfig::max_sessions`];
 //!   over-capacity connections receive a typed
-//!   [`ErrCode::Busy`](crate::wire::ErrCode::Busy) response and are closed
+//!   [`ErrCode::Busy`] response and are closed
 //!   once it flushes — the
 //!   [`RobustController`](crate::controller::robust::RobustController)
 //!   classifies that as transient and re-dials with backoff. Rejections
@@ -22,7 +22,8 @@
 //! - **Backpressure.** Outbound frames queue per session with a byte
 //!   bound, plus a global bound across sessions; a session whose
 //!   outbound queue is over budget (or a reactor over the global bound)
-//!   stops being dispatched until the queue drains to the transport.
+//!   stops being dispatched until the queue drains to the transport. The
+//!   two bounds and the DRR quantum are constants of this module.
 //!
 //! §3.3's "no more than one controller has control" is untouched: the
 //! agent's priority arbitration (contend / suspend / resume) still decides
@@ -164,28 +165,14 @@ impl DrrScheduler {
     }
 }
 
-/// Outbound-queue bounds for [`EndpointReactor`].
-#[derive(Debug, Clone, Copy)]
-pub struct ReactorLimits {
-    /// DRR quantum, bytes per scheduling visit.
-    pub quantum: u64,
-    /// Per-session outbound queue bound, bytes. A session over this bound
-    /// is not dispatched until its queue drains.
-    pub session_outq_bytes: usize,
-    /// Global outbound bound across all sessions, bytes. Dispatch pauses
-    /// entirely while the reactor holds more than this.
-    pub global_outq_bytes: usize,
-}
-
-impl Default for ReactorLimits {
-    fn default() -> Self {
-        ReactorLimits {
-            quantum: 1 << 12,
-            session_outq_bytes: 256 << 10,
-            global_outq_bytes: 8 << 20,
-        }
-    }
-}
+/// The reactor's DRR quantum, bytes per scheduling visit.
+const QUANTUM: u64 = 1 << 12;
+/// Per-session outbound queue bound, bytes. A session over this bound is
+/// not dispatched until its queue drains.
+const SESSION_OUTQ_BYTES: usize = 256 << 10;
+/// Global outbound bound across all sessions, bytes. Dispatch pauses
+/// entirely while the reactor holds more than this.
+const GLOBAL_OUTQ_BYTES: usize = 8 << 20;
 
 /// Per-session IO state.
 #[derive(Default)]
@@ -216,13 +203,7 @@ impl SessionIo {
 
     /// Read what the connection has and decode it into `inq`.
     fn pump(&mut self, stack: &mut dyn NetStack) {
-        loop {
-            let data = stack.tcp_recv(self.conn, 65536);
-            if data.is_empty() {
-                break;
-            }
-            self.decoder.extend(&data);
-        }
+        self.decoder.fill(|max| stack.tcp_recv(self.conn, max));
         loop {
             match self.decoder.next_frame() {
                 Ok(Some(payload)) => match Message::decode(&payload) {
@@ -283,7 +264,6 @@ pub struct EndpointReactor {
     /// flush order are one order and nothing is ever sorted.
     table: Vec<SessionIo>,
     sched: DrrScheduler,
-    limits: ReactorLimits,
     global_out_bytes: usize,
     next_sid: u64,
     /// Sessions rejected at admission over this reactor's lifetime.
@@ -291,18 +271,12 @@ pub struct EndpointReactor {
 }
 
 impl EndpointReactor {
-    /// Reactor over a fresh agent with default limits.
+    /// Reactor over a fresh agent.
     pub fn new(config: EndpointConfig) -> Self {
-        EndpointReactor::with_limits(config, ReactorLimits::default())
-    }
-
-    /// Reactor with explicit scheduling/backpressure limits.
-    pub fn with_limits(config: EndpointConfig, limits: ReactorLimits) -> Self {
         EndpointReactor {
             agent: EndpointAgent::new(config),
             table: Vec::new(),
-            sched: DrrScheduler::new(limits.quantum),
-            limits,
+            sched: DrrScheduler::new(QUANTUM),
             global_out_bytes: 0,
             next_sid: 1,
             rejected_sessions: 0,
@@ -373,9 +347,8 @@ impl EndpointReactor {
     /// backpressure. Returns the number of messages dispatched.
     pub fn dispatch(&mut self, stack: &mut dyn NetStack) -> usize {
         let mut served = 0usize;
-        let session_bound = self.limits.session_outq_bytes;
         loop {
-            if self.global_out_bytes > self.limits.global_outq_bytes {
+            if self.global_out_bytes > GLOBAL_OUTQ_BYTES {
                 M_STALLED.inc();
                 break;
             }
@@ -389,7 +362,7 @@ impl EndpointReactor {
             let mut offered = false;
             let next = self.sched.poll(|sid| {
                 let s = &table[slot(table, sid)?];
-                if s.poisoned || s.outq_bytes > session_bound {
+                if s.poisoned || s.outq_bytes > SESSION_OUTQ_BYTES {
                     return None;
                 }
                 let cost = s.inq.front().map(|(_, c)| *c);

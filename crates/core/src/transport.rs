@@ -91,9 +91,10 @@ impl TcpChannel {
 
     fn pump(&mut self) {
         let mut buf = [0u8; 16384];
-        while let n @ 1.. = self.io.read(&mut buf) {
-            self.decoder.extend(&buf[..n]);
-        }
+        self.decoder.fill(|_| {
+            let n = self.io.read(&mut buf);
+            buf[..n].to_vec()
+        });
     }
 }
 

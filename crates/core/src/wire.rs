@@ -774,6 +774,20 @@ impl FrameDecoder {
         }
     }
 
+    /// Feed everything `read` has: it is called, each time for at most
+    /// that many bytes, until it returns none. True if any byte arrived.
+    pub fn fill(&mut self, mut read: impl FnMut(usize) -> Vec<u8>) -> bool {
+        let mut any = false;
+        loop {
+            let data = read(65536);
+            if data.is_empty() {
+                return any;
+            }
+            self.extend(&data);
+            any = true;
+        }
+    }
+
     /// Extract the next complete frame payload, if any.
     pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, WireError> {
         if self.start < self.scanned {

@@ -13,6 +13,7 @@
 use packetlab::cert::Restrictions;
 use packetlab::controller::{
     experiments, handshake, ControlChannel, ControlPlane, Controller, ControllerError, Credentials,
+    SinkHost,
 };
 use packetlab::descriptor::ExperimentDescriptor;
 use packetlab::endpoint::EndpointConfig;
@@ -208,10 +209,10 @@ fn udp_socket_data_flows_through_npoll() {
     let tag = ctrl.nsend(1, 0, b"from endpoint".to_vec()).unwrap();
     let later = ctrl.now() + SECOND;
     ctrl.channel().wait_until(later);
-    let got = ctrl.channel().udp_take(6200);
+    let got = SinkHost::sink_take(&mut ctrl, 6200);
     assert_eq!(got.len(), 1);
     assert_eq!(got[0].1, world.endpoint_addr);
-    assert_eq!(got[0].3, 13);
+    assert_eq!(got[0].4, 13);
     assert!(ctrl.read_send_time(tag).unwrap().is_some());
     // Controller host → endpoint socket; data comes back via npoll.
     {

@@ -151,7 +151,7 @@ impl Fe {
         ])
     }
 
-    /// a², with each cross product a[i]·a[j] (i ≠ j) formed once and
+    /// a², with each cross product `a[i]·a[j]` (i ≠ j) formed once and
     /// doubled: 15 limb multiplications where `mul` takes 25.
     pub const fn square(&self) -> Fe {
         let a = &self.0;

@@ -12,11 +12,11 @@
 //! `const fn` at compile time (no hand-entered table data) and held as
 //! [`Cached`] addends of 160 bytes:
 //!
-//! - [`BASE_COMB`]`[i][j] = (j+1)·256^i·B`, 32 × 8 entries (40 KiB):
+//! - `BASE_COMB[i][j] = (j+1)·256^i·B`, 32 × 8 entries (40 KiB):
 //!   [`mul_base`] (keygen, sign) writes the scalar in 64 signed radix-16
 //!   digits and adds one entry per digit, the odd-position digits first
 //!   and four doublings between the two halves.
-//! - [`BASE_ODD`]`[i] = (2i+1)·B`, 64 entries (10 KiB): the width-8
+//! - `BASE_ODD[i] = (2i+1)·B`, 64 entries (10 KiB): the width-8
 //!   signed sliding window of [`mul_base_sub`] (verify), which computes
 //!   `[s]B − [k]A` on one shared doubling ladder with a width-5 window
 //!   over eight odd multiples of `A` built per call.
@@ -263,8 +263,8 @@ static BASE_COMB: [[Cached; 8]; 32] = {
 };
 
 /// Fixed-base scalar multiplication `k * B` over 64 signed radix-16
-/// digits d: Σ d[2i+1]·256^i·B, times 16 (the only four doublings), plus
-/// Σ d[2i]·256^i·B. One table addition per digit, the identity for a
+/// digits d: `Σ d[2i+1]·256^i·B`, times 16 (the only four doublings), plus
+/// `Σ d[2i]·256^i·B`. One table addition per digit, the identity for a
 /// zero digit, so every scalar takes the same schedule.
 pub fn mul_base(k: &Scalar) -> Point {
     let digits = k.radix16();

@@ -97,7 +97,7 @@ impl Scalar {
     }
 
     /// Signed radix-16 digits, least significant first: the scalar is
-    /// Σ d[i]·16^i with every d[i] in [−8, 8].
+    /// `Σ d[i]·16^i` with every `d[i]` in \[−8, 8\].
     pub fn radix16(&self) -> [i8; 64] {
         debug_assert!(self.0[3] >> 61 == 0, "scalar not reduced");
         let mut d = [0i8; 64];
@@ -115,8 +115,8 @@ impl Scalar {
     }
 
     /// Width-`w` non-adjacent form (2 ≤ w ≤ 8), least significant first:
-    /// the scalar is Σ naf[i]·2^i, every nonzero digit is odd with
-    /// |naf[i]| < 2^(w−1), and any `w` consecutive digits hold at most one
+    /// the scalar is `Σ naf[i]·2^i`, every nonzero digit is odd with
+    /// `|naf[i]| < 2^(w−1)`, and any `w` consecutive digits hold at most one
     /// nonzero — a signed sliding window over 2^(w−2) odd multiples.
     pub fn naf(&self, w: u32) -> [i8; 256] {
         debug_assert!((2..=8).contains(&w) && self.0[3] >> 61 == 0);

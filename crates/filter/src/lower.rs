@@ -194,7 +194,7 @@ pub enum TOp {
     /// Record-variant stand-in for a persistent-memory *read*: ends the
     /// recordable prefix by pausing before the instruction executes
     /// (cost 0 — the real instruction is charged on resume). Only appears
-    /// in [`record_variant`] streams, never in plain lowered code.
+    /// in `record_variant` streams, never in plain lowered code.
     Pause,
     /// Record-variant [`TOp::StMem`]: performs the store and appends
     /// `(address, value)` to the write log so replaying sections can apply

@@ -49,7 +49,7 @@ impl GilbertElliott {
 pub enum FaultAction {
     /// Take a link down. Packets already in flight on the link are lost at
     /// arrival time (a cut cable drops what is on the wire) and new offers
-    /// are dropped with [`crate::trace::DropReason::LinkDown`].
+    /// are dropped with [`crate::DropReason::LinkDown`].
     LinkDown {
         /// Link index (see [`crate::Sim::link_between`]).
         link: usize,
@@ -99,7 +99,7 @@ pub enum FaultAction {
     },
     /// Crash a host: its entire socket stack (raw/UDP/TCP, pending OS
     /// packets) is wiped and deliveries are dropped with
-    /// [`crate::trace::DropReason::NodeDown`] until restart.
+    /// [`crate::DropReason::NodeDown`] until restart.
     NodeCrash {
         /// Node index.
         node: usize,

@@ -23,7 +23,9 @@
 //!   backpressure §3.1 relies on when capture buffers fill ([`tcp`]);
 //! - **scheduled transmission**: packets queued to leave a host at an exact
 //!   future virtual time, the primitive `nsend` maps onto;
-//! - **tracing** of per-packet events for test assertions ([`trace`]);
+//! - **drop accounting**: every discarded packet is counted by
+//!   [`DropReason`] ([`Sim::drops`]) and emitted to `plab-obs`, the one
+//!   recorder; the simulator keeps no per-packet log of its own;
 //! - **fault injection**: scheduled link flaps, Gilbert–Elliott burst
 //!   loss, and endpoint crash/restart, all replayable from a seed
 //!   ([`fault`]).
@@ -49,7 +51,6 @@ pub mod sim;
 pub mod tcp;
 pub mod time;
 pub mod topology;
-pub mod trace;
 mod world;
 
 pub use fault::{FaultAction, GilbertElliott, ScheduledFault};
@@ -58,7 +59,6 @@ pub use node::{NodeId, RawDisposition};
 pub use event::EventId;
 pub use pool::{BufPool, Frame};
 pub use shard::ShardedSim;
-pub use sim::{NodeTransition, Sim};
+pub use sim::{DropReason, NodeTransition, Sim};
 pub use time::{SimTime, MICROSECOND, MILLISECOND, SECOND};
 pub use topology::TopologyBuilder;
-pub use trace::DropReason;

@@ -26,7 +26,7 @@
 //!   allocates the destination's next `seq`, so the merged `(time, seq)`
 //!   order is a pure function of `(seed, shard_count)` — independent of
 //!   thread scheduling, because shards share no mutable state between
-//!   barriers (each has its own RNG, pool, wheel, and trace).
+//!   barriers (each has its own RNG, pool, wheel, and drop counters).
 //! - **Boundary equality.** An arrival can be at or behind the
 //!   destination's clock after a barrier (equality at the first window,
 //!   ties after a `SetDelay` shrink). [`crate::event::EventQueue`]
@@ -174,7 +174,7 @@ impl ShardedSim {
         self.window
     }
 
-    /// The shards, in index order (per-shard traces and stats).
+    /// The shards, in index order (per-shard drop counts and stats).
     pub fn shards(&self) -> &[Sim] {
         &self.shards
     }
@@ -412,16 +412,6 @@ impl ShardedSim {
         self.shard_mut(node).schedule_send(node, time, packet, tag);
     }
 
-    /// Send log across shards, concatenated in shard order.
-    pub fn take_send_log(&mut self) -> Vec<(NodeId, u64, SimTime)> {
-        self.gather(Sim::take_send_log)
-    }
-
-    /// See [`Sim::push_send_log`].
-    pub fn push_send_log(&mut self, node: NodeId, tag: u64, time: SimTime) {
-        self.shard_mut(node).push_send_log(node, tag, time);
-    }
-
     /// Schedule a fault: node faults go to the owning shard; link faults
     /// go to every shard (each applies it at the same virtual time in its
     /// own timeline; only the shards holding the link have anything to
@@ -575,11 +565,6 @@ impl ShardedSim {
     /// See [`Sim::tcp_close`].
     pub fn tcp_close(&mut self, node: NodeId, conn: u64) {
         self.shard_mut(node).tcp_close(node, conn);
-    }
-
-    /// See [`Sim::tcp_set_recv_capacity`].
-    pub fn tcp_set_recv_capacity(&mut self, node: NodeId, conn: u64, capacity: usize) {
-        self.shard_mut(node).tcp_set_recv_capacity(node, conn, capacity);
     }
 
     /// See [`Sim::tcp_peer_window`].

@@ -6,7 +6,6 @@ use crate::link::{Link, Offer};
 use crate::node::{Node, NodeId, NodeKind};
 use crate::pool::{BufPool, Frame};
 use crate::time::SimTime;
-use crate::trace::{DropReason, Trace, TraceEvent};
 use crate::world::{Owned, World};
 use plab_packet::{builder, icmp, ipv4, proto, udp};
 use rand::rngs::StdRng;
@@ -22,6 +21,28 @@ pub enum NodeTransition {
     Crashed(NodeId),
     /// The node restarted with a fresh, empty stack.
     Restarted(NodeId),
+}
+
+/// Why a packet was dropped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DropReason {
+    /// Tail-dropped at a link queue.
+    QueueFull,
+    /// Random loss on a lossy link.
+    RandomLoss,
+    /// TTL reached zero at a router.
+    TtlExpired,
+    /// No route toward the destination.
+    NoRoute,
+    /// Arrived at a host that does not own the destination address.
+    WrongHost,
+    /// Malformed datagram.
+    Malformed,
+    /// Offered to (or in flight on) a link that is administratively down
+    /// (fault injection: link flap or partition).
+    LinkDown,
+    /// Destined to, or sent from, a crashed host (fault injection).
+    NodeDown,
 }
 
 /// A packet diverted toward a node owned by a foreign shard, handed over
@@ -67,8 +88,10 @@ pub struct Sim {
     /// The world's fixed part, shared with the other shards.
     pub(crate) world: Arc<World>,
     rng: StdRng,
-    /// Packet trace for assertions.
-    pub trace: Trace,
+    /// Drops by reason (indexed by `DropReason as usize`). A flat array:
+    /// drop accounting sits on the per-packet path, so it must not pay a
+    /// hash per record.
+    drop_counts: [u64; 8],
     fired_timers: Vec<(NodeId, u64)>,
     send_log: Vec<(NodeId, u64, SimTime)>,
     node_transitions: Vec<NodeTransition>,
@@ -104,7 +127,7 @@ impl Sim {
             links,
             world,
             rng: StdRng::seed_from_u64(seed),
-            trace: Trace::default(),
+            drop_counts: [0; 8],
             fired_timers: Vec::new(),
             send_log: Vec::new(),
             node_transitions: Vec::new(),
@@ -250,7 +273,7 @@ impl Sim {
         match kind {
             EventKind::LinkArrival { link, dir, packet } => {
                 // One bounds-checked borrow for the whole arm; `rng` and
-                // `trace` are disjoint fields.
+                // `drop_counts` are disjoint fields.
                 let l = &mut self.links[link];
                 // Cross-shard arrivals: the sending shard owns the queue
                 // accounting (it processes the matching `CrossDeparted`);
@@ -370,15 +393,17 @@ impl Sim {
         );
     }
 
-    /// Drain the log of (node, tag, actual send time) for scheduled sends.
-    pub fn take_send_log(&mut self) -> Vec<(NodeId, u64, SimTime)> {
-        std::mem::take(&mut self.send_log)
-    }
-
-    /// Re-append a send-log record (used by per-node stacks that drain the
-    /// shared log and must put back other nodes' entries).
-    pub fn push_send_log(&mut self, node: NodeId, tag: u64, time: SimTime) {
-        self.send_log.push((node, tag, time));
+    /// Drain `node`'s (tag, actual send time) records for scheduled sends,
+    /// in firing order. Other nodes' records stay, in their order.
+    pub fn take_send_log(&mut self, node: NodeId) -> Vec<(u64, SimTime)> {
+        let mut mine = Vec::new();
+        self.send_log.retain(|&(n, tag, time)| {
+            if n == node {
+                mine.push((tag, time));
+            }
+            n != node
+        });
+        mine
     }
 
     // ------------------------------------------------------------------
@@ -658,14 +683,6 @@ impl Sim {
         self.nodes[node.0].host_ref().tcp.retrans(conn)
     }
 
-    /// Resize a connection's receive buffer (advertised-window ceiling).
-    pub fn tcp_set_recv_capacity(&mut self, node: NodeId, conn: u64, capacity: usize) {
-        self.nodes[node.0]
-            .host_mut()
-            .tcp
-            .set_recv_capacity(conn, capacity);
-    }
-
     // ------------------------------------------------------------------
     // Forwarding internals
     // ------------------------------------------------------------------
@@ -681,8 +698,21 @@ impl Sim {
         }
     }
 
+    /// Packets dropped for `reason` over this sim's lifetime.
+    pub fn drops(&self, reason: DropReason) -> u64 {
+        self.drop_counts[reason as usize]
+    }
+
     fn trace_drop(&mut self, node: usize, reason: DropReason) {
-        self.trace.record(TraceEvent::Dropped { time: self.time, node, reason });
+        self.drop_counts[reason as usize] += 1;
+        static DROPS: plab_obs::metrics::Counter = plab_obs::metrics::Counter::new("netsim.drops");
+        DROPS.inc();
+        plab_obs::obs_event!(
+            plab_obs::Component::Netsim,
+            "drop",
+            "reason" = reason as u8,
+            "node" = node
+        );
     }
 
     /// Inject a packet originating at `node` into the network.
@@ -691,14 +721,6 @@ impl Sim {
             self.trace_drop(node.0, DropReason::Malformed);
             return;
         };
-        self.trace.record(TraceEvent::Sent {
-            time: self.time,
-            node: node.0,
-            src: view.src(),
-            dst: view.dst(),
-            proto: view.protocol(),
-            len: packet.len(),
-        });
         let dst = view.dst();
         if self.nodes[node.0].owns_addr(dst) {
             // Loopback.
@@ -811,9 +833,6 @@ impl Sim {
             return;
         };
         let dst = view.dst();
-        let src = view.src();
-        let protocol = view.protocol();
-        let len = packet.len();
 
         match self.nodes[node].kind {
             NodeKind::Host => {
@@ -821,13 +840,6 @@ impl Sim {
                     self.trace_drop(node, DropReason::WrongHost);
                     return;
                 }
-                self.trace.record(TraceEvent::Delivered {
-                    time: self.time,
-                    node,
-                    src,
-                    proto: protocol,
-                    len,
-                });
                 self.host_receive(node, packet);
             }
             NodeKind::Router | NodeKind::Nat => {
@@ -862,9 +874,8 @@ impl Sim {
     /// Router TTL handling and next-hop forwarding.
     fn forward(&mut self, node: usize, mut packet: Frame, dst: Ipv4Addr) {
         let view = ipv4::Ipv4View::new_unchecked(&packet).expect("checked by deliver");
-        let ttl = view.ttl();
         let src = view.src();
-        if ttl <= 1 {
+        if view.ttl() <= 1 {
             // TTL expired: ICMP Time Exceeded back to the source, from this
             // router's address (§4's traceroute depends on this).
             self.trace_drop(node, DropReason::TtlExpired);
@@ -877,12 +888,6 @@ impl Sim {
         }
         // Copy-on-write: in-place for the common unshared case.
         ipv4::decrement_ttl(packet.make_mut());
-        self.trace.record(TraceEvent::Forwarded {
-            time: self.time,
-            node,
-            dst,
-            ttl: ttl - 1,
-        });
         self.transmit(node, packet, dst);
     }
 

@@ -227,7 +227,7 @@ impl TopologyBuilder {
 mod tests {
     use super::*;
     use crate::time::{MILLISECOND, SECOND};
-    use crate::trace::{DropReason, TraceEvent};
+    use crate::DropReason;
     use plab_packet::{builder, icmp, ipv4};
 
     fn a(x: u8, y: u8) -> Ipv4Addr {
@@ -435,8 +435,6 @@ mod tests {
         let pending = sim.take_pending_os(h2);
         assert_eq!(pending.len(), 1, "OS processing deferred to the agent");
         // Consume: never call os_process; no RST is generated.
-        let before = sim.trace.events().count();
-        let _ = before;
     }
 
     #[test]
@@ -494,9 +492,18 @@ mod tests {
         let src = sim.addr_of(h1);
         let pkt = builder::udp_datagram(src, a(1, 1), 5000, 7, b"later");
         sim.schedule_send(h1, 250 * MILLISECOND, pkt, 99);
+        for (tag, at) in [(7, 300 * MILLISECOND), (8, 100 * MILLISECOND)] {
+            let pkt = builder::udp_datagram(a(1, 1), src, 7, 5000, b"back");
+            sim.schedule_send(h2, at, pkt, tag);
+        }
         sim.run_until(SECOND);
-        let log = sim.take_send_log();
-        assert_eq!(log, vec![(h1, 99, 250 * MILLISECOND)]);
+        assert_eq!(sim.take_send_log(h1), vec![(99, 250 * MILLISECOND)]);
+        assert!(sim.take_send_log(h1).is_empty(), "a drain leaves nothing of its own behind");
+        assert_eq!(
+            sim.take_send_log(h2),
+            vec![(8, 100 * MILLISECOND), (7, 300 * MILLISECOND)],
+            "h1's drains left h2's records alone, in firing order"
+        );
         let got = sim.udp_recv(h2, 7);
         assert_eq!(got.len(), 1);
         // 3 hops × 5 ms after the scheduled departure.
@@ -511,8 +518,7 @@ mod tests {
         let pkt = builder::udp_datagram(src, a(1, 1), 1, 2, b"x");
         sim.schedule_send(h1, 0, pkt, 1); // "a time in the past" sends now
         sim.run_until(200 * MILLISECOND);
-        let log = sim.take_send_log();
-        assert_eq!(log[0].2, 100 * MILLISECOND);
+        assert_eq!(sim.take_send_log(h1), vec![(1, 100 * MILLISECOND)]);
     }
 
     #[test]
@@ -540,7 +546,7 @@ mod tests {
         }
         sim.run_until(SECOND);
         let delivered = sim.udp_recv(h2, 7).len();
-        let dropped = sim.trace.drops(DropReason::RandomLoss);
+        let dropped = sim.drops(DropReason::RandomLoss);
         assert_eq!(delivered as u64 + dropped, 100);
         assert!(
             delivered > 20 && delivered < 80,
@@ -559,7 +565,7 @@ mod tests {
             sim.udp_send(h1, 1, a(1, 1), 2, &[0u8; 972]);
         }
         sim.run_until(SECOND);
-        assert!(sim.trace.drops(DropReason::QueueFull) > 0);
+        assert!(sim.drops(DropReason::QueueFull) > 0);
     }
 
     #[test]
@@ -596,24 +602,32 @@ mod tests {
         let mut sim = t.build();
         sim.udp_send(h, 1, Ipv4Addr::new(99, 99, 99, 99), 2, b"x");
         sim.run_until(SECOND);
-        assert!(sim.trace.drops(DropReason::NoRoute) > 0);
+        assert!(sim.drops(DropReason::NoRoute) > 0);
     }
 
     #[test]
-    fn forwarded_events_record_path() {
-        let (mut sim, h1, r1, r2, _) = line();
+    fn each_router_on_the_path_decrements_ttl_once() {
+        let (mut sim, h1, _, _, h2) = line();
+        let raw = sim.raw_open(h2);
         sim.udp_send(h1, 1, a(1, 1), 2, b"x");
         sim.run_until(SECOND);
-        let forwards: Vec<usize> = sim
-            .trace
-            .events()
-            .filter_map(|e| match e {
-                TraceEvent::Forwarded { node, .. } => Some(*node),
-                _ => None,
-            })
-            .collect();
-        assert!(forwards.contains(&r1.0));
-        assert!(forwards.contains(&r2.0));
+        let got = sim.raw_recv(h2, raw);
+        assert_eq!(got.len(), 1);
+        let ttl = ipv4::Ipv4View::new_unchecked(&got[0].1).unwrap().ttl();
+        assert_eq!(ttl, 62, "sent with TTL 64, forwarded by r1 and r2");
+    }
+
+    #[test]
+    fn drops_are_counted_per_reason() {
+        let (mut sim, h1, _, _, _) = line();
+        for seq in 0..2 {
+            sim.raw_send(h1, builder::icmp_echo_request(a(0, 1), a(1, 1), 1, 7, seq, &[]));
+        }
+        sim.udp_send(h1, 1, Ipv4Addr::new(99, 99, 99, 99), 2, b"x");
+        sim.run_until(SECOND);
+        assert_eq!(sim.drops(DropReason::TtlExpired), 2);
+        assert_eq!(sim.drops(DropReason::NoRoute), 1);
+        assert_eq!(sim.drops(DropReason::QueueFull), 0);
     }
 }
 
@@ -686,7 +700,7 @@ mod fault_tests {
     use crate::fault::{FaultAction, GilbertElliott};
     use crate::sim::NodeTransition;
     use crate::time::{MILLISECOND, SECOND};
-    use crate::trace::DropReason;
+    use crate::DropReason;
     use std::net::Ipv4Addr;
 
     fn a(x: u8, y: u8) -> Ipv4Addr {
@@ -722,7 +736,7 @@ mod fault_tests {
         send_spaced(&mut sim, h1, 30, 10 * MILLISECOND);
         sim.run_until(SECOND);
         let got = sim.udp_recv(h2, 7);
-        let lost = sim.trace.drops(DropReason::LinkDown);
+        let lost = sim.drops(DropReason::LinkDown);
         assert_eq!(got.len() as u64 + lost, 30);
         // Sends at 50..150 ms inclusive are lost (flap boundaries hit
         // sends at exactly 50 and 150? fault events share timestamps with
@@ -742,7 +756,7 @@ mod fault_tests {
         sim.schedule_fault(50 * MILLISECOND, FaultAction::LinkDown { link });
         sim.run_until(SECOND);
         assert_eq!(sim.udp_recv(h2, 7).len(), 0);
-        assert_eq!(sim.trace.drops(DropReason::LinkDown), 1);
+        assert_eq!(sim.drops(DropReason::LinkDown), 1);
     }
 
     #[test]
@@ -758,7 +772,7 @@ mod fault_tests {
         let got = sim.udp_recv(h2, 7);
         // Packets sent before 25 ms arrive (1 ms latency); later ones drop.
         assert!(got.len() >= 24 && got.len() <= 26, "got {}", got.len());
-        assert!(sim.trace.drops(DropReason::RandomLoss) >= 24);
+        assert!(sim.drops(DropReason::RandomLoss) >= 24);
     }
 
     #[test]
@@ -822,7 +836,7 @@ mod fault_tests {
         // an unbound port).
         assert_eq!(sim.udp_recv(h2, 7).len(), 0);
         // Deliveries during the outage were dropped as NodeDown.
-        let down = sim.trace.drops(DropReason::NodeDown);
+        let down = sim.drops(DropReason::NodeDown);
         assert!((3..=5).contains(&down), "outage drops: {down}");
     }
 
@@ -833,8 +847,8 @@ mod fault_tests {
         send_spaced(&mut sim, h1, 5, MILLISECOND);
         sim.run_until(SECOND);
         assert_eq!(sim.udp_recv(h2, 7).len(), 0);
-        assert_eq!(sim.trace.drops(DropReason::NodeDown), 5);
-        assert!(sim.take_send_log().is_empty(), "no sends logged");
+        assert_eq!(sim.drops(DropReason::NodeDown), 5);
+        assert!(sim.take_send_log(h1).is_empty(), "no sends logged");
     }
 
     #[test]
@@ -858,7 +872,7 @@ mod fault_tests {
                 .iter()
                 .map(|(t, _, _, p)| (*t, p[0]))
                 .collect();
-            (got, sim.trace.drops(DropReason::RandomLoss))
+            (got, sim.drops(DropReason::RandomLoss))
         };
         assert_eq!(observe(), observe(), "virtual-time observables identical");
     }

@@ -246,15 +246,7 @@ impl Channel for FleetChannel {
             let decoder = &mut self.decoder;
             let more = self.host.until(Wait::Data { conn, deadline }).await
                 && self.host.with(false, |sim, _| {
-                    let mut more = false;
-                    loop {
-                        let chunk = sim.tcp_recv(node, conn, 65536);
-                        if chunk.is_empty() {
-                            break more;
-                        }
-                        decoder.extend(&chunk);
-                        more = true;
-                    }
+                    decoder.fill(|max| sim.tcp_recv(node, conn, max))
                 });
             if !more {
                 // Deadline passed, connection closed, or the task was
@@ -319,14 +311,9 @@ impl Sink for FleetDialer {
         self.with(false, |sim, _| sim.udp_bind(self.node, port))
     }
 
-    fn sink_take(&mut self, port: u16) -> Vec<(u64, Ipv4Addr, u16, usize)> {
+    fn sink_take(&mut self, port: u16) -> Vec<(u64, Ipv4Addr, u16, u32, usize)> {
         let arrivals = self.with(Vec::new(), |sim, _| sim.udp_recv(self.node, port));
-        arrivals.into_iter().map(|(t, a, p, d)| (t, a, p, d.len())).collect()
-    }
-
-    fn sink_take_seq(&mut self, port: u16) -> Vec<(u64, u32, usize)> {
-        let arrivals = self.with(Vec::new(), |sim, _| sim.udp_recv(self.node, port));
-        arrivals.into_iter().map(|(t, _, _, d)| (t, probe_seq(&d), d.len())).collect()
+        arrivals.into_iter().map(|(t, a, p, d)| (t, a, p, probe_seq(&d), d.len())).collect()
     }
 
     async fn wait_until(&mut self, time: u64) {
@@ -435,7 +422,6 @@ pub fn build_fleet(roster: &RosterSpec, operator: &Keypair) -> FleetWorld {
     let world = build_roster(roster);
     let mut net = SimNet::new_sharded(world.sim);
     net.set_sparse(true);
-    net.set_track_serviced(true);
     let cfg = EndpointConfig {
         trusted_keys: vec![KeyHash::of(&operator.public)],
         // Let sessions survive transient channel loss so RobustController
@@ -762,13 +748,12 @@ pub fn run_fleet(
 /// The scheduler proper: launch, poll, park and record one task per pair
 /// of `world`, task `i`'s future made by `spawn(i, dialer)`.
 fn execute(
-    mut world: FleetWorld,
+    world: FleetWorld,
     name: &str,
     config: &SchedulerConfig,
     spawn: &mut dyn FnMut(usize, FleetDialer) -> TaskFuture,
 ) -> FleetRun {
     let n = world.pairs.len();
-    world.net.set_track_serviced(true);
     let now = world.net.sim.now();
     let nodes = world.pairs.iter().map(|p| p.controller.0 + 1).max().unwrap_or(0);
     let mut sched = Sched {

@@ -63,7 +63,7 @@ proptest! {
         }
         sim.run_until(100 * SECOND);
         let delivered = sim.udp_recv(h2, 7);
-        let dropped = sim.trace.drops(plab_netsim::trace::DropReason::RandomLoss);
+        let dropped = sim.drops(plab_netsim::DropReason::RandomLoss);
         prop_assert_eq!(delivered.len() as u64 + dropped, count as u64);
         // FIFO among survivors.
         let seqs: Vec<usize> = delivered
