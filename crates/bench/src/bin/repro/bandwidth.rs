@@ -13,7 +13,7 @@
 use packetlab::controller::experiments;
 use plab_bench::{build_world, connect};
 
-fn main() {
+pub fn run(_: &crate::Opts) -> i32 {
     println!("E1: §4 uplink bandwidth measurement (scheduled burst at t0+δ)");
     println!("    control RTT: 30 ms; payload 1172 B (1200 B IP datagrams)\n");
     println!(
@@ -64,4 +64,5 @@ fn main() {
          ~(datagram size)/(control RTT) regardless of the actual link — the\n\
          reason nsend takes a time parameter."
     );
+    0
 }

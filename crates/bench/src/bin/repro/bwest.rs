@@ -15,14 +15,14 @@
 //! - `bwest_metrics.prom`  — the metric snapshot in Prometheus text
 //!   exposition format.
 //! - `BENCH_bwest.json`    — the accuracy table + artifact digests (the
-//!   committed record; `repro_guard bwest` pins the same trace digest).
+//!   committed record; `repro guard bwest` pins the same trace digest).
 //!
 //! Pass bar (same as the guard's): ≥ 18 of 20 topologies with every
 //! destination inside the 20% accuracy budget. `--json` prints the
 //! report on stdout.
 
 use plab_bench::bwest::{run_corpus, BwestPoint, MIN_WITHIN, TOLERANCE_PCT};
-use plab_bench::reportjson::{emit_report, json_rows, machine_members};
+use plab_bench::reportjson::{emit_report, json_rows};
 use plab_obs::export::fnv1a64;
 use packetlab::controller::experiments::bwest::Confidence;
 
@@ -56,8 +56,8 @@ fn render_row(p: &BwestPoint) -> String {
     )
 }
 
-fn main() {
-    let json = plab_bench::reportjson::json_flag();
+pub fn run(opts: &crate::Opts) -> i32 {
+    let json = opts.json;
 
     let (points, qlog, prom) = run_corpus();
     let (again, qlog_b, prom_b) = run_corpus();
@@ -100,18 +100,15 @@ fn main() {
     std::fs::write("bwest_metrics.prom", &prom).expect("write prometheus exposition");
 
     let rows: Vec<String> = points.iter().map(render_row).collect();
-    let mut out = format!("{{\n  \"bench\": \"bwest\",\n  {},\n", machine_members());
-    out.push_str(&format!(
+    let mut out = format!(
         "  \"tolerance_pct\": {TOLERANCE_PCT},\n  \"min_within\": {MIN_WITHIN},\n  \
          \"within\": {within},\n  \"topologies\": {},\n  \
          \"trace_fnv\": \"{trace_fnv:#018x}\",\n  \"prom_fnv\": \"{prom_fnv:#018x}\",\n  \
          \"artifacts_identical\": {artifacts_identical},\n  \"sweep\": [\n",
         points.len()
-    ));
+    );
     out.push_str(&json_rows(&rows, "    "));
     out.push_str(&format!("\n  ],\n  \"pass\": {pass}\n}}\n"));
-    emit_report("BENCH_bwest.json", &out, json);
-    if !pass {
-        std::process::exit(1);
-    }
+    emit_report("bwest", "BENCH_bwest.json", &out, json);
+    i32::from(!pass)
 }

@@ -5,39 +5,16 @@
 //! loss, delay changes, partitions, TCP resets, endpoint crash/restart),
 //! and reports each run's verdict, observables digest, and retry counters.
 //!
-//! Usage:
-//!   repro_chaos                         # fixed-seed corpus (same as CI)
-//!   repro_chaos --scenario traceroute --seed 0x5eed0000
-//!                                       # replay one failing seed
-//!   repro_chaos --sweep 25 --base 1234  # randomized sweep from a base seed
-//!   repro_chaos --seed 0x5eed0000 --trace
-//!                                       # flight recorder on: runs twice,
-//!                                       # asserts the dumps byte-identical,
-//!                                       # prints the recorder tail on abort
-//!                                       # or divergence, writes artifacts
-//!   repro_chaos --json                  # machine-readable report on stdout
-//!
-//! Every line echoes the seed: paste it back with --seed to reproduce a
-//! run bit-for-bit.
+//! Alone it runs the fixed-seed corpus (same as CI); `--seed` replays one
+//! seed (every scenario, or the one `--scenario` names); `--sweep N` runs
+//! N seeds a scenario derived from `--base`. `--trace` turns the flight
+//! recorder on: each seed runs twice, the dumps must be byte-identical,
+//! the recorder tail prints on abort or divergence and the artifacts are
+//! written. Every line echoes the seed: paste it back with `--seed` to
+//! reproduce a run bit-for-bit.
 
 use packetlab::chaos::{self, ChaosOutcome, ChaosVerdict, Scenario};
 use plab_obs::export::{fnv1a64, json_escape};
-
-fn parse_seed(s: &str) -> u64 {
-    let s = s.trim();
-    if let Some(hex) = s.strip_prefix("0x") {
-        u64::from_str_radix(hex, 16).expect("bad hex seed")
-    } else {
-        s.parse().expect("bad seed")
-    }
-}
-
-fn scenario_by_name(name: &str) -> Scenario {
-    Scenario::all()
-        .into_iter()
-        .find(|s| s.name() == name)
-        .unwrap_or_else(|| panic!("unknown scenario {name:?} (traceroute|bandwidth|conformance)"))
-}
 
 /// One run's result, as collected for reporting.
 struct Row {
@@ -161,49 +138,15 @@ fn json_report(rows: &[Row]) -> String {
     out
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut scenario: Option<Scenario> = None;
-    let mut seed: Option<u64> = None;
-    let mut sweep: Option<u64> = None;
-    let mut base: u64 = 0x5eed_0000;
-    let mut trace = false;
-    let json = plab_bench::reportjson::json_flag();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scenario" => {
-                scenario = Some(scenario_by_name(&args[i + 1]));
-                i += 2;
-            }
-            "--seed" => {
-                seed = Some(parse_seed(&args[i + 1]));
-                i += 2;
-            }
-            "--sweep" => {
-                sweep = Some(parse_seed(&args[i + 1]));
-                i += 2;
-            }
-            "--base" => {
-                base = parse_seed(&args[i + 1]);
-                i += 2;
-            }
-            "--trace" => {
-                trace = true;
-                i += 1;
-            }
-            "--json" => {
-                i += 1;
-            }
-            other => panic!("unknown argument {other:?}"),
-        }
-    }
+pub fn run(opts: &crate::Opts) -> i32 {
+    let (json, trace) = (opts.json, opts.trace);
+    let base = opts.base.unwrap_or(0x5eed_0000);
 
     if !json {
         println!("F/chaos: control plane under deterministic fault schedules\n");
     }
 
-    let runs: Vec<(Scenario, u64)> = match (scenario, seed, sweep) {
+    let runs: Vec<(Scenario, u64)> = match (opts.scenario, opts.seed, opts.seeds) {
         (s, Some(seed), _) => {
             // Single-seed replay (all scenarios unless one is named).
             match s {
@@ -248,10 +191,8 @@ fn main() {
             rows.len() - completed
         );
     }
-    if !all_deterministic {
-        if !json {
-            println!("NONDETERMINISM DETECTED — see lines above for seeds");
-        }
-        std::process::exit(1);
+    if !all_deterministic && !json {
+        println!("NONDETERMINISM DETECTED — see lines above for seeds");
     }
+    i32::from(!all_deterministic)
 }

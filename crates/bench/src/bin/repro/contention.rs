@@ -12,7 +12,7 @@ use plab_netsim::{LinkParams, TopologyBuilder};
 use std::cell::RefCell;
 use std::rc::Rc;
 
-fn main() {
+pub fn run(_: &crate::Opts) -> i32 {
     println!("C1: §3.3 priority contention timeline\n");
     let operator = Keypair::from_seed(&[1; 32]);
     let mut t = TopologyBuilder::new();
@@ -107,4 +107,5 @@ fn main() {
          notified, suspended for the duration, and resumed exactly when the\n\
          high-priority experiment yielded — the §3.3 sharing contract."
     );
+    0
 }

@@ -16,15 +16,15 @@
 //! the RTT floor exits non-zero.
 //!
 //! Results land in `BENCH_ctrl.json` (the committed baseline the
-//! `repro_guard ctrl` CI gate reads). `--json` prints the same
+//! `repro guard ctrl` CI gate reads). `--json` prints the same
 //! report on stdout.
-//!
-//! Env knobs:
-//! - `CTRL_SWEEP`: comma-separated session counts (default `1,64,1024,4096`).
-//! - `CTRL_OPS`: round trips per session per point (default `100`).
 
 use plab_bench::ctrl::{self, PhaseStats, RTT_NS};
-use plab_bench::reportjson::{emit_report, json_f, json_rows, machine_members};
+use plab_bench::reportjson::{emit_report, json_f, json_rows};
+
+/// Session counts swept, and round trips a session at each.
+const SWEEP: [usize; 4] = [1, 64, 1024, 4096];
+const OPS: u32 = 100;
 
 struct Point {
     stats: PhaseStats,
@@ -73,35 +73,21 @@ fn render_row(p: &Point, speedup: f64) -> String {
     )
 }
 
-fn main() {
-    let json = plab_bench::reportjson::json_flag();
-    let sweep: Vec<usize> = std::env::var("CTRL_SWEEP")
-        .unwrap_or_else(|_| "1,64,1024,4096".into())
-        .split(',')
-        .map(|s| s.trim().parse().expect("CTRL_SWEEP: bad session count"))
-        .collect();
-    assert!(!sweep.is_empty(), "CTRL_SWEEP is empty");
-    let ops: u32 = std::env::var("CTRL_OPS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(100);
+pub fn run(opts: &crate::Opts) -> i32 {
+    let json = opts.json;
 
     if !json {
         println!(
             "control-plane scale: multiplexed stop-and-wait sessions over a \
-             {:.0} ms virtual RTT, {ops} ops/session\n",
+             {:.0} ms virtual RTT, {OPS} ops/session\n",
             RTT_NS as f64 / 1e6
         );
     }
 
-    let points: Vec<Point> = sweep.iter().map(|&n| measure(n, ops, json)).collect();
+    let points: Vec<Point> = SWEEP.iter().map(|&n| measure(n, OPS, json)).collect();
 
-    // The serial baseline: the 1-session point if swept, else computed.
-    let serial_vops = points
-        .iter()
-        .find(|p| p.stats.sessions == 1)
-        .map(|p| p.stats.virtual_ops_per_sec())
-        .unwrap_or_else(|| ctrl::point(1, ops).virtual_ops_per_sec());
+    // The serial baseline: the sweep's 1-session point.
+    let serial_vops = points[0].stats.virtual_ops_per_sec();
 
     let mut pass = points.iter().all(|p| p.replay_identical);
     for p in &points {
@@ -131,15 +117,12 @@ fn main() {
         .iter()
         .map(|p| render_row(p, p.stats.virtual_ops_per_sec() / serial_vops))
         .collect();
-    let mut out = format!("{{\n  \"bench\": \"ctrl_scale\",\n  {},\n", machine_members());
-    out.push_str(&format!(
-        "  \"rtt_ms\": {:.1},\n  \"ops_per_session\": {ops},\n  \"sweep\": [\n",
+    let mut out = format!(
+        "  \"rtt_ms\": {:.1},\n  \"ops_per_session\": {OPS},\n  \"sweep\": [\n",
         RTT_NS as f64 / 1e6
-    ));
+    );
     out.push_str(&json_rows(&rows, "    "));
     out.push_str(&format!("\n  ],\n  \"pass\": {pass}\n}}\n"));
-    emit_report("BENCH_ctrl.json", &out, json);
-    if !pass {
-        std::process::exit(1);
-    }
+    emit_report("ctrl_scale", "BENCH_ctrl.json", &out, json);
+    i32::from(!pass)
 }

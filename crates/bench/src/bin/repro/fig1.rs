@@ -10,7 +10,7 @@ use packetlab::descriptor::ExperimentDescriptor;
 use plab_crypto::{Keypair, KeyHash};
 use std::time::Instant;
 
-fn main() {
+pub fn run(_: &crate::Opts) -> i32 {
     let rv_operator = Keypair::from_seed(&[1; 32]);
     let ep_operator = Keypair::from_seed(&[2; 32]);
     let experimenter = Keypair::from_seed(&[3; 32]);
@@ -123,6 +123,7 @@ fn main() {
         let per = start.elapsed() / iters;
         println!("{:>7} {:>12} B {:>13.2?}", depth, bytes, per);
     }
+    0
 }
 
 fn ok(b: bool) -> &'static str {

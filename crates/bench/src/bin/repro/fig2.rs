@@ -7,7 +7,7 @@ use plab_packet::{builder, layout};
 use std::net::Ipv4Addr;
 use std::time::Instant;
 
-fn main() {
+pub fn run(_: &crate::Opts) -> i32 {
     let me: Ipv4Addr = "10.0.0.1".parse().unwrap();
     let target: Ipv4Addr = "10.0.99.1".parse().unwrap();
     let router: Ipv4Addr = "10.0.1.254".parse().unwrap();
@@ -136,4 +136,5 @@ fn main() {
         vm.insns_executed,
     );
     let _ = allowed;
+    0
 }

@@ -11,16 +11,13 @@
 //! Any divergence exits non-zero.
 //!
 //! Results land in `BENCH_fleet.json` (the committed baseline the
-//! `repro_guard fleet` CI gate reads). `--json` prints the same report on
-//! stdout.
-//!
-//! Env knobs:
-//! - `FLEET_SWEEP`: comma-separated roster sizes (default `512,1024,2048`).
-//! - `FLEET_THREADS`: worker threads for the sharded advance (default
-//!   `min(4, cores)`; wall time varies with this, the report does not).
+//! `repro guard fleet` CI gate reads). `--json` prints the same report on
+//! stdout; `--sweep` takes comma-separated roster sizes (default
+//! `512,1024,2048`). The sharded advance runs on `min(4, cores)` threads:
+//! wall time varies with that, the report does not.
 
 use plab_bench::fleet;
-use plab_bench::reportjson::{emit_report, json_f, json_rows, machine_members};
+use plab_bench::reportjson::{emit_report, json_f, json_rows};
 use plab_runner::{FleetRun, Outcome};
 
 struct Point {
@@ -86,18 +83,10 @@ fn render_row(p: &Point) -> String {
     )
 }
 
-fn main() {
-    let json = plab_bench::reportjson::json_flag();
-    let sweep: Vec<usize> = std::env::var("FLEET_SWEEP")
-        .unwrap_or_else(|_| "512,1024,2048".into())
-        .split(',')
-        .map(|s| s.trim().parse().expect("FLEET_SWEEP: bad roster size"))
-        .collect();
-    assert!(!sweep.is_empty(), "FLEET_SWEEP is empty");
-    let threads = std::env::var("FLEET_THREADS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(fleet::threads);
+pub fn run(opts: &crate::Opts) -> i32 {
+    let json = opts.json;
+    let sweep = opts.rosters.as_deref().unwrap_or(&[512, 1024, 2048]);
+    let threads = fleet::threads();
 
     if !json {
         println!(
@@ -118,19 +107,16 @@ fn main() {
     let pass = clean.iter().all(|p| p.replay_identical) && chaos.replay_identical && chaos_bites;
 
     let rows: Vec<String> = clean.iter().map(render_row).collect();
-    let mut out = format!("{{\n  \"bench\": \"fleet\",\n  {},\n", machine_members());
-    out.push_str(&format!(
+    let mut out = format!(
         "  \"shards\": {},\n  \"threads\": {threads},\n  \"seed\": {},\n  \"sweep\": [\n",
         fleet::SHARDS,
         fleet::SEED
-    ));
+    );
     out.push_str(&json_rows(&rows, "    "));
     out.push_str(&format!(
         "\n  ],\n  \"chaos\": {},\n  \"pass\": {pass}\n}}\n",
         render_row(&chaos)
     ));
-    emit_report("BENCH_fleet.json", &out, json);
-    if !pass {
-        std::process::exit(1);
-    }
+    emit_report("fleet", "BENCH_fleet.json", &out, json);
+    i32::from(!pass)
 }

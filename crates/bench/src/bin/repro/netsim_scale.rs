@@ -1,6 +1,6 @@
 //! Netsim scale sweep: events/sec, zero-copy effectiveness, and pool
 //! residency across 16-, 128-, and 1024-host worlds, written to
-//! `BENCH_netsim.json` (the baseline `repro_guard netsim` regresses
+//! `BENCH_netsim.json` (the baseline `repro guard netsim` regresses
 //! against).
 //!
 //! The sweep exists to answer the question the single-line throughput
@@ -26,12 +26,10 @@
 //! per shard count ([`netsim_scale::build_cost`]).
 //!
 //! `--json` prints the report on stdout (the file is still written).
-//! `NETSIM_SCALE_ROUNDS` overrides the per-size round count (default 4;
-//! the statistic is the minimum, so more rounds only tighten it; the
-//! sharded sweep caps the count at two a point, then keeps going until
-//! half a second has passed).
-//! `NETSIM_SHARD_SIZES` overrides the sharded sweep's host counts
-//! (comma-separated, each a multiple of 64).
+//! `--rounds` overrides the per-size round count (default 4; the
+//! statistic is the minimum, so more rounds only tighten it; the sharded
+//! sweep caps the count at two a point, then keeps going until half a
+//! second has passed).
 
 use plab_bench::guard::min_over_rounds;
 use plab_bench::netsim_scale;
@@ -66,13 +64,9 @@ struct ShardRow {
     build_rss_mb: f64,
 }
 
-fn main() {
-    netsim_scale::serve_build_cost();
-    let json = plab_bench::reportjson::json_flag();
-    let rounds: usize = std::env::var("NETSIM_SCALE_ROUNDS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4);
+pub fn run(opts: &crate::Opts) -> i32 {
+    let json = opts.json;
+    let rounds = opts.rounds.unwrap_or(4);
 
     if !json {
         println!("netsim scale sweep: {SIZES:?} hosts, min over {rounds} rounds each\n");
@@ -82,7 +76,7 @@ fn main() {
     for &n in &SIZES {
         // Minimum wall time over rounds (the guards' timer and policy).
         let mut last = None;
-        let ([best], _) = min_over_rounds(Duration::ZERO, rounds.max(1) as u32, |_| {
+        let ([best], _) = min_over_rounds(Duration::ZERO, rounds.clamp(1, u32::MAX.into()) as u32, |_| {
             let (events, secs, sim) = netsim_scale::round(n);
             last = Some((events, sim));
             [secs]
@@ -130,14 +124,10 @@ fn main() {
     // ------------------------------------------------------------------
     // Sharded pod sweep.
     // ------------------------------------------------------------------
-    let shard_sizes: Vec<usize> = std::env::var("NETSIM_SHARD_SIZES")
-        .ok()
-        .map(|s| s.split(',').filter_map(|x| x.trim().parse().ok()).collect())
-        .unwrap_or_else(|| SHARD_SIZES.to_vec());
     let shard_rounds = rounds.clamp(1, 2) as u32;
     if !json {
         println!(
-            "\nsharded pod sweep: {shard_sizes:?} hosts x {SHARD_COUNTS:?} shards, \
+            "\nsharded pod sweep: {SHARD_SIZES:?} hosts x {SHARD_COUNTS:?} shards, \
              min over {shard_rounds} rounds and 0.5 s each\n"
         );
     }
@@ -152,7 +142,7 @@ fn main() {
             points.push((at, shards, shards.min(cores)));
         }
     }
-    for &n in &shard_sizes {
+    for &n in &SHARD_SIZES {
         let mut base_ns = 0.0f64;
         // One build measurement per shard count (threads do not enter
         // construction), all taken before this size's event rounds.
@@ -221,7 +211,7 @@ fn main() {
     // committed baseline rather than asserting this ratio.
     let biggest = shard_rows
         .iter()
-        .filter(|r| r.hosts == *shard_sizes.iter().max().unwrap())
+        .filter(|r| r.hosts == SHARD_SIZES[2])
         .map(|r| r.ns_per_event)
         .fold(f64::MAX, f64::min);
     let ratio_vs_16 = biggest / rows[0].ns_per_event;
@@ -229,14 +219,11 @@ fn main() {
         println!(
             "\nbest ns/event at {} hosts: {biggest:.1} ({ratio_vs_16:.2}x the \
              16-host figure; target is 2x)",
-            shard_sizes.iter().max().unwrap()
+            SHARD_SIZES[2]
         );
     }
 
-    let mut out = format!(
-        "{{\n  \"bench\": \"netsim_scale\",\n  {},\n  \"sweep\": [\n",
-        plab_bench::reportjson::machine_members()
-    );
+    let mut out = String::from("  \"sweep\": [\n");
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"hosts\": {}, \"events\": {}, \"events_per_sec\": {:.1}, \
@@ -280,5 +267,6 @@ fn main() {
         "  ],\n  \"biggest_world_best_ns_per_event\": {biggest:.2},\n  \
          \"biggest_world_ratio_vs_16_host\": {ratio_vs_16:.3}\n}}\n"
     ));
-    plab_bench::reportjson::emit_report("BENCH_netsim.json", &out, json);
+    plab_bench::reportjson::emit_report("netsim_scale", "BENCH_netsim.json", &out, json);
+    0
 }

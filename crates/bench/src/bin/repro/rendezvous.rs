@@ -8,8 +8,8 @@ use packetlab::rendezvous::{RendezvousServer, RvMessage};
 use plab_crypto::{Keypair, KeyHash};
 use std::time::Instant;
 
-fn main() {
-    let json = std::env::args().any(|a| a == "--json");
+pub fn run(opts: &crate::Opts) -> i32 {
+    let json = opts.json;
     if !json {
         println!("S1: §3.2 rendezvous server scaling\n");
     }
@@ -124,7 +124,7 @@ fn main() {
             replay_elapsed.as_nanos()
         ));
         print!("{out}");
-        return;
+        return 0;
     }
 
     println!(
@@ -139,4 +139,5 @@ fn main() {
          subscribers — consistent with the paper's claim that a couple of\n\
          community-run rendezvous servers suffice."
     );
+    0
 }

@@ -16,7 +16,7 @@
 use packetlab::controller::ControlPlane;
 use plab_bench::{build_world, connect, reactive_response_time, scheduled_send_error};
 
-fn main() {
+pub fn run(_: &crate::Opts) -> i32 {
     println!("L1: §3.5 reactive-vs-scheduled under controller RTT sweep\n");
     println!(
         "{:>14} {:>14} {:>22} {:>22}",
@@ -50,4 +50,5 @@ fn main() {
          the paper's argument that timing measurements need precise\n\
          timestamps, not fast endpoint response."
     );
+    0
 }

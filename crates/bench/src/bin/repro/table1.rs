@@ -1,15 +1,14 @@
 //! T1 — Table 1 reproduction: exercise every endpoint operation over the
 //! full stack and report per-operation control-channel cost (virtual
-//! round trips) and wall-clock implementation cost.
-//!
-//! `--json` emits the same rows as a machine-readable object on stdout.
+//! round trips) and wall-clock implementation cost. `--json` emits the
+//! same rows as a machine-readable object on stdout.
 
 use packetlab::controller::{experiments, ControlPlane};
 use plab_bench::{build_world, connect};
 use std::time::Instant;
 
-fn main() {
-    let json = plab_bench::reportjson::json_flag();
+pub fn run(opts: &crate::Opts) -> i32 {
+    let json = opts.json;
     if !json {
         println!("T1: Table 1 endpoint operations, end-to-end\n");
     }
@@ -75,7 +74,7 @@ fn main() {
             "{{\n  \"bench\": \"table1\",\n  \"ops\": [\n{}\n  ]\n}}\n",
             plab_bench::reportjson::json_rows(&rendered, "    ")
         );
-        return;
+        return 0;
     }
 
     println!(
@@ -92,4 +91,5 @@ fn main() {
          virtual here) except npoll-with-waiting, which returns when data or\n\
          the deadline arrives — the interface is as thin as Table 1 implies."
     );
+    0
 }

@@ -3,9 +3,8 @@
 //! `BENCH_throughput.json` so successive revisions have a perf trajectory.
 //!
 //! `--json` prints the same JSON report on stdout (the file is still
-//! written). Set `REPRO_THROUGHPUT_SECS` to stretch or shrink the
-//! per-measurement budget (default 0.5 s; CI smoke uses 0.05); a value
-//! that is not a non-negative number of seconds exits 2.
+//! written). `--secs` stretches or shrinks the per-measurement budget
+//! (default 0.5 s; CI smoke uses 0.05).
 
 use packetlab::monitor::MonitorSet;
 use plab_netsim::{LinkParams, NodeId, Sim, TopologyBuilder};
@@ -71,18 +70,9 @@ fn pump_round(sim: &mut Sim, h: NodeId, src: Ipv4Addr, dst: Ipv4Addr) -> u64 {
 
 use plab_bench::reportjson::json_f;
 
-fn main() {
-    let json = plab_bench::reportjson::json_flag();
-    let budget = match std::env::var("REPRO_THROUGHPUT_SECS") {
-        Err(_) => Duration::from_millis(500),
-        Ok(s) => {
-            let secs = s.parse().ok().and_then(|v| Duration::try_from_secs_f64(v).ok());
-            secs.unwrap_or_else(|| {
-                eprintln!("REPRO_THROUGHPUT_SECS=`{s}`: not a non-negative number of seconds");
-                std::process::exit(2);
-            })
-        }
-    };
+pub fn run(opts: &crate::Opts) -> i32 {
+    let json = opts.json;
+    let budget = opts.secs.unwrap_or(Duration::from_millis(500));
 
     let (encoded, probe, info) = plab_bench::figure2_fixture();
     let (me, target) = ("10.0.0.1".parse().unwrap(), "10.0.99.1".parse().unwrap());
@@ -149,14 +139,8 @@ fn main() {
         );
     }
 
-    let mut out = format!(
-        "{{\n  \"bench\": \"throughput\",\n  {},\n",
-        plab_bench::reportjson::machine_members()
-    );
-    out.push_str(&format!(
-        "  \"budget_ms\": {},\n  \"monitor_chains\": [\n",
-        budget.as_millis()
-    ));
+    let mut out =
+        format!("  \"budget_ms\": {},\n  \"monitor_chains\": [\n", budget.as_millis());
     for (i, &(n, send)) in send_rates.iter().enumerate() {
         let recv = recv_rates[i].1;
         let ins = insns[i].1;
@@ -198,5 +182,6 @@ fn main() {
         cal.pool().taken(),
         cal.pool().recycled()
     ));
-    plab_bench::reportjson::emit_report("BENCH_throughput.json", &out, json);
+    plab_bench::reportjson::emit_report("throughput", "BENCH_throughput.json", &out, json);
+    0
 }

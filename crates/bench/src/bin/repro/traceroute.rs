@@ -10,7 +10,7 @@
 use packetlab::controller::experiments;
 use plab_bench::{build_world, connect};
 
-fn main() {
+pub fn run(_: &crate::Opts) -> i32 {
     println!("E2: §4 traceroute (ICMP echo, TTL 1.., 2-byte sequence payload)\n");
     println!(
         "{:>10} {:>12} {:>12} {:>10} {:>14}",
@@ -47,4 +47,5 @@ fn main() {
          and per-hop RTTs increase monotonically — computed purely from\n\
          endpoint-side timestamps (tsnd from the send log, trcv from capture)."
     );
+    0
 }

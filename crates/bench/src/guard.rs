@@ -1,8 +1,10 @@
-//! The guard harness: every claim CI defends about this reproduction is
-//! one row of [`GUARDS`], run by the one binary
-//! `repro_guard <name>|all [--secs S] [--min-ratio R] [--json]`. Option
-//! parsing, the timer, the baseline lookup, rendering and the exit code
-//! (0 pass, 1 a check failed, 2 usage) exist here once.
+//! The guard harness and `repro`'s command line. Every claim CI defends
+//! about this reproduction is one row of [`GUARDS`], run by
+//! `repro guard <name>|all [--secs S] [--min-ratio R] [--json]`; every
+//! command `repro` has is one row of [`COMMANDS`], and [`parse`] is the
+//! one option parser for all of them. The timer, the baseline lookup,
+//! rendering and the exit code (0 pass, 1 a check failed, 2 usage) exist
+//! here once.
 //!
 //! **Throughput checks keep the minimum** over fixed-size rounds:
 //! scheduler preemption and frequency ramps only ever add time, so the
@@ -10,7 +12,7 @@
 //! load. The gates catch algorithmic cliffs, not single-digit drift.
 //!
 //! **Baselines** hold numbers from whatever machine last ran the matching
-//! `repro_*` bin; its recorded `cores` print next to every ratio. On a
+//! `repro` command; its recorded `cores` print next to every ratio. On a
 //! much slower machine regenerate the file first or lower `--min-ratio`
 //! rather than comparing apples to oranges (CI's shared runners pass
 //! 0.2-0.5). Digest, scaling, accuracy and build-cost checks have no
@@ -19,7 +21,9 @@
 
 use crate::reportjson::cores;
 use crate::{bwest, ctrl, figure2_chain, figure2_fixture, fleet, netsim_scale};
+use packetlab::chaos::Scenario;
 use plab_filter::{EntryPoint, FusedVm, Program, VmConfig};
+use plab_fuzz::TARGETS;
 use plab_obs::export::{fnv1a64, json_escape};
 use std::time::{Duration, Instant};
 
@@ -31,7 +35,7 @@ pub type Baseline = (&'static str, &'static [(&'static str, u64)], &'static str)
 
 /// One row of the table.
 pub struct Guard {
-    /// What `repro_guard` and the CI matrix call it.
+    /// What `repro guard` and the CI matrix call it.
     pub name: &'static str,
     /// The committed number its `ratio` check is held to, if it has one.
     pub baseline: Option<Baseline>,
@@ -230,7 +234,7 @@ fn time_batch(batch: u64, op: &mut impl FnMut() -> u64) -> f64 {
 /// Fused adjudication: the depth-4 Figure-2 chain (the fusion sweep's
 /// headline point: deep enough that prefix replay carries the number,
 /// small enough to stay cache-resident) against
-/// `repro_throughput`'s 4-monitor `send_adjudications_per_sec`. Losing
+/// `repro throughput`'s 4-monitor `send_adjudications_per_sec`. Losing
 /// fusion entirely is a 3x cliff.
 fn throughput(ctx: &Ctx) -> Vec<Check> {
     const BATCH: u64 = 200_000;
@@ -286,7 +290,7 @@ fn obs(ctx: &Ctx) -> Vec<Check> {
 /// Simulator events/sec on the 128-host chain world (the mid-size sweep
 /// point: big enough to exercise the timer wheel and route tables, small
 /// enough for CI), pumped to quiescence each round, against
-/// `repro_netsim_scale`'s row. A 2x cliff is what the gate is for.
+/// `repro netsim_scale`'s row. A 2x cliff is what the gate is for.
 fn netsim(ctx: &Ctx) -> Vec<Check> {
     let mut events = 0;
     let ([best], rounds) = min_over_rounds(ctx.budget, 4, |_| {
@@ -375,13 +379,13 @@ fn netsim_shard(ctx: &Ctx) -> Vec<Check> {
 
 /// Digests of the 512-endpoint guard roster, clean and under the shared
 /// fault plan (they match `BENCH_fleet.json`'s sweep row). To re-pin after
-/// an *intentional* report change, run `FLEET_SWEEP=512 repro_fleet` and
+/// an *intentional* report change, run `repro fleet --sweep 512` and
 /// paste the printed clean and chaos digests.
 const PINNED_FLEET_CLEAN: u64 = 0xb2ca_999d_eef6_7529;
 const PINNED_FLEET_CHAOS: u64 = 0x0ae5_d52f_df16_91ef;
 
 /// The fleet runner on the 512-endpoint roster (ping + Figure-2 monitor
-/// over 4 shards, the construction `repro_fleet` measures): endpoints/sec
+/// over 4 shards, the construction `repro fleet` measures): endpoints/sec
 /// of the fastest pass against the sweep row; every pass must seal the
 /// pinned clean report; the chaos variant (crash/restart + burst loss)
 /// runs twice, both reports bit-identical and equal to the chaos pin. The
@@ -407,7 +411,7 @@ fn fleet_roster(ctx: &Ctx) -> Vec<Check> {
 
 /// Digest of the 20-topology corpus trace (`BENCH_bwest.json`'s
 /// `trace_fnv`). To re-pin after an *intentional* estimator or
-/// trace-schema change, run `repro_bwest` and paste its printed digest.
+/// trace-schema change, run `repro bwest` and paste its printed digest.
 const PINNED_BWEST_TRACE: u64 = 0x8786_bdd8_f1e0_d476;
 
 /// The bwest probe suite over the ground-truth corpus, twice: at least
@@ -441,14 +445,14 @@ fn bwest_corpus(_: &Ctx) -> Vec<Check> {
 /// Sessions and round trips a session of the ctrl point (the
 /// `BENCH_ctrl.json` sweep row), and the digest of its reply stream. To
 /// re-pin after an *intentional* wire or agent change, run
-/// `repro_ctrl_scale` and paste the printed 1024-session digest.
+/// `repro ctrl_scale` and paste the printed 1024-session digest.
 const CTRL_SESSIONS: usize = 1024;
 const CTRL_OPS: u32 = 100;
 const PINNED_CTRL_DIGEST: u64 = 0x27b8_c596_556e_9713;
 
 /// The multiplexed endpoint reactor. `ratio`: wall ops/sec of the fastest
 /// 1024-session pass (stop-and-wait clients over the 10 ms virtual RTT,
-/// `repro_ctrl_scale`'s construction). `scales`: aggregate virtual ops/sec
+/// `repro ctrl_scale`'s construction). `scales`: aggregate virtual ops/sec
 /// at least 10x the single-session serial baseline with per-op p99 at the
 /// RTT floor; the reactor drains every servable message per tick, so any
 /// scheduling delay is a regression. `pinned`: every pass's flushed reply
@@ -538,52 +542,170 @@ pub fn exit_code(reports: &[Report]) -> i32 {
     i32::from(!reports.iter().all(Report::pass))
 }
 
-struct Opts {
-    guards: Vec<&'static Guard>,
-    secs: Option<f64>,
-    min_ratio: Option<f64>,
-    json: bool,
+/// What a `repro` command line asked for, typed. A flag sets the field
+/// named after it; one that was not given leaves `None` (`false`, empty)
+/// and the command's body supplies its default.
+#[derive(Default)]
+pub struct Opts {
+    /// `--json`: the machine-readable report on stdout, the text one suppressed.
+    pub json: bool,
+    /// `--trace`: run under the flight recorder and write its artifacts.
+    pub trace: bool,
+    /// `--secs`: the measurement budget.
+    pub secs: Option<Duration>,
+    /// `--min-ratio`: what measured / baseline must reach.
+    pub min_ratio: Option<f64>,
+    /// `--seed`.
+    pub seed: Option<u64>,
+    /// `--base`: the seed a chaos `--sweep` derives its seeds from.
+    pub base: Option<u64>,
+    /// `--iters`: executions per fuzz target.
+    pub iters: Option<u64>,
+    /// `--rounds`: rounds the minimum is kept over.
+    pub rounds: Option<u64>,
+    /// chaos `--sweep`: derived seeds per scenario.
+    pub seeds: Option<u64>,
+    /// fleet `--sweep`: roster sizes.
+    pub rosters: Option<Vec<usize>>,
+    /// `--scenario`.
+    pub scenario: Option<Scenario>,
+    /// `--target`.
+    pub target: Option<&'static str>,
+    /// `guard`'s operand: the rows it names.
+    pub guards: Vec<&'static Guard>,
 }
 
-fn usage() -> String {
-    let names: Vec<&str> = GUARDS.iter().map(|g| g.name).collect();
-    format!(
-        "usage: repro_guard <name>|all [--secs S] [--min-ratio R] [--json]\nguards: {}",
-        names.join(", ")
-    )
+/// Decimal or `0x` hex, the way every report prints a seed.
+fn number(v: &str) -> Result<u64, String> {
+    let parsed = match v.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16),
+        None => v.parse(),
+    };
+    parsed.map_err(|_| "a decimal or 0x-hex number".to_string())
 }
 
-fn parse(args: &[String]) -> Result<Opts, String> {
-    let bad = |what: String| format!("{what}\n{}", usage());
-    let (name, flags) = args.split_first().ok_or_else(usage)?;
-    let guards: Vec<&Guard> = GUARDS.iter().filter(|g| name == "all" || name == g.name).collect();
-    if guards.is_empty() {
-        return Err(bad(format!("unknown guard `{name}`")));
+fn non_negative(v: &str) -> Result<f64, String> {
+    let parsed = v.parse().ok().filter(|&v| Duration::try_from_secs_f64(v).is_ok());
+    parsed.ok_or_else(|| "a non-negative number".to_string())
+}
+
+/// The member of `all` that `name` calls `v`, or the names there are.
+fn one_of<T: Copy>(v: &str, all: &[T], name: impl Fn(&T) -> &'static str) -> Result<T, String> {
+    let names = || all.iter().map(&name).collect::<Vec<_>>().join(", ");
+    all.iter().copied().find(|t| name(t) == v).ok_or_else(|| format!("one of {}", names()))
+}
+
+/// One row of `repro`'s table: what `repro <name>` accepts. The bodies
+/// live with the binary (`src/bin/repro/`), which finds a row's function
+/// by its name; they stay out of this library because the repo benchmark
+/// links it.
+pub struct Command {
+    /// What the command line, CI and `results/repro_<name>.txt` call it.
+    pub name: &'static str,
+    /// What may follow it, as usage prints each: `--flag`, `--flag VALUE`,
+    /// or first a required bare `<word>`. [`parse`] has an arm for each.
+    args: &'static [&'static str],
+}
+
+/// Every paper artifact, perf snapshot and harness `repro` runs.
+pub static COMMANDS: [Command; 16] = [
+    Command { name: "bandwidth", args: &[] },
+    Command { name: "bwest", args: &["--json"] },
+    Command {
+        name: "chaos",
+        args: &["--scenario NAME", "--seed N", "--sweep N", "--base N", "--trace", "--json"],
+    },
+    Command { name: "contention", args: &[] },
+    Command { name: "ctrl_scale", args: &["--json"] },
+    Command { name: "fig1", args: &[] },
+    Command { name: "fig2", args: &[] },
+    Command { name: "fleet", args: &["--sweep PAIRS,..", "--json"] },
+    Command { name: "fuzz", args: &["--target NAME", "--seed N", "--iters N", "--json"] },
+    Command { name: "guard", args: &["<guard>", "--secs S", "--min-ratio R", "--json"] },
+    Command { name: "netsim_scale", args: &["--rounds N", "--json"] },
+    Command { name: "rendezvous", args: &["--json"] },
+    Command { name: "rtt_limitation", args: &[] },
+    Command { name: "table1", args: &["--json"] },
+    Command { name: "throughput", args: &["--secs S", "--json"] },
+    Command { name: "traceroute", args: &[] },
+];
+
+impl Command {
+    fn usage(&self) -> String {
+        let arg = |a: &&str| if a.starts_with('<') { format!(" {a}") } else { format!(" [{a}]") };
+        format!("repro {}{}", self.name, self.args.iter().map(arg).collect::<String>())
     }
-    let mut opts = Opts { guards, secs: None, min_ratio: None, json: false };
-    let mut flags = flags.iter();
-    while let Some(flag) = flags.next() {
-        let mut number = || {
-            let value = flags.next().and_then(|v| v.parse().ok());
-            value
-                .filter(|&v| Duration::try_from_secs_f64(v).is_ok())
-                .ok_or_else(|| bad(format!("{flag} takes a non-negative number")))
+}
+
+/// The one option parser: `args` (the command line without the program
+/// name) against [`COMMANDS`]. An error is what was wrong and the usage
+/// of the row it was wrong for (of every row when none was named), ready
+/// for stderr and exit 2.
+pub fn parse(args: &[String]) -> Result<(&'static Command, Opts), String> {
+    let table = || COMMANDS.iter().map(|c| format!("\n  {}", c.usage())).collect::<String>();
+    let (name, rest) = args.split_first().ok_or_else(|| format!("usage:{}", table()))?;
+    let command = COMMANDS
+        .iter()
+        .find(|c| c.name == name)
+        .ok_or_else(|| format!("unknown command `{name}`\nusage:{}", table()))?;
+    let bad = |what: String| format!("{what}\nusage: {}", command.usage());
+    let mut o = Opts::default();
+    // Store `v` as what `arg` (an entry of a row's `args`) takes, or say what that is.
+    let mut set = |arg: &str, v: &str| {
+        let stored = match arg {
+            "--json" => {
+                o.json = true;
+                Ok(())
+            }
+            "--trace" => {
+                o.trace = true;
+                Ok(())
+            }
+            "--secs S" => non_negative(v).map(|s| o.secs = Some(Duration::from_secs_f64(s))),
+            "--min-ratio R" => non_negative(v).map(|r| o.min_ratio = Some(r)),
+            "--seed N" => number(v).map(|n| o.seed = Some(n)),
+            "--base N" => number(v).map(|n| o.base = Some(n)),
+            "--iters N" => number(v).map(|n| o.iters = Some(n)),
+            "--rounds N" => number(v).map(|n| o.rounds = Some(n)),
+            "--sweep N" => number(v).map(|n| o.seeds = Some(n)),
+            "--sweep PAIRS,.." => {
+                let sizes: Option<Vec<usize>> = v.split(',').map(|s| s.parse().ok()).collect();
+                sizes.map(|s| o.rosters = Some(s)).ok_or("comma-separated roster sizes".into())
+            }
+            "--scenario NAME" => {
+                one_of(v, &Scenario::all(), Scenario::name).map(|s| o.scenario = Some(s))
+            }
+            "--target NAME" => one_of(v, TARGETS, |t| *t).map(|t| o.target = Some(t)),
+            "<guard>" => {
+                o.guards = GUARDS.iter().filter(|g| v == "all" || v == g.name).collect();
+                let names = || GUARDS.iter().map(|g| g.name).collect::<Vec<_>>().join(", ");
+                let takes = || format!("`all` or one of {}", names());
+                (!o.guards.is_empty()).then_some(()).ok_or_else(takes)
+            }
+            _ => unreachable!("a row of COMMANDS lists `{arg}` and the parser has no arm for it"),
         };
-        match flag.as_str() {
-            "--json" => opts.json = true,
-            "--secs" => opts.secs = Some(number()?),
-            "--min-ratio" => opts.min_ratio = Some(number()?),
-            _ => return Err(bad(format!("unknown option `{flag}`"))),
-        }
+        let name = arg.split(' ').next().unwrap_or(arg);
+        stored.map_err(|takes| bad(format!("{name} takes {takes}")))
+    };
+    // A value that is missing reads as the empty word, which no typed
+    // value accepts.
+    let mut words = rest.iter().map(String::as_str);
+    if let Some(operand) = command.args.first().filter(|a| a.starts_with('<')) {
+        set(operand, words.next().unwrap_or(""))?;
     }
-    Ok(opts)
+    while let Some(word) = words.next() {
+        let arg = command.args.iter().find(|a| a.split(' ').next() == Some(word));
+        let arg = arg.ok_or_else(|| bad(format!("unknown option `{word}`")))?;
+        set(arg, if arg.contains(' ') { words.next().unwrap_or("") } else { "" })?;
+    }
+    Ok((command, o))
 }
 
 /// Run one guard: read its baseline first, so a missing file, row or
 /// field is said before the budget is spent rather than after.
 fn run_guard(guard: &'static Guard, opts: &Opts) -> Report {
     let mut ctx = Ctx {
-        budget: Duration::from_secs_f64(opts.secs.unwrap_or(guard.secs)),
+        budget: opts.secs.unwrap_or(Duration::from_secs_f64(guard.secs)),
         min_ratio: opts.min_ratio.unwrap_or(guard.min_ratio),
         baseline: None,
         base: f64::NAN,
@@ -603,16 +725,11 @@ fn run_guard(guard: &'static Guard, opts: &Opts) -> Report {
     report((guard.checks)(&ctx))
 }
 
-/// `repro_guard`'s `main` after the process-level preliminaries: parse
-/// `args` (the command line without the program name), run the guards
-/// named, print, and return the exit code.
-pub fn run(args: &[String]) -> i32 {
-    let Ok(opts) = parse(args).map_err(|message| eprintln!("{message}")) else {
-        return 2;
-    };
+/// `repro guard`: run the guards named, print, and return the exit code.
+pub fn run(opts: &Opts) -> i32 {
     let mut reports = Vec::new();
     for guard in &opts.guards {
-        let report = run_guard(guard, &opts);
+        let report = run_guard(guard, opts);
         if !opts.json {
             print!("{}", report.text());
         }
@@ -714,17 +831,50 @@ mod tests {
     }
 
     #[test]
-    fn unknown_guard_exits_2_and_lists_the_names() {
-        assert_eq!(run(&["nope".to_string()]), 2);
-        assert_eq!(run(&[]), 2);
-        let message = parse(&["nope".to_string()]).err().expect("rejected");
+    fn a_bad_command_line_is_a_usage_error_that_lists_the_names() {
+        let parse = |line: &str| {
+            let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+            super::parse(&args).map(|(command, opts)| (command.name, opts))
+        };
+        let rejected = |line: &str| parse(line).err().unwrap_or_else(|| panic!("`{line}` parsed"));
         for name in ["throughput", "obs", "netsim", "netsim-shard", "fleet", "bwest", "ctrl"] {
-            assert!(message.contains(name), "{message}");
+            assert!(rejected("guard nope").contains(name), "{}", rejected("guard nope"));
         }
-        let args = ["ctrl", "--secs", "0.5", "--json"].map(String::from);
-        let opts = parse(&args).expect("accepted");
-        assert_eq!((opts.guards[0].name, opts.guards.len(), opts.json), ("ctrl", 1, true));
-        assert_eq!((opts.secs, opts.min_ratio), (Some(0.5), None));
-        assert!(parse(&["ctrl".to_string(), "--secs".to_string(), "-1".to_string()]).is_err());
+        for command in &COMMANDS {
+            assert!(rejected("").contains(&command.usage()), "{}", rejected(""));
+            assert!(rejected("nope").contains(&command.usage()));
+        }
+        let (name, opts) = parse("guard ctrl --secs 0.5 --json").expect("accepted");
+        assert_eq!((name, opts.guards[0].name, opts.guards.len()), ("guard", "ctrl", 1));
+        assert!(opts.json && !opts.trace);
+        assert_eq!((opts.secs, opts.min_ratio), (Some(Duration::from_millis(500)), None));
+        assert_eq!(parse("guard all").expect("accepted").1.guards.len(), GUARDS.len());
+
+        // A flag that ends the line without its value, a value of the
+        // wrong type and a flag of another row all name the row's usage:
+        // the sixteen binaries indexed past the end or panicked in `expect`.
+        for line in [
+            "guard", "guard ctrl --secs -1", "guard ctrl --seed 1", "chaos --seed",
+            "chaos --scenario", "chaos --sweep 0xzz", "chaos --base 1 --trace --sweep",
+            "chaos extra", "fuzz --iters", "fuzz --iters many", "fuzz --seed --json",
+            "fleet --sweep 512,", "throughput --secs soon", "netsim_scale --rounds",
+            "table1 --secs 1",
+        ] {
+            let usage = format!("usage: repro {}", line.split(' ').next().unwrap());
+            assert!(rejected(line).contains(&usage), "`{line}`: {}", rejected(line));
+        }
+        // Valid names come from the tables the bodies run, not a list here.
+        for scenario in Scenario::all() {
+            assert!(rejected("chaos --scenario nope").contains(scenario.name()));
+            let line = format!("chaos --scenario {} --seed 0x5eed0000 --sweep 40", scenario.name());
+            let (_, opts) = parse(&line).expect("accepted");
+            let numbers = (opts.seed, opts.seeds, opts.base);
+            assert_eq!((opts.scenario, numbers), (Some(scenario), (Some(0x5eed_0000), Some(40), None)));
+        }
+        for target in TARGETS {
+            assert!(rejected("fuzz --target nope").contains(target));
+            assert_eq!(parse(&format!("fuzz --target {target}")).unwrap().1.target, Some(*target));
+        }
+        assert_eq!(parse("fleet --sweep 512,1024").unwrap().1.rosters, Some(vec![512, 1024]));
     }
 }

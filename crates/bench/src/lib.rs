@@ -1,9 +1,10 @@
-//! Shared scaffolding for the reproduction harness binaries.
+//! Shared scaffolding for the reproduction harness.
 //!
-//! Every table/figure/experiment in the paper has a `repro_*` binary that
-//! regenerates its rows, the implementation's own wall-clock cost beside
-//! them (see `src/bin/`; outputs are committed under `results/` and as
-//! `BENCH_*.json`, which [`guard`] holds CI to). This module holds the
+//! Every table/figure/experiment in the paper is a command of the one
+//! `repro` binary that regenerates its rows, the implementation's own
+//! wall-clock cost beside them (bodies in `src/bin/repro/`, the table and
+//! option parser in [`guard`]; outputs are committed under `results/` and
+//! as `BENCH_*.json`, which [`guard`] holds CI to). This module holds the
 //! world-building helpers they share.
 
 use packetlab::cert::Restrictions;
@@ -237,7 +238,7 @@ pub mod ctrl;
 pub mod guard;
 
 /// Scale-sweep world for the netsim hot-path benches
-/// (`repro_netsim_scale`, `repro_guard netsim`).
+/// (`repro netsim_scale`, `repro guard netsim`).
 ///
 /// The throughput snapshot's 4-router line is deliberately tiny — it
 /// measures per-event cost with everything in cache. This module builds
@@ -496,16 +497,18 @@ pub mod netsim_scale {
 
     /// The child half of [`build_cost`]: when the process was started
     /// for it, build the world, print the cost and exit; otherwise
-    /// return at once.
+    /// (and when the two counts are not there) return at once.
     pub fn serve_build_cost() {
         let args: Vec<String> = std::env::args().collect();
-        if args.get(1).map(String::as_str) != Some(BUILD_COST_ARG) {
+        let size = |i: usize| args.get(i).and_then(|a| a.parse().ok());
+        let (Some(BUILD_COST_ARG), Some(n), Some(shards)) =
+            (args.get(1).map(String::as_str), size(2), size(3))
+        else {
             return;
-        }
-        let size = |i: usize| args[i].parse().expect("host and shard counts");
+        };
         let before = vm_rss_kb();
         let start = std::time::Instant::now();
-        let world = build_pods(size(2), size(3), 1);
+        let world = build_pods(n, shards, 1);
         let secs = start.elapsed().as_secs_f64();
         println!("{secs} {}", vm_rss_kb().saturating_sub(before));
         drop(world);
@@ -567,7 +570,7 @@ pub mod netsim_scale {
 }
 
 /// Shared construction for the fleet-orchestration bench and its CI guard
-/// (`repro_fleet`, `repro_guard fleet`). Both must build *bit-identical*
+/// (`repro fleet`, `repro guard fleet`). Both must build *bit-identical*
 /// worlds — the guard pins report digests against the committed
 /// `BENCH_fleet.json` baseline — so every knob that feeds the digest
 /// (roster seed, keypairs, experiment spec, scheduler config, fault plan)
@@ -581,7 +584,7 @@ pub mod fleet {
         RateLimit, SchedulerConfig,
     };
 
-    /// Roster size the guard measures and pins (a `repro_fleet` sweep
+    /// Roster size the guard measures and pins (a `repro fleet` sweep
     /// point, so the baseline always carries the matching row).
     pub const GUARD_PAIRS: usize = 512;
 
@@ -660,7 +663,7 @@ pub mod fleet {
 }
 
 /// Shared construction for the bandwidth-estimation bench and its CI
-/// guard (`repro_bwest`, `repro_guard bwest`). Both must build
+/// guard (`repro bwest`, `repro guard bwest`). Both must build
 /// bit-identical worlds — the guard pins artifact digests — so every
 /// knob (corpus, keypair seeds, estimator config, socket layout, pass
 /// bar) lives here once.
@@ -781,17 +784,10 @@ pub mod bwest {
     }
 }
 
-/// Shared `--json` report plumbing for the repro binaries. Every bin used
-/// to hand-roll the same four pieces: the flag scan, the finite-float
-/// formatter, trailing-comma row joining, and the BENCH-file write +
-/// stdout convention. They live here once.
+/// Shared `--json` report plumbing for the `repro` commands: the
+/// finite-float formatter, trailing-comma row joining, the machine
+/// header and the BENCH-file write + stdout convention live here once.
 pub mod reportjson {
-    /// Whether the process was invoked with `--json` (machine-readable
-    /// report on stdout, human tables suppressed).
-    pub fn json_flag() -> bool {
-        std::env::args().any(|a| a == "--json")
-    }
-
     /// A float for a JSON report: one decimal when finite, `null`
     /// otherwise (JSON has no NaN/inf).
     pub fn json_f(v: f64) -> String {
@@ -821,7 +817,7 @@ pub mod reportjson {
     /// never read without the machine and build that produced it:
     /// `"cores": N, "profile": "release", "commit": "abc1234"` (`-dirty`
     /// when the tree has uncommitted changes, `unknown` outside git).
-    pub fn machine_members() -> String {
+    fn machine_members() -> String {
         let cores = cores();
         let profile = if cfg!(debug_assertions) { "debug" } else { "release" };
         let commit = std::process::Command::new("git")
@@ -834,11 +830,14 @@ pub mod reportjson {
         format!("\"cores\": {cores}, \"profile\": \"{profile}\", \"commit\": \"{commit}\"")
     }
 
-    /// Emit a finished report per the repro-bin convention: always write
-    /// the `BENCH_*` baseline file, then either print the report itself
-    /// (`--json`) or a human note saying where it went.
-    pub fn emit_report(path: &str, report: &str, json: bool) {
-        std::fs::write(path, report).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    /// Emit a finished report per the `repro` convention: open it with
+    /// its name and the machine members, always write the `BENCH_*`
+    /// baseline file, then either print the report itself (`--json`) or a
+    /// human note saying where it went. `members` is the rest of the
+    /// object, from its first member's indent to the closing brace.
+    pub fn emit_report(bench: &str, path: &str, members: &str, json: bool) {
+        let report = format!("{{\n  \"bench\": \"{bench}\",\n  {},\n{members}", machine_members());
+        std::fs::write(path, &report).unwrap_or_else(|e| panic!("write {path}: {e}"));
         if json {
             print!("{report}");
         } else {

@@ -18,7 +18,7 @@
 //! and never anything else: no hang (every wait is bounded by the retry
 //! policy's budget in virtual time) and no panic. `tests/chaos.rs` sweeps a
 //! fixed-seed corpus and asserts exactly this contract; the
-//! `repro_chaos` binary replays any single seed for debugging.
+//! `repro chaos --seed` replays any single seed for debugging.
 
 use crate::cert::Restrictions;
 use crate::controller::experiments::{self, BandwidthEstimate, TracerouteResult};
@@ -107,7 +107,7 @@ pub struct ChaosOutcome {
 
 impl ChaosOutcome {
     /// One-line report, used by the corpus test on failure and by
-    /// `repro_chaos`.
+    /// `repro chaos`.
     pub fn report(&self) -> String {
         format!(
             "seed={:#018x} scenario={} verdict={:?} digest={:#018x} t_end={}ms \
@@ -452,7 +452,7 @@ pub fn run_sharded(scenario: Scenario, seed: u64, shards: usize) -> ChaosOutcome
 /// Every field is a pure function of `(scenario, seed)`: the tracing
 /// clock is the netsim virtual clock and event sequence numbers restart
 /// at zero, so two [`run_traced`] calls with the same inputs produce
-/// byte-identical dumps — the property `repro_chaos --trace` asserts.
+/// byte-identical dumps — the property `repro chaos --trace` asserts.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TracedChaos {
     /// The run's classification (identical to an untraced [`run`] except
@@ -567,7 +567,7 @@ fn run_conformance(
     Ok(())
 }
 
-/// The corpus used by `tests/chaos.rs` and `repro_chaos --corpus`: a fixed
+/// The corpus used by `tests/chaos.rs` and `repro chaos`: a fixed
 /// spread of seeds per scenario. 54 runs total (≥ 50 required), chosen to
 /// include several crash/restart and fatal-crash schedules.
 pub fn corpus() -> Vec<(Scenario, u64)> {

@@ -219,7 +219,7 @@ macro_rules! plane_shells {
 /// endpoint and get typed results, each call returning when its response
 /// has arrived.
 ///
-/// Tests, examples and the `repro_*` binaries drive a concrete
+/// Tests, examples and the `repro` commands drive a concrete
 /// [`Controller`] or [`robust::RobustController`] through this trait.
 /// Experiment code meant to run under either driver is generic over
 /// [`aio::Plane`] instead (a `P: ControlPlane` bound sees both traits'

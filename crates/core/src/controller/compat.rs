@@ -12,7 +12,7 @@
 //! immediate `nsend`; `recv` becomes an `npoll` loop; the socket's clock
 //! is the *endpoint's* clock. The §3.5 caveat applies and is now
 //! mechanical: each blocking call costs a controller round trip, which is
-//! precisely what `repro_rtt_limitation` quantifies.
+//! precisely what `repro rtt_limitation` quantifies.
 
 use super::{ControlChannel, ControlPlane, Controller, ControllerError};
 use crate::wire::Proto;

@@ -212,7 +212,7 @@ impl MonitorSet {
     fn adjudicate(&mut self, entry: EntryPoint, packet: &[u8], info: &[u8]) -> bool {
         /// The reference walk, kept out of line: inlined beside the fused
         /// call it costs every caller's adjudication loop its registers
-        /// (`repro_guard obs` read 0.94–0.98 with it inline).
+        /// (`repro guard obs` read 0.94–0.98 with it inline).
         #[inline(never)]
         fn walk(vms: &mut [Vm], entry: EntryPoint, packet: &[u8], info: &[u8]) -> bool {
             vms.iter_mut().all(|vm| vm.check_entry(entry, packet, info).allowed())

@@ -34,7 +34,7 @@
 //! const-initialized TLS load and a predictable branch when disabled;
 //! latency-critical consumers (the PFVM adjudication path) additionally
 //! snapshot the flag once at construction so their per-packet cost is a
-//! register test. `repro_guard obs` in `plab-bench` measures the
+//! register test. `repro guard obs` in `plab-bench` measures the
 //! disabled-path overhead against an uninstrumented twin loop and fails
 //! if it exceeds 1%.
 //!

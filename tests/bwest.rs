@@ -2,7 +2,7 @@
 //! probe pipeline (TCP bulk drain + UDP dispersion over a
 //! RobustController) against a few ground-truth corpus topologies and
 //! check the estimates land within the 20% accuracy budget. The full
-//! 20-topology accuracy table is `repro_bwest`'s job; these entries are
+//! 20-topology accuracy table is `repro bwest`'s job; these entries are
 //! the fast representatives of each regime (clean asymmetric, symmetric,
 //! burst loss, multi-destination).
 

@@ -9,7 +9,7 @@
 //! seed; replay any seed with:
 //!
 //! ```text
-//! cargo run --release -p plab-bench --bin repro_chaos -- --scenario <name> --seed <hex>
+//! cargo run --release -p plab-bench -- chaos --scenario <name> --seed <hex>
 //! ```
 
 use packetlab::chaos::{self, ChaosVerdict, Scenario};
