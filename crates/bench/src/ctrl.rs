@@ -283,6 +283,23 @@ impl ScaleWorld {
     }
 }
 
+/// Certificates in the chain every [`ScaleWorld`] session authenticates
+/// with (`Credentials::issue`: delegation, experiment).
+pub const CHAIN_LEN: u64 = 2;
+
+/// Curve verifications (`endpoint.auth.sig_verified`) run in building
+/// `worlds` worlds of `sessions` sessions: each world is one agent, and
+/// every session on it authenticates with the same chain.
+pub fn auth_verifications(worlds: usize, sessions: usize) -> u64 {
+    plab_obs::enable();
+    plab_obs::reset();
+    for _ in 0..worlds {
+        ScaleWorld::new(sessions);
+    }
+    plab_obs::disable();
+    plab_obs::metrics::counter("endpoint.auth.sig_verified")
+}
+
 /// Build a world of `sessions` and run one phase of `ops_per_session`
 /// round trips — the one-call form the repro bins use.
 pub fn point(sessions: usize, ops_per_session: u32) -> PhaseStats {

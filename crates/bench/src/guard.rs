@@ -460,10 +460,14 @@ const PINNED_CTRL_DIGEST: u64 = 0x27b8_c596_556e_9713;
 /// pump + dispatch + flush turn costs at most 3x the 4096 `tcp_recv`
 /// readiness polls it has to make, both timed here; a reactor that hashes
 /// and sorts its way over every enrolled session each turn reads 6x or
-/// more, the dense table and cursor ring under 2x.
+/// more, the dense table and cursor ring under 2x. `verify_once`, a count:
+/// N authentications of one chain on one agent run N + chain_len curve
+/// verifications (each possession proof, the chain once), and N agents
+/// authenticating it once each run N x (chain_len + 1).
 fn ctrl_mux(ctx: &Ctx) -> Vec<Check> {
     const IDLE_SESSIONS: usize = 4096;
     const IDLE_MAX_OVER_POLLS: f64 = 3.0;
+    const AUTHS: u64 = 64;
     let mut passes = Vec::new();
     let ([best], rounds) = min_over_rounds(ctx.budget, 2, |_| {
         passes.push(ctrl::point(CTRL_SESSIONS, CTRL_OPS));
@@ -483,11 +487,20 @@ fn ctrl_mux(ctx: &Ctx) -> Vec<Check> {
         "an idle turn costs {idle:.2}x its {IDLE_SESSIONS} readiness polls \
          (bound {IDLE_MAX_OVER_POLLS}x)"
     );
+    let one_agent = ctrl::auth_verifications(1, AUTHS as usize);
+    let apart = ctrl::auth_verifications(AUTHS as usize, 1);
+    let want = (AUTHS + ctrl::CHAIN_LEN, AUTHS * (ctrl::CHAIN_LEN + 1));
+    let verify_detail = format!(
+        "{AUTHS} authentications of one chain verify {one_agent} signatures on one agent \
+         (exactly {}), {apart} on {AUTHS} agents (exactly {})",
+        want.0, want.1
+    );
     vec![
         ctx.ratio("ratio", mux.ops as f64 / best, "wall ops/s", rounds, ctx.base),
         Check::new("scales", scales, scaling),
         Check::pinned("pinned", &digests, PINNED_CTRL_DIGEST),
         Check::new("idle_cheap", idle <= IDLE_MAX_OVER_POLLS, idle_detail),
+        Check::new("verify_once", (one_agent, apart) == want, verify_detail),
     ]
 }
 

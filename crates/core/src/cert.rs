@@ -201,11 +201,23 @@ impl Certificate {
 
     /// Verify this certificate's signature against the signer's key.
     pub fn verify_signature(&self, signer_key: &PublicKey) -> bool {
-        if KeyHash::of(signer_key) != self.signer {
-            return false;
-        }
-        let body = Self::signed_bytes(&self.signer, &self.payload, &self.restrictions);
-        plab_crypto::ed25519::verify(signer_key, &body, &self.signature)
+        self.verify_signature_with(signer_key, plab_crypto::ed25519::verify)
+    }
+
+    /// The checks around the curve equation — the key is the one the
+    /// certificate names, the bytes are the ones it covers — with the
+    /// equation itself (key, signed bytes, signature) left to `curve_ok`.
+    fn verify_signature_with(
+        &self,
+        signer_key: &PublicKey,
+        curve_ok: impl FnOnce(&PublicKey, &[u8], &Signature) -> bool,
+    ) -> bool {
+        KeyHash::of(signer_key) == self.signer
+            && curve_ok(
+                signer_key,
+                &Self::signed_bytes(&self.signer, &self.payload, &self.restrictions),
+                &self.signature,
+            )
     }
 
     /// Serialize.
@@ -301,6 +313,20 @@ pub fn verify_chain(
     descriptor_hash: &sha256::Digest256,
     now: u64,
 ) -> Result<EffectiveRestrictions, CertError> {
+    walk_chain(chain, keys, trusted, descriptor_hash, now, plab_crypto::ed25519::verify)
+}
+
+/// [`verify_chain`] with the curve equation of each signature check left to
+/// `curve_ok`: the one chain walk, under the cold verifier and under a
+/// [`SigMemo`].
+fn walk_chain(
+    chain: &[Certificate],
+    keys: &HashMap<KeyHash, PublicKey>,
+    trusted: &[KeyHash],
+    descriptor_hash: &sha256::Digest256,
+    now: u64,
+    mut curve_ok: impl FnMut(&PublicKey, &[u8], &Signature) -> bool,
+) -> Result<EffectiveRestrictions, CertError> {
     if chain.is_empty() {
         return Err(CertError::BrokenChain);
     }
@@ -310,7 +336,7 @@ pub fn verify_chain(
     let mut effective = EffectiveRestrictions::default();
     for (i, cert) in chain.iter().enumerate() {
         let signer_key = keys.get(&cert.signer).ok_or(CertError::MissingKey)?;
-        if !cert.verify_signature(signer_key) {
+        if !cert.verify_signature_with(signer_key, &mut curve_ok) {
             return Err(CertError::BadSignature);
         }
         effective.tighten(&cert.restrictions);
@@ -335,6 +361,70 @@ pub fn verify_chain(
         return Err(CertError::Expired);
     }
     Ok(effective)
+}
+
+/// How many verified signatures a [`SigMemo`] holds. A constant, not a
+/// setting: it bounds an endpoint's memory at 512 bytes whatever arrives,
+/// and an endpoint serves a handful of operators and experimenters at a
+/// time — past sixteen the oldest is forgotten and verified again.
+const SIG_MEMO_SLOTS: usize = 16;
+
+pub(crate) static M_SIG_VERIFIED: plab_obs::metrics::Counter =
+    plab_obs::metrics::Counter::new("endpoint.auth.sig_verified");
+static M_SIG_MEMO_HITS: plab_obs::metrics::Counter =
+    plab_obs::metrics::Counter::new("endpoint.auth.sig_memo_hits");
+
+/// The certificate signatures an endpoint has already verified, so that the
+/// delegation arriving again with an experimenter's next session costs one
+/// hash in place of a curve verification (§3.3 re-verifies the chain on
+/// every session; Figure 1's delegations are long-lived by design).
+///
+/// An entry is `SHA-256(signer key ‖ signature ‖ signed bytes)`: a hit
+/// means these exact bytes passed [`plab_crypto::ed25519::verify`] under
+/// this exact key before, and the verdict of that function depends on
+/// nothing else. Only passes are kept, the oldest of sixteen is evicted
+/// first, and nothing else about a chain is remembered:
+/// [`SigMemo::verify_chain`] is [`verify_chain`]'s walk, so trust root,
+/// chain shape, descriptor binding and validity window are evaluated on
+/// every call.
+#[derive(Default)]
+pub struct SigMemo {
+    verified: [[u8; 32]; SIG_MEMO_SLOTS],
+    /// Entries filled so far, then the FIFO cursor modulo the slot count.
+    inserted: usize,
+}
+
+impl SigMemo {
+    /// [`verify_chain`], skipping the curve equation for a signature this
+    /// memo has seen pass. Same verdict and same error as the cold
+    /// function for every input and every memo state.
+    pub fn verify_chain(
+        &mut self,
+        chain: &[Certificate],
+        keys: &HashMap<KeyHash, PublicKey>,
+        trusted: &[KeyHash],
+        descriptor_hash: &sha256::Digest256,
+        now: u64,
+    ) -> Result<EffectiveRestrictions, CertError> {
+        walk_chain(chain, keys, trusted, descriptor_hash, now, |key, body, signature| {
+            self.verify(key, body, signature)
+        })
+    }
+
+    fn verify(&mut self, key: &PublicKey, body: &[u8], signature: &Signature) -> bool {
+        let id = sha256::digest_parts(&[key.as_bytes(), signature.as_bytes(), body]).0;
+        if self.verified[..self.inserted.min(SIG_MEMO_SLOTS)].contains(&id) {
+            M_SIG_MEMO_HITS.inc();
+            return true;
+        }
+        M_SIG_VERIFIED.inc();
+        let ok = plab_crypto::ed25519::verify(key, body, signature);
+        if ok {
+            self.verified[self.inserted % SIG_MEMO_SLOTS] = id;
+            self.inserted += 1;
+        }
+        ok
+    }
 }
 
 /// Convenience: build the key map an `Auth` message carries.

@@ -355,6 +355,12 @@ pub struct EndpointAgent {
     next_tcp_seq: u32,
     /// The next new session's [`Session::owner`].
     next_owner: u32,
+    /// Sessions whose `detached_at` is set: with none, and no takeover, an
+    /// `Auth` has no session to adopt and does not look for one.
+    detached: usize,
+    /// Certificate signatures this agent has verified (dies with it: a
+    /// restarted endpoint remembers nothing).
+    sig_memo: cert::SigMemo,
     /// Statistics: total packets captured across all sessions.
     pub captured_packets: u64,
     /// Statistics: total sends denied by monitors.
@@ -371,6 +377,8 @@ impl EndpointAgent {
             pending_tcp: HashMap::new(),
             next_tcp_seq: 1,
             next_owner: 0,
+            detached: 0,
+            sig_memo: cert::SigMemo::default(),
             captured_packets: 0,
             denied_sends: 0,
         }
@@ -452,6 +460,7 @@ impl EndpointAgent {
                 .is_some_and(|s| s.experiment_id.is_some() && matches!(s.state, SessionState::Ready));
         if resumable {
             let s = self.sessions.get_mut(&sid).unwrap();
+            self.detached += s.detached_at.is_none() as usize;
             s.detached_at = Some(stack.clock());
             M_LINGERING.add(1);
             plab_obs::obs_event!(plab_obs::Component::Endpoint, "session.detach", "sid" = sid);
@@ -462,6 +471,7 @@ impl EndpointAgent {
             return Vec::new();
         }
         if let Some(mut s) = self.sessions.remove(&sid) {
+            self.detached -= s.detached_at.is_some() as usize;
             self.teardown_sockets(&mut s, stack);
             if self.active == Some(sid) {
                 self.active = None;
@@ -595,7 +605,7 @@ impl EndpointAgent {
         let pubkeys: Vec<PublicKey> = keys.iter().map(|k| PublicKey::from_bytes(*k)).collect();
         let key_map = cert::key_map(&pubkeys);
         let dhash = desc.hash();
-        let effective = match cert::verify_chain(
+        let effective = match self.sig_memo.verify_chain(
             &certs,
             &key_map,
             &self.config.trusted_keys,
@@ -617,6 +627,8 @@ impl EndpointAgent {
         let mut signed = Vec::with_capacity(64);
         signed.extend_from_slice(&nonce);
         signed.extend_from_slice(&dhash.0);
+        // A fresh nonce every time: nothing about the proof is remembered.
+        cert::M_SIG_VERIFIED.inc();
         if !plab_crypto::ed25519::verify(leaf_key, &signed, &Signature::from_bytes(proof)) {
             fail(&mut out, "possession proof invalid");
             return out;
@@ -665,22 +677,27 @@ impl EndpointAgent {
         let exp_id = (leaf_signer, dhash.0);
         let takeover = self.config.session_linger_ns > 0;
         // The oldest candidate, so the choice does not depend on the
-        // map's per-process iteration order.
-        let adopt = self
-            .sessions
-            .iter()
-            .filter(|(osid, s)| {
-                **osid != sid
-                    && s.experiment_id == Some(exp_id)
-                    && (s.detached_at.is_some()
-                        || (takeover && matches!(s.state, SessionState::Ready)))
-            })
-            .map(|(osid, _)| *osid)
-            .min();
+        // map's per-process iteration order. Without takeover only a
+        // detached session can match, so with none there is no walk.
+        let adopt = if takeover || self.detached > 0 {
+            self.sessions
+                .iter()
+                .filter(|(osid, s)| {
+                    **osid != sid
+                        && s.experiment_id == Some(exp_id)
+                        && (s.detached_at.is_some()
+                            || (takeover && matches!(s.state, SessionState::Ready)))
+                })
+                .map(|(osid, _)| *osid)
+                .min()
+        } else {
+            None
+        };
         if let Some(osid) = adopt {
             let mut old = self.sessions.remove(&osid).unwrap();
             old.sid = sid;
             if old.detached_at.take().is_some() {
+                self.detached -= 1;
                 M_LINGERING.sub(1);
             } else if self.active == Some(osid) {
                 // Taking over a still-attached session: the adopted session
@@ -1295,6 +1312,7 @@ impl EndpointAgent {
         for sid in expired {
             if let Some(mut s) = self.sessions.remove(&sid) {
                 self.teardown_sockets(&mut s, stack);
+                self.detached -= 1;
                 M_LINGERING.sub(1);
                 plab_obs::obs_event!(plab_obs::Component::Endpoint, "session.expire", "sid" = sid);
                 if self.active == Some(sid) {
@@ -1507,10 +1525,9 @@ mod tests {
         })
     }
 
-    /// Drive hello+auth for session `sid`; returns after AuthOk.
-    fn authenticate(agent: &mut EndpointAgent, stack: &mut MockStack, sid: u64, priority: u8) {
+    fn unit_credentials(restrictions: crate::cert::Restrictions, priority: u8) -> Credentials {
         let experimenter = Keypair::from_seed(&[42; 32]);
-        let creds = Credentials::issue(
+        Credentials::issue(
             &operator(),
             &experimenter,
             crate::descriptor::ExperimentDescriptor {
@@ -1519,20 +1536,77 @@ mod tests {
                 info_url: String::new(),
                 experimenter: plab_crypto::KeyHash::of(&experimenter.public),
             },
-            crate::cert::Restrictions::none(),
+            restrictions,
             priority,
-        );
+        )
+    }
+
+    /// `Hello` then `Auth` on a new session; what the agent answers the `Auth`.
+    fn auth_attempt(
+        agent: &mut EndpointAgent,
+        stack: &mut MockStack,
+        sid: u64,
+        creds: &Credentials,
+    ) -> Out {
         agent.on_session_open(sid);
         let out = agent.on_message(sid, Message::Hello { version: crate::PROTOCOL_VERSION }, stack);
         let Some((_, Message::HelloAck { nonce, .. })) = out.first() else {
             panic!("expected HelloAck, got {out:?}");
         };
-        let auth = creds.auth_message(nonce);
-        let out = agent.on_message(sid, auth, stack);
+        agent.on_message(sid, creds.auth_message(nonce), stack)
+    }
+
+    /// Drive hello+auth for session `sid`; returns after AuthOk.
+    fn authenticate(agent: &mut EndpointAgent, stack: &mut MockStack, sid: u64, priority: u8) {
+        let creds = unit_credentials(crate::cert::Restrictions::none(), priority);
+        let out = auth_attempt(agent, stack, sid, &creds);
         assert!(
             out.iter().any(|(s, m)| *s == sid && matches!(m, Message::AuthOk)),
             "expected AuthOk, got {out:?}"
         );
+    }
+
+    /// The memo answers for the curve equation and nothing else: the
+    /// validity window and the trust root are read from the configuration
+    /// on every `Auth`, whatever the agent has seen verify.
+    #[test]
+    fn remembered_signatures_outlive_neither_window_nor_trust_root() {
+        plab_obs::enable();
+        plab_obs::reset();
+        let counters = || {
+            let read = plab_obs::metrics::counter;
+            (read("endpoint.auth.sig_verified"), read("endpoint.auth.sig_memo_hits"))
+        };
+        let refusal = |out: Out| match &out[..] {
+            [(_, Message::Resp(Response::Err { code: ErrCode::Auth, msg }))] => msg.clone(),
+            other => panic!("expected one refusal, got {other:?}"),
+        };
+        let mut a = agent();
+        let mut s = MockStack::new();
+        let window = crate::cert::Restrictions {
+            not_after: Some(a.config.wall_time + 10),
+            ..Default::default()
+        };
+        let creds = unit_credentials(window, 1);
+        let out = auth_attempt(&mut a, &mut s, 1, &creds);
+        assert!(matches!(out[..], [(1, Message::AuthOk)]), "{out:?}");
+        assert_eq!(counters(), (3, 0), "two certificates and the proof");
+
+        a.config.wall_time += 11;
+        let msg = refusal(auth_attempt(&mut a, &mut s, 2, &creds));
+        assert!(msg.contains("expired"), "{msg}");
+        assert_eq!(counters(), (3, 2), "both signatures remembered, the chain refused");
+
+        a.config.wall_time -= 11;
+        let trusted = std::mem::take(&mut a.config.trusted_keys);
+        let msg = refusal(auth_attempt(&mut a, &mut s, 3, &creds));
+        assert!(msg.contains("no trusted signer"), "{msg}");
+        assert_eq!(counters(), (3, 2));
+
+        a.config.trusted_keys = trusted;
+        let out = auth_attempt(&mut a, &mut s, 4, &creds);
+        assert!(matches!(out[..], [(4, Message::AuthOk)]), "{out:?}");
+        assert_eq!(counters(), (4, 4), "the proof is verified every time");
     }
 
     fn cmd(agent: &mut EndpointAgent, stack: &mut MockStack, sid: u64, c: Command) -> Message {
@@ -1957,19 +2031,7 @@ mod tests {
         // session: the nonce differs, so the possession proof fails.
         let mut a = agent();
         let mut s = MockStack::new();
-        let experimenter = Keypair::from_seed(&[42; 32]);
-        let creds = Credentials::issue(
-            &operator(),
-            &experimenter,
-            crate::descriptor::ExperimentDescriptor {
-                name: "unit".into(),
-                controller_addr: "10.0.9.1:7000".into(),
-                info_url: String::new(),
-                experimenter: plab_crypto::KeyHash::of(&experimenter.public),
-            },
-            crate::cert::Restrictions::none(),
-            1,
-        );
+        let creds = unit_credentials(crate::cert::Restrictions::none(), 1);
         a.on_session_open(1);
         let out = a.on_message(1, Message::Hello { version: crate::PROTOCOL_VERSION }, &mut s);
         let Some((_, Message::HelloAck { nonce, .. })) = out.first() else { panic!() };
@@ -2241,6 +2303,27 @@ mod tests {
                 assert_eq!(data, vec![adopted], "round {round}: sid {sid} adopted the wrong session");
             }
         }
+    }
+
+    /// An `Auth` skips the adoption walk only when the walk could find
+    /// nothing. A session that detached while lingering was on is still
+    /// there, and still adopted, after the operator turns lingering off.
+    #[test]
+    fn a_detached_session_is_adopted_with_takeover_off() {
+        let mut a = lingering_agent(1_000_000_000);
+        let mut s = MockStack::new();
+        authenticate(&mut a, &mut s, 1, 10);
+        cmd(&mut a, &mut s, 1, Command::MWrite { memaddr: 0x40, data: vec![7] });
+        a.on_session_closed(1, &mut s);
+        a.config.session_linger_ns = 0;
+        assert_eq!(a.detached, 1);
+
+        authenticate(&mut a, &mut s, 2, 10);
+        let resp = cmd(&mut a, &mut s, 2, Command::MRead { memaddr: 0x40, bytecnt: 1 });
+        assert_eq!(resp, Message::Resp(Response::Mem { data: vec![7] }));
+        assert_eq!((a.session_count(), a.detached), (1, 0), "adopted, and none left to adopt");
+        authenticate(&mut a, &mut s, 3, 10);
+        assert_eq!(a.session_count(), 2, "with nothing detached a new session stands alone");
     }
 
     /// A detached session whose linger window passes is reclaimed by

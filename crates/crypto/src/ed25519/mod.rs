@@ -4,8 +4,8 @@
 //! are all signed with Ed25519. The implementation is deliberately written
 //! in plain, auditable Rust: radix-2^51 field arithmetic, extended-coordinate
 //! group law straight from RFC 8032, windowed scalar multiplication over
-//! tables computed at compile time (see [`point`]), and binary long
-//! reduction for scalars.
+//! tables computed at compile time (see [`point`]), and scalars reduced by
+//! folding at 2^252 (see [`scalar`]).
 
 pub mod field;
 pub mod point;

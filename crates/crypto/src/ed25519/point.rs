@@ -52,6 +52,53 @@ impl Cached {
     }
 }
 
+/// A point without its `T`: all that a doubling reads.
+#[derive(Clone, Copy)]
+struct Projective {
+    x: Fe,
+    y: Fe,
+    z: Fe,
+}
+
+/// A doubling before it is multiplied out: X = E·F, Y = G·H, Z = F·G and,
+/// for a caller that will add to the result, T = E·H.
+struct Doubled {
+    e: Fe,
+    f: Fe,
+    g: Fe,
+    h: Fe,
+}
+
+impl Projective {
+    const IDENTITY: Projective = Point::IDENTITY.projective();
+
+    /// Point doubling (RFC 8032 §5.1.4 dbl formulas).
+    const fn double(&self) -> Doubled {
+        let a = self.x.square();
+        let b = self.y.square();
+        let zz = self.z.square();
+        let c = zz.add(&zz);
+        let h = a.add(&b);
+        let e = h.sub(&self.x.add(&self.y).square());
+        let g = a.sub(&b);
+        let f = c.add(&g);
+        Doubled { e, f, g, h }
+    }
+}
+
+impl Doubled {
+    /// The doubled point for another doubling: three products.
+    const fn projective(&self) -> Projective {
+        Projective { x: self.e.mul(&self.f), y: self.g.mul(&self.h), z: self.f.mul(&self.g) }
+    }
+
+    /// The doubled point for an addition: the fourth product, T.
+    const fn extended(&self) -> Point {
+        let Projective { x, y, z } = self.projective();
+        Point { x, y, z, t: self.e.mul(&self.h) }
+    }
+}
+
 impl Point {
     /// The neutral element (0, 1).
     pub const IDENTITY: Point = Point { x: Fe::ZERO, y: Fe::ONE, z: Fe::ONE, t: Fe::ZERO };
@@ -116,22 +163,13 @@ impl Point {
         self.add_cached(&other.cached())
     }
 
-    /// Point doubling (RFC 8032 §5.1.4 dbl formulas).
+    const fn projective(&self) -> Projective {
+        Projective { x: self.x, y: self.y, z: self.z }
+    }
+
+    /// Point doubling.
     pub const fn double(&self) -> Point {
-        let a = self.x.square();
-        let b = self.y.square();
-        let zz = self.z.square();
-        let c = zz.add(&zz);
-        let h = a.add(&b);
-        let e = h.sub(&self.x.add(&self.y).square());
-        let g = a.sub(&b);
-        let f = c.add(&g);
-        Point {
-            x: e.mul(&f),
-            y: g.mul(&h),
-            t: e.mul(&h),
-            z: f.mul(&g),
-        }
+        self.projective().double().extended()
     }
 
     /// `self + d·P`, where `odd[i] = (2i+1)·P` and `d` is zero or odd.
@@ -283,19 +321,31 @@ pub fn mul_base(k: &Scalar) -> Point {
 }
 
 /// `[s]B − [k]A` (the verification equation's `R`) on one doubling ladder
-/// shared by both scalars, each in signed sliding-window form.
+/// shared by both scalars, each in signed sliding-window form. The ladder
+/// starts at the highest non-zero digit of either, and a doubling that no
+/// digit follows is left without its `T`.
 pub fn mul_base_sub(s: &Scalar, k: &Scalar, point_a: &Point) -> Point {
     let s_naf = s.naf(8);
     let k_naf = k.naf(5);
     let a_odd: [Cached; 8] = odd_multiples(point_a);
-    let mut acc = Point::IDENTITY;
-    for i in (0..256).rev() {
-        acc = acc
-            .double()
+    let add_digits = |doubled: Doubled, i: usize| {
+        doubled
+            .extended()
             .add_odd_multiple(&BASE_ODD, s_naf[i])
-            .add_odd_multiple(&a_odd, -k_naf[i]);
+            .add_odd_multiple(&a_odd, -k_naf[i])
+    };
+    let top = (1..256).rev().find(|&i| s_naf[i] != 0 || k_naf[i] != 0).unwrap_or(0);
+    let mut acc = Projective::IDENTITY;
+    for i in (1..=top).rev() {
+        let doubled = acc.double();
+        acc = if s_naf[i] == 0 && k_naf[i] == 0 {
+            doubled.projective()
+        } else {
+            add_digits(doubled, i).projective()
+        };
     }
-    acc
+    // The caller may add to the result, so the last doubling keeps its T.
+    add_digits(acc.double(), 0)
 }
 
 #[cfg(test)]

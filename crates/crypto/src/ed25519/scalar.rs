@@ -1,10 +1,11 @@
 //! Arithmetic modulo the Ed25519 group order
 //! L = 2^252 + 27742317777372353535851937790883648493.
 //!
-//! Scalars are 256-bit little-endian values held as four u64 limbs. The
-//! reduction strategy is simple shift-and-subtract long reduction of 512-bit
-//! intermediates — unglamorous, but easy to audit and plenty fast for
-//! certificate signing workloads.
+//! Scalars are 256-bit little-endian values held as four u64 limbs. A
+//! 512-bit intermediate is reduced by folding at 2^252: with
+//! c = L − 2^252 < 2^125, 2^252 ≡ −c (mod L), so three folds bring 512 bits
+//! down to a handful of 252-bit terms. The bit-serial long division this
+//! replaced is kept under `cfg(test)` as the oracle.
 
 /// The group order L as little-endian u64 limbs.
 pub const L: [u64; 4] = [
@@ -171,8 +172,67 @@ fn mul_wide(a: &[u64; 4], b: &[u64; 4]) -> [u64; 8] {
     r
 }
 
-/// Reduce a 512-bit little-endian value mod L by binary long division.
+/// `r − L`, or `None` when `r < L`.
+fn sub_l(r: &[u64; 4]) -> Option<[u64; 4]> {
+    let mut out = [0u64; 4];
+    let mut borrow = false;
+    for i in 0..4 {
+        let (v, b1) = r[i].overflowing_sub(L[i]);
+        let (v, b2) = v.overflowing_sub(borrow as u64);
+        out[i] = v;
+        borrow = b1 | b2;
+    }
+    (!borrow).then_some(out)
+}
+
+/// Split `x = lo + 2^252·hi` and return `(lo, hi·c)` for c = L − 2^252, so
+/// that `x ≡ lo − hi·c (mod L)`; `hi < 2^260` and `c < 2^125`, so `hi·c`
+/// takes seven limbs at most.
+fn fold(x: &[u64; 8]) -> ([u64; 4], [u64; 8]) {
+    let lo = [x[0], x[1], x[2], x[3] & (u64::MAX >> 4)];
+    let mut hi_c = [0u64; 8];
+    for i in 0..5 {
+        let hi = x[i + 3] >> 60 | x.get(i + 4).map_or(0, |next| next << 4);
+        let mut carry = 0u128;
+        for (j, &c) in L[..2].iter().enumerate() {
+            let v = hi_c[i + j] as u128 + hi as u128 * c as u128 + carry;
+            hi_c[i + j] = v as u64;
+            carry = v >> 64;
+        }
+        hi_c[i + 2] = carry as u64;
+    }
+    (lo, hi_c)
+}
+
+/// Reduce a 512-bit little-endian value mod L: `x ≡ lo₀ − lo₁ + lo₂ − y₃`
+/// over three folds (512 → 385 → 258 → 131 bits), every term below 2^252.
 fn reduce_wide(limbs: [u64; 8]) -> [u64; 4] {
+    let (lo0, y1) = fold(&limbs);
+    let (lo1, y2) = fold(&y1);
+    let (lo2, y3) = fold(&y2);
+    debug_assert!(y3[2] >> 3 == 0 && y3[3..] == [0; 5], "third fold is below 2^131");
+    // lo₀ + lo₂ + (L − lo₁) + (L − y₃): both differences are positive and
+    // the sum stays below 2^253 + 2L < 2^256.
+    let mut r = [0u64; 4];
+    let mut carry = 0i128;
+    for i in 0..4 {
+        let v = carry + lo0[i] as i128 + lo2[i] as i128 + 2 * L[i] as i128
+            - lo1[i] as i128
+            - y3[i] as i128;
+        r[i] = v as u64;
+        carry = v >> 64;
+    }
+    debug_assert_eq!(carry, 0);
+    while let Some(less) = sub_l(&r) {
+        r = less;
+    }
+    r
+}
+
+/// [`reduce_wide`] by binary long division, one bit a step: the loop the
+/// fold replaced, kept as its oracle.
+#[cfg(test)]
+fn reduce_wide_bit_serial(limbs: [u64; 8]) -> [u64; 4] {
     // r accumulates the remainder as we scan bits from most significant
     // to least significant: r = r*2 + bit; if r >= L then r -= L.
     let mut r = [0u64; 4];
@@ -269,6 +329,44 @@ mod tests {
         // Just a determinism / bounds check: result must be < L.
         let r = reduce_wide([u64::MAX; 8]);
         assert!(lt(&r, &L));
+    }
+
+    /// The fold against the bit-serial loop: the edges around L and around
+    /// the fold point 2^252, then 10,240 seeded values of every width.
+    #[test]
+    fn reduce_wide_matches_the_bit_serial_loop() {
+        let wide = |lo: [u64; 4]| [lo[0], lo[1], lo[2], lo[3], 0, 0, 0, 0];
+        let mut cases = vec![
+            [0; 8],
+            wide([L[0] - 1, L[1], L[2], L[3]]),
+            wide(L),
+            wide([L[0] + 1, L[1], L[2], L[3]]),
+            wide([0, 0, 0, 1 << 60]),
+            wide([u64::MAX, u64::MAX, u64::MAX, u64::MAX >> 3]),
+            [u64::MAX; 8],
+        ];
+        let mut state = 0x5ca1_a4ed_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        for case in 0..10_240 {
+            // Zero the limbs above a seeded width, and half the time fill
+            // the ones below it, so short, dense and ragged values all occur.
+            let (width, dense) = (case % 9, case % 2 == 0);
+            let mut x = [0u64; 8];
+            for limb in x.iter_mut().take(width) {
+                *limb = if dense && next() & 3 == 0 { u64::MAX } else { next() };
+            }
+            cases.push(x);
+        }
+        for x in cases {
+            let r = reduce_wide(x);
+            assert_eq!(r, reduce_wide_bit_serial(x), "{x:016x?}");
+            assert!(lt(&r, &L), "{x:016x?}");
+        }
     }
 
     /// Seeded reduced scalars plus the edges: 0, 1, L − 1, dense nibbles.

@@ -11,11 +11,16 @@
 //!   bundle;
 //! - forgery resistance: a bundle whose decoded certificates differ from
 //!   the pristine chain must never verify (every byte of a certificate is
-//!   covered by its signature).
+//!   covered by its signature);
+//! - memo exactness: an endpoint's `SigMemo`, warm from every bundle the
+//!   run has verified so far or empty, returns `verify_chain`'s verdict
+//!   and error.
 
 use crate::mutate::mutate;
 use crate::{exec_one, Exec, Report};
-use packetlab::cert::{verify_cert_set, verify_chain, Certificate, CertPayload, Restrictions};
+use packetlab::cert::{
+    verify_cert_set, verify_chain, CertPayload, Certificate, Restrictions, SigMemo,
+};
 use plab_crypto::{sha256, KeyHash, Keypair, PublicKey};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::HashMap;
@@ -87,7 +92,7 @@ fn decode_bundle(bytes: &[u8]) -> Option<Vec<Certificate>> {
     Some(certs)
 }
 
-fn check_against(fx: &Fixture, bytes: &[u8]) -> Result<Exec, String> {
+fn check_against(fx: &Fixture, warm: &mut SigMemo, bytes: &[u8]) -> Result<Exec, String> {
     let certs = match decode_bundle(bytes) {
         Some(c) => c,
         None => return Ok(Exec::Rejected),
@@ -102,6 +107,13 @@ fn check_against(fx: &Fixture, bytes: &[u8]) -> Result<Exec, String> {
     // Verification must never panic, whatever the bundle shape.
     let chain_res = verify_chain(&certs, &fx.keys, &fx.trusted, &fx.descriptor_hash, NOW);
     let set_res = verify_cert_set(&certs, &fx.keys, &fx.trusted, &fx.descriptor_hash, NOW);
+    // A memo remembers signatures, never verdicts.
+    for (state, memo) in [("warm", warm), ("empty", &mut SigMemo::default())] {
+        let res = memo.verify_chain(&certs, &fx.keys, &fx.trusted, &fx.descriptor_hash, NOW);
+        if res != chain_res {
+            return Err(format!("{state} memo answered {res:?}, verify_chain {chain_res:?}"));
+        }
+    }
     // Forgery resistance: anything other than the pristine chain must fail.
     if certs != fx.pristine {
         if chain_res.is_ok() {
@@ -127,7 +139,7 @@ fn check_against(fx: &Fixture, bytes: &[u8]) -> Result<Exec, String> {
 
 /// Oracle function for one bundle.
 pub fn check(bytes: &[u8]) -> Result<Exec, String> {
-    check_against(&fixture(), bytes)
+    check_against(&fixture(), &mut SigMemo::default(), bytes)
 }
 
 /// The encoded pristine bundle (used to seed the checked-in corpus).
@@ -139,6 +151,7 @@ pub fn pristine_bundle() -> Vec<u8> {
 pub fn run(seed: u64, iters: u64) -> Report {
     let mut report = Report::new("cert", seed);
     let fx = fixture();
+    let mut warm = SigMemo::default();
     let pristine_bundle = encode_bundle(&fx.pristine);
     let mut rng = StdRng::seed_from_u64(seed);
     for _ in 0..iters {
@@ -146,7 +159,7 @@ pub fn run(seed: u64, iters: u64) -> Report {
         if rng.gen_bool(0.8) {
             mutate(&mut rng, &mut bundle);
         }
-        exec_one(&mut report, &bundle, || check_against(&fx, &bundle));
+        exec_one(&mut report, &bundle, || check_against(&fx, &mut warm, &bundle));
     }
     report
 }
