@@ -142,7 +142,7 @@ fn splitmix64(state: &mut u64) -> u64 {
 }
 
 /// FNV-1a accumulation, the digest primitive for observables.
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
+pub(crate) fn fnv1a(hash: &mut u64, bytes: &[u8]) {
     for &b in bytes {
         *hash ^= b as u64;
         *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
@@ -153,7 +153,7 @@ fn fnv_u64(hash: &mut u64, v: u64) {
     fnv1a(hash, &v.to_le_bytes());
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// The fixed chaos topology (a miniature of the bench `World`):
 ///

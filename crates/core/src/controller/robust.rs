@@ -440,9 +440,10 @@ impl<D: aio::Dialer> aio::Plane for RobustController<D> {
         self.dialer.now()
     }
 
-    // request_batch: the sequential default is what we want — replay of a
-    // pipelined window would need per-command bookkeeping for no
-    // measurable gain under faults.
+    // request_batch: the sequential default, one seq outstanding at a time.
+    // The window ROADMAP item 2 schedules grows here, with the replay
+    // bookkeeping per command it needs; the endpoint's half of that contract
+    // (one pending poll a session, answered in order: `Command::NPoll`) holds.
 }
 
 impl<D: Dialer> ControlPlane for RobustController<D> {}

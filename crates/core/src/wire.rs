@@ -103,7 +103,11 @@ pub enum Command {
         filt: Vec<u8>,
     },
     /// Poll for received data; endpoint replies immediately if data is
-    /// buffered, otherwise when data arrives or at `time`.
+    /// buffered, otherwise when data arrives or at `time`. A session has
+    /// one pending poll: an `npoll` that arrives while another is waiting
+    /// first completes that one with whatever is buffered (possibly
+    /// nothing), so answers leave in the order their polls came and every
+    /// sequenced poll gets its own `RespSeq`.
     NPoll {
         /// Endpoint-clock deadline, ns.
         time: u64,
