@@ -309,7 +309,15 @@ const SHARDS: usize = 4;
 /// threads, only where there is a second core to run it on and a baseline
 /// row to hold it to; on the 10,240-host world, because at 1024 a window
 /// holds a few events a shard and a threaded round times its 2,000 thread
-/// spawns, not the engine. `build_growth`, `build_rss`: world construction
+/// spawns, not the engine. `scale_decay`: one-thread events/s at 10,240
+/// hosts over events/s at 1,024, both sizes in every round of one process
+/// so the quotient is this machine's own, over the whole budget. What a
+/// tenfold world loses is the latency of first touches, and
+/// `Sim::step`'s look-ahead (DESIGN "Netsim") is what hides it: twenty
+/// runs on the builder's two cores read 0.532-0.733 with it (median
+/// 0.638) and 0.429-0.519 without (median 0.485), so the bound sits
+/// between and the engine without its look-ahead fails it (EXPERIMENTS
+/// P6). `build_growth`, `build_rss`: world construction
 /// is outside every event timing, so it has bounds of its own, each
 /// measured in a fresh process ([`netsim_scale::build_cost`]): 102,400
 /// hosts may take at most 20x as long to build as 10,240 (linear is 10; a
@@ -322,6 +330,7 @@ fn netsim_shard(ctx: &Ctx) -> Vec<Check> {
     const BUILD_HOSTS: [usize; 2] = [10_240, 102_400];
     const MAX_BUILD_GROWTH: f64 = 20.0;
     const MAX_RSS_GROWTH: f64 = 2.0;
+    const MIN_SCALE_DECAY: f64 = 0.525;
 
     // Builds first: a child spawned right after a threaded round of this
     // size reads 0.3-1.0 s against 0.2 s otherwise (EXPERIMENTS P1 addendum).
@@ -341,6 +350,21 @@ fn netsim_shard(ctx: &Ctx) -> Vec<Check> {
         (events as f64 / best, rounds)
     };
     let (one_thread, rounds) = measure(1024, 1);
+    // Both sizes in every round, so a machine that changes speed between
+    // rounds changes both readings.
+    let mut events = [0; 2];
+    let (secs, _): ([f64; 2], _) = min_over_rounds(ctx.budget, 4, |_| {
+        std::array::from_fn(|i| {
+            let (ev, secs, _) = netsim_scale::round_pods([1024, 10_240][i], SHARDS, 1);
+            events[i] = ev;
+            secs
+        })
+    });
+    let decay = (events[1] as f64 / secs[1]) / (events[0] as f64 / secs[0]);
+    let decay_detail = format!(
+        "one thread, 10,240 hosts run at {decay:.3} of the events/s of 1,024 \
+         (bound {MIN_SCALE_DECAY})"
+    );
     let threads = cores().clamp(1, SHARDS);
     let threaded_row = [("hosts", 10_240), ("shards", SHARDS as u64), ("threads", threads as u64)];
     let threaded = match ctx.lookup(&threaded_row) {
@@ -372,6 +396,7 @@ fn netsim_shard(ctx: &Ctx) -> Vec<Check> {
     vec![
         ctx.ratio("ratio", one_thread, "events/s", rounds, ctx.base),
         threaded,
+        Check::new("scale_decay", decay >= MIN_SCALE_DECAY, decay_detail),
         Check::new("build_growth", growth <= MAX_BUILD_GROWTH, build_detail),
         build_rss,
     ]

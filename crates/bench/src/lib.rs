@@ -567,6 +567,31 @@ pub mod netsim_scale {
         let secs = start.elapsed().as_secs_f64();
         (events, secs, w)
     }
+
+    #[cfg(test)]
+    mod tests {
+        /// `Sim::step` reads the frames of events it has not popped yet
+        /// (`warm_ahead`). It must hold none of them past the call and
+        /// change nothing: once a round's inboxes are drained every
+        /// shard's pool has back what it gave out, and the round is the
+        /// events `BENCH_netsim.json` has for this world, on one thread
+        /// and on two.
+        #[test]
+        fn a_pod_round_balances_every_pool_and_is_the_committed_events() {
+            let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_netsim.json");
+            let committed = std::fs::read_to_string(path).expect("read BENCH_netsim.json");
+            for threads in [1, 2] {
+                let (events, _, world) = super::round_pods(1024, 4, threads as usize);
+                for (shard, pool) in world.sim.pool_handles().iter().enumerate() {
+                    assert!(pool.taken() > 0, "shard {shard} moved no packet");
+                    assert_eq!(pool.taken(), pool.recycled(), "shard {shard} is owed frames");
+                }
+                let row = [("hosts", 1024), ("shards", 4), ("threads", threads), ("events", events)];
+                let found = crate::guard::find_row(&committed, &row);
+                assert!(found.is_some(), "{events} events on {threads} threads: not the committed row");
+            }
+        }
+    }
 }
 
 /// Shared construction for the fleet-orchestration bench and its CI guard

@@ -362,10 +362,39 @@ impl SimNet {
     }
 
     /// Process one simulator event (if any) plus agent servicing; returns
-    /// false when no event was pending.
+    /// false when no event was pending. The `process()` before the event
+    /// is for a caller that changed the world since the last step
+    /// ([`SimChannel`]'s sends, `endpoint_dial` and friends queue bytes
+    /// an agent must see at this instant, not after the next event); the
+    /// one after it services what the event delivered. It is
+    /// [`SimNet::step_quiet`] with no instant to keep going before; the
+    /// fleet runner's advance is the one that names one.
     pub fn step(&mut self) -> bool {
+        self.step_quiet(0)
+    }
+
+    /// One event between two `process()` passes, as [`SimNet::step`]
+    /// describes, and then every following event strictly before
+    /// `before` for as long as the simulator stays quiet
+    /// ([`ShardedSim::quiet`]: sparse mode, and the events so far marked
+    /// no node, fired no timer, crashed nothing — router hops, four
+    /// events in five of a fleet pass), servicing agents once at the end
+    /// rather than twice per hop. For a driver with nothing of its own to
+    /// do before `before` (a launch, a timed wake, a deadline) unless an
+    /// agent or a task saw something. Debug builds service after every
+    /// quiet event all the same and assert that it did nothing.
+    pub fn step_quiet(&mut self, before: u64) -> bool {
         self.process();
         let stepped = self.sim.step();
+        while self.sim.quiet() && self.sim.next_event_time().is_some_and(|t| t < before) {
+            if cfg!(debug_assertions) {
+                let (serviced, next) = (self.serviced.len(), self.sim.next_event_time());
+                self.process();
+                let after = (self.serviced.len(), self.sim.next_event_time(), self.sim.quiet());
+                assert_eq!(after, (serviced, next, true), "a quiet event left agents work");
+            }
+            self.sim.step();
+        }
         self.process();
         stepped
     }

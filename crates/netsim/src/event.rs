@@ -375,6 +375,17 @@ impl EventQueue {
         Some((e.time, e.kind))
     }
 
+    /// The event `k` places down the batch `pop` is draining — `ahead(0)`
+    /// is what the next `pop` returns, barring a past-clock push before
+    /// it — or `None` when the batch is that short: it never looks into
+    /// the wheel, so outside worlds that land thousands of events on one
+    /// instant it answers `None`. Read-only; [`crate::Sim::step`] uses it
+    /// to touch what upcoming events will read.
+    #[inline]
+    pub fn ahead(&self, k: usize) -> Option<&EventKind> {
+        self.current.get(k).map(|e| &e.kind)
+    }
+
     /// Time of the next event without removing it. Exact and `O(levels)`:
     /// bucket minima are cached, so peeking never cascades (and therefore
     /// never moves the clock — critical, since pushes clamp against it).

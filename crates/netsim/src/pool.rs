@@ -16,7 +16,7 @@
 //! inbox drains, queue teardown, node crashes. That makes the pool's
 //! accounting a leak detector: at simulator teardown every taken buffer
 //! has been dropped, so `taken == recycled` must hold exactly (asserted
-//! across the chaos corpus in `tests/pool_accounting.rs`).
+//! across the chaos corpus in `crates/core/tests/pool_accounting.rs`).
 //!
 //! Frames are `Send`: buffers use `Arc`, the free list sits behind a
 //! `Mutex`, and the statistics are relaxed atomics, so a whole `Sim`

@@ -85,6 +85,9 @@ pub struct ShardedSim {
     threads: usize,
     /// Window barriers executed (metrics).
     windows_run: u64,
+    /// [`ShardedSim::handoffs`] as of the last exchange: while it still
+    /// reads the same, every outbox is empty.
+    exchanged: u64,
 }
 
 impl ShardedSim {
@@ -97,6 +100,7 @@ impl ShardedSim {
             window: SimTime::MAX,
             threads: 1,
             windows_run: 0,
+            exchanged: 0,
         }
     }
 
@@ -160,6 +164,7 @@ impl ShardedSim {
             window,
             threads: threads.max(1),
             windows_run: 0,
+            exchanged: 0,
         }
     }
 
@@ -249,9 +254,12 @@ impl ShardedSim {
     }
 
     /// Process the single globally earliest event (ties break toward the
-    /// lower shard index) and exchange any handoffs it produced. This is
-    /// the fine-grained sequential merge — used by drivers that must
-    /// react between events; `run_until` is the windowed parallel path.
+    /// lower shard index), then exchange if anything has been diverted
+    /// since the last exchange — by this event, or by a socket call the
+    /// driver made between steps. Most events divert nothing, and then
+    /// the outboxes are not walked. This is the fine-grained sequential
+    /// merge — used by drivers that must react between events;
+    /// `run_until` is the windowed parallel path.
     pub fn step(&mut self) -> bool {
         if self.shards.len() == 1 {
             return self.shards[0].step();
@@ -266,7 +274,9 @@ impl ShardedSim {
             return false;
         };
         self.shards[idx].step();
-        self.exchange();
+        if self.handoffs() != self.exchanged {
+            self.exchange();
+        }
         true
     }
 
@@ -321,6 +331,7 @@ impl ShardedSim {
     /// Drain every outbox in `(source, destination)` shard order and
     /// inject the packets — the deterministic merge point.
     fn exchange(&mut self) {
+        self.exchanged = self.handoffs();
         let n = self.shards.len();
         let mut moved = 0u64;
         for src in 0..n {
@@ -400,6 +411,11 @@ impl ShardedSim {
         for s in &mut self.shards {
             s.set_track_dirty(on);
         }
+    }
+
+    /// See [`Sim::quiet`]: every shard is.
+    pub fn quiet(&self) -> bool {
+        self.shards.iter().all(Sim::quiet)
     }
 
     /// See [`Sim::take_dirty_nodes`]. Concatenated in shard order.
@@ -685,6 +701,42 @@ mod tests {
             }
         }
         assert_eq!(net.udp_recv(h2, 7).len(), 1);
+    }
+
+    #[test]
+    fn step_exchanges_what_a_socket_call_diverted_between_steps() {
+        // h2's only link crosses the cut, so its send is diverted inside
+        // `udp_send`, not inside any `step`. The next step must hand it
+        // over even though the event it processes diverts nothing.
+        let (mut net, h1, h2) = world(&[0, 0, 1], 1);
+        net.udp_bind(h1, 7);
+        net.udp_send(h2, 5000, addr(0, 1), 7, b"x");
+        assert_eq!(net.handoffs(), 1);
+        while net.step() {}
+        assert_eq!(net.udp_recv(h1, 7).len(), 1);
+    }
+
+    #[test]
+    fn quiet_holds_across_router_hops_and_ends_where_a_host_is_touched() {
+        let (mut net, h1, h2) = world(&[0, 0, 1], 1);
+        net.udp_bind(h2, 7);
+        assert!(!net.quiet(), "nobody records touches until tracking is on");
+        net.set_track_dirty(true);
+        net.udp_send(h1, 5000, addr(1, 1), 7, b"x");
+        assert!(net.quiet());
+        // Arrival at the router (forwarded, diverted), the queue release
+        // behind the handoff: nothing a harness could see.
+        for _ in 0..2 {
+            assert!(net.step());
+            assert!(net.quiet());
+        }
+        assert!(net.step(), "the arrival at h2");
+        assert!(!net.quiet());
+        assert_eq!(net.take_dirty_nodes(), vec![h2]);
+        assert!(net.quiet());
+        net.schedule_timer(h1, 9, net.now() + MILLISECOND);
+        assert!(net.step());
+        assert!(!net.quiet(), "a fired timer waits to be taken");
     }
 
     #[test]

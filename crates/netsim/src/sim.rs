@@ -76,6 +76,14 @@ struct ShardCtx {
     handoffs: u64,
 }
 
+/// How many places down the same-instant batch each stage of
+/// [`Sim::warm_ahead`] reads. Three, because the addresses depend on one
+/// another: the link names the node; node and packet, the route and the
+/// out-link. Constants: they decide what is cached, never what is computed.
+const AHEAD_LINK: usize = 10;
+const AHEAD_NODE: usize = 5;
+const AHEAD_ROUTE: usize = 2;
+
 /// The network simulator. Construct via [`crate::TopologyBuilder`].
 pub struct Sim {
     time: SimTime,
@@ -143,7 +151,8 @@ impl Sim {
     /// Enable (or disable) dirty-node tracking. While enabled,
     /// [`Sim::take_dirty_nodes`] drains the set of nodes whose
     /// harness-visible state (inboxes, TCP connections, timers, send
-    /// log) may have changed since the previous drain. Off by default:
+    /// log) may have changed since the previous drain, and [`Sim::quiet`]
+    /// reads the same list to say whether anything has. Off by default:
     /// the dense pump pays nothing for it.
     pub fn set_track_dirty(&mut self, on: bool) {
         self.track_dirty = on;
@@ -171,6 +180,19 @@ impl Sim {
             self.dirty_mark[n] = false;
         }
         self.dirty_nodes.drain(..).map(NodeId).collect()
+    }
+
+    /// Has nothing a harness could see happened since it last drained?
+    /// True when dirty tracking is on ([`Sim::set_track_dirty`]) and no
+    /// node is marked, no timer has fired and no host crashed or
+    /// restarted: every event since was a router hop, a queue release or
+    /// a drop, and servicing agents now would find nothing to do. Always
+    /// false with tracking off, where nobody records what was touched.
+    pub fn quiet(&self) -> bool {
+        self.track_dirty
+            && self.dirty_nodes.is_empty()
+            && self.fired_timers.is_empty()
+            && self.node_transitions.is_empty()
     }
 
     /// Mark this sim as shard `index` of a sharded world: nodes whose
@@ -260,6 +282,7 @@ impl Sim {
         let Some((t, kind)) = self.events.pop() else {
             return false;
         };
+        self.warm_ahead();
         self.processed += 1;
         // Cross-shard injection at a window boundary can pop behind the
         // local clock (see `EventQueue` docs); the clock only ratchets
@@ -337,6 +360,85 @@ impl Sim {
             }
         }
         true
+    }
+
+    /// Read what the events a few places down the wheel's same-instant
+    /// batch will read first, so that those misses overlap one another
+    /// and the event in hand instead of stalling theirs one by one: at
+    /// 51,200 hosts an event costs the latency of its first touch of a
+    /// link, a node, a packet and an out-link, and the batch (thousands
+    /// deep in pod worlds) says which those will be. Reads only, through
+    /// `&self`, and no `Frame` is cloned or kept: no event, refcount, RNG
+    /// draw or counter can differ for it. A batch shorter than the nearest
+    /// stage (every fleet and bwest step) returns at the first line.
+    #[inline]
+    fn warm_ahead(&self) {
+        let Some(near) = self.events.ahead(AHEAD_ROUTE) else {
+            return;
+        };
+        /// The node an event acts on, and its packet.
+        fn lands<'a>(sim: &'a Sim, e: &'a EventKind) -> Option<(&'a Node, &'a Frame)> {
+            match e {
+                EventKind::LinkArrival { link, dir, packet } => {
+                    let dst = sim.links.get(*link)?.dst_node(*dir);
+                    Some((sim.nodes.get(dst)?, packet))
+                }
+                EventKind::ScheduledSend { node, packet, .. } => {
+                    Some((sim.nodes.get(*node)?, packet))
+                }
+                _ => None,
+            }
+        }
+        // A field on each line of a `Link`: `ge` and `params.loss`
+        // (`lossy`), both directions' queues (`departed`, `offer`), the
+        // ends (`dst_node`, `dir_from`) and `up`.
+        let link_lines = |l: &Link| {
+            let queued = l.dirs[0].queued_bytes + l.dirs[1].queued_bytes;
+            l.lossy() as usize + queued + l.a.0 + l.b.0 + l.up as usize
+        };
+        let mut seen = 0usize;
+        // Stage one, addresses from the event itself. `step`:
+        // `let l = &mut self.links[link]` and `packet.len()` (the buffer's
+        // header, where the count `pool::release` decrements also is); for
+        // a send, `self.nodes[node].crashed`.
+        match self.events.ahead(AHEAD_LINK) {
+            Some(EventKind::LinkArrival { link, packet, .. }) => {
+                seen += self.links.get(*link).map_or(0, link_lines) + packet.len();
+            }
+            Some(EventKind::ScheduledSend { node, packet, .. }) => {
+                seen += self.nodes.get(*node).map_or(0, |n| n.crashed as usize) + packet.len();
+            }
+            _ => {}
+        }
+        // Stage two, link and buffer header now in cache. `deliver`:
+        // `nodes[node].crashed` and `.kind`, the packet bytes
+        // `Ipv4View::new_unchecked` opens, and the node's other lines:
+        // `ifaces` (`owns_addr`), `host.raw` and `defer_os`
+        // (`host_receive`), `routes` (`transmit`).
+        if let Some((n, packet)) = self.events.ahead(AHEAD_NODE).and_then(|e| lands(self, e)) {
+            seen += n.crashed as usize + n.kind as usize + n.ifaces.len();
+            seen += n.routes.default_iface.unwrap_or(0);
+            seen += n.host.as_ref().map_or(0, |h| h.raw.len() + h.defer_os as usize);
+            seen += packet.first().map_or(0, |&b| b as usize);
+        }
+        // Stage three, node and packet now readable: the blocks the node
+        // points to. `owns_addr`: the `ifaces` block. `host_receive`: the
+        // tail of each raw socket's inbox, where `push_back` writes. For a
+        // router's arrival or a host's send, `transmit`:
+        // `routes.lookup(dst)`, `ifaces[iface_idx].link`, `links[link_idx]`.
+        if let Some((n, packet)) = lands(self, near) {
+            seen += u32::from(n.addr()) as usize;
+            let arrival = matches!(near, EventKind::LinkArrival { .. });
+            if let (true, Some(host)) = (arrival, &n.host) {
+                for raw in host.raw.values() {
+                    seen += raw.inbox.back().map_or(0, |(t, _)| *t as usize);
+                }
+            } else if let Ok(view) = ipv4::Ipv4View::new_unchecked(packet) {
+                let iface = n.routes.lookup(view.dst()).and_then(|i| n.ifaces.get(i));
+                seen += iface.and_then(|i| self.links.get(i.link?)).map_or(0, link_lines);
+            }
+        }
+        std::hint::black_box(seen);
     }
 
     /// Process all events up to and including `deadline`, then advance the

@@ -10,6 +10,11 @@
 //! interleaving of schedule, pop, and cancel operations, across every
 //! level of the wheel and the overflow spill list. Seeded traces recorded
 //! before the swap must therefore replay bit-identically after it.
+//!
+//! The wheel has one accessor the heap has not, `ahead(k)`, which
+//! `Sim::step` reads to touch what upcoming events will need. The scripts
+//! call it anywhere: what it shows is what the next pops return, and
+//! having looked changes nothing the two queues then agree on.
 
 use plab_netsim::event::{EventId, EventKind, EventQueue, ReferenceEventQueue};
 use proptest::prelude::*;
@@ -30,6 +35,9 @@ enum Op {
     Cancel { sel: usize },
     /// Cancel an event that was already popped; both queues must refuse.
     CancelStale { sel: usize },
+    /// Look `0..=k` places down the wheel, then pop `k + 1` times: each
+    /// place showed `None` or exactly the event that pop returns.
+    Ahead { k: usize },
 }
 
 /// Deltas chosen so every placement path is exercised: the same-tick
@@ -60,6 +68,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         Just(Op::Pop),
         (0u64..1024).prop_map(|s| Op::Cancel { sel: s as usize }),
         (0u64..1024).prop_map(|s| Op::CancelStale { sel: s as usize }),
+        (0u64..12).prop_map(|k| Op::Ahead { k: k as usize }),
     ]
 }
 
@@ -78,6 +87,33 @@ fn run_script(ops: Vec<Op>) {
     let mut popped: Vec<EventId> = Vec::new();
 
     for op in ops {
+        // `Ahead` is its looks followed by as many pops.
+        let (pops, shown) = match op {
+            Op::Pop => (1, Vec::new()),
+            Op::Ahead { k } => (k + 1, (0..=k).map(|j| wheel.ahead(j).cloned()).collect()),
+            _ => (0, Vec::new()),
+        };
+        for j in 0..pops {
+            let a = wheel.pop();
+            let b = oracle.pop();
+            assert_eq!(a, b, "pop diverged");
+            if let Some(shown) = shown.get(j).cloned().flatten() {
+                assert_eq!(a.as_ref().map(|(_, e)| e), Some(&shown), "ahead({j}) showed another");
+            }
+            if let Some((t, _)) = a {
+                // Past-clock pushes may pop behind `now`; the
+                // external clock only ratchets forward.
+                now = now.max(t);
+                // Move the popped id from live to popped. Ties on time
+                // break by seq, and `live` is in insertion (= seq)
+                // order, so the first id with this time is the one.
+                let i = live
+                    .iter()
+                    .position(|id| id.time() == t)
+                    .expect("popped an event with no live id");
+                popped.push(live.remove(i));
+            }
+        }
         match op {
             Op::Push { delta } => {
                 let k = timer(next_key);
@@ -97,24 +133,7 @@ fn run_script(ops: Vec<Op>) {
                 assert_eq!(a.time(), t, "past time must be preserved");
                 live.push(a);
             }
-            Op::Pop => {
-                let a = wheel.pop();
-                let b = oracle.pop();
-                assert_eq!(a, b, "pop diverged");
-                if let Some((t, _)) = a {
-                    // Past-clock pushes may pop behind `now`; the
-                    // external clock only ratchets forward.
-                    now = now.max(t);
-                    // Move the popped id from live to popped. Ties on time
-                    // break by seq, and `live` is in insertion (= seq)
-                    // order, so the first id with this time is the one.
-                    let i = live
-                        .iter()
-                        .position(|id| id.time() == t)
-                        .expect("popped an event with no live id");
-                    popped.push(live.remove(i));
-                }
-            }
+            Op::Pop | Op::Ahead { .. } => {}
             Op::Cancel { sel } => {
                 if live.is_empty() {
                     continue;
@@ -149,6 +168,31 @@ fn run_script(ops: Vec<Op>) {
             break;
         }
     }
+}
+
+/// `ahead` sees the batch `pop` is draining — past-clock insertions in
+/// their place — and nothing beyond it, though the wheel holds more.
+#[test]
+fn ahead_shows_the_batch_and_stops_at_its_end() {
+    let mut q = EventQueue::new();
+    q.push(1_000, timer(99)); // a later instant: stays in the wheel
+    for key in 0..20 {
+        q.push(500, timer(key));
+    }
+    assert_eq!(q.ahead(0), None, "nothing is current before the first pop");
+    assert_eq!(q.pop(), Some((500, timer(0))));
+    q.push(400, timer(50)); // behind the clock: to the front
+    q.push(500, timer(51)); // at the clock: to the back
+    let want: Vec<u64> = [50].into_iter().chain(1..20).chain([51]).collect();
+    for (k, &key) in want.iter().enumerate() {
+        assert_eq!(q.ahead(k), Some(&timer(key)), "place {k}");
+    }
+    assert_eq!(q.ahead(want.len()), None, "the event at 1,000 is not in the batch");
+    assert_eq!(q.len(), want.len() + 1, "looking removed nothing");
+    for &key in &want {
+        assert_eq!(q.pop().map(|(_, e)| e), Some(timer(key)));
+    }
+    assert_eq!(q.pop(), Some((1_000, timer(99))));
 }
 
 proptest! {

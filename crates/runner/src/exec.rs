@@ -680,8 +680,11 @@ impl Sched<'_> {
             }
             let next_event = self.shared.borrow().net.sim.next_event_time();
             match next_event {
+                // Past this event, router hops on the way to `target`
+                // change nothing a task or an agent can see: they need no
+                // turn of this loop each.
                 Some(t) if t <= target => {
-                    self.shared.borrow_mut().net.step();
+                    self.shared.borrow_mut().net.step_quiet(target);
                 }
                 // A stale timed entry due at the current instant; popping
                 // removes it, so this cannot spin.
