@@ -1,12 +1,17 @@
 //! Throughput snapshot: adjudications/sec for Figure-2 monitor chains and
 //! simulator events/sec on a multi-hop topology, written to
 //! `BENCH_throughput.json` so successive revisions have a perf trajectory.
+//! Beside each chain's rates it writes what no clock blurs: per
+//! adjudication, the sections that executed a stream and the outcomes
+//! replayed whole, for send and for recv (functions of the chain and the
+//! packet alone).
 //!
 //! `--json` prints the same JSON report on stdout (the file is still
 //! written). `--secs` stretches or shrinks the per-measurement budget
 //! (default 0.5 s; CI smoke uses 0.05).
 
 use packetlab::monitor::MonitorSet;
+use plab_filter::FuseStats;
 use plab_netsim::{LinkParams, NodeId, Sim, TopologyBuilder};
 use plab_packet::builder;
 use std::net::Ipv4Addr;
@@ -35,6 +40,21 @@ fn measure(budget: Duration, mut op: impl FnMut() -> u64) -> (f64, u64) {
     }
     let elapsed = start.elapsed();
     (batch as f64 / elapsed.as_secs_f64(), std::hint::black_box(acc))
+}
+
+/// Sections executed and outcomes replayed per call of `op`, over 1,000
+/// calls: exact, and the same for every call when `op` adjudicates one
+/// packet.
+fn replay_shape(set: &mut MonitorSet, op: impl Fn(&mut MonitorSet) -> bool) -> (f64, f64) {
+    const CALLS: u64 = 1000;
+    let stats = |set: &MonitorSet| set.fuse_stats().expect("a fused chain");
+    let before = stats(set);
+    for _ in 0..CALLS {
+        op(set);
+    }
+    let FuseStats { executed, replays, .. } = stats(set);
+    let per_call = |n: u64| n as f64 / CALLS as f64;
+    (per_call(executed - before.executed), per_call(replays - before.replays))
 }
 
 fn multihop() -> (Sim, NodeId, Ipv4Addr, Ipv4Addr) {
@@ -75,8 +95,7 @@ pub fn run(opts: &crate::Opts) -> i32 {
     let budget = opts.secs.unwrap_or(Duration::from_millis(500));
 
     let (encoded, probe, info) = plab_bench::figure2_fixture();
-    let (me, target) = ("10.0.0.1".parse().unwrap(), "10.0.99.1".parse().unwrap());
-    let reply = builder::icmp_echo_reply(target, me, 1, 1, &[0, 1]);
+    let reply = plab_bench::figure2_reply();
 
     if !json {
         println!(
@@ -92,6 +111,7 @@ pub fn run(opts: &crate::Opts) -> i32 {
     let mut seq_send_rates = Vec::new();
     let mut seq_recv_rates = Vec::new();
     let mut insns = Vec::new();
+    let mut shapes = Vec::new();
     let mut fusion = None;
     for n in [1usize, 2, 4, 8] {
         let mut set = plab_bench::figure2_chain(n, &encoded, &info);
@@ -99,6 +119,8 @@ pub fn run(opts: &crate::Opts) -> i32 {
         let (send_rate, _) = measure(budget, || u64::from(set.allow_send(&probe, &info)));
         assert!(set.allow_recv(&reply, &info), "reply allowed");
         let (recv_rate, _) = measure(budget, || u64::from(set.allow_recv(&reply, &info)));
+        let send_shape = replay_shape(&mut set, |s| s.allow_send(&probe, &info));
+        let recv_shape = replay_shape(&mut set, |s| s.allow_recv(&reply, &info));
         let mut seq = chain_sequential(n, &encoded, &info);
         let (seq_send, _) = measure(budget, || u64::from(seq.allow_send(&probe, &info)));
         let (seq_recv, _) = measure(budget, || u64::from(seq.allow_recv(&reply, &info)));
@@ -111,7 +133,13 @@ pub fn run(opts: &crate::Opts) -> i32 {
                 seq_send / 1e6,
                 seq_recv / 1e6
             );
+            println!(
+                "  per adjudication, sections executed / outcomes replayed: \
+                 send {} / {}, recv {} / {}",
+                send_shape.0, send_shape.1, recv_shape.0, recv_shape.1
+            );
         }
+        shapes.push((send_shape, recv_shape));
         send_rates.push((n, send_rate));
         recv_rates.push((n, recv_rate));
         seq_send_rates.push((n, seq_send));
@@ -144,11 +172,14 @@ pub fn run(opts: &crate::Opts) -> i32 {
     for (i, &(n, send)) in send_rates.iter().enumerate() {
         let recv = recv_rates[i].1;
         let ins = insns[i].1;
+        let ((send_exec, send_replays), (recv_exec, recv_replays)) = shapes[i];
         out.push_str(&format!(
             "    {{\"monitors\": {n}, \"send_adjudications_per_sec\": {}, \
              \"recv_adjudications_per_sec\": {}, \
              \"sequential_send_adjudications_per_sec\": {}, \
-             \"sequential_recv_adjudications_per_sec\": {}, \"insns_executed\": {ins}}}{}\n",
+             \"sequential_recv_adjudications_per_sec\": {}, \"insns_executed\": {ins}, \
+             \"send_sections_executed\": {send_exec}, \"send_replays\": {send_replays}, \
+             \"recv_sections_executed\": {recv_exec}, \"recv_replays\": {recv_replays}}}{}\n",
             json_f(send),
             json_f(recv),
             json_f(seq_send_rates[i].1),
@@ -161,14 +192,16 @@ pub fn run(opts: &crate::Opts) -> i32 {
         out.push_str(&format!(
             "  \"fusion\": {{\n    \"monitors\": {n},\n    \"sections\": {},\n    \
              \"orig_insns\": {},\n    \"fused_insns\": {},\n    \"superinsns\": {},\n    \
-             \"replay_sections\": {},\n    \"replays\": {},\n    \
-             \"superinsn_len_hist\": [{}]\n  }},\n",
+             \"replay_sections\": {},\n    \"replays\": {},\n    \"reruns\": {},\n    \
+             \"executed\": {},\n    \"superinsn_len_hist\": [{}]\n  }},\n",
             s.sections,
             s.orig_insns,
             s.fused_insns,
             s.superinsns,
             s.replay_sections,
             s.replays,
+            s.reruns,
+            s.executed,
             s.super_len.map(|c| c.to_string()).join(",")
         ));
     }

@@ -20,7 +20,7 @@
 //! rest divide the machine out.
 
 use crate::reportjson::cores;
-use crate::{bwest, ctrl, figure2_chain, figure2_fixture, fleet, netsim_scale};
+use crate::{bwest, ctrl, figure2_chain, figure2_fixture, figure2_reply, fleet, netsim_scale};
 use packetlab::chaos::Scenario;
 use plab_filter::{EntryPoint, FusedVm, Program, VmConfig};
 use plab_fuzz::TARGETS;
@@ -57,7 +57,10 @@ pub static GUARDS: [Guard; 7] = [
         min_ratio: 0.9,
         checks: throughput,
     },
-    Guard { name: "obs", baseline: None, secs: 0.2, min_ratio: 0.99, checks: obs },
+    // Two identical bare engines read 0.954-1.029 against each other at
+    // this batch length (twenty runs, EXPERIMENTS P7): the bar sits just
+    // under the lowest.
+    Guard { name: "obs", baseline: None, secs: 0.5, min_ratio: 0.95, checks: obs },
     Guard {
         name: "netsim",
         baseline: Some(("BENCH_netsim.json", &[("hosts", 128)], "events_per_sec")),
@@ -231,19 +234,40 @@ fn time_batch(batch: u64, op: &mut impl FnMut() -> u64) -> f64 {
     secs
 }
 
-/// Fused adjudication: the depth-4 Figure-2 chain (the fusion sweep's
-/// headline point: deep enough that prefix replay carries the number,
-/// small enough to stay cache-resident) against
-/// `repro throughput`'s 4-monitor `send_adjudications_per_sec`. Losing
-/// fusion entirely is a 3x cliff.
+/// Fused adjudication. `ratio`: the depth-4 Figure-2 chain (the fusion
+/// sweep's headline point: deep enough that outcome replay carries the
+/// number, small enough to stay cache-resident) against `repro
+/// throughput`'s 4-monitor `send_adjudications_per_sec`; losing fusion
+/// entirely is a 3x cliff. `replay`, a count: after one allowed probe
+/// `send` on a depth-8 chain, 1,000 reply `recv`s execute 1,000 sections
+/// (the recorder's), replay 7,000 outcomes whole and rerun none. Every
+/// `recv` reads `ping_dst`, so an engine that re-executes each copy from
+/// its first persistent read executes 8,000.
 fn throughput(ctx: &Ctx) -> Vec<Check> {
     const BATCH: u64 = 200_000;
+    const RECVS: u64 = 1000;
     let (encoded, probe, info) = figure2_fixture();
     let mut set = figure2_chain(4, &encoded, &info);
     assert!(set.allow_send(&probe, &info), "probe allowed");
     let mut op = || u64::from(set.allow_send(&probe, &info));
     let ([best], rounds) = min_over_rounds(ctx.budget, 4, |_| [time_batch(BATCH, &mut op)]);
-    vec![ctx.ratio("ratio", BATCH as f64 / best, "send adjudications/s", rounds, ctx.base)]
+
+    let (reply, mut deep) = (figure2_reply(), figure2_chain(8, &encoded, &info));
+    assert!(deep.allow_send(&probe, &info), "probe allowed");
+    let before = deep.fuse_stats().expect("a fused chain");
+    let allowed = (0..RECVS).filter(|_| deep.allow_recv(&reply, &info)).count() as u64;
+    let after = deep.fuse_stats().expect("a fused chain");
+    let got = [after.executed - before.executed, after.replays - before.replays, after.reruns];
+    let want = [RECVS, 7 * RECVS, 0];
+    let detail = format!(
+        "{allowed} of {RECVS} reply recvs allowed on a depth-8 chain: {} sections executed, \
+         {} outcomes replayed, {} reruns (exactly {}, {}, {})",
+        got[0], got[1], got[2], want[0], want[1], want[2]
+    );
+    vec![
+        ctx.ratio("ratio", BATCH as f64 / best, "send adjudications/s", rounds, ctx.base),
+        Check::new("replay", allowed == RECVS && got == want, detail),
+    ]
 }
 
 /// Disabled instrumentation costs (effectively) nothing on the PFVM hot
@@ -252,10 +276,13 @@ fn throughput(ctx: &Ctx) -> Vec<Check> {
 /// the one-section `plab_filter::FusedVm` that `MonitorSet::instantiate`
 /// builds, called directly (plab-filter carries no instrumentation, so the
 /// twin is the same engine minus the `MonitorSet` wrapper and its
-/// `obs_on` test). 0.99 means at most 1 % overhead. Here `--secs` is
-/// the length of one batch, not of the run: min-of-batches is robust to
-/// shared-runner noise only if each batch amortizes the timer, so CI
-/// stretches the batch and keeps the 24 rounds.
+/// `obs_on` test). The bar is what wall time can resolve here: two
+/// identical twins read as low as 0.954 against each other, so a
+/// wrapper that costs what its one test costs passes, and one that costs
+/// 5 % of a 53 ns adjudication does not. Here `--secs` is the length of
+/// one batch, not of the run: min-of-batches is robust to noise only if
+/// each batch amortizes the timer (at 0.2 s the twins read 0.968-1.052
+/// and the guard 0.937-1.054), so the batch is 0.5 s and the rounds 24.
 fn obs(ctx: &Ctx) -> Vec<Check> {
     assert!(!plab_obs::enabled(), "guard measures the disabled path");
     let (encoded, probe, info) = figure2_fixture();

@@ -156,6 +156,13 @@ pub fn figure2_fixture() -> (Vec<u8>, Vec<u8>, Vec<u8>) {
     (encoded, probe, info)
 }
 
+/// The echo reply [`figure2_fixture`]'s probe draws from its target:
+/// [`FIGURE2_MONITOR`]'s `recv` allows it once the probe set `ping_dst`.
+pub fn figure2_reply() -> Vec<u8> {
+    let (me, target) = ("10.0.0.1".parse().unwrap(), "10.0.99.1".parse().unwrap());
+    plab_packet::builder::icmp_echo_reply(target, me, 1, 1, &[0, 1])
+}
+
 /// `depth` copies of the encoded monitor on the default (fused) engine.
 pub fn figure2_chain(depth: usize, encoded: &[u8], info: &[u8]) -> MonitorSet {
     MonitorSet::instantiate(&vec![encoded.to_vec(); depth], info).expect("monitors instantiate")

@@ -19,8 +19,9 @@
 //! PFVM has one dispatch loop (`plab_filter::lower`) and two drivers over
 //! it. A set is adjudicated by the chain driver, a **fused** execution
 //! ([`plab_filter::FusedVm`]): the whole chain prepared once, when the
-//! certificates are presented, as one threaded program with
-//! shared-prefix replay between identical monitors. A set is built by
+//! certificates are presented, as one threaded program in which a
+//! monitor identical to an earlier one takes that one's whole outcome
+//! while their persistent memories agree. A set is built by
 //! [`MonitorSet::instantiate`] and lives as long as its session; nothing
 //! adds or removes a monitor afterwards (Table 1 has no such operation,
 //! and re-authentication builds a fresh set).
@@ -32,7 +33,7 @@
 
 use plab_filter::{EntryPoint, FuseStats, FusedVm, Program, Vm, VmConfig};
 
-// `FusedVm` is large by design (shared buffers + per-section snapshots);
+// `FusedVm` is large by design (shared buffers + per-section records);
 // one `Engine` exists per session, so indirection would only slow the
 // adjudication fast path.
 #[allow(clippy::large_enum_variant)]
@@ -225,7 +226,7 @@ impl MonitorSet {
 
     /// The instrumented twin of the adjudication loop: identical verdict
     /// and fuel semantics (same short-circuit order), plus verdict, fuel
-    /// and prefix-replay accounting into `plab-obs`. Kept out of line (and
+    /// and outcome-replay accounting into `plab-obs`. Kept out of line (and
     /// marked cold) so its register pressure cannot leak into the disabled
     /// fast path.
     #[cold]
@@ -419,7 +420,7 @@ mod tests {
         let s = m.fuse_stats().expect("fused engine");
         assert_eq!(s.sections, 3);
         assert!(s.superinsns > 0, "cpf output must fuse superinstructions");
-        assert_eq!(s.replay_sections, 1, "identical icmp monitors share a prefix");
+        assert_eq!(s.replay_sections, 1, "the second icmp monitor replays the first");
         let _ = m.allow_send(&pkt(1), &[]);
         assert!(m.fuse_stats().unwrap().replays > 0);
         assert!(

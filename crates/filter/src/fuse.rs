@@ -16,16 +16,22 @@
 //!   bounds the sequential interpreter enforced, and every monitor performs
 //!   its own loads, so every monitor reaching a trapping load traps for
 //!   itself.
-//! - **Short-circuited shared prefixes.** When a monitor's program (and
-//!   fuel budget) is byte-identical to an earlier monitor in the chain, the
-//!   earlier *recording* section snapshots its state just before its first
-//!   persistent-memory access. The later section replays the snapshot
-//!   (registers, scratch, consumed fuel) instead of re-executing the
-//!   prefix. The prefix is persistent-independent and deterministic in
-//!   (packet, info), so the replay is exact; only the persistent-dependent
-//!   suffix re-executes against the replayer's own segment.
+//! - **Whole-outcome replay between identical monitors.** When a
+//!   monitor's program (and fuel budget) is byte-identical to an earlier
+//!   monitor's, the earlier one — its *recorder* — runs a twin of its
+//!   stream that logs every persistent write, and the later one, while it
+//!   is *in lock-step* (its persistent segment equal to the recorder's),
+//!   applies that log to its own segment and takes the recorder's result
+//!   and fuel without executing. A run is a deterministic function of
+//!   program, fuel budget, entry, packet, info block, zeroed scratch,
+//!   initial registers and persistent segment; lock-step makes the last
+//!   equal too, so verdict, trap, fuel and writes are exactly the ones the
+//!   sequential walk produces. Segments start zeroed, and taking the log
+//!   keeps them equal. Only a walk that stops (deny or fault) after a
+//!   recorder whose run wrote and before the replayer can part them; the
+//!   replayer then runs its own stream for the rest of the session.
 //! - **Fuel attribution.** Every section runs under its own fuel budget
-//!   and its exact consumption (including replayed prefixes) is
+//!   and its exact consumption (including replayed outcomes) is
 //!   accumulated per monitor, so observability reports the same
 //!   per-monitor instruction counts as sequential execution.
 //!
@@ -38,7 +44,7 @@
 //! (missing entries count as allow), matching a sequential walk over the
 //! set.
 
-use crate::lower::{self, RunOutcome, TInsn};
+use crate::lower::{self, TInsn};
 use crate::program::{EntryPoint, Program};
 use crate::validate::{validate, NUM_REGS, ValidateError};
 use crate::vm::Trap;
@@ -58,7 +64,8 @@ pub struct FuseStats {
     pub superinsns: u64,
     /// Superinstructions by covered source length (index = length).
     pub super_len: [u64; 4],
-    /// Sections that replay an identical earlier section's prefix.
+    /// Sections whose program and fuel budget repeat an earlier
+    /// section's, and so take its outcome while in lock-step with it.
     pub replay_sections: u64,
     /// Always 0. The cross-monitor load cache these counted is gone (it
     /// measured at parity with plain loads on its own best case); the
@@ -67,8 +74,14 @@ pub struct FuseStats {
     pub dedup_hits: u64,
     /// Always 0, kept for the same reader as `dedup_hits`.
     pub dedup_misses: u64,
-    /// Runtime: prefix replays taken.
+    /// Runtime: outcomes a replaying section took whole from its recorder.
     pub replays: u64,
+    /// Runtime: runs of a replaying section out of lock-step, which
+    /// executed its own stream.
+    pub reruns: u64,
+    /// Runtime: section runs that executed a stream of their own
+    /// (recorders, sections without a twin, and reruns).
+    pub executed: u64,
 }
 
 /// One monitor inside the fused chain.
@@ -83,42 +96,27 @@ struct Section {
     /// This monitor's scratch segment inside the shared buffer.
     scr_off: usize,
     scr_len: usize,
-    /// Record-mode twin of `tcode` (pause-at-read / log-writes ops baked
-    /// in); empty unless some later section replays this one.
+    /// Write-logging twin of `tcode`; empty unless some later section
+    /// replays this one.
     record_tcode: Vec<TInsn>,
     /// Index of the first earlier section with an identical program and
-    /// fuel budget, whose recorded prefix this section replays.
+    /// fuel budget: the recorder whose outcome this section takes.
     replay_from: Option<usize>,
+    /// Set while this section's persistent segment equals its recorder's.
+    /// Cleared for good once a walk stops between the two after the
+    /// recorder wrote; never set again.
+    lockstep: bool,
 }
 
-/// How a recorded prefix ended.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum SnapKind {
-    /// The whole invocation was persistent-independent; `result` holds
-    /// its outcome.
-    Done,
-    /// Paused before the threaded instruction at `resume`.
-    Paused,
-}
-
-/// A recording section's prefix snapshot for the current invocation. Flat
-/// fields + preallocated scratch buffer: taking a snapshot never allocates.
-struct Snapshot {
-    kind: SnapKind,
-    /// Fuel consumed by the prefix.
-    used: u64,
-    /// Outcome when `kind == Done`.
+/// What a recorder's run did this invocation: the outcome a replayer in
+/// lock-step takes. The log keeps its capacity across invocations, so
+/// steady-state recording never allocates.
+struct Record {
+    /// Result of the run.
     result: Result<u64, Trap>,
-    /// Threaded pc to resume from when `kind == Paused`.
-    resume: usize,
-    regs: [u64; NUM_REGS as usize],
-    /// Scratch contents at the pause point (length = section scratch
-    /// size; empty for non-recording sections).
-    scratch: Vec<u8>,
-    /// Persistent writes `(segment offset, value)` performed by the
-    /// prefix, in order. Replaying sections apply them to their own
-    /// segment instead of re-executing (capacity is retained across
-    /// invocations, so steady-state recording never allocates).
+    /// Fuel it consumed.
+    used: u64,
+    /// Persistent writes `(segment offset, value)` it performed, in order.
     log: Vec<(u64, u64)>,
 }
 
@@ -141,11 +139,14 @@ pub struct FusedVm {
     /// Shared scratch buffer, zeroed once per adjudication.
     scratch: Vec<u8>,
     chains: [Chain; EntryPoint::COUNT],
-    snapshots: Vec<Snapshot>,
+    /// Per-section record of this invocation (used by recorders only).
+    records: Vec<Record>,
+    /// Some recorder's run this invocation logged a write.
+    wrote: bool,
     /// Per-monitor cumulative instructions executed.
     attributed: Vec<u64>,
-    replays: u64,
-    static_stats: FuseStats,
+    /// Static counters, set at construction, and the runtime ones.
+    stats: FuseStats,
 }
 
 impl FusedVm {
@@ -201,6 +202,7 @@ impl FusedVm {
                 scr_len,
                 record_tcode: Vec::new(),
                 replay_from,
+                lockstep: replay_from.is_some(),
             });
             mem_off += mem_len;
             scr_off += scr_len;
@@ -210,27 +212,17 @@ impl FusedVm {
                 chain.links.last().is_some_and(|&(i, _)| i as usize == sections.len() - 1);
         }
 
-        let snapshots = sections
-            .iter()
-            .map(|s| Snapshot {
-                kind: SnapKind::Done,
-                used: 0,
-                result: Ok(0),
-                resume: 0,
-                regs: [0; NUM_REGS as usize],
-                scratch: if s.record_tcode.is_empty() { Vec::new() } else { vec![0u8; s.scr_len] },
-                log: Vec::new(),
-            })
-            .collect();
+        let records =
+            sections.iter().map(|_| Record { result: Ok(0), used: 0, log: Vec::new() }).collect();
         Ok(FusedVm {
             attributed: vec![0u64; sections.len()],
             sections,
             persistent: vec![0u8; mem_off],
             scratch: vec![0u8; scr_off],
             chains,
-            snapshots,
-            replays: 0,
-            static_stats: stats,
+            records,
+            wrote: false,
+            stats,
         })
     }
 
@@ -261,9 +253,9 @@ impl FusedVm {
         self.attributed.iter().sum()
     }
 
-    /// Static fusion counters plus the runtime replay counter.
+    /// Static fusion counters plus the runtime replay counters.
     pub fn stats(&self) -> FuseStats {
-        FuseStats { replays: self.replays, ..self.static_stats }
+        self.stats
     }
 
     /// Run every monitor's `init` entry in order (chain instantiation).
@@ -300,6 +292,7 @@ impl FusedVm {
         if !self.scratch.is_empty() {
             self.scratch.fill(0);
         }
+        self.wrote = false;
         let default_allow = Verdict::Allow(packet.len().max(1) as u64);
         let n_links = self.chains[entry as usize].links.len();
         let mut last = default_allow;
@@ -313,6 +306,9 @@ impl FusedVm {
                 Err(t) => Verdict::Fault(t),
             };
             if short_circuit && !verdict.allowed() {
+                if self.wrote {
+                    self.break_lockstep(entry, li);
+                }
                 return verdict;
             }
             last = verdict;
@@ -328,6 +324,23 @@ impl FusedVm {
         }
     }
 
+    /// The walk of `entry` stopped at link `li` after some recorder wrote:
+    /// a replayer past `li` whose recorder ran and wrote now holds a
+    /// segment its recorder has moved away from.
+    #[cold]
+    fn break_lockstep(&mut self, entry: EntryPoint, li: usize) {
+        let links = &self.chains[entry as usize].links;
+        // A recorder holds its replayers' entries and links run in section
+        // order, so the recorders that ran are those at or before `stop`.
+        let stop = links[li].0 as usize;
+        for &(i, _) in &links[li + 1..] {
+            let sec = &mut self.sections[i as usize];
+            if sec.replay_from.is_some_and(|j| j <= stop && !self.records[j].log.is_empty()) {
+                sec.lockstep = false;
+            }
+        }
+    }
+
     /// Run one section of the chain; returns (result, fuel consumed).
     fn run_link(
         &mut self,
@@ -336,71 +349,47 @@ impl FusedVm {
         packet: &[u8],
         info: &[u8],
     ) -> (Result<u64, Trap>, u64) {
-        let FusedVm { sections, persistent, scratch, snapshots, replays, .. } = self;
+        let FusedVm { sections, persistent, scratch, records, wrote, stats, .. } = self;
         let sec = &sections[sec_idx];
         let mem = &mut persistent[sec.mem_off..sec.mem_off + sec.mem_len];
-        let scr = &mut scratch[sec.scr_off..sec.scr_off + sec.scr_len];
-        let mut fuel = sec.fuel;
-        // Where the plain stream starts, and on which registers.
-        let mut start = tpc;
-        let mut regs;
-
-        if let Some(j) = sec.replay_from {
-            // Fast path: an identical earlier section already executed the
-            // persistent-independent prefix this invocation (it holds the
-            // same entries and comes first in every chain, and a walk that
-            // it ended never gets here). Apply its write log to this
-            // section's segment, then replay its outcome (Done) or resume
-            // from its pause point (Paused).
-            let snap = &snapshots[j];
-            *replays += 1;
-            for &(addr, val) in &snap.log {
-                // Logged stores succeeded in an identically-sized
-                // segment, so the span is in bounds here too.
-                let a = addr as usize;
-                mem[a..a + 8].copy_from_slice(&val.to_le_bytes());
-            }
-            if snap.kind == SnapKind::Done {
-                return (snap.result, snap.used);
-            }
-            regs = snap.regs;
-            scr.copy_from_slice(&snap.scratch);
-            fuel -= snap.used;
-            start = snap.resume;
-        } else {
-            regs = [0u64; NUM_REGS as usize];
-            regs[1] = packet.len() as u64;
-            if !sec.record_tcode.is_empty() {
-                // Execute the record-variant stream: persistent writes are
-                // logged, the first persistent read pauses; snapshot, then
-                // resume on the plain stream.
-                let snap = &mut snapshots[sec_idx];
-                snap.log.clear();
-                let out = lower::run(
-                    &sec.record_tcode, tpc, &mut regs, packet, info, mem, scr, &mut fuel,
-                    &mut snap.log,
-                );
-                snap.used = sec.fuel - fuel;
-                match out {
-                    RunOutcome::Done(r) => {
-                        snap.kind = SnapKind::Done;
-                        snap.result = r;
-                        return (r, snap.used);
-                    }
-                    RunOutcome::Paused(resume) => {
-                        snap.kind = SnapKind::Paused;
-                        snap.resume = resume;
-                        snap.regs = regs;
-                        snap.scratch.copy_from_slice(scr);
-                        start = resume;
-                    }
+        match sec.replay_from {
+            Some(j) if sec.lockstep => {
+                // The recorder ran earlier in this walk (it holds the same
+                // entries and comes first in every chain, and a walk that
+                // stopped before reaching this section never gets here), on
+                // an equal segment: its run is this section's run.
+                let rec = &records[j];
+                stats.replays += 1;
+                for &(addr, val) in &rec.log {
+                    // Logged stores succeeded in an identically-sized
+                    // segment, so the span is in bounds here too.
+                    let a = addr as usize;
+                    mem[a..a + 8].copy_from_slice(&val.to_le_bytes());
                 }
+                return (rec.result, rec.used);
             }
+            Some(_) => stats.reruns += 1,
+            None => {}
         }
-        let out = lower::run(
-            &sec.tcode, start, &mut regs, packet, info, mem, scr, &mut fuel, &mut Vec::new(),
+        stats.executed += 1;
+        let scr = &mut scratch[sec.scr_off..sec.scr_off + sec.scr_len];
+        let mut regs = [0u64; NUM_REGS as usize];
+        regs[1] = packet.len() as u64;
+        let mut fuel = sec.fuel;
+        if sec.record_tcode.is_empty() {
+            let result = lower::run(
+                &sec.tcode, tpc, &mut regs, packet, info, mem, scr, &mut fuel, &mut Vec::new(),
+            );
+            return (result, sec.fuel - fuel);
+        }
+        let rec = &mut records[sec_idx];
+        rec.log.clear();
+        rec.result = lower::run(
+            &sec.record_tcode, tpc, &mut regs, packet, info, mem, scr, &mut fuel, &mut rec.log,
         );
-        (out.done(), sec.fuel - fuel)
+        rec.used = sec.fuel - fuel;
+        *wrote |= !rec.log.is_empty();
+        (rec.result, rec.used)
     }
 }
 
@@ -503,9 +492,11 @@ mod tests {
                 "attribution mismatch for monitor {i}"
             );
         }
-        // The two icmp_only sections are identical: prefix replay fires.
+        // The two icmp_only sections are identical: the second takes the
+        // first's outcome, and nothing stateless ever leaves lock-step.
         assert_eq!(f.stats().replay_sections, 1);
         assert!(f.stats().replays > 0);
+        assert_eq!(f.stats().reruns, 0);
     }
 
     #[test]
@@ -525,8 +516,10 @@ mod tests {
 
     #[test]
     fn identical_quota_monitors_replay_exactly() {
-        // Identical *stateful* monitors: the prefix pauses before the
-        // ld.mem, so each section still reads and writes its own counter.
+        // Identical *stateful* monitors: the recorder reads and writes its
+        // counter, and the replayer's counter follows it through the log.
+        // The deny that ends the walk at the recorder wrote nothing, so
+        // lock-step holds throughout.
         let programs = vec![quota(2), quota(2)];
         let mut vms = sequential(&programs);
         let mut f = fused(&programs);
@@ -540,6 +533,65 @@ mod tests {
             assert_eq!(vm.insns_executed, f.attributed()[i]);
         }
         assert_eq!(f.persistent_segment(0), f.persistent_segment(1));
+        assert_eq!((f.stats().replays, f.stats().reruns), (2, 0));
+    }
+
+    /// send: returns the old `mem[0] + 1` and stores `pkt[0]` into `mem[0]`.
+    fn stamp() -> Program {
+        let mut a = Asm::new();
+        let send = a.label();
+        a.mov_i(2, 0);
+        a.ld_mem(2, 2, 0);
+        a.mov_i(3, 0);
+        a.ld_pkt8(3, 3, 0);
+        a.mov_i(4, 0);
+        a.st_mem(4, 3, 0);
+        a.add_i(2, 1);
+        a.mov_r(0, 2);
+        a.ret(0);
+        a.finish_program(&[("send", send)], 8, 0)
+    }
+
+    /// send: denies `pkt[0] == 0xff`, allows everything else.
+    fn gate() -> Program {
+        let mut a = Asm::new();
+        let send = a.label();
+        a.mov_i(2, 0);
+        a.ld_pkt8(2, 2, 0);
+        let deny = a.forward_jeq_i(2, 0xff);
+        a.mov_r(0, 1);
+        a.ret(0);
+        a.bind(deny);
+        a.mov_i(0, 0);
+        a.ret(0);
+        a.finish_program(&[("send", send)], 0, 0)
+    }
+
+    #[test]
+    fn lockstep_breaks_where_the_walk_stops() {
+        // [stamp, gate, stamp]: on 0xff the first stamp stores it and the
+        // gate stops the walk, so the second stamp never sees it and must
+        // answer from its own older memory from then on. [gate, stamp,
+        // stamp]: the walk stops before the recorder runs, and lock-step
+        // holds.
+        for (programs, counts) in [
+            (vec![stamp(), gate(), stamp()], (1, 3, 17)),
+            (vec![gate(), stamp(), stamp()], (4, 0, 11)),
+        ] {
+            let mut vms = sequential(&programs);
+            let mut f = fused(&programs);
+            for first in [1u8, 0xff, 2, 3, 0xff, 0xff, 4] {
+                let pkt = [first, 0, 0, 0];
+                let sv = sequential_verdict(&mut vms, EntryPoint::Send, &pkt, &[]);
+                assert_eq!(f.check_send(&pkt, &[]), sv, "packet {first:#x}");
+                for (i, vm) in vms.iter().enumerate() {
+                    assert_eq!(f.persistent_segment(i), vm.persistent(), "monitor {i}, {first:#x}");
+                    assert_eq!(f.attributed()[i], vm.insns_executed, "monitor {i}, {first:#x}");
+                }
+            }
+            let s = f.stats();
+            assert_eq!((s.replays, s.reruns, s.executed), counts, "replays, reruns, executed");
+        }
     }
 
     #[test]

@@ -191,14 +191,9 @@ pub enum TOp {
     /// dst compares to `imm2 & 0xffff_ffff` per the [`CMP_NE`] bit.
     AbsLdCmpBr,
 
-    /// Record-variant stand-in for a persistent-memory *read*: ends the
-    /// recordable prefix by pausing before the instruction executes
-    /// (cost 0 — the real instruction is charged on resume). Only appears
-    /// in `record_variant` streams, never in plain lowered code.
-    Pause,
     /// Record-variant [`TOp::StMem`]: performs the store and appends
     /// `(address, value)` to the write log so replaying sections can apply
-    /// it to their own segment without re-executing the prefix.
+    /// it to their own segment instead of executing.
     StMemLog,
     /// Record-variant [`TOp::AbsSt`] with persistent kind: store plus
     /// write-log append, preserving the folded `mov.i` side effect.
@@ -227,50 +222,17 @@ pub struct TInsn {
     pub imm2: i64,
 }
 
-impl TInsn {
-    /// True when executing this instruction can *read* persistent memory —
-    /// the first point at which an invocation's behaviour can diverge
-    /// between monitors sharing a program, so prefix recording must pause.
-    pub(crate) fn reads_persistent(&self) -> bool {
-        match self.op {
-            TOp::LdMem => true,
-            TOp::AbsLd => self.aux == kind::MEM,
-            TOp::AbsLdCmpBr => self.aux & !CMP_NE == kind::MEM,
-            _ => false,
-        }
-    }
-
-    /// True when executing this instruction can *write* persistent memory.
-    /// Writes before the first read are persistent-independent (address
-    /// and value derive from packet/info/registers only), so recording
-    /// logs them instead of pausing.
-    pub(crate) fn writes_persistent(&self) -> bool {
-        match self.op {
-            TOp::StMem => true,
-            TOp::AbsSt => self.aux == kind::MEM,
-            _ => false,
-        }
-    }
-}
-
-/// Build the record-mode twin of a threaded stream: persistent reads
-/// become [`TOp::Pause`] (prefix ends there), persistent writes become
-/// their logging variants. Dispatch stays check-free — the pause points
-/// are baked into the opcodes instead of tested per instruction.
+/// Build the record-mode twin of a threaded stream: persistent writes
+/// become their logging variants and everything else, persistent reads
+/// included, is the plain instruction. Dispatch stays check-free — the
+/// logging is baked into the opcodes instead of tested per instruction.
 pub(crate) fn record_variant(tcode: &[TInsn]) -> Vec<TInsn> {
     tcode
         .iter()
-        .map(|t| {
-            let mut r = *t;
-            if t.reads_persistent() {
-                r.op = TOp::Pause;
-                // Pause charges nothing; the real instruction is charged
-                // when the resume re-executes it from the plain stream.
-                r.cost = 0;
-            } else if t.writes_persistent() {
-                r.op = if t.op == TOp::StMem { TOp::StMemLog } else { TOp::AbsStLog };
-            }
-            r
+        .map(|&t| match t.op {
+            TOp::StMem => TInsn { op: TOp::StMemLog, ..t },
+            TOp::AbsSt if t.aux == kind::MEM => TInsn { op: TOp::AbsStLog, ..t },
+            _ => t,
         })
         .collect()
 }
@@ -578,27 +540,6 @@ fn lower_one(insn: &Insn, pc: usize) -> TInsn {
     t
 }
 
-/// Outcome of one threaded run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum RunOutcome {
-    /// Invocation finished (return value or trap).
-    Done(Result<u64, Trap>),
-    /// [`record_variant`] streams only: paused *before* executing the
-    /// threaded instruction at this tpc, which reads persistent memory.
-    Paused(usize),
-}
-
-impl RunOutcome {
-    /// The result of a plain (non-record) stream, which holds no
-    /// [`TOp::Pause`] to pause at.
-    pub(crate) fn done(self) -> Result<u64, Trap> {
-        match self {
-            RunOutcome::Done(r) => r,
-            RunOutcome::Paused(_) => unreachable!("plain streams hold no Pause"),
-        }
-    }
-}
-
 /// Absolute fixed-width load from the selected space.
 #[inline(always)]
 fn abs_load(
@@ -646,22 +587,19 @@ fn out_of_fuel(
     info: &[u8],
     persistent: &[u8],
     scratch: &[u8],
-) -> RunOutcome {
+) -> Result<u64, Trap> {
     let had = core::mem::take(fuel);
     if t.op == TOp::AbsLdCmpBr && had == 2 {
-        if let Err(trap) = abs_load(t.aux & !CMP_NE, t.imm as u64, packet, info, persistent, scratch)
-        {
-            return RunOutcome::Done(Err(trap));
-        }
+        abs_load(t.aux & !CMP_NE, t.imm as u64, packet, info, persistent, scratch)?;
     }
-    RunOutcome::Done(Err(Trap::OutOfFuel))
+    Err(Trap::OutOfFuel)
 }
 
-/// Execute threaded code from `tpc` until return, trap, or — when running
-/// a [`record_variant`] stream — a pause before the next persistent-memory
-/// *read* (persistent writes are appended to `log`). `fuel` is consumed in
-/// place so callers settle attribution exactly once. Recording is baked
-/// into the stream's opcodes; the dispatch loop itself is check-free.
+/// Execute threaded code from `tpc` until return or trap; a
+/// [`record_variant`] stream also appends its persistent writes to `log`.
+/// `fuel` is consumed in place so callers settle attribution exactly
+/// once. Recording is baked into the stream's opcodes; the dispatch loop
+/// itself is check-free.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run(
     tcode: &[TInsn],
@@ -673,7 +611,7 @@ pub(crate) fn run(
     scratch: &mut [u8],
     fuel: &mut u64,
     log: &mut Vec<(u64, u64)>,
-) -> RunOutcome {
+) -> Result<u64, Trap> {
     /// Bounds-checked fixed-width load (same shape as the pre-threading
     /// interpreter, for bit-identical trap behaviour).
     macro_rules! load {
@@ -683,7 +621,7 @@ pub(crate) fn run(
             match addr.checked_add(W).and_then(|end| $region.get(addr..end)) {
                 // SAFETY-COMMENT: `get` returned Some ⇒ exactly W bytes.
                 Some(bytes) => <$ty>::$conv(bytes.try_into().unwrap()) as u64,
-                None => return RunOutcome::Done(Err(Trap::OutOfBounds)),
+                None => return Err(Trap::OutOfBounds),
             }
         }};
     }
@@ -712,14 +650,14 @@ pub(crate) fn run(
             TOp::DivI | TOp::DivR => {
                 let d = if t.op == TOp::DivI { immu } else { regs[src] };
                 if d == 0 {
-                    return RunOutcome::Done(Err(Trap::DivByZero));
+                    return Err(Trap::DivByZero);
                 }
                 regs[dst] /= d;
             }
             TOp::ModI | TOp::ModR => {
                 let d = if t.op == TOp::ModI { immu } else { regs[src] };
                 if d == 0 {
-                    return RunOutcome::Done(Err(Trap::DivByZero));
+                    return Err(Trap::DivByZero);
                 }
                 regs[dst] %= d;
             }
@@ -740,7 +678,7 @@ pub(crate) fn run(
                 let addr = regs[src].wrapping_add(immu) as usize;
                 match packet.get(addr) {
                     Some(b) => regs[dst] = *b as u64,
-                    None => return RunOutcome::Done(Err(Trap::OutOfBounds)),
+                    None => return Err(Trap::OutOfBounds),
                 }
             }
             TOp::LdPkt16 => {
@@ -755,7 +693,7 @@ pub(crate) fn run(
                 let addr = regs[src].wrapping_add(immu) as usize;
                 match info.get(addr) {
                     Some(b) => regs[dst] = *b as u64,
-                    None => return RunOutcome::Done(Err(Trap::OutOfBounds)),
+                    None => return Err(Trap::OutOfBounds),
                 }
             }
             TOp::LdInfo16 => {
@@ -779,7 +717,7 @@ pub(crate) fn run(
                 let val = regs[src];
                 match addr.checked_add(8).and_then(|end| persistent.get_mut(addr..end)) {
                     Some(bytes) => bytes.copy_from_slice(&val.to_le_bytes()),
-                    None => return RunOutcome::Done(Err(Trap::OutOfBounds)),
+                    None => return Err(Trap::OutOfBounds),
                 }
             }
             TOp::LdScr => {
@@ -791,7 +729,7 @@ pub(crate) fn run(
                 let val = regs[src];
                 match addr.checked_add(8).and_then(|end| scratch.get_mut(addr..end)) {
                     Some(bytes) => bytes.copy_from_slice(&val.to_le_bytes()),
-                    None => return RunOutcome::Done(Err(Trap::OutOfBounds)),
+                    None => return Err(Trap::OutOfBounds),
                 }
             }
 
@@ -847,12 +785,12 @@ pub(crate) fn run(
                 }
             }
 
-            TOp::Ret => return RunOutcome::Done(Ok(regs[dst])),
+            TOp::Ret => return Ok(regs[dst]),
 
             TOp::AbsLd => {
                 match abs_load(t.aux, immu, packet, info, persistent, scratch) {
                     Ok(v) => regs[dst] = v,
-                    Err(trap) => return RunOutcome::Done(Err(trap)),
+                    Err(trap) => return Err(trap),
                 }
             }
             TOp::AbsSt => {
@@ -865,11 +803,11 @@ pub(crate) fn run(
                     if t.aux == kind::MEM { persistent } else { scratch };
                 match addr.checked_add(8).and_then(|end| region.get_mut(addr..end)) {
                     Some(bytes) => bytes.copy_from_slice(&val.to_le_bytes()),
-                    None => return RunOutcome::Done(Err(Trap::OutOfBounds)),
+                    None => return Err(Trap::OutOfBounds),
                 }
             }
-            TOp::RetImm => return RunOutcome::Done(Ok(immu)),
-            TOp::RetReg => return RunOutcome::Done(Ok(regs[src])),
+            TOp::RetImm => return Ok(immu),
+            TOp::RetReg => return Ok(regs[src]),
             TOp::AbsLdCmpBr => {
                 let v = match abs_load(t.aux & !CMP_NE, immu, packet, info, persistent, scratch)
                 {
@@ -878,7 +816,7 @@ pub(crate) fn run(
                         // The compare was never fetched: refund its fuel so
                         // accounting matches the unfused interpreter.
                         *fuel += 1;
-                        return RunOutcome::Done(Err(trap));
+                        return Err(trap);
                     }
                 };
                 regs[dst] = v;
@@ -889,7 +827,6 @@ pub(crate) fn run(
                 }
             }
 
-            TOp::Pause => return RunOutcome::Paused(tpc - 1),
             TOp::StMemLog => {
                 let addr = regs[dst].wrapping_add(immu) as usize;
                 let val = regs[src];
@@ -898,7 +835,7 @@ pub(crate) fn run(
                         bytes.copy_from_slice(&val.to_le_bytes());
                         log.push((addr as u64, val));
                     }
-                    None => return RunOutcome::Done(Err(Trap::OutOfBounds)),
+                    None => return Err(Trap::OutOfBounds),
                 }
             }
             TOp::AbsStLog => {
@@ -910,7 +847,7 @@ pub(crate) fn run(
                         bytes.copy_from_slice(&val.to_le_bytes());
                         log.push((addr as u64, val));
                     }
-                    None => return RunOutcome::Done(Err(Trap::OutOfBounds)),
+                    None => return Err(Trap::OutOfBounds),
                 }
             }
         }
@@ -1018,7 +955,7 @@ mod tests {
         let out = run(
             &l.tcode, 0, &mut regs, &[], &[], &mut [], &mut scratch, &mut fuel, &mut Vec::new(),
         );
-        assert_eq!(out, RunOutcome::Done(Ok(0)));
+        assert_eq!(out, Ok(0));
         assert_eq!(regs[14], 0, "folded mov.i side effect lost");
         assert_eq!(&scratch[8..16], &42u64.to_le_bytes());
         assert_eq!(fuel, 100 - 4);
@@ -1030,7 +967,7 @@ mod tests {
         packet: &[u8],
         persistent: &mut [u8],
         mut fuel: u64,
-    ) -> (RunOutcome, u64) {
+    ) -> (Result<u64, Trap>, u64) {
         let out = run(
             &l.tcode, 0, &mut [0u64; 16], packet, &[], persistent, &mut [], &mut fuel,
             &mut Vec::new(),
@@ -1050,7 +987,7 @@ mod tests {
         for fuel in [0, 1] {
             assert_eq!(
                 run_with(&l, &[], &mut [], fuel),
-                (RunOutcome::Done(Err(Trap::OutOfFuel)), 0)
+                (Err(Trap::OutOfFuel), 0)
             );
         }
 
@@ -1065,7 +1002,7 @@ mod tests {
         let mut persistent = [0xaau8; 8];
         assert_eq!(
             run_with(&l, &[9; 4], &mut persistent, 1),
-            (RunOutcome::Done(Err(Trap::OutOfFuel)), 0)
+            (Err(Trap::OutOfFuel), 0)
         );
         assert_eq!(persistent, [0xaa; 8]);
     }
@@ -1090,7 +1027,7 @@ mod tests {
         // mov.i + ld fetched, jeq.i never fetched: 2 instructions.
         assert_eq!(
             run_with(&load_compare_at_50(), &[0u8; 4], &mut [], 100),
-            (RunOutcome::Done(Err(Trap::OutOfBounds)), 98)
+            (Err(Trap::OutOfBounds), 98)
         );
     }
 
@@ -1100,63 +1037,58 @@ mod tests {
         // Fuel covers mov.i + ld: a trapping load is what ends the run…
         assert_eq!(
             run_with(&l, &[0u8; 4], &mut [], 2),
-            (RunOutcome::Done(Err(Trap::OutOfBounds)), 0)
+            (Err(Trap::OutOfBounds), 0)
         );
         // …a load in bounds leaves the compare to run out of fuel…
         assert_eq!(
             run_with(&l, &[0u8; 64], &mut [], 2),
-            (RunOutcome::Done(Err(Trap::OutOfFuel)), 0)
+            (Err(Trap::OutOfFuel), 0)
         );
         // …and with 1 fuel the load is never reached.
         assert_eq!(
             run_with(&l, &[0u8; 4], &mut [], 1),
-            (RunOutcome::Done(Err(Trap::OutOfFuel)), 0)
+            (Err(Trap::OutOfFuel), 0)
         );
     }
 
     #[test]
-    fn record_variant_pauses_at_reads_and_logs_writes() {
+    fn record_variant_logs_writes_and_never_pauses() {
         let mut a = Asm::new();
-        a.mov_i(2, 1); // pure prefix
+        a.mov_i(2, 1);
         a.add_i(2, 2);
         a.mov_i(4, 0);
-        a.st_mem(4, 2, 8); // persistent WRITE: logged, not a pause
-        a.ld_mem(3, 0, 0); // first persistent READ: prefix ends here
+        a.st_mem(4, 2, 8); // persistent write before any read
+        a.ld_mem(3, 0, 0); // persistent read: runs as a plain load
+        a.add_r(3, 2);
+        a.st_mem(0, 3, 0); // persistent write that depends on the read
         a.mov_r(0, 3);
         a.ret(0);
-        let p = prog(a.finish());
-        let l = lower(&p);
+        let l = lower(&prog(a.finish()));
         let rec = record_variant(&l.tcode);
-        assert!(
-            rec.iter().any(|t| t.op == TOp::AbsStLog || t.op == TOp::StMemLog),
-            "store must become its logging variant"
-        );
-        let mut regs = [0u64; 16];
-        let mut persistent = vec![0u8; 16];
-        persistent[0] = 7;
-        let mut fuel = 100;
-        let mut log = Vec::new();
-        let out = run(
-            &rec, 0, &mut regs, &[], &[], &mut persistent, &mut [], &mut fuel, &mut log,
-        );
-        let at = match out {
-            RunOutcome::Paused(at) => at,
-            other => panic!("expected pause, got {other:?}"),
-        };
-        assert_eq!(rec[at].op, TOp::Pause);
-        assert_eq!(l.tcode[at].op, TOp::LdMem, "pause maps to the plain-stream read");
-        assert_eq!(regs[2], 3, "prefix must have executed");
-        assert_eq!(log, vec![(8, 3)], "write logged with resolved address and value");
-        assert_eq!(&persistent[8..16], &3u64.to_le_bytes(), "write also applied");
-        // The pause itself charges nothing: mov.i + add.i + the fused
-        // store pair = 4 instructions.
-        assert_eq!(100 - fuel, 4);
-        // Resuming on the *plain* stream completes the run.
-        let out = run(
-            &l.tcode, at, &mut regs, &[], &[], &mut persistent, &mut [], &mut fuel,
-            &mut Vec::new(),
-        );
-        assert_eq!(out, RunOutcome::Done(Ok(7)));
-        assert_eq!(100 - fuel, 7);
+        // Only the stores change, each into its logging variant.
+        for (plain, recorded) in l.tcode.iter().zip(&rec) {
+            let want = match plain.op {
+                TOp::StMem => TOp::StMemLog,
+                TOp::AbsSt if plain.aux == kind::MEM => TOp::AbsStLog,
+                op => op,
+            };
+            assert_eq!(*recorded, TInsn { op: want, ..*plain });
+        }
+        // The stream runs to completion: same result, fuel and memory as
+        // the plain one, and every write in the log in order.
+        let mut runs = [(&l.tcode, Vec::new()), (&rec, Vec::new())].map(|(code, mut log)| {
+            let mut persistent = vec![0u8; 16];
+            persistent[0] = 7;
+            let mut fuel = 100;
+            let out = run(
+                code, 0, &mut [0u64; 16], &[], &[], &mut persistent, &mut [], &mut fuel, &mut log,
+            );
+            (out, fuel, persistent, log)
+        });
+        assert_eq!(runs[1].0, Ok(10));
+        assert_eq!(runs[1].3, vec![(8, 3), (0, 10)], "both writes, resolved");
+        assert!(runs[0].3.is_empty(), "the plain stream logs nothing");
+        runs[1].3.clear();
+        assert_eq!(runs[0], runs[1]);
     }
 }

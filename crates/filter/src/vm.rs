@@ -239,8 +239,7 @@ impl Vm {
             scratch,
             &mut fuel,
             &mut Vec::new(),
-        )
-        .done();
+        );
         // Batched accounting: one counter update per invocation instead of
         // one per instruction. `config.fuel - fuel` is exactly the number
         // of source instructions fetched (superinstructions charge the

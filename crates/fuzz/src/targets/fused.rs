@@ -5,12 +5,13 @@
 //! encodings; any remaining bytes become packet material. Oracles:
 //!
 //! - chains of individually validated programs always fuse;
-//! - the fused, threaded, prefix-replaying execution is observationally
+//! - the fused, threaded, outcome-replaying execution is observationally
 //!   identical to running each monitor sequentially on the naive reference
 //!   interpreter: same composite verdicts (short-circuit order included),
 //!   same per-monitor persistent memory, same per-monitor fuel attribution;
 //! - re-adjudication after persistent state has evolved stays identical
-//!   (prefix-replay snapshots must not leak stale state across packets).
+//!   (a replayer whose segment a stopped walk left behind its recorder's
+//!   must stop taking the recorder's outcome).
 
 use crate::mutate::{mutate, random_bytes};
 use crate::reference::RefVm;
@@ -106,7 +107,7 @@ pub fn check(bytes: &[u8]) -> Result<Exec, String> {
     let pkt_big: Vec<u8> = (0u8..96).map(|i| i.wrapping_mul(3).wrapping_add(7)).collect();
     let packets: [&[u8]; 4] = [&[], &pkt_small, &pkt_big, tail];
     // Two rounds so round 2 adjudicates against persistent state written in
-    // round 1 — a snapshot must never outlive the packet that recorded it.
+    // round 1 — a record must never outlive the packet that recorded it.
     for round in 0..2 {
         for (pi, pkt) in packets.iter().enumerate() {
             for entry in [EntryPoint::Send, EntryPoint::Recv, EntryPoint::Open] {
@@ -147,9 +148,12 @@ pub fn run(seed: u64, iters: u64) -> Report {
             let n = if rng.gen_bool(0.5) { 1 } else { rng.gen_range(2usize..=4) };
             let mut encs: Vec<Vec<u8>> = Vec::with_capacity(n);
             for i in 0..n {
-                // Repeating an earlier program exercises prefix replay.
+                // Repeating an earlier program exercises replay; a copy
+                // that lands past an intervening program lets a walk stop
+                // between recorder and replayer, so most land there.
                 let enc = if i > 0 && rng.gen_bool(0.3) {
-                    encs[rng.gen_range(0..i)].clone()
+                    let before = if i > 1 && rng.gen_bool(0.75) { i - 1 } else { i };
+                    encs[rng.gen_range(0..before)].clone()
                 } else {
                     gen_program(&mut rng).encode()
                 };

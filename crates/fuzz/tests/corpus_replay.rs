@@ -56,6 +56,7 @@ fn known_good_inputs_accepted() {
         ("filter", "valid_program.bin"),
         ("fused", "valid_chain.bin"),
         ("fused", "replay_chain.bin"),
+        ("fused", "lockstep_chain.bin"),
     ] {
         let bytes = read(target, name);
         assert_eq!(
@@ -261,12 +262,48 @@ fn regenerate() {
     };
     assert!(validate(&counter).is_ok());
     write("fused", "valid_chain.bin", &chain(&[&valid, &counter], &[9, 9, 9, 9]));
-    // Identical neighbors exercise the prefix-replay path.
+    // Identical neighbors exercise the outcome-replay path.
     write(
         "fused",
         "replay_chain.bin",
         &chain(&[&counter, &counter, &valid], &[1, 2, 3, 4, 5, 6, 7, 8]),
     );
+    // [stamp, gate, stamp]: stamp returns the old mem[0] + 1 and stores
+    // pkt[0] there; gate denies pkt[0] == 0xff. The tail packet opens with
+    // 0xff, so round one's walk stops between the stamps after the first
+    // wrote, and round two holds the second to its own older memory.
+    let stamp = Program {
+        code: vec![
+            Insn::new(Op::MovI, 2, 0, 0),
+            Insn::new(Op::LdMem, 2, 2, 0),
+            Insn::new(Op::MovI, 3, 0, 0),
+            Insn::new(Op::LdPkt8, 3, 3, 0),
+            Insn::new(Op::MovI, 4, 0, 0),
+            Insn::new(Op::StMem, 4, 3, 0),
+            Insn::new(Op::AddI, 2, 0, 1),
+            Insn::new(Op::MovR, 0, 2, 0),
+            Insn::new(Op::Ret, 0, 0, 0),
+        ],
+        entries: BTreeMap::from([("send".to_string(), 0u32)]),
+        persistent_size: 8,
+        scratch_size: 0,
+    };
+    let gate = Program {
+        code: vec![
+            Insn::new(Op::MovI, 2, 0, 0),
+            Insn::new(Op::LdPkt8, 2, 2, 0),
+            Insn::pack_cmp(Op::JeqI, 2, 0xff, 2),
+            Insn::new(Op::MovR, 0, 1, 0),
+            Insn::new(Op::Ret, 0, 0, 0),
+            Insn::new(Op::MovI, 0, 0, 0),
+            Insn::new(Op::Ret, 0, 0, 0),
+        ],
+        entries: BTreeMap::from([("send".to_string(), 0u32)]),
+        persistent_size: 0,
+        scratch_size: 0,
+    };
+    assert!(validate(&stamp).is_ok() && validate(&gate).is_ok());
+    write("fused", "lockstep_chain.bin", &chain(&[&stamp, &gate, &stamp], &[0xff, 1, 2, 3]));
     let whole = chain(&[&valid, &counter], &[]);
     write("fused", "truncated_chain.bin", &whole[..whole.len() - 3]);
 

@@ -12,10 +12,12 @@ use std::net::Ipv4Addr;
 /// One parameterized Cpf monitor drawn from a pool of shapes that
 /// exercise the fusion machinery differently: pure predicates (field
 /// loads several monitors share), stateful quotas and accumulators
-/// (persistent reads and writes, prefix replay pauses), entry-point
-/// asymmetry (missing `send` or `recv` takes the default-allow path in one
-/// engine position of the chain), and a length gate (no packet loads at
-/// all).
+/// (persistent reads and writes a replayer takes from its recorder),
+/// entry-point asymmetry (missing `send` or `recv` takes the default-allow
+/// path in one engine position of the chain), a length gate (no packet
+/// loads at all), and a stamp whose path depends on what the previous send
+/// stored (a replayer left behind its recorder by a stopped walk shows in
+/// its fuel).
 #[derive(Debug, Clone, Copy)]
 enum Shape {
     AllowProto(u8),
@@ -24,6 +26,7 @@ enum Shape {
     ByteBudget(u32),
     LenGate(u32),
     RecvOnly(u32),
+    Stamp,
 }
 
 fn arb_shape() -> impl Strategy<Value = Shape> {
@@ -34,6 +37,19 @@ fn arb_shape() -> impl Strategy<Value = Shape> {
         (32u32..512).prop_map(Shape::ByteBudget),
         (8u32..96).prop_map(Shape::LenGate),
         (8u32..96).prop_map(Shape::RecvOnly),
+        Just(Shape::Stamp),
+    ]
+}
+
+/// A chain of one to five monitors, or half the time a monitor repeated
+/// after one to three others: the walk can then stop between the copies
+/// after the first one wrote.
+fn arb_chain() -> impl Strategy<Value = Vec<Shape>> {
+    prop_oneof![
+        prop::collection::vec(arb_shape(), 1..6),
+        (arb_shape(), prop::collection::vec(arb_shape(), 1..4)).prop_map(|(repeated, mid)| {
+            [vec![repeated], mid, vec![repeated]].concat()
+        }),
     ]
 }
 
@@ -88,6 +104,14 @@ fn compile(shape: Shape) -> Vec<u8> {
                  return len;
              }}"
         ),
+        Shape::Stamp => "uint64_t last = 0;
+             uint32_t send(const union packet *pkt, uint32_t len) {
+                 uint64_t old = last;
+                 last = pkt->ip.proto;
+                 if (old == pkt->ip.proto) return len;
+                 return len + 1;
+             }"
+        .to_string(),
     };
     plab_cpf::compile(&src).expect("pool monitors compile").encode()
 }
@@ -136,9 +160,9 @@ fn assert_engines_agree(fused: &MonitorSet, seq: &MonitorSet) -> Result<(), Test
     Ok(())
 }
 
+// The default config: 256 cases, or `PROPTEST_CASES` (CI runs 2,048 in
+// release, where the repeated-copy chains reach more of their streams).
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
     /// Core fusion-soundness property: a fused chain is observationally
     /// identical to the sequential walk over any monitor pool selection
     /// and any packet stream — same verdict for every adjudication, same
@@ -146,7 +170,7 @@ proptest! {
     /// per-monitor fuel attribution.
     #[test]
     fn fused_chain_matches_sequential_walk(
-        shapes in prop::collection::vec(arb_shape(), 1..6),
+        shapes in arb_chain(),
         stream in prop::collection::vec(arb_packet(), 1..12),
     ) {
         let info = info_block();

@@ -130,8 +130,8 @@ proptest! {
 
 proptest! {
     /// Differential check of both drivers of the threaded interpreter — a
-    /// `Vm`, and a two-section `FusedVm` whose second section replays the
-    /// prefix its identical first section records — against the naive
+    /// `Vm`, and a two-section `FusedVm` whose second section takes the
+    /// outcome its identical first section records — against the naive
     /// reference: across random validated programs, packets, info blocks,
     /// and fuel budgets (including tiny ones that exhaust mid-program and
     /// mid-superinstruction), every invocation must produce the same
