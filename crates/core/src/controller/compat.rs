@@ -15,7 +15,6 @@
 //! precisely what `repro rtt_limitation` quantifies.
 
 use super::{ControlChannel, ControlPlane, Controller, ControllerError};
-use crate::wire::Proto;
 use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 
@@ -26,7 +25,6 @@ use std::net::Ipv4Addr;
 pub struct CompatSocket<'a, C: ControlChannel> {
     ctrl: &'a mut Controller<C>,
     sktid: u32,
-    proto: Proto,
     /// Received payloads not yet handed to the caller.
     pending: VecDeque<(u64, Vec<u8>)>,
     closed: bool,
@@ -43,24 +41,13 @@ impl<'a, C: ControlChannel> CompatSocket<'a, C> {
         remport: u16,
     ) -> Result<Self, ControllerError> {
         ctrl.nopen_udp(sktid, locport, remote, remport)?;
-        Ok(CompatSocket { ctrl, sktid, proto: Proto::Udp, pending: VecDeque::new(), closed: false })
-    }
-
-    /// "connect(remote)" with a TCP stream socket on the endpoint.
-    pub fn tcp(
-        ctrl: &'a mut Controller<C>,
-        sktid: u32,
-        remote: Ipv4Addr,
-        remport: u16,
-    ) -> Result<Self, ControllerError> {
-        ctrl.nopen_tcp(sktid, 0, remote, remport)?;
-        Ok(CompatSocket { ctrl, sktid, proto: Proto::Tcp, pending: VecDeque::new(), closed: false })
+        Ok(CompatSocket { ctrl, sktid, pending: VecDeque::new(), closed: false })
     }
 
     /// A raw IP socket on the endpoint (requires privilege there).
     pub fn raw(ctrl: &'a mut Controller<C>, sktid: u32) -> Result<Self, ControllerError> {
         ctrl.nopen_raw(sktid)?;
-        Ok(CompatSocket { ctrl, sktid, proto: Proto::Raw, pending: VecDeque::new(), closed: false })
+        Ok(CompatSocket { ctrl, sktid, pending: VecDeque::new(), closed: false })
     }
 
     /// The endpoint-local time, ns — "gettimeofday() on the endpoint".
@@ -113,11 +100,6 @@ impl<'a, C: ControlChannel> CompatSocket<'a, C> {
     pub fn close(mut self) -> Result<(), ControllerError> {
         self.closed = true;
         self.ctrl.nclose(self.sktid)
-    }
-
-    /// The protocol this socket speaks.
-    pub fn proto(&self) -> Proto {
-        self.proto
     }
 }
 

@@ -162,16 +162,6 @@ impl<D: aio::Dialer> RobustController<D> {
         Ok(rc)
     }
 
-    /// The dialer (e.g. for host-side sockets or clocks in tests).
-    pub fn dialer(&mut self) -> &mut D {
-        &mut self.dialer
-    }
-
-    /// Whether a channel is currently established.
-    pub fn connected(&self) -> bool {
-        self.chan.is_some()
-    }
-
     /// Build the typed abort for a spent unreachable budget: retry
     /// counters plus (when tracing is enabled) the tail of the
     /// controller's flight recorder, so the abort's Display carries the

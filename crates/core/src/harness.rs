@@ -63,16 +63,14 @@ struct RvHost {
     next_sid: u64,
 }
 
-/// A byte-counting TCP sink: accepts connections on (node, port), drains
-/// every accepted connection as the harness services agents, and records
-/// one `(arrival time, bytes)` sample per drained read. The bwest suite
-/// runs these on destination hosts as the receive side of its TCP
+/// A discarding TCP sink: accepts connections on (node, port) and drains
+/// every accepted connection as the harness services agents. The bwest
+/// suite runs these on destination hosts as the receive side of its TCP
 /// bulk-transfer probes.
 struct TcpSinkHost {
     node: NodeId,
     port: u16,
     conns: Vec<u64>,
-    samples: Vec<(u64, u64)>,
 }
 
 /// A UDP echo service (RFC 862) on (node, port): every datagram received
@@ -299,25 +297,11 @@ impl SimNet {
         ep.reactor.accept(conn);
     }
 
-    /// Install a byte-counting TCP sink on `node`:`port`. Accepted
-    /// connections are drained continuously; each drained read yields one
-    /// `(arrival time, bytes)` sample retrievable with
-    /// [`SimNet::tcp_sink_take`].
+    /// Install a discarding TCP sink on `node`:`port`. Accepted
+    /// connections are drained continuously.
     pub fn add_tcp_sink(&mut self, node: NodeId, port: u16) {
         self.sim.tcp_listen(node, port);
-        self.tcp_sinks.push(TcpSinkHost { node, port, conns: Vec::new(), samples: Vec::new() });
-    }
-
-    /// Drain the accumulated `(arrival time, bytes)` samples of the TCP
-    /// sink on `node`:`port`.
-    pub fn tcp_sink_take(&mut self, node: NodeId, port: u16) -> Vec<(u64, u64)> {
-        self.process();
-        for s in &mut self.tcp_sinks {
-            if s.node == node && s.port == port {
-                return std::mem::take(&mut s.samples);
-            }
-        }
-        Vec::new()
+        self.tcp_sinks.push(TcpSinkHost { node, port, conns: Vec::new() });
     }
 
     /// Install a UDP echo service (RFC 862) on `node`:`port`: every
@@ -459,23 +443,16 @@ impl SimNet {
                 queue.push(conn);
             }
         }
-        // TCP sinks: accept, then drain every connection, timestamping
-        // each read. Serviced unconditionally (sparse mode included) —
-        // sink worlds have a handful of sinks, and a sample's timestamp
-        // must be the delivery event's instant, not a later dirty pass.
+        // TCP sinks: accept, then drain every connection. Serviced
+        // unconditionally (sparse mode included) — sink worlds have a
+        // handful of sinks, and the receive window a drain reopens must
+        // open at the delivery event's instant, not a later dirty pass.
         for s in &mut self.tcp_sinks {
             while let Some(conn) = self.sim.tcp_accept(s.node, s.port) {
                 s.conns.push(conn);
             }
-            let now = self.sim.now();
             for &conn in &s.conns {
-                loop {
-                    let data = self.sim.tcp_recv(s.node, conn, 65536);
-                    if data.is_empty() {
-                        break;
-                    }
-                    s.samples.push((now, data.len() as u64));
-                }
+                while !self.sim.tcp_recv(s.node, conn, 65536).is_empty() {}
             }
         }
         // UDP echo services: bounce every arrival back to its source.
@@ -815,11 +792,6 @@ impl SimChannel {
         Rc::clone(&self.net)
     }
 
-    /// This controller's host node.
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
     /// Bind a UDP port on the controller host.
     pub fn udp_bind(&self, port: u16) -> bool {
         self.net.borrow_mut().sim.udp_bind(self.node, port)
@@ -887,11 +859,6 @@ impl SimDialer {
     /// Dialer from controller host `node` to the endpoint at `endpoint`.
     pub fn new(net: &Rc<RefCell<SimNet>>, node: NodeId, endpoint: Ipv4Addr) -> SimDialer {
         SimDialer { net: Rc::clone(net), node, endpoint }
-    }
-
-    /// The harness handle.
-    pub fn net(&self) -> Rc<RefCell<SimNet>> {
-        Rc::clone(&self.net)
     }
 }
 

@@ -85,8 +85,8 @@ fn tcp_capture_buffer_exerts_flow_control() {
     // that is the flow-control backpressure propagating.
     {
         let net = ctrl.channel().net();
-        let n = net.borrow();
-        let backlog = n.sim.tcp_send_backlog(server_node, conn);
+        let mut n = net.borrow_mut();
+        let backlog = n.sim.shard_mut(server_node).tcp_send_backlog(server_node, conn);
         assert!(
             backlog >= 100 * 1024,
             "server should be blocked with a large unsent backlog, got {backlog}"

@@ -118,20 +118,6 @@ pub enum Expr {
     },
 }
 
-impl Expr {
-    /// Source position of the expression head.
-    pub fn pos(&self) -> (usize, usize) {
-        match self {
-            Expr::Int { pos, .. }
-            | Expr::Var { pos, .. }
-            | Expr::Field { pos, .. }
-            | Expr::Unary { pos, .. }
-            | Expr::Binary { pos, .. }
-            | Expr::Call { pos, .. } => *pos,
-        }
-    }
-}
-
 /// Statements.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Stmt {

@@ -86,11 +86,6 @@ impl Scalar {
         self.mul_add(&Scalar([1, 0, 0, 0]), b)
     }
 
-    /// True iff the scalar is zero.
-    pub fn is_zero(&self) -> bool {
-        self.0 == [0, 0, 0, 0]
-    }
-
     /// Bit `i`, little-endian (bit 0 first).
     #[cfg(test)]
     pub fn bit(&self, i: usize) -> u8 {

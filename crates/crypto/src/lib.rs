@@ -45,11 +45,6 @@ impl KeyHash {
     pub fn of(key: &PublicKey) -> Self {
         KeyHash(sha256::digest(key.as_bytes()).0)
     }
-
-    /// The raw 32 bytes.
-    pub fn as_bytes(&self) -> &[u8; 32] {
-        &self.0
-    }
 }
 
 impl core::fmt::Debug for KeyHash {

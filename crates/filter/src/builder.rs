@@ -28,11 +28,6 @@ impl Asm {
         Asm::default()
     }
 
-    /// Current instruction index.
-    pub fn here(&self) -> usize {
-        self.code.len()
-    }
-
     /// Create an unbound label.
     pub fn new_label(&mut self) -> Label {
         self.bound.push(None);

@@ -123,16 +123,6 @@ impl Vm {
         Ok(Vm { program, lowered, config, persistent, scratch, entry_tpcs, insns_executed: 0 })
     }
 
-    /// The underlying program.
-    pub fn program(&self) -> &Program {
-        &self.program
-    }
-
-    /// The lowered (threaded) form of the program.
-    pub fn lowered(&self) -> &Lowered {
-        &self.lowered
-    }
-
     /// Read-only view of persistent memory (exposed to tests/diagnostics).
     pub fn persistent(&self) -> &[u8] {
         &self.persistent

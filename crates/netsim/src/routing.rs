@@ -32,16 +32,6 @@ impl RouteTable {
     pub fn lookup(&self, dst: Ipv4Addr) -> Option<usize> {
         self.routes.get(&dst).copied().or(self.default_iface)
     }
-
-    /// Number of specific routes.
-    pub fn len(&self) -> usize {
-        self.routes.len()
-    }
-
-    /// True if no routes are installed.
-    pub fn is_empty(&self) -> bool {
-        self.routes.is_empty()
-    }
 }
 
 /// Adjacency description used for route computation: for each node, the

@@ -168,24 +168,8 @@ impl ShardedSim {
         }
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The conservative-lookahead window (minimum cross-shard latency),
-    /// or `SimTime::MAX` when nothing crosses shards.
-    pub fn window(&self) -> SimTime {
-        self.window
-    }
-
-    /// The shards, in index order (per-shard drop counts and stats).
-    pub fn shards(&self) -> &[Sim] {
-        &self.shards
-    }
-
     /// Owning shard of `node`.
-    pub fn shard_of(&self, node: NodeId) -> usize {
+    fn shard_of(&self, node: NodeId) -> usize {
         self.world.shard_of[node.0] as usize
     }
 
@@ -298,7 +282,7 @@ impl ShardedSim {
 
     /// The next window boundary toward `deadline` from the current
     /// frontier.
-    pub fn next_boundary(&self, deadline: SimTime) -> SimTime {
+    fn next_boundary(&self, deadline: SimTime) -> SimTime {
         if self.window == SimTime::MAX {
             return deadline;
         }
@@ -309,7 +293,7 @@ impl ShardedSim {
     /// exchange cross-shard packets at the barrier. Communication-free
     /// inside the window, so the shard loop runs on OS threads when
     /// configured — with identical results either way.
-    pub fn advance_window(&mut self, boundary: SimTime) {
+    fn advance_window(&mut self, boundary: SimTime) {
         if self.threads > 1 && self.shards.len() > 1 {
             std::thread::scope(|scope| {
                 for shard in &mut self.shards {
@@ -360,7 +344,8 @@ impl ShardedSim {
     // Delegated driving API (routes to the owning shard)
     // ------------------------------------------------------------------
 
-    /// See [`Sim::node_by_name`]: the shared index, no shard involved.
+    /// Find a node by name. O(1): backed by the shared index the builder
+    /// checked names against (they are fixed once the topology is built).
     pub fn node_by_name(&self, name: &str) -> Option<NodeId> {
         self.world.names.get(name).copied().map(NodeId)
     }
@@ -373,17 +358,6 @@ impl ShardedSim {
     /// See [`Sim::link_between`]. `a`'s owner holds every link of `a`.
     pub fn link_between(&self, a: NodeId, b: NodeId) -> Option<usize> {
         self.shard(a).link_between(a, b)
-    }
-
-    /// See [`Sim::link_up`].
-    pub fn link_up(&self, link: usize) -> bool {
-        self.link(link).up
-    }
-
-    /// Shard 0's buffer pool (sequential-engine statistics). For
-    /// multi-shard accounting use [`ShardedSim::pool_handles`].
-    pub fn pool(&self) -> &BufPool {
-        self.shards[0].pool()
     }
 
     /// See [`Sim::schedule_timer`].
@@ -436,21 +410,11 @@ impl ShardedSim {
     /// schedule time, deterministically — so the lookahead stays sound
     /// from the moment the new latency can matter.
     pub fn schedule_fault(&mut self, at: SimTime, action: FaultAction) {
-        self.route_fault(action, |s, action| s.schedule_fault(at, action));
-    }
-
-    /// Apply a fault immediately (same routing as
-    /// [`ShardedSim::schedule_fault`]).
-    pub fn apply_fault(&mut self, action: FaultAction) {
-        self.route_fault(action, Sim::apply_fault);
-    }
-
-    fn route_fault(&mut self, action: FaultAction, deliver: impl Fn(&mut Sim, FaultAction)) {
         match action {
             FaultAction::TcpReset { node }
             | FaultAction::NodeCrash { node }
             | FaultAction::NodeRestart { node } => {
-                return deliver(self.shard_mut(NodeId(node)), action);
+                return self.shard_mut(NodeId(node)).schedule_fault(at, action);
             }
             FaultAction::SetDelay { link, latency, .. } if self.shards.len() > 1 => {
                 let l = self.link(link);
@@ -462,7 +426,7 @@ impl ShardedSim {
             _ => {}
         }
         for s in &mut self.shards {
-            deliver(s, action.clone());
+            s.schedule_fault(at, action.clone());
         }
     }
 
@@ -474,11 +438,6 @@ impl ShardedSim {
     /// See [`Sim::raw_open`].
     pub fn raw_open(&mut self, node: NodeId) -> u64 {
         self.shard_mut(node).raw_open(node)
-    }
-
-    /// See [`Sim::raw_close`].
-    pub fn raw_close(&mut self, node: NodeId, sock: u64) -> bool {
-        self.shard_mut(node).raw_close(node, sock)
     }
 
     /// See [`Sim::raw_send`].
@@ -509,11 +468,6 @@ impl ShardedSim {
     /// See [`Sim::udp_bind`].
     pub fn udp_bind(&mut self, node: NodeId, port: u16) -> bool {
         self.shard_mut(node).udp_bind(node, port)
-    }
-
-    /// See [`Sim::udp_close`].
-    pub fn udp_close(&mut self, node: NodeId, port: u16) -> bool {
-        self.shard_mut(node).udp_close(node, port)
     }
 
     /// See [`Sim::udp_send`].
@@ -581,21 +535,6 @@ impl ShardedSim {
     /// See [`Sim::tcp_close`].
     pub fn tcp_close(&mut self, node: NodeId, conn: u64) {
         self.shard_mut(node).tcp_close(node, conn);
-    }
-
-    /// See [`Sim::tcp_peer_window`].
-    pub fn tcp_peer_window(&self, node: NodeId, conn: u64) -> u32 {
-        self.shard(node).tcp_peer_window(node, conn)
-    }
-
-    /// See [`Sim::tcp_retrans`].
-    pub fn tcp_retrans(&self, node: NodeId, conn: u64) -> u32 {
-        self.shard(node).tcp_retrans(node, conn)
-    }
-
-    /// See [`Sim::tcp_send_backlog`].
-    pub fn tcp_send_backlog(&self, node: NodeId, conn: u64) -> usize {
-        self.shard(node).tcp_send_backlog(node, conn)
     }
 }
 
@@ -668,7 +607,7 @@ mod tests {
         let (mut seq, s1, s2) = world(&[0, 0, 0], 1);
         let want = observe(&mut seq, s1, s2);
         let (mut sharded, h1, h2) = world(&[0, 0, 1], 1);
-        assert_eq!(sharded.window(), 5 * MILLISECOND);
+        assert_eq!(sharded.window, 5 * MILLISECOND);
         let got = observe(&mut sharded, h1, h2);
         assert_eq!(got, want, "cross-shard arrivals keep exact times");
         assert!(sharded.handoffs() >= 20, "every packet crossed the cut");
@@ -766,7 +705,7 @@ mod tests {
         );
         net.udp_send(h1, 5000, addr(1, 1), 7, b"x");
         net.run_until(SECOND);
-        assert!(!net.link_up(link));
+        assert!(!net.link(link).up);
         assert_eq!(net.udp_recv(h2, 7).len(), 0, "blackholed behind the cut");
         assert_eq!(
             net.take_node_transitions(),
@@ -793,7 +732,7 @@ mod tests {
             let pod = w.sim.node_by_name(&format!("epod{}", i / 64)).unwrap();
             let link = w.sim.link_between(p.endpoint, pod).expect("access link");
             assert_eq!(w.sim.link_between(pod, p.endpoint), Some(link));
-            assert!(w.sim.link_up(link));
+            assert!(w.sim.link(link).up);
             assert_eq!(w.sim.link_between(p.endpoint, p.controller), None);
         }
         assert_eq!(seen, [true; 4], "the roster spans every shard");
@@ -803,7 +742,7 @@ mod tests {
         let pod = w.sim.node_by_name("epod2").unwrap();
         let (owner, dst) = (w.sim.shard_of(pod), addr(9, 9));
         w.sim.install_route(pod, dst, 3);
-        for (i, shard) in w.sim.shards().iter().enumerate() {
+        for (i, shard) in w.sim.shards.iter().enumerate() {
             let table = shard.nodes.get(pod.0).map(|n| n.routes.lookup(dst));
             assert_eq!(table, (i == owner).then_some(Some(3)), "shard {i}");
         }
@@ -813,7 +752,7 @@ mod tests {
     fn set_delay_below_window_shrinks_it() {
         let (mut net, h1, h2) = world(&[0, 0, 1], 1);
         let link = net.link_between(net.node_by_name("r").unwrap(), h2).unwrap();
-        assert_eq!(net.window(), 5 * MILLISECOND);
+        assert_eq!(net.window, 5 * MILLISECOND);
         net.schedule_fault(
             MILLISECOND,
             FaultAction::SetDelay {
@@ -822,7 +761,7 @@ mod tests {
                 jitter: 0,
             },
         );
-        assert_eq!(net.window(), MILLISECOND, "window shrinks at schedule time");
+        assert_eq!(net.window, MILLISECOND, "window shrinks at schedule time");
         let _ = (h1, h2);
     }
 

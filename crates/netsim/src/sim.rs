@@ -238,12 +238,6 @@ impl Sim {
         self.time
     }
 
-    /// Find a node by name. O(1): backed by the index the builder
-    /// checked names against (they are fixed once the topology is built).
-    pub fn node_by_name(&self, name: &str) -> Option<NodeId> {
-        self.world.names.get(name).copied().map(NodeId)
-    }
-
     /// Buffer-pool statistics (reuse counters for the perf harness).
     pub fn pool(&self) -> &BufPool {
         &self.pool
@@ -630,11 +624,6 @@ impl Sim {
     /// Open a raw socket on a host.
     pub fn raw_open(&mut self, node: NodeId) -> u64 {
         self.nodes[node.0].host_mut().raw_open()
-    }
-
-    /// Close a raw socket.
-    pub fn raw_close(&mut self, node: NodeId, sock: u64) -> bool {
-        self.nodes[node.0].host_mut().raw_close(sock)
     }
 
     /// Inject an arbitrary datagram from a host (raw send).

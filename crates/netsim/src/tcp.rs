@@ -215,11 +215,6 @@ impl TcpHost {
         self.iss
     }
 
-    /// Access a connection.
-    pub fn conn(&self, id: u64) -> Option<&Conn> {
-        self.conns.get(&id)
-    }
-
     /// Begin listening on `port`.
     pub fn listen(&mut self, port: u16) {
         self.listeners.entry(port).or_default();

@@ -79,14 +79,8 @@ pub fn icmp_time_exceeded_into(
     })
 }
 
-/// Build a complete ICMP destination-unreachable datagram.
-pub fn icmp_dest_unreachable(src: Ipv4Addr, dst: Ipv4Addr, code: u8, original: &[u8]) -> Vec<u8> {
-    let mut buf = Vec::new();
-    icmp_dest_unreachable_into(src, dst, code, original, &mut buf);
-    buf
-}
-
-/// [`icmp_dest_unreachable`] writing into a reusable buffer (cleared first).
+/// Build a complete ICMP destination-unreachable datagram into a reusable
+/// buffer (cleared first).
 pub fn icmp_dest_unreachable_into(
     src: Ipv4Addr,
     dst: Ipv4Addr,

@@ -196,11 +196,6 @@ impl<'a> Ipv4View<'a> {
         &self.buf[start..end]
     }
 
-    /// The full underlying datagram bytes.
-    pub fn bytes(&self) -> &'a [u8] {
-        self.buf
-    }
-
     /// Parse into an owned [`Ipv4Header`].
     pub fn to_header(&self) -> Ipv4Header {
         Ipv4Header {

@@ -1,5 +1,5 @@
-//! Scheduler configuration: concurrency cap, token-bucket rate limits,
-//! retry/backoff budget, and deadlines.
+//! Scheduler configuration: concurrency cap, the token-bucket launch rate
+//! limit, retry/backoff budget, and deadlines.
 
 use packetlab::controller::robust::RetryPolicy;
 
@@ -29,23 +29,11 @@ pub struct SchedulerConfig {
     pub max_concurrency: usize,
     /// Global launch rate limit: how fast new experiments may start.
     pub launch: RateLimit,
-    /// Per-endpoint control-channel send rate limit (applies to each
-    /// task's TCP sends toward its endpoint).
-    pub per_endpoint: RateLimit,
     /// Retry/backoff budget handed to each task's `RobustController`.
     pub retry: RetryPolicy,
     /// Abort the whole run at this virtual time if tasks are still
     /// outstanding. `None` runs until the fleet drains.
     pub fleet_deadline_ns: Option<u64>,
-    /// Controller sessions multiplexed onto each endpoint: tasks are
-    /// grouped in runs of this size, and every task in a group dials the
-    /// group's first endpoint. 1 (the default) keeps the classic
-    /// one-task-one-endpoint fleet. Each slot within a group runs under
-    /// its own credentials (distinct experiment identity), so lingering
-    /// sessions of group neighbours are never wrongfully adopted; slots
-    /// beyond the first contend under §3.3 arbitration and ride the
-    /// controller's suspended-backoff retries.
-    pub sessions_per_endpoint: usize,
 }
 
 impl Default for SchedulerConfig {
@@ -53,10 +41,8 @@ impl Default for SchedulerConfig {
         SchedulerConfig {
             max_concurrency: 64,
             launch: RateLimit::UNLIMITED,
-            per_endpoint: RateLimit::UNLIMITED,
             retry: RetryPolicy::default(),
             fleet_deadline_ns: None,
-            sessions_per_endpoint: 1,
         }
     }
 }

@@ -5,18 +5,18 @@
 //! ## Tasks are futures, not threads
 //!
 //! The controller library (`RobustController` + the §4 experiments) is
-//! straight-line code that waits: for a dial, a reply, a rate-limit
-//! token, a point in virtual time. It is written once, as `async fn`
-//! over `packetlab::controller::aio`, so every such wait is a point
+//! straight-line code that waits: for a dial, a reply, a point in
+//! virtual time. It is written once, as `async fn` over
+//! `packetlab::controller::aio`, so every such wait is a point
 //! where the compiler-generated state machine can be suspended with its
 //! statement order intact. The scheduler keeps one boxed future per
 //! in-flight task and owns the [`SimNet`] together with them (one thread,
 //! so an `Rc<RefCell<_>>`). An operation the world can answer at the
-//! current instant — a send with a token, a close, a UDP bind or take,
-//! the clock — is a direct call on the simulator. One it cannot answer
-//! (`recv` with no buffered data, a dial mid-handshake, a rate-limited
-//! send, a `wait_until`) leaves a typed `Wait` in the task's slot and
-//! returns `Pending`; the scheduler parks the task under that wait.
+//! current instant — a send, a close, a UDP bind or take, the clock — is
+//! a direct call on the simulator. One it cannot answer (`recv` with no
+//! buffered data, a dial mid-handshake, a `wait_until`) leaves a typed
+//! `Wait` in the task's slot and returns `Pending`; the scheduler parks
+//! the task under that wait.
 //! Only the task being polled runs, and a poll ends at the task's next
 //! park, so the interleaving — and therefore every byte of the run
 //! report — is a pure function of `(seed, roster, config)`: bit-identical
@@ -41,7 +41,7 @@ use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
-use packetlab::controller::aio::{Channel, Dialer, Plane, Sink};
+use packetlab::controller::aio::{Channel, Dialer, Sink};
 use packetlab::controller::experiments::{aio as probes, bwest};
 use packetlab::controller::robust::{RetryPolicy, RetryStats, RobustController};
 use packetlab::controller::{probe_seq, ControllerError, Credentials};
@@ -82,8 +82,6 @@ enum Wait {
     Data { conn: u64, deadline: Option<u64> },
     /// TCP establishment of `conn` (or close / deadline).
     Established { conn: u64, deadline: u64 },
-    /// A rate-limited send deferred to `at`.
-    SendReady { at: u64 },
     /// Plain virtual-time sleep.
     Until(u64),
 }
@@ -103,7 +101,6 @@ impl Wait {
             Wait::Established { conn, deadline } => {
                 sim.tcp_established(node, conn) || sim.tcp_closed(node, conn) || deadline <= now
             }
-            Wait::SendReady { at } => at <= now,
             Wait::Until(t) => t <= now,
         }
     }
@@ -113,7 +110,6 @@ impl Wait {
         match self {
             Wait::Data { deadline, .. } => deadline,
             Wait::Established { deadline, .. } => Some(deadline),
-            Wait::SendReady { at } => Some(at),
             Wait::Until(t) => Some(t),
         }
     }
@@ -137,8 +133,7 @@ impl WorkerResult {
 type TaskFuture = Pin<Box<dyn Future<Output = WorkerResult>>>;
 
 /// The scheduler's record of one in-flight task. The task's own
-/// operations set `wait` and draw on `bucket`; the scheduler reads `wait`
-/// and sets the two flags.
+/// operations set `wait`; the scheduler reads it and sets the two flags.
 struct TaskSlot {
     /// What the operation that returned `Pending` waits for.
     wait: Option<Wait>,
@@ -149,7 +144,6 @@ struct TaskSlot {
     poisoned: bool,
     /// Stall break: the parked operation alone gives up, once.
     cut: bool,
-    bucket: TokenBucket,
     started_ns: u64,
 }
 
@@ -177,17 +171,17 @@ struct FleetDialer {
 impl FleetDialer {
     /// An operation the world answers at once. A poisoned task gets
     /// `gave_up` and the world is left alone.
-    fn with<T>(&self, gave_up: T, op: impl FnOnce(&mut ShardedSim, &mut TaskSlot) -> T) -> T {
+    fn with<T>(&self, gave_up: T, op: impl FnOnce(&mut ShardedSim) -> T) -> T {
         let sh = &mut *self.shared.borrow_mut();
-        match sh.slots[self.task].as_mut() {
-            Some(slot) if !slot.poisoned => op(&mut sh.net.sim, slot),
+        match &sh.slots[self.task] {
+            Some(slot) if !slot.poisoned => op(&mut sh.net.sim),
             _ => gave_up,
         }
     }
 
     /// The virtual clock; a poisoned task's has run out.
     fn clock(&self) -> u64 {
-        self.with(u64::MAX, |sim, _| sim.now())
+        self.with(u64::MAX, |sim| sim.now())
     }
 
     /// Suspend until the world satisfies `wait` — not at all if it already
@@ -220,19 +214,9 @@ struct FleetChannel {
 }
 
 impl Channel for FleetChannel {
-    /// Rate-limited per endpoint: without a token the task parks until
-    /// the bucket has one. The bucket is only drained by this task, so
-    /// the token it waited for is there when it wakes.
     async fn send(&mut self, msg: &Message) {
-        let (host, node, conn) = (&self.host, self.host.node, self.conn);
-        let at = host.with(0, |sim, slot| slot.bucket.next_ready(sim.now()));
-        if host.until(Wait::SendReady { at }).await {
-            host.with((), |sim, slot| {
-                let taken = slot.bucket.try_take(sim.now());
-                debug_assert!(taken, "send token not ready at its own next_ready time");
-                sim.tcp_send(node, conn, &msg.to_frame());
-            });
-        }
+        let (node, conn) = (self.host.node, self.conn);
+        self.host.with((), |sim| sim.tcp_send(node, conn, &msg.to_frame()));
     }
 
     async fn recv(&mut self, deadline: Option<u64>) -> Option<Message> {
@@ -245,7 +229,7 @@ impl Channel for FleetChannel {
             }
             let decoder = &mut self.decoder;
             let more = self.host.until(Wait::Data { conn, deadline }).await
-                && self.host.with(false, |sim, _| {
+                && self.host.with(false, |sim| {
                     decoder.fill(|max| sim.tcp_recv(node, conn, max))
                 });
             if !more {
@@ -278,12 +262,12 @@ impl Dialer for FleetDialer {
 
     async fn dial(&mut self) -> Option<FleetChannel> {
         let node = self.node;
-        let (conn, deadline) = self.with(None, |sim, _| {
+        let (conn, deadline) = self.with(None, |sim| {
             let conn = sim.tcp_connect(node, self.endpoint, CONTROL_PORT);
             Some((conn, sim.now() + DIAL_DEADLINE))
         })?;
         let up = self.until(Wait::Established { conn, deadline }).await
-            && self.with(false, |sim, _| {
+            && self.with(false, |sim| {
                 let up = sim.tcp_established(node, conn);
                 if !up && !sim.tcp_closed(node, conn) {
                     sim.tcp_close(node, conn);
@@ -304,15 +288,15 @@ impl Dialer for FleetDialer {
 
 impl Sink for FleetDialer {
     fn sink_addr(&self) -> Ipv4Addr {
-        self.with(Ipv4Addr::UNSPECIFIED, |sim, _| sim.addr_of(self.node))
+        self.with(Ipv4Addr::UNSPECIFIED, |sim| sim.addr_of(self.node))
     }
 
     fn sink_bind(&mut self, port: u16) -> bool {
-        self.with(false, |sim, _| sim.udp_bind(self.node, port))
+        self.with(false, |sim| sim.udp_bind(self.node, port))
     }
 
     fn sink_take(&mut self, port: u16) -> Vec<(u64, Ipv4Addr, u16, u32, usize)> {
-        let arrivals = self.with(Vec::new(), |sim, _| sim.udp_recv(self.node, port));
+        let arrivals = self.with(Vec::new(), |sim| sim.udp_recv(self.node, port));
         arrivals.into_iter().map(|(t, a, p, d)| (t, a, p, probe_seq(&d), d.len())).collect()
     }
 
@@ -339,7 +323,6 @@ async fn run_task(
     creds: Credentials,
     policy: RetryPolicy,
     program: Program,
-    multiplexed: bool,
 ) -> WorkerResult {
     let failed = |e, stats| WorkerResult::without_detail(Outcome::Failed, cause_label(&e), stats);
     let dst = dialer.sink_addr();
@@ -386,13 +369,6 @@ async fn run_task(
             })
         }
     };
-    // On a multiplexed endpoint, release control as soon as the program
-    // is done so a suspended slot-mate resumes immediately instead of
-    // waiting out our session's linger window. Single-session fleets
-    // skip this (keeping their replay pins byte-identical).
-    if multiplexed {
-        let _ = ctrl.yield_endpoint().await;
-    }
     match r {
         Ok(detail) => {
             WorkerResult { outcome: Outcome::Completed, cause: None, detail, stats: ctrl.stats }
@@ -541,22 +517,14 @@ impl Sched<'_> {
     /// (typically on its first dial).
     fn launch(&mut self, i: usize) {
         let now = self.now();
-        // Tasks are grouped in runs of `sessions_per_endpoint`; every
-        // task in a group multiplexes onto the group's first endpoint.
-        let k = self.config.sessions_per_endpoint.max(1);
         let dialer = FleetDialer {
             shared: Rc::clone(&self.shared),
             task: i,
             node: self.pairs[i].controller,
-            endpoint: self.pairs[(i / k) * k].endpoint_addr,
+            endpoint: self.pairs[i].endpoint_addr,
         };
-        self.shared.borrow_mut().slots[i] = Some(TaskSlot {
-            wait: None,
-            poisoned: false,
-            cut: false,
-            bucket: TokenBucket::new(self.config.per_endpoint, now),
-            started_ns: now,
-        });
+        self.shared.borrow_mut().slots[i] =
+            Some(TaskSlot { wait: None, poisoned: false, cut: false, started_ns: now });
         self.futures[i] = Some((self.spawn)(i, dialer));
         self.by_node[self.pairs[i].controller.0] = Some(i);
         self.active += 1;
@@ -732,18 +700,12 @@ pub fn run_fleet(
         return Err("max_concurrency is 0: no task could ever launch".into());
     }
     let controller_addr = format!("{}:{}", world.pairs[0].controller_addr, CONTROL_PORT);
-    let slots = config.sessions_per_endpoint.max(1);
-    // Per-multiplex-slot credentials; task `i` runs under `creds[i % slots]`
-    // (one entry per slot of an endpoint group, see
-    // [`SchedulerConfig::sessions_per_endpoint`]).
-    let creds = (0..slots)
-        .map(|s| spec.slot_credentials(operator, experimenter, &controller_addr, s))
-        .collect::<Result<Vec<_>, _>>()?;
+    let creds = spec.credentials(operator, experimenter, &controller_addr)?;
     let mut spawn = |i: usize, dialer: FleetDialer| -> TaskFuture {
         let mut policy = config.retry;
         // Decorrelate per-task backoff jitter deterministically.
         policy.jitter_seed = splitmix64(policy.jitter_seed ^ i as u64).max(1);
-        Box::pin(run_task(dialer, creds[i % slots].clone(), policy, spec.program, slots > 1))
+        Box::pin(run_task(dialer, creds.clone(), policy, spec.program))
     };
     Ok(execute(world, &spec.name, config, &mut spawn))
 }
@@ -777,13 +739,14 @@ fn execute(
         results: (0..n).map(|_| None).collect(),
         events: Vec::new(),
     };
+    // `per_endpoint_per_sec` is a constant 0 (sends are never rate
+    // limited); every pinned report digest covers this record.
     sched.events.push(format!(
         "{{\"event\":\"run_start\",\"t_ns\":{now},\"experiment\":\"{}\",\"roster\":{n},\
-         \"max_concurrency\":{},\"launch_per_sec\":{},\"per_endpoint_per_sec\":{}}}",
+         \"max_concurrency\":{},\"launch_per_sec\":{},\"per_endpoint_per_sec\":0}}",
         json_escape(name),
         config.max_concurrency,
         config.launch.rate_per_sec,
-        config.per_endpoint.rate_per_sec,
     ));
     sched.run();
     let end = sched.now();
@@ -828,7 +791,7 @@ mod tests {
             if i == 2 {
                 return Box::pin(async { panic!("task 2 panics on its first poll") });
             }
-            Box::pin(run_task(dialer, creds.clone(), config.retry, spec.program, false))
+            Box::pin(run_task(dialer, creds.clone(), config.retry, spec.program))
         };
         let run = execute(world, &spec.name, &config, &mut spawn);
         for t in &run.results {

@@ -6,8 +6,8 @@
 //! **experiment spec** (certificate chain + Cpf monitor + measurement
 //! program, [`spec`]) over a **roster** of thousands of simulated
 //! endpoints ([`plab_netsim::roster`]) under a **scheduler config**
-//! ([`config`]: concurrency cap, token-bucket rate limits, retry/backoff
-//! budget), and emits a machine-readable **run report** ([`report`]:
+//! ([`config`]: concurrency cap, token-bucket launch rate limit,
+//! retry/backoff budget), one task per roster pair, and emits a machine-readable **run report** ([`report`]:
 //! JSON-SEQ event stream, aggregate summary with percentile histograms,
 //! rotated result files).
 //!

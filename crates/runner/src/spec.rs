@@ -110,27 +110,6 @@ impl ExperimentSpec {
         let restrictions = Restrictions { monitor, ..Default::default() };
         Ok(Credentials::issue(operator, experimenter, descriptor, restrictions, self.priority))
     }
-
-    /// Credentials for multiplex slot `slot` of an endpoint group. Slot 0
-    /// is [`ExperimentSpec::credentials`] verbatim (so single-session
-    /// fleets are unchanged, replay pins included); slots ≥ 1 get a
-    /// `#slot`-suffixed descriptor name. The suffix changes the descriptor
-    /// hash and therefore the experiment identity — without it, every slot
-    /// would share one `(leaf key, descriptor)` pair and a reconnecting
-    /// task could wrongfully adopt a group neighbour's lingering session.
-    pub fn slot_credentials(
-        &self,
-        operator: &Keypair,
-        experimenter: &Keypair,
-        controller_addr: &str,
-        slot: usize,
-    ) -> Result<Credentials, String> {
-        if slot == 0 {
-            return self.credentials(operator, experimenter, controller_addr);
-        }
-        let slotted = ExperimentSpec { name: format!("{}#{slot}", self.name), ..self.clone() };
-        slotted.credentials(operator, experimenter, controller_addr)
-    }
 }
 
 #[cfg(test)]

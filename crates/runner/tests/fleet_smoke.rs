@@ -194,48 +194,11 @@ fn zero_concurrency_is_rejected_not_spun_on() {
 }
 
 #[test]
-fn multiplexed_sessions_share_endpoints_and_complete() {
-    // 8 tasks multiplexed 4-per-endpoint: only pairs 0 and 4 serve
-    // sessions. Slot-mates contend under §3.3 — the first to authenticate
-    // holds control, the rest ride the suspended-backoff retry path until
-    // the incumbent's program finishes and yields.
-    let r = run(
-        &ExperimentSpec::ping("smoke-mux"),
-        &small_roster(),
-        &SchedulerConfig { sessions_per_endpoint: 4, ..Default::default() },
-    );
-    assert_eq!(r.results.len(), 8);
-    for t in &r.results {
-        assert_eq!(t.outcome, Outcome::Completed, "endpoint {}: {:?}", t.endpoint, t.cause);
-        match t.detail {
-            plab_runner::Detail::Ping { sent, replies, .. } => {
-                assert_eq!((sent, replies), (2, 2), "endpoint {}", t.endpoint);
-            }
-            ref other => panic!("unexpected detail {other:?}"),
-        }
-    }
-    // The contention was real: slots actually waited out suspensions.
-    let waits: u32 = r.results.iter().map(|t| t.stats.suspended_waits).sum();
-    assert!(waits >= 1, "multiplexed slots never hit the suspended-backoff path");
-}
-
-#[test]
-fn multiplexed_replay_is_bit_identical() {
-    let spec = ExperimentSpec::ping("smoke-mux-replay");
-    let config = SchedulerConfig { sessions_per_endpoint: 4, ..Default::default() };
-    let a = run(&spec, &small_roster(), &config);
-    let b = run(&spec, &small_roster(), &config);
-    assert_eq!(a.report.digest, b.report.digest, "digests diverge");
-    assert_eq!(a.report.events, b.report.events, "event streams diverge");
-}
-
-#[test]
 fn replay_is_bit_identical() {
     let spec = ExperimentSpec::ping("smoke-replay");
     let config = SchedulerConfig {
         max_concurrency: 3,
         launch: RateLimit::per_sec(50, 2),
-        per_endpoint: RateLimit::per_sec(200, 4),
         ..Default::default()
     };
     let a = run(&spec, &small_roster(), &config);

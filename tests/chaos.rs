@@ -327,6 +327,7 @@ fn multiplexed_sessions_under_faults_are_deterministic() {
         hi.yield_endpoint().unwrap();
         let mem = lo.mread(0x40, 4).unwrap();
         assert!(lo.stats.connects >= 2, "reset must force a reconnect: {:?}", lo.stats);
+        assert!(lo.stats.suspended_waits >= 1, "lo never backed off suspended: {:?}", lo.stats);
         format!(
             "hi_clock={t_hi} denied={denied} mem={mem:?} end={} lo={:?} hi={:?}",
             ControlPlane::now(&lo),
