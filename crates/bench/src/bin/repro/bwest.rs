@@ -21,7 +21,7 @@
 //! destination inside the 20% accuracy budget. `--json` prints the
 //! report on stdout.
 
-use plab_bench::bwest::{run_corpus, BwestPoint, MIN_WITHIN, TOLERANCE_PCT};
+use plab_bench::bwest::{passes_per_event, run_corpus, BwestPoint, MIN_WITHIN, TOLERANCE_PCT};
 use plab_bench::reportjson::{emit_report, json_rows};
 use plab_obs::export::fnv1a64;
 use packetlab::controller::experiments::bwest::Confidence;
@@ -60,6 +60,8 @@ pub fn run(opts: &crate::Opts) -> i32 {
     let json = opts.json;
 
     let (points, qlog, prom) = run_corpus();
+    let events: u64 = points.iter().map(|p| p.events).sum();
+    let per_event = passes_per_event(&points);
     let (again, qlog_b, prom_b) = run_corpus();
     let replay_rows_match = points.len() == again.len()
         && points.iter().zip(&again).all(|(a, b)| render_row(a) == render_row(b));
@@ -90,7 +92,7 @@ pub fn run(opts: &crate::Opts) -> i32 {
         }
         println!(
             "\n{within}/{} within budget; trace {trace_fnv:#018x} prom {prom_fnv:#018x} \
-             replay {}",
+             replay {}; {events} events, {per_event:.3} servicing passes per event",
             points.len(),
             if artifacts_identical && replay_rows_match { "identical" } else { "DIVERGED" },
         );
@@ -104,7 +106,8 @@ pub fn run(opts: &crate::Opts) -> i32 {
         "  \"tolerance_pct\": {TOLERANCE_PCT},\n  \"min_within\": {MIN_WITHIN},\n  \
          \"within\": {within},\n  \"topologies\": {},\n  \
          \"trace_fnv\": \"{trace_fnv:#018x}\",\n  \"prom_fnv\": \"{prom_fnv:#018x}\",\n  \
-         \"artifacts_identical\": {artifacts_identical},\n  \"sweep\": [\n",
+         \"artifacts_identical\": {artifacts_identical},\n  \"events\": {events},\n  \
+         \"passes_per_event\": {per_event:.3},\n  \"sweep\": [\n",
         points.len()
     );
     out.push_str(&json_rows(&rows, "    "));

@@ -468,17 +468,21 @@ fn fleet_roster(ctx: &Ctx) -> Vec<Check> {
 /// trace-schema change, run `repro bwest` and paste its printed digest.
 const PINNED_BWEST_TRACE: u64 = 0x8786_bdd8_f1e0_d476;
 
+/// Dense servicing passes per event on the corpus (both sides of it: 3.06).
+const MAX_PASSES_PER_EVENT: f64 = 1.10;
+
 /// The bwest probe suite over the ground-truth corpus, twice: at least
 /// [`bwest::MIN_WITHIN`] topologies with every destination inside
-/// [`bwest::TOLERANCE_PCT`] of the configured bottleneck, and both passes
-/// rendering the pinned qlog JSON-SEQ trace. Traces are
-/// machine-independent (virtual clock, integer rendering), so any drift
-/// is a real regression.
+/// [`bwest::TOLERANCE_PCT`] of the configured bottleneck, both passes
+/// rendering the pinned qlog JSON-SEQ trace, and at most
+/// [`MAX_PASSES_PER_EVENT`] harness servicing passes per simulator event.
+/// Traces and counts are machine-independent (virtual clock, integer
+/// rendering), so any drift is a real regression.
 fn bwest_corpus(_: &Ctx) -> Vec<Check> {
-    let [(errors, digest), (errors_b, digest_b)] = [(); 2].map(|()| {
+    let [(errors, digest, per_event), (errors_b, digest_b, _)] = [(); 2].map(|()| {
         let (points, qlog, _) = bwest::run_corpus();
         let errors: Vec<_> = points.iter().map(|p| (p.name, p.worst_error_pct())).collect();
-        (errors, fnv1a64(qlog.as_bytes()))
+        (errors, fnv1a64(qlog.as_bytes()), bwest::passes_per_event(&points))
     });
     let within = errors.iter().filter(|&&(_, e)| e <= bwest::TOLERANCE_PCT).count();
     let (worst, err) = errors.iter().copied().max_by(|a, b| a.1.total_cmp(&b.1)).expect("a corpus");
@@ -493,6 +497,7 @@ fn bwest_corpus(_: &Ctx) -> Vec<Check> {
         Check::new("within", within >= bwest::MIN_WITHIN, accuracy),
         Check::new("replay_identical", replayed, format!("second pass {digest_b:#018x}")),
         Check::pinned("pinned", &[digest], PINNED_BWEST_TRACE),
+        Check::new("passes_per_event", per_event <= MAX_PASSES_PER_EVENT, format!("{per_event:.3}")),
     ]
 }
 

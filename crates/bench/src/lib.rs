@@ -731,6 +731,8 @@ pub mod bwest {
         pub truth: Vec<u64>,
         /// The suite's estimates.
         pub report: BwestReport,
+        /// Simulator events the point took, hang-up included.
+        pub events: u64,
     }
 
     impl BwestPoint {
@@ -799,7 +801,15 @@ pub mod bwest {
         let dests: Vec<_> = w.dests.iter().map(|&(_, addr)| addr).collect();
         let report = estimate_path_bandwidth(&mut ctrl, &dests, &BwestConfig::default())
             .expect("bwest suite completes");
-        BwestPoint { name: spec.name, truth: w.ground_truth, report }
+        drop(ctrl);
+        let events = net.borrow().sim.events_processed();
+        BwestPoint { name: spec.name, truth: w.ground_truth, report, events }
+    }
+
+    /// `harness.passes` over the points' events, after [`run_corpus`].
+    pub fn passes_per_event(points: &[BwestPoint]) -> f64 {
+        let events: u64 = points.iter().map(|p| p.events).sum();
+        plab_obs::metrics::counter("harness.passes") as f64 / events as f64
     }
 
     /// Run the full corpus once under a fresh flight recorder; return the

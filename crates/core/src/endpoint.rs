@@ -137,6 +137,9 @@ enum Phase {
 pub struct EndpointAgent {
     config: EndpointConfig,
     sessions: HashMap<u64, Session>,
+    /// The keys of `sessions`, ascending: the order of every walk that
+    /// produces output, kept as the table changes so that no walk sorts.
+    order: Vec<u64>,
     /// The session in [`Phase::Active`], if any: kept by `contend` and
     /// `release`, so that finding the holder is not a walk.
     active: Option<u64>,
@@ -165,6 +168,7 @@ impl EndpointAgent {
         EndpointAgent {
             config,
             sessions: HashMap::new(),
+            order: Vec::new(),
             active: None,
             pending_tcp: HashMap::new(),
             next_tcp_seq: 1,
@@ -202,13 +206,10 @@ impl EndpointAgent {
 
     /// The sids of the live sessions `keep` holds for, ascending. The
     /// session table is a hash map for its lookups; paths that walk it and
-    /// produce output walk it through here, so nothing the agent emits
+    /// produce output walk it in `order`, so nothing the agent emits
     /// depends on the map's per-process iteration order.
     fn sids(&self, keep: impl Fn(&Session) -> bool) -> Vec<u64> {
-        let mut sids: Vec<u64> =
-            self.sessions.values().filter(|s| keep(s)).map(|s| s.sid).collect();
-        sids.sort_unstable();
-        sids
+        self.order.iter().copied().filter(|sid| keep(&self.sessions[sid])).collect()
     }
 
     /// A new control connection was accepted / dialed.
@@ -232,6 +233,9 @@ impl EndpointAgent {
                     self.config.replay_cache_bytes,
                 ),
             );
+            if let Err(at) = self.order.binary_search(&sid) {
+                self.order.insert(at, sid);
+            }
             self.next_owner = self.next_owner.wrapping_add(1);
         }
     }
@@ -433,6 +437,7 @@ impl EndpointAgent {
         let mut out = vec![(sid, Message::AuthOk)];
         if let Some(osid) = adopt {
             let mut old = self.sessions.remove(&osid).expect("adoptable sessions are in the table");
+            self.order.retain(|&o| o != osid);
             old.sid = sid;
             if let Phase::Detached { .. } = old.phase {
                 self.detached -= 1;
@@ -552,6 +557,7 @@ impl EndpointAgent {
         let Some(s) = self.sessions.remove(&sid) else {
             return Out::new();
         };
+        self.order.retain(|&o| o != sid);
         for binding in s.sockets.values() {
             binding.close(stack);
         }

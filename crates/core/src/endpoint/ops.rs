@@ -440,8 +440,8 @@ impl EndpointAgent {
                 s.memory.record_send(tag, time);
             }
         }
-        for sid in self.sids(|_| true) {
-            let s = self.sessions.get_mut(&sid).unwrap();
+        for &sid in &self.order {
+            let s = self.sessions.get_mut(&sid).expect("order lists the table's keys");
             // Drain OS sockets into the capture buffer, respecting
             // capacity: when full we simply stop reading (§3.1 — this is
             // what creates TCP backpressure).
@@ -468,8 +468,7 @@ impl EndpointAgent {
                     SocketBinding::Raw { .. } => {}
                 }
             }
-            s.memory.set_info("buffer.capacity", s.capture.capacity as u64);
-            s.memory.set_info("buffer.used", s.capture.bytes as u64);
+            s.memory.set_buffer_info(s.capture.capacity as u64, s.capture.bytes as u64);
             s.refresh_sockstat(stack);
             if !s.capture.is_empty() {
                 out.extend(s.finish_poll().map(|m| (sid, m)));

@@ -346,19 +346,40 @@ impl SimNet {
     }
 
     /// Process one simulator event (if any) plus agent servicing; returns
-    /// false when no event was pending. The `process()` before the event
-    /// is for a caller that changed the world since the last step
-    /// ([`SimChannel`]'s sends, `endpoint_dial` and friends queue bytes
-    /// an agent must see at this instant, not after the next event); the
-    /// one after it services what the event delivered. It is
-    /// [`SimNet::step_quiet`] with no instant to keep going before; the
-    /// fleet runner's advance is the one that names one.
+    /// false when no event was pending. Dense: one pass after the event (the
+    /// last step or send serviced all before it; debug builds assert so), and
+    /// endpoints it left a control connection queued on ([`SimNet::process`]).
+    /// Sparse: [`SimNet::step_quiet`] with no instant to keep going before.
     pub fn step(&mut self) -> bool {
-        self.step_quiet(0)
+        if self.sparse {
+            return self.step_quiet(0);
+        }
+        if cfg!(debug_assertions) {
+            let before = self.activity();
+            self.pass();
+            assert_eq!(self.activity(), before, "a skipped servicing pass had work");
+        }
+        let stepped = self.sim.step();
+        self.process();
+        for i in 0..self.endpoints.len() {
+            let ep = &mut self.endpoints[i];
+            if let Some(conn) = self.sim.tcp_accept(ep.node, ep.port) {
+                ep.reactor.accept(conn);
+                self.service_endpoint(i, &[]);
+            }
+        }
+        stepped
     }
 
-    /// One event between two `process()` passes, as [`SimNet::step`]
-    /// describes, and then every following event strictly before
+    /// What a pass that did anything changes.
+    fn activity(&self) -> (u64, usize) {
+        let sessions = self.endpoints.iter().map(|e| e.reactor.sessions().count());
+        let rv_sessions = self.rendezvous.iter().map(|r| r.sessions.len());
+        (self.sim.activity(), sessions.chain(rv_sessions).sum())
+    }
+
+    /// One event between two `process()` passes (the sparse contract,
+    /// RUNNER.md), and then every following event strictly before
     /// `before` for as long as the simulator stays quiet
     /// ([`ShardedSim::quiet`]: sparse mode, and the events so far marked
     /// no node, fired no timer, crashed nothing — router hops, four
@@ -373,7 +394,7 @@ impl SimNet {
         while self.sim.quiet() && self.sim.next_event_time().is_some_and(|t| t < before) {
             if cfg!(debug_assertions) {
                 let (serviced, next) = (self.serviced.len(), self.sim.next_event_time());
-                self.process();
+                self.pass();
                 let after = (self.serviced.len(), self.sim.next_event_time(), self.sim.quiet());
                 assert_eq!(after, (serviced, next, true), "a quiet event left agents work");
             }
@@ -383,8 +404,17 @@ impl SimNet {
         stepped
     }
 
-    /// Service all agents until quiescent at the current instant.
+    /// Service every agent once at the current instant (`harness.passes`):
+    /// one pass, not until quiescent. An endpoint accepts before it hands
+    /// deferred OS segments to the stack, which may complete a handshake.
     pub fn process(&mut self) {
+        static PASSES: plab_obs::metrics::Counter =
+            plab_obs::metrics::Counter::new("harness.passes");
+        PASSES.inc();
+        self.pass();
+    }
+
+    fn pass(&mut self) {
         // Crash/restart transitions: a crashed endpoint host loses its
         // agent process with it; a restarted one boots a fresh agent (same
         // operator config) and re-opens its control listener. Experiment
@@ -499,14 +529,12 @@ impl SimNet {
                 self.service_rendezvous(i);
             }
         } else {
-            self.process_endpoints(&fired);
-            self.process_rendezvous();
-        }
-    }
-
-    fn process_endpoints(&mut self, fired: &[(NodeId, u64)]) {
-        for i in 0..self.endpoints.len() {
-            self.service_endpoint(i, fired);
+            for i in 0..self.endpoints.len() {
+                self.service_endpoint(i, &fired);
+            }
+            for i in 0..self.rendezvous.len() {
+                self.service_rendezvous(i);
+            }
         }
     }
 
@@ -643,12 +671,6 @@ impl SimNet {
                     }
                 }
             }
-        }
-    }
-
-    fn process_rendezvous(&mut self) {
-        for i in 0..self.rendezvous.len() {
-            self.service_rendezvous(i);
         }
     }
 
@@ -938,27 +960,20 @@ impl aio::Channel for SimChannel {
                 Ok(None) => {}
                 Err(_) => return None,
             }
-            // Advance the world.
+            // Advance the world by one event, or to the deadline.
             let mut n = self.net.borrow_mut();
-            n.process();
-            let next = n.sim.next_event_time();
-            match (next, deadline) {
-                (Some(t), Some(d)) if t > d => {
-                    n.run_until(d);
-                    drop(n);
-                    self.drain();
-                    return self.decoder.next_message().ok().flatten();
-                }
-                (Some(_), _) => {
+            match (n.sim.next_event_time(), deadline) {
+                (Some(t), d) if d.is_none_or(|d| t <= d) => {
                     n.step();
                 }
-                (None, Some(d)) => {
+                (_, Some(d)) => {
                     n.run_until(d);
                     drop(n);
                     self.drain();
                     return self.decoder.next_message().ok().flatten();
                 }
-                (None, None) => return None,
+                // No event and no deadline: nothing will ever arrive.
+                _ => return None,
             }
         }
     }
@@ -1003,5 +1018,39 @@ mod tests {
         assert_eq!(net.endpoint_agent(id).session_count(), 0);
         net.run_until(plab_netsim::SECOND);
         assert!(net.sim.now() >= plab_netsim::SECOND);
+    }
+
+    /// The controller's handshake-completing ACK is lost, so its Hello
+    /// segment completes the handshake: deferred, it is handed to the
+    /// stack after the pass's accept, and the connection sits queued with
+    /// the Hello in it. The endpoint must answer at that event's instant,
+    /// not at whatever event next services it.
+    #[test]
+    fn deferred_handshake_is_answered_at_its_instant() {
+        use crate::controller::ControlChannel;
+        let mut t = plab_netsim::TopologyBuilder::new();
+        let ep = t.host("ep", "10.0.0.1".parse().unwrap());
+        let ctl = t.host("ctl", "10.0.0.2".parse().unwrap());
+        t.link(ep, ctl, plab_netsim::LinkParams::new(1, 1));
+        let net = Rc::new(RefCell::new(SimNet::new(t.build())));
+        net.borrow_mut().add_endpoint(ep, EndpointConfig::default());
+        let mut chan = SimChannel::connect(&net, ctl, "10.0.0.1".parse().unwrap());
+        {
+            // The ACK left as the SYN-ACK arrived, now; at 1 Mb/s it is on
+            // the wire for 320 us, then 1 ms of latency. The Hello leaves
+            // behind it and lands 368 us later, with the link back up.
+            let mut n = net.borrow_mut();
+            let (now, link) = (n.sim.now(), n.sim.link_between(ep, ctl).unwrap());
+            let ack_lands = now + 320_000 + plab_netsim::MILLISECOND;
+            n.sim.schedule_fault(now, plab_netsim::FaultAction::LinkDown { link });
+            n.sim.schedule_fault(ack_lands + 1, plab_netsim::FaultAction::LinkUp { link });
+        }
+        ControlChannel::send(&mut chan, &Message::Hello { version: 1 });
+        let reply = ControlChannel::recv(&mut chan, None);
+        assert!(matches!(reply, Some(Message::HelloAck { .. })), "{reply:?}");
+        // Without the catch-up in `step` the reply waits for the
+        // endpoint's own ACK of the Hello to land at the controller, 1 ms
+        // later.
+        assert_eq!(ControlChannel::now(&chan), 6_272_000);
     }
 }

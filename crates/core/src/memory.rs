@@ -124,6 +124,13 @@ impl EndpointMemory {
         spec.write_le(&mut self.bytes, value);
     }
 
+    /// `buffer.capacity` and `buffer.used` (offsets 24 and 32), which every
+    /// service pass rewrites: no lookup by name.
+    pub fn set_buffer_info(&mut self, capacity: u64, used: u64) {
+        self.bytes[24..32].copy_from_slice(&capacity.to_le_bytes());
+        self.bytes[32..40].copy_from_slice(&used.to_le_bytes());
+    }
+
     /// Endpoint-side getter.
     pub fn get_info(&self, field: &str) -> u64 {
         let spec = layout::resolve_info(field).expect("known info field");
@@ -207,6 +214,16 @@ mod tests {
         // Readable via mread at offset 0.
         let raw = m.read(0, 8).unwrap();
         assert_eq!(u64::from_le_bytes(raw.try_into().unwrap()), 123_456_789);
+    }
+
+    #[test]
+    fn buffer_info_writes_the_named_fields() {
+        let mut by_name = EndpointMemory::new();
+        by_name.set_info("buffer.capacity", 0x0102_0304_0506_0708);
+        by_name.set_info("buffer.used", 65_536);
+        let mut direct = EndpointMemory::new();
+        direct.set_buffer_info(0x0102_0304_0506_0708, 65_536);
+        assert_eq!(direct.info(), by_name.info());
     }
 
     #[test]

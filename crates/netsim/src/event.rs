@@ -452,6 +452,11 @@ impl EventQueue {
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
+
+    /// Events ever pushed (the next seq to be handed out).
+    pub fn pushed(&self) -> u64 {
+        self.next_seq
+    }
 }
 
 // ---------------------------------------------------------------------

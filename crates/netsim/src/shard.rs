@@ -392,6 +392,11 @@ impl ShardedSim {
         self.shards.iter().all(Sim::quiet)
     }
 
+    /// See [`Sim::activity`]: summed over shards.
+    pub fn activity(&self) -> u64 {
+        self.shards.iter().map(Sim::activity).sum()
+    }
+
     /// See [`Sim::take_dirty_nodes`]. Concatenated in shard order.
     pub fn take_dirty_nodes(&mut self) -> Vec<NodeId> {
         self.gather(Sim::take_dirty_nodes)

@@ -119,6 +119,8 @@ pub struct Sim {
     track_dirty: bool,
     dirty_nodes: Vec<usize>,
     dirty_mark: Vec<bool>,
+    /// Items handed to a harness (see [`Sim::activity`]).
+    handed: u64,
 }
 
 impl Sim {
@@ -145,7 +147,14 @@ impl Sim {
             track_dirty: false,
             dirty_nodes: Vec::new(),
             dirty_mark: Vec::new(),
+            handed: 0,
         }
+    }
+
+    /// Events ever scheduled plus items ever handed to a harness: a stretch
+    /// of code that leaves it unchanged consumed and scheduled nothing.
+    pub fn activity(&self) -> u64 {
+        self.events.pushed() + self.handed
     }
 
     /// Enable (or disable) dirty-node tracking. While enabled,
@@ -470,6 +479,7 @@ impl Sim {
 
     /// Drain timers that have fired.
     pub fn take_fired_timers(&mut self) -> Vec<(NodeId, u64)> {
+        self.handed += self.fired_timers.len() as u64;
         std::mem::take(&mut self.fired_timers)
     }
 
@@ -614,6 +624,7 @@ impl Sim {
 
     /// Drain crash/restart transitions that fired since the last call.
     pub fn take_node_transitions(&mut self) -> Vec<NodeTransition> {
+        self.handed += self.node_transitions.len() as u64;
         std::mem::take(&mut self.node_transitions)
     }
 
@@ -651,7 +662,9 @@ impl Sim {
 
     /// Take packets awaiting an OS disposition decision.
     pub fn take_pending_os(&mut self, node: NodeId) -> Vec<(SimTime, Frame)> {
-        self.nodes[node.0].host_mut().pending_os.drain(..).collect()
+        let pending = &mut self.nodes[node.0].host_mut().pending_os;
+        self.handed += pending.len() as u64;
+        pending.drain(..).collect()
     }
 
     /// Run normal OS processing for a packet whose disposition was
@@ -688,12 +701,14 @@ impl Sim {
     /// Drain a UDP socket's inbox. Payload frames are zero-copy
     /// sub-range views of the arriving datagrams.
     pub fn udp_recv(&mut self, node: NodeId, port: u16) -> Vec<(SimTime, Ipv4Addr, u16, Frame)> {
-        self.nodes[node.0]
+        let datagrams: Vec<_> = self.nodes[node.0]
             .host_mut()
             .udp
             .get_mut(&port)
             .map(|s| s.inbox.drain(..).collect())
-            .unwrap_or_default()
+            .unwrap_or_default();
+        self.handed += datagrams.len() as u64;
+        datagrams
     }
 
     /// Listen for TCP connections on `port`.
@@ -703,7 +718,9 @@ impl Sim {
 
     /// Accept a pending TCP connection.
     pub fn tcp_accept(&mut self, node: NodeId, port: u16) -> Option<u64> {
-        self.nodes[node.0].host_mut().tcp.accept(port)
+        let conn = self.nodes[node.0].host_mut().tcp.accept(port);
+        self.handed += conn.is_some() as u64;
+        conn
     }
 
     /// Open a TCP connection from `node`.
@@ -729,6 +746,7 @@ impl Sim {
     pub fn tcp_recv(&mut self, node: NodeId, conn: u64, max: usize) -> Vec<u8> {
         let (data, out) = self.nodes[node.0].host_mut().tcp.recv(conn, max);
         self.dispatch_tcp(node, out);
+        self.handed += data.len() as u64;
         data
     }
 

@@ -374,7 +374,10 @@ impl TcpHost {
         };
         let was_zero = c.window() == 0;
         let n = max.min(c.recv_buf.len());
-        let data: Vec<u8> = c.recv_buf.drain(..n).collect();
+        // Whole-slice copies of the ring's halves: sinks drain bulk flows here.
+        let (head, tail) = c.recv_buf.as_slices();
+        let data = [&head[..n.min(head.len())], &tail[..n.saturating_sub(head.len())]].concat();
+        c.recv_buf.drain(..n);
         if was_zero && c.window() > 0 && !matches!(c.state, TcpState::Closed | TcpState::Reset) {
             // Window reopened: tell the peer.
             out.segments.push(c.datagram(flags::ACK, c.snd_nxt, &[]));
@@ -894,6 +897,31 @@ mod tests {
                 "offset={offset} len={len}"
             );
         }
+    }
+
+    #[test]
+    fn recv_matches_naive_drain_on_wrapped_deque() {
+        let (_, mut hb, _, cb) = connected_pair();
+        // Same wrap construction as above, on the receive side.
+        let mut buf: VecDeque<u8> = VecDeque::with_capacity(4096);
+        let cap = buf.capacity();
+        buf.extend((0..cap).map(|i| (i % 251) as u8));
+        buf.drain(..cap / 3);
+        buf.extend((0..cap / 4).map(|i| (i % 13) as u8));
+        let (head, tail) = buf.as_slices();
+        assert!(!head.is_empty() && !tail.is_empty(), "deque must wrap");
+        let head_len = head.len();
+        let mut naive = buf.clone();
+        hb.conns.get_mut(&cb).unwrap().recv_buf = buf;
+        // Reads inside the head, across the seam, inside the tail, and
+        // past the end (clamps).
+        for max in [0, 7, head_len - 7, 20, 1000, usize::MAX] {
+            let want: Vec<u8> = naive.drain(..max.min(naive.len())).collect();
+            let (got, _) = hb.recv(cb, max);
+            assert_eq!(got, want, "max={max}");
+            assert_eq!(hb.readable(cb), naive.len());
+        }
+        assert_eq!(hb.readable(cb), 0);
     }
 
     #[test]

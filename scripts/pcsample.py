@@ -7,15 +7,19 @@ Starts <cmd>, lets it run <warmup_s> seconds, then stops its main thread
 every <interval_ms> ms (PTRACE_SEIZE / PTRACE_INTERRUPT), reads the program
 counter (PTRACE_GETREGS) and lets it go, <samples> times. Prints the top
 functions and the top PCs as `function+offset`, symbols from `nm -C` on the
-binary and `nm -D` on the shared objects it maps. x86-64 Linux, standard
-library only. One thread is sampled, so pin the command to one
-(`taskset -c 0 <bin> ...`: taskset execs, the pid stays the command's).
-OBSERVABILITY.md says how to read the output.
+binary and `nm -D` on the shared objects it maps, then rolls the samples up
+by crate and by `crate::module` as shares of the *active* samples: those
+not parked in a blocking call (`read`, `nanosleep`, `poll`, a futex wait),
+which a thread waiting on a pipe or a child would otherwise dominate.
+x86-64 Linux, standard library only. One thread is sampled, so pin the
+command to one (`taskset -c 0 <bin> ...`: taskset execs, the pid stays the
+command's). OBSERVABILITY.md says how to read the output.
 """
 import bisect
 import collections
 import ctypes
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -65,6 +69,23 @@ def symbols(path, dynamic):
     return syms
 
 
+# A shared-object function a thread sits in while it waits, not works.
+IDLE = re.compile(r"(^|_)(read|nanosleep|poll|epoll_wait|select|wait\w*|futex\w*)(_nocancel)?(64)?$")
+
+
+def module_of(fn, lib):
+    """`crate::module` of a demangled Rust function, or the library name."""
+    if lib is not None:
+        return lib
+    path = fn.lstrip("<&*").replace("dyn ", "")
+    if path[:1] in "[(" and " as " in path:  # a slice or tuple: the trait's
+        path = path.split(" as ", 1)[1]
+    path = path.split(" as ")[0]
+    parts = re.split(r"::|<|>", path)
+    parts = [p for p in parts if p and not p.startswith("{{")]
+    return "::".join(parts[:2]) if parts else fn
+
+
 def main():
     if len(sys.argv) < 6 or sys.argv[4] != "--":
         sys.exit(__doc__)
@@ -95,21 +116,31 @@ def main():
     exe = os.path.realpath(maps[0][3]) if maps else ""
     tables = {}
     by_fn, by_pc = collections.Counter(), collections.Counter()
+    by_crate, by_module = collections.Counter(), collections.Counter()
+    idle = 0
     for pc in pcs:
-        where = f"{pc:#x}"
+        where, lib = f"{pc:#x}", "[no map]"
         for start, end, base, path in maps:
             if start <= pc < end:
+                shared = os.path.realpath(path) != exe
                 if path not in tables:
-                    tables[path] = symbols(path, os.path.realpath(path) != exe)
+                    tables[path] = symbols(path, shared)
                 syms, addr = tables[path], pc - base
                 i = bisect.bisect_right(syms, (addr, "\U0010ffff")) - 1
                 name, at = syms[i][::-1] if i >= 0 else (os.path.basename(path), 0)
                 fn, where = name, f"{name}+{addr - at:#x}  [{addr:#x}]"
+                lib = os.path.basename(path) if shared else None
                 break
         else:
             fn = "[no map]"
         by_fn[fn] += 1
         by_pc[where] += 1
+        if lib is not None and IDLE.search(fn.split("@")[0]):
+            idle += 1
+            continue
+        module = module_of(fn, lib)
+        by_module[module] += 1
+        by_crate[module.split("::")[0]] += 1
     n = max(len(pcs), 1)
     print(f"{len(pcs)} samples, {interval * 1e3:g} ms apart, of: {' '.join(cmd)}")
     print("\ntop functions")
@@ -118,6 +149,13 @@ def main():
     print("\ntop PCs (a stalled load shows on the instruction after it)")
     for where, c in by_pc.most_common(30):
         print(f"{100 * c / n:6.1f} %  {where}")
+    active = max(n - idle, 1)
+    print(f"\nby crate, share of {n - idle} active samples ({100 * idle / n:.1f} % idle)")
+    for name, c in by_crate.most_common(15):
+        print(f"{100 * c / active:6.1f} %  {name}")
+    print("\nby crate::module, share of active samples")
+    for name, c in by_module.most_common(25):
+        print(f"{100 * c / active:6.1f} %  {name}")
 
 
 if __name__ == "__main__":
