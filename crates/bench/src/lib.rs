@@ -697,12 +697,12 @@ pub mod fleet {
 /// Shared construction for the bandwidth-estimation bench and its CI
 /// guard (`repro bwest`, `repro guard bwest`). Both must build
 /// bit-identical worlds — the guard pins artifact digests — so every
-/// knob (corpus, keypair seeds, estimator config, socket layout, pass
-/// bar) lives here once.
+/// knob (corpus, keypair seeds, socket layout, pass bar) lives here
+/// once.
 pub mod bwest {
     use packetlab::cert::Restrictions;
     use packetlab::controller::experiments::bwest::{
-        estimate_path_bandwidth, BwestConfig, BwestReport, TCP_SINK_PORT, UDP_ECHO_PORT,
+        estimate_path_bandwidth, BwestReport, TCP_SINK_PORT, UDP_ECHO_PORT,
     };
     use packetlab::controller::robust::{RetryPolicy, RobustController};
     use packetlab::controller::Credentials;
@@ -799,7 +799,7 @@ pub mod bwest {
         let mut ctrl = RobustController::connect(dialer, creds, policy)
             .expect("bwest world authenticates");
         let dests: Vec<_> = w.dests.iter().map(|&(_, addr)| addr).collect();
-        let report = estimate_path_bandwidth(&mut ctrl, &dests, &BwestConfig::default())
+        let report = estimate_path_bandwidth(&mut ctrl, &dests)
             .expect("bwest suite completes");
         drop(ctrl);
         let events = net.borrow().sim.events_processed();

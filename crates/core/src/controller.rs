@@ -298,6 +298,15 @@ pub trait SinkHost: aio::Sink {
     }
 }
 
+/// A `len`-byte probe datagram payload: `seq` as the first 4 bytes, LE,
+/// truncated when `len` is shorter, then zeros. [`probe_seq`] reads it.
+pub fn probe_payload(seq: u32, len: usize) -> Vec<u8> {
+    let mut p = vec![0u8; len];
+    let n = len.min(4);
+    p[..n].copy_from_slice(&seq.to_le_bytes()[..n]);
+    p
+}
+
 /// Decode a probe datagram's sequence number: first 4 payload bytes, LE,
 /// zero-padded when the payload is shorter.
 pub fn probe_seq(payload: &[u8]) -> u32 {

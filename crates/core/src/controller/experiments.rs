@@ -14,7 +14,7 @@
 //! shells for planes whose operations complete inside the call.
 
 use super::aio::block_on;
-use super::{ClockSync, ControlPlane, ControllerError, SinkHost};
+use super::{probe_payload, ClockSync, ControlPlane, ControllerError, SinkHost};
 use plab_packet::{builder, icmp, ipv4};
 use std::net::Ipv4Addr;
 
@@ -79,38 +79,6 @@ impl PingStats {
     pub fn max_rtt(&self) -> Option<u64> {
         self.replies.iter().map(|r| r.rtt).max()
     }
-
-    /// Population standard deviation of the RTTs, ns.
-    pub fn stddev_rtt(&self) -> Option<f64> {
-        if self.replies.is_empty() {
-            return None;
-        }
-        let mean = self.mean_rtt()? as f64;
-        let var = self
-            .replies
-            .iter()
-            .map(|r| {
-                let d = r.rtt as f64 - mean;
-                d * d
-            })
-            .sum::<f64>()
-            / self.replies.len() as f64;
-        Some(var.sqrt())
-    }
-
-    /// Mean absolute difference between consecutive RTTs (RFC 3550-style
-    /// jitter over the received sequence), ns.
-    pub fn jitter(&self) -> Option<u64> {
-        if self.replies.len() < 2 {
-            return None;
-        }
-        let diffs: u64 = self
-            .replies
-            .windows(2)
-            .map(|w| w[1].rtt.abs_diff(w[0].rtt))
-            .sum();
-        Some(diffs / (self.replies.len() as u64 - 1))
-    }
 }
 
 #[cfg(test)]
@@ -135,9 +103,6 @@ mod stats_tests {
         assert_eq!(s.mean_rtt(), Some(25));
         assert_eq!(s.min_rtt(), Some(10));
         assert_eq!(s.max_rtt(), Some(40));
-        let sd = s.stddev_rtt().unwrap();
-        assert!((sd - 11.18).abs() < 0.01, "{sd}");
-        assert_eq!(s.jitter(), Some(10));
         assert_eq!(s.loss(), 0.0);
     }
 
@@ -146,15 +111,6 @@ mod stats_tests {
         let s = stats(&[]);
         assert_eq!(s.mean_rtt(), None);
         assert_eq!(s.min_rtt(), None);
-        assert_eq!(s.stddev_rtt(), None);
-        assert_eq!(s.jitter(), None);
-    }
-
-    #[test]
-    fn single_reply_has_no_jitter() {
-        let s = stats(&[100]);
-        assert_eq!(s.jitter(), None);
-        assert_eq!(s.stddev_rtt(), Some(0.0));
     }
 
     #[test]
@@ -239,6 +195,13 @@ pub struct BandwidthEstimate {
     pub last_arrival: u64,
     /// Estimated uplink bandwidth, bits per second (IP-layer).
     pub bits_per_sec: f64,
+    /// The same arrivals read as a dispersion train
+    /// ([`bwest::dispersion_from_arrivals`]): the median of the
+    /// sequence-gap-normalized spacing rates, bits per second. A lost
+    /// datagram widens a gap instead of shrinking the byte count, so this
+    /// reading holds under loss where `bits_per_sec` undercounts. 0 with
+    /// fewer than three usable pairs.
+    pub dispersion_bps: u64,
     /// The arrival wait hit its hard deadline while datagrams were still
     /// landing: the count (and on very slow links the rate) undercounts.
     pub truncated: bool,
@@ -261,6 +224,8 @@ pub fn estimate_from_arrivals(
     arrivals: &[(u64, Ipv4Addr, u16, u32, usize)],
     truncated: bool,
 ) -> BandwidthEstimate {
+    let train: Vec<_> = arrivals.iter().map(|&(t, _, _, seq, len)| (t, seq, len)).collect();
+    let dispersion_bps = bwest::dispersion_from_arrivals(&train).map_or(0, |(bps, _)| bps);
     if arrivals.len() < 2 {
         let t = arrivals.first().map(|a| a.0).unwrap_or(0);
         return BandwidthEstimate {
@@ -269,6 +234,7 @@ pub fn estimate_from_arrivals(
             first_arrival: t,
             last_arrival: t,
             bits_per_sec: 0.0,
+            dispersion_bps,
             truncated,
         };
     }
@@ -296,6 +262,7 @@ pub fn estimate_from_arrivals(
         first_arrival: first,
         last_arrival: last,
         bits_per_sec: bytes as f64 * 8.0 / (duration as f64 / 1e9),
+        dispersion_bps,
         truncated,
     }
 }
@@ -327,6 +294,13 @@ pub fn measure_uplink_bandwidth_unscheduled<P: ControlPlane + SinkHost>(
 ///    to the controller at time t0 + δ (using nsend)."
 /// 4. "The controller then waits for the UDP packets from the endpoint,
 ///    records their arrival times, and calculates the uplink bandwidth."
+///
+/// `delay_ns` is δ, the lead before the burst departs. It must cover
+/// command delivery: datagrams whose `nsend` arrives after t₀ + δ leave as
+/// their commands land, and the estimate then reads the control channel's
+/// pace, as [`measure_uplink_bandwidth_unscheduled`] does. Bursts over 16
+/// datagrams size the lead themselves from a coarse round; shorter ones
+/// take δ as given.
 ///
 /// Runs over the simulation harness (the controller's UDP sink lives on
 /// its simulated host).
@@ -505,10 +479,7 @@ pub mod aio {
         // One command per datagram, each waiting for its response: the control
         // RTT paces the burst.
         for i in 0..n_packets {
-            let mut payload = vec![0u8; payload_len];
-            payload[..4.min(payload_len)]
-                .copy_from_slice(&i.to_le_bytes()[..4.min(payload_len)]);
-            ctrl.nsend(SKT, 0, payload).await?;
+            ctrl.nsend(SKT, 0, probe_payload(i, payload_len)).await?;
         }
         // Adaptive arrival horizon. The burst is paced by the control-channel
         // round trip, so its duration scales with the link: a fixed horizon
@@ -591,11 +562,10 @@ pub mod aio {
         //    precisely what the estimate measures.
         let burst_time = t0 + delay_ns;
         let cmds: Vec<_> = (0..n_packets)
-            .map(|i| {
-                let mut payload = vec![0u8; payload_len];
-                payload[..4.min(payload_len)]
-                    .copy_from_slice(&i.to_le_bytes()[..4.min(payload_len)]);
-                crate::wire::Command::NSend { sktid: skt, time: burst_time, data: payload }
+            .map(|i| crate::wire::Command::NSend {
+                sktid: skt,
+                time: burst_time,
+                data: probe_payload(i, payload_len),
             })
             .collect();
         // Pipelined: the whole block is scheduled in ~one control round trip,
@@ -610,7 +580,7 @@ pub mod aio {
         let sync = ctrl.sync_clock(2).await?;
         let ctrl_burst_time = sync.to_controller(burst_time);
         // Generous horizon: burst duration at 1 Mbps plus slack.
-        let ip_len = (payload_len + 28) as u64;
+        let ip_len = payload_len as u64 + UDP_IP_OVERHEAD;
         let horizon = ctrl_burst_time + n_packets as u64 * ip_len * 8 * 1_000 + 5_000_000_000;
         ctrl.wait_until(horizon).await;
 
@@ -687,5 +657,26 @@ mod estimate_tests {
         let bytes = 2 * (500 + 28) as u64;
         let expect = bytes as f64 * 8.0 / (25.0 / 1e9);
         assert_eq!(e.bits_per_sec, expect);
+    }
+
+    #[test]
+    fn dispersion_holds_the_link_rate_through_loss() {
+        // A 10 Mbit/s train of 1000-byte datagrams, spaced by their
+        // serialization time, with every third one lost.
+        let spacing = (1000 + UDP_IP_OVERHEAD) * 8 * 1_000_000_000 / 10_000_000;
+        let train = |seqs: Vec<u32>| -> Vec<_> {
+            seqs.into_iter()
+                .map(|i| (1_000_000 + i as u64 * spacing, Ipv4Addr::new(10, 0, 0, 1), 9999, i, 1000))
+                .collect()
+        };
+        let e = estimate_from_arrivals(24, &train((0..24).filter(|i| i % 3 != 2).collect()), false);
+        assert_eq!(e.received, 16);
+        assert_eq!(e.dispersion_bps, 10_000_000);
+        // The first/last fold counts 15 datagrams over 22 slots.
+        assert!(e.bits_per_sec < 7_000_000.0, "{}", e.bits_per_sec);
+        // Three arrivals are two pairs: a first/last rate, no dispersion.
+        let e = estimate_from_arrivals(3, &train(vec![0, 1, 2]), false);
+        assert_eq!(e.dispersion_bps, 0);
+        assert!((e.bits_per_sec - 10_000_000.0).abs() < 1.0, "{}", e.bits_per_sec);
     }
 }

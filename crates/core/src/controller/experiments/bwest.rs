@@ -28,12 +28,11 @@
 //! grade.
 
 use super::UDP_IP_OVERHEAD;
-use crate::controller::aio::{block_on, Plane, Sink};
-use crate::controller::{probe_seq, ClockSync, ControlPlane, ControllerError, SinkHost};
+use crate::controller::aio::{block_on, Plane};
+use crate::controller::{probe_payload, probe_seq, ClockSync, ControlPlane, ControllerError};
 use crate::memory::{EndpointMemory, SockStat, SOCKSTAT_ENTRY};
 use crate::wire::{Command, Response};
 use std::net::Ipv4Addr;
-use std::ops::Range;
 
 /// Destination UDP echo service port (the classic inetd echo port).
 pub const UDP_ECHO_PORT: u16 = 7;
@@ -60,22 +59,12 @@ const CHUNK_BYTES: usize = 64 * 1024;
 /// unfinished this long after its scheduled start is reported stalled.
 const PROBE_DEADLINE_NS: u64 = 15_000_000_000;
 
-/// The dispersion train's shape: what callers size to the link under
-/// test. The defaults suit access links in the 1–50 Mbit/s range (the
-/// ground-truth corpus in `plab_netsim::roster`).
-#[derive(Debug, Clone, Copy)]
-pub struct BwestConfig {
-    /// Datagrams in the dispersion train.
-    pub train_len: u32,
-    /// Dispersion probe payload bytes (sequence number in the first 4).
-    pub train_payload: usize,
-}
-
-impl Default for BwestConfig {
-    fn default() -> Self {
-        BwestConfig { train_len: 24, train_payload: 1000 }
-    }
-}
+/// Datagrams per dispersion train. With `TRAIN_PAYLOAD` it sizes the
+/// train for access links in the 1–50 Mbit/s range (the ground-truth
+/// corpus in `plab_netsim::roster`).
+const TRAIN_LEN: u32 = 24;
+/// Payload bytes per train datagram (sequence number in the first 4).
+const TRAIN_PAYLOAD: usize = 1000;
 
 /// How much to trust a [`DestEstimate`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,7 +105,7 @@ pub struct TcpProbeResult {
 pub struct DispersionResult {
     /// Median dispersion rate, bits per second.
     pub bits_per_sec: u64,
-    /// Echoes received (of [`BwestConfig::train_len`] probes).
+    /// Echoes received (of the train's 24 probes).
     pub echoes: u32,
     /// Consecutive-arrival pairs behind the median.
     pub pairs: u32,
@@ -415,37 +404,32 @@ async fn tcp_probe<P: Plane>(
     Ok(Some(result))
 }
 
-/// A train's arrivals: (arrival time ns, sequence within the train,
-/// payload length).
-type Arrivals = Vec<(u64, u32, usize)>;
-
-/// One dispersion measurement over the open UDP socket `skt`, closed on
-/// the way out: schedule a back-to-back train, let `gather` collect its
-/// [`Arrivals`], take the median sequence-gap-normalized spacing rate.
-/// Retries with a longer lead when command delivery overruns the scheduled
-/// departure; each attempt numbers its probes from a disjoint range, handed
-/// to `gather` with the scheduled start, so an earlier attempt's arrivals
-/// are ignored. `rtt_ns` is `path_rtt` when the caller has one, else the
-/// earliest arrival's stamp minus its actual transmit time from the
-/// send-time log (an echo's round trip).
-async fn dispersion_train<P: Plane>(
+/// The dispersion probe over UDP socket `skt`, closed on the way out:
+/// schedule a back-to-back train to the destination's echo port, gather
+/// its echoes via `npoll`, take the median sequence-gap-normalized spacing
+/// rate. Retries with a longer lead when command delivery overruns the
+/// scheduled departure; each attempt numbers its probes from a disjoint
+/// range, so an earlier attempt's echoes are ignored. `rtt_ns` is the
+/// earliest echo's stamp minus its actual transmit time from the
+/// send-time log.
+async fn dispersion_probe<P: Plane>(
     ctrl: &mut P,
     skt: u32,
-    cfg: &BwestConfig,
-    rtt: u64,
-    path_rtt: Option<u64>,
-    mut gather: impl AsyncFnMut(&mut P, u64, Range<u32>) -> Result<Arrivals, ControllerError>,
+    locport: u16,
+    dest: Ipv4Addr,
+    sync: &ClockSync,
 ) -> Result<Option<DispersionResult>, ControllerError> {
+    if soft(ctrl.nopen_udp(skt, locport, dest, UDP_ECHO_PORT).await)?.is_none() {
+        return Ok(None);
+    }
+    let rtt = sync.min_rtt.max(1_000_000);
     M_PROBES.inc();
-    let payload_len = cfg.train_payload.max(4);
-    let mut lead = cfg.train_len as u64 * 2 * rtt + 300_000_000;
+    let mut lead = TRAIN_LEN as u64 * 2 * rtt + 300_000_000;
     let mut best = None;
     for attempt in 0..4u32 {
         let seq_base = attempt * 1000;
-        let (tags, start, late) = schedule_block(ctrl, skt, cfg.train_len, lead, rtt, |i| {
-            let mut p = vec![0u8; payload_len];
-            p[..4].copy_from_slice(&(seq_base + i).to_le_bytes());
-            p
+        let (tags, start, late) = schedule_block(ctrl, skt, TRAIN_LEN, lead, rtt, |i| {
+            probe_payload(seq_base + i, TRAIN_PAYLOAD)
         })
         .await?;
         if late > 0 {
@@ -454,7 +438,27 @@ async fn dispersion_train<P: Plane>(
             lead = (lead + late) * 2;
             continue;
         }
-        let arrivals = gather(ctrl, start, seq_base..seq_base + cfg.train_len).await?;
+        // Gather echoes until the train is fully answered or the deadline
+        // (endpoint clock) lapses.
+        let seqs = seq_base..seq_base + TRAIN_LEN;
+        let deadline = start + 3_000_000_000 + 2 * rtt;
+        let mut arrivals = Vec::new();
+        loop {
+            let poll = ctrl.npoll(deadline).await?;
+            let got = !poll.packets.is_empty();
+            for (pskt, trcv, payload) in &poll.packets {
+                let seq = probe_seq(payload);
+                if *pskt == skt && seqs.contains(&seq) {
+                    arrivals.push((*trcv, seq - seq_base, payload.len()));
+                }
+            }
+            if arrivals.len() >= TRAIN_LEN as usize {
+                break;
+            }
+            if !got || ctrl.read_clock().await? >= deadline {
+                break;
+            }
+        }
         plab_obs::obs_event!(
             plab_obs::Component::Controller,
             "bwest.train",
@@ -462,13 +466,12 @@ async fn dispersion_train<P: Plane>(
             "attempt" = attempt as u64
         );
         if let Some((bps, pairs)) = dispersion_from_arrivals(&arrivals) {
-            let rtt_ns = match (path_rtt, arrivals.iter().min_by_key(|a| a.0)) {
-                (Some(known), _) => known,
-                (None, Some(&(trcv, seq, _))) => ctrl
+            let rtt_ns = match arrivals.iter().min_by_key(|a| a.0) {
+                Some(&(trcv, seq, _)) => ctrl
                     .read_send_time(tags[seq as usize])
                     .await?
                     .map_or(0, |tsnd| trcv.saturating_sub(tsnd)),
-                (None, None) => 0,
+                None => 0,
             };
             best = Some(DispersionResult {
                 bits_per_sec: bps,
@@ -481,47 +484,6 @@ async fn dispersion_train<P: Plane>(
     }
     let _ = soft(ctrl.nclose(skt).await)?;
     Ok(best)
-}
-
-/// The dispersion probe: a train to the destination's echo port, its
-/// echoes gathered via `npoll`.
-async fn dispersion_probe<P: Plane>(
-    ctrl: &mut P,
-    skt: u32,
-    locport: u16,
-    dest: Ipv4Addr,
-    cfg: &BwestConfig,
-    sync: &ClockSync,
-) -> Result<Option<DispersionResult>, ControllerError> {
-    if soft(ctrl.nopen_udp(skt, locport, dest, UDP_ECHO_PORT).await)?.is_none() {
-        return Ok(None);
-    }
-    let rtt = sync.min_rtt.max(1_000_000);
-    let train_len = cfg.train_len as usize;
-    dispersion_train(ctrl, skt, cfg, rtt, None, async |ctrl: &mut P, start, seqs: Range<u32>| {
-        // Gather echoes until the train is fully answered or the deadline
-        // (endpoint clock) lapses.
-        let deadline = start + 3_000_000_000 + 2 * rtt;
-        let mut arrivals = Arrivals::new();
-        loop {
-            let poll = ctrl.npoll(deadline).await?;
-            let got = !poll.packets.is_empty();
-            for (pskt, trcv, payload) in &poll.packets {
-                let seq = probe_seq(payload);
-                if *pskt == skt && seqs.contains(&seq) {
-                    arrivals.push((*trcv, seq - seqs.start, payload.len()));
-                }
-            }
-            if arrivals.len() >= train_len {
-                break;
-            }
-            if !got || ctrl.read_clock().await? >= deadline {
-                break;
-            }
-        }
-        Ok(arrivals)
-    })
-    .await
 }
 
 /// Merge the two probes into one estimate. The TCP probe wins while its
@@ -564,26 +526,12 @@ fn combine(
 pub fn estimate_path_bandwidth<P: ControlPlane>(
     ctrl: &mut P,
     dests: &[Ipv4Addr],
-    cfg: &BwestConfig,
 ) -> Result<BwestReport, ControllerError> {
-    block_on(aio::estimate_path_bandwidth(ctrl, dests, cfg))
+    block_on(aio::estimate_path_bandwidth(ctrl, dests))
 }
 
-/// Fleet-scale uplink variant: the dispersion train targets a UDP sink on
-/// the *controller's* host (no destination infrastructure needed), and
-/// arrivals come from [`SinkHost::sink_take`]. This is the probe the
-/// runner's `ExperimentSpec` dispatches across thousands of endpoints.
-pub fn measure_uplink_dispersion<P: ControlPlane + SinkHost>(
-    ctrl: &mut P,
-    sink_port: u16,
-    cfg: &BwestConfig,
-) -> Result<Option<DispersionResult>, ControllerError> {
-    block_on(aio::measure_uplink_dispersion(ctrl, sink_port, cfg))
-}
-
-/// The suite's two entry points as `async` bodies over any
-/// [`Plane`]; the functions of the parent module are their blocking
-/// shells.
+/// The suite's entry point as an `async` body over any [`Plane`]; the
+/// function of the parent module is its blocking shell.
 pub mod aio {
     use super::*;
 
@@ -591,7 +539,6 @@ pub mod aio {
     pub async fn estimate_path_bandwidth<P: Plane>(
         ctrl: &mut P,
         dests: &[Ipv4Addr],
-        cfg: &BwestConfig,
     ) -> Result<BwestReport, ControllerError> {
         let sync = ctrl.sync_clock(4).await?;
         let mut out = Vec::with_capacity(dests.len());
@@ -604,7 +551,7 @@ pub mod aio {
             // aborting the remaining destinations; transport failures
             // (`Unreachable`) still abort the suite.
             let dispersion =
-                soft(dispersion_probe(ctrl, skt, locport, dest, cfg, &sync).await)?.flatten();
+                soft(dispersion_probe(ctrl, skt, locport, dest, &sync).await)?.flatten();
             let tcp = soft(tcp_probe(ctrl, skt + 1, locport + 1, dest, &sync).await)?.flatten();
             let (bits_per_sec, confidence, window_limited) = combine(&tcp, &dispersion);
             plab_obs::obs_event!(
@@ -623,48 +570,6 @@ pub mod aio {
             });
         }
         Ok(BwestReport { dests: out, sync })
-    }
-
-    /// [`super::measure_uplink_dispersion`], resumable.
-    pub async fn measure_uplink_dispersion<P: Plane + Sink>(
-        ctrl: &mut P,
-        sink_port: u16,
-        cfg: &BwestConfig,
-    ) -> Result<Option<DispersionResult>, ControllerError> {
-        const SKT: u32 = 8;
-        let sync = ctrl.sync_clock(4).await?;
-        let rtt = sync.min_rtt.max(1_000_000);
-        let sink_addr = ctrl.sink_addr();
-        ctrl.sink_bind(sink_port);
-        let _ = ctrl.sink_take(sink_port);
-        if soft(ctrl.nopen_udp(SKT, 21_900, sink_addr, sink_port).await)?.is_none() {
-            return Ok(None);
-        }
-        let train_bits =
-            cfg.train_len as u64 * (cfg.train_payload.max(4) as u64 + UDP_IP_OVERHEAD) * 8;
-        dispersion_train(
-            ctrl,
-            SKT,
-            cfg,
-            rtt,
-            Some(sync.min_rtt),
-            async |ctrl: &mut P, start, seqs: Range<u32>| {
-                // One-way train: wait for it to land (train duration at
-                // 500 kbit/s plus grace), then drain the sink once — no
-                // control traffic rides the uplink while the train is in
-                // flight.
-                let horizon =
-                    sync.to_controller(start) + train_bits * 2_000 + 2 * rtt + 500_000_000;
-                ctrl.wait_until(horizon).await;
-                Ok(ctrl
-                    .sink_take(sink_port)
-                    .into_iter()
-                    .filter(|(.., seq, _)| seqs.contains(seq))
-                    .map(|(t, _, _, seq, len)| (t, seq - seqs.start, len))
-                    .collect())
-            },
-        )
-        .await
     }
 }
 

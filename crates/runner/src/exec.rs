@@ -42,7 +42,7 @@ use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
 use packetlab::controller::aio::{Channel, Dialer, Sink};
-use packetlab::controller::experiments::{aio as probes, bwest};
+use packetlab::controller::experiments::aio as probes;
 use packetlab::controller::robust::{RetryPolicy, RetryStats, RobustController};
 use packetlab::controller::{probe_seq, ControllerError, Credentials};
 use packetlab::endpoint::EndpointConfig;
@@ -336,8 +336,8 @@ async fn run_task(
                 Detail::Ping {
                     sent: s.sent,
                     replies: s.replies.len() as u32,
-                    min_rtt: s.replies.iter().map(|r| r.rtt).min().unwrap_or(0),
-                    max_rtt: s.replies.iter().map(|r| r.rtt).max().unwrap_or(0),
+                    min_rtt: s.min_rtt().unwrap_or(0),
+                    max_rtt: s.max_rtt().unwrap_or(0),
                 }
             })
         }
@@ -351,22 +351,8 @@ async fn run_task(
                     sent: b.sent,
                     received: b.received,
                     kbits_per_sec: (b.bits_per_sec / 1000.0) as u64,
+                    dispersion_kbits_per_sec: b.dispersion_bps / 1000,
                 })
-        }
-        Program::Bwest { sink_port, train_len, payload_len } => {
-            let cfg = bwest::BwestConfig { train_len, train_payload: payload_len };
-            bwest::aio::measure_uplink_dispersion(&mut ctrl, sink_port, &cfg).await.map(|d| {
-                match d {
-                    Some(d) => Detail::Bwest {
-                        echoes: d.echoes,
-                        pairs: d.pairs,
-                        kbits_per_sec: d.bits_per_sec / 1000,
-                    },
-                    // The probe ran but never produced three usable pairs
-                    // (every attempt slipped or the train was lost).
-                    None => Detail::Bwest { echoes: 0, pairs: 0, kbits_per_sec: 0 },
-                }
-            })
         }
     };
     match r {

@@ -69,16 +69,10 @@ pub enum Detail {
         received: u32,
         /// Estimated goodput in kilobits per second, truncated.
         kbits_per_sec: u64,
-    },
-    /// Dispersion-probe (bwest) results.
-    Bwest {
-        /// Train packets observed at the sink.
-        echoes: u32,
-        /// Consecutive arrival pairs the estimate is the median of.
-        pairs: u32,
-        /// Estimated path bandwidth in kilobits per second, truncated
-        /// (0 when the train never yielded three usable pairs).
-        kbits_per_sec: u64,
+        /// The same arrivals' median sequence-gap-normalized spacing rate
+        /// in kilobits per second, truncated (0 with fewer than three
+        /// usable pairs).
+        dispersion_kbits_per_sec: u64,
     },
 }
 
@@ -93,11 +87,8 @@ impl Detail {
             Detail::Traceroute { hops, reached } => {
                 format!("{{\"kind\":\"traceroute\",\"hops\":{hops},\"reached\":{reached}}}")
             }
-            Detail::Bandwidth { sent, received, kbits_per_sec } => format!(
-                "{{\"kind\":\"bandwidth\",\"sent\":{sent},\"received\":{received},\"kbits_per_sec\":{kbits_per_sec}}}"
-            ),
-            Detail::Bwest { echoes, pairs, kbits_per_sec } => format!(
-                "{{\"kind\":\"bwest\",\"echoes\":{echoes},\"pairs\":{pairs},\"kbits_per_sec\":{kbits_per_sec}}}"
+            Detail::Bandwidth { sent, received, kbits_per_sec, dispersion_kbits_per_sec } => format!(
+                "{{\"kind\":\"bandwidth\",\"sent\":{sent},\"received\":{received},\"kbits_per_sec\":{kbits_per_sec},\"dispersion_kbits_per_sec\":{dispersion_kbits_per_sec}}}"
             ),
         }
     }

@@ -29,7 +29,8 @@ pub enum Program {
         max_ttl: u8,
     },
     /// §4 scheduled-send uplink bandwidth estimate into a UDP sink on the
-    /// pair's controller host.
+    /// pair's controller host, read two ways from the same arrivals: the
+    /// first/last-arrival rate and the loss-robust dispersion median.
     Bandwidth {
         /// Controller-side UDP sink port.
         sink_port: u16,
@@ -37,20 +38,12 @@ pub enum Program {
         packets: u32,
         /// UDP payload length.
         payload_len: usize,
-        /// Scheduled inter-departure gap, ns.
+        /// δ: the lead from the endpoint clock read t₀ to the burst's
+        /// departure, ns. A lead shorter than command delivery sends each
+        /// datagram as its command lands, and the estimate measures the
+        /// control channel instead of the access link (bursts over 16
+        /// datagrams lengthen it from a coarse round).
         delay_ns: u64,
-    },
-    /// `plab-bwest` uplink dispersion probe into a UDP sink on the pair's
-    /// controller host: one back-to-back scheduled train, bandwidth from
-    /// the median sequence-gap-normalized arrival spacing (loss-robust,
-    /// window-independent — the cross-check half of the bwest suite).
-    Bwest {
-        /// Controller-side UDP sink port.
-        sink_port: u16,
-        /// Packets per dispersion train.
-        train_len: u32,
-        /// UDP payload length per train packet.
-        payload_len: usize,
     },
 }
 

@@ -63,12 +63,16 @@ fn traceroute_fleet_reaches_across_pods() {
 
 #[test]
 fn bandwidth_fleet_measures_finite_access_links() {
+    // δ must cover command delivery: the eight `nsend`s reach the endpoint
+    // one stop-and-wait round trip apart, and any that land after t₀ + δ
+    // leave at the control channel's pace (a 2 ms lead read 343 kbit/s
+    // here).
     let spec = ExperimentSpec {
         program: Program::Bandwidth {
             sink_port: 7000,
             packets: 8,
             payload_len: 512,
-            delay_ns: 2_000_000,
+            delay_ns: 500_000_000,
         },
         ..ExperimentSpec::ping("smoke-bw")
     };
@@ -77,36 +81,20 @@ fn bandwidth_fleet_measures_finite_access_links() {
     for t in &r.results {
         assert_eq!(t.outcome, Outcome::Completed, "endpoint {}: {:?}", t.endpoint, t.cause);
         match t.detail {
-            plab_runner::Detail::Bandwidth { received, kbits_per_sec, .. } => {
-                assert!(received > 0, "endpoint {}", t.endpoint);
-                assert!(kbits_per_sec > 0, "endpoint {}", t.endpoint);
-            }
-            ref other => panic!("unexpected detail {other:?}"),
-        }
-    }
-}
-
-#[test]
-fn bwest_fleet_estimates_access_bandwidth() {
-    let spec = ExperimentSpec {
-        program: Program::Bwest { sink_port: 7100, train_len: 24, payload_len: 1000 },
-        ..ExperimentSpec::ping("smoke-bwest")
-    };
-    let roster = RosterSpec { access_mbps: 10, ..small_roster() };
-    let r = run(&spec, &roster, &SchedulerConfig { max_concurrency: 2, ..Default::default() });
-    for t in &r.results {
-        assert_eq!(t.outcome, Outcome::Completed, "endpoint {}: {:?}", t.endpoint, t.cause);
-        match t.detail {
-            plab_runner::Detail::Bwest { echoes, pairs, kbits_per_sec } => {
-                assert!(echoes >= 3, "endpoint {}: train lost ({echoes} echoes)", t.endpoint);
-                assert!(pairs >= 2, "endpoint {}", t.endpoint);
-                // Dispersion over the clean 10 Mbit/s access bottleneck
-                // must land inside the suite's 20% accuracy budget.
-                assert!(
-                    (8_000..=12_000).contains(&kbits_per_sec),
-                    "endpoint {}: {kbits_per_sec} kbit/s vs 10 Mbit/s truth",
-                    t.endpoint
-                );
+            plab_runner::Detail::Bandwidth {
+                received, kbits_per_sec, dispersion_kbits_per_sec, ..
+            } => {
+                assert_eq!(received, 8, "endpoint {}", t.endpoint);
+                // Both folds of the burst over the clean 10 Mbit/s access
+                // link land inside 20 % of it.
+                for kbits in [kbits_per_sec, dispersion_kbits_per_sec] {
+                    assert!(
+                        (8_000..=12_000).contains(&kbits),
+                        "endpoint {}: {kbits_per_sec} (first/last) and \
+                         {dispersion_kbits_per_sec} (dispersion) kbit/s vs 10 Mbit/s truth",
+                        t.endpoint
+                    );
+                }
             }
             ref other => panic!("unexpected detail {other:?}"),
         }
