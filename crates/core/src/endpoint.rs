@@ -197,6 +197,12 @@ impl EndpointAgent {
         self.sessions.len()
     }
 
+    /// Whether a detached session is waiting out its linger window, which
+    /// [`EndpointAgent::service`] ends on the clock.
+    pub fn lingering(&self) -> bool {
+        self.detached > 0
+    }
+
     /// Whether a new session would be admitted right now (the reactor
     /// consults this before accepting, so over-capacity connections get a
     /// typed [`ErrCode::Busy`] refusal instead of silence).

@@ -82,6 +82,15 @@ struct UdpEchoHost {
     port: u16,
 }
 
+/// Indices into the harness's host lists, one list per kind, indexed by
+/// [`SINK`], [`ECHO`], [`EP`] and [`RV`] (the order a pass services them
+/// in): the hosts on one node, or those one pass services.
+type Hosts = [Vec<usize>; 4];
+const SINK: usize = 0;
+const ECHO: usize = 1;
+const EP: usize = 2;
+const RV: usize = 3;
+
 /// Handle identifying an endpoint within a [`SimNet`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EndpointId(usize);
@@ -110,14 +119,13 @@ pub struct SimNet {
     udp_echoes: Vec<UdpEchoHost>,
     /// Controller-side listeners: (node, port) → accepted conns.
     listeners: Vec<(NodeId, u16, Vec<u64>)>,
-    /// Sparse servicing: only agents on nodes the simulator touched since
-    /// the last [`SimNet::process`] are serviced (see
-    /// [`SimNet::set_sparse`]).
+    /// Sparse servicing, the fleet's contract (see [`SimNet::set_sparse`]).
     sparse: bool,
-    /// node index → endpoint indices on that node (sparse-mode lookup).
-    node_eps: HashMap<usize, Vec<usize>>,
-    /// node index → rendezvous indices on that node (sparse-mode lookup).
-    node_rvs: HashMap<usize, Vec<usize>>,
+    /// node index → the hosts on that node.
+    on_node: HashMap<usize, Hosts>,
+    /// Dense: the endpoints the last pass left work to that no event
+    /// announces (see [`SimNet::process`]).
+    unsettled: Vec<usize>,
     /// Sparse mode: the dirty nodes of every pass, for an external
     /// scheduler to drain via [`SimNet::take_serviced_nodes`].
     serviced: Vec<NodeId>,
@@ -134,7 +142,8 @@ impl SimNet {
     /// services agents between events, so it advances via the
     /// deterministic global-merge [`ShardedSim::step`]; chaos digests for
     /// a fixed `(seed, shard_count)` replay bit-for-bit.
-    pub fn new_sharded(sim: ShardedSim) -> Self {
+    pub fn new_sharded(mut sim: ShardedSim) -> Self {
+        sim.set_track_dirty(true);
         SimNet {
             sim,
             endpoints: Vec::new(),
@@ -143,8 +152,8 @@ impl SimNet {
             udp_echoes: Vec::new(),
             listeners: Vec::new(),
             sparse: false,
-            node_eps: HashMap::new(),
-            node_rvs: HashMap::new(),
+            on_node: HashMap::new(),
+            unsettled: Vec::new(),
             serviced: Vec::new(),
         }
     }
@@ -155,20 +164,16 @@ impl SimNet {
         std::mem::take(&mut self.serviced)
     }
 
-    /// Switch on sparse servicing: each [`SimNet::process`] services only
-    /// agents on nodes the simulator actually touched (packet delivery,
-    /// timer fire, scheduled send, crash/restart) since the previous call,
-    /// in endpoint-index order. With thousands of mostly-idle endpoints
-    /// this turns the O(endpoints) per-event scan into O(dirty). The
-    /// servicing *order* stays a pure function of the event sequence, so
-    /// sparse runs replay bit-identically; dense (default) mode is
-    /// untouched and keeps its pinned chaos digests. The nodes each pass
-    /// serviced accumulate for [`SimNet::take_serviced_nodes`] (the fleet
-    /// runner re-examines the tasks parked on them), so whoever switches
-    /// this on drains that list.
+    /// Switch on sparse servicing, the fleet runner's contract (RUNNER.md):
+    /// [`SimNet::step`] is [`SimNet::step_quiet`]; a pass services the
+    /// hosts on the nodes the simulator touched and no others, even those
+    /// with work no event announces (see [`SimNet::process`]); and the
+    /// nodes each pass serviced accumulate for
+    /// [`SimNet::take_serviced_nodes`] (the runner re-examines the tasks
+    /// parked on them), so whoever switches this on drains that list.
     pub fn set_sparse(&mut self, on: bool) {
         self.sparse = on;
-        self.sim.set_track_dirty(on);
+        self.unsettled.clear();
     }
 
     /// Install a PacketLab endpoint agent on `node`, listening on
@@ -201,7 +206,7 @@ impl SimNet {
             announcements: Vec::new(),
         });
         let idx = self.endpoints.len() - 1;
-        self.node_eps.entry(node.0).or_default().push(idx);
+        self.on_node.entry(node.0).or_default()[EP].push(idx);
         EndpointId(idx)
     }
 
@@ -215,10 +220,7 @@ impl SimNet {
             sessions: HashMap::new(),
             next_sid: 1,
         });
-        self.node_rvs
-            .entry(node.0)
-            .or_default()
-            .push(self.rendezvous.len() - 1);
+        self.on_node.entry(node.0).or_default()[RV].push(self.rendezvous.len() - 1);
     }
 
     /// Access the `i`-th rendezvous server (e.g. for subscriber-count
@@ -301,6 +303,7 @@ impl SimNet {
     /// connections are drained continuously.
     pub fn add_tcp_sink(&mut self, node: NodeId, port: u16) {
         self.sim.tcp_listen(node, port);
+        self.on_node.entry(node.0).or_default()[SINK].push(self.tcp_sinks.len());
         self.tcp_sinks.push(TcpSinkHost { node, port, conns: Vec::new() });
     }
 
@@ -309,6 +312,7 @@ impl SimNet {
     /// services agents. The bwest dispersion probe's destination side.
     pub fn add_udp_echo(&mut self, node: NodeId, port: u16) {
         self.sim.udp_bind(node, port);
+        self.on_node.entry(node.0).or_default()[ECHO].push(self.udp_echoes.len());
         self.udp_echoes.push(UdpEchoHost { node, port });
     }
 
@@ -346,34 +350,33 @@ impl SimNet {
     }
 
     /// Process one simulator event (if any) plus agent servicing; returns
-    /// false when no event was pending. Dense: one pass after the event (the
-    /// last step or send serviced all before it; debug builds assert so), and
-    /// endpoints it left a control connection queued on ([`SimNet::process`]).
-    /// Sparse: [`SimNet::step_quiet`] with no instant to keep going before.
+    /// false when no event was pending. Dense: [`SimNet::process`]'s pass
+    /// after the event (the last step or send serviced all before it), and
+    /// for the endpoints it serviced that it left a control connection
+    /// queued on, a catch-up at the same instant. Sparse:
+    /// [`SimNet::step_quiet`] with no instant to keep going before.
     pub fn step(&mut self) -> bool {
         if self.sparse {
             return self.step_quiet(0);
         }
-        if cfg!(debug_assertions) {
-            let before = self.activity();
-            self.pass();
-            assert_eq!(self.activity(), before, "a skipped servicing pass had work");
-        }
         let stepped = self.sim.step();
-        self.process();
-        for i in 0..self.endpoints.len() {
+        let hosts = self.serve();
+        for &i in &hosts[EP] {
             let ep = &mut self.endpoints[i];
             if let Some(conn) = self.sim.tcp_accept(ep.node, ep.port) {
                 ep.reactor.accept(conn);
                 self.service_endpoint(i, &[]);
             }
         }
+        self.settle(hosts);
         stepped
     }
 
     /// What a pass that did anything changes.
     fn activity(&self) -> (u64, usize) {
-        let sessions = self.endpoints.iter().map(|e| e.reactor.sessions().count());
+        let sessions = self.endpoints.iter().map(|e| {
+            e.reactor.sessions().count() + e.reactor.agent().session_count()
+        });
         let rv_sessions = self.rendezvous.iter().map(|r| r.sessions.len());
         (self.sim.activity(), sessions.chain(rv_sessions).sum())
     }
@@ -381,7 +384,7 @@ impl SimNet {
     /// One event between two `process()` passes (the sparse contract,
     /// RUNNER.md), and then every following event strictly before
     /// `before` for as long as the simulator stays quiet
-    /// ([`ShardedSim::quiet`]: sparse mode, and the events so far marked
+    /// ([`ShardedSim::quiet`]: the events so far marked
     /// no node, fired no timer, crashed nothing — router hops, four
     /// events in five of a fleet pass), servicing agents once at the end
     /// rather than twice per hop. For a driver with nothing of its own to
@@ -394,7 +397,7 @@ impl SimNet {
         while self.sim.quiet() && self.sim.next_event_time().is_some_and(|t| t < before) {
             if cfg!(debug_assertions) {
                 let (serviced, next) = (self.serviced.len(), self.sim.next_event_time());
-                self.pass();
+                self.pass(false);
                 let after = (self.serviced.len(), self.sim.next_event_time(), self.sim.quiet());
                 assert_eq!(after, (serviced, next, true), "a quiet event left agents work");
             }
@@ -404,17 +407,91 @@ impl SimNet {
         stepped
     }
 
-    /// Service every agent once at the current instant (`harness.passes`):
-    /// one pass, not until quiescent. An endpoint accepts before it hands
+    /// Service, once, the hosts with anything to do at the current instant
+    /// (`harness.passes`): those on nodes the simulator touched since the
+    /// last pass. Dense, also the endpoints the last pass left work that
+    /// no event announces, and every rendezvous server; and no pass at all
+    /// when there are none of these. An endpoint accepts before it hands
     /// deferred OS segments to the stack, which may complete a handshake.
     pub fn process(&mut self) {
-        static PASSES: plab_obs::metrics::Counter =
-            plab_obs::metrics::Counter::new("harness.passes");
-        PASSES.inc();
-        self.pass();
+        let hosts = self.serve();
+        self.settle(hosts);
     }
 
-    fn pass(&mut self) {
+    /// [`SimNet::process`]'s pass, returning the hosts it serviced.
+    fn serve(&mut self) -> Hosts {
+        static PASSES: plab_obs::metrics::Counter =
+            plab_obs::metrics::Counter::new("harness.passes");
+        let idle = self.sim.quiet() && self.unsettled.is_empty() && self.rendezvous.is_empty();
+        if !self.sparse && idle {
+            return Hosts::default();
+        }
+        PASSES.inc();
+        self.pass(false)
+    }
+
+    /// Dense: note which of the endpoints just serviced are unsettled.
+    /// Debug builds then service every host the next pass may leave out
+    /// and assert that it did nothing.
+    fn settle(&mut self, hosts: Hosts) {
+        if self.sparse {
+            return;
+        }
+        let [_, _, eps, _] = hosts;
+        self.unsettled = eps.into_iter().filter(|&i| self.endpoint_unsettled(i)).collect();
+        if cfg!(debug_assertions) {
+            let before = self.activity();
+            self.pass(true);
+            assert_eq!(self.activity(), before, "a skipped servicing pass had work");
+        }
+    }
+
+    /// Has endpoint `i` work that no event on its node will announce? A
+    /// detached session, whose linger window runs on the clock; commands
+    /// backpressure held back; a connection that died after its service
+    /// noted the dead ones; a control connection whose handshake a
+    /// deferred segment completed after its service accepted.
+    fn endpoint_unsettled(&self, i: usize) -> bool {
+        let ep = &self.endpoints[i];
+        ep.reactor.agent().lingering()
+            || ep.reactor.queued_in_messages() > 0
+            || ep.reactor.sessions().any(|(_, conn)| self.gone(ep.node, conn))
+            || self.sim.tcp_acceptable(ep.node, ep.port)
+    }
+
+    /// Is `conn` on `node` closed, or has its peer finished and been read?
+    fn gone(&self, node: NodeId, conn: u64) -> bool {
+        self.sim.tcp_closed(node, conn) || self.sim.tcp_peer_done(node, conn)
+    }
+
+    /// What [`SimNet::process`] services, each kind in index order: nodes
+    /// arrive in first-touch order (shard-major), and sorting makes the
+    /// service order a pure function of the event sequence.
+    fn marked(&mut self, fired: &[(NodeId, u64)]) -> Hosts {
+        let dirty = self.sim.take_dirty_nodes();
+        let mut hosts = Hosts::default();
+        for n in dirty.iter().chain(fired.iter().map(|(n, _)| n)) {
+            for (all, here) in hosts.iter_mut().zip(self.on_node.get(&n.0).into_iter().flatten()) {
+                all.extend_from_slice(here);
+            }
+        }
+        if self.sparse {
+            self.serviced.extend_from_slice(&dirty);
+        } else {
+            hosts[EP].extend_from_slice(&self.unsettled);
+            hosts[RV] = (0..self.rendezvous.len()).collect();
+        }
+        for kind in &mut hosts {
+            kind.sort_unstable();
+            kind.dedup();
+        }
+        hosts
+    }
+
+    /// A pass over the hosts [`SimNet::marked`] selects, or (`check`) over
+    /// every host but the unsettled endpoints and the rendezvous servers,
+    /// which the next pass services anyway; returns the hosts it serviced.
+    fn pass(&mut self, check: bool) -> Hosts {
         // Crash/restart transitions: a crashed endpoint host loses its
         // agent process with it; a restarted one boots a fresh agent (same
         // operator config) and re-opens its control listener. Experiment
@@ -473,11 +550,20 @@ impl SimNet {
                 queue.push(conn);
             }
         }
-        // TCP sinks: accept, then drain every connection. Serviced
-        // unconditionally (sparse mode included) — sink worlds have a
-        // handful of sinks, and the receive window a drain reopens must
-        // open at the delivery event's instant, not a later dirty pass.
-        for s in &mut self.tcp_sinks {
+        let fired = self.sim.take_fired_timers();
+        let hosts = if check {
+            let (sinks, echoes) = (self.tcp_sinks.len(), self.udp_echoes.len());
+            let lens = [sinks, echoes, self.endpoints.len(), 0];
+            let mut hosts: Hosts = lens.map(|n| (0..n).collect());
+            hosts[EP].retain(|i| !self.unsettled.contains(i));
+            hosts
+        } else {
+            self.marked(&fired)
+        };
+        // TCP sinks: accept, then drain every connection, at the delivery
+        // event's instant (the receive window a drain reopens opens then).
+        for &i in &hosts[SINK] {
+            let s = &mut self.tcp_sinks[i];
             while let Some(conn) = self.sim.tcp_accept(s.node, s.port) {
                 s.conns.push(conn);
             }
@@ -485,57 +571,21 @@ impl SimNet {
                 while !self.sim.tcp_recv(s.node, conn, 65536).is_empty() {}
             }
         }
-        // UDP echo services: bounce every arrival back to its source.
-        // Serviced unconditionally, like the TCP sinks — the echo must
-        // depart at the delivery event's instant.
-        for e in &self.udp_echoes {
+        // UDP echo services: bounce every arrival back to its source, at
+        // the delivery event's instant.
+        for &i in &hosts[ECHO] {
+            let e = &self.udp_echoes[i];
             for (_t, src, src_port, payload) in self.sim.udp_recv(e.node, e.port) {
                 self.sim.udp_send(e.node, e.port, src, src_port, &payload);
             }
         }
-        let fired = self.sim.take_fired_timers();
-        if self.sparse {
-            // Service only agents on nodes the simulator touched. Dirty
-            // nodes arrive in first-touch order (shard-major); mapping to
-            // sorted agent indices makes the service order a pure function
-            // of the event sequence regardless of touch order.
-            let dirty = self.sim.take_dirty_nodes();
-            self.serviced.extend_from_slice(&dirty);
-            let mut eps: Vec<usize> = Vec::new();
-            let mut rvs: Vec<usize> = Vec::new();
-            for n in &dirty {
-                if let Some(v) = self.node_eps.get(&n.0) {
-                    eps.extend_from_slice(v);
-                }
-                if let Some(v) = self.node_rvs.get(&n.0) {
-                    rvs.extend_from_slice(v);
-                }
-            }
-            // Timer fires mark dirty at the simulator, but be robust to
-            // timers armed before tracking was switched on.
-            for (n, _) in &fired {
-                if let Some(v) = self.node_eps.get(&n.0) {
-                    eps.extend_from_slice(v);
-                }
-            }
-            eps.sort_unstable();
-            eps.dedup();
-            rvs.sort_unstable();
-            rvs.dedup();
-            for i in eps {
-                self.service_endpoint(i, &fired);
-            }
-            for i in rvs {
-                self.service_rendezvous(i);
-            }
-        } else {
-            for i in 0..self.endpoints.len() {
-                self.service_endpoint(i, &fired);
-            }
-            for i in 0..self.rendezvous.len() {
-                self.service_rendezvous(i);
-            }
+        for &i in &hosts[EP] {
+            self.service_endpoint(i, &fired);
         }
+        for &i in &hosts[RV] {
+            self.service_rendezvous(i);
+        }
+        hosts
     }
 
     fn service_endpoint(&mut self, i: usize, fired: &[(NodeId, u64)]) {
@@ -579,9 +629,7 @@ impl SimNet {
             let ep = &self.endpoints[i];
             ep.reactor
                 .sessions()
-                .filter(|&(_, conn)| {
-                    self.sim.tcp_closed(node, conn) || self.sim.tcp_peer_done(node, conn)
-                })
+                .filter(|&(_, conn)| self.gone(node, conn))
                 .map(|(sid, _)| sid)
                 .collect()
         };
@@ -697,9 +745,7 @@ impl SimNet {
                 .sessions
                 .get(&sid)
                 .map(|sc| sc.conn)
-                .map(|c| {
-                    (c, self.sim.tcp_closed(node, c) || self.sim.tcp_peer_done(node, c))
-                })
+                .map(|c| (c, self.gone(node, c)))
             else {
                 continue;
             };
@@ -728,10 +774,7 @@ impl SimNet {
                         .get(&to_sid)
                         .map(|sc| sc.conn);
                     match to_conn {
-                        Some(c)
-                            if !self.sim.tcp_closed(node, c)
-                                && !self.sim.tcp_peer_done(node, c) =>
-                        {
+                        Some(c) if !self.gone(node, c) => {
                             let frame = rv_frame(&reply);
                             self.sim.tcp_send(node, c, &frame);
                         }
@@ -1052,5 +1095,154 @@ mod tests {
         // endpoint's own ACK of the Hello to land at the controller, 1 ms
         // later.
         assert_eq!(ControlChannel::now(&chan), 6_272_000);
+    }
+
+    /// Two endpoints behind one router, and a controller that says Hello
+    /// to the first three times, each once the last was answered. `advance`
+    /// runs one event and the servicing after it, and returns the
+    /// endpoints it serviced. Returns what the controller read and when,
+    /// and every endpoint `advance` serviced.
+    fn three_hellos(advance: fn(&mut SimNet) -> Vec<usize>) -> (Vec<(u64, Vec<u8>)>, Vec<usize>) {
+        let mut t = plab_netsim::TopologyBuilder::new();
+        let r = t.router("r", Ipv4Addr::new(10, 0, 0, 254));
+        let a = t.host("a", Ipv4Addr::new(10, 0, 0, 1));
+        let b = t.host("b", Ipv4Addr::new(10, 0, 0, 2));
+        let ctl = t.host("ctl", Ipv4Addr::new(10, 0, 0, 9));
+        for h in [a, b, ctl] {
+            t.link(r, h, plab_netsim::LinkParams::new(1, 1));
+        }
+        let mut net = SimNet::new(t.build());
+        net.add_endpoint(a, EndpointConfig::default());
+        net.add_endpoint(b, EndpointConfig::default());
+        let conn = net.sim.tcp_connect(ctl, Ipv4Addr::new(10, 0, 0, 1), CONTROL_PORT);
+        let (mut read, mut serviced, mut sent) = (Vec::new(), Vec::new(), 0);
+        while read.len() < 3 {
+            if sent == read.len() && net.sim.tcp_established(ctl, conn) {
+                net.sim.tcp_send(ctl, conn, &Message::Hello { version: 1 }.to_frame());
+                sent += 1;
+            }
+            assert!(net.sim.next_event_time().is_some(), "the world ran dry");
+            serviced.extend(advance(&mut net));
+            let bytes = net.sim.tcp_recv(ctl, conn, 65536);
+            if !bytes.is_empty() {
+                read.push((net.sim.now(), bytes));
+            }
+        }
+        (read, serviced)
+    }
+
+    /// Traffic to one endpoint of two: no dense pass services the other,
+    /// whose node nothing touches, and the first answers what it answers,
+    /// when it does, in a run that services every host after every event.
+    #[test]
+    fn an_untouched_endpoint_is_never_serviced() {
+        let (every, all) = three_hellos(|net| {
+            net.sim.step();
+            let [_, _, eps, _] = net.pass(true);
+            eps
+        });
+        let (dense, mine) = three_hellos(|net| {
+            net.sim.step();
+            let hosts = net.serve();
+            let eps = hosts[EP].clone();
+            net.settle(hosts);
+            eps
+        });
+        assert_eq!(dense, every);
+        assert!(all.contains(&1), "a full pass services both");
+        assert!(mine.contains(&0) && !mine.contains(&1), "{mine:?}");
+        let instants: Vec<u64> = dense.iter().map(|r| r.0).collect();
+        assert_eq!(instants, [11_904_000, 18_528_000, 25_152_000]);
+    }
+
+    /// A detached session on an endpoint whose node nothing touches any
+    /// more still expires at the first event past its linger window (the
+    /// window runs on the clock), here a timer on the controller's host:
+    /// the instant a pass after every event reads.
+    #[test]
+    fn an_untouched_detached_session_expires_at_the_first_event_past_its_window() {
+        use crate::cert::Restrictions;
+        use crate::controller::{Controller, Credentials};
+        use plab_crypto::{KeyHash, Keypair};
+        let (operator, experimenter) = (Keypair::from_seed(&[3; 32]), Keypair::from_seed(&[4; 32]));
+        let mut t = plab_netsim::TopologyBuilder::new();
+        let ep = t.host("ep", Ipv4Addr::new(10, 0, 0, 1));
+        let ctl = t.host("ctl", Ipv4Addr::new(10, 0, 0, 2));
+        t.link(ep, ctl, plab_netsim::LinkParams::new(1, 0));
+        let mut net = SimNet::new(t.build());
+        let trusted_keys = vec![KeyHash::of(&operator.public)];
+        let linger = 2 * plab_netsim::SECOND;
+        net.add_endpoint(
+            ep,
+            EndpointConfig { trusted_keys, session_linger_ns: linger, ..Default::default() },
+        );
+        let net = Rc::new(RefCell::new(net));
+        let descriptor = crate::descriptor::ExperimentDescriptor {
+            name: "linger".into(),
+            controller_addr: "10.0.0.2:7000".into(),
+            info_url: String::new(),
+            experimenter: KeyHash::of(&experimenter.public),
+        };
+        let creds =
+            Credentials::issue(&operator, &experimenter, descriptor, Restrictions::none(), 10);
+        let chan = SimChannel::connect(&net, ctl, Ipv4Addr::new(10, 0, 0, 1));
+        drop(Controller::connect(chan, &creds).expect("authenticates"));
+        let mut n = net.borrow_mut();
+        let sessions = |n: &SimNet| n.endpoint_agent(EndpointId::first()).session_count();
+        assert_eq!(sessions(&n), 1, "detached, not ended");
+        let start = n.sim.now();
+        for k in 0..400 {
+            n.sim.schedule_timer(ctl, k, start + k * 7 * plab_netsim::MILLISECOND);
+        }
+        while sessions(&n) == 1 {
+            assert!(n.step(), "the timers ran out");
+        }
+        assert_eq!((n.sim.now() - start) % (7 * plab_netsim::MILLISECOND), 0, "at a timer");
+        // What a harness that services every endpoint after every event
+        // reads.
+        assert_eq!(n.sim.now(), 2_014_000_000);
+    }
+
+    /// What an endpoint's service leaves that no event will announce keeps
+    /// the endpoint in the next pass, whatever the simulator does: more
+    /// Hellos arriving in one pass than backpressure lets it answer, and
+    /// then a FIN that a pass reads behind the last Hello.
+    #[test]
+    fn work_a_pass_leaves_keeps_its_endpoint_in_the_next_pass() {
+        let mut t = plab_netsim::TopologyBuilder::new();
+        let ep = t.host("ep", Ipv4Addr::new(10, 0, 0, 1));
+        let ctl = t.host("ctl", Ipv4Addr::new(10, 0, 0, 2));
+        t.link(ep, ctl, plab_netsim::LinkParams::new(1, 0));
+        let mut net = SimNet::new(t.build());
+        let id = net.add_endpoint(ep, EndpointConfig::default());
+        let conn = net.sim.tcp_connect(ctl, Ipv4Addr::new(10, 0, 0, 1), CONTROL_PORT);
+        net.run_until(plab_netsim::SECOND);
+        let hello = Message::Hello { version: 1 }.to_frame();
+        // Each burst lands whole before anything services the endpoint.
+        let land = |net: &mut SimNet, bytes: &[u8], close: bool| {
+            net.sim.tcp_send(ctl, conn, bytes);
+            if close {
+                net.sim.tcp_close(ctl, conn);
+            }
+            let t = net.sim.now() + plab_netsim::SECOND;
+            net.sim.run_until(t);
+            net.process();
+            let reactor = net.endpoint_reactor(id);
+            (net.unsettled.clone(), reactor.queued_in_messages(), reactor.sessions().count())
+        };
+        assert_eq!(land(&mut net, &hello.repeat(7_000), false), (vec![0], 101, 1));
+        net.process();
+        assert_eq!(net.unsettled, []);
+        assert_eq!(net.endpoint_reactor(id).queued_in_messages(), 0);
+        assert_eq!(land(&mut net, &hello, true), (vec![0], 0, 1));
+        net.process();
+        assert_eq!(net.unsettled, []);
+        assert_eq!(net.endpoint_reactor(id).sessions().count(), 0);
+        let mut replies = FrameDecoder::new();
+        while net.step() {
+            replies.fill(|max| net.sim.tcp_recv(ctl, conn, max));
+        }
+        let acks = std::iter::from_fn(|| replies.next_message().ok().flatten());
+        assert_eq!(acks.filter(|m| matches!(m, Message::HelloAck { .. })).count(), 7_001);
     }
 }

@@ -138,7 +138,7 @@ impl NetStack for SimStack<'_> {
     }
 
     fn raw_send_at(&mut self, time: u64, packet: Vec<u8>, tag: u64) {
-        self.sim.schedule_send(self.node, time, packet, tag);
+        self.sim.schedule_logged_send(self.node, time, packet, tag);
     }
 
     fn udp_bind(&mut self, port: u16) -> bool {
@@ -160,7 +160,7 @@ impl NetStack for SimStack<'_> {
     ) {
         let src = self.local_addr();
         let pkt = plab_packet::builder::udp_datagram(src, dst, src_port, dst_port, payload);
-        self.sim.schedule_send(self.node, time, pkt, tag);
+        self.sim.schedule_logged_send(self.node, time, pkt, tag);
     }
 
     fn take_udp(&mut self, port: u16) -> Vec<(u64, Ipv4Addr, u16, Vec<u8>)> {

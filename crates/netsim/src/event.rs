@@ -78,12 +78,15 @@ pub enum EventKind {
     },
     /// A host's scheduled transmission (the `nsend` primitive) comes due.
     ScheduledSend {
-        /// Sending node index.
-        node: usize,
+        /// Sending node index (32 bits, so that `logged` fits beside it in
+        /// a 48-byte event).
+        node: u32,
+        /// Whether the scheduler asked for a record of the actual send time.
+        logged: bool,
         /// The datagram to inject into the sending node's stack.
         packet: Frame,
-        /// Opaque tag the scheduler reports back (endpoints use it to
-        /// record actual-send timestamps).
+        /// Opaque tag reported back with the actual send time (endpoints
+        /// use it to record actual-send timestamps).
         tag: u64,
     },
     /// A TCP retransmission/housekeeping tick for a connection.

@@ -502,6 +502,11 @@ impl ShardedSim {
         self.shard_mut(node).tcp_accept(node, port)
     }
 
+    /// See [`Sim::tcp_acceptable`].
+    pub fn tcp_acceptable(&self, node: NodeId, port: u16) -> bool {
+        self.shard(node).tcp_acceptable(node, port)
+    }
+
     /// See [`Sim::tcp_connect`].
     pub fn tcp_connect(&mut self, node: NodeId, dst: Ipv4Addr, dst_port: u16) -> u64 {
         self.shard_mut(node).tcp_connect(node, dst, dst_port)

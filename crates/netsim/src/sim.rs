@@ -119,7 +119,8 @@ pub struct Sim {
     track_dirty: bool,
     dirty_nodes: Vec<usize>,
     dirty_mark: Vec<bool>,
-    /// Items handed to a harness (see [`Sim::activity`]).
+    /// Items and bytes handed to or taken from a harness (see
+    /// [`Sim::activity`]).
     handed: u64,
 }
 
@@ -151,8 +152,9 @@ impl Sim {
         }
     }
 
-    /// Events ever scheduled plus items ever handed to a harness: a stretch
-    /// of code that leaves it unchanged consumed and scheduled nothing.
+    /// Events ever scheduled plus items ever handed to a harness or taken
+    /// from it (TCP bytes either way): a stretch of code that leaves it
+    /// unchanged consumed, sent and scheduled nothing.
     pub fn activity(&self) -> u64 {
         self.events.pushed() + self.handed
     }
@@ -331,13 +333,16 @@ impl Sim {
                     self.deliver(dst, packet);
                 }
             }
-            EventKind::ScheduledSend { node, packet, tag } => {
+            EventKind::ScheduledSend { node, logged, packet, tag } => {
+                let node = node as usize;
                 if self.nodes[node].crashed {
                     self.trace_drop(node, DropReason::NodeDown);
                     return true;
                 }
                 self.mark_dirty(node);
-                self.send_log.push((NodeId(node), tag, self.time));
+                if logged {
+                    self.send_log.push((NodeId(node), tag, self.time));
+                }
                 self.send_from(NodeId(node), packet);
             }
             EventKind::TcpTick { node, conn } => {
@@ -387,7 +392,7 @@ impl Sim {
                     Some((sim.nodes.get(dst)?, packet))
                 }
                 EventKind::ScheduledSend { node, packet, .. } => {
-                    Some((sim.nodes.get(*node)?, packet))
+                    Some((sim.nodes.get(*node as usize)?, packet))
                 }
                 _ => None,
             }
@@ -409,7 +414,8 @@ impl Sim {
                 seen += self.links.get(*link).map_or(0, link_lines) + packet.len();
             }
             Some(EventKind::ScheduledSend { node, packet, .. }) => {
-                seen += self.nodes.get(*node).map_or(0, |n| n.crashed as usize) + packet.len();
+                let crashed = self.nodes.get(*node as usize).map_or(0, |n| n.crashed as usize);
+                seen += crashed + packet.len();
             }
             _ => {}
         }
@@ -485,22 +491,27 @@ impl Sim {
 
     /// Schedule a raw datagram to leave `node` at `time` (the `nsend`
     /// primitive: "Queues data to be sent on a socket at a particular
-    /// time"). Times in the past send immediately. `tag` is reported with
-    /// the actual transmission time via [`Sim::take_send_log`].
+    /// time"). Times in the past send immediately. Nothing records when
+    /// it left, so a world nobody drains keeps no log: `tag` is reported
+    /// only for sends scheduled with [`Sim::schedule_logged_send`].
     pub fn schedule_send(&mut self, node: NodeId, time: SimTime, packet: Vec<u8>, tag: u64) {
-        let packet = self.pool.ingest(packet);
-        self.events.push(
-            time.max(self.time),
-            EventKind::ScheduledSend {
-                node: node.0,
-                packet,
-                tag,
-            },
-        );
+        self.push_send(node, time, packet, tag, false);
     }
 
-    /// Drain `node`'s (tag, actual send time) records for scheduled sends,
-    /// in firing order. Other nodes' records stay, in their order.
+    /// [`Sim::schedule_send`], with `tag` reported with the actual
+    /// transmission time via [`Sim::take_send_log`].
+    pub fn schedule_logged_send(&mut self, node: NodeId, time: SimTime, packet: Vec<u8>, tag: u64) {
+        self.push_send(node, time, packet, tag, true);
+    }
+
+    fn push_send(&mut self, node: NodeId, time: SimTime, packet: Vec<u8>, tag: u64, logged: bool) {
+        let packet = self.pool.ingest(packet);
+        let send = EventKind::ScheduledSend { node: node.0 as u32, logged, packet, tag };
+        self.events.push(time.max(self.time), send);
+    }
+
+    /// Drain `node`'s (tag, actual send time) records for logged scheduled
+    /// sends, in firing order. Other nodes' records stay, in their order.
     pub fn take_send_log(&mut self, node: NodeId) -> Vec<(u64, SimTime)> {
         let mut mine = Vec::new();
         self.send_log.retain(|&(n, tag, time)| {
@@ -723,6 +734,11 @@ impl Sim {
         conn
     }
 
+    /// Would [`Sim::tcp_accept`] return a connection?
+    pub fn tcp_acceptable(&self, node: NodeId, port: u16) -> bool {
+        self.nodes[node.0].host_ref().tcp.acceptable(port)
+    }
+
     /// Open a TCP connection from `node`.
     pub fn tcp_connect(&mut self, node: NodeId, dst: Ipv4Addr, dst_port: u16) -> u64 {
         let now = self.time;
@@ -740,6 +756,7 @@ impl Sim {
         let now = self.time;
         let out = self.nodes[node.0].host_mut().tcp.send(now, conn, data);
         self.dispatch_tcp(node, out);
+        self.handed += data.len() as u64;
     }
 
     /// Read TCP payload.

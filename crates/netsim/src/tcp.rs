@@ -225,6 +225,11 @@ impl TcpHost {
         self.listeners.get_mut(&port)?.pop_front()
     }
 
+    /// Does `port`'s accept queue hold a connection?
+    pub fn acceptable(&self, port: u16) -> bool {
+        self.listeners.get(&port).is_some_and(|q| !q.is_empty())
+    }
+
     /// Silently discard every connection (and queued accepts), keeping
     /// listening ports. Models a transport-layer fault — e.g. a middlebox
     /// flushing its state table — as opposed to a host crash: the

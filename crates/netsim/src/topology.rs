@@ -491,10 +491,10 @@ mod tests {
         sim.udp_bind(h2, 7);
         let src = sim.addr_of(h1);
         let pkt = builder::udp_datagram(src, a(1, 1), 5000, 7, b"later");
-        sim.schedule_send(h1, 250 * MILLISECOND, pkt, 99);
+        sim.schedule_logged_send(h1, 250 * MILLISECOND, pkt, 99);
         for (tag, at) in [(7, 300 * MILLISECOND), (8, 100 * MILLISECOND)] {
             let pkt = builder::udp_datagram(a(1, 1), src, 7, 5000, b"back");
-            sim.schedule_send(h2, at, pkt, tag);
+            sim.schedule_logged_send(h2, at, pkt, tag);
         }
         sim.run_until(SECOND);
         assert_eq!(sim.take_send_log(h1), vec![(99, 250 * MILLISECOND)]);
@@ -516,9 +516,25 @@ mod tests {
         sim.run_until(100 * MILLISECOND);
         let src = sim.addr_of(h1);
         let pkt = builder::udp_datagram(src, a(1, 1), 1, 2, b"x");
-        sim.schedule_send(h1, 0, pkt, 1); // "a time in the past" sends now
+        sim.schedule_logged_send(h1, 0, pkt, 1); // "a time in the past" sends now
         sim.run_until(200 * MILLISECOND);
         assert_eq!(sim.take_send_log(h1), vec![(1, 100 * MILLISECOND)]);
+    }
+
+    #[test]
+    fn unlogged_scheduled_sends_leave_no_log() {
+        let (mut sim, h1, r1, r2, h2) = line();
+        sim.udp_bind(h2, 7);
+        let src = sim.addr_of(h1);
+        for tag in 0..3 {
+            let pkt = builder::udp_datagram(src, a(1, 1), 5000, 7, b"x");
+            sim.schedule_send(h1, tag * MILLISECOND, pkt, tag);
+        }
+        sim.run_until(SECOND);
+        assert_eq!(sim.udp_recv(h2, 7).len(), 3, "every send left");
+        for node in [h1, r1, r2, h2] {
+            assert!(sim.take_send_log(node).is_empty(), "nothing recorded for {node:?}");
+        }
     }
 
     #[test]
