@@ -323,16 +323,20 @@ pub struct Controller<C: aio::Channel> {
     /// (`Interrupted` / `Resumed`, §3.3).
     pub notifications: Vec<Notification>,
     request_timeout: u64,
+    /// The seq the next command goes out under.
+    next_seq: u64,
 }
 
 impl<C: ControlChannel> Controller<C> {
     /// Connect: Hello → HelloAck → Auth → AuthOk.
+    /// Commands are numbered from 1, whatever session it adopts (DESIGN deviation 12).
     pub fn connect(mut chan: C, creds: &Credentials) -> Result<Self, ControllerError> {
         handshake(&mut chan, creds, 30_000_000_000)?;
         Ok(Controller {
             chan,
             notifications: Vec::new(),
             request_timeout: 60_000_000_000,
+            next_seq: 1,
         })
     }
 }
@@ -350,11 +354,19 @@ impl<C: aio::Channel> Controller<C> {
         &mut self.chan
     }
 
-    async fn wait_response(&mut self, budget: u64) -> Result<Response, ControllerError> {
+    async fn send(&mut self, cmd: Command) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.chan.send(&Message::CmdSeq { seq, cmd }).await;
+        seq
+    }
+
+    /// The answer to `seq`; an answer to any other seq is a protocol error.
+    async fn wait_response(&mut self, seq: u64, budget: u64) -> Result<Response, ControllerError> {
         let deadline = self.chan.now() + budget;
         loop {
             match self.chan.recv(Some(deadline)).await {
-                Some(Message::Resp(r)) => return Ok(r),
+                Some(Message::RespSeq { seq: s, resp }) if s == seq => return Ok(resp),
                 Some(Message::Notify(n)) => self.notifications.push(n),
                 Some(other) => {
                     return Err(ControllerError::Protocol(format!("unexpected {other:?}")))
@@ -367,8 +379,8 @@ impl<C: aio::Channel> Controller<C> {
 
 impl<C: aio::Channel> aio::Plane for Controller<C> {
     async fn request(&mut self, cmd: Command) -> Result<Response, ControllerError> {
-        self.chan.send(&Message::Cmd(cmd)).await;
-        self.wait_response(self.request_timeout).await
+        let seq = self.send(cmd).await;
+        self.wait_response(seq, self.request_timeout).await
     }
 
     /// Pipelined override: all commands are sent back-to-back, then all
@@ -380,13 +392,13 @@ impl<C: aio::Channel> aio::Plane for Controller<C> {
         &mut self,
         cmds: Vec<Command>,
     ) -> Result<Vec<Response>, ControllerError> {
-        let n = cmds.len();
+        let first = self.next_seq;
         for cmd in cmds {
-            self.chan.send(&Message::Cmd(cmd)).await;
+            self.send(cmd).await;
         }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.wait_response(self.request_timeout).await?);
+        let mut out = Vec::with_capacity((self.next_seq - first) as usize);
+        for seq in first..self.next_seq {
+            out.push(self.wait_response(seq, self.request_timeout).await?);
         }
         Ok(out)
     }
@@ -396,9 +408,9 @@ impl<C: aio::Channel> aio::Plane for Controller<C> {
         cmd: Command,
         deadline: u64,
     ) -> Result<Response, ControllerError> {
-        self.chan.send(&Message::Cmd(cmd)).await;
+        let seq = self.send(cmd).await;
         let budget = deadline.saturating_sub(self.chan.now()) + self.request_timeout;
-        self.wait_response(budget).await
+        self.wait_response(seq, budget).await
     }
 
     fn now(&self) -> u64 {
@@ -437,4 +449,78 @@ pub struct PollResult {
     pub dropped_packets: u64,
     /// Bytes dropped since the previous poll.
     pub dropped_bytes: u64,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::VecDeque;
+
+    /// A channel that records what it is sent and receives a script: the
+    /// next scripted frame, or nothing once the script is spent.
+    struct Scripted {
+        sent: Vec<Message>,
+        script: VecDeque<Message>,
+    }
+
+    impl aio::Channel for Scripted {
+        async fn send(&mut self, msg: &Message) {
+            self.sent.push(msg.clone());
+        }
+        async fn recv(&mut self, _: Option<u64>) -> Option<Message> {
+            self.script.pop_front()
+        }
+        fn now(&self) -> u64 {
+            0
+        }
+    }
+
+    impl ControlChannel for Scripted {}
+
+    fn scripted(script: impl IntoIterator<Item = Message>) -> Controller<Scripted> {
+        let chan = Scripted { sent: Vec::new(), script: script.into_iter().collect() };
+        Controller { chan, notifications: Vec::new(), request_timeout: 1, next_seq: 1 }
+    }
+
+    fn answer(seq: u64, resp: Response) -> Message {
+        Message::RespSeq { seq, resp }
+    }
+
+    /// A pipelined batch numbers its commands back-to-back and takes the
+    /// answers in that order; the next command goes out under the next seq.
+    #[test]
+    fn a_pipelined_batch_pairs_each_answer_with_its_seq() {
+        let (read, poll) = (Command::MRead { memaddr: 0, bytecnt: 1 }, Command::NPoll { time: 0 });
+        let answers = [Response::Ok, Response::Mem { data: vec![2] }, Response::SendQueued { tag: 4 }];
+        let mut ctrl = scripted((1..).zip(answers.clone()).map(|(seq, r)| answer(seq, r)));
+        let got = ctrl.request_batch(vec![Command::Yield, read.clone()]);
+        assert_eq!(got.as_deref(), Ok(&answers[..2]));
+        assert_eq!(ctrl.request(poll.clone()).as_ref(), Ok(&answers[2]));
+        let sent = [Command::Yield, read, poll].into_iter().zip(1..);
+        let sent: Vec<Message> = sent.map(|(cmd, seq)| Message::CmdSeq { seq, cmd }).collect();
+        assert_eq!(ctrl.chan.sent, sent);
+    }
+
+    /// An answer under another seq answers some other command: the
+    /// controller says so instead of handing it to the caller.
+    #[test]
+    fn an_answer_to_another_seq_is_a_protocol_error() {
+        for stray in [0, 2] {
+            let mut ctrl = scripted([answer(stray, Response::Ok), answer(1, Response::Ok)]);
+            let got = ctrl.request(Command::Yield);
+            assert!(matches!(got, Err(ControllerError::Protocol(_))), "seq {stray}: {got:?}");
+        }
+    }
+
+    /// A notification between two answers of a batch is kept, and the
+    /// batch still completes.
+    #[test]
+    fn a_notification_between_answers_is_collected() {
+        let interrupted = Notification::Interrupted { by_priority: 9 };
+        let script = [answer(1, Response::Ok), Message::Notify(interrupted.clone()), answer(2, Response::Ok)];
+        let mut ctrl = scripted(script);
+        let got = ctrl.request_batch(vec![Command::Yield, Command::Yield]);
+        assert_eq!(got, Ok(vec![Response::Ok, Response::Ok]));
+        assert_eq!(ctrl.notifications, vec![interrupted]);
+    }
 }

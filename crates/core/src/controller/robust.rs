@@ -141,6 +141,7 @@ impl<D: Dialer> RobustController<D> {
 impl<D: aio::Dialer> RobustController<D> {
     /// Establish the initial connection (retrying within the policy's
     /// unreachable budget) and authenticate.
+    /// Commands are numbered from 1, whatever session it adopts (DESIGN deviation 12).
     pub async fn establish(
         dialer: D,
         creds: Credentials,
@@ -343,7 +344,7 @@ impl<D: aio::Dialer> RobustController<D> {
                         self.notifications.push(n);
                         continue;
                     }
-                    // An unsequenced response cannot belong to us.
+                    // An unsequenced frame is a refusal, never a command's answer.
                     Some(Message::Resp(_)) => continue,
                     Some(other) => {
                         return Err(ControllerError::Protocol(format!("unexpected {other:?}")))

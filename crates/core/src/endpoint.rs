@@ -324,15 +324,14 @@ impl EndpointAgent {
                 Phase::New | Phase::Active | Phase::Suspended | Phase::Dormant,
                 Message::Auth { .. },
             ) => out.push(refuse(ErrCode::Auth, "auth before hello")),
-            (_, Message::Cmd(cmd)) => self.execute(sid, None, cmd, stack, &mut out),
-            // A sequenced command runs exactly once. A cached seq is never
+            // A command runs exactly once. A cached seq is never
             // above `last_seq`, so a fresh command skips the cache scan.
             (_, Message::CmdSeq { seq, .. }) if seq <= s.last_seq => {
                 out.extend(s.replay(seq).map(|m| (sid, m)));
             }
             (_, Message::CmdSeq { seq, cmd }) => {
                 s.last_seq = seq;
-                self.execute(sid, Some(seq), cmd, stack, &mut out);
+                self.execute(sid, seq, cmd, stack, &mut out);
             }
             // Controller-bound message types arriving here are protocol
             // violations.

@@ -235,14 +235,13 @@ impl Session {
 }
 
 impl EndpointAgent {
-    /// Run one command for `sid` and answer it. `seq` is `Some` when it
-    /// arrived as a `CmdSeq` — its answer is then sequenced and cached
-    /// ([`Session::answer`]). The one command that may leave without its
-    /// answer is an `npoll` with nothing to report yet.
+    /// Run command `seq` for `sid` and answer it ([`Session::answer`]).
+    /// The one command that may leave without its answer is an `npoll`
+    /// with nothing to report yet.
     pub(super) fn execute(
         &mut self,
         sid: u64,
-        seq: Option<u64>,
+        seq: u64,
         cmd: Command,
         stack: &mut dyn NetStack,
         out: &mut Out,

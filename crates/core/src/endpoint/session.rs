@@ -143,16 +143,16 @@ pub(super) struct Session {
     /// down in that order on every run.
     pub(super) sockets: BTreeMap<u32, SocketBinding>,
     pub(super) capture: CaptureBuffer,
-    /// The outstanding `npoll`: its deadline (endpoint clock ns), and its
-    /// sequence number when it arrived as a [`Message::CmdSeq`]. One at a
-    /// time: the next `npoll` completes this one first.
-    pub(super) pending_poll: Option<(u64, Option<u64>)>,
+    /// The outstanding `npoll`: its deadline (endpoint clock ns) and its
+    /// sequence number. One at a time: the next `npoll` completes this
+    /// one first.
+    pub(super) pending_poll: Option<(u64, u64)>,
     pub(super) next_tag: u64,
     /// Identity for session resumption: (leaf signer, descriptor hash).
     /// A reconnecting controller that re-authenticates with the same
     /// experiment adopts this session's state.
     pub(super) experiment_id: Option<(KeyHash, [u8; 32])>,
-    /// Highest sequence number executed via `CmdSeq`.
+    /// Highest sequence number executed.
     pub(super) last_seq: u64,
     /// Recent (seq, cost, response) entries for idempotent replay.
     replay: VecDeque<(u64, usize, Response)>,
@@ -183,10 +183,13 @@ impl Session {
         }
     }
 
-    fn cache_response(&mut self, seq: u64, resp: Response) {
+    /// The frame that answers command `seq`, its response cached so that
+    /// a controller that lost the connection before reading it can replay
+    /// the same `seq` after reconnecting and get the identical answer.
+    pub(super) fn answer(&mut self, seq: u64, resp: Response) -> Message {
         let cost = resp_cost(&resp);
         self.replay_bytes += cost;
-        self.replay.push_back((seq, cost, resp));
+        self.replay.push_back((seq, cost, resp.clone()));
         // Evict oldest-first past either bound, but always keep the entry
         // just cached: the controller's most recent command must stay
         // replayable even when one response alone exceeds the budget.
@@ -197,20 +200,7 @@ impl Session {
                 self.replay_bytes -= c;
             }
         }
-    }
-
-    /// The frame that answers a command: `Resp`, or — when the command
-    /// arrived as a `CmdSeq` — `RespSeq`, cached so that a controller that
-    /// lost the connection before reading it can replay the same `seq`
-    /// after reconnecting and get the identical answer.
-    pub(super) fn answer(&mut self, seq: Option<u64>, resp: Response) -> Message {
-        match seq {
-            Some(seq) => {
-                self.cache_response(seq, resp.clone());
-                Message::RespSeq { seq, resp }
-            }
-            None => Message::Resp(resp),
-        }
+        Message::RespSeq { seq, resp }
     }
 
     /// What a `CmdSeq` at or below `last_seq` gets, without running again
@@ -228,7 +218,7 @@ impl Session {
             );
             return Some(Message::RespSeq { seq, resp: resp.clone() });
         }
-        if self.pending_poll.is_some_and(|(_, polled)| polled == Some(seq)) {
+        if self.pending_poll.is_some_and(|(_, polled)| polled == seq) {
             return None;
         }
         M_REPLAY_MISSES.inc();

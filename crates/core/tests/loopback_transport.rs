@@ -317,13 +317,13 @@ fn queued_sessions_are_served_in_sid_order() {
         std::thread::sleep(Duration::from_millis(20));
         for chan in chans.iter_mut().rev() {
             assert_eq!(serve_until_reply(&mut server, chan), Message::AuthOk);
-            chan.send(&Message::Cmd(Command::MRead { memaddr: 0, bytecnt: 8 }));
+            chan.send(&Message::CmdSeq { seq: 1, cmd: Command::MRead { memaddr: 0, bytecnt: 8 } });
         }
         let first = serve_until_reply(&mut server, &mut chans[0]);
-        assert!(matches!(first, Message::Resp(Response::Mem { .. })), "sid 1 in control: {first:?}");
+        assert!(matches!(first, Message::RespSeq { resp: Response::Mem { .. }, .. }), "sid 1 in control: {first:?}");
         let second = serve_until_reply(&mut server, &mut chans[1]);
         assert!(
-            matches!(second, Message::Resp(Response::Err { code: ErrCode::Suspended, .. })),
+            matches!(second, Message::RespSeq { resp: Response::Err { code: ErrCode::Suspended, .. }, .. }),
             "sid 2 suspended: {second:?}"
         );
     }

@@ -90,7 +90,7 @@ fn gen_response(rng: &mut StdRng) -> Response {
 }
 
 fn gen_message(rng: &mut StdRng) -> Message {
-    match rng.gen_range(0u32..9) {
+    match rng.gen_range(0u32..8) {
         0 => Message::Hello { version: rng.gen::<u8>() },
         1 => Message::HelloAck { version: rng.gen::<u8>(), nonce: gen_bytes(rng) },
         2 => Message::Auth {
@@ -101,14 +101,13 @@ fn gen_message(rng: &mut StdRng) -> Message {
             proof: gen_bytes(rng),
         },
         3 => Message::AuthOk,
-        4 => Message::Cmd(gen_command(rng)),
-        5 => Message::Resp(gen_response(rng)),
-        6 => Message::Notify(if rng.gen_bool(0.5) {
+        4 => Message::Resp(gen_response(rng)),
+        5 => Message::Notify(if rng.gen_bool(0.5) {
             Notification::Interrupted { by_priority: rng.gen::<u8>() }
         } else {
             Notification::Resumed
         }),
-        7 => Message::CmdSeq { seq: rng.gen::<u64>(), cmd: gen_command(rng) },
+        6 => Message::CmdSeq { seq: rng.gen::<u64>(), cmd: gen_command(rng) },
         _ => Message::RespSeq { seq: rng.gen::<u64>(), resp: gen_response(rng) },
     }
 }

@@ -146,11 +146,14 @@ fn regenerate() {
     // wire: a healthy two-message stream.
     let mut stream = Message::Hello { version: 1 }.to_frame();
     stream.extend_from_slice(
-        &Message::Cmd(packetlab::wire::Command::NSend {
-            sktid: 7,
-            time: 1_000_000,
-            data: vec![0xde, 0xad, 0xbe, 0xef],
-        })
+        &Message::CmdSeq {
+            seq: 1,
+            cmd: packetlab::wire::Command::NSend {
+                sktid: 7,
+                time: 1_000_000,
+                data: vec![0xde, 0xad, 0xbe, 0xef],
+            },
+        }
         .to_frame(),
     );
     write("wire", "valid_stream.bin", &stream);

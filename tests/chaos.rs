@@ -14,11 +14,11 @@
 
 use packetlab::chaos::{self, ChaosVerdict, Scenario};
 use packetlab::controller::robust::{RobustController};
-use packetlab::controller::{ControlPlane, ControllerError, Credentials};
+use packetlab::controller::{ControlPlane, Controller, ControllerError, Credentials};
 use packetlab::cert::Restrictions;
 use packetlab::descriptor::ExperimentDescriptor;
 use packetlab::endpoint::EndpointConfig;
-use packetlab::harness::{SimDialer, SimNet};
+use packetlab::harness::{SimChannel, SimDialer, SimNet};
 use plab_crypto::{KeyHash, Keypair};
 use plab_netsim::{FaultAction, LinkParams, TopologyBuilder, MILLISECOND, SECOND};
 use std::cell::RefCell;
@@ -225,6 +225,40 @@ fn control_disconnect_without_linger_is_a_typed_error() {
         other => panic!("expected endpoint error on dead socket, got {other:?}"),
     }
     assert!(ctrl.stats.connects >= 2);
+}
+
+/// DESIGN deviation 12: a fresh controller that adopts its predecessor's
+/// lingering session numbers from 1 again. Today its `mwrite` is answered
+/// from the predecessor's replay cache and never runs.
+#[test]
+#[ignore = "known defect (DESIGN deviation 12): a fresh controller that adopts its \
+            predecessor's lingering session is answered from the predecessor's replay \
+            cache; fixing it needs the handshake to carry seq state"]
+fn a_fresh_controller_is_not_answered_from_its_predecessors_cache() {
+    for plain in [true, false] {
+        let w = small_world(30 * SECOND);
+        let creds = small_creds(&w);
+        let robust = || {
+            let dialer = SimDialer::new(&w.net, w.ctrl_node, w.ep_addr);
+            RobustController::connect(dialer, creds.clone(), chaos::chaos_policy(0xfeed))
+                .expect("connect")
+        };
+        let mut a = robust();
+        for _ in 0..3 {
+            a.mwrite(64, vec![1]).unwrap();
+        }
+        a.mread(64, 1).unwrap();
+        drop(a);
+        let read = if plain {
+            let chan = SimChannel::connect(&w.net, w.ctrl_node, w.ep_addr);
+            let mut b = Controller::connect(chan, &creds).expect("connect");
+            b.mwrite(64, vec![2]).and_then(|()| b.mread(64, 1))
+        } else {
+            let mut b = robust();
+            b.mwrite(64, vec![2]).and_then(|()| b.mread(64, 1))
+        };
+        assert_eq!(read, Ok(vec![2]), "plain: {plain}");
+    }
 }
 
 /// An endpoint that crashes and never restarts must surface as

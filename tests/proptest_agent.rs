@@ -44,7 +44,8 @@ fn arb_command() -> impl Strategy<Value = Command> {
 fn arb_message() -> impl Strategy<Value = Message> {
     prop_oneof![
         any::<u8>().prop_map(|version| Message::Hello { version }),
-        arb_command().prop_map(Message::Cmd),
+        // Small seqs: fresh commands, replays and evicted seqs alike.
+        (0u64..32, arb_command()).prop_map(|(seq, cmd)| Message::CmdSeq { seq, cmd }),
         // Controller-bound messages sent *to* the endpoint (protocol abuse).
         Just(Message::AuthOk),
         (any::<u8>(), any::<[u8; 32]>())

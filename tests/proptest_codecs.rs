@@ -94,7 +94,6 @@ fn arb_message() -> impl Strategy<Value = Message> {
         (any::<u8>(), any::<[u8; 32]>())
             .prop_map(|(version, nonce)| Message::HelloAck { version, nonce }),
         arb_auth(),
-        arb_command().prop_map(Message::Cmd),
         arb_response().prop_map(Message::Resp),
         any::<u8>().prop_map(|p| Message::Notify(Notification::Interrupted { by_priority: p })),
         Just(Message::Notify(Notification::Resumed)),
