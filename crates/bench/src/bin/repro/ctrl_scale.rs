@@ -15,9 +15,8 @@
 //! Any divergence, a speedup below 10x at ≥ 64 sessions, or a p99 above
 //! the RTT floor exits non-zero.
 //!
-//! Results land in `BENCH_ctrl.json` (the committed baseline the
-//! `repro guard ctrl` CI gate reads). `--json` prints the same
-//! report on stdout.
+//! Results land in `BENCH_ctrl.json`, a record no guard reads. `--json`
+//! prints the same report on stdout.
 
 use plab_bench::ctrl::{self, PhaseStats, RTT_NS};
 use plab_bench::reportjson::{emit_report, json_f, json_rows};
@@ -86,7 +85,7 @@ pub fn run(opts: &crate::Opts) -> i32 {
 
     let points: Vec<Point> = SWEEP.iter().map(|&n| measure(n, OPS, json)).collect();
 
-    // The serial baseline: the sweep's 1-session point.
+    // The serial baseline is the sweep's 1-session point.
     let serial_vops = points[0].stats.virtual_ops_per_sec();
 
     let mut pass = points.iter().all(|p| p.replay_identical);

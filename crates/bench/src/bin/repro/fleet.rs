@@ -10,11 +10,11 @@
 //! bit-identical too, and the faults must visibly bite (retries > 0).
 //! Any divergence exits non-zero.
 //!
-//! Results land in `BENCH_fleet.json` (the committed baseline the
-//! `repro guard fleet` CI gate reads). `--json` prints the same report on
-//! stdout; `--sweep` takes comma-separated roster sizes (default
-//! `512,1024,2048`). The sharded advance runs on `min(4, cores)` threads:
-//! wall time varies with that, the report does not.
+//! Results land in `BENCH_fleet.json`, a record no guard reads. `--json`
+//! prints the same report on stdout; `--sweep` takes comma-separated
+//! roster sizes (default `512,1024,2048`). The sharded advance runs on
+//! `min(4, cores)` threads: wall time varies with that, the report does
+//! not.
 
 use plab_bench::fleet;
 use plab_bench::reportjson::{emit_report, json_f, json_rows};

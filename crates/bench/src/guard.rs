@@ -1,114 +1,55 @@
 //! The guard harness and `repro`'s command line. Every claim CI defends
 //! about this reproduction is one row of [`GUARDS`], run by
-//! `repro guard <name>|all [--secs S] [--min-ratio R] [--json]`; every
-//! command `repro` has is one row of [`COMMANDS`], and [`parse`] is the
-//! one option parser for all of them. The timer, the baseline lookup,
-//! rendering and the exit code (0 pass, 1 a check failed, 2 usage) exist
-//! here once.
+//! `repro guard <name>|all [--secs S] [--json]`; every command `repro`
+//! has is one row of [`COMMANDS`], and [`parse`] is the one option parser
+//! for all of them. The timer, rendering and the exit code (0 pass, 1 a
+//! check failed, 2 usage) exist here once.
 //!
 //! **Throughput checks keep the minimum** over fixed-size rounds:
 //! scheduler preemption and frequency ramps only ever add time, so the
 //! minimum converges on the machine's true cost while averages drift with
 //! load. The gates catch algorithmic cliffs, not single-digit drift.
 //!
-//! **Baselines** hold numbers from whatever machine last ran the matching
-//! `repro` command; its recorded `cores` print next to every ratio. On a
-//! much slower machine regenerate the file first or lower `--min-ratio`
-//! rather than comparing apples to oranges (CI's shared runners pass
-//! 0.2-0.5). Digest, scaling, accuracy and build-cost checks have no
-//! knob: virtual time is machine-independent by construction and the
-//! rest divide the machine out.
+//! **No check reads a committed number.** A timed check is a quotient of
+//! two things timed in this process, both in every round and in
+//! alternating order (`paired`), so the machine's speed divides out; its
+//! bar is a named constant beside it, set between twenty readings of the
+//! code and twenty of the regression it exists for (EXPERIMENTS G10).
+//! Every other check is an exact count, a digest or a bound that virtual
+//! time makes machine-independent. The `BENCH_*.json` files are records
+//! the `repro` commands write; no guard opens one.
 
 use crate::reportjson::cores;
 use crate::{bwest, ctrl, figure2_chain, figure2_fixture, figure2_reply, fleet, netsim_scale};
 use packetlab::chaos::Scenario;
+use packetlab::monitor::MonitorSet;
 use plab_filter::{EntryPoint, FusedVm, Program, VmConfig};
 use plab_fuzz::TARGETS;
 use plab_obs::export::{fnv1a64, json_escape};
 use std::time::{Duration, Instant};
 
-/// Where a guard's throughput baseline lives, `(file, row, field)`: in the
-/// committed `BENCH_*.json` `file` (read from the working directory), the
-/// object whose members equal every `(key, value)` of `row` as whole
-/// values, and of it the rate `field` that the measured one is divided by.
-pub type Baseline = (&'static str, &'static [(&'static str, u64)], &'static str);
-
 /// One row of the table.
 pub struct Guard {
     /// What `repro guard` and the CI matrix call it.
     pub name: &'static str,
-    /// The committed number its `ratio` check is held to, if it has one.
-    pub baseline: Option<Baseline>,
-    /// Default `--secs`: the measurement budget of its timed checks.
+    /// Default `--secs`: the measurement budget of its timed checks (0
+    /// for a guard with none).
     pub secs: f64,
-    /// Default `--min-ratio`: measured / baseline must reach it.
-    pub min_ratio: f64,
-    /// Runs the guard.
-    pub checks: fn(&Ctx) -> Vec<Check>,
+    /// Runs the guard with the budget.
+    pub checks: fn(Duration) -> Vec<Check>,
 }
 
-/// The seven guards. Budgets and ratios are what a quiet machine of the
-/// baseline's class should pass; CI's values live in `ci.yml`'s matrix.
+/// The seven guards. CI's budgets live in `ci.yml`'s matrix.
 pub static GUARDS: [Guard; 7] = [
-    Guard {
-        name: "throughput",
-        baseline: Some(("BENCH_throughput.json", &[("monitors", 4)], "send_adjudications_per_sec")),
-        secs: 2.0,
-        min_ratio: 0.9,
-        checks: throughput,
-    },
-    // Two identical bare engines read 0.954-1.029 against each other at
-    // this batch length (twenty runs, EXPERIMENTS P7): the bar sits just
-    // under the lowest.
-    Guard { name: "obs", baseline: None, secs: 0.5, min_ratio: 0.95, checks: obs },
-    Guard {
-        name: "netsim",
-        baseline: Some(("BENCH_netsim.json", &[("hosts", 128)], "events_per_sec")),
-        secs: 2.0,
-        min_ratio: 0.9,
-        checks: netsim,
-    },
-    Guard {
-        name: "netsim-shard",
-        // The legacy `sweep` rows carry no `shards` member, so matching
-        // on all three cannot hit them.
-        baseline: Some((
-            "BENCH_netsim.json",
-            &[("hosts", 1024), ("shards", SHARDS as u64), ("threads", 1)],
-            "events_per_sec",
-        )),
-        // At 2 s `scale_decay` cannot separate the two engines (EXPERIMENTS G7).
-        secs: 4.0,
-        // Looser than the sequential guard's: the windowed advance adds
-        // barrier points whose cost is more scheduler-sensitive.
-        min_ratio: 0.85,
-        checks: netsim_shard,
-    },
-    Guard {
-        name: "fleet",
-        // The chaos object carries a different `pairs`, so it cannot match.
-        baseline: Some((
-            "BENCH_fleet.json",
-            &[("pairs", fleet::GUARD_PAIRS as u64)],
-            "endpoints_per_sec",
-        )),
-        secs: 6.0,
-        min_ratio: 0.5,
-        checks: fleet_roster,
-    },
-    // Nothing bwest checks is timed or machine-dependent: no budget, no ratio.
-    Guard { name: "bwest", baseline: None, secs: 0.0, min_ratio: 0.0, checks: bwest_corpus },
-    Guard {
-        name: "ctrl",
-        baseline: Some((
-            "BENCH_ctrl.json",
-            &[("sessions", CTRL_SESSIONS as u64)],
-            "wall_ops_per_sec",
-        )),
-        secs: 6.0,
-        min_ratio: 0.25,
-        checks: ctrl_mux,
-    },
+    Guard { name: "throughput", secs: 2.0, checks: throughput },
+    Guard { name: "obs", secs: 0.5, checks: obs },
+    Guard { name: "netsim", secs: 2.0, checks: netsim },
+    // At 2 s `scale_decay` cannot separate the two engines (EXPERIMENTS G7).
+    Guard { name: "netsim-shard", secs: 4.0, checks: netsim_shard },
+    // Nothing fleet or bwest checks is timed or machine-dependent.
+    Guard { name: "fleet", secs: 0.0, checks: fleet_roster },
+    Guard { name: "bwest", secs: 0.0, checks: bwest_corpus },
+    Guard { name: "ctrl", secs: 6.0, checks: ctrl_mux },
 ];
 
 /// One named verdict of a guard.
@@ -137,73 +78,25 @@ impl Check {
         let detail = format!("{drift:#018x} (pinned {pin:#018x}, {} runs)", got.len());
         Check::new(name, got.iter().all(|&d| d == pin), detail)
     }
-}
 
-/// What a guard's checks are run with.
-pub struct Ctx {
-    /// The measurement budget (`--secs`, or the row's default).
-    pub budget: Duration,
-    /// The pass ratio (`--min-ratio`, or the row's default).
-    pub min_ratio: f64,
-    /// The row's baseline and the text of its file.
-    baseline: Option<(&'static Baseline, String)>,
-    /// The rate the row's baseline names (NaN without one).
-    base: f64,
-}
-
-impl Ctx {
-    /// The baseline rate of `row`, or which of row and field is missing
-    /// from which file.
-    fn lookup(&self, row: &[(&str, u64)]) -> Result<f64, String> {
-        let ((file, _, field), text) =
-            self.baseline.as_ref().expect("the guard's row names a baseline");
-        let keys: Vec<String> = row.iter().map(|(k, v)| format!("\"{k}\": {v}")).collect();
-        let at = format!("{file}: row {{{}}}", keys.join(", "));
-        let found = find_row(text, row).ok_or_else(|| format!("{at} is missing"))?;
-        member(found, field)
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| format!("{at} has no numeric \"{field}\""))
-    }
-
-    /// `measured` (the fastest of `rounds`) over `base` against the pass
-    /// ratio, with the machine the baseline came from next to it so "slower
-    /// machine" shows.
-    fn ratio(
-        &self,
+    /// Exact counts: `got` equals `want`, both spelled out under `what`.
+    fn counts<const N: usize>(
         name: &'static str,
-        measured: f64,
-        unit: &str,
-        rounds: u32,
-        base: f64,
+        what: &str,
+        got: [u64; N],
+        want: [u64; N],
     ) -> Check {
-        let ratio = measured / base;
-        let from = self.baseline.as_ref().map_or("measured here".to_string(), |((file, ..), text)| {
-            let recorded = member(text, "cores").unwrap_or("?");
-            format!("{file} recorded on {recorded} cores, this machine has {}", cores())
-        });
-        let detail = format!(
-            "min over {rounds} rounds: {measured:.1} {unit} vs baseline {base:.1} \
-             (ratio {ratio:.3}, threshold {}; {from})",
-            self.min_ratio
-        );
-        Check::new(name, ratio >= self.min_ratio, detail)
+        let list = |v: [u64; N]| v.map(|n| n.to_string()).join(", ");
+        let detail = format!("{what}: {} (exactly {})", list(got), list(want));
+        Check::new(name, got == want, detail)
     }
-}
 
-/// The text of member `key` in `obj`: what follows `"key":` up to the
-/// next `,`, `}` or line end. No JSON dependency; the `BENCH_*` rows are
-/// flat and one to a line.
-fn member<'a>(obj: &'a str, key: &str) -> Option<&'a str> {
-    let tail = obj.split_once(&format!("\"{key}\":"))?.1;
-    Some(tail.split([',', '}', '\n']).next()?.trim())
-}
-
-/// The object of `text` whose members equal every `(key, value)` of
-/// `row`, as whole values: `128` does not match a row that says `1280`.
-pub fn find_row<'a>(text: &'a str, row: &[(&str, u64)]) -> Option<&'a str> {
-    text.split('{')
-        .map(|s| s.split('}').next().unwrap_or(s))
-        .find(|obj| row.iter().all(|&(k, v)| member(obj, k).is_some_and(|m| m == v.to_string())))
+    /// A quotient of two rates timed in this process (`what` says which
+    /// over which) against the bar it must reach.
+    fn quotient(name: &'static str, what: &str, q: f64, min: f64, rounds: u32) -> Check {
+        let detail = format!("{what}: {q:.3} (bar {min}, min over {rounds} rounds)");
+        Check::new(name, q >= min, detail)
+    }
 }
 
 /// Call `round` (which returns the seconds each thing it timed took)
@@ -226,6 +119,26 @@ pub fn min_over_rounds<const N: usize>(
     (best, rounds)
 }
 
+/// [`min_over_rounds`] of `a` and `b`, both timed in every round and in
+/// alternating order, so neither systematically inherits the other's warm
+/// caches or a frequency ramp, and a machine that changes speed between
+/// rounds changes both.
+fn paired(
+    budget: Duration,
+    min_rounds: u32,
+    mut a: impl FnMut() -> f64,
+    mut b: impl FnMut() -> f64,
+) -> ([f64; 2], u32) {
+    min_over_rounds(budget, min_rounds, |round| {
+        if round % 2 == 0 {
+            let b = b();
+            [a(), b]
+        } else {
+            [a(), b()]
+        }
+    })
+}
+
 /// Wall seconds for `batch` calls of `op`.
 fn time_batch(batch: u64, op: &mut impl FnMut() -> u64) -> f64 {
     let start = Instant::now();
@@ -235,23 +148,32 @@ fn time_batch(batch: u64, op: &mut impl FnMut() -> u64) -> f64 {
     secs
 }
 
-/// Fused adjudication. `ratio`: the depth-4 Figure-2 chain (the fusion
-/// sweep's headline point: deep enough that outcome replay carries the
-/// number, small enough to stay cache-resident) against `repro
-/// throughput`'s 4-monitor `send_adjudications_per_sec`; losing fusion
-/// entirely is a 3x cliff. `replay`, a count: after one allowed probe
-/// `send` on a depth-8 chain, 1,000 reply `recv`s execute 1,000 sections
-/// (the recorder's), replay 7,000 outcomes whole and rerun none. Every
-/// `recv` reads `ping_dst`, so an engine that re-executes each copy from
-/// its first persistent read executes 8,000.
-fn throughput(ctx: &Ctx) -> Vec<Check> {
+/// Fused over sequential depth-4 send rate. Twenty runs on two cores read
+/// 2.12-3.98, and 0.82-1.02 with the fused chain routed through the
+/// sequential walk (EXPERIMENTS G10).
+const MIN_FUSION: f64 = 1.6;
+
+/// Fused adjudication. `fusion`: send adjudications/s of the depth-4
+/// Figure-2 chain (the fusion sweep's headline point: deep enough that
+/// outcome replay carries the number, small enough to stay cache-resident)
+/// over the sequential walk's (`MonitorSet::instantiate_sequential`) on
+/// the same chain; losing fusion entirely reads 1. `replay`, a count:
+/// after one allowed probe `send` on a depth-8 chain, 1,000 reply `recv`s
+/// execute 1,000 sections (the recorder's), replay 7,000 outcomes whole
+/// and rerun none. Every `recv` reads `ping_dst`, so an engine that
+/// re-executes each copy from its first persistent read executes 8,000.
+fn throughput(budget: Duration) -> Vec<Check> {
     const BATCH: u64 = 200_000;
     const RECVS: u64 = 1000;
     let (encoded, probe, info) = figure2_fixture();
-    let mut set = figure2_chain(4, &encoded, &info);
-    assert!(set.allow_send(&probe, &info), "probe allowed");
-    let mut op = || u64::from(set.allow_send(&probe, &info));
-    let ([best], rounds) = min_over_rounds(ctx.budget, 4, |_| [time_batch(BATCH, &mut op)]);
+    let mut fused = figure2_chain(4, &encoded, &info);
+    let mut walk = MonitorSet::instantiate_sequential(&vec![encoded.clone(); 4], &info)
+        .expect("monitors instantiate");
+    assert!(fused.allow_send(&probe, &info) && walk.allow_send(&probe, &info), "probe allowed");
+    let mut fused_op = || u64::from(fused.allow_send(&probe, &info));
+    let mut walk_op = || u64::from(walk.allow_send(&probe, &info));
+    let ([fused, walk], rounds) =
+        paired(budget, 4, || time_batch(BATCH, &mut fused_op), || time_batch(BATCH, &mut walk_op));
 
     let (reply, mut deep) = (figure2_reply(), figure2_chain(8, &encoded, &info));
     assert!(deep.allow_send(&probe, &info), "probe allowed");
@@ -265,11 +187,17 @@ fn throughput(ctx: &Ctx) -> Vec<Check> {
          {} outcomes replayed, {} reruns (exactly {}, {}, {})",
         got[0], got[1], got[2], want[0], want[1], want[2]
     );
+    let what = "depth-4 send adjudications/s, fused over the sequential walk";
     vec![
-        ctx.ratio("ratio", BATCH as f64 / best, "send adjudications/s", rounds, ctx.base),
+        Check::quotient("fusion", what, walk / fused, MIN_FUSION, rounds),
         Check::new("replay", allowed == RECVS && got == want, detail),
     ]
 }
+
+/// Two identical bare engines read 0.954-1.029 against each other at
+/// `obs`'s batch length (twenty runs, EXPERIMENTS P7): the bar sits just
+/// under the lowest.
+const MIN_OBS_RATIO: f64 = 0.95;
 
 /// Disabled instrumentation costs (effectively) nothing on the PFVM hot
 /// path: with `plab-obs` off (the default), depth-1 send adjudications
@@ -284,7 +212,7 @@ fn throughput(ctx: &Ctx) -> Vec<Check> {
 /// one batch, not of the run: min-of-batches is robust to noise only if
 /// each batch amortizes the timer (at 0.2 s the twins read 0.968-1.052
 /// and the guard 0.937-1.054), so the batch is 0.5 s and the rounds 24.
-fn obs(ctx: &Ctx) -> Vec<Check> {
+fn obs(budget: Duration) -> Vec<Check> {
     assert!(!plab_obs::enabled(), "guard measures the disabled path");
     let (encoded, probe, info) = figure2_fixture();
     // The obs snapshot is taken at instantiation: the production shape.
@@ -300,53 +228,99 @@ fn obs(ctx: &Ctx) -> Vec<Check> {
 
     // A batch sized so one takes roughly the budget.
     let per_call = time_batch(100_000, &mut inst_op) / 1e5;
-    let batch = ((ctx.budget.as_secs_f64() / per_call) as u64).clamp(1, 50_000_000);
-
-    // Alternate which path goes first so neither systematically inherits
-    // the other's warm caches or a frequency ramp.
-    let ([inst, twin], rounds) = min_over_rounds(Duration::ZERO, 24, |round| {
-        if round % 2 == 0 {
-            let twin = time_batch(batch, &mut twin_op);
-            [time_batch(batch, &mut inst_op), twin]
-        } else {
-            [time_batch(batch, &mut inst_op), time_batch(batch, &mut twin_op)]
-        }
-    });
-    vec![ctx.ratio("ratio", batch as f64 / inst, "adjudications/s", rounds, batch as f64 / twin)]
+    let batch = ((budget.as_secs_f64() / per_call) as u64).clamp(1, 50_000_000);
+    let ([inst, twin], rounds) = paired(
+        Duration::ZERO,
+        24,
+        || time_batch(batch, &mut inst_op),
+        || time_batch(batch, &mut twin_op),
+    );
+    let what = "depth-1 adjudications/s, MonitorSet over its bare FusedVm";
+    vec![Check::quotient("ratio", what, twin / inst, MIN_OBS_RATIO, rounds)]
 }
 
-/// Simulator events/sec on the 128-host chain world (the mid-size sweep
-/// point: big enough to exercise the timer wheel and route tables, small
-/// enough for CI), pumped to quiescence each round, against
-/// `repro netsim_scale`'s row. A 2x cliff is what the gate is for.
-fn netsim(ctx: &Ctx) -> Vec<Check> {
-    let mut events = 0;
-    let ([best], rounds) = min_over_rounds(ctx.budget, 4, |_| {
-        let (ev, secs, sim) = netsim_scale::round(128);
-        assert_eq!(sim.pool().taken(), sim.pool().recycled(), "pool leak");
-        events = ev;
-        [secs]
-    });
-    vec![ctx.ratio("ratio", events as f64 / best, "events/s", rounds, ctx.base)]
+/// Events, pool takes, frames recycled and copy-on-write copies of one
+/// 128-host round: every host's four probes and their replies, each a
+/// frame of its own that comes back.
+const NETSIM_COUNTS: [u64; 4] = [6_656, 1_024, 1_024, 0];
+
+/// Events/s at 1,024 hosts over events/s at 16. Twenty runs on two cores
+/// read 0.85-1.37, and 0.12-0.15 with a route lookup that scans the
+/// table (EXPERIMENTS G10).
+const MIN_SIZE_DECAY: f64 = 0.6;
+
+/// The simulator on the chain world of `repro netsim_scale`. `counts`:
+/// the 128-host round (the mid-size sweep point: big enough to exercise
+/// the timer wheel and route tables), pumped to quiescence, is exactly
+/// [`NETSIM_COUNTS`]. `size_decay`:
+/// events/s at 1,024 hosts over events/s at 16 (a batch of 64 rounds, so
+/// that a timing is not a few hundred events), both in every round of
+/// one process. A per-packet cost that grows with the world is what it
+/// catches; the 16-host world has nothing to grow. PR 13's colliding
+/// `FxHasher` (the raw product in `finish`) moves it about 12 % and does
+/// not fail it: `build_growth` is that hash's check.
+fn netsim(budget: Duration) -> Vec<Check> {
+    // 64 rounds of 16 hosts are 20,480 events, a round of 1,024 282,624.
+    const SIZES: [(usize, u32); 2] = [(16, 64), (1024, 1)];
+    let (events, _, sim) = netsim_scale::round(128);
+    let pool = sim.pool();
+    let got = [events, pool.taken(), pool.recycled(), pool.cow_copies()];
+    let counts =
+        Check::counts("counts", "events, pool takes, recycled, CoW copies", got, NETSIM_COUNTS);
+
+    // Seconds per event over a batch of `reps` rounds of `hosts`.
+    let per_event = |(hosts, reps): (usize, u32)| {
+        let (mut events, mut secs) = (0, 0.0);
+        for _ in 0..reps {
+            let (ev, s, _) = netsim_scale::round(hosts);
+            (events, secs) = (events + ev, secs + s);
+        }
+        secs / events as f64
+    };
+    let ([small, large], rounds) =
+        paired(budget, 4, || per_event(SIZES[0]), || per_event(SIZES[1]));
+    let what = "events/s at 1,024 hosts over 16";
+    vec![counts, Check::quotient("size_decay", what, small / large, MIN_SIZE_DECAY, rounds)]
 }
 
 const SHARDS: usize = 4;
 
-/// The windowed multi-shard engine. `ratio`: the 1024-host pod world on 4
-/// shards and one thread, half the budget. `threaded`: `min(4, cores)`
-/// threads, only where there is a second core to run it on and a baseline
-/// row to hold it to; on the 10,240-host world, because at 1024 a window
-/// holds a few events a shard and a threaded round times its 2,000 thread
-/// spawns, not the engine. `scale_decay`: one-thread events/s at 10,240
-/// hosts over events/s at 1,024, both sizes in every round of one process
-/// so the quotient is this machine's own, over the whole budget. What a
-/// tenfold world loses is the latency of first touches, and
-/// `Sim::step`'s look-ahead (DESIGN "Netsim") is what hides it: twenty
-/// runs at 4 s on two cores read 0.535-0.676 with it (median 0.619) and
-/// 0.383-0.531 without (median 0.452), so the bound sits between; at 2 s
-/// the ranges overlap. Both levels move between sittings (medians
-/// 0.56-0.62 with it), so a slow day can still miss (EXPERIMENTS G7).
-/// `build_growth`, `build_rss`: world construction
+/// Events, windows and cross-shard handoffs of one 1,024-host round on 4
+/// shards: 2 ms windows over one virtual second, and every 16th host's
+/// probes and replies crossing a pod boundary.
+const SHARD_COUNTS: [u64; 3] = [22_272, 500, 768];
+
+/// Events/s on 4 shards over 1 shard, one thread, 1,024 hosts. Twenty
+/// runs on two cores read 0.90-0.97, and 0.09-0.13 with a thread scope
+/// opened per window at one thread (EXPERIMENTS G10).
+const MIN_WINDOWED: f64 = 0.6;
+
+/// Events/s on `min(4, cores)` threads over one thread, 40,960 hosts on 4
+/// shards. On two cores twenty runs read 1.03-1.53, and 0.71-1.02 with
+/// each shard's thread joined before the next one spawns: the ranges
+/// touch, so the bar sits under the lowest reading, and it caught that
+/// mutation in 19 runs of 20, not in every one (EXPERIMENTS G10).
+const MIN_THREADED: f64 = 0.95;
+
+/// The windowed multi-shard engine. `windowed`: the 1024-host pod world
+/// on 4 shards over the same world on 1, both on one thread and in every
+/// round, half the budget; `windows`, a count, the same 4-shard round's
+/// [`SHARD_COUNTS`]. `threaded`: `min(4, cores)` threads over one thread,
+/// only where there is a second core; on the 40,960-host world, because
+/// a threaded round opens a scope of four threads for each of its 500
+/// windows, and only a window this full pays for them: at 10,240 hosts
+/// two threads lose to one on two cores (0.57-0.73) and a serialised
+/// advance reads the same (0.27-0.61). Two cores are its ceiling: four
+/// shards share them, and each window ends at a barrier.
+/// `scale_decay`: one-thread events/s at 10,240 hosts over events/s at
+/// 1,024, both sizes in every round of one process, over the whole
+/// budget. What a tenfold world loses is the latency of first touches,
+/// and `Sim::step`'s look-ahead (DESIGN "Netsim") is what hides it:
+/// twenty runs at 4 s on two cores read 0.535-0.676 with it (median
+/// 0.619) and 0.383-0.531 without (median 0.452), so the bound sits
+/// between; at 2 s the ranges overlap. Both levels move between sittings
+/// (medians 0.56-0.62 with it), so a slow day can still miss (EXPERIMENTS
+/// G7). `build_growth`, `build_rss`: world construction
 /// is outside every event timing, so it has bounds of its own, each
 /// measured in a fresh process ([`netsim_scale::build_cost`]): 102,400
 /// hosts may take at most 20x as long to build as 10,240 (linear is 10; a
@@ -355,7 +329,7 @@ const SHARDS: usize = 4;
 /// one (shards own partitions; replicas would read ~3x). The 4-shard chaos
 /// digests are pinned once, in `determinism_regression.rs`, and replayed
 /// by `tests/chaos.rs`; CI runs both beside this guard.
-fn netsim_shard(ctx: &Ctx) -> Vec<Check> {
+fn netsim_shard(budget: Duration) -> Vec<Check> {
     const BUILD_HOSTS: [usize; 2] = [10_240, 102_400];
     const MAX_BUILD_GROWTH: f64 = 20.0;
     const MAX_RSS_GROWTH: f64 = 2.0;
@@ -366,23 +340,53 @@ fn netsim_shard(ctx: &Ctx) -> Vec<Check> {
     let [small, large] = BUILD_HOSTS.map(|n| netsim_scale::build_cost(n, SHARDS));
     let one_shard = netsim_scale::build_cost(BUILD_HOSTS[1], 1);
 
-    let measure = |hosts: usize, threads: usize| {
-        let mut events = 0;
-        let ([best], rounds) = min_over_rounds(ctx.budget / 2, 4, |_| {
-            let (ev, secs, world) = netsim_scale::round_pods(hosts, SHARDS, threads);
-            for pool in world.sim.pool_handles() {
-                assert_eq!(pool.taken(), pool.recycled(), "pool leak in shard world");
-            }
-            events = ev;
-            [secs]
-        });
-        (events as f64 / best, rounds)
+    // Events/s of `hosts` on `shards` and `threads`, as seconds per event
+    // (what `paired` keeps the minimum of), and the round's counts.
+    let per_event = |hosts: usize, shards: usize, threads: usize| {
+        let (ev, secs, world) = netsim_scale::round_pods(hosts, shards, threads);
+        for pool in world.sim.pool_handles() {
+            assert_eq!(pool.taken(), pool.recycled(), "pool leak in shard world");
+        }
+        (secs / ev as f64, [ev, world.sim.windows_run(), world.sim.handoffs()])
     };
-    let (one_thread, rounds) = measure(1024, 1);
+    let mut got = Vec::new();
+    let ([sharded, whole], rounds) = paired(
+        budget / 2,
+        4,
+        || {
+            let (t, counts) = per_event(1024, SHARDS, 1);
+            got.push(counts);
+            t
+        },
+        || per_event(1024, 1, 1).0,
+    );
+    let what = "one thread, 1,024 hosts: events/s on 4 shards over 1";
+    let windowed = Check::quotient("windowed", what, whole / sharded, MIN_WINDOWED, rounds);
+    let drift = got.iter().find(|&&c| c != SHARD_COUNTS).unwrap_or(&got[0]);
+    let mut windows = Check::counts("windows", "events, windows, handoffs", *drift, SHARD_COUNTS);
+    windows.detail += &format!(" a round, over {} rounds", got.len());
+
+    let threads = cores().clamp(1, SHARDS);
+    let threaded = if threads == 1 {
+        Check::skipped("threaded", "1 core")
+    } else {
+        let ([many, one], rounds) = paired(
+            budget / 2,
+            4,
+            || per_event(40_960, SHARDS, threads).0,
+            || per_event(40_960, SHARDS, 1).0,
+        );
+        let what = format!(
+            "40,960 hosts on 4 shards: events/s on {threads} threads over 1 \
+             ({} cores; at most 4 shards' worth)",
+            cores()
+        );
+        Check::quotient("threaded", &what, one / many, MIN_THREADED, rounds)
+    };
     // Both sizes in every round, so a machine that changes speed between
     // rounds changes both readings.
     let mut events = [0; 2];
-    let (secs, _): ([f64; 2], _) = min_over_rounds(ctx.budget, 4, |_| {
+    let (secs, _): ([f64; 2], _) = min_over_rounds(budget, 4, |_| {
         std::array::from_fn(|i| {
             let (ev, secs, _) = netsim_scale::round_pods([1024, 10_240][i], SHARDS, 1);
             events[i] = ev;
@@ -394,16 +398,6 @@ fn netsim_shard(ctx: &Ctx) -> Vec<Check> {
         "one thread, 10,240 hosts run at {decay:.3} of the events/s of 1,024 \
          (bound {MIN_SCALE_DECAY})"
     );
-    let threads = cores().clamp(1, SHARDS);
-    let threaded_row = [("hosts", 10_240), ("shards", SHARDS as u64), ("threads", threads as u64)];
-    let threaded = match ctx.lookup(&threaded_row) {
-        _ if threads == 1 => Check::skipped("threaded", "1 core"),
-        Err(missing) => Check::skipped("threaded", &missing),
-        Ok(base) => {
-            let (rate, rounds) = measure(10_240, threads);
-            ctx.ratio("threaded", rate, "events/s", rounds, base)
-        }
-    };
     let growth = large.secs / small.secs;
     // Without procfs both readings are 0 and the ratio is NaN.
     let rss_growth = large.rss_kb as f64 / one_shard.rss_kb as f64;
@@ -423,7 +417,8 @@ fn netsim_shard(ctx: &Ctx) -> Vec<Check> {
         BUILD_HOSTS[0], small.secs, BUILD_HOSTS[1], large.secs
     );
     vec![
-        ctx.ratio("ratio", one_thread, "events/s", rounds, ctx.base),
+        windowed,
+        windows,
         threaded,
         Check::new("scale_decay", decay >= MIN_SCALE_DECAY, decay_detail),
         Check::new("build_growth", growth <= MAX_BUILD_GROWTH, build_detail),
@@ -438,25 +433,35 @@ fn netsim_shard(ctx: &Ctx) -> Vec<Check> {
 const PINNED_FLEET_CLEAN: u64 = 0xb2ca_999d_eef6_7529;
 const PINNED_FLEET_CHAOS: u64 = 0x0ae5_d52f_df16_91ef;
 
+/// What one clean run of the 512-endpoint roster counts, in the order of
+/// [`FLEET_COUNTERS`]: the harness's servicing passes, the runner's
+/// probes of signalled tasks and its polls of task futures (170.6, 39.0
+/// and 19 a task), the same on 1, 2 and 4 shard threads.
+const FLEET_COUNTERS: [&str; 3] = ["harness.passes", "runner.wake_probes", "runner.task_polls"];
+const FLEET_COUNTS: [u64; 3] = [87_336, 19_973, 9_728];
+
 /// The fleet runner on the 512-endpoint roster (ping + Figure-2 monitor
-/// over 4 shards, the construction `repro fleet` measures): endpoints/sec
-/// of the fastest pass against the sweep row; every pass must seal the
-/// pinned clean report; the chaos variant (crash/restart + burst loss)
-/// runs twice, both reports bit-identical and equal to the chaos pin. The
-/// report is machine- and thread-count-independent, so digest drift means
-/// fleet replay is broken whatever the throughput.
-fn fleet_roster(ctx: &Ctx) -> Vec<Check> {
+/// over 4 shards, the construction `repro fleet` measures). `wakeups`, a
+/// count: one clean run, recorded, makes exactly [`FLEET_COUNTS`] of
+/// [`FLEET_COUNTERS`]; a runner that probes every parked task on each
+/// pass, or a harness that services before each event as well, makes
+/// more. The clean run and a second, unrecorded one must seal the pinned
+/// clean report; the chaos variant (crash/restart + burst loss) runs
+/// twice, both reports bit-identical and equal to the chaos pin. Reports
+/// and counts are machine- and thread-count-independent, so drift means
+/// fleet scheduling or replay is broken whatever the throughput.
+fn fleet_roster(_: Duration) -> Vec<Check> {
     let (pairs, threads) = (fleet::GUARD_PAIRS, fleet::threads());
-    let mut clean = Vec::new();
-    let ([best], rounds) = min_over_rounds(ctx.budget, 2, |_| {
-        let (run, wall) = fleet::point(pairs, threads, false);
-        clean.push(run.report.digest);
-        [wall]
-    });
+    plab_obs::enable();
+    plab_obs::reset();
+    let recorded = fleet::point(pairs, threads, false).0.report;
+    plab_obs::disable();
+    let counted = FLEET_COUNTERS.map(plab_obs::metrics::counter);
+    let clean = [recorded.digest, fleet::point(pairs, threads, false).0.report.digest];
     let [a, b] = [(); 2].map(|()| fleet::point(pairs, threads, true).0.report);
     let replayed = a.digest == b.digest && a.events == b.events && a.summary == b.summary;
     vec![
-        ctx.ratio("ratio", pairs as f64 / best, "endpoints/s", rounds, ctx.base),
+        Check::counts("wakeups", &FLEET_COUNTERS.join(", "), counted, FLEET_COUNTS),
         Check::pinned("clean_pinned", &clean, PINNED_FLEET_CLEAN),
         Check::pinned("chaos_pinned", &[a.digest], PINNED_FLEET_CHAOS),
         Check::new("chaos_replay_identical", replayed, format!("second run {:#018x}", b.digest)),
@@ -479,7 +484,7 @@ const MAX_PASSES_PER_EVENT: f64 = 0.58;
 /// [`MAX_PASSES_PER_EVENT`] harness servicing passes per simulator event.
 /// Traces and counts are machine-independent (virtual clock, integer
 /// rendering), so any drift is a real regression.
-fn bwest_corpus(_: &Ctx) -> Vec<Check> {
+fn bwest_corpus(_: Duration) -> Vec<Check> {
     let [(errors, digest, per_event), (errors_b, digest_b, _)] = [(); 2].map(|()| {
         let (points, qlog, _) = bwest::run_corpus();
         let errors: Vec<_> = points.iter().map(|p| (p.name, p.worst_error_pct())).collect();
@@ -502,7 +507,7 @@ fn bwest_corpus(_: &Ctx) -> Vec<Check> {
     ]
 }
 
-/// Sessions and round trips a session of the ctrl point (the
+/// Sessions and round trips a session of the pinned ctrl point (the
 /// `BENCH_ctrl.json` sweep row), and the digest of its reply stream. To
 /// re-pin after an *intentional* wire or agent change, run
 /// `repro ctrl_scale` and paste the printed 1024-session digest.
@@ -510,30 +515,40 @@ const CTRL_SESSIONS: usize = 1024;
 const CTRL_OPS: u32 = 100;
 const PINNED_CTRL_DIGEST: u64 = 0x27b8_c596_556e_9713;
 
-/// The multiplexed endpoint reactor. `ratio`: wall ops/sec of the fastest
-/// 1024-session pass (stop-and-wait clients over the 10 ms virtual RTT,
-/// `repro ctrl_scale`'s construction). `scales`: aggregate virtual ops/sec
-/// at least 10x the single-session serial baseline with per-op p99 at the
-/// RTT floor; the reactor drains every servable message per tick, so any
-/// scheduling delay is a regression. `pinned`: every pass's flushed reply
-/// stream. `idle_cheap`: with 4096 sessions enrolled and none sending, a
-/// pump + dispatch + flush turn costs at most 3x the 4096 `tcp_recv`
-/// readiness polls it has to make, both timed here; a reactor that hashes
-/// and sorts its way over every enrolled session each turn reads 6x or
-/// more, the dense table and cursor ring under 2x. `verify_once`, a count:
-/// N authentications of one chain on one agent run N + chain_len curve
-/// verifications (each possession proof, the chain once), and N agents
-/// authenticating it once each run N x (chain_len + 1).
-fn ctrl_mux(ctx: &Ctx) -> Vec<Check> {
+/// Wall ops/s at 4,096 sessions over 64. Twenty runs on two cores read
+/// 0.44-0.71, and 0.04-0.08 with a dispatch that finds a session's slot
+/// by linear scan (EXPERIMENTS G10).
+const MIN_SESSION_SCALE: f64 = 0.3;
+
+/// The multiplexed endpoint reactor. `session_scale`: wall ops/s of the
+/// 4,096-session point over the 64-session point (stop-and-wait clients
+/// over the 10 ms virtual RTT, `repro ctrl_scale`'s construction), both
+/// in every round; a per-op cost that grows with the sessions enrolled is
+/// what it catches. `scales`: aggregate virtual ops/sec of the pinned
+/// 1,024-session point at least 10x the single-session serial baseline
+/// with per-op p99 at the RTT floor; the reactor drains every servable
+/// message per tick, so any scheduling delay is a regression. `pinned`:
+/// two passes' flushed reply streams. `idle_cheap`: with 4096 sessions
+/// enrolled and none sending, a pump + dispatch + flush turn costs at
+/// most 3x the 4096 `tcp_recv` readiness polls it has to make, both timed
+/// here; a reactor that hashes and sorts its way over every enrolled
+/// session each turn reads 6x or more, the dense table and cursor ring
+/// under 2x. `verify_once`, a count: N authentications of one chain on
+/// one agent run N + chain_len curve verifications (each possession
+/// proof, the chain once), and N agents authenticating it once each run
+/// N x (chain_len + 1).
+fn ctrl_mux(budget: Duration) -> Vec<Check> {
+    const SCALE_SESSIONS: [usize; 2] = [64, 4096];
     const IDLE_SESSIONS: usize = 4096;
     const IDLE_MAX_OVER_POLLS: f64 = 3.0;
     const AUTHS: u64 = 64;
-    let mut passes = Vec::new();
-    let ([best], rounds) = min_over_rounds(ctx.budget, 2, |_| {
-        passes.push(ctrl::point(CTRL_SESSIONS, CTRL_OPS));
-        [passes[passes.len() - 1].wall_secs]
-    });
-    let digests: Vec<u64> = passes.iter().map(|p| p.digest).collect();
+    let per_op = |sessions| {
+        let p = ctrl::point(sessions, CTRL_OPS);
+        p.wall_secs / p.ops as f64
+    };
+    let ([few, many], rounds) =
+        paired(budget, 2, || per_op(SCALE_SESSIONS[0]), || per_op(SCALE_SESSIONS[1]));
+    let passes = [(); 2].map(|()| ctrl::point(CTRL_SESSIONS, CTRL_OPS));
     let (mux, serial) = (passes[0], ctrl::point(1, CTRL_OPS));
     let speedup = mux.virtual_ops_per_sec() / serial.virtual_ops_per_sec();
     let scales = speedup >= 10.0 && mux.p99_ns <= ctrl::RTT_NS && serial.p99_ns <= ctrl::RTT_NS;
@@ -555,10 +570,11 @@ fn ctrl_mux(ctx: &Ctx) -> Vec<Check> {
          (exactly {}), {apart} on {AUTHS} agents (exactly {})",
         want.0, want.1
     );
+    let what = "wall ops/s at 4,096 sessions over 64";
     vec![
-        ctx.ratio("ratio", mux.ops as f64 / best, "wall ops/s", rounds, ctx.base),
+        Check::quotient("session_scale", what, few / many, MIN_SESSION_SCALE, rounds),
         Check::new("scales", scales, scaling),
-        Check::pinned("pinned", &digests, PINNED_CTRL_DIGEST),
+        Check::pinned("pinned", &passes.map(|p| p.digest), PINNED_CTRL_DIGEST),
         Check::new("idle_cheap", idle <= IDLE_MAX_OVER_POLLS, idle_detail),
         Check::new("verify_once", (one_agent, apart) == want, verify_detail),
     ]
@@ -626,8 +642,6 @@ pub struct Opts {
     pub trace: bool,
     /// `--secs`: the measurement budget.
     pub secs: Option<Duration>,
-    /// `--min-ratio`: what measured / baseline must reach.
-    pub min_ratio: Option<f64>,
     /// `--seed`.
     pub seed: Option<u64>,
     /// `--base`: the seed a chaos `--sweep` derives its seeds from.
@@ -694,7 +708,7 @@ pub static COMMANDS: [Command; 16] = [
     Command { name: "fig2", args: &[] },
     Command { name: "fleet", args: &["--sweep PAIRS,..", "--json"] },
     Command { name: "fuzz", args: &["--target NAME", "--seed N", "--iters N", "--json"] },
-    Command { name: "guard", args: &["<guard>", "--secs S", "--min-ratio R", "--json"] },
+    Command { name: "guard", args: &["<guard>", "--secs S", "--json"] },
     Command { name: "netsim_scale", args: &["--rounds N", "--json"] },
     Command { name: "rendezvous", args: &["--json"] },
     Command { name: "rtt_limitation", args: &[] },
@@ -735,7 +749,6 @@ pub fn parse(args: &[String]) -> Result<(&'static Command, Opts), String> {
                 Ok(())
             }
             "--secs S" => non_negative(v).map(|s| o.secs = Some(Duration::from_secs_f64(s))),
-            "--min-ratio R" => non_negative(v).map(|r| o.min_ratio = Some(r)),
             "--seed N" => number(v).map(|n| o.seed = Some(n)),
             "--base N" => number(v).map(|n| o.base = Some(n)),
             "--iters N" => number(v).map(|n| o.iters = Some(n)),
@@ -774,35 +787,12 @@ pub fn parse(args: &[String]) -> Result<(&'static Command, Opts), String> {
     Ok((command, o))
 }
 
-/// Run one guard: read its baseline first, so a missing file, row or
-/// field is said before the budget is spent rather than after.
-fn run_guard(guard: &'static Guard, opts: &Opts) -> Report {
-    let mut ctx = Ctx {
-        budget: opts.secs.unwrap_or(Duration::from_secs_f64(guard.secs)),
-        min_ratio: opts.min_ratio.unwrap_or(guard.min_ratio),
-        baseline: None,
-        base: f64::NAN,
-    };
-    let report = |checks| Report { guard: guard.name, checks };
-    if let Some(spec @ (file, row, _)) = &guard.baseline {
-        let read = std::fs::read_to_string(file).map_err(|e| format!("{file}: {e}"));
-        let found = read.and_then(|text| {
-            ctx.baseline = Some((spec, text));
-            ctx.lookup(row)
-        });
-        match found {
-            Ok(base) => ctx.base = base,
-            Err(missing) => return report(vec![Check::new("baseline", false, missing)]),
-        }
-    }
-    report((guard.checks)(&ctx))
-}
-
 /// `repro guard`: run the guards named, print, and return the exit code.
 pub fn run(opts: &Opts) -> i32 {
     let mut reports = Vec::new();
     for guard in &opts.guards {
-        let report = run_guard(guard, opts);
+        let budget = opts.secs.unwrap_or(Duration::from_secs_f64(guard.secs));
+        let report = Report { guard: guard.name, checks: (guard.checks)(budget) };
         if !opts.json {
             print!("{}", report.text());
         }
@@ -817,23 +807,6 @@ pub fn run(opts: &Opts) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// A sweep that lists the 1,280-host row first: a scrape that matches
-    /// `"hosts": 128` by prefix returns its neighbour's number.
-    const SWEEP: &str = "{\n  \"cores\": 2,\n  \"sweep\": [\n    \
-        {\"hosts\": 1280, \"events_per_sec\": 1.5},\n    \
-        {\"hosts\": 128, \"events_per_sec\": 4.5, \"shards\": 4}\n  ]\n}\n";
-
-    #[test]
-    fn lookup_matches_whole_values_on_every_key() {
-        let row = find_row(SWEEP, &[("hosts", 128)]).expect("the 128-host row");
-        assert_eq!(member(row, "events_per_sec"), Some("4.5"));
-        assert_eq!(member(row, "shards"), Some("4"), "last member, closed by the brace");
-        assert!(find_row(SWEEP, &[("hosts", 12)]).is_none(), "absent, not a neighbour");
-        assert!(find_row(SWEEP, &[("hosts", 128), ("shards", 2)]).is_none(), "every key");
-        assert!(find_row(SWEEP, &[("hosts", 1280), ("shards", 4)]).is_none());
-        assert_eq!(member(SWEEP, "cores"), Some("2"));
-    }
 
     #[test]
     fn timer_runs_its_minimum_rounds_and_keeps_the_minimum() {
@@ -920,18 +893,19 @@ mod tests {
         let (name, opts) = parse("guard ctrl --secs 0.5 --json").expect("accepted");
         assert_eq!((name, opts.guards[0].name, opts.guards.len()), ("guard", "ctrl", 1));
         assert!(opts.json && !opts.trace);
-        assert_eq!((opts.secs, opts.min_ratio), (Some(Duration::from_millis(500)), None));
+        assert_eq!(opts.secs, Some(Duration::from_millis(500)));
         assert_eq!(parse("guard all").expect("accepted").1.guards.len(), GUARDS.len());
 
         // A flag that ends the line without its value, a value of the
-        // wrong type and a flag of another row all name the row's usage:
-        // the sixteen binaries indexed past the end or panicked in `expect`.
+        // wrong type and a flag of another row or of none (`--min-ratio`
+        // is gone) all name the row's usage: the sixteen binaries indexed
+        // past the end or panicked in `expect`.
         for line in [
             "guard", "guard ctrl --secs -1", "guard ctrl --seed 1", "chaos --seed",
             "chaos --scenario", "chaos --sweep 0xzz", "chaos --base 1 --trace --sweep",
             "chaos extra", "fuzz --iters", "fuzz --iters many", "fuzz --seed --json",
             "fleet --sweep 512,", "throughput --secs soon", "netsim_scale --rounds",
-            "table1 --secs 1",
+            "table1 --secs 1", "guard ctrl --min-ratio 0.2",
         ] {
             let usage = format!("usage: repro {}", line.split(' ').next().unwrap());
             assert!(rejected(line).contains(&usage), "`{line}`: {}", rejected(line));

@@ -4,7 +4,7 @@
 //! `repro` binary that regenerates its rows, the implementation's own
 //! wall-clock cost beside them (bodies in `src/bin/repro/`, the table and
 //! option parser in [`guard`]; outputs are committed under `results/` and
-//! as `BENCH_*.json`, which [`guard`] holds CI to). This module holds the
+//! as `BENCH_*.json`, records that no guard reads). This module holds the
 //! world-building helpers they share.
 
 use packetlab::cert::Restrictions;
@@ -581,21 +581,17 @@ pub mod netsim_scale {
         /// (`warm_ahead`). It must hold none of them past the call and
         /// change nothing: once a round's inboxes are drained every
         /// shard's pool has back what it gave out, and the round is the
-        /// events `BENCH_netsim.json` has for this world, on one thread
-        /// and on two.
+        /// same 22,272 events on one thread and on two.
         #[test]
-        fn a_pod_round_balances_every_pool_and_is_the_committed_events() {
-            let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_netsim.json");
-            let committed = std::fs::read_to_string(path).expect("read BENCH_netsim.json");
+        fn a_pod_round_balances_every_pool_and_is_the_pinned_events() {
+            const EVENTS: u64 = 22_272;
             for threads in [1, 2] {
-                let (events, _, world) = super::round_pods(1024, 4, threads as usize);
+                let (events, _, world) = super::round_pods(1024, 4, threads);
                 for (shard, pool) in world.sim.pool_handles().iter().enumerate() {
                     assert!(pool.taken() > 0, "shard {shard} moved no packet");
                     assert_eq!(pool.taken(), pool.recycled(), "shard {shard} is owed frames");
                 }
-                let row = [("hosts", 1024), ("shards", 4), ("threads", threads), ("events", events)];
-                let found = crate::guard::find_row(&committed, &row);
-                assert!(found.is_some(), "{events} events on {threads} threads: not the committed row");
+                assert_eq!(events, EVENTS, "on {threads} threads");
             }
         }
     }
@@ -603,10 +599,9 @@ pub mod netsim_scale {
 
 /// Shared construction for the fleet-orchestration bench and its CI guard
 /// (`repro fleet`, `repro guard fleet`). Both must build *bit-identical*
-/// worlds — the guard pins report digests against the committed
-/// `BENCH_fleet.json` baseline — so every knob that feeds the digest
-/// (roster seed, keypairs, experiment spec, scheduler config, fault plan)
-/// lives here once.
+/// worlds — the guard pins the report digests `BENCH_fleet.json` records
+/// — so every knob that feeds the digest (roster seed, keypairs,
+/// experiment spec, scheduler config, fault plan) lives here once.
 pub mod fleet {
     use plab_crypto::Keypair;
     use plab_netsim::roster::RosterSpec;
@@ -616,8 +611,8 @@ pub mod fleet {
         RateLimit, SchedulerConfig,
     };
 
-    /// Roster size the guard measures and pins (a `repro fleet` sweep
-    /// point, so the baseline always carries the matching row).
+    /// Roster size the guard counts and pins (a `repro fleet` sweep
+    /// point, so the record always carries the matching row).
     pub const GUARD_PAIRS: usize = 512;
 
     /// Shard count for every fleet point. The report is thread-count
@@ -874,7 +869,7 @@ pub mod reportjson {
 
     /// Emit a finished report per the `repro` convention: open it with
     /// its name and the machine members, always write the `BENCH_*`
-    /// baseline file, then either print the report itself (`--json`) or a
+    /// record, then either print the report itself (`--json`) or a
     /// human note saying where it went. `members` is the rest of the
     /// object, from its first member's indent to the closing brace.
     pub fn emit_report(bench: &str, path: &str, members: &str, json: bool) {
