@@ -36,9 +36,11 @@ fn chaos_corpus_is_deterministic_and_never_hangs() {
     assert!(corpus.len() >= 50, "corpus shrank below the acceptance floor");
     let mut completed = 0usize;
     let mut aborted = 0usize;
+    let mut corpus_digest = 0xcbf2_9ce4_8422_2325u64;
     for &(scenario, seed) in &corpus {
         let first = chaos::run(scenario, seed);
         let second = chaos::run(scenario, seed);
+        corpus_digest = fold_outcome(corpus_digest, &first);
         assert_eq!(
             first, second,
             "non-deterministic chaos run — reproduce with seed {seed:#018x} \
@@ -71,6 +73,35 @@ fn chaos_corpus_is_deterministic_and_never_hangs() {
         aborted >= 1,
         "chaos corpus never exercised the clean-abort path ({completed} completed)",
     );
+    assert_eq!(
+        corpus_digest, CORPUS_DIGEST,
+        "the corpus outcomes moved: run `repro chaos` here and on the parent and diff"
+    );
+}
+
+/// Every field of every first-run outcome of the corpus, folded in corpus
+/// order by [`fold_outcome`]. `report()` is not enough: it leaves out
+/// `failed_dials`, `suspended_waits` and `finished_at` below the
+/// millisecond, which is where a backoff change shows first.
+const CORPUS_DIGEST: u64 = 0x5458_5576_e64e_180d;
+
+/// FNV-1a over one outcome: seed, scenario, verdict text, observables
+/// digest, finish time in ns, the five retry counters, fault count and
+/// pool buffers taken.
+fn fold_outcome(h: u64, o: &chaos::ChaosOutcome) -> u64 {
+    let s = &o.stats;
+    let mut bytes = o.seed.to_le_bytes().to_vec();
+    bytes.extend(format!("{} {:?}", o.scenario.name(), o.verdict).bytes());
+    for w in [o.digest, o.finished_at] {
+        bytes.extend(w.to_le_bytes());
+    }
+    for c in [s.connects, s.failed_dials, s.timeouts, s.replays, s.suspended_waits] {
+        bytes.extend(c.to_le_bytes());
+    }
+    for w in [o.fault_count as u64, o.pool_taken] {
+        bytes.extend(w.to_le_bytes());
+    }
+    bytes.iter().fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
 }
 
 /// The full corpus again, with the world split across 4 shards
