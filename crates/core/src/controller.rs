@@ -8,15 +8,15 @@
 //! The library's logic exists once, as `async fn` over the traits of
 //! [`aio`] (one async core, two drivers — see that module). What this
 //! module adds are the **blocking shells** every single-endpoint caller
-//! uses: [`ControlChannel`], [`ControlPlane`], [`SinkHost`],
-//! [`robust::Dialer`], [`handshake`] and the `experiments::*` functions
-//! each run the corresponding [`aio`] future through [`aio::block_on`].
-//! A shell trait has no required methods; a backend implements the
-//! [`aio`] trait and adds the empty shell impl as its promise that every
-//! operation completes inside the call (`crate::harness::SimChannel`
-//! advances the simulator itself, `crate::transport::TcpChannel` sleeps
-//! on its socket), which is why `block_on` may poll once and treat
-//! `Pending` as a bug.
+//! uses: [`ControlChannel`], [`ControlPlane`], [`SinkHost`], [`handshake`]
+//! and the `experiments::*` functions each run the corresponding [`aio`]
+//! future through [`aio::block_on`]. A shell trait has no required
+//! methods; a backend implements the [`aio`] trait and adds the empty
+//! shell impl (for a dialer, the marker [`robust::Dialer`]) as its promise
+//! that every operation completes inside the call
+//! (`crate::harness::SimChannel` advances the simulator itself,
+//! `crate::transport::TcpChannel` sleeps on its socket), which is why
+//! `block_on` may poll once and treat `Pending` as a bug.
 //!
 //! [`Controller`] is generic over its channel, so the same experiment
 //! code drives simulated endpoints or remote ones. The [`experiments`]
@@ -361,28 +361,38 @@ impl<C: aio::Channel> Controller<C> {
         seq
     }
 
-    /// The answer to `seq`; an answer to any other seq is a protocol error.
+    /// The answer to `seq`; any other frame, an answer to another seq
+    /// included, is a protocol error.
     async fn wait_response(&mut self, seq: u64, budget: u64) -> Result<Response, ControllerError> {
         let deadline = self.chan.now() + budget;
-        loop {
-            match self.chan.recv(Some(deadline)).await {
-                Some(Message::RespSeq { seq: s, resp }) if s == seq => return Ok(resp),
-                Some(Message::Notify(n)) => self.notifications.push(n),
-                Some(other) => {
-                    return Err(ControllerError::Protocol(format!("unexpected {other:?}")))
-                }
-                None => return Err(ControllerError::Timeout),
-            }
+        recv_answer(&mut self.chan, seq, deadline, &mut self.notifications)
+            .await
+            .ok_or(ControllerError::Timeout)?
+            .map_err(|other| ControllerError::Protocol(format!("unexpected {other:?}")))
+    }
+}
+
+/// Receive on `chan` until the answer to `seq`, collecting notifications
+/// on the way: `Ok` with the answer, `Err` with the first other frame, or
+/// `None` once `deadline` passes. What another frame means is the
+/// caller's: [`Controller`] fails on it, `RobustController` skips stale
+/// answers and refusals.
+async fn recv_answer<C: aio::Channel>(
+    chan: &mut C,
+    seq: u64,
+    deadline: u64,
+    notifications: &mut Vec<Notification>,
+) -> Option<Result<Response, Message>> {
+    loop {
+        match chan.recv(Some(deadline)).await? {
+            Message::RespSeq { seq: s, resp } if s == seq => return Some(Ok(resp)),
+            Message::Notify(n) => notifications.push(n),
+            other => return Some(Err(other)),
         }
     }
 }
 
 impl<C: aio::Channel> aio::Plane for Controller<C> {
-    async fn request(&mut self, cmd: Command) -> Result<Response, ControllerError> {
-        let seq = self.send(cmd).await;
-        self.wait_response(seq, self.request_timeout).await
-    }
-
     /// Pipelined override: all commands are sent back-to-back, then all
     /// responses collected in order. This keeps command delivery off the
     /// critical path of scheduled sends — e.g. the §4 bandwidth experiment

@@ -16,16 +16,18 @@
 //!   polls it when the simulated world satisfied what it waits for;
 //!   thousands of tasks share one thread and one virtual clock.
 //! - **[`block_on`]**, under the blocking shells ([`ControlChannel`],
-//!   [`ControlPlane`], [`SinkHost`], [`robust::Dialer`] and the
-//!   `experiments::*` functions): for a backend that advances the world
-//!   itself until an operation is done (`SimChannel` steps the simulator,
-//!   `TcpChannel` sleeps on a real socket), every future is finished the
-//!   first time it is polled, so driving it is one poll.
+//!   [`ControlPlane`], [`SinkHost`] and the `experiments::*` functions):
+//!   for a backend that advances the world itself until an operation is
+//!   done (`SimChannel` steps the simulator, `TcpChannel` sleeps on a real
+//!   socket), every future is finished the first time it is polled, so
+//!   driving it is one poll.
 //!
 //! A backend states which kind it is by what it implements: the traits
 //! here alone (its futures may return `Pending`, and it brings its own
 //! driver), or also the empty blocking shell — the promise that they never
-//! do. No `Send` bounds anywhere: both drivers are single-threaded.
+//! do. A dialer's shell, [`robust::Dialer`], is only that promise: it has
+//! no methods, and the blocking `RobustController` needs nothing else. No
+//! `Send` bounds anywhere: both drivers are single-threaded.
 //!
 //! [`ControlChannel`]: super::ControlChannel
 //! [`ControlPlane`]: super::ControlPlane
@@ -158,14 +160,10 @@ pub async fn handshake<C: Channel>(
 /// reconnects, replays, and aborts with [`ControllerError::Unreachable`]
 /// only after its retry budget, under either driver.
 ///
-/// Only [`Plane::request`], [`Plane::request_until`], and [`Plane::now`]
-/// are required; the Table 1 helpers and derived operations are provided
-/// in terms of them.
+/// Only [`Plane::request_until`] and [`Plane::now`] are required; the
+/// Table 1 helpers and derived operations are provided in terms of them.
 #[allow(async_fn_in_trait)]
 pub trait Plane {
-    /// Issue a command and wait for its response.
-    async fn request(&mut self, cmd: Command) -> Result<Response, ControllerError>;
-
     /// Issue a command whose response may take until `deadline`
     /// (endpoint-paced commands like `npoll`).
     async fn request_until(
@@ -176,6 +174,12 @@ pub trait Plane {
 
     /// Controller-clock now, ns.
     fn now(&self) -> u64;
+
+    /// Issue a command and wait for its response: `request_until` at
+    /// deadline 0, which leaves each implementation's per-request timeout.
+    async fn request(&mut self, cmd: Command) -> Result<Response, ControllerError> {
+        self.request_until(cmd, 0).await
+    }
 
     /// Issue many commands and collect their responses in order.
     /// Implementations that can pipeline (send all, then read all) should
@@ -195,8 +199,7 @@ pub trait Plane {
     async fn expect_ok(&mut self, cmd: Command) -> Result<(), ControllerError> {
         match self.request(cmd).await? {
             Response::Ok => Ok(()),
-            Response::Err { code, msg } => Err(ControllerError::Endpoint(code, msg)),
-            other => Err(ControllerError::Protocol(format!("expected Ok, got {other:?}"))),
+            other => Err(unexpected(other, "Ok")),
         }
     }
 
@@ -266,8 +269,7 @@ pub trait Plane {
     ) -> Result<u64, ControllerError> {
         match self.request(Command::NSend { sktid, time, data }).await? {
             Response::SendQueued { tag } => Ok(tag),
-            Response::Err { code, msg } => Err(ControllerError::Endpoint(code, msg)),
-            other => Err(ControllerError::Protocol(format!("expected SendQueued, got {other:?}"))),
+            other => Err(unexpected(other, "SendQueued")),
         }
     }
 
@@ -297,8 +299,7 @@ pub trait Plane {
                 dropped_packets,
                 dropped_bytes,
             }),
-            Response::Err { code, msg } => Err(ControllerError::Endpoint(code, msg)),
-            other => Err(ControllerError::Protocol(format!("expected Poll, got {other:?}"))),
+            other => Err(unexpected(other, "Poll")),
         }
     }
 
@@ -306,8 +307,7 @@ pub trait Plane {
     async fn mread(&mut self, memaddr: u32, bytecnt: u32) -> Result<Vec<u8>, ControllerError> {
         match self.request(Command::MRead { memaddr, bytecnt }).await? {
             Response::Mem { data } => Ok(data),
-            Response::Err { code, msg } => Err(ControllerError::Endpoint(code, msg)),
-            other => Err(ControllerError::Protocol(format!("expected Mem, got {other:?}"))),
+            other => Err(unexpected(other, "Mem")),
         }
     }
 
@@ -387,6 +387,15 @@ pub trait Plane {
         }
         let (min_rtt, offset) = best.expect("at least one sample");
         Ok(ClockSync { offset, min_rtt, samples })
+    }
+}
+
+/// The error for `resp` where a `want` answer was due: the endpoint's
+/// refusal, or a protocol error naming both.
+pub(super) fn unexpected(resp: Response, want: &str) -> ControllerError {
+    match resp {
+        Response::Err { code, msg } => ControllerError::Endpoint(code, msg),
+        other => ControllerError::Protocol(format!("expected {want}, got {other:?}")),
     }
 }
 

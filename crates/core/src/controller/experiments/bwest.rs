@@ -28,7 +28,7 @@
 //! grade.
 
 use super::UDP_IP_OVERHEAD;
-use crate::controller::aio::{block_on, Plane};
+use crate::controller::aio::{block_on, unexpected, Plane};
 use crate::controller::{probe_payload, probe_seq, ClockSync, ControlPlane, ControllerError};
 use crate::memory::{EndpointMemory, SockStat, SOCKSTAT_ENTRY};
 use crate::wire::{Command, Response};
@@ -208,10 +208,7 @@ async fn schedule_block<P: Plane>(
     for resp in ctrl.request_batch(cmds).await? {
         match resp {
             Response::SendQueued { tag } => tags.push(tag),
-            Response::Err { code, msg } => return Err(ControllerError::Endpoint(code, msg)),
-            other => {
-                return Err(ControllerError::Protocol(format!("expected SendQueued, got {other:?}")))
-            }
+            other => return Err(unexpected(other, "SendQueued")),
         }
     }
     let after = ctrl.read_clock().await?;
