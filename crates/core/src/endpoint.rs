@@ -63,6 +63,10 @@ fn cmd_opcode(cmd: &Command) -> u64 {
     }
 }
 
+/// Capture-buffer capacity (bytes) when no certificate restriction
+/// tightens it.
+const DEFAULT_BUFFER_BYTES: u64 = 1 << 20;
+
 /// Endpoint configuration, installed by the endpoint operator out-of-band
 /// ("This set of trusted keys is installed and managed out-of-band by the
 /// endpoint operator", §3.3).
@@ -72,9 +76,6 @@ pub struct EndpointConfig {
     pub trusted_keys: Vec<KeyHash>,
     /// Wall-clock seconds used for certificate validity checks.
     pub wall_time: u64,
-    /// Default capture-buffer capacity (bytes) when no certificate
-    /// restriction tightens it.
-    pub default_buffer_bytes: u64,
     /// Maximum concurrent sessions (active + suspended). Connections
     /// beyond the cap are refused at admission with a typed
     /// [`ErrCode::Busy`] response (see [`crate::reactor`]).
@@ -99,7 +100,6 @@ impl Default for EndpointConfig {
         EndpointConfig {
             trusted_keys: Vec::new(),
             wall_time: 1_700_000_000,
-            default_buffer_bytes: 1 << 20,
             max_sessions: 1024,
             replay_cache_bytes: 256 << 10,
             session_linger_ns: 0,
@@ -235,7 +235,7 @@ impl EndpointAgent {
                 Session::new(
                     sid,
                     self.next_owner,
-                    self.config.default_buffer_bytes as usize,
+                    DEFAULT_BUFFER_BYTES as usize,
                     self.config.replay_cache_bytes,
                 ),
             );
@@ -487,8 +487,8 @@ impl EndpointAgent {
         s.monitors = monitors;
         s.capture.capacity = granted
             .max_buffer_bytes
-            .unwrap_or(self.config.default_buffer_bytes)
-            .min(self.config.default_buffer_bytes) as usize;
+            .unwrap_or(DEFAULT_BUFFER_BYTES)
+            .min(DEFAULT_BUFFER_BYTES) as usize;
         s.experiment_id = Some(exp_id);
         s.memory.set_info("experiment.priority", priority as u64);
         out.extend(self.contend(sid));

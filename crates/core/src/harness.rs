@@ -100,11 +100,6 @@ impl EndpointId {
     pub fn first() -> EndpointId {
         EndpointId(0)
     }
-
-    /// The `i`-th endpoint added to the harness.
-    pub fn index(i: usize) -> EndpointId {
-        EndpointId(i)
-    }
 }
 
 /// The simulation harness.
@@ -171,8 +166,8 @@ impl SimNet {
     /// nodes each pass serviced accumulate for
     /// [`SimNet::take_serviced_nodes`] (the runner re-examines the tasks
     /// parked on them), so whoever switches this on drains that list.
-    pub fn set_sparse(&mut self, on: bool) {
-        self.sparse = on;
+    pub fn set_sparse(&mut self) {
+        self.sparse = true;
         self.unsettled.clear();
     }
 
@@ -1046,8 +1041,8 @@ mod tests {
 
     #[test]
     fn endpoint_id_helpers() {
-        assert_eq!(EndpointId::first(), EndpointId::index(0));
-        assert_ne!(EndpointId::first(), EndpointId::index(1));
+        assert_eq!(EndpointId::first(), EndpointId(0));
+        assert_ne!(EndpointId::first(), EndpointId(1));
     }
 
     #[test]

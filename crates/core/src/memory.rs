@@ -131,12 +131,6 @@ impl EndpointMemory {
         self.bytes[32..40].copy_from_slice(&used.to_le_bytes());
     }
 
-    /// Endpoint-side getter.
-    pub fn get_info(&self, field: &str) -> u64 {
-        let spec = layout::resolve_info(field).expect("known info field");
-        spec.read_le(&self.bytes).expect("in range")
-    }
-
     /// Record a scheduled send's actual transmission time (the `nsend`
     /// timestamp the paper says is retrieved via `mread`).
     pub fn record_send(&mut self, tag: u64, time: u64) {
@@ -210,7 +204,6 @@ mod tests {
     fn clock_field_roundtrips() {
         let mut m = EndpointMemory::new();
         m.set_info("clock", 123_456_789);
-        assert_eq!(m.get_info("clock"), 123_456_789);
         // Readable via mread at offset 0.
         let raw = m.read(0, 8).unwrap();
         assert_eq!(u64::from_le_bytes(raw.try_into().unwrap()), 123_456_789);

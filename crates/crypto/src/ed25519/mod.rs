@@ -128,15 +128,6 @@ impl Keypair {
         sig[32..].copy_from_slice(&s.to_bytes());
         Signature(sig)
     }
-
-    /// Sign a message assembled from parts without concatenating.
-    pub fn sign_parts(&self, parts: &[&[u8]]) -> Signature {
-        let mut msg = Vec::new();
-        for p in parts {
-            msg.extend_from_slice(p);
-        }
-        self.sign(&msg)
-    }
 }
 
 /// The decoded parts of a verification: `(s, A, R, k)`, or `None` when an
@@ -339,15 +330,6 @@ mod tests {
             sig.0[32 + i * 8..32 + i * 8 + 8].copy_from_slice(&w.to_le_bytes());
         }
         assert!(!verify(&kp.public, b"msg", &sig));
-    }
-
-    #[test]
-    fn sign_parts_matches_sign() {
-        let kp = Keypair::from_seed(&[6; 32]);
-        assert_eq!(
-            kp.sign_parts(&[b"hello ", b"world"]).0,
-            kp.sign(b"hello world").0
-        );
     }
 
     #[test]

@@ -53,8 +53,7 @@ pub enum Trap {
     DivByZero,
     /// Instruction budget exhausted.
     OutOfFuel,
-    /// Entry point missing (only from [`Vm::run`]; `run_entry_or_allow`
-    /// treats missing entries as allow).
+    /// Entry point missing (only from [`Vm::run`]).
     NoSuchEntry,
 }
 
@@ -167,27 +166,6 @@ impl Vm {
     pub fn run_entry(&mut self, entry: EntryPoint, packet: &[u8], info: &[u8]) -> Result<u64, Trap> {
         let tpc = self.entry_tpcs[entry as usize].ok_or(Trap::NoSuchEntry)?;
         self.exec(tpc, packet, info)
-    }
-
-    /// Run a named entry, treating a *missing* entry as allow-all. Prefer
-    /// [`Vm::check_entry`] for well-known entries — this form is kept for
-    /// callers holding only a name; well-known names still take the
-    /// pre-resolved path.
-    pub fn run_entry_or_allow(&mut self, entry: &str, packet: &[u8], info: &[u8]) -> Verdict {
-        if let Some(ep) = EntryPoint::from_name(entry) {
-            return self.check_entry(ep, packet, info);
-        }
-        match self.program.entry(entry) {
-            None => Verdict::Allow(packet.len().max(1) as u64),
-            Some(pc) => {
-                let tpc = self.lowered.pc_map[pc as usize];
-                match self.exec(tpc, packet, info) {
-                    Ok(0) => Verdict::Deny,
-                    Ok(v) => Verdict::Allow(v),
-                    Err(t) => Verdict::Fault(t),
-                }
-            }
-        }
     }
 
     /// Run a named entry, erroring if absent. Well-known names take the
@@ -470,7 +448,6 @@ mod tests {
         let p = Program { code: a.finish(), entries, persistent_size: 0, scratch_size: 0 };
         let mut vm = Vm::new(p).unwrap();
         assert_eq!(vm.run("custom", &[], &[]), Ok(9));
-        assert!(matches!(vm.run_entry_or_allow("custom", &[], &[]), Verdict::Allow(9)));
     }
 
     #[test]

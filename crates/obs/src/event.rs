@@ -127,17 +127,6 @@ pub struct Event {
     pub b: u64,
 }
 
-impl Event {
-    /// Append the compact little-endian binary encoding (34 bytes).
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.seq.to_le_bytes());
-        out.extend_from_slice(&self.t.to_le_bytes());
-        out.extend_from_slice(&self.callsite.to_le_bytes());
-        out.extend_from_slice(&self.a.to_le_bytes());
-        out.extend_from_slice(&self.b.to_le_bytes());
-    }
-}
-
 /// An [`Event`] with its callsite resolved, as handed to exporters.
 #[derive(Debug, Clone)]
 pub struct ResolvedEvent {
@@ -328,16 +317,5 @@ mod tests {
         assert_eq!(names, ["ring.a", "ring.b", "ring.a"]);
         assert_eq!(evs[1].component, Component::Endpoint);
         clear_events();
-    }
-
-    #[test]
-    fn binary_encoding_is_compact_and_stable() {
-        let ev = Event { seq: 1, t: 2, callsite: 3, a: 4, b: 5 };
-        let mut out = Vec::new();
-        ev.encode_into(&mut out);
-        assert_eq!(out.len(), 34);
-        let mut again = Vec::new();
-        ev.encode_into(&mut again);
-        assert_eq!(out, again);
     }
 }

@@ -1,6 +1,6 @@
 //! IPv4 header parsing and serialization (RFC 791).
 
-use crate::{checksum, proto, ParseError};
+use crate::{checksum, ParseError};
 use std::net::Ipv4Addr;
 
 /// Minimum IPv4 header length (no options), in bytes.
@@ -195,21 +195,6 @@ impl<'a> Ipv4View<'a> {
         let end = (self.total_len() as usize).min(self.buf.len());
         &self.buf[start..end]
     }
-
-    /// Parse into an owned [`Ipv4Header`].
-    pub fn to_header(&self) -> Ipv4Header {
-        Ipv4Header {
-            tos: self.tos(),
-            total_len: self.total_len(),
-            ident: self.ident(),
-            flags: self.flags(),
-            frag_offset: self.frag_offset(),
-            ttl: self.ttl(),
-            protocol: self.protocol(),
-            src: self.src(),
-            dst: self.dst(),
-        }
-    }
 }
 
 /// Rewrite the TTL of a serialized datagram in place (decrementing routers),
@@ -260,14 +245,10 @@ pub fn is_proto(buf: &[u8], protocol: u8) -> bool {
         .unwrap_or(false)
 }
 
-/// Convenience: true if the datagram is ICMP.
-pub fn is_icmp(buf: &[u8]) -> bool {
-    is_proto(buf, proto::ICMP)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto;
 
     fn addr(n: u8) -> Ipv4Addr {
         Ipv4Addr::new(10, 0, 0, n)
@@ -357,18 +338,18 @@ mod tests {
         hdr.ident = 0xbeef;
         hdr.tos = 0x10;
         let pkt = hdr.build(b"zz");
-        let parsed = Ipv4View::new(&pkt).unwrap().to_header();
-        assert_eq!(parsed.ttl, 3);
-        assert_eq!(parsed.ident, 0xbeef);
-        assert_eq!(parsed.tos, 0x10);
-        assert_eq!(parsed.total_len, 22);
+        let parsed = Ipv4View::new(&pkt).unwrap();
+        assert_eq!(parsed.ttl(), 3);
+        assert_eq!(parsed.ident(), 0xbeef);
+        assert_eq!(parsed.tos(), 0x10);
+        assert_eq!(parsed.total_len(), 22);
     }
 
     #[test]
     fn is_proto_helpers() {
         let pkt = Ipv4Header::new(addr(1), addr(2), proto::ICMP).build(&[]);
-        assert!(is_icmp(&pkt));
+        assert!(is_proto(&pkt, proto::ICMP));
         assert!(!is_proto(&pkt, proto::UDP));
-        assert!(!is_icmp(&[]));
+        assert!(!is_proto(&[], proto::ICMP));
     }
 }

@@ -383,7 +383,7 @@ pub struct FleetWorld {
 pub fn build_fleet(roster: &RosterSpec, operator: &Keypair) -> FleetWorld {
     let world = build_roster(roster);
     let mut net = SimNet::new_sharded(world.sim);
-    net.set_sparse(true);
+    net.set_sparse();
     let cfg = EndpointConfig {
         trusted_keys: vec![KeyHash::of(&operator.public)],
         // Let sessions survive transient channel loss so RobustController
