@@ -112,84 +112,117 @@ pub enum Op {
     Ret = 46,
 }
 
+/// How an instruction's operands read in the text format of
+/// [`crate::asm`], which [`crate::disasm`] prints.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Shape {
+    /// `rD, imm`, the immediate in decimal.
+    Imm,
+    /// `rD, imm`, the immediate a bit pattern printed in hex.
+    Bits,
+    /// `rD, rS`.
+    Regs,
+    /// `rD`.
+    Reg,
+    /// `rD, rS, off`: a load from `rS + off`, or a store of `rS` to `rD + off`.
+    Mem,
+    /// `label`.
+    Jump,
+    /// `rD, value, label`: the compare value packed beside the offset
+    /// (see [`Insn::pack_cmp`]).
+    JumpImm,
+    /// `rD, rS, label`.
+    JumpReg,
+}
+
+/// Every opcode at the index of its byte, with its mnemonic and operand
+/// shape: the one place the text format names an instruction.
+const TABLE: [(Op, &str, Shape); 47] = {
+    use Shape::*;
+    [
+        (Op::MovI, "mov.i", Imm),
+        (Op::MovR, "mov.r", Regs),
+        (Op::AddI, "add.i", Imm),
+        (Op::AddR, "add.r", Regs),
+        (Op::SubI, "sub.i", Imm),
+        (Op::SubR, "sub.r", Regs),
+        (Op::MulI, "mul.i", Imm),
+        (Op::MulR, "mul.r", Regs),
+        (Op::DivI, "div.i", Imm),
+        (Op::DivR, "div.r", Regs),
+        (Op::ModI, "mod.i", Imm),
+        (Op::ModR, "mod.r", Regs),
+        (Op::AndI, "and.i", Bits),
+        (Op::AndR, "and.r", Regs),
+        (Op::OrI, "or.i", Bits),
+        (Op::OrR, "or.r", Regs),
+        (Op::XorI, "xor.i", Bits),
+        (Op::XorR, "xor.r", Regs),
+        (Op::ShlI, "shl.i", Imm),
+        (Op::ShlR, "shl.r", Regs),
+        (Op::ShrI, "shr.i", Imm),
+        (Op::ShrR, "shr.r", Regs),
+        (Op::Neg, "neg", Reg),
+        (Op::Not, "not", Reg),
+        (Op::LdPkt8, "ld.pkt8", Mem),
+        (Op::LdPkt16, "ld.pkt16", Mem),
+        (Op::LdPkt32, "ld.pkt32", Mem),
+        (Op::LdInfo8, "ld.info8", Mem),
+        (Op::LdInfo16, "ld.info16", Mem),
+        (Op::LdInfo32, "ld.info32", Mem),
+        (Op::LdInfo64, "ld.info64", Mem),
+        (Op::LdMem, "ld.mem", Mem),
+        (Op::StMem, "st.mem", Mem),
+        (Op::LdScr, "ld.scr", Mem),
+        (Op::StScr, "st.scr", Mem),
+        (Op::Ja, "ja", Jump),
+        (Op::JeqR, "jeq.r", JumpReg),
+        (Op::JeqI, "jeq.i", JumpImm),
+        (Op::JneR, "jne.r", JumpReg),
+        (Op::JneI, "jne.i", JumpImm),
+        (Op::JltR, "jlt.r", JumpReg),
+        (Op::JltI, "jlt.i", JumpImm),
+        (Op::JleR, "jle.r", JumpReg),
+        (Op::JleI, "jle.i", JumpImm),
+        (Op::JsltR, "jslt.r", JumpReg),
+        (Op::JsltI, "jslt.i", JumpImm),
+        (Op::Ret, "ret", Reg),
+    ]
+};
+
 impl Op {
+    /// Every opcode, at the index of its byte.
+    pub const ALL: [Op; 47] = {
+        let mut all = [Op::Ret; 47];
+        let mut i = 0;
+        while i < all.len() {
+            all[i] = TABLE[i].0;
+            assert!(all[i] as usize == i, "TABLE lists each opcode at its byte");
+            i += 1;
+        }
+        all
+    };
+
     /// Decode an opcode byte.
     pub fn from_u8(v: u8) -> Option<Op> {
-        use Op::*;
-        Some(match v {
-            0 => MovI,
-            1 => MovR,
-            2 => AddI,
-            3 => AddR,
-            4 => SubI,
-            5 => SubR,
-            6 => MulI,
-            7 => MulR,
-            8 => DivI,
-            9 => DivR,
-            10 => ModI,
-            11 => ModR,
-            12 => AndI,
-            13 => AndR,
-            14 => OrI,
-            15 => OrR,
-            16 => XorI,
-            17 => XorR,
-            18 => ShlI,
-            19 => ShlR,
-            20 => ShrI,
-            21 => ShrR,
-            22 => Neg,
-            23 => Not,
-            24 => LdPkt8,
-            25 => LdPkt16,
-            26 => LdPkt32,
-            27 => LdInfo8,
-            28 => LdInfo16,
-            29 => LdInfo32,
-            30 => LdInfo64,
-            31 => LdMem,
-            32 => StMem,
-            33 => LdScr,
-            34 => StScr,
-            35 => Ja,
-            36 => JeqR,
-            37 => JeqI,
-            38 => JneR,
-            39 => JneI,
-            40 => JltR,
-            41 => JltI,
-            42 => JleR,
-            43 => JleI,
-            44 => JsltR,
-            45 => JsltI,
-            46 => Ret,
-            _ => return None,
-        })
+        Op::ALL.get(v as usize).copied()
+    }
+
+    /// The mnemonic and operand shape of the text format.
+    pub(crate) fn syntax(self) -> (&'static str, Shape) {
+        let (_, mnemonic, shape) = TABLE[self as usize];
+        (mnemonic, shape)
     }
 
     /// True for conditional/unconditional jumps.
     pub fn is_jump(&self) -> bool {
-        matches!(
-            self,
-            Op::Ja
-                | Op::JeqR
-                | Op::JeqI
-                | Op::JneR
-                | Op::JneI
-                | Op::JltR
-                | Op::JltI
-                | Op::JleR
-                | Op::JleI
-                | Op::JsltR
-                | Op::JsltI
-        )
+        matches!(self.syntax().1, Shape::Jump | Shape::JumpImm | Shape::JumpReg)
     }
 
     /// True for compare-with-immediate jumps, which pack the comparison
     /// value and branch offset into the immediate (see [`Insn::cmp_imm`]).
     pub fn is_cmp_imm_jump(&self) -> bool {
-        matches!(self, Op::JeqI | Op::JneI | Op::JltI | Op::JleI | Op::JsltI)
+        self.syntax().1 == Shape::JumpImm
     }
 }
 
@@ -232,6 +265,17 @@ impl Insn {
     /// The comparison immediate of a packed compare jump.
     pub fn cmp_imm(&self) -> u64 {
         (self.imm as u64) & 0xffff_ffff
+    }
+
+    /// The value a packed compare jump compares against: its comparison
+    /// immediate zero-extended, except `jslt.i`, which compares it
+    /// sign-extended.
+    pub(crate) fn cmp_value(&self) -> i64 {
+        if self.op == Op::JsltI {
+            self.cmp_imm() as i32 as i64
+        } else {
+            self.cmp_imm() as i64
+        }
     }
 
     /// The branch offset: for packed compare jumps, the high 32 bits;
@@ -322,11 +366,10 @@ mod tests {
 
     #[test]
     fn opcode_roundtrip_all() {
-        for v in 0..=46u8 {
-            let op = Op::from_u8(v).expect("all opcodes 0..=46 defined");
-            assert_eq!(op as u8, v);
+        for op in Op::ALL {
+            assert_eq!(Op::from_u8(op as u8), Some(op));
         }
-        assert!(Op::from_u8(47).is_none());
+        assert!(Op::from_u8(Op::ALL.len() as u8).is_none());
     }
 
     #[test]

@@ -278,16 +278,6 @@ fn load_kind(op: Op) -> Option<u8> {
     })
 }
 
-/// Pre-decoded compare value of a compare-immediate jump: zero-extended
-/// u32, except `jslt.i` which compares sign-extended.
-fn cmp_value(insn: &Insn) -> i64 {
-    if insn.op == Op::JsltI {
-        insn.cmp_imm() as i32 as i64
-    } else {
-        insn.cmp_imm() as i64
-    }
-}
-
 /// Lower a **validated** program to threaded code. Must not be called on
 /// unvalidated programs (jump targets are trusted).
 pub fn lower(p: &Program) -> Lowered {
@@ -526,7 +516,7 @@ fn lower_one(insn: &Insn, pc: usize) -> TInsn {
             }
         }
         Op::JeqI | Op::JneI | Op::JltI | Op::JleI | Op::JsltI => {
-            t.imm = cmp_value(insn);
+            t.imm = insn.cmp_value();
             t.imm2 = pc as i64 + 1 + insn.branch();
             match insn.op {
                 Op::JeqI => T::JeqI,
@@ -899,7 +889,8 @@ mod tests {
         let mut a = Asm::new();
         a.mov_i(2, 0);
         a.ld_pkt8(2, 2, 9);
-        let hit = a.forward_jeq_i(2, 1);
+        let hit = a.new_label();
+        a.jeq_i_to(2, 1, hit);
         a.mov_i(0, 0);
         a.ret(0);
         a.bind(hit);
@@ -925,7 +916,7 @@ mod tests {
         let top = a.label(); // pc 0: mov.i (branch target)
         a.mov_i(2, 0);
         a.ld_pkt8(3, 2, 0); // dst != src: not the canonical pattern anyway
-        a.add_i(4, 1);
+        a.emit(Insn::new(Op::AddI, 4, 0, 1));
         a.jne_i_to(4, 3, top);
         a.mov_i(0, 1);
         a.ret(0);
@@ -1013,7 +1004,8 @@ mod tests {
         let mut a = Asm::new();
         a.mov_i(2, 0);
         a.ld_pkt8(2, 2, 50);
-        let l1 = a.forward_jeq_i(2, 1);
+        let l1 = a.new_label();
+        a.jeq_i_to(2, 1, l1);
         a.ret(0);
         a.bind(l1);
         a.ret(0);
@@ -1055,7 +1047,7 @@ mod tests {
     fn record_variant_logs_writes_and_never_pauses() {
         let mut a = Asm::new();
         a.mov_i(2, 1);
-        a.add_i(2, 2);
+        a.emit(Insn::new(Op::AddI, 2, 0, 2));
         a.mov_i(4, 0);
         a.st_mem(4, 2, 8); // persistent write before any read
         a.ld_mem(3, 0, 0); // persistent read: runs as a plain load

@@ -74,6 +74,15 @@ impl EntryPoint {
     }
 }
 
+/// The one rule for entry and label names, `[A-Za-z_][A-Za-z0-9_]*`: what
+/// Cpf and the assembler produce, and all [`Program::decode`] accepts, so a
+/// name from the wire cannot print as anything else in a listing.
+pub(crate) fn is_name(s: &str) -> bool {
+    let mut chars = s.chars();
+    chars.next().is_some_and(|c| c.is_ascii_alphabetic() || c == '_')
+        && chars.all(|c| c.is_ascii_alphanumeric() || c == '_')
+}
+
 /// Serialization magic.
 const MAGIC: &[u8; 4] = b"PFVM";
 /// Current format version.
@@ -111,7 +120,7 @@ pub enum DecodeError {
     BadInsn(usize),
     /// A declared size exceeds the format ceiling.
     TooLarge,
-    /// Entry name is not valid UTF-8 or is empty.
+    /// Entry name is not a name (see [`crate::asm`]): `[A-Za-z_][A-Za-z0-9_]*`.
     BadEntryName,
 }
 
@@ -192,11 +201,10 @@ impl Program {
         let mut entries = BTreeMap::new();
         for _ in 0..n_entries {
             let len = take(&mut pos, 1)?[0] as usize;
-            if len == 0 {
-                return Err(DecodeError::BadEntryName);
-            }
             let name = core::str::from_utf8(take(&mut pos, len)?)
-                .map_err(|_| DecodeError::BadEntryName)?
+                .ok()
+                .filter(|name| is_name(name))
+                .ok_or(DecodeError::BadEntryName)?
                 .to_string();
             let pc = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap());
             entries.insert(name, pc);
@@ -293,6 +301,20 @@ mod tests {
         let code_start = 5 + 8 + 2 + entries_len + 4;
         bytes[code_start] = 0xee;
         assert_eq!(Program::decode(&bytes), Err(DecodeError::BadInsn(0)));
+    }
+
+    #[test]
+    fn decode_refuses_entry_names_that_are_not_names() {
+        // This one would list as an allowing `send` entry.
+        let forged = "send:\n    mov.i r0, 1\n    ret r0\nentry x";
+        for name in [forged, "", "9lives", "a-b", "é"] {
+            let mut p = sample();
+            p.entries.insert(name.to_string(), 0);
+            assert_eq!(Program::decode(&p.encode()), Err(DecodeError::BadEntryName), "{name:?}");
+        }
+        let mut p = sample();
+        p.entries.insert("_Entry_9".to_string(), 0);
+        assert_eq!(Program::decode(&p.encode()), Ok(p));
     }
 
     #[test]
