@@ -6,7 +6,6 @@
 
 use crate::insn::{Insn, Op};
 use crate::program::Program;
-use std::collections::BTreeMap;
 
 /// A control-flow label (forward or backward).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,41 +61,21 @@ impl Asm {
     pub fn mov_r(&mut self, dst: u8, src: u8) {
         self.emit(Insn::new(Op::MovR, dst, src, 0));
     }
-    /// dst += imm
-    pub fn add_i(&mut self, dst: u8, imm: i64) {
-        self.emit(Insn::new(Op::AddI, dst, 0, imm));
-    }
     /// dst += src
     pub fn add_r(&mut self, dst: u8, src: u8) {
         self.emit(Insn::new(Op::AddR, dst, src, 0));
-    }
-    /// dst -= imm
-    pub fn sub_i(&mut self, dst: u8, imm: i64) {
-        self.emit(Insn::new(Op::SubI, dst, 0, imm));
     }
     /// dst -= src
     pub fn sub_r(&mut self, dst: u8, src: u8) {
         self.emit(Insn::new(Op::SubR, dst, src, 0));
     }
-    /// dst *= imm
-    pub fn mul_i(&mut self, dst: u8, imm: i64) {
-        self.emit(Insn::new(Op::MulI, dst, 0, imm));
-    }
     /// dst *= src
     pub fn mul_r(&mut self, dst: u8, src: u8) {
         self.emit(Insn::new(Op::MulR, dst, src, 0));
     }
-    /// dst /= imm
-    pub fn div_i(&mut self, dst: u8, imm: i64) {
-        self.emit(Insn::new(Op::DivI, dst, 0, imm));
-    }
     /// dst /= src
     pub fn div_r(&mut self, dst: u8, src: u8) {
         self.emit(Insn::new(Op::DivR, dst, src, 0));
-    }
-    /// dst %= imm
-    pub fn mod_i(&mut self, dst: u8, imm: i64) {
-        self.emit(Insn::new(Op::ModI, dst, 0, imm));
     }
     /// dst %= src
     pub fn mod_r(&mut self, dst: u8, src: u8) {
@@ -110,25 +89,13 @@ impl Asm {
     pub fn and_r(&mut self, dst: u8, src: u8) {
         self.emit(Insn::new(Op::AndR, dst, src, 0));
     }
-    /// dst |= imm
-    pub fn or_i(&mut self, dst: u8, imm: i64) {
-        self.emit(Insn::new(Op::OrI, dst, 0, imm));
-    }
     /// dst |= src
     pub fn or_r(&mut self, dst: u8, src: u8) {
         self.emit(Insn::new(Op::OrR, dst, src, 0));
     }
-    /// dst ^= imm
-    pub fn xor_i(&mut self, dst: u8, imm: i64) {
-        self.emit(Insn::new(Op::XorI, dst, 0, imm));
-    }
     /// dst ^= src
     pub fn xor_r(&mut self, dst: u8, src: u8) {
         self.emit(Insn::new(Op::XorR, dst, src, 0));
-    }
-    /// dst <<= imm
-    pub fn shl_i(&mut self, dst: u8, imm: i64) {
-        self.emit(Insn::new(Op::ShlI, dst, 0, imm));
     }
     /// dst >>= imm
     pub fn shr_i(&mut self, dst: u8, imm: i64) {
@@ -235,27 +202,6 @@ impl Asm {
         self.j_imm_to(Op::JeqI, dst, value, label);
     }
 
-    /// Emit `jne dst, value` to a fresh forward label; returns the label.
-    pub fn forward_jne_i(&mut self, dst: u8, value: u32) -> Label {
-        let l = self.new_label();
-        self.jne_i_to(dst, value, l);
-        l
-    }
-
-    /// Emit `jeq dst, value` to a fresh forward label; returns the label.
-    pub fn forward_jeq_i(&mut self, dst: u8, value: u32) -> Label {
-        let l = self.new_label();
-        self.jeq_i_to(dst, value, l);
-        l
-    }
-
-    /// Emit `jslt dst, value` (signed) to a fresh forward label.
-    pub fn forward_jslt_i(&mut self, dst: u8, value: u32) -> Label {
-        let l = self.new_label();
-        self.j_imm_to(Op::JsltI, dst, value, l);
-        l
-    }
-
     /// Resolve fixups and return the instruction stream.
     ///
     /// Panics if any referenced label was never bound (a builder bug, not
@@ -279,32 +225,18 @@ impl Asm {
     /// Finish into a [`Program`] with the given entry points and memory
     /// sizes. Entry labels must be bound.
     pub fn finish_program(
-        mut self,
+        self,
         entries: &[(&str, Label)],
         persistent_size: u32,
         scratch_size: u32,
     ) -> Program {
-        let mut entry_map = BTreeMap::new();
-        for (name, label) in entries {
-            let pc = self.bound[label.0].expect("entry label unbound") as u32;
-            entry_map.insert(name.to_string(), pc);
-        }
-        let code = {
-            // finish() consumes self; do the fixup inline.
-            for (idx, label) in &self.fixups {
-                let target = self.bound[label.0].expect("jump to unbound label") as i64;
-                let offset = target - (*idx as i64 + 1);
-                let insn = &mut self.code[*idx];
-                if insn.op.is_cmp_imm_jump() {
-                    let value = (insn.imm as u64) & 0xffff_ffff;
-                    insn.imm = (offset << 32) | value as i64;
-                } else {
-                    insn.imm = offset;
-                }
-            }
-            self.code
-        };
-        Program { code, entries: entry_map, persistent_size, scratch_size }
+        let entries = entries
+            .iter()
+            .map(|(name, label)| {
+                (name.to_string(), self.bound[label.0].expect("entry label unbound") as u32)
+            })
+            .collect();
+        Program { code: self.finish(), entries, persistent_size, scratch_size }
     }
 }
 
@@ -318,8 +250,9 @@ mod tests {
         // while (r2 != 5) r2++; return r2;
         let mut a = Asm::new();
         let top = a.label();
-        let done = a.forward_jeq_i(2, 5);
-        a.add_i(2, 1);
+        let done = a.new_label();
+        a.jeq_i_to(2, 5, done);
+        a.emit(Insn::new(Op::AddI, 2, 0, 1));
         a.ja_to(top);
         a.bind(done);
         a.mov_r(0, 2);

@@ -397,6 +397,7 @@ impl FusedVm {
 mod tests {
     use super::*;
     use crate::builder::Asm;
+    use crate::insn::{Insn, Op};
     use crate::vm::{Vm, VmConfig};
 
     const FUEL: u64 = 100_000;
@@ -407,7 +408,8 @@ mod tests {
         let send = a.label();
         a.mov_i(2, 0);
         a.ld_pkt8(2, 2, 9);
-        let ok = a.forward_jeq_i(2, 1);
+        let ok = a.new_label();
+        a.jeq_i_to(2, 1, ok);
         a.mov_i(0, 0);
         a.ret(0);
         a.bind(ok);
@@ -423,8 +425,9 @@ mod tests {
         let send = a.label();
         a.mov_i(2, 0);
         a.ld_mem(2, 2, 0);
-        let deny = a.forward_jeq_i(2, limit);
-        a.add_i(2, 1);
+        let deny = a.new_label();
+        a.jeq_i_to(2, limit, deny);
+        a.emit(Insn::new(Op::AddI, 2, 0, 1));
         a.mov_i(3, 0);
         a.st_mem(3, 2, 0);
         a.mov_r(0, 1);
@@ -546,7 +549,7 @@ mod tests {
         a.ld_pkt8(3, 3, 0);
         a.mov_i(4, 0);
         a.st_mem(4, 3, 0);
-        a.add_i(2, 1);
+        a.emit(Insn::new(Op::AddI, 2, 0, 1));
         a.mov_r(0, 2);
         a.ret(0);
         a.finish_program(&[("send", send)], 8, 0)
@@ -558,7 +561,8 @@ mod tests {
         let send = a.label();
         a.mov_i(2, 0);
         a.ld_pkt8(2, 2, 0);
-        let deny = a.forward_jeq_i(2, 0xff);
+        let deny = a.new_label();
+        a.jeq_i_to(2, 0xff, deny);
         a.mov_r(0, 1);
         a.ret(0);
         a.bind(deny);

@@ -227,7 +227,7 @@ impl Vm {
 mod tests {
     use super::*;
     use crate::builder::Asm;
-    use crate::insn::Insn;
+    use crate::insn::{Insn, Op};
     use std::collections::BTreeMap;
 
     fn one_entry(code: Vec<Insn>) -> Program {
@@ -261,11 +261,11 @@ mod tests {
     fn arithmetic_works() {
         let mut a = Asm::new();
         a.mov_i(2, 10);
-        a.add_i(2, 5); // 15
-        a.mul_i(2, 4); // 60
-        a.sub_i(2, 8); // 52
-        a.div_i(2, 2); // 26
-        a.mod_i(2, 10); // 6
+        a.emit(Insn::new(Op::AddI, 2, 0, 5)); // 15
+        a.emit(Insn::new(Op::MulI, 2, 0, 4)); // 60
+        a.emit(Insn::new(Op::SubI, 2, 0, 8)); // 52
+        a.emit(Insn::new(Op::DivI, 2, 0, 2)); // 26
+        a.emit(Insn::new(Op::ModI, 2, 0, 10)); // 6
         a.mov_r(0, 2);
         a.ret(0);
         assert_eq!(run_send(one_entry(a.finish()), &[], &[]), Ok(6));
@@ -322,7 +322,7 @@ mod tests {
         // send: increments a counter in persistent memory and returns it.
         let mut a = Asm::new();
         a.ld_mem(2, 0, 0); // r2 = mem[0] (r0 is 0 initially)
-        a.add_i(2, 1);
+        a.emit(Insn::new(Op::AddI, 2, 0, 1));
         a.mov_i(3, 0);
         a.st_mem(3, 2, 0); // mem[r3+0] = r2
         a.mov_r(0, 2);
@@ -339,7 +339,7 @@ mod tests {
     fn scratch_memory_is_fresh_each_invocation() {
         let mut a = Asm::new();
         a.ld_scr(2, 0, 0);
-        a.add_i(2, 1);
+        a.emit(Insn::new(Op::AddI, 2, 0, 1));
         a.mov_i(3, 0);
         a.st_scr(3, 2, 0);
         a.mov_r(0, 2);
@@ -365,7 +365,7 @@ mod tests {
         // r2 counts 0..100, then return 100.
         let mut a = Asm::new();
         let top = a.label();
-        a.add_i(2, 1);
+        a.emit(Insn::new(Op::AddI, 2, 0, 1));
         a.jne_i_to(2, 100, top);
         a.mov_r(0, 2);
         a.ret(0);
@@ -391,7 +391,8 @@ mod tests {
         // if pkt[0] == 4 return 1 else return 0
         let mut a = Asm::new();
         a.ld_pkt8(2, 0, 0);
-        let deny = a.forward_jne_i(2, 4);
+        let deny = a.new_label();
+        a.jne_i_to(2, 4, deny);
         a.mov_i(0, 1);
         a.ret(0);
         a.bind(deny);
@@ -409,7 +410,8 @@ mod tests {
         let mut a = Asm::new();
         a.mov_i(2, 5);
         a.neg(2);
-        let yes = a.forward_jslt_i(2, -1i32 as u32);
+        let yes = a.new_label();
+        a.j_imm_to(Op::JsltI, 2, -1i32 as u32, yes);
         a.mov_i(0, 0);
         a.ret(0);
         a.bind(yes);
@@ -474,10 +476,10 @@ mod tests {
     fn shifts_and_bitops() {
         let mut a = Asm::new();
         a.mov_i(2, 0b1010);
-        a.shl_i(2, 4); // 0b1010_0000
-        a.or_i(2, 0b1111); // 0b1010_1111
+        a.emit(Insn::new(Op::ShlI, 2, 0, 4)); // 0b1010_0000
+        a.emit(Insn::new(Op::OrI, 2, 0, 0b1111)); // 0b1010_1111
         a.and_i(2, 0xff);
-        a.xor_i(2, 0b0000_1111); // 0b1010_0000
+        a.emit(Insn::new(Op::XorI, 2, 0, 0b0000_1111)); // 0b1010_0000
         a.shr_i(2, 4); // 0b1010
         a.mov_r(0, 2);
         a.ret(0);

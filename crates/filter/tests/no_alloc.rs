@@ -5,7 +5,7 @@
 //! an immediate test failure.
 
 use plab_filter::builder::Asm;
-use plab_filter::{Program, Vm};
+use plab_filter::{Insn, Op, Program, Vm};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -45,7 +45,7 @@ fn busy_monitor() -> Program {
     a.st_scr(4, 2, 0);
     a.ld_scr(5, 4, 8);
     a.ld_mem(6, 4, 0);
-    a.add_i(6, 1);
+    a.emit(Insn::new(Op::AddI, 6, 0, 1));
     a.st_mem(4, 6, 0);
     a.ret(1);
     let code = a.finish();
