@@ -53,6 +53,10 @@
 //!   (`level_for` must never see `time < now`: its XOR trick assumes the
 //!   clock agrees with the entry on all higher bit-blocks.)
 //!
+//! A scheduled event cannot be withdrawn: no simulator path needs to. A
+//! TCP tick that has gone stale finds nothing to do when it fires
+//! (`TcpHost::tick`), and drivers ignore timers they no longer want.
+//!
 //! The pre-wheel binary heap survives as [`ReferenceEventQueue`], the
 //! oracle for the differential property test in
 //! `crates/netsim/tests/differential_scheduler.rs`.
@@ -140,23 +144,6 @@ struct Entry {
     kind: EventKind,
 }
 
-/// Handle identifying a scheduled event, for [`EventQueue::cancel`].
-///
-/// Carries the schedule time so cancellation can locate the owning
-/// bucket directly instead of scanning the wheel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EventId {
-    time: SimTime,
-    seq: u64,
-}
-
-impl EventId {
-    /// The time the event was scheduled for.
-    pub fn time(&self) -> SimTime {
-        self.time
-    }
-}
-
 #[derive(Debug, Default)]
 struct Bucket {
     entries: Vec<Entry>,
@@ -239,9 +226,8 @@ impl EventQueue {
     }
 
     /// Schedule `kind` at `time` (which may lie at or behind the queue
-    /// clock — see the struct docs). The returned [`EventId`] can cancel
-    /// the event later.
-    pub fn push(&mut self, time: SimTime, kind: EventKind) -> EventId {
+    /// clock — see the struct docs).
+    pub fn push(&mut self, time: SimTime, kind: EventKind) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.len += 1;
@@ -249,7 +235,6 @@ impl EventQueue {
             plab_obs::metrics::Gauge::new("netsim.wheel.occupancy");
         OCCUPANCY.set(self.len as i64);
         self.place(Entry { time, seq, kind });
-        EventId { time, seq }
     }
 
     /// Route an entry to `current` (at-or-behind the clock), a wheel
@@ -401,51 +386,6 @@ impl EventQueue {
         self.next_wheel_time()
     }
 
-    /// Cancel a scheduled event, returning its payload if it was still
-    /// pending. `O(bucket)` — the id's time locates the bucket directly.
-    pub fn cancel(&mut self, id: EventId) -> Option<EventKind> {
-        if id.time <= self.now {
-            // At-or-behind the clock: the entry, if still pending, can
-            // only sit in `current` (past-clock pushes land there, and
-            // the clock never advances past pending wheel entries).
-            if let Some(pos) = self.current.iter().position(|e| e.seq == id.seq) {
-                self.len -= 1;
-                return self.current.remove(pos).map(|e| e.kind);
-            }
-            return None;
-        }
-        let level = level_for(id.time, self.now);
-        if level < LEVELS {
-            if let Some(wheel) = self.wheel.as_mut() {
-                let s = slot(id.time, level);
-                let b = &mut wheel[level][s];
-                if let Some(pos) = b.entries.iter().position(|e| e.seq == id.seq) {
-                    let e = b.entries.swap_remove(pos);
-                    self.len -= 1;
-                    if b.entries.is_empty() {
-                        self.occupied[level] &= !(1 << s);
-                    } else if e.time == b.min_time {
-                        b.min_time = b.entries.iter().map(|x| x.time).min().expect("non-empty");
-                    }
-                    return Some(e.kind);
-                }
-            }
-        }
-        // Not in its computed bucket: it may be a spill entry stranded
-        // from an earlier clock (spill entries are not migrated when the
-        // clock advances, so their level-for-now can shrink below the
-        // horizon while they still sit in the list).
-        let key = (id.time, id.seq);
-        if let Ok(pos) = self
-            .spill
-            .binary_search_by(|x| key.cmp(&(x.time, x.seq)))
-        {
-            self.len -= 1;
-            return Some(self.spill.remove(pos).kind);
-        }
-        None
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.len
@@ -514,11 +454,10 @@ impl ReferenceEventQueue {
     /// Schedule `kind` at `time` (past-clock times are legal, exactly as
     /// in [`EventQueue::push`] — the heap orders by `(time, seq)` with no
     /// notion of a clock at all).
-    pub fn push(&mut self, time: SimTime, kind: EventKind) -> EventId {
+    pub fn push(&mut self, time: SimTime, kind: EventKind) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(Reverse(RefEntry { time, seq, kind }));
-        EventId { time, seq }
     }
 
     /// Pop the earliest event.
@@ -529,21 +468,6 @@ impl ReferenceEventQueue {
     /// Time of the next event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|Reverse(e)| e.time)
-    }
-
-    /// Cancel by id (linear rebuild; the oracle is not performance-
-    /// sensitive).
-    pub fn cancel(&mut self, id: EventId) -> Option<EventKind> {
-        let mut found = None;
-        let entries = std::mem::take(&mut self.heap).into_vec();
-        for Reverse(e) in entries {
-            if e.seq == id.seq && e.time == id.time && found.is_none() {
-                found = Some(e.kind);
-            } else {
-                self.heap.push(Reverse(e));
-            }
-        }
-        found
     }
 
     /// Number of pending events.
@@ -637,9 +561,8 @@ mod tests {
         q.push(100, timer(0, 0));
         assert_eq!(q.pop().unwrap().0, 100); // clock now 100
         q.push(200, timer(0, 9));
-        let id = q.push(5, timer(0, 1));
-        assert_eq!(id.time(), 5, "past time preserved, not clamped");
-        assert_eq!(q.peek_time(), Some(5));
+        q.push(5, timer(0, 1));
+        assert_eq!(q.peek_time(), Some(5), "past time preserved, not clamped");
         assert_eq!(q.pop().unwrap(), (5, timer(0, 1)));
         assert_eq!(q.pop().unwrap(), (200, timer(0, 9)));
         assert!(q.is_empty());
@@ -672,17 +595,6 @@ mod tests {
     }
 
     #[test]
-    fn past_push_can_be_cancelled() {
-        let mut q = EventQueue::new();
-        q.push(100, timer(0, 0));
-        assert_eq!(q.pop().unwrap().0, 100);
-        let id = q.push(7, timer(0, 1));
-        assert_eq!(q.cancel(id), Some(timer(0, 1)));
-        assert_eq!(q.cancel(id), None, "double cancel fails");
-        assert!(q.is_empty());
-    }
-
-    #[test]
     fn spill_beyond_horizon_round_trips() {
         let mut q = EventQueue::new();
         let far = 1u64 << 40; // past the 2^36 wheel horizon
@@ -710,33 +622,6 @@ mod tests {
         assert_eq!((ta, tb), (t, t));
         assert_eq!(ea, timer(0, 0), "spill entry has the older seq");
         assert_eq!(eb, timer(0, 2));
-    }
-
-    #[test]
-    fn cancel_removes_pending_events() {
-        let mut q = EventQueue::new();
-        let a = q.push(50, timer(0, 0));
-        let b = q.push(50, timer(0, 1));
-        let c = q.push(1 << 40, timer(0, 2)); // spill
-        assert_eq!(q.cancel(a), Some(timer(0, 0)));
-        assert_eq!(q.cancel(a), None, "double cancel fails");
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.pop().unwrap(), (50, timer(0, 1)));
-        assert_eq!(q.cancel(c), Some(timer(0, 2)));
-        assert!(q.is_empty());
-        assert_eq!(q.cancel(b), None, "popped event cannot be cancelled");
-    }
-
-    #[test]
-    fn cancel_stranded_spill_entry() {
-        let mut q = EventQueue::new();
-        let t = (1u64 << 39) + 123;
-        let id = q.push(t, timer(0, 0)); // spill relative to now=0
-        q.push(1 << 38, timer(0, 1));
-        assert_eq!(q.pop().unwrap().0, 1 << 38);
-        // t is now within the horizon but the entry still sits in spill.
-        assert_eq!(q.cancel(id), Some(timer(0, 0)));
-        assert!(q.is_empty());
     }
 
     #[test]

@@ -56,7 +56,6 @@ mod world;
 pub use fault::{FaultAction, GilbertElliott, ScheduledFault};
 pub use link::LinkParams;
 pub use node::{NodeId, RawDisposition};
-pub use event::EventId;
 pub use pool::{BufPool, Frame};
 pub use shard::ShardedSim;
 pub use sim::{DropReason, NodeTransition, Sim};

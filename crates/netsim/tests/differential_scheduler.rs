@@ -6,9 +6,9 @@
 //! The wheel's determinism contract is that it is *observationally
 //! identical* to the heap: same `(time, seq)` pop order, same handling of
 //! past-clock pushes (legal since cross-shard boundary injection: they
-//! pop first, in `(time, seq)` order), same cancel semantics — for any
-//! interleaving of schedule, pop, and cancel operations, across every
-//! level of the wheel and the overflow spill list. Seeded traces recorded
+//! pop first, in `(time, seq)` order) — for any interleaving of schedule
+//! and pop operations, across every level of the wheel and the overflow
+//! spill list. Seeded traces recorded
 //! before the swap must therefore replay bit-identically after it.
 //!
 //! The wheel has one accessor the heap has not, `ahead(k)`, which
@@ -16,7 +16,7 @@
 //! call it anywhere: what it shows is what the next pops return, and
 //! having looked changes nothing the two queues then agree on.
 
-use plab_netsim::event::{EventId, EventKind, EventQueue, ReferenceEventQueue};
+use plab_netsim::event::{EventKind, EventQueue, ReferenceEventQueue};
 use proptest::prelude::*;
 
 /// One scripted operation against both schedulers.
@@ -31,10 +31,6 @@ enum Op {
     PushPast { back: u64 },
     /// Pop the earliest event.
     Pop,
-    /// Cancel a still-pending event, selected by index into the live set.
-    Cancel { sel: usize },
-    /// Cancel an event that was already popped; both queues must refuse.
-    CancelStale { sel: usize },
     /// Look `0..=k` places down the wheel, then pop `k + 1` times: each
     /// place showed `None` or exactly the event that pop returns.
     Ahead { k: usize },
@@ -66,8 +62,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0u64..(1 << 20)).prop_map(|back| Op::PushPast { back }),
         Just(Op::Pop),
         Just(Op::Pop),
-        (0u64..1024).prop_map(|s| Op::Cancel { sel: s as usize }),
-        (0u64..1024).prop_map(|s| Op::CancelStale { sel: s as usize }),
         (0u64..12).prop_map(|k| Op::Ahead { k: k as usize }),
     ]
 }
@@ -83,8 +77,6 @@ fn run_script(ops: Vec<Op>) {
     let mut oracle = ReferenceEventQueue::new();
     let mut now: u64 = 0;
     let mut next_key: u64 = 0;
-    let mut live: Vec<EventId> = Vec::new();
-    let mut popped: Vec<EventId> = Vec::new();
 
     for op in ops {
         // `Ahead` is its looks followed by as many pops.
@@ -104,55 +96,23 @@ fn run_script(ops: Vec<Op>) {
                 // Past-clock pushes may pop behind `now`; the
                 // external clock only ratchets forward.
                 now = now.max(t);
-                // Move the popped id from live to popped. Ties on time
-                // break by seq, and `live` is in insertion (= seq)
-                // order, so the first id with this time is the one.
-                let i = live
-                    .iter()
-                    .position(|id| id.time() == t)
-                    .expect("popped an event with no live id");
-                popped.push(live.remove(i));
             }
         }
         match op {
             Op::Push { delta } => {
                 let k = timer(next_key);
                 next_key += 1;
-                let a = wheel.push(now + delta, k.clone());
-                let b = oracle.push(now + delta, k);
-                assert_eq!(a, b, "push returned diverging ids");
-                live.push(a);
+                wheel.push(now + delta, k.clone());
+                oracle.push(now + delta, k);
             }
             Op::PushPast { back } => {
                 let k = timer(next_key);
                 next_key += 1;
                 let t = now.saturating_sub(back);
-                let a = wheel.push(t, k.clone());
-                let b = oracle.push(t, k);
-                assert_eq!(a, b, "past push returned diverging ids");
-                assert_eq!(a.time(), t, "past time must be preserved");
-                live.push(a);
+                wheel.push(t, k.clone());
+                oracle.push(t, k);
             }
             Op::Pop | Op::Ahead { .. } => {}
-            Op::Cancel { sel } => {
-                if live.is_empty() {
-                    continue;
-                }
-                let id = live.remove(sel % live.len());
-                let a = wheel.cancel(id);
-                let b = oracle.cancel(id);
-                assert_eq!(a, b, "cancel diverged for {id:?}");
-                assert!(a.is_some(), "cancel of live event failed: {id:?}");
-            }
-            Op::CancelStale { sel } => {
-                if popped.is_empty() {
-                    continue;
-                }
-                let id = popped[sel % popped.len()];
-                let a = wheel.cancel(id);
-                let b = oracle.cancel(id);
-                assert_eq!(a, b, "stale cancel diverged for {id:?}");
-            }
         }
         assert_eq!(wheel.peek_time(), oracle.peek_time(), "peek diverged");
         assert_eq!(wheel.len(), oracle.len(), "len diverged");
@@ -198,7 +158,7 @@ fn ahead_shows_the_batch_and_stops_at_its_end() {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256 })]
 
-    /// Random interleavings of push/pop/cancel across all wheel levels
+    /// Random interleavings of push/pop across all wheel levels
     /// pop in exactly the heap's order.
     #[test]
     fn wheel_matches_heap(ops in prop::collection::vec(op_strategy(), 1..400)) {
