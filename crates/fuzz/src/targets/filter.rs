@@ -11,12 +11,14 @@
 //!   exercised by actually running every validated program;
 //! - differential execution: the optimized `Vm` agrees with the naive
 //!   reference interpreter on verdicts, traps, persistent memory, and
-//!   instruction counts.
+//!   instruction counts;
+//! - the listing is an audit form: a validated program with an entry
+//!   reassembles from its disassembly, and the result prints the same.
 
 use crate::mutate::{mutate, random_bytes};
 use crate::reference::RefVm;
 use crate::{exec_one, Exec, Report};
-use plab_filter::{validate, Insn, Op, Program, Vm, VmConfig};
+use plab_filter::{asm, disasm, validate, Insn, Op, Program, Vm, VmConfig};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::BTreeMap;
 
@@ -27,8 +29,7 @@ const FUEL: u64 = 10_000;
 const CALLS: u64 = 4;
 
 fn gen_insn(rng: &mut StdRng, pc: usize, len: usize) -> Insn {
-    // SAFETY-COMMENT: 0..=46 is exactly the defined opcode range.
-    let op = Op::from_u8(rng.gen_range(0u32..47) as u8).unwrap();
+    let op = Op::ALL[rng.gen_range(0u32..Op::ALL.len() as u32) as usize];
     let dst = rng.gen_range(0u32..16) as u8;
     let src = rng.gen_range(0u32..16) as u8;
     if op.is_jump() {
@@ -82,6 +83,14 @@ pub fn check(bytes: &[u8]) -> Result<Exec, String> {
     }
     if validate(&program).is_err() {
         return Ok(Exec::Rejected);
+    }
+    if !program.entries.is_empty() {
+        let text = disasm::disassemble(&program);
+        match asm::assemble(&text) {
+            Ok(p2) if disasm::disassemble(&p2) == text => {}
+            Ok(_) => return Err(format!("listing reassembles to another listing:\n{text}")),
+            Err(e) => return Err(format!("listing does not reassemble ({e}):\n{text}")),
+        }
     }
     let mut vm = Vm::with_config(program.clone(), VmConfig { fuel: FUEL })
         .map_err(|e| format!("validate accepted but Vm::with_config failed: {e:?}"))?;

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use std::collections::BTreeMap;
 
 fn arb_op() -> impl Strategy<Value = Op> {
-    (0u8..=46).prop_map(|v| Op::from_u8(v).unwrap())
+    (0..Op::ALL.len()).prop_map(|i| Op::ALL[i])
 }
 
 fn arb_insn() -> impl Strategy<Value = Insn> {
