@@ -186,12 +186,12 @@ impl ScaleWorld {
     }
 
     /// What one reactor turn costs when no session has anything to say, as
-    /// a multiple of the `tcp_recv` readiness polls the turn cannot avoid
-    /// (one per session, timed here over the same connections): the
-    /// reactor's own per-session bookkeeping, with the machine divided
-    /// out. Each side is the fastest of `rounds`.
-    pub fn idle_turn_over_polls(&mut self, rounds: u32) -> f64 {
-        let (mut turn, mut polls) = (f64::MAX, f64::MAX);
+    /// a multiple of the `tcp_readable` probes the turn cannot avoid (one
+    /// per session, timed here over the same connections): the reactor's
+    /// own per-session bookkeeping, with the machine divided out. Each
+    /// side is the fastest of `rounds`.
+    pub fn idle_turn_over_probes(&mut self, rounds: u32) -> f64 {
+        let (mut turn, mut probes) = (f64::MAX, f64::MAX);
         for _ in 0..rounds {
             let t = Instant::now();
             self.reactor.pump(&mut self.stack);
@@ -200,11 +200,11 @@ impl ScaleWorld {
             turn = turn.min(t.elapsed().as_secs_f64());
             let t = Instant::now();
             for s in &self.sessions {
-                std::hint::black_box(self.stack.tcp_recv(s.conn, 65536));
+                std::hint::black_box(self.stack.tcp_readable(s.conn));
             }
-            polls = polls.min(t.elapsed().as_secs_f64());
+            probes = probes.min(t.elapsed().as_secs_f64());
         }
-        turn / polls
+        turn / probes
     }
 
     /// Run one measured phase: every session completes `ops_per_session`

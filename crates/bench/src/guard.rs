@@ -530,17 +530,17 @@ const MIN_SESSION_SCALE: f64 = 0.3;
 /// message per tick, so any scheduling delay is a regression. `pinned`:
 /// two passes' flushed reply streams. `idle_cheap`: with 4096 sessions
 /// enrolled and none sending, a pump + dispatch + flush turn costs at
-/// most 3x the 4096 `tcp_recv` readiness polls it has to make, both timed
-/// here; a reactor that hashes and sorts its way over every enrolled
-/// session each turn reads 6x or more, the dense table and cursor ring
-/// under 2x. `verify_once`, a count: N authentications of one chain on
+/// most 2x the 4096 `tcp_readable` probes it has to make, both timed
+/// here: twenty runs on two cores read 1.47-1.69, and 2.19-2.55 with a
+/// pump that reads every connection each turn (EXPERIMENTS P10).
+/// `verify_once`, a count: N authentications of one chain on
 /// one agent run N + chain_len curve verifications (each possession
 /// proof, the chain once), and N agents authenticating it once each run
 /// N x (chain_len + 1).
 fn ctrl_mux(budget: Duration) -> Vec<Check> {
     const SCALE_SESSIONS: [usize; 2] = [64, 4096];
     const IDLE_SESSIONS: usize = 4096;
-    const IDLE_MAX_OVER_POLLS: f64 = 3.0;
+    const IDLE_MAX_OVER_PROBES: f64 = 2.0;
     const AUTHS: u64 = 64;
     let per_op = |sessions| {
         let p = ctrl::point(sessions, CTRL_OPS);
@@ -552,15 +552,15 @@ fn ctrl_mux(budget: Duration) -> Vec<Check> {
     let (mux, serial) = (passes[0], ctrl::point(1, CTRL_OPS));
     let speedup = mux.virtual_ops_per_sec() / serial.virtual_ops_per_sec();
     let scales = speedup >= 10.0 && mux.p99_ns <= ctrl::RTT_NS && serial.p99_ns <= ctrl::RTT_NS;
-    let idle = ctrl::ScaleWorld::new(IDLE_SESSIONS).idle_turn_over_polls(200);
+    let idle = ctrl::ScaleWorld::new(IDLE_SESSIONS).idle_turn_over_probes(200);
     let scaling = format!(
         "{speedup:.1}x over serial (threshold 10x), p99 {:.1} ms (floor {:.1} ms)",
         mux.p99_ns as f64 / 1e6,
         ctrl::RTT_NS as f64 / 1e6
     );
     let idle_detail = format!(
-        "an idle turn costs {idle:.2}x its {IDLE_SESSIONS} readiness polls \
-         (bound {IDLE_MAX_OVER_POLLS}x)"
+        "an idle turn costs {idle:.2}x its {IDLE_SESSIONS} readiness probes \
+         (bound {IDLE_MAX_OVER_PROBES}x)"
     );
     let one_agent = ctrl::auth_verifications(1, AUTHS as usize);
     let apart = ctrl::auth_verifications(AUTHS as usize, 1);
@@ -575,7 +575,7 @@ fn ctrl_mux(budget: Duration) -> Vec<Check> {
         Check::quotient("session_scale", what, few / many, MIN_SESSION_SCALE, rounds),
         Check::new("scales", scales, scaling),
         Check::pinned("pinned", &passes.map(|p| p.digest), PINNED_CTRL_DIGEST),
-        Check::new("idle_cheap", idle <= IDLE_MAX_OVER_POLLS, idle_detail),
+        Check::new("idle_cheap", idle <= IDLE_MAX_OVER_PROBES, idle_detail),
         Check::new("verify_once", (one_agent, apart) == want, verify_detail),
     ]
 }

@@ -50,18 +50,15 @@ pub(super) fn info_snapshot(
 }
 
 fn refresh_info(memory: &mut EndpointMemory, stack: &dyn NetStack) {
-    memory.set_info("clock", stack.clock());
-    memory.set_info("addr.ip", u32::from(stack.local_addr()) as u64);
-    memory.set_info("addr.ext_ip", u32::from(stack.external_addr()) as u64);
-    memory.set_info("mtu", stack.mtu() as u64);
-    let mut flags = 0u64;
+    let (ip, ext_ip) = (stack.local_addr(), stack.external_addr());
+    let mut flags = 0;
     if stack.raw_supported() {
-        flags |= layout::INFO_FLAG_RAW as u64;
+        flags |= layout::INFO_FLAG_RAW;
     }
-    if stack.external_addr() != stack.local_addr() {
-        flags |= layout::INFO_FLAG_NAT as u64;
+    if ext_ip != ip {
+        flags |= layout::INFO_FLAG_NAT;
     }
-    memory.set_info("flags", flags);
+    memory.set_stack_info(stack.clock(), ip.into(), ext_ip.into(), stack.mtu(), flags);
 }
 
 impl Session {

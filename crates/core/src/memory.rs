@@ -124,6 +124,15 @@ impl EndpointMemory {
         spec.write_le(&mut self.bytes, value);
     }
 
+    /// `clock`, `addr.ip`, `addr.ext_ip`, `mtu` and `flags` (offsets 0-24),
+    /// which every `mread` and service pass rewrites: no lookup by name.
+    pub fn set_stack_info(&mut self, clock: u64, ip: u32, ext_ip: u32, mtu: u32, flags: u32) {
+        self.bytes[0..8].copy_from_slice(&clock.to_le_bytes());
+        for (at, v) in [(8, ip), (12, ext_ip), (16, mtu), (20, flags)] {
+            self.bytes[at..at + 4].copy_from_slice(&v.to_le_bytes());
+        }
+    }
+
     /// `buffer.capacity` and `buffer.used` (offsets 24 and 32), which every
     /// service pass rewrites: no lookup by name.
     pub fn set_buffer_info(&mut self, capacity: u64, used: u64) {
@@ -216,6 +225,19 @@ mod tests {
         by_name.set_info("buffer.used", 65_536);
         let mut direct = EndpointMemory::new();
         direct.set_buffer_info(0x0102_0304_0506_0708, 65_536);
+        assert_eq!(direct.info(), by_name.info());
+    }
+
+    #[test]
+    fn stack_info_writes_the_named_fields() {
+        let mut by_name = EndpointMemory::new();
+        by_name.set_info("clock", 0x0102_0304_0506_0708);
+        by_name.set_info("addr.ip", 0x0a00_0001);
+        by_name.set_info("addr.ext_ip", 0xcb00_7101);
+        by_name.set_info("mtu", 1500);
+        by_name.set_info("flags", 3);
+        let mut direct = EndpointMemory::new();
+        direct.set_stack_info(0x0102_0304_0506_0708, 0x0a00_0001, 0xcb00_7101, 1500, 3);
         assert_eq!(direct.info(), by_name.info());
     }
 

@@ -64,7 +64,9 @@ pub trait NetStack {
     fn tcp_send(&mut self, conn: u64, data: &[u8]);
     /// Read up to `max` received bytes.
     fn tcp_recv(&mut self, conn: u64, max: usize) -> Vec<u8>;
-    /// Bytes available to read.
+    /// Bytes available to read, exactly (or capped at one `tcp_recv`'s
+    /// worth): 0 means `tcp_recv` returns nothing, so a caller may skip it.
+    /// A peer's close is no byte: [`NetStack::tcp_alive`] reports it.
     fn tcp_readable(&self, conn: u64) -> usize;
     /// Bytes queued for sending but not yet acknowledged (send backlog).
     /// Stacks without sender-side introspection may report 0; the

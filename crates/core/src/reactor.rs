@@ -24,6 +24,9 @@
 //!   outbound queue is over budget (or a reactor over the global bound)
 //!   stops being dispatched until the queue drains to the transport. The
 //!   two bounds and the DRR quantum are constants of this module.
+//! - **Readiness.** A turn costs what its ready sessions cost: `pump` reads
+//!   only connections [`NetStack::tcp_readable`] reports bytes on, and
+//!   `flush` hands each session's back-to-back frames to one `tcp_send`.
 //!
 //! §3.3's "no more than one controller has control" is untouched: the
 //! agent's priority arbitration (contend / suspend / resume) still decides
@@ -183,9 +186,8 @@ struct SessionIo {
     /// Decoded inbound messages awaiting dispatch, with their frame cost
     /// (payload + header bytes).
     inq: VecDeque<(Message, u64)>,
-    /// Encoded outbound frames awaiting transmission.
-    outq: VecDeque<Vec<u8>>,
-    outq_bytes: usize,
+    /// Encoded outbound frames awaiting transmission, back to back.
+    outq: Vec<u8>,
     /// Admission was refused: `outq` holds the Busy response, and the
     /// connection closes once it flushes. No agent session exists.
     rejected: bool,
@@ -194,31 +196,31 @@ struct SessionIo {
 }
 
 impl SessionIo {
-    fn push_out(&mut self, frame: Vec<u8>) -> usize {
-        let n = frame.len();
-        self.outq_bytes += n;
-        self.outq.push_back(frame);
-        n
+    /// Encode `msg` onto the outbound queue; returns its frame's size.
+    fn push_out(&mut self, msg: &Message) -> usize {
+        let before = self.outq.len();
+        msg.write_frame(&mut self.outq);
+        self.outq.len() - before
     }
 
-    /// Read what the connection has and decode it into `inq`.
+    /// Read what the connection has and decode it into `inq`. Readiness
+    /// first: a connection with nothing waiting costs one probe, no read.
     fn pump(&mut self, stack: &mut dyn NetStack) {
-        self.decoder.fill(|max| stack.tcp_recv(self.conn, max));
+        self.decoder.fill(|max| match stack.tcp_readable(self.conn) {
+            0 => Vec::new(),
+            n => stack.tcp_recv(self.conn, n.min(max)),
+        });
         loop {
-            match self.decoder.next_frame() {
-                Ok(Some(payload)) => match Message::decode(&payload) {
-                    // Rejected sessions' traffic is discarded; the Busy
-                    // response is already queued.
-                    Ok(_) if self.rejected => {}
-                    Ok(msg) => self.inq.push_back((msg, payload.len() as u64 + 4)),
-                    Err(_) => {
-                        self.poisoned = true;
-                        break;
-                    }
-                },
+            // A frame's cost is what decoding it took off the buffer.
+            let had = self.decoder.buffered();
+            match self.decoder.next_message() {
+                // Rejected sessions' traffic is discarded; the Busy
+                // response is already queued.
+                Ok(Some(_)) if self.rejected => {}
+                Ok(Some(msg)) => self.inq.push_back((msg, (had - self.decoder.buffered()) as u64)),
                 Ok(None) => break,
                 Err(_) => {
-                    // Corrupt framing: drop the session once its queue flushes.
+                    // Corrupt stream: drop the session once its queue flushes.
                     self.poisoned = true;
                     break;
                 }
@@ -248,8 +250,9 @@ fn slot(table: &[SessionIo], sid: u64) -> Option<usize> {
 /// 1. [`EndpointReactor::accept`] for each newly accepted connection,
 /// 2. the agent pass-throughs for what arrived since the last round
 ///    ([`EndpointReactor::on_packet`], [`EndpointReactor::on_wakeup`]),
-/// 3. [`EndpointReactor::pump`] to read inbound bytes (readiness-polls
-///    every session's connection through the [`NetStack`]),
+/// 3. [`EndpointReactor::pump`] to read inbound bytes (one
+///    [`NetStack::tcp_readable`] probe a session; only connections with
+///    bytes waiting are read),
 /// 4. [`EndpointReactor::dispatch`] to run queued commands under DRR,
 /// 5. [`EndpointReactor::on_conn_closed`] for connections the transport
 ///    reports dead — after the dispatch, so commands a dying session had
@@ -329,14 +332,14 @@ impl EndpointReactor {
                 code: ErrCode::Busy,
                 msg: "endpoint at session capacity".to_string(),
             });
-            self.global_out_bytes += io.push_out(resp.to_frame());
+            self.global_out_bytes += io.push_out(&resp);
         }
         self.table.push(io);
         sid
     }
 
-    /// Read available inbound bytes for every session (readiness polling
-    /// over the `NetStack`) and decode them into per-session queues.
+    /// Read inbound bytes where the `NetStack` reports some waiting (one
+    /// readiness probe a session) and decode them into per-session queues.
     pub fn pump(&mut self, stack: &mut dyn NetStack) {
         for io in &mut self.table {
             io.pump(stack);
@@ -362,7 +365,7 @@ impl EndpointReactor {
             let mut offered = false;
             let next = self.sched.poll(|sid| {
                 let s = &table[slot(table, sid)?];
-                if s.poisoned || s.outq_bytes > SESSION_OUTQ_BYTES {
+                if s.poisoned || s.outq.len() > SESSION_OUTQ_BYTES {
                     return None;
                 }
                 let cost = s.inq.front().map(|(_, c)| *c);
@@ -415,7 +418,7 @@ impl EndpointReactor {
     pub fn on_conn_closed(&mut self, sid: u64, stack: &mut dyn NetStack) {
         let Some(i) = slot(&self.table, sid) else { return };
         let io = self.table.remove(i);
-        self.global_out_bytes -= io.outq_bytes;
+        self.global_out_bytes -= io.outq.len();
         self.sched.remove(sid);
         if !io.rejected {
             let out = self.agent.on_session_closed(sid, stack);
@@ -427,26 +430,27 @@ impl EndpointReactor {
     fn route_out(&mut self, out: Out) {
         for (sid, msg) in out {
             if let Some(i) = slot(&self.table, sid) {
-                self.global_out_bytes += self.table[i].push_out(msg.to_frame());
+                self.global_out_bytes += self.table[i].push_out(&msg);
             }
             // Output for a session with no connection (already closed) is
             // dropped.
         }
     }
 
-    /// Transmit every queued outbound frame through the stack, in
-    /// ascending-sid order, then close connections that were rejected at
-    /// admission or poisoned by corrupt input. Returns the sids it closed
-    /// (their `tcp_close` has already been issued).
+    /// Transmit every session's queued outbound frames through the stack,
+    /// one `tcp_send` a session in ascending-sid order, then close
+    /// connections that were rejected at admission or poisoned by corrupt
+    /// input. Returns the sids it closed (their `tcp_close` has already
+    /// been issued).
     pub fn flush(&mut self, stack: &mut dyn NetStack) -> Vec<u64> {
         let mut closed = Vec::new();
         let mut i = 0;
         while i < self.table.len() {
             let io = &mut self.table[i];
-            while let Some(frame) = io.outq.pop_front() {
-                io.outq_bytes -= frame.len();
-                self.global_out_bytes -= frame.len();
-                stack.tcp_send(io.conn, &frame);
+            if !io.outq.is_empty() {
+                self.global_out_bytes -= io.outq.len();
+                stack.tcp_send(io.conn, &io.outq);
+                io.outq.clear();
             }
             if !(io.rejected || io.poisoned) {
                 i += 1;
@@ -555,11 +559,12 @@ mod tests {
         assert_eq!(order.len(), 4);
     }
 
-    /// Inboxes the test feeds; every `tcp_send` and `tcp_close` recorded in
-    /// call order.
+    /// Inboxes the test feeds; every `tcp_recv`, `tcp_send` and
+    /// `tcp_close` recorded in call order.
     #[derive(Default)]
     struct TestStack {
         inbox: HashMap<u64, Vec<u8>>,
+        reads: Vec<u64>,
         sent: Vec<(u64, Vec<u8>)>,
         closed: Vec<u64>,
     }
@@ -596,6 +601,7 @@ mod tests {
             self.sent.push((conn, data.to_vec()));
         }
         fn tcp_recv(&mut self, conn: u64, _: usize) -> Vec<u8> {
+            self.reads.push(conn);
             self.inbox.remove(&conn).unwrap_or_default()
         }
         fn tcp_readable(&self, conn: u64) -> usize {
@@ -611,6 +617,31 @@ mod tests {
         fn take_send_log(&mut self) -> Vec<(u64, u64)> {
             Vec::new()
         }
+    }
+
+    /// A turn reads only the connections with bytes waiting: none of 4,096
+    /// idle ones, and each of k senders once.
+    #[test]
+    fn pump_reads_only_readable_connections() {
+        let mut stack = TestStack::default();
+        let mut reactor =
+            EndpointReactor::new(EndpointConfig { max_sessions: 4096, ..Default::default() });
+        for conn in 1..=4096 {
+            reactor.accept(conn);
+        }
+        reactor.pump(&mut stack);
+        reactor.dispatch(&mut stack);
+        reactor.flush(&mut stack);
+        assert!(stack.reads.is_empty(), "an idle turn read {} connections", stack.reads.len());
+
+        let senders = [3, 64, 65, 1000, 4096];
+        let hello = Message::Hello { version: crate::PROTOCOL_VERSION }.to_frame();
+        for conn in senders.iter().rev() {
+            stack.inbox.insert(*conn, hello.clone());
+        }
+        reactor.pump(&mut stack);
+        assert_eq!(stack.reads, senders, "one read per sender, in sid order");
+        assert_eq!(reactor.queued_in_messages(), senders.len());
     }
 
     /// One `flush` closes rejected and poisoned sessions in ascending sid

@@ -156,6 +156,9 @@ impl Ord for PendingSend {
     }
 }
 
+/// The most one `RealStack::tcp_recv` hands over, and `tcp_readable` reports.
+const READ_CHUNK: usize = 16384;
+
 /// [`NetStack`] over real OS sockets: UDP experiment sockets, accepted
 /// control streams, monotonic ns clock, no raw-socket privilege.
 pub struct RealStack {
@@ -166,7 +169,7 @@ pub struct RealStack {
     conns: HashMap<u64, ControlStream>,
     next_conn: u64,
     /// Where `tcp_recv` reads into: one buffer, not one per poll per session.
-    scratch: Box<[u8; 16384]>,
+    scratch: Box<[u8; READ_CHUNK]>,
     pending: BinaryHeap<PendingSend>,
     wakeups: Vec<(u64, u64)>,
     send_log: Vec<(u64, u64)>,
@@ -182,7 +185,7 @@ impl RealStack {
             conns: HashMap::new(),
             // 0 is what `tcp_connect` answers: a handle that is never alive.
             next_conn: 1,
-            scratch: Box::new([0; 16384]),
+            scratch: Box::new([0; READ_CHUNK]),
             pending: BinaryHeap::new(),
             wakeups: Vec::new(),
             send_log: Vec::new(),
@@ -321,13 +324,16 @@ impl NetStack for RealStack {
     }
 
     fn tcp_recv(&mut self, conn: u64, max: usize) -> Vec<u8> {
-        let buf = &mut self.scratch[..max.min(16384)];
+        let buf = &mut self.scratch[..max.min(READ_CHUNK)];
         let n = self.conns.get_mut(&conn).map_or(0, |c| c.read(buf));
         buf[..n].to_vec()
     }
 
-    fn tcp_readable(&self, _conn: u64) -> usize {
-        0 // control streams are read, never sized; no experiment TCP here
+    fn tcp_readable(&self, conn: u64) -> usize {
+        // The peer's close reads as 0: `tcp_alive` reports it.
+        let mut buf = [0; READ_CHUNK];
+        let c = self.conns.get(&conn).filter(|c| !c.closed);
+        c.map_or(0, |c| c.stream.peek(&mut buf).unwrap_or(0))
     }
 
     fn tcp_close(&mut self, conn: u64) {
@@ -335,7 +341,13 @@ impl NetStack for RealStack {
     }
 
     fn tcp_alive(&self, conn: u64) -> bool {
-        self.conns.get(&conn).is_some_and(|c| !c.closed)
+        // Alive while bytes wait or more may come: a peek meets the peer's
+        // close only past the last byte it sent.
+        let c = self.conns.get(&conn).filter(|c| !c.closed);
+        c.is_some_and(|c| match c.stream.peek(&mut [0]) {
+            Ok(n) => n > 0,
+            Err(e) => e.kind() == std::io::ErrorKind::WouldBlock,
+        })
     }
 
     fn schedule_wakeup(&mut self, key: u64, time: u64) {
@@ -397,8 +409,8 @@ impl EndpointServer {
         }
         reactor.pump(stack);
         reactor.dispatch(stack);
-        // A read that hit EOF handed over everything before it, so a dying
-        // session's buffered commands ran in the dispatch above.
+        // A stream is dead only once every byte before its close was read:
+        // a dying session's buffered commands ran in the dispatch above.
         let dead: Vec<(u64, u64)> =
             reactor.sessions().filter(|&(_, conn)| !stack.tcp_alive(conn)).collect();
         for (sid, conn) in dead {

@@ -359,15 +359,24 @@ pub(crate) fn payload(write: impl FnOnce(&mut Writer)) -> Vec<u8> {
     w.0
 }
 
-/// The payload `write` produces behind its length prefix, built in place:
-/// the header is a placeholder until the payload's size is known.
+/// The payload `write` produces behind its length prefix, in a buffer of
+/// its own.
 pub(crate) fn framed(write: impl FnOnce(&mut Writer)) -> Vec<u8> {
-    let mut w = Writer(Vec::with_capacity(FRAME_HEADER + SMALL_MESSAGE));
+    let mut out = Vec::with_capacity(FRAME_HEADER + SMALL_MESSAGE);
+    frame_into(&mut out, write);
+    out
+}
+
+/// Append the payload `write` produces behind its length prefix, built in
+/// place: the header is a placeholder until the payload's size is known.
+fn frame_into(out: &mut Vec<u8>, write: impl FnOnce(&mut Writer)) {
+    let at = out.len();
+    let mut w = Writer(std::mem::take(out));
     w.raw(&[0; FRAME_HEADER]);
     write(&mut w);
-    let len = (w.0.len() - FRAME_HEADER) as u32;
-    w.0[..FRAME_HEADER].copy_from_slice(&len.to_le_bytes());
-    w.0
+    let len = (w.0.len() - at - FRAME_HEADER) as u32;
+    w.0[at..at + FRAME_HEADER].copy_from_slice(&len.to_le_bytes());
+    *out = w.0;
 }
 
 /// Codec errors.
@@ -560,6 +569,12 @@ impl Message {
     /// Encode as a complete frame (length prefix + payload).
     pub fn to_frame(&self) -> Vec<u8> {
         framed(|w| self.write(w))
+    }
+
+    /// Append as a complete frame to `out`: what [`Message::to_frame`]
+    /// returns, encoded into a buffer the caller keeps.
+    pub fn write_frame(&self, out: &mut Vec<u8>) {
+        frame_into(out, |w| self.write(w))
     }
 }
 
@@ -786,22 +801,17 @@ impl FrameDecoder {
         }
     }
 
-    /// Extract the next complete frame payload, if any.
-    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, WireError> {
+    /// Consume the next complete frame and return its payload, or the
+    /// sticky error once every frame before it went; `extend` compacts.
+    fn take_payload(&mut self) -> Result<Option<&[u8]>, WireError> {
         if self.start < self.scanned {
             // A complete, size-checked frame is buffered ahead of any
             // poisoned header: deliver frames in order first.
             // Infallible: `extend` validated 4 header bytes at `start`.
-            let len = u32::from_le_bytes(
-                self.buf[self.start..self.start + FRAME_HEADER]
-                    .try_into()
-                    .unwrap(),
-            ) as usize;
-            let payload =
-                self.buf[self.start + FRAME_HEADER..self.start + FRAME_HEADER + len].to_vec();
-            self.start += FRAME_HEADER + len;
-            self.compact();
-            return Ok(Some(payload));
+            let at = self.start + FRAME_HEADER;
+            let len = u32::from_le_bytes(self.buf[self.start..at].try_into().unwrap()) as usize;
+            self.start = at + len;
+            return Ok(Some(&self.buf[at..self.start]));
         }
         match self.failed {
             Some(e) => Err(e),
@@ -809,27 +819,30 @@ impl FrameDecoder {
         }
     }
 
-    /// Extract and decode the next message, if a full frame is buffered.
-    /// A payload that fails [`Message::decode`] poisons the stream.
+    /// Extract the next complete frame payload, if any.
+    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, WireError> {
+        Ok(self.take_payload()?.map(<[u8]>::to_vec))
+    }
+
+    /// Decode the next message in place, if a full frame is buffered. A
+    /// payload that fails [`Message::decode`] poisons the stream.
     pub fn next_message(&mut self) -> Result<Option<Message>, WireError> {
-        match self.next_frame()? {
-            Some(p) => match Message::decode(&p) {
-                Ok(m) => Ok(Some(m)),
-                Err(e) => {
-                    // A peer that framed an undecodable payload is broken
-                    // or hostile; don't resync onto later frames. This
-                    // overwrites any error `extend` found *later* in the
-                    // stream (e.g. an oversized header past this frame):
-                    // the first error in stream order is the one every
-                    // subsequent call must keep reporting.
-                    self.failed = Some(e);
-                    self.buf.clear();
-                    self.start = 0;
-                    self.scanned = 0;
-                    Err(e)
-                }
-            },
-            None => Ok(None),
+        let Some(payload) = self.take_payload()? else { return Ok(None) };
+        match Message::decode(payload) {
+            Ok(m) => Ok(Some(m)),
+            Err(e) => {
+                // A peer that framed an undecodable payload is broken
+                // or hostile; don't resync onto later frames. This
+                // overwrites any error `extend` found *later* in the
+                // stream (e.g. an oversized header past this frame):
+                // the first error in stream order is the one every
+                // subsequent call must keep reporting.
+                self.failed = Some(e);
+                self.buf.clear();
+                self.start = 0;
+                self.scanned = 0;
+                Err(e)
+            }
         }
     }
 }

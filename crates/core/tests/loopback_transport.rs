@@ -10,11 +10,13 @@ use packetlab::controller::{
 };
 use packetlab::descriptor::ExperimentDescriptor;
 use packetlab::endpoint::EndpointConfig;
-use packetlab::transport::{EndpointServer, TcpChannel};
+use packetlab::netstack::NetStack;
+use packetlab::reactor::EndpointReactor;
+use packetlab::transport::{EndpointServer, RealStack, TcpChannel};
 use packetlab::wire::{Command, ErrCode, Message, Response};
 use plab_crypto::{Keypair, KeyHash};
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream, UdpSocket};
+use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -341,4 +343,135 @@ fn closed_peer_fails_the_call_before_its_timeout() {
     let asked = Instant::now();
     assert_eq!(ctrl.read_clock(), Err(ControllerError::Timeout));
     assert!(asked.elapsed() < Duration::from_secs(1), "took {:?}", asked.elapsed());
+}
+
+/// `RealStack` with every `tcp_recv` recorded: what the reactor reads.
+struct CountingStack {
+    inner: RealStack,
+    reads: Vec<u64>,
+}
+
+impl NetStack for CountingStack {
+    fn clock(&self) -> u64 {
+        self.inner.clock()
+    }
+    fn local_addr(&self) -> Ipv4Addr {
+        self.inner.local_addr()
+    }
+    fn external_addr(&self) -> Ipv4Addr {
+        self.inner.external_addr()
+    }
+    fn mtu(&self) -> u32 {
+        self.inner.mtu()
+    }
+    fn raw_supported(&self) -> bool {
+        self.inner.raw_supported()
+    }
+    fn raw_send_at(&mut self, time: u64, packet: Vec<u8>, tag: u64) {
+        self.inner.raw_send_at(time, packet, tag)
+    }
+    fn udp_bind(&mut self, port: u16) -> bool {
+        self.inner.udp_bind(port)
+    }
+    fn udp_unbind(&mut self, port: u16) {
+        self.inner.udp_unbind(port)
+    }
+    fn udp_send_at(
+        &mut self,
+        time: u64,
+        src: u16,
+        dst: Ipv4Addr,
+        port: u16,
+        data: &[u8],
+        tag: u64,
+    ) {
+        self.inner.udp_send_at(time, src, dst, port, data, tag)
+    }
+    fn take_udp(&mut self, port: u16) -> Vec<(u64, Ipv4Addr, u16, Vec<u8>)> {
+        self.inner.take_udp(port)
+    }
+    fn tcp_connect(&mut self, dst: Ipv4Addr, port: u16) -> u64 {
+        self.inner.tcp_connect(dst, port)
+    }
+    fn tcp_send(&mut self, conn: u64, data: &[u8]) {
+        self.inner.tcp_send(conn, data)
+    }
+    fn tcp_recv(&mut self, conn: u64, max: usize) -> Vec<u8> {
+        self.reads.push(conn);
+        self.inner.tcp_recv(conn, max)
+    }
+    fn tcp_readable(&self, conn: u64) -> usize {
+        self.inner.tcp_readable(conn)
+    }
+    fn tcp_close(&mut self, conn: u64) {
+        self.inner.tcp_close(conn)
+    }
+    fn tcp_alive(&self, conn: u64) -> bool {
+        self.inner.tcp_alive(conn)
+    }
+    fn schedule_wakeup(&mut self, key: u64, time: u64) {
+        self.inner.schedule_wakeup(key, time)
+    }
+    fn take_send_log(&mut self) -> Vec<(u64, u64)> {
+        self.inner.take_send_log()
+    }
+}
+
+/// Over real sockets the reactor reads a control stream only when bytes
+/// wait on it, and a peer's close reaches `tcp_alive` with nothing to
+/// read: a client that sends a Hello, takes its answer and closes is torn
+/// down after one read, while an idle client's stream is never read.
+#[test]
+fn only_streams_with_bytes_waiting_are_read() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let mut stack = CountingStack { inner: RealStack::new(Ipv4Addr::LOCALHOST), reads: Vec::new() };
+    let mut reactor = EndpointReactor::new(EndpointConfig::default());
+    let mut adopt = |stack: &mut CountingStack| {
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let conn = stack.inner.adopt(listener.accept().unwrap().0);
+        (client, conn, reactor.accept(conn))
+    };
+    let (_idle, idle_conn, idle_sid) = adopt(&mut stack);
+    let (mut once, once_conn, once_sid) = adopt(&mut stack);
+    // One service round, as `EndpointServer::poll_once` runs it.
+    let turn = |reactor: &mut EndpointReactor, stack: &mut CountingStack| {
+        reactor.pump(stack);
+        reactor.dispatch(stack);
+        let dead: Vec<u64> =
+            reactor.sessions().filter(|&(_, c)| !stack.tcp_alive(c)).map(|(s, _)| s).collect();
+        for sid in dead {
+            reactor.on_conn_closed(sid, stack);
+        }
+        reactor.flush(stack);
+    };
+
+    let hello = Message::Hello { version: packetlab::PROTOCOL_VERSION }.to_frame();
+    once.write_all(&hello).unwrap();
+    let waited = Instant::now();
+    while stack.tcp_readable(once_conn) < hello.len() {
+        assert!(waited.elapsed() < Duration::from_secs(2), "the Hello never showed as readable");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(stack.tcp_readable(once_conn), hello.len(), "exactly the bytes waiting");
+    assert_eq!(stack.tcp_readable(idle_conn), 0);
+    turn(&mut reactor, &mut stack);
+    once.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+    let mut header = [0u8; 4];
+    once.read_exact(&mut header).expect("an answer arrives");
+    let mut answer = vec![0; u32::from_le_bytes(header) as usize];
+    once.read_exact(&mut answer).unwrap();
+    assert!(matches!(Message::decode(&answer), Ok(Message::HelloAck { .. })));
+
+    drop(once);
+    let waited = Instant::now();
+    while reactor.sessions().any(|(sid, _)| sid == once_sid) {
+        assert!(
+            waited.elapsed() < Duration::from_secs(2),
+            "the closed session was never torn down"
+        );
+        turn(&mut reactor, &mut stack);
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(stack.reads, [once_conn], "one read for the Hello; the close needs none");
+    assert_eq!(reactor.sessions().collect::<Vec<_>>(), [(idle_sid, idle_conn)]);
 }

@@ -3,7 +3,9 @@
 use packetlab::cert::{CertPayload, Certificate, Restrictions};
 use packetlab::descriptor::ExperimentDescriptor;
 use packetlab::rendezvous::RvMessage;
-use packetlab::wire::{Command, ErrCode, Message, Notification, Proto, Response};
+use packetlab::wire::{
+    Command, ErrCode, FrameDecoder, Message, Notification, Proto, Response, MAX_FRAME,
+};
 use plab_crypto::{KeyHash, Keypair};
 use proptest::prelude::*;
 
@@ -103,7 +105,78 @@ fn arb_message() -> impl Strategy<Value = Message> {
     ]
 }
 
+/// One piece of a control stream: a message's frame, a framed payload of
+/// random bytes (mostly undecodable), a header over `MAX_FRAME`, or bytes
+/// with no framing at all.
+fn arb_stream_piece() -> impl Strategy<Value = Vec<u8>> {
+    prop_oneof![
+        arb_message().prop_map(|m| m.to_frame()),
+        arb_message().prop_map(|m| m.to_frame()),
+        prop::collection::vec(any::<u8>(), 0..32).prop_map(|p| {
+            let mut frame = (p.len() as u32).to_le_bytes().to_vec();
+            frame.extend(p);
+            frame
+        }),
+        (MAX_FRAME as u32 + 1..=u32::MAX).prop_map(|len| len.to_le_bytes().to_vec()),
+        prop::collection::vec(any::<u8>(), 0..16),
+    ]
+}
+
 proptest! {
+    /// `next_message` decodes in the decoder's buffer what `next_frame`
+    /// would have copied out: over random, truncated, oversized-header and
+    /// undecodable streams fed in arbitrary pieces, it returns the same
+    /// messages, leaves the same `buffered()` after each, and reports the
+    /// same first error for good. Only an undecodable payload differs on
+    /// purpose: it poisons the stream, dropping what was buffered.
+    #[test]
+    fn in_place_decode_matches_frame_then_decode(
+        pieces in prop::collection::vec(arb_stream_piece(), 0..8),
+        keep in any::<u16>(),
+        cuts in prop::collection::vec(any::<u16>(), 0..8),
+    ) {
+        let mut stream = pieces.concat();
+        stream.truncate(keep as usize % (stream.len() + 1));
+        let mut points: Vec<usize> = cuts.iter().map(|c| *c as usize % (stream.len() + 1)).collect();
+        points.extend([0, stream.len()]);
+        points.sort_unstable();
+
+        let (mut in_place, mut copied) = (FrameDecoder::new(), FrameDecoder::new());
+        // The first error, and whether it was an undecodable payload.
+        let (mut failed, mut poisoned) = (None, false);
+        for piece in points.windows(2).map(|w| &stream[w[0]..w[1]]) {
+            in_place.extend(piece);
+            copied.extend(piece);
+            loop {
+                let (want, undecodable) = match failed {
+                    Some(e) => (Err(e), false),
+                    None => match copied.next_frame() {
+                        Ok(Some(p)) => {
+                            let msg = Message::decode(&p);
+                            let bad = msg.is_err();
+                            (msg.map(Some), bad)
+                        }
+                        other => (other.map(|_| None), false),
+                    },
+                };
+                prop_assert_eq!(in_place.next_message(), want.clone());
+                poisoned |= undecodable;
+                prop_assert_eq!(in_place.buffered(), if poisoned { 0 } else { copied.buffered() });
+                match want {
+                    Ok(Some(_)) => {}
+                    Ok(None) => break,
+                    Err(e) => {
+                        failed = Some(e);
+                        break;
+                    }
+                }
+            }
+        }
+        if let Some(e) = failed {
+            prop_assert_eq!(in_place.next_message(), Err::<Option<Message>, _>(e), "the first error sticks");
+        }
+    }
+
     #[test]
     fn wire_message_roundtrip(msg in arb_message()) {
         let enc = msg.encode();
