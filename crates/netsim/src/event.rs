@@ -266,7 +266,9 @@ impl EventQueue {
         }
         let s = slot(e.time, level);
         let wheel = self.wheel.get_or_insert_with(|| {
-            Box::new(std::array::from_fn(|_| std::array::from_fn(|_| Bucket::default())))
+            Box::new(std::array::from_fn(|_| {
+                std::array::from_fn(|_| Bucket::default())
+            }))
         });
         let b = &mut wheel[level][s];
         if b.entries.is_empty() || e.time < b.min_time {
@@ -654,10 +656,7 @@ mod tests {
             } else {
                 let got = wheel.pop();
                 let want = oracle.pop();
-                assert_eq!(
-                    got, want,
-                    "pop #{i} diverged (wheel vs reference heap)"
-                );
+                assert_eq!(got, want, "pop #{i} diverged (wheel vs reference heap)");
                 if let Some((t, _)) = got {
                     now = t;
                 }
@@ -671,4 +670,3 @@ mod tests {
         assert!(wheel.is_empty());
     }
 }
-

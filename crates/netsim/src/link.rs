@@ -179,7 +179,11 @@ impl Link {
         let mut p = self.params.loss;
         if let Some(ge) = self.ge {
             let d = &mut self.dirs[dir];
-            let flip = if d.ge_bad { ge.p_exit_bad } else { ge.p_enter_bad };
+            let flip = if d.ge_bad {
+                ge.p_exit_bad
+            } else {
+                ge.p_enter_bad
+            };
             if roll_below(rolls[0], flip) {
                 d.ge_bad = !d.ge_bad;
             }

@@ -8,8 +8,8 @@
 //! port/identifier on the way out, keeps a mapping table, and rewrites the
 //! destination back on the way in.
 
-use plab_packet::{checksum, icmp, ipv4, proto};
 use fxhash::FxHashMap;
+use plab_packet::{checksum, icmp, ipv4, proto};
 use std::net::Ipv4Addr;
 
 /// Key identifying an internal flow: (protocol, internal addr, internal id).

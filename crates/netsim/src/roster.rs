@@ -89,7 +89,11 @@ pub fn build_roster(spec: &RosterSpec) -> RosterWorld {
     assert!(spec.pairs > 0, "empty roster");
     assert!(spec.shards > 0, "need at least one shard");
     let pods = spec.pairs.div_ceil(HOSTS_PER_POD);
-    assert!(pods <= 200, "roster capped at {} pairs", 200 * HOSTS_PER_POD);
+    assert!(
+        pods <= 200,
+        "roster capped at {} pairs",
+        200 * HOSTS_PER_POD
+    );
 
     let mut t = TopologyBuilder::new();
     t.seed(spec.seed);
@@ -103,14 +107,20 @@ pub fn build_roster(spec: &RosterSpec) -> RosterWorld {
     let uplink = LinkParams::new(UPLINK_MS, 0);
     let ctrl_pods: Vec<NodeId> = (0..pods)
         .map(|p| {
-            let r = t.router(&format!("cpod{p}"), Ipv4Addr::new(10, 32 + p as u8, 255, 254));
+            let r = t.router(
+                &format!("cpod{p}"),
+                Ipv4Addr::new(10, 32 + p as u8, 255, 254),
+            );
             t.link(core, r, uplink);
             r
         })
         .collect();
     let ep_pods: Vec<NodeId> = (0..pods)
         .map(|p| {
-            let r = t.router(&format!("epod{p}"), Ipv4Addr::new(11, 32 + p as u8, 255, 254));
+            let r = t.router(
+                &format!("epod{p}"),
+                Ipv4Addr::new(11, 32 + p as u8, 255, 254),
+            );
             t.link(core, r, uplink);
             r
         })
@@ -253,16 +263,42 @@ pub struct BwWorld {
     pub ground_truth: Vec<u64>,
 }
 
-const ONE: [BwDest; 1] = [BwDest { mbps: 40, latency_ms: 1 }];
-const DUAL: [BwDest; 2] =
-    [BwDest { mbps: 40, latency_ms: 1 }, BwDest { mbps: 3, latency_ms: 2 }];
-const TRIO: [BwDest; 3] = [
-    BwDest { mbps: 40, latency_ms: 1 },
-    BwDest { mbps: 8, latency_ms: 2 },
-    BwDest { mbps: 12, latency_ms: 3 },
+const ONE: [BwDest; 1] = [BwDest {
+    mbps: 40,
+    latency_ms: 1,
+}];
+const DUAL: [BwDest; 2] = [
+    BwDest {
+        mbps: 40,
+        latency_ms: 1,
+    },
+    BwDest {
+        mbps: 3,
+        latency_ms: 2,
+    },
 ];
-const FAR: [BwDest; 1] = [BwDest { mbps: 40, latency_ms: 6 }];
-const SLOW: [BwDest; 1] = [BwDest { mbps: 5, latency_ms: 1 }];
+const TRIO: [BwDest; 3] = [
+    BwDest {
+        mbps: 40,
+        latency_ms: 1,
+    },
+    BwDest {
+        mbps: 8,
+        latency_ms: 2,
+    },
+    BwDest {
+        mbps: 12,
+        latency_ms: 3,
+    },
+];
+const FAR: [BwDest; 1] = [BwDest {
+    mbps: 40,
+    latency_ms: 6,
+}];
+const SLOW: [BwDest; 1] = [BwDest {
+    mbps: 5,
+    latency_ms: 1,
+}];
 
 /// The 20-topology ground-truth corpus: clean asymmetric access tiers,
 /// destination-limited paths, bufferbloat queues, Gilbert–Elliott burst
@@ -280,9 +316,27 @@ pub fn bw_corpus() -> Vec<BwTopoSpec> {
         seed: 0,
     };
     vec![
-        BwTopoSpec { name: "adsl_6_1", down_mbps: 6, up_mbps: 1, seed: 101, ..base },
-        BwTopoSpec { name: "adsl_24_3", down_mbps: 24, up_mbps: 3, seed: 102, ..base },
-        BwTopoSpec { name: "cable_30_5", down_mbps: 30, up_mbps: 5, seed: 103, ..base },
+        BwTopoSpec {
+            name: "adsl_6_1",
+            down_mbps: 6,
+            up_mbps: 1,
+            seed: 101,
+            ..base
+        },
+        BwTopoSpec {
+            name: "adsl_24_3",
+            down_mbps: 24,
+            up_mbps: 3,
+            seed: 102,
+            ..base
+        },
+        BwTopoSpec {
+            name: "cable_30_5",
+            down_mbps: 30,
+            up_mbps: 5,
+            seed: 103,
+            ..base
+        },
         BwTopoSpec {
             name: "cable_dual_dest",
             down_mbps: 30,
@@ -291,9 +345,27 @@ pub fn bw_corpus() -> Vec<BwTopoSpec> {
             seed: 104,
             ..base
         },
-        BwTopoSpec { name: "fiber_sym_20", down_mbps: 20, up_mbps: 20, seed: 105, ..base },
-        BwTopoSpec { name: "fiber_sym_35", down_mbps: 35, up_mbps: 35, seed: 106, ..base },
-        BwTopoSpec { name: "vdsl_50_10", down_mbps: 50, up_mbps: 10, seed: 107, ..base },
+        BwTopoSpec {
+            name: "fiber_sym_20",
+            down_mbps: 20,
+            up_mbps: 20,
+            seed: 105,
+            ..base
+        },
+        BwTopoSpec {
+            name: "fiber_sym_35",
+            down_mbps: 35,
+            up_mbps: 35,
+            seed: 106,
+            ..base
+        },
+        BwTopoSpec {
+            name: "vdsl_50_10",
+            down_mbps: 50,
+            up_mbps: 10,
+            seed: 107,
+            ..base
+        },
         BwTopoSpec {
             name: "dest_limited",
             down_mbps: 30,
@@ -310,7 +382,13 @@ pub fn bw_corpus() -> Vec<BwTopoSpec> {
             seed: 109,
             ..base
         },
-        BwTopoSpec { name: "slow_sym_3", down_mbps: 3, up_mbps: 3, seed: 110, ..base },
+        BwTopoSpec {
+            name: "slow_sym_3",
+            down_mbps: 3,
+            up_mbps: 3,
+            seed: 110,
+            ..base
+        },
         BwTopoSpec {
             name: "bloat_adsl",
             down_mbps: 6,
@@ -409,8 +487,7 @@ pub fn build_bw_world(spec: &BwTopoSpec) -> BwWorld {
     let controller = t.host("controller", controller_addr);
     t.link(racc, controller, LinkParams::new(1, 0));
 
-    let mut access =
-        LinkParams::asymmetric(spec.access_latency_ms, spec.down_mbps, spec.up_mbps);
+    let mut access = LinkParams::asymmetric(spec.access_latency_ms, spec.down_mbps, spec.up_mbps);
     if spec.bufferbloat {
         access = access.bufferbloat();
     }
@@ -441,10 +518,21 @@ pub fn build_bw_world(spec: &BwTopoSpec) -> BwWorld {
     if spec.burst_loss {
         sim.schedule_fault(
             0,
-            FaultAction::SetBurstLoss { link: access_link, model: Some(GilbertElliott::bursty()) },
+            FaultAction::SetBurstLoss {
+                link: access_link,
+                model: Some(GilbertElliott::bursty()),
+            },
         );
     }
-    BwWorld { sim, controller, endpoint, controller_addr, endpoint_addr, dests, ground_truth }
+    BwWorld {
+        sim,
+        controller,
+        endpoint,
+        controller_addr,
+        endpoint_addr,
+        dests,
+        ground_truth,
+    }
 }
 
 #[cfg(test)]
@@ -510,7 +598,9 @@ mod tests {
             // Every entry respects the u16-window TCP ceiling with ≥2x
             // margin: bottleneck·1.2 < 65535·8/RTT.
             for d in spec.dests {
-                let truth = spec.up_mbps.min(if d.mbps == 0 { u64::MAX } else { d.mbps });
+                let truth = spec
+                    .up_mbps
+                    .min(if d.mbps == 0 { u64::MAX } else { d.mbps });
                 let rtt_ms = 2 * (spec.access_latency_ms + d.latency_ms);
                 let ceiling_mbps = 65_535 * 8 / rtt_ms / 1000;
                 assert!(
@@ -531,7 +621,8 @@ mod tests {
         // UDP from the endpoint reaches every dest.
         for (i, (node, addr)) in w.dests.clone().into_iter().enumerate() {
             assert!(w.sim.udp_bind(node, 7000));
-            w.sim.udp_send(w.endpoint, 20_000, addr, 7000, &[i as u8; 64]);
+            w.sim
+                .udp_send(w.endpoint, 20_000, addr, 7000, &[i as u8; 64]);
         }
         w.sim.run_until(crate::time::SECOND);
         for (node, _) in &w.dests {

@@ -30,13 +30,19 @@ impl<T> Owned<T> {
     /// Every id owned: the sequential engine and 1-shard worlds.
     pub fn all(items: Vec<T>) -> Self {
         assert!(items.len() < GHOST as usize, "too many ids for a slot");
-        Owned { slot: (0..items.len() as u32).collect(), items }
+        Owned {
+            slot: (0..items.len() as u32).collect(),
+            items,
+        }
     }
 
     /// `ids` ghosts, to be filled by [`Owned::own`].
     pub fn ghosts(ids: usize) -> Self {
         assert!(ids < GHOST as usize, "too many ids for a slot");
-        Owned { slot: vec![GHOST; ids], items: Vec::new() }
+        Owned {
+            slot: vec![GHOST; ids],
+            items: Vec::new(),
+        }
     }
 
     /// Take ownership of ghost `id`.

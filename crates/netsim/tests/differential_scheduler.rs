@@ -42,9 +42,9 @@ enum Op {
 /// `prop_oneof!` is uniform).
 fn delta_strategy() -> impl Strategy<Value = u64> {
     prop_oneof![
-        Just(0u64),              // same-tick FIFO path
+        Just(0u64), // same-tick FIFO path
         Just(0u64),
-        1u64..64,                // level 0
+        1u64..64, // level 0
         1u64..64,
         64u64..4096,             // level 1
         4096u64..(1 << 18),      // levels 2–3
@@ -90,7 +90,11 @@ fn run_script(ops: Vec<Op>) {
             let b = oracle.pop();
             assert_eq!(a, b, "pop diverged");
             if let Some(shown) = shown.get(j).cloned().flatten() {
-                assert_eq!(a.as_ref().map(|(_, e)| e), Some(&shown), "ahead({j}) showed another");
+                assert_eq!(
+                    a.as_ref().map(|(_, e)| e),
+                    Some(&shown),
+                    "ahead({j}) showed another"
+                );
             }
             if let Some((t, _)) = a {
                 // Past-clock pushes may pop behind `now`; the
@@ -147,7 +151,11 @@ fn ahead_shows_the_batch_and_stops_at_its_end() {
     for (k, &key) in want.iter().enumerate() {
         assert_eq!(q.ahead(k), Some(&timer(key)), "place {k}");
     }
-    assert_eq!(q.ahead(want.len()), None, "the event at 1,000 is not in the batch");
+    assert_eq!(
+        q.ahead(want.len()),
+        None,
+        "the event at 1,000 is not in the batch"
+    );
     assert_eq!(q.len(), want.len() + 1, "looking removed nothing");
     for &key in &want {
         assert_eq!(q.pop().map(|(_, e)| e), Some(timer(key)));

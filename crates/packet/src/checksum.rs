@@ -106,8 +106,18 @@ mod tests {
     #[test]
     fn transport_checksum_differs_by_addr() {
         let seg = [1, 2, 3, 4];
-        let a = transport_checksum(Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2), 17, &seg);
-        let b = transport_checksum(Ipv4Addr::new(10, 0, 0, 3), Ipv4Addr::new(10, 0, 0, 2), 17, &seg);
+        let a = transport_checksum(
+            Ipv4Addr::new(10, 0, 0, 1),
+            Ipv4Addr::new(10, 0, 0, 2),
+            17,
+            &seg,
+        );
+        let b = transport_checksum(
+            Ipv4Addr::new(10, 0, 0, 3),
+            Ipv4Addr::new(10, 0, 0, 2),
+            17,
+            &seg,
+        );
         assert_ne!(a, b);
     }
 

@@ -167,14 +167,32 @@ pub fn parse(buf: &[u8]) -> Result<IcmpMessage<'_>, ParseError> {
             let seq = u16::from_be_bytes([buf[6], buf[7]]);
             let payload = &buf[8..];
             if icmp_type == TYPE_ECHO_REQUEST {
-                IcmpMessage::EchoRequest { ident, seq, payload }
+                IcmpMessage::EchoRequest {
+                    ident,
+                    seq,
+                    payload,
+                }
             } else {
-                IcmpMessage::EchoReply { ident, seq, payload }
+                IcmpMessage::EchoReply {
+                    ident,
+                    seq,
+                    payload,
+                }
             }
         }
-        TYPE_TIME_EXCEEDED => IcmpMessage::TimeExceeded { code, original: &buf[8..] },
-        TYPE_DEST_UNREACHABLE => IcmpMessage::DestUnreachable { code, original: &buf[8..] },
-        _ => IcmpMessage::Other { icmp_type, code, body: &buf[8..] },
+        TYPE_TIME_EXCEEDED => IcmpMessage::TimeExceeded {
+            code,
+            original: &buf[8..],
+        },
+        TYPE_DEST_UNREACHABLE => IcmpMessage::DestUnreachable {
+            code,
+            original: &buf[8..],
+        },
+        _ => IcmpMessage::Other {
+            icmp_type,
+            code,
+            body: &buf[8..],
+        },
     };
     Ok(msg)
 }
@@ -190,7 +208,11 @@ mod tests {
     fn echo_request_roundtrip() {
         let msg = build_echo_request(0x1234, 7, b"payload");
         match parse(&msg).unwrap() {
-            IcmpMessage::EchoRequest { ident, seq, payload } => {
+            IcmpMessage::EchoRequest {
+                ident,
+                seq,
+                payload,
+            } => {
                 assert_eq!(ident, 0x1234);
                 assert_eq!(seq, 7);
                 assert_eq!(payload, b"payload");
@@ -204,7 +226,11 @@ mod tests {
         let msg = build_echo_reply(1, 2, &[]);
         assert!(matches!(
             parse(&msg).unwrap(),
-            IcmpMessage::EchoReply { ident: 1, seq: 2, payload: &[] }
+            IcmpMessage::EchoReply {
+                ident: 1,
+                seq: 2,
+                payload: &[]
+            }
         ));
     }
 
@@ -237,7 +263,10 @@ mod tests {
         let msg = build_dest_unreachable(CODE_PORT_UNREACHABLE, b"original-bytes-here-");
         assert!(matches!(
             parse(&msg).unwrap(),
-            IcmpMessage::DestUnreachable { code: CODE_PORT_UNREACHABLE, .. }
+            IcmpMessage::DestUnreachable {
+                code: CODE_PORT_UNREACHABLE,
+                ..
+            }
         ));
     }
 
@@ -261,7 +290,11 @@ mod tests {
         super::fill_checksum(&mut buf);
         assert!(matches!(
             parse(&buf).unwrap(),
-            IcmpMessage::Other { icmp_type: 42, code: 1, .. }
+            IcmpMessage::Other {
+                icmp_type: 42,
+                code: 1,
+                ..
+            }
         ));
     }
 

@@ -284,7 +284,10 @@ mod tests {
 
     #[test]
     fn truncated_rejected() {
-        assert!(matches!(Ipv4View::new(&[0x45; 10]), Err(ParseError::Truncated)));
+        assert!(matches!(
+            Ipv4View::new(&[0x45; 10]),
+            Err(ParseError::Truncated)
+        ));
     }
 
     #[test]

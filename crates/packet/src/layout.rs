@@ -27,12 +27,26 @@ pub struct FieldSpec {
 
 impl FieldSpec {
     const fn full(offset: usize, width: usize) -> Self {
-        let mask = if width >= 8 { u64::MAX } else { (1u64 << (width * 8)) - 1 };
-        FieldSpec { offset, width, shift: 0, mask }
+        let mask = if width >= 8 {
+            u64::MAX
+        } else {
+            (1u64 << (width * 8)) - 1
+        };
+        FieldSpec {
+            offset,
+            width,
+            shift: 0,
+            mask,
+        }
     }
 
     const fn bits(offset: usize, width: usize, shift: u32, mask: u64) -> Self {
-        FieldSpec { offset, width, shift, mask }
+        FieldSpec {
+            offset,
+            width,
+            shift,
+            mask,
+        }
     }
 
     /// Read the field from a raw datagram (big-endian, network order);
@@ -101,12 +115,30 @@ pub const FIELDS: &[(&str, FieldSpec)] = &[
     ("ip.icmp.ident", FieldSpec::full(ICMP_OFFSET + 4, 2)),
     ("ip.icmp.seq", FieldSpec::full(ICMP_OFFSET + 6, 2)),
     // The original datagram quoted inside ICMP errors.
-    ("ip.icmp.orig.ip.ver", FieldSpec::bits(ICMP_ORIG_OFFSET, 1, 4, 0xf)),
-    ("ip.icmp.orig.ip.ihl", FieldSpec::bits(ICMP_ORIG_OFFSET, 1, 0, 0xf)),
-    ("ip.icmp.orig.ip.proto", FieldSpec::full(ICMP_ORIG_OFFSET + 9, 1)),
-    ("ip.icmp.orig.ip.src", FieldSpec::full(ICMP_ORIG_OFFSET + 12, 4)),
-    ("ip.icmp.orig.ip.dst", FieldSpec::full(ICMP_ORIG_OFFSET + 16, 4)),
-    ("ip.icmp.orig.ip.ttl", FieldSpec::full(ICMP_ORIG_OFFSET + 8, 1)),
+    (
+        "ip.icmp.orig.ip.ver",
+        FieldSpec::bits(ICMP_ORIG_OFFSET, 1, 4, 0xf),
+    ),
+    (
+        "ip.icmp.orig.ip.ihl",
+        FieldSpec::bits(ICMP_ORIG_OFFSET, 1, 0, 0xf),
+    ),
+    (
+        "ip.icmp.orig.ip.proto",
+        FieldSpec::full(ICMP_ORIG_OFFSET + 9, 1),
+    ),
+    (
+        "ip.icmp.orig.ip.src",
+        FieldSpec::full(ICMP_ORIG_OFFSET + 12, 4),
+    ),
+    (
+        "ip.icmp.orig.ip.dst",
+        FieldSpec::full(ICMP_ORIG_OFFSET + 16, 4),
+    ),
+    (
+        "ip.icmp.orig.ip.ttl",
+        FieldSpec::full(ICMP_ORIG_OFFSET + 8, 1),
+    ),
     // UDP (at IHL=5).
     ("ip.udp.sport", FieldSpec::full(TRANSPORT_OFFSET, 2)),
     ("ip.udp.dport", FieldSpec::full(TRANSPORT_OFFSET + 2, 2)),
@@ -122,7 +154,10 @@ pub const FIELDS: &[(&str, FieldSpec)] = &[
 
 /// Resolve a dotted field path (e.g. `"ip.icmp.orig.ip.src"`).
 pub fn resolve(path: &str) -> Option<FieldSpec> {
-    FIELDS.iter().find(|(name, _)| *name == path).map(|(_, s)| *s)
+    FIELDS
+        .iter()
+        .find(|(name, _)| *name == path)
+        .map(|(_, s)| *s)
 }
 
 /// Well-known constants predeclared in Cpf programs, mirroring
@@ -132,7 +167,10 @@ pub const CONSTANTS: &[(&str, u64)] = &[
     ("IPPROTO_TCP", crate::proto::TCP as u64),
     ("IPPROTO_UDP", crate::proto::UDP as u64),
     ("ICMP_ECHO_REPLY", crate::icmp::TYPE_ECHO_REPLY as u64),
-    ("ICMP_DEST_UNREACH", crate::icmp::TYPE_DEST_UNREACHABLE as u64),
+    (
+        "ICMP_DEST_UNREACH",
+        crate::icmp::TYPE_DEST_UNREACHABLE as u64,
+    ),
     ("ICMP_ECHO_REQUEST", crate::icmp::TYPE_ECHO_REQUEST as u64),
     ("ICMP_TIME_EXCEEDED", crate::icmp::TYPE_TIME_EXCEEDED as u64),
 ];
@@ -199,7 +237,10 @@ pub const INFO_FLAG_NAT: u32 = 1 << 1;
 
 /// Resolve an info-block field path (e.g. `"addr.ip"`).
 pub fn resolve_info(path: &str) -> Option<FieldSpec> {
-    INFO_FIELDS.iter().find(|(name, _)| *name == path).map(|(_, s)| *s)
+    INFO_FIELDS
+        .iter()
+        .find(|(name, _)| *name == path)
+        .map(|(_, s)| *s)
 }
 
 #[cfg(test)]

@@ -19,7 +19,13 @@ pub struct UdpView<'a> {
 
 /// Build a UDP segment (header + payload) with a valid pseudo-header
 /// checksum.
-pub fn build(src: Ipv4Addr, dst: Ipv4Addr, src_port: u16, dst_port: u16, payload: &[u8]) -> Vec<u8> {
+pub fn build(
+    src: Ipv4Addr,
+    dst: Ipv4Addr,
+    src_port: u16,
+    dst_port: u16,
+    payload: &[u8],
+) -> Vec<u8> {
     let mut buf = Vec::with_capacity(HEADER_LEN + payload.len());
     emit(&mut buf, src, dst, src_port, dst_port, payload);
     buf
@@ -50,11 +56,7 @@ pub fn emit(
 }
 
 /// Parse a UDP segment, verifying length and (if nonzero) checksum.
-pub fn parse<'a>(
-    src: Ipv4Addr,
-    dst: Ipv4Addr,
-    buf: &'a [u8],
-) -> Result<UdpView<'a>, ParseError> {
+pub fn parse<'a>(src: Ipv4Addr, dst: Ipv4Addr, buf: &'a [u8]) -> Result<UdpView<'a>, ParseError> {
     if buf.len() < HEADER_LEN {
         return Err(ParseError::Truncated);
     }
@@ -101,7 +103,10 @@ mod tests {
     fn checksum_covers_addresses() {
         let seg = build(a(1), a(2), 1, 2, b"data");
         // Parsing with the wrong pseudo-header must fail.
-        assert!(matches!(parse(a(3), a(2), &seg), Err(ParseError::BadChecksum)));
+        assert!(matches!(
+            parse(a(3), a(2), &seg),
+            Err(ParseError::BadChecksum)
+        ));
     }
 
     #[test]
@@ -109,7 +114,10 @@ mod tests {
         let mut seg = build(a(1), a(2), 1, 2, b"data");
         let last = seg.len() - 1;
         seg[last] ^= 0xff;
-        assert!(matches!(parse(a(1), a(2), &seg), Err(ParseError::BadChecksum)));
+        assert!(matches!(
+            parse(a(1), a(2), &seg),
+            Err(ParseError::BadChecksum)
+        ));
     }
 
     #[test]
@@ -122,7 +130,10 @@ mod tests {
 
     #[test]
     fn truncated_rejected() {
-        assert!(matches!(parse(a(1), a(2), &[0; 4]), Err(ParseError::Truncated)));
+        assert!(matches!(
+            parse(a(1), a(2), &[0; 4]),
+            Err(ParseError::Truncated)
+        ));
     }
 
     #[test]
@@ -130,7 +141,10 @@ mod tests {
         let mut seg = build(a(1), a(2), 1, 2, b"data");
         seg[4] = 0xff;
         seg[5] = 0xff;
-        assert!(matches!(parse(a(1), a(2), &seg), Err(ParseError::BadLength)));
+        assert!(matches!(
+            parse(a(1), a(2), &seg),
+            Err(ParseError::BadLength)
+        ));
     }
 
     #[test]
