@@ -28,6 +28,7 @@ use packetlab::endpoint::EndpointConfig;
 use packetlab::netstack::{MemStack, NetStack};
 use packetlab::reactor::EndpointReactor;
 use packetlab::wire::{Command, FrameDecoder, Message};
+use plab_obs::export::{fnv1a, FNV_OFFSET};
 use plab_crypto::{KeyHash, Keypair};
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -38,13 +39,6 @@ pub const RTT_NS: u64 = 10_000_000;
 /// which client send times are staggered across the RTT window.
 pub const TICK_NS: u64 = 1_000_000;
 
-fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
 
 /// One stop-and-wait client session.
 struct Session {
@@ -225,7 +219,7 @@ impl ScaleWorld {
         }
 
         let mut ops = 0u64;
-        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut digest = FNV_OFFSET;
         let mut delays: Vec<u64> = Vec::with_capacity(n * ops_per_session as usize);
         let wall = Instant::now();
         while let Some((t, due)) = schedule.pop_first() {
@@ -249,8 +243,8 @@ impl ScaleWorld {
                 "reactor left servable work queued at t={t}"
             );
             for (conn, bytes) in std::mem::take(&mut self.stack.outbox) {
-                digest = fnv(digest, &conn.to_le_bytes());
-                digest = fnv(digest, &bytes);
+                fnv1a(&mut digest, &conn.to_le_bytes());
+                fnv1a(&mut digest, &bytes);
                 let idx = (conn - 1) as usize;
                 let s = &mut self.sessions[idx];
                 s.decoder.extend(&bytes);

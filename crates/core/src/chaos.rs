@@ -32,6 +32,7 @@ use plab_netsim::{
     FaultAction, GilbertElliott, LinkParams, NodeId, ScheduledFault, TopologyBuilder, MILLISECOND,
     SECOND,
 };
+use plab_obs::export::{fnv1a, FNV_OFFSET};
 use std::cell::RefCell;
 use std::net::Ipv4Addr;
 use std::rc::Rc;
@@ -141,19 +142,9 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// FNV-1a accumulation, the digest primitive for observables.
-pub(crate) fn fnv1a(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= b as u64;
-        *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
-
 fn fnv_u64(hash: &mut u64, v: u64) {
     fnv1a(hash, &v.to_le_bytes());
 }
-
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// The fixed chaos topology (a miniature of the bench `World`):
 ///
@@ -622,13 +613,5 @@ mod tests {
     #[test]
     fn corpus_has_at_least_fifty_runs() {
         assert!(corpus().len() >= 50);
-    }
-
-    #[test]
-    fn digest_primitive_matches_reference() {
-        // FNV-1a of "a" from the published test vectors.
-        let mut h = FNV_OFFSET;
-        fnv1a(&mut h, b"a");
-        assert_eq!(h, 0xaf63dc4c8601ec8c);
     }
 }

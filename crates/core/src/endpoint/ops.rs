@@ -329,8 +329,11 @@ impl EndpointAgent {
         let mut out = Out::new();
         let mut disposition = RawDisposition::Ignore;
         let now = stack.clock();
-        for sid in self.sids(|s| !s.sockets.is_empty()) {
-            let s = self.sessions.get_mut(&sid).unwrap();
+        for &sid in &self.order {
+            let s = self.sessions.get_mut(&sid).expect("order lists the table's keys");
+            if s.sockets.is_empty() {
+                continue;
+            }
             // The info block as the session's filters and monitors see it,
             // snapshot when the first of them is about to run.
             let mut info = None;

@@ -1,5 +1,5 @@
 use super::*;
-use crate::chaos::{fnv1a, FNV_OFFSET};
+use plab_obs::export::{fnv1a, FNV_OFFSET};
 use crate::controller::Credentials;
 use crate::wire::Proto;
 use plab_crypto::Keypair;

@@ -19,7 +19,7 @@ use crate::reactor::EndpointReactor;
 use crate::rendezvous::{RendezvousServer, RvMessage};
 use crate::netstack::SimStack;
 use crate::wire::{FrameDecoder, Message};
-use plab_netsim::{NodeId, NodeTransition, RawDisposition, ShardedSim, Sim};
+use plab_netsim::{Frame, NodeId, NodeTransition, RawDisposition, ShardedSim, Sim, SimTime};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
@@ -91,6 +91,18 @@ const ECHO: usize = 1;
 const EP: usize = 2;
 const RV: usize = 3;
 
+/// What a pass drains the simulator into and selects, kept between passes
+/// (cleared, capacity kept) so a steady pass allocates nothing.
+#[derive(Default)]
+struct Scratch {
+    dirty: Vec<NodeId>,
+    fired: Vec<(NodeId, u64)>,
+    transitions: Vec<NodeTransition>,
+    pending: Vec<(SimTime, Frame)>,
+    hosts: Hosts,
+    dead: Vec<u64>,
+}
+
 /// Handle identifying an endpoint within a [`SimNet`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EndpointId(usize);
@@ -122,8 +134,9 @@ pub struct SimNet {
     /// announces (see [`SimNet::process`]).
     unsettled: Vec<usize>,
     /// Sparse mode: the dirty nodes of every pass, for an external
-    /// scheduler to drain via [`SimNet::take_serviced_nodes`].
+    /// scheduler to drain via [`SimNet::drain_serviced_nodes`].
     serviced: Vec<NodeId>,
+    scratch: Scratch,
 }
 
 impl SimNet {
@@ -150,13 +163,14 @@ impl SimNet {
             on_node: HashMap::new(),
             unsettled: Vec::new(),
             serviced: Vec::new(),
+            scratch: Scratch::default(),
         }
     }
 
     /// Drain the nodes serviced since the last call (sparse mode only).
     /// May contain duplicates.
-    pub fn take_serviced_nodes(&mut self) -> Vec<NodeId> {
-        std::mem::take(&mut self.serviced)
+    pub fn drain_serviced_nodes(&mut self) -> impl Iterator<Item = NodeId> + '_ {
+        self.serviced.drain(..)
     }
 
     /// Switch on sparse servicing, the fleet runner's contract (RUNNER.md):
@@ -164,7 +178,7 @@ impl SimNet {
     /// hosts on the nodes the simulator touched and no others, even those
     /// with work no event announces (see [`SimNet::process`]); and the
     /// nodes each pass serviced accumulate for
-    /// [`SimNet::take_serviced_nodes`] (the runner re-examines the tasks
+    /// [`SimNet::drain_serviced_nodes`] (the runner re-examines the tasks
     /// parked on them), so whoever switches this on drains that list.
     pub fn set_sparse(&mut self) {
         self.sparse = true;
@@ -419,7 +433,7 @@ impl SimNet {
             plab_obs::metrics::Counter::new("harness.passes");
         let idle = self.sim.quiet() && self.unsettled.is_empty() && self.rendezvous.is_empty();
         if !self.sparse && idle {
-            return Hosts::default();
+            return std::mem::take(&mut self.scratch.hosts);
         }
         PASSES.inc();
         self.pass(false)
@@ -428,17 +442,20 @@ impl SimNet {
     /// Dense: note which of the endpoints just serviced are unsettled.
     /// Debug builds then service every host the next pass may leave out
     /// and assert that it did nothing.
-    fn settle(&mut self, hosts: Hosts) {
-        if self.sparse {
-            return;
+    fn settle(&mut self, mut hosts: Hosts) {
+        if !self.sparse {
+            let mut unsettled = std::mem::take(&mut self.unsettled);
+            unsettled.clear();
+            unsettled.extend(hosts[EP].iter().filter(|&&i| self.endpoint_unsettled(i)));
+            self.unsettled = unsettled;
+            if cfg!(debug_assertions) {
+                let before = self.activity();
+                self.pass(true);
+                assert_eq!(self.activity(), before, "a skipped servicing pass had work");
+            }
         }
-        let [_, _, eps, _] = hosts;
-        self.unsettled = eps.into_iter().filter(|&i| self.endpoint_unsettled(i)).collect();
-        if cfg!(debug_assertions) {
-            let before = self.activity();
-            self.pass(true);
-            assert_eq!(self.activity(), before, "a skipped servicing pass had work");
-        }
+        hosts.iter_mut().for_each(Vec::clear);
+        self.scratch.hosts = hosts;
     }
 
     /// Has endpoint `i` work that no event on its node will announce? A
@@ -463,19 +480,21 @@ impl SimNet {
     /// arrive in first-touch order (shard-major), and sorting makes the
     /// service order a pure function of the event sequence.
     fn marked(&mut self, fired: &[(NodeId, u64)]) -> Hosts {
-        let dirty = self.sim.take_dirty_nodes();
-        let mut hosts = Hosts::default();
+        let mut hosts = std::mem::take(&mut self.scratch.hosts);
+        let dirty = &mut self.scratch.dirty;
+        self.sim.drain_dirty_nodes(dirty);
         for n in dirty.iter().chain(fired.iter().map(|(n, _)| n)) {
             for (all, here) in hosts.iter_mut().zip(self.on_node.get(&n.0).into_iter().flatten()) {
                 all.extend_from_slice(here);
             }
         }
         if self.sparse {
-            self.serviced.extend_from_slice(&dirty);
+            self.serviced.extend_from_slice(dirty);
         } else {
             hosts[EP].extend_from_slice(&self.unsettled);
-            hosts[RV] = (0..self.rendezvous.len()).collect();
+            hosts[RV].extend(0..self.rendezvous.len());
         }
+        dirty.clear();
         for kind in &mut hosts {
             kind.sort_unstable();
             kind.dedup();
@@ -492,7 +511,9 @@ impl SimNet {
         // operator config) and re-opens its control listener. Experiment
         // state does NOT survive a crash — that is the distinction from a
         // mere control-channel loss, which `session_linger_ns` rides out.
-        for tr in self.sim.take_node_transitions() {
+        let mut transitions = std::mem::take(&mut self.scratch.transitions);
+        self.sim.drain_node_transitions(&mut transitions);
+        for tr in transitions.drain(..) {
             match tr {
                 NodeTransition::Crashed(node) => {
                     for ep in self.endpoints.iter_mut().filter(|e| e.node == node) {
@@ -539,13 +560,15 @@ impl SimNet {
                 }
             }
         }
+        self.scratch.transitions = transitions;
         // Controller-side listener accepts.
         for (node, port, queue) in &mut self.listeners {
             while let Some(conn) = self.sim.tcp_accept(*node, *port) {
                 queue.push(conn);
             }
         }
-        let fired = self.sim.take_fired_timers();
+        let mut fired = std::mem::take(&mut self.scratch.fired);
+        self.sim.drain_fired_timers(&mut fired);
         let hosts = if check {
             let (sinks, echoes) = (self.tcp_sinks.len(), self.udp_echoes.len());
             let lens = [sinks, echoes, self.endpoints.len(), 0];
@@ -580,6 +603,8 @@ impl SimNet {
         for &i in &hosts[RV] {
             self.service_rendezvous(i);
         }
+        fired.clear();
+        self.scratch.fired = fired;
         hosts
     }
 
@@ -597,8 +622,9 @@ impl SimNet {
         let node = self.endpoints[i].node;
 
         // Deferred OS packets: capture + disposition.
-        let pending = self.sim.take_pending_os(node);
-        for (time, pkt) in pending {
+        let mut pending = std::mem::take(&mut self.scratch.pending);
+        self.sim.drain_pending_os(node, &mut pending);
+        for (time, pkt) in pending.drain(..) {
             let disposition = {
                 let (reactor, mut stack) = self.endpoint_io(i);
                 reactor.on_packet(time, &pkt, &mut stack)
@@ -608,6 +634,7 @@ impl SimNet {
             }
             self.flush_endpoint(i);
         }
+        self.scratch.pending = pending;
 
         // Timers for this node.
         for (t_node, key) in fired {
@@ -620,14 +647,9 @@ impl SimNet {
 
         // Note which connections died before draining them: they close
         // after the dispatch, so a dying session's buffered commands run.
-        let dead: Vec<u64> = {
-            let ep = &self.endpoints[i];
-            ep.reactor
-                .sessions()
-                .filter(|&(_, conn)| self.gone(node, conn))
-                .map(|(sid, _)| sid)
-                .collect()
-        };
+        let mut dead = std::mem::take(&mut self.scratch.dead);
+        let sessions = self.endpoints[i].reactor.sessions();
+        dead.extend(sessions.filter(|&(_, conn)| self.gone(node, conn)).map(|(sid, _)| sid));
 
         // Readiness-poll inbound bytes, dispatch queued commands under
         // deficit round-robin, then tear down dead connections.
@@ -635,10 +657,11 @@ impl SimNet {
             let (reactor, mut stack) = self.endpoint_io(i);
             reactor.pump(&mut stack);
             reactor.dispatch(&mut stack);
-            for sid in dead {
+            for sid in dead.drain(..) {
                 reactor.on_conn_closed(sid, &mut stack);
             }
         }
+        self.scratch.dead = dead;
         self.flush_endpoint(i);
 
         // Rendezvous announcements.

@@ -371,6 +371,8 @@ mod tests {
         let (mut sim, a, _) = two_hosts();
         SimStack::new(&mut sim, a).schedule_wakeup(77, 1000);
         sim.run_until(2000);
-        assert_eq!(sim.take_fired_timers(), vec![(a, 77)]);
+        let mut fired = Vec::new();
+        sim.drain_fired_timers(&mut fired);
+        assert_eq!(fired, vec![(a, 77)]);
     }
 }

@@ -9,6 +9,7 @@
 //! suspends it by yielding control of the endpoint."
 
 use packetlab::cert::Restrictions;
+use plab_obs::export::{fnv1a, FNV_OFFSET};
 use packetlab::controller::{ControlPlane, Controller, ControllerError, Credentials};
 use packetlab::descriptor::ExperimentDescriptor;
 use packetlab::endpoint::EndpointConfig;
@@ -353,13 +354,6 @@ fn xorshift(state: &mut u64) -> u64 {
     x
 }
 
-fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
 
 /// One fixed-seed churn run: 1 000 sessions multiplexed on one reactor,
 /// with a schedule of sequenced commands and session crash/restarts drawn
@@ -383,7 +377,7 @@ fn churn_run(seed: u64) -> (u64, usize) {
         live.push((sid, conn));
     }
 
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut digest = FNV_OFFSET;
     for round in 0..50u64 {
         // A random slice of sessions issues sequenced commands (their
         // replies land in the per-session replay caches).
@@ -417,8 +411,8 @@ fn churn_run(seed: u64) -> (u64, usize) {
         // decides order, never completeness.
         assert_eq!(reactor.queued_in_messages(), 0, "round {round} left queued work");
         for (conn, bytes) in std::mem::take(&mut stack.outbox) {
-            digest = fnv(digest, &conn.to_le_bytes());
-            digest = fnv(digest, &bytes);
+            fnv1a(&mut digest, &conn.to_le_bytes());
+            fnv1a(&mut digest, &bytes);
         }
     }
     (digest, reactor.agent().session_count())

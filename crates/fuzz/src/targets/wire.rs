@@ -11,6 +11,7 @@
 
 use crate::mutate::{mutate, random_bytes};
 use crate::{exec_one, Exec, Report};
+use plab_obs::export::{fnv1a, FNV_OFFSET};
 use packetlab::wire::{
     Command, ErrCode, FrameDecoder, Message, Notification, Proto, Response, WireError, FRAME_HEADER,
     MAX_FRAME,
@@ -159,11 +160,8 @@ fn drain_stream(chunks: &[&[u8]]) -> Drained {
 /// themselves (so a corpus file fully determines the execution).
 fn split_points(bytes: &[u8]) -> Vec<&[u8]> {
     // FNV-1a over the input seeds a xorshift stream of chunk lengths.
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let mut h = FNV_OFFSET;
+    fnv1a(&mut h, bytes);
     h |= 1;
     let mut chunks = Vec::new();
     let mut i = 0;

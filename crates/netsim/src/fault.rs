@@ -106,7 +106,7 @@ pub enum FaultAction {
     },
     /// Restart a crashed host with a fresh, empty socket stack. The driving
     /// harness observes the transition via
-    /// [`crate::Sim::take_node_transitions`] and re-establishes listeners.
+    /// [`crate::Sim::drain_node_transitions`] and re-establishes listeners.
     NodeRestart {
         /// Node index.
         node: usize,

@@ -25,15 +25,24 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
-/// FNV-1a over bytes: the workspace's standard fingerprint primitive
-/// (platform-independent, dependency-free). Used to fingerprint dump
-/// artifacts in reports.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a's offset basis: the hash of no bytes, where a fold starts.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Fold `bytes` into an FNV-1a `hash`, the workspace's one digest
+/// primitive (platform-independent, dependency-free): folding a stream
+/// piece by piece from [`FNV_OFFSET`] gives the hash of the whole.
+pub fn fnv1a(hash: &mut u64, bytes: &[u8]) {
     for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        *hash ^= b as u64;
+        *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
+}
+
+/// FNV-1a of `bytes` in one call. Used to fingerprint dump artifacts in
+/// reports.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut hash = FNV_OFFSET;
+    fnv1a(&mut hash, bytes);
     hash
 }
 

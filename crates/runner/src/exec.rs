@@ -591,8 +591,8 @@ impl Sched<'_> {
     }
 
     fn drain_serviced(&mut self) {
-        let serviced = self.shared.borrow_mut().net.take_serviced_nodes();
-        self.ready.extend(serviced.iter().filter_map(|n| *self.by_node.get(n.0)?));
+        let mut shared = self.shared.borrow_mut();
+        self.ready.extend(shared.net.drain_serviced_nodes().filter_map(|n| *self.by_node.get(n.0)?));
     }
 
     fn run(&mut self) {

@@ -21,6 +21,7 @@ use packetlab::endpoint::EndpointConfig;
 use packetlab::harness::{SimChannel, SimDialer, SimNet};
 use plab_crypto::{KeyHash, Keypair};
 use plab_netsim::{FaultAction, LinkParams, TopologyBuilder, MILLISECOND, SECOND};
+use plab_obs::export::{fnv1a, FNV_OFFSET};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -36,7 +37,7 @@ fn chaos_corpus_is_deterministic_and_never_hangs() {
     assert!(corpus.len() >= 50, "corpus shrank below the acceptance floor");
     let mut completed = 0usize;
     let mut aborted = 0usize;
-    let mut corpus_digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut corpus_digest = FNV_OFFSET;
     for &(scenario, seed) in &corpus {
         let first = chaos::run(scenario, seed);
         let second = chaos::run(scenario, seed);
@@ -88,7 +89,7 @@ const CORPUS_DIGEST: u64 = 0x5458_5576_e64e_180d;
 /// FNV-1a over one outcome: seed, scenario, verdict text, observables
 /// digest, finish time in ns, the five retry counters, fault count and
 /// pool buffers taken.
-fn fold_outcome(h: u64, o: &chaos::ChaosOutcome) -> u64 {
+fn fold_outcome(mut h: u64, o: &chaos::ChaosOutcome) -> u64 {
     let s = &o.stats;
     let mut bytes = o.seed.to_le_bytes().to_vec();
     bytes.extend(format!("{} {:?}", o.scenario.name(), o.verdict).bytes());
@@ -101,7 +102,8 @@ fn fold_outcome(h: u64, o: &chaos::ChaosOutcome) -> u64 {
     for w in [o.fault_count as u64, o.pool_taken] {
         bytes.extend(w.to_le_bytes());
     }
-    bytes.iter().fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+    fnv1a(&mut h, &bytes);
+    h
 }
 
 /// The full corpus again, with the world split across 4 shards

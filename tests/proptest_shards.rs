@@ -230,7 +230,7 @@ macro_rules! drive {
         let mut fired: Vec<(NodeId, u64)> = Vec::new();
         for (t, action) in &spec.actions {
             sim.run_until(*t);
-            fired.extend(sim.take_fired_timers());
+            sim.drain_fired_timers(&mut fired);
             match action {
                 Action::Udp { src, dst, payload } => {
                     sim.udp_send(hosts[*src], UDP_PORT, host_addr(*dst), UDP_PORT, payload);
@@ -243,7 +243,7 @@ macro_rules! drive {
             }
         }
         sim.run_until(END);
-        fired.extend(sim.take_fired_timers());
+        sim.drain_fired_timers(&mut fired);
 
         let mut udp = Vec::new();
         for &h in hosts.iter() {
