@@ -74,7 +74,12 @@ impl Callsite {
     /// A new, not-yet-interned callsite. `const` so it can initialize a
     /// `static`.
     pub const fn new(component: Component, name: &'static str, fields: [&'static str; 2]) -> Self {
-        Callsite { component, name, fields, id: AtomicU32::new(0) }
+        Callsite {
+            component,
+            name,
+            fields,
+            id: AtomicU32::new(0),
+        }
     }
 }
 
@@ -103,7 +108,11 @@ fn intern(cs: &'static Callsite) -> u16 {
     }
     let id = reg.len();
     assert!(id < u16::MAX as usize, "callsite registry overflow");
-    reg.push(CallsiteInfo { component: cs.component, name: cs.name, fields: cs.fields });
+    reg.push(CallsiteInfo {
+        component: cs.component,
+        name: cs.name,
+        fields: cs.fields,
+    });
     cs.id.store(id as u32 + 1, Ordering::Relaxed);
     id as u16
 }
@@ -151,7 +160,13 @@ impl ResolvedEvent {
     /// logs (the aligned multi-event format is
     /// [`text_dump`](crate::export::text_dump)).
     pub fn line(&self) -> String {
-        let mut out = format!("#{}@{}ns {}.{}", self.seq, self.t, self.component.name(), self.name);
+        let mut out = format!(
+            "#{}@{}ns {}.{}",
+            self.seq,
+            self.t,
+            self.component.name(),
+            self.name
+        );
         if !self.fields[0].is_empty() {
             out.push_str(&format!(" {}={}", self.fields[0], self.a));
         }
@@ -175,7 +190,10 @@ struct Ring {
 
 impl Ring {
     const fn new() -> Ring {
-        Ring { buf: std::collections::VecDeque::new(), evicted: 0 }
+        Ring {
+            buf: std::collections::VecDeque::new(),
+            evicted: 0,
+        }
     }
 
     fn push(&mut self, ev: Event) {
@@ -220,7 +238,13 @@ pub fn record(cs: &'static Callsite, a: u64, b: u64) {
         let mut rec = r.borrow_mut();
         let seq = rec.next_seq;
         rec.next_seq += 1;
-        rec.rings[cs.component as usize].push(Event { seq, t, callsite, a, b });
+        rec.rings[cs.component as usize].push(Event {
+            seq,
+            t,
+            callsite,
+            a,
+            b,
+        });
     });
 }
 
@@ -260,7 +284,10 @@ fn resolve_all(events: Vec<Event>) -> Vec<ResolvedEvent> {
 pub fn snapshot() -> Vec<ResolvedEvent> {
     let mut all: Vec<Event> = RECORDER.with(|r| {
         let rec = r.borrow();
-        rec.rings.iter().flat_map(|ring| ring.buf.iter().copied()).collect()
+        rec.rings
+            .iter()
+            .flat_map(|ring| ring.buf.iter().copied())
+            .collect()
     });
     all.sort_unstable_by_key(|e| e.seq);
     resolve_all(all)

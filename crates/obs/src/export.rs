@@ -146,7 +146,11 @@ pub fn prometheus_text() -> String {
             MetricValue::Gauge(g) => {
                 out.push_str(&format!("# TYPE {pname} gauge\n{pname} {g}\n"));
             }
-            MetricValue::Histogram { count, sum, buckets } => {
+            MetricValue::Histogram {
+                count,
+                sum,
+                buckets,
+            } => {
                 out.push_str(&format!("# TYPE {pname} histogram\n"));
                 let mut cumulative = 0u64;
                 for (i, c) in buckets {
@@ -205,7 +209,11 @@ pub fn metrics_dump() -> String {
         match value {
             MetricValue::Counter(c) => out.push_str(&format!("{name:<40} counter {c}\n")),
             MetricValue::Gauge(g) => out.push_str(&format!("{name:<40} gauge   {g}\n")),
-            MetricValue::Histogram { count, sum, buckets } => {
+            MetricValue::Histogram {
+                count,
+                sum,
+                buckets,
+            } => {
                 out.push_str(&format!("{name:<40} hist    count={count} sum={sum}"));
                 for (i, c) in buckets {
                     match metrics::bucket_bound(i) {
@@ -234,7 +242,11 @@ pub fn metrics_json() -> String {
         match value {
             MetricValue::Counter(c) => out.push_str(&c.to_string()),
             MetricValue::Gauge(g) => out.push_str(&g.to_string()),
-            MetricValue::Histogram { count, sum, buckets } => {
+            MetricValue::Histogram {
+                count,
+                sum,
+                buckets,
+            } => {
                 out.push_str(&format!("{{\"count\":{count},\"sum\":{sum},\"buckets\":["));
                 for (j, (i, c)) in buckets.iter().enumerate() {
                     if j > 0 {
@@ -261,7 +273,11 @@ mod tests {
         crate::set_virtual_time(1_234_567);
         obs_event!(Component::Netsim, "drop", "reason" = 2u64, "node" = 3u64);
         crate::set_virtual_time(2_000_000);
-        obs_event!(Component::Controller, "backoff", "sleep_ns" = 150_000_000u64);
+        obs_event!(
+            Component::Controller,
+            "backoff",
+            "sleep_ns" = 150_000_000u64
+        );
         let evs = crate::snapshot();
         crate::disable();
         evs
@@ -352,7 +368,10 @@ mod tests {
         assert!(text.contains("promtest_lat_ns_count 3\n"));
         // Buckets are cumulative: each le line's value ≤ the next one's.
         let mut last = 0u64;
-        for line in text.lines().filter(|l| l.contains("promtest_lat_ns_bucket")) {
+        for line in text
+            .lines()
+            .filter(|l| l.contains("promtest_lat_ns_bucket"))
+        {
             let v: u64 = line.rsplit(' ').next().unwrap().parse().unwrap();
             assert!(v >= last, "non-monotone bucket line: {line}");
             last = v;

@@ -54,7 +54,11 @@ struct HistData {
 
 impl HistData {
     fn new() -> HistData {
-        HistData { buckets: [0; HIST_BUCKETS], count: 0, sum: 0 }
+        HistData {
+            buckets: [0; HIST_BUCKETS],
+            count: 0,
+            sum: 0,
+        }
     }
 }
 
@@ -93,7 +97,10 @@ pub struct Counter {
 impl Counter {
     /// A new counter named `name` (interned on first use).
     pub const fn new(name: &'static str) -> Counter {
-        Counter { name, idx: AtomicU32::new(0) }
+        Counter {
+            name,
+            idx: AtomicU32::new(0),
+        }
     }
 
     /// Add `n`. A no-op while recording is disabled on this thread.
@@ -128,7 +135,10 @@ pub struct Gauge {
 impl Gauge {
     /// A new gauge named `name` (interned on first use).
     pub const fn new(name: &'static str) -> Gauge {
-        Gauge { name, idx: AtomicU32::new(0) }
+        Gauge {
+            name,
+            idx: AtomicU32::new(0),
+        }
     }
 
     #[inline]
@@ -174,7 +184,10 @@ pub struct Histogram {
 impl Histogram {
     /// A new histogram named `name` (interned on first use).
     pub const fn new(name: &'static str) -> Histogram {
-        Histogram { name, idx: AtomicU32::new(0) }
+        Histogram {
+            name,
+            idx: AtomicU32::new(0),
+        }
     }
 
     /// Record one observation.
@@ -239,8 +252,7 @@ pub enum MetricValue {
 /// (deterministic output regardless of interning order). Metrics this
 /// thread never touched report zero.
 pub fn snapshot() -> Vec<(&'static str, MetricValue)> {
-    let names: Vec<(&'static str, Kind)> =
-        NAMES.lock().expect("metric registry poisoned").clone();
+    let names: Vec<(&'static str, Kind)> = NAMES.lock().expect("metric registry poisoned").clone();
     let mut out: Vec<(&'static str, MetricValue)> = VALUES.with(|v| {
         let v = v.borrow();
         names
@@ -251,9 +263,7 @@ pub fn snapshot() -> Vec<(&'static str, MetricValue)> {
                     Kind::Counter => {
                         MetricValue::Counter(v.slots_counter.get(idx).copied().unwrap_or(0))
                     }
-                    Kind::Gauge => {
-                        MetricValue::Gauge(v.slots_gauge.get(idx).copied().unwrap_or(0))
-                    }
+                    Kind::Gauge => MetricValue::Gauge(v.slots_gauge.get(idx).copied().unwrap_or(0)),
                     Kind::Histogram => {
                         let h = v.slots_hist.get(idx).cloned().unwrap_or_else(HistData::new);
                         MetricValue::Histogram {
@@ -337,7 +347,11 @@ mod tests {
         let snap = snapshot();
         let (_, hist) = snap.iter().find(|(n, _)| *n == "obs.test.sizes").unwrap();
         match hist {
-            MetricValue::Histogram { count, sum, buckets } => {
+            MetricValue::Histogram {
+                count,
+                sum,
+                buckets,
+            } => {
                 assert_eq!(*count, 3);
                 assert_eq!(*sum, 1501);
                 // 0 → bucket 0, 1 → bucket 1, 1500 → bucket 11 (1024..2048).
