@@ -2,15 +2,16 @@
 //!
 //! A counting global allocator (the `crates/filter/tests/no_alloc.rs`
 //! pattern, counted per thread so tests running side by side do not see
-//! each other) pins two numbers:
+//! each other) pins three numbers:
 //!
 //! - allocations per steady bulk TCP data segment between two netsim
-//!   hosts, the receiver draining as it goes;
+//!   hosts, the receiver draining as it goes, once in one shard and once
+//!   with the hosts on either side of a 2-shard cut;
 //! - allocations per steady `mread` round trip through `Controller` →
 //!   `SimChannel` → netsim TCP → the harness's servicing pass → reactor →
 //!   agent and back.
 //!
-//! Both are totals over many steady repetitions, so any allocation added
+//! All are totals over many steady repetitions, so any allocation added
 //! to or removed from the path moves them. A change that means to move
 //! them updates the pin and says why in EXPERIMENTS. Debug builds run the
 //! harness's servicing self-check, which allocates, so the pins hold for
@@ -18,7 +19,7 @@
 //!
 //! The counts include allocations made inside std (`Vec` and `VecDeque`
 //! growth, hash-table resizes, `format!`), so a toolchain whose growth
-//! policy differs can move them with no change to this repo's code. Both
+//! policy differs can move them with no change to this repo's code. All
 //! were read under rustc 1.95.0; a moved count under another toolchain is
 //! first checked against the parent commit built with that same toolchain.
 
@@ -28,7 +29,7 @@ use packetlab::descriptor::ExperimentDescriptor;
 use packetlab::endpoint::EndpointConfig;
 use packetlab::harness::{SimChannel, SimNet};
 use plab_crypto::{KeyHash, Keypair};
-use plab_netsim::{LinkParams, TopologyBuilder};
+use plab_netsim::{LinkParams, ShardedSim, TopologyBuilder};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::{Cell, RefCell};
 use std::net::Ipv4Addr;
@@ -82,21 +83,26 @@ const SEGMENTS: usize = 1_000;
 /// byte vectors and a frame of its own this read 9,071. Read under
 /// rustc 1.95.0.
 const BULK_ALLOCATIONS: u64 = 1_080;
+/// The same transfer with the two hosts on either side of a 2-shard
+/// cut, every segment and acknowledgement a cross-shard handoff. When a
+/// handoff copied the datagram out of one shard's pool and into the
+/// other's this read 6,135. Read under rustc 1.95.0.
+const CROSS_SHARD_BULK_ALLOCATIONS: u64 = 1_156;
 
-#[test]
-#[cfg_attr(debug_assertions, ignore = "pinned for release builds")]
-fn bulk_data_segment_allocations_are_pinned() {
+/// Allocations over one steady bulk transfer of [`SEGMENTS`] segments
+/// from `h1` to `h2`, the two hosts placed on shards by `shard_of`.
+fn bulk_transfer_allocations(shard_of: &[usize]) -> u64 {
     let mut t = TopologyBuilder::new();
     let h1 = t.host("h1", a(0, 1));
     let h2 = t.host("h2", a(1, 1));
     t.link(h1, h2, LinkParams::new(5, 100));
-    let mut sim = t.build();
+    let mut sim = t.build_sharded(shard_of, 1);
     sim.tcp_listen(h2, 80);
     let c1 = sim.tcp_connect(h1, a(1, 1), 80);
     sim.run_until(sim.now() + 50 * plab_netsim::MILLISECOND);
     let c2 = sim.tcp_accept(h2, 80).expect("accepted");
     let data = vec![0x5a; SEGMENTS * plab_netsim::tcp::MSS];
-    let transfer = |sim: &mut plab_netsim::Sim| {
+    let transfer = |sim: &mut ShardedSim| {
         sim.tcp_send(h1, c1, &data);
         let mut got = 0;
         while got < data.len() {
@@ -106,14 +112,31 @@ fn bulk_data_segment_allocations_are_pinned() {
             }
         }
         sim.run_until(sim.now() + 50 * plab_netsim::MILLISECOND);
-        assert_eq!(sim.tcp_send_backlog(h1, c1), 0, "every byte acknowledged");
+        let backlog = sim.shard_mut(h1).tcp_send_backlog(h1, c1);
+        assert_eq!(backlog, 0, "every byte acknowledged");
     };
     // The first transfer grows every ring, queue and free list to size.
     transfer(&mut sim);
-    let n = allocations(|| transfer(&mut sim));
+    allocations(|| transfer(&mut sim))
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "pinned for release builds")]
+fn bulk_data_segment_allocations_are_pinned() {
+    let n = bulk_transfer_allocations(&[0, 0]);
     println!("bulk: {n} allocations over {SEGMENTS} segments");
     assert_eq!(n, BULK_ALLOCATIONS, "allocations per {SEGMENTS} bulk data segments moved \
          (a code change, or a toolchain other than rustc 1.95.0 growing std collections differently)");
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "pinned for release builds")]
+fn cross_shard_bulk_allocations_are_pinned() {
+    let n = bulk_transfer_allocations(&[0, 1]);
+    println!("cross-shard bulk: {n} allocations over {SEGMENTS} segments");
+    assert_eq!(n, CROSS_SHARD_BULK_ALLOCATIONS, "allocations per {SEGMENTS} bulk data segments \
+         across a shard cut moved (a code change, or a toolchain other than rustc 1.95.0 growing \
+         std collections differently)");
 }
 
 /// Round trips per measured run.

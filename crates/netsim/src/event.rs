@@ -24,10 +24,13 @@
 //!   on all blocks above `L`, so distinct slots of one level cover
 //!   disjoint, slot-ordered time ranges and the lowest occupied slot
 //!   (found by a bitmap scan) holds the level's earliest entry.
-//! - **Peek.** Each bucket caches its minimum time, so the earliest
-//!   pending time is the min over ≤ 6 cached bucket minima and the
-//!   spill tail — no cascading, and therefore no clock movement, on the
-//!   peek path (`run_until` peeks once per event).
+//! - **Peek.** Each bucket caches its minimum time, and the queue caches
+//!   the minimum over the wheel and the spill list: a placement lowers
+//!   it, and `EventQueue::advance` rescans the ≤ 6 lowest occupied
+//!   buckets and the spill tail once, at its end (nothing else removes a
+//!   wheel entry). A peek is one read — no cascading, and therefore no
+//!   clock movement — which matters because a sharded merge peeks every
+//!   shard's queue several times per event.
 //! - **Pop.** Popping first drains `current` — the FIFO of entries whose
 //!   time equals `now` — and only when it is empty advances the clock to
 //!   the next pending time `t*`: at each level the single slot containing
@@ -194,6 +197,10 @@ pub struct EventQueue {
     /// Entries beyond the wheel horizon, sorted by `(time, seq)`
     /// *descending* so the earliest pops from the tail.
     spill: Vec<Entry>,
+    /// Earliest time over the wheel and `spill` (not `current`);
+    /// `SimTime::MAX` when both are empty, which `len` tells apart from
+    /// an entry at that time.
+    wheel_min: SimTime,
     /// Reusable batch buffer for [`Self::advance`]; keeping it across
     /// advances avoids a malloc/free pair per clock step.
     batch_scratch: Vec<Entry>,
@@ -213,6 +220,7 @@ impl Default for EventQueue {
             wheel: None,
             current: VecDeque::new(),
             spill: Vec::new(),
+            wheel_min: SimTime::MAX,
             batch_scratch: Vec::new(),
             bucket_scratch: Vec::new(),
         }
@@ -257,6 +265,7 @@ impl EventQueue {
             }
             return;
         }
+        self.wheel_min = self.wheel_min.min(e.time);
         let level = level_for(e.time, self.now);
         if level >= LEVELS {
             let key = (e.time, e.seq);
@@ -279,23 +288,25 @@ impl EventQueue {
     }
 
     /// Earliest pending time across wheel levels and the spill list,
-    /// ignoring `current`.
-    fn next_wheel_time(&self) -> Option<SimTime> {
-        let mut best: Option<SimTime> = None;
+    /// ignoring `current`, by scanning them (`SimTime::MAX` if empty):
+    /// what `wheel_min` caches.
+    fn scan_wheel_time(&self) -> SimTime {
+        let mut best = self.spill.last().map_or(SimTime::MAX, |e| e.time);
         if let Some(wheel) = &self.wheel {
-            for level in 0..LEVELS {
-                let occ = self.occupied[level];
+            for (level, &occ) in self.occupied.iter().enumerate() {
                 if occ != 0 {
-                    let s = occ.trailing_zeros() as usize;
-                    let t = wheel[level][s].min_time;
-                    best = Some(best.map_or(t, |b| b.min(t)));
+                    best = best.min(wheel[level][occ.trailing_zeros() as usize].min_time);
                 }
             }
         }
-        if let Some(e) = self.spill.last() {
-            best = Some(best.map_or(e.time, |b| b.min(e.time)));
-        }
         best
+    }
+
+    /// The cached [`Self::scan_wheel_time`], `None` when the wheel and
+    /// the spill list are empty.
+    fn next_wheel_time(&self) -> Option<SimTime> {
+        debug_assert_eq!(self.wheel_min, self.scan_wheel_time());
+        (self.len > self.current.len()).then_some(self.wheel_min)
     }
 
     /// Advance the clock to `t` (the earliest pending time) and collect
@@ -348,6 +359,7 @@ impl EventQueue {
         batch.sort_unstable_by_key(|e| e.seq);
         self.current.extend(batch.drain(..));
         self.batch_scratch = batch;
+        self.wheel_min = self.scan_wheel_time();
         debug_assert!(
             !self.current.is_empty(),
             "the earliest pending time yields at least one entry"
@@ -376,8 +388,8 @@ impl EventQueue {
         self.current.get(k).map(|e| &e.kind)
     }
 
-    /// Time of the next event without removing it. Exact and `O(levels)`:
-    /// bucket minima are cached, so peeking never cascades (and therefore
+    /// Time of the next event without removing it. Exact and `O(1)`: the
+    /// wheel's minimum is cached, so peeking never cascades (and therefore
     /// never moves the clock — critical, since pushes clamp against it).
     pub fn peek_time(&self) -> Option<SimTime> {
         if let Some(front) = self.current.front() {
@@ -624,6 +636,45 @@ mod tests {
         assert_eq!((ta, tb), (t, t));
         assert_eq!(ea, timer(0, 0), "spill entry has the older seq");
         assert_eq!(eb, timer(0, 2));
+    }
+
+    #[test]
+    fn cached_wheel_minimum_holds_after_every_step() {
+        // The check `next_wheel_time` makes in debug builds, made here
+        // in every build: after each push and pop the cached minimum
+        // equals a scan, and `peek_time` equals the reference heap's.
+        // Mostly short deltas, so pushes keep lowering the minimum of a
+        // busy wheel and pops keep cascading; some spill, some sit at or
+        // behind the clock.
+        let mut wheel = EventQueue::new();
+        let mut oracle = ReferenceEventQueue::new();
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |m: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % m
+        };
+        let mut now = 0u64;
+        for i in 0..20_000u64 {
+            if next(2) == 0 || wheel.is_empty() {
+                let t = match next(8) {
+                    0..=3 => now + next(1 << 8),
+                    4 => now + next(1 << 20),
+                    5 => now + (1 << HORIZON_BITS) + next(1 << 30),
+                    6 => now,
+                    _ => now.saturating_sub(next(1 << 8)),
+                };
+                wheel.push(t, timer(0, i));
+                oracle.push(t, timer(0, i));
+            } else {
+                let got = wheel.pop();
+                assert_eq!(got, oracle.pop(), "pop at step {i}");
+                now = got.map_or(now, |(t, _)| t);
+            }
+            assert_eq!(wheel.wheel_min, wheel.scan_wheel_time(), "step {i}");
+            assert_eq!(wheel.peek_time(), oracle.peek_time(), "step {i}");
+        }
     }
 
     #[test]

@@ -48,9 +48,10 @@ pub enum DropReason {
 
 /// A packet diverted toward a node owned by a foreign shard, handed over
 /// through the owning [`crate::shard::ShardedSim`]'s outbox exchange.
-/// The bytes are copied out of the refcounted pool at the divert point
-/// (frames are per-shard; each shard's `taken == recycled` accounting
-/// stays exact) and re-ingested into the destination shard's pool.
+/// Frames are per-shard, so the buffer leaves the sending shard's pool
+/// at the divert point ([`Frame::hand_off`]: moved when the frame is
+/// unique and whole, copied otherwise) and the destination shard's pool
+/// adopts it; each pool's `taken == recycled` accounting stays exact.
 #[derive(Debug)]
 pub(crate) struct CrossPacket {
     /// Arrival time at the far end of the link (includes serialization
@@ -60,8 +61,8 @@ pub(crate) struct CrossPacket {
     pub link: usize,
     /// Direction: 0 = a→b, 1 = b→a.
     pub dir: usize,
-    /// The datagram bytes.
-    pub bytes: Vec<u8>,
+    /// The datagram's buffer, on no pool's books while in the outbox.
+    pub buf: Arc<Vec<u8>>,
 }
 
 /// Per-shard context: which shard this is (`World::shard_of` says who
@@ -220,20 +221,20 @@ impl Sim {
         });
     }
 
-    /// Drain the outbox of packets bound for shard `dest`.
-    pub(crate) fn take_outbox(&mut self, dest: usize) -> Vec<CrossPacket> {
+    /// The outbox of packets bound for shard `dest`.
+    pub(crate) fn outbox(&mut self, dest: usize) -> &mut Vec<CrossPacket> {
         let ctx = self
             .shard
             .as_mut()
             .expect("only shards of several exchange");
-        std::mem::take(&mut ctx.outbox[dest])
+        &mut ctx.outbox[dest]
     }
 
-    /// Accept a packet handed over from a foreign shard: re-ingest the
-    /// bytes into this shard's pool and schedule the arrival. The event
+    /// Accept a packet handed over from a foreign shard: this shard's
+    /// pool adopts the buffer, and the arrival is scheduled. The event
     /// time may lie behind this shard's clock (see [`EventQueue`]).
     pub(crate) fn inject_cross(&mut self, p: CrossPacket) {
-        let packet = self.pool.ingest(p.bytes);
+        let packet = self.pool.receive(p.buf);
         self.events.push(
             p.arrival,
             EventKind::LinkArrival {
@@ -951,14 +952,13 @@ impl Sim {
                         // next window boundary, and keep a local event to
                         // release the link queue at departure time.
                         ctx.handoffs += 1;
+                        let len = packet.len();
                         ctx.outbox[dest].push(CrossPacket {
                             arrival,
                             link: link_idx,
                             dir,
-                            bytes: packet.to_vec(),
+                            buf: packet.hand_off(),
                         });
-                        let len = packet.len();
-                        drop(packet);
                         self.events.push(
                             arrival,
                             EventKind::CrossDeparted {

@@ -412,17 +412,6 @@ impl TcpHost {
         Self::pump_send(c, id, now, out);
     }
 
-    /// Abort: send RST and drop state.
-    pub fn abort(&mut self, id: u64, out: &mut TcpOut) {
-        if let Some(c) = self.conns.get_mut(&id) {
-            if !matches!(c.state, TcpState::Closed | TcpState::Reset) {
-                c.emit(out, flags::RST | flags::ACK, c.snd_nxt, 0, 0);
-            }
-            c.state = TcpState::Reset;
-            c.send_buf.clear();
-        }
-    }
-
     /// Handle an incoming segment addressed to this host.
     pub fn on_segment(
         &mut self,
@@ -1044,15 +1033,6 @@ mod tests {
         let (data, _) = recv(&mut hb, cb, 1024);
         assert_eq!(data, b"last words");
         assert!(hb.peer_done(cb));
-    }
-
-    #[test]
-    fn abort_sends_rst() {
-        let (mut ha, mut hb, ca, cb) = connected_pair();
-        let out = segs(|o| ha.abort(ca, o));
-        assert_eq!(out.len(), 1);
-        exchange(&mut ha, &mut hb, out, vec![], 1);
-        assert!(hb.is_closed(cb), "peer sees RST");
     }
 
     #[test]

@@ -101,7 +101,11 @@ where
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or_else(|| {
-            // Stable per-test seed: FNV-1a over the test name.
+            // Stable per-test seed: an FNV-1a-shaped fold over the test
+            // name (FNV's offset basis, xor then multiply), but with
+            // 0x1000_0000_01b3 where FNV's prime is 0x100_0000_01b3. The
+            // multiplier stays: changing it would reseed every property
+            // test.
             name.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
                 (h ^ b as u64).wrapping_mul(0x1000_0000_01b3)
             })
