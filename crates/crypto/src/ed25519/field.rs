@@ -58,9 +58,7 @@ impl Fe {
 
     /// Load a little-endian 32-byte value (top bit ignored, per RFC 8032).
     pub fn from_bytes(b: &[u8; 32]) -> Fe {
-        let load = |off: usize| -> u64 {
-            u64::from_le_bytes(b[off..off + 8].try_into().unwrap())
-        };
+        let load = |off: usize| -> u64 { u64::from_le_bytes(b[off..off + 8].try_into().unwrap()) };
         // 51-bit slices of the 255-bit little-endian integer.
         let l0 = load(0) & MASK;
         let l1 = (load(6) >> 3) & MASK;
@@ -112,7 +110,13 @@ impl Fe {
     /// a + b.
     pub const fn add(&self, other: &Fe) -> Fe {
         let (a, b) = (&self.0, &other.0);
-        Fe(carry([a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3], a[4] + b[4]]))
+        Fe(carry([
+            a[0] + b[0],
+            a[1] + b[1],
+            a[2] + b[2],
+            a[3] + b[3],
+            a[4] + b[4],
+        ]))
     }
 
     /// a − b (inputs must have limbs < 2^52, which all public ops guarantee).
@@ -373,7 +377,10 @@ mod tests {
     #[test]
     fn small_multiplication() {
         assert_eq!(fe(6).mul(&fe(7)).to_bytes(), fe(42).to_bytes());
-        assert_eq!(fe(1 << 30).mul(&fe(1 << 30)).to_bytes(), fe(1 << 60).to_bytes());
+        assert_eq!(
+            fe(1 << 30).mul(&fe(1 << 30)).to_bytes(),
+            fe(1 << 60).to_bytes()
+        );
     }
 
     #[test]

@@ -144,7 +144,12 @@ fn decode(
     let a_point = Point::decompress(&public.0)?;
     let r_point = Point::decompress(&r_enc)?;
     let k_wide = sha512::digest_parts(&[&r_enc, &public.0, msg]).0;
-    Some((s, a_point, r_point, Scalar::from_wide_bytes_mod_order(&k_wide)))
+    Some((
+        s,
+        a_point,
+        r_point,
+        Scalar::from_wide_bytes_mod_order(&k_wide),
+    ))
 }
 
 /// Verify a signature (RFC 8032 §5.1.7, cofactorless): `[s]B == R + [k]A`,
@@ -159,7 +164,9 @@ pub fn verify(public: &PublicKey, msg: &[u8], sig: &Signature) -> bool {
 #[cfg(test)]
 fn verify_reference(public: &PublicKey, msg: &[u8], sig: &Signature) -> bool {
     decode(public, msg, sig).is_some_and(|(s, a, r, k)| {
-        Point::BASE.mul_scalar(&s).eq_point(&r.add(&a.mul_scalar(&k)))
+        Point::BASE
+            .mul_scalar(&s)
+            .eq_point(&r.add(&a.mul_scalar(&k)))
     })
 }
 
@@ -279,11 +286,13 @@ mod tests {
         for (i, v) in VECTORS.iter().enumerate() {
             let public = PublicKey::from_bytes(hex::decode_array::<32>(v.public).unwrap());
             let msg = hex::decode(&clean(v.msg)).unwrap();
-            let sig = Signature::from_bytes(
-                hex::decode(&clean(v.sig)).unwrap().try_into().unwrap(),
-            );
+            let sig =
+                Signature::from_bytes(hex::decode(&clean(v.sig)).unwrap().try_into().unwrap());
             assert!(verify(&public, &msg, &sig), "vector {i} must verify");
-            assert!(verify_reference(&public, &msg, &sig), "vector {i} reference");
+            assert!(
+                verify_reference(&public, &msg, &sig),
+                "vector {i} reference"
+            );
         }
     }
 
@@ -342,7 +351,11 @@ mod tests {
     fn agree(public: [u8; 32], msg: &[u8], sig: [u8; 64]) -> bool {
         let (public, sig) = (PublicKey(public), Signature(sig));
         let got = verify(&public, msg, &sig);
-        assert_eq!(got, verify_reference(&public, msg, &sig), "{public:?} {sig:?} {msg:02x?}");
+        assert_eq!(
+            got,
+            verify_reference(&public, msg, &sig),
+            "{public:?} {sig:?} {msg:02x?}"
+        );
         got
     }
 
@@ -437,10 +450,14 @@ mod tests {
             })
             .find(|t| !t.double().double().is_identity())
             .unwrap();
-        let points: Vec<[u8; 32]> =
-            (0..8u64).map(|i| t.mul_scalar(&Scalar([i, 0, 0, 0])).compress()).collect();
+        let points: Vec<[u8; 32]> = (0..8u64)
+            .map(|i| t.mul_scalar(&Scalar([i, 0, 0, 0])).compress())
+            .collect();
         assert!(t.mul_scalar(&Scalar([8, 0, 0, 0])).is_identity());
-        assert!((0..8).all(|i| (0..i).all(|j| points[i] != points[j])), "eight distinct points");
+        assert!(
+            (0..8).all(|i| (0..i).all(|j| points[i] != points[j])),
+            "eight distinct points"
+        );
         points
     }
 
@@ -473,6 +490,9 @@ mod tests {
                 assert!(!agree(kp.public.0, b"torsion", sig));
             }
         }
-        assert!(accepted >= 8, "torsion forgeries both checks accept: only {accepted} exercised");
+        assert!(
+            accepted >= 8,
+            "torsion forgeries both checks accept: only {accepted} exercised"
+        );
     }
 }

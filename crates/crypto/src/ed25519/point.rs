@@ -44,11 +44,21 @@ pub struct Cached {
 }
 
 impl Cached {
-    const IDENTITY: Cached = Cached { ypx: Fe::ONE, ymx: Fe::ONE, z: Fe::ONE, t2d: Fe::ZERO };
+    const IDENTITY: Cached = Cached {
+        ypx: Fe::ONE,
+        ymx: Fe::ONE,
+        z: Fe::ONE,
+        t2d: Fe::ZERO,
+    };
 
     /// −P: (x, y) ↦ (−x, y) swaps Y+X with Y−X and negates T.
     const fn neg(&self) -> Cached {
-        Cached { ypx: self.ymx, ymx: self.ypx, z: self.z, t2d: self.t2d.neg() }
+        Cached {
+            ypx: self.ymx,
+            ymx: self.ypx,
+            z: self.z,
+            t2d: self.t2d.neg(),
+        }
     }
 }
 
@@ -89,19 +99,33 @@ impl Projective {
 impl Doubled {
     /// The doubled point for another doubling: three products.
     const fn projective(&self) -> Projective {
-        Projective { x: self.e.mul(&self.f), y: self.g.mul(&self.h), z: self.f.mul(&self.g) }
+        Projective {
+            x: self.e.mul(&self.f),
+            y: self.g.mul(&self.h),
+            z: self.f.mul(&self.g),
+        }
     }
 
     /// The doubled point for an addition: the fourth product, T.
     const fn extended(&self) -> Point {
         let Projective { x, y, z } = self.projective();
-        Point { x, y, z, t: self.e.mul(&self.h) }
+        Point {
+            x,
+            y,
+            z,
+            t: self.e.mul(&self.h),
+        }
     }
 }
 
 impl Point {
     /// The neutral element (0, 1).
-    pub const IDENTITY: Point = Point { x: Fe::ZERO, y: Fe::ONE, z: Fe::ONE, t: Fe::ZERO };
+    pub const IDENTITY: Point = Point {
+        x: Fe::ZERO,
+        y: Fe::ONE,
+        z: Fe::ONE,
+        t: Fe::ZERO,
+    };
 
     /// The standard base point B (y = 4/5, x positive-even per RFC 8032).
     pub const BASE: Point = Point {
@@ -164,7 +188,11 @@ impl Point {
     }
 
     const fn projective(&self) -> Projective {
-        Projective { x: self.x, y: self.y, z: self.z }
+        Projective {
+            x: self.x,
+            y: self.y,
+            z: self.z,
+        }
     }
 
     /// Point doubling.
@@ -242,7 +270,12 @@ impl Point {
         if x.is_negative() != (sign == 1) {
             x = x.neg();
         }
-        Some(Point { x, y, z: Fe::ONE, t: x.mul(&y) })
+        Some(Point {
+            x,
+            y,
+            z: Fe::ONE,
+            t: x.mul(&y),
+        })
     }
 
     /// Affine equality.
@@ -334,7 +367,10 @@ pub fn mul_base_sub(s: &Scalar, k: &Scalar, point_a: &Point) -> Point {
             .add_odd_multiple(&BASE_ODD, s_naf[i])
             .add_odd_multiple(&a_odd, -k_naf[i])
     };
-    let top = (1..256).rev().find(|&i| s_naf[i] != 0 || k_naf[i] != 0).unwrap_or(0);
+    let top = (1..256)
+        .rev()
+        .find(|&i| s_naf[i] != 0 || k_naf[i] != 0)
+        .unwrap_or(0);
     let mut acc = Projective::IDENTITY;
     for i in (1..=top).rev() {
         let doubled = acc.double();
@@ -433,10 +469,18 @@ mod tests {
     fn scalars() -> Vec<Scalar> {
         use super::super::scalar::L;
         let l_minus_1 = Scalar([L[0] - 1, L[1], L[2], L[3]]);
-        let mut v = vec![Scalar::ZERO, sc(1), sc(8), sc(0x88), sc(u64::MAX), l_minus_1];
-        v.extend((1..=24u8).map(|seed| {
-            Scalar::from_wide_bytes_mod_order(&[seed.wrapping_mul(73) | 1; 64])
-        }));
+        let mut v = vec![
+            Scalar::ZERO,
+            sc(1),
+            sc(8),
+            sc(0x88),
+            sc(u64::MAX),
+            l_minus_1,
+        ];
+        v.extend(
+            (1..=24u8)
+                .map(|seed| Scalar::from_wide_bytes_mod_order(&[seed.wrapping_mul(73) | 1; 64])),
+        );
         v
     }
 
@@ -455,13 +499,19 @@ mod tests {
     fn static_tables_hold_the_multiples_they_name() {
         for (i, e) in BASE_ODD.iter().enumerate() {
             let expect = Point::BASE.mul_scalar(&sc(2 * i as u64 + 1));
-            assert!(Point::IDENTITY.add_cached(e).eq_point(&expect), "BASE_ODD[{i}]");
+            assert!(
+                Point::IDENTITY.add_cached(e).eq_point(&expect),
+                "BASE_ODD[{i}]"
+            );
         }
         let mut p = Point::BASE;
         for (i, row) in BASE_COMB.iter().enumerate() {
             for (j, e) in row.iter().enumerate() {
                 let expect = p.mul_scalar(&sc(j as u64 + 1));
-                assert!(Point::IDENTITY.add_cached(e).eq_point(&expect), "BASE_COMB[{i}][{j}]");
+                assert!(
+                    Point::IDENTITY.add_cached(e).eq_point(&expect),
+                    "BASE_COMB[{i}][{j}]"
+                );
             }
             p = p.mul_scalar(&sc(256));
         }
@@ -483,7 +533,10 @@ mod tests {
             let fast = mul_base_sub(s, k, &point_a);
             let slow = Point::BASE.mul_scalar(s);
             // fast + [k]A == [s]B
-            assert!(fast.add(&point_a.mul_scalar(k)).eq_point(&slow), "s={s:?} k={k:?}");
+            assert!(
+                fast.add(&point_a.mul_scalar(k)).eq_point(&slow),
+                "s={s:?} k={k:?}"
+            );
         }
     }
 

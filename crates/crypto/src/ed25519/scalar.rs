@@ -205,7 +205,10 @@ fn reduce_wide(limbs: [u64; 8]) -> [u64; 4] {
     let (lo0, y1) = fold(&limbs);
     let (lo1, y2) = fold(&y1);
     let (lo2, y3) = fold(&y2);
-    debug_assert!(y3[2] >> 3 == 0 && y3[3..] == [0; 5], "third fold is below 2^131");
+    debug_assert!(
+        y3[2] >> 3 == 0 && y3[3..] == [0; 5],
+        "third fold is below 2^131"
+    );
     // lo₀ + lo₂ + (L − lo₁) + (L − y₃): both differences are positive and
     // the sum stays below 2^253 + 2L < 2^256.
     let mut r = [0u64; 4];
@@ -353,7 +356,11 @@ mod tests {
             let (width, dense) = (case % 9, case % 2 == 0);
             let mut x = [0u64; 8];
             for limb in x.iter_mut().take(width) {
-                *limb = if dense && next() & 3 == 0 { u64::MAX } else { next() };
+                *limb = if dense && next() & 3 == 0 {
+                    u64::MAX
+                } else {
+                    next()
+                };
             }
             cases.push(x);
         }

@@ -48,7 +48,12 @@ impl Default for Sha256 {
 impl Sha256 {
     /// Fresh hash state.
     pub fn new() -> Self {
-        Sha256 { h: H0, buf: [0; 64], buf_len: 0, total: 0 }
+        Sha256 {
+            h: H0,
+            buf: [0; 64],
+            buf_len: 0,
+            total: 0,
+        }
     }
 
     /// Absorb `data`.
