@@ -20,6 +20,7 @@ use crate::cert::{self, Certificate, EffectiveRestrictions};
 use crate::descriptor::ExperimentDescriptor;
 use crate::monitor::MonitorSet;
 use crate::netstack::NetStack;
+use crate::reactor::slot;
 use crate::wire::{Command, ErrCode, Message, Notification, Response};
 use ops::{info_snapshot, wake_key, WAKE_POLL};
 use plab_crypto::{KeyHash, PublicKey, Signature};
@@ -136,10 +137,10 @@ enum Phase {
 /// The endpoint agent.
 pub struct EndpointAgent {
     config: EndpointConfig,
-    sessions: HashMap<u64, Session>,
-    /// The keys of `sessions`, ascending: the order of every walk that
-    /// produces output, kept as the table changes so that no walk sorts.
-    order: Vec<u64>,
+    /// The live sessions, inline, in ascending sid order: every walk that
+    /// produces output goes in that order and none sorts, and a lookup is
+    /// the reactor's [`slot`].
+    sessions: Vec<Session>,
     /// The session in [`Phase::Active`], if any: kept by `contend` and
     /// `release`, so that finding the holder is not a walk.
     active: Option<u64>,
@@ -167,8 +168,7 @@ impl EndpointAgent {
     pub fn new(config: EndpointConfig) -> Self {
         EndpointAgent {
             config,
-            sessions: HashMap::new(),
-            order: Vec::new(),
+            sessions: Vec::new(),
             active: None,
             pending_tcp: HashMap::new(),
             next_tcp_seq: 1,
@@ -187,9 +187,7 @@ impl EndpointAgent {
 
     /// The priority of the experiment currently in control.
     pub fn active_priority(&self) -> Option<u8> {
-        self.active
-            .and_then(|sid| self.sessions.get(&sid))
-            .map(|s| s.priority)
+        self.active.and_then(|sid| self.session(sid)).map(|s| s.priority)
     }
 
     /// Number of live sessions.
@@ -210,38 +208,44 @@ impl EndpointAgent {
         self.sessions.len() < self.config.max_sessions
     }
 
-    /// The sids of the live sessions `keep` holds for, ascending. The
-    /// session table is a hash map for its lookups; paths that walk it and
-    /// produce output walk it in `order`, so nothing the agent emits
-    /// depends on the map's per-process iteration order.
+    /// The sids of the live sessions `keep` holds for, ascending: the
+    /// table's own order.
     fn sids(&self, keep: impl Fn(&Session) -> bool) -> Vec<u64> {
-        self.order.iter().copied().filter(|sid| keep(&self.sessions[sid])).collect()
+        self.sessions.iter().filter(|s| keep(s)).map(|s| s.sid).collect()
+    }
+
+    /// Session `sid`, if it is live.
+    fn session(&self, sid: u64) -> Option<&Session> {
+        slot(&self.sessions, sid, |s| s.sid).map(|i| &self.sessions[i])
+    }
+
+    fn session_mut(&mut self, sid: u64) -> Option<&mut Session> {
+        slot(&self.sessions, sid, |s| s.sid).map(|i| &mut self.sessions[i])
+    }
+
+    /// Put `s` at its sid's place in the table. Like a map's insert, it
+    /// replaces a session already under that sid: adoption moves the old
+    /// session over the fresh one its new connection opened.
+    fn put(&mut self, s: Session) {
+        match self.sessions.binary_search_by_key(&s.sid, |t| t.sid) {
+            Ok(i) => self.sessions[i] = s,
+            Err(i) => self.sessions.insert(i, s),
+        }
+    }
+
+    /// Take session `sid` out of the table; the sessions above it shift
+    /// down one slot.
+    fn take(&mut self, sid: u64) -> Option<Session> {
+        slot(&self.sessions, sid, |s| s.sid).map(|i| self.sessions.remove(i))
     }
 
     /// A new control connection was accepted / dialed.
     pub fn on_session_open(&mut self, sid: u64) {
         if self.can_accept() {
-            // Grow the table in fixed chunks rather than pre-reserving
-            // `max_sessions` slots (the default cap is 1024; most endpoints
-            // hold a handful) or letting every insert decide: allocation
-            // stays bounded by the high-water mark, in CHUNK steps.
-            const SESSION_CHUNK: usize = 64;
-            if self.sessions.capacity() == self.sessions.len() {
-                let headroom = self.config.max_sessions - self.sessions.len();
-                self.sessions.reserve(SESSION_CHUNK.min(headroom));
-            }
-            self.sessions.insert(
-                sid,
-                Session::new(
-                    sid,
-                    self.next_owner,
-                    DEFAULT_BUFFER_BYTES as usize,
-                    self.config.replay_cache_bytes,
-                ),
-            );
-            if let Err(at) = self.order.binary_search(&sid) {
-                self.order.insert(at, sid);
-            }
+            // The table grows as any `Vec` does, by doubling: a fixed-step
+            // reserve would copy every session once per step.
+            let (owner, replay) = (self.next_owner, self.config.replay_cache_bytes);
+            self.put(Session::new(sid, owner, DEFAULT_BUFFER_BYTES as usize, replay));
             self.next_owner = self.next_owner.wrapping_add(1);
         }
     }
@@ -255,7 +259,7 @@ impl EndpointAgent {
     /// the window expires, see [`EndpointAgent::service`] — the experiment
     /// tears down.
     pub fn on_session_closed(&mut self, sid: u64, stack: &mut dyn NetStack) -> Out {
-        let Some(phase) = self.sessions.get(&sid).map(|s| s.phase) else {
+        let Some(phase) = self.session(sid).map(|s| s.phase) else {
             return Out::new();
         };
         match phase {
@@ -282,9 +286,10 @@ impl EndpointAgent {
         let mut out = Out::new();
         // Messages for sessions that were never opened (or were rejected at
         // the max_sessions cap) are dropped outright: no state, no replies.
-        let Some(s) = self.sessions.get_mut(&sid) else {
+        let Some(i) = slot(&self.sessions, sid, |s| s.sid) else {
             return out;
         };
+        let s = &mut self.sessions[i];
         let refuse = |code, why: &str| (sid, Message::Resp(err(code, why)));
         match (s.phase, msg) {
             // Nobody is connected to a detached session: nothing sent under
@@ -404,7 +409,7 @@ impl EndpointAgent {
         stack: &mut dyn NetStack,
     ) -> Result<Out, String> {
         // Instantiate monitors against the current info block.
-        let s = self.sessions.get_mut(&sid).expect("the session that sent the Auth");
+        let s = self.session_mut(sid).expect("the session that sent the Auth");
         let info = info_snapshot(&mut s.memory, stack);
         let monitors = MonitorSet::instantiate(&granted.monitors, &info)
             .map_err(|e| format!("monitor rejected: {e}"))?;
@@ -425,24 +430,22 @@ impl EndpointAgent {
         // the operator has opted out of resumption entirely and
         // same-experiment sessions stay independent.
         let takeover = self.config.session_linger_ns > 0;
-        // The oldest candidate, so the choice does not depend on the
-        // map's per-process iteration order. Without takeover only a
-        // detached session can match, so with none there is no walk. (A
-        // session that has an experiment identity has authenticated.)
+        // The oldest candidate: the first in the table's sid order.
+        // Without takeover only a detached session can match, so with none
+        // there is no walk. (A session that has an experiment identity has
+        // authenticated.)
         let adopt = if takeover || self.detached > 0 {
             let adoptable = |s: &Session| takeover || matches!(s.phase, Phase::Detached { .. });
             self.sessions
-                .values()
-                .filter(|s| s.sid != sid && s.experiment_id == Some(exp_id) && adoptable(s))
+                .iter()
+                .find(|s| s.sid != sid && s.experiment_id == Some(exp_id) && adoptable(s))
                 .map(|s| s.sid)
-                .min()
         } else {
             None
         };
         let mut out = vec![(sid, Message::AuthOk)];
         if let Some(osid) = adopt {
-            let mut old = self.sessions.remove(&osid).expect("adoptable sessions are in the table");
-            self.order.retain(|&o| o != osid);
+            let mut old = self.take(osid).expect("adoptable sessions are in the table");
             old.sid = sid;
             if let Phase::Detached { .. } = old.phase {
                 self.detached -= 1;
@@ -477,11 +480,11 @@ impl EndpointAgent {
                     pending.0 = sid;
                 }
             }
-            self.sessions.insert(sid, old);
+            self.put(old);
         }
         // Adopted or new, the session is this experiment's from here on,
         // under this chain's terms, and asks for the endpoint.
-        let s = self.sessions.get_mut(&sid).expect("just looked up or inserted");
+        let s = self.session_mut(sid).expect("just looked up or put");
         s.phase = Phase::Suspended;
         s.priority = priority;
         s.monitors = monitors;
@@ -502,8 +505,8 @@ impl EndpointAgent {
     /// favours the incumbent, and `sid` waits `Suspended`.
     fn contend(&mut self, sid: u64) -> Out {
         let mut out = Out::new();
-        let priority = self.sessions[&sid].priority;
-        let phase = match self.active.and_then(|cur| self.sessions.get_mut(&cur)) {
+        let priority = self.session(sid).expect("a contender is live").priority;
+        let phase = match self.active.and_then(|cur| self.session_mut(cur)) {
             Some(holder) if holder.priority >= priority => Phase::Suspended,
             Some(holder) => {
                 holder.phase = Phase::Suspended;
@@ -518,7 +521,7 @@ impl EndpointAgent {
         if phase == Phase::Active {
             self.active = Some(sid);
         }
-        self.sessions.get_mut(&sid).expect("read above").phase = phase;
+        self.session_mut(sid).expect("read above").phase = phase;
         out
     }
 
@@ -532,7 +535,7 @@ impl EndpointAgent {
     /// not candidates, so a yielder cannot reclaim what it just released.
     fn release(&mut self, sid: u64, into: Option<Phase>) -> Out {
         let mut out = Out::new();
-        if let (Some(s), Some(into)) = (self.sessions.get_mut(&sid), into) {
+        if let (Some(s), Some(into)) = (self.session_mut(sid), into) {
             s.phase = into;
             if let Phase::Detached { .. } = into {
                 self.detached += 1;
@@ -544,12 +547,12 @@ impl EndpointAgent {
         }
         self.active = self
             .sessions
-            .values()
+            .iter()
             .filter(|s| s.phase == Phase::Suspended)
             .max_by_key(|s| (s.priority, std::cmp::Reverse(s.sid)))
             .map(|s| s.sid);
         if let Some(next) = self.active {
-            self.sessions.get_mut(&next).expect("just found").phase = Phase::Active;
+            self.session_mut(next).expect("just found").phase = Phase::Active;
             out.push((next, Message::Notify(Notification::Resumed)));
         }
         out
@@ -559,10 +562,9 @@ impl EndpointAgent {
     /// leaves the table, and the endpoint, if it held it, goes to the next
     /// in line.
     fn end_session(&mut self, sid: u64, stack: &mut dyn NetStack) -> Out {
-        let Some(s) = self.sessions.remove(&sid) else {
+        let Some(s) = self.take(sid) else {
             return Out::new();
         };
-        self.order.retain(|&o| o != sid);
         for binding in s.sockets.values() {
             binding.close(stack);
         }

@@ -6,6 +6,7 @@ use super::session::{Session, SocketBinding};
 use super::{cmd_opcode, err, EndpointAgent, Out, Phase, M_COMMANDS, M_DENIED_SENDS};
 use crate::memory::EndpointMemory;
 use crate::netstack::NetStack;
+use crate::reactor::slot;
 use crate::wire::{Command, ErrCode, Proto, Response};
 use plab_filter::{EntryPoint, Program, Vm};
 use plab_netsim::RawDisposition;
@@ -250,13 +251,13 @@ impl EndpointAgent {
             "sid" = sid,
             "op" = cmd_opcode(&cmd)
         );
-        let Some(mut s) = self.sessions.get_mut(&sid) else { return };
-        if s.phase == Phase::Dormant && cmd != Command::Yield {
+        let Some(i) = slot(&self.sessions, sid, |s| s.sid) else { return };
+        if self.sessions[i].phase == Phase::Dormant && cmd != Command::Yield {
             // A yielder's next command asks for the endpoint again, and may
-            // preempt, per its priority.
+            // preempt, per its priority. Contending moves no session.
             out.extend(self.contend(sid));
-            s = self.sessions.get_mut(&sid).expect("contending keeps the session");
         }
+        let s = &mut self.sessions[i];
         let resp = match (s.phase, cmd) {
             (Phase::Detached { .. }, _) => return,
             (Phase::New | Phase::AwaitAuth { .. }, _) => err(ErrCode::Auth, "not authenticated"),
@@ -329,8 +330,7 @@ impl EndpointAgent {
         let mut out = Out::new();
         let mut disposition = RawDisposition::Ignore;
         let now = stack.clock();
-        for &sid in &self.order {
-            let s = self.sessions.get_mut(&sid).expect("order lists the table's keys");
+        for s in &mut self.sessions {
             if s.sockets.is_empty() {
                 continue;
             }
@@ -371,7 +371,7 @@ impl EndpointAgent {
             }
             // Captured data may satisfy an outstanding npoll.
             if !s.capture.is_empty() {
-                out.extend(s.finish_poll().map(|m| (sid, m)));
+                out.extend(s.finish_poll().map(|m| (s.sid, m)));
             }
             // Every capture either consumes or mirrors; one consumer anywhere
             // and the OS does not see the packet.
@@ -390,7 +390,7 @@ impl EndpointAgent {
         let (kind, sid, seq) = wake_parts(key);
         match kind {
             WAKE_POLL => {
-                if let Some(s) = self.sessions.get_mut(&sid) {
+                if let Some(s) = self.session_mut(sid) {
                     let now = stack.clock();
                     if s.pending_poll.is_some_and(|(deadline, _)| now >= deadline) {
                         out.extend(s.finish_poll().map(|m| (sid, m)));
@@ -399,7 +399,7 @@ impl EndpointAgent {
             }
             WAKE_TCP_SEND => {
                 if let Some((sid, sktid, data, tag)) = self.pending_tcp.remove(&seq) {
-                    if let Some(s) = self.sessions.get_mut(&sid) {
+                    if let Some(s) = self.session_mut(sid) {
                         if let Some(SocketBinding::Tcp { conn, .. }) = s.sockets.get(&sktid) {
                             stack.tcp_send(*conn, &data);
                             s.memory.record_send(tag, stack.clock());
@@ -435,12 +435,11 @@ impl EndpointAgent {
             // Into the session that issued it and no other; a send whose
             // session has since closed has no reader left.
             let (owner, tag) = stack_tag_parts(stack_tag);
-            if let Some(s) = self.sessions.values_mut().find(|s| s.owner == owner) {
+            if let Some(s) = self.sessions.iter_mut().find(|s| s.owner == owner) {
                 s.memory.record_send(tag, time);
             }
         }
-        for &sid in &self.order {
-            let s = self.sessions.get_mut(&sid).expect("order lists the table's keys");
+        for s in &mut self.sessions {
             // Drain OS sockets into the capture buffer, respecting
             // capacity: when full we simply stop reading (§3.1 — this is
             // what creates TCP backpressure).
@@ -470,7 +469,7 @@ impl EndpointAgent {
             s.memory.set_buffer_info(s.capture.capacity as u64, s.capture.bytes as u64);
             s.refresh_sockstat(stack);
             if !s.capture.is_empty() {
-                out.extend(s.finish_poll().map(|m| (sid, m)));
+                out.extend(s.finish_poll().map(|m| (s.sid, m)));
             }
         }
         out

@@ -6,6 +6,8 @@ use plab_crypto::Keypair;
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
+mod table;
+
 /// A canned [`NetStack`] recording agent interactions.
 struct MockStack {
     clock: u64,
@@ -235,7 +237,7 @@ fn raw_socket(sktid: u32) -> Command {
 
 /// Send `c` as session `sid`'s next command; its answer.
 fn cmd(agent: &mut EndpointAgent, stack: &mut MockStack, sid: u64, c: Command) -> Response {
-    let seq = agent.sessions[&sid].last_seq + 1;
+    let seq = agent.session(sid).expect("a live session").last_seq + 1;
     cmd_seq(agent, stack, sid, seq, c)
 }
 
@@ -341,7 +343,7 @@ fn send_times_stay_with_the_session_that_scheduled_them() {
     }
     for (sid, left) in [(1, 100), (2, 50)] {
         let slot = crate::memory::EndpointMemory::sendlog_slot(1);
-        let entry = a.sessions[&sid].memory.read(slot, crate::memory::SENDLOG_ENTRY as u32);
+        let entry = a.session(sid).unwrap().memory.read(slot, crate::memory::SENDLOG_ENTRY as u32);
         assert_eq!(
             crate::memory::EndpointMemory::parse_sendlog_entry(entry.unwrap()),
             Some((1, left)),
@@ -1091,7 +1093,7 @@ impl Transcript {
     }
 
     fn poll_pending(&self, sid: u64) -> bool {
-        self.a.sessions.get(&sid).is_some_and(|s| s.pending_poll.is_some())
+        self.a.session(sid).is_some_and(|s| s.pending_poll.is_some())
     }
 
     fn command(&mut self, sid: u64) -> Command {

@@ -229,17 +229,19 @@ impl SessionIo {
     }
 }
 
-/// Where `sid` sits in a table kept in ascending sid order. Sids are
-/// distinct integers, so a session is at most `sid - first` slots in, and
-/// exactly there until a lower session closes: the common lookup is one
-/// probe, the rest a binary search below it.
-fn slot(table: &[SessionIo], sid: u64) -> Option<usize> {
-    let ahead = sid.checked_sub(table.first()?.sid)?;
+/// Where `sid` sits in a table kept in ascending sid order, each row's
+/// sid read by `sid_of`: the reactor's [`SessionIo`]s and the agent's
+/// sessions. Sids are distinct integers, so a session is at most
+/// `sid - first` slots in, and exactly there until a lower session
+/// closes: the common lookup is one probe, the rest a binary search
+/// below it.
+pub(crate) fn slot<T>(table: &[T], sid: u64, sid_of: impl Fn(&T) -> u64) -> Option<usize> {
+    let ahead = sid.checked_sub(sid_of(table.first()?))?;
     let hi = usize::try_from(ahead).unwrap_or(usize::MAX).min(table.len() - 1);
-    if table[hi].sid == sid {
+    if sid_of(&table[hi]) == sid {
         return Some(hi);
     }
-    table[..hi].binary_search_by_key(&sid, |s| s.sid).ok()
+    table[..hi].binary_search_by_key(&sid, sid_of).ok()
 }
 
 /// The endpoint reactor: one [`EndpointAgent`] multiplexed over many
@@ -364,7 +366,7 @@ impl EndpointReactor {
             // tells "short of credit" from "nothing left".
             let mut offered = false;
             let next = self.sched.poll(|sid| {
-                let s = &table[slot(table, sid)?];
+                let s = &table[slot(table, sid, |io| io.sid)?];
                 if s.poisoned || s.outq.len() > SESSION_OUTQ_BYTES {
                     return None;
                 }
@@ -378,7 +380,7 @@ impl EndpointReactor {
                 }
                 break;
             };
-            let (msg, _) = slot(&self.table, sid)
+            let (msg, _) = slot(&self.table, sid, |io| io.sid)
                 .and_then(|i| self.table[i].inq.pop_front())
                 .expect("polled session has a queued message");
             let out = self.agent.on_message(sid, msg, stack);
@@ -416,7 +418,7 @@ impl EndpointReactor {
     /// The transport reports `sid`'s connection dead: tear down IO state
     /// and let the agent detach or destroy the session (lingering applies).
     pub fn on_conn_closed(&mut self, sid: u64, stack: &mut dyn NetStack) {
-        let Some(i) = slot(&self.table, sid) else { return };
+        let Some(i) = slot(&self.table, sid, |io| io.sid) else { return };
         let io = self.table.remove(i);
         self.global_out_bytes -= io.outq.len();
         self.sched.remove(sid);
@@ -429,7 +431,7 @@ impl EndpointReactor {
     /// Queue agent output onto the owning sessions' outbound queues.
     fn route_out(&mut self, out: Out) {
         for (sid, msg) in out {
-            if let Some(i) = slot(&self.table, sid) {
+            if let Some(i) = slot(&self.table, sid, |io| io.sid) {
                 self.global_out_bytes += self.table[i].push_out(&msg);
             }
             // Output for a session with no connection (already closed) is
