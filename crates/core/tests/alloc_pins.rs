@@ -9,7 +9,9 @@
 //!   with the hosts on either side of a 2-shard cut;
 //! - allocations per steady `mread` round trip through `Controller` →
 //!   `SimChannel` → netsim TCP → the harness's servicing pass → reactor →
-//!   agent and back.
+//!   agent and back;
+//! - allocations per steady `mread` in each stage of a reactor turn over
+//!   an in-memory stack: `pump`, `dispatch` and `flush`.
 //!
 //! All are totals over many steady repetitions, so any allocation added
 //! to or removed from the path moves them. A change that means to move
@@ -28,6 +30,9 @@ use packetlab::controller::{ControlPlane, Controller, Credentials};
 use packetlab::descriptor::ExperimentDescriptor;
 use packetlab::endpoint::EndpointConfig;
 use packetlab::harness::{SimChannel, SimNet};
+use packetlab::netstack::MemStack;
+use packetlab::reactor::EndpointReactor;
+use packetlab::wire::{Command, FrameDecoder, Message, Response};
 use plab_crypto::{KeyHash, Keypair};
 use plab_netsim::{LinkParams, ShardedSim, TopologyBuilder};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -187,4 +192,109 @@ fn mread_round_trip_allocations_are_pinned() {
     println!("mread: {n} allocations over {ROUND_TRIPS} round trips");
     assert_eq!(n, MREAD_ALLOCATIONS, "allocations per {ROUND_TRIPS} mread round trips moved \
          (a code change, or a toolchain other than rustc 1.95.0 growing std collections differently)");
+}
+
+/// Sessions on the reactor whose stages are pinned: one in control, the
+/// rest authenticated and suspended behind it.
+const STAGE_SESSIONS: u64 = 16;
+/// Steady turns counted, one `mread` each.
+const TURNS: u64 = 2_000;
+/// Allocations in [`EndpointReactor::pump`] over [`TURNS`] turns: the
+/// owned `Vec` each `tcp_recv` returns. Read under rustc 1.95.0.
+const PUMP_ALLOCATIONS: u64 = 2_000;
+/// Allocations in [`EndpointReactor::dispatch`] over [`TURNS`] turns: the
+/// agent's `Out`, the `mread` data and the replay cache's copy of the
+/// answer. Read under rustc 1.95.0.
+const DISPATCH_ALLOCATIONS: u64 = 6_000;
+/// Allocations in [`EndpointReactor::flush`] over [`TURNS`] turns: what
+/// `MemStack::tcp_send` keeps of the reply (the test takes it out of the
+/// outbox every turn). Read under rustc 1.95.0.
+const FLUSH_ALLOCATIONS: u64 = 2_000;
+
+/// Every frame `conn` has been sent since the last call, decoded.
+fn replies(stack: &mut MemStack, conn: u64) -> Vec<Message> {
+    let mut decoder = FrameDecoder::new();
+    decoder.extend(&stack.outbox.remove(&conn).unwrap_or_default());
+    let mut got = Vec::new();
+    while let Some(frame) = decoder.next_frame().expect("replies frame") {
+        got.push(Message::decode(&frame).expect("replies decode"));
+    }
+    got
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "pinned for release builds")]
+fn reactor_stage_allocations_are_pinned() {
+    let operator = Keypair::from_seed(&[1; 32]);
+    let experimenter = Keypair::from_seed(&[42; 32]);
+    let descriptor = ExperimentDescriptor {
+        name: "alloc-pin-stages".into(),
+        controller_addr: "10.0.9.1:7000".into(),
+        info_url: String::new(),
+        experimenter: KeyHash::of(&experimenter.public),
+    };
+    let creds =
+        Credentials::issue(&operator, &experimenter, descriptor, Restrictions::none(), 10);
+    let mut stack = MemStack { clock: 1_000, ..Default::default() };
+    let mut reactor = EndpointReactor::new(EndpointConfig {
+        trusted_keys: vec![KeyHash::of(&operator.public)],
+        ..Default::default()
+    });
+    let turn = |reactor: &mut EndpointReactor, stack: &mut MemStack| {
+        stack.clock += 1_000_000;
+        reactor.pump(stack);
+        reactor.dispatch(stack);
+        reactor.flush(stack);
+    };
+    let hello = Message::Hello { version: packetlab::PROTOCOL_VERSION }.to_frame();
+    for conn in 1..=STAGE_SESSIONS {
+        reactor.accept(conn);
+        stack.feed(conn, &hello);
+    }
+    turn(&mut reactor, &mut stack);
+    for conn in 1..=STAGE_SESSIONS {
+        let Some(Message::HelloAck { nonce, .. }) = replies(&mut stack, conn).pop() else {
+            panic!("conn {conn} got no HelloAck");
+        };
+        // The first connection asks for more than the rest, so it holds
+        // the endpoint whichever order the `Auth`s run in.
+        let mut creds = creds.clone();
+        creds.priority = if conn == 1 { 10 } else { 5 };
+        stack.feed(conn, &creds.auth_message(&nonce).to_frame());
+    }
+    turn(&mut reactor, &mut stack);
+    for conn in 1..=STAGE_SESSIONS {
+        assert!(replies(&mut stack, conn).contains(&Message::AuthOk), "conn {conn} authenticated");
+    }
+    assert_eq!(reactor.agent().session_count(), STAGE_SESSIONS as usize);
+
+    let mut seq = 0;
+    let mut run = |turns: u64, counts: &mut [u64; 3]| {
+        for _ in 0..turns {
+            seq += 1;
+            let cmd = Command::MRead { memaddr: 0, bytecnt: 8 };
+            stack.feed(1, &Message::CmdSeq { seq, cmd }.to_frame());
+            stack.clock += 1_000_000;
+            counts[0] += allocations(|| reactor.pump(&mut stack));
+            counts[1] += allocations(|| assert_eq!(reactor.dispatch(&mut stack), 1));
+            counts[2] += allocations(|| assert!(reactor.flush(&mut stack).is_empty()));
+            let got = replies(&mut stack, 1);
+            assert!(
+                matches!(&got[..], [Message::RespSeq { seq: q, resp: Response::Mem { data } }]
+                    if *q == seq && data.len() == 8),
+                "{got:?}"
+            );
+        }
+    };
+    run(100, &mut [0; 3]);
+    let mut counts = [0; 3];
+    run(TURNS, &mut counts);
+    let [pump, dispatch, flush] = counts;
+    println!("reactor stages: pump {pump}, dispatch {dispatch}, flush {flush} allocations over {TURNS} turns");
+    assert_eq!(
+        counts,
+        [PUMP_ALLOCATIONS, DISPATCH_ALLOCATIONS, FLUSH_ALLOCATIONS],
+        "allocations per {TURNS} steady reactor turns moved, [pump, dispatch, flush] (a code \
+         change, or a toolchain other than rustc 1.95.0 growing std collections differently)"
+    );
 }
