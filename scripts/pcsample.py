@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """A PC sampler for machines without `perf`: where does one thread wait?
 
-    scripts/pcsample.py <interval_ms> <samples> <warmup_s> -- <cmd...>
+    scripts/pcsample.py [--stacks <function>] <interval_ms> <samples> <warmup_s> -- <cmd...>
 
 Starts <cmd>, lets it run <warmup_s> seconds, then stops its main thread
 every <interval_ms> ms (PTRACE_SEIZE / PTRACE_INTERRUPT), reads the program
@@ -14,6 +14,13 @@ which a thread waiting on a pipe or a child would otherwise dominate.
 x86-64 Linux, standard library only. One thread is sampled, so pin the
 command to one (`taskset -c 0 <bin> ...`: taskset execs, the pid stays the
 command's). OBSERVABILITY.md says how to read the output.
+
+With `--stacks <function>` it also walks each sample's frame-pointer chain
+(`rbp`, read with PTRACE_PEEKDATA), keeps only the samples with a frame
+whose name contains <function> (`World::phase`, `run_fleet`), and prints
+every function's inclusive share (on the stack) and self share (the
+sampled frame) of those. Build the binary with
+RUSTFLAGS="-C force-frame-pointers=yes", into a target dir of its own.
 """
 import bisect
 import collections
@@ -25,9 +32,11 @@ import subprocess
 import sys
 import time
 
-PTRACE_CONT, PTRACE_GETREGS = 7, 12
+PTRACE_PEEKDATA, PTRACE_CONT, PTRACE_GETREGS = 2, 7, 12
 PTRACE_SEIZE, PTRACE_INTERRUPT = 0x4206, 0x4207
-RIP = 16  # index of `rip` in x86-64's user_regs_struct (27 unsigned longs)
+# Indices of `rbp` and `rip` in x86-64's user_regs_struct (27 unsigned longs).
+RBP, RIP = 4, 16
+MAX_FRAMES = 256
 
 libc = ctypes.CDLL(None, use_errno=True)
 libc.ptrace.restype = ctypes.c_long
@@ -38,6 +47,31 @@ def ptrace(request, pid, data=None):
     if libc.ptrace(request, pid, None, data) < 0:
         err = ctypes.get_errno()
         raise OSError(err, f"ptrace({request:#x}): {os.strerror(err)}")
+
+
+def peek(pid, addr):
+    """The word at `addr` in the stopped tracee, or None if it is unmapped."""
+    ctypes.set_errno(0)
+    word = libc.ptrace(PTRACE_PEEKDATA, pid, ctypes.c_void_p(addr), None)
+    if word == -1 and ctypes.get_errno():
+        return None
+    return word & 0xFFFF_FFFF_FFFF_FFFF
+
+
+def caller_pcs(pid, rbp):
+    """Return addresses up the frame-pointer chain from `rbp`, innermost
+    first, each minus one so it lands inside its call. The walk stops at a
+    null, unreadable or non-ascending frame pointer."""
+    pcs = []
+    while rbp and len(pcs) < MAX_FRAMES:
+        ret, up = peek(pid, rbp + 8), peek(pid, rbp)
+        if ret is None or up is None:
+            break
+        pcs.append(ret - 1)
+        if up <= rbp:
+            break
+        rbp = up
+    return pcs
 
 
 def executable_maps(pid):
@@ -87,16 +121,19 @@ def module_of(fn, lib):
 
 
 def main():
-    if len(sys.argv) < 6 or sys.argv[4] != "--":
+    args, within = sys.argv[1:], None
+    if args[:1] == ["--stacks"] and len(args) > 1:
+        within, args = args[1], args[2:]
+    if len(args) < 5 or args[3] != "--":
         sys.exit(__doc__)
-    interval = float(sys.argv[1]) / 1e3
-    samples, warmup, cmd = int(sys.argv[2]), float(sys.argv[3]), sys.argv[5:]
+    interval = float(args[0]) / 1e3
+    samples, warmup, cmd = int(args[1]), float(args[2]), args[4:]
     child = subprocess.Popen(cmd, stdout=subprocess.DEVNULL)
     pid = child.pid
     time.sleep(warmup)
     ptrace(PTRACE_SEIZE, pid)
     regs = (ctypes.c_ulong * 27)()
-    pcs = []
+    pcs, stacks = [], []
     try:
         for _ in range(samples):
             time.sleep(interval)
@@ -106,6 +143,8 @@ def main():
                 break  # the command finished first
             ptrace(PTRACE_GETREGS, pid, regs)
             pcs.append(regs[RIP])
+            if within is not None:
+                stacks.append([regs[RIP]] + caller_pcs(pid, regs[RBP]))
             ptrace(PTRACE_CONT, pid)
         maps = executable_maps(pid)
     finally:
@@ -115,11 +154,9 @@ def main():
 
     exe = os.path.realpath(maps[0][3]) if maps else ""
     tables = {}
-    by_fn, by_pc = collections.Counter(), collections.Counter()
-    by_crate, by_module = collections.Counter(), collections.Counter()
-    idle = 0
-    for pc in pcs:
-        where, lib = f"{pc:#x}", "[no map]"
+
+    def resolve(pc):
+        """(function, `function+offset [address]`, shared-object name or None)."""
         for start, end, base, path in maps:
             if start <= pc < end:
                 shared = os.path.realpath(path) != exe
@@ -128,11 +165,17 @@ def main():
                 syms, addr = tables[path], pc - base
                 i = bisect.bisect_right(syms, (addr, "\U0010ffff")) - 1
                 name, at = syms[i][::-1] if i >= 0 else (os.path.basename(path), 0)
-                fn, where = name, f"{name}+{addr - at:#x}  [{addr:#x}]"
-                lib = os.path.basename(path) if shared else None
-                break
-        else:
-            fn = "[no map]"
+                return name, f"{name}+{addr - at:#x}  [{addr:#x}]", os.path.basename(path) if shared else None
+        return "[no map]", f"{pc:#x}", "[no map]"
+
+    if within is not None:
+        print_stacks(within, [[resolve(pc)[0] for pc in stack] for stack in stacks], cmd)
+        return
+    by_fn, by_pc = collections.Counter(), collections.Counter()
+    by_crate, by_module = collections.Counter(), collections.Counter()
+    idle = 0
+    for pc in pcs:
+        fn, where, lib = resolve(pc)
         by_fn[fn] += 1
         by_pc[where] += 1
         if lib is not None and IDLE.search(fn.split("@")[0]):
@@ -156,6 +199,23 @@ def main():
     print("\nby crate::module, share of active samples")
     for name, c in by_module.most_common(25):
         print(f"{100 * c / active:6.1f} %  {name}")
+
+
+def print_stacks(within, stacks, cmd):
+    """Inclusive and self shares of the samples with `within` on the stack."""
+    kept = [s for s in stacks if any(within in fn for fn in s)]
+    inclusive, own = collections.Counter(), collections.Counter()
+    for stack in kept:
+        inclusive.update(set(stack))
+        own[stack[0]] += 1
+    n = max(len(kept), 1)
+    print(f"{len(kept)} of {len(stacks)} samples have a frame in {within!r}, of: {' '.join(cmd)}")
+    print("\ninclusive (on the stack)")
+    for name, c in inclusive.most_common(30):
+        print(f"{100 * c / n:6.1f} %  {name}")
+    print("\nself (the sampled frame)")
+    for name, c in own.most_common(30):
+        print(f"{100 * c / n:6.1f} %  {name}")
 
 
 if __name__ == "__main__":
