@@ -55,7 +55,12 @@ impl RefVm {
     /// Build a reference VM over a *validated* program.
     pub fn new(program: Program, fuel: u64) -> RefVm {
         let persistent = vec![0u8; program.persistent_size as usize];
-        RefVm { program, fuel, persistent, insns_executed: 0 }
+        RefVm {
+            program,
+            fuel,
+            persistent,
+            insns_executed: 0,
+        }
     }
 
     /// Adjudicate a send the way `Vm::check_send` does.

@@ -53,7 +53,11 @@ fn fixture() -> Fixture {
         CertPayload::Delegation(KeyHash::of(&mid.public)),
         restrictions,
     );
-    let c1 = Certificate::sign(&mid, CertPayload::Experiment(descriptor_hash), Restrictions::none());
+    let c1 = Certificate::sign(
+        &mid,
+        CertPayload::Experiment(descriptor_hash),
+        Restrictions::none(),
+    );
     Fixture {
         keys: packetlab::cert::key_map(&[root.public, mid.public]),
         trusted: vec![KeyHash::of(&root.public)],
@@ -111,7 +115,9 @@ fn check_against(fx: &Fixture, warm: &mut SigMemo, bytes: &[u8]) -> Result<Exec,
     for (state, memo) in [("warm", warm), ("empty", &mut SigMemo::default())] {
         let res = memo.verify_chain(&certs, &fx.keys, &fx.trusted, &fx.descriptor_hash, NOW);
         if res != chain_res {
-            return Err(format!("{state} memo answered {res:?}, verify_chain {chain_res:?}"));
+            return Err(format!(
+                "{state} memo answered {res:?}, verify_chain {chain_res:?}"
+            ));
         }
     }
     // Forgery resistance: anything other than the pristine chain must fail.
@@ -159,7 +165,9 @@ pub fn run(seed: u64, iters: u64) -> Report {
         if rng.gen_bool(0.8) {
             mutate(&mut rng, &mut bundle);
         }
-        exec_one(&mut report, &bundle, || check_against(&fx, &mut warm, &bundle));
+        exec_one(&mut report, &bundle, || {
+            check_against(&fx, &mut warm, &bundle)
+        });
     }
     report
 }

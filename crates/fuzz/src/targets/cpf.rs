@@ -79,7 +79,9 @@ fn gen_source(rng: &mut StdRng) -> String {
 fn packets() -> [Vec<u8>; 3] {
     [
         Vec::new(),
-        (0u8..28).map(|i| i.wrapping_mul(7).wrapping_add(3)).collect(),
+        (0u8..28)
+            .map(|i| i.wrapping_mul(7).wrapping_add(3))
+            .collect(),
         {
             // An IPv4-looking header so `pkt->ip.*` templates take both
             // branches: version/IHL nibble then protocol 1 (ICMP).
@@ -111,12 +113,16 @@ pub fn check(bytes: &[u8]) -> Result<Exec, String> {
         let got = vm.check_send(pkt, &info);
         let want = reference.check_send(pkt, &info);
         if got != want {
-            return Err(format!("send verdict diverged on packet {i}: vm={got:?} ref={want:?}"));
+            return Err(format!(
+                "send verdict diverged on packet {i}: vm={got:?} ref={want:?}"
+            ));
         }
         let got = vm.run("recv", pkt, &info);
         let want = reference.run("recv", pkt, &info);
         if got != want {
-            return Err(format!("recv result diverged on packet {i}: vm={got:?} ref={want:?}"));
+            return Err(format!(
+                "recv result diverged on packet {i}: vm={got:?} ref={want:?}"
+            ));
         }
     }
     if vm.persistent() != reference.persistent.as_slice() {

@@ -79,7 +79,11 @@ pub fn check(bytes: &[u8]) -> Result<Exec, String> {
     };
     match Program::decode(&program.encode()) {
         Ok(p2) if p2 == program => {}
-        other => return Err(format!("program encode/decode not a fixed point: {other:?}")),
+        other => {
+            return Err(format!(
+                "program encode/decode not a fixed point: {other:?}"
+            ))
+        }
     }
     if validate(&program).is_err() {
         return Ok(Exec::Rejected);
@@ -95,14 +99,20 @@ pub fn check(bytes: &[u8]) -> Result<Exec, String> {
     let mut vm = Vm::with_config(program.clone(), VmConfig { fuel: FUEL })
         .map_err(|e| format!("validate accepted but Vm::with_config failed: {e:?}"))?;
     let mut reference = RefVm::new(program, FUEL);
-    let info: Vec<u8> = (0u8..32).map(|i| i.wrapping_mul(11).wrapping_add(1)).collect();
+    let info: Vec<u8> = (0u8..32)
+        .map(|i| i.wrapping_mul(11).wrapping_add(1))
+        .collect();
     let pkt_small: Vec<u8> = (0u8..16).map(|i| i.wrapping_mul(5)).collect();
-    let pkt_big: Vec<u8> = (0u8..96).map(|i| i.wrapping_mul(3).wrapping_add(7)).collect();
+    let pkt_big: Vec<u8> = (0u8..96)
+        .map(|i| i.wrapping_mul(3).wrapping_add(7))
+        .collect();
     for (i, pkt) in [&[][..], &pkt_small, &pkt_big].iter().enumerate() {
         let got = vm.check_send(pkt, &info);
         let want = reference.check_send(pkt, &info);
         if got != want {
-            return Err(format!("verdict diverged on packet {i}: vm={got:?} ref={want:?}"));
+            return Err(format!(
+                "verdict diverged on packet {i}: vm={got:?} ref={want:?}"
+            ));
         }
     }
     let got = vm.run("recv", &pkt_small, &info);
@@ -122,7 +132,10 @@ pub fn check(bytes: &[u8]) -> Result<Exec, String> {
     // Termination within fuel: the calls returned (no hang is possible past
     // this point) and accounting proves the bound held per invocation.
     if vm.insns_executed > FUEL * CALLS {
-        return Err(format!("fuel bound exceeded: {} insns over {CALLS} calls", vm.insns_executed));
+        return Err(format!(
+            "fuel bound exceeded: {} insns over {CALLS} calls",
+            vm.insns_executed
+        ));
     }
     Ok(Exec::Accepted)
 }

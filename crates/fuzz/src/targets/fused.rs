@@ -92,9 +92,13 @@ pub fn check(bytes: &[u8]) -> Result<Exec, String> {
     let n = programs.len();
     let mut fused = FusedVm::new(programs.clone(), vec![FUEL; n])
         .map_err(|(i, e)| format!("validated program {i} rejected by fusion: {e:?}"))?;
-    let mut refs: Vec<RefVm> =
-        programs.iter().map(|p| RefVm::new(p.clone(), FUEL)).collect();
-    let info: Vec<u8> = (0u8..32).map(|i| i.wrapping_mul(7).wrapping_add(3)).collect();
+    let mut refs: Vec<RefVm> = programs
+        .iter()
+        .map(|p| RefVm::new(p.clone(), FUEL))
+        .collect();
+    let info: Vec<u8> = (0u8..32)
+        .map(|i| i.wrapping_mul(7).wrapping_add(3))
+        .collect();
 
     fused.init_all(&info);
     for (p, r) in programs.iter().zip(refs.iter_mut()) {
@@ -104,7 +108,9 @@ pub fn check(bytes: &[u8]) -> Result<Exec, String> {
     }
 
     let pkt_small: Vec<u8> = (0u8..16).map(|i| i.wrapping_mul(5)).collect();
-    let pkt_big: Vec<u8> = (0u8..96).map(|i| i.wrapping_mul(3).wrapping_add(7)).collect();
+    let pkt_big: Vec<u8> = (0u8..96)
+        .map(|i| i.wrapping_mul(3).wrapping_add(7))
+        .collect();
     let packets: [&[u8]; 4] = [&[], &pkt_small, &pkt_big, tail];
     // Two rounds so round 2 adjudicates against persistent state written in
     // round 1 — a record must never outlive the packet that recorded it.
@@ -145,14 +151,22 @@ pub fn run(seed: u64, iters: u64) -> Report {
         let mut blob = if rng.gen_bool(0.9) {
             // Bias toward short chains: the accept rate multiplies across
             // monitors, and depth 1 already exercises the threaded engine.
-            let n = if rng.gen_bool(0.5) { 1 } else { rng.gen_range(2usize..=4) };
+            let n = if rng.gen_bool(0.5) {
+                1
+            } else {
+                rng.gen_range(2usize..=4)
+            };
             let mut encs: Vec<Vec<u8>> = Vec::with_capacity(n);
             for i in 0..n {
                 // Repeating an earlier program exercises replay; a copy
                 // that lands past an intervening program lets a walk stop
                 // between recorder and replayer, so most land there.
                 let enc = if i > 0 && rng.gen_bool(0.3) {
-                    let before = if i > 1 && rng.gen_bool(0.75) { i - 1 } else { i };
+                    let before = if i > 1 && rng.gen_bool(0.75) {
+                        i - 1
+                    } else {
+                        i
+                    };
                     encs[rng.gen_range(0..before)].clone()
                 } else {
                     gen_program(&mut rng).encode()

@@ -11,11 +11,11 @@
 
 use crate::mutate::{mutate, random_bytes};
 use crate::{exec_one, Exec, Report};
-use plab_obs::export::{fnv1a, FNV_OFFSET};
 use packetlab::wire::{
-    Command, ErrCode, FrameDecoder, Message, Notification, Proto, Response, WireError, FRAME_HEADER,
-    MAX_FRAME,
+    Command, ErrCode, FrameDecoder, Message, Notification, Proto, Response, WireError,
+    FRAME_HEADER, MAX_FRAME,
 };
+use plab_obs::export::{fnv1a, FNV_OFFSET};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 fn gen_bytes<const N: usize>(rng: &mut StdRng) -> [u8; N] {
@@ -39,7 +39,9 @@ fn gen_command(rng: &mut StdRng) -> Command {
             remaddr: rng.gen::<u32>(),
             remport: rng.gen::<u16>(),
         },
-        1 => Command::NClose { sktid: rng.gen::<u32>() },
+        1 => Command::NClose {
+            sktid: rng.gen::<u32>(),
+        },
         2 => Command::NSend {
             sktid: rng.gen::<u32>(),
             time: rng.gen::<u64>(),
@@ -50,9 +52,17 @@ fn gen_command(rng: &mut StdRng) -> Command {
             time: rng.gen::<u64>(),
             filt: random_bytes(rng, 64),
         },
-        4 => Command::NPoll { time: rng.gen::<u64>() },
-        5 => Command::MRead { memaddr: rng.gen::<u32>(), bytecnt: rng.gen::<u32>() },
-        6 => Command::MWrite { memaddr: rng.gen::<u32>(), data: random_bytes(rng, 64) },
+        4 => Command::NPoll {
+            time: rng.gen::<u64>(),
+        },
+        5 => Command::MRead {
+            memaddr: rng.gen::<u32>(),
+            bytecnt: rng.gen::<u32>(),
+        },
+        6 => Command::MWrite {
+            memaddr: rng.gen::<u32>(),
+            data: random_bytes(rng, 64),
+        },
         _ => Command::Yield,
     }
 }
@@ -60,8 +70,12 @@ fn gen_command(rng: &mut StdRng) -> Command {
 fn gen_response(rng: &mut StdRng) -> Response {
     match rng.gen_range(0u32..5) {
         0 => Response::Ok,
-        1 => Response::SendQueued { tag: rng.gen::<u64>() },
-        2 => Response::Mem { data: random_bytes(rng, 64) },
+        1 => Response::SendQueued {
+            tag: rng.gen::<u64>(),
+        },
+        2 => Response::Mem {
+            data: random_bytes(rng, 64),
+        },
         3 => {
             let n = rng.gen_range(0usize..4);
             Response::Poll {
@@ -92,24 +106,41 @@ fn gen_response(rng: &mut StdRng) -> Response {
 
 fn gen_message(rng: &mut StdRng) -> Message {
     match rng.gen_range(0u32..8) {
-        0 => Message::Hello { version: rng.gen::<u8>() },
-        1 => Message::HelloAck { version: rng.gen::<u8>(), nonce: gen_bytes(rng) },
+        0 => Message::Hello {
+            version: rng.gen::<u8>(),
+        },
+        1 => Message::HelloAck {
+            version: rng.gen::<u8>(),
+            nonce: gen_bytes(rng),
+        },
         2 => Message::Auth {
             descriptor: random_bytes(rng, 48),
-            chain: (0..rng.gen_range(0usize..4)).map(|_| random_bytes(rng, 32)).collect(),
-            keys: (0..rng.gen_range(0usize..4)).map(|_| gen_bytes(rng)).collect(),
+            chain: (0..rng.gen_range(0usize..4))
+                .map(|_| random_bytes(rng, 32))
+                .collect(),
+            keys: (0..rng.gen_range(0usize..4))
+                .map(|_| gen_bytes(rng))
+                .collect(),
             priority: rng.gen::<u8>(),
             proof: gen_bytes(rng),
         },
         3 => Message::AuthOk,
         4 => Message::Resp(gen_response(rng)),
         5 => Message::Notify(if rng.gen_bool(0.5) {
-            Notification::Interrupted { by_priority: rng.gen::<u8>() }
+            Notification::Interrupted {
+                by_priority: rng.gen::<u8>(),
+            }
         } else {
             Notification::Resumed
         }),
-        6 => Message::CmdSeq { seq: rng.gen::<u64>(), cmd: gen_command(rng) },
-        _ => Message::RespSeq { seq: rng.gen::<u64>(), resp: gen_response(rng) },
+        6 => Message::CmdSeq {
+            seq: rng.gen::<u64>(),
+            cmd: gen_command(rng),
+        },
+        _ => Message::RespSeq {
+            seq: rng.gen::<u64>(),
+            resp: gen_response(rng),
+        },
     }
 }
 
@@ -125,7 +156,11 @@ struct Drained {
 
 fn drain_stream(chunks: &[&[u8]]) -> Drained {
     let mut dec = FrameDecoder::new();
-    let mut out = Drained { msgs: Vec::new(), err: None, max_buffered: 0 };
+    let mut out = Drained {
+        msgs: Vec::new(),
+        err: None,
+        max_buffered: 0,
+    };
     'feed: for chunk in chunks {
         dec.extend(chunk);
         loop {
@@ -216,7 +251,10 @@ pub fn check(bytes: &[u8]) -> Result<Exec, String> {
             return Err("poisoned FrameDecoder kept buffering or cleared its error".into());
         }
         if d.max_buffered > MAX_FRAME + FRAME_HEADER {
-            return Err(format!("buffering exceeded bound: {} bytes live after drain", d.max_buffered));
+            return Err(format!(
+                "buffering exceeded bound: {} bytes live after drain",
+                d.max_buffered
+            ));
         }
     }
 

@@ -18,7 +18,9 @@ use std::fs;
 use std::path::PathBuf;
 
 fn corpus_dir(target: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("corpus").join(target)
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("corpus")
+        .join(target)
 }
 
 fn read(target: &str, name: &str) -> Vec<u8> {
@@ -43,7 +45,10 @@ fn replay_whole_corpus_clean() {
             }
         }
     }
-    assert!(replayed >= 12, "corpus unexpectedly small: {replayed} files");
+    assert!(
+        replayed >= 12,
+        "corpus unexpectedly small: {replayed} files"
+    );
 }
 
 /// The accept paths stay accepting: known-good artifacts must parse.
@@ -96,7 +101,11 @@ fn poison_order_regression() {
     let mut dec = packetlab::wire::FrameDecoder::new();
     dec.extend(&bytes);
     let first = dec.next_message().unwrap_err();
-    assert_eq!(dec.next_message(), Err(first), "sticky error changed identity");
+    assert_eq!(
+        dec.next_message(),
+        Err(first),
+        "sticky error changed identity"
+    );
 }
 
 /// Bug: `validate` computed `pc + 1 + offset` with unchecked i64 addition;
@@ -264,7 +273,11 @@ fn regenerate() {
         scratch_size: 0,
     };
     assert!(validate(&counter).is_ok());
-    write("fused", "valid_chain.bin", &chain(&[&valid, &counter], &[9, 9, 9, 9]));
+    write(
+        "fused",
+        "valid_chain.bin",
+        &chain(&[&valid, &counter], &[9, 9, 9, 9]),
+    );
     // Identical neighbors exercise the outcome-replay path.
     write(
         "fused",
@@ -306,11 +319,18 @@ fn regenerate() {
         scratch_size: 0,
     };
     assert!(validate(&stamp).is_ok() && validate(&gate).is_ok());
-    write("fused", "lockstep_chain.bin", &chain(&[&stamp, &gate, &stamp], &[0xff, 1, 2, 3]));
+    write(
+        "fused",
+        "lockstep_chain.bin",
+        &chain(&[&stamp, &gate, &stamp], &[0xff, 1, 2, 3]),
+    );
     let whole = chain(&[&valid, &counter], &[]);
     write("fused", "truncated_chain.bin", &whole[..whole.len() - 3]);
 
     for t in TARGETS {
-        println!("{t}: {} files", fs::read_dir(corpus_dir(t)).unwrap().count());
+        println!(
+            "{t}: {} files",
+            fs::read_dir(corpus_dir(t)).unwrap().count()
+        );
     }
 }
