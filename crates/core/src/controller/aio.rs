@@ -127,7 +127,7 @@ pub async fn handshake<C: Channel>(
         // session capacity) arrives before the HelloAck: surface it typed so
         // the robust reconnect path can classify it.
         Some(Message::Resp(Response::Err { code, msg })) => {
-            return Err(ControllerError::Endpoint(code, msg))
+            return Err(ControllerError::Endpoint(code, msg.into_owned()))
         }
         Some(other) => {
             return Err(ControllerError::Protocol(format!("expected HelloAck, got {other:?}")))
@@ -140,7 +140,7 @@ pub async fn handshake<C: Channel>(
         match chan.recv(Some(deadline)).await {
             Some(Message::AuthOk) => return Ok(()),
             Some(Message::Resp(Response::Err { code, msg })) => {
-                return Err(ControllerError::Endpoint(code, msg))
+                return Err(ControllerError::Endpoint(code, msg.into_owned()))
             }
             Some(Message::Notify(_)) => continue,
             Some(other) => {
@@ -394,7 +394,7 @@ pub trait Plane {
 /// refusal, or a protocol error naming both.
 pub(super) fn unexpected(resp: Response, want: &str) -> ControllerError {
     match resp {
-        Response::Err { code, msg } => ControllerError::Endpoint(code, msg),
+        Response::Err { code, msg } => ControllerError::Endpoint(code, msg.into_owned()),
         other => ControllerError::Protocol(format!("expected {want}, got {other:?}")),
     }
 }

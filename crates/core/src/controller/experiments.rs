@@ -572,7 +572,7 @@ pub mod aio {
         // so control traffic is off the access link before the burst departs.
         for resp in ctrl.request_batch(cmds).await? {
             if let crate::wire::Response::Err { code, msg } = resp {
-                return Err(ControllerError::Endpoint(code, msg));
+                return Err(ControllerError::Endpoint(code, msg.into_owned()));
             }
         }
 

@@ -25,6 +25,7 @@ use crate::wire::{Command, ErrCode, Message, Notification, Response};
 use ops::{info_snapshot, wake_key, WAKE_POLL};
 use plab_crypto::{KeyHash, PublicKey, Signature};
 use session::Session;
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// Frames the agent wants sent, tagged by control-session id.
@@ -290,7 +291,7 @@ impl EndpointAgent {
             return out;
         };
         let s = &mut self.sessions[i];
-        let refuse = |code, why: &str| (sid, Message::Resp(err(code, why)));
+        let refuse = |code, why: &'static str| (sid, Message::Resp(err(code, why)));
         match (s.phase, msg) {
             // Nobody is connected to a detached session: nothing sent under
             // its sid comes from its controller.
@@ -322,7 +323,7 @@ impl EndpointAgent {
                     .and_then(|(granted, exp_id)| self.handle_auth(sid, priority, granted, exp_id, stack));
                 match admitted {
                     Ok(admitted) => out.extend(admitted),
-                    Err(why) => out.push(refuse(ErrCode::Auth, &why)),
+                    Err(why) => out.push((sid, Message::Resp(err(ErrCode::Auth, why)))),
                 }
             }
             (
@@ -576,6 +577,6 @@ impl EndpointAgent {
     }
 }
 
-fn err(code: ErrCode, msg: &str) -> Response {
-    Response::Err { code, msg: msg.to_string() }
+fn err(code: ErrCode, msg: impl Into<Cow<'static, str>>) -> Response {
+    Response::Err { code, msg: msg.into() }
 }

@@ -227,7 +227,7 @@ impl Session {
                 *installed = Some((vm, time));
                 Response::Ok
             }
-            Err(e) => err(ErrCode::Malformed, &format!("filter: {e}")),
+            Err(e) => err(ErrCode::Malformed, format!("filter: {e}")),
         }
     }
 }

@@ -188,18 +188,17 @@ impl Session {
     /// the same `seq` after reconnecting and get the identical answer.
     pub(super) fn answer(&mut self, seq: u64, resp: Response) -> Message {
         let cost = resp_cost(&resp);
+        // Evict oldest-first until the new entry fits both bounds, before
+        // caching it, so the ring never grows past `REPLAY_CACHE` slots.
+        // The entry being cached is always kept: the controller's most
+        // recent command must stay replayable even when one response alone
+        // exceeds the budget.
+        while self.replay.len() >= REPLAY_CACHE || self.replay_bytes + cost > self.replay_budget {
+            let Some((_, c, _)) = self.replay.pop_front() else { break };
+            self.replay_bytes -= c;
+        }
         self.replay_bytes += cost;
         self.replay.push_back((seq, cost, resp.clone()));
-        // Evict oldest-first past either bound, but always keep the entry
-        // just cached: the controller's most recent command must stay
-        // replayable even when one response alone exceeds the budget.
-        while self.replay.len() > 1
-            && (self.replay.len() > REPLAY_CACHE || self.replay_bytes > self.replay_budget)
-        {
-            if let Some((_, c, _)) = self.replay.pop_front() {
-                self.replay_bytes -= c;
-            }
-        }
         Message::RespSeq { seq, resp }
     }
 
@@ -245,5 +244,13 @@ impl Session {
         let (_, seq) = self.pending_poll.take()?;
         let (packets, dropped_packets, dropped_bytes) = self.capture.drain();
         Some(self.answer(seq, Response::Poll { packets, dropped_packets, dropped_bytes }))
+    }
+}
+
+#[cfg(test)]
+impl Session {
+    /// The replay ring and its byte count, for the cache's unit tests.
+    pub(super) fn replay_ring(&self) -> (&VecDeque<(u64, usize, Response)>, usize) {
+        (&self.replay, self.replay_bytes)
     }
 }

@@ -720,6 +720,50 @@ fn replay_cache_keeps_newest_even_when_over_budget() {
     assert_eq!(first, replayed, "oversized newest entry replays from cache");
 }
 
+/// The replay ring keeps exactly the newest answers that fit both of its
+/// bounds, counts exactly their bytes, and evicts before it caches, so it
+/// never grows past `REPLAY_CACHE` slots. Run once with the entry cap
+/// binding and once with a byte budget that binds first; answer sizes
+/// vary so the byte bound keeps a varying number of entries.
+#[test]
+fn replay_ring_keeps_the_newest_answers_within_its_slots() {
+    use session::{Session, REPLAY_CACHE};
+    // `resp_cost` of a `Mem` answer: its bytes plus 32.
+    let size = |seq: u64| (seq % 7) as usize * 20;
+    for budget in [1 << 20, 400] {
+        let mut s = Session::new(1, 1, 4096, budget);
+        let mut costs = Vec::new();
+        for seq in 1..=1_000u64 {
+            s.answer(seq, Response::Mem { data: vec![0; size(seq)] });
+            costs.push(size(seq) + 32);
+            // The newest answers, as many as fit: at most `REPLAY_CACHE`
+            // of them and `budget` bytes, and never fewer than one.
+            let (mut want, mut bytes) = (0, 0);
+            for &c in costs.iter().rev() {
+                if want == REPLAY_CACHE || (want > 0 && bytes + c > budget) {
+                    break;
+                }
+                (want, bytes) = (want + 1, bytes + c);
+            }
+            let (ring, held) = s.replay_ring();
+            let seqs: Vec<u64> = ring.iter().map(|&(q, _, _)| q).collect();
+            assert_eq!(seqs, (seq + 1 - want as u64..=seq).collect::<Vec<_>>(), "seq {seq}");
+            assert_eq!(held, ring.iter().map(|&(_, c, _)| c).sum::<usize>(), "seq {seq}");
+            assert_eq!(held, bytes, "seq {seq}");
+            assert!(ring.capacity() <= REPLAY_CACHE, "seq {seq}: {} slots", ring.capacity());
+        }
+        let held = s.replay_ring().0.len();
+        assert!(if budget == 400 { held < REPLAY_CACHE } else { held == REPLAY_CACHE }, "{held}");
+    }
+    // One answer over the whole budget evicts everything else and stays.
+    let mut s = Session::new(1, 1, 4096, 64);
+    s.answer(1, Response::Ok);
+    s.answer(2, Response::Mem { data: vec![0; 100] });
+    let (ring, held) = s.replay_ring();
+    assert_eq!(ring.iter().map(|&(q, _, _)| q).collect::<Vec<_>>(), [2]);
+    assert_eq!(held, 132);
+}
+
 fn lingering_agent(linger_ns: u64) -> EndpointAgent {
     EndpointAgent::new(EndpointConfig {
         trusted_keys: vec![plab_crypto::KeyHash::of(&operator().public)],

@@ -332,7 +332,7 @@ impl EndpointReactor {
             );
             let resp = Message::Resp(Response::Err {
                 code: ErrCode::Busy,
-                msg: "endpoint at session capacity".to_string(),
+                msg: "endpoint at session capacity".into(),
             });
             self.global_out_bytes += io.push_out(&resp);
         }

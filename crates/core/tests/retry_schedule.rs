@@ -79,7 +79,7 @@ impl aio::Dialer for ScriptedDialer {
 impl robust::Dialer for ScriptedDialer {}
 
 fn refusal(code: ErrCode) -> Response {
-    Response::Err { code, msg: String::new() }
+    Response::Err { code, msg: "".into() }
 }
 
 #[test]

@@ -56,7 +56,7 @@ fn arb_response() -> impl Strategy<Value = Response> {
                 dropped_bytes
             }),
         (arb_errcode(), ".{0,48}")
-            .prop_map(|(code, msg)| Response::Err { code, msg }),
+            .prop_map(|(code, msg)| Response::Err { code, msg: msg.into() }),
     ]
 }
 
