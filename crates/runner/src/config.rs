@@ -14,11 +14,17 @@ pub struct RateLimit {
 
 impl RateLimit {
     /// An unlimited rate (bucket always full).
-    pub const UNLIMITED: RateLimit = RateLimit { rate_per_sec: 0, burst: 1 };
+    pub const UNLIMITED: RateLimit = RateLimit {
+        rate_per_sec: 0,
+        burst: 1,
+    };
 
     /// A limit of `rate_per_sec` with burst `burst`.
     pub fn per_sec(rate_per_sec: u64, burst: u64) -> RateLimit {
-        RateLimit { rate_per_sec, burst }
+        RateLimit {
+            rate_per_sec,
+            burst,
+        }
     }
 }
 

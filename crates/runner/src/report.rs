@@ -158,7 +158,11 @@ impl RunReport {
         }
         hash_input.extend_from_slice(summary.as_bytes());
         let digest = fnv1a64(&hash_input);
-        RunReport { events, summary, digest }
+        RunReport {
+            events,
+            summary,
+            digest,
+        }
     }
 
     /// Serialize the full report as RFC 7464 JSON text sequences: each

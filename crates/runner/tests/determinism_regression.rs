@@ -22,7 +22,13 @@ const PINNED_CHAOS_DIGEST: u64 = 0xfdc6_05d3_229c_953f;
 fn pinned_run(with_faults: bool) -> FleetRun {
     let operator = Keypair::from_seed(&[21; 32]);
     let experimenter = Keypair::from_seed(&[22; 32]);
-    let roster = RosterSpec { pairs: 64, shards: 4, threads: 1, seed: 1234, access_mbps: 0 };
+    let roster = RosterSpec {
+        pairs: 64,
+        shards: 4,
+        threads: 1,
+        seed: 1234,
+        access_mbps: 0,
+    };
     let mut world = build_fleet(&roster, &operator);
     if with_faults {
         let plan = FleetFaultPlan {
@@ -75,11 +81,17 @@ fn pinned_digests_hold_with_obs_on_and_the_controller_is_counted() {
     plab_obs::enable();
     plab_obs::reset();
     let clean = pinned_run(false);
-    assert_eq!(clean.report.digest, PINNED_CLEAN_DIGEST, "obs changed the clean report");
+    assert_eq!(
+        clean.report.digest, PINNED_CLEAN_DIGEST,
+        "obs changed the clean report"
+    );
     plab_obs::reset();
     let chaos = pinned_run(true);
     plab_obs::disable();
-    assert_eq!(chaos.report.digest, PINNED_CHAOS_DIGEST, "obs changed the chaos report");
+    assert_eq!(
+        chaos.report.digest, PINNED_CHAOS_DIGEST,
+        "obs changed the chaos report"
+    );
     type Stat = fn(&packetlab::controller::robust::RetryStats) -> u32;
     let stats: [(&str, Stat); 3] = [
         ("controller.connects", |s| s.connects),
@@ -88,7 +100,11 @@ fn pinned_digests_hold_with_obs_on_and_the_controller_is_counted() {
     ];
     for (name, stat) in stats {
         let counted = plab_obs::metrics::counter(name);
-        let summed: u64 = chaos.results.iter().map(|t| u64::from(stat(&t.stats))).sum();
+        let summed: u64 = chaos
+            .results
+            .iter()
+            .map(|t| u64::from(stat(&t.stats)))
+            .sum();
         assert!(counted > 0, "{name} is dark in the chaos fleet");
         assert_eq!(counted, summed, "{name} disagrees with the per-task stats");
     }
@@ -100,6 +116,12 @@ fn pinned_digests_hold_with_obs_on_and_the_controller_is_counted() {
 fn capture_fleet_digests() {
     let clean = pinned_run(false);
     let chaos = pinned_run(true);
-    println!("const PINNED_CLEAN_DIGEST: u64 = {:#018x};", clean.report.digest);
-    println!("const PINNED_CHAOS_DIGEST: u64 = {:#018x};", chaos.report.digest);
+    println!(
+        "const PINNED_CLEAN_DIGEST: u64 = {:#018x};",
+        clean.report.digest
+    );
+    println!(
+        "const PINNED_CHAOS_DIGEST: u64 = {:#018x};",
+        chaos.report.digest
+    );
 }

@@ -5,8 +5,7 @@ use plab_crypto::Keypair;
 use plab_netsim::roster::RosterSpec;
 use plab_netsim::{FaultAction, SECOND};
 use plab_runner::{
-    build_fleet, run_fleet, ExperimentSpec, FleetRun, Outcome, Program, RateLimit,
-    SchedulerConfig,
+    build_fleet, run_fleet, ExperimentSpec, FleetRun, Outcome, Program, RateLimit, SchedulerConfig,
 };
 
 fn run(spec: &ExperimentSpec, roster: &RosterSpec, config: &SchedulerConfig) -> FleetRun {
@@ -17,7 +16,13 @@ fn run(spec: &ExperimentSpec, roster: &RosterSpec, config: &SchedulerConfig) -> 
 }
 
 fn small_roster() -> RosterSpec {
-    RosterSpec { pairs: 8, shards: 2, threads: 1, seed: 42, access_mbps: 0 }
+    RosterSpec {
+        pairs: 8,
+        shards: 2,
+        threads: 1,
+        seed: 42,
+        access_mbps: 0,
+    }
 }
 
 #[test]
@@ -25,13 +30,27 @@ fn ping_fleet_completes_every_endpoint() {
     let r = run(
         &ExperimentSpec::ping("smoke-ping"),
         &small_roster(),
-        &SchedulerConfig { max_concurrency: 4, ..Default::default() },
+        &SchedulerConfig {
+            max_concurrency: 4,
+            ..Default::default()
+        },
     );
     assert_eq!(r.results.len(), 8);
     for t in &r.results {
-        assert_eq!(t.outcome, Outcome::Completed, "endpoint {}: {:?}", t.endpoint, t.cause);
+        assert_eq!(
+            t.outcome,
+            Outcome::Completed,
+            "endpoint {}: {:?}",
+            t.endpoint,
+            t.cause
+        );
         match t.detail {
-            plab_runner::Detail::Ping { sent, replies, min_rtt, .. } => {
+            plab_runner::Detail::Ping {
+                sent,
+                replies,
+                min_rtt,
+                ..
+            } => {
                 assert_eq!(sent, 2);
                 assert_eq!(replies, 2);
                 assert!(min_rtt > 0, "4-hop path has nonzero RTT");
@@ -49,10 +68,20 @@ fn traceroute_fleet_reaches_across_pods() {
     };
     let r = run(&spec, &small_roster(), &SchedulerConfig::default());
     for t in &r.results {
-        assert_eq!(t.outcome, Outcome::Completed, "endpoint {}: {:?}", t.endpoint, t.cause);
+        assert_eq!(
+            t.outcome,
+            Outcome::Completed,
+            "endpoint {}: {:?}",
+            t.endpoint,
+            t.cause
+        );
         match t.detail {
             plab_runner::Detail::Traceroute { hops, reached } => {
-                assert!(reached, "endpoint {} never reached its controller", t.endpoint);
+                assert!(
+                    reached,
+                    "endpoint {} never reached its controller",
+                    t.endpoint
+                );
                 // endpoint → epod → core → cpod → controller = 4 hops.
                 assert_eq!(hops, 4, "endpoint {}", t.endpoint);
             }
@@ -76,13 +105,32 @@ fn bandwidth_fleet_measures_finite_access_links() {
         },
         ..ExperimentSpec::ping("smoke-bw")
     };
-    let roster = RosterSpec { access_mbps: 10, ..small_roster() };
-    let r = run(&spec, &roster, &SchedulerConfig { max_concurrency: 2, ..Default::default() });
+    let roster = RosterSpec {
+        access_mbps: 10,
+        ..small_roster()
+    };
+    let r = run(
+        &spec,
+        &roster,
+        &SchedulerConfig {
+            max_concurrency: 2,
+            ..Default::default()
+        },
+    );
     for t in &r.results {
-        assert_eq!(t.outcome, Outcome::Completed, "endpoint {}: {:?}", t.endpoint, t.cause);
+        assert_eq!(
+            t.outcome,
+            Outcome::Completed,
+            "endpoint {}: {:?}",
+            t.endpoint,
+            t.cause
+        );
         match t.detail {
             plab_runner::Detail::Bandwidth {
-                received, kbits_per_sec, dispersion_kbits_per_sec, ..
+                received,
+                kbits_per_sec,
+                dispersion_kbits_per_sec,
+                ..
             } => {
                 assert_eq!(received, 8, "endpoint {}", t.endpoint);
                 // Both folds of the burst over the clean 10 Mbit/s access
@@ -115,7 +163,13 @@ fn monitored_fleet_installs_cpf_monitor() {
     };
     let r = run(&spec, &small_roster(), &SchedulerConfig::default());
     for t in &r.results {
-        assert_eq!(t.outcome, Outcome::Completed, "endpoint {}: {:?}", t.endpoint, t.cause);
+        assert_eq!(
+            t.outcome,
+            Outcome::Completed,
+            "endpoint {}: {:?}",
+            t.endpoint,
+            t.cause
+        );
     }
 }
 
@@ -136,7 +190,13 @@ fn rate_limits_stretch_the_schedule() {
         },
     );
     for t in &slow.results {
-        assert_eq!(t.outcome, Outcome::Completed, "endpoint {}: {:?}", t.endpoint, t.cause);
+        assert_eq!(
+            t.outcome,
+            Outcome::Completed,
+            "endpoint {}: {:?}",
+            t.endpoint,
+            t.cause
+        );
     }
     assert!(
         slow.end_ns >= fast.end_ns + 6 * plab_netsim::SECOND,
@@ -158,9 +218,21 @@ fn fleet_deadline_aborts_exactly() {
             ..Default::default()
         },
     );
-    let completed = r.results.iter().filter(|t| t.outcome == Outcome::Completed).count();
-    let aborted = r.results.iter().filter(|t| t.outcome == Outcome::Aborted).count();
-    let failed = r.results.iter().filter(|t| t.outcome == Outcome::Failed).count();
+    let completed = r
+        .results
+        .iter()
+        .filter(|t| t.outcome == Outcome::Completed)
+        .count();
+    let aborted = r
+        .results
+        .iter()
+        .filter(|t| t.outcome == Outcome::Aborted)
+        .count();
+    let failed = r
+        .results
+        .iter()
+        .filter(|t| t.outcome == Outcome::Failed)
+        .count();
     assert_eq!(completed + aborted + failed, 8, "exact accounting");
     assert!(completed > 0, "some endpoints finish before the deadline");
     assert!(aborted > 0, "some endpoints are cut off");
@@ -176,8 +248,17 @@ fn zero_concurrency_is_rejected_not_spun_on() {
     let operator = Keypair::from_seed(&[1; 32]);
     let experimenter = Keypair::from_seed(&[2; 32]);
     let world = build_fleet(&small_roster(), &operator);
-    let config = SchedulerConfig { max_concurrency: 0, ..Default::default() };
-    let refused = run_fleet(world, &ExperimentSpec::ping("smoke-zero"), &operator, &experimenter, &config);
+    let config = SchedulerConfig {
+        max_concurrency: 0,
+        ..Default::default()
+    };
+    let refused = run_fleet(
+        world,
+        &ExperimentSpec::ping("smoke-zero"),
+        &operator,
+        &experimenter,
+        &config,
+    );
     assert!(refused.is_err_and(|e| e.contains("max_concurrency")));
 }
 
@@ -206,8 +287,18 @@ fn wake_probes_follow_signals_not_iterations() {
     // dozens in flight) costs hundreds of probes per poll.
     plab_obs::enable();
     plab_obs::reset();
-    let roster = RosterSpec { pairs: 64, shards: 2, threads: 1, seed: 42, access_mbps: 0 };
-    let r = run(&ExperimentSpec::ping("smoke-wake"), &roster, &SchedulerConfig::default());
+    let roster = RosterSpec {
+        pairs: 64,
+        shards: 2,
+        threads: 1,
+        seed: 42,
+        access_mbps: 0,
+    };
+    let r = run(
+        &ExperimentSpec::ping("smoke-wake"),
+        &roster,
+        &SchedulerConfig::default(),
+    );
     plab_obs::disable();
     assert!(r.results.iter().all(|t| t.outcome == Outcome::Completed));
     let probes = plab_obs::metrics::counter("runner.wake_probes");
@@ -215,7 +306,10 @@ fn wake_probes_follow_signals_not_iterations() {
     // The launch, the dial, and at least the handshake's and two probes'
     // replies.
     assert!(polls >= 64 * 10, "task polls not counted: {polls}");
-    assert!(probes <= 2 * polls, "{probes} wake probes for {polls} task polls");
+    assert!(
+        probes <= 2 * polls,
+        "{probes} wake probes for {polls} task polls"
+    );
 }
 
 #[test]
@@ -229,24 +323,46 @@ fn controller_host_reset_wakes_its_task_at_the_reset() {
     let mut world = build_fleet(&small_roster(), &operator);
     let (victim, reset_at) = (3, SECOND / 4);
     let node = world.pairs[victim].controller.0;
-    world.net.sim.schedule_fault(reset_at, FaultAction::TcpReset { node });
+    world
+        .net
+        .sim
+        .schedule_fault(reset_at, FaultAction::TcpReset { node });
     let spec = ExperimentSpec {
         // One probe a second: at the reset the task is mid-session,
         // parked in a recv that nothing will answer for a long while.
-        program: Program::Ping { count: 2, interval_ns: SECOND, payload_len: 8 },
+        program: Program::Ping {
+            count: 2,
+            interval_ns: SECOND,
+            payload_len: 8,
+        },
         ..ExperimentSpec::ping("smoke-ctrl-reset")
     };
     plab_obs::enable();
     plab_obs::reset();
-    let r = run_fleet(world, &spec, &operator, &experimenter, &SchedulerConfig::default())
-        .expect("spec is valid");
+    let r = run_fleet(
+        world,
+        &spec,
+        &operator,
+        &experimenter,
+        &SchedulerConfig::default(),
+    )
+    .expect("spec is valid");
     plab_obs::disable();
     for t in &r.results {
-        assert_eq!(t.outcome, Outcome::Completed, "endpoint {}: {:?}", t.endpoint, t.cause);
+        assert_eq!(
+            t.outcome,
+            Outcome::Completed,
+            "endpoint {}: {:?}",
+            t.endpoint,
+            t.cause
+        );
         let hit = t.endpoint == victim;
         // The close surfaces through the controller's timeout path, then
         // one redial resumes the lingering session.
-        assert_eq!((t.stats.timeouts, t.stats.connects), (hit as u32, 1 + hit as u32));
+        assert_eq!(
+            (t.stats.timeouts, t.stats.connects),
+            (hit as u32, 1 + hit as u32)
+        );
     }
     assert!(r.results[victim].started_ns < reset_at);
     // The endpoint stamps the re-authentication that adopts the lingering
