@@ -13,7 +13,7 @@
 //! ```
 
 use packetlab::chaos::{self, ChaosVerdict, Scenario};
-use packetlab::controller::robust::{RobustController};
+use packetlab::controller::robust::{RetryStats, RobustController};
 use packetlab::controller::{ControlPlane, Controller, ControllerError, Credentials};
 use packetlab::cert::Restrictions;
 use packetlab::descriptor::ExperimentDescriptor;
@@ -334,6 +334,13 @@ fn crash_without_restart_aborts_within_budget() {
         "abort took {spent} ns, budget was {}",
         policy.unreachable_budget,
     );
+    // Exactly: under `SimDialer` a failed dial steps the world up to its
+    // 10 s handshake grace, and dropping the half-open channel runs 1 s
+    // more, so three dials fill the 25 s budget. `plab-runner`'s
+    // `fleet_chaos` pins the same crash under the fleet's dial.
+    let stats = RetryStats { connects: 1, failed_dials: 3, timeouts: 1, replays: 0, suspended_waits: 0 };
+    assert_eq!(ctrl.stats, stats);
+    assert_eq!((start, ControlPlane::now(&ctrl)), (131_000_000, 29_541_000_000));
 }
 
 /// Two experiments multiplexed on one endpoint under a fixed fault
