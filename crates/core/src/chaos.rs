@@ -32,7 +32,7 @@ use plab_netsim::{
     FaultAction, GilbertElliott, LinkParams, NodeId, ScheduledFault, TopologyBuilder, MILLISECOND,
     SECOND,
 };
-use plab_obs::export::{fnv1a, FNV_OFFSET};
+use plab_obs::export::{fnv1a, splitmix64, FNV_OFFSET};
 use std::cell::RefCell;
 use std::net::Ipv4Addr;
 use std::rc::Rc;
@@ -130,17 +130,6 @@ impl ChaosOutcome {
 /// verdict before this instant; [`run`] asserts it, making "the schedule
 /// hangs" a test failure rather than a stuck suite.
 pub const RUN_DEADLINE: u64 = 300 * SECOND;
-
-/// splitmix64: the seed expander used for schedule derivation. Chosen for
-/// the same reason the simulator uses integer loss thresholds — identical
-/// output on every platform, no floating point, no external dependency.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 fn fnv_u64(hash: &mut u64, v: u64) {
     fnv1a(hash, &v.to_le_bytes());

@@ -68,9 +68,11 @@ impl<'a, C: ControlChannel> CompatSocket<'a, C> {
     }
 
     /// Blocking receive with a timeout in *endpoint* nanoseconds: returns
-    /// the next payload for this socket, or `None` on timeout. Payloads
-    /// for other compat sockets sharing the session are NOT consumed (the
-    /// poll result is filtered by socket id and requeued internally).
+    /// the next payload for this socket, or `None` on timeout. A poll
+    /// returns the session's captures for every socket: this socket's are
+    /// queued here, and the others' are dropped. Only one `CompatSocket`
+    /// can borrow a `Controller` at a time, so the model serves
+    /// single-socket experiments.
     pub fn recv(&mut self, timeout: u64) -> Result<Option<(u64, Vec<u8>)>, ControllerError> {
         if let Some(item) = self.pending.pop_front() {
             return Ok(Some(item));

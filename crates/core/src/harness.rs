@@ -7,10 +7,17 @@
 //! [`SimChannel`], and everything advances on the simulator's virtual
 //! clock. Experiment code is identical to what would run against real
 //! endpoints — only the [`crate::controller::aio::Channel`]
-//! implementation differs. [`SimChannel`] and [`SimDialer`] advance the
-//! simulator themselves until an operation is done, so their `async fn`s
-//! never suspend and both carry the blocking shells
-//! ([`crate::controller::ControlChannel`] and friends).
+//! implementation differs.
+//!
+//! The controller side is written once for both drivers of the
+//! controller library: [`SimHost`] (dialer and UDP sink) and
+//! [`SimChannel`] (control channel) reach the world and wait in it
+//! through a [`Driver`]. Under the harness's own, `Rc<RefCell<SimNet>>`
+//! ([`SimDialer`], [`SimChannel::connect`]), they advance the simulator
+//! themselves until an operation is done, so their `async fn`s never
+//! suspend and both carry the blocking shells
+//! ([`crate::controller::ControlChannel`] and friends); the fleet runner's
+//! driver parks its task on a [`Wait`] instead.
 
 use crate::controller::robust::Dialer;
 use crate::controller::{aio, probe_seq, ControlChannel, SinkHost};
@@ -31,6 +38,7 @@ pub const CONTROL_PORT: u16 = 6000;
 pub const RENDEZVOUS_PORT: u16 = 5999;
 
 struct SessionConn {
+    sid: u64,
     conn: u64,
     decoder: FrameDecoder,
 }
@@ -59,8 +67,25 @@ struct RvHost {
     node: NodeId,
     server: RendezvousServer,
     port: u16,
-    sessions: HashMap<u64, SessionConn>,
+    /// Open sessions in ascending sid order, looked up with
+    /// [`crate::reactor::slot`] (as the reactor and the agent keep theirs).
+    sessions: Vec<SessionConn>,
     next_sid: u64,
+}
+
+impl RvHost {
+    /// Session `sid`'s row, if it is open.
+    fn at(&self, sid: u64) -> Option<usize> {
+        crate::reactor::slot(&self.sessions, sid, |s| s.sid)
+    }
+
+    /// Drop open session `sid` and tell the server.
+    fn end(&mut self, sid: u64) {
+        if let Some(k) = self.at(sid) {
+            self.sessions.remove(k);
+        }
+        self.server.on_session_closed(sid);
+    }
 }
 
 /// A discarding TCP sink: accepts connections on (node, port) and drains
@@ -151,7 +176,7 @@ impl SimNet {
     /// deterministic global-merge [`ShardedSim::step`]; chaos digests for
     /// a fixed `(seed, shard_count)` replay bit-for-bit.
     pub fn new_sharded(mut sim: ShardedSim) -> Self {
-        sim.set_track_dirty(true);
+        sim.set_track_dirty();
         SimNet {
             sim,
             endpoints: Vec::new(),
@@ -201,7 +226,7 @@ impl SimNet {
         ext_addr: Option<Ipv4Addr>,
     ) -> EndpointId {
         self.sim.tcp_listen(node, CONTROL_PORT);
-        self.sim.set_defer_os(node, true);
+        self.sim.set_defer_os(node);
         self.endpoints.push(EndpointHost {
             node,
             reactor: EndpointReactor::new(config.clone()),
@@ -226,7 +251,7 @@ impl SimNet {
             node,
             server,
             port: RENDEZVOUS_PORT,
-            sessions: HashMap::new(),
+            sessions: Vec::new(),
             next_sid: 1,
         });
         self.on_node.entry(node.0).or_default()[RV].push(self.rendezvous.len() - 1);
@@ -534,7 +559,7 @@ impl SimNet {
                     }
                     if is_endpoint {
                         self.sim.tcp_listen(node, CONTROL_PORT);
-                        self.sim.set_defer_os(node, true);
+                        self.sim.set_defer_os(node);
                     }
                     for rv in self.rendezvous.iter_mut().filter(|r| r.node == node) {
                         rv.sessions.clear();
@@ -746,33 +771,29 @@ impl SimNet {
             let Some(conn) = self.sim.tcp_accept(rv.node, rv.port) else {
                 break;
             };
-            let sid = rv.next_sid;
+            rv.sessions.push(SessionConn { sid: rv.next_sid, conn, decoder: FrameDecoder::new() });
             rv.next_sid += 1;
-            rv.sessions.insert(sid, SessionConn { conn, decoder: FrameDecoder::new() });
         }
         let node = self.rendezvous[i].node;
-        // Service sessions in sid order — HashMap iteration order must
-        // never decide who is drained (and thus who publishes) first.
-        let mut sids: Vec<u64> = self.rendezvous[i].sessions.keys().copied().collect();
-        sids.sort_unstable();
-        for sid in sids {
-            // A session can be pruned mid-pass when a publish batch finds
-            // its connection already closed; skip it here rather than
-            // draining a stale slot.
-            let Some((conn, mut closed)) = self.rendezvous[i]
-                .sessions
-                .get(&sid)
-                .map(|sc| sc.conn)
-                .map(|c| (c, self.gone(node, c)))
-            else {
-                continue;
-            };
-            let decoder = &mut self.rendezvous[i].sessions.get_mut(&sid).unwrap().decoder;
+        // Service sessions in sid order, each once: `from` is the lowest
+        // sid not yet serviced. A session can be pruned mid-pass when a
+        // publish batch finds its connection already closed; it is gone
+        // before its turn comes.
+        let mut from = 0;
+        loop {
+            let rv = &self.rendezvous[i];
+            let k = rv.sessions.partition_point(|s| s.sid < from);
+            let Some(&SessionConn { sid, conn, .. }) = rv.sessions.get(k) else { break };
+            from = sid + 1;
+            let mut closed = self.gone(node, conn);
+            let decoder = &mut self.rendezvous[i].sessions[k].decoder;
             decoder.fill(|max| self.sim.tcp_recv(node, conn, max));
             loop {
-                let frame =
-                    self.rendezvous[i].sessions.get_mut(&sid).unwrap().decoder.next_frame();
-                let payload = match frame {
+                // Lower sessions a batch pruned shift this one's row; it
+                // outlives its own batch.
+                let rv = &mut self.rendezvous[i];
+                let k = rv.at(sid).expect("a session outlives its own batch");
+                let payload = match rv.sessions[k].decoder.next_frame() {
                     Ok(Some(payload)) => payload,
                     Ok(None) => break,
                     Err(_) => {
@@ -785,26 +806,20 @@ impl SimNet {
                     }
                 };
                 let Some(msg) = RvMessage::decode(&payload) else { continue };
-                let replies = self.rendezvous[i].server.on_message(sid, msg);
+                let replies = rv.server.on_message(sid, msg);
                 for (to_sid, reply) in replies {
-                    let to_conn = self.rendezvous[i]
-                        .sessions
-                        .get(&to_sid)
-                        .map(|sc| sc.conn);
-                    match to_conn {
+                    let rv = &self.rendezvous[i];
+                    match rv.at(to_sid).map(|k| rv.sessions[k].conn) {
                         Some(c) if !self.gone(node, c) => {
                             let frame = rv_frame(&reply);
                             self.sim.tcp_send(node, c, &frame);
                         }
-                        Some(_) if to_sid != sid => {
-                            // The subscriber hung up during the publish
-                            // batch: its sid still maps to a dead
-                            // connection. Waking it would queue bytes on
-                            // a closed socket — drop the session now so
-                            // the rest of the batch sees it gone.
-                            self.rendezvous[i].sessions.remove(&to_sid);
-                            self.rendezvous[i].server.on_session_closed(to_sid);
-                        }
+                        // The subscriber hung up during the publish batch:
+                        // its sid still maps to a dead connection. Waking
+                        // it would queue bytes on a closed socket — drop
+                        // the session now so the rest of the batch sees it
+                        // gone.
+                        Some(_) if to_sid != sid => self.rendezvous[i].end(to_sid),
                         // The session being drained hung up behind its own
                         // message: its buffered frames still run, and it is
                         // pruned below.
@@ -813,8 +828,7 @@ impl SimNet {
                 }
             }
             if closed {
-                self.rendezvous[i].sessions.remove(&sid);
-                self.rendezvous[i].server.on_session_closed(sid);
+                self.rendezvous[i].end(sid);
             }
         }
     }
@@ -830,217 +844,327 @@ fn parse_addr(s: &str) -> Option<(Ipv4Addr, u16)> {
     Some((host.parse().ok()?, port.parse().ok()?))
 }
 
-/// A control channel over a [`SimNet`] TCP connection. The controller
-/// "runs" on a simulated host; waiting for a reply advances virtual time.
-pub struct SimChannel {
-    net: Rc<RefCell<SimNet>>,
-    node: NodeId,
-    conn: u64,
-    decoder: FrameDecoder,
+/// How long a dial waits for its handshake before it counts as failed.
+const DIAL_DEADLINE: u64 = 10 * plab_netsim::SECOND;
+
+/// What a simulated controller host waits for.
+#[derive(Clone, Copy, Debug)]
+pub enum Wait {
+    /// Readable data on `conn` (or its close, or the deadline).
+    Data {
+        /// The connection.
+        conn: u64,
+        /// Give up here, if anywhere.
+        deadline: Option<u64>,
+    },
+    /// TCP establishment of `conn` (or its close, or the deadline).
+    Established {
+        /// The connection.
+        conn: u64,
+        /// Give up here.
+        deadline: u64,
+    },
+    /// A point in virtual time.
+    Until(u64),
 }
 
-impl SimChannel {
-    /// Dial an endpoint's control port from `node`.
-    pub fn connect(net: &Rc<RefCell<SimNet>>, node: NodeId, endpoint: Ipv4Addr) -> SimChannel {
-        let conn = {
-            let mut n = net.borrow_mut();
-            let conn = n.sim.tcp_connect(node, endpoint, CONTROL_PORT);
-            // Let the handshake complete: pump events until the connection
-            // establishes or a generous deadline passes.
-            let deadline = n.sim.now() + 10 * plab_netsim::SECOND;
-            while !n.sim.tcp_established(node, conn)
-                && n.sim.next_event_time().is_some_and(|t| t <= deadline)
-            {
-                n.step();
+impl Wait {
+    /// Does the world, seen from controller host `node`, satisfy this
+    /// wait at this instant?
+    #[inline]
+    pub fn holds(self, sim: &ShardedSim, node: NodeId) -> bool {
+        let now = sim.now();
+        match self {
+            Wait::Data { conn, deadline } => {
+                sim.tcp_readable(node, conn) > 0
+                    || sim.tcp_closed(node, conn)
+                    || sim.tcp_peer_done(node, conn)
+                    || deadline.is_some_and(|d| d <= now)
             }
-            conn
-        };
-        SimChannel { net: Rc::clone(net), node, conn, decoder: FrameDecoder::new() }
+            Wait::Established { conn, deadline } => {
+                sim.tcp_established(node, conn) || sim.tcp_closed(node, conn) || deadline <= now
+            }
+            Wait::Until(t) => t <= now,
+        }
     }
 
-    /// Wrap a connection accepted by a controller listener (the
-    /// endpoint-dialed direction).
-    pub fn from_accepted(net: &Rc<RefCell<SimNet>>, node: NodeId, conn: u64) -> SimChannel {
-        SimChannel { net: Rc::clone(net), node, conn, decoder: FrameDecoder::new() }
-    }
-
-    fn drain(&mut self) {
-        let mut n = self.net.borrow_mut();
-        self.decoder.fill(|max| n.sim.tcp_recv(self.node, self.conn, max));
-    }
-
-    /// The harness (for experiment code needing controller-host sockets,
-    /// e.g. the §4 bandwidth experiment's UDP sink).
-    pub fn net(&self) -> Rc<RefCell<SimNet>> {
-        Rc::clone(&self.net)
-    }
-
-    /// Bind a UDP port on the controller host.
-    pub fn udp_bind(&self, port: u16) -> bool {
-        self.net.borrow_mut().sim.udp_bind(self.node, port)
-    }
-
-    /// The controller host's address (for descriptors and UDP sinks).
-    pub fn addr(&self) -> Ipv4Addr {
-        let n = self.net.borrow();
-        n.sim.addr_of(self.node)
-    }
-
-    /// Advance virtual time (used by experiments waiting on wall-clock
-    /// style conditions rather than control messages).
-    pub fn wait_until(&self, time: u64) {
-        self.net.borrow_mut().run_until(time);
-    }
-
-    /// Whether the underlying TCP connection is currently established.
-    pub fn is_established(&self) -> bool {
-        self.net.borrow().sim.tcp_established(self.node, self.conn)
+    /// When to look again even if nothing touches the node.
+    #[inline]
+    pub fn deadline(self) -> Option<u64> {
+        match self {
+            Wait::Data { deadline, .. } => deadline,
+            Wait::Established { deadline, .. } => Some(deadline),
+            Wait::Until(t) => Some(t),
+        }
     }
 }
 
-impl aio::Sink for SimChannel {
-    fn sink_addr(&self) -> Ipv4Addr {
-        self.addr()
+/// How a simulated controller host reaches its world and waits in it: the
+/// one thing [`SimHost`] and [`SimChannel`] leave to their driver.
+/// `Rc<RefCell<SimNet>>` steps the simulator until a wait is over, so its
+/// futures never suspend; the fleet runner's task handle parks instead.
+#[allow(async_fn_in_trait)] // single-threaded drivers: no `Send` bound wanted
+pub trait Driver: Clone {
+    /// Run `op` on the world at once, or answer `gave_up` if this driver
+    /// may no longer touch it.
+    fn with<T>(&self, gave_up: T, op: impl FnOnce(&mut SimNet) -> T) -> T;
+    /// Wait until the world, seen from `node`, satisfies `wait`. False if
+    /// the driver gave up instead.
+    async fn until(&self, node: NodeId, wait: Wait) -> bool;
+    /// After a frame was sent.
+    fn sent(&self) {}
+    /// After a connection was closed.
+    fn closed(&self) {}
+}
+
+/// The harness's driver: every wait steps the simulator, so no future of
+/// a [`SimChannel`] or [`SimDialer`] ever suspends.
+impl Driver for Rc<RefCell<SimNet>> {
+    fn with<T>(&self, _: T, op: impl FnOnce(&mut SimNet) -> T) -> T {
+        op(&mut self.borrow_mut())
     }
 
-    fn sink_bind(&mut self, port: u16) -> bool {
-        self.udp_bind(port)
+    /// A data wait steps one event at a time while one is due by the
+    /// deadline, and a close does not end it; at the deadline it runs the
+    /// world there and gives up, so the caller reads once more. A dial
+    /// steps while the connection is unestablished and an event is due.
+    async fn until(&self, node: NodeId, wait: Wait) -> bool {
+        let n = &mut *self.borrow_mut();
+        match wait {
+            Wait::Data { conn, deadline } => {
+                while n.sim.tcp_readable(node, conn) == 0 {
+                    match (n.sim.next_event_time(), deadline) {
+                        (Some(t), d) if d.is_none_or(|d| t <= d) => n.step(),
+                        (_, Some(d)) => {
+                            n.run_until(d);
+                            return false;
+                        }
+                        // No event and no deadline: nothing will arrive.
+                        _ => return false,
+                    };
+                }
+            }
+            Wait::Established { conn, deadline } => {
+                while !n.sim.tcp_established(node, conn)
+                    && n.sim.next_event_time().is_some_and(|t| t <= deadline)
+                {
+                    n.step();
+                }
+            }
+            Wait::Until(t) => n.run_until(t),
+        }
+        true
     }
 
-    fn sink_take(&mut self, port: u16) -> Vec<(u64, Ipv4Addr, u16, u32, usize)> {
-        udp_take(&self.net, self.node, port)
+    fn sent(&self) {
+        self.borrow_mut().process();
     }
 
-    async fn wait_until(&mut self, time: u64) {
-        SimChannel::wait_until(self, time)
+    /// Run the world 1 s, so the endpoint tears the session down.
+    fn closed(&self) {
+        let mut n = self.borrow_mut();
+        let now = n.sim.now();
+        n.run_until(now + plab_netsim::SECOND);
     }
 }
 
-impl SinkHost for SimChannel {}
-
-/// Drain UDP arrivals on `node`:`port` in the [`aio::Sink::sink_take`]
-/// shape.
-fn udp_take(
-    net: &Rc<RefCell<SimNet>>,
-    node: NodeId,
-    port: u16,
-) -> Vec<(u64, Ipv4Addr, u16, u32, usize)> {
-    let arrivals = net.borrow_mut().sim.udp_recv(node, port);
-    arrivals.into_iter().map(|(t, a, p, d)| (t, a, p, probe_seq(&d), d.len())).collect()
-}
-
-/// A dialer that connects to one endpoint's control port over the
-/// simulation, giving [`crate::controller::robust::RobustController`] the
-/// ability to re-establish its channel after faults.
-pub struct SimDialer {
-    net: Rc<RefCell<SimNet>>,
+/// A controller host in the simulation: the dialer that (re)connects to
+/// one endpoint's control port, giving
+/// [`crate::controller::robust::RobustController`] the ability to
+/// re-establish its channel after faults, and the UDP sink on the host
+/// (the §4 bandwidth experiment's). `D` decides how it waits.
+#[derive(Clone)]
+pub struct SimHost<D = Rc<RefCell<SimNet>>> {
+    drive: D,
     node: NodeId,
     endpoint: Ipv4Addr,
 }
 
+/// The harness's controller host.
+pub type SimDialer = SimHost;
+
 impl SimDialer {
     /// Dialer from controller host `node` to the endpoint at `endpoint`.
     pub fn new(net: &Rc<RefCell<SimNet>>, node: NodeId, endpoint: Ipv4Addr) -> SimDialer {
-        SimDialer { net: Rc::clone(net), node, endpoint }
+        SimHost::over(Rc::clone(net), node, endpoint)
     }
 }
 
-impl aio::Dialer for SimDialer {
-    type Chan = SimChannel;
+impl<D: Driver> SimHost<D> {
+    /// Controller host `node`, dialing the endpoint at `endpoint`, under
+    /// `drive`.
+    pub fn over(drive: D, node: NodeId, endpoint: Ipv4Addr) -> SimHost<D> {
+        SimHost { drive, node, endpoint }
+    }
 
-    async fn dial(&mut self) -> Option<SimChannel> {
-        let chan = SimChannel::connect(&self.net, self.node, self.endpoint);
-        // connect() pumps the handshake; if it did not establish (endpoint
-        // down, link cut), report failure — dropping the channel closes
-        // the half-open attempt.
-        if chan.is_established() {
-            Some(chan)
-        } else {
-            None
-        }
+    /// Run `op` on the simulator and this host's node, or answer `gave_up`.
+    fn with<T>(&self, gave_up: T, op: impl FnOnce(&mut ShardedSim, NodeId) -> T) -> T {
+        self.drive.with(gave_up, |n| op(&mut n.sim, self.node))
+    }
+
+    /// Open a control connection and wait for its handshake: the channel,
+    /// established or not, or `None` if the driver gave up.
+    async fn open(&self) -> Option<SimChannel<D>> {
+        let endpoint = self.endpoint;
+        let (conn, deadline) = self.with(None, |sim, node| {
+            Some((sim.tcp_connect(node, endpoint, CONTROL_PORT), sim.now() + DIAL_DEADLINE))
+        })?;
+        let chan = SimChannel { host: self.clone(), conn, decoder: FrameDecoder::new() };
+        self.drive.until(self.node, Wait::Established { conn, deadline }).await.then_some(chan)
+    }
+}
+
+impl<D: Driver> aio::Dialer for SimHost<D> {
+    type Chan = SimChannel<D>;
+
+    /// A dial that does not establish drops its channel, which closes the
+    /// half-open connection.
+    async fn dial(&mut self) -> Option<SimChannel<D>> {
+        let chan = self.open().await?;
+        chan.host.with(false, |sim, node| sim.tcp_established(node, chan.conn)).then_some(chan)
     }
 
     fn now(&self) -> u64 {
-        self.net.borrow().sim.now()
+        self.with(u64::MAX, |sim, _| sim.now())
     }
 
     async fn wait_until(&mut self, time: u64) {
-        self.net.borrow_mut().run_until(time);
+        self.drive.until(self.node, Wait::Until(time)).await;
     }
 }
 
 impl Dialer for SimDialer {}
 
-impl aio::Sink for SimDialer {
+impl<D: Driver> aio::Sink for SimHost<D> {
     fn sink_addr(&self) -> Ipv4Addr {
-        let n = self.net.borrow();
-        n.sim.addr_of(self.node)
+        self.with(Ipv4Addr::UNSPECIFIED, |sim, node| sim.addr_of(node))
     }
 
     fn sink_bind(&mut self, port: u16) -> bool {
-        self.net.borrow_mut().sim.udp_bind(self.node, port)
+        self.with(false, |sim, node| sim.udp_bind(node, port))
     }
 
     fn sink_take(&mut self, port: u16) -> Vec<(u64, Ipv4Addr, u16, u32, usize)> {
-        udp_take(&self.net, self.node, port)
+        let arrivals = self.with(Vec::new(), |sim, node| sim.udp_recv(node, port));
+        arrivals.into_iter().map(|(t, a, p, d)| (t, a, p, probe_seq(&d), d.len())).collect()
     }
 
     async fn wait_until(&mut self, time: u64) {
-        self.net.borrow_mut().run_until(time);
+        aio::Dialer::wait_until(self, time).await
     }
 }
 
 impl SinkHost for SimDialer {}
 
-impl Drop for SimChannel {
+/// A control channel over a [`SimNet`] TCP connection. The controller
+/// "runs" on a simulated host; waiting for a reply advances virtual time.
+pub struct SimChannel<D: Driver = Rc<RefCell<SimNet>>> {
+    host: SimHost<D>,
+    conn: u64,
+    decoder: FrameDecoder,
+}
+
+impl SimChannel {
+    /// Dial an endpoint's control port from `node`, waiting up to 10 s
+    /// for the handshake; the channel is returned established or not.
+    pub fn connect(net: &Rc<RefCell<SimNet>>, node: NodeId, endpoint: Ipv4Addr) -> SimChannel {
+        aio::block_on(SimDialer::new(net, node, endpoint).open()).expect("the harness never gives up")
+    }
+
+    /// Wrap a connection accepted by a controller listener (the
+    /// endpoint-dialed direction).
+    pub fn from_accepted(net: &Rc<RefCell<SimNet>>, node: NodeId, conn: u64) -> SimChannel {
+        let host = SimDialer::new(net, node, Ipv4Addr::UNSPECIFIED);
+        SimChannel { host, conn, decoder: FrameDecoder::new() }
+    }
+
+    /// The harness (for experiment code needing controller-host sockets,
+    /// e.g. the §4 bandwidth experiment's UDP sink).
+    pub fn net(&self) -> Rc<RefCell<SimNet>> {
+        Rc::clone(&self.host.drive)
+    }
+
+    /// Bind a UDP port on the controller host.
+    pub fn udp_bind(&self, port: u16) -> bool {
+        self.host.with(false, |sim, node| sim.udp_bind(node, port))
+    }
+
+    /// The controller host's address (for descriptors and UDP sinks).
+    pub fn addr(&self) -> Ipv4Addr {
+        aio::Sink::sink_addr(&self.host)
+    }
+
+    /// Advance virtual time (used by experiments waiting on wall-clock
+    /// style conditions rather than control messages).
+    pub fn wait_until(&self, time: u64) {
+        self.host.drive.borrow_mut().run_until(time);
+    }
+
+    /// Whether the underlying TCP connection is currently established.
+    pub fn is_established(&self) -> bool {
+        self.host.with(false, |sim, node| sim.tcp_established(node, self.conn))
+    }
+}
+
+impl<D: Driver> aio::Sink for SimChannel<D> {
+    fn sink_addr(&self) -> Ipv4Addr {
+        self.host.sink_addr()
+    }
+
+    fn sink_bind(&mut self, port: u16) -> bool {
+        self.host.sink_bind(port)
+    }
+
+    fn sink_take(&mut self, port: u16) -> Vec<(u64, Ipv4Addr, u16, u32, usize)> {
+        self.host.sink_take(port)
+    }
+
+    async fn wait_until(&mut self, time: u64) {
+        aio::Sink::wait_until(&mut self.host, time).await
+    }
+}
+
+impl SinkHost for SimChannel {}
+
+impl<D: Driver> Drop for SimChannel<D> {
+    /// Close the control connection so the endpoint tears the session
+    /// down (releasing its sockets), as a real client process exit would.
+    /// Not while unwinding: the world may still be borrowed.
     fn drop(&mut self) {
-        // Close the control connection so the endpoint tears the session
-        // down (releasing its sockets), as a real client process exit
-        // would. try_borrow: dropping during a panic must not double-panic.
-        if let Ok(mut n) = self.net.try_borrow_mut() {
-            n.sim.tcp_close(self.node, self.conn);
-            let now = n.sim.now();
-            n.run_until(now + plab_netsim::SECOND);
+        if !std::thread::panicking() {
+            self.host.with((), |sim, node| sim.tcp_close(node, self.conn));
+            self.host.drive.closed();
         }
     }
 }
 
-impl aio::Channel for SimChannel {
+impl<D: Driver> aio::Channel for SimChannel<D> {
     async fn send(&mut self, msg: &Message) {
-        let frame = msg.to_frame();
-        let mut n = self.net.borrow_mut();
-        n.sim.tcp_send(self.node, self.conn, &frame);
-        n.process();
+        self.host.with((), |sim, node| sim.tcp_send(node, self.conn, &msg.to_frame()));
+        self.host.drive.sent();
     }
 
     async fn recv(&mut self, deadline: Option<u64>) -> Option<Message> {
+        let conn = self.conn;
         loop {
-            self.drain();
             match self.decoder.next_message() {
                 Ok(Some(m)) => return Some(m),
                 Ok(None) => {}
                 Err(_) => return None,
             }
-            // Advance the world by one event, or to the deadline.
-            let mut n = self.net.borrow_mut();
-            match (n.sim.next_event_time(), deadline) {
-                (Some(t), d) if d.is_none_or(|d| t <= d) => {
-                    n.step();
-                }
-                (_, Some(d)) => {
-                    n.run_until(d);
-                    drop(n);
-                    self.drain();
-                    return self.decoder.next_message().ok().flatten();
-                }
-                // No event and no deadline: nothing will ever arrive.
-                _ => return None,
+            let waited = self.host.drive.until(self.host.node, Wait::Data { conn, deadline }).await;
+            let decoder = &mut self.decoder;
+            let read = self.host.with(false, |sim, node| decoder.fill(|max| sim.tcp_recv(node, conn, max)));
+            if !(waited && read) {
+                // The deadline passed, the connection closed, or the
+                // driver gave up: one final decode attempt.
+                return self.decoder.next_message().ok().flatten();
             }
         }
     }
 
     fn now(&self) -> u64 {
-        self.net.borrow().sim.now()
+        aio::Dialer::now(&self.host)
     }
 }
 

@@ -62,11 +62,7 @@ fn shard_seed(seed: u64, shard: usize) -> u64 {
     if shard == 0 {
         return seed;
     }
-    let mut z = seed ^ (shard as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    plab_obs::export::splitmix64(&mut (seed ^ (shard as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)))
 }
 
 /// A sharded simulator: N [`Sim`] partitions advancing under conservative
@@ -385,9 +381,9 @@ impl ShardedSim {
     }
 
     /// See [`Sim::set_track_dirty`]. Applied to every shard.
-    pub fn set_track_dirty(&mut self, on: bool) {
+    pub fn set_track_dirty(&mut self) {
         for s in &mut self.shards {
-            s.set_track_dirty(on);
+            s.set_track_dirty();
         }
     }
 
@@ -460,8 +456,8 @@ impl ShardedSim {
     }
 
     /// See [`Sim::set_defer_os`].
-    pub fn set_defer_os(&mut self, node: NodeId, defer: bool) {
-        self.shard_mut(node).set_defer_os(node, defer);
+    pub fn set_defer_os(&mut self, node: NodeId) {
+        self.shard_mut(node).set_defer_os(node);
     }
 
     /// See [`Sim::drain_pending_os`].
@@ -675,7 +671,7 @@ mod tests {
         let (mut net, h1, h2) = world(&[0, 0, 1], 1);
         net.udp_bind(h2, 7);
         assert!(!net.quiet(), "nobody records touches until tracking is on");
-        net.set_track_dirty(true);
+        net.set_track_dirty();
         net.udp_send(h1, 5000, addr(1, 1), 7, b"x");
         assert!(net.quiet());
         // Arrival at the router (forwarded, diverted), the queue release

@@ -165,14 +165,14 @@ impl Sim {
         self.events.pushed() + self.handed
     }
 
-    /// Enable (or disable) dirty-node tracking. While enabled,
+    /// Enable dirty-node tracking. From then on,
     /// [`Sim::drain_dirty_nodes`] drains the set of nodes whose
     /// harness-visible state (inboxes, TCP connections, timers, send
     /// log) may have changed since the previous drain, and [`Sim::quiet`]
     /// reads the same list to say whether anything has. Off by default:
     /// the dense pump pays nothing for it.
-    pub fn set_track_dirty(&mut self, on: bool) {
-        self.track_dirty = on;
+    pub fn set_track_dirty(&mut self) {
+        self.track_dirty = true;
         self.dirty_mark = vec![false; self.nodes.len()];
         self.dirty_nodes.clear();
     }
@@ -701,8 +701,8 @@ impl Sim {
 
     /// Enable deferred OS processing on an endpoint-managed host (see
     /// [`crate::node::RawDisposition`]).
-    pub fn set_defer_os(&mut self, node: NodeId, defer: bool) {
-        self.nodes[node.0].host_mut().defer_os = defer;
+    pub fn set_defer_os(&mut self, node: NodeId) {
+        self.nodes[node.0].host_mut().defer_os = true;
     }
 
     /// Drain packets awaiting an OS disposition decision onto `out`.

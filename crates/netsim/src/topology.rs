@@ -435,7 +435,7 @@ mod tests {
         );
         // ...and h1's own OS would also RST h2's RST-less packets. Now
         // with defer_os, the endpoint agent consumes and no RST emerges.
-        sim.set_defer_os(h2, true);
+        sim.set_defer_os(h2);
         let _raw2 = sim.raw_open(h2);
         sim.raw_send(h1, syn);
         sim.run_until(2 * SECOND);

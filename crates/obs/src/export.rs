@@ -38,6 +38,18 @@ pub fn fnv1a(hash: &mut u64, bytes: &[u8]) {
     }
 }
 
+/// splitmix64: step the generator `state` and return its next output,
+/// the workspace's one seed expander (per-task jitter seeds, fault plans,
+/// per-shard RNG seeds). For a stateless derivation of `x`, step a copy:
+/// `splitmix64(&mut x.clone())`.
+pub fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
 /// FNV-1a of `bytes` in one call. Used to fingerprint dump artifacts in
 /// reports.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
