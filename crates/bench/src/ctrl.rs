@@ -28,8 +28,8 @@ use packetlab::endpoint::EndpointConfig;
 use packetlab::netstack::{MemStack, NetStack};
 use packetlab::reactor::EndpointReactor;
 use packetlab::wire::{Command, FrameDecoder, Message};
-use plab_obs::export::{fnv1a, FNV_OFFSET};
 use plab_crypto::{KeyHash, Keypair};
+use plab_obs::export::{fnv1a, FNV_OFFSET};
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -38,7 +38,6 @@ pub const RTT_NS: u64 = 10_000_000;
 /// Service tick: how often the reactor is pumped, and the granularity at
 /// which client send times are staggered across the RTT window.
 pub const TICK_NS: u64 = 1_000_000;
-
 
 /// One stop-and-wait client session.
 struct Session {
@@ -108,24 +107,41 @@ impl ScaleWorld {
             info_url: String::new(),
             experimenter: KeyHash::of(&experimenter.public),
         };
-        let creds =
-            Credentials::issue(&operator, &experimenter, descriptor, Restrictions::none(), 10);
+        let creds = Credentials::issue(
+            &operator,
+            &experimenter,
+            descriptor,
+            Restrictions::none(),
+            10,
+        );
 
         // Replies carry clock reads, so the pinned digest fixes the epoch.
-        let mut stack = MemStack { clock: 1_000, ..Default::default() };
+        let mut stack = MemStack {
+            clock: 1_000,
+            ..Default::default()
+        };
         let mut reactor = EndpointReactor::new(EndpointConfig {
             trusted_keys: vec![KeyHash::of(&operator.public)],
             max_sessions: n.max(8) * 2,
             ..Default::default()
         });
 
-        let hello = Message::Hello { version: packetlab::PROTOCOL_VERSION }.to_frame();
+        let hello = Message::Hello {
+            version: packetlab::PROTOCOL_VERSION,
+        }
+        .to_frame();
         let mut sessions: Vec<Session> = (0..n)
             .map(|i| {
                 let conn = i as u64 + 1;
                 reactor.accept(conn);
                 stack.feed(conn, &hello);
-                Session { conn, seq: 1, done: 0, sent_at: 0, decoder: FrameDecoder::new() }
+                Session {
+                    conn,
+                    seq: 1,
+                    done: 0,
+                    sent_at: 0,
+                    decoder: FrameDecoder::new(),
+                }
             })
             .collect();
         stack.clock += TICK_NS;
@@ -171,7 +187,11 @@ impl ScaleWorld {
         }
         stack.outbox.clear();
 
-        ScaleWorld { stack, reactor, sessions }
+        ScaleWorld {
+            stack,
+            reactor,
+            sessions,
+        }
     }
 
     /// Live session count on the agent (sanity: nobody got dropped).
@@ -228,7 +248,10 @@ impl ScaleWorld {
                 let s = &mut self.sessions[idx as usize];
                 let msg = Message::CmdSeq {
                     seq: s.seq,
-                    cmd: Command::MRead { memaddr: 0, bytecnt: 64 },
+                    cmd: Command::MRead {
+                        memaddr: 0,
+                        bytecnt: 64,
+                    },
                 };
                 s.seq += 1;
                 s.sent_at = t;
@@ -263,7 +286,11 @@ impl ScaleWorld {
         }
         let wall_secs = wall.elapsed().as_secs_f64();
 
-        assert_eq!(ops, n as u64 * u64::from(ops_per_session), "every op answered");
+        assert_eq!(
+            ops,
+            n as u64 * u64::from(ops_per_session),
+            "every op answered"
+        );
         delays.sort_unstable();
         let p99 = delays[(delays.len() - 1).min(delays.len() * 99 / 100)];
         PhaseStats {
@@ -299,7 +326,11 @@ pub fn auth_verifications(worlds: usize, sessions: usize) -> u64 {
 pub fn point(sessions: usize, ops_per_session: u32) -> PhaseStats {
     let mut world = ScaleWorld::new(sessions);
     let stats = world.phase(ops_per_session);
-    assert_eq!(world.live_sessions(), sessions, "sessions dropped mid-phase");
+    assert_eq!(
+        world.live_sessions(),
+        sessions,
+        "sessions dropped mid-phase"
+    );
     stats
 }
 
@@ -314,7 +345,10 @@ mod tests {
         assert_eq!(s.p99_ns, RTT_NS, "stop-and-wait sits at the RTT floor");
         // One op per RTT: 100 virtual ops/sec at a 10 ms RTT.
         let v = s.virtual_ops_per_sec();
-        assert!((90.0..=110.0).contains(&v), "serial throughput {v} off the RTT bound");
+        assert!(
+            (90.0..=110.0).contains(&v),
+            "serial throughput {v} off the RTT bound"
+        );
     }
 
     #[test]
@@ -322,8 +356,14 @@ mod tests {
         let serial = point(1, 10);
         let mux = point(64, 10);
         let speedup = mux.virtual_ops_per_sec() / serial.virtual_ops_per_sec();
-        assert!(speedup >= 10.0, "64 sessions only {speedup:.1}x over serial");
-        assert_eq!(mux.p99_ns, RTT_NS, "p99 stays at the RTT floor under multiplexing");
+        assert!(
+            speedup >= 10.0,
+            "64 sessions only {speedup:.1}x over serial"
+        );
+        assert_eq!(
+            mux.p99_ns, RTT_NS,
+            "p99 stays at the RTT floor under multiplexing"
+        );
     }
 
     #[test]

@@ -41,15 +41,43 @@ pub struct Guard {
 
 /// The seven guards. CI's budgets live in `ci.yml`'s matrix.
 pub static GUARDS: [Guard; 7] = [
-    Guard { name: "throughput", secs: 2.0, checks: throughput },
-    Guard { name: "obs", secs: 0.5, checks: obs },
-    Guard { name: "netsim", secs: 2.0, checks: netsim },
+    Guard {
+        name: "throughput",
+        secs: 2.0,
+        checks: throughput,
+    },
+    Guard {
+        name: "obs",
+        secs: 0.5,
+        checks: obs,
+    },
+    Guard {
+        name: "netsim",
+        secs: 2.0,
+        checks: netsim,
+    },
     // At 2 s `scale_decay` cannot separate the two engines (EXPERIMENTS G7).
-    Guard { name: "netsim-shard", secs: 4.0, checks: netsim_shard },
+    Guard {
+        name: "netsim-shard",
+        secs: 4.0,
+        checks: netsim_shard,
+    },
     // Nothing fleet or bwest checks is timed or machine-dependent.
-    Guard { name: "fleet", secs: 0.0, checks: fleet_roster },
-    Guard { name: "bwest", secs: 0.0, checks: bwest_corpus },
-    Guard { name: "ctrl", secs: 6.0, checks: ctrl_mux },
+    Guard {
+        name: "fleet",
+        secs: 0.0,
+        checks: fleet_roster,
+    },
+    Guard {
+        name: "bwest",
+        secs: 0.0,
+        checks: bwest_corpus,
+    },
+    Guard {
+        name: "ctrl",
+        secs: 6.0,
+        checks: ctrl_mux,
+    },
 ];
 
 /// One named verdict of a guard.
@@ -74,7 +102,12 @@ impl Check {
 
     /// Every digest in `got` equals `pin`.
     fn pinned(name: &'static str, got: &[u64], pin: u64) -> Check {
-        let drift = got.iter().find(|&&d| d != pin).or(got.last()).copied().unwrap_or(0);
+        let drift = got
+            .iter()
+            .find(|&&d| d != pin)
+            .or(got.last())
+            .copied()
+            .unwrap_or(0);
         let detail = format!("{drift:#018x} (pinned {pin:#018x}, {} runs)", got.len());
         Check::new(name, got.iter().all(|&d| d == pin), detail)
     }
@@ -169,18 +202,31 @@ fn throughput(budget: Duration) -> Vec<Check> {
     let mut fused = figure2_chain(4, &encoded, &info);
     let mut walk = MonitorSet::instantiate_sequential(&vec![encoded.clone(); 4], &info)
         .expect("monitors instantiate");
-    assert!(fused.allow_send(&probe, &info) && walk.allow_send(&probe, &info), "probe allowed");
+    assert!(
+        fused.allow_send(&probe, &info) && walk.allow_send(&probe, &info),
+        "probe allowed"
+    );
     let mut fused_op = || u64::from(fused.allow_send(&probe, &info));
     let mut walk_op = || u64::from(walk.allow_send(&probe, &info));
-    let ([fused, walk], rounds) =
-        paired(budget, 4, || time_batch(BATCH, &mut fused_op), || time_batch(BATCH, &mut walk_op));
+    let ([fused, walk], rounds) = paired(
+        budget,
+        4,
+        || time_batch(BATCH, &mut fused_op),
+        || time_batch(BATCH, &mut walk_op),
+    );
 
     let (reply, mut deep) = (figure2_reply(), figure2_chain(8, &encoded, &info));
     assert!(deep.allow_send(&probe, &info), "probe allowed");
     let before = deep.fuse_stats().expect("a fused chain");
-    let allowed = (0..RECVS).filter(|_| deep.allow_recv(&reply, &info)).count() as u64;
+    let allowed = (0..RECVS)
+        .filter(|_| deep.allow_recv(&reply, &info))
+        .count() as u64;
     let after = deep.fuse_stats().expect("a fused chain");
-    let got = [after.executed - before.executed, after.replays - before.replays, after.reruns];
+    let got = [
+        after.executed - before.executed,
+        after.replays - before.replays,
+        after.reruns,
+    ];
     let want = [RECVS, 7 * RECVS, 0];
     let detail = format!(
         "{allowed} of {RECVS} reply recvs allowed on a depth-8 chain: {} sections executed, \
@@ -219,8 +265,8 @@ fn obs(budget: Duration) -> Vec<Check> {
     let mut set = figure2_chain(1, &encoded, &info);
     assert!(set.allow_send(&probe, &info), "probe allowed");
     let program = Program::decode(&encoded).expect("the fixture decodes");
-    let mut twin = FusedVm::new(vec![program], vec![VmConfig::default().fuel])
-        .expect("the fixture validates");
+    let mut twin =
+        FusedVm::new(vec![program], vec![VmConfig::default().fuel]).expect("the fixture validates");
     twin.init_all(&info);
     let mut inst_op = || u64::from(set.allow_send(&probe, &info));
     let mut twin_op = || u64::from(twin.check_entry(EntryPoint::Send, &probe, &info).allowed());
@@ -236,7 +282,13 @@ fn obs(budget: Duration) -> Vec<Check> {
         || time_batch(batch, &mut twin_op),
     );
     let what = "depth-1 adjudications/s, MonitorSet over its bare FusedVm";
-    vec![Check::quotient("ratio", what, twin / inst, MIN_OBS_RATIO, rounds)]
+    vec![Check::quotient(
+        "ratio",
+        what,
+        twin / inst,
+        MIN_OBS_RATIO,
+        rounds,
+    )]
 }
 
 /// Events, pool takes, frames recycled and copy-on-write copies of one
@@ -265,8 +317,12 @@ fn netsim(budget: Duration) -> Vec<Check> {
     let (events, _, sim) = netsim_scale::round(128);
     let pool = sim.pool();
     let got = [events, pool.taken(), pool.recycled(), pool.cow_copies()];
-    let counts =
-        Check::counts("counts", "events, pool takes, recycled, CoW copies", got, NETSIM_COUNTS);
+    let counts = Check::counts(
+        "counts",
+        "events, pool takes, recycled, CoW copies",
+        got,
+        NETSIM_COUNTS,
+    );
 
     // Seconds per event over a batch of `reps` rounds of `hosts`.
     let per_event = |(hosts, reps): (usize, u32)| {
@@ -280,7 +336,10 @@ fn netsim(budget: Duration) -> Vec<Check> {
     let ([small, large], rounds) =
         paired(budget, 4, || per_event(SIZES[0]), || per_event(SIZES[1]));
     let what = "events/s at 1,024 hosts over 16";
-    vec![counts, Check::quotient("size_decay", what, small / large, MIN_SIZE_DECAY, rounds)]
+    vec![
+        counts,
+        Check::quotient("size_decay", what, small / large, MIN_SIZE_DECAY, rounds),
+    ]
 }
 
 const SHARDS: usize = 4;
@@ -347,7 +406,10 @@ fn netsim_shard(budget: Duration) -> Vec<Check> {
         for pool in world.sim.pool_handles() {
             assert_eq!(pool.taken(), pool.recycled(), "pool leak in shard world");
         }
-        (secs / ev as f64, [ev, world.sim.windows_run(), world.sim.handoffs()])
+        (
+            secs / ev as f64,
+            [ev, world.sim.windows_run(), world.sim.handoffs()],
+        )
     };
     let mut got = Vec::new();
     let ([sharded, whole], rounds) = paired(
@@ -457,14 +519,21 @@ fn fleet_roster(_: Duration) -> Vec<Check> {
     let recorded = fleet::point(pairs, threads, false).0.report;
     plab_obs::disable();
     let counted = FLEET_COUNTERS.map(plab_obs::metrics::counter);
-    let clean = [recorded.digest, fleet::point(pairs, threads, false).0.report.digest];
+    let clean = [
+        recorded.digest,
+        fleet::point(pairs, threads, false).0.report.digest,
+    ];
     let [a, b] = [(); 2].map(|()| fleet::point(pairs, threads, true).0.report);
     let replayed = a.digest == b.digest && a.events == b.events && a.summary == b.summary;
     vec![
         Check::counts("wakeups", &FLEET_COUNTERS.join(", "), counted, FLEET_COUNTS),
         Check::pinned("clean_pinned", &clean, PINNED_FLEET_CLEAN),
         Check::pinned("chaos_pinned", &[a.digest], PINNED_FLEET_CHAOS),
-        Check::new("chaos_replay_identical", replayed, format!("second run {:#018x}", b.digest)),
+        Check::new(
+            "chaos_replay_identical",
+            replayed,
+            format!("second run {:#018x}", b.digest),
+        ),
     ]
 }
 
@@ -487,11 +556,25 @@ const MAX_PASSES_PER_EVENT: f64 = 0.58;
 fn bwest_corpus(_: Duration) -> Vec<Check> {
     let [(errors, digest, per_event), (errors_b, digest_b, _)] = [(); 2].map(|()| {
         let (points, qlog, _) = bwest::run_corpus();
-        let errors: Vec<_> = points.iter().map(|p| (p.name, p.worst_error_pct())).collect();
-        (errors, fnv1a64(qlog.as_bytes()), bwest::passes_per_event(&points))
+        let errors: Vec<_> = points
+            .iter()
+            .map(|p| (p.name, p.worst_error_pct()))
+            .collect();
+        (
+            errors,
+            fnv1a64(qlog.as_bytes()),
+            bwest::passes_per_event(&points),
+        )
     });
-    let within = errors.iter().filter(|&&(_, e)| e <= bwest::TOLERANCE_PCT).count();
-    let (worst, err) = errors.iter().copied().max_by(|a, b| a.1.total_cmp(&b.1)).expect("a corpus");
+    let within = errors
+        .iter()
+        .filter(|&&(_, e)| e <= bwest::TOLERANCE_PCT)
+        .count();
+    let (worst, err) = errors
+        .iter()
+        .copied()
+        .max_by(|a, b| a.1.total_cmp(&b.1))
+        .expect("a corpus");
     let accuracy = format!(
         "{within}/{} topologies within {}% (bar {}), worst {worst} at {err:.1}%",
         errors.len(),
@@ -501,9 +584,17 @@ fn bwest_corpus(_: Duration) -> Vec<Check> {
     let replayed = digest == digest_b && errors == errors_b;
     vec![
         Check::new("within", within >= bwest::MIN_WITHIN, accuracy),
-        Check::new("replay_identical", replayed, format!("second pass {digest_b:#018x}")),
+        Check::new(
+            "replay_identical",
+            replayed,
+            format!("second pass {digest_b:#018x}"),
+        ),
         Check::pinned("pinned", &[digest], PINNED_BWEST_TRACE),
-        Check::new("passes_per_event", per_event <= MAX_PASSES_PER_EVENT, format!("{per_event:.3}")),
+        Check::new(
+            "passes_per_event",
+            per_event <= MAX_PASSES_PER_EVENT,
+            format!("{per_event:.3}"),
+        ),
     ]
 }
 
@@ -546,8 +637,12 @@ fn ctrl_mux(budget: Duration) -> Vec<Check> {
         let p = ctrl::point(sessions, CTRL_OPS);
         p.wall_secs / p.ops as f64
     };
-    let ([few, many], rounds) =
-        paired(budget, 2, || per_op(SCALE_SESSIONS[0]), || per_op(SCALE_SESSIONS[1]));
+    let ([few, many], rounds) = paired(
+        budget,
+        2,
+        || per_op(SCALE_SESSIONS[0]),
+        || per_op(SCALE_SESSIONS[1]),
+    );
     let passes = [(); 2].map(|()| ctrl::point(CTRL_SESSIONS, CTRL_OPS));
     let (mux, serial) = (passes[0], ctrl::point(1, CTRL_OPS));
     let speedup = mux.virtual_ops_per_sec() / serial.virtual_ops_per_sec();
@@ -598,9 +693,16 @@ impl Report {
         let mut out = String::new();
         for c in &self.checks {
             let mark = if c.pass { "ok  " } else { "FAIL" };
-            out.push_str(&format!("{} guard: {mark} {}: {}\n", self.guard, c.name, c.detail));
+            out.push_str(&format!(
+                "{} guard: {mark} {}: {}\n",
+                self.guard, c.name, c.detail
+            ));
         }
-        out + &format!("{}: {}\n", if self.pass() { "PASS" } else { "FAIL" }, self.guard)
+        out + &format!(
+            "{}: {}\n",
+            if self.pass() { "PASS" } else { "FAIL" },
+            self.guard
+        )
     }
 }
 
@@ -672,14 +774,20 @@ fn number(v: &str) -> Result<u64, String> {
 }
 
 fn non_negative(v: &str) -> Result<f64, String> {
-    let parsed = v.parse().ok().filter(|&v| Duration::try_from_secs_f64(v).is_ok());
+    let parsed = v
+        .parse()
+        .ok()
+        .filter(|&v| Duration::try_from_secs_f64(v).is_ok());
     parsed.ok_or_else(|| "a non-negative number".to_string())
 }
 
 /// The member of `all` that `name` calls `v`, or the names there are.
 fn one_of<T: Copy>(v: &str, all: &[T], name: impl Fn(&T) -> &'static str) -> Result<T, String> {
     let names = || all.iter().map(&name).collect::<Vec<_>>().join(", ");
-    all.iter().copied().find(|t| name(t) == v).ok_or_else(|| format!("one of {}", names()))
+    all.iter()
+        .copied()
+        .find(|t| name(t) == v)
+        .ok_or_else(|| format!("one of {}", names()))
 }
 
 /// One row of `repro`'s table: what `repro <name>` accepts. The bodies
@@ -696,31 +804,93 @@ pub struct Command {
 
 /// Every paper artifact, perf snapshot and harness `repro` runs.
 pub static COMMANDS: [Command; 16] = [
-    Command { name: "bandwidth", args: &[] },
-    Command { name: "bwest", args: &["--json"] },
+    Command {
+        name: "bandwidth",
+        args: &[],
+    },
+    Command {
+        name: "bwest",
+        args: &["--json"],
+    },
     Command {
         name: "chaos",
-        args: &["--scenario NAME", "--seed N", "--sweep N", "--base N", "--trace", "--json"],
+        args: &[
+            "--scenario NAME",
+            "--seed N",
+            "--sweep N",
+            "--base N",
+            "--trace",
+            "--json",
+        ],
     },
-    Command { name: "contention", args: &[] },
-    Command { name: "ctrl_scale", args: &["--json"] },
-    Command { name: "fig1", args: &[] },
-    Command { name: "fig2", args: &[] },
-    Command { name: "fleet", args: &["--sweep PAIRS,..", "--json"] },
-    Command { name: "fuzz", args: &["--target NAME", "--seed N", "--iters N", "--json"] },
-    Command { name: "guard", args: &["<guard>", "--secs S", "--json"] },
-    Command { name: "netsim_scale", args: &["--rounds N", "--json"] },
-    Command { name: "rendezvous", args: &["--json"] },
-    Command { name: "rtt_limitation", args: &[] },
-    Command { name: "table1", args: &["--json"] },
-    Command { name: "throughput", args: &["--secs S", "--json"] },
-    Command { name: "traceroute", args: &[] },
+    Command {
+        name: "contention",
+        args: &[],
+    },
+    Command {
+        name: "ctrl_scale",
+        args: &["--json"],
+    },
+    Command {
+        name: "fig1",
+        args: &[],
+    },
+    Command {
+        name: "fig2",
+        args: &[],
+    },
+    Command {
+        name: "fleet",
+        args: &["--sweep PAIRS,..", "--json"],
+    },
+    Command {
+        name: "fuzz",
+        args: &["--target NAME", "--seed N", "--iters N", "--json"],
+    },
+    Command {
+        name: "guard",
+        args: &["<guard>", "--secs S", "--json"],
+    },
+    Command {
+        name: "netsim_scale",
+        args: &["--rounds N", "--json"],
+    },
+    Command {
+        name: "rendezvous",
+        args: &["--json"],
+    },
+    Command {
+        name: "rtt_limitation",
+        args: &[],
+    },
+    Command {
+        name: "table1",
+        args: &["--json"],
+    },
+    Command {
+        name: "throughput",
+        args: &["--secs S", "--json"],
+    },
+    Command {
+        name: "traceroute",
+        args: &[],
+    },
 ];
 
 impl Command {
     fn usage(&self) -> String {
-        let arg = |a: &&str| if a.starts_with('<') { format!(" {a}") } else { format!(" [{a}]") };
-        format!("repro {}{}", self.name, self.args.iter().map(arg).collect::<String>())
+        let arg = |a: &&str| {
+            if a.starts_with('<') {
+                format!(" {a}")
+            } else {
+                format!(" [{a}]")
+            }
+        };
+        format!(
+            "repro {}{}",
+            self.name,
+            self.args.iter().map(arg).collect::<String>()
+        )
     }
 }
 
@@ -729,8 +899,15 @@ impl Command {
 /// of the row it was wrong for (of every row when none was named), ready
 /// for stderr and exit 2.
 pub fn parse(args: &[String]) -> Result<(&'static Command, Opts), String> {
-    let table = || COMMANDS.iter().map(|c| format!("\n  {}", c.usage())).collect::<String>();
-    let (name, rest) = args.split_first().ok_or_else(|| format!("usage:{}", table()))?;
+    let table = || {
+        COMMANDS
+            .iter()
+            .map(|c| format!("\n  {}", c.usage()))
+            .collect::<String>()
+    };
+    let (name, rest) = args
+        .split_first()
+        .ok_or_else(|| format!("usage:{}", table()))?;
     let command = COMMANDS
         .iter()
         .find(|c| c.name == name)
@@ -756,14 +933,19 @@ pub fn parse(args: &[String]) -> Result<(&'static Command, Opts), String> {
             "--sweep N" => number(v).map(|n| o.seeds = Some(n)),
             "--sweep PAIRS,.." => {
                 let sizes: Option<Vec<usize>> = v.split(',').map(|s| s.parse().ok()).collect();
-                sizes.map(|s| o.rosters = Some(s)).ok_or("comma-separated roster sizes".into())
+                sizes
+                    .map(|s| o.rosters = Some(s))
+                    .ok_or("comma-separated roster sizes".into())
             }
             "--scenario NAME" => {
                 one_of(v, &Scenario::all(), Scenario::name).map(|s| o.scenario = Some(s))
             }
             "--target NAME" => one_of(v, TARGETS, |t| *t).map(|t| o.target = Some(t)),
             "<guard>" => {
-                o.guards = GUARDS.iter().filter(|g| v == "all" || v == g.name).collect();
+                o.guards = GUARDS
+                    .iter()
+                    .filter(|g| v == "all" || v == g.name)
+                    .collect();
                 let names = || GUARDS.iter().map(|g| g.name).collect::<Vec<_>>().join(", ");
                 let takes = || format!("`all` or one of {}", names());
                 (!o.guards.is_empty()).then_some(()).ok_or_else(takes)
@@ -780,9 +962,19 @@ pub fn parse(args: &[String]) -> Result<(&'static Command, Opts), String> {
         set(operand, words.next().unwrap_or(""))?;
     }
     while let Some(word) = words.next() {
-        let arg = command.args.iter().find(|a| a.split(' ').next() == Some(word));
+        let arg = command
+            .args
+            .iter()
+            .find(|a| a.split(' ').next() == Some(word));
         let arg = arg.ok_or_else(|| bad(format!("unknown option `{word}`")))?;
-        set(arg, if arg.contains(' ') { words.next().unwrap_or("") } else { "" })?;
+        set(
+            arg,
+            if arg.contains(' ') {
+                words.next().unwrap_or("")
+            } else {
+                ""
+            },
+        )?;
     }
     Ok((command, o))
 }
@@ -792,7 +984,10 @@ pub fn run(opts: &Opts) -> i32 {
     let mut reports = Vec::new();
     for guard in &opts.guards {
         let budget = opts.secs.unwrap_or(Duration::from_secs_f64(guard.secs));
-        let report = Report { guard: guard.name, checks: (guard.checks)(budget) };
+        let report = Report {
+            guard: guard.name,
+            checks: (guard.checks)(budget),
+        };
         if !opts.json {
             print!("{}", report.text());
         }
@@ -862,16 +1057,31 @@ mod tests {
             Check::new("ratio", true, "said \"fine\"".into()),
             Check::pinned("pinned", &[1, 2], 1),
         ];
-        let reports = [Report { guard: "fleet", checks }];
+        let reports = [Report {
+            guard: "fleet",
+            checks,
+        }];
         let json = render_json(&reports);
-        assert_eq!(json_value(&json).map(str::trim), Some(""), "not JSON: {json}");
-        assert!(json.contains("\"check\": \"pinned\", \"pass\": false"), "{json}");
+        assert_eq!(
+            json_value(&json).map(str::trim),
+            Some(""),
+            "not JSON: {json}"
+        );
+        assert!(
+            json.contains("\"check\": \"pinned\", \"pass\": false"),
+            "{json}"
+        );
         assert!(json.ends_with("\"pass\": false\n}\n"), "{json}");
         assert_eq!(exit_code(&reports), 1);
         let text = reports[0].text();
         assert!(text.contains("FAIL pinned: 0x0000000000000002"), "{text}");
         assert!(text.ends_with("\nFAIL: fleet\n"), "{text}");
-        for bad in ["{\"a\": [1, tru]}", "{\"a\": 1 \"b\": 2}", "[1,]", "{\"a\": \"x}"] {
+        for bad in [
+            "{\"a\": [1, tru]}",
+            "{\"a\": 1 \"b\": 2}",
+            "[1,]",
+            "{\"a\": \"x}",
+        ] {
             assert!(json_value(bad).is_none(), "the validator accepts {bad}");
         }
     }
@@ -882,46 +1092,95 @@ mod tests {
             let args: Vec<String> = line.split_whitespace().map(String::from).collect();
             super::parse(&args).map(|(command, opts)| (command.name, opts))
         };
-        let rejected = |line: &str| parse(line).err().unwrap_or_else(|| panic!("`{line}` parsed"));
-        for name in ["throughput", "obs", "netsim", "netsim-shard", "fleet", "bwest", "ctrl"] {
-            assert!(rejected("guard nope").contains(name), "{}", rejected("guard nope"));
+        let rejected = |line: &str| {
+            parse(line)
+                .err()
+                .unwrap_or_else(|| panic!("`{line}` parsed"))
+        };
+        for name in [
+            "throughput",
+            "obs",
+            "netsim",
+            "netsim-shard",
+            "fleet",
+            "bwest",
+            "ctrl",
+        ] {
+            assert!(
+                rejected("guard nope").contains(name),
+                "{}",
+                rejected("guard nope")
+            );
         }
         for command in &COMMANDS {
             assert!(rejected("").contains(&command.usage()), "{}", rejected(""));
             assert!(rejected("nope").contains(&command.usage()));
         }
         let (name, opts) = parse("guard ctrl --secs 0.5 --json").expect("accepted");
-        assert_eq!((name, opts.guards[0].name, opts.guards.len()), ("guard", "ctrl", 1));
+        assert_eq!(
+            (name, opts.guards[0].name, opts.guards.len()),
+            ("guard", "ctrl", 1)
+        );
         assert!(opts.json && !opts.trace);
         assert_eq!(opts.secs, Some(Duration::from_millis(500)));
-        assert_eq!(parse("guard all").expect("accepted").1.guards.len(), GUARDS.len());
+        assert_eq!(
+            parse("guard all").expect("accepted").1.guards.len(),
+            GUARDS.len()
+        );
 
         // A flag that ends the line without its value, a value of the
         // wrong type and a flag of another row or of none (`--min-ratio`
         // is gone) all name the row's usage: the sixteen binaries indexed
         // past the end or panicked in `expect`.
         for line in [
-            "guard", "guard ctrl --secs -1", "guard ctrl --seed 1", "chaos --seed",
-            "chaos --scenario", "chaos --sweep 0xzz", "chaos --base 1 --trace --sweep",
-            "chaos extra", "fuzz --iters", "fuzz --iters many", "fuzz --seed --json",
-            "fleet --sweep 512,", "throughput --secs soon", "netsim_scale --rounds",
-            "table1 --secs 1", "guard ctrl --min-ratio 0.2",
+            "guard",
+            "guard ctrl --secs -1",
+            "guard ctrl --seed 1",
+            "chaos --seed",
+            "chaos --scenario",
+            "chaos --sweep 0xzz",
+            "chaos --base 1 --trace --sweep",
+            "chaos extra",
+            "fuzz --iters",
+            "fuzz --iters many",
+            "fuzz --seed --json",
+            "fleet --sweep 512,",
+            "throughput --secs soon",
+            "netsim_scale --rounds",
+            "table1 --secs 1",
+            "guard ctrl --min-ratio 0.2",
         ] {
             let usage = format!("usage: repro {}", line.split(' ').next().unwrap());
-            assert!(rejected(line).contains(&usage), "`{line}`: {}", rejected(line));
+            assert!(
+                rejected(line).contains(&usage),
+                "`{line}`: {}",
+                rejected(line)
+            );
         }
         // Valid names come from the tables the bodies run, not a list here.
         for scenario in Scenario::all() {
             assert!(rejected("chaos --scenario nope").contains(scenario.name()));
-            let line = format!("chaos --scenario {} --seed 0x5eed0000 --sweep 40", scenario.name());
+            let line = format!(
+                "chaos --scenario {} --seed 0x5eed0000 --sweep 40",
+                scenario.name()
+            );
             let (_, opts) = parse(&line).expect("accepted");
             let numbers = (opts.seed, opts.seeds, opts.base);
-            assert_eq!((opts.scenario, numbers), (Some(scenario), (Some(0x5eed_0000), Some(40), None)));
+            assert_eq!(
+                (opts.scenario, numbers),
+                (Some(scenario), (Some(0x5eed_0000), Some(40), None))
+            );
         }
         for target in TARGETS {
             assert!(rejected("fuzz --target nope").contains(target));
-            assert_eq!(parse(&format!("fuzz --target {target}")).unwrap().1.target, Some(*target));
+            assert_eq!(
+                parse(&format!("fuzz --target {target}")).unwrap().1.target,
+                Some(*target)
+            );
         }
-        assert_eq!(parse("fleet --sweep 512,1024").unwrap().1.rosters, Some(vec![512, 1024]));
+        assert_eq!(
+            parse("fleet --sweep 512,1024").unwrap().1.rosters,
+            Some(vec![512, 1024])
+        );
     }
 }

@@ -13,7 +13,7 @@ use packetlab::descriptor::ExperimentDescriptor;
 use packetlab::endpoint::EndpointConfig;
 use packetlab::harness::{SimChannel, SimNet};
 use packetlab::monitor::MonitorSet;
-use plab_crypto::{Keypair, KeyHash};
+use plab_crypto::{KeyHash, Keypair};
 use plab_netsim::{LinkParams, NodeId, TopologyBuilder};
 use std::cell::RefCell;
 use std::net::Ipv4Addr;
@@ -93,7 +93,13 @@ pub fn credentials(world: &World, restrictions: Restrictions, priority: u8) -> C
         info_url: String::new(),
         experimenter: KeyHash::of(&experimenter.public),
     };
-    Credentials::issue(&world.operator, &experimenter, descriptor, restrictions, priority)
+    Credentials::issue(
+        &world.operator,
+        &experimenter,
+        descriptor,
+        restrictions,
+        priority,
+    )
 }
 
 /// Connect an authenticated controller.
@@ -149,10 +155,14 @@ uint32_t recv(const union packet * pkt, uint32_t len) {
 pub fn figure2_fixture() -> (Vec<u8>, Vec<u8>, Vec<u8>) {
     let me: Ipv4Addr = "10.0.0.1".parse().unwrap();
     let mut info = vec![0u8; plab_packet::layout::INFO_SIZE];
-    plab_packet::layout::resolve_info("addr.ip").unwrap().write_le(&mut info, u32::from(me) as u64);
+    plab_packet::layout::resolve_info("addr.ip")
+        .unwrap()
+        .write_le(&mut info, u32::from(me) as u64);
     let probe =
         plab_packet::builder::icmp_echo_request(me, "10.0.99.1".parse().unwrap(), 5, 1, 1, &[0, 1]);
-    let encoded = plab_cpf::compile(FIGURE2_MONITOR).expect("Figure 2 compiles").encode();
+    let encoded = plab_cpf::compile(FIGURE2_MONITOR)
+        .expect("Figure 2 compiles")
+        .encode();
     (encoded, probe, info)
 }
 
@@ -290,7 +300,10 @@ pub mod netsim_scale {
 
     /// Build the `n`-host world. `n` must be a multiple of 16.
     pub fn build(n: usize) -> ScaleWorld {
-        assert!(n >= 16 && n.is_multiple_of(16), "host count must be a multiple of 16");
+        assert!(
+            n >= 16 && n.is_multiple_of(16),
+            "host count must be a multiple of 16"
+        );
         let routers = n / 16;
         let mut t = TopologyBuilder::new();
         let router_ids: Vec<NodeId> = (0..routers)
@@ -305,13 +318,22 @@ pub mod netsim_scale {
                 let h = t.host(&format!("h{i}"), host_addr(i));
                 // Access latency varies 1–5 ms so arrivals spread across
                 // wheel slots instead of landing in lockstep.
-                t.link(h, router_ids[i / 16], LinkParams::new(1 + (i as u64 % 5), 0));
+                t.link(
+                    h,
+                    router_ids[i / 16],
+                    LinkParams::new(1 + (i as u64 % 5), 0),
+                );
                 h
             })
             .collect();
         let mut sim = t.build();
         let socks = hosts.iter().map(|&h| sim.raw_open(h)).collect();
-        ScaleWorld { sim, hosts, socks, n }
+        ScaleWorld {
+            sim,
+            hosts,
+            socks,
+            n,
+        }
     }
 
     /// Schedule every host's probe burst. Each host `i` probes its
@@ -327,7 +349,9 @@ pub mod netsim_scale {
                 let at = ((i * 7919 + j * 104_729) % 50) as u64 * MILLISECOND;
                 let pkt =
                     builder::icmp_echo_request(src, dst, 64, i as u16, j as u16, &[0xab, 0xcd]);
-                world.sim.schedule_send(world.hosts[i], at, pkt, (i * 10 + j) as u64);
+                world
+                    .sim
+                    .schedule_send(world.hosts[i], at, pkt, (i * 10 + j) as u64);
             }
         }
     }
@@ -407,7 +431,12 @@ pub mod netsim_scale {
     /// Host `i`'s address in the pod world (distinct 10.128+ space so
     /// the chain world's helpers cannot be confused with it).
     fn pod_host_addr(i: usize) -> Ipv4Addr {
-        Ipv4Addr::new(10, 128 + (i / 40_000) as u8, ((i / 200) % 200) as u8, (i % 200) as u8 + 1)
+        Ipv4Addr::new(
+            10,
+            128 + (i / 40_000) as u8,
+            ((i / 200) % 200) as u8,
+            (i % 200) as u8 + 1,
+        )
     }
 
     /// Build the `n`-host pod world over `shards` shards. `n` must be a
@@ -422,7 +451,12 @@ pub mod netsim_scale {
         t.manual_routes();
         let core = t.router("core", Ipv4Addr::new(11, 255, 255, 254));
         let pod_ids: Vec<NodeId> = (0..pods)
-            .map(|p| t.router(&format!("p{p}"), Ipv4Addr::new(11, (p / 200) as u8, (p % 200) as u8, 254)))
+            .map(|p| {
+                t.router(
+                    &format!("p{p}"),
+                    Ipv4Addr::new(11, (p / 200) as u8, (p % 200) as u8, 254),
+                )
+            })
             .collect();
         // Pod uplinks first: core's iface p reaches pod p, and each pod
         // router's iface 0 is its uplink.
@@ -434,7 +468,11 @@ pub mod netsim_scale {
                 let h = t.host(&format!("h{i}"), pod_host_addr(i));
                 // 1–5 ms access latency spreads arrivals across wheel
                 // slots; host j of its pod lands on the pod's iface 1+j.
-                t.link(h, pod_ids[i / POD_HOSTS], LinkParams::new(1 + (i as u64 % 5), 0));
+                t.link(
+                    h,
+                    pod_ids[i / POD_HOSTS],
+                    LinkParams::new(1 + (i as u64 % 5), 0),
+                );
                 h
             })
             .collect();
@@ -462,7 +500,13 @@ pub mod netsim_scale {
             }
         }
         let socks = hosts.iter().map(|&h| sim.raw_open(h)).collect();
-        PodWorld { sim, hosts, socks, n, pods }
+        PodWorld {
+            sim,
+            hosts,
+            socks,
+            n,
+            pods,
+        }
     }
 
     /// What building a pod world costs.
@@ -478,7 +522,9 @@ pub mod netsim_scale {
     fn vm_rss_kb() -> u64 {
         let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
         let field = status.lines().find_map(|l| l.strip_prefix("VmRSS:"));
-        field.and_then(|f| f.split_whitespace().next()?.parse().ok()).unwrap_or(0)
+        field
+            .and_then(|f| f.split_whitespace().next()?.parse().ok())
+            .unwrap_or(0)
     }
 
     /// Build cost of the `n`-host pod world on `shards` shards, measured
@@ -540,7 +586,9 @@ pub mod netsim_scale {
                 let at = ((i * 7919 + j * 104_729) % 50) as u64 * MILLISECOND;
                 let pkt =
                     builder::icmp_echo_request(src, dst, 64, i as u16, j as u16, &[0xab, 0xcd]);
-                world.sim.schedule_send(world.hosts[i], at, pkt, (i * 10 + j) as u64);
+                world
+                    .sim
+                    .schedule_send(world.hosts[i], at, pkt, (i * 10 + j) as u64);
             }
         }
     }
@@ -554,7 +602,10 @@ pub mod netsim_scale {
         // round trip; one virtual second covers every retransmit-free
         // timeline, and the idle check proves nothing is left.
         world.sim.run_until(SECOND);
-        assert!(world.sim.next_event_time().is_none(), "pod world still busy");
+        assert!(
+            world.sim.next_event_time().is_none(),
+            "pod world still busy"
+        );
         let mut delivered = 0usize;
         for (i, &h) in world.hosts.iter().enumerate() {
             delivered += world.sim.raw_recv(h, world.socks[i]).len();
@@ -589,7 +640,11 @@ pub mod netsim_scale {
                 let (events, _, world) = super::round_pods(1024, 4, threads);
                 for (shard, pool) in world.sim.pool_handles().iter().enumerate() {
                     assert!(pool.taken() > 0, "shard {shard} moved no packet");
-                    assert_eq!(pool.taken(), pool.recycled(), "shard {shard} is owed frames");
+                    assert_eq!(
+                        pool.taken(),
+                        pool.recycled(),
+                        "shard {shard} is owed frames"
+                    );
                 }
                 assert_eq!(events, EVENTS, "on {threads} threads");
             }
@@ -626,7 +681,11 @@ pub mod fleet {
     /// Worker threads for the sharded advance: the shard count, capped by
     /// the machine. Wall time varies with this; the report does not.
     pub fn threads() -> usize {
-        SHARDS.min(std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1))
+        SHARDS.min(
+            std::thread::available_parallelism()
+                .map(|p| p.get())
+                .unwrap_or(1),
+        )
     }
 
     /// The experiment fanned over the fleet: the §4 ping built on the
@@ -668,7 +727,13 @@ pub mod fleet {
     pub fn point(pairs: usize, threads: usize, chaos: bool) -> (FleetRun, f64) {
         let operator = Keypair::from_seed(&[31; 32]);
         let experimenter = Keypair::from_seed(&[32; 32]);
-        let roster = RosterSpec { pairs, shards: SHARDS, threads, seed: SEED, access_mbps: 0 };
+        let roster = RosterSpec {
+            pairs,
+            shards: SHARDS,
+            threads,
+            seed: SEED,
+            access_mbps: 0,
+        };
         let mut world = build_fleet(&roster, &operator);
         if chaos {
             schedule_fleet_faults(&mut world, &fault_plan());
@@ -740,7 +805,9 @@ pub mod bwest {
 
         /// Worst absolute relative error across destinations, percent.
         pub fn worst_error_pct(&self) -> f64 {
-            (0..self.truth.len()).map(|i| self.error_pct(i).abs()).fold(0.0, f64::max)
+            (0..self.truth.len())
+                .map(|i| self.error_pct(i).abs())
+                .fold(0.0, f64::max)
         }
     }
 
@@ -777,8 +844,13 @@ pub mod bwest {
             info_url: String::new(),
             experimenter: KeyHash::of(&experimenter.public),
         };
-        let creds =
-            Credentials::issue(&operator, &experimenter, descriptor, Restrictions::none(), 10);
+        let creds = Credentials::issue(
+            &operator,
+            &experimenter,
+            descriptor,
+            Restrictions::none(),
+            10,
+        );
         let dialer = SimDialer::new(&net, w.controller, w.endpoint_addr);
         // Burst-loss entries can stall the control channel through several
         // doubling RTOs (200 ms → 12.8 s cumulative); a patient per-request
@@ -791,14 +863,18 @@ pub mod bwest {
             unreachable_budget: 600_000_000_000,
             ..Default::default()
         };
-        let mut ctrl = RobustController::connect(dialer, creds, policy)
-            .expect("bwest world authenticates");
+        let mut ctrl =
+            RobustController::connect(dialer, creds, policy).expect("bwest world authenticates");
         let dests: Vec<_> = w.dests.iter().map(|&(_, addr)| addr).collect();
-        let report = estimate_path_bandwidth(&mut ctrl, &dests)
-            .expect("bwest suite completes");
+        let report = estimate_path_bandwidth(&mut ctrl, &dests).expect("bwest suite completes");
         drop(ctrl);
         let events = net.borrow().sim.events_processed();
-        BwestPoint { name: spec.name, truth: w.ground_truth, report, events }
+        BwestPoint {
+            name: spec.name,
+            truth: w.ground_truth,
+            report,
+            events,
+        }
     }
 
     /// `harness.passes` over the points' events, after [`run_corpus`].
@@ -856,7 +932,11 @@ pub mod reportjson {
     /// when the tree has uncommitted changes, `unknown` outside git).
     fn machine_members() -> String {
         let cores = cores();
-        let profile = if cfg!(debug_assertions) { "debug" } else { "release" };
+        let profile = if cfg!(debug_assertions) {
+            "debug"
+        } else {
+            "release"
+        };
         let commit = std::process::Command::new("git")
             .args(["describe", "--always", "--dirty"])
             .output()
@@ -873,7 +953,10 @@ pub mod reportjson {
     /// human note saying where it went. `members` is the rest of the
     /// object, from its first member's indent to the closing brace.
     pub fn emit_report(bench: &str, path: &str, members: &str, json: bool) {
-        let report = format!("{{\n  \"bench\": \"{bench}\",\n  {},\n{members}", machine_members());
+        let report = format!(
+            "{{\n  \"bench\": \"{bench}\",\n  {},\n{members}",
+            machine_members()
+        );
         std::fs::write(path, &report).unwrap_or_else(|e| panic!("write {path}: {e}"));
         if json {
             print!("{report}");

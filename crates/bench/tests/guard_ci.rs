@@ -31,7 +31,10 @@ fn read(doc: &str) -> String {
 fn dry_parse(doc: &str, command: &str) -> Option<String> {
     let args: Vec<String> = command.split_whitespace().map(String::from).collect();
     let usage = parse(&args).err()?;
-    Some(format!("{doc}: `repro {command}`: {}", usage.lines().next().unwrap_or_default()))
+    Some(format!(
+        "{doc}: `repro {command}`: {}",
+        usage.lines().next().unwrap_or_default()
+    ))
 }
 
 #[test]
@@ -42,7 +45,13 @@ fn ci_runs_exactly_the_guards_in_the_table() {
     // own `${{ matrix.guard }}` is a reference to the rows, not a name.
     let row = |l: &str| l.trim().strip_prefix("- guard: ").map(str::to_string);
     let invoked = |l: &str| {
-        Some(l.split_once("-p plab-bench -- guard ")?.1.split(' ').next()?.to_string())
+        Some(
+            l.split_once("-p plab-bench -- guard ")?
+                .1
+                .split(' ')
+                .next()?
+                .to_string(),
+        )
     };
     let mut in_ci: Vec<String> = ci
         .lines()
@@ -52,13 +61,22 @@ fn ci_runs_exactly_the_guards_in_the_table() {
     in_ci.sort_unstable();
     let mut in_table: Vec<&str> = GUARDS.iter().map(|g| g.name).collect();
     in_table.sort_unstable();
-    assert_eq!(in_ci, in_table, "ci.yml and plab_bench::guard::GUARDS name different guards");
+    assert_eq!(
+        in_ci, in_table,
+        "ci.yml and plab_bench::guard::GUARDS name different guards"
+    );
 
     for (at, line) in ci.lines().enumerate() {
         let Some(guard) = row(line) else { continue };
-        let flags = ci.lines().skip(at).find_map(|l| l.trim().strip_prefix("flags: "));
+        let flags = ci
+            .lines()
+            .skip(at)
+            .find_map(|l| l.trim().strip_prefix("flags: "));
         let flags = flags.expect("every matrix row has flags").trim_matches('"');
-        assert_eq!(dry_parse(CI, &format!("guard {guard} {flags} --json")), None);
+        assert_eq!(
+            dry_parse(CI, &format!("guard {guard} {flags} --json")),
+            None
+        );
     }
 }
 
@@ -92,7 +110,10 @@ fn every_documented_command_parses_and_no_replaced_spelling_remains() {
         for command in commands(&text) {
             // `repro <name> [flags]` describes commands; the matrix step
             // is expanded row by row above.
-            if command.split_whitespace().any(|w| w.starts_with(['<', '[', '…']) || w == "${{") {
+            if command
+                .split_whitespace()
+                .any(|w| w.starts_with(['<', '[', '…']) || w == "${{")
+            {
                 continue;
             }
             // A shell variable stands where CI computes a seed.
@@ -112,7 +133,9 @@ fn every_documented_command_parses_and_no_replaced_spelling_remains() {
                 && after[name.len()..].starts_with(".txt")
                 && COMMANDS.iter().any(|c| c.name == name);
             if !is_result {
-                wrong.push(format!("{doc}: `repro_{name}` names a binary `repro` replaced"));
+                wrong.push(format!(
+                    "{doc}: `repro_{name}` names a binary `repro` replaced"
+                ));
             }
             rest = after;
         }
@@ -130,25 +153,52 @@ fn every_documented_command_parses_and_no_replaced_spelling_remains() {
             }
         }
     }
-    assert!(wrong.is_empty(), "does not run as written:\n{}", wrong.join("\n"));
-    assert!(seen > 100, "the scan found only {seen} commands: it has stopped seeing them");
+    assert!(
+        wrong.is_empty(),
+        "does not run as written:\n{}",
+        wrong.join("\n")
+    );
+    assert!(
+        seen > 100,
+        "the scan found only {seen} commands: it has stopped seeing them"
+    );
 }
 
 #[test]
 fn a_bad_command_line_exits_2_with_usage_on_stderr() {
     let repro = |args: &[&str]| {
-        let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro")).args(args).output();
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .output();
         let out = out.expect("run repro");
-        (out.status.code(), out.stdout, String::from_utf8(out.stderr).expect("utf-8"))
+        (
+            out.status.code(),
+            out.stdout,
+            String::from_utf8(out.stderr).expect("utf-8"),
+        )
     };
     let (code, stdout, stderr) = repro(&[]);
     assert_eq!((code, stdout.is_empty()), (Some(2), true), "{stderr}");
     for command in &COMMANDS {
-        assert!(stderr.contains(&format!("repro {}", command.name)), "{stderr}");
+        assert!(
+            stderr.contains(&format!("repro {}", command.name)),
+            "{stderr}"
+        );
     }
-    for args in [&["chaos", "--seed"][..], &["fuzz", "--iters"], &["fuzz", "--target", "nope"]] {
+    for args in [
+        &["chaos", "--seed"][..],
+        &["fuzz", "--iters"],
+        &["fuzz", "--target", "nope"],
+    ] {
         let (code, stdout, stderr) = repro(args);
-        assert_eq!((code, stdout.is_empty()), (Some(2), true), "{args:?}: {stderr}");
-        assert!(stderr.contains(&format!("usage: repro {}", args[0])), "{args:?}: {stderr}");
+        assert_eq!(
+            (code, stdout.is_empty()),
+            (Some(2), true),
+            "{args:?}: {stderr}"
+        );
+        assert!(
+            stderr.contains(&format!("usage: repro {}", args[0])),
+            "{args:?}: {stderr}"
+        );
     }
 }

@@ -11,7 +11,9 @@ use std::path::{Path, PathBuf};
 
 /// Every `.rs` file under `dir`, with its text.
 fn sources(dir: &Path, out: &mut Vec<(PathBuf, String)>) {
-    let Ok(entries) = fs::read_dir(dir) else { return };
+    let Ok(entries) = fs::read_dir(dir) else {
+        return;
+    };
     for entry in entries {
         let path = entry.expect("read dir entry").path();
         if path.is_dir() {
@@ -67,14 +69,25 @@ fn every_declared_dependency_is_named_by_its_package() {
             }
         }
     }
-    assert!(unused.is_empty(), "declared but never named:\n{}", unused.join("\n"));
+    assert!(
+        unused.is_empty(),
+        "declared but never named:\n{}",
+        unused.join("\n")
+    );
 }
 
 #[test]
 fn no_core_source_file_is_over_1500_lines() {
     let mut files = Vec::new();
-    sources(&Path::new(env!("CARGO_MANIFEST_DIR")).join("../core/src"), &mut files);
-    assert!(files.len() > 10, "walked the wrong directory: {} files", files.len());
+    sources(
+        &Path::new(env!("CARGO_MANIFEST_DIR")).join("../core/src"),
+        &mut files,
+    );
+    assert!(
+        files.len() > 10,
+        "walked the wrong directory: {} files",
+        files.len()
+    );
     let long: Vec<String> = files
         .iter()
         .map(|(path, text)| (path, text.lines().count()))

@@ -11,7 +11,7 @@
 //! chain (they can only tighten): validity period, experiment monitor,
 //! buffer space limit, and maximum priority — exactly the paper's list.
 
-use plab_crypto::{sha256, Keypair, KeyHash, PublicKey, Signature};
+use plab_crypto::{sha256, KeyHash, Keypair, PublicKey, Signature};
 use std::collections::HashMap;
 
 /// Optional restrictions on certificate applicability (§3.3: "validity
@@ -99,7 +99,13 @@ impl Restrictions {
             1 => Some(take(r, 1)?[0]),
             _ => return None,
         };
-        Some(Restrictions { not_before, not_after, monitor, max_buffer_bytes, max_priority })
+        Some(Restrictions {
+            not_before,
+            not_after,
+            monitor,
+            max_buffer_bytes,
+            max_priority,
+        })
     }
 }
 
@@ -181,7 +187,11 @@ impl std::error::Error for CertError {}
 
 impl Certificate {
     /// The canonical bytes covered by the signature.
-    fn signed_bytes(signer: &KeyHash, payload: &CertPayload, restrictions: &Restrictions) -> Vec<u8> {
+    fn signed_bytes(
+        signer: &KeyHash,
+        payload: &CertPayload,
+        restrictions: &Restrictions,
+    ) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(b"PLCERT\x01");
         out.extend_from_slice(&signer.0);
@@ -196,7 +206,12 @@ impl Certificate {
         let signer_hash = KeyHash::of(&signer.public);
         let body = Self::signed_bytes(&signer_hash, &payload, &restrictions);
         let signature = signer.sign(&body);
-        Certificate { signer: signer_hash, payload, restrictions, signature }
+        Certificate {
+            signer: signer_hash,
+            payload,
+            restrictions,
+            signature,
+        }
     }
 
     /// Verify this certificate's signature against the signer's key.
@@ -252,7 +267,12 @@ impl Certificate {
         }
         // SAFETY-COMMENT: `r` is exactly 64 bytes per the check above.
         let signature = Signature::from_bytes(r.try_into().unwrap());
-        Ok(Certificate { signer, payload, restrictions, signature })
+        Ok(Certificate {
+            signer,
+            payload,
+            restrictions,
+            signature,
+        })
     }
 }
 
@@ -313,7 +333,14 @@ pub fn verify_chain(
     descriptor_hash: &sha256::Digest256,
     now: u64,
 ) -> Result<EffectiveRestrictions, CertError> {
-    walk_chain(chain, keys, trusted, descriptor_hash, now, plab_crypto::ed25519::verify)
+    walk_chain(
+        chain,
+        keys,
+        trusted,
+        descriptor_hash,
+        now,
+        plab_crypto::ed25519::verify,
+    )
 }
 
 /// [`verify_chain`] with the curve equation of each signature check left to
@@ -406,9 +433,14 @@ impl SigMemo {
         descriptor_hash: &sha256::Digest256,
         now: u64,
     ) -> Result<EffectiveRestrictions, CertError> {
-        walk_chain(chain, keys, trusted, descriptor_hash, now, |key, body, signature| {
-            self.verify(key, body, signature)
-        })
+        walk_chain(
+            chain,
+            keys,
+            trusted,
+            descriptor_hash,
+            now,
+            |key, body, signature| self.verify(key, body, signature),
+        )
     }
 
     fn verify(&mut self, key: &PublicKey, body: &[u8], signature: &Signature) -> bool {
@@ -488,9 +520,7 @@ pub fn verify_cert_set(
         visited.push(*key);
         if let Some(certs) = delegators.get(key) {
             for cert in certs {
-                if let Some(mut path) =
-                    authorize(&cert.signer, trusted, delegators, visited)
-                {
+                if let Some(mut path) = authorize(&cert.signer, trusted, delegators, visited) {
                     path.push(cert.restrictions.clone());
                     return Some(path);
                 }
@@ -501,7 +531,9 @@ pub fn verify_cert_set(
 
     let mut last_err = CertError::Untrusted;
     for cert in certs {
-        let CertPayload::Experiment(d) = &cert.payload else { continue };
+        let CertPayload::Experiment(d) = &cert.payload else {
+            continue;
+        };
         if d != descriptor_hash {
             last_err = CertError::WrongDescriptor;
             continue;
@@ -578,7 +610,11 @@ mod tests {
     #[test]
     fn signature_verifies_and_tamper_detected() {
         let op = kp(1);
-        let cert = Certificate::sign(&op, CertPayload::Delegation(KeyHash([5; 32])), Restrictions::none());
+        let cert = Certificate::sign(
+            &op,
+            CertPayload::Delegation(KeyHash([5; 32])),
+            Restrictions::none(),
+        );
         assert!(cert.verify_signature(&op.public));
         let mut tampered = cert.clone();
         tampered.restrictions.max_priority = Some(255);
@@ -609,7 +645,11 @@ mod tests {
         // experimenter can ask the endpoint operator to sign an experiment
         // descriptor for each experiment").
         let op = kp(1);
-        let cert = Certificate::sign(&op, CertPayload::Experiment(dhash(b"d")), Restrictions::none());
+        let cert = Certificate::sign(
+            &op,
+            CertPayload::Experiment(dhash(b"d")),
+            Restrictions::none(),
+        );
         let keys = key_map(&[op.public]);
         verify_chain(&[cert], &keys, &[KeyHash::of(&op.public)], &dhash(b"d"), 0).unwrap();
     }
@@ -619,7 +659,13 @@ mod tests {
         let op = kp(1);
         let exp = kp(2);
         let (chain, keys) = standard_chain(&op, &exp, b"d", Restrictions::none());
-        let err = verify_chain(&chain, &keys, &[KeyHash::of(&kp(9).public)], &dhash(b"d"), 0);
+        let err = verify_chain(
+            &chain,
+            &keys,
+            &[KeyHash::of(&kp(9).public)],
+            &dhash(b"d"),
+            0,
+        );
         assert_eq!(err, Err(CertError::Untrusted));
     }
 
@@ -628,7 +674,13 @@ mod tests {
         let op = kp(1);
         let exp = kp(2);
         let (chain, keys) = standard_chain(&op, &exp, b"d", Restrictions::none());
-        let err = verify_chain(&chain, &keys, &[KeyHash::of(&op.public)], &dhash(b"other"), 0);
+        let err = verify_chain(
+            &chain,
+            &keys,
+            &[KeyHash::of(&op.public)],
+            &dhash(b"other"),
+            0,
+        );
         assert_eq!(err, Err(CertError::WrongDescriptor));
     }
 
@@ -689,12 +741,18 @@ mod tests {
         let c1 = Certificate::sign(
             &op,
             CertPayload::Delegation(KeyHash::of(&lead.public)),
-            Restrictions { max_priority: Some(100), ..Default::default() },
+            Restrictions {
+                max_priority: Some(100),
+                ..Default::default()
+            },
         );
         let c2 = Certificate::sign(
             &lead,
             CertPayload::Delegation(KeyHash::of(&student.public)),
-            Restrictions { max_priority: Some(50), ..Default::default() },
+            Restrictions {
+                max_priority: Some(50),
+                ..Default::default()
+            },
         );
         let c3 = Certificate::sign(
             &student,
@@ -740,8 +798,14 @@ mod tests {
             },
         );
         let keys = key_map(&[op.public, exp.public]);
-        let eff = verify_chain(&[deleg, leaf], &keys, &[KeyHash::of(&op.public)], &dhash(b"d"), 500)
-            .unwrap();
+        let eff = verify_chain(
+            &[deleg, leaf],
+            &keys,
+            &[KeyHash::of(&op.public)],
+            &dhash(b"d"),
+            500,
+        )
+        .unwrap();
         assert_eq!(eff.not_before, Some(200));
         assert_eq!(eff.not_after, Some(1000));
         assert_eq!(eff.monitors, vec![vec![1], vec![2]]);
@@ -757,7 +821,10 @@ mod tests {
             &op,
             &exp,
             b"d",
-            Restrictions { not_after: Some(100), ..Default::default() },
+            Restrictions {
+                not_after: Some(100),
+                ..Default::default()
+            },
         );
         let err = verify_chain(&chain, &keys, &[KeyHash::of(&op.public)], &dhash(b"d"), 200);
         assert_eq!(err, Err(CertError::Expired));
@@ -766,7 +833,10 @@ mod tests {
             &op,
             &exp,
             b"d",
-            Restrictions { not_before: Some(100), ..Default::default() },
+            Restrictions {
+                not_before: Some(100),
+                ..Default::default()
+            },
         );
         let err = verify_chain(&chain, &keys, &[KeyHash::of(&op.public)], &dhash(b"d"), 50);
         assert_eq!(err, Err(CertError::Expired));
@@ -777,7 +847,11 @@ mod tests {
         assert!(Certificate::decode(&[]).is_err());
         assert!(Certificate::decode(b"PLCERT\x01short").is_err());
         let op = kp(1);
-        let cert = Certificate::sign(&op, CertPayload::Delegation(KeyHash([0; 32])), Restrictions::none());
+        let cert = Certificate::sign(
+            &op,
+            CertPayload::Delegation(KeyHash([0; 32])),
+            Restrictions::none(),
+        );
         let mut enc = cert.encode();
         enc.truncate(enc.len() - 1);
         assert!(Certificate::decode(&enc).is_err());
@@ -796,7 +870,11 @@ mod tests {
         let rv_op = kp(1);
         let ep_op = kp(2);
         let exp = kp(3);
-        let leaf = Certificate::sign(&exp, CertPayload::Experiment(dhash(b"d")), Restrictions::none());
+        let leaf = Certificate::sign(
+            &exp,
+            CertPayload::Experiment(dhash(b"d")),
+            Restrictions::none(),
+        );
         let rv_deleg = Certificate::sign(
             &rv_op,
             CertPayload::Delegation(KeyHash::of(&exp.public)),
@@ -805,16 +883,31 @@ mod tests {
         let ep_deleg = Certificate::sign(
             &ep_op,
             CertPayload::Delegation(KeyHash::of(&exp.public)),
-            Restrictions { max_priority: Some(7), ..Default::default() },
+            Restrictions {
+                max_priority: Some(7),
+                ..Default::default()
+            },
         );
         let keys = key_map(&[rv_op.public, ep_op.public, exp.public]);
         // Bundle in scrambled order; trusted = rendezvous operator.
         let bundle = vec![leaf.clone(), ep_deleg.clone(), rv_deleg.clone()];
-        verify_cert_set(&bundle, &keys, &[KeyHash::of(&rv_op.public)], &dhash(b"d"), 0).unwrap();
+        verify_cert_set(
+            &bundle,
+            &keys,
+            &[KeyHash::of(&rv_op.public)],
+            &dhash(b"d"),
+            0,
+        )
+        .unwrap();
         // Same bundle also validates against the endpoint operator root.
-        let eff =
-            verify_cert_set(&bundle, &keys, &[KeyHash::of(&ep_op.public)], &dhash(b"d"), 0)
-                .unwrap();
+        let eff = verify_cert_set(
+            &bundle,
+            &keys,
+            &[KeyHash::of(&ep_op.public)],
+            &dhash(b"d"),
+            0,
+        )
+        .unwrap();
         assert_eq!(eff.max_priority, Some(7), "restrictions from the used path");
     }
 
@@ -822,7 +915,11 @@ mod tests {
     fn cert_set_rejects_when_no_path_to_trust() {
         let op = kp(1);
         let exp = kp(3);
-        let leaf = Certificate::sign(&exp, CertPayload::Experiment(dhash(b"d")), Restrictions::none());
+        let leaf = Certificate::sign(
+            &exp,
+            CertPayload::Experiment(dhash(b"d")),
+            Restrictions::none(),
+        );
         let keys = key_map(&[op.public, exp.public]);
         let err = verify_cert_set(&[leaf], &keys, &[KeyHash::of(&op.public)], &dhash(b"d"), 0);
         assert_eq!(err, Err(CertError::Untrusted));
@@ -838,7 +935,11 @@ mod tests {
             Restrictions::none(),
         );
         deleg.restrictions.max_priority = Some(255); // tamper
-        let leaf = Certificate::sign(&exp, CertPayload::Experiment(dhash(b"d")), Restrictions::none());
+        let leaf = Certificate::sign(
+            &exp,
+            CertPayload::Experiment(dhash(b"d")),
+            Restrictions::none(),
+        );
         let keys = key_map(&[op.public, exp.public]);
         let err = verify_cert_set(
             &[deleg, leaf],
@@ -857,10 +958,26 @@ mod tests {
         let a = kp(1);
         let b = kp(2);
         let exp = kp(3);
-        let c1 = Certificate::sign(&a, CertPayload::Delegation(KeyHash::of(&b.public)), Restrictions::none());
-        let c2 = Certificate::sign(&b, CertPayload::Delegation(KeyHash::of(&a.public)), Restrictions::none());
-        let c3 = Certificate::sign(&b, CertPayload::Delegation(KeyHash::of(&exp.public)), Restrictions::none());
-        let leaf = Certificate::sign(&exp, CertPayload::Experiment(dhash(b"d")), Restrictions::none());
+        let c1 = Certificate::sign(
+            &a,
+            CertPayload::Delegation(KeyHash::of(&b.public)),
+            Restrictions::none(),
+        );
+        let c2 = Certificate::sign(
+            &b,
+            CertPayload::Delegation(KeyHash::of(&a.public)),
+            Restrictions::none(),
+        );
+        let c3 = Certificate::sign(
+            &b,
+            CertPayload::Delegation(KeyHash::of(&exp.public)),
+            Restrictions::none(),
+        );
+        let leaf = Certificate::sign(
+            &exp,
+            CertPayload::Experiment(dhash(b"d")),
+            Restrictions::none(),
+        );
         let keys = key_map(&[a.public, b.public, exp.public]);
         let err = verify_cert_set(
             &[c1.clone(), c2, c3.clone(), leaf.clone()],
@@ -888,9 +1005,16 @@ mod tests {
         let deleg = Certificate::sign(
             &op,
             CertPayload::Delegation(KeyHash::of(&exp.public)),
-            Restrictions { not_after: Some(100), ..Default::default() },
+            Restrictions {
+                not_after: Some(100),
+                ..Default::default()
+            },
         );
-        let leaf = Certificate::sign(&exp, CertPayload::Experiment(dhash(b"d")), Restrictions::none());
+        let leaf = Certificate::sign(
+            &exp,
+            CertPayload::Experiment(dhash(b"d")),
+            Restrictions::none(),
+        );
         let keys = key_map(&[op.public, exp.public]);
         let err = verify_cert_set(
             &[deleg, leaf],

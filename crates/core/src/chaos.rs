@@ -53,7 +53,11 @@ pub enum Scenario {
 impl Scenario {
     /// All scenarios, for corpus sweeps.
     pub fn all() -> [Scenario; 3] {
-        [Scenario::Traceroute, Scenario::Bandwidth, Scenario::Conformance]
+        [
+            Scenario::Traceroute,
+            Scenario::Bandwidth,
+            Scenario::Conformance,
+        ]
     }
 
     /// Stable name for reporting.
@@ -204,7 +208,13 @@ fn chaos_credentials(world: &ChaosWorld) -> Credentials {
         info_url: String::new(),
         experimenter: KeyHash::of(&experimenter.public),
     };
-    Credentials::issue(&world.operator, &experimenter, descriptor, Restrictions::none(), 10)
+    Credentials::issue(
+        &world.operator,
+        &experimenter,
+        descriptor,
+        Restrictions::none(),
+        10,
+    )
 }
 
 /// Derive the fault schedule for `seed`. Pure and platform-independent:
@@ -228,11 +238,15 @@ pub fn fault_plan(seed: u64, world: &WorldLinks) -> Vec<ScheduledFault> {
                 let outage = 200 * MILLISECOND + splitmix64(&mut rng) % (3 * SECOND);
                 faults.push(ScheduledFault {
                     at,
-                    action: FaultAction::LinkDown { link: world.control_link },
+                    action: FaultAction::LinkDown {
+                        link: world.control_link,
+                    },
                 });
                 faults.push(ScheduledFault {
                     at: at + outage,
-                    action: FaultAction::LinkUp { link: world.control_link },
+                    action: FaultAction::LinkUp {
+                        link: world.control_link,
+                    },
                 });
             }
             1 => {
@@ -246,7 +260,10 @@ pub fn fault_plan(seed: u64, world: &WorldLinks) -> Vec<ScheduledFault> {
                 });
                 faults.push(ScheduledFault {
                     at: at + 5 * SECOND,
-                    action: FaultAction::SetBurstLoss { link: world.access_link, model: None },
+                    action: FaultAction::SetBurstLoss {
+                        link: world.access_link,
+                        model: None,
+                    },
                 });
             }
             2 => {
@@ -254,11 +271,17 @@ pub fn fault_plan(seed: u64, world: &WorldLinks) -> Vec<ScheduledFault> {
                 let loss = 0.05 + (splitmix64(&mut rng) % 20) as f64 / 100.0;
                 faults.push(ScheduledFault {
                     at,
-                    action: FaultAction::SetLoss { link: world.control_link, loss },
+                    action: FaultAction::SetLoss {
+                        link: world.control_link,
+                        loss,
+                    },
                 });
                 faults.push(ScheduledFault {
                     at: at + 4 * SECOND,
-                    action: FaultAction::SetLoss { link: world.control_link, loss: 0.0 },
+                    action: FaultAction::SetLoss {
+                        link: world.control_link,
+                        loss: 0.0,
+                    },
                 });
             }
             3 => {
@@ -280,11 +303,15 @@ pub fn fault_plan(seed: u64, world: &WorldLinks) -> Vec<ScheduledFault> {
                 let outage = SECOND + splitmix64(&mut rng) % (3 * SECOND);
                 faults.push(ScheduledFault {
                     at,
-                    action: FaultAction::LinkDown { link: world.path_link },
+                    action: FaultAction::LinkDown {
+                        link: world.path_link,
+                    },
                 });
                 faults.push(ScheduledFault {
                     at: at + outage,
-                    action: FaultAction::LinkUp { link: world.path_link },
+                    action: FaultAction::LinkUp {
+                        link: world.path_link,
+                    },
                 });
             }
             5 => {
@@ -292,7 +319,9 @@ pub fn fault_plan(seed: u64, world: &WorldLinks) -> Vec<ScheduledFault> {
                 // endpoint keeps its experiment state.
                 faults.push(ScheduledFault {
                     at,
-                    action: FaultAction::TcpReset { node: world.endpoint_node.0 },
+                    action: FaultAction::TcpReset {
+                        node: world.endpoint_node.0,
+                    },
                 });
             }
             _ => {
@@ -300,13 +329,17 @@ pub fn fault_plan(seed: u64, world: &WorldLinks) -> Vec<ScheduledFault> {
                 // fatal-crash seed.
                 faults.push(ScheduledFault {
                     at,
-                    action: FaultAction::NodeCrash { node: world.endpoint_node.0 },
+                    action: FaultAction::NodeCrash {
+                        node: world.endpoint_node.0,
+                    },
                 });
                 if !fatal_crash {
                     let down = 500 * MILLISECOND + splitmix64(&mut rng) % (4 * SECOND);
                     faults.push(ScheduledFault {
                         at: at + down,
-                        action: FaultAction::NodeRestart { node: world.endpoint_node.0 },
+                        action: FaultAction::NodeRestart {
+                            node: world.endpoint_node.0,
+                        },
                     });
                 }
             }
@@ -369,7 +402,11 @@ pub fn run_sharded(scenario: Scenario, seed: u64, shards: usize) -> ChaosOutcome
     let faults = fault_plan(seed, &links);
     let fault_count = faults.len();
     for f in &faults {
-        world.net.borrow_mut().sim.schedule_fault(f.at, f.action.clone());
+        world
+            .net
+            .borrow_mut()
+            .sim
+            .schedule_fault(f.at, f.action.clone());
     }
 
     let creds = chaos_credentials(&world);
@@ -530,8 +567,11 @@ fn run_conformance(
     ctrl.nopen_udp(SKT, 7300, sink, 7500)?;
     let t0 = ctrl.read_clock()?;
     for i in 0u32..10 {
-        let tag = ctrl.nsend(SKT, t0 + 100 * MILLISECOND + i as u64 * 10 * MILLISECOND,
-            i.to_le_bytes().to_vec())?;
+        let tag = ctrl.nsend(
+            SKT,
+            t0 + 100 * MILLISECOND + i as u64 * 10 * MILLISECOND,
+            i.to_le_bytes().to_vec(),
+        )?;
         fnv_u64(digest, tag);
     }
     // Let the burst drain, then count arrivals at the sink.

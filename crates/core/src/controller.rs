@@ -153,7 +153,13 @@ impl core::fmt::Display for ControllerError {
             ControllerError::Timeout => write!(f, "timed out"),
             ControllerError::Endpoint(c, m) => write!(f, "endpoint error {c:?}: {m}"),
             ControllerError::Protocol(m) => write!(f, "protocol error: {m}"),
-            ControllerError::Unreachable { elapsed_ns, connects, failed_dials, timeouts, trace } => {
+            ControllerError::Unreachable {
+                elapsed_ns,
+                connects,
+                failed_dials,
+                timeouts,
+                trace,
+            } => {
                 write!(
                     f,
                     "endpoint unreachable after {} ms of retries \
@@ -488,8 +494,16 @@ mod tests {
     impl ControlChannel for Scripted {}
 
     fn scripted(script: impl IntoIterator<Item = Message>) -> Controller<Scripted> {
-        let chan = Scripted { sent: Vec::new(), script: script.into_iter().collect() };
-        Controller { chan, notifications: Vec::new(), request_timeout: 1, next_seq: 1 }
+        let chan = Scripted {
+            sent: Vec::new(),
+            script: script.into_iter().collect(),
+        };
+        Controller {
+            chan,
+            notifications: Vec::new(),
+            request_timeout: 1,
+            next_seq: 1,
+        }
     }
 
     fn answer(seq: u64, resp: Response) -> Message {
@@ -500,14 +514,26 @@ mod tests {
     /// answers in that order; the next command goes out under the next seq.
     #[test]
     fn a_pipelined_batch_pairs_each_answer_with_its_seq() {
-        let (read, poll) = (Command::MRead { memaddr: 0, bytecnt: 1 }, Command::NPoll { time: 0 });
-        let answers = [Response::Ok, Response::Mem { data: vec![2] }, Response::SendQueued { tag: 4 }];
+        let (read, poll) = (
+            Command::MRead {
+                memaddr: 0,
+                bytecnt: 1,
+            },
+            Command::NPoll { time: 0 },
+        );
+        let answers = [
+            Response::Ok,
+            Response::Mem { data: vec![2] },
+            Response::SendQueued { tag: 4 },
+        ];
         let mut ctrl = scripted((1..).zip(answers.clone()).map(|(seq, r)| answer(seq, r)));
         let got = ctrl.request_batch(vec![Command::Yield, read.clone()]);
         assert_eq!(got.as_deref(), Ok(&answers[..2]));
         assert_eq!(ctrl.request(poll.clone()).as_ref(), Ok(&answers[2]));
         let sent = [Command::Yield, read, poll].into_iter().zip(1..);
-        let sent: Vec<Message> = sent.map(|(cmd, seq)| Message::CmdSeq { seq, cmd }).collect();
+        let sent: Vec<Message> = sent
+            .map(|(cmd, seq)| Message::CmdSeq { seq, cmd })
+            .collect();
         assert_eq!(ctrl.chan.sent, sent);
     }
 
@@ -518,7 +544,10 @@ mod tests {
         for stray in [0, 2] {
             let mut ctrl = scripted([answer(stray, Response::Ok), answer(1, Response::Ok)]);
             let got = ctrl.request(Command::Yield);
-            assert!(matches!(got, Err(ControllerError::Protocol(_))), "seq {stray}: {got:?}");
+            assert!(
+                matches!(got, Err(ControllerError::Protocol(_))),
+                "seq {stray}: {got:?}"
+            );
         }
     }
 
@@ -527,7 +556,11 @@ mod tests {
     #[test]
     fn a_notification_between_answers_is_collected() {
         let interrupted = Notification::Interrupted { by_priority: 9 };
-        let script = [answer(1, Response::Ok), Message::Notify(interrupted.clone()), answer(2, Response::Ok)];
+        let script = [
+            answer(1, Response::Ok),
+            Message::Notify(interrupted.clone()),
+            answer(2, Response::Ok),
+        ];
         let mut ctrl = scripted(script);
         let got = ctrl.request_batch(vec![Command::Yield, Command::Yield]);
         assert_eq!(got, Ok(vec![Response::Ok, Response::Ok]));

@@ -114,7 +114,10 @@ pub async fn handshake<C: Channel>(
     creds: &Credentials,
     timeout_ns: u64,
 ) -> Result<(), ControllerError> {
-    chan.send(&Message::Hello { version: crate::PROTOCOL_VERSION }).await;
+    chan.send(&Message::Hello {
+        version: crate::PROTOCOL_VERSION,
+    })
+    .await;
     let deadline = chan.now() + timeout_ns;
     let nonce = match chan.recv(Some(deadline)).await {
         Some(Message::HelloAck { version, nonce }) => {
@@ -130,7 +133,9 @@ pub async fn handshake<C: Channel>(
             return Err(ControllerError::Endpoint(code, msg.into_owned()))
         }
         Some(other) => {
-            return Err(ControllerError::Protocol(format!("expected HelloAck, got {other:?}")))
+            return Err(ControllerError::Protocol(format!(
+                "expected HelloAck, got {other:?}"
+            )))
         }
         None => return Err(ControllerError::Timeout),
     };
@@ -144,7 +149,9 @@ pub async fn handshake<C: Channel>(
             }
             Some(Message::Notify(_)) => continue,
             Some(other) => {
-                return Err(ControllerError::Protocol(format!("expected AuthOk, got {other:?}")))
+                return Err(ControllerError::Protocol(format!(
+                    "expected AuthOk, got {other:?}"
+                )))
             }
             None => return Err(ControllerError::Timeout),
         }
@@ -292,9 +299,15 @@ pub trait Plane {
 
     /// `npoll(time)`.
     async fn npoll(&mut self, until_endpoint_time: u64) -> Result<PollResult, ControllerError> {
-        let cmd = Command::NPoll { time: until_endpoint_time };
+        let cmd = Command::NPoll {
+            time: until_endpoint_time,
+        };
         match self.request_until(cmd, until_endpoint_time).await? {
-            Response::Poll { packets, dropped_packets, dropped_bytes } => Ok(PollResult {
+            Response::Poll {
+                packets,
+                dropped_packets,
+                dropped_bytes,
+            } => Ok(PollResult {
                 packets,
                 dropped_packets,
                 dropped_bytes,
@@ -359,7 +372,9 @@ pub trait Plane {
     /// this timestamp using the mread command").
     async fn read_send_time(&mut self, tag: u64) -> Result<Option<u64>, ControllerError> {
         let slot = EndpointMemory::sendlog_slot(tag);
-        let data = self.mread(slot, crate::memory::SENDLOG_ENTRY as u32).await?;
+        let data = self
+            .mread(slot, crate::memory::SENDLOG_ENTRY as u32)
+            .await?;
         match EndpointMemory::parse_sendlog_entry(&data) {
             Some((t, time)) if t == tag => Ok(Some(time)),
             _ => Ok(None),
@@ -386,7 +401,11 @@ pub trait Plane {
             }
         }
         let (min_rtt, offset) = best.expect("at least one sample");
-        Ok(ClockSync { offset, min_rtt, samples })
+        Ok(ClockSync {
+            offset,
+            min_rtt,
+            samples,
+        })
     }
 }
 

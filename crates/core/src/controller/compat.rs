@@ -41,13 +41,23 @@ impl<'a, C: ControlChannel> CompatSocket<'a, C> {
         remport: u16,
     ) -> Result<Self, ControllerError> {
         ctrl.nopen_udp(sktid, locport, remote, remport)?;
-        Ok(CompatSocket { ctrl, sktid, pending: VecDeque::new(), closed: false })
+        Ok(CompatSocket {
+            ctrl,
+            sktid,
+            pending: VecDeque::new(),
+            closed: false,
+        })
     }
 
     /// A raw IP socket on the endpoint (requires privilege there).
     pub fn raw(ctrl: &'a mut Controller<C>, sktid: u32) -> Result<Self, ControllerError> {
         ctrl.nopen_raw(sktid)?;
-        Ok(CompatSocket { ctrl, sktid, pending: VecDeque::new(), closed: false })
+        Ok(CompatSocket {
+            ctrl,
+            sktid,
+            pending: VecDeque::new(),
+            closed: false,
+        })
     }
 
     /// The endpoint-local time, ns — "gettimeofday() on the endpoint".

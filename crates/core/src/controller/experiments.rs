@@ -67,7 +67,10 @@ impl PingStats {
         if self.replies.is_empty() {
             return None;
         }
-        Some(self.replies.iter().map(|r| r.rtt as u128).sum::<u128>() as u64 / self.replies.len() as u64)
+        Some(
+            self.replies.iter().map(|r| r.rtt as u128).sum::<u128>() as u64
+                / self.replies.len() as u64,
+        )
     }
 
     /// Minimum RTT, ns.
@@ -93,7 +96,11 @@ mod stats_tests {
                 .enumerate()
                 .map(|(i, &rtt)| PingReply { seq: i as u16, rtt })
                 .collect(),
-            sync: ClockSync { offset: 0, min_rtt: 0, samples: 0 },
+            sync: ClockSync {
+                offset: 0,
+                min_rtt: 0,
+                samples: 0,
+            },
         }
     }
 
@@ -224,7 +231,10 @@ pub fn estimate_from_arrivals(
     arrivals: &[(u64, Ipv4Addr, u16, u32, usize)],
     truncated: bool,
 ) -> BandwidthEstimate {
-    let train: Vec<_> = arrivals.iter().map(|&(t, _, _, seq, len)| (t, seq, len)).collect();
+    let train: Vec<_> = arrivals
+        .iter()
+        .map(|&(t, _, _, seq, len)| (t, seq, len))
+        .collect();
     let dispersion_bps = bwest::dispersion_from_arrivals(&train).map_or(0, |(bps, _)| bps);
     if arrivals.len() < 2 {
         let t = arrivals.first().map(|a| a.0).unwrap_or(0);
@@ -282,7 +292,12 @@ pub fn measure_uplink_bandwidth_unscheduled<P: ControlPlane + SinkHost>(
     n_packets: u32,
     payload_len: usize,
 ) -> Result<BandwidthEstimate, ControllerError> {
-    block_on(aio::measure_uplink_bandwidth_unscheduled(ctrl, sink_port, n_packets, payload_len))
+    block_on(aio::measure_uplink_bandwidth_unscheduled(
+        ctrl,
+        sink_port,
+        n_packets,
+        payload_len,
+    ))
 }
 
 /// §4's uplink bandwidth measurement, verbatim in structure:
@@ -311,7 +326,13 @@ pub fn measure_uplink_bandwidth<P: ControlPlane + SinkHost>(
     payload_len: usize,
     delay_ns: u64,
 ) -> Result<BandwidthEstimate, ControllerError> {
-    block_on(aio::measure_uplink_bandwidth(ctrl, sink_port, n_packets, payload_len, delay_ns))
+    block_on(aio::measure_uplink_bandwidth(
+        ctrl,
+        sink_port,
+        n_packets,
+        payload_len,
+        delay_ns,
+    ))
 }
 
 /// The probes themselves: one `async` body each, over any
@@ -362,15 +383,21 @@ pub mod aio {
             let mut got_any = false;
             for (_skt, trcv, pkt) in &poll.packets {
                 got_any = true;
-                let Ok(view) = ipv4::Ipv4View::new_unchecked(pkt) else { continue };
+                let Ok(view) = ipv4::Ipv4View::new_unchecked(pkt) else {
+                    continue;
+                };
                 if view.src() != dst {
                     continue;
                 }
-                if let Ok(icmp::IcmpMessage::EchoReply { ident, seq, .. }) = icmp::parse(view.payload())
+                if let Ok(icmp::IcmpMessage::EchoReply { ident, seq, .. }) =
+                    icmp::parse(view.payload())
                 {
                     if ident == PING_IDENT && (seq as u32) < count {
                         if let Some(tsnd) = ctrl.read_send_time(tags[seq as usize]).await? {
-                            replies.push(PingReply { seq, rtt: trcv.saturating_sub(tsnd) });
+                            replies.push(PingReply {
+                                seq,
+                                rtt: trcv.saturating_sub(tsnd),
+                            });
                         }
                     }
                 }
@@ -385,7 +412,11 @@ pub mod aio {
         ctrl.nclose(SKT).await?;
         replies.sort_by_key(|r| r.seq);
         replies.dedup_by_key(|r| r.seq);
-        Ok(PingStats { sent: count, replies, sync })
+        Ok(PingStats {
+            sent: count,
+            replies,
+            sync,
+        })
     }
 
     /// [`super::traceroute`], resumable.
@@ -414,7 +445,9 @@ pub mod aio {
                 let seq = t as u16;
                 let payload = seq.to_be_bytes();
                 let probe = builder::icmp_echo_request(src, dst, t, PING_IDENT, seq, &payload);
-                let tag = ctrl.nsend(SKT, start + (t - ttl) as u64 * 1_000_000, probe).await?;
+                let tag = ctrl
+                    .nsend(SKT, start + (t - ttl) as u64 * 1_000_000, probe)
+                    .await?;
                 tags.insert(seq, tag);
             }
             let deadline = start + 3_000_000_000;
@@ -426,7 +459,9 @@ pub mod aio {
                     break;
                 }
                 for (_skt, trcv, pkt) in &poll.packets {
-                    let Ok(view) = ipv4::Ipv4View::new_unchecked(pkt) else { continue };
+                    let Ok(view) = ipv4::Ipv4View::new_unchecked(pkt) else {
+                        continue;
+                    };
                     match icmp::parse(view.payload()) {
                         Ok(icmp::IcmpMessage::TimeExceeded { original, .. }) => {
                             // "The sequence number is extracted from the packet
@@ -450,13 +485,23 @@ pub mod aio {
                     Some((addr, trcv, is_dst)) => {
                         let tsnd = ctrl.read_send_time(tags[&seq]).await?;
                         let rtt = tsnd.map(|ts| trcv.saturating_sub(ts));
-                        hops.push(Hop { ttl: t, addr: Some(*addr), rtt, reached: *is_dst });
+                        hops.push(Hop {
+                            ttl: t,
+                            addr: Some(*addr),
+                            rtt,
+                            reached: *is_dst,
+                        });
                         if *is_dst {
                             reached = true;
                             break;
                         }
                     }
-                    None => hops.push(Hop { ttl: t, addr: None, rtt: None, reached: false }),
+                    None => hops.push(Hop {
+                        ttl: t,
+                        addr: None,
+                        rtt: None,
+                        reached: false,
+                    }),
                 }
             }
             ttl = batch_end + 1;
@@ -666,7 +711,15 @@ mod estimate_tests {
         let spacing = (1000 + UDP_IP_OVERHEAD) * 8 * 1_000_000_000 / 10_000_000;
         let train = |seqs: Vec<u32>| -> Vec<_> {
             seqs.into_iter()
-                .map(|i| (1_000_000 + i as u64 * spacing, Ipv4Addr::new(10, 0, 0, 1), 9999, i, 1000))
+                .map(|i| {
+                    (
+                        1_000_000 + i as u64 * spacing,
+                        Ipv4Addr::new(10, 0, 0, 1),
+                        9999,
+                        i,
+                        1000,
+                    )
+                })
                 .collect()
         };
         let e = estimate_from_arrivals(24, &train((0..24).filter(|i| i % 3 != 2).collect()), false);
@@ -677,6 +730,10 @@ mod estimate_tests {
         // Three arrivals are two pairs: a first/last rate, no dispersion.
         let e = estimate_from_arrivals(3, &train(vec![0, 1, 2]), false);
         assert_eq!(e.dispersion_bps, 0);
-        assert!((e.bits_per_sec - 10_000_000.0).abs() < 1.0, "{}", e.bits_per_sec);
+        assert!(
+            (e.bits_per_sec - 10_000_000.0).abs() < 1.0,
+            "{}",
+            e.bits_per_sec
+        );
     }
 }

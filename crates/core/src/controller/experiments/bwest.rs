@@ -170,7 +170,11 @@ pub fn dispersion_from_arrivals(arrivals: &[(u64, u32, usize)]) -> Option<(u64, 
     }
     rates.sort_unstable();
     let n = rates.len();
-    let median = if n % 2 == 1 { rates[n / 2] } else { (rates[n / 2 - 1] + rates[n / 2]) / 2 };
+    let median = if n % 2 == 1 {
+        rates[n / 2]
+    } else {
+        (rates[n / 2 - 1] + rates[n / 2]) / 2
+    };
     Some((median, n as u32))
 }
 
@@ -180,7 +184,9 @@ async fn read_sockstat<P: Plane>(
     ctrl: &mut P,
     sktid: u32,
 ) -> Result<Option<SockStat>, ControllerError> {
-    let data = ctrl.mread(EndpointMemory::sockstat_slot(sktid), SOCKSTAT_ENTRY as u32).await?;
+    let data = ctrl
+        .mread(EndpointMemory::sockstat_slot(sktid), SOCKSTAT_ENTRY as u32)
+        .await?;
     Ok(EndpointMemory::parse_sockstat_entry(&data).filter(|s| s.sktid == sktid && s.is_open()))
 }
 
@@ -202,7 +208,11 @@ async fn schedule_block<P: Plane>(
     let t0 = ctrl.read_clock().await?;
     let start = t0 + lead_ns;
     let cmds: Vec<Command> = (0..n)
-        .map(|i| Command::NSend { sktid: skt, time: start, data: payload(i) })
+        .map(|i| Command::NSend {
+            sktid: skt,
+            time: start,
+            data: payload(i),
+        })
         .collect();
     let mut tags = Vec::with_capacity(n as usize);
     for resp in ctrl.request_batch(cmds).await? {
@@ -270,8 +280,10 @@ async fn timed_drain<P: Plane>(
 ) -> Result<DrainOutcome, ControllerError> {
     let rtt = sync.min_rtt.max(1_000_000);
     let total = chunk as u64 * n_chunks;
-    let (_tags, start, late) =
-        schedule_block(ctrl, skt, n_chunks as u32, lead_ns, rtt, |_| vec![0u8; chunk]).await?;
+    let (_tags, start, late) = schedule_block(ctrl, skt, n_chunks as u32, lead_ns, rtt, |_| {
+        vec![0u8; chunk]
+    })
+    .await?;
     let slipped = late > 0;
     // Wait out the remaining lead (each clock read is one control round
     // trip; the block only enters the TCP send buffer at `start`).
@@ -287,7 +299,10 @@ async fn timed_drain<P: Plane>(
             let wake = sync.to_endpoint(ctrl.now()) + sample_interval_ns;
             let _ = ctrl.npoll(wake).await?;
         }
-        let b = read_sockstat(ctrl, skt).await?.map(|s| s.backlog).unwrap_or(0);
+        let b = read_sockstat(ctrl, skt)
+            .await?
+            .map(|s| s.backlog)
+            .unwrap_or(0);
         let now = ctrl.now();
         samples += 1;
         peak = peak.max(b);
@@ -345,7 +360,10 @@ async fn tcp_probe<P: Plane>(
     // by the endpoint stack's own retransmission).
     let est_deadline = ctrl.now() + 10_000_000_000;
     let established = loop {
-        if read_sockstat(ctrl, skt).await?.is_some_and(|s| s.is_alive()) {
+        if read_sockstat(ctrl, skt)
+            .await?
+            .is_some_and(|s| s.is_alive())
+        {
             break true;
         }
         if ctrl.now() >= est_deadline {
@@ -356,21 +374,32 @@ async fn tcp_probe<P: Plane>(
         let _ = soft(ctrl.nclose(skt).await)?;
         return Ok(None);
     }
-    let retrans0 = read_sockstat(ctrl, skt).await?.map(|s| s.retrans()).unwrap_or(0);
+    let retrans0 = read_sockstat(ctrl, skt)
+        .await?
+        .map(|s| s.retrans())
+        .unwrap_or(0);
 
     // Coarse drain: one 64 KiB chunk, generous lead (unknown link — budget
     // delivery at 1 Mbit/s; idle virtual time is cheap).
     let coarse_chunk = 64 * 1024usize;
     let coarse_lead = 2 * (coarse_chunk as u64 * 8 * 1_000) + 8 * rtt + 300_000_000;
-    let coarse =
-        timed_drain(ctrl, skt, sync, coarse_chunk, 1, coarse_lead, 0, PROBE_DEADLINE_NS).await?;
+    let coarse = timed_drain(
+        ctrl,
+        skt,
+        sync,
+        coarse_chunk,
+        1,
+        coarse_lead,
+        0,
+        PROBE_DEADLINE_NS,
+    )
+    .await?;
     // A coarse drain that stalled is the result; one that finished sizes
     // the timed bulk.
     let outcome = if !coarse.drained {
         coarse
     } else {
-        let coarse_bps =
-            (coarse_chunk as u64).saturating_mul(8_000_000_000) / coarse.elapsed_ns;
+        let coarse_bps = (coarse_chunk as u64).saturating_mul(8_000_000_000) / coarse.elapsed_ns;
         // Size the bulk for ~BULK_TARGET_NS of drain at the coarse rate.
         let bulk = (coarse_bps / 8).saturating_mul(BULK_TARGET_NS) / 1_000_000_000;
         let bulk = bulk.clamp(BULK_MIN_BYTES, BULK_MAX_BYTES);
@@ -383,13 +412,25 @@ async fn tcp_probe<P: Plane>(
             + n_chunks * 4 * rtt
             + 500_000_000;
         let interval = (BULK_TARGET_NS / 48).max(4 * rtt);
-        timed_drain(ctrl, skt, sync, CHUNK_BYTES, n_chunks, lead, interval, PROBE_DEADLINE_NS)
-            .await?
+        timed_drain(
+            ctrl,
+            skt,
+            sync,
+            CHUNK_BYTES,
+            n_chunks,
+            lead,
+            interval,
+            PROBE_DEADLINE_NS,
+        )
+        .await?
     };
     if !outcome.drained {
         M_STALLS.inc();
     }
-    let retrans1 = read_sockstat(ctrl, skt).await?.map(|s| s.retrans()).unwrap_or(retrans0);
+    let retrans1 = read_sockstat(ctrl, skt)
+        .await?
+        .map(|s| s.retrans())
+        .unwrap_or(retrans0);
     let result = outcome.into_result(retrans1.saturating_sub(retrans0));
     let _ = soft(ctrl.nclose(skt).await)?;
     plab_obs::obs_event!(
@@ -504,9 +545,16 @@ fn combine(
     };
     match (tcp_clean, tcp, disp) {
         (true, Some(t), Some(d)) => {
-            let (hi, lo) = (t.bits_per_sec.max(d.bits_per_sec), t.bits_per_sec.min(d.bits_per_sec));
+            let (hi, lo) = (
+                t.bits_per_sec.max(d.bits_per_sec),
+                t.bits_per_sec.min(d.bits_per_sec),
+            );
             let agree = hi.saturating_sub(lo).saturating_mul(100) <= hi.saturating_mul(25);
-            let conf = if agree { Confidence::High } else { Confidence::Medium };
+            let conf = if agree {
+                Confidence::High
+            } else {
+                Confidence::Medium
+            };
             (t.bits_per_sec, conf, window_limited)
         }
         (true, Some(t), None) => (t.bits_per_sec, Confidence::Medium, window_limited),
@@ -576,7 +624,9 @@ mod tests {
 
     fn train(rate_bps: u64, n: u32, len: usize) -> Vec<(u64, u32, usize)> {
         let spacing = (len as u64 + UDP_IP_OVERHEAD) * 8 * 1_000_000_000 / rate_bps;
-        (0..n).map(|i| (1_000_000 + i as u64 * spacing, i, len)).collect()
+        (0..n)
+            .map(|i| (1_000_000 + i as u64 * spacing, i, len))
+            .collect()
     }
 
     #[test]
@@ -634,31 +684,44 @@ mod tests {
     }
 
     fn disp_result(bps: u64) -> DispersionResult {
-        DispersionResult { bits_per_sec: bps, echoes: 20, pairs: 19, rtt_ns: 10_000_000 }
+        DispersionResult {
+            bits_per_sec: bps,
+            echoes: 20,
+            pairs: 19,
+            rtt_ns: 10_000_000,
+        }
     }
 
     #[test]
     fn combine_prefers_clean_tcp_and_grades_agreement() {
-        let (bps, conf, _) =
-            combine(&Some(tcp_result(5_000_000, 0, false)), &Some(disp_result(5_200_000)));
+        let (bps, conf, _) = combine(
+            &Some(tcp_result(5_000_000, 0, false)),
+            &Some(disp_result(5_200_000)),
+        );
         assert_eq!(bps, 5_000_000);
         assert_eq!(conf, Confidence::High);
         // Disagreement keeps TCP but drops the grade.
-        let (bps, conf, _) =
-            combine(&Some(tcp_result(5_000_000, 0, false)), &Some(disp_result(9_000_000)));
+        let (bps, conf, _) = combine(
+            &Some(tcp_result(5_000_000, 0, false)),
+            &Some(disp_result(9_000_000)),
+        );
         assert_eq!(bps, 5_000_000);
         assert_eq!(conf, Confidence::Medium);
     }
 
     #[test]
     fn combine_falls_back_to_dispersion_on_loss() {
-        let (bps, conf, wl) =
-            combine(&Some(tcp_result(900_000, 14, false)), &Some(disp_result(5_000_000)));
+        let (bps, conf, wl) = combine(
+            &Some(tcp_result(900_000, 14, false)),
+            &Some(disp_result(5_000_000)),
+        );
         assert_eq!(bps, 5_000_000);
         assert_eq!(conf, Confidence::Medium);
         assert!(!wl);
-        let (bps, _, _) =
-            combine(&Some(tcp_result(100_000, 3, true)), &Some(disp_result(2_000_000)));
+        let (bps, _, _) = combine(
+            &Some(tcp_result(100_000, 3, true)),
+            &Some(disp_result(2_000_000)),
+        );
         assert_eq!(bps, 2_000_000);
     }
 
@@ -676,11 +739,15 @@ mod tests {
     fn window_ceiling_flags_window_limited_transfers() {
         // RTT 10 ms → ceiling 52.4 Mbit/s; a 50 Mbit/s TCP estimate is
         // within 85% of it.
-        let (_, _, wl) =
-            combine(&Some(tcp_result(50_000_000, 0, false)), &Some(disp_result(50_000_000)));
+        let (_, _, wl) = combine(
+            &Some(tcp_result(50_000_000, 0, false)),
+            &Some(disp_result(50_000_000)),
+        );
         assert!(wl);
-        let (_, _, wl) =
-            combine(&Some(tcp_result(5_000_000, 0, false)), &Some(disp_result(5_000_000)));
+        let (_, _, wl) = combine(
+            &Some(tcp_result(5_000_000, 0, false)),
+            &Some(disp_result(5_000_000)),
+        );
         assert!(!wl);
     }
 }

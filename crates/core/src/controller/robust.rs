@@ -157,9 +157,16 @@ impl<D: aio::Dialer> RobustController<D> {
         }
         let elapsed_ns = now.saturating_sub(op_start);
         M_UNREACHABLE.inc();
-        obs_event!(Component::Controller, "abort.unreachable", "elapsed_ns" = elapsed_ns);
+        obs_event!(
+            Component::Controller,
+            "abort.unreachable",
+            "elapsed_ns" = elapsed_ns
+        );
         let trace = if plab_obs::enabled() {
-            plab_obs::tail_for(Component::Controller, 4).iter().map(|e| e.line()).collect()
+            plab_obs::tail_for(Component::Controller, 4)
+                .iter()
+                .map(|e| e.line())
+                .collect()
         } else {
             Vec::new()
         };
@@ -176,7 +183,10 @@ impl<D: aio::Dialer> RobustController<D> {
     /// equal jitter under a ceiling of `base_backoff · 2^(n−1)`, capped at
     /// `max_backoff` — half fixed, half one xorshift64 jitter draw.
     fn backoff(&mut self, n: u32) -> u64 {
-        let ceiling = self.policy.base_backoff.saturating_mul(1u64 << (n - 1).min(20));
+        let ceiling = self
+            .policy
+            .base_backoff
+            .saturating_mul(1u64 << (n - 1).min(20));
         let ceiling = ceiling.min(self.policy.max_backoff).max(1);
         let mut x = self.jitter;
         x ^= x << 13;
@@ -272,7 +282,11 @@ impl<D: aio::Dialer> aio::Plane for RobustController<D> {
                 }
             }
             let chan = self.chan.as_mut().expect("reconnect established a channel");
-            chan.send(&Message::CmdSeq { seq, cmd: cmd.clone() }).await;
+            chan.send(&Message::CmdSeq {
+                seq,
+                cmd: cmd.clone(),
+            })
+            .await;
             sent_before = true;
             let now = chan.now();
             let wait_end = (deadline.max(now).saturating_add(timeout))
@@ -306,7 +320,13 @@ impl<D: aio::Dialer> aio::Plane for RobustController<D> {
             // would replay the cached refusal forever) until the session is
             // resumed or the budget is spent.
             let now = self.dialer.now();
-            let suspended = matches!(resp, Response::Err { code: ErrCode::Suspended, .. });
+            let suspended = matches!(
+                resp,
+                Response::Err {
+                    code: ErrCode::Suspended,
+                    ..
+                }
+            );
             if !suspended || now >= overall_end {
                 return Ok(resp);
             }

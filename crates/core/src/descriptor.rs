@@ -112,7 +112,10 @@ mod tests {
     fn decode_rejects_truncation() {
         let enc = sample().encode();
         for cut in 0..enc.len() {
-            assert!(ExperimentDescriptor::decode(&enc[..cut]).is_none(), "cut {cut}");
+            assert!(
+                ExperimentDescriptor::decode(&enc[..cut]).is_none(),
+                "cut {cut}"
+            );
         }
     }
 

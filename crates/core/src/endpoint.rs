@@ -188,7 +188,9 @@ impl EndpointAgent {
 
     /// The priority of the experiment currently in control.
     pub fn active_priority(&self) -> Option<u8> {
-        self.active.and_then(|sid| self.session(sid)).map(|s| s.priority)
+        self.active
+            .and_then(|sid| self.session(sid))
+            .map(|s| s.priority)
     }
 
     /// Number of live sessions.
@@ -212,7 +214,11 @@ impl EndpointAgent {
     /// The sids of the live sessions `keep` holds for, ascending: the
     /// table's own order.
     fn sids(&self, keep: impl Fn(&Session) -> bool) -> Vec<u64> {
-        self.sessions.iter().filter(|s| keep(s)).map(|s| s.sid).collect()
+        self.sessions
+            .iter()
+            .filter(|s| keep(s))
+            .map(|s| s.sid)
+            .collect()
     }
 
     /// Session `sid`, if it is live.
@@ -246,7 +252,12 @@ impl EndpointAgent {
             // The table grows as any `Vec` does, by doubling: a fixed-step
             // reserve would copy every session once per step.
             let (owner, replay) = (self.next_owner, self.config.replay_cache_bytes);
-            self.put(Session::new(sid, owner, DEFAULT_BUFFER_BYTES as usize, replay));
+            self.put(Session::new(
+                sid,
+                owner,
+                DEFAULT_BUFFER_BYTES as usize,
+                replay,
+            ));
             self.next_owner = self.next_owner.wrapping_add(1);
         }
     }
@@ -268,7 +279,12 @@ impl EndpointAgent {
                 if self.config.session_linger_ns > 0 =>
             {
                 plab_obs::obs_event!(plab_obs::Component::Endpoint, "session.detach", "sid" = sid);
-                self.release(sid, Some(Phase::Detached { since: stack.clock() }))
+                self.release(
+                    sid,
+                    Some(Phase::Detached {
+                        since: stack.clock(),
+                    }),
+                )
             }
             // Its connection went when it detached; its window is running.
             Phase::Detached { .. } => Out::new(),
@@ -308,19 +324,39 @@ impl EndpointAgent {
                 nonce[8..16].copy_from_slice(&sid.to_le_bytes());
                 nonce[16..24].copy_from_slice(&self.config.wall_time.to_le_bytes());
                 s.phase = Phase::AwaitAuth { nonce };
-                out.push((sid, Message::HelloAck { version: crate::PROTOCOL_VERSION, nonce }));
+                out.push((
+                    sid,
+                    Message::HelloAck {
+                        version: crate::PROTOCOL_VERSION,
+                        nonce,
+                    },
+                ));
             }
             // `Hello` opens a handshake and nothing else (DESIGN deviation
             // 11): an authenticated session that went back to `AwaitAuth`
             // would hand its sockets, memory and hold on the endpoint to
             // whichever experiment authenticated next.
             (Phase::Active | Phase::Suspended | Phase::Dormant, Message::Hello { .. }) => {
-                out.push(refuse(ErrCode::Malformed, "hello on an authenticated session"));
+                out.push(refuse(
+                    ErrCode::Malformed,
+                    "hello on an authenticated session",
+                ));
             }
-            (Phase::AwaitAuth { nonce }, Message::Auth { descriptor, chain, keys, priority, proof }) => {
+            (
+                Phase::AwaitAuth { nonce },
+                Message::Auth {
+                    descriptor,
+                    chain,
+                    keys,
+                    priority,
+                    proof,
+                },
+            ) => {
                 let admitted = self
                     .authorize(&nonce, &descriptor, &chain, &keys, priority, proof)
-                    .and_then(|(granted, exp_id)| self.handle_auth(sid, priority, granted, exp_id, stack));
+                    .and_then(|(granted, exp_id)| {
+                        self.handle_auth(sid, priority, granted, exp_id, stack)
+                    });
                 match admitted {
                     Ok(admitted) => out.extend(admitted),
                     Err(why) => out.push((sid, Message::Resp(err(ErrCode::Auth, why)))),
@@ -377,7 +413,13 @@ impl EndpointAgent {
         let dhash = desc.hash();
         let effective = self
             .sig_memo
-            .verify_chain(&certs, &key_map, &self.config.trusted_keys, &dhash, self.config.wall_time)
+            .verify_chain(
+                &certs,
+                &key_map,
+                &self.config.trusted_keys,
+                &dhash,
+                self.config.wall_time,
+            )
             .map_err(|e| format!("chain rejected: {e}"))?;
         // Possession proof: the leaf's signer key signed nonce ‖ dhash.
         let leaf_signer = certs.last().expect("nonempty chain").signer;
@@ -392,7 +434,10 @@ impl EndpointAgent {
         }
         // Priority ceiling (§3.3: "this priority must not exceed the
         // maximum priority specified in any certificate in the chain").
-        if effective.max_priority.is_some_and(|ceiling| priority > ceiling) {
+        if effective
+            .max_priority
+            .is_some_and(|ceiling| priority > ceiling)
+        {
             return Err("priority exceeds certificate ceiling".into());
         }
         Ok((effective, (leaf_signer, dhash.0)))
@@ -410,7 +455,9 @@ impl EndpointAgent {
         stack: &mut dyn NetStack,
     ) -> Result<Out, String> {
         // Instantiate monitors against the current info block.
-        let s = self.session_mut(sid).expect("the session that sent the Auth");
+        let s = self
+            .session_mut(sid)
+            .expect("the session that sent the Auth");
         let info = info_snapshot(&mut s.memory, stack);
         let monitors = MonitorSet::instantiate(&granted.monitors, &info)
             .map_err(|e| format!("monitor rejected: {e}"))?;
@@ -446,7 +493,9 @@ impl EndpointAgent {
         };
         let mut out = vec![(sid, Message::AuthOk)];
         if let Some(osid) = adopt {
-            let mut old = self.take(osid).expect("adoptable sessions are in the table");
+            let mut old = self
+                .take(osid)
+                .expect("adoptable sessions are in the table");
             old.sid = sid;
             if let Phase::Detached { .. } = old.phase {
                 self.detached -= 1;
@@ -513,7 +562,9 @@ impl EndpointAgent {
                 holder.phase = Phase::Suspended;
                 out.push((
                     holder.sid,
-                    Message::Notify(Notification::Interrupted { by_priority: priority }),
+                    Message::Notify(Notification::Interrupted {
+                        by_priority: priority,
+                    }),
                 ));
                 Phase::Active
             }
@@ -578,5 +629,8 @@ impl EndpointAgent {
 }
 
 fn err(code: ErrCode, msg: impl Into<Cow<'static, str>>) -> Response {
-    Response::Err { code, msg: msg.into() }
+    Response::Err {
+        code,
+        msg: msg.into(),
+    }
 }

@@ -47,7 +47,10 @@ pub(super) fn info_snapshot(
     stack: &dyn NetStack,
 ) -> [u8; layout::INFO_SIZE] {
     refresh_info(memory, stack);
-    memory.info().try_into().expect("info block is INFO_SIZE bytes")
+    memory
+        .info()
+        .try_into()
+        .expect("info block is INFO_SIZE bytes")
 }
 
 fn refresh_info(memory: &mut EndpointMemory, stack: &dyn NetStack) {
@@ -69,7 +72,9 @@ impl Session {
     /// pass and immediately before each `mread`.
     fn refresh_sockstat(&mut self, stack: &dyn NetStack) {
         for (&sktid, binding) in &self.sockets {
-            let SocketBinding::Tcp { conn, .. } = *binding else { continue };
+            let SocketBinding::Tcp { conn, .. } = *binding else {
+                continue;
+            };
             let mut flags = crate::memory::SOCKSTAT_FLAG_OPEN;
             if stack.tcp_alive(conn) {
                 flags |= crate::memory::SOCKSTAT_FLAG_ALIVE;
@@ -102,7 +107,10 @@ impl Session {
             Proto::Udp => plab_packet::proto::UDP,
             Proto::Tcp => plab_packet::proto::TCP,
         };
-        if !self.monitors.allow_open(proto_num, locport, remaddr, remport, &info) {
+        if !self
+            .monitors
+            .allow_open(proto_num, locport, remaddr, remport, &info)
+        {
             return err(ErrCode::Denied, "monitor denied nopen");
         }
         let remaddr = Ipv4Addr::from(remaddr);
@@ -117,17 +125,27 @@ impl Session {
                 if !stack.udp_bind(locport) {
                     return err(ErrCode::BadSocket, "port in use");
                 }
-                SocketBinding::Udp { locport, remaddr, remport }
+                SocketBinding::Udp {
+                    locport,
+                    remaddr,
+                    remport,
+                }
             }
             Proto::Tcp => {
                 if !stack.tcp_supported() {
                     return err(ErrCode::Unsupported, "tcp sockets unavailable");
                 }
-                SocketBinding::Tcp { conn: stack.tcp_connect(remaddr, remport), remaddr, remport, locport }
+                SocketBinding::Tcp {
+                    conn: stack.tcp_connect(remaddr, remport),
+                    remaddr,
+                    remport,
+                    locport,
+                }
             }
         };
         self.sockets.insert(sktid, binding);
-        self.memory.set_info("sockets.open", self.sockets.len() as u64);
+        self.memory
+            .set_info("sockets.open", self.sockets.len() as u64);
         Response::Ok
     }
 
@@ -169,35 +187,54 @@ impl Session {
             SocketBinding::Udp { .. } if data.len() > u16::MAX as usize - 28 => {
                 return err(ErrCode::Malformed, "UDP payload exceeds one datagram");
             }
-            SocketBinding::Udp { locport, remaddr, remport } => {
-                Some(plab_packet::builder::udp_datagram(local, remaddr, locport, remport, &data))
-            }
-            SocketBinding::Tcp { remaddr, remport, locport, .. } => {
-                Some(plab_packet::builder::tcp_segment(
-                    local,
-                    remaddr,
-                    plab_packet::tcp::TcpHeader {
-                        src_port: locport,
-                        dst_port: remport,
-                        seq: 0,
-                        ack: 0,
-                        flags: plab_packet::tcp::flags::ACK,
-                        window: 0,
-                    },
-                    &data[..data.len().min(1400)],
-                ))
-            }
+            SocketBinding::Udp {
+                locport,
+                remaddr,
+                remport,
+            } => Some(plab_packet::builder::udp_datagram(
+                local, remaddr, locport, remport, &data,
+            )),
+            SocketBinding::Tcp {
+                remaddr,
+                remport,
+                locport,
+                ..
+            } => Some(plab_packet::builder::tcp_segment(
+                local,
+                remaddr,
+                plab_packet::tcp::TcpHeader {
+                    src_port: locport,
+                    dst_port: remport,
+                    seq: 0,
+                    ack: 0,
+                    flags: plab_packet::tcp::flags::ACK,
+                    window: 0,
+                },
+                &data[..data.len().min(1400)],
+            )),
         };
-        if !self.monitors.allow_send(built.as_deref().unwrap_or(&data[..]), &info) {
+        if !self
+            .monitors
+            .allow_send(built.as_deref().unwrap_or(&data[..]), &info)
+        {
             return err(ErrCode::Denied, "monitor denied send");
         }
         let tag = self.next_tag;
         self.next_tag += 1;
         match *binding {
             SocketBinding::Raw { .. } => stack.raw_send_at(time, data, stack_tag(self.owner, tag)),
-            SocketBinding::Udp { locport, remaddr, remport } => {
-                stack.udp_send_at(time, locport, remaddr, remport, &data, stack_tag(self.owner, tag))
-            }
+            SocketBinding::Udp {
+                locport,
+                remaddr,
+                remport,
+            } => stack.udp_send_at(
+                time,
+                locport,
+                remaddr,
+                remport,
+                &data,
+                stack_tag(self.owner, tag),
+            ),
             SocketBinding::Tcp { conn, .. } if time <= stack.clock() => {
                 stack.tcp_send(conn, &data);
                 self.memory.record_send(tag, stack.clock());
@@ -251,7 +288,9 @@ impl EndpointAgent {
             "sid" = sid,
             "op" = cmd_opcode(&cmd)
         );
-        let Some(i) = slot(&self.sessions, sid, |s| s.sid) else { return };
+        let Some(i) = slot(&self.sessions, sid, |s| s.sid) else {
+            return;
+        };
         if self.sessions[i].phase == Phase::Dormant && cmd != Command::Yield {
             // A yielder's next command asks for the endpoint again, and may
             // preempt, per its priority. Contending moves no session.
@@ -270,14 +309,31 @@ impl EndpointAgent {
             (Phase::Suspended | Phase::Dormant, _) => {
                 err(ErrCode::Suspended, "preempted by higher priority")
             }
-            (Phase::Active, Command::NOpen { sktid, proto, locport, remaddr, remport }) => {
-                s.nopen(sktid, proto, locport, remaddr, remport, stack)
-            }
+            (
+                Phase::Active,
+                Command::NOpen {
+                    sktid,
+                    proto,
+                    locport,
+                    remaddr,
+                    remport,
+                },
+            ) => s.nopen(sktid, proto, locport, remaddr, remport, stack),
             (Phase::Active, Command::NClose { sktid }) => s.nclose(sktid, stack),
             (Phase::Active, Command::NSend { sktid, time, data }) => {
-                let resp =
-                    s.nsend(sktid, time, data, stack, &mut self.pending_tcp, &mut self.next_tcp_seq);
-                if let Response::Err { code: ErrCode::Denied, .. } = resp {
+                let resp = s.nsend(
+                    sktid,
+                    time,
+                    data,
+                    stack,
+                    &mut self.pending_tcp,
+                    &mut self.next_tcp_seq,
+                );
+                if let Response::Err {
+                    code: ErrCode::Denied,
+                    ..
+                } = resp
+                {
                     self.denied_sends += 1;
                     M_DENIED_SENDS.inc();
                 }
@@ -302,7 +358,9 @@ impl EndpointAgent {
                 refresh_info(&mut s.memory, stack);
                 s.refresh_sockstat(stack);
                 match s.memory.read(memaddr, bytecnt) {
-                    Some(data) => Response::Mem { data: data.to_vec() },
+                    Some(data) => Response::Mem {
+                        data: data.to_vec(),
+                    },
                     None => err(ErrCode::BadMemory, "mread out of range"),
                 }
             }
@@ -326,7 +384,12 @@ impl EndpointAgent {
     /// it. A captured packet is *consumed* unless the program also defines
     /// a `mirror` entry returning non-zero for it, in which case the OS
     /// processes it too (passive-capture / telescope mode).
-    pub fn on_packet(&mut self, time: u64, packet: &[u8], stack: &mut dyn NetStack) -> (RawDisposition, Out) {
+    pub fn on_packet(
+        &mut self,
+        time: u64,
+        packet: &[u8],
+        stack: &mut dyn NetStack,
+    ) -> (RawDisposition, Out) {
         let mut out = Out::new();
         let mut disposition = RawDisposition::Ignore;
         let now = stack.clock();
@@ -354,7 +417,9 @@ impl EndpointAgent {
                     Ok(0) | Err(_) => {}
                     Ok(_) => {
                         captured_here.push(*sktid);
-                        let mirrors = vm.run_entry(EntryPoint::Mirror, packet, info).is_ok_and(|v| v != 0);
+                        let mirrors = vm
+                            .run_entry(EntryPoint::Mirror, packet, info)
+                            .is_ok_and(|v| v != 0);
                         want_consume |= !mirrors;
                     }
                 }
@@ -423,9 +488,7 @@ impl EndpointAgent {
         // tear down for real.
         if self.detached > 0 {
             let linger = self.config.session_linger_ns;
-            let lapsed = |s: &Session| {
-                matches!(s.phase, Phase::Detached { since } if now.saturating_sub(since) > linger)
-            };
+            let lapsed = |s: &Session| matches!(s.phase, Phase::Detached { since } if now.saturating_sub(since) > linger);
             for sid in self.sids(lapsed) {
                 plab_obs::obs_event!(plab_obs::Component::Endpoint, "session.expire", "sid" = sid);
                 out.extend(self.end_session(sid, stack));
@@ -466,7 +529,8 @@ impl EndpointAgent {
                     SocketBinding::Raw { .. } => {}
                 }
             }
-            s.memory.set_buffer_info(s.capture.capacity as u64, s.capture.bytes as u64);
+            s.memory
+                .set_buffer_info(s.capture.capacity as u64, s.capture.bytes as u64);
             s.refresh_sockstat(stack);
             if !s.capture.is_empty() {
                 out.extend(s.finish_poll().map(|m| (s.sid, m)));

@@ -2,7 +2,9 @@
 //! outstanding poll and replay cache — everything a re-authentication
 //! adopts and a teardown releases.
 
-use super::{err, Phase, M_CAPTURED, M_CAP_DROP_BYTES, M_CAP_DROP_PKTS, M_REPLAY_HITS, M_REPLAY_MISSES};
+use super::{
+    err, Phase, M_CAPTURED, M_CAP_DROP_BYTES, M_CAP_DROP_PKTS, M_REPLAY_HITS, M_REPLAY_MISSES,
+};
 use crate::memory::EndpointMemory;
 use crate::monitor::MonitorSet;
 use crate::netstack::NetStack;
@@ -118,9 +120,7 @@ fn resp_cost(resp: &Response) -> usize {
         Response::Ok => 0,
         Response::SendQueued { .. } => 8,
         Response::Mem { data } => data.len(),
-        Response::Poll { packets, .. } => {
-            packets.iter().map(|(_, _, d)| d.len() + 16).sum()
-        }
+        Response::Poll { packets, .. } => packets.iter().map(|(_, _, d)| d.len() + 16).sum(),
         Response::Err { msg, .. } => msg.len(),
     };
     payload + 32
@@ -194,7 +194,9 @@ impl Session {
         // recent command must stay replayable even when one response alone
         // exceeds the budget.
         while self.replay.len() >= REPLAY_CACHE || self.replay_bytes + cost > self.replay_budget {
-            let Some((_, c, _)) = self.replay.pop_front() else { break };
+            let Some((_, c, _)) = self.replay.pop_front() else {
+                break;
+            };
             self.replay_bytes -= c;
         }
         self.replay_bytes += cost;
@@ -215,7 +217,10 @@ impl Session {
                 "sid" = self.sid,
                 "seq" = seq
             );
-            return Some(Message::RespSeq { seq, resp: resp.clone() });
+            return Some(Message::RespSeq {
+                seq,
+                resp: resp.clone(),
+            });
         }
         if self.pending_poll.is_some_and(|(_, polled)| polled == seq) {
             return None;
@@ -243,7 +248,14 @@ impl Session {
         }
         let (_, seq) = self.pending_poll.take()?;
         let (packets, dropped_packets, dropped_bytes) = self.capture.drain();
-        Some(self.answer(seq, Response::Poll { packets, dropped_packets, dropped_bytes }))
+        Some(self.answer(
+            seq,
+            Response::Poll {
+                packets,
+                dropped_packets,
+                dropped_bytes,
+            },
+        ))
     }
 }
 

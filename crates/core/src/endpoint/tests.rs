@@ -1,8 +1,8 @@
 use super::*;
-use plab_obs::export::{fnv1a, FNV_OFFSET};
 use crate::controller::Credentials;
 use crate::wire::Proto;
 use plab_crypto::Keypair;
+use plab_obs::export::{fnv1a, FNV_OFFSET};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
@@ -159,7 +159,13 @@ fn auth_attempt(
     creds: &Credentials,
 ) -> Out {
     agent.on_session_open(sid);
-    let out = agent.on_message(sid, Message::Hello { version: crate::PROTOCOL_VERSION }, stack);
+    let out = agent.on_message(
+        sid,
+        Message::Hello {
+            version: crate::PROTOCOL_VERSION,
+        },
+        stack,
+    );
     let Some((_, Message::HelloAck { nonce, .. })) = out.first() else {
         panic!("expected HelloAck, got {out:?}");
     };
@@ -171,7 +177,8 @@ fn authenticate(agent: &mut EndpointAgent, stack: &mut MockStack, sid: u64, prio
     let creds = unit_credentials(crate::cert::Restrictions::none(), priority);
     let out = auth_attempt(agent, stack, sid, &creds);
     assert!(
-        out.iter().any(|(s, m)| *s == sid && matches!(m, Message::AuthOk)),
+        out.iter()
+            .any(|(s, m)| *s == sid && matches!(m, Message::AuthOk)),
         "expected AuthOk, got {out:?}"
     );
 }
@@ -185,10 +192,19 @@ fn remembered_signatures_outlive_neither_window_nor_trust_root() {
     plab_obs::reset();
     let counters = || {
         let read = plab_obs::metrics::counter;
-        (read("endpoint.auth.sig_verified"), read("endpoint.auth.sig_memo_hits"))
+        (
+            read("endpoint.auth.sig_verified"),
+            read("endpoint.auth.sig_memo_hits"),
+        )
     };
     let refusal = |out: Out| match &out[..] {
-        [(_, Message::Resp(Response::Err { code: ErrCode::Auth, msg }))] => msg.clone(),
+        [(
+            _,
+            Message::Resp(Response::Err {
+                code: ErrCode::Auth,
+                msg,
+            }),
+        )] => msg.clone(),
         other => panic!("expected one refusal, got {other:?}"),
     };
     let mut a = agent();
@@ -205,7 +221,11 @@ fn remembered_signatures_outlive_neither_window_nor_trust_root() {
     a.config.wall_time += 11;
     let msg = refusal(auth_attempt(&mut a, &mut s, 2, &creds));
     assert!(msg.contains("expired"), "{msg}");
-    assert_eq!(counters(), (3, 2), "both signatures remembered, the chain refused");
+    assert_eq!(
+        counters(),
+        (3, 2),
+        "both signatures remembered, the chain refused"
+    );
 
     a.config.wall_time -= 11;
     let trusted = std::mem::take(&mut a.config.trusted_keys);
@@ -220,7 +240,13 @@ fn remembered_signatures_outlive_neither_window_nor_trust_root() {
 }
 
 /// Send `c` to session `sid` as `CmdSeq` number `seq`; its answer.
-fn cmd_seq(agent: &mut EndpointAgent, stack: &mut MockStack, sid: u64, seq: u64, c: Command) -> Response {
+fn cmd_seq(
+    agent: &mut EndpointAgent,
+    stack: &mut MockStack,
+    sid: u64,
+    seq: u64,
+    c: Command,
+) -> Response {
     let out = agent.on_message(sid, Message::CmdSeq { seq, cmd: c }, stack);
     out.into_iter()
         .find_map(|(s, m)| match m {
@@ -232,7 +258,13 @@ fn cmd_seq(agent: &mut EndpointAgent, stack: &mut MockStack, sid: u64, seq: u64,
 
 /// `nopen(sktid, raw)`.
 fn raw_socket(sktid: u32) -> Command {
-    Command::NOpen { sktid, proto: Proto::Raw, locport: 0, remaddr: 0, remport: 0 }
+    Command::NOpen {
+        sktid,
+        proto: Proto::Raw,
+        locport: 0,
+        remaddr: 0,
+        remport: 0,
+    }
 }
 
 /// Send `c` as session `sid`'s next command; its answer.
@@ -247,7 +279,13 @@ fn command_before_auth_rejected() {
     let mut s = MockStack::new();
     a.on_session_open(1);
     let resp = cmd(&mut a, &mut s, 1, Command::NPoll { time: 0 });
-    assert!(matches!(resp, Response::Err { code: ErrCode::Auth, .. }));
+    assert!(matches!(
+        resp,
+        Response::Err {
+            code: ErrCode::Auth,
+            ..
+        }
+    ));
 }
 
 #[test]
@@ -258,7 +296,13 @@ fn hello_with_wrong_version_rejected() {
     let out = a.on_message(1, Message::Hello { version: 99 }, &mut s);
     assert!(matches!(
         out.first(),
-        Some((_, Message::Resp(Response::Err { code: ErrCode::Malformed, .. })))
+        Some((
+            _,
+            Message::Resp(Response::Err {
+                code: ErrCode::Malformed,
+                ..
+            })
+        ))
     ));
 }
 
@@ -269,16 +313,21 @@ fn auth_then_scheduled_raw_send() {
     authenticate(&mut a, &mut s, 1, 10);
     let resp = cmd(&mut a, &mut s, 1, raw_socket(1));
     assert!(matches!(resp, Response::Ok));
-    let pkt = plab_packet::builder::icmp_echo_request(
-        s.addr,
-        Ipv4Addr::new(10, 0, 0, 9),
-        64,
+    let pkt =
+        plab_packet::builder::icmp_echo_request(s.addr, Ipv4Addr::new(10, 0, 0, 9), 64, 1, 1, &[]);
+    let resp = cmd(
+        &mut a,
+        &mut s,
         1,
-        1,
-        &[],
+        Command::NSend {
+            sktid: 1,
+            time: 5_000,
+            data: pkt.clone(),
+        },
     );
-    let resp = cmd(&mut a, &mut s, 1, Command::NSend { sktid: 1, time: 5_000, data: pkt.clone() });
-    let Response::SendQueued { tag } = resp else { panic!("{resp:?}") };
+    let Response::SendQueued { tag } = resp else {
+        panic!("{resp:?}")
+    };
     assert_eq!(s.raw_sends.len(), 1);
     assert_eq!(s.raw_sends[0].0, 5_000, "scheduled time forwarded to stack");
     assert_eq!(s.raw_sends[0].1, pkt);
@@ -291,28 +340,36 @@ fn send_log_recorded_into_session_memory() {
     let mut s = MockStack::new();
     authenticate(&mut a, &mut s, 1, 10);
     cmd(&mut a, &mut s, 1, raw_socket(1));
-    let pkt = plab_packet::builder::icmp_echo_request(
-        s.addr,
-        Ipv4Addr::new(10, 0, 0, 9),
-        64,
+    let pkt =
+        plab_packet::builder::icmp_echo_request(s.addr, Ipv4Addr::new(10, 0, 0, 9), 64, 1, 1, &[]);
+    let Response::SendQueued { tag } = cmd(
+        &mut a,
+        &mut s,
         1,
-        1,
-        &[],
-    );
-    let Response::SendQueued { tag } =
-        cmd(&mut a, &mut s, 1, Command::NSend { sktid: 1, time: 0, data: pkt })
-    else {
+        Command::NSend {
+            sktid: 1,
+            time: 0,
+            data: pkt,
+        },
+    ) else {
         panic!()
     };
     // The stack reports the actual transmit time; service() records it.
     s.send_log.push((s.raw_sends[0].2, 4_242));
     let _ = a.service(&mut s);
     let slot = crate::memory::EndpointMemory::sendlog_slot(tag);
-    let resp = cmd(&mut a, &mut s, 1, Command::MRead {
-        memaddr: slot,
-        bytecnt: crate::memory::SENDLOG_ENTRY as u32,
-    });
-    let Response::Mem { data } = resp else { panic!() };
+    let resp = cmd(
+        &mut a,
+        &mut s,
+        1,
+        Command::MRead {
+            memaddr: slot,
+            bytecnt: crate::memory::SENDLOG_ENTRY as u32,
+        },
+    );
+    let Response::Mem { data } = resp else {
+        panic!()
+    };
     assert_eq!(
         crate::memory::EndpointMemory::parse_sendlog_entry(&data),
         Some((tag, 4_242))
@@ -333,7 +390,16 @@ fn send_times_stay_with_the_session_that_scheduled_them() {
     for (sid, priority, time) in [(1, 5, 100), (2, 10, 50)] {
         authenticate(&mut a, &mut s, sid, priority);
         cmd(&mut a, &mut s, sid, raw_socket(1));
-        let resp = cmd(&mut a, &mut s, sid, Command::NSend { sktid: 1, time, data: pkt.clone() });
+        let resp = cmd(
+            &mut a,
+            &mut s,
+            sid,
+            Command::NSend {
+                sktid: 1,
+                time,
+                data: pkt.clone(),
+            },
+        );
         assert!(matches!(resp, Response::SendQueued { tag: 1 }), "{resp:?}");
     }
     // The stack reports each departure under the tag it was handed.
@@ -343,7 +409,11 @@ fn send_times_stay_with_the_session_that_scheduled_them() {
     }
     for (sid, left) in [(1, 100), (2, 50)] {
         let slot = crate::memory::EndpointMemory::sendlog_slot(1);
-        let entry = a.session(sid).unwrap().memory.read(slot, crate::memory::SENDLOG_ENTRY as u32);
+        let entry = a
+            .session(sid)
+            .unwrap()
+            .memory
+            .read(slot, crate::memory::SENDLOG_ENTRY as u32);
         assert_eq!(
             crate::memory::EndpointMemory::parse_sendlog_entry(entry.unwrap()),
             Some((1, left)),
@@ -359,7 +429,10 @@ fn npoll_defers_and_wakeup_completes_empty() {
     authenticate(&mut a, &mut s, 1, 10);
     // No data buffered; deadline in the future → no immediate response,
     // a wakeup is scheduled.
-    let poll = Message::CmdSeq { seq: 1, cmd: Command::NPoll { time: 50_000 } };
+    let poll = Message::CmdSeq {
+        seq: 1,
+        cmd: Command::NPoll { time: 50_000 },
+    };
     let out = a.on_message(1, poll, &mut s);
     assert!(out.is_empty(), "poll deferred: {out:?}");
     assert_eq!(s.wakeups.len(), 1);
@@ -381,27 +454,39 @@ fn captured_packet_completes_pending_poll() {
     let mut s = MockStack::new();
     authenticate(&mut a, &mut s, 1, 10);
     cmd(&mut a, &mut s, 1, raw_socket(1));
-    let filt = plab_cpf::compile(
-        "uint32_t recv(const union packet *pkt, uint32_t len) { return len; }",
-    )
-    .unwrap()
-    .encode();
-    cmd(&mut a, &mut s, 1, Command::NCap { sktid: 1, time: u64::MAX, filt });
+    let filt =
+        plab_cpf::compile("uint32_t recv(const union packet *pkt, uint32_t len) { return len; }")
+            .unwrap()
+            .encode();
+    cmd(
+        &mut a,
+        &mut s,
+        1,
+        Command::NCap {
+            sktid: 1,
+            time: u64::MAX,
+            filt,
+        },
+    );
     // Outstanding poll...
-    let poll = Message::CmdSeq { seq: 3, cmd: Command::NPoll { time: u64::MAX } };
+    let poll = Message::CmdSeq {
+        seq: 3,
+        cmd: Command::NPoll { time: u64::MAX },
+    };
     let out = a.on_message(1, poll, &mut s);
     assert!(out.is_empty());
     // ...completed by an arriving packet.
-    let pkt = plab_packet::builder::icmp_echo_reply(
-        Ipv4Addr::new(10, 0, 0, 9),
-        s.addr,
-        1,
-        1,
-        b"data",
-    );
+    let pkt =
+        plab_packet::builder::icmp_echo_reply(Ipv4Addr::new(10, 0, 0, 9), s.addr, 1, 1, b"data");
     let (disposition, out) = a.on_packet(2_000, &pkt, &mut s);
     assert_eq!(disposition, plab_netsim::RawDisposition::Consume);
-    let Some((1, Message::RespSeq { seq: 3, resp: Response::Poll { packets, .. } })) = out.first()
+    let Some((
+        1,
+        Message::RespSeq {
+            seq: 3,
+            resp: Response::Poll { packets, .. },
+        },
+    )) = out.first()
     else {
         panic!("{out:?}");
     };
@@ -416,14 +501,8 @@ fn uncaptured_packet_is_ignored_disposition() {
     authenticate(&mut a, &mut s, 1, 10);
     cmd(&mut a, &mut s, 1, raw_socket(1));
     // No ncap filter: default is capture-nothing, OS processes.
-    let pkt = plab_packet::builder::icmp_echo_request(
-        Ipv4Addr::new(10, 0, 0, 9),
-        s.addr,
-        64,
-        1,
-        1,
-        &[],
-    );
+    let pkt =
+        plab_packet::builder::icmp_echo_request(Ipv4Addr::new(10, 0, 0, 9), s.addr, 64, 1, 1, &[]);
     let (disposition, out) = a.on_packet(2_000, &pkt, &mut s);
     assert_eq!(disposition, plab_netsim::RawDisposition::Ignore);
     assert!(out.is_empty());
@@ -443,15 +522,18 @@ fn mirror_entry_requests_mirror_disposition() {
     )
     .unwrap()
     .encode();
-    cmd(&mut a, &mut s, 1, Command::NCap { sktid: 1, time: u64::MAX, filt });
-    let pkt = plab_packet::builder::icmp_echo_request(
-        Ipv4Addr::new(10, 0, 0, 9),
-        s.addr,
-        64,
+    cmd(
+        &mut a,
+        &mut s,
         1,
-        1,
-        &[],
+        Command::NCap {
+            sktid: 1,
+            time: u64::MAX,
+            filt,
+        },
     );
+    let pkt =
+        plab_packet::builder::icmp_echo_request(Ipv4Addr::new(10, 0, 0, 9), s.addr, 64, 1, 1, &[]);
     let (disposition, _) = a.on_packet(2_000, &pkt, &mut s);
     assert_eq!(disposition, plab_netsim::RawDisposition::Mirror);
     assert_eq!(a.captured_packets, 1);
@@ -462,15 +544,29 @@ fn udp_nsend_builds_datagram_via_stack() {
     let mut a = agent();
     let mut s = MockStack::new();
     authenticate(&mut a, &mut s, 1, 10);
-    cmd(&mut a, &mut s, 1, Command::NOpen {
-        sktid: 2,
-        proto: Proto::Udp,
-        locport: 5000,
-        remaddr: u32::from(Ipv4Addr::new(10, 0, 0, 9)),
-        remport: 53,
-    });
+    cmd(
+        &mut a,
+        &mut s,
+        1,
+        Command::NOpen {
+            sktid: 2,
+            proto: Proto::Udp,
+            locport: 5000,
+            remaddr: u32::from(Ipv4Addr::new(10, 0, 0, 9)),
+            remport: 53,
+        },
+    );
     assert_eq!(s.bound_udp, vec![5000]);
-    cmd(&mut a, &mut s, 1, Command::NSend { sktid: 2, time: 111, data: b"q".to_vec() });
+    cmd(
+        &mut a,
+        &mut s,
+        1,
+        Command::NSend {
+            sktid: 2,
+            time: 111,
+            data: b"q".to_vec(),
+        },
+    );
     assert_eq!(s.udp_sends.len(), 1);
     let (time, sport, dst, dport, payload, _) = &s.udp_sends[0];
     assert_eq!(*time, 111);
@@ -485,13 +581,18 @@ fn session_teardown_releases_udp_port() {
     let mut a = agent();
     let mut s = MockStack::new();
     authenticate(&mut a, &mut s, 1, 10);
-    cmd(&mut a, &mut s, 1, Command::NOpen {
-        sktid: 2,
-        proto: Proto::Udp,
-        locport: 5000,
-        remaddr: 0,
-        remport: 53,
-    });
+    cmd(
+        &mut a,
+        &mut s,
+        1,
+        Command::NOpen {
+            sktid: 2,
+            proto: Proto::Udp,
+            locport: 5000,
+            remaddr: 0,
+            remport: 53,
+        },
+    );
     assert_eq!(s.bound_udp, vec![5000]);
     let _ = a.on_session_closed(1, &mut s);
     assert!(s.bound_udp.is_empty(), "teardown unbinds");
@@ -513,11 +614,10 @@ fn session_and_socket_walks_are_in_id_order() {
         remport: 53,
     };
     let ok = Response::Ok;
-    let filt = plab_cpf::compile(
-        "uint32_t recv(const union packet *pkt, uint32_t len) { return len; }",
-    )
-    .unwrap()
-    .encode();
+    let filt =
+        plab_cpf::compile("uint32_t recv(const union packet *pkt, uint32_t len) { return len; }")
+            .unwrap()
+            .encode();
     for _ in 0..8 {
         let mut a = agent();
         let mut s = MockStack::new();
@@ -533,11 +633,16 @@ fn session_and_socket_walks_are_in_id_order() {
         }
         for sktid in [22u32, 21, 20] {
             assert_eq!(cmd(&mut a, &mut s, 2, open(sktid, Proto::Raw, 0)), ok);
-            let ncap = Command::NCap { sktid, time: u64::MAX, filt: filt.clone() };
+            let ncap = Command::NCap {
+                sktid,
+                time: u64::MAX,
+                filt: filt.clone(),
+            };
             assert_eq!(cmd(&mut a, &mut s, 2, ncap), ok);
         }
-        let ports: Vec<u16> =
-            (1..=2).flat_map(|sid| (1..=8).map(move |k| 4000 + 100 * sid + k)).collect();
+        let ports: Vec<u16> = (1..=2)
+            .flat_map(|sid| (1..=8).map(move |k| 4000 + 100 * sid + k))
+            .collect();
 
         a.service(&mut s);
         assert_eq!(s.udp_drained, ports, "drained by (sid, sktid)");
@@ -550,13 +655,16 @@ fn session_and_socket_walks_are_in_id_order() {
             b"data",
         );
         a.on_packet(2_000, &pkt, &mut s);
-        let Response::Poll { packets, .. } =
-            cmd(&mut a, &mut s, 2, Command::NPoll { time: 0 })
+        let Response::Poll { packets, .. } = cmd(&mut a, &mut s, 2, Command::NPoll { time: 0 })
         else {
             panic!("expected the captured copies");
         };
         let copies: Vec<u32> = packets.iter().map(|(sktid, _, _)| *sktid).collect();
-        assert_eq!(copies, vec![20, 21, 22], "one copy per raw socket, by sktid");
+        assert_eq!(
+            copies,
+            vec![20, 21, 22],
+            "one copy per raw socket, by sktid"
+        );
 
         let _ = a.on_session_closed(1, &mut s);
         let _ = a.on_session_closed(2, &mut s);
@@ -577,7 +685,13 @@ fn max_sessions_cap() {
     a.on_session_open(3); // over the cap: silently not tracked
     assert_eq!(a.session_count(), 2);
     // Messages from the untracked session get no crash, no reply state.
-    let out = a.on_message(3, Message::Hello { version: crate::PROTOCOL_VERSION }, &mut s);
+    let out = a.on_message(
+        3,
+        Message::Hello {
+            version: crate::PROTOCOL_VERSION,
+        },
+        &mut s,
+    );
     assert!(out.is_empty());
 }
 
@@ -598,12 +712,23 @@ fn malformed_ncap_filter_rejected() {
     let mut s = MockStack::new();
     authenticate(&mut a, &mut s, 1, 10);
     cmd(&mut a, &mut s, 1, raw_socket(1));
-    let resp = cmd(&mut a, &mut s, 1, Command::NCap {
-        sktid: 1,
-        time: u64::MAX,
-        filt: vec![1, 2, 3],
-    });
-    assert!(matches!(resp, Response::Err { code: ErrCode::Malformed, .. }));
+    let resp = cmd(
+        &mut a,
+        &mut s,
+        1,
+        Command::NCap {
+            sktid: 1,
+            time: u64::MAX,
+            filt: vec![1, 2, 3],
+        },
+    );
+    assert!(matches!(
+        resp,
+        Response::Err {
+            code: ErrCode::Malformed,
+            ..
+        }
+    ));
 }
 
 #[test]
@@ -614,8 +739,16 @@ fn replayed_auth_with_stale_nonce_rejected() {
     let mut s = MockStack::new();
     let creds = unit_credentials(crate::cert::Restrictions::none(), 1);
     a.on_session_open(1);
-    let out = a.on_message(1, Message::Hello { version: crate::PROTOCOL_VERSION }, &mut s);
-    let Some((_, Message::HelloAck { nonce, .. })) = out.first() else { panic!() };
+    let out = a.on_message(
+        1,
+        Message::Hello {
+            version: crate::PROTOCOL_VERSION,
+        },
+        &mut s,
+    );
+    let Some((_, Message::HelloAck { nonce, .. })) = out.first() else {
+        panic!()
+    };
     let auth = creds.auth_message(nonce);
     let out = a.on_message(1, auth.clone(), &mut s);
     assert!(out.iter().any(|(_, m)| matches!(m, Message::AuthOk)));
@@ -623,11 +756,23 @@ fn replayed_auth_with_stale_nonce_rejected() {
     // Replay on session 2 (whose nonce is different: later clock).
     s.clock += 1;
     a.on_session_open(2);
-    let _ = a.on_message(2, Message::Hello { version: crate::PROTOCOL_VERSION }, &mut s);
+    let _ = a.on_message(
+        2,
+        Message::Hello {
+            version: crate::PROTOCOL_VERSION,
+        },
+        &mut s,
+    );
     let out = a.on_message(2, auth, &mut s);
     assert!(
         out.iter().any(|(sid, m)| *sid == 2
-            && matches!(m, Message::Resp(Response::Err { code: ErrCode::Auth, .. }))),
+            && matches!(
+                m,
+                Message::Resp(Response::Err {
+                    code: ErrCode::Auth,
+                    ..
+                })
+            )),
         "replayed proof must fail: {out:?}"
     );
 }
@@ -656,7 +801,10 @@ fn cmd_seq_evicted_from_cache_is_refused_not_reexecuted() {
     let mut a = agent();
     let mut s = MockStack::new();
     authenticate(&mut a, &mut s, 1, 10);
-    let read = Command::MRead { memaddr: 0, bytecnt: 1 };
+    let read = Command::MRead {
+        memaddr: 0,
+        bytecnt: 1,
+    };
     // Fill the cache well past its bound with cheap commands.
     for seq in 1..=40u64 {
         cmd_seq(&mut a, &mut s, 1, seq, read.clone());
@@ -664,7 +812,13 @@ fn cmd_seq_evicted_from_cache_is_refused_not_reexecuted() {
     // Seq 1 is long evicted.
     let resp = cmd_seq(&mut a, &mut s, 1, 1, read);
     assert!(
-        matches!(resp, Response::Err { code: ErrCode::Limit, .. }),
+        matches!(
+            resp,
+            Response::Err {
+                code: ErrCode::Limit,
+                ..
+            }
+        ),
         "evicted seq must yield a typed Limit error: {resp:?}"
     );
 }
@@ -684,19 +838,34 @@ fn replay_cache_byte_bound_evicts_oversized_responses() {
     // Each 1 KiB `Mem` response costs ~1056 bytes of budget, so a
     // 2 KiB budget holds at most two entries — far below the
     // 32-entry backstop that was the only bound before.
-    let read = Command::MRead { memaddr: 0, bytecnt: 1024 };
+    let read = Command::MRead {
+        memaddr: 0,
+        bytecnt: 1024,
+    };
     for seq in 1..=4u64 {
         let resp = cmd_seq(&mut a, &mut s, 1, seq, read.clone());
-        assert!(matches!(resp, Response::Mem { .. }), "big read succeeds: {resp:?}");
+        assert!(
+            matches!(resp, Response::Mem { .. }),
+            "big read succeeds: {resp:?}"
+        );
     }
     // The newest seq is still replayable from the cache.
     let resp = cmd_seq(&mut a, &mut s, 1, 4, read.clone());
-    assert!(matches!(resp, Response::Mem { .. }), "newest entry survives byte pressure: {resp:?}");
+    assert!(
+        matches!(resp, Response::Mem { .. }),
+        "newest entry survives byte pressure: {resp:?}"
+    );
     // Seq 1 was evicted by byte pressure alone (4 entries ≤ 32): a
     // typed refusal, not a silent re-execution.
     let resp = cmd_seq(&mut a, &mut s, 1, 1, read);
     assert!(
-        matches!(resp, Response::Err { code: ErrCode::Limit, .. }),
+        matches!(
+            resp,
+            Response::Err {
+                code: ErrCode::Limit,
+                ..
+            }
+        ),
         "byte-evicted seq must yield a typed Limit error: {resp:?}"
     );
 }
@@ -713,7 +882,10 @@ fn replay_cache_keeps_newest_even_when_over_budget() {
     });
     let mut s = MockStack::new();
     authenticate(&mut a, &mut s, 1, 10);
-    let read = Command::MRead { memaddr: 0, bytecnt: 1024 };
+    let read = Command::MRead {
+        memaddr: 0,
+        bytecnt: 1024,
+    };
     let first = cmd_seq(&mut a, &mut s, 1, 1, read.clone());
     let replayed = cmd_seq(&mut a, &mut s, 1, 1, read);
     assert!(matches!(first, Response::Mem { .. }), "{first:?}");
@@ -734,7 +906,12 @@ fn replay_ring_keeps_the_newest_answers_within_its_slots() {
         let mut s = Session::new(1, 1, 4096, budget);
         let mut costs = Vec::new();
         for seq in 1..=1_000u64 {
-            s.answer(seq, Response::Mem { data: vec![0; size(seq)] });
+            s.answer(
+                seq,
+                Response::Mem {
+                    data: vec![0; size(seq)],
+                },
+            );
             costs.push(size(seq) + 32);
             // The newest answers, as many as fit: at most `REPLAY_CACHE`
             // of them and `budget` bytes, and never fewer than one.
@@ -747,13 +924,32 @@ fn replay_ring_keeps_the_newest_answers_within_its_slots() {
             }
             let (ring, held) = s.replay_ring();
             let seqs: Vec<u64> = ring.iter().map(|&(q, _, _)| q).collect();
-            assert_eq!(seqs, (seq + 1 - want as u64..=seq).collect::<Vec<_>>(), "seq {seq}");
-            assert_eq!(held, ring.iter().map(|&(_, c, _)| c).sum::<usize>(), "seq {seq}");
+            assert_eq!(
+                seqs,
+                (seq + 1 - want as u64..=seq).collect::<Vec<_>>(),
+                "seq {seq}"
+            );
+            assert_eq!(
+                held,
+                ring.iter().map(|&(_, c, _)| c).sum::<usize>(),
+                "seq {seq}"
+            );
             assert_eq!(held, bytes, "seq {seq}");
-            assert!(ring.capacity() <= REPLAY_CACHE, "seq {seq}: {} slots", ring.capacity());
+            assert!(
+                ring.capacity() <= REPLAY_CACHE,
+                "seq {seq}: {} slots",
+                ring.capacity()
+            );
         }
         let held = s.replay_ring().0.len();
-        assert!(if budget == 400 { held < REPLAY_CACHE } else { held == REPLAY_CACHE }, "{held}");
+        assert!(
+            if budget == 400 {
+                held < REPLAY_CACHE
+            } else {
+                held == REPLAY_CACHE
+            },
+            "{held}"
+        );
     }
     // One answer over the whole budget evicts everything else and stays.
     let mut s = Session::new(1, 1, 4096, 64);
@@ -784,10 +980,15 @@ fn lingering_session_adopted_on_reauthentication() {
     // Experiment state: a raw socket and a scratch write.
     let resp = cmd(&mut a, &mut s, 1, raw_socket(5));
     assert!(matches!(resp, Response::Ok));
-    let resp = cmd(&mut a, &mut s, 1, Command::MWrite {
-        memaddr: 0x40,
-        data: vec![9, 8, 7],
-    });
+    let resp = cmd(
+        &mut a,
+        &mut s,
+        1,
+        Command::MWrite {
+            memaddr: 0x40,
+            data: vec![9, 8, 7],
+        },
+    );
     assert!(matches!(resp, Response::Ok));
 
     // The control connection dies.
@@ -797,7 +998,11 @@ fn lingering_session_adopted_on_reauthentication() {
 
     // Reconnect under a fresh session id, same credentials.
     authenticate(&mut a, &mut s, 2, 10);
-    assert_eq!(a.session_count(), 1, "detached session adopted, not duplicated");
+    assert_eq!(
+        a.session_count(),
+        1,
+        "detached session adopted, not duplicated"
+    );
     // Socket 5 still exists: reopening it conflicts.
     let resp = cmd(&mut a, &mut s, 2, raw_socket(5));
     assert!(
@@ -805,8 +1010,18 @@ fn lingering_session_adopted_on_reauthentication() {
         "socket survived adoption: {resp:?}"
     );
     // Scratch memory survived too.
-    let resp = cmd(&mut a, &mut s, 2, Command::MRead { memaddr: 0x40, bytecnt: 3 });
-    let Response::Mem { data } = resp else { panic!("{resp:?}") };
+    let resp = cmd(
+        &mut a,
+        &mut s,
+        2,
+        Command::MRead {
+            memaddr: 0x40,
+            bytecnt: 3,
+        },
+    );
+    let Response::Mem { data } = resp else {
+        panic!("{resp:?}")
+    };
     assert_eq!(data, vec![9, 8, 7]);
 }
 
@@ -823,7 +1038,10 @@ fn reauthentication_adopts_the_lowest_matching_session() {
         let mut s = MockStack::new();
         for sid in [1u8, 2] {
             authenticate(&mut a, &mut s, sid.into(), sid);
-            let mark = Command::MWrite { memaddr: 0x40, data: vec![sid] };
+            let mark = Command::MWrite {
+                memaddr: 0x40,
+                data: vec![sid],
+            };
             cmd(&mut a, &mut s, sid.into(), mark);
         }
         a.config.session_linger_ns = 1_000_000_000;
@@ -833,10 +1051,19 @@ fn reauthentication_adopts_the_lowest_matching_session() {
 
         for (sid, adopted) in [(3u8, 1u8), (4, 2)] {
             authenticate(&mut a, &mut s, sid.into(), sid);
-            let read = Command::MRead { memaddr: 0x40, bytecnt: 1 };
+            let read = Command::MRead {
+                memaddr: 0x40,
+                bytecnt: 1,
+            };
             let resp = cmd(&mut a, &mut s, sid.into(), read);
-            let Response::Mem { data } = resp else { panic!("{resp:?}") };
-            assert_eq!(data, vec![adopted], "round {round}: sid {sid} adopted the wrong session");
+            let Response::Mem { data } = resp else {
+                panic!("{resp:?}")
+            };
+            assert_eq!(
+                data,
+                vec![adopted],
+                "round {round}: sid {sid} adopted the wrong session"
+            );
         }
     }
 }
@@ -849,17 +1076,41 @@ fn a_detached_session_is_adopted_with_takeover_off() {
     let mut a = lingering_agent(1_000_000_000);
     let mut s = MockStack::new();
     authenticate(&mut a, &mut s, 1, 10);
-    cmd(&mut a, &mut s, 1, Command::MWrite { memaddr: 0x40, data: vec![7] });
+    cmd(
+        &mut a,
+        &mut s,
+        1,
+        Command::MWrite {
+            memaddr: 0x40,
+            data: vec![7],
+        },
+    );
     a.on_session_closed(1, &mut s);
     a.config.session_linger_ns = 0;
     assert_eq!(a.detached, 1);
 
     authenticate(&mut a, &mut s, 2, 10);
-    let resp = cmd(&mut a, &mut s, 2, Command::MRead { memaddr: 0x40, bytecnt: 1 });
+    let resp = cmd(
+        &mut a,
+        &mut s,
+        2,
+        Command::MRead {
+            memaddr: 0x40,
+            bytecnt: 1,
+        },
+    );
     assert_eq!(resp, Response::Mem { data: vec![7] });
-    assert_eq!((a.session_count(), a.detached), (1, 0), "adopted, and none left to adopt");
+    assert_eq!(
+        (a.session_count(), a.detached),
+        (1, 0),
+        "adopted, and none left to adopt"
+    );
     authenticate(&mut a, &mut s, 3, 10);
-    assert_eq!(a.session_count(), 2, "with nothing detached a new session stands alone");
+    assert_eq!(
+        a.session_count(),
+        2,
+        "with nothing detached a new session stands alone"
+    );
 }
 
 /// A detached session whose linger window passes is reclaimed by
@@ -869,7 +1120,15 @@ fn lingering_session_expires_after_window() {
     let mut a = lingering_agent(1_000);
     let mut s = MockStack::new();
     authenticate(&mut a, &mut s, 1, 10);
-    cmd(&mut a, &mut s, 1, Command::MWrite { memaddr: 0x40, data: vec![1] });
+    cmd(
+        &mut a,
+        &mut s,
+        1,
+        Command::MWrite {
+            memaddr: 0x40,
+            data: vec![1],
+        },
+    );
     a.on_session_closed(1, &mut s);
     assert_eq!(a.session_count(), 1);
 
@@ -880,8 +1139,18 @@ fn lingering_session_expires_after_window() {
 
     // Fresh session: scratch memory is zeroed (default), not adopted.
     authenticate(&mut a, &mut s, 2, 10);
-    let resp = cmd(&mut a, &mut s, 2, Command::MRead { memaddr: 0x40, bytecnt: 1 });
-    let Response::Mem { data } = resp else { panic!("{resp:?}") };
+    let resp = cmd(
+        &mut a,
+        &mut s,
+        2,
+        Command::MRead {
+            memaddr: 0x40,
+            bytecnt: 1,
+        },
+    );
+    let Response::Mem { data } = resp else {
+        panic!("{resp:?}")
+    };
     assert_ne!(data, vec![1], "state must not survive linger expiry");
 }
 
@@ -904,28 +1173,74 @@ fn default_config_tears_down_on_close() {
 fn hello_on_an_authenticated_session_is_refused() {
     let mut a = agent();
     let mut s = MockStack::new();
-    let scratch = Command::MRead { memaddr: 0x40, bytecnt: 3 };
-    let bind = Command::NOpen { sktid: 1, proto: Proto::Udp, locport: 4000, remaddr: 0, remport: 53 };
+    let scratch = Command::MRead {
+        memaddr: 0x40,
+        bytecnt: 3,
+    };
+    let bind = Command::NOpen {
+        sktid: 1,
+        proto: Proto::Udp,
+        locport: 4000,
+        remaddr: 0,
+        remport: 53,
+    };
     let ok = Response::Ok;
     authenticate(&mut a, &mut s, 1, 1);
     assert_eq!(cmd(&mut a, &mut s, 1, bind.clone()), ok);
-    assert_eq!(cmd(&mut a, &mut s, 1, Command::MWrite { memaddr: 0x40, data: vec![9, 8, 7] }), ok);
+    assert_eq!(
+        cmd(
+            &mut a,
+            &mut s,
+            1,
+            Command::MWrite {
+                memaddr: 0x40,
+                data: vec![9, 8, 7]
+            }
+        ),
+        ok
+    );
 
     // Another experimenter, another descriptor, the same connection.
     let other = credentials(43, "other", crate::cert::Restrictions::none(), 7);
-    let out = a.on_message(1, Message::Hello { version: crate::PROTOCOL_VERSION }, &mut s);
+    let out = a.on_message(
+        1,
+        Message::Hello {
+            version: crate::PROTOCOL_VERSION,
+        },
+        &mut s,
+    );
     assert!(
-        matches!(&out[..], [(1, Message::Resp(Response::Err { code: ErrCode::Malformed, .. }))]),
+        matches!(
+            &out[..],
+            [(
+                1,
+                Message::Resp(Response::Err {
+                    code: ErrCode::Malformed,
+                    ..
+                })
+            )]
+        ),
         "{out:?}"
     );
     let out = a.on_message(1, other.auth_message(&[0; 32]), &mut s);
     assert!(
-        matches!(&out[..], [(1, Message::Resp(Response::Err { code: ErrCode::Auth, .. }))]),
+        matches!(
+            &out[..],
+            [(
+                1,
+                Message::Resp(Response::Err {
+                    code: ErrCode::Auth,
+                    ..
+                })
+            )]
+        ),
         "{out:?}"
     );
     // The first experiment is where it was.
     assert_eq!(a.active_priority(), Some(1));
-    let held = Response::Mem { data: vec![9, 8, 7] };
+    let held = Response::Mem {
+        data: vec![9, 8, 7],
+    };
     assert_eq!(cmd(&mut a, &mut s, 1, scratch.clone()), held);
     assert_eq!(s.bound_udp, vec![4000]);
 
@@ -934,11 +1249,19 @@ fn hello_on_an_authenticated_session_is_refused() {
     let out = auth_attempt(&mut a, &mut s, 2, &other);
     assert!(out.contains(&(2, Message::AuthOk)), "{out:?}");
     assert_eq!(a.active_priority(), Some(7));
-    let zeroed = Response::Mem { data: vec![0, 0, 0] };
+    let zeroed = Response::Mem {
+        data: vec![0, 0, 0],
+    };
     assert_eq!(cmd(&mut a, &mut s, 2, scratch), zeroed);
     let refused = cmd(&mut a, &mut s, 2, bind.clone());
     assert!(
-        matches!(refused, Response::Err { code: ErrCode::BadSocket, .. }),
+        matches!(
+            refused,
+            Response::Err {
+                code: ErrCode::BadSocket,
+                ..
+            }
+        ),
         "{refused:?}"
     );
     let _ = a.on_session_closed(1, &mut s);
@@ -954,7 +1277,10 @@ fn a_second_npoll_completes_the_first() {
     let mut a = agent();
     let mut s = MockStack::new();
     authenticate(&mut a, &mut s, 1, 10);
-    let poll = |seq, time| Message::CmdSeq { seq, cmd: Command::NPoll { time } };
+    let poll = |seq, time| Message::CmdSeq {
+        seq,
+        cmd: Command::NPoll { time },
+    };
     let mut out = a.on_message(1, poll(1, 10_000), &mut s);
     out.extend(a.on_message(1, poll(2, 20_000), &mut s));
     s.clock = 30_000;
@@ -962,12 +1288,27 @@ fn a_second_npoll_completes_the_first() {
         out.extend(a.on_wakeup(key, &mut s));
     }
     out.extend(a.service(&mut s));
-    let empty = Response::Poll { packets: vec![], dropped_packets: 0, dropped_bytes: 0 };
-    let answers =
-        [1, 2].map(|seq| (1, Message::RespSeq { seq, resp: empty.clone() }));
+    let empty = Response::Poll {
+        packets: vec![],
+        dropped_packets: 0,
+        dropped_bytes: 0,
+    };
+    let answers = [1, 2].map(|seq| {
+        (
+            1,
+            Message::RespSeq {
+                seq,
+                resp: empty.clone(),
+            },
+        )
+    });
     assert_eq!(out, answers, "each seq answered once, in order");
     for (seq, answer) in [1, 2].into_iter().zip(answers) {
-        assert_eq!(a.on_message(1, poll(seq, 0), &mut s), vec![answer], "replay of {seq}");
+        assert_eq!(
+            a.on_message(1, poll(seq, 0), &mut s),
+            vec![answer],
+            "replay of {seq}"
+        );
     }
 }
 
@@ -979,13 +1320,22 @@ fn a_packet_costs_only_the_sessions_that_filter_it() {
     let mut s = MockStack::new();
     authenticate(&mut a, &mut s, 1, 10);
     cmd(&mut a, &mut s, 1, raw_socket(1));
-    let filt = plab_cpf::compile(
-        "uint32_t recv(const union packet *pkt, uint32_t len) { return len; }",
-    )
-    .unwrap()
-    .encode();
-    cmd(&mut a, &mut s, 1, Command::NCap { sktid: 1, time: u64::MAX, filt });
-    let pkt = plab_packet::builder::icmp_echo_reply(Ipv4Addr::new(10, 0, 0, 9), s.addr, 1, 1, b"data");
+    let filt =
+        plab_cpf::compile("uint32_t recv(const union packet *pkt, uint32_t len) { return len; }")
+            .unwrap()
+            .encode();
+    cmd(
+        &mut a,
+        &mut s,
+        1,
+        Command::NCap {
+            sktid: 1,
+            time: u64::MAX,
+            filt,
+        },
+    );
+    let pkt =
+        plab_packet::builder::icmp_echo_reply(Ipv4Addr::new(10, 0, 0, 9), s.addr, 1, 1, b"data");
     let mut clock_reads = |a: &mut EndpointAgent| {
         let before = s.clock_reads.get();
         let (disposition, _) = a.on_packet(2_000, &pkt, &mut s);
@@ -997,7 +1347,11 @@ fn a_packet_costs_only_the_sessions_that_filter_it() {
         a.on_session_open(sid);
     }
     assert_eq!(a.session_count(), 64);
-    assert_eq!(clock_reads(&mut a), alone, "63 sessions without a filter read the clock");
+    assert_eq!(
+        clock_reads(&mut a),
+        alone,
+        "63 sessions without a filter read the clock"
+    );
 }
 
 /// One controller's connection in [`Transcript`]. `seq` is the
@@ -1080,7 +1434,11 @@ impl Transcript {
                 credentials(42, "exp-a", crate::cert::Restrictions::none(), 1),
                 credentials(43, "exp-b", restricted, 1),
             ],
-            filters: [compile(capture), compile(&format!("{capture} {mirror}")), vec![1, 2, 3]],
+            filters: [
+                compile(capture),
+                compile(&format!("{capture} {mirror}")),
+                vec![1, 2, 3],
+            ],
             conns: Default::default(),
             next_sid: 1,
             streams: BTreeMap::new(),
@@ -1122,13 +1480,26 @@ impl Transcript {
                             conn.deferred = None;
                         }
                     }
-                    Response::Err { code: ErrCode::Suspended, .. } => t.suspended += 1,
-                    Response::Err { code: ErrCode::Limit, .. } => t.replay_evicted += 1,
-                    Response::Err { code: ErrCode::Denied, .. } => t.denied += 1,
-                    Response::Err { code: ErrCode::Auth, msg } if msg == "not authenticated" => {
-                        t.not_authenticated += 1
-                    }
-                    Response::Err { code: ErrCode::Auth, .. } => t.auth_refused += 1,
+                    Response::Err {
+                        code: ErrCode::Suspended,
+                        ..
+                    } => t.suspended += 1,
+                    Response::Err {
+                        code: ErrCode::Limit,
+                        ..
+                    } => t.replay_evicted += 1,
+                    Response::Err {
+                        code: ErrCode::Denied,
+                        ..
+                    } => t.denied += 1,
+                    Response::Err {
+                        code: ErrCode::Auth,
+                        msg,
+                    } if msg == "not authenticated" => t.not_authenticated += 1,
+                    Response::Err {
+                        code: ErrCode::Auth,
+                        ..
+                    } => t.auth_refused += 1,
                     _ => {}
                 },
                 _ => {}
@@ -1137,7 +1508,9 @@ impl Transcript {
     }
 
     fn poll_pending(&self, sid: u64) -> bool {
-        self.a.session(sid).is_some_and(|s| s.pending_poll.is_some())
+        self.a
+            .session(sid)
+            .is_some_and(|s| s.pending_poll.is_some())
     }
 
     fn command(&mut self, sid: u64) -> Command {
@@ -1155,7 +1528,11 @@ impl Transcript {
             3 => Command::NClose { sktid },
             4..=6 => Command::NSend {
                 sktid,
-                time: if self.below(2) == 0 { 0 } else { clock + self.below(2_000) },
+                time: if self.below(2) == 0 {
+                    0
+                } else {
+                    clock + self.below(2_000)
+                },
                 data: plab_packet::builder::icmp_echo_request(
                     self.s.addr,
                     Ipv4Addr::new(10, 0, 0, 9),
@@ -1167,11 +1544,19 @@ impl Transcript {
             },
             7..=8 => Command::NCap {
                 sktid,
-                time: if self.below(4) != 0 { u64::MAX } else { clock + self.below(30_000) },
+                time: if self.below(4) != 0 {
+                    u64::MAX
+                } else {
+                    clock + self.below(30_000)
+                },
                 filt: self.filters[self.below(5) as usize % 3].clone(),
             },
             9..=11 if !self.poll_pending(sid) => Command::NPoll {
-                time: if self.below(3) == 0 { 0 } else { clock + self.below(8_000) },
+                time: if self.below(3) == 0 {
+                    0
+                } else {
+                    clock + self.below(8_000)
+                },
             },
             9..=13 => Command::MRead {
                 memaddr: [
@@ -1184,7 +1569,11 @@ impl Transcript {
                 bytecnt: [8, 16, 24, 64][self.below(4) as usize],
             },
             14 => Command::MWrite {
-                memaddr: if self.below(8) == 0 { 0 } else { 0x40 + self.below(8) as u32 },
+                memaddr: if self.below(8) == 0 {
+                    0
+                } else {
+                    0x40 + self.below(8) as u32
+                },
                 data: vec![self.below(256) as u8; 1 + self.below(4) as usize],
             },
             _ => Command::Yield,
@@ -1200,7 +1589,12 @@ impl Transcript {
             let sid = self.next_sid;
             self.next_sid += 1;
             self.a.on_session_open(sid);
-            self.conns[c] = Conn { sid, open: true, seq: self.conns[c].seq, ..Default::default() };
+            self.conns[c] = Conn {
+                sid,
+                open: true,
+                seq: self.conns[c].seq,
+                ..Default::default()
+            };
             return;
         }
         let again = self.below(6) == 0;
@@ -1215,7 +1609,11 @@ impl Transcript {
                 auth
             }
             _ => Message::Hello {
-                version: if self.below(10) == 0 { 99 } else { crate::PROTOCOL_VERSION },
+                version: if self.below(10) == 0 {
+                    99
+                } else {
+                    crate::PROTOCOL_VERSION
+                },
             },
         };
         let sessions = self.a.session_count();
@@ -1230,7 +1628,10 @@ impl Transcript {
         self.s.clock += 1 + self.below(50);
         // Half the steps go to whoever holds the endpoint: a suspended
         // session's commands are all refused alike.
-        let holder = self.conns.iter().position(|c| c.open && Some(c.sid) == self.a.active);
+        let holder = self
+            .conns
+            .iter()
+            .position(|c| c.open && Some(c.sid) == self.a.active);
         let c = match holder {
             Some(c) if self.below(2) == 0 => c,
             _ => self.below(4) as usize,
@@ -1240,7 +1641,10 @@ impl Transcript {
         match self.below(100) {
             0..=1 if self.conns[c].open => {
                 let out = self.a.on_session_closed(sid, &mut self.s);
-                self.conns[c] = Conn { seq: self.conns[c].seq, ..Default::default() };
+                self.conns[c] = Conn {
+                    seq: self.conns[c].seq,
+                    ..Default::default()
+                };
                 self.absorb(out, 0);
             }
             // Time passes: the stack reports the scheduled sends that
@@ -1248,17 +1652,24 @@ impl Transcript {
             2..=7 => {
                 self.s.clock += self.below(4_000);
                 let now = self.s.clock;
-                let (left, raw) =
-                    std::mem::take(&mut self.s.raw_sends).into_iter().partition(|x| x.0 <= now);
-                let (left_udp, udp) =
-                    std::mem::take(&mut self.s.udp_sends).into_iter().partition(|x| x.0 <= now);
-                let (due, wakeups) =
-                    std::mem::take(&mut self.s.wakeups).into_iter().partition(|x| x.1 <= now);
+                let (left, raw) = std::mem::take(&mut self.s.raw_sends)
+                    .into_iter()
+                    .partition(|x| x.0 <= now);
+                let (left_udp, udp) = std::mem::take(&mut self.s.udp_sends)
+                    .into_iter()
+                    .partition(|x| x.0 <= now);
+                let (due, wakeups) = std::mem::take(&mut self.s.wakeups)
+                    .into_iter()
+                    .partition(|x| x.1 <= now);
                 (self.s.raw_sends, self.s.udp_sends, self.s.wakeups) = (raw, udp, wakeups);
                 let left: Vec<(u64, Vec<u8>, u64)> = left;
                 let left_udp: Vec<(u64, u16, Ipv4Addr, u16, Vec<u8>, u64)> = left_udp;
-                self.s.send_log.extend(left.iter().map(|x| (x.2, x.0.max(1_000))));
-                self.s.send_log.extend(left_udp.iter().map(|x| (x.5, x.0.max(1_000))));
+                self.s
+                    .send_log
+                    .extend(left.iter().map(|x| (x.2, x.0.max(1_000))));
+                self.s
+                    .send_log
+                    .extend(left_udp.iter().map(|x| (x.5, x.0.max(1_000))));
                 let due: Vec<(u64, u64)> = due;
                 for (key, _) in due {
                     let out = self.a.on_wakeup(key, &mut self.s);
@@ -1274,7 +1685,10 @@ impl Transcript {
             13..=18 => {
                 let pkt = plab_packet::builder::icmp_echo_reply(peer, self.s.addr, 1, 1, b"data");
                 let (disposition, out) = self.a.on_packet(self.s.clock, &pkt, &mut self.s);
-                fnv1a(self.streams.entry(u64::MAX).or_insert(FNV_OFFSET), &[disposition as u8]);
+                fnv1a(
+                    self.streams.entry(u64::MAX).or_insert(FNV_OFFSET),
+                    &[disposition as u8],
+                );
                 self.absorb(out, 1);
             }
             19..=22 => {
@@ -1306,13 +1720,28 @@ impl Transcript {
                     }
                     8 => {
                         let recent = seq.saturating_sub(self.below(2));
-                        (true, Message::CmdSeq { seq: self.conns[c].deferred.unwrap_or(recent), cmd })
+                        (
+                            true,
+                            Message::CmdSeq {
+                                seq: self.conns[c].deferred.unwrap_or(recent),
+                                cmd,
+                            },
+                        )
                     }
-                    _ => (true, Message::CmdSeq { seq: 1 + self.below(seq.max(1)), cmd }),
+                    _ => (
+                        true,
+                        Message::CmdSeq {
+                            seq: 1 + self.below(seq.max(1)),
+                            cmd,
+                        },
+                    ),
                 };
                 let in_flight = replay && self.poll_pending(sid);
                 let polled = match &msg {
-                    Message::CmdSeq { seq, cmd: Command::NPoll { .. } } if !replay => Some(*seq),
+                    Message::CmdSeq {
+                        seq,
+                        cmd: Command::NPoll { .. },
+                    } if !replay => Some(*seq),
                     _ => None,
                 };
                 let out = self.a.on_message(sid, msg, &mut self.s);
@@ -1350,7 +1779,11 @@ fn transcript_digest() {
     plab_obs::reset();
     let mut t = Transcript::new(0x2323);
     for step in 0..2_000 {
-        t.a.config.session_linger_ns = if (667..1_334).contains(&step) { 6_000 } else { 0 };
+        t.a.config.session_linger_ns = if (667..1_334).contains(&step) {
+            6_000
+        } else {
+            0
+        };
         t.step();
     }
     // Everything ends: no session, socket or gauge is left behind.
@@ -1365,14 +1798,49 @@ fn transcript_digest() {
     assert_eq!(t.s.bound_udp, Vec::<u16>::new());
     assert_eq!(plab_obs::metrics::gauge("endpoint.sessions.lingering"), 0);
 
-    let Tally { polls: [at_once, by_packet, by_wakeup, by_service], auth_ok, auth_refused, .. } = t.tally;
-    let Tally { not_authenticated, adopted, expired, interrupted, resumed, suspended, .. } = t.tally;
-    let Tally { replay_evicted, replay_in_flight, denied, .. } = t.tally;
+    let Tally {
+        polls: [at_once, by_packet, by_wakeup, by_service],
+        auth_ok,
+        auth_refused,
+        ..
+    } = t.tally;
+    let Tally {
+        not_authenticated,
+        adopted,
+        expired,
+        interrupted,
+        resumed,
+        suspended,
+        ..
+    } = t.tally;
+    let Tally {
+        replay_evicted,
+        replay_in_flight,
+        denied,
+        ..
+    } = t.tally;
     let covered = [
-        at_once, by_packet, by_wakeup, by_service, auth_ok, auth_refused, not_authenticated, adopted,
-        expired, interrupted, resumed, suspended, replay_evicted, replay_in_flight, denied,
+        at_once,
+        by_packet,
+        by_wakeup,
+        by_service,
+        auth_ok,
+        auth_refused,
+        not_authenticated,
+        adopted,
+        expired,
+        interrupted,
+        resumed,
+        suspended,
+        replay_evicted,
+        replay_in_flight,
+        denied,
     ];
-    assert!(covered.iter().all(|n| *n > 0), "the script lost a path: {:?}", t.tally);
+    assert!(
+        covered.iter().all(|n| *n > 0),
+        "the script lost a path: {:?}",
+        t.tally
+    );
     assert!(plab_obs::metrics::counter("endpoint.replay.hits") > 0);
 
     let mut digest = FNV_OFFSET;

@@ -19,7 +19,12 @@ enum Row {
 
 impl Row {
     fn of(s: &Session, experiments: &[(KeyHash, [u8; 32]); 2]) -> Row {
-        let e = || experiments.iter().position(|e| Some(*e) == s.experiment_id).expect("known");
+        let e = || {
+            experiments
+                .iter()
+                .position(|e| Some(*e) == s.experiment_id)
+                .expect("known")
+        };
         match s.phase {
             Phase::New => Row::New,
             Phase::AwaitAuth { .. } => Row::AwaitAuth,
@@ -92,19 +97,35 @@ impl TableScript {
 
     /// A live sid, if there is one.
     fn live(&mut self, keep: impl Fn(Row) -> bool) -> Option<u64> {
-        let sids: Vec<u64> = self.model.iter().filter(|(_, r)| keep(**r)).map(|(s, _)| *s).collect();
+        let sids: Vec<u64> = self
+            .model
+            .iter()
+            .filter(|(_, r)| keep(**r))
+            .map(|(s, _)| *s)
+            .collect();
         (!sids.is_empty()).then(|| sids[self.below(sids.len() as u64) as usize])
     }
 
     /// `sid` asks for the endpoint: it takes it if nobody holds it.
     fn contend(&mut self, sid: u64, e: usize) {
         let held = self.model.values().any(|r| matches!(r, Row::Active(_)));
-        self.model.insert(sid, if held { Row::Suspended(e) } else { Row::Active(e) });
+        self.model.insert(
+            sid,
+            if held {
+                Row::Suspended(e)
+            } else {
+                Row::Active(e)
+            },
+        );
     }
 
     /// The holder let go: the lowest suspended sid takes the endpoint.
     fn release(&mut self) {
-        if let Some(r) = self.model.values_mut().find(|r| matches!(r, Row::Suspended(_))) {
+        if let Some(r) = self
+            .model
+            .values_mut()
+            .find(|r| matches!(r, Row::Suspended(_)))
+        {
             *r = Row::Active(r.experiment().unwrap());
         }
     }
@@ -128,15 +149,23 @@ impl TableScript {
                 }
             }
             10..=19 => {
-                let Some(sid) = self.live(|r| matches!(r, Row::New | Row::AwaitAuth)) else { return };
-                let hello = Message::Hello { version: crate::PROTOCOL_VERSION };
+                let Some(sid) = self.live(|r| matches!(r, Row::New | Row::AwaitAuth)) else {
+                    return;
+                };
+                let hello = Message::Hello {
+                    version: crate::PROTOCOL_VERSION,
+                };
                 let out = self.a.on_message(sid, hello, &mut self.s);
-                let [(_, Message::HelloAck { nonce, .. })] = out[..] else { panic!("{out:?}") };
+                let [(_, Message::HelloAck { nonce, .. })] = out[..] else {
+                    panic!("{out:?}")
+                };
                 self.nonces.insert(sid, nonce);
                 self.model.insert(sid, Row::AwaitAuth);
             }
             20..=31 => {
-                let Some(sid) = self.live(|r| r == Row::AwaitAuth) else { return };
+                let Some(sid) = self.live(|r| r == Row::AwaitAuth) else {
+                    return;
+                };
                 let e = self.below(2) as usize;
                 let auth = self.creds[e].auth_message(&self.nonces[&sid]);
                 let out = self.a.on_message(sid, auth, &mut self.s);
@@ -144,9 +173,10 @@ impl TableScript {
                 // The oldest other session of the experiment, any
                 // authenticated one with takeover on, a detached one off.
                 let adoptable = |r: &Row| linger > 0 || matches!(r, Row::Detached(..));
-                let adopt = self.model.iter().find(|(o, r)| {
-                    **o != sid && r.experiment() == Some(e) && adoptable(r)
-                });
+                let adopt = self
+                    .model
+                    .iter()
+                    .find(|(o, r)| **o != sid && r.experiment() == Some(e) && adoptable(r));
                 if let Some((&old, _)) = adopt {
                     self.model.remove(&old);
                     self.tally[(linger == 0) as usize] += 1;
@@ -156,23 +186,34 @@ impl TableScript {
             // Half the commands go to whoever holds the endpoint.
             32..=59 => {
                 let holder = self.below(2) == 0;
-                let Some(sid) = self.live(|r| !holder || matches!(r, Row::Active(_))) else { return };
+                let Some(sid) = self.live(|r| !holder || matches!(r, Row::Active(_))) else {
+                    return;
+                };
                 let row = self.model[&sid];
                 // The holder may arm a capture: a raw socket, a filter on
                 // it and a poll that waits for what it catches.
                 let cmds = match self.below(if matches!(row, Row::Active(_)) { 3 } else { 2 }) {
                     0 => vec![Command::Yield],
-                    1 => vec![Command::MRead { memaddr: 0, bytecnt: 8 }],
+                    1 => vec![Command::MRead {
+                        memaddr: 0,
+                        bytecnt: 8,
+                    }],
                     _ => vec![
                         raw_socket(1),
-                        Command::NCap { sktid: 1, time: u64::MAX, filt: self.capture.clone() },
+                        Command::NCap {
+                            sktid: 1,
+                            time: u64::MAX,
+                            filt: self.capture.clone(),
+                        },
                         Command::NPoll { time: u64::MAX },
                     ],
                 };
                 let yielded = cmds[0] == Command::Yield;
                 for cmd in cmds {
                     let seq = self.a.session(sid).unwrap().last_seq + 1;
-                    let _ = self.a.on_message(sid, Message::CmdSeq { seq, cmd }, &mut self.s);
+                    let _ = self
+                        .a
+                        .on_message(sid, Message::CmdSeq { seq, cmd }, &mut self.s);
                 }
                 match row {
                     Row::Active(e) if yielded => {
@@ -209,21 +250,36 @@ impl TableScript {
                 }
             }
             70..=79 => {
-                let pkt =
-                    plab_packet::builder::icmp_echo_reply(Ipv4Addr::new(10, 0, 0, 9), self.s.addr, 1, 1, b"x");
+                let pkt = plab_packet::builder::icmp_echo_reply(
+                    Ipv4Addr::new(10, 0, 0, 9),
+                    self.s.addr,
+                    1,
+                    1,
+                    b"x",
+                );
                 let (_, out) = self.a.on_packet(self.s.clock, &pkt, &mut self.s);
                 let sids = Self::sids_of(&out);
-                assert!(sids.is_sorted_by(|a, b| a < b), "on_packet answered out of order: {sids:?}");
+                assert!(
+                    sids.is_sorted_by(|a, b| a < b),
+                    "on_packet answered out of order: {sids:?}"
+                );
                 self.tally[4] += (sids.len() > 1) as u32;
             }
             80..=87 => {
                 self.s.clock += self.below(2 * linger + 1);
                 let now = self.s.clock;
-                self.model.retain(|_, r| !matches!(*r, Row::Detached(_, since) if now - since > linger));
+                self.model
+                    .retain(|_, r| !matches!(*r, Row::Detached(_, since) if now - since > linger));
                 let out = self.a.service(&mut self.s);
                 let sids = Self::sids_of(&out);
-                assert!(sids.is_sorted_by(|a, b| a < b), "service answered out of order: {sids:?}");
-                assert!(sids.iter().all(|sid| self.model.contains_key(sid)), "{sids:?}");
+                assert!(
+                    sids.is_sorted_by(|a, b| a < b),
+                    "service answered out of order: {sids:?}"
+                );
+                assert!(
+                    sids.iter().all(|sid| self.model.contains_key(sid)),
+                    "{sids:?}"
+                );
                 self.tally[5] += !sids.is_empty() as u32;
             }
             _ => self.a.config.session_linger_ns = [0, 4_000][self.below(2) as usize],
@@ -244,7 +300,10 @@ impl TableScript {
         assert_eq!(self.a.active, holder.map(|(sid, _)| *sid), "step {step}");
         let detached = self.model.values().any(|r| matches!(r, Row::Detached(..)));
         assert_eq!(self.a.lingering(), detached, "step {step}");
-        let gap = sids.iter().enumerate().any(|(i, sid)| sid - sids[0] != i as u64);
+        let gap = sids
+            .iter()
+            .enumerate()
+            .any(|(i, sid)| sid - sids[0] != i as u64);
         self.tally[3] += (gap && sids.len() > 1) as u32;
     }
 }
@@ -267,5 +326,8 @@ fn session_table_matches_a_model() {
         }
         tally.iter_mut().zip(t.tally).for_each(|(sum, n)| *sum += n);
     }
-    assert!(tally.iter().all(|n| *n > 0), "the script lost a path: {tally:?}");
+    assert!(
+        tally.iter().all(|n| *n > 0),
+        "the script lost a path: {tally:?}"
+    );
 }

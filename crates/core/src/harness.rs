@@ -22,9 +22,9 @@
 use crate::controller::robust::Dialer;
 use crate::controller::{aio, probe_seq, ControlChannel, SinkHost};
 use crate::endpoint::{EndpointAgent, EndpointConfig};
+use crate::netstack::SimStack;
 use crate::reactor::EndpointReactor;
 use crate::rendezvous::{RendezvousServer, RvMessage};
-use crate::netstack::SimStack;
 use crate::wire::{FrameDecoder, Message};
 use plab_netsim::{Frame, NodeId, NodeTransition, RawDisposition, ShardedSim, Sim, SimTime};
 use std::cell::RefCell;
@@ -319,7 +319,11 @@ impl SimNet {
         keys: Vec<[u8; 32]>,
     ) -> u64 {
         let conn = self.sim.tcp_connect(from_node, rv_addr, RENDEZVOUS_PORT);
-        let frame = rv_frame(&RvMessage::Publish { descriptor, chain, keys });
+        let frame = rv_frame(&RvMessage::Publish {
+            descriptor,
+            chain,
+            keys,
+        });
         self.sim.tcp_send(from_node, conn, &frame);
         conn
     }
@@ -338,7 +342,11 @@ impl SimNet {
     pub fn add_tcp_sink(&mut self, node: NodeId, port: u16) {
         self.sim.tcp_listen(node, port);
         self.on_node.entry(node.0).or_default()[SINK].push(self.tcp_sinks.len());
-        self.tcp_sinks.push(TcpSinkHost { node, port, conns: Vec::new() });
+        self.tcp_sinks.push(TcpSinkHost {
+            node,
+            port,
+            conns: Vec::new(),
+        });
     }
 
     /// Install a UDP echo service (RFC 862) on `node`:`port`: every
@@ -408,9 +416,10 @@ impl SimNet {
 
     /// What a pass that did anything changes.
     fn activity(&self) -> (u64, usize) {
-        let sessions = self.endpoints.iter().map(|e| {
-            e.reactor.sessions().count() + e.reactor.agent().session_count()
-        });
+        let sessions = self
+            .endpoints
+            .iter()
+            .map(|e| e.reactor.sessions().count() + e.reactor.agent().session_count());
         let rv_sessions = self.rendezvous.iter().map(|r| r.sessions.len());
         (self.sim.activity(), sessions.chain(rv_sessions).sum())
     }
@@ -432,8 +441,16 @@ impl SimNet {
             if cfg!(debug_assertions) {
                 let (serviced, next) = (self.serviced.len(), self.sim.next_event_time());
                 self.pass(false);
-                let after = (self.serviced.len(), self.sim.next_event_time(), self.sim.quiet());
-                assert_eq!(after, (serviced, next, true), "a quiet event left agents work");
+                let after = (
+                    self.serviced.len(),
+                    self.sim.next_event_time(),
+                    self.sim.quiet(),
+                );
+                assert_eq!(
+                    after,
+                    (serviced, next, true),
+                    "a quiet event left agents work"
+                );
             }
             self.sim.step();
         }
@@ -492,7 +509,10 @@ impl SimNet {
         let ep = &self.endpoints[i];
         ep.reactor.agent().lingering()
             || ep.reactor.queued_in_messages() > 0
-            || ep.reactor.sessions().any(|(_, conn)| self.gone(ep.node, conn))
+            || ep
+                .reactor
+                .sessions()
+                .any(|(_, conn)| self.gone(ep.node, conn))
             || self.sim.tcp_acceptable(ep.node, ep.port)
     }
 
@@ -509,7 +529,10 @@ impl SimNet {
         let dirty = &mut self.scratch.dirty;
         self.sim.drain_dirty_nodes(dirty);
         for n in dirty.iter().chain(fired.iter().map(|(n, _)| n)) {
-            for (all, here) in hosts.iter_mut().zip(self.on_node.get(&n.0).into_iter().flatten()) {
+            for (all, here) in hosts
+                .iter_mut()
+                .zip(self.on_node.get(&n.0).into_iter().flatten())
+            {
                 all.extend_from_slice(here);
             }
         }
@@ -674,7 +697,11 @@ impl SimNet {
         // after the dispatch, so a dying session's buffered commands run.
         let mut dead = std::mem::take(&mut self.scratch.dead);
         let sessions = self.endpoints[i].reactor.sessions();
-        dead.extend(sessions.filter(|&(_, conn)| self.gone(node, conn)).map(|(sid, _)| sid));
+        dead.extend(
+            sessions
+                .filter(|&(_, conn)| self.gone(node, conn))
+                .map(|(sid, _)| sid),
+        );
 
         // Readiness-poll inbound bytes, dispatch queued commands under
         // deficit round-robin, then tear down dead connections.
@@ -771,7 +798,11 @@ impl SimNet {
             let Some(conn) = self.sim.tcp_accept(rv.node, rv.port) else {
                 break;
             };
-            rv.sessions.push(SessionConn { sid: rv.next_sid, conn, decoder: FrameDecoder::new() });
+            rv.sessions.push(SessionConn {
+                sid: rv.next_sid,
+                conn,
+                decoder: FrameDecoder::new(),
+            });
             rv.next_sid += 1;
         }
         let node = self.rendezvous[i].node;
@@ -783,7 +814,9 @@ impl SimNet {
         loop {
             let rv = &self.rendezvous[i];
             let k = rv.sessions.partition_point(|s| s.sid < from);
-            let Some(&SessionConn { sid, conn, .. }) = rv.sessions.get(k) else { break };
+            let Some(&SessionConn { sid, conn, .. }) = rv.sessions.get(k) else {
+                break;
+            };
             from = sid + 1;
             let mut closed = self.gone(node, conn);
             let decoder = &mut self.rendezvous[i].sessions[k].decoder;
@@ -805,7 +838,9 @@ impl SimNet {
                         break;
                     }
                 };
-                let Some(msg) = RvMessage::decode(&payload) else { continue };
+                let Some(msg) = RvMessage::decode(&payload) else {
+                    continue;
+                };
                 let replies = rv.server.on_message(sid, msg);
                 for (to_sid, reply) in replies {
                     let rv = &self.rendezvous[i];
@@ -832,7 +867,6 @@ impl SimNet {
             }
         }
     }
-
 }
 
 fn rv_frame(msg: &RvMessage) -> Vec<u8> {
@@ -994,7 +1028,11 @@ impl<D: Driver> SimHost<D> {
     /// Controller host `node`, dialing the endpoint at `endpoint`, under
     /// `drive`.
     pub fn over(drive: D, node: NodeId, endpoint: Ipv4Addr) -> SimHost<D> {
-        SimHost { drive, node, endpoint }
+        SimHost {
+            drive,
+            node,
+            endpoint,
+        }
     }
 
     /// Run `op` on the simulator and this host's node, or answer `gave_up`.
@@ -1007,10 +1045,20 @@ impl<D: Driver> SimHost<D> {
     async fn open(&self) -> Option<SimChannel<D>> {
         let endpoint = self.endpoint;
         let (conn, deadline) = self.with(None, |sim, node| {
-            Some((sim.tcp_connect(node, endpoint, CONTROL_PORT), sim.now() + DIAL_DEADLINE))
+            Some((
+                sim.tcp_connect(node, endpoint, CONTROL_PORT),
+                sim.now() + DIAL_DEADLINE,
+            ))
         })?;
-        let chan = SimChannel { host: self.clone(), conn, decoder: FrameDecoder::new() };
-        self.drive.until(self.node, Wait::Established { conn, deadline }).await.then_some(chan)
+        let chan = SimChannel {
+            host: self.clone(),
+            conn,
+            decoder: FrameDecoder::new(),
+        };
+        self.drive
+            .until(self.node, Wait::Established { conn, deadline })
+            .await
+            .then_some(chan)
     }
 }
 
@@ -1021,7 +1069,9 @@ impl<D: Driver> aio::Dialer for SimHost<D> {
     /// half-open connection.
     async fn dial(&mut self) -> Option<SimChannel<D>> {
         let chan = self.open().await?;
-        chan.host.with(false, |sim, node| sim.tcp_established(node, chan.conn)).then_some(chan)
+        chan.host
+            .with(false, |sim, node| sim.tcp_established(node, chan.conn))
+            .then_some(chan)
     }
 
     fn now(&self) -> u64 {
@@ -1046,7 +1096,10 @@ impl<D: Driver> aio::Sink for SimHost<D> {
 
     fn sink_take(&mut self, port: u16) -> Vec<(u64, Ipv4Addr, u16, u32, usize)> {
         let arrivals = self.with(Vec::new(), |sim, node| sim.udp_recv(node, port));
-        arrivals.into_iter().map(|(t, a, p, d)| (t, a, p, probe_seq(&d), d.len())).collect()
+        arrivals
+            .into_iter()
+            .map(|(t, a, p, d)| (t, a, p, probe_seq(&d), d.len()))
+            .collect()
     }
 
     async fn wait_until(&mut self, time: u64) {
@@ -1068,14 +1121,19 @@ impl SimChannel {
     /// Dial an endpoint's control port from `node`, waiting up to 10 s
     /// for the handshake; the channel is returned established or not.
     pub fn connect(net: &Rc<RefCell<SimNet>>, node: NodeId, endpoint: Ipv4Addr) -> SimChannel {
-        aio::block_on(SimDialer::new(net, node, endpoint).open()).expect("the harness never gives up")
+        aio::block_on(SimDialer::new(net, node, endpoint).open())
+            .expect("the harness never gives up")
     }
 
     /// Wrap a connection accepted by a controller listener (the
     /// endpoint-dialed direction).
     pub fn from_accepted(net: &Rc<RefCell<SimNet>>, node: NodeId, conn: u64) -> SimChannel {
         let host = SimDialer::new(net, node, Ipv4Addr::UNSPECIFIED);
-        SimChannel { host, conn, decoder: FrameDecoder::new() }
+        SimChannel {
+            host,
+            conn,
+            decoder: FrameDecoder::new(),
+        }
     }
 
     /// The harness (for experiment code needing controller-host sockets,
@@ -1102,7 +1160,8 @@ impl SimChannel {
 
     /// Whether the underlying TCP connection is currently established.
     pub fn is_established(&self) -> bool {
-        self.host.with(false, |sim, node| sim.tcp_established(node, self.conn))
+        self.host
+            .with(false, |sim, node| sim.tcp_established(node, self.conn))
     }
 }
 
@@ -1132,7 +1191,8 @@ impl<D: Driver> Drop for SimChannel<D> {
     /// Not while unwinding: the world may still be borrowed.
     fn drop(&mut self) {
         if !std::thread::panicking() {
-            self.host.with((), |sim, node| sim.tcp_close(node, self.conn));
+            self.host
+                .with((), |sim, node| sim.tcp_close(node, self.conn));
             self.host.drive.closed();
         }
     }
@@ -1140,7 +1200,9 @@ impl<D: Driver> Drop for SimChannel<D> {
 
 impl<D: Driver> aio::Channel for SimChannel<D> {
     async fn send(&mut self, msg: &Message) {
-        self.host.with((), |sim, node| sim.tcp_send(node, self.conn, &msg.to_frame()));
+        self.host.with((), |sim, node| {
+            sim.tcp_send(node, self.conn, &msg.to_frame())
+        });
         self.host.drive.sent();
     }
 
@@ -1152,9 +1214,15 @@ impl<D: Driver> aio::Channel for SimChannel<D> {
                 Ok(None) => {}
                 Err(_) => return None,
             }
-            let waited = self.host.drive.until(self.host.node, Wait::Data { conn, deadline }).await;
+            let waited = self
+                .host
+                .drive
+                .until(self.host.node, Wait::Data { conn, deadline })
+                .await;
             let decoder = &mut self.decoder;
-            let read = self.host.with(false, |sim, node| decoder.fill(|max| sim.tcp_recv(node, conn, max)));
+            let read = self.host.with(false, |sim, node| {
+                decoder.fill(|max| sim.tcp_recv(node, conn, max))
+            });
             if !(waited && read) {
                 // The deadline passed, the connection closed, or the
                 // driver gave up: one final decode attempt.
@@ -1227,8 +1295,10 @@ mod tests {
             let mut n = net.borrow_mut();
             let (now, link) = (n.sim.now(), n.sim.link_between(ep, ctl).unwrap());
             let ack_lands = now + 320_000 + plab_netsim::MILLISECOND;
-            n.sim.schedule_fault(now, plab_netsim::FaultAction::LinkDown { link });
-            n.sim.schedule_fault(ack_lands + 1, plab_netsim::FaultAction::LinkUp { link });
+            n.sim
+                .schedule_fault(now, plab_netsim::FaultAction::LinkDown { link });
+            n.sim
+                .schedule_fault(ack_lands + 1, plab_netsim::FaultAction::LinkUp { link });
         }
         ControlChannel::send(&mut chan, &Message::Hello { version: 1 });
         let reply = ControlChannel::recv(&mut chan, None);
@@ -1256,11 +1326,14 @@ mod tests {
         let mut net = SimNet::new(t.build());
         net.add_endpoint(a, EndpointConfig::default());
         net.add_endpoint(b, EndpointConfig::default());
-        let conn = net.sim.tcp_connect(ctl, Ipv4Addr::new(10, 0, 0, 1), CONTROL_PORT);
+        let conn = net
+            .sim
+            .tcp_connect(ctl, Ipv4Addr::new(10, 0, 0, 1), CONTROL_PORT);
         let (mut read, mut serviced, mut sent) = (Vec::new(), Vec::new(), 0);
         while read.len() < 3 {
             if sent == read.len() && net.sim.tcp_established(ctl, conn) {
-                net.sim.tcp_send(ctl, conn, &Message::Hello { version: 1 }.to_frame());
+                net.sim
+                    .tcp_send(ctl, conn, &Message::Hello { version: 1 }.to_frame());
                 sent += 1;
             }
             assert!(net.sim.next_event_time().is_some(), "the world ran dry");
@@ -1316,7 +1389,11 @@ mod tests {
         let linger = 2 * plab_netsim::SECOND;
         net.add_endpoint(
             ep,
-            EndpointConfig { trusted_keys, session_linger_ns: linger, ..Default::default() },
+            EndpointConfig {
+                trusted_keys,
+                session_linger_ns: linger,
+                ..Default::default()
+            },
         );
         let net = Rc::new(RefCell::new(net));
         let descriptor = crate::descriptor::ExperimentDescriptor {
@@ -1325,8 +1402,13 @@ mod tests {
             info_url: String::new(),
             experimenter: KeyHash::of(&experimenter.public),
         };
-        let creds =
-            Credentials::issue(&operator, &experimenter, descriptor, Restrictions::none(), 10);
+        let creds = Credentials::issue(
+            &operator,
+            &experimenter,
+            descriptor,
+            Restrictions::none(),
+            10,
+        );
         let chan = SimChannel::connect(&net, ctl, Ipv4Addr::new(10, 0, 0, 1));
         drop(Controller::connect(chan, &creds).expect("authenticates"));
         let mut n = net.borrow_mut();
@@ -1334,12 +1416,17 @@ mod tests {
         assert_eq!(sessions(&n), 1, "detached, not ended");
         let start = n.sim.now();
         for k in 0..400 {
-            n.sim.schedule_timer(ctl, k, start + k * 7 * plab_netsim::MILLISECOND);
+            n.sim
+                .schedule_timer(ctl, k, start + k * 7 * plab_netsim::MILLISECOND);
         }
         while sessions(&n) == 1 {
             assert!(n.step(), "the timers ran out");
         }
-        assert_eq!((n.sim.now() - start) % (7 * plab_netsim::MILLISECOND), 0, "at a timer");
+        assert_eq!(
+            (n.sim.now() - start) % (7 * plab_netsim::MILLISECOND),
+            0,
+            "at a timer"
+        );
         // What a harness that services every endpoint after every event
         // reads.
         assert_eq!(n.sim.now(), 2_014_000_000);
@@ -1357,7 +1444,9 @@ mod tests {
         t.link(ep, ctl, plab_netsim::LinkParams::new(1, 0));
         let mut net = SimNet::new(t.build());
         let id = net.add_endpoint(ep, EndpointConfig::default());
-        let conn = net.sim.tcp_connect(ctl, Ipv4Addr::new(10, 0, 0, 1), CONTROL_PORT);
+        let conn = net
+            .sim
+            .tcp_connect(ctl, Ipv4Addr::new(10, 0, 0, 1), CONTROL_PORT);
         net.run_until(plab_netsim::SECOND);
         let hello = Message::Hello { version: 1 }.to_frame();
         // Each burst lands whole before anything services the endpoint.
@@ -1370,9 +1459,16 @@ mod tests {
             net.sim.run_until(t);
             net.process();
             let reactor = net.endpoint_reactor(id);
-            (net.unsettled.clone(), reactor.queued_in_messages(), reactor.sessions().count())
+            (
+                net.unsettled.clone(),
+                reactor.queued_in_messages(),
+                reactor.sessions().count(),
+            )
         };
-        assert_eq!(land(&mut net, &hello.repeat(7_000), false), (vec![0], 101, 1));
+        assert_eq!(
+            land(&mut net, &hello.repeat(7_000), false),
+            (vec![0], 101, 1)
+        );
         net.process();
         assert_eq!(net.unsettled, []);
         assert_eq!(net.endpoint_reactor(id).queued_in_messages(), 0);
@@ -1385,6 +1481,10 @@ mod tests {
             replies.fill(|max| net.sim.tcp_recv(ctl, conn, max));
         }
         let acks = std::iter::from_fn(|| replies.next_message().ok().flatten());
-        assert_eq!(acks.filter(|m| matches!(m, Message::HelloAck { .. })).count(), 7_001);
+        assert_eq!(
+            acks.filter(|m| matches!(m, Message::HelloAck { .. }))
+                .count(),
+            7_001
+        );
     }
 }

@@ -88,7 +88,9 @@ impl Default for EndpointMemory {
 impl EndpointMemory {
     /// Zeroed memory.
     pub fn new() -> Self {
-        EndpointMemory { bytes: vec![0; MEMORY_SIZE] }
+        EndpointMemory {
+            bytes: vec![0; MEMORY_SIZE],
+        }
     }
 
     /// The monitor-visible info region (`0..INFO_SIZE`).
@@ -258,7 +260,10 @@ mod tests {
         assert!(m.read(0, MEMORY_SIZE as u32).is_some());
         assert!(m.read(0, MEMORY_SIZE as u32 + 1).is_none());
         assert!(m.read(u32::MAX, 1).is_none());
-        assert!(m.read(MEMORY_SIZE as u32, 0).is_some(), "empty read at end ok");
+        assert!(
+            m.read(MEMORY_SIZE as u32, 0).is_some(),
+            "empty read at end ok"
+        );
     }
 
     #[test]
@@ -308,9 +313,20 @@ mod tests {
     #[test]
     fn sockstat_region_read_only_and_in_bounds() {
         let mut m = EndpointMemory::new();
-        assert!(!m.write(SOCKSTAT_OFFSET as u32, &[1]), "sockstat is read-only");
-        assert!(m.read(SOCKSTAT_OFFSET as u32, (SOCKSTAT_SLOTS * SOCKSTAT_ENTRY) as u32).is_some());
-        assert_eq!(MEMORY_SIZE, SOCKSTAT_OFFSET + SOCKSTAT_SLOTS * SOCKSTAT_ENTRY);
+        assert!(
+            !m.write(SOCKSTAT_OFFSET as u32, &[1]),
+            "sockstat is read-only"
+        );
+        assert!(m
+            .read(
+                SOCKSTAT_OFFSET as u32,
+                (SOCKSTAT_SLOTS * SOCKSTAT_ENTRY) as u32
+            )
+            .is_some());
+        assert_eq!(
+            MEMORY_SIZE,
+            SOCKSTAT_OFFSET + SOCKSTAT_SLOTS * SOCKSTAT_ENTRY
+        );
     }
 
     #[test]
@@ -322,10 +338,9 @@ mod tests {
         // Closing the old socket must not erase the newer entry.
         m.clear_sockstat(2);
         let slot = EndpointMemory::sockstat_slot(2);
-        let entry = EndpointMemory::parse_sockstat_entry(
-            m.read(slot, SOCKSTAT_ENTRY as u32).unwrap(),
-        )
-        .unwrap();
+        let entry =
+            EndpointMemory::parse_sockstat_entry(m.read(slot, SOCKSTAT_ENTRY as u32).unwrap())
+                .unwrap();
         assert_eq!(entry.sktid, 2 + SOCKSTAT_SLOTS as u32);
         assert_eq!(entry.backlog, 30);
         // Closing the live one does clear it.
@@ -343,11 +358,15 @@ mod tests {
         assert_eq!(info.len(), plab_packet::layout::INFO_SIZE);
         // Monitors see both endpoint fields and controller scratch.
         assert_eq!(
-            plab_packet::layout::resolve_info("addr.ip").unwrap().read_le(info),
+            plab_packet::layout::resolve_info("addr.ip")
+                .unwrap()
+                .read_le(info),
             Some(0x0a000001)
         );
         assert_eq!(
-            plab_packet::layout::resolve_info("scratch0").unwrap().read_le(info),
+            plab_packet::layout::resolve_info("scratch0")
+                .unwrap()
+                .read_le(info),
             Some(42)
         );
     }

@@ -118,7 +118,10 @@ impl MonitorSet {
             .map_err(|(i, e)| MonitorError::Invalid(i, e.to_string()))?;
         record_build_metrics(&fused.stats());
         fused.init_all(info);
-        Ok(MonitorSet { engine: Engine::Fused(fused), obs_on: plab_obs::enabled() })
+        Ok(MonitorSet {
+            engine: Engine::Fused(fused),
+            obs_on: plab_obs::enabled(),
+        })
     }
 
     /// Instantiate with the sequential reference engine: one `Vm` per
@@ -132,12 +135,14 @@ impl MonitorSet {
         let programs = decode_all(encoded)?;
         let mut vms = Vec::with_capacity(programs.len());
         for (i, program) in programs.into_iter().enumerate() {
-            let mut vm =
-                Vm::new(program).map_err(|e| MonitorError::Invalid(i, e.to_string()))?;
+            let mut vm = Vm::new(program).map_err(|e| MonitorError::Invalid(i, e.to_string()))?;
             vm.init(info);
             vms.push(vm);
         }
-        Ok(MonitorSet { engine: Engine::Sequential(vms), obs_on: plab_obs::enabled() })
+        Ok(MonitorSet {
+            engine: Engine::Sequential(vms),
+            obs_on: plab_obs::enabled(),
+        })
     }
 
     /// An unrestricted monitor set (no certificates attached monitors).
@@ -189,7 +194,14 @@ impl MonitorSet {
     /// | 1      | 2    | `locport` (big-endian)        |
     /// | 3      | 4    | `remaddr` (big-endian)        |
     /// | 7      | 2    | `remport` (big-endian)        |
-    pub fn allow_open(&mut self, proto: u8, locport: u16, remaddr: u32, remport: u16, info: &[u8]) -> bool {
+    pub fn allow_open(
+        &mut self,
+        proto: u8,
+        locport: u16,
+        remaddr: u32,
+        remport: u16,
+        info: &[u8],
+    ) -> bool {
         let mut pseudo = [0u8; 9];
         pseudo[0] = proto;
         pseudo[1..3].copy_from_slice(&locport.to_be_bytes());
@@ -216,7 +228,8 @@ impl MonitorSet {
         /// (`repro guard obs` read 0.94–0.98 with it inline).
         #[inline(never)]
         fn walk(vms: &mut [Vm], entry: EntryPoint, packet: &[u8], info: &[u8]) -> bool {
-            vms.iter_mut().all(|vm| vm.check_entry(entry, packet, info).allowed())
+            vms.iter_mut()
+                .all(|vm| vm.check_entry(entry, packet, info).allowed())
         }
         match &mut self.engine {
             Engine::Sequential(vms) => walk(vms, entry, packet, info),
@@ -360,8 +373,8 @@ mod tests {
     fn all_monitors_must_allow() {
         // ICMP-only AND deny-UDP: ICMP passes both, UDP fails both, TCP
         // fails the first.
-        let mut m = MonitorSet::instantiate(&[icmp_only_monitor(), deny_udp_monitor()], &[])
-            .unwrap();
+        let mut m =
+            MonitorSet::instantiate(&[icmp_only_monitor(), deny_udp_monitor()], &[]).unwrap();
         assert_eq!(m.len(), 2);
         assert!(m.allow_send(&pkt(1), &[]));
         assert!(!m.allow_send(&pkt(17), &[]));
@@ -394,13 +407,21 @@ mod tests {
 
     #[test]
     fn fused_and_sequential_engines_agree() {
-        let monitors =
-            [icmp_only_monitor(), quota_monitor(4), deny_udp_monitor(), icmp_only_monitor()];
+        let monitors = [
+            icmp_only_monitor(),
+            quota_monitor(4),
+            deny_udp_monitor(),
+            icmp_only_monitor(),
+        ];
         let mut fused = MonitorSet::instantiate(&monitors, &[]).unwrap();
         let mut seq = MonitorSet::instantiate_sequential(&monitors, &[]).unwrap();
         for proto in [1u8, 1, 17, 1, 6, 1, 1, 1, 1] {
             let p = pkt(proto);
-            assert_eq!(fused.allow_send(&p, &[]), seq.allow_send(&p, &[]), "proto {proto}");
+            assert_eq!(
+                fused.allow_send(&p, &[]),
+                seq.allow_send(&p, &[]),
+                "proto {proto}"
+            );
             assert_eq!(fused.allow_recv(&p, &[]), seq.allow_recv(&p, &[]));
         }
         assert_eq!(fused.insns_executed(), seq.insns_executed());
@@ -420,7 +441,10 @@ mod tests {
         let s = m.fuse_stats().expect("fused engine");
         assert_eq!(s.sections, 3);
         assert!(s.superinsns > 0, "cpf output must fuse superinstructions");
-        assert_eq!(s.replay_sections, 1, "the second icmp monitor replays the first");
+        assert_eq!(
+            s.replay_sections, 1,
+            "the second icmp monitor replays the first"
+        );
         let _ = m.allow_send(&pkt(1), &[]);
         assert!(m.fuse_stats().unwrap().replays > 0);
         assert!(

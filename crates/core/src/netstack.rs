@@ -114,7 +114,12 @@ pub struct SimStack<'a> {
 impl<'a> SimStack<'a> {
     /// Stack for `node` with raw sockets enabled and no NAT.
     pub fn new(sim: &'a mut Sim, node: NodeId) -> Self {
-        SimStack { sim, node, ext_addr: None, raw_ok: true }
+        SimStack {
+            sim,
+            node,
+            ext_addr: None,
+            raw_ok: true,
+        }
     }
 }
 
@@ -281,7 +286,9 @@ impl NetStack for MemStack {
         self.outbox.entry(conn).or_default().extend_from_slice(data);
     }
     fn tcp_recv(&mut self, conn: u64, max: usize) -> Vec<u8> {
-        let Some(buf) = self.inbox.get_mut(&conn) else { return Vec::new() };
+        let Some(buf) = self.inbox.get_mut(&conn) else {
+            return Vec::new();
+        };
         let n = buf.len().min(max);
         buf.drain(..n).collect()
     }
@@ -363,7 +370,11 @@ mod tests {
         assert_eq!(SimStack::new(&mut sim, a).take_send_log(), vec![(1, 0)]);
         assert!(SimStack::new(&mut sim, a).take_send_log().is_empty());
         let theirs = SimStack::new(&mut sim, b).take_send_log();
-        assert_eq!(theirs, vec![(3, 1_000), (2, 2_000)], "untouched, in firing order");
+        assert_eq!(
+            theirs,
+            vec![(3, 1_000), (2, 2_000)],
+            "untouched, in firing order"
+        );
     }
 
     #[test]

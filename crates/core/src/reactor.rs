@@ -87,7 +87,10 @@ pub struct DrrScheduler {
 impl DrrScheduler {
     /// Scheduler with the given per-visit quantum (cost units / bytes).
     pub fn new(quantum: u64) -> Self {
-        DrrScheduler { quantum: quantum.max(1), ..Default::default() }
+        DrrScheduler {
+            quantum: quantum.max(1),
+            ..Default::default()
+        }
     }
 
     /// Enroll a session at the back of the ring (no-op if present).
@@ -108,7 +111,9 @@ impl DrrScheduler {
 
     /// Remove a session entirely.
     pub fn remove(&mut self, sid: u64) {
-        let Some(i) = self.ring.iter().position(|&s| s == sid) else { return };
+        let Some(i) = self.ring.iter().position(|&s| s == sid) else {
+            return;
+        };
         self.ring.remove(i);
         self.deficit.remove(i);
         if i < self.cursor {
@@ -206,10 +211,11 @@ impl SessionIo {
     /// Read what the connection has and decode it into `inq`. Readiness
     /// first: a connection with nothing waiting costs one probe, no read.
     fn pump(&mut self, stack: &mut dyn NetStack) {
-        self.decoder.fill(|max| match stack.tcp_readable(self.conn) {
-            0 => Vec::new(),
-            n => stack.tcp_recv(self.conn, n.min(max)),
-        });
+        self.decoder
+            .fill(|max| match stack.tcp_readable(self.conn) {
+                0 => Vec::new(),
+                n => stack.tcp_recv(self.conn, n.min(max)),
+            });
         loop {
             // A frame's cost is what decoding it took off the buffer.
             let had = self.decoder.buffered();
@@ -217,7 +223,9 @@ impl SessionIo {
                 // Rejected sessions' traffic is discarded; the Busy
                 // response is already queued.
                 Ok(Some(_)) if self.rejected => {}
-                Ok(Some(msg)) => self.inq.push_back((msg, (had - self.decoder.buffered()) as u64)),
+                Ok(Some(msg)) => self
+                    .inq
+                    .push_back((msg, (had - self.decoder.buffered()) as u64)),
                 Ok(None) => break,
                 Err(_) => {
                     // Corrupt stream: drop the session once its queue flushes.
@@ -237,7 +245,9 @@ impl SessionIo {
 /// below it.
 pub(crate) fn slot<T>(table: &[T], sid: u64, sid_of: impl Fn(&T) -> u64) -> Option<usize> {
     let ahead = sid.checked_sub(sid_of(table.first()?))?;
-    let hi = usize::try_from(ahead).unwrap_or(usize::MAX).min(table.len() - 1);
+    let hi = usize::try_from(ahead)
+        .unwrap_or(usize::MAX)
+        .min(table.len() - 1);
     if sid_of(&table[hi]) == sid {
         return Some(hi);
     }
@@ -317,7 +327,11 @@ impl EndpointReactor {
     pub fn accept(&mut self, conn: u64) -> u64 {
         let sid = self.next_sid;
         self.next_sid += 1;
-        let mut io = SessionIo { sid, conn, ..Default::default() };
+        let mut io = SessionIo {
+            sid,
+            conn,
+            ..Default::default()
+        };
         if self.agent.can_accept() {
             self.agent.on_session_open(sid);
             self.sched.enroll(sid);
@@ -325,11 +339,7 @@ impl EndpointReactor {
             io.rejected = true;
             self.rejected_sessions += 1;
             M_REJECTED.inc();
-            plab_obs::obs_event!(
-                plab_obs::Component::Endpoint,
-                "session.reject",
-                "sid" = sid
-            );
+            plab_obs::obs_event!(plab_obs::Component::Endpoint, "session.reject", "sid" = sid);
             let resp = Message::Resp(Response::Err {
                 code: ErrCode::Busy,
                 msg: "endpoint at session capacity".into(),
@@ -418,7 +428,9 @@ impl EndpointReactor {
     /// The transport reports `sid`'s connection dead: tear down IO state
     /// and let the agent detach or destroy the session (lingering applies).
     pub fn on_conn_closed(&mut self, sid: u64, stack: &mut dyn NetStack) {
-        let Some(i) = slot(&self.table, sid, |io| io.sid) else { return };
+        let Some(i) = slot(&self.table, sid, |io| io.sid) else {
+            return;
+        };
         let io = self.table.remove(i);
         self.global_out_bytes -= io.outq.len();
         self.sched.remove(sid);
@@ -626,18 +638,27 @@ mod tests {
     #[test]
     fn pump_reads_only_readable_connections() {
         let mut stack = TestStack::default();
-        let mut reactor =
-            EndpointReactor::new(EndpointConfig { max_sessions: 4096, ..Default::default() });
+        let mut reactor = EndpointReactor::new(EndpointConfig {
+            max_sessions: 4096,
+            ..Default::default()
+        });
         for conn in 1..=4096 {
             reactor.accept(conn);
         }
         reactor.pump(&mut stack);
         reactor.dispatch(&mut stack);
         reactor.flush(&mut stack);
-        assert!(stack.reads.is_empty(), "an idle turn read {} connections", stack.reads.len());
+        assert!(
+            stack.reads.is_empty(),
+            "an idle turn read {} connections",
+            stack.reads.len()
+        );
 
         let senders = [3, 64, 65, 1000, 4096];
-        let hello = Message::Hello { version: crate::PROTOCOL_VERSION }.to_frame();
+        let hello = Message::Hello {
+            version: crate::PROTOCOL_VERSION,
+        }
+        .to_frame();
         for conn in senders.iter().rev() {
             stack.inbox.insert(*conn, hello.clone());
         }
@@ -653,8 +674,10 @@ mod tests {
     #[test]
     fn flush_closes_rejected_and_poisoned_in_sid_order() {
         let mut stack = TestStack::default();
-        let mut reactor =
-            EndpointReactor::new(EndpointConfig { max_sessions: 3, ..Default::default() });
+        let mut reactor = EndpointReactor::new(EndpointConfig {
+            max_sessions: 3,
+            ..Default::default()
+        });
         // Connection numbers are 100 + sid. Sids 1-3 fill the endpoint, 4
         // is refused, closing 2 makes room for 5, and 6 is refused again.
         for conn in 101..=104 {
@@ -665,7 +688,10 @@ mod tests {
         assert_eq!(reactor.accept(106), 6);
         assert_eq!(reactor.rejected_sessions, 2);
 
-        let hello = Message::Hello { version: crate::PROTOCOL_VERSION }.to_frame();
+        let hello = Message::Hello {
+            version: crate::PROTOCOL_VERSION,
+        }
+        .to_frame();
         stack.inbox.insert(101, hello.clone());
         stack.inbox.insert(105, hello);
         // A framed payload no message decodes from poisons session 3, which
@@ -677,14 +703,29 @@ mod tests {
         assert_eq!(reactor.flush(&mut stack), vec![3, 4, 6]);
         assert_eq!(stack.closed, vec![103, 104, 106]);
         let sent_to: Vec<u64> = stack.sent.iter().map(|(conn, _)| *conn).collect();
-        assert_eq!(sent_to, vec![101, 104, 105, 106], "HelloAcks and Busy refusals, in sid order");
-        assert_eq!(reactor.sessions().collect::<Vec<_>>(), vec![(1, 101), (5, 105)]);
+        assert_eq!(
+            sent_to,
+            vec![101, 104, 105, 106],
+            "HelloAcks and Busy refusals, in sid order"
+        );
+        assert_eq!(
+            reactor.sessions().collect::<Vec<_>>(),
+            vec![(1, 101), (5, 105)]
+        );
         assert_eq!(reactor.sched.len(), 2);
-        assert_eq!(reactor.agent().session_count(), 2, "the poisoned session left the agent too");
+        assert_eq!(
+            reactor.agent().session_count(),
+            2,
+            "the poisoned session left the agent too"
+        );
         assert_eq!(reactor.queued_out_bytes(), 0);
 
         reactor.route_out(vec![(3, Message::AuthOk), (4, Message::AuthOk)]);
-        assert_eq!(reactor.queued_out_bytes(), 0, "output for closed sids is dropped");
+        assert_eq!(
+            reactor.queued_out_bytes(),
+            0,
+            "output for closed sids is dropped"
+        );
         assert!(reactor.flush(&mut stack).is_empty());
         assert_eq!(stack.sent.len(), 4);
     }

@@ -73,7 +73,11 @@ impl RvMessage {
 
     pub(crate) fn write(&self, w: &mut Writer) {
         match self {
-            RvMessage::Publish { descriptor, chain, keys } => {
+            RvMessage::Publish {
+                descriptor,
+                chain,
+                keys,
+            } => {
                 w.u8(0);
                 w.bundle(descriptor, chain, keys);
             }
@@ -89,7 +93,11 @@ impl RvMessage {
                     w.raw(c);
                 }
             }
-            RvMessage::Announce { descriptor, chain, keys } => {
+            RvMessage::Announce {
+                descriptor,
+                chain,
+                keys,
+            } => {
                 w.u8(4);
                 w.bundle(descriptor, chain, keys);
             }
@@ -105,10 +113,16 @@ impl RvMessage {
             let msg = match r.u8()? {
                 0 => {
                     let (descriptor, chain, keys) = r.bundle()?;
-                    RvMessage::Publish { descriptor, chain, keys }
+                    RvMessage::Publish {
+                        descriptor,
+                        chain,
+                        keys,
+                    }
                 }
                 1 => RvMessage::PublishOk,
-                2 => RvMessage::PublishErr { reason: r.string()? },
+                2 => RvMessage::PublishErr {
+                    reason: r.string()?,
+                },
                 3 => {
                     let n = r.u16()? as usize;
                     let mut channels = Vec::with_capacity(n.min(256));
@@ -119,7 +133,11 @@ impl RvMessage {
                 }
                 4 => {
                     let (descriptor, chain, keys) = r.bundle()?;
-                    RvMessage::Announce { descriptor, chain, keys }
+                    RvMessage::Announce {
+                        descriptor,
+                        chain,
+                        keys,
+                    }
                 }
                 _ => return Err(WireError::BadTag),
             };
@@ -233,9 +251,11 @@ impl RendezvousServer {
     /// Handle one message from session `sid`, returning messages to send.
     pub fn on_message(&mut self, sid: u64, msg: RvMessage) -> Vec<(u64, RvMessage)> {
         match msg {
-            RvMessage::Publish { descriptor, chain, keys } => {
-                self.publish(sid, descriptor, chain, keys)
-            }
+            RvMessage::Publish {
+                descriptor,
+                chain,
+                keys,
+            } => self.publish(sid, descriptor, chain, keys),
             RvMessage::Subscribe { channels } => {
                 let channels: Vec<KeyHash> = channels.into_iter().map(KeyHash).collect();
                 let mut out = Vec::new();
@@ -280,8 +300,17 @@ impl RendezvousServer {
     ) -> Vec<(u64, RvMessage)> {
         let reject = |reason: &str| {
             M_PUBLISH_REJECTS.inc();
-            plab_obs::obs_event!(plab_obs::Component::Rendezvous, "publish.reject", "sid" = sid);
-            vec![(sid, RvMessage::PublishErr { reason: reason.to_string() })]
+            plab_obs::obs_event!(
+                plab_obs::Component::Rendezvous,
+                "publish.reject",
+                "sid" = sid
+            );
+            vec![(
+                sid,
+                RvMessage::PublishErr {
+                    reason: reason.to_string(),
+                },
+            )]
         };
         let Some(desc) = ExperimentDescriptor::decode(&descriptor) else {
             return reject("bad descriptor");
@@ -410,9 +439,17 @@ mod tests {
                 keys: vec![[6; 32]],
             },
             RvMessage::PublishOk,
-            RvMessage::PublishErr { reason: "nope".into() },
-            RvMessage::Subscribe { channels: vec![[1; 32], [2; 32]] },
-            RvMessage::Announce { descriptor: vec![], chain: vec![], keys: vec![] },
+            RvMessage::PublishErr {
+                reason: "nope".into(),
+            },
+            RvMessage::Subscribe {
+                channels: vec![[1; 32], [2; 32]],
+            },
+            RvMessage::Announce {
+                descriptor: vec![],
+                chain: vec![],
+                keys: vec![],
+            },
         ];
         for m in msgs {
             assert_eq!(RvMessage::decode(&m.encode()), Some(m));
@@ -463,13 +500,22 @@ mod tests {
         // Endpoint 77 subscribes to the root channel (it trusts root).
         let out = server.on_message(
             77,
-            RvMessage::Subscribe { channels: vec![KeyHash::of(&root.public).0] },
+            RvMessage::Subscribe {
+                channels: vec![KeyHash::of(&root.public).0],
+            },
         );
         assert!(out.is_empty(), "nothing published yet");
 
         // Experimenter publishes.
         let (d, chain, keys) = bundle(&root, &exp);
-        let out = server.on_message(5, RvMessage::Publish { descriptor: d, chain, keys });
+        let out = server.on_message(
+            5,
+            RvMessage::Publish {
+                descriptor: d,
+                chain,
+                keys,
+            },
+        );
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].0, 5);
         assert!(matches!(out[0].1, RvMessage::PublishOk));
@@ -484,12 +530,21 @@ mod tests {
         let exp = kp(2);
         let mut server = RendezvousServer::new(vec![KeyHash::of(&root.public)], 1000);
         let (d, chain, keys) = bundle(&root, &exp);
-        server.on_message(5, RvMessage::Publish { descriptor: d, chain, keys });
+        server.on_message(
+            5,
+            RvMessage::Publish {
+                descriptor: d,
+                chain,
+                keys,
+            },
+        );
         // Endpoint subscribes on the *experimenter* channel — also in the
         // chain, so it matches.
         let out = server.on_message(
             88,
-            RvMessage::Subscribe { channels: vec![KeyHash::of(&exp.public).0] },
+            RvMessage::Subscribe {
+                channels: vec![KeyHash::of(&exp.public).0],
+            },
         );
         assert_eq!(out.len(), 1);
         assert!(matches!(out[0].1, RvMessage::Announce { .. }));
@@ -502,7 +557,14 @@ mod tests {
         let mallory = kp(3);
         let mut server = RendezvousServer::new(vec![KeyHash::of(&root.public)], 1000);
         let (d, chain, keys) = bundle(&mallory, &exp);
-        let out = server.on_message(5, RvMessage::Publish { descriptor: d, chain, keys });
+        let out = server.on_message(
+            5,
+            RvMessage::Publish {
+                descriptor: d,
+                chain,
+                keys,
+            },
+        );
         assert!(matches!(&out[0].1, RvMessage::PublishErr { reason } if reason.contains("chain")));
         assert_eq!(server.published_count(), 0);
     }
@@ -516,7 +578,14 @@ mod tests {
         // Flip a descriptor byte: the leaf's hash no longer matches.
         let idx = d.len() - 1;
         d[idx] ^= 0xff;
-        let out = server.on_message(5, RvMessage::Publish { descriptor: d, chain, keys });
+        let out = server.on_message(
+            5,
+            RvMessage::Publish {
+                descriptor: d,
+                chain,
+                keys,
+            },
+        );
         assert!(matches!(&out[0].1, RvMessage::PublishErr { .. }));
     }
 
@@ -525,9 +594,21 @@ mod tests {
         let root = kp(1);
         let exp = kp(2);
         let mut server = RendezvousServer::new(vec![KeyHash::of(&root.public)], 1000);
-        server.on_message(77, RvMessage::Subscribe { channels: vec![[0xee; 32]] });
+        server.on_message(
+            77,
+            RvMessage::Subscribe {
+                channels: vec![[0xee; 32]],
+            },
+        );
         let (d, chain, keys) = bundle(&root, &exp);
-        let out = server.on_message(5, RvMessage::Publish { descriptor: d, chain, keys });
+        let out = server.on_message(
+            5,
+            RvMessage::Publish {
+                descriptor: d,
+                chain,
+                keys,
+            },
+        );
         assert_eq!(out.len(), 1, "only the PublishOk, no announce");
     }
 
@@ -550,14 +631,23 @@ mod tests {
         for &sid in &interested {
             server.on_message(
                 sid,
-                RvMessage::Subscribe { channels: vec![KeyHash::of(&root.public).0] },
+                RvMessage::Subscribe {
+                    channels: vec![KeyHash::of(&root.public).0],
+                },
             );
         }
         assert_eq!(server.subscriber_count() as u64, POPULATION + 50);
 
         let scanned_before = server.scanned_slots();
         let (d, chain, keys) = bundle(&root, &exp);
-        let out = server.on_message(5, RvMessage::Publish { descriptor: d, chain, keys });
+        let out = server.on_message(
+            5,
+            RvMessage::Publish {
+                descriptor: d,
+                chain,
+                keys,
+            },
+        );
 
         // Every interested subscriber (and nobody else) gets the announce,
         // in ascending sid order.
@@ -582,12 +672,33 @@ mod tests {
         let mut server = RendezvousServer::new(vec![KeyHash::of(&root.public)], 1000);
         // First subscribe on the matching channel, then replace the
         // subscription with an unrelated one: no announce must arrive.
-        server.on_message(77, RvMessage::Subscribe { channels: vec![KeyHash::of(&root.public).0] });
-        server.on_message(77, RvMessage::Subscribe { channels: vec![[0xee; 32]] });
+        server.on_message(
+            77,
+            RvMessage::Subscribe {
+                channels: vec![KeyHash::of(&root.public).0],
+            },
+        );
+        server.on_message(
+            77,
+            RvMessage::Subscribe {
+                channels: vec![[0xee; 32]],
+            },
+        );
         assert_eq!(server.subscriber_count(), 1);
         let (d, chain, keys) = bundle(&root, &exp);
-        let out = server.on_message(5, RvMessage::Publish { descriptor: d, chain, keys });
-        assert_eq!(out.len(), 1, "only the PublishOk: the old channel was dropped");
+        let out = server.on_message(
+            5,
+            RvMessage::Publish {
+                descriptor: d,
+                chain,
+                keys,
+            },
+        );
+        assert_eq!(
+            out.len(),
+            1,
+            "only the PublishOk: the old channel was dropped"
+        );
     }
 
     #[test]
@@ -595,12 +706,24 @@ mod tests {
         let root = kp(1);
         let exp = kp(2);
         let mut server = RendezvousServer::new(vec![KeyHash::of(&root.public)], 1000);
-        server.on_message(77, RvMessage::Subscribe { channels: vec![KeyHash::of(&root.public).0] });
+        server.on_message(
+            77,
+            RvMessage::Subscribe {
+                channels: vec![KeyHash::of(&root.public).0],
+            },
+        );
         assert_eq!(server.subscriber_count(), 1);
         server.on_session_closed(77);
         assert_eq!(server.subscriber_count(), 0);
         let (d, chain, keys) = bundle(&root, &exp);
-        let out = server.on_message(5, RvMessage::Publish { descriptor: d, chain, keys });
+        let out = server.on_message(
+            5,
+            RvMessage::Publish {
+                descriptor: d,
+                chain,
+                keys,
+            },
+        );
         assert_eq!(out.len(), 1);
     }
 }

@@ -49,7 +49,10 @@ impl ControlStream {
     fn new(stream: TcpStream) -> std::io::Result<ControlStream> {
         stream.set_nodelay(true)?;
         stream.set_nonblocking(true)?;
-        Ok(ControlStream { stream, closed: false })
+        Ok(ControlStream {
+            stream,
+            closed: false,
+        })
     }
 
     /// Read what is waiting into `buf`; 0 when nothing is, yet or ever.
@@ -86,7 +89,11 @@ impl TcpChannel {
     /// Connect to an endpoint's control address.
     pub fn connect(addr: SocketAddr) -> std::io::Result<TcpChannel> {
         let io = ControlStream::new(TcpStream::connect(addr)?)?;
-        Ok(TcpChannel { io, decoder: FrameDecoder::new(), epoch: Instant::now() })
+        Ok(TcpChannel {
+            io,
+            decoder: FrameDecoder::new(),
+            epoch: Instant::now(),
+        })
     }
 
     fn pump(&mut self) {
@@ -207,12 +214,7 @@ impl RealStack {
     /// Fire due scheduled sends; returns wakeup keys that are due.
     pub fn tick(&mut self) -> Vec<u64> {
         let now = self.clock();
-        while self
-            .pending
-            .peek()
-            .map(|p| p.due <= now)
-            .unwrap_or(false)
-        {
+        while self.pending.peek().map(|p| p.due <= now).unwrap_or(false) {
             let p = self.pending.pop().unwrap();
             if let Some(sock) = self.udp.get(&p.src_port) {
                 let _ = sock.send_to(&p.payload, p.dst);
@@ -411,8 +413,10 @@ impl EndpointServer {
         reactor.dispatch(stack);
         // A stream is dead only once every byte before its close was read:
         // a dying session's buffered commands ran in the dispatch above.
-        let dead: Vec<(u64, u64)> =
-            reactor.sessions().filter(|&(_, conn)| !stack.tcp_alive(conn)).collect();
+        let dead: Vec<(u64, u64)> = reactor
+            .sessions()
+            .filter(|&(_, conn)| !stack.tcp_alive(conn))
+            .collect();
         for (sid, conn) in dead {
             reactor.on_conn_closed(sid, stack);
             stack.tcp_close(conn);

@@ -423,7 +423,10 @@ impl<'a> Reader<'a> {
 
     /// The next `N` bytes.
     pub(crate) fn take<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
-        let (head, rest) = self.buf.split_first_chunk::<N>().ok_or(WireError::Truncated)?;
+        let (head, rest) = self
+            .buf
+            .split_first_chunk::<N>()
+            .ok_or(WireError::Truncated)?;
         self.buf = rest;
         Ok(*head)
     }
@@ -510,7 +513,13 @@ impl Message {
                 b.u8(*version);
                 b.raw(nonce);
             }
-            Message::Auth { descriptor, chain, keys, priority, proof } => {
+            Message::Auth {
+                descriptor,
+                chain,
+                keys,
+                priority,
+                proof,
+            } => {
                 b.u8(2);
                 b.bundle(descriptor, chain, keys);
                 b.u8(*priority);
@@ -549,20 +558,37 @@ impl Message {
         let mut r = Reader::new(payload);
         let msg = match r.u8()? {
             0 => Message::Hello { version: r.u8()? },
-            1 => Message::HelloAck { version: r.u8()?, nonce: r.take()? },
+            1 => Message::HelloAck {
+                version: r.u8()?,
+                nonce: r.take()?,
+            },
             2 => {
                 let (descriptor, chain, keys) = r.bundle()?;
-                Message::Auth { descriptor, chain, keys, priority: r.u8()?, proof: r.take()? }
+                Message::Auth {
+                    descriptor,
+                    chain,
+                    keys,
+                    priority: r.u8()?,
+                    proof: r.take()?,
+                }
             }
             3 => Message::AuthOk,
             5 => Message::Resp(decode_response(&mut r)?),
             6 => match r.u8()? {
-                0 => Message::Notify(Notification::Interrupted { by_priority: r.u8()? }),
+                0 => Message::Notify(Notification::Interrupted {
+                    by_priority: r.u8()?,
+                }),
                 1 => Message::Notify(Notification::Resumed),
                 _ => return Err(WireError::BadTag),
             },
-            7 => Message::CmdSeq { seq: r.u64()?, cmd: decode_command(&mut r)? },
-            8 => Message::RespSeq { seq: r.u64()?, resp: decode_response(&mut r)? },
+            7 => Message::CmdSeq {
+                seq: r.u64()?,
+                cmd: decode_command(&mut r)?,
+            },
+            8 => Message::RespSeq {
+                seq: r.u64()?,
+                resp: decode_response(&mut r)?,
+            },
             _ => return Err(WireError::BadTag),
         };
         r.done()?;
@@ -583,7 +609,13 @@ impl Message {
 
 fn encode_command(b: &mut Writer, cmd: &Command) {
     match cmd {
-        Command::NOpen { sktid, proto, locport, remaddr, remport } => {
+        Command::NOpen {
+            sktid,
+            proto,
+            locport,
+            remaddr,
+            remport,
+        } => {
             b.u8(0);
             b.u32(*sktid);
             b.u8(proto.to_u8());
@@ -635,11 +667,25 @@ fn decode_command(r: &mut Reader) -> Result<Command, WireError> {
             remport: r.u16()?,
         },
         1 => Command::NClose { sktid: r.u32()? },
-        2 => Command::NSend { sktid: r.u32()?, time: r.u64()?, data: r.bytes()? },
-        3 => Command::NCap { sktid: r.u32()?, time: r.u64()?, filt: r.bytes()? },
+        2 => Command::NSend {
+            sktid: r.u32()?,
+            time: r.u64()?,
+            data: r.bytes()?,
+        },
+        3 => Command::NCap {
+            sktid: r.u32()?,
+            time: r.u64()?,
+            filt: r.bytes()?,
+        },
         4 => Command::NPoll { time: r.u64()? },
-        5 => Command::MRead { memaddr: r.u32()?, bytecnt: r.u32()? },
-        6 => Command::MWrite { memaddr: r.u32()?, data: r.bytes()? },
+        5 => Command::MRead {
+            memaddr: r.u32()?,
+            bytecnt: r.u32()?,
+        },
+        6 => Command::MWrite {
+            memaddr: r.u32()?,
+            data: r.bytes()?,
+        },
         7 => Command::Yield,
         _ => return Err(WireError::BadTag),
     })
@@ -656,7 +702,11 @@ fn encode_response(b: &mut Writer, resp: &Response) {
             b.u8(2);
             b.bytes(data);
         }
-        Response::Poll { packets, dropped_packets, dropped_bytes } => {
+        Response::Poll {
+            packets,
+            dropped_packets,
+            dropped_bytes,
+        } => {
             b.u8(3);
             b.u32(packets.len() as u32);
             for (sktid, time, data) in packets {
@@ -830,7 +880,9 @@ impl FrameDecoder {
     /// Decode the next message in place, if a full frame is buffered. A
     /// payload that fails [`Message::decode`] poisons the stream.
     pub fn next_message(&mut self) -> Result<Option<Message>, WireError> {
-        let Some(payload) = self.take_payload()? else { return Ok(None) };
+        let Some(payload) = self.take_payload()? else {
+            return Ok(None);
+        };
         match Message::decode(payload) {
             Ok(m) => Ok(Some(m)),
             Err(e) => {
@@ -862,7 +914,10 @@ mod tests {
     #[test]
     fn roundtrip_hello() {
         roundtrip(Message::Hello { version: 1 });
-        roundtrip(Message::HelloAck { version: 1, nonce: [7; 32] });
+        roundtrip(Message::HelloAck {
+            version: 1,
+            nonce: [7; 32],
+        });
     }
 
     #[test]
@@ -902,11 +957,25 @@ mod tests {
                 remport: 53,
             },
             Command::NClose { sktid: 2 },
-            Command::NSend { sktid: 1, time: u64::MAX, data: vec![0; 100] },
-            Command::NCap { sktid: 1, time: 1 << 40, filt: vec![9; 30] },
+            Command::NSend {
+                sktid: 1,
+                time: u64::MAX,
+                data: vec![0; 100],
+            },
+            Command::NCap {
+                sktid: 1,
+                time: 1 << 40,
+                filt: vec![9; 30],
+            },
             Command::NPoll { time: 12345 },
-            Command::MRead { memaddr: 0, bytecnt: 8 },
-            Command::MWrite { memaddr: 64, data: vec![1, 2, 3, 4] },
+            Command::MRead {
+                memaddr: 0,
+                bytecnt: 8,
+            },
+            Command::MWrite {
+                memaddr: 64,
+                data: vec![1, 2, 3, 4],
+            },
             Command::Yield,
         ] {
             roundtrip(Message::CmdSeq { seq: u64::MAX, cmd });
@@ -918,13 +987,18 @@ mod tests {
         for resp in [
             Response::Ok,
             Response::SendQueued { tag: 42 },
-            Response::Mem { data: vec![0xde, 0xad] },
+            Response::Mem {
+                data: vec![0xde, 0xad],
+            },
             Response::Poll {
                 packets: vec![(1, 100, vec![1, 2]), (2, 200, vec![])],
                 dropped_packets: 3,
                 dropped_bytes: 4096,
             },
-            Response::Err { code: ErrCode::Denied, msg: "monitor denied send".into() },
+            Response::Err {
+                code: ErrCode::Denied,
+                msg: "monitor denied send".into(),
+            },
         ] {
             roundtrip(Message::Resp(resp));
         }
@@ -937,16 +1011,26 @@ mod tests {
         let text = "preempted by higher priority";
         let borrowed = Message::RespSeq {
             seq: 9,
-            resp: Response::Err { code: ErrCode::Suspended, msg: Cow::Borrowed(text) },
+            resp: Response::Err {
+                code: ErrCode::Suspended,
+                msg: Cow::Borrowed(text),
+            },
         };
         let owned = Message::RespSeq {
             seq: 9,
-            resp: Response::Err { code: ErrCode::Suspended, msg: Cow::Owned(text.to_string()) },
+            resp: Response::Err {
+                code: ErrCode::Suspended,
+                msg: Cow::Owned(text.to_string()),
+            },
         };
         assert_eq!(borrowed.encode(), owned.encode());
         assert_eq!(borrowed, owned);
         let decoded = Message::decode(&borrowed.encode()).expect("decodes");
-        let Message::RespSeq { resp: Response::Err { msg, .. }, .. } = &decoded else {
+        let Message::RespSeq {
+            resp: Response::Err { msg, .. },
+            ..
+        } = &decoded
+        else {
             panic!("{decoded:?}");
         };
         assert!(matches!(msg, Cow::Owned(_)), "a decoded text is owned");
@@ -956,7 +1040,9 @@ mod tests {
 
     #[test]
     fn roundtrip_notifications() {
-        roundtrip(Message::Notify(Notification::Interrupted { by_priority: 200 }));
+        roundtrip(Message::Notify(Notification::Interrupted {
+            by_priority: 200,
+        }));
         roundtrip(Message::Notify(Notification::Resumed));
     }
 
@@ -988,7 +1074,11 @@ mod tests {
     /// after it is no message.
     #[test]
     fn the_unsequenced_command_tag_is_a_bad_tag() {
-        let seq = Message::CmdSeq { seq: 1, cmd: Command::NPoll { time: 7 } }.encode();
+        let seq = Message::CmdSeq {
+            seq: 1,
+            cmd: Command::NPoll { time: 7 },
+        }
+        .encode();
         let unsequenced = [&[4], &seq[9..]].concat();
         assert_eq!(Message::decode(&unsequenced), Err(WireError::BadTag));
     }
@@ -997,7 +1087,11 @@ mod tests {
     fn decode_rejects_truncation() {
         let enc = Message::CmdSeq {
             seq: 3,
-            cmd: Command::NSend { sktid: 1, time: 2, data: vec![1; 50] },
+            cmd: Command::NSend {
+                sktid: 1,
+                time: 2,
+                data: vec![1; 50],
+            },
         }
         .encode();
         for cut in 1..enc.len() {
@@ -1008,7 +1102,10 @@ mod tests {
     #[test]
     fn frame_decoder_reassembles_split_frames() {
         let m1 = Message::Hello { version: 1 };
-        let m2 = Message::CmdSeq { seq: 1, cmd: Command::NPoll { time: 7 } };
+        let m2 = Message::CmdSeq {
+            seq: 1,
+            cmd: Command::NPoll { time: 7 },
+        };
         let mut stream = m1.to_frame();
         stream.extend(m2.to_frame());
         let mut dec = FrameDecoder::new();
@@ -1071,7 +1168,10 @@ mod tests {
     #[test]
     fn frame_decoder_many_small_frames_compact() {
         // Exercises the cursor + compaction path across many frames.
-        let m = Message::CmdSeq { seq: 9, cmd: Command::NPoll { time: 9 } };
+        let m = Message::CmdSeq {
+            seq: 9,
+            cmd: Command::NPoll { time: 9 },
+        };
         let frame = m.to_frame();
         let mut dec = FrameDecoder::new();
         for chunk in 0..200 {

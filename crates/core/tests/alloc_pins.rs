@@ -141,9 +141,12 @@ fn bulk_data_segment_allocations_are_pinned() {
 fn cross_shard_bulk_allocations_are_pinned() {
     let n = bulk_transfer_allocations(&[0, 1]);
     println!("cross-shard bulk: {n} allocations over {SEGMENTS} segments");
-    assert_eq!(n, CROSS_SHARD_BULK_ALLOCATIONS, "allocations per {SEGMENTS} bulk data segments \
+    assert_eq!(
+        n, CROSS_SHARD_BULK_ALLOCATIONS,
+        "allocations per {SEGMENTS} bulk data segments \
          across a shard cut moved (a code change, or a toolchain other than rustc 1.95.0 growing \
-         std collections differently)");
+         std collections differently)"
+    );
 }
 
 /// Round trips per measured run.
@@ -180,8 +183,13 @@ fn mread_round_trip_allocations_are_pinned() {
         info_url: "https://example.org/alloc-pin".into(),
         experimenter: KeyHash::of(&experimenter.public),
     };
-    let creds =
-        Credentials::issue(&operator, &experimenter, descriptor, Restrictions::none(), 10);
+    let creds = Credentials::issue(
+        &operator,
+        &experimenter,
+        descriptor,
+        Restrictions::none(),
+        10,
+    );
     let chan = SimChannel::connect(&net, controller, a(0, 1));
     let mut ctrl = Controller::connect(chan, &creds).expect("connect");
     let mut round_trips = |n: u64| {
@@ -235,9 +243,17 @@ fn stage_world() -> (EndpointReactor, MemStack) {
         info_url: String::new(),
         experimenter: KeyHash::of(&experimenter.public),
     };
-    let creds =
-        Credentials::issue(&operator, &experimenter, descriptor, Restrictions::none(), 10);
-    let mut stack = MemStack { clock: 1_000, ..Default::default() };
+    let creds = Credentials::issue(
+        &operator,
+        &experimenter,
+        descriptor,
+        Restrictions::none(),
+        10,
+    );
+    let mut stack = MemStack {
+        clock: 1_000,
+        ..Default::default()
+    };
     let mut reactor = EndpointReactor::new(EndpointConfig {
         trusted_keys: vec![KeyHash::of(&operator.public)],
         ..Default::default()
@@ -248,7 +264,10 @@ fn stage_world() -> (EndpointReactor, MemStack) {
         reactor.dispatch(stack);
         reactor.flush(stack);
     };
-    let hello = Message::Hello { version: packetlab::PROTOCOL_VERSION }.to_frame();
+    let hello = Message::Hello {
+        version: packetlab::PROTOCOL_VERSION,
+    }
+    .to_frame();
     for conn in 1..=STAGE_SESSIONS {
         reactor.accept(conn);
         stack.feed(conn, &hello);
@@ -266,7 +285,10 @@ fn stage_world() -> (EndpointReactor, MemStack) {
     }
     turn(&mut reactor, &mut stack);
     for conn in 1..=STAGE_SESSIONS {
-        assert!(replies(&mut stack, conn).contains(&Message::AuthOk), "conn {conn} authenticated");
+        assert!(
+            replies(&mut stack, conn).contains(&Message::AuthOk),
+            "conn {conn} authenticated"
+        );
     }
     assert_eq!(reactor.agent().session_count(), STAGE_SESSIONS as usize);
     (reactor, stack)
@@ -280,7 +302,10 @@ fn reactor_stage_allocations_are_pinned() {
     let mut run = |turns: u64, counts: &mut [u64; 3]| {
         for _ in 0..turns {
             seq += 1;
-            let cmd = Command::MRead { memaddr: 0, bytecnt: 8 };
+            let cmd = Command::MRead {
+                memaddr: 0,
+                bytecnt: 8,
+            };
             stack.feed(1, &Message::CmdSeq { seq, cmd }.to_frame());
             stack.clock += 1_000_000;
             counts[0] += allocations(|| reactor.pump(&mut stack));
@@ -326,7 +351,10 @@ fn suspended_refusal_allocations_are_pinned() {
         for _ in 0..turns {
             let conn = 2 + t % (STAGE_SESSIONS - 1);
             let seq = 1 + t / (STAGE_SESSIONS - 1);
-            let cmd = Command::MRead { memaddr: 0, bytecnt: 8 };
+            let cmd = Command::MRead {
+                memaddr: 0,
+                bytecnt: 8,
+            };
             stack.feed(conn, &Message::CmdSeq { seq, cmd }.to_frame());
             stack.clock += 1_000_000;
             reactor.pump(&mut stack);
@@ -334,7 +362,10 @@ fn suspended_refusal_allocations_are_pinned() {
             assert!(reactor.flush(&mut stack).is_empty());
             let got = replies(&mut stack, conn);
             let msg = "preempted by higher priority".into();
-            let refused = Response::Err { code: ErrCode::Suspended, msg };
+            let refused = Response::Err {
+                code: ErrCode::Suspended,
+                msg,
+            };
             assert_eq!(got, [Message::RespSeq { seq, resp: refused }]);
             t += 1;
         }

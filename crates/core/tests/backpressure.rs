@@ -9,7 +9,7 @@ use packetlab::controller::{ControlPlane, Controller, Credentials};
 use packetlab::descriptor::ExperimentDescriptor;
 use packetlab::endpoint::EndpointConfig;
 use packetlab::harness::{SimChannel, SimNet};
-use plab_crypto::{Keypair, KeyHash};
+use plab_crypto::{KeyHash, Keypair};
 use plab_netsim::{LinkParams, TopologyBuilder, SECOND};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -56,14 +56,18 @@ fn tcp_capture_buffer_exerts_flow_control() {
             info_url: String::new(),
             experimenter: KeyHash::of(&experimenter.public),
         },
-        Restrictions { max_buffer_bytes: Some(16 * 1024), ..Default::default() },
+        Restrictions {
+            max_buffer_bytes: Some(16 * 1024),
+            ..Default::default()
+        },
         1,
     );
     let chan = SimChannel::connect(&net, c, "10.0.0.1".parse().unwrap());
     let mut ctrl = Controller::connect(chan, &creds).unwrap();
 
     // Endpoint opens a TCP socket to the server.
-    ctrl.nopen_tcp(1, 0, "10.0.5.1".parse().unwrap(), 80).unwrap();
+    ctrl.nopen_tcp(1, 0, "10.0.5.1".parse().unwrap(), 80)
+        .unwrap();
     let later = ctrl.now() + SECOND;
     ctrl.channel().wait_until(later);
 
@@ -86,7 +90,10 @@ fn tcp_capture_buffer_exerts_flow_control() {
     {
         let net = ctrl.channel().net();
         let mut n = net.borrow_mut();
-        let backlog = n.sim.shard_mut(server_node).tcp_send_backlog(server_node, conn);
+        let backlog = n
+            .sim
+            .shard_mut(server_node)
+            .tcp_send_backlog(server_node, conn);
         assert!(
             backlog >= 100 * 1024,
             "server should be blocked with a large unsent backlog, got {backlog}"

@@ -7,7 +7,7 @@ use packetlab::controller::{ControlPlane, Controller, Credentials};
 use packetlab::descriptor::ExperimentDescriptor;
 use packetlab::endpoint::EndpointConfig;
 use packetlab::harness::{SimChannel, SimNet};
-use plab_crypto::{Keypair, KeyHash};
+use plab_crypto::{KeyHash, Keypair};
 use plab_netsim::{LinkParams, TopologyBuilder, MILLISECOND, SECOND};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -108,7 +108,10 @@ fn recv_times_out_without_traffic() {
     let got = sock.recv(200 * MILLISECOND).unwrap();
     assert!(got.is_none(), "no traffic, timeout");
     let after = sock.now().unwrap();
-    assert!(after >= before + 200 * MILLISECOND, "blocked for the timeout");
+    assert!(
+        after >= before + 200 * MILLISECOND,
+        "blocked for the timeout"
+    );
 }
 
 #[test]
@@ -139,16 +142,13 @@ fn raw_compat_socket_with_filter() {
     )
     .unwrap();
     // "Old model" ping: build, send, recv.
-    let probe = plab_packet::builder::icmp_echo_request(
-        src,
-        "10.0.5.1".parse().unwrap(),
-        64,
-        7,
-        1,
-        b"hi",
-    );
+    let probe =
+        plab_packet::builder::icmp_echo_request(src, "10.0.5.1".parse().unwrap(), 64, 7, 1, b"hi");
     sock.send(&probe).unwrap();
     let (_, reply) = sock.recv(5 * SECOND).unwrap().expect("echo reply");
     let view = plab_packet::ipv4::Ipv4View::new_unchecked(&reply).unwrap();
-    assert_eq!(view.src(), "10.0.5.1".parse::<std::net::Ipv4Addr>().unwrap());
+    assert_eq!(
+        view.src(),
+        "10.0.5.1".parse::<std::net::Ipv4Addr>().unwrap()
+    );
 }

@@ -9,7 +9,6 @@
 //! suspends it by yielding control of the endpoint."
 
 use packetlab::cert::Restrictions;
-use plab_obs::export::{fnv1a, FNV_OFFSET};
 use packetlab::controller::{ControlPlane, Controller, ControllerError, Credentials};
 use packetlab::descriptor::ExperimentDescriptor;
 use packetlab::endpoint::EndpointConfig;
@@ -17,8 +16,9 @@ use packetlab::harness::{EndpointId, SimChannel, SimNet};
 use packetlab::netstack::MemStack;
 use packetlab::reactor::EndpointReactor;
 use packetlab::wire::{Command, ErrCode, Message, Notification};
-use plab_crypto::{Keypair, KeyHash};
+use plab_crypto::{KeyHash, Keypair};
 use plab_netsim::{LinkParams, NodeId, TopologyBuilder, SECOND};
+use plab_obs::export::{fnv1a, FNV_OFFSET};
 use std::cell::RefCell;
 use std::net::Ipv4Addr;
 use std::rc::Rc;
@@ -72,7 +72,13 @@ fn creds(operator: &Keypair, seed: u8, priority: u8) -> Credentials {
         info_url: "https://example.org".into(),
         experimenter: KeyHash::of(&experimenter.public),
     };
-    Credentials::issue(operator, &experimenter, descriptor, Restrictions::none(), priority)
+    Credentials::issue(
+        operator,
+        &experimenter,
+        descriptor,
+        Restrictions::none(),
+        priority,
+    )
 }
 
 #[test]
@@ -92,7 +98,10 @@ fn higher_priority_preempts_and_yield_resumes() {
     // The low-priority controller's next command is refused and it has
     // been told it was interrupted.
     let err = low.read_clock().unwrap_err();
-    assert!(matches!(err, ControllerError::Endpoint(ErrCode::Suspended, _)));
+    assert!(matches!(
+        err,
+        ControllerError::Endpoint(ErrCode::Suspended, _)
+    ));
     assert!(
         low.notifications
             .iter()
@@ -125,7 +134,10 @@ fn lower_priority_waits_instead_of_preempting() {
     let chan2 = SimChannel::connect(&world.net, world.c2, world.endpoint_addr);
     let mut low = Controller::connect(chan2, &creds(&operator, 11, 5)).unwrap();
     let err = low.read_clock().unwrap_err();
-    assert!(matches!(err, ControllerError::Endpoint(ErrCode::Suspended, _)));
+    assert!(matches!(
+        err,
+        ControllerError::Endpoint(ErrCode::Suspended, _)
+    ));
 
     // The high-priority controller never saw an interruption.
     high.read_clock().unwrap();
@@ -147,7 +159,10 @@ fn equal_priority_does_not_preempt() {
     // "unless interrupted by a higher-priority experiment, controllers
     // have exclusive control": ties go to the incumbent.
     let err = second.read_clock().unwrap_err();
-    assert!(matches!(err, ControllerError::Endpoint(ErrCode::Suspended, _)));
+    assert!(matches!(
+        err,
+        ControllerError::Endpoint(ErrCode::Suspended, _)
+    ));
     first.read_clock().unwrap();
 }
 
@@ -176,7 +191,10 @@ fn disconnect_of_active_resumes_suspended() {
     }
 
     // Low gets control back.
-    assert!(low.read_clock().is_ok(), "suspended experiment resumed after disconnect");
+    assert!(
+        low.read_clock().is_ok(),
+        "suspended experiment resumed after disconnect"
+    );
 }
 
 #[test]
@@ -354,7 +372,6 @@ fn xorshift(state: &mut u64) -> u64 {
     x
 }
 
-
 /// One fixed-seed churn run: 1 000 sessions multiplexed on one reactor,
 /// with a schedule of sequenced commands and session crash/restarts drawn
 /// from the seed. Returns a digest over every flushed byte (in connection
@@ -365,7 +382,10 @@ fn churn_run(seed: u64) -> (u64, usize) {
         max_sessions: 2_048,
         ..Default::default()
     });
-    let hello = Message::Hello { version: packetlab::PROTOCOL_VERSION }.to_frame();
+    let hello = Message::Hello {
+        version: packetlab::PROTOCOL_VERSION,
+    }
+    .to_frame();
     let mut rng = seed;
     let mut next_conn = 1u64;
     let mut live: Vec<(u64, u64)> = Vec::new(); // (sid, conn)
@@ -386,7 +406,10 @@ fn churn_run(seed: u64) -> (u64, usize) {
             let (_, conn) = live[i];
             let msg = Message::CmdSeq {
                 seq: round + 1,
-                cmd: Command::MRead { memaddr: 0, bytecnt: 16 },
+                cmd: Command::MRead {
+                    memaddr: 0,
+                    bytecnt: 16,
+                },
             };
             stack.feed(conn, &msg.to_frame());
         }
@@ -409,7 +432,11 @@ fn churn_run(seed: u64) -> (u64, usize) {
         reactor.flush(&mut stack);
         // Every servable queued message must have been dispatched — DRR
         // decides order, never completeness.
-        assert_eq!(reactor.queued_in_messages(), 0, "round {round} left queued work");
+        assert_eq!(
+            reactor.queued_in_messages(),
+            0,
+            "round {round} left queued work"
+        );
         for (conn, bytes) in std::mem::take(&mut stack.outbox) {
             fnv1a(&mut digest, &conn.to_le_bytes());
             fnv1a(&mut digest, &bytes);

@@ -28,7 +28,8 @@ const BASE_SEED: u64 = 0x5eed_0000;
 fn traceroute_digest_is_pinned() {
     let out = chaos::run(Scenario::Traceroute, BASE_SEED);
     assert_eq!(
-        out.digest, TRACEROUTE_BASE_DIGEST,
+        out.digest,
+        TRACEROUTE_BASE_DIGEST,
         "traceroute digest drifted — scheduler/pool/hashing changed \
          observable behaviour: {}",
         out.report()
@@ -39,7 +40,8 @@ fn traceroute_digest_is_pinned() {
 fn bandwidth_digest_is_pinned() {
     let out = chaos::run(Scenario::Bandwidth, BASE_SEED);
     assert_eq!(
-        out.digest, BANDWIDTH_BASE_DIGEST,
+        out.digest,
+        BANDWIDTH_BASE_DIGEST,
         "bandwidth digest drifted: {}",
         out.report()
     );
@@ -49,7 +51,8 @@ fn bandwidth_digest_is_pinned() {
 fn conformance_digest_is_pinned() {
     let out = chaos::run(Scenario::Conformance, BASE_SEED);
     assert_eq!(
-        out.digest, CONFORMANCE_BASE_DIGEST,
+        out.digest,
+        CONFORMANCE_BASE_DIGEST,
         "conformance digest drifted: {}",
         out.report()
     );
@@ -60,12 +63,18 @@ fn conformance_digest_is_pinned() {
 /// across code changes, this catches nondeterminism within one build.
 #[test]
 fn repeated_runs_are_bit_identical() {
-    for (scenario, seed) in
-        [(Scenario::Traceroute, BASE_SEED), (Scenario::Bandwidth, BASE_SEED + 0x9111)]
-    {
+    for (scenario, seed) in [
+        (Scenario::Traceroute, BASE_SEED),
+        (Scenario::Bandwidth, BASE_SEED + 0x9111),
+    ] {
         let a = chaos::run(scenario, seed);
         let b = chaos::run(scenario, seed);
-        assert_eq!(a, b, "nondeterministic outcome for {} seed {seed:#x}", scenario.name());
+        assert_eq!(
+            a,
+            b,
+            "nondeterministic outcome for {} seed {seed:#x}",
+            scenario.name()
+        );
     }
 }
 
@@ -74,7 +83,11 @@ fn repeated_runs_are_bit_identical() {
 /// thing.
 #[test]
 fn pinned_runs_complete() {
-    for scenario in [Scenario::Traceroute, Scenario::Bandwidth, Scenario::Conformance] {
+    for scenario in [
+        Scenario::Traceroute,
+        Scenario::Bandwidth,
+        Scenario::Conformance,
+    ] {
         let out = chaos::run(scenario, BASE_SEED);
         assert_eq!(out.verdict, ChaosVerdict::Completed, "{}", out.report());
     }
@@ -128,7 +141,12 @@ fn sharded_single_equals_sequential() {
         (Scenario::Conformance, CONFORMANCE_BASE_DIGEST),
     ] {
         let out = chaos::run_sharded(scenario, BASE_SEED, 1);
-        assert_eq!(out.digest, pin, "1-shard drifted from sequential: {}", out.report());
+        assert_eq!(
+            out.digest,
+            pin,
+            "1-shard drifted from sequential: {}",
+            out.report()
+        );
     }
 }
 
@@ -139,14 +157,18 @@ fn sharded_digests_are_pinned() {
         for &(shards, pin) in shard_pins(scenario) {
             let out = chaos::run_sharded(scenario, BASE_SEED, shards);
             assert_eq!(
-                out.digest, pin,
+                out.digest,
+                pin,
                 "{}-shard {} digest drifted: {}",
                 shards,
                 scenario.name(),
                 out.report()
             );
             assert!(
-                matches!(out.verdict, ChaosVerdict::Completed | ChaosVerdict::Aborted(_)),
+                matches!(
+                    out.verdict,
+                    ChaosVerdict::Completed | ChaosVerdict::Aborted(_)
+                ),
                 "contract violation: {}",
                 out.report()
             );
@@ -175,7 +197,10 @@ fn print_shard_digests() {
         println!("{}:", scenario.name());
         for shards in [2usize, 4, 8] {
             let out = chaos::run_sharded(scenario, BASE_SEED, shards);
-            println!("    ({shards}, {:#018x}),   // {:?}", out.digest, out.verdict);
+            println!(
+                "    ({shards}, {:#018x}),   // {:?}",
+                out.digest, out.verdict
+            );
         }
     }
 }

@@ -6,7 +6,7 @@ use packetlab::descriptor::ExperimentDescriptor;
 use packetlab::endpoint::EndpointConfig;
 use packetlab::harness::{SimChannel, SimNet};
 use packetlab::wire::ErrCode;
-use plab_crypto::{Keypair, KeyHash};
+use plab_crypto::{KeyHash, Keypair};
 use plab_netsim::{LinkParams, NodeId, TopologyBuilder, MILLISECOND, SECOND};
 use std::cell::RefCell;
 use std::net::Ipv4Addr;
@@ -191,7 +191,12 @@ fn traceroute_reproduces_path() {
     let rtts: Vec<_> = result.hops.iter().filter_map(|h| h.rtt).collect();
     assert_eq!(
         rtts,
-        vec![10 * MILLISECOND, 20 * MILLISECOND, 30 * MILLISECOND, 40 * MILLISECOND]
+        vec![
+            10 * MILLISECOND,
+            20 * MILLISECOND,
+            30 * MILLISECOND,
+            40 * MILLISECOND
+        ]
     );
 }
 
@@ -241,7 +246,10 @@ fn npoll_waits_until_deadline_when_no_data() {
     let poll = ctrl.npoll(deadline).unwrap();
     assert!(poll.packets.is_empty());
     let now = ctrl.read_clock().unwrap();
-    assert!(now >= deadline, "npoll returned at {now}, before deadline {deadline}");
+    assert!(
+        now >= deadline,
+        "npoll returned at {now}, before deadline {deadline}"
+    );
 }
 
 #[test]
@@ -259,7 +267,10 @@ fn monitor_restricts_sends() {
     .unwrap()
     .encode();
     let world = build_world(&operator, 0);
-    let restrictions = Restrictions { monitor: Some(monitor), ..Default::default() };
+    let restrictions = Restrictions {
+        monitor: Some(monitor),
+        ..Default::default()
+    };
     let mut ctrl = connect(&world, &creds(&operator, restrictions, 10));
     ctrl.nopen_raw(1).unwrap();
     let src = ctrl.endpoint_addr().unwrap();
@@ -277,7 +288,10 @@ fn monitor_restricts_sends() {
 fn priority_ceiling_enforced_at_auth() {
     let operator = kp(1);
     let world = build_world(&operator, 0);
-    let restrictions = Restrictions { max_priority: Some(5), ..Default::default() };
+    let restrictions = Restrictions {
+        max_priority: Some(5),
+        ..Default::default()
+    };
     let chan = SimChannel::connect(&world.net, world.controller_node, world.endpoint_addr);
     let err = match Controller::connect(chan, &creds(&operator, restrictions, 10)) {
         Err(e) => e,
@@ -294,7 +308,10 @@ fn capture_buffer_drop_accounting() {
     let operator = kp(1);
     let world = build_world(&operator, 0);
     // Tiny buffer: 2000 bytes.
-    let restrictions = Restrictions { max_buffer_bytes: Some(2000), ..Default::default() };
+    let restrictions = Restrictions {
+        max_buffer_bytes: Some(2000),
+        ..Default::default()
+    };
     let mut ctrl = connect(&world, &creds(&operator, restrictions, 10));
     ctrl.nopen_raw(1).unwrap();
     ctrl.ncap_cpf(1, u64::MAX, experiments::ICMP_CAPTURE_FILTER)
@@ -411,7 +428,10 @@ fn expired_certificate_rejected_at_auth() {
     // wall clock (§3.3: restrictions include a "validity period").
     let operator = kp(1);
     let world = build_world(&operator, 0);
-    let expired = Restrictions { not_after: Some(1_600_000_000), ..Default::default() };
+    let expired = Restrictions {
+        not_after: Some(1_600_000_000),
+        ..Default::default()
+    };
     let chan = SimChannel::connect(&world.net, world.controller_node, world.endpoint_addr);
     let err = match Controller::connect(chan, &creds(&operator, expired, 10)) {
         Err(e) => e,
@@ -422,7 +442,10 @@ fn expired_certificate_rejected_at_auth() {
         packetlab::controller::ControllerError::Endpoint(ErrCode::Auth, _)
     ));
     // A not-yet-valid chain is refused too.
-    let future = Restrictions { not_before: Some(4_000_000_000), ..Default::default() };
+    let future = Restrictions {
+        not_before: Some(4_000_000_000),
+        ..Default::default()
+    };
     let chan = SimChannel::connect(&world.net, world.controller_node, world.endpoint_addr);
     assert!(Controller::connect(chan, &creds(&operator, future, 10)).is_err());
 }

@@ -19,7 +19,7 @@ use packetlab::descriptor::ExperimentDescriptor;
 use packetlab::endpoint::EndpointConfig;
 use packetlab::harness::{SimChannel, SimNet, RENDEZVOUS_PORT};
 use packetlab::rendezvous::RendezvousServer;
-use plab_crypto::{Keypair, KeyHash};
+use plab_crypto::{KeyHash, Keypair};
 use plab_netsim::{LinkParams, TopologyBuilder, SECOND};
 use std::cell::RefCell;
 use std::net::Ipv4Addr;
@@ -73,7 +73,10 @@ fn full_figure1_flow() {
     let ep_deleg = Certificate::sign(
         &ep_operator,
         CertPayload::Delegation(KeyHash::of(&experimenter.public)),
-        Restrictions { max_priority: Some(100), ..Default::default() },
+        Restrictions {
+            max_priority: Some(100),
+            ..Default::default()
+        },
     );
 
     // ➍ The experimenter signs an experiment certificate.
@@ -119,7 +122,11 @@ fn full_figure1_flow() {
     // ➏ Drive the network: the server verifies and broadcasts; the
     // endpoint receives the announcement and dials the controller.
     net.run_until(10 * SECOND);
-    assert_eq!(net.endpoint_announcements(ep_id).len(), 1, "endpoint got the announce");
+    assert_eq!(
+        net.endpoint_announcements(ep_id).len(),
+        1,
+        "endpoint got the announce"
+    );
     assert_eq!(net.endpoint_dialed(ep_id), &["10.0.1.1:7000".to_string()]);
 
     // ➐–➑ The controller (accepting the endpoint's connection) presents
@@ -232,7 +239,13 @@ fn endpoint_rejects_chain_rooted_elsewhere() {
         experimenter: KeyHash::of(&experimenter.public),
     };
     // Chain rooted at the RENDEZVOUS operator — valid there, useless here.
-    let creds = Credentials::issue(&rv_operator, &experimenter, descriptor, Restrictions::none(), 1);
+    let creds = Credentials::issue(
+        &rv_operator,
+        &experimenter,
+        descriptor,
+        Restrictions::none(),
+        1,
+    );
     let chan = SimChannel::connect(&net, c_host, "10.0.3.1".parse().unwrap());
     assert!(Controller::connect(chan, &creds).is_err());
 }

@@ -11,7 +11,7 @@ use packetlab::descriptor::ExperimentDescriptor;
 use packetlab::endpoint::EndpointConfig;
 use packetlab::harness::{SimChannel, SimNet};
 use packetlab::wire::ErrCode;
-use plab_crypto::{Keypair, KeyHash};
+use plab_crypto::{KeyHash, Keypair};
 use plab_netsim::{LinkParams, NodeId, TopologyBuilder, MILLISECOND};
 use std::cell::RefCell;
 use std::net::Ipv4Addr;
@@ -110,7 +110,10 @@ fn connect_with_monitor(world: &World, operator: &Keypair) -> Controller<SimChan
         operator,
         &experimenter,
         descriptor,
-        Restrictions { monitor: Some(monitor), ..Default::default() },
+        Restrictions {
+            monitor: Some(monitor),
+            ..Default::default()
+        },
         1,
     );
     let chan = SimChannel::connect(&world.net, world.controller, world.endpoint_addr);
@@ -155,14 +158,8 @@ fn spoofed_source_denied() {
     ctrl.nopen_raw(1).unwrap();
     // Echo request claiming to be from another host: `pkt->ip.src ==
     // info->addr.ip` fails.
-    let spoof = plab_packet::builder::icmp_echo_request(
-        world.other_addr,
-        world.target_addr,
-        64,
-        1,
-        1,
-        &[],
-    );
+    let spoof =
+        plab_packet::builder::icmp_echo_request(world.other_addr, world.target_addr, 64, 1, 1, &[]);
     let err = ctrl.nsend(1, 0, spoof).unwrap_err();
     assert!(matches!(err, ControllerError::Endpoint(ErrCode::Denied, _)));
 }
@@ -184,8 +181,7 @@ fn unrelated_replies_not_delivered() {
     .unwrap();
     let src = ctrl.endpoint_addr().unwrap();
     // Latch ping_dst = target via a legitimate probe.
-    let probe =
-        plab_packet::builder::icmp_echo_request(src, world.target_addr, 64, 1, 1, &[]);
+    let probe = plab_packet::builder::icmp_echo_request(src, world.target_addr, 64, 1, 1, &[]);
     ctrl.nsend(1, 0, probe).unwrap();
     // Meanwhile, an unrelated host pings the endpoint: its echo *request*
     // reaches the endpoint, the endpoint's OS replies, but the monitor
@@ -222,8 +218,7 @@ fn monitor_state_isolated_between_sessions() {
     let mut ctrl1 = connect_with_monitor(&world, &operator);
     ctrl1.nopen_raw(1).unwrap();
     let src = ctrl1.endpoint_addr().unwrap();
-    let probe =
-        plab_packet::builder::icmp_echo_request(src, world.target_addr, 64, 1, 1, &[]);
+    let probe = plab_packet::builder::icmp_echo_request(src, world.target_addr, 64, 1, 1, &[]);
     ctrl1.nsend(1, 0, probe).unwrap();
     ctrl1.yield_endpoint().unwrap();
 

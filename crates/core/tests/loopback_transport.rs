@@ -14,7 +14,7 @@ use packetlab::netstack::NetStack;
 use packetlab::reactor::EndpointReactor;
 use packetlab::transport::{EndpointServer, RealStack, TcpChannel};
 use packetlab::wire::{Command, ErrCode, Message, Response};
-use plab_crypto::{Keypair, KeyHash};
+use plab_crypto::{KeyHash, Keypair};
 use std::io::{Read, Write};
 use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -72,7 +72,11 @@ impl Deployment {
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || server.run(stop))
         };
-        Deployment { control_addr, stop, thread: Some(thread) }
+        Deployment {
+            control_addr,
+            stop,
+            thread: Some(thread),
+        }
     }
 
     fn connect(&self, operator: &Keypair) -> Controller<TcpChannel> {
@@ -113,11 +117,17 @@ fn raw_and_tcp_sockets_honestly_unsupported() {
     let d = Deployment::start(&operator);
     let mut ctrl = d.connect(&operator);
     let err = ctrl.nopen_raw(1).unwrap_err();
-    assert!(matches!(err, ControllerError::Endpoint(ErrCode::Unsupported, _)));
+    assert!(matches!(
+        err,
+        ControllerError::Endpoint(ErrCode::Unsupported, _)
+    ));
     let err = ctrl
         .nopen_tcp(2, 0, "127.0.0.1".parse().unwrap(), 80)
         .unwrap_err();
-    assert!(matches!(err, ControllerError::Endpoint(ErrCode::Unsupported, _)));
+    assert!(matches!(
+        err,
+        ControllerError::Endpoint(ErrCode::Unsupported, _)
+    ));
     // The flags field agrees.
     let flags = ctrl.read_info("flags").unwrap();
     assert_eq!(flags & plab_packet::layout::INFO_FLAG_RAW as u64, 0);
@@ -151,7 +161,8 @@ fn scheduled_udp_send_and_capture_over_loopback() {
         std::net::IpAddr::V4(ip) => ip,
         _ => unreachable!(),
     };
-    ctrl.nopen_udp(1, 39_100, peer_ip, peer_addr.port()).unwrap();
+    ctrl.nopen_udp(1, 39_100, peer_ip, peer_addr.port())
+        .unwrap();
     let t0 = ctrl.read_clock().unwrap();
     let when = t0 + 30_000_000;
     let tag = ctrl.nsend(1, when, b"ping".to_vec()).unwrap();
@@ -213,7 +224,9 @@ impl aio::Dialer for TcpDialer {
 
     async fn wait_until(&mut self, time: u64) {
         self.holder = None;
-        std::thread::sleep(Duration::from_nanos(time.saturating_sub(aio::Dialer::now(self))));
+        std::thread::sleep(Duration::from_nanos(
+            time.saturating_sub(aio::Dialer::now(self)),
+        ));
     }
 }
 
@@ -238,15 +251,29 @@ fn session_cap_answers_typed_busy_over_real_tcp() {
         Err(other) => panic!("expected typed Busy at capacity, got {other:?}"),
         Ok(_) => panic!("expected typed Busy at capacity, got a session"),
     }
-    assert!(asked.elapsed() < Duration::from_secs(1), "refused at once, not by timeout");
+    assert!(
+        asked.elapsed() < Duration::from_secs(1),
+        "refused at once, not by timeout"
+    );
     first.read_clock().unwrap();
 
     plab_obs::enable();
     plab_obs::reset();
-    let dialer = TcpDialer { addr: d.control_addr, epoch: Instant::now(), holder: Some(first) };
-    let policy = RetryPolicy { base_backoff: 20_000_000, ..Default::default() };
+    let dialer = TcpDialer {
+        addr: d.control_addr,
+        epoch: Instant::now(),
+        holder: Some(first),
+    };
+    let policy = RetryPolicy {
+        base_backoff: 20_000_000,
+        ..Default::default()
+    };
     let mut robust = RobustController::connect(dialer, creds, policy).expect("admitted on redial");
-    assert!(robust.stats.failed_dials >= 1 && robust.stats.connects == 1, "{:?}", robust.stats);
+    assert!(
+        robust.stats.failed_dials >= 1 && robust.stats.connects == 1,
+        "{:?}",
+        robust.stats
+    );
     assert!(plab_obs::metrics::counter("controller.busy_rejections") >= 1);
     robust.read_clock().unwrap();
 }
@@ -264,7 +291,10 @@ fn corrupt_frame_closes_its_connection_and_no_other() {
     bad.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
     bad.write_all(&[1, 0, 0, 0, 0xff]).unwrap();
     let mut buf = [0u8; 64];
-    assert!(matches!(bad.read(&mut buf), Ok(0)), "the server hangs up on a corrupt stream");
+    assert!(
+        matches!(bad.read(&mut buf), Ok(0)),
+        "the server hangs up on a corrupt stream"
+    );
 
     neighbour.mwrite(64, vec![7; 4]).unwrap();
     assert_eq!(neighbour.mread(64, 4).unwrap(), vec![7; 4]);
@@ -307,7 +337,9 @@ fn queued_sessions_are_served_in_sid_order() {
         // server's socket buffers before the round that serves them.
         let mut auths = Vec::new();
         for chan in chans.iter_mut().rev() {
-            chan.send(&Message::Hello { version: packetlab::PROTOCOL_VERSION });
+            chan.send(&Message::Hello {
+                version: packetlab::PROTOCOL_VERSION,
+            });
             let Message::HelloAck { nonce, .. } = serve_until_reply(&mut server, chan) else {
                 panic!("expected HelloAck");
             };
@@ -319,13 +351,37 @@ fn queued_sessions_are_served_in_sid_order() {
         std::thread::sleep(Duration::from_millis(20));
         for chan in chans.iter_mut().rev() {
             assert_eq!(serve_until_reply(&mut server, chan), Message::AuthOk);
-            chan.send(&Message::CmdSeq { seq: 1, cmd: Command::MRead { memaddr: 0, bytecnt: 8 } });
+            chan.send(&Message::CmdSeq {
+                seq: 1,
+                cmd: Command::MRead {
+                    memaddr: 0,
+                    bytecnt: 8,
+                },
+            });
         }
         let first = serve_until_reply(&mut server, &mut chans[0]);
-        assert!(matches!(first, Message::RespSeq { resp: Response::Mem { .. }, .. }), "sid 1 in control: {first:?}");
+        assert!(
+            matches!(
+                first,
+                Message::RespSeq {
+                    resp: Response::Mem { .. },
+                    ..
+                }
+            ),
+            "sid 1 in control: {first:?}"
+        );
         let second = serve_until_reply(&mut server, &mut chans[1]);
         assert!(
-            matches!(second, Message::RespSeq { resp: Response::Err { code: ErrCode::Suspended, .. }, .. }),
+            matches!(
+                second,
+                Message::RespSeq {
+                    resp: Response::Err {
+                        code: ErrCode::Suspended,
+                        ..
+                    },
+                    ..
+                }
+            ),
             "sid 2 suspended: {second:?}"
         );
     }
@@ -342,7 +398,11 @@ fn closed_peer_fails_the_call_before_its_timeout() {
     drop(d);
     let asked = Instant::now();
     assert_eq!(ctrl.read_clock(), Err(ControllerError::Timeout));
-    assert!(asked.elapsed() < Duration::from_secs(1), "took {:?}", asked.elapsed());
+    assert!(
+        asked.elapsed() < Duration::from_secs(1),
+        "took {:?}",
+        asked.elapsed()
+    );
 }
 
 /// `RealStack` with every `tcp_recv` recorded: what the reactor reads.
@@ -424,7 +484,10 @@ impl NetStack for CountingStack {
 #[test]
 fn only_streams_with_bytes_waiting_are_read() {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let mut stack = CountingStack { inner: RealStack::new(Ipv4Addr::LOCALHOST), reads: Vec::new() };
+    let mut stack = CountingStack {
+        inner: RealStack::new(Ipv4Addr::LOCALHOST),
+        reads: Vec::new(),
+    };
     let mut reactor = EndpointReactor::new(EndpointConfig::default());
     let mut adopt = |stack: &mut CountingStack| {
         let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
@@ -437,22 +500,35 @@ fn only_streams_with_bytes_waiting_are_read() {
     let turn = |reactor: &mut EndpointReactor, stack: &mut CountingStack| {
         reactor.pump(stack);
         reactor.dispatch(stack);
-        let dead: Vec<u64> =
-            reactor.sessions().filter(|&(_, c)| !stack.tcp_alive(c)).map(|(s, _)| s).collect();
+        let dead: Vec<u64> = reactor
+            .sessions()
+            .filter(|&(_, c)| !stack.tcp_alive(c))
+            .map(|(s, _)| s)
+            .collect();
         for sid in dead {
             reactor.on_conn_closed(sid, stack);
         }
         reactor.flush(stack);
     };
 
-    let hello = Message::Hello { version: packetlab::PROTOCOL_VERSION }.to_frame();
+    let hello = Message::Hello {
+        version: packetlab::PROTOCOL_VERSION,
+    }
+    .to_frame();
     once.write_all(&hello).unwrap();
     let waited = Instant::now();
     while stack.tcp_readable(once_conn) < hello.len() {
-        assert!(waited.elapsed() < Duration::from_secs(2), "the Hello never showed as readable");
+        assert!(
+            waited.elapsed() < Duration::from_secs(2),
+            "the Hello never showed as readable"
+        );
         std::thread::sleep(Duration::from_millis(1));
     }
-    assert_eq!(stack.tcp_readable(once_conn), hello.len(), "exactly the bytes waiting");
+    assert_eq!(
+        stack.tcp_readable(once_conn),
+        hello.len(),
+        "exactly the bytes waiting"
+    );
     assert_eq!(stack.tcp_readable(idle_conn), 0);
     turn(&mut reactor, &mut stack);
     once.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
@@ -460,7 +536,10 @@ fn only_streams_with_bytes_waiting_are_read() {
     once.read_exact(&mut header).expect("an answer arrives");
     let mut answer = vec![0; u32::from_le_bytes(header) as usize];
     once.read_exact(&mut answer).unwrap();
-    assert!(matches!(Message::decode(&answer), Ok(Message::HelloAck { .. })));
+    assert!(matches!(
+        Message::decode(&answer),
+        Ok(Message::HelloAck { .. })
+    ));
 
     drop(once);
     let waited = Instant::now();
@@ -472,6 +551,13 @@ fn only_streams_with_bytes_waiting_are_read() {
         turn(&mut reactor, &mut stack);
         std::thread::sleep(Duration::from_millis(1));
     }
-    assert_eq!(stack.reads, [once_conn], "one read for the Hello; the close needs none");
-    assert_eq!(reactor.sessions().collect::<Vec<_>>(), [(idle_sid, idle_conn)]);
+    assert_eq!(
+        stack.reads,
+        [once_conn],
+        "one read for the Hello; the close needs none"
+    );
+    assert_eq!(
+        reactor.sessions().collect::<Vec<_>>(),
+        [(idle_sid, idle_conn)]
+    );
 }

@@ -8,7 +8,7 @@ use packetlab::controller::{experiments, ControlPlane, Controller, Credentials};
 use packetlab::descriptor::ExperimentDescriptor;
 use packetlab::endpoint::EndpointConfig;
 use packetlab::harness::{SimChannel, SimNet};
-use plab_crypto::{Keypair, KeyHash};
+use plab_crypto::{KeyHash, Keypair};
 use plab_netsim::{LinkParams, TopologyBuilder, MILLISECOND};
 use std::cell::RefCell;
 use std::net::Ipv4Addr;
@@ -69,8 +69,13 @@ fn nat_endpoint_reports_both_addresses_and_pings_out() {
         info_url: String::new(),
         experimenter: KeyHash::of(&experimenter.public),
     };
-    let creds =
-        Credentials::issue(&operator, &experimenter, descriptor, Restrictions::none(), 1);
+    let creds = Credentials::issue(
+        &operator,
+        &experimenter,
+        descriptor,
+        Restrictions::none(),
+        1,
+    );
     let chan = SimChannel::from_accepted(&net, controller, conn);
     let mut ctrl = Controller::connect(chan, &creds).unwrap();
 

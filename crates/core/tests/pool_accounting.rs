@@ -22,7 +22,8 @@ fn pool_symmetric_across_chaos_corpus() {
     for (scenario, seed) in corpus {
         let out = chaos::run(scenario, seed);
         assert_eq!(
-            out.pool_taken, out.pool_recycled,
+            out.pool_taken,
+            out.pool_recycled,
             "pool leak: taken={} recycled={} in {}",
             out.pool_taken,
             out.pool_recycled,

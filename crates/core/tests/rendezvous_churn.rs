@@ -30,7 +30,10 @@ fn publish_message(name: &str, rv_operator: &Keypair, experimenter: &Keypair) ->
     RvMessage::Publish {
         descriptor: descriptor.encode(),
         chain: vec![deleg.encode(), leaf.encode()],
-        keys: vec![*rv_operator.public.as_bytes(), *experimenter.public.as_bytes()],
+        keys: vec![
+            *rv_operator.public.as_bytes(),
+            *experimenter.public.as_bytes(),
+        ],
     }
 }
 
@@ -60,8 +63,7 @@ fn subscriber_churn_leaks_no_slots() {
     let rv_operator = Keypair::from_seed(&[1; 32]);
     let experimenter = Keypair::from_seed(&[2; 32]);
     let channel = KeyHash::of(&rv_operator.public).0;
-    let mut server =
-        RendezvousServer::new(vec![KeyHash::of(&rv_operator.public)], 1_700_000_000);
+    let mut server = RendezvousServer::new(vec![KeyHash::of(&rv_operator.public)], 1_700_000_000);
 
     // One retained experiment so every subscribe gets a replay; published
     // into an empty room, so its fan-out is zero.
@@ -73,14 +75,23 @@ fn subscriber_churn_leaks_no_slots() {
     // every cycle; a duplicate close must not underflow either.
     for cycle in 0..1_000u64 {
         let sid = 1_000 + cycle;
-        let replay = server.on_message(sid, RvMessage::Subscribe { channels: vec![channel] });
+        let replay = server.on_message(
+            sid,
+            RvMessage::Subscribe {
+                channels: vec![channel],
+            },
+        );
         assert_eq!(replay.len(), 1, "retained experiment replayed on subscribe");
         assert_eq!(server.subscriber_count(), 1);
         assert_eq!(gauge("rendezvous.subscribers"), 1);
         server.on_session_closed(sid);
         server.on_session_closed(sid);
         assert_eq!(server.subscriber_count(), 0, "slot leaked on cycle {cycle}");
-        assert_eq!(gauge("rendezvous.subscribers"), 0, "gauge leaked on cycle {cycle}");
+        assert_eq!(
+            gauge("rendezvous.subscribers"),
+            0,
+            "gauge leaked on cycle {cycle}"
+        );
     }
 
     // After the churn the room is empty again: a second publish fans out
@@ -92,14 +103,22 @@ fn subscriber_churn_leaks_no_slots() {
     // fan-out, and every announce was a subscribe replay.
     assert_eq!(counter("rendezvous.publishes"), 2);
     assert_eq!(counter("rendezvous.publish_rejects"), 0);
-    assert_eq!(counter("rendezvous.announces"), 1_000, "one replay per subscribe");
+    assert_eq!(
+        counter("rendezvous.announces"),
+        1_000,
+        "one replay per subscribe"
+    );
     let snap = plab_obs::metrics::snapshot();
     let (_, fanout) = snap
         .iter()
         .find(|(n, _)| *n == "rendezvous.fanout_per_publish")
         .expect("fan-out histogram registered");
     match fanout {
-        MetricValue::Histogram { count, sum, buckets } => {
+        MetricValue::Histogram {
+            count,
+            sum,
+            buckets,
+        } => {
             assert_eq!(*count, 2, "both publishes observed");
             assert_eq!(*sum, 0, "fan-out stayed at the empty-room baseline");
             assert_eq!(buckets.as_slice(), &[(0, 2)]);
@@ -149,9 +168,21 @@ fn churn_during_publish_skips_stale_slots() {
         let pub_conn = net.sim.tcp_connect(publisher, rv_addr, RENDEZVOUS_PORT);
         net.run_until(SECOND);
         let c1 = net.sim.tcp_connect(sub1, rv_addr, RENDEZVOUS_PORT);
-        net.sim.tcp_send(sub1, c1, &frame(&RvMessage::Subscribe { channels: vec![channel] }));
+        net.sim.tcp_send(
+            sub1,
+            c1,
+            &frame(&RvMessage::Subscribe {
+                channels: vec![channel],
+            }),
+        );
         let c2 = net.sim.tcp_connect(sub2, rv_addr, RENDEZVOUS_PORT);
-        net.sim.tcp_send(sub2, c2, &frame(&RvMessage::Subscribe { channels: vec![channel] }));
+        net.sim.tcp_send(
+            sub2,
+            c2,
+            &frame(&RvMessage::Subscribe {
+                channels: vec![channel],
+            }),
+        );
         net.run_until(2 * SECOND);
         assert_eq!(net.rendezvous_server(0).subscriber_count(), 2);
 
@@ -238,9 +269,21 @@ fn poisoned_stream_frees_the_slot_and_spares_the_neighbour() {
     let rv_addr = Ipv4Addr::new(10, 0, 0, 1);
 
     let c1 = net.sim.tcp_connect(sub1, rv_addr, RENDEZVOUS_PORT);
-    net.sim.tcp_send(sub1, c1, &frame(&RvMessage::Subscribe { channels: vec![channel] }));
+    net.sim.tcp_send(
+        sub1,
+        c1,
+        &frame(&RvMessage::Subscribe {
+            channels: vec![channel],
+        }),
+    );
     let c2 = net.sim.tcp_connect(sub2, rv_addr, RENDEZVOUS_PORT);
-    net.sim.tcp_send(sub2, c2, &frame(&RvMessage::Subscribe { channels: vec![channel] }));
+    net.sim.tcp_send(
+        sub2,
+        c2,
+        &frame(&RvMessage::Subscribe {
+            channels: vec![channel],
+        }),
+    );
     net.run_until(SECOND);
     assert_eq!(net.rendezvous_server(0).subscriber_count(), 2);
 

@@ -65,7 +65,10 @@ impl aio::Dialer for ScriptedDialer {
     type Chan = Scripted;
     async fn dial(&mut self) -> Option<Scripted> {
         let script = self.dials.pop_front().flatten()?;
-        Some(Scripted { clock: self.clock.clone(), script: script.into() })
+        Some(Scripted {
+            clock: self.clock.clone(),
+            script: script.into(),
+        })
     }
     fn now(&self) -> u64 {
         self.clock.get()
@@ -79,7 +82,10 @@ impl aio::Dialer for ScriptedDialer {
 impl robust::Dialer for ScriptedDialer {}
 
 fn refusal(code: ErrCode) -> Response {
-    Response::Err { code, msg: "".into() }
+    Response::Err {
+        code,
+        msg: "".into(),
+    }
 }
 
 #[test]
@@ -87,17 +93,33 @@ fn failed_dials_then_suspended_refusals_back_off_on_the_pinned_schedule() {
     const START: u64 = 1_000_000_000;
     let clock = Rc::new(Cell::new(START));
     let waits = Rc::new(RefCell::new(Vec::new()));
-    let hello = Message::HelloAck { version: packetlab::PROTOCOL_VERSION, nonce: [0; 32] };
-    let suspended = (1..=3).map(|seq| Message::RespSeq { seq, resp: refusal(ErrCode::Suspended) });
-    let answer = Message::RespSeq { seq: 4, resp: Response::Mem { data: vec![7] } };
-    let session = [hello, Message::AuthOk].into_iter().chain(suspended).chain([answer]);
+    let hello = Message::HelloAck {
+        version: packetlab::PROTOCOL_VERSION,
+        nonce: [0; 32],
+    };
+    let suspended = (1..=3).map(|seq| Message::RespSeq {
+        seq,
+        resp: refusal(ErrCode::Suspended),
+    });
+    let answer = Message::RespSeq {
+        seq: 4,
+        resp: Response::Mem { data: vec![7] },
+    };
+    let session = [hello, Message::AuthOk]
+        .into_iter()
+        .chain(suspended)
+        .chain([answer]);
     let dials = [
         None,
         Some(vec![Message::Resp(refusal(ErrCode::Busy))]),
         Some(Vec::new()),
         Some(session.collect()),
     ];
-    let dialer = ScriptedDialer { clock: clock.clone(), dials: dials.into(), waits: waits.clone() };
+    let dialer = ScriptedDialer {
+        clock: clock.clone(),
+        dials: dials.into(),
+        waits: waits.clone(),
+    };
     let operator = Keypair::from_seed(&[1; 32]);
     let experimenter = Keypair::from_seed(&[2; 32]);
     let descriptor = ExperimentDescriptor {
@@ -106,7 +128,13 @@ fn failed_dials_then_suspended_refusals_back_off_on_the_pinned_schedule() {
         info_url: String::new(),
         experimenter: KeyHash::of(&experimenter.public),
     };
-    let creds = Credentials::issue(&operator, &experimenter, descriptor, Restrictions::none(), 10);
+    let creds = Credentials::issue(
+        &operator,
+        &experimenter,
+        descriptor,
+        Restrictions::none(),
+        10,
+    );
     let policy = RetryPolicy {
         request_timeout: 1_000_000_000,
         base_backoff: 100_000_000,
@@ -123,7 +151,13 @@ fn failed_dials_then_suspended_refusals_back_off_on_the_pinned_schedule() {
     assert_eq!(rc.mread(0, 1), Ok(vec![7]));
     let events: Vec<String> = plab_obs::tail_for(plab_obs::Component::Controller, 64)
         .iter()
-        .map(|e| e.line().split_once('@').expect("#seq@t prefix").1.to_string())
+        .map(|e| {
+            e.line()
+                .split_once('@')
+                .expect("#seq@t prefix")
+                .1
+                .to_string()
+        })
         .collect();
     plab_obs::disable();
 
@@ -131,15 +165,37 @@ fn failed_dials_then_suspended_refusals_back_off_on_the_pinned_schedule() {
     // the refusals: half fixed, half from one jitter draw each. Each sleep
     // starts where the last one ended, plus CLOSE_NS after the two dials
     // that opened a channel.
-    let sleeps = [75_888_176, 142_543_580, 280_295_316, 55_132_401, 120_705_478, 244_817_264];
-    let instants =
-        [1_075_888_176, 1_219_431_756, 1_500_727_072, 1_555_859_473, 1_676_564_951, 1_921_382_215];
+    let sleeps = [
+        75_888_176,
+        142_543_580,
+        280_295_316,
+        55_132_401,
+        120_705_478,
+        244_817_264,
+    ];
+    let instants = [
+        1_075_888_176,
+        1_219_431_756,
+        1_500_727_072,
+        1_555_859_473,
+        1_676_564_951,
+        1_921_382_215,
+    ];
     assert_eq!(*waits.borrow(), instants);
     let closes = [0, CLOSE_NS, CLOSE_NS, 0, 0, 0];
-    let starts = [START].into_iter().chain(instants).zip(closes).map(|(t, c)| t + c);
+    let starts = [START]
+        .into_iter()
+        .chain(instants)
+        .zip(closes)
+        .map(|(t, c)| t + c);
     assert!(starts.zip(sleeps).map(|(t, s)| t + s).eq(instants));
-    let stats =
-        RetryStats { connects: 1, failed_dials: 3, timeouts: 0, replays: 0, suspended_waits: 3 };
+    let stats = RetryStats {
+        connects: 1,
+        failed_dials: 3,
+        timeouts: 0,
+        replays: 0,
+        suspended_waits: 3,
+    };
     assert_eq!(rc.stats, stats);
     assert!(rc.notifications.is_empty());
     assert_eq!(plab_obs::metrics::counter("controller.busy_rejections"), 1);
@@ -147,11 +203,20 @@ fn failed_dials_then_suspended_refusals_back_off_on_the_pinned_schedule() {
     assert_eq!(plab_obs::metrics::counter("controller.suspended_waits"), 3);
     let expected = [
         "1000000000ns controller.dial.fail failures=0".to_string(),
-        format!("1000000000ns controller.backoff sleep_ns={} failures=1", sleeps[0]),
+        format!(
+            "1000000000ns controller.backoff sleep_ns={} failures=1",
+            sleeps[0]
+        ),
         "1075888176ns controller.dial.busy failures=1".to_string(),
-        format!("1076888176ns controller.backoff sleep_ns={} failures=2", sleeps[1]),
+        format!(
+            "1076888176ns controller.backoff sleep_ns={} failures=2",
+            sleeps[1]
+        ),
         "1219431756ns controller.dial.fail failures=2".to_string(),
-        format!("1220431756ns controller.backoff sleep_ns={} failures=3", sleeps[2]),
+        format!(
+            "1220431756ns controller.backoff sleep_ns={} failures=3",
+            sleeps[2]
+        ),
         "1500727072ns controller.connect failures=3".to_string(),
         "1500727072ns controller.suspended.wait seq=1 waits=1".to_string(),
         "1555859473ns controller.suspended.wait seq=2 waits=2".to_string(),

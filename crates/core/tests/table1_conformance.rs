@@ -19,7 +19,7 @@ use packetlab::descriptor::ExperimentDescriptor;
 use packetlab::endpoint::EndpointConfig;
 use packetlab::harness::{SimChannel, SimNet};
 use packetlab::wire::{Command, ErrCode, Message, Response};
-use plab_crypto::{Keypair, KeyHash};
+use plab_crypto::{KeyHash, Keypair};
 use plab_netsim::{LinkParams, TopologyBuilder, MILLISECOND, SECOND};
 use std::cell::RefCell;
 use std::net::Ipv4Addr;
@@ -90,7 +90,10 @@ fn nopen_both_forms_and_conflicts() {
     ctrl.nopen_tcp(3, 0, world.target_addr, 80).unwrap();
     // Reusing a socket id fails.
     let err = ctrl.nopen_raw(1).unwrap_err();
-    assert!(matches!(err, ControllerError::Endpoint(ErrCode::BadSocket, _)));
+    assert!(matches!(
+        err,
+        ControllerError::Endpoint(ErrCode::BadSocket, _)
+    ));
     // Socket count visible in the info block.
     assert_eq!(ctrl.read_info("sockets.open").unwrap(), 3);
 }
@@ -103,7 +106,10 @@ fn nclose_semantics() {
     ctrl.nclose(1).unwrap();
     // Double close errors.
     let err = ctrl.nclose(1).unwrap_err();
-    assert!(matches!(err, ControllerError::Endpoint(ErrCode::BadSocket, _)));
+    assert!(matches!(
+        err,
+        ControllerError::Endpoint(ErrCode::BadSocket, _)
+    ));
     // Port is free again.
     ctrl.nopen_udp(2, 5000, world.target_addr, 7).unwrap();
 }
@@ -114,9 +120,8 @@ fn nsend_schedules_and_records_actual_time() {
     let mut ctrl = connect(&world, &operator);
     ctrl.nopen_raw(1).unwrap();
     let src = ctrl.endpoint_addr().unwrap();
-    let probe = |seq| {
-        plab_packet::builder::icmp_echo_request(src, world.target_addr, 64, 7, seq, &[])
-    };
+    let probe =
+        |seq| plab_packet::builder::icmp_echo_request(src, world.target_addr, 64, 7, seq, &[]);
     // Future send: executes exactly at the requested endpoint time.
     let t0 = ctrl.read_clock().unwrap();
     let when = t0 + 700 * MILLISECOND;
@@ -129,7 +134,10 @@ fn nsend_schedules_and_records_actual_time() {
     ctrl.channel().wait_until(later);
     assert_eq!(ctrl.read_send_time(tag_future).unwrap(), Some(when));
     let sent_now = ctrl.read_send_time(tag_now).unwrap().unwrap();
-    assert!(sent_now >= t0 && sent_now < when, "immediate send happened promptly");
+    assert!(
+        sent_now >= t0 && sent_now < when,
+        "immediate send happened promptly"
+    );
 }
 
 #[test]
@@ -143,16 +151,14 @@ fn ncap_expiry_stops_capture() {
     ctrl.ncap_cpf(1, t0 + 200 * MILLISECOND, experiments::ICMP_CAPTURE_FILTER)
         .unwrap();
     // Probe whose reply arrives before expiry: captured.
-    let probe1 =
-        plab_packet::builder::icmp_echo_request(src, world.target_addr, 64, 7, 1, &[]);
+    let probe1 = plab_packet::builder::icmp_echo_request(src, world.target_addr, 64, 7, 1, &[]);
     ctrl.nsend(1, 0, probe1).unwrap();
     let poll = ctrl.npoll(t0 + 150 * MILLISECOND).unwrap();
     assert_eq!(poll.packets.len(), 1, "reply inside the capture window");
     // Probe after expiry: not captured ("tells the endpoint when to stop
     // capturing packets").
     let t1 = ctrl.read_clock().unwrap();
-    let probe2 =
-        plab_packet::builder::icmp_echo_request(src, world.target_addr, 64, 7, 2, &[]);
+    let probe2 = plab_packet::builder::icmp_echo_request(src, world.target_addr, 64, 7, 2, &[]);
     ctrl.nsend(1, t1 + 300 * MILLISECOND, probe2).unwrap();
     let poll = ctrl.npoll(t1 + 800 * MILLISECOND).unwrap();
     assert!(poll.packets.is_empty(), "filter expired; nothing captured");
@@ -179,7 +185,8 @@ fn npoll_immediate_when_buffered() {
     let (world, operator) = build();
     let mut ctrl = connect(&world, &operator);
     ctrl.nopen_raw(1).unwrap();
-    ctrl.ncap_cpf(1, u64::MAX, experiments::ICMP_CAPTURE_FILTER).unwrap();
+    ctrl.ncap_cpf(1, u64::MAX, experiments::ICMP_CAPTURE_FILTER)
+        .unwrap();
     let src = ctrl.endpoint_addr().unwrap();
     let probe = plab_packet::builder::icmp_echo_request(src, world.target_addr, 64, 7, 1, &[]);
     ctrl.nsend(1, 0, probe).unwrap();
@@ -191,7 +198,10 @@ fn npoll_immediate_when_buffered() {
     let poll = ctrl.npoll(before + 3600 * SECOND).unwrap();
     assert_eq!(poll.packets.len(), 1);
     let after = ctrl.read_clock().unwrap();
-    assert!(after - before < 200 * MILLISECOND, "returned promptly, not at deadline");
+    assert!(
+        after - before < 200 * MILLISECOND,
+        "returned promptly, not at deadline"
+    );
 }
 
 #[test]
@@ -219,7 +229,8 @@ fn udp_socket_data_flows_through_npoll() {
         let net = ctrl.channel().net();
         let mut n = net.borrow_mut();
         let cnode = world.controller;
-        n.sim.udp_send(cnode, 6200, world.endpoint_addr, 6100, b"to endpoint");
+        n.sim
+            .udp_send(cnode, 6200, world.endpoint_addr, 6100, b"to endpoint");
     }
     let t0 = ctrl.read_clock().unwrap();
     let poll = ctrl.npoll(t0 + SECOND).unwrap();
@@ -271,11 +282,18 @@ fn mread_clock_monotonic_and_mwrite_scratch() {
     let c3 = ctrl.read_clock().unwrap();
     assert!(c1 < c2 && c2 < c3, "clock strictly advances across RTTs");
     // Whole-memory read is within bounds.
-    let all = ctrl.mread(0, packetlab::memory::MEMORY_SIZE as u32).unwrap();
+    let all = ctrl
+        .mread(0, packetlab::memory::MEMORY_SIZE as u32)
+        .unwrap();
     assert_eq!(all.len(), packetlab::memory::MEMORY_SIZE);
     // Out-of-range read fails.
-    let err = ctrl.mread(0, packetlab::memory::MEMORY_SIZE as u32 + 1).unwrap_err();
-    assert!(matches!(err, ControllerError::Endpoint(ErrCode::BadMemory, _)));
+    let err = ctrl
+        .mread(0, packetlab::memory::MEMORY_SIZE as u32 + 1)
+        .unwrap_err();
+    assert!(matches!(
+        err,
+        ControllerError::Endpoint(ErrCode::BadMemory, _)
+    ));
     // Scratch write visible to monitors' info space is covered in the
     // monitor tests; here verify persistence across commands.
     ctrl.mwrite(72, vec![0xaa; 8]).unwrap();
@@ -308,7 +326,10 @@ fn connect_with_buffer(world: &World, operator: &Keypair, cap: u64) -> Controlle
         operator,
         &experimenter,
         descriptor,
-        Restrictions { max_buffer_bytes: Some(cap), ..Restrictions::none() },
+        Restrictions {
+            max_buffer_bytes: Some(cap),
+            ..Restrictions::none()
+        },
         1,
     );
     let chan = SimChannel::connect(&world.net, world.controller, world.endpoint_addr);
@@ -334,7 +355,8 @@ fn ncap_drop_accounting_exact_under_loss() {
     let mut ctrl = connect_with_buffer(&world, &operator, 3 * reply_len);
     ctrl.nopen_raw(1).unwrap();
     let src = ctrl.endpoint_addr().unwrap();
-    ctrl.ncap_cpf(1, u64::MAX, experiments::ICMP_CAPTURE_FILTER).unwrap();
+    ctrl.ncap_cpf(1, u64::MAX, experiments::ICMP_CAPTURE_FILTER)
+        .unwrap();
 
     // 25% uniform loss on the endpoint's access link, mid-experiment: the
     // drop *accounting* must not be confused by network loss (lost replies
@@ -352,25 +374,33 @@ fn ncap_drop_accounting_exact_under_loss() {
     }
     // 12 probes, paced 20 ms apart, starting after the loss kicks in.
     for i in 0..12u16 {
-        let probe = plab_packet::builder::icmp_echo_request(
-            src,
-            world.target_addr,
-            64,
-            7,
-            i,
-            &[0u8; 32],
-        );
-        ctrl.nsend(1, t0 + 100 * MILLISECOND + i as u64 * 20 * MILLISECOND, probe)
-            .unwrap();
+        let probe =
+            plab_packet::builder::icmp_echo_request(src, world.target_addr, 64, 7, i, &[0u8; 32]);
+        ctrl.nsend(
+            1,
+            t0 + 100 * MILLISECOND + i as u64 * 20 * MILLISECOND,
+            probe,
+        )
+        .unwrap();
     }
     let poll = ctrl.npoll(t0 + SECOND).unwrap();
     // The buffer admitted at most its capacity…
     let captured_bytes: u64 = poll.packets.iter().map(|(_, _, p)| p.len() as u64).sum();
-    assert!(captured_bytes <= 3 * reply_len, "buffer overran its certificate cap");
-    assert_eq!(poll.packets.len(), 3, "capacity admits exactly three replies");
+    assert!(
+        captured_bytes <= 3 * reply_len,
+        "buffer overran its certificate cap"
+    );
+    assert_eq!(
+        poll.packets.len(),
+        3,
+        "capacity admits exactly three replies"
+    );
     // …and every rejected reply was counted, bytes consistent with the
     // uniform reply size.
-    assert!(poll.dropped_packets >= 1, "loss left enough replies to overflow");
+    assert!(
+        poll.dropped_packets >= 1,
+        "loss left enough replies to overflow"
+    );
     assert_eq!(
         poll.dropped_bytes,
         poll.dropped_packets * reply_len,
@@ -380,7 +410,10 @@ fn ncap_drop_accounting_exact_under_loss() {
     // a fresh window with nothing dropped (capacity was freed).
     let t1 = ctrl.read_clock().unwrap();
     let poll2 = ctrl.npoll(t1 + 100 * MILLISECOND).unwrap();
-    assert_eq!(poll2.dropped_packets, 0, "drop counters must not double-report");
+    assert_eq!(
+        poll2.dropped_packets, 0,
+        "drop counters must not double-report"
+    );
     assert_eq!(poll2.dropped_bytes, 0);
     // The observability counters tell the same story: what npoll reported
     // is exactly what the capture buffer counted. The admission counter is
@@ -433,29 +466,50 @@ fn cmd_seq_replay_cache_metrics_hit_and_miss() {
         info_url: String::new(),
         experimenter: KeyHash::of(&experimenter.public),
     };
-    let creds = Credentials::issue(&operator, &experimenter, descriptor, Restrictions::none(), 1);
+    let creds = Credentials::issue(
+        &operator,
+        &experimenter,
+        descriptor,
+        Restrictions::none(),
+        1,
+    );
     let mut chan = SimChannel::connect(&world.net, world.controller, world.endpoint_addr);
     handshake(&mut chan, &creds, 5 * SECOND).unwrap();
 
     // Execute seq 1, then replay it: the endpoint answers from its cache
     // with the byte-identical response.
-    let read = Command::MRead { memaddr: 72, bytecnt: 8 };
+    let read = Command::MRead {
+        memaddr: 72,
+        bytecnt: 8,
+    };
     let first = send_seq(&mut chan, 1, read.clone());
     assert!(matches!(first, Response::Mem { .. }));
     let replayed = send_seq(&mut chan, 1, read.clone());
-    assert_eq!(first, replayed, "replay returns the cached response verbatim");
+    assert_eq!(
+        first, replayed,
+        "replay returns the cached response verbatim"
+    );
     assert_eq!(plab_obs::metrics::counter("endpoint.replay.hits"), 1);
     assert_eq!(plab_obs::metrics::counter("endpoint.replay.misses"), 0);
 
     // Push enough newer sequence numbers to evict seq 1 from the bounded
     // cache (REPLAY_CACHE = 32 entries)…
     for seq in 2..40u64 {
-        assert!(matches!(send_seq(&mut chan, seq, read.clone()), Response::Mem { .. }));
+        assert!(matches!(
+            send_seq(&mut chan, seq, read.clone()),
+            Response::Mem { .. }
+        ));
     }
     // …then replay it once more: explicitly refused, counted as a miss.
     let evicted = send_seq(&mut chan, 1, read);
     assert!(
-        matches!(evicted, Response::Err { code: ErrCode::Limit, .. }),
+        matches!(
+            evicted,
+            Response::Err {
+                code: ErrCode::Limit,
+                ..
+            }
+        ),
         "evicted replay must be refused, not re-executed: {evicted:?}",
     );
     assert_eq!(plab_obs::metrics::counter("endpoint.replay.hits"), 1);
@@ -476,7 +530,8 @@ fn ncap_expiry_exact_across_link_flap() {
     let src = ctrl.endpoint_addr().unwrap();
     let t0 = ctrl.read_clock().unwrap();
     // Filter expires at t0 + 1 s.
-    ctrl.ncap_cpf(1, t0 + SECOND, experiments::ICMP_CAPTURE_FILTER).unwrap();
+    ctrl.ncap_cpf(1, t0 + SECOND, experiments::ICMP_CAPTURE_FILTER)
+        .unwrap();
 
     // Flap the access link: down at +200 ms, back at +600 ms. The control
     // connection rides it out on TCP retransmission (no session loss).
@@ -495,9 +550,8 @@ fn ncap_expiry_exact_across_link_flap() {
         );
     }
 
-    let probe = |seq: u16| {
-        plab_packet::builder::icmp_echo_request(src, world.target_addr, 64, 7, seq, &[])
-    };
+    let probe =
+        |seq: u16| plab_packet::builder::icmp_echo_request(src, world.target_addr, 64, 7, seq, &[]);
     // Probe 1: round trip completes before the flap — captured.
     ctrl.nsend(1, t0 + 100 * MILLISECOND, probe(1)).unwrap();
     // Probe 2: departs into the outage — lost on the wire, no reply.
@@ -512,7 +566,13 @@ fn ncap_expiry_exact_across_link_flap() {
 
     // Wait out probe 3's reply window: nothing captured, nothing counted.
     let poll = ctrl.npoll(t0 + 2 * SECOND).unwrap();
-    assert!(poll.packets.is_empty(), "filter expired before the last reply");
-    assert_eq!(poll.dropped_packets, 0, "post-expiry packets are filtered, not dropped");
+    assert!(
+        poll.packets.is_empty(),
+        "filter expired before the last reply"
+    );
+    assert_eq!(
+        poll.dropped_packets, 0,
+        "post-expiry packets are filtered, not dropped"
+    );
     assert_eq!(poll.dropped_bytes, 0);
 }

@@ -45,7 +45,9 @@ fn main() -> ExitCode {
         }
         i += 1;
     }
-    let Some(path) = source_path else { return usage() };
+    let Some(path) = source_path else {
+        return usage();
+    };
 
     let source = match std::fs::read_to_string(&path) {
         Ok(s) => s,

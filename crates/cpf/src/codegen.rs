@@ -59,7 +59,12 @@ pub fn generate(unit: &CheckedUnit) -> Program {
             asm.mov_i(14, 0);
             asm.st_scr(14, 1, slot as i64 * 8);
         }
-        let mut gen = FnGen { asm: &mut asm, func, loops: Vec::new(), max_spill: 0 };
+        let mut gen = FnGen {
+            asm: &mut asm,
+            func,
+            loops: Vec::new(),
+            max_spill: 0,
+        };
         for stmt in &func.body {
             gen.stmt(stmt);
         }
@@ -156,7 +161,10 @@ impl<'a> FnGen<'a> {
 
     fn stmt(&mut self, stmt: &Stmt) {
         match stmt {
-            Stmt::Decl { name, init, .. } | Stmt::Assign { name, value: init, .. } => {
+            Stmt::Decl { name, init, .. }
+            | Stmt::Assign {
+                name, value: init, ..
+            } => {
                 self.expr(init, 0);
                 let src = self.operand(0, 14);
                 match self.func.bindings.get(name.as_str()) {
@@ -199,7 +207,12 @@ impl<'a> FnGen<'a> {
                 self.asm.ja_to(l_top);
                 self.asm.bind(l_end);
             }
-            Stmt::For { init, cond, step, body } => {
+            Stmt::For {
+                init,
+                cond,
+                step,
+                body,
+            } => {
                 if let Some(i) = init {
                     self.stmt(i);
                 }
@@ -399,7 +412,12 @@ impl<'a> FnGen<'a> {
     /// (evaluates operands at depths 0 and 1).
     fn cond_branch(&mut self, e: &Expr, target: Label, jump_on: bool) {
         match e {
-            Expr::Binary { op: BinOp::LogAnd, lhs, rhs, .. } => {
+            Expr::Binary {
+                op: BinOp::LogAnd,
+                lhs,
+                rhs,
+                ..
+            } => {
                 if jump_on {
                     // Jump iff both true: bail past the whole test when the
                     // lhs is false, then the rhs decides.
@@ -412,7 +430,12 @@ impl<'a> FnGen<'a> {
                     self.cond_branch(rhs, target, false);
                 }
             }
-            Expr::Binary { op: BinOp::LogOr, lhs, rhs, .. } => {
+            Expr::Binary {
+                op: BinOp::LogOr,
+                lhs,
+                rhs,
+                ..
+            } => {
                 if jump_on {
                     self.cond_branch(lhs, target, true);
                     self.cond_branch(rhs, target, true);
@@ -452,7 +475,11 @@ impl<'a> FnGen<'a> {
                 let (jop, x, y) = cmp_jump(*op, ra, rb, jump_on);
                 self.asm.j_reg_to(jop, x, y, target);
             }
-            Expr::Unary { op: UnOp::Not, expr, .. } => {
+            Expr::Unary {
+                op: UnOp::Not,
+                expr,
+                ..
+            } => {
                 self.cond_branch(expr, target, !jump_on);
             }
             Expr::Int { value, .. } => {

@@ -106,7 +106,11 @@ pub struct Token {
 }
 
 fn e(line: usize, col: usize, msg: impl Into<String>) -> CompileError {
-    CompileError { line, col, msg: msg.into() }
+    CompileError {
+        line,
+        col,
+        msg: msg.into(),
+    }
 }
 
 /// Tokenize Cpf source.
@@ -119,7 +123,11 @@ pub fn lex(src: &str) -> Result<Vec<Token>, CompileError> {
 
     macro_rules! push {
         ($t:expr, $l:expr, $c:expr) => {
-            out.push(Token { tok: $t, line: $l, col: $c })
+            out.push(Token {
+                tok: $t,
+                line: $l,
+                col: $c,
+            })
         };
     }
 

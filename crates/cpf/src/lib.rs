@@ -121,20 +121,16 @@ mod tests {
 
     #[test]
     fn minimal_allow_all() {
-        let p = compile(
-            "uint32_t send(const union packet *pkt, uint32_t len) { return len; }",
-        )
-        .unwrap();
+        let p = compile("uint32_t send(const union packet *pkt, uint32_t len) { return len; }")
+            .unwrap();
         let mut vm = Vm::new(p).unwrap();
         assert!(vm.check_send(&[0u8; 40], &[]).allowed());
     }
 
     #[test]
     fn deny_all() {
-        let p = compile(
-            "uint32_t send(const union packet *pkt, uint32_t len) { return 0; }",
-        )
-        .unwrap();
+        let p =
+            compile("uint32_t send(const union packet *pkt, uint32_t len) { return 0; }").unwrap();
         let mut vm = Vm::new(p).unwrap();
         assert!(!vm.check_send(&[0u8; 40], &[]).allowed());
     }
@@ -393,7 +389,10 @@ mod tests {
 
     #[test]
     fn compile_error_has_position() {
-        let e = compile("uint32_t send(const union packet *pkt, uint32_t len) {\n  return undeclared_var;\n}").unwrap_err();
+        let e = compile(
+            "uint32_t send(const union packet *pkt, uint32_t len) {\n  return undeclared_var;\n}",
+        )
+        .unwrap_err();
         assert_eq!(e.line, 2);
         assert!(e.msg.contains("undeclared_var"));
     }
@@ -413,10 +412,8 @@ mod tests {
 
     #[test]
     fn error_on_function_call() {
-        let e = compile(
-            "uint32_t send(const union packet *pkt, uint32_t len) { return foo(1); }",
-        )
-        .unwrap_err();
+        let e = compile("uint32_t send(const union packet *pkt, uint32_t len) { return foo(1); }")
+            .unwrap_err();
         assert!(e.msg.contains("call"), "{}", e.msg);
     }
 
@@ -431,10 +428,8 @@ mod tests {
 
     #[test]
     fn len_parameter_is_packet_length() {
-        let p = compile(
-            "uint32_t send(const union packet *pkt, uint32_t len) { return len + 1; }",
-        )
-        .unwrap();
+        let p = compile("uint32_t send(const union packet *pkt, uint32_t len) { return len + 1; }")
+            .unwrap();
         let mut vm = Vm::new(p).unwrap();
         assert_eq!(vm.run("send", &[0u8; 28], &[]), Ok(29));
     }
@@ -478,16 +473,14 @@ mod for_loop_tests {
 
     #[test]
     fn basic_for_loop() {
-        let v = run(
-            r#"
+        let v = run(r#"
             uint32_t send(const union packet *pkt, uint32_t len) {
                 uint32_t sum = 0;
                 for (uint32_t i = 0; i < 10; i += 1)
                     sum += i;
                 return sum;   // 45
             }
-            "#,
-        );
+            "#);
         assert_eq!(v, 45);
     }
 
@@ -495,8 +488,7 @@ mod for_loop_tests {
     fn for_with_continue_runs_step() {
         // continue in a for loop must still execute the step — the classic
         // desugaring bug this AST node exists to avoid.
-        let v = run(
-            r#"
+        let v = run(r#"
             uint32_t send(const union packet *pkt, uint32_t len) {
                 uint32_t n = 0;
                 for (uint32_t i = 0; i < 10; i += 1) {
@@ -505,15 +497,13 @@ mod for_loop_tests {
                 }
                 return n;   // odd values of i: 5
             }
-            "#,
-        );
+            "#);
         assert_eq!(v, 5);
     }
 
     #[test]
     fn for_with_break() {
-        let v = run(
-            r#"
+        let v = run(r#"
             uint32_t send(const union packet *pkt, uint32_t len) {
                 uint32_t i = 0;
                 for (i = 0; i < 100; i += 1) {
@@ -521,15 +511,13 @@ mod for_loop_tests {
                 }
                 return i;
             }
-            "#,
-        );
+            "#);
         assert_eq!(v, 7);
     }
 
     #[test]
     fn for_without_cond_breaks_out() {
-        let v = run(
-            r#"
+        let v = run(r#"
             uint32_t send(const union packet *pkt, uint32_t len) {
                 uint32_t i = 0;
                 for (;;) {
@@ -538,15 +526,13 @@ mod for_loop_tests {
                 }
                 return i;
             }
-            "#,
-        );
+            "#);
         assert_eq!(v, 4);
     }
 
     #[test]
     fn compound_assignments_all_ops() {
-        let v = run(
-            r#"
+        let v = run(r#"
             uint32_t send(const union packet *pkt, uint32_t len) {
                 uint32_t x = 100;
                 x += 10;   // 110
@@ -561,15 +547,13 @@ mod for_loop_tests {
                 x ^= 7;    // 43
                 return x;
             }
-            "#,
-        );
+            "#);
         assert_eq!(v, 43);
     }
 
     #[test]
     fn nested_for_loops() {
-        let v = run(
-            r#"
+        let v = run(r#"
             uint32_t send(const union packet *pkt, uint32_t len) {
                 uint32_t acc = 0;
                 for (uint32_t i = 0; i < 4; i += 1)
@@ -577,8 +561,7 @@ mod for_loop_tests {
                         acc += i * j;
                 return acc;   // sum over i of i*(0+1+2) = 3*(0+1+2+3) = 18
             }
-            "#,
-        );
+            "#);
         assert_eq!(v, 18);
     }
 

@@ -20,12 +20,20 @@ struct Parser<'a> {
 }
 
 fn e(pos: (usize, usize), msg: impl Into<String>) -> CompileError {
-    CompileError { line: pos.0, col: pos.1, msg: msg.into() }
+    CompileError {
+        line: pos.0,
+        col: pos.1,
+        msg: msg.into(),
+    }
 }
 
 /// Parse a token stream into a [`Unit`].
 pub fn parse(toks: &[Token]) -> Result<Unit, CompileError> {
-    let mut p = Parser { toks, pos: 0, depth: 0 };
+    let mut p = Parser {
+        toks,
+        pos: 0,
+        depth: 0,
+    };
     let mut unit = Unit::default();
     while !p.at_end() {
         p.parse_top_level(&mut unit)?;
@@ -106,11 +114,8 @@ impl<'a> Parser<'a> {
                     // declared name, i.e. unless the *next* token ends the
                     // declarator.
                     match self.peek_at(1) {
-                        Some(Tok::LParen)
-                        | Some(Tok::Assign)
-                        | Some(Tok::Semi)
-                        | Some(Tok::Comma)
-                        | Some(Tok::RParen) => break,
+                        Some(Tok::LParen) | Some(Tok::Assign) | Some(Tok::Semi)
+                        | Some(Tok::Comma) | Some(Tok::RParen) => break,
                         _ => self.pos += 1,
                     }
                 }
@@ -144,10 +149,7 @@ impl<'a> Parser<'a> {
                             0 => pkt_param = Some(pname),
                             1 => len_param = Some(pname),
                             _ => {
-                                return Err(e(
-                                    ppos,
-                                    "monitor entry points take at most (pkt, len)",
-                                ))
+                                return Err(e(ppos, "monitor entry points take at most (pkt, len)"))
                             }
                         }
                         index += 1;
@@ -159,7 +161,13 @@ impl<'a> Parser<'a> {
                 }
                 self.eat(&Tok::LBrace)?;
                 let body = self.parse_block()?;
-                unit.funcs.push(Func { name, pkt_param, len_param, body, pos });
+                unit.funcs.push(Func {
+                    name,
+                    pkt_param,
+                    len_param,
+                    body,
+                    pos,
+                });
             }
             // Global with initializer.
             Some(Tok::Assign) => {
@@ -169,7 +177,11 @@ impl<'a> Parser<'a> {
                 let value = const_eval(&init)
                     .ok_or_else(|| e(init_pos, "global initializer must be constant"))?;
                 self.eat(&Tok::Semi)?;
-                unit.globals.push(Global { name, init: value, pos });
+                unit.globals.push(Global {
+                    name,
+                    init: value,
+                    pos,
+                });
             }
             // Global without initializer.
             Some(Tok::Semi) => {
@@ -263,7 +275,12 @@ impl<'a> Parser<'a> {
                 };
                 self.eat(&Tok::RParen)?;
                 let body = self.parse_stmt_or_block()?;
-                Ok(Stmt::For { init, cond, step, body })
+                Ok(Stmt::For {
+                    init,
+                    cond,
+                    step,
+                    body,
+                })
             }
             Some(Tok::Return) => {
                 self.bump()?;
@@ -360,7 +377,10 @@ impl<'a> Parser<'a> {
             None => rhs,
             Some(op) => Expr::Binary {
                 op,
-                lhs: Box::new(Expr::Var { name: name.clone(), pos }),
+                lhs: Box::new(Expr::Var {
+                    name: name.clone(),
+                    pos,
+                }),
                 rhs: Box::new(rhs),
                 pos,
             },
@@ -419,7 +439,12 @@ impl<'a> Parser<'a> {
             self.enter()?;
             wraps += 1;
             let rhs = self.parse_bin(prec + 1)?;
-            lhs = Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs), pos };
+            lhs = Expr::Binary {
+                op,
+                lhs: Box::new(lhs),
+                rhs: Box::new(rhs),
+                pos,
+            };
         }
         self.depth -= wraps;
         Ok(lhs)
@@ -440,15 +465,27 @@ impl<'a> Parser<'a> {
         match self.peek() {
             Some(Tok::Minus) => {
                 self.bump()?;
-                Ok(Expr::Unary { op: UnOp::Neg, expr: Box::new(self.parse_unary()?), pos })
+                Ok(Expr::Unary {
+                    op: UnOp::Neg,
+                    expr: Box::new(self.parse_unary()?),
+                    pos,
+                })
             }
             Some(Tok::Bang) => {
                 self.bump()?;
-                Ok(Expr::Unary { op: UnOp::Not, expr: Box::new(self.parse_unary()?), pos })
+                Ok(Expr::Unary {
+                    op: UnOp::Not,
+                    expr: Box::new(self.parse_unary()?),
+                    pos,
+                })
             }
             Some(Tok::Tilde) => {
                 self.bump()?;
-                Ok(Expr::Unary { op: UnOp::BitNot, expr: Box::new(self.parse_unary()?), pos })
+                Ok(Expr::Unary {
+                    op: UnOp::BitNot,
+                    expr: Box::new(self.parse_unary()?),
+                    pos,
+                })
             }
             _ => self.parse_primary(),
         }
@@ -593,10 +630,8 @@ mod tests {
 
     #[test]
     fn parse_function_signature() {
-        let u = parse_src(
-            "uint32_t send(const union packet * pkt, uint32_t len) { return len; }",
-        )
-        .unwrap();
+        let u = parse_src("uint32_t send(const union packet * pkt, uint32_t len) { return len; }")
+            .unwrap();
         assert_eq!(u.funcs.len(), 1);
         let f = &u.funcs[0];
         assert_eq!(f.name, "send");
@@ -619,11 +654,11 @@ mod tests {
 
     #[test]
     fn precedence_shapes_tree() {
-        let u = parse_src(
-            "uint32_t f(void) { return 1 + 2 * 3; }",
-        )
-        .unwrap();
-        let Stmt::Return { value: Some(Expr::Binary { op, lhs, .. }), .. } = &u.funcs[0].body[0]
+        let u = parse_src("uint32_t f(void) { return 1 + 2 * 3; }").unwrap();
+        let Stmt::Return {
+            value: Some(Expr::Binary { op, lhs, .. }),
+            ..
+        } = &u.funcs[0].body[0]
         else {
             panic!("shape");
         };
@@ -637,8 +672,10 @@ mod tests {
             "uint32_t f(const union packet *pkt, uint32_t len) { return pkt->ip.icmp.orig.ip.src; }",
         )
         .unwrap();
-        let Stmt::Return { value: Some(Expr::Field { base, path, .. }), .. } =
-            &u.funcs[0].body[0]
+        let Stmt::Return {
+            value: Some(Expr::Field { base, path, .. }),
+            ..
+        } = &u.funcs[0].body[0]
         else {
             panic!("shape");
         };
@@ -652,7 +689,10 @@ mod tests {
             "uint32_t f(const union packet *pkt, uint32_t len) { return info->addr.ip; }",
         )
         .unwrap();
-        let Stmt::Return { value: Some(Expr::Field { base, .. }), .. } = &u.funcs[0].body[0]
+        let Stmt::Return {
+            value: Some(Expr::Field { base, .. }),
+            ..
+        } = &u.funcs[0].body[0]
         else {
             panic!("shape");
         };
@@ -671,7 +711,9 @@ mod tests {
             "#,
         )
         .unwrap();
-        let Stmt::If { els, .. } = &u.funcs[0].body[0] else { panic!() };
+        let Stmt::If { els, .. } = &u.funcs[0].body[0] else {
+            panic!()
+        };
         assert_eq!(els.len(), 1);
         assert!(matches!(els[0], Stmt::If { .. }));
     }
@@ -706,7 +748,11 @@ mod tests {
     #[test]
     fn deep_paren_nesting_rejected_not_overflowed() {
         // Found by fuzzing: unbounded recursion overflowed the stack.
-        let src = format!("uint32_t f(void) {{ return {}1{}; }}", "(".repeat(4000), ")".repeat(4000));
+        let src = format!(
+            "uint32_t f(void) {{ return {}1{}; }}",
+            "(".repeat(4000),
+            ")".repeat(4000)
+        );
         let e = parse_src_big_stack(src).unwrap_err();
         assert!(e.msg.contains("nesting too deep"));
     }
@@ -720,7 +766,10 @@ mod tests {
 
     #[test]
     fn deep_stmt_nesting_rejected() {
-        let src = format!("uint32_t f(void) {{ {} return 1; }}", "if (1) ".repeat(4000));
+        let src = format!(
+            "uint32_t f(void) {{ {} return 1; }}",
+            "if (1) ".repeat(4000)
+        );
         let e = parse_src_big_stack(src).unwrap_err();
         assert!(e.msg.contains("nesting too deep"));
     }
@@ -736,7 +785,11 @@ mod tests {
 
     #[test]
     fn moderate_nesting_accepted() {
-        let src = format!("uint32_t f(void) {{ return {}1{}; }}", "(".repeat(100), ")".repeat(100));
+        let src = format!(
+            "uint32_t f(void) {{ return {}1{}; }}",
+            "(".repeat(100),
+            ")".repeat(100)
+        );
         assert!(parse_src(&src).is_ok());
         let src = format!("uint32_t g = {}1;", "1 + ".repeat(100));
         assert!(parse_src(&src).is_ok());

@@ -7,7 +7,11 @@ use plab_packet::layout;
 use std::collections::HashMap;
 
 fn e(pos: (usize, usize), msg: impl Into<String>) -> CompileError {
-    CompileError { line: pos.0, col: pos.1, msg: msg.into() }
+    CompileError {
+        line: pos.0,
+        col: pos.1,
+        msg: msg.into(),
+    }
 }
 
 /// Where a name resolves to.
@@ -105,7 +109,10 @@ pub fn check(unit: &Unit) -> Result<CheckedUnit, CompileError> {
             len_slot,
         });
     }
-    Ok(CheckedUnit { funcs, global_inits })
+    Ok(CheckedUnit {
+        funcs,
+        global_inits,
+    })
 }
 
 impl<'a> FuncChecker<'a> {
@@ -155,16 +162,28 @@ impl<'a> FuncChecker<'a> {
                 self.check_expr(cond)?;
                 let then = self.check_block(then)?;
                 let els = self.check_block(els)?;
-                Ok(Stmt::If { cond: cond.clone(), then, els })
+                Ok(Stmt::If {
+                    cond: cond.clone(),
+                    then,
+                    els,
+                })
             }
             Stmt::While { cond, body } => {
                 self.check_expr(cond)?;
                 self.loop_depth += 1;
                 let body = self.check_block(body)?;
                 self.loop_depth -= 1;
-                Ok(Stmt::While { cond: cond.clone(), body })
+                Ok(Stmt::While {
+                    cond: cond.clone(),
+                    body,
+                })
             }
-            Stmt::For { init, cond, step, body } => {
+            Stmt::For {
+                init,
+                cond,
+                step,
+                body,
+            } => {
                 let init = match init {
                     Some(i) => Some(Box::new(self.check_stmt(i)?)),
                     None => None,
@@ -179,7 +198,12 @@ impl<'a> FuncChecker<'a> {
                 self.loop_depth += 1;
                 let body = self.check_block(body)?;
                 self.loop_depth -= 1;
-                Ok(Stmt::For { init, cond: cond.clone(), step, body })
+                Ok(Stmt::For {
+                    init,
+                    cond: cond.clone(),
+                    step,
+                    body,
+                })
             }
             Stmt::Return { value, .. } => {
                 if let Some(v) = value {
@@ -268,10 +292,8 @@ mod tests {
 
     #[test]
     fn len_param_gets_slot_zero() {
-        let u = check_src(
-            "uint32_t send(const union packet *pkt, uint32_t len) { return len; }",
-        )
-        .unwrap();
+        let u = check_src("uint32_t send(const union packet *pkt, uint32_t len) { return len; }")
+            .unwrap();
         assert_eq!(u.funcs[0].len_slot, Some(0));
         assert_eq!(u.funcs[0].scratch_slots, 1);
     }
@@ -284,8 +306,8 @@ mod tests {
 
     #[test]
     fn duplicate_function_rejected() {
-        let e = check_src("uint32_t f(void) { return 0; } uint32_t f(void) { return 1; }")
-            .unwrap_err();
+        let e =
+            check_src("uint32_t f(void) { return 0; } uint32_t f(void) { return 1; }").unwrap_err();
         assert!(e.msg.contains("duplicate function"));
     }
 
@@ -328,10 +350,8 @@ mod tests {
 
     #[test]
     fn pkt_used_as_value_gets_helpful_error() {
-        let e = check_src(
-            "uint32_t send(const union packet *pkt, uint32_t len) { return pkt; }",
-        )
-        .unwrap_err();
+        let e = check_src("uint32_t send(const union packet *pkt, uint32_t len) { return pkt; }")
+            .unwrap_err();
         assert!(e.msg.contains("packet object"), "{}", e.msg);
     }
 

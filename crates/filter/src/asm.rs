@@ -57,7 +57,10 @@ impl core::fmt::Display for AsmError {
 impl std::error::Error for AsmError {}
 
 fn err(line: usize, msg: impl Into<String>) -> AsmError {
-    AsmError { line, msg: msg.into() }
+    AsmError {
+        line,
+        msg: msg.into(),
+    }
 }
 
 /// Assemble source text into a [`Program`].
@@ -242,7 +245,11 @@ pub fn emit_field_load(asm: &mut Asm, dst: u8, spec: &layout::FieldSpec) {
     // `8*N - shift` bits can be set; a mask covering all of them is a
     // no-op and gets elided.
     let live_bits = 8 * spec.width as u32 - spec.shift;
-    let live = if live_bits >= 64 { u64::MAX } else { (1u64 << live_bits) - 1 };
+    let live = if live_bits >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << live_bits) - 1
+    };
     if spec.mask & live != live {
         asm.and_i(dst, spec.mask as i64);
     }
@@ -277,10 +284,7 @@ mod tests {
 
     #[test]
     fn assemble_minimal() {
-        let p = assemble(
-            "entry send:\n  mov.i r0, 1\n  ret r0\n",
-        )
-        .unwrap();
+        let p = assemble("entry send:\n  mov.i r0, 1\n  ret r0\n").unwrap();
         let mut vm = Vm::new(p).unwrap();
         assert_eq!(vm.run("send", &[], &[]), Ok(1));
     }

@@ -31,7 +31,9 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(|s| s.as_str()) {
         Some("asm") => {
-            let Some(path) = args.get(1) else { return usage() };
+            let Some(path) = args.get(1) else {
+                return usage();
+            };
             let output = match (args.get(2).map(|s| s.as_str()), args.get(3)) {
                 (Some("-o"), Some(out)) => Some(out.clone()),
                 (None, _) => None,
@@ -67,7 +69,9 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         Some("disasm") => {
-            let Some(path) = args.get(1) else { return usage() };
+            let Some(path) = args.get(1) else {
+                return usage();
+            };
             let bytes = match std::fs::read(path) {
                 Ok(b) => b,
                 Err(e) => {
@@ -87,7 +91,9 @@ fn main() -> ExitCode {
             }
         }
         Some("run") => {
-            let Some(path) = args.get(1) else { return usage() };
+            let Some(path) = args.get(1) else {
+                return usage();
+            };
             let mut entry = "send".to_string();
             let mut packet = Vec::new();
             let mut info = Vec::new();

@@ -208,8 +208,7 @@ impl Asm {
     /// an input error).
     pub fn finish(mut self) -> Vec<Insn> {
         for (idx, label) in &self.fixups {
-            let target =
-                self.bound[label.0].expect("jump to unbound label") as i64;
+            let target = self.bound[label.0].expect("jump to unbound label") as i64;
             let offset = target - (*idx as i64 + 1);
             let insn = &mut self.code[*idx];
             if insn.op.is_cmp_imm_jump() {
@@ -233,10 +232,18 @@ impl Asm {
         let entries = entries
             .iter()
             .map(|(name, label)| {
-                (name.to_string(), self.bound[label.0].expect("entry label unbound") as u32)
+                (
+                    name.to_string(),
+                    self.bound[label.0].expect("entry label unbound") as u32,
+                )
             })
             .collect();
-        Program { code: self.finish(), entries, persistent_size, scratch_size }
+        Program {
+            code: self.finish(),
+            entries,
+            persistent_size,
+            scratch_size,
+        }
     }
 }
 

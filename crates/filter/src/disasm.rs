@@ -134,8 +134,16 @@ entry recv:
     /// label names, and the fields its shape does not print left zero.
     fn random_program(next: &mut impl FnMut() -> u64) -> Program {
         use crate::insn::Op;
-        const IMMS: [i64; 8] =
-            [0, 1, -1, i64::MIN, i64::MAX, u32::MAX as i64, i32::MIN as i64, 255];
+        const IMMS: [i64; 8] = [
+            0,
+            1,
+            -1,
+            i64::MIN,
+            i64::MAX,
+            u32::MAX as i64,
+            i32::MIN as i64,
+            255,
+        ];
         const NAMES: [&str; 8] = ["send", "recv", "init", "L0", "L1", "L2", "entry", "_x9"];
         let n = 1 + (next() % 24) as usize;
         let mut code: Vec<Insn> = (0..n)
@@ -161,10 +169,20 @@ entry recv:
             .collect();
         code[n - 1] = Insn::new(Op::Ret, (next() % 16) as u8, 0, 0);
         let entries = (0..1 + next() % 3)
-            .map(|_| (NAMES[next() as usize % NAMES.len()].to_string(), (next() % n as u64) as u32))
+            .map(|_| {
+                (
+                    NAMES[next() as usize % NAMES.len()].to_string(),
+                    (next() % n as u64) as u32,
+                )
+            })
             .collect();
         let size = |v: u64| [0, 8, 64 * 1024][v as usize % 3];
-        Program { code, entries, persistent_size: size(next()), scratch_size: size(next()) }
+        Program {
+            code,
+            entries,
+            persistent_size: size(next()),
+            scratch_size: size(next()),
+        }
     }
 
     #[test]

@@ -46,7 +46,7 @@
 
 use crate::lower::{self, TInsn};
 use crate::program::{EntryPoint, Program};
-use crate::validate::{validate, NUM_REGS, ValidateError};
+use crate::validate::{validate, ValidateError, NUM_REGS};
 use crate::vm::Trap;
 use crate::Verdict;
 
@@ -162,7 +162,10 @@ impl FusedVm {
             validate(p).map_err(|e| (i, e))?;
         }
 
-        let mut stats = FuseStats { sections: programs.len() as u64, ..FuseStats::default() };
+        let mut stats = FuseStats {
+            sections: programs.len() as u64,
+            ..FuseStats::default()
+        };
         let mut sections: Vec<Section> = Vec::with_capacity(programs.len());
         let mut chains = [(); EntryPoint::COUNT].map(|()| Chain {
             links: Vec::new(),
@@ -180,13 +183,14 @@ impl FusedVm {
             }
             for ep in EntryPoint::ALL {
                 if let Some(pc) = program.entry(ep.name()) {
-                    chains[ep as usize].links.push((i as u32, lowered.pc_map[pc as usize]));
+                    chains[ep as usize]
+                        .links
+                        .push((i as u32, lowered.pc_map[pc as usize]));
                 }
             }
             let mem_len = program.persistent_size as usize;
             let scr_len = program.scratch_size as usize;
-            let replay_from =
-                (0..i).find(|&j| programs[j] == *program && fuels[j] == fuels[i]);
+            let replay_from = (0..i).find(|&j| programs[j] == *program && fuels[j] == fuels[i]);
             if let Some(j) = replay_from {
                 stats.replay_sections += 1;
                 if sections[j].record_tcode.is_empty() {
@@ -208,12 +212,20 @@ impl FusedVm {
             scr_off += scr_len;
         }
         for chain in &mut chains {
-            chain.ends_with_last_monitor =
-                chain.links.last().is_some_and(|&(i, _)| i as usize == sections.len() - 1);
+            chain.ends_with_last_monitor = chain
+                .links
+                .last()
+                .is_some_and(|&(i, _)| i as usize == sections.len() - 1);
         }
 
-        let records =
-            sections.iter().map(|_| Record { result: Ok(0), used: 0, log: Vec::new() }).collect();
+        let records = sections
+            .iter()
+            .map(|_| Record {
+                result: Ok(0),
+                used: 0,
+                log: Vec::new(),
+            })
+            .collect();
         Ok(FusedVm {
             attributed: vec![0u64; sections.len()],
             sections,
@@ -335,7 +347,10 @@ impl FusedVm {
         let stop = links[li].0 as usize;
         for &(i, _) in &links[li + 1..] {
             let sec = &mut self.sections[i as usize];
-            if sec.replay_from.is_some_and(|j| j <= stop && !self.records[j].log.is_empty()) {
+            if sec
+                .replay_from
+                .is_some_and(|j| j <= stop && !self.records[j].log.is_empty())
+            {
                 sec.lockstep = false;
             }
         }
@@ -349,7 +364,15 @@ impl FusedVm {
         packet: &[u8],
         info: &[u8],
     ) -> (Result<u64, Trap>, u64) {
-        let FusedVm { sections, persistent, scratch, records, wrote, stats, .. } = self;
+        let FusedVm {
+            sections,
+            persistent,
+            scratch,
+            records,
+            wrote,
+            stats,
+            ..
+        } = self;
         let sec = &sections[sec_idx];
         let mem = &mut persistent[sec.mem_off..sec.mem_off + sec.mem_len];
         match sec.replay_from {
@@ -378,14 +401,30 @@ impl FusedVm {
         let mut fuel = sec.fuel;
         if sec.record_tcode.is_empty() {
             let result = lower::run(
-                &sec.tcode, tpc, &mut regs, packet, info, mem, scr, &mut fuel, &mut Vec::new(),
+                &sec.tcode,
+                tpc,
+                &mut regs,
+                packet,
+                info,
+                mem,
+                scr,
+                &mut fuel,
+                &mut Vec::new(),
             );
             return (result, sec.fuel - fuel);
         }
         let rec = &mut records[sec_idx];
         rec.log.clear();
         rec.result = lower::run(
-            &sec.record_tcode, tpc, &mut regs, packet, info, mem, scr, &mut fuel, &mut rec.log,
+            &sec.record_tcode,
+            tpc,
+            &mut regs,
+            packet,
+            info,
+            mem,
+            scr,
+            &mut fuel,
+            &mut rec.log,
         );
         rec.used = sec.fuel - fuel;
         *wrote |= !rec.log.is_empty();
@@ -513,8 +552,14 @@ mod tests {
         assert!(f.check_send(&pkt, &[]).allowed());
         assert!(f.check_send(&pkt, &[]).allowed());
         assert_eq!(f.check_send(&pkt, &[]), Verdict::Deny);
-        assert_eq!(u64::from_le_bytes(f.persistent_segment(0)[..8].try_into().unwrap()), 2);
-        assert_eq!(u64::from_le_bytes(f.persistent_segment(1)[..8].try_into().unwrap()), 2);
+        assert_eq!(
+            u64::from_le_bytes(f.persistent_segment(0)[..8].try_into().unwrap()),
+            2
+        );
+        assert_eq!(
+            u64::from_le_bytes(f.persistent_segment(1)[..8].try_into().unwrap()),
+            2
+        );
     }
 
     #[test]
@@ -589,12 +634,24 @@ mod tests {
                 let sv = sequential_verdict(&mut vms, EntryPoint::Send, &pkt, &[]);
                 assert_eq!(f.check_send(&pkt, &[]), sv, "packet {first:#x}");
                 for (i, vm) in vms.iter().enumerate() {
-                    assert_eq!(f.persistent_segment(i), vm.persistent(), "monitor {i}, {first:#x}");
-                    assert_eq!(f.attributed()[i], vm.insns_executed, "monitor {i}, {first:#x}");
+                    assert_eq!(
+                        f.persistent_segment(i),
+                        vm.persistent(),
+                        "monitor {i}, {first:#x}"
+                    );
+                    assert_eq!(
+                        f.attributed()[i],
+                        vm.insns_executed,
+                        "monitor {i}, {first:#x}"
+                    );
                 }
             }
             let s = f.stats();
-            assert_eq!((s.replays, s.reruns, s.executed), counts, "replays, reruns, executed");
+            assert_eq!(
+                (s.replays, s.reruns, s.executed),
+                counts,
+                "replays, reruns, executed"
+            );
         }
     }
 
@@ -640,8 +697,14 @@ mod tests {
         let programs = vec![init_writes(11), init_writes(22)];
         let mut f = fused(&programs);
         f.init_all(&[]);
-        assert_eq!(u64::from_le_bytes(f.persistent_segment(0)[..8].try_into().unwrap()), 11);
-        assert_eq!(u64::from_le_bytes(f.persistent_segment(1)[..8].try_into().unwrap()), 22);
+        assert_eq!(
+            u64::from_le_bytes(f.persistent_segment(0)[..8].try_into().unwrap()),
+            11
+        );
+        assert_eq!(
+            u64::from_le_bytes(f.persistent_segment(1)[..8].try_into().unwrap()),
+            22
+        );
     }
 
     #[test]

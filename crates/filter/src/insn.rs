@@ -216,7 +216,10 @@ impl Op {
 
     /// True for conditional/unconditional jumps.
     pub fn is_jump(&self) -> bool {
-        matches!(self.syntax().1, Shape::Jump | Shape::JumpImm | Shape::JumpReg)
+        matches!(
+            self.syntax().1,
+            Shape::Jump | Shape::JumpImm | Shape::JumpReg
+        )
     }
 
     /// True for compare-with-immediate jumps, which pack the comparison
@@ -259,7 +262,12 @@ impl Insn {
     pub fn pack_cmp(op: Op, dst: u8, value: u32, offset: i32) -> Insn {
         debug_assert!(op.is_cmp_imm_jump());
         let imm = ((offset as i64) << 32) | value as i64;
-        Insn { op, dst, src: 0, imm }
+        Insn {
+            op,
+            dst,
+            src: 0,
+            imm,
+        }
     }
 
     /// The comparison immediate of a packed compare jump.

@@ -47,8 +47,10 @@ pub mod vm;
 
 pub use fuse::{FuseStats, FusedVm};
 pub use insn::{Insn, Op};
-pub use lower::{Lowered, LowerStats};
-pub use program::{EntryPoint, Program, ENTRY_INIT, ENTRY_MIRROR, ENTRY_OPEN, ENTRY_RECV, ENTRY_SEND};
+pub use lower::{LowerStats, Lowered};
+pub use program::{
+    EntryPoint, Program, ENTRY_INIT, ENTRY_MIRROR, ENTRY_OPEN, ENTRY_RECV, ENTRY_SEND,
+};
 pub use validate::{validate, ValidateError};
 pub use vm::{Trap, Vm, VmConfig};
 

@@ -230,8 +230,14 @@ pub(crate) fn record_variant(tcode: &[TInsn]) -> Vec<TInsn> {
     tcode
         .iter()
         .map(|&t| match t.op {
-            TOp::StMem => TInsn { op: TOp::StMemLog, ..t },
-            TOp::AbsSt if t.aux == kind::MEM => TInsn { op: TOp::AbsStLog, ..t },
+            TOp::StMem => TInsn {
+                op: TOp::StMemLog,
+                ..t
+            },
+            TOp::AbsSt if t.aux == kind::MEM => TInsn {
+                op: TOp::AbsStLog,
+                ..t
+            },
             _ => t,
         })
         .collect()
@@ -299,7 +305,10 @@ pub fn lower(p: &Program) -> Lowered {
         }
     }
 
-    let mut stats = LowerStats { orig_insns: n as u64, ..LowerStats::default() };
+    let mut stats = LowerStats {
+        orig_insns: n as u64,
+        ..LowerStats::default()
+    };
     let mut tcode: Vec<TInsn> = Vec::with_capacity(n);
     let mut pc_map = vec![0u32; n];
     let mut pc = 0usize;
@@ -338,7 +347,11 @@ pub fn lower(p: &Program) -> Lowered {
         }
     }
 
-    Lowered { tcode, pc_map, stats }
+    Lowered {
+        tcode,
+        pc_map,
+        stats,
+    }
 }
 
 /// Try to form a superinstruction starting at `pc`. Continuation
@@ -394,7 +407,11 @@ fn try_superinsn(code: &[Insn], pc: usize, barrier: &[bool]) -> Option<(TInsn, u
             // mov.i r, k; st.mem/st.scr r, s, off  →  absolute store.
             if matches!(b.op, Op::StMem | Op::StScr) && b.dst == a.dst {
                 let addr = (a.imm as u64).wrapping_add(b.imm as u64) as i64;
-                let k = if b.op == Op::StMem { kind::MEM } else { kind::SCR };
+                let k = if b.op == Op::StMem {
+                    kind::MEM
+                } else {
+                    kind::SCR
+                };
                 return Some((
                     TInsn {
                         op: TOp::AbsSt,
@@ -553,10 +570,16 @@ fn abs_load(
         }};
     }
     match k {
-        kind::PKT8 => packet.get(addr as usize).map(|b| *b as u64).ok_or(Trap::OutOfBounds),
+        kind::PKT8 => packet
+            .get(addr as usize)
+            .map(|b| *b as u64)
+            .ok_or(Trap::OutOfBounds),
         kind::PKT16 => ld!(packet, u16, from_be_bytes),
         kind::PKT32 => ld!(packet, u32, from_be_bytes),
-        kind::INFO8 => info.get(addr as usize).map(|b| *b as u64).ok_or(Trap::OutOfBounds),
+        kind::INFO8 => info
+            .get(addr as usize)
+            .map(|b| *b as u64)
+            .ok_or(Trap::OutOfBounds),
         kind::INFO16 => ld!(info, u16, from_le_bytes),
         kind::INFO32 => ld!(info, u32, from_le_bytes),
         kind::INFO64 => ld!(info, u64, from_le_bytes),
@@ -580,7 +603,14 @@ fn out_of_fuel(
 ) -> Result<u64, Trap> {
     let had = core::mem::take(fuel);
     if t.op == TOp::AbsLdCmpBr && had == 2 {
-        abs_load(t.aux & !CMP_NE, t.imm as u64, packet, info, persistent, scratch)?;
+        abs_load(
+            t.aux & !CMP_NE,
+            t.imm as u64,
+            packet,
+            info,
+            persistent,
+            scratch,
+        )?;
     }
     Err(Trap::OutOfFuel)
 }
@@ -672,12 +702,20 @@ pub(crate) fn run(
                 }
             }
             TOp::LdPkt16 => {
-                regs[dst] =
-                    load!(packet, regs[src].wrapping_add(immu) as usize, u16, from_be_bytes);
+                regs[dst] = load!(
+                    packet,
+                    regs[src].wrapping_add(immu) as usize,
+                    u16,
+                    from_be_bytes
+                );
             }
             TOp::LdPkt32 => {
-                regs[dst] =
-                    load!(packet, regs[src].wrapping_add(immu) as usize, u32, from_be_bytes);
+                regs[dst] = load!(
+                    packet,
+                    regs[src].wrapping_add(immu) as usize,
+                    u32,
+                    from_be_bytes
+                );
             }
             TOp::LdInfo8 => {
                 let addr = regs[src].wrapping_add(immu) as usize;
@@ -687,37 +725,63 @@ pub(crate) fn run(
                 }
             }
             TOp::LdInfo16 => {
-                regs[dst] =
-                    load!(info, regs[src].wrapping_add(immu) as usize, u16, from_le_bytes);
+                regs[dst] = load!(
+                    info,
+                    regs[src].wrapping_add(immu) as usize,
+                    u16,
+                    from_le_bytes
+                );
             }
             TOp::LdInfo32 => {
-                regs[dst] =
-                    load!(info, regs[src].wrapping_add(immu) as usize, u32, from_le_bytes);
+                regs[dst] = load!(
+                    info,
+                    regs[src].wrapping_add(immu) as usize,
+                    u32,
+                    from_le_bytes
+                );
             }
             TOp::LdInfo64 => {
-                regs[dst] =
-                    load!(info, regs[src].wrapping_add(immu) as usize, u64, from_le_bytes);
+                regs[dst] = load!(
+                    info,
+                    regs[src].wrapping_add(immu) as usize,
+                    u64,
+                    from_le_bytes
+                );
             }
             TOp::LdMem => {
-                regs[dst] =
-                    load!(persistent, regs[src].wrapping_add(immu) as usize, u64, from_le_bytes);
+                regs[dst] = load!(
+                    persistent,
+                    regs[src].wrapping_add(immu) as usize,
+                    u64,
+                    from_le_bytes
+                );
             }
             TOp::StMem => {
                 let addr = regs[dst].wrapping_add(immu) as usize;
                 let val = regs[src];
-                match addr.checked_add(8).and_then(|end| persistent.get_mut(addr..end)) {
+                match addr
+                    .checked_add(8)
+                    .and_then(|end| persistent.get_mut(addr..end))
+                {
                     Some(bytes) => bytes.copy_from_slice(&val.to_le_bytes()),
                     None => return Err(Trap::OutOfBounds),
                 }
             }
             TOp::LdScr => {
-                regs[dst] =
-                    load!(scratch, regs[src].wrapping_add(immu) as usize, u64, from_le_bytes);
+                regs[dst] = load!(
+                    scratch,
+                    regs[src].wrapping_add(immu) as usize,
+                    u64,
+                    from_le_bytes
+                );
             }
             TOp::StScr => {
                 let addr = regs[dst].wrapping_add(immu) as usize;
                 let val = regs[src];
-                match addr.checked_add(8).and_then(|end| scratch.get_mut(addr..end)) {
+                match addr
+                    .checked_add(8)
+                    .and_then(|end| scratch.get_mut(addr..end))
+                {
                     Some(bytes) => bytes.copy_from_slice(&val.to_le_bytes()),
                     None => return Err(Trap::OutOfBounds),
                 }
@@ -777,21 +841,25 @@ pub(crate) fn run(
 
             TOp::Ret => return Ok(regs[dst]),
 
-            TOp::AbsLd => {
-                match abs_load(t.aux, immu, packet, info, persistent, scratch) {
-                    Ok(v) => regs[dst] = v,
-                    Err(trap) => return Err(trap),
-                }
-            }
+            TOp::AbsLd => match abs_load(t.aux, immu, packet, info, persistent, scratch) {
+                Ok(v) => regs[dst] = v,
+                Err(trap) => return Err(trap),
+            },
             TOp::AbsSt => {
                 // The folded mov.i wrote the address register; later code
                 // may read it, so the side effect must be preserved.
                 regs[src] = t.imm2 as u64;
                 let addr = immu as usize;
                 let val = regs[dst];
-                let region: &mut [u8] =
-                    if t.aux == kind::MEM { persistent } else { scratch };
-                match addr.checked_add(8).and_then(|end| region.get_mut(addr..end)) {
+                let region: &mut [u8] = if t.aux == kind::MEM {
+                    persistent
+                } else {
+                    scratch
+                };
+                match addr
+                    .checked_add(8)
+                    .and_then(|end| region.get_mut(addr..end))
+                {
                     Some(bytes) => bytes.copy_from_slice(&val.to_le_bytes()),
                     None => return Err(Trap::OutOfBounds),
                 }
@@ -799,8 +867,7 @@ pub(crate) fn run(
             TOp::RetImm => return Ok(immu),
             TOp::RetReg => return Ok(regs[src]),
             TOp::AbsLdCmpBr => {
-                let v = match abs_load(t.aux & !CMP_NE, immu, packet, info, persistent, scratch)
-                {
+                let v = match abs_load(t.aux & !CMP_NE, immu, packet, info, persistent, scratch) {
                     Ok(v) => v,
                     Err(trap) => {
                         // The compare was never fetched: refund its fuel so
@@ -811,7 +878,11 @@ pub(crate) fn run(
                 };
                 regs[dst] = v;
                 let cmp = (t.imm2 as u64) & 0xffff_ffff;
-                let taken = if t.aux & CMP_NE != 0 { v != cmp } else { v == cmp };
+                let taken = if t.aux & CMP_NE != 0 {
+                    v != cmp
+                } else {
+                    v == cmp
+                };
                 if taken {
                     tpc = (t.imm2 >> 32) as usize;
                 }
@@ -820,7 +891,10 @@ pub(crate) fn run(
             TOp::StMemLog => {
                 let addr = regs[dst].wrapping_add(immu) as usize;
                 let val = regs[src];
-                match addr.checked_add(8).and_then(|end| persistent.get_mut(addr..end)) {
+                match addr
+                    .checked_add(8)
+                    .and_then(|end| persistent.get_mut(addr..end))
+                {
                     Some(bytes) => {
                         bytes.copy_from_slice(&val.to_le_bytes());
                         log.push((addr as u64, val));
@@ -832,7 +906,10 @@ pub(crate) fn run(
                 regs[src] = t.imm2 as u64;
                 let addr = immu as usize;
                 let val = regs[dst];
-                match addr.checked_add(8).and_then(|end| persistent.get_mut(addr..end)) {
+                match addr
+                    .checked_add(8)
+                    .and_then(|end| persistent.get_mut(addr..end))
+                {
                     Some(bytes) => {
                         bytes.copy_from_slice(&val.to_le_bytes());
                         log.push((addr as u64, val));
@@ -853,7 +930,12 @@ mod tests {
     fn prog(code: Vec<Insn>) -> Program {
         let mut entries = BTreeMap::new();
         entries.insert("send".to_string(), 0);
-        Program { code, entries, persistent_size: 64, scratch_size: 64 }
+        Program {
+            code,
+            entries,
+            persistent_size: 64,
+            scratch_size: 64,
+        }
     }
 
     #[test]
@@ -944,7 +1026,15 @@ mod tests {
         let mut scratch = vec![0u8; 64];
         let mut fuel = 100;
         let out = run(
-            &l.tcode, 0, &mut regs, &[], &[], &mut [], &mut scratch, &mut fuel, &mut Vec::new(),
+            &l.tcode,
+            0,
+            &mut regs,
+            &[],
+            &[],
+            &mut [],
+            &mut scratch,
+            &mut fuel,
+            &mut Vec::new(),
         );
         assert_eq!(out, Ok(0));
         assert_eq!(regs[14], 0, "folded mov.i side effect lost");
@@ -960,7 +1050,14 @@ mod tests {
         mut fuel: u64,
     ) -> (Result<u64, Trap>, u64) {
         let out = run(
-            &l.tcode, 0, &mut [0u64; 16], packet, &[], persistent, &mut [], &mut fuel,
+            &l.tcode,
+            0,
+            &mut [0u64; 16],
+            packet,
+            &[],
+            persistent,
+            &mut [],
+            &mut fuel,
             &mut Vec::new(),
         );
         (out, fuel)
@@ -976,10 +1073,7 @@ mod tests {
         let l = lower(&prog(a.finish()));
         assert_eq!(l.tcode[0].op, TOp::RetImm);
         for fuel in [0, 1] {
-            assert_eq!(
-                run_with(&l, &[], &mut [], fuel),
-                (Err(Trap::OutOfFuel), 0)
-            );
+            assert_eq!(run_with(&l, &[], &mut [], fuel), (Err(Trap::OutOfFuel), 0));
         }
 
         // mov.i r3, 0; st.mem r3, r1, 0: the store is the instruction the
@@ -1073,7 +1167,15 @@ mod tests {
             persistent[0] = 7;
             let mut fuel = 100;
             let out = run(
-                code, 0, &mut [0u64; 16], &[], &[], &mut persistent, &mut [], &mut fuel, &mut log,
+                code,
+                0,
+                &mut [0u64; 16],
+                &[],
+                &[],
+                &mut persistent,
+                &mut [],
+                &mut fuel,
+                &mut log,
             );
             (out, fuel, persistent, log)
         });

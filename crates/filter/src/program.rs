@@ -79,7 +79,9 @@ impl EntryPoint {
 /// name from the wire cannot print as anything else in a listing.
 pub(crate) fn is_name(s: &str) -> bool {
     let mut chars = s.chars();
-    chars.next().is_some_and(|c| c.is_ascii_alphabetic() || c == '_')
+    chars
+        .next()
+        .is_some_and(|c| c.is_ascii_alphabetic() || c == '_')
         && chars.all(|c| c.is_ascii_alphanumeric() || c == '_')
 }
 
@@ -215,11 +217,15 @@ impl Program {
         }
         let mut code = Vec::with_capacity(n_code);
         for i in 0..n_code {
-            let insn =
-                Insn::decode(take(&mut pos, INSN_SIZE)?).ok_or(DecodeError::BadInsn(i))?;
+            let insn = Insn::decode(take(&mut pos, INSN_SIZE)?).ok_or(DecodeError::BadInsn(i))?;
             code.push(insn);
         }
-        Ok(Program { code, entries, persistent_size, scratch_size })
+        Ok(Program {
+            code,
+            entries,
+            persistent_size,
+            scratch_size,
+        })
     }
 }
 
@@ -293,11 +299,7 @@ mod tests {
         let mut bytes = p.encode();
         // Corrupt the opcode of the first instruction. Code starts after
         // header(5)+sizes(8)+count(2)+entries.
-        let entries_len: usize = p
-            .entries
-            .keys()
-            .map(|k| 1 + k.len() + 4)
-            .sum();
+        let entries_len: usize = p.entries.keys().map(|k| 1 + k.len() + 4).sum();
         let code_start = 5 + 8 + 2 + entries_len + 4;
         bytes[code_start] = 0xee;
         assert_eq!(Program::decode(&bytes), Err(DecodeError::BadInsn(0)));
@@ -310,7 +312,11 @@ mod tests {
         for name in [forged, "", "9lives", "a-b", "é"] {
             let mut p = sample();
             p.entries.insert(name.to_string(), 0);
-            assert_eq!(Program::decode(&p.encode()), Err(DecodeError::BadEntryName), "{name:?}");
+            assert_eq!(
+                Program::decode(&p.encode()),
+                Err(DecodeError::BadEntryName),
+                "{name:?}"
+            );
         }
         let mut p = sample();
         p.entries.insert("_Entry_9".to_string(), 0);

@@ -100,24 +100,38 @@ mod tests {
     fn prog(code: Vec<Insn>) -> Program {
         let mut entries = BTreeMap::new();
         entries.insert("send".to_string(), 0);
-        Program { code, entries, persistent_size: 8, scratch_size: 8 }
+        Program {
+            code,
+            entries,
+            persistent_size: 8,
+            scratch_size: 8,
+        }
     }
 
     #[test]
     fn minimal_valid() {
-        let p = prog(vec![Insn::new(Op::MovI, 0, 0, 1), Insn::new(Op::Ret, 0, 0, 0)]);
+        let p = prog(vec![
+            Insn::new(Op::MovI, 0, 0, 1),
+            Insn::new(Op::Ret, 0, 0, 0),
+        ]);
         assert_eq!(validate(&p), Ok(()));
     }
 
     #[test]
     fn rejects_bad_register() {
-        let p = prog(vec![Insn::new(Op::MovI, 16, 0, 1), Insn::new(Op::Ret, 0, 0, 0)]);
+        let p = prog(vec![
+            Insn::new(Op::MovI, 16, 0, 1),
+            Insn::new(Op::Ret, 0, 0, 0),
+        ]);
         assert_eq!(validate(&p), Err(ValidateError::BadRegister(0)));
     }
 
     #[test]
     fn rejects_jump_past_end() {
-        let p = prog(vec![Insn::new(Op::Ja, 0, 0, 5), Insn::new(Op::Ret, 0, 0, 0)]);
+        let p = prog(vec![
+            Insn::new(Op::Ja, 0, 0, 5),
+            Insn::new(Op::Ret, 0, 0, 0),
+        ]);
         assert_eq!(validate(&p), Err(ValidateError::BadJumpTarget(0)));
     }
 
@@ -125,15 +139,24 @@ mod tests {
     fn rejects_jump_with_overflowing_offset() {
         // Found by fuzzing: `pc + 1 + branch()` overflowed i64 and panicked
         // in debug builds for a decoded `Ja` with imm near i64::MAX.
-        let p = prog(vec![Insn::new(Op::Ja, 0, 0, i64::MAX), Insn::new(Op::Ret, 0, 0, 0)]);
+        let p = prog(vec![
+            Insn::new(Op::Ja, 0, 0, i64::MAX),
+            Insn::new(Op::Ret, 0, 0, 0),
+        ]);
         assert_eq!(validate(&p), Err(ValidateError::BadJumpTarget(0)));
-        let p = prog(vec![Insn::new(Op::Ja, 0, 0, i64::MIN), Insn::new(Op::Ret, 0, 0, 0)]);
+        let p = prog(vec![
+            Insn::new(Op::Ja, 0, 0, i64::MIN),
+            Insn::new(Op::Ret, 0, 0, 0),
+        ]);
         assert_eq!(validate(&p), Err(ValidateError::BadJumpTarget(0)));
     }
 
     #[test]
     fn rejects_jump_before_start() {
-        let p = prog(vec![Insn::new(Op::Ja, 0, 0, -2), Insn::new(Op::Ret, 0, 0, 0)]);
+        let p = prog(vec![
+            Insn::new(Op::Ja, 0, 0, -2),
+            Insn::new(Op::Ret, 0, 0, 0),
+        ]);
         assert_eq!(validate(&p), Err(ValidateError::BadJumpTarget(0)));
     }
 
@@ -182,7 +205,10 @@ mod tests {
 
     #[test]
     fn rejects_oversized_shift() {
-        let p = prog(vec![Insn::new(Op::ShlI, 1, 0, 64), Insn::new(Op::Ret, 0, 0, 0)]);
+        let p = prog(vec![
+            Insn::new(Op::ShlI, 1, 0, 64),
+            Insn::new(Op::Ret, 0, 0, 0),
+        ]);
         assert_eq!(validate(&p), Err(ValidateError::BadShift(0)));
     }
 

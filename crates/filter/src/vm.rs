@@ -41,7 +41,7 @@
 
 use crate::lower::{self, Lowered};
 use crate::program::{EntryPoint, Program};
-use crate::validate::{validate, NUM_REGS, ValidateError};
+use crate::validate::{validate, ValidateError, NUM_REGS};
 use crate::Verdict;
 
 /// Runtime faults. All faults deny the adjudicated operation.
@@ -116,10 +116,19 @@ impl Vm {
         let scratch = vec![0u8; program.scratch_size as usize];
         let mut entry_tpcs = [None; EntryPoint::COUNT];
         for ep in EntryPoint::ALL {
-            entry_tpcs[ep as usize] =
-                program.entry(ep.name()).map(|pc| lowered.pc_map[pc as usize]);
+            entry_tpcs[ep as usize] = program
+                .entry(ep.name())
+                .map(|pc| lowered.pc_map[pc as usize]);
         }
-        Ok(Vm { program, lowered, config, persistent, scratch, entry_tpcs, insns_executed: 0 })
+        Ok(Vm {
+            program,
+            lowered,
+            config,
+            persistent,
+            scratch,
+            entry_tpcs,
+            insns_executed: 0,
+        })
     }
 
     /// Read-only view of persistent memory (exposed to tests/diagnostics).
@@ -163,7 +172,12 @@ impl Vm {
     /// Run a well-known entry, erroring if absent. Used for `ncap` filters
     /// where the controller must supply the entry it names.
     #[inline]
-    pub fn run_entry(&mut self, entry: EntryPoint, packet: &[u8], info: &[u8]) -> Result<u64, Trap> {
+    pub fn run_entry(
+        &mut self,
+        entry: EntryPoint,
+        packet: &[u8],
+        info: &[u8],
+    ) -> Result<u64, Trap> {
         let tpc = self.entry_tpcs[entry as usize].ok_or(Trap::NoSuchEntry)?;
         self.exec(tpc, packet, info)
     }
@@ -181,7 +195,14 @@ impl Vm {
 
     fn exec(&mut self, entry_tpc: u32, packet: &[u8], info: &[u8]) -> Result<u64, Trap> {
         // Split borrows: code, persistent, and scratch are disjoint fields.
-        let Vm { lowered, persistent, scratch, config, insns_executed, .. } = self;
+        let Vm {
+            lowered,
+            persistent,
+            scratch,
+            config,
+            insns_executed,
+            ..
+        } = self;
         #[cfg(debug_assertions)]
         let scratch_cap = scratch.capacity();
         // Scratch is semantically fresh per invocation; zeroing the owned
@@ -233,7 +254,12 @@ mod tests {
     fn one_entry(code: Vec<Insn>) -> Program {
         let mut entries = BTreeMap::new();
         entries.insert("send".to_string(), 0);
-        Program { code, entries, persistent_size: 64, scratch_size: 64 }
+        Program {
+            code,
+            entries,
+            persistent_size: 64,
+            scratch_size: 64,
+        }
     }
 
     fn run_send(p: Program, packet: &[u8], info: &[u8]) -> Result<u64, Trap> {
@@ -277,7 +303,10 @@ mod tests {
         a.mov_i(0, 1);
         a.div_r(0, 3); // r3 is 0
         a.ret(0);
-        assert_eq!(run_send(one_entry(a.finish()), &[], &[]), Err(Trap::DivByZero));
+        assert_eq!(
+            run_send(one_entry(a.finish()), &[], &[]),
+            Err(Trap::DivByZero)
+        );
     }
 
     #[test]
@@ -294,7 +323,10 @@ mod tests {
         let mut a = Asm::new();
         a.ld_pkt32(0, 0, 10);
         a.ret(0);
-        assert_eq!(run_send(one_entry(a.finish()), &[0; 12], &[]), Err(Trap::OutOfBounds));
+        assert_eq!(
+            run_send(one_entry(a.finish()), &[0; 12], &[]),
+            Err(Trap::OutOfBounds)
+        );
     }
 
     #[test]
@@ -305,7 +337,10 @@ mod tests {
         a.not(2); // r2 = u64::MAX
         a.ld_pkt32(0, 2, 0);
         a.ret(0);
-        assert_eq!(run_send(one_entry(a.finish()), &[0; 12], &[]), Err(Trap::OutOfBounds));
+        assert_eq!(
+            run_send(one_entry(a.finish()), &[0; 12], &[]),
+            Err(Trap::OutOfBounds)
+        );
     }
 
     #[test]
@@ -447,7 +482,12 @@ mod tests {
         a.ret(0);
         let mut entries = BTreeMap::new();
         entries.insert("custom".to_string(), 0);
-        let p = Program { code: a.finish(), entries, persistent_size: 0, scratch_size: 0 };
+        let p = Program {
+            code: a.finish(),
+            entries,
+            persistent_size: 0,
+            scratch_size: 0,
+        };
         let mut vm = Vm::new(p).unwrap();
         assert_eq!(vm.run("custom", &[], &[]), Ok(9));
     }
@@ -469,7 +509,10 @@ mod tests {
         a.mov_i(2, 1_000_000);
         a.st_mem(2, 3, 0);
         a.ret(0);
-        assert_eq!(run_send(one_entry(a.finish()), &[], &[]), Err(Trap::OutOfBounds));
+        assert_eq!(
+            run_send(one_entry(a.finish()), &[], &[]),
+            Err(Trap::OutOfBounds)
+        );
     }
 
     #[test]

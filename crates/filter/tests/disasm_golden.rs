@@ -66,7 +66,12 @@ fn every_opcode() -> Program {
         Insn::new(Ret, 2, 0, 0),
     ];
     let entries = BTreeMap::from([("send".to_string(), 0), ("recv".to_string(), 24)]);
-    Program { code, entries, persistent_size: 16, scratch_size: 16 }
+    Program {
+        code,
+        entries,
+        persistent_size: 16,
+        scratch_size: 16,
+    }
 }
 
 const GOLDEN: &str = "\

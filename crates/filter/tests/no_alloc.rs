@@ -52,7 +52,12 @@ fn busy_monitor() -> Program {
     let mut entries = BTreeMap::new();
     entries.insert("send".to_string(), 0);
     entries.insert("recv".to_string(), 0);
-    Program { code, entries, persistent_size: 64, scratch_size: 64 }
+    Program {
+        code,
+        entries,
+        persistent_size: 64,
+        scratch_size: 64,
+    }
 }
 
 #[test]

@@ -25,7 +25,9 @@ impl TestRng {
         let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        TestRng { state: (z ^ (z >> 31)) | 1 }
+        TestRng {
+            state: (z ^ (z >> 31)) | 1,
+        }
     }
 
     /// Next 64 random bits.
@@ -87,7 +89,9 @@ pub struct TestCaseError {
 impl TestCaseError {
     /// Construct a failure.
     pub fn fail(message: impl Into<String>) -> TestCaseError {
-        TestCaseError { message: message.into() }
+        TestCaseError {
+            message: message.into(),
+        }
     }
 }
 
@@ -398,13 +402,19 @@ pub mod collection {
     impl From<Range<usize>> for SizeRange {
         fn from(r: Range<usize>) -> SizeRange {
             assert!(r.start < r.end, "empty vec size range");
-            SizeRange { lo: r.start, hi: r.end - 1 }
+            SizeRange {
+                lo: r.start,
+                hi: r.end - 1,
+            }
         }
     }
 
     impl From<RangeInclusive<usize>> for SizeRange {
         fn from(r: RangeInclusive<usize>) -> SizeRange {
-            SizeRange { lo: *r.start(), hi: *r.end() }
+            SizeRange {
+                lo: *r.start(),
+                hi: *r.end(),
+            }
         }
     }
 
@@ -416,7 +426,10 @@ pub mod collection {
 
     /// Vectors of `size` elements drawn from `element`.
     pub fn vec<S: Strategy>(element: S, size: impl Into<SizeRange>) -> VecStrategy<S> {
-        VecStrategy { element, size: size.into() }
+        VecStrategy {
+            element,
+            size: size.into(),
+        }
     }
 
     /// Strategy returned by [`vec`].
@@ -596,7 +609,9 @@ mod tests {
         let s = crate::Strategy::generate(&".{0,40}", &mut rng);
         assert!(s.chars().count() <= 40);
         let t = crate::Strategy::generate(&"[0-9.:]{0,20}", &mut rng);
-        assert!(t.chars().all(|c| c.is_ascii_digit() || c == '.' || c == ':'));
+        assert!(t
+            .chars()
+            .all(|c| c.is_ascii_digit() || c == '.' || c == ':'));
     }
 
     #[test]

@@ -140,7 +140,9 @@ pub mod rngs {
             let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
             z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
             z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            StdRng { state: (z ^ (z >> 31)) | 1 }
+            StdRng {
+                state: (z ^ (z >> 31)) | 1,
+            }
         }
     }
 

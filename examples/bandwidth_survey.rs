@@ -13,7 +13,7 @@ use packetlab::controller::{experiments, ControlPlane, Controller, Credentials};
 use packetlab::descriptor::ExperimentDescriptor;
 use packetlab::endpoint::EndpointConfig;
 use packetlab::harness::{SimChannel, SimNet};
-use plab_crypto::{Keypair, KeyHash};
+use plab_crypto::{KeyHash, Keypair};
 use plab_netsim::{LinkParams, TopologyBuilder, MILLISECOND};
 use std::cell::RefCell;
 use std::net::Ipv4Addr;
@@ -51,7 +51,10 @@ fn main() {
     }
     let net = Rc::new(RefCell::new(net));
 
-    println!("{:<12} {:>12} {:>14} {:>10}", "endpoint", "true uplink", "measured", "error");
+    println!(
+        "{:<12} {:>12} {:>14} {:>10}",
+        "endpoint", "true uplink", "measured", "error"
+    );
     println!("{}", "-".repeat(52));
 
     for (i, (_, addr, mbps)) in endpoints.iter().enumerate() {

@@ -17,7 +17,7 @@ use packetlab::descriptor::ExperimentDescriptor;
 use packetlab::endpoint::EndpointConfig;
 use packetlab::harness::{EndpointId, SimChannel, SimNet};
 use packetlab::rendezvous::RendezvousServer;
-use plab_crypto::{Keypair, KeyHash};
+use plab_crypto::{KeyHash, Keypair};
 use plab_netsim::{LinkParams, TopologyBuilder, MILLISECOND, SECOND};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -75,7 +75,10 @@ fn main() {
     let deleg_a = Certificate::sign(
         &operator_a,
         CertPayload::Delegation(KeyHash::of(&experimenter.public)),
-        Restrictions { max_priority: Some(20), ..Default::default() },
+        Restrictions {
+            max_priority: Some(20),
+            ..Default::default()
+        },
     );
     let deleg_b = Certificate::sign(
         &operator_b,
@@ -196,5 +199,7 @@ fn main() {
     }
 
     let _ = EndpointId::first();
-    println!("\nfederation complete: two operators, one interface, zero per-experiment operator work.");
+    println!(
+        "\nfederation complete: two operators, one interface, zero per-experiment operator work."
+    );
 }

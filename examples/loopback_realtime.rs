@@ -12,7 +12,7 @@ use packetlab::controller::{ControlPlane, Controller, Credentials};
 use packetlab::descriptor::ExperimentDescriptor;
 use packetlab::endpoint::EndpointConfig;
 use packetlab::transport::{EndpointServer, TcpChannel};
-use plab_crypto::{Keypair, KeyHash};
+use plab_crypto::{KeyHash, Keypair};
 use std::net::UdpSocket;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -64,7 +64,13 @@ fn main() {
         info_url: String::new(),
         experimenter: KeyHash::of(&experimenter.public),
     };
-    let creds = Credentials::issue(&operator, &experimenter, descriptor, Restrictions::none(), 5);
+    let creds = Credentials::issue(
+        &operator,
+        &experimenter,
+        descriptor,
+        Restrictions::none(),
+        5,
+    );
     let chan = TcpChannel::connect(control_addr).expect("dial endpoint");
     let mut ctrl = Controller::connect(chan, &creds).expect("authenticate");
     println!("authenticated (Ed25519 chain verified by the endpoint)");
@@ -88,10 +94,13 @@ fn main() {
         std::net::IpAddr::V4(ip) => ip,
         _ => unreachable!(),
     };
-    ctrl.nopen_udp(1, 39_000, peer_ip, peer_addr.port()).unwrap();
+    ctrl.nopen_udp(1, 39_000, peer_ip, peer_addr.port())
+        .unwrap();
     let t0 = ctrl.read_clock().unwrap();
     let when = t0 + 50_000_000; // 50 ms ahead, on the endpoint's clock
-    let tag = ctrl.nsend(1, when, b"hello through a real socket".to_vec()).unwrap();
+    let tag = ctrl
+        .nsend(1, when, b"hello through a real socket".to_vec())
+        .unwrap();
 
     let poll = ctrl.npoll(when + 2_000_000_000).unwrap();
     assert_eq!(poll.packets.len(), 1, "echo came back");

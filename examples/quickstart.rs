@@ -14,7 +14,7 @@ use packetlab::controller::{experiments, ControlPlane, Controller, Credentials};
 use packetlab::descriptor::ExperimentDescriptor;
 use packetlab::endpoint::EndpointConfig;
 use packetlab::harness::{SimChannel, SimNet};
-use plab_crypto::{Keypair, KeyHash};
+use plab_crypto::{KeyHash, Keypair};
 use plab_netsim::{LinkParams, TopologyBuilder, MILLISECOND};
 use std::cell::RefCell;
 use std::rc::Rc;

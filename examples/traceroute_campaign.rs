@@ -17,7 +17,7 @@ use packetlab::controller::{experiments, ControlPlane, Controller, Credentials};
 use packetlab::descriptor::ExperimentDescriptor;
 use packetlab::endpoint::EndpointConfig;
 use packetlab::harness::{SimChannel, SimNet};
-use plab_crypto::{Keypair, KeyHash};
+use plab_crypto::{KeyHash, Keypair};
 use plab_netsim::{LinkParams, TopologyBuilder};
 use std::cell::RefCell;
 use std::net::Ipv4Addr;
@@ -100,7 +100,10 @@ fn main() {
         &operator,
         &experimenter,
         descriptor,
-        Restrictions { monitor: Some(monitor), ..Default::default() },
+        Restrictions {
+            monitor: Some(monitor),
+            ..Default::default()
+        },
         10,
     );
     let chan = SimChannel::connect(&net, controller, "10.0.0.1".parse().unwrap());

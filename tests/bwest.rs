@@ -12,7 +12,10 @@ use plab_netsim::roster::bw_corpus;
 
 fn run(name: &str) -> bwest::BwestPoint {
     let corpus = bw_corpus();
-    let spec = corpus.iter().find(|s| s.name == name).expect("corpus entry exists");
+    let spec = corpus
+        .iter()
+        .find(|s| s.name == name)
+        .expect("corpus entry exists");
     bwest::point(spec)
 }
 
@@ -28,7 +31,10 @@ fn clean_asymmetric_access_within_budget() {
         p.truth[0]
     );
     assert!(p.report.dests[0].tcp.is_some(), "TCP probe ran");
-    assert!(p.report.dests[0].dispersion.is_some(), "dispersion probe ran");
+    assert!(
+        p.report.dests[0].dispersion.is_some(),
+        "dispersion probe ran"
+    );
 }
 
 #[test]
@@ -52,7 +58,10 @@ fn burst_loss_falls_back_to_dispersion() {
     // off a collapsed bulk transfer.
     if let Some(tcp) = &d.tcp {
         if tcp.retrans > 2 || tcp.stalled {
-            assert!(d.dispersion.is_some(), "fallback needs the dispersion estimate");
+            assert!(
+                d.dispersion.is_some(),
+                "fallback needs the dispersion estimate"
+            );
         }
     }
     assert!(
@@ -68,14 +77,24 @@ fn burst_loss_falls_back_to_dispersion() {
 fn multiple_destinations_rank_correctly() {
     let p = run("multi_dest_trio");
     assert_eq!(p.report.dests.len(), 3);
-    assert!(p.worst_error_pct() <= 20.0, "multi_dest_trio: {:.1}% error", p.worst_error_pct());
+    assert!(
+        p.worst_error_pct() <= 20.0,
+        "multi_dest_trio: {:.1}% error",
+        p.worst_error_pct()
+    );
     // Dest 1 (8 Mbit/s link) is the slowest path; the estimates must
     // order the destinations like the configured truths do.
     let est: Vec<u64> = p.report.dests.iter().map(|d| d.bits_per_sec).collect();
-    assert!(est[1] < est[0] && est[1] < est[2], "8 Mbit/s dest ranks slowest: {est:?}");
+    assert!(
+        est[1] < est[0] && est[1] < est[2],
+        "8 Mbit/s dest ranks slowest: {est:?}"
+    );
     // A clean probe pair on the fast dest should agree to High confidence.
     assert!(
-        p.report.dests.iter().any(|d| d.confidence == Confidence::High),
+        p.report
+            .dests
+            .iter()
+            .any(|d| d.confidence == Confidence::High),
         "no destination reached High confidence"
     );
 }

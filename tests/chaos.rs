@@ -12,10 +12,10 @@
 //! cargo run --release -p plab-bench -- chaos --scenario <name> --seed <hex>
 //! ```
 
+use packetlab::cert::Restrictions;
 use packetlab::chaos::{self, ChaosVerdict, Scenario};
 use packetlab::controller::robust::{RetryStats, RobustController};
 use packetlab::controller::{ControlPlane, Controller, ControllerError, Credentials};
-use packetlab::cert::Restrictions;
 use packetlab::descriptor::ExperimentDescriptor;
 use packetlab::endpoint::EndpointConfig;
 use packetlab::harness::{SimChannel, SimDialer, SimNet};
@@ -34,7 +34,10 @@ use std::rc::Rc;
 #[test]
 fn chaos_corpus_is_deterministic_and_never_hangs() {
     let corpus = chaos::corpus();
-    assert!(corpus.len() >= 50, "corpus shrank below the acceptance floor");
+    assert!(
+        corpus.len() >= 50,
+        "corpus shrank below the acceptance floor"
+    );
     let mut completed = 0usize;
     let mut aborted = 0usize;
     let mut corpus_digest = FNV_OFFSET;
@@ -43,7 +46,8 @@ fn chaos_corpus_is_deterministic_and_never_hangs() {
         let second = chaos::run(scenario, seed);
         corpus_digest = fold_outcome(corpus_digest, &first);
         assert_eq!(
-            first, second,
+            first,
+            second,
             "non-deterministic chaos run — reproduce with seed {seed:#018x} \
              scenario {}:\n  first : {}\n  second: {}",
             scenario.name(),
@@ -96,7 +100,13 @@ fn fold_outcome(mut h: u64, o: &chaos::ChaosOutcome) -> u64 {
     for w in [o.digest, o.finished_at] {
         bytes.extend(w.to_le_bytes());
     }
-    for c in [s.connects, s.failed_dials, s.timeouts, s.replays, s.suspended_waits] {
+    for c in [
+        s.connects,
+        s.failed_dials,
+        s.timeouts,
+        s.replays,
+        s.suspended_waits,
+    ] {
         bytes.extend(c.to_le_bytes());
     }
     for w in [o.fault_count as u64, o.pool_taken] {
@@ -121,7 +131,8 @@ fn chaos_corpus_is_deterministic_at_four_shards() {
         let first = chaos::run_sharded(scenario, seed, 4);
         let second = chaos::run_sharded(scenario, seed, 4);
         assert_eq!(
-            first, second,
+            first,
+            second,
             "non-deterministic 4-shard chaos run — seed {seed:#018x} \
              scenario {}:\n  first : {}\n  second: {}",
             scenario.name(),
@@ -198,7 +209,13 @@ fn small_creds(w: &SmallWorld) -> Credentials {
         info_url: String::new(),
         experimenter: KeyHash::of(&experimenter.public),
     };
-    Credentials::issue(&w.operator, &experimenter, descriptor, Restrictions::none(), 10)
+    Credentials::issue(
+        &w.operator,
+        &experimenter,
+        descriptor,
+        Restrictions::none(),
+        10,
+    )
 }
 
 /// Mid-experiment control-channel death (TCP reset on the endpoint) must
@@ -215,7 +232,8 @@ fn control_disconnect_mid_experiment_recovers_by_replay() {
 
     // Establish endpoint-side state that must survive the disconnect.
     ctrl.mwrite(0x40, vec![1, 2, 3, 4]).unwrap();
-    ctrl.nopen_udp(3, 7000, "10.9.0.1".parse().unwrap(), 7001).unwrap();
+    ctrl.nopen_udp(3, 7000, "10.9.0.1".parse().unwrap(), 7001)
+        .unwrap();
 
     // Kill every TCP connection on the endpoint mid-experiment.
     let at = ControlPlane::now(&ctrl) + 50 * MILLISECOND;
@@ -229,8 +247,16 @@ fn control_disconnect_mid_experiment_recovers_by_replay() {
     assert_eq!(ctrl.mread(0x40, 4).unwrap(), vec![1, 2, 3, 4]);
     ctrl.nsend(3, 0, vec![0xaa]).unwrap();
     ctrl.nclose(3).unwrap();
-    assert!(ctrl.stats.connects >= 2, "no reconnect happened: {:?}", ctrl.stats);
-    assert!(ctrl.stats.replays >= 1, "no command was replayed: {:?}", ctrl.stats);
+    assert!(
+        ctrl.stats.connects >= 2,
+        "no reconnect happened: {:?}",
+        ctrl.stats
+    );
+    assert!(
+        ctrl.stats.replays >= 1,
+        "no command was replayed: {:?}",
+        ctrl.stats
+    );
 }
 
 /// Without lingering (`session_linger_ns = 0`), the reconnect still
@@ -243,7 +269,8 @@ fn control_disconnect_without_linger_is_a_typed_error() {
     let dialer = SimDialer::new(&w.net, w.ctrl_node, w.ep_addr);
     let mut ctrl = RobustController::connect(dialer, creds, chaos::chaos_policy(0xfeed))
         .expect("initial connect");
-    ctrl.nopen_udp(3, 7000, "10.9.0.1".parse().unwrap(), 7001).unwrap();
+    ctrl.nopen_udp(3, 7000, "10.9.0.1".parse().unwrap(), 7001)
+        .unwrap();
 
     let at = ControlPlane::now(&ctrl) + 50 * MILLISECOND;
     w.net
@@ -303,8 +330,7 @@ fn crash_without_restart_aborts_within_budget() {
     let creds = small_creds(&w);
     let dialer = SimDialer::new(&w.net, w.ctrl_node, w.ep_addr);
     let policy = chaos::chaos_policy(0xdead);
-    let mut ctrl =
-        RobustController::connect(dialer, creds, policy).expect("initial connect");
+    let mut ctrl = RobustController::connect(dialer, creds, policy).expect("initial connect");
     // Partial results exist before the crash.
     let clock_before = ctrl.read_clock().expect("pre-crash op succeeds");
     assert!(clock_before > 0);
@@ -318,7 +344,12 @@ fn crash_without_restart_aborts_within_budget() {
 
     let start = ControlPlane::now(&ctrl);
     match ctrl.read_clock() {
-        Err(ControllerError::Unreachable { elapsed_ns, connects, failed_dials, .. }) => {
+        Err(ControllerError::Unreachable {
+            elapsed_ns,
+            connects,
+            failed_dials,
+            ..
+        }) => {
             assert!(elapsed_ns >= policy.unreachable_budget);
             // The abort carries retry context: the initial connect
             // succeeded, and the dead endpoint produced failed dials.
@@ -338,9 +369,18 @@ fn crash_without_restart_aborts_within_budget() {
     // 10 s handshake grace, and dropping the half-open channel runs 1 s
     // more, so three dials fill the 25 s budget. `plab-runner`'s
     // `fleet_chaos` pins the same crash under the fleet's dial.
-    let stats = RetryStats { connects: 1, failed_dials: 3, timeouts: 1, replays: 0, suspended_waits: 0 };
+    let stats = RetryStats {
+        connects: 1,
+        failed_dials: 3,
+        timeouts: 1,
+        replays: 0,
+        suspended_waits: 0,
+    };
     assert_eq!(ctrl.stats, stats);
-    assert_eq!((start, ControlPlane::now(&ctrl)), (131_000_000, 29_541_000_000));
+    assert_eq!(
+        (start, ControlPlane::now(&ctrl)),
+        (131_000_000, 29_541_000_000)
+    );
 }
 
 /// Two experiments multiplexed on one endpoint under a fixed fault
@@ -364,8 +404,13 @@ fn multiplexed_sessions_under_faults_are_deterministic() {
             info_url: String::new(),
             experimenter: KeyHash::of(&experimenter.public),
         };
-        let hi_creds =
-            Credentials::issue(&w.operator, &experimenter, descriptor, Restrictions::none(), 50);
+        let hi_creds = Credentials::issue(
+            &w.operator,
+            &experimenter,
+            descriptor,
+            Restrictions::none(),
+            50,
+        );
 
         let dialer = SimDialer::new(&w.net, w.ctrl_node, w.ep_addr);
         let mut lo = RobustController::connect(dialer, lo_creds, chaos::chaos_policy(0xbead))
@@ -400,8 +445,16 @@ fn multiplexed_sessions_under_faults_are_deterministic() {
         // state it wrote before preemption and the reset.
         hi.yield_endpoint().unwrap();
         let mem = lo.mread(0x40, 4).unwrap();
-        assert!(lo.stats.connects >= 2, "reset must force a reconnect: {:?}", lo.stats);
-        assert!(lo.stats.suspended_waits >= 1, "lo never backed off suspended: {:?}", lo.stats);
+        assert!(
+            lo.stats.connects >= 2,
+            "reset must force a reconnect: {:?}",
+            lo.stats
+        );
+        assert!(
+            lo.stats.suspended_waits >= 1,
+            "lo never backed off suspended: {:?}",
+            lo.stats
+        );
         format!(
             "hi_clock={t_hi} denied={denied} mem={mem:?} end={} lo={:?} hi={:?}",
             ControlPlane::now(&lo),

@@ -8,7 +8,7 @@ use packetlab::descriptor::ExperimentDescriptor;
 use packetlab::endpoint::EndpointConfig;
 use packetlab::harness::{SimChannel, SimNet};
 use packetlab::rendezvous::RendezvousServer;
-use plab_crypto::{Keypair, KeyHash};
+use plab_crypto::{KeyHash, Keypair};
 use plab_netsim::{LinkParams, NodeId, TopologyBuilder, MILLISECOND, SECOND};
 use std::cell::RefCell;
 use std::net::Ipv4Addr;
@@ -130,7 +130,11 @@ fn multi_operator_measurement_campaign() {
     let net = Rc::new(RefCell::new(net));
     let mut results = Vec::new();
     for (i, (_, addr, operator)) in endpoints.iter().enumerate() {
-        let deleg = if i < 3 { deleg_a.clone() } else { deleg_b.clone() };
+        let deleg = if i < 3 {
+            deleg_a.clone()
+        } else {
+            deleg_b.clone()
+        };
         let creds = Credentials {
             descriptor: descriptor.clone(),
             chain: vec![deleg, exp_cert.clone()],
@@ -246,7 +250,8 @@ fn sequential_experiments_are_isolated() {
         // Same socket ids as previous rounds: fresh session, no conflicts
         // (the ping helper claims sktid 1 internally; these are extras).
         ctrl.nopen_raw(11).unwrap();
-        ctrl.nopen_udp(12, 5000, "10.0.5.1".parse().unwrap(), 7).unwrap();
+        ctrl.nopen_udp(12, 5000, "10.0.5.1".parse().unwrap(), 7)
+            .unwrap();
         let stats = experiments::ping(
             &mut ctrl,
             "10.0.5.1".parse().unwrap(),

@@ -6,7 +6,7 @@
 use packetlab::endpoint::{EndpointAgent, EndpointConfig};
 use packetlab::netstack::SimStack;
 use packetlab::wire::{Command, FrameDecoder, Message, Proto};
-use plab_crypto::{Keypair, KeyHash};
+use plab_crypto::{KeyHash, Keypair};
 use plab_netsim::{LinkParams, TopologyBuilder};
 use proptest::prelude::*;
 
@@ -16,19 +16,32 @@ fn arb_proto() -> impl Strategy<Value = Proto> {
 
 fn arb_command() -> impl Strategy<Value = Command> {
     prop_oneof![
-        (any::<u32>(), arb_proto(), any::<u16>(), any::<u32>(), any::<u16>()).prop_map(
-            |(sktid, proto, locport, remaddr, remport)| Command::NOpen {
+        (
+            any::<u32>(),
+            arb_proto(),
+            any::<u16>(),
+            any::<u32>(),
+            any::<u16>()
+        )
+            .prop_map(|(sktid, proto, locport, remaddr, remport)| Command::NOpen {
                 sktid,
                 proto,
                 locport,
                 remaddr,
                 remport
-            }
-        ),
+            }),
         any::<u32>().prop_map(|sktid| Command::NClose { sktid }),
-        (any::<u32>(), any::<u64>(), prop::collection::vec(any::<u8>(), 0..128))
+        (
+            any::<u32>(),
+            any::<u64>(),
+            prop::collection::vec(any::<u8>(), 0..128)
+        )
             .prop_map(|(sktid, time, data)| Command::NSend { sktid, time, data }),
-        (any::<u32>(), any::<u64>(), prop::collection::vec(any::<u8>(), 0..64))
+        (
+            any::<u32>(),
+            any::<u64>(),
+            prop::collection::vec(any::<u8>(), 0..64)
+        )
             .prop_map(|(sktid, time, filt)| Command::NCap { sktid, time, filt }),
         any::<u64>().prop_map(|time| Command::NPoll { time }),
         (any::<u32>(), any::<u32>()).prop_map(|(memaddr, bytecnt)| Command::MRead {

@@ -15,25 +15,36 @@ fn arb_proto() -> impl Strategy<Value = Proto> {
 
 fn arb_command() -> impl Strategy<Value = Command> {
     prop_oneof![
-        (any::<u32>(), arb_proto(), any::<u16>(), any::<u32>(), any::<u16>()).prop_map(
-            |(sktid, proto, locport, remaddr, remport)| Command::NOpen {
+        (
+            any::<u32>(),
+            arb_proto(),
+            any::<u16>(),
+            any::<u32>(),
+            any::<u16>()
+        )
+            .prop_map(|(sktid, proto, locport, remaddr, remport)| Command::NOpen {
                 sktid,
                 proto,
                 locport,
                 remaddr,
                 remport
-            }
-        ),
+            }),
         any::<u32>().prop_map(|sktid| Command::NClose { sktid }),
-        (any::<u32>(), any::<u64>(), prop::collection::vec(any::<u8>(), 0..256))
+        (
+            any::<u32>(),
+            any::<u64>(),
+            prop::collection::vec(any::<u8>(), 0..256)
+        )
             .prop_map(|(sktid, time, data)| Command::NSend { sktid, time, data }),
-        (any::<u32>(), any::<u64>(), prop::collection::vec(any::<u8>(), 0..128))
+        (
+            any::<u32>(),
+            any::<u64>(),
+            prop::collection::vec(any::<u8>(), 0..128)
+        )
             .prop_map(|(sktid, time, filt)| Command::NCap { sktid, time, filt }),
         any::<u64>().prop_map(|time| Command::NPoll { time }),
-        (any::<u32>(), any::<u32>()).prop_map(|(memaddr, bytecnt)| Command::MRead {
-            memaddr,
-            bytecnt
-        }),
+        (any::<u32>(), any::<u32>())
+            .prop_map(|(memaddr, bytecnt)| Command::MRead { memaddr, bytecnt }),
         (any::<u32>(), prop::collection::vec(any::<u8>(), 0..64))
             .prop_map(|(memaddr, data)| Command::MWrite { memaddr, data }),
         Just(Command::Yield),
@@ -46,7 +57,14 @@ fn arb_response() -> impl Strategy<Value = Response> {
         any::<u64>().prop_map(|tag| Response::SendQueued { tag }),
         prop::collection::vec(any::<u8>(), 0..128).prop_map(|data| Response::Mem { data }),
         (
-            prop::collection::vec((any::<u32>(), any::<u64>(), prop::collection::vec(any::<u8>(), 0..64)), 0..8),
+            prop::collection::vec(
+                (
+                    any::<u32>(),
+                    any::<u64>(),
+                    prop::collection::vec(any::<u8>(), 0..64)
+                ),
+                0..8
+            ),
             any::<u64>(),
             any::<u64>()
         )
@@ -55,8 +73,10 @@ fn arb_response() -> impl Strategy<Value = Response> {
                 dropped_packets,
                 dropped_bytes
             }),
-        (arb_errcode(), ".{0,48}")
-            .prop_map(|(code, msg)| Response::Err { code, msg: msg.into() }),
+        (arb_errcode(), ".{0,48}").prop_map(|(code, msg)| Response::Err {
+            code,
+            msg: msg.into()
+        }),
     ]
 }
 
@@ -86,7 +106,13 @@ fn arb_auth() -> impl Strategy<Value = Message> {
             let mut proof = [0u8; 64];
             proof[..32].copy_from_slice(&proof_a);
             proof[32..].copy_from_slice(&proof_b);
-            Message::Auth { descriptor, chain, keys, priority, proof }
+            Message::Auth {
+                descriptor,
+                chain,
+                keys,
+                priority,
+                proof,
+            }
         })
 }
 

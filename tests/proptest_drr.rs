@@ -54,10 +54,16 @@ fn derive_spec(seed: u64) -> Spec {
     let queues = (0..n)
         .map(|_| {
             let len = splitmix64(&mut s) % 7;
-            (0..len).map(|_| 1 + splitmix64(&mut s) % (2 * quantum)).collect()
+            (0..len)
+                .map(|_| 1 + splitmix64(&mut s) % (2 * quantum))
+                .collect()
         })
         .collect();
-    Spec { quantum, arrivals, queues }
+    Spec {
+        quantum,
+        arrivals,
+        queues,
+    }
 }
 
 /// Serve the spec through the production scheduler: repeated single-unit
@@ -201,7 +207,12 @@ fn poll_both(
     let want = model.poll(|sid| head_cost(peers, sid));
     prop_assert_eq!(got, want, "poll diverged (seed {:#x})", seed);
     if let Some(sid) = got {
-        peers.iter_mut().find(|p| p.sid == sid).unwrap().queue.pop_front();
+        peers
+            .iter_mut()
+            .find(|p| p.sid == sid)
+            .unwrap()
+            .queue
+            .pop_front();
     }
     Ok(got)
 }
@@ -213,7 +224,11 @@ fn run_dynamic(seed: u64) -> Result<usize, TestCaseError> {
     let mut s = seed;
     let quantum = 1 + splitmix64(&mut s) % 64;
     let mut sched = DrrScheduler::new(quantum);
-    let mut model = Model { quantum, ring: VecDeque::new(), granted: false };
+    let mut model = Model {
+        quantum,
+        ring: VecDeque::new(),
+        granted: false,
+    };
     let mut peers: Vec<Peer> = Vec::new();
     let mut enrolled = 0u64;
     let mut served = 0usize;
@@ -269,8 +284,14 @@ fn run_dynamic(seed: u64) -> Result<usize, TestCaseError> {
             sched.enroll(sid);
             model.enroll(sid);
             let len = splitmix64(&mut s) % 4;
-            let queue = (0..len).map(|_| 1 + splitmix64(&mut s) % (2 * quantum)).collect();
-            peers.push(Peer { sid, queue, blocked: false });
+            let queue = (0..len)
+                .map(|_| 1 + splitmix64(&mut s) % (2 * quantum))
+                .collect();
+            peers.push(Peer {
+                sid,
+                queue,
+                blocked: false,
+            });
         }
     }
 

@@ -47,9 +47,8 @@ fn arb_shape() -> impl Strategy<Value = Shape> {
 fn arb_chain() -> impl Strategy<Value = Vec<Shape>> {
     prop_oneof![
         prop::collection::vec(arb_shape(), 1..6),
-        (arb_shape(), prop::collection::vec(arb_shape(), 1..4)).prop_map(|(repeated, mid)| {
-            [vec![repeated], mid, vec![repeated]].concat()
-        }),
+        (arb_shape(), prop::collection::vec(arb_shape(), 1..4))
+            .prop_map(|(repeated, mid)| { [vec![repeated], mid, vec![repeated]].concat() }),
     ]
 }
 
@@ -113,7 +112,9 @@ fn compile(shape: Shape) -> Vec<u8> {
              }"
         .to_string(),
     };
-    plab_cpf::compile(&src).expect("pool monitors compile").encode()
+    plab_cpf::compile(&src)
+        .expect("pool monitors compile")
+        .encode()
 }
 
 fn pkt(proto: u8, payload: usize) -> Vec<u8> {

@@ -94,7 +94,13 @@ impl Model {
 
     fn open(&mut self, sid: u64) {
         if self.sessions.len() < self.max_sessions {
-            let fresh = Session { phase: Phase::New, priority: 0, experiment: None, pending: None, last_seq: 0 };
+            let fresh = Session {
+                phase: Phase::New,
+                priority: 0,
+                experiment: None,
+                pending: None,
+                last_seq: 0,
+            };
             self.sessions.insert(sid, fresh);
         }
     }
@@ -111,7 +117,9 @@ impl Model {
     fn contend(&mut self, sid: u64, notes: &mut Notes) {
         let priority = self.sessions[&sid].priority;
         match self.holder {
-            Some(holder) if self.sessions[&holder].priority >= priority => return self.set(sid, Phase::Suspended),
+            Some(holder) if self.sessions[&holder].priority >= priority => {
+                return self.set(sid, Phase::Suspended)
+            }
             Some(holder) => {
                 self.set(holder, Phase::Suspended);
                 notes.push((holder, Note::Interrupted(priority)));
@@ -127,8 +135,13 @@ impl Model {
         if self.holder != Some(sid) {
             return;
         }
-        let waiting = self.sessions.iter().filter(|(_, s)| s.phase == Phase::Suspended);
-        self.holder = waiting.max_by_key(|(sid, s)| (s.priority, std::cmp::Reverse(**sid))).map(|(sid, _)| *sid);
+        let waiting = self
+            .sessions
+            .iter()
+            .filter(|(_, s)| s.phase == Phase::Suspended);
+        self.holder = waiting
+            .max_by_key(|(sid, s)| (s.priority, std::cmp::Reverse(**sid)))
+            .map(|(sid, _)| *sid);
         if let Some(next) = self.holder {
             self.set(next, Phase::Active);
             notes.push((next, Note::Resumed));
@@ -142,7 +155,10 @@ impl Model {
     fn auth(&mut self, sid: u64, experiment: usize, priority: u8) -> Notes {
         let mut notes = vec![(sid, Note::AuthOk)];
         let adoptable = |s: &Session| self.linger > 0 || matches!(s.phase, Phase::Detached { .. });
-        let old = self.sessions.iter().find(|(o, s)| **o != sid && s.experiment == Some(experiment) && adoptable(s));
+        let old = self
+            .sessions
+            .iter()
+            .find(|(o, s)| **o != sid && s.experiment == Some(experiment) && adoptable(s));
         if let Some(old_sid) = old.map(|(o, _)| *o) {
             let old = self.sessions.remove(&old_sid).unwrap();
             if self.holder == Some(old_sid) && priority >= old.priority {
@@ -200,14 +216,25 @@ impl Model {
     /// What must hold of any state the model is in — and so, through the
     /// lock-step checks, of the agent.
     fn check(&self) -> Result<(), String> {
-        let active: Vec<u64> = self.sessions.iter().filter(|(_, s)| s.phase == Phase::Active).map(|(sid, _)| *sid).collect();
-        let suspended = || self.sessions.values().filter(|s| s.phase == Phase::Suspended);
+        let active: Vec<u64> = self
+            .sessions
+            .iter()
+            .filter(|(_, s)| s.phase == Phase::Active)
+            .map(|(sid, _)| *sid)
+            .collect();
+        let suspended = || {
+            self.sessions
+                .values()
+                .filter(|s| s.phase == Phase::Suspended)
+        };
         if active != self.holder.into_iter().collect::<Vec<_>>() {
             return Err(format!("active {active:?}, holder {:?}", self.holder));
         }
         match self.holder {
             Some(holder) if suspended().any(|s| s.priority > self.sessions[&holder].priority) => {
-                Err(format!("holder {holder} is outranked by a suspended session"))
+                Err(format!(
+                    "holder {holder} is outranked by a suspended session"
+                ))
             }
             None if suspended().next().is_some() => Err("nobody active, somebody suspended".into()),
             _ => Ok(()),
@@ -264,14 +291,25 @@ impl NetStack for Stack {
     fn udp_unbind(&mut self, port: u16) {
         self.bound.retain(|p| *p != port);
     }
-    fn udp_send_at(&mut self, time: u64, src_port: u16, _dst: Ipv4Addr, _dst_port: u16, _payload: &[u8], tag: u64) {
+    fn udp_send_at(
+        &mut self,
+        time: u64,
+        src_port: u16,
+        _dst: Ipv4Addr,
+        _dst_port: u16,
+        _payload: &[u8],
+        tag: u64,
+    ) {
         self.udp_sends.push((time, src_port, tag));
     }
     fn take_udp(&mut self, port: u16) -> Vec<(u64, Ipv4Addr, u16, Vec<u8>)> {
-        let (mine, rest): (Vec<_>, Vec<_>) =
-            std::mem::take(&mut self.inbox).into_iter().partition(|(p, _)| *p == port);
+        let (mine, rest): (Vec<_>, Vec<_>) = std::mem::take(&mut self.inbox)
+            .into_iter()
+            .partition(|(p, _)| *p == port);
         self.inbox = rest;
-        mine.into_iter().map(|(_, payload)| (self.clock, Ipv4Addr::new(10, 0, 0, 9), 53, payload)).collect()
+        mine.into_iter()
+            .map(|(_, payload)| (self.clock, Ipv4Addr::new(10, 0, 0, 9), 53, payload))
+            .collect()
     }
     fn tcp_connect(&mut self, _dst: Ipv4Addr, _dst_port: u16) -> u64 {
         0
@@ -348,9 +386,17 @@ impl World {
         };
         let capture = "uint32_t recv(const union packet *pkt, uint32_t len) { return len; }";
         World {
-            model: Model { sessions: BTreeMap::new(), holder: None, linger, max_sessions: config.max_sessions },
+            model: Model {
+                sessions: BTreeMap::new(),
+                holder: None,
+                linger,
+                max_sessions: config.max_sessions,
+            },
             agent: EndpointAgent::new(config),
-            stack: Stack { clock: 1_000, ..Default::default() },
+            stack: Stack {
+                clock: 1_000,
+                ..Default::default()
+            },
             creds: [credentials(0), credentials(1)],
             filter: plab_cpf::compile(capture).unwrap().encode(),
             conns: Default::default(),
@@ -369,12 +415,21 @@ impl World {
     /// Everything an `Out` has to satisfy whatever produced it: the notes
     /// are the model's, poll answers are the ones pending, nothing crosses
     /// experiments. Returns the command responses, by sid, for the caller.
-    fn absorb(&mut self, out: Out, expected: Notes, replayed: Option<u64>) -> Result<Vec<(u64, u64, Response)>, String> {
+    fn absorb(
+        &mut self,
+        out: Out,
+        expected: Notes,
+        replayed: Option<u64>,
+    ) -> Result<Vec<(u64, u64, Response)>, String> {
         let mut notes = Notes::new();
         let mut responses = Vec::new();
         for (sid, msg) in out {
             if let Message::HelloAck { nonce, .. } = msg {
-                self.conns.iter_mut().find(|c| c.open && c.sid == sid).ok_or("HelloAck to nobody")?.nonce = Some(nonce);
+                self.conns
+                    .iter_mut()
+                    .find(|c| c.open && c.sid == sid)
+                    .ok_or("HelloAck to nobody")?
+                    .nonce = Some(nonce);
                 continue;
             }
             let (seq, resp) = match msg {
@@ -393,7 +448,11 @@ impl World {
                 Message::RespSeq { seq, resp } => (seq, resp),
                 other => return Err(format!("the endpoint sent {other:?}")),
             };
-            let session = self.model.sessions.get_mut(&sid).ok_or(format!("{resp:?} for untracked sid {sid}"))?;
+            let session = self
+                .model
+                .sessions
+                .get_mut(&sid)
+                .ok_or(format!("{resp:?} for untracked sid {sid}"))?;
             if matches!(session.phase, Phase::Detached { .. }) {
                 return Err(format!("{resp:?} into the dead connection of sid {sid}"));
             }
@@ -402,7 +461,9 @@ impl World {
                 Response::Poll { packets, .. } => {
                     if replayed.is_none() {
                         if session.pending.take() != Some(seq) {
-                            return Err(format!("sid {sid}: poll answer for {seq}, which was not pending"));
+                            return Err(format!(
+                                "sid {sid}: poll answer for {seq}, which was not pending"
+                            ));
                         }
                         session.pending = self.refill.take();
                     }
@@ -412,13 +473,18 @@ impl World {
                         }
                     }
                 }
-                Response::Mem { data } if data.len() == 1 && data[0] != 0 && Some(data[0]) != experiment.map(mark) => {
+                Response::Mem { data }
+                    if data.len() == 1 && data[0] != 0 && Some(data[0]) != experiment.map(mark) =>
+                {
                     return Err(format!("sid {sid} ({experiment:?}) read scratch {data:?}"));
                 }
                 Response::Mem { data } if data.len() > 1 => {
-                    let port = EndpointMemory::parse_sendlog_entry(data).and_then(|(_, left)| left.checked_sub(DEPARTURE));
+                    let port = EndpointMemory::parse_sendlog_entry(data)
+                        .and_then(|(_, left)| left.checked_sub(DEPARTURE));
                     if port.is_some_and(|port| Some(port) != experiment.map(|e| 4000 + e as u64)) {
-                        return Err(format!("sid {sid} ({experiment:?}) read the send log of port {port:?}"));
+                        return Err(format!(
+                            "sid {sid} ({experiment:?}) read the send log of port {port:?}"
+                        ));
                     }
                 }
                 _ => {}
@@ -435,8 +501,13 @@ impl World {
             return Err(format!("the agent said {notes:?}, the model {expected:?}"));
         }
         self.model.check()?;
-        let holder = self.model.holder.map(|sid| self.model.sessions[&sid].priority);
-        if self.agent.active_priority() != holder || self.agent.session_count() != self.model.sessions.len() {
+        let holder = self
+            .model
+            .holder
+            .map(|sid| self.model.sessions[&sid].priority);
+        if self.agent.active_priority() != holder
+            || self.agent.session_count() != self.model.sessions.len()
+        {
             return Err(format!(
                 "agent: active {:?}, {} sessions; model: {holder:?}, {}",
                 self.agent.active_priority(),
@@ -452,18 +523,52 @@ impl World {
         let experiment = c % 2;
         let port = 4000 + experiment as u16;
         let cmd = match kind % 12 {
-            0 => Command::NOpen { sktid: UDP_SOCKET, proto: Proto::Udp, locport: port, remaddr: 0, remport: 53 },
-            1 => Command::NOpen { sktid: RAW_SOCKET, proto: Proto::Raw, locport: 0, remaddr: 0, remport: 0 },
-            2 => Command::NCap { sktid: RAW_SOCKET, time: u64::MAX, filt: self.filter.clone() },
-            3 => Command::NClose { sktid: 1 + kind as u32 / 12 % 2 },
-            4 => Command::NSend { sktid: UDP_SOCKET, time: now + kind as u64, data: vec![mark(experiment)] },
-            5 => Command::MWrite { memaddr: SCRATCH, data: vec![mark(experiment)] },
-            6 => Command::MRead { memaddr: SCRATCH, bytecnt: 1 },
+            0 => Command::NOpen {
+                sktid: UDP_SOCKET,
+                proto: Proto::Udp,
+                locport: port,
+                remaddr: 0,
+                remport: 53,
+            },
+            1 => Command::NOpen {
+                sktid: RAW_SOCKET,
+                proto: Proto::Raw,
+                locport: 0,
+                remaddr: 0,
+                remport: 0,
+            },
+            2 => Command::NCap {
+                sktid: RAW_SOCKET,
+                time: u64::MAX,
+                filt: self.filter.clone(),
+            },
+            3 => Command::NClose {
+                sktid: 1 + kind as u32 / 12 % 2,
+            },
+            4 => Command::NSend {
+                sktid: UDP_SOCKET,
+                time: now + kind as u64,
+                data: vec![mark(experiment)],
+            },
+            5 => Command::MWrite {
+                memaddr: SCRATCH,
+                data: vec![mark(experiment)],
+            },
+            6 => Command::MRead {
+                memaddr: SCRATCH,
+                bytecnt: 1,
+            },
             7 => Command::MRead {
                 memaddr: EndpointMemory::sendlog_slot(1 + kind as u64 / 12 % 4),
                 bytecnt: SENDLOG_ENTRY as u32,
             },
-            8..=10 => Command::NPoll { time: if kind & 0x10 == 0 { 0 } else { now + 20 * kind as u64 } },
+            8..=10 => Command::NPoll {
+                time: if kind & 0x10 == 0 {
+                    0
+                } else {
+                    now + 20 * kind as u64
+                },
+            },
             _ => Command::Yield,
         };
         let (polls, yields) = (matches!(cmd, Command::NPoll { .. }), cmd == Command::Yield);
@@ -477,38 +582,55 @@ impl World {
         // A poll that runs takes the session's one slot: the poll it finds
         // there must be answered first, in this same `Out`.
         let runs = verdict == Verdict::Runs;
-        let displaced = if polls && runs { self.model.sessions[&sid].pending } else { None };
+        let displaced = if polls && runs {
+            self.model.sessions[&sid].pending
+        } else {
+            None
+        };
         if polls && runs && displaced.is_some() {
             self.refill = Some(seq);
         } else if polls && runs {
             self.model.sessions.get_mut(&sid).unwrap().pending = Some(seq);
         }
-        let out = self.agent.on_message(sid, Message::CmdSeq { seq, cmd }, &mut self.stack);
+        let out = self
+            .agent
+            .on_message(sid, Message::CmdSeq { seq, cmd }, &mut self.stack);
         let responses = self.absorb(out, notes, None)?;
         let mut mine: Vec<_> = responses.iter().filter(|(to, ..)| *to == sid).collect();
         if let Some(displaced) = displaced {
-            let answered = matches!(mine[..], [(_, q, Response::Poll { .. }), ..] if *q == displaced);
+            let answered =
+                matches!(mine[..], [(_, q, Response::Poll { .. }), ..] if *q == displaced);
             if !answered || self.refill.is_some() {
-                return Err(format!("sid {sid}: a new npoll left {displaced} pending, got {responses:?}"));
+                return Err(format!(
+                    "sid {sid}: a new npoll left {displaced} pending, got {responses:?}"
+                ));
             }
             mine.remove(0);
         }
-        let refused = |code| matches!(mine[..], [(_, _, Response::Err { code: c, .. })] if *c == code);
+        let refused =
+            |code| matches!(mine[..], [(_, _, Response::Err { code: c, .. })] if *c == code);
         let ok = match verdict {
             Verdict::Silent => mine.is_empty(),
             Verdict::NotAuthenticated => refused(ErrCode::Auth),
             Verdict::Suspended => refused(ErrCode::Suspended),
             Verdict::Runs if polls => mine.len() <= 1,
-            Verdict::Runs => mine.len() == 1 && !refused(ErrCode::Suspended) && !refused(ErrCode::Auth),
+            Verdict::Runs => {
+                mine.len() == 1 && !refused(ErrCode::Suspended) && !refused(ErrCode::Auth)
+            }
         };
         if !ok || mine.iter().any(|(_, answered, _)| *answered != seq) {
-            return Err(format!("sid {sid}: {verdict:?} command (seq {seq}) answered {responses:?}"));
+            return Err(format!(
+                "sid {sid}: {verdict:?} command (seq {seq}) answered {responses:?}"
+            ));
         }
         // A datagram leaves from the port its experiment bound, or not at all.
         match self.stack.udp_sends[sends..] {
             [] => Ok(()),
             [(_, from, _)] if Some(experiment) == self.experiment(sid) && from == port => Ok(()),
-            ref sent => Err(format!("sid {sid} ({:?}) sent {sent:?}", self.experiment(sid))),
+            ref sent => Err(format!(
+                "sid {sid} ({:?}) sent {sent:?}",
+                self.experiment(sid)
+            )),
         }
     }
 
@@ -521,25 +643,54 @@ impl World {
             return Ok(());
         };
         // Half the replays are of the newest seq: the one that can be in flight.
-        let back = if pick.is_multiple_of(2) { 0 } else { pick as u64 % session.last_seq.min(12) };
+        let back = if pick.is_multiple_of(2) {
+            0
+        } else {
+            pick as u64 % session.last_seq.min(12)
+        };
         let seq = session.last_seq - back;
         let pending = session.pending == Some(seq);
-        let cmd = Command::MRead { memaddr: SCRATCH, bytecnt: 1 };
-        let out = self.agent.on_message(sid, Message::CmdSeq { seq, cmd }, &mut self.stack);
+        let cmd = Command::MRead {
+            memaddr: SCRATCH,
+            bytecnt: 1,
+        };
+        let out = self
+            .agent
+            .on_message(sid, Message::CmdSeq { seq, cmd }, &mut self.stack);
         let responses = self.absorb(out, Notes::new(), Some(seq))?;
-        let evicted = |resp: &Response| matches!(resp, Response::Err { code: ErrCode::Limit, .. });
+        let evicted = |resp: &Response| {
+            matches!(
+                resp,
+                Response::Err {
+                    code: ErrCode::Limit,
+                    ..
+                }
+            )
+        };
         match (&responses[..], self.answers.get(&seq)) {
             ([], _) if pending => Ok(()),
-            ([(to, q, resp)], Some(first)) if (*to, *q) == (sid, seq) && (resp == first || evicted(resp)) => Ok(()),
+            ([(to, q, resp)], Some(first))
+                if (*to, *q) == (sid, seq) && (resp == first || evicted(resp)) =>
+            {
+                Ok(())
+            }
             // A seq this session skipped (it went to another) was never run.
-            ([(to, q, resp)], None) if (*to, *q) == (sid, seq) && evicted(resp) && !pending => Ok(()),
-            _ => Err(format!("sid {sid}: replay of {seq} (pending: {pending}) read {responses:?}")),
+            ([(to, q, resp)], None) if (*to, *q) == (sid, seq) && evicted(resp) && !pending => {
+                Ok(())
+            }
+            _ => Err(format!(
+                "sid {sid}: replay of {seq} (pending: {pending}) read {responses:?}"
+            )),
         }
     }
 
     fn event(&mut self, op: u8, c: usize, arg: u8) -> Result<(), String> {
         let sid = self.conns[c].sid;
-        let version = if arg.is_multiple_of(8) { 99 } else { PROTOCOL_VERSION };
+        let version = if arg.is_multiple_of(8) {
+            99
+        } else {
+            PROTOCOL_VERSION
+        };
         // Most of what a connection without an authenticated session does
         // is the next step towards one (`5` stays a command out of turn).
         let op = match (op % 16, self.model.phase(sid)) {
@@ -550,7 +701,11 @@ impl World {
         };
         match op {
             0 if !self.conns[c].open => {
-                self.conns[c] = Conn { sid: self.next_sid, open: true, nonce: None };
+                self.conns[c] = Conn {
+                    sid: self.next_sid,
+                    open: true,
+                    nonce: None,
+                };
                 self.agent.on_session_open(self.next_sid);
                 self.model.open(self.next_sid);
                 self.next_sid += 1;
@@ -560,17 +715,34 @@ impl World {
             0 | 1 => {
                 let acked = self.model.hello(sid, version == PROTOCOL_VERSION);
                 let tracked = self.model.sessions.contains_key(&sid);
-                let out = self.agent.on_message(sid, Message::Hello { version }, &mut self.stack);
+                let out = self
+                    .agent
+                    .on_message(sid, Message::Hello { version }, &mut self.stack);
                 let expected = match &out[..] {
                     [(to, Message::HelloAck { .. })] => *to == sid && acked,
-                    [(to, Message::Resp(Response::Err { code: ErrCode::Malformed, .. }))] => *to == sid && tracked && !acked,
+                    [(
+                        to,
+                        Message::Resp(Response::Err {
+                            code: ErrCode::Malformed,
+                            ..
+                        }),
+                    )] => *to == sid && tracked && !acked,
                     [] => !tracked,
                     _ => false,
                 };
                 if !expected {
-                    return Err(format!("sid {sid}: Hello (acked by the model: {acked}) answered {out:?}"));
+                    return Err(format!(
+                        "sid {sid}: Hello (acked by the model: {acked}) answered {out:?}"
+                    ));
                 }
-                self.absorb(out.into_iter().filter(|(_, m)| matches!(m, Message::HelloAck { .. })).collect(), Notes::new(), None).map(drop)
+                self.absorb(
+                    out.into_iter()
+                        .filter(|(_, m)| matches!(m, Message::HelloAck { .. }))
+                        .collect(),
+                    Notes::new(),
+                    None,
+                )
+                .map(drop)
             }
             2 | 3 => {
                 let mut creds = self.creds[c % 2].clone();
@@ -581,7 +753,11 @@ impl World {
                     proof[0] ^= 1;
                 }
                 let valid = self.model.phase(sid) == Some(Phase::AwaitAuth) && !forged;
-                let notes = if valid { self.model.auth(sid, c % 2, creds.priority) } else { Notes::new() };
+                let notes = if valid {
+                    self.model.auth(sid, c % 2, creds.priority)
+                } else {
+                    Notes::new()
+                };
                 let out = self.agent.on_message(sid, auth, &mut self.stack);
                 let refused = matches!(&out[..], [(to, Message::Resp(Response::Err { code: ErrCode::Auth, .. }))] if *to == sid);
                 if refused != (self.model.sessions.contains_key(&sid) && !valid) {
@@ -591,7 +767,9 @@ impl World {
                 if responses.is_empty() {
                     Ok(())
                 } else {
-                    Err(format!("sid {sid}: Auth (valid: {valid}) answered {responses:?}"))
+                    Err(format!(
+                        "sid {sid}: Auth (valid: {valid}) answered {responses:?}"
+                    ))
                 }
             }
             4..=8 => self.command(c, arg),
@@ -606,11 +784,18 @@ impl World {
             11 => {
                 self.stack.clock += 40 * arg as u64;
                 let now = self.stack.clock;
-                let (left, waiting) = std::mem::take(&mut self.stack.udp_sends).into_iter().partition(|s| s.0 <= now);
+                let (left, waiting) = std::mem::take(&mut self.stack.udp_sends)
+                    .into_iter()
+                    .partition(|s| s.0 <= now);
                 self.stack.udp_sends = waiting;
                 let left: Vec<(u64, u16, u64)> = left;
-                self.stack.send_log.extend(left.iter().map(|(_, port, tag)| (*tag, DEPARTURE + *port as u64)));
-                let (due, waiting) = std::mem::take(&mut self.stack.wakeups).into_iter().partition(|w| w.1 <= now);
+                self.stack.send_log.extend(
+                    left.iter()
+                        .map(|(_, port, tag)| (*tag, DEPARTURE + *port as u64)),
+                );
+                let (due, waiting) = std::mem::take(&mut self.stack.wakeups)
+                    .into_iter()
+                    .partition(|w| w.1 <= now);
                 self.stack.wakeups = waiting;
                 let due: Vec<(u64, u64)> = due;
                 for (key, _) in due {
@@ -620,14 +805,24 @@ impl World {
                 Ok(())
             }
             13 => {
-                let packet = plab_packet::builder::icmp_echo_reply(Ipv4Addr::new(10, 0, 0, 9), self.stack.local_addr(), 1, 1, b"data");
-                let (_, out) = self.agent.on_packet(self.stack.clock, &packet, &mut self.stack);
+                let packet = plab_packet::builder::icmp_echo_reply(
+                    Ipv4Addr::new(10, 0, 0, 9),
+                    self.stack.local_addr(),
+                    1,
+                    1,
+                    b"data",
+                );
+                let (_, out) = self
+                    .agent
+                    .on_packet(self.stack.clock, &packet, &mut self.stack);
                 self.absorb(out, Notes::new(), None).map(drop)
             }
             // A datagram for one experiment's port, then (as 12) a service pass.
             14 | 12 => {
                 if op == 14 {
-                    self.stack.inbox.push((4000 + arg as u16 % 2, vec![mark(arg as usize % 2)]));
+                    self.stack
+                        .inbox
+                        .push((4000 + arg as u16 % 2, vec![mark(arg as usize % 2)]));
                 }
                 self.model.service(self.stack.clock);
                 let out = self.agent.service(&mut self.stack);
@@ -648,7 +843,11 @@ impl World {
         self.model.service(self.stack.clock);
         let out = self.agent.service(&mut self.stack);
         self.absorb(out, Notes::new(), None)?;
-        let stuck = self.model.sessions.iter().find(|(_, s)| s.pending.is_some() && !matches!(s.phase, Phase::Detached { .. }));
+        let stuck = self
+            .model
+            .sessions
+            .iter()
+            .find(|(_, s)| s.pending.is_some() && !matches!(s.phase, Phase::Detached { .. }));
         match stuck {
             Some((sid, s)) => Err(format!("sid {sid}: poll {:?} never answered", s.pending)),
             None => Ok(()),
@@ -662,10 +861,17 @@ impl World {
 pub fn drive(script: &[u8]) -> Result<(), String> {
     let linger = [0, 4_000, 60_000][script.first().map_or(0, |b| *b as usize % 3)];
     let mut world = World::new(linger);
-    for (step, event) in script.get(1..).unwrap_or_default().chunks_exact(3).enumerate() {
+    for (step, event) in script
+        .get(1..)
+        .unwrap_or_default()
+        .chunks_exact(3)
+        .enumerate()
+    {
         world.stack.clock += 1 + event[2] as u64 % 7;
         let c = event[1] as usize % 4;
-        world.event(event[0], c, event[2]).map_err(|why| format!("step {step} {event:?}: {why}"))?;
+        world
+            .event(event[0], c, event[2])
+            .map_err(|why| format!("step {step} {event:?}: {why}"))?;
     }
     world.settle().map_err(|why| format!("settling: {why}"))
 }
@@ -691,17 +897,29 @@ fn scripts_that_reach_the_three_defects() {
         // Lingering off. Connection 0 authenticates, writes its scratch
         // mark, and says Hello again: refused, where it used to re-open
         // the handshake over a session that kept everything it held.
-        ("Hello after Auth", [&[0][..], &handshake(0, 0), &[4, 0, 5, 1, 0, 1]].concat()),
+        (
+            "Hello after Auth",
+            [&[0][..], &handshake(0, 0), &[4, 0, 5, 1, 0, 1]].concat(),
+        ),
         // Two polls, both with deadlines to come: the second
         // answers the first, where it used to take its slot.
-        ("overlapping polls", [&[0][..], &handshake(0, 0), &[4, 0, 20, 4, 0, 20]].concat()),
+        (
+            "overlapping polls",
+            [&[0][..], &handshake(0, 0), &[4, 0, 20, 4, 0, 20]].concat(),
+        ),
         // Lingering on. Experiment 0 holds the endpoint at priority 9 with
         // experiment 1 waiting at 5, and re-authenticates from connection 2
         // at priority 1: it used to inherit the endpoint over the session
         // that now outranks it.
         (
             "takeover at a lower priority",
-            [&[1][..], &handshake(0, 2), &handshake(1, 1), &handshake(2, 0)].concat(),
+            [
+                &[1][..],
+                &handshake(0, 2),
+                &handshake(1, 1),
+                &handshake(2, 0),
+            ]
+            .concat(),
         ),
     ];
     let failures: Vec<String> = scripts

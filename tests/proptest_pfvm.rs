@@ -24,18 +24,26 @@ fn arb_insn() -> impl Strategy<Value = Insn> {
 fn send_program(code: Vec<Insn>, persistent: u32, scratch: u32) -> Program {
     let mut entries = BTreeMap::new();
     entries.insert("send".to_string(), 0);
-    Program { code, entries, persistent_size: persistent & !7, scratch_size: scratch & !7 }
+    Program {
+        code,
+        entries,
+        persistent_size: persistent & !7,
+        scratch_size: scratch & !7,
+    }
 }
 
 fn arb_program() -> impl Strategy<Value = Program> {
-    (prop::collection::vec(arb_insn(), 1..40), 0u32..256, 0u32..256).prop_map(
-        |(mut code, persistent, scratch)| {
+    (
+        prop::collection::vec(arb_insn(), 1..40),
+        0u32..256,
+        0u32..256,
+    )
+        .prop_map(|(mut code, persistent, scratch)| {
             // Force a terminating final instruction so programs have a
             // chance of validating.
             code.push(Insn::new(Op::Ret, 0, 0, 0));
             send_program(code, persistent, scratch)
-        },
-    )
+        })
 }
 
 /// A program assembled from the idioms `lower` fuses into superinstructions
@@ -45,8 +53,15 @@ fn arb_program() -> impl Strategy<Value = Program> {
 /// differential below is for.
 fn arb_idiom_program() -> impl Strategy<Value = Program> {
     const LOADS: [Op; 9] = [
-        Op::LdPkt8, Op::LdPkt16, Op::LdPkt32, Op::LdInfo8, Op::LdInfo16, Op::LdInfo32,
-        Op::LdInfo64, Op::LdMem, Op::LdScr,
+        Op::LdPkt8,
+        Op::LdPkt16,
+        Op::LdPkt32,
+        Op::LdInfo8,
+        Op::LdInfo16,
+        Op::LdInfo32,
+        Op::LdInfo64,
+        Op::LdMem,
+        Op::LdScr,
     ];
     let chunk = (0u8..10, 0u8..16, 0u8..16, -4i64..8, 0i64..100, 0u32..4).prop_map(
         |(shape, r, s, k, off, cmp)| {

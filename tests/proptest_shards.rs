@@ -41,8 +41,14 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// One scheduled driver action.
 #[derive(Debug, Clone)]
 enum Action {
-    Udp { src: usize, dst: usize, payload: Vec<u8> },
-    TcpChunk { bytes: Vec<u8> },
+    Udp {
+        src: usize,
+        dst: usize,
+        payload: Vec<u8>,
+    },
+    TcpChunk {
+        bytes: Vec<u8>,
+    },
 }
 
 /// A complete world specification, derived from one seed.
@@ -75,8 +81,7 @@ fn derive_spec(seed: u64) -> Spec {
     let mut s = seed;
     let routers = 1 + (splitmix64(&mut s) % 3) as usize;
     let hosts = 2 + (splitmix64(&mut s) % 6) as usize;
-    let router_links_ms: Vec<u64> =
-        (1..routers).map(|_| 1 + splitmix64(&mut s) % 10).collect();
+    let router_links_ms: Vec<u64> = (1..routers).map(|_| 1 + splitmix64(&mut s) % 10).collect();
     let host_links: Vec<(usize, u64, u64)> = (0..hosts)
         .map(|_| {
             let r = (splitmix64(&mut s) % routers as u64) as usize;
@@ -96,14 +101,26 @@ fn derive_spec(seed: u64) -> Spec {
                 dst = (dst + 1) % hosts;
             }
             let len = 1 + (splitmix64(&mut s) % 700) as usize;
-            (t, Action::Udp { src, dst, payload: vec![i as u8; len] })
+            (
+                t,
+                Action::Udp {
+                    src,
+                    dst,
+                    payload: vec![i as u8; len],
+                },
+            )
         })
         .collect();
     let tcp = hosts >= 2 && !splitmix64(&mut s).is_multiple_of(4);
     if tcp {
         for i in 0..3u64 {
             let t = (50 + splitmix64(&mut s) % 1000) * MILLISECOND;
-            actions.push((t, Action::TcpChunk { bytes: vec![0xc0 + i as u8; 200] }));
+            actions.push((
+                t,
+                Action::TcpChunk {
+                    bytes: vec![0xc0 + i as u8; 200],
+                },
+            ));
         }
     }
     actions.sort_by_key(|(t, _)| *t);
@@ -121,16 +138,34 @@ fn derive_spec(seed: u64) -> Spec {
             let t = (100 * MILLISECOND + splitmix64(&mut s) % SECOND) | 1;
             let host = (splitmix64(&mut s) % hosts as u64) as usize;
             let f = match splitmix64(&mut s) % 4 {
-                0 => Fault::Flap { host, down_ms: 50 + splitmix64(&mut s) % 400 },
-                1 => Fault::Delay { host, latency_ms: 1 + splitmix64(&mut s) % 20 },
+                0 => Fault::Flap {
+                    host,
+                    down_ms: 50 + splitmix64(&mut s) % 400,
+                },
+                1 => Fault::Delay {
+                    host,
+                    latency_ms: 1 + splitmix64(&mut s) % 20,
+                },
                 2 => Fault::TcpReset { node: host },
-                _ => Fault::CrashRestart { host, down_ms: 100 + splitmix64(&mut s) % 500 },
+                _ => Fault::CrashRestart {
+                    host,
+                    down_ms: 100 + splitmix64(&mut s) % 500,
+                },
             };
             (t, f)
         })
         .collect();
 
-    Spec { routers, hosts, router_links_ms, host_links, actions, timers, faults, tcp }
+    Spec {
+        routers,
+        hosts,
+        router_links_ms,
+        host_links,
+        actions,
+        timers,
+        faults,
+        tcp,
+    }
 }
 
 fn host_addr(i: usize) -> Ipv4Addr {
@@ -216,13 +251,25 @@ macro_rules! drive {
                     );
                 }
                 Fault::TcpReset { node } => {
-                    sim.schedule_fault(*t, FaultAction::TcpReset { node: hosts[*node].0 });
+                    sim.schedule_fault(
+                        *t,
+                        FaultAction::TcpReset {
+                            node: hosts[*node].0,
+                        },
+                    );
                 }
                 Fault::CrashRestart { host, down_ms } => {
-                    sim.schedule_fault(*t, FaultAction::NodeCrash { node: hosts[*host].0 });
+                    sim.schedule_fault(
+                        *t,
+                        FaultAction::NodeCrash {
+                            node: hosts[*host].0,
+                        },
+                    );
                     sim.schedule_fault(
                         *t + down_ms * MILLISECOND,
-                        FaultAction::NodeRestart { node: hosts[*host].0 },
+                        FaultAction::NodeRestart {
+                            node: hosts[*host].0,
+                        },
                     );
                 }
             }
@@ -269,13 +316,18 @@ macro_rules! drive {
             }
             (accepted.is_some(), stream)
         });
-        let tcp_client_established =
-            tcp_conn.is_some_and(|c| sim.tcp_established(hosts[0], c));
+        let tcp_client_established = tcp_conn.is_some_and(|c| sim.tcp_established(hosts[0], c));
         let mut timers = vec![Vec::new(); $nodes.len()];
         for (node, key) in fired {
             timers[node.0].push(key);
         }
-        Obs { udp, tcp, tcp_client_established, timers, end: sim.now() }
+        Obs {
+            udp,
+            tcp,
+            tcp_client_established,
+            timers,
+            end: sim.now(),
+        }
     }};
 }
 

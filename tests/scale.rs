@@ -7,7 +7,7 @@ use packetlab::controller::{experiments, ControlPlane, Controller, Credentials};
 use packetlab::descriptor::ExperimentDescriptor;
 use packetlab::endpoint::EndpointConfig;
 use packetlab::harness::{SimChannel, SimNet};
-use plab_crypto::{Keypair, KeyHash};
+use plab_crypto::{KeyHash, Keypair};
 use plab_netsim::{LinkParams, TopologyBuilder, MILLISECOND};
 use std::cell::RefCell;
 use std::net::Ipv4Addr;
@@ -28,7 +28,9 @@ fn forty_endpoint_ping_campaign() {
     let mut addrs = Vec::new();
     let mut nodes = Vec::new();
     for i in 0..N {
-        let addr: Ipv4Addr = format!("10.{}.{}.1", 10 + i / 200, 1 + (i % 200)).parse().unwrap();
+        let addr: Ipv4Addr = format!("10.{}.{}.1", 10 + i / 200, 1 + (i % 200))
+            .parse()
+            .unwrap();
         let node = t.host(&format!("ep{i}"), addr);
         // Diverse access latencies 1..=20 ms.
         t.link(node, core, LinkParams::new(1 + (i as u64 % 20), 50));
@@ -64,9 +66,14 @@ fn forty_endpoint_ping_campaign() {
         );
         let chan = SimChannel::connect(&net, controller, *addr);
         let mut ctrl = Controller::connect(chan, &creds).expect("endpoint authenticates");
-        let stats =
-            experiments::ping(&mut ctrl, "10.7.0.1".parse().unwrap(), 3, 20 * MILLISECOND, 8)
-                .expect("ping");
+        let stats = experiments::ping(
+            &mut ctrl,
+            "10.7.0.1".parse().unwrap(),
+            3,
+            20 * MILLISECOND,
+            8,
+        )
+        .expect("ping");
         assert_eq!(stats.replies.len(), 3, "endpoint {i}");
         // RTT = 2 × (access latency + 3 ms target link).
         let expect = 2 * ((1 + (i as u64 % 20)) + 3) * MILLISECOND;

@@ -55,10 +55,20 @@ fn pool() -> Pool {
     let leaf = |from: usize, descriptor: &[u8]| {
         let hash = sha256::digest(descriptor);
         let payload = CertPayload::Experiment(hash);
-        (Certificate::sign(&keys[from], payload, Restrictions::none()), hash)
+        (
+            Certificate::sign(&keys[from], payload, Restrictions::none()),
+            hash,
+        )
     };
-    let window = Restrictions { not_before: Some(100), not_after: Some(200), ..Restrictions::none() };
-    let ceiling = Restrictions { max_priority: Some(5), ..Restrictions::none() };
+    let window = Restrictions {
+        not_before: Some(100),
+        not_after: Some(200),
+        ..Restrictions::none()
+    };
+    let ceiling = Restrictions {
+        max_priority: Some(5),
+        ..Restrictions::none()
+    };
     let (leaf_a, hash_a) = leaf(1, b"a");
     let (leaf_b, hash_b) = leaf(2, b"b");
     let (leaf_c, hash_c) = leaf(4, b"c");
@@ -66,7 +76,14 @@ fn pool() -> Pool {
         chains: vec![
             (vec![delegate(0, 1, window.clone()), leaf_a], hash_a),
             (vec![delegate(0, 2, ceiling), leaf_b], hash_b),
-            (vec![delegate(0, 3, Restrictions::none()), delegate(3, 4, window), leaf_c], hash_c),
+            (
+                vec![
+                    delegate(0, 3, Restrictions::none()),
+                    delegate(3, 4, window),
+                    leaf_c,
+                ],
+                hash_c,
+            ),
         ],
         keys,
     }
@@ -78,11 +95,20 @@ enum Damage {
     None,
     /// Flip one bit of one certificate's encoding (signature, signer hash,
     /// payload or restrictions); a flip that no longer decodes is skipped.
-    FlipBit { cert: usize, bit: usize },
+    FlipBit {
+        cert: usize,
+        bit: usize,
+    },
     /// Present another pool key under the hash of a certificate's signer.
-    Rekey { cert: usize, key: usize },
+    Rekey {
+        cert: usize,
+        key: usize,
+    },
     /// Swap two certificates.
-    Reorder { a: usize, b: usize },
+    Reorder {
+        a: usize,
+        b: usize,
+    },
     /// Verify against another chain's descriptor.
     OtherDescriptor,
 }
@@ -108,13 +134,23 @@ fn arb_step() -> impl Strategy<Value = Step> {
     // Mostly the operator as root and a time inside every window.
     let now = prop_oneof![Just(150u64), Just(150u64), Just(50u64), Just(250u64)];
     let trusted = prop_oneof![Just(0usize), Just(0usize), Just(0usize), 1..5usize];
-    (0..3usize, damage, now, trusted)
-        .prop_map(|(chain, damage, now, trusted)| Step { chain, damage, now, trusted })
+    (0..3usize, damage, now, trusted).prop_map(|(chain, damage, now, trusted)| Step {
+        chain,
+        damage,
+        now,
+        trusted,
+    })
 }
 
 /// The arguments of one `verify_chain` call, or `None` for a bit flip that
 /// left a certificate undecodable (it never reaches a verifier).
-type Call = (Vec<Certificate>, HashMap<KeyHash, PublicKey>, Vec<KeyHash>, sha256::Digest256, u64);
+type Call = (
+    Vec<Certificate>,
+    HashMap<KeyHash, PublicKey>,
+    Vec<KeyHash>,
+    sha256::Digest256,
+    u64,
+);
 
 fn call(pool: &Pool, step: &Step) -> Option<Call> {
     let (mut chain, mut descriptor) = pool.chains[step.chain].clone();
@@ -175,7 +211,14 @@ proptest! {
 /// One chain-of-one per seed: the operator signs the experiment directly.
 fn direct(operator: &Keypair, seed: u8) -> (Vec<Certificate>, sha256::Digest256) {
     let hash = sha256::digest(&[seed]);
-    (vec![Certificate::sign(operator, CertPayload::Experiment(hash), Restrictions::none())], hash)
+    (
+        vec![Certificate::sign(
+            operator,
+            CertPayload::Experiment(hash),
+            Restrictions::none(),
+        )],
+        hash,
+    )
 }
 
 #[test]
@@ -187,7 +230,8 @@ fn seventeen_signatures_evict_the_first() {
     let mut memo = SigMemo::default();
     let mut verify = |seed: u8| {
         let (chain, hash) = direct(&operator, seed);
-        memo.verify_chain(&chain, &keys, &trusted, &hash, 0).expect("a valid chain");
+        memo.verify_chain(&chain, &keys, &trusted, &hash, 0)
+            .expect("a valid chain");
         counters()
     };
     for seed in 0..16 {
@@ -196,7 +240,11 @@ fn seventeen_signatures_evict_the_first() {
     assert_eq!(verify(0), (16, 1), "sixteen are remembered");
     assert_eq!(verify(16), (17, 1), "the seventeenth is new");
     assert_eq!(verify(16), (17, 2));
-    assert_eq!(verify(0), (18, 2), "the oldest was forgotten, and is verified again");
+    assert_eq!(
+        verify(0),
+        (18, 2),
+        "the oldest was forgotten, and is verified again"
+    );
     assert_eq!(verify(2), (18, 3), "the third oldest was not");
 }
 
@@ -238,7 +286,10 @@ fn world() -> World {
     let mut net = SimNet::new(t.build());
     net.add_endpoint(
         e,
-        EndpointConfig { trusted_keys: vec![KeyHash::of(&operator.public)], ..Default::default() },
+        EndpointConfig {
+            trusted_keys: vec![KeyHash::of(&operator.public)],
+            ..Default::default()
+        },
     );
     World {
         net: Rc::new(RefCell::new(net)),
@@ -271,11 +322,26 @@ fn connect(world: &World, creds: &Credentials) -> Result<(), (ErrCode, String)> 
 fn refusals(operator: &Keypair) -> Vec<(&'static str, Credentials)> {
     let issue = |seed: u8, restrictions, priority| {
         let experimenter = Keypair::from_seed(&[seed; 32]);
-        Credentials::issue(operator, &experimenter, descriptor(&experimenter), restrictions, priority)
+        Credentials::issue(
+            operator,
+            &experimenter,
+            descriptor(&experimenter),
+            restrictions,
+            priority,
+        )
     };
-    let expired = Restrictions { not_after: Some(WALL - 1), ..Restrictions::none() };
-    let early = Restrictions { not_before: Some(WALL + 1_000), ..Restrictions::none() };
-    let ceiling = Restrictions { max_priority: Some(5), ..Restrictions::none() };
+    let expired = Restrictions {
+        not_after: Some(WALL - 1),
+        ..Restrictions::none()
+    };
+    let early = Restrictions {
+        not_before: Some(WALL + 1_000),
+        ..Restrictions::none()
+    };
+    let ceiling = Restrictions {
+        max_priority: Some(5),
+        ..Restrictions::none()
+    };
 
     let (delegated, interloper) = (Keypair::from_seed(&[53; 32]), Keypair::from_seed(&[54; 32]));
     let desc = descriptor(&interloper);
@@ -286,7 +352,11 @@ fn refusals(operator: &Keypair) -> Vec<(&'static str, Credentials)> {
                 CertPayload::Delegation(KeyHash::of(&delegated.public)),
                 Restrictions::none(),
             ),
-            Certificate::sign(&interloper, CertPayload::Experiment(desc.hash()), Restrictions::none()),
+            Certificate::sign(
+                &interloper,
+                CertPayload::Experiment(desc.hash()),
+                Restrictions::none(),
+            ),
         ],
         descriptor: desc,
         keys: vec![operator.public, delegated.public, interloper.public],
@@ -296,8 +366,13 @@ fn refusals(operator: &Keypair) -> Vec<(&'static str, Credentials)> {
 
     let rogue = Keypair::from_seed(&[55; 32]);
     let experimenter = Keypair::from_seed(&[56; 32]);
-    let untrusted =
-        Credentials::issue(&rogue, &experimenter, descriptor(&experimenter), Restrictions::none(), 10);
+    let untrusted = Credentials::issue(
+        &rogue,
+        &experimenter,
+        descriptor(&experimenter),
+        Restrictions::none(),
+        10,
+    );
 
     let mut swapped = issue(57, Restrictions::none(), 10);
     swapped.descriptor.name = "swapped".into();
@@ -339,7 +414,13 @@ fn refusals_read_the_same_through_a_warm_memo() {
     assert_eq!(hits_warm, verified - 1);
     assert_eq!(verified_warm, verified + 1);
     w.net.borrow_mut().process();
-    assert_eq!(w.net.borrow().endpoint_agent(EndpointId::first()).session_count(), 0);
+    assert_eq!(
+        w.net
+            .borrow()
+            .endpoint_agent(EndpointId::first())
+            .session_count(),
+        0
+    );
 }
 
 #[test]
@@ -347,8 +428,13 @@ fn a_restarted_endpoint_remembers_nothing() {
     watch_counters();
     let w = world();
     let experimenter = Keypair::from_seed(&[60; 32]);
-    let creds =
-        Credentials::issue(&w.operator, &experimenter, descriptor(&experimenter), Restrictions::none(), 10);
+    let creds = Credentials::issue(
+        &w.operator,
+        &experimenter,
+        descriptor(&experimenter),
+        Restrictions::none(),
+        10,
+    );
     connect(&w, &creds).expect("valid credentials");
     assert_eq!(counters(), (3, 0), "two certificates and the proof");
     connect(&w, &creds).expect("valid credentials");
@@ -359,7 +445,10 @@ fn a_restarted_endpoint_remembers_nothing() {
         (1, FaultAction::NodeCrash { node: w.ep_node.0 }),
         (2, FaultAction::NodeRestart { node: w.ep_node.0 }),
     ] {
-        w.net.borrow_mut().sim.schedule_fault(now + delay * 1_000_000, action);
+        w.net
+            .borrow_mut()
+            .sim
+            .schedule_fault(now + delay * 1_000_000, action);
     }
     w.net.borrow_mut().run_until(now + 3_000_000);
     connect(&w, &creds).expect("valid credentials after the restart");
