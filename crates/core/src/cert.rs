@@ -12,6 +12,7 @@
 //! buffer space limit, and maximum priority — exactly the paper's list.
 
 use plab_crypto::{sha256, KeyHash, Keypair, PublicKey, Signature};
+use plab_packet::codec::{Reader, WireError, Writer};
 use std::collections::HashMap;
 
 /// Optional restrictions on certificate applicability (§3.3: "validity
@@ -36,78 +37,53 @@ impl Restrictions {
         Self::default()
     }
 
-    fn encode(&self, out: &mut Vec<u8>) {
-        let put_opt_u64 = |out: &mut Vec<u8>, v: &Option<u64>| match v {
-            Some(x) => {
-                out.push(1);
-                out.extend_from_slice(&x.to_le_bytes());
-            }
-            None => out.push(0),
-        };
-        put_opt_u64(out, &self.not_before);
-        put_opt_u64(out, &self.not_after);
-        match &self.monitor {
-            Some(m) => {
-                out.push(1);
-                out.extend_from_slice(&(m.len() as u32).to_le_bytes());
-                out.extend_from_slice(m);
-            }
-            None => out.push(0),
-        }
-        put_opt_u64(out, &self.max_buffer_bytes);
-        match self.max_priority {
-            Some(p) => {
-                out.push(1);
-                out.push(p);
-            }
-            None => out.push(0),
-        }
+    fn write(&self, w: &mut Writer) {
+        write_opt(w, &self.not_before, |w, v| w.u64(*v));
+        write_opt(w, &self.not_after, |w, v| w.u64(*v));
+        write_opt(w, &self.monitor, |w, m| w.bytes(m));
+        write_opt(w, &self.max_buffer_bytes, |w, v| w.u64(*v));
+        write_opt(w, &self.max_priority, |w, p| w.u8(*p));
     }
 
-    fn decode(r: &mut &[u8]) -> Option<Restrictions> {
-        fn take<'a>(r: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
-            if r.len() < n {
-                return None;
-            }
-            let (a, b) = r.split_at(n);
-            *r = b;
-            Some(a)
-        }
-        fn opt_u64(r: &mut &[u8]) -> Option<Option<u64>> {
-            match take(r, 1)?[0] {
-                0 => Some(None),
-                1 => Some(Some(u64::from_le_bytes(take(r, 8)?.try_into().ok()?))),
-                _ => None,
-            }
-        }
-        let not_before = opt_u64(r)?;
-        let not_after = opt_u64(r)?;
-        let monitor = match take(r, 1)?[0] {
-            0 => None,
-            1 => {
-                let len = u32::from_le_bytes(take(r, 4)?.try_into().ok()?) as usize;
-                if len > 1 << 20 {
-                    return None;
-                }
-                Some(take(r, len)?.to_vec())
-            }
-            _ => return None,
-        };
-        let max_buffer_bytes = opt_u64(r)?;
-        let max_priority = match take(r, 1)?[0] {
-            0 => None,
-            1 => Some(take(r, 1)?[0]),
-            _ => return None,
-        };
-        Some(Restrictions {
-            not_before,
-            not_after,
-            monitor,
-            max_buffer_bytes,
-            max_priority,
+    fn read(r: &mut Reader) -> Result<Restrictions, WireError> {
+        Ok(Restrictions {
+            not_before: read_opt(r, Reader::u64)?,
+            not_after: read_opt(r, Reader::u64)?,
+            monitor: read_opt(r, |r| Ok(r.bytes(MAX_MONITOR)?.to_vec()))?,
+            max_buffer_bytes: read_opt(r, Reader::u64)?,
+            max_priority: read_opt(r, Reader::u8)?,
         })
     }
 }
+
+/// Largest monitor a restriction may carry, in bytes.
+const MAX_MONITOR: usize = 1 << 20;
+
+/// An optional field: a presence byte (0 or 1), then the value if present.
+fn write_opt<T>(w: &mut Writer, v: &Option<T>, write: impl FnOnce(&mut Writer, &T)) {
+    match v {
+        Some(v) => {
+            w.u8(1);
+            write(w, v);
+        }
+        None => w.u8(0),
+    }
+}
+
+/// The decode half of [`write_opt`].
+fn read_opt<'a, T>(
+    r: &mut Reader<'a>,
+    read: impl FnOnce(&mut Reader<'a>) -> Result<T, WireError>,
+) -> Result<Option<T>, WireError> {
+    match r.u8()? {
+        0 => Ok(None),
+        1 => read(r).map(Some),
+        _ => Err(WireError::BadTag),
+    }
+}
+
+/// Magic and format version that open every certificate.
+const MAGIC: &[u8; 7] = b"PLCERT\x01";
 
 /// What a certificate signs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -192,13 +168,13 @@ impl Certificate {
         payload: &CertPayload,
         restrictions: &Restrictions,
     ) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(b"PLCERT\x01");
-        out.extend_from_slice(&signer.0);
-        out.push(payload.kind());
-        out.extend_from_slice(payload.hash_bytes());
-        restrictions.encode(&mut out);
-        out
+        Writer::build(0, |w| {
+            w.raw(MAGIC);
+            w.raw(&signer.0);
+            w.u8(payload.kind());
+            w.raw(payload.hash_bytes());
+            restrictions.write(w);
+        })
     }
 
     /// Create and sign a certificate.
@@ -244,35 +220,24 @@ impl Certificate {
 
     /// Deserialize.
     pub fn decode(bytes: &[u8]) -> Result<Certificate, CertError> {
-        if bytes.len() < 7 + 32 + 1 + 32 + 64 || &bytes[..7] != b"PLCERT\x01" {
-            return Err(CertError::Malformed);
-        }
-        let mut r = &bytes[7..];
-        // SAFETY-COMMENT: the length check above guarantees at least
-        // 32 + 1 + 32 + 64 bytes remain after the magic, so these fixed
-        // slices and `try_into` conversions cannot fail.
-        let signer = KeyHash(r[..32].try_into().unwrap());
-        r = &r[32..];
-        let kind = r[0];
-        let hash: [u8; 32] = r[1..33].try_into().unwrap();
-        r = &r[33..];
-        let payload = match kind {
-            0 => CertPayload::Delegation(KeyHash(hash)),
-            1 => CertPayload::Experiment(sha256::Digest256(hash)),
-            _ => return Err(CertError::Malformed),
-        };
-        let restrictions = Restrictions::decode(&mut r).ok_or(CertError::Malformed)?;
-        if r.len() != 64 {
-            return Err(CertError::Malformed);
-        }
-        // SAFETY-COMMENT: `r` is exactly 64 bytes per the check above.
-        let signature = Signature::from_bytes(r.try_into().unwrap());
-        Ok(Certificate {
-            signer,
-            payload,
-            restrictions,
-            signature,
+        Reader::all(bytes, |r| {
+            if r.take()? != *MAGIC {
+                return Err(WireError::BadTag);
+            }
+            let signer = KeyHash(r.take()?);
+            let payload = match (r.u8()?, r.take()?) {
+                (0, hash) => CertPayload::Delegation(KeyHash(hash)),
+                (1, hash) => CertPayload::Experiment(sha256::Digest256(hash)),
+                _ => return Err(WireError::BadTag),
+            };
+            Ok(Certificate {
+                signer,
+                payload,
+                restrictions: Restrictions::read(r)?,
+                signature: Signature::from_bytes(r.take()?),
+            })
         })
+        .map_err(|_| CertError::Malformed)
     }
 }
 

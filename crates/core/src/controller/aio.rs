@@ -37,6 +37,7 @@
 use super::{ClockSync, ControllerError, Credentials, PollResult};
 use crate::memory::EndpointMemory;
 use crate::wire::{Command, Message, Proto, Response};
+use plab_packet::codec::Reader;
 use std::future::Future;
 use std::net::Ipv4Addr;
 use std::pin::pin;
@@ -342,9 +343,8 @@ pub trait Plane {
     /// Read the endpoint's 64-bit clock (info offset 0).
     async fn read_clock(&mut self) -> Result<u64, ControllerError> {
         let data = self.mread(0, 8).await?;
-        Ok(u64::from_le_bytes(data.try_into().map_err(|_| {
-            ControllerError::Protocol("short clock read".into())
-        })?))
+        Reader::all(&data, Reader::u64)
+            .map_err(|_| ControllerError::Protocol("short clock read".into()))
     }
 
     /// Read an info field by name.

@@ -6,6 +6,12 @@
 //! URL describing the experiment."
 
 use plab_crypto::{sha256, KeyHash};
+use plab_packet::codec::{Reader, WireError, Writer};
+
+/// Magic and format version that open every descriptor.
+const MAGIC: &[u8; 6] = b"PLEXP\x01";
+/// Longest string field a descriptor may carry, in bytes.
+const MAX_STRING: usize = 1 << 16;
 
 /// An experiment descriptor. The descriptor deliberately does *not*
 /// contain the commands the experiment will issue — "experiments execute
@@ -27,46 +33,29 @@ pub struct ExperimentDescriptor {
 impl ExperimentDescriptor {
     /// Serialize canonically (the bytes the experiment certificate hashes).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(b"PLEXP\x01");
-        for field in [&self.name, &self.controller_addr, &self.info_url] {
-            out.extend_from_slice(&(field.len() as u32).to_le_bytes());
-            out.extend_from_slice(field.as_bytes());
-        }
-        out.extend_from_slice(&self.experimenter.0);
-        out
+        Writer::build(0, |w| {
+            w.raw(MAGIC);
+            for field in [&self.name, &self.controller_addr, &self.info_url] {
+                w.bytes(field.as_bytes());
+            }
+            w.raw(&self.experimenter.0);
+        })
     }
 
     /// Deserialize.
     pub fn decode(bytes: &[u8]) -> Option<ExperimentDescriptor> {
-        if bytes.len() < 6 || &bytes[..6] != b"PLEXP\x01" {
-            return None;
-        }
-        let mut r = &bytes[6..];
-        let mut take_str = || -> Option<String> {
-            if r.len() < 4 {
-                return None;
+        Reader::all(bytes, |r| {
+            if r.take()? != *MAGIC {
+                return Err(WireError::BadTag);
             }
-            let len = u32::from_le_bytes(r[..4].try_into().unwrap()) as usize;
-            if len > 1 << 16 || r.len() < 4 + len {
-                return None;
-            }
-            let s = String::from_utf8(r[4..4 + len].to_vec()).ok()?;
-            r = &r[4 + len..];
-            Some(s)
-        };
-        let name = take_str()?;
-        let controller_addr = take_str()?;
-        let info_url = take_str()?;
-        if r.len() != 32 {
-            return None;
-        }
-        Some(ExperimentDescriptor {
-            name,
-            controller_addr,
-            info_url,
-            experimenter: KeyHash(r.try_into().unwrap()),
+            Ok(ExperimentDescriptor {
+                name: r.string(MAX_STRING)?,
+                controller_addr: r.string(MAX_STRING)?,
+                info_url: r.string(MAX_STRING)?,
+                experimenter: KeyHash(r.take()?),
+            })
         })
+        .ok()
     }
 
     /// The descriptor hash bound by experiment certificates.

@@ -19,6 +19,7 @@
 //! address space, so a controller can pass parameters to a stateful
 //! monitor through the scratch words.
 
+use plab_packet::codec::Reader;
 use plab_packet::layout;
 
 /// Total size of the controller-visible memory.
@@ -157,13 +158,8 @@ impl EndpointMemory {
 
     /// Parse a send-log entry read back via `mread`.
     pub fn parse_sendlog_entry(data: &[u8]) -> Option<(u64, u64)> {
-        if data.len() < SENDLOG_ENTRY {
-            return None;
-        }
-        Some((
-            u64::from_le_bytes(data[..8].try_into().unwrap()),
-            u64::from_le_bytes(data[8..16].try_into().unwrap()),
-        ))
+        let mut r = Reader::new(data);
+        Some((r.u64().ok()?, r.u64().ok()?))
     }
 
     /// Endpoint-side update of a socket's state slot. Called each service
@@ -182,8 +178,7 @@ impl EndpointMemory {
     /// newer socket's entry.
     pub fn clear_sockstat(&mut self, sktid: u32) {
         let slot = (sktid as usize % SOCKSTAT_SLOTS) * SOCKSTAT_ENTRY + SOCKSTAT_OFFSET;
-        let cur = u32::from_le_bytes(self.bytes[slot..slot + 4].try_into().unwrap());
-        if cur == sktid {
+        if Reader::new(&self.bytes[slot..]).u32() == Ok(sktid) {
             self.bytes[slot..slot + SOCKSTAT_ENTRY].fill(0);
         }
     }
@@ -195,14 +190,12 @@ impl EndpointMemory {
 
     /// Parse a socket-state entry read back via `mread`.
     pub fn parse_sockstat_entry(data: &[u8]) -> Option<SockStat> {
-        if data.len() < SOCKSTAT_ENTRY {
-            return None;
-        }
+        let mut r = Reader::new(data);
         Some(SockStat {
-            sktid: u32::from_le_bytes(data[..4].try_into().unwrap()),
-            flags: u32::from_le_bytes(data[4..8].try_into().unwrap()),
-            backlog: u64::from_le_bytes(data[8..16].try_into().unwrap()),
-            peer_window: u64::from_le_bytes(data[16..24].try_into().unwrap()),
+            sktid: r.u32().ok()?,
+            flags: r.u32().ok()?,
+            backlog: r.u64().ok()?,
+            peer_window: r.u64().ok()?,
         })
     }
 }

@@ -12,8 +12,9 @@
 
 use crate::cert::{self, Certificate};
 use crate::descriptor::ExperimentDescriptor;
-use crate::wire::{self, Reader, WireError, Writer};
+use crate::wire::{self, WireError};
 use plab_crypto::{KeyHash, PublicKey};
+use plab_packet::codec::{Reader, Writer};
 use std::collections::HashMap;
 
 static M_PUBLISHES: plab_obs::metrics::Counter =
@@ -79,7 +80,7 @@ impl RvMessage {
                 keys,
             } => {
                 w.u8(0);
-                w.bundle(descriptor, chain, keys);
+                wire::write_bundle(w, descriptor, chain, keys);
             }
             RvMessage::PublishOk => w.u8(1),
             RvMessage::PublishErr { reason } => {
@@ -99,7 +100,7 @@ impl RvMessage {
                 keys,
             } => {
                 w.u8(4);
-                w.bundle(descriptor, chain, keys);
+                wire::write_bundle(w, descriptor, chain, keys);
             }
         }
     }
@@ -109,10 +110,10 @@ impl RvMessage {
     /// ([`crate::wire::MAX_CHAIN`], [`crate::wire::MAX_KEYS`]): what could
     /// not authenticate is not worth announcing.
     pub fn decode(bytes: &[u8]) -> Option<RvMessage> {
-        fn message(r: &mut Reader) -> Result<RvMessage, WireError> {
-            let msg = match r.u8()? {
+        Reader::all(bytes, |r| {
+            Ok(match r.u8()? {
                 0 => {
-                    let (descriptor, chain, keys) = r.bundle()?;
+                    let (descriptor, chain, keys) = wire::read_bundle(r)?;
                     RvMessage::Publish {
                         descriptor,
                         chain,
@@ -121,7 +122,7 @@ impl RvMessage {
                 }
                 1 => RvMessage::PublishOk,
                 2 => RvMessage::PublishErr {
-                    reason: r.string()?,
+                    reason: r.string(wire::MAX_FRAME)?,
                 },
                 3 => {
                     let n = r.u16()? as usize;
@@ -132,7 +133,7 @@ impl RvMessage {
                     RvMessage::Subscribe { channels }
                 }
                 4 => {
-                    let (descriptor, chain, keys) = r.bundle()?;
+                    let (descriptor, chain, keys) = wire::read_bundle(r)?;
                     RvMessage::Announce {
                         descriptor,
                         chain,
@@ -140,11 +141,9 @@ impl RvMessage {
                     }
                 }
                 _ => return Err(WireError::BadTag),
-            };
-            r.done()?;
-            Ok(msg)
-        }
-        message(&mut Reader::new(bytes)).ok()
+            })
+        })
+        .ok()
     }
 }
 

@@ -8,8 +8,12 @@
 //! The codec is a hand-written binary format (length-prefixed strings and
 //! byte blobs, little-endian integers) — a measurement protocol should own
 //! its wire representation rather than inherit one from a serialization
-//! framework.
+//! framework. Its fields are read and written by
+//! [`plab_packet::codec`]'s `Reader` and `Writer`, as every other
+//! PacketLab format is.
 
+pub use plab_packet::codec::WireError;
+use plab_packet::codec::{Reader, Writer};
 use std::borrow::Cow;
 
 /// Frame length prefix size.
@@ -31,34 +35,21 @@ const POLL_ENTRY_MIN: usize = 16;
 pub const MAX_POLL_PACKETS: usize = MAX_FRAME / POLL_ENTRY_MIN;
 
 /// Socket protocol selector for `nopen` (Table 1: "opens a raw IP socket
-/// ... or a TCP or UDP socket").
+/// ... or a TCP or UDP socket"). The discriminant is the wire byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum Proto {
     /// Raw IP: send/capture whole datagrams.
-    Raw,
+    Raw = 0,
     /// Native UDP socket serviced by the endpoint's OS.
-    Udp,
+    Udp = 1,
     /// Native TCP socket serviced by the endpoint's OS.
-    Tcp,
+    Tcp = 2,
 }
 
 impl Proto {
-    fn to_u8(self) -> u8 {
-        match self {
-            Proto::Raw => 0,
-            Proto::Udp => 1,
-            Proto::Tcp => 2,
-        }
-    }
-
-    fn from_u8(v: u8) -> Option<Proto> {
-        Some(match v {
-            0 => Proto::Raw,
-            1 => Proto::Udp,
-            2 => Proto::Tcp,
-            _ => return None,
-        })
-    }
+    /// Every protocol, at the index of its wire byte.
+    pub const ALL: [Proto; 3] = [Proto::Raw, Proto::Udp, Proto::Tcp];
 }
 
 /// Commands a controller issues to an endpoint (Table 1).
@@ -171,59 +162,44 @@ pub enum Response {
     },
 }
 
-/// Error codes.
+/// Error codes. The discriminant is the wire byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum ErrCode {
     /// Authentication / certificate problem.
-    Auth,
+    Auth = 0,
     /// Socket id unknown or already in use.
-    BadSocket,
+    BadSocket = 1,
     /// Operation denied by a monitor.
-    Denied,
+    Denied = 2,
     /// Malformed command or filter program.
-    Malformed,
+    Malformed = 3,
     /// Memory access out of range or read-only.
-    BadMemory,
+    BadMemory = 4,
     /// Session is suspended by a higher-priority experiment.
-    Suspended,
+    Suspended = 5,
     /// Capability unavailable (e.g. raw sockets without privilege).
-    Unsupported,
+    Unsupported = 6,
     /// Resource limits exceeded.
-    Limit,
+    Limit = 7,
     /// Endpoint at session capacity: admission refused, retry after
     /// backoff (the connection is closed after this response).
-    Busy,
+    Busy = 8,
 }
 
 impl ErrCode {
-    fn to_u8(self) -> u8 {
-        match self {
-            ErrCode::Auth => 0,
-            ErrCode::BadSocket => 1,
-            ErrCode::Denied => 2,
-            ErrCode::Malformed => 3,
-            ErrCode::BadMemory => 4,
-            ErrCode::Suspended => 5,
-            ErrCode::Unsupported => 6,
-            ErrCode::Limit => 7,
-            ErrCode::Busy => 8,
-        }
-    }
-
-    fn from_u8(v: u8) -> Option<ErrCode> {
-        Some(match v {
-            0 => ErrCode::Auth,
-            1 => ErrCode::BadSocket,
-            2 => ErrCode::Denied,
-            3 => ErrCode::Malformed,
-            4 => ErrCode::BadMemory,
-            5 => ErrCode::Suspended,
-            6 => ErrCode::Unsupported,
-            7 => ErrCode::Limit,
-            8 => ErrCode::Busy,
-            _ => return None,
-        })
-    }
+    /// Every code, at the index of its wire byte.
+    pub const ALL: [ErrCode; 9] = [
+        ErrCode::Auth,
+        ErrCode::BadSocket,
+        ErrCode::Denied,
+        ErrCode::Malformed,
+        ErrCode::BadMemory,
+        ErrCode::Suspended,
+        ErrCode::Unsupported,
+        ErrCode::Limit,
+        ErrCode::Busy,
+    ];
 }
 
 /// Asynchronous endpoint→controller notifications (§3.3 contention).
@@ -303,51 +279,22 @@ pub enum Message {
 // Encoding
 // ---------------------------------------------------------------------
 
-/// Little-endian field writer over the payload being built: the encode
-/// half of [`Reader`]. Shared with the rendezvous codec.
-pub(crate) struct Writer(Vec<u8>);
-
-impl Writer {
-    pub(crate) fn u8(&mut self, v: u8) {
-        self.0.push(v);
+/// An experiment bundle — descriptor, certificate chain, raw keys — as
+/// [`Message::Auth`] and the rendezvous `Publish`/`Announce` carry it.
+pub(crate) fn write_bundle(
+    w: &mut Writer,
+    descriptor: &[u8],
+    chain: &[Vec<u8>],
+    keys: &[[u8; 32]],
+) {
+    w.bytes(descriptor);
+    w.u16(chain.len() as u16);
+    for c in chain {
+        w.bytes(c);
     }
-
-    pub(crate) fn u16(&mut self, v: u16) {
-        self.raw(&v.to_le_bytes());
-    }
-
-    pub(crate) fn u32(&mut self, v: u32) {
-        self.raw(&v.to_le_bytes());
-    }
-
-    pub(crate) fn u64(&mut self, v: u64) {
-        self.raw(&v.to_le_bytes());
-    }
-
-    /// Fixed-size field: the bytes as they are.
-    pub(crate) fn raw(&mut self, data: &[u8]) {
-        self.0.extend_from_slice(data);
-    }
-
-    /// Variable-size field: `u32` length, then the bytes.
-    pub(crate) fn bytes(&mut self, data: &[u8]) {
-        self.u32(data.len() as u32);
-        self.raw(data);
-    }
-
-    /// An experiment bundle — descriptor, certificate chain, raw keys —
-    /// as [`Message::Auth`] and the rendezvous `Publish`/`Announce` carry
-    /// it.
-    pub(crate) fn bundle(&mut self, descriptor: &[u8], chain: &[Vec<u8>], keys: &[[u8; 32]]) {
-        self.bytes(descriptor);
-        self.u16(chain.len() as u16);
-        for c in chain {
-            self.bytes(c);
-        }
-        self.u16(keys.len() as u16);
-        for k in keys {
-            self.raw(k);
-        }
+    w.u16(keys.len() as u16);
+    for k in keys {
+        w.raw(k);
     }
 }
 
@@ -357,9 +304,7 @@ const SMALL_MESSAGE: usize = 64;
 
 /// The payload `write` produces, alone.
 pub(crate) fn payload(write: impl FnOnce(&mut Writer)) -> Vec<u8> {
-    let mut w = Writer(Vec::with_capacity(SMALL_MESSAGE));
-    write(&mut w);
-    w.0
+    Writer::build(SMALL_MESSAGE, write)
 }
 
 /// The payload `write` produces behind its length prefix, in a buffer of
@@ -374,126 +319,43 @@ pub(crate) fn framed(write: impl FnOnce(&mut Writer)) -> Vec<u8> {
 /// place: the header is a placeholder until the payload's size is known.
 fn frame_into(out: &mut Vec<u8>, write: impl FnOnce(&mut Writer)) {
     let at = out.len();
-    let mut w = Writer(std::mem::take(out));
+    let mut w = Writer::new(out);
     w.raw(&[0; FRAME_HEADER]);
     write(&mut w);
-    let len = (w.0.len() - at - FRAME_HEADER) as u32;
-    w.0[at..at + FRAME_HEADER].copy_from_slice(&len.to_le_bytes());
-    *out = w.0;
+    let len = (out.len() - at - FRAME_HEADER) as u32;
+    out[at..at + FRAME_HEADER].copy_from_slice(&len.to_le_bytes());
 }
-
-/// Codec errors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WireError {
-    /// Frame or field truncated.
-    Truncated,
-    /// Unknown tag or enum value.
-    BadTag,
-    /// Length field exceeds limits.
-    TooLarge,
-    /// Invalid UTF-8 in a string field.
-    BadString,
-}
-
-impl core::fmt::Display for WireError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            WireError::Truncated => write!(f, "truncated message"),
-            WireError::BadTag => write!(f, "unknown message tag"),
-            WireError::TooLarge => write!(f, "length field too large"),
-            WireError::BadString => write!(f, "invalid string"),
-        }
-    }
-}
-
-impl std::error::Error for WireError {}
 
 /// A decoded experiment bundle: (descriptor, certificate chain, raw keys).
 pub(crate) type Bundle = (Vec<u8>, Vec<Vec<u8>>, Vec<[u8; 32]>);
 
-/// Advancing little-endian field reader over one payload.
-pub(crate) struct Reader<'a> {
-    buf: &'a [u8],
+/// A variable-size field of a message, copied out.
+fn blob(r: &mut Reader) -> Result<Vec<u8>, WireError> {
+    Ok(r.bytes(MAX_FRAME)?.to_vec())
 }
 
-impl<'a> Reader<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
-        Reader { buf }
+/// The decode half of [`write_bundle`]. Counts are attacker-controlled:
+/// reject above the protocol limit instead of looping an attacker-chosen
+/// number of times (clamping only the Vec *capacity* still loops).
+pub(crate) fn read_bundle(r: &mut Reader) -> Result<Bundle, WireError> {
+    let descriptor = blob(r)?;
+    let n_chain = r.u16()? as usize;
+    if n_chain > MAX_CHAIN {
+        return Err(WireError::TooLarge);
     }
-
-    /// The next `N` bytes.
-    pub(crate) fn take<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
-        let (head, rest) = self
-            .buf
-            .split_first_chunk::<N>()
-            .ok_or(WireError::Truncated)?;
-        self.buf = rest;
-        Ok(*head)
+    let mut chain = Vec::with_capacity(n_chain);
+    for _ in 0..n_chain {
+        chain.push(blob(r)?);
     }
-
-    pub(crate) fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take::<1>()?[0])
+    let n_keys = r.u16()? as usize;
+    if n_keys > MAX_KEYS {
+        return Err(WireError::TooLarge);
     }
-
-    pub(crate) fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take()?))
+    let mut keys = Vec::with_capacity(n_keys);
+    for _ in 0..n_keys {
+        keys.push(r.take()?);
     }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take()?))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take()?))
-    }
-
-    pub(crate) fn bytes(&mut self) -> Result<Vec<u8>, WireError> {
-        let len = self.u32()? as usize;
-        if len > MAX_FRAME {
-            return Err(WireError::TooLarge);
-        }
-        let (head, rest) = self.buf.split_at_checked(len).ok_or(WireError::Truncated)?;
-        self.buf = rest;
-        Ok(head.to_vec())
-    }
-
-    pub(crate) fn string(&mut self) -> Result<String, WireError> {
-        String::from_utf8(self.bytes()?).map_err(|_| WireError::BadString)
-    }
-
-    /// The decode half of [`Writer::bundle`]. Counts are
-    /// attacker-controlled: reject above the protocol limit instead of
-    /// looping an attacker-chosen number of times (clamping only the Vec
-    /// *capacity* still loops).
-    pub(crate) fn bundle(&mut self) -> Result<Bundle, WireError> {
-        let descriptor = self.bytes()?;
-        let n_chain = self.u16()? as usize;
-        if n_chain > MAX_CHAIN {
-            return Err(WireError::TooLarge);
-        }
-        let mut chain = Vec::with_capacity(n_chain);
-        for _ in 0..n_chain {
-            chain.push(self.bytes()?);
-        }
-        let n_keys = self.u16()? as usize;
-        if n_keys > MAX_KEYS {
-            return Err(WireError::TooLarge);
-        }
-        let mut keys = Vec::with_capacity(n_keys);
-        for _ in 0..n_keys {
-            keys.push(self.take()?);
-        }
-        Ok((descriptor, chain, keys))
-    }
-
-    /// The payload must end where the message does.
-    pub(crate) fn done(&self) -> Result<(), WireError> {
-        if self.buf.is_empty() {
-            Ok(())
-        } else {
-            Err(WireError::BadTag)
-        }
-    }
+    Ok((descriptor, chain, keys))
 }
 
 impl Message {
@@ -521,7 +383,7 @@ impl Message {
                 proof,
             } => {
                 b.u8(2);
-                b.bundle(descriptor, chain, keys);
+                write_bundle(b, descriptor, chain, keys);
                 b.u8(*priority);
                 b.raw(proof);
             }
@@ -563,7 +425,7 @@ impl Message {
                 nonce: r.take()?,
             },
             2 => {
-                let (descriptor, chain, keys) = r.bundle()?;
+                let (descriptor, chain, keys) = read_bundle(&mut r)?;
                 Message::Auth {
                     descriptor,
                     chain,
@@ -618,7 +480,7 @@ fn encode_command(b: &mut Writer, cmd: &Command) {
         } => {
             b.u8(0);
             b.u32(*sktid);
-            b.u8(proto.to_u8());
+            b.u8(*proto as u8);
             b.u16(*locport);
             b.u32(*remaddr);
             b.u16(*remport);
@@ -661,7 +523,7 @@ fn decode_command(r: &mut Reader) -> Result<Command, WireError> {
     Ok(match r.u8()? {
         0 => Command::NOpen {
             sktid: r.u32()?,
-            proto: Proto::from_u8(r.u8()?).ok_or(WireError::BadTag)?,
+            proto: r.tag(&Proto::ALL)?,
             locport: r.u16()?,
             remaddr: r.u32()?,
             remport: r.u16()?,
@@ -670,12 +532,12 @@ fn decode_command(r: &mut Reader) -> Result<Command, WireError> {
         2 => Command::NSend {
             sktid: r.u32()?,
             time: r.u64()?,
-            data: r.bytes()?,
+            data: blob(r)?,
         },
         3 => Command::NCap {
             sktid: r.u32()?,
             time: r.u64()?,
-            filt: r.bytes()?,
+            filt: blob(r)?,
         },
         4 => Command::NPoll { time: r.u64()? },
         5 => Command::MRead {
@@ -684,7 +546,7 @@ fn decode_command(r: &mut Reader) -> Result<Command, WireError> {
         },
         6 => Command::MWrite {
             memaddr: r.u32()?,
-            data: r.bytes()?,
+            data: blob(r)?,
         },
         7 => Command::Yield,
         _ => return Err(WireError::BadTag),
@@ -719,7 +581,7 @@ fn encode_response(b: &mut Writer, resp: &Response) {
         }
         Response::Err { code, msg } => {
             b.u8(4);
-            b.u8(code.to_u8());
+            b.u8(*code as u8);
             b.bytes(msg.as_bytes());
         }
     }
@@ -729,19 +591,19 @@ fn decode_response(r: &mut Reader) -> Result<Response, WireError> {
     Ok(match r.u8()? {
         0 => Response::Ok,
         1 => Response::SendQueued { tag: r.u64()? },
-        2 => Response::Mem { data: r.bytes()? },
+        2 => Response::Mem { data: blob(r)? },
         3 => {
             // The batch count is attacker-controlled. Besides the protocol
             // ceiling, bound it by what the remaining bytes can structurally
             // hold (each entry encodes to at least POLL_ENTRY_MIN bytes), so
             // a short message with a huge count is rejected before looping.
             let n = r.u32()? as usize;
-            if n > MAX_POLL_PACKETS || n > r.buf.len() / POLL_ENTRY_MIN {
+            if n > MAX_POLL_PACKETS || n > r.remaining() / POLL_ENTRY_MIN {
                 return Err(WireError::TooLarge);
             }
             let mut packets = Vec::with_capacity(n);
             for _ in 0..n {
-                packets.push((r.u32()?, r.u64()?, r.bytes()?));
+                packets.push((r.u32()?, r.u64()?, blob(r)?));
             }
             Response::Poll {
                 packets,
@@ -750,8 +612,8 @@ fn decode_response(r: &mut Reader) -> Result<Response, WireError> {
             }
         }
         4 => Response::Err {
-            code: ErrCode::from_u8(r.u8()?).ok_or(WireError::BadTag)?,
-            msg: r.string()?.into(),
+            code: r.tag(&ErrCode::ALL)?,
+            msg: r.string(MAX_FRAME)?.into(),
         },
         _ => return Err(WireError::BadTag),
     })
@@ -819,23 +681,18 @@ impl FrameDecoder {
         // Validate every newly completed frame header now. A frame that
         // fits entirely is skipped over in O(1); the final partial frame's
         // declared length bounds how much more this stream may buffer.
-        while self.scanned + FRAME_HEADER <= self.buf.len() {
-            // Infallible: the loop condition guarantees 4 bytes at
-            // `scanned`.
-            let len = u32::from_le_bytes(
-                self.buf[self.scanned..self.scanned + FRAME_HEADER]
-                    .try_into()
-                    .unwrap(),
-            ) as usize;
-            if len > MAX_FRAME {
-                self.failed = Some(WireError::TooLarge);
-                // Keep the already-validated frames, drop the garbage tail.
-                self.buf.truncate(self.scanned);
-                break;
-            }
-            match self.scanned.checked_add(FRAME_HEADER + len) {
-                Some(end) if end <= self.buf.len() => self.scanned = end,
-                _ => break,
+        loop {
+            let mut r = Reader::new(&self.buf[self.scanned..]);
+            match r.bytes(MAX_FRAME) {
+                Ok(_) => self.scanned = self.buf.len() - r.remaining(),
+                Err(WireError::TooLarge) => {
+                    self.failed = Some(WireError::TooLarge);
+                    // Keep the already-validated frames, drop the garbage tail.
+                    self.buf.truncate(self.scanned);
+                    break;
+                }
+                // A partial header or frame: wait for more.
+                Err(_) => break,
             }
         }
     }
@@ -860,11 +717,10 @@ impl FrameDecoder {
         if self.start < self.scanned {
             // A complete, size-checked frame is buffered ahead of any
             // poisoned header: deliver frames in order first.
-            // Infallible: `extend` validated 4 header bytes at `start`.
-            let at = self.start + FRAME_HEADER;
-            let len = u32::from_le_bytes(self.buf[self.start..at].try_into().unwrap()) as usize;
-            self.start = at + len;
-            return Ok(Some(&self.buf[at..self.start]));
+            let mut r = Reader::new(&self.buf[self.start..self.scanned]);
+            let payload = r.bytes(MAX_FRAME)?;
+            self.start = self.scanned - r.remaining();
+            return Ok(Some(payload));
         }
         match self.failed {
             Some(e) => Err(e),

@@ -5,6 +5,8 @@
 //! instructions) and a memory displacement. Fixed-size encoding keeps the
 //! validator and interpreter simple — the same reason classic BPF chose it.
 
+use plab_packet::codec::{Reader, Writer};
+
 /// Operation codes.
 ///
 /// Naming: `*R` variants take `(dst, src)` registers; `*I` variants take
@@ -296,29 +298,22 @@ impl Insn {
         }
     }
 
-    /// Encode to the 12-byte wire format.
-    pub fn encode(&self) -> [u8; INSN_SIZE] {
-        let mut b = [0u8; INSN_SIZE];
-        b[0] = self.op as u8;
-        b[1] = self.dst;
-        b[2] = self.src;
-        // b[3] reserved
-        b[4..12].copy_from_slice(&self.imm.to_le_bytes());
-        b
+    /// Write the 12-byte wire format: opcode, dst, src, a reserved zero
+    /// byte, then `imm`.
+    pub fn write(&self, w: &mut Writer) {
+        w.raw(&[self.op as u8, self.dst, self.src, 0]);
+        w.u64(self.imm as u64);
     }
 
-    /// Decode from the wire format.
+    /// Decode from the wire format. The reserved byte is not checked.
     pub fn decode(b: &[u8]) -> Option<Insn> {
-        if b.len() < INSN_SIZE {
-            return None;
-        }
+        let mut r = Reader::new(b);
+        let [op, dst, src, _reserved] = r.take().ok()?;
         Some(Insn {
-            op: Op::from_u8(b[0])?,
-            dst: b[1],
-            src: b[2],
-            // SAFETY-COMMENT: the length check above guarantees b[4..12]
-            // is exactly 8 bytes, so try_into cannot fail.
-            imm: i64::from_le_bytes(b[4..12].try_into().unwrap()),
+            op: Op::from_u8(op)?,
+            dst,
+            src,
+            imm: r.u64().ok()? as i64,
         })
     }
 }
@@ -339,14 +334,15 @@ mod tests {
             Insn::pack_cmp(Op::JeqI, 2, 0xdeadbeef, -7),
         ];
         for insn in cases {
-            let enc = insn.encode();
+            let enc = Writer::build(INSN_SIZE, |w| insn.write(w));
+            assert_eq!(enc.len(), INSN_SIZE);
             assert_eq!(Insn::decode(&enc), Some(insn), "{insn:?}");
         }
     }
 
     #[test]
     fn decode_rejects_bad_opcode() {
-        let mut b = Insn::new(Op::Ret, 0, 0, 0).encode();
+        let mut b = Writer::build(INSN_SIZE, |w| Insn::new(Op::Ret, 0, 0, 0).write(w));
         b[0] = 0xff;
         assert!(Insn::decode(&b).is_none());
     }

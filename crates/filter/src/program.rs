@@ -5,6 +5,7 @@
 //! certificate"), so programs need a compact, versioned byte encoding.
 
 use crate::insn::{Insn, INSN_SIZE};
+use plab_packet::codec::{Reader, WireError, Writer};
 use std::collections::BTreeMap;
 
 /// Well-known entry point: run once when the monitor is instantiated.
@@ -50,27 +51,22 @@ impl EntryPoint {
         EntryPoint::Mirror,
     ];
 
+    /// Each entry's name as it appears in a program's entry map, in
+    /// discriminant order.
+    const NAMES: [&'static str; EntryPoint::COUNT] =
+        [ENTRY_INIT, ENTRY_SEND, ENTRY_RECV, ENTRY_OPEN, ENTRY_MIRROR];
+
     /// The entry's name as it appears in a program's entry map.
     pub fn name(self) -> &'static str {
-        match self {
-            EntryPoint::Init => ENTRY_INIT,
-            EntryPoint::Send => ENTRY_SEND,
-            EntryPoint::Recv => ENTRY_RECV,
-            EntryPoint::Open => ENTRY_OPEN,
-            EntryPoint::Mirror => ENTRY_MIRROR,
-        }
+        Self::NAMES[self as usize]
     }
 
     /// Map a name to its well-known entry, if any.
     pub fn from_name(name: &str) -> Option<EntryPoint> {
-        match name {
-            ENTRY_INIT => Some(EntryPoint::Init),
-            ENTRY_SEND => Some(EntryPoint::Send),
-            ENTRY_RECV => Some(EntryPoint::Recv),
-            ENTRY_OPEN => Some(EntryPoint::Open),
-            ENTRY_MIRROR => Some(EntryPoint::Mirror),
-            _ => None,
-        }
+        Self::NAMES
+            .iter()
+            .position(|n| *n == name)
+            .map(|i| Self::ALL[i])
     }
 }
 
@@ -85,10 +81,8 @@ pub(crate) fn is_name(s: &str) -> bool {
         && chars.all(|c| c.is_ascii_alphanumeric() || c == '_')
 }
 
-/// Serialization magic.
-const MAGIC: &[u8; 4] = b"PFVM";
-/// Current format version.
-const VERSION: u8 = 1;
+/// Serialization magic, then the format version.
+const HEADER: &[u8; 5] = b"PFVM\x01";
 
 /// Hard ceiling on persistent memory a program may declare (bytes).
 pub const MAX_PERSISTENT: u32 = 64 * 1024;
@@ -140,6 +134,14 @@ impl core::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
+/// The program format reads only fixed-size fields, whose one failure is
+/// running out of bytes.
+impl From<WireError> for DecodeError {
+    fn from(_: WireError) -> Self {
+        DecodeError::Truncated
+    }
+}
+
 impl Program {
     /// An empty program (no entries): monitors treat missing entry points
     /// as "allow", so this is the identity monitor.
@@ -159,65 +161,55 @@ impl Program {
 
     /// Serialize to the certificate-embeddable byte format.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(MAGIC);
-        out.push(VERSION);
-        out.extend_from_slice(&self.persistent_size.to_le_bytes());
-        out.extend_from_slice(&self.scratch_size.to_le_bytes());
-        out.extend_from_slice(&(self.entries.len() as u16).to_le_bytes());
-        for (name, pc) in &self.entries {
-            out.push(name.len() as u8);
-            out.extend_from_slice(name.as_bytes());
-            out.extend_from_slice(&pc.to_le_bytes());
-        }
-        out.extend_from_slice(&(self.code.len() as u32).to_le_bytes());
-        for insn in &self.code {
-            out.extend_from_slice(&insn.encode());
-        }
-        out
+        Writer::build(0, |w| {
+            w.raw(HEADER);
+            w.u32(self.persistent_size);
+            w.u32(self.scratch_size);
+            w.u16(self.entries.len() as u16);
+            for (name, pc) in &self.entries {
+                w.u8(name.len() as u8);
+                w.raw(name.as_bytes());
+                w.u32(*pc);
+            }
+            w.u32(self.code.len() as u32);
+            for insn in &self.code {
+                insn.write(w);
+            }
+        })
     }
 
     /// Deserialize; performs structural checks only (use [`crate::validate()`](crate::validate::validate)
-    /// before execution).
+    /// before execution). Accepted as they come, not refused: bytes past
+    /// the last instruction, a repeated entry name (the last one counts),
+    /// and a nonzero reserved instruction byte.
     pub fn decode(bytes: &[u8]) -> Result<Program, DecodeError> {
-        let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize| -> Result<&[u8], DecodeError> {
-            if bytes.len() < *pos + n {
-                return Err(DecodeError::Truncated);
-            }
-            let s = &bytes[*pos..*pos + n];
-            *pos += n;
-            Ok(s)
-        };
-        if take(&mut pos, 5)? != [MAGIC.as_slice(), &[VERSION]].concat() {
+        let mut r = Reader::new(bytes);
+        if r.take()? != *HEADER {
             return Err(DecodeError::BadHeader);
         }
-        // SAFETY-COMMENT: every `take(.., N)?.try_into().unwrap()` below is
-        // infallible — `take` either returns exactly N bytes or errors.
-        let persistent_size = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap());
-        let scratch_size = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap());
+        let persistent_size = r.u32()?;
+        let scratch_size = r.u32()?;
         if persistent_size > MAX_PERSISTENT || scratch_size > MAX_SCRATCH {
             return Err(DecodeError::TooLarge);
         }
-        let n_entries = u16::from_le_bytes(take(&mut pos, 2)?.try_into().unwrap());
+        let n_entries = r.u16()?;
         let mut entries = BTreeMap::new();
         for _ in 0..n_entries {
-            let len = take(&mut pos, 1)?[0] as usize;
-            let name = core::str::from_utf8(take(&mut pos, len)?)
+            let len = r.u8()? as usize;
+            let name = core::str::from_utf8(r.slice(len)?)
                 .ok()
                 .filter(|name| is_name(name))
                 .ok_or(DecodeError::BadEntryName)?
                 .to_string();
-            let pc = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap());
-            entries.insert(name, pc);
+            entries.insert(name, r.u32()?);
         }
-        let n_code = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
+        let n_code = r.u32()? as usize;
         if n_code > MAX_CODE {
             return Err(DecodeError::TooLarge);
         }
         let mut code = Vec::with_capacity(n_code);
         for i in 0..n_code {
-            let insn = Insn::decode(take(&mut pos, INSN_SIZE)?).ok_or(DecodeError::BadInsn(i))?;
+            let insn = Insn::decode(&r.take::<INSN_SIZE>()?).ok_or(DecodeError::BadInsn(i))?;
             code.push(insn);
         }
         Ok(Program {

@@ -13,6 +13,9 @@
 //! - [`icmp`] — ICMP echo / time-exceeded / destination-unreachable messages.
 //! - [`udp`], [`tcp`] — transport headers with pseudo-header checksums.
 //! - [`builder`] — ergonomic one-call constructors for whole datagrams.
+//! - [`codec`] — the little-endian field reader and writer every PacketLab
+//!   byte format (control messages, certificates, descriptors, PFVM
+//!   programs, endpoint-memory records) is read and written with.
 //! - [`layout`] — the symbolic field model (`ip.proto`, `ip.icmp.orig.ip.src`,
 //!   ...) shared by the PFVM filter machine and the Cpf compiler, mirroring
 //!   the `union packet` the paper's Figure 2 monitor is written against.
@@ -25,6 +28,7 @@
 
 pub mod builder;
 pub mod checksum;
+pub mod codec;
 pub mod icmp;
 pub mod ipv4;
 pub mod layout;
