@@ -8,7 +8,7 @@
 //! world-building helpers they share.
 
 use packetlab::cert::Restrictions;
-use packetlab::controller::{ControlPlane, Controller, Credentials};
+use packetlab::controller::{ControlPlane, Controller, Credentials, SinkHost};
 use packetlab::descriptor::ExperimentDescriptor;
 use packetlab::endpoint::EndpointConfig;
 use packetlab::harness::{SimChannel, SimNet};

@@ -961,7 +961,8 @@ impl Driver for Rc<RefCell<SimNet>> {
     /// A data wait steps one event at a time while one is due by the
     /// deadline, and a close does not end it; at the deadline it runs the
     /// world there and gives up, so the caller reads once more. A dial
-    /// steps while the connection is unestablished and an event is due.
+    /// steps while the wait does not hold (established, closed or past
+    /// its deadline) and an event is due by the deadline.
     async fn until(&self, node: NodeId, wait: Wait) -> bool {
         let n = &mut *self.borrow_mut();
         match wait {
@@ -978,8 +979,8 @@ impl Driver for Rc<RefCell<SimNet>> {
                     };
                 }
             }
-            Wait::Established { conn, deadline } => {
-                while !n.sim.tcp_established(node, conn)
+            Wait::Established { deadline, .. } => {
+                while !wait.holds(&n.sim, node)
                     && n.sim.next_event_time().is_some_and(|t| t <= deadline)
                 {
                     n.step();
@@ -1141,28 +1142,6 @@ impl SimChannel {
     pub fn net(&self) -> Rc<RefCell<SimNet>> {
         Rc::clone(&self.host.drive)
     }
-
-    /// Bind a UDP port on the controller host.
-    pub fn udp_bind(&self, port: u16) -> bool {
-        self.host.with(false, |sim, node| sim.udp_bind(node, port))
-    }
-
-    /// The controller host's address (for descriptors and UDP sinks).
-    pub fn addr(&self) -> Ipv4Addr {
-        aio::Sink::sink_addr(&self.host)
-    }
-
-    /// Advance virtual time (used by experiments waiting on wall-clock
-    /// style conditions rather than control messages).
-    pub fn wait_until(&self, time: u64) {
-        self.host.drive.borrow_mut().run_until(time);
-    }
-
-    /// Whether the underlying TCP connection is currently established.
-    pub fn is_established(&self) -> bool {
-        self.host
-            .with(false, |sim, node| sim.tcp_established(node, self.conn))
-    }
 }
 
 impl<D: Driver> aio::Sink for SimChannel<D> {
@@ -1271,6 +1250,32 @@ mod tests {
         assert_eq!(net.endpoint_agent(id).session_count(), 0);
         net.run_until(plab_netsim::SECOND);
         assert!(net.sim.now() >= plab_netsim::SECOND);
+    }
+
+    /// A dial the endpoint's host refuses with a RST, in a world whose
+    /// other traffic keeps events due past the dial's deadline, ends at
+    /// the refusal as a fleet dial does: the wait ends when
+    /// [`Wait::holds`], and dropping the failed channel runs the world
+    /// 1 s. Stepping on while the connection is merely unestablished
+    /// spent the whole 10 s deadline first.
+    #[test]
+    fn a_refused_dial_ends_at_the_reset() {
+        let mut t = plab_netsim::TopologyBuilder::new();
+        let ep = t.host("ep", "10.0.0.1".parse().unwrap());
+        let ctl = t.host("ctl", "10.0.0.2".parse().unwrap());
+        t.link(ep, ctl, plab_netsim::LinkParams::new(1, 100));
+        let net = Rc::new(RefCell::new(SimNet::new(t.build())));
+        let (ep_addr, ctl_addr) = ("10.0.0.1".parse().unwrap(), "10.0.0.2".parse().unwrap());
+        // Nothing listens on `ep`; `ctl` sends it a datagram every 10 ms.
+        for i in 0..2_000 {
+            let dgram = plab_packet::builder::udp_datagram(ctl_addr, ep_addr, 9, 9, &[0; 8]);
+            let at = i * 10 * plab_netsim::MILLISECOND;
+            net.borrow_mut().sim.schedule_send(ctl, at, dgram, i);
+        }
+        let mut dialer = SimDialer::new(&net, ctl, ep_addr);
+        assert!(aio::block_on(aio::Dialer::dial(&mut dialer)).is_none());
+        // The RST is back at 2,006,400 ns; 11,000,000,000 before.
+        assert_eq!(net.borrow().sim.now(), 1_002_006_400);
     }
 
     /// The controller's handshake-completing ACK is lost, so its Hello

@@ -5,7 +5,7 @@
 //! flow control back pressure."
 
 use packetlab::cert::Restrictions;
-use packetlab::controller::{ControlPlane, Controller, Credentials};
+use packetlab::controller::{ControlPlane, Controller, Credentials, SinkHost};
 use packetlab::descriptor::ExperimentDescriptor;
 use packetlab::endpoint::EndpointConfig;
 use packetlab::harness::{SimChannel, SimNet};

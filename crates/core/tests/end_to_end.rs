@@ -1,7 +1,7 @@
 //! End-to-end tests: controller ↔ endpoint over a simulated network.
 
 use packetlab::cert::Restrictions;
-use packetlab::controller::{experiments, ControlPlane, Controller, Credentials};
+use packetlab::controller::{experiments, ControlPlane, Controller, Credentials, SinkHost};
 use packetlab::descriptor::ExperimentDescriptor;
 use packetlab::endpoint::EndpointConfig;
 use packetlab::harness::{SimChannel, SimNet};

@@ -212,9 +212,9 @@ fn udp_socket_data_flows_through_npoll() {
     // plain sim host; have the endpoint send to the *controller's* UDP
     // port instead and verify with a reverse-path packet from the
     // controller host to the endpoint socket.
-    let ctrl_addr = ctrl.channel().addr();
+    let ctrl_addr = ctrl.channel().sink_addr();
     ctrl.nopen_udp(1, 6100, ctrl_addr, 6200).unwrap();
-    ctrl.channel().udp_bind(6200);
+    ctrl.channel().sink_bind(6200);
     // Endpoint → controller.
     let tag = ctrl.nsend(1, 0, b"from endpoint".to_vec()).unwrap();
     let later = ctrl.now() + SECOND;
