@@ -17,7 +17,8 @@
 //! themselves until an operation is done, so their `async fn`s never
 //! suspend and both carry the blocking shells
 //! ([`crate::controller::ControlChannel`] and friends); the fleet runner's
-//! driver parks its task on a [`Wait`] instead.
+//! driver parks its task on a [`Wait`] instead. Under both a dial ends when
+//! its wait holds; only the fleet's data wait also ends at a close.
 
 use crate::controller::robust::Dialer;
 use crate::controller::{aio, probe_seq, ControlChannel, SinkHost};

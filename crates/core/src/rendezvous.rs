@@ -69,7 +69,7 @@ pub enum RvMessage {
 impl RvMessage {
     /// Encode to a frame payload.
     pub fn encode(&self) -> Vec<u8> {
-        wire::payload(|w| self.write(w))
+        Writer::build(wire::SMALL_MESSAGE, |w| self.write(w))
     }
 
     pub(crate) fn write(&self, w: &mut Writer) {

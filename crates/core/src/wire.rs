@@ -300,12 +300,7 @@ pub(crate) fn write_bundle(
 
 /// Capacity a payload buffer starts with: every command and every response
 /// without a data blob fits, so the common message is one allocation.
-const SMALL_MESSAGE: usize = 64;
-
-/// The payload `write` produces, alone.
-pub(crate) fn payload(write: impl FnOnce(&mut Writer)) -> Vec<u8> {
-    Writer::build(SMALL_MESSAGE, write)
-}
+pub(crate) const SMALL_MESSAGE: usize = 64;
 
 /// The payload `write` produces behind its length prefix, in a buffer of
 /// its own.
@@ -319,7 +314,7 @@ pub(crate) fn framed(write: impl FnOnce(&mut Writer)) -> Vec<u8> {
 /// place: the header is a placeholder until the payload's size is known.
 fn frame_into(out: &mut Vec<u8>, write: impl FnOnce(&mut Writer)) {
     let at = out.len();
-    let mut w = Writer::new(out);
+    let mut w = Writer(out);
     w.raw(&[0; FRAME_HEADER]);
     write(&mut w);
     let len = (out.len() - at - FRAME_HEADER) as u32;
@@ -361,7 +356,7 @@ pub(crate) fn read_bundle(r: &mut Reader) -> Result<Bundle, WireError> {
 impl Message {
     /// Encode into a payload (no frame header).
     pub fn encode(&self) -> Vec<u8> {
-        payload(|w| self.write(w))
+        Writer::build(SMALL_MESSAGE, |w| self.write(w))
     }
 
     fn write(&self, b: &mut Writer) {

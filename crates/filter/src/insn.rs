@@ -205,11 +205,6 @@ impl Op {
         all
     };
 
-    /// Decode an opcode byte.
-    pub fn from_u8(v: u8) -> Option<Op> {
-        Op::ALL.get(v as usize).copied()
-    }
-
     /// The mnemonic and operand shape of the text format.
     pub(crate) fn syntax(self) -> (&'static str, Shape) {
         let (_, mnemonic, shape) = TABLE[self as usize];
@@ -308,9 +303,10 @@ impl Insn {
     /// Decode from the wire format. The reserved byte is not checked.
     pub fn decode(b: &[u8]) -> Option<Insn> {
         let mut r = Reader::new(b);
-        let [op, dst, src, _reserved] = r.take().ok()?;
+        let op = r.tag(&Op::ALL).ok()?;
+        let [dst, src, _reserved] = r.take().ok()?;
         Some(Insn {
-            op: Op::from_u8(op)?,
+            op,
             dst,
             src,
             imm: r.u64().ok()? as i64,
@@ -371,9 +367,9 @@ mod tests {
     #[test]
     fn opcode_roundtrip_all() {
         for op in Op::ALL {
-            assert_eq!(Op::from_u8(op as u8), Some(op));
+            assert_eq!(Reader::new(&[op as u8]).tag(&Op::ALL), Ok(op));
         }
-        assert!(Op::from_u8(Op::ALL.len() as u8).is_none());
+        assert!(Reader::new(&[Op::ALL.len() as u8]).tag(&Op::ALL).is_err());
     }
 
     #[test]

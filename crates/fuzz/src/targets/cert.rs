@@ -22,6 +22,7 @@ use packetlab::cert::{
     verify_cert_set, verify_chain, CertPayload, Certificate, Restrictions, SigMemo,
 };
 use plab_crypto::{sha256, KeyHash, Keypair, PublicKey};
+use plab_packet::codec::{Reader, Writer};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::HashMap;
 
@@ -67,25 +68,15 @@ fn fixture() -> Fixture {
 }
 
 fn encode_bundle(certs: &[Certificate]) -> Vec<u8> {
-    let mut out = Vec::new();
-    for c in certs {
-        let enc = c.encode();
-        out.extend_from_slice(&(enc.len() as u32).to_le_bytes());
-        out.extend_from_slice(&enc);
-    }
-    out
+    Writer::build(0, |w| certs.iter().for_each(|c| w.bytes(&c.encode())))
 }
 
 /// Parse a bundle; `None` on any framing or certificate decode failure.
 fn decode_bundle(bytes: &[u8]) -> Option<Vec<Certificate>> {
     let mut certs = Vec::new();
-    let mut r = bytes;
-    while !r.is_empty() {
-        let len = u32::from_le_bytes(r.get(..4)?.try_into().ok()?) as usize;
-        r = &r[4..];
-        let blob = r.get(..len)?;
-        r = &r[len..];
-        let cert = Certificate::decode(blob).ok()?;
+    let mut r = Reader::new(bytes);
+    while r.remaining() > 0 {
+        let cert = Certificate::decode(r.bytes(usize::MAX).ok()?).ok()?;
         // Round-trip oracle is checked by the caller; cap bundle size so a
         // mutated length field cannot make this loop allocate unboundedly.
         if certs.len() >= 64 {

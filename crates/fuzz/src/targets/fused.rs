@@ -18,6 +18,7 @@ use crate::reference::RefVm;
 use crate::targets::filter::gen_program;
 use crate::{exec_one, Exec, Report};
 use plab_filter::{validate, EntryPoint, FusedVm, Program, Verdict};
+use plab_packet::codec::{Reader, Writer};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// Per-monitor fuel for differential runs.
@@ -26,22 +27,13 @@ const FUEL: u64 = 10_000;
 /// Split the blob into its length-prefixed program encodings plus the
 /// trailing packet material. `None` means structurally unparseable.
 fn split_blob(bytes: &[u8]) -> Option<(Vec<&[u8]>, &[u8])> {
-    let (&nb, mut rest) = bytes.split_first()?;
-    let n = 1 + (nb as usize % 4);
-    let mut parts = Vec::with_capacity(n);
-    for _ in 0..n {
-        if rest.len() < 4 {
-            return None;
-        }
-        let len = u32::from_le_bytes(rest[..4].try_into().unwrap()) as usize;
-        rest = &rest[4..];
-        if rest.len() < len {
-            return None;
-        }
-        parts.push(&rest[..len]);
-        rest = &rest[len..];
-    }
-    Some((parts, rest))
+    let mut r = Reader::new(bytes);
+    let n = 1 + (r.u8().ok()? as usize % 4);
+    let parts = (0..n)
+        .map(|_| r.bytes(usize::MAX))
+        .collect::<Result<_, _>>()
+        .ok()?;
+    Some((parts, r.slice(r.remaining()).ok()?))
 }
 
 /// The sequential chain walk the fused engine must be indistinguishable
@@ -173,13 +165,11 @@ pub fn run(seed: u64, iters: u64) -> Report {
                 };
                 encs.push(enc);
             }
-            let mut b = vec![(n - 1) as u8];
-            for enc in &encs {
-                b.extend_from_slice(&(enc.len() as u32).to_le_bytes());
-                b.extend_from_slice(enc);
-            }
-            b.extend_from_slice(&random_bytes(&mut rng, 64));
-            b
+            Writer::build(0, |w| {
+                w.u8((n - 1) as u8);
+                encs.iter().for_each(|enc| w.bytes(enc));
+                w.raw(&random_bytes(&mut rng, 64));
+            })
         } else {
             random_bytes(&mut rng, 160)
         };

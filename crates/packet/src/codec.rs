@@ -1,13 +1,9 @@
-//! The one byte layout of every PacketLab format: little-endian integers,
-//! fixed-size fields as they are, and variable-size fields behind a `u32`
-//! length. Control and rendezvous messages, certificates and their
-//! restrictions, experiment descriptors, PFVM programs and endpoint-memory
-//! records are all written by [`Writer`] and read by [`Reader`].
-//!
-//! A reader never allocates: variable-size fields come back borrowed, and
-//! each format checks its own length limit in [`Reader::bytes`] before it
-//! copies anything out. Each format also keeps its own error type, mapping
-//! [`WireError`] onto it.
+//! The one byte layout of every PacketLab format — little-endian integers,
+//! fixed-size fields as they are, variable-size fields behind a `u32`
+//! length — written by [`Writer`] and read by [`Reader`]. A reader borrows
+//! what it reads: each format checks its own length limit in
+//! [`Reader::bytes`] before it copies anything out, and maps [`WireError`]
+//! onto its own error type.
 
 /// Codec errors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,47 +31,17 @@ impl core::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Little-endian field writer appending to a byte buffer: the encode half
-/// of [`Reader`].
-pub struct Writer<'a>(&'a mut Vec<u8>);
+/// Little-endian field writer appending to the buffer it holds: the
+/// encode half of [`Reader`].
+pub struct Writer<'a>(pub &'a mut Vec<u8>);
 
-impl<'a> Writer<'a> {
-    /// Append to `out`.
-    #[inline]
-    pub fn new(out: &'a mut Vec<u8>) -> Self {
-        Writer(out)
-    }
-
+impl Writer<'_> {
     /// A `capacity`-byte buffer holding what `write` writes.
     #[inline]
     pub fn build(capacity: usize, write: impl FnOnce(&mut Writer)) -> Vec<u8> {
         let mut out = Vec::with_capacity(capacity);
         write(&mut Writer(&mut out));
         out
-    }
-
-    /// One byte.
-    #[inline]
-    pub fn u8(&mut self, v: u8) {
-        self.0.push(v);
-    }
-
-    /// A little-endian `u16`.
-    #[inline]
-    pub fn u16(&mut self, v: u16) {
-        self.raw(&v.to_le_bytes());
-    }
-
-    /// A little-endian `u32`.
-    #[inline]
-    pub fn u32(&mut self, v: u32) {
-        self.raw(&v.to_le_bytes());
-    }
-
-    /// A little-endian `u64`.
-    #[inline]
-    pub fn u64(&mut self, v: u64) {
-        self.raw(&v.to_le_bytes());
     }
 
     /// Fixed-size field: the bytes as they are.
@@ -91,6 +57,33 @@ impl<'a> Writer<'a> {
         self.raw(data);
     }
 }
+
+/// The integer fields, written and read little-endian.
+macro_rules! integers {
+    ($($t:ident),*) => {
+        impl Writer<'_> {
+            $(
+                #[doc = concat!("A `", stringify!($t), "`.")]
+                #[inline]
+                pub fn $t(&mut self, v: $t) {
+                    self.raw(&v.to_le_bytes());
+                }
+            )*
+        }
+
+        impl Reader<'_> {
+            $(
+                #[doc = concat!("A `", stringify!($t), "`.")]
+                #[inline]
+                pub fn $t(&mut self) -> Result<$t, WireError> {
+                    Ok($t::from_le_bytes(self.take()?))
+                }
+            )*
+        }
+    };
+}
+
+integers!(u8, u16, u32, u64);
 
 /// Advancing little-endian field reader over a byte slice.
 pub struct Reader<'a> {
@@ -140,30 +133,6 @@ impl<'a> Reader<'a> {
         let (head, rest) = self.buf.split_at_checked(len).ok_or(WireError::Truncated)?;
         self.buf = rest;
         Ok(head)
-    }
-
-    /// One byte.
-    #[inline]
-    pub fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take::<1>()?[0])
-    }
-
-    /// A little-endian `u16`.
-    #[inline]
-    pub fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take()?))
-    }
-
-    /// A little-endian `u32`.
-    #[inline]
-    pub fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take()?))
-    }
-
-    /// A little-endian `u64`.
-    #[inline]
-    pub fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take()?))
     }
 
     /// A one-byte tag, as the index of its value in `table`.
