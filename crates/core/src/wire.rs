@@ -49,7 +49,7 @@ pub enum Proto {
 
 impl Proto {
     /// Every protocol, at the index of its wire byte.
-    pub const ALL: [Proto; 3] = [Proto::Raw, Proto::Udp, Proto::Tcp];
+    pub(crate) const ALL: [Proto; 3] = [Proto::Raw, Proto::Udp, Proto::Tcp];
 }
 
 /// Commands a controller issues to an endpoint (Table 1).
@@ -189,7 +189,7 @@ pub enum ErrCode {
 
 impl ErrCode {
     /// Every code, at the index of its wire byte.
-    pub const ALL: [ErrCode; 9] = [
+    pub(crate) const ALL: [ErrCode; 9] = [
         ErrCode::Auth,
         ErrCode::BadSocket,
         ErrCode::Denied,
