@@ -8,8 +8,7 @@
 //! endpoints ([`plab_netsim::roster`]) under a **scheduler config**
 //! ([`config`]: concurrency cap, token-bucket launch rate limit,
 //! retry/backoff budget), one task per roster pair, and emits a machine-readable **run report** ([`report`]:
-//! JSON-SEQ event stream, aggregate summary with percentile histograms,
-//! rotated result files).
+//! JSON-SEQ event stream, aggregate summary with percentile histograms).
 //!
 //! The experiment code itself is the measurement library every
 //! single-endpoint run uses (`packetlab::controller::experiments` driven

@@ -8,9 +8,6 @@
 //! formatting ambiguity, so a replay of the same `(seed, roster,
 //! config)` yields byte-identical output.
 
-use std::io::Write as _;
-use std::path::PathBuf;
-
 use packetlab::controller::robust::RetryStats;
 use plab_obs::export::{fnv1a64, json_escape};
 
@@ -179,37 +176,6 @@ impl RunReport {
         out.push(b'\n');
         out
     }
-
-    /// Write the report under `dir` as rotated JSON-SEQ files
-    /// (`<prefix>.0000.json-seq`, `.0001`, ...) of at most
-    /// `rotate_every` event records each, plus `<prefix>.summary.json`.
-    /// Returns the paths written.
-    pub fn write_rotated(
-        &self,
-        dir: &std::path::Path,
-        prefix: &str,
-        rotate_every: usize,
-    ) -> std::io::Result<Vec<PathBuf>> {
-        std::fs::create_dir_all(dir)?;
-        let chunk = rotate_every.max(1);
-        let mut paths = Vec::new();
-        for (i, events) in self.events.chunks(chunk).enumerate() {
-            let path = dir.join(format!("{prefix}.{i:04}.json-seq"));
-            let mut f = std::fs::File::create(&path)?;
-            for e in events {
-                f.write_all(&[0x1e])?;
-                f.write_all(e.as_bytes())?;
-                f.write_all(b"\n")?;
-            }
-            paths.push(path);
-        }
-        let path = dir.join(format!("{prefix}.summary.json"));
-        let mut f = std::fs::File::create(&path)?;
-        f.write_all(self.summary.as_bytes())?;
-        f.write_all(b"\n")?;
-        paths.push(path);
-        Ok(paths)
-    }
 }
 
 /// Render one `outcome` event record.
@@ -319,18 +285,5 @@ mod tests {
         for rec in records {
             assert_eq!(*rec.last().unwrap(), b'\n');
         }
-    }
-
-    #[test]
-    fn rotation_splits_event_files() {
-        let dir = std::env::temp_dir().join(format!("plab-runner-report-{}", std::process::id()));
-        let events: Vec<String> = (0..10).map(|i| format!("{{\"i\":{i}}}")).collect();
-        let r = RunReport::seal(events, "{\"s\":1}".into());
-        let paths = r.write_rotated(&dir, "run", 4).unwrap();
-        // 10 events at 4/file -> 3 event files + 1 summary.
-        assert_eq!(paths.len(), 4);
-        let first = std::fs::read(&paths[0]).unwrap();
-        assert_eq!(first.iter().filter(|&&b| b == 0x1e).count(), 4);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }
