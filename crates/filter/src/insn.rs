@@ -300,11 +300,13 @@ impl Insn {
         w.u64(self.imm as u64);
     }
 
-    /// Decode from the wire format. The reserved byte is not checked.
+    /// Decode from the wire format; a nonzero reserved byte is refused.
     pub fn decode(b: &[u8]) -> Option<Insn> {
         let mut r = Reader::new(b);
         let op = r.tag(&Op::ALL).ok()?;
-        let [dst, src, _reserved] = r.take().ok()?;
+        let [dst, src, 0] = r.take().ok()? else {
+            return None;
+        };
         Some(Insn {
             op,
             dst,

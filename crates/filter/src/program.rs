@@ -118,6 +118,11 @@ pub enum DecodeError {
     TooLarge,
     /// Entry name is not a name (see [`crate::asm`]): `[A-Za-z_][A-Za-z0-9_]*`.
     BadEntryName,
+    /// An entry name repeats or follows a greater one: [`Program::encode`]
+    /// writes them once each, in ascending order.
+    EntryOrder,
+    /// Bytes follow the last instruction.
+    TrailingBytes,
 }
 
 impl core::fmt::Display for DecodeError {
@@ -128,6 +133,8 @@ impl core::fmt::Display for DecodeError {
             DecodeError::BadInsn(i) => write!(f, "undecodable instruction at {i}"),
             DecodeError::TooLarge => write!(f, "declared size exceeds ceiling"),
             DecodeError::BadEntryName => write!(f, "invalid entry point name"),
+            DecodeError::EntryOrder => write!(f, "entry names repeated or out of order"),
+            DecodeError::TrailingBytes => write!(f, "bytes after the last instruction"),
         }
     }
 }
@@ -179,9 +186,9 @@ impl Program {
     }
 
     /// Deserialize; performs structural checks only (use [`crate::validate()`](crate::validate::validate)
-    /// before execution). Accepted as they come, not refused: bytes past
-    /// the last instruction, a repeated entry name (the last one counts),
-    /// and a nonzero reserved instruction byte.
+    /// before execution). Only [`Program::encode`]'s output is accepted, so
+    /// one program has one encoding: entry names ascend without repeats, a
+    /// reserved instruction byte is zero and nothing follows the code.
     pub fn decode(bytes: &[u8]) -> Result<Program, DecodeError> {
         let mut r = Reader::new(bytes);
         if r.take()? != *HEADER {
@@ -201,6 +208,9 @@ impl Program {
                 .filter(|name| is_name(name))
                 .ok_or(DecodeError::BadEntryName)?
                 .to_string();
+            if entries.last_key_value().is_some_and(|(last, _)| *last >= name) {
+                return Err(DecodeError::EntryOrder);
+            }
             entries.insert(name, r.u32()?);
         }
         let n_code = r.u32()? as usize;
@@ -211,6 +221,9 @@ impl Program {
         for i in 0..n_code {
             let insn = Insn::decode(&r.take::<INSN_SIZE>()?).ok_or(DecodeError::BadInsn(i))?;
             code.push(insn);
+        }
+        if r.remaining() > 0 {
+            return Err(DecodeError::TrailingBytes);
         }
         Ok(Program {
             code,
@@ -295,6 +308,36 @@ mod tests {
         let code_start = 5 + 8 + 2 + entries_len + 4;
         bytes[code_start] = 0xee;
         assert_eq!(Program::decode(&bytes), Err(DecodeError::BadInsn(0)));
+    }
+
+    #[test]
+    fn decode_refuses_a_nonzero_reserved_byte() {
+        let mut bytes = sample().encode();
+        // The first instruction's reserved byte: after the header, the
+        // sizes, the entries (`recv`, `send`: 9 bytes each) and the count.
+        bytes[5 + 8 + 2 + 18 + 4 + 3] = 1;
+        assert_eq!(Program::decode(&bytes), Err(DecodeError::BadInsn(0)));
+    }
+
+    #[test]
+    fn decode_refuses_entries_repeated_or_out_of_order() {
+        let bytes = sample().encode();
+        let (recv, send) = (15..24, 24..33);
+        let mut swapped = bytes.clone();
+        swapped[recv.clone()].copy_from_slice(&bytes[send.clone()]);
+        swapped[send.clone()].copy_from_slice(&bytes[recv.clone()]);
+        let mut repeated = bytes.clone();
+        repeated[send].copy_from_slice(&bytes[recv]);
+        for forged in [swapped, repeated] {
+            assert_eq!(Program::decode(&forged), Err(DecodeError::EntryOrder));
+        }
+    }
+
+    #[test]
+    fn decode_refuses_bytes_after_the_last_instruction() {
+        let mut bytes = sample().encode();
+        bytes.push(0);
+        assert_eq!(Program::decode(&bytes), Err(DecodeError::TrailingBytes));
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! | `wire`   | `Message::decode` + `FrameDecoder`       | no panic; decode→encode→decode fixed point; canonical re-encode; split invariance over adversarial chunkings; sticky error + bounded buffering after poison |
 //! | `cert`   | `Certificate::decode` + chain/set verify | no panic; decode→encode→decode fixed point; any single-byte corruption of a signed certificate must be rejected |
 //! | `cpf`    | `lex → parse → sema → codegen`           | no panic; compiler output always validates; compiled programs agree with the naive reference VM (verdict, persistent memory, instruction count) |
-//! | `filter` | `Program::decode` + `validate` + `Vm`    | no panic; decode fixed point; "validator accepts ⇒ VM terminates within fuel without trapping unsafely"; differential vs the reference VM |
+//! | `filter` | `Program::decode` + `validate` + `Vm`    | no panic; accepted bytes are canonical; "validator accepts ⇒ VM terminates within fuel without trapping unsafely"; differential vs the reference VM |
 //! | `fused`  | `FusedVm` monitor-chain execution        | no panic; fused + threaded + outcome-replay execution of arbitrary validated chains is bit-identical to the sequential reference walk (composite verdicts, per-monitor persistent memory, per-monitor fuel attribution) |
 //!
 //! Every input that ever violated an oracle is minimized and checked into

@@ -2,9 +2,8 @@
 //!
 //! The blob is a candidate `Program` encoding. Oracles:
 //!
-//! - `Program::decode` never panics and accepted programs survive an
-//!   encode→decode round trip (idempotent — the reserved instruction byte
-//!   makes raw-bytes canonicality too strong);
+//! - `Program::decode` never panics and accepts only canonical bytes:
+//!   every accepted blob is exactly what `encode` writes for its program;
 //! - `validate` never panics on any decodable program;
 //! - the load-bearing safety property: *validator accepts ⇒ the VM
 //!   terminates within its fuel bound and any fault is a typed `Trap`*,
@@ -77,13 +76,8 @@ pub fn check(bytes: &[u8]) -> Result<Exec, String> {
         Ok(p) => p,
         Err(_) => return Ok(Exec::Rejected),
     };
-    match Program::decode(&program.encode()) {
-        Ok(p2) if p2 == program => {}
-        other => {
-            return Err(format!(
-                "program encode/decode not a fixed point: {other:?}"
-            ))
-        }
+    if program.encode() != bytes {
+        return Err("an accepted program encodes to other bytes".into());
     }
     if validate(&program).is_err() {
         return Ok(Exec::Rejected);
