@@ -208,7 +208,10 @@ impl Program {
                 .filter(|name| is_name(name))
                 .ok_or(DecodeError::BadEntryName)?
                 .to_string();
-            if entries.last_key_value().is_some_and(|(last, _)| *last >= name) {
+            if entries
+                .last_key_value()
+                .is_some_and(|(last, _)| *last >= name)
+            {
                 return Err(DecodeError::EntryOrder);
             }
             entries.insert(name, r.u32()?);
