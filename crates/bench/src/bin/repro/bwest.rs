@@ -18,8 +18,7 @@
 //!   committed record; `repro guard bwest` pins the same trace digest).
 //!
 //! Pass bar (same as the guard's): ≥ 18 of 20 topologies with every
-//! destination inside the 20% accuracy budget. `--json` prints the
-//! report on stdout.
+//! destination inside the 20% accuracy budget.
 
 use plab_bench::bwest::{passes_per_event, run_corpus, BwestPoint, MIN_WITHIN, TOLERANCE_PCT};
 use plab_bench::reportjson::{emit_report, json_rows};
@@ -56,9 +55,7 @@ fn render_row(p: &BwestPoint) -> String {
     )
 }
 
-pub fn run(opts: &crate::Opts) -> i32 {
-    let json = opts.json;
-
+pub fn run(_: &crate::Opts) -> i32 {
     let (points, qlog, prom) = run_corpus();
     let events: u64 = points.iter().map(|p| p.events).sum();
     let per_event = passes_per_event(&points);
@@ -73,30 +70,28 @@ pub fn run(opts: &crate::Opts) -> i32 {
         points.iter().filter(|p| p.worst_error_pct() <= TOLERANCE_PCT).count();
     let pass = within >= MIN_WITHIN && artifacts_identical && replay_rows_match;
 
-    if !json {
+    println!(
+        "bwest accuracy: {} topologies, {TOLERANCE_PCT}% budget (bar: {MIN_WITHIN} within)\n",
+        points.len()
+    );
+    for p in &points {
+        let d0 = &p.report.dests[0];
         println!(
-            "bwest accuracy: {} topologies, {TOLERANCE_PCT}% budget (bar: {MIN_WITHIN} within)\n",
-            points.len()
-        );
-        for p in &points {
-            let d0 = &p.report.dests[0];
-            println!(
-                "{:>16}  est {:>10} bps (truth {:>10})  err {:>+6.1}%  {:>6}  {}",
-                p.name,
-                d0.bits_per_sec,
-                p.truth[0],
-                p.error_pct(0),
-                confidence_name(d0.confidence),
-                if p.worst_error_pct() <= TOLERANCE_PCT { "ok" } else { "MISS" },
-            );
-        }
-        println!(
-            "\n{within}/{} within budget; trace {trace_fnv:#018x} prom {prom_fnv:#018x} \
-             replay {}; {events} events, {per_event:.3} servicing passes per event",
-            points.len(),
-            if artifacts_identical && replay_rows_match { "identical" } else { "DIVERGED" },
+            "{:>16}  est {:>10} bps (truth {:>10})  err {:>+6.1}%  {:>6}  {}",
+            p.name,
+            d0.bits_per_sec,
+            p.truth[0],
+            p.error_pct(0),
+            confidence_name(d0.confidence),
+            if p.worst_error_pct() <= TOLERANCE_PCT { "ok" } else { "MISS" },
         );
     }
+    println!(
+        "\n{within}/{} within budget; trace {trace_fnv:#018x} prom {prom_fnv:#018x} \
+         replay {}; {events} events, {per_event:.3} servicing passes per event",
+        points.len(),
+        if artifacts_identical && replay_rows_match { "identical" } else { "DIVERGED" },
+    );
 
     std::fs::write("bwest_trace.jsonseq", &qlog).expect("write qlog trace");
     std::fs::write("bwest_metrics.prom", &prom).expect("write prometheus exposition");
@@ -112,6 +107,6 @@ pub fn run(opts: &crate::Opts) -> i32 {
     );
     out.push_str(&json_rows(&rows, "    "));
     out.push_str(&format!("\n  ],\n  \"pass\": {pass}\n}}\n"));
-    emit_report("bwest", "BENCH_bwest.json", &out, json);
+    emit_report("bwest", "BENCH_bwest.json", &out);
     i32::from(!pass)
 }

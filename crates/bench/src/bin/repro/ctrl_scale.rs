@@ -15,8 +15,8 @@
 //! Any divergence, a speedup below 10x at ≥ 64 sessions, or a p99 above
 //! the RTT floor exits non-zero.
 //!
-//! Results land in `BENCH_ctrl.json`, a record no guard reads. `--json`
-//! prints the same report on stdout.
+//! Results land in `BENCH_ctrl.json`, a record no guard reads. Wall-clock
+//! rates go to stderr.
 
 use plab_bench::ctrl::{self, PhaseStats, RTT_NS};
 use plab_bench::reportjson::{emit_report, json_f, json_rows};
@@ -32,26 +32,26 @@ struct Point {
 
 /// Run one session-count point twice; keep the faster wall time (the
 /// slower run amortizes cold caches) and check the determinism contract.
-fn measure(sessions: usize, ops_per_session: u32, json: bool) -> Point {
+fn measure(sessions: usize, ops_per_session: u32) -> Point {
     let first = ctrl::point(sessions, ops_per_session);
     let again = ctrl::point(sessions, ops_per_session);
     let replay_identical = first.digest == again.digest
         && first.virtual_ns == again.virtual_ns
         && first.p99_ns == again.p99_ns;
     let stats = if again.wall_secs < first.wall_secs { again } else { first };
-    if !json {
-        println!(
-            "{:>5} sessions: {:>9.1} virtual ops/s, {:>9.1} wall ops/s ({:.3} s wall), \
-             p99 {:.1} ms, digest {:#018x}{}",
-            sessions,
-            stats.virtual_ops_per_sec(),
-            stats.wall_ops_per_sec(),
-            stats.wall_secs,
-            stats.p99_ns as f64 / 1e6,
-            stats.digest,
-            if replay_identical { "" } else { "  REPLAY DIVERGED" },
-        );
-    }
+    println!(
+        "{:>5} sessions: {:>9.1} virtual ops/s, p99 {:.1} ms, digest {:#018x}{}",
+        sessions,
+        stats.virtual_ops_per_sec(),
+        stats.p99_ns as f64 / 1e6,
+        stats.digest,
+        if replay_identical { "" } else { "  REPLAY DIVERGED" },
+    );
+    eprintln!(
+        "{sessions:>5} sessions: {:>9.1} wall ops/s ({:.3} s wall)",
+        stats.wall_ops_per_sec(),
+        stats.wall_secs,
+    );
     Point { stats, replay_identical }
 }
 
@@ -72,18 +72,14 @@ fn render_row(p: &Point, speedup: f64) -> String {
     )
 }
 
-pub fn run(opts: &crate::Opts) -> i32 {
-    let json = opts.json;
+pub fn run(_: &crate::Opts) -> i32 {
+    println!(
+        "control-plane scale: multiplexed stop-and-wait sessions over a \
+         {:.0} ms virtual RTT, {OPS} ops/session\n",
+        RTT_NS as f64 / 1e6
+    );
 
-    if !json {
-        println!(
-            "control-plane scale: multiplexed stop-and-wait sessions over a \
-             {:.0} ms virtual RTT, {OPS} ops/session\n",
-            RTT_NS as f64 / 1e6
-        );
-    }
-
-    let points: Vec<Point> = SWEEP.iter().map(|&n| measure(n, OPS, json)).collect();
+    let points: Vec<Point> = SWEEP.iter().map(|&n| measure(n, OPS)).collect();
 
     // The serial baseline is the sweep's 1-session point.
     let serial_vops = points[0].stats.virtual_ops_per_sec();
@@ -92,22 +88,18 @@ pub fn run(opts: &crate::Opts) -> i32 {
     for p in &points {
         let speedup = p.stats.virtual_ops_per_sec() / serial_vops;
         if p.stats.sessions >= 64 && speedup < 10.0 {
-            if !json {
-                println!(
-                    "SPEEDUP TOO LOW: {} sessions only {speedup:.1}x over serial",
-                    p.stats.sessions
-                );
-            }
+            println!(
+                "SPEEDUP TOO LOW: {} sessions only {speedup:.1}x over serial",
+                p.stats.sessions
+            );
             pass = false;
         }
         if p.stats.p99_ns > RTT_NS {
-            if !json {
-                println!(
-                    "P99 ABOVE RTT FLOOR: {} sessions at {:.1} ms",
-                    p.stats.sessions,
-                    p.stats.p99_ns as f64 / 1e6
-                );
-            }
+            println!(
+                "P99 ABOVE RTT FLOOR: {} sessions at {:.1} ms",
+                p.stats.sessions,
+                p.stats.p99_ns as f64 / 1e6
+            );
             pass = false;
         }
     }
@@ -122,6 +114,6 @@ pub fn run(opts: &crate::Opts) -> i32 {
     );
     out.push_str(&json_rows(&rows, "    "));
     out.push_str(&format!("\n  ],\n  \"pass\": {pass}\n}}\n"));
-    emit_report("ctrl_scale", "BENCH_ctrl.json", &out, json);
+    emit_report("ctrl_scale", "BENCH_ctrl.json", &out);
     i32::from(!pass)
 }

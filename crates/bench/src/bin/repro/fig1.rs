@@ -5,7 +5,8 @@
 //! verification cost as delegation depth grows ("Delegation can be
 //! extended several levels by forming a certificate chain"): cold, what
 //! an endpoint pays the first time it sees a chain, and warm, what it pays
-//! when the experimenter's next session presents the chain again.
+//! when the experimenter's next session presents the chain again. The
+//! chain sizes go to stdout, the wall times to stderr.
 
 use packetlab::cert::{self, CertPayload, Certificate, Restrictions, SigMemo};
 use packetlab::descriptor::ExperimentDescriptor;
@@ -91,8 +92,10 @@ pub fn run(_: &crate::Opts) -> i32 {
     );
 
     // Scaling: verification cost vs delegation depth.
-    println!("\nchain verification cost vs delegation depth:");
-    println!("{:>7} {:>14} {:>14} {:>14}", "depth", "chain bytes", "cold verify", "warm verify");
+    println!("\nchain size vs delegation depth:");
+    println!("{:>7} {:>14}", "depth", "chain bytes");
+    eprintln!("chain verification cost vs delegation depth:");
+    eprintln!("{:>7} {:>14} {:>14}", "depth", "cold verify", "warm verify");
     for depth in [1usize, 2, 4, 8, 16] {
         let mut chain = Vec::new();
         let mut pubkeys = Vec::new();
@@ -130,9 +133,10 @@ pub fn run(_: &crate::Opts) -> i32 {
         let cold = time(&mut || cert::verify_chain(&chain, &keys, &root, &dhash, 0).is_ok());
         let mut memo = SigMemo::default();
         let warm = time(&mut || memo.verify_chain(&chain, &keys, &root, &dhash, 0).is_ok());
-        println!("{:>7} {:>12} B {:>14.2?} {:>14.2?}", depth, bytes, cold, warm);
+        println!("{depth:>7} {bytes:>12} B");
+        eprintln!("{depth:>7} {cold:>14.2?} {warm:>14.2?}");
     }
-    println!(
+    eprintln!(
         "(depth 16 is 17 certificates through the memo's 16 slots, oldest out first: \
          each is forgotten just before it comes round again)"
     );

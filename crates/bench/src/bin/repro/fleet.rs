@@ -10,11 +10,11 @@
 //! bit-identical too, and the faults must visibly bite (retries > 0).
 //! Any divergence exits non-zero.
 //!
-//! Results land in `BENCH_fleet.json`, a record no guard reads. `--json`
-//! prints the same report on stdout; `--sweep` takes comma-separated
-//! roster sizes (default `512,1024,2048`). The sharded advance runs on
-//! `min(4, cores)` threads: wall time varies with that, the report does
-//! not.
+//! Results land in `BENCH_fleet.json`, a record no guard reads; `--sweep`
+//! takes comma-separated roster sizes (default `512,1024,2048`). The
+//! sharded advance runs on `min(4, cores)` threads: wall time varies with
+//! that, the report does not, so the thread count and wall-clock rates go
+//! to stderr.
 
 use plab_bench::fleet;
 use plab_bench::reportjson::{emit_report, json_f, json_rows};
@@ -42,7 +42,7 @@ fn outcome_counts(run: &FleetRun) -> (usize, usize, usize) {
 
 /// Run one (pairs, chaos) point twice; keep the faster wall time (the
 /// slower one amortizes cold caches) and check the replay contract.
-fn measure(pairs: usize, threads: usize, chaos: bool, json: bool) -> Point {
+fn measure(pairs: usize, threads: usize, chaos: bool) -> Point {
     let (first, wall_a) = fleet::point(pairs, threads, chaos);
     let (again, wall_b) = fleet::point(pairs, threads, chaos);
     let replay_identical = first.report.digest == again.report.digest
@@ -51,20 +51,15 @@ fn measure(pairs: usize, threads: usize, chaos: bool, json: bool) -> Point {
     let wall_secs = wall_a.min(wall_b);
     let endpoints_per_sec = pairs as f64 / wall_secs;
     let (completed, failed, aborted) = outcome_counts(&first);
-    if !json {
-        println!(
-            "{:>5} endpoints{}: {:>8.1} endpoints/s ({:.2} s wall), \
-             {completed} completed / {failed} failed / {aborted} aborted, \
-             {} retries, digest {:#018x}{}",
-            pairs,
-            if chaos { " +chaos" } else { "" },
-            endpoints_per_sec,
-            wall_secs,
-            fleet::retries(&first),
-            first.report.digest,
-            if replay_identical { "" } else { "  REPLAY DIVERGED" },
-        );
-    }
+    let label = format!("{pairs:>5} endpoints{}", if chaos { " +chaos" } else { "" });
+    println!(
+        "{label}: {completed} completed / {failed} failed / {aborted} aborted, \
+         {} retries, digest {:#018x}{}",
+        fleet::retries(&first),
+        first.report.digest,
+        if replay_identical { "" } else { "  REPLAY DIVERGED" },
+    );
+    eprintln!("{label}: {endpoints_per_sec:>8.1} endpoints/s ({wall_secs:.2} s wall)");
     Point { pairs, wall_secs, endpoints_per_sec, run: first, replay_identical }
 }
 
@@ -84,23 +79,21 @@ fn render_row(p: &Point) -> String {
 }
 
 pub fn run(opts: &crate::Opts) -> i32 {
-    let json = opts.json;
     let sweep = opts.rosters.as_deref().unwrap_or(&[512, 1024, 2048]);
     let threads = fleet::threads();
 
-    if !json {
-        println!(
-            "fleet orchestration: ping + Figure-2 monitor over {} shards, {threads} threads\n",
-            fleet::SHARDS
-        );
-    }
+    println!(
+        "fleet orchestration: ping + Figure-2 monitor over {} shards\n",
+        fleet::SHARDS
+    );
+    eprintln!("fleet orchestration on {threads} threads");
 
     let clean: Vec<Point> =
-        sweep.iter().map(|&pairs| measure(pairs, threads, false, json)).collect();
+        sweep.iter().map(|&pairs| measure(pairs, threads, false)).collect();
     let largest = *sweep.iter().max().unwrap();
-    let chaos = measure(largest, threads, true, json);
+    let chaos = measure(largest, threads, true);
     let chaos_bites = fleet::retries(&chaos.run) > 0;
-    if !chaos_bites && !json {
+    if !chaos_bites {
         println!("CHAOS PLAN NEVER BIT: no retries recorded at {largest} endpoints");
     }
 
@@ -117,6 +110,6 @@ pub fn run(opts: &crate::Opts) -> i32 {
         "\n  ],\n  \"chaos\": {},\n  \"pass\": {pass}\n}}\n",
         render_row(&chaos)
     ));
-    emit_report("fleet", "BENCH_fleet.json", &out, json);
+    emit_report("fleet", "BENCH_fleet.json", &out);
     i32::from(!pass)
 }

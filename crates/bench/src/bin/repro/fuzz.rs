@@ -8,40 +8,21 @@
 //! not clean, so CI can gate on it.
 
 use plab_fuzz::{run_target, Report, TARGETS};
-use plab_obs::export::json_escape;
 
-fn print_report(r: &Report, json: bool) {
-    if json {
-        let failures: Vec<String> =
-            r.failures.iter().map(|f| format!("\"{}\"", json_escape(f))).collect();
-        println!(
-            "{{\"target\":\"{}\",\"seed\":{},\"execs\":{},\"accepted\":{},\"rejects\":{},\
-             \"oracle_failures\":{},\"panics\":{},\"clean\":{},\"failures\":[{}]}}",
-            r.target,
-            r.seed,
-            r.execs,
-            r.accepted,
-            r.rejects,
-            r.oracle_failures,
-            r.panics,
-            r.clean(),
-            failures.join(",")
-        );
-    } else {
-        println!(
-            "fuzz {:<6} seed=0x{:x} execs={} accepted={} rejects={} oracle_failures={} panics={} -> {}",
-            r.target,
-            r.seed,
-            r.execs,
-            r.accepted,
-            r.rejects,
-            r.oracle_failures,
-            r.panics,
-            if r.clean() { "CLEAN" } else { "FAILING" }
-        );
-        for f in &r.failures {
-            println!("  {f}");
-        }
+fn print_report(r: &Report) {
+    println!(
+        "fuzz {:<6} seed=0x{:x} execs={} accepted={} rejects={} oracle_failures={} panics={} -> {}",
+        r.target,
+        r.seed,
+        r.execs,
+        r.accepted,
+        r.rejects,
+        r.oracle_failures,
+        r.panics,
+        if r.clean() { "CLEAN" } else { "FAILING" }
+    );
+    for f in &r.failures {
+        println!("  {f}");
     }
 }
 
@@ -52,7 +33,7 @@ pub fn run(opts: &crate::Opts) -> i32 {
     for target in targets {
         let r = run_target(target, seed, iters).expect("a name from TARGETS");
         all_clean &= r.clean();
-        print_report(&r, opts.json);
+        print_report(&r);
     }
     i32::from(!all_clean)
 }

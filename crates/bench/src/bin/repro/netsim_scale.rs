@@ -24,8 +24,8 @@
 //! costs — excluded from the event timings, measured in a fresh process
 //! per shard count ([`netsim_scale::build_cost`]).
 //!
-//! `--json` prints the report on stdout (the file is still written).
-//! `--rounds` overrides the per-size round count (default 4; the
+//! Counts go to stdout, rates, build costs and ratios of wall times to
+//! stderr. `--rounds` overrides the per-size round count (default 4; the
 //! statistic is the minimum, so more rounds only tighten it; the sharded
 //! sweep caps the count at two a point, then keeps going until half a
 //! second has passed).
@@ -64,12 +64,8 @@ struct ShardRow {
 }
 
 pub fn run(opts: &crate::Opts) -> i32 {
-    let json = opts.json;
     let rounds = opts.rounds.unwrap_or(4);
-
-    if !json {
-        println!("netsim scale sweep: {SIZES:?} hosts, min over {rounds} rounds each\n");
-    }
+    println!("netsim scale sweep: {SIZES:?} hosts, min over {rounds} rounds each\n");
 
     let mut rows = Vec::new();
     for &n in &SIZES {
@@ -93,43 +89,40 @@ pub fn run(opts: &crate::Opts) -> i32 {
             peak_residency: pool.peak_outstanding(),
         };
         assert_eq!(pool.taken(), pool.recycled(), "pool leak at {n} hosts");
-        if !json {
-            println!(
-                "{:>5} hosts: {:>8} events, {:>6.2} M events/s ({:>6.1} ns/event), \
-                 {} taken / {} borrowed / {} CoW, peak residency {}",
-                row.hosts,
-                row.events,
-                row.events_per_sec / 1e6,
-                row.ns_per_event,
-                row.pool_taken,
-                row.frames_borrowed,
-                row.cow_copies,
-                row.peak_residency
-            );
-        }
+        println!(
+            "{:>5} hosts: {:>8} events, {} taken / {} borrowed / {} CoW, peak residency {}",
+            row.hosts,
+            row.events,
+            row.pool_taken,
+            row.frames_borrowed,
+            row.cow_copies,
+            row.peak_residency
+        );
+        eprintln!(
+            "{:>5} hosts: {:>6.2} M events/s ({:>6.1} ns/event)",
+            row.hosts,
+            row.events_per_sec / 1e6,
+            row.ns_per_event
+        );
         rows.push(row);
     }
 
     // Scaling factor: per-event slowdown going from the smallest to the
     // largest world. Sub-linear means < hosts ratio (64x here).
     let slowdown = rows.last().unwrap().ns_per_event / rows[0].ns_per_event;
-    if !json {
-        println!(
-            "\nper-event slowdown 16 → 1024 hosts: {slowdown:.2}x \
-             (64x hosts; O(1) scheduling keeps this far below linear)"
-        );
-    }
+    eprintln!(
+        "\nper-event slowdown 16 → 1024 hosts: {slowdown:.2}x \
+         (64x hosts; O(1) scheduling keeps this far below linear)"
+    );
 
     // ------------------------------------------------------------------
     // Sharded pod sweep.
     // ------------------------------------------------------------------
     let shard_rounds = rounds.clamp(1, 2) as u32;
-    if !json {
-        println!(
-            "\nsharded pod sweep: {SHARD_SIZES:?} hosts x {SHARD_COUNTS:?} shards, \
-             min over {shard_rounds} rounds and 0.5 s each\n"
-        );
-    }
+    println!(
+        "\nsharded pod sweep: {SHARD_SIZES:?} hosts x {SHARD_COUNTS:?} shards, \
+         min over {shard_rounds} rounds and 0.5 s each\n"
+    );
     let mut shard_rows: Vec<ShardRow> = Vec::new();
     // Every shard count on one thread, then on as many as it and the
     // machine allow, when that is more than one.
@@ -182,24 +175,23 @@ pub fn run(opts: &crate::Opts) -> i32 {
                 build_s: build.secs,
                 build_rss_mb: build.rss_kb as f64 / 1024.0,
             };
-            if !json {
-                println!(
-                    "{:>6} hosts x {} shards ({} threads): {:>8} events, \
-                     {:>6.2} M events/s ({:>6.1} ns/event), {:>6} handoffs, \
-                     {:>5} windows, speedup {:.2}x, build {:.3} s / {:.1} MB",
-                    row.hosts,
-                    row.shards,
-                    row.threads,
-                    row.events,
-                    row.events_per_sec / 1e6,
-                    row.ns_per_event,
-                    row.handoffs,
-                    row.windows,
-                    row.speedup_vs_1shard,
-                    row.build_s,
-                    row.build_rss_mb
-                );
-            }
+            let label = format!(
+                "{:>6} hosts x {} shards ({} threads)",
+                row.hosts, row.shards, row.threads
+            );
+            println!(
+                "{label}: {:>8} events, {:>6} handoffs, {:>5} windows",
+                row.events, row.handoffs, row.windows
+            );
+            eprintln!(
+                "{label}: {:>6.2} M events/s ({:>6.1} ns/event), speedup {:.2}x, \
+                 build {:.3} s / {:.1} MB",
+                row.events_per_sec / 1e6,
+                row.ns_per_event,
+                row.speedup_vs_1shard,
+                row.build_s,
+                row.build_rss_mb
+            );
             shard_rows.push(row);
         }
     }
@@ -214,13 +206,11 @@ pub fn run(opts: &crate::Opts) -> i32 {
         .map(|r| r.ns_per_event)
         .fold(f64::MAX, f64::min);
     let ratio_vs_16 = biggest / rows[0].ns_per_event;
-    if !json {
-        println!(
-            "\nbest ns/event at {} hosts: {biggest:.1} ({ratio_vs_16:.2}x the \
-             16-host figure; target is 2x)",
-            SHARD_SIZES[2]
-        );
-    }
+    eprintln!(
+        "\nbest ns/event at {} hosts: {biggest:.1} ({ratio_vs_16:.2}x the \
+         16-host figure; target is 2x)",
+        SHARD_SIZES[2]
+    );
 
     let mut out = String::from("  \"sweep\": [\n");
     for (i, r) in rows.iter().enumerate() {
@@ -266,6 +256,6 @@ pub fn run(opts: &crate::Opts) -> i32 {
         "  ],\n  \"biggest_world_best_ns_per_event\": {biggest:.2},\n  \
          \"biggest_world_ratio_vs_16_host\": {ratio_vs_16:.3}\n}}\n"
     ));
-    plab_bench::reportjson::emit_report("netsim_scale", "BENCH_netsim.json", &out, json);
+    plab_bench::reportjson::emit_report("netsim_scale", "BENCH_netsim.json", &out);
     0
 }

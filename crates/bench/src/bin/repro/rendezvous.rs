@@ -1,6 +1,7 @@
 //! S1 — §3.2 rendezvous scaling: publish fan-out and subscribe replay as
 //! the endpoint population grows ("We believe that two or three rendezvous
-//! servers can be maintained by the measurement community").
+//! servers can be maintained by the measurement community"). Message
+//! counts go to stdout, publish rates and the replay's wall time to stderr.
 
 use packetlab::cert::{CertPayload, Certificate, Restrictions};
 use packetlab::descriptor::ExperimentDescriptor;
@@ -8,14 +9,10 @@ use packetlab::rendezvous::{RendezvousServer, RvMessage};
 use plab_crypto::{Keypair, KeyHash};
 use std::time::Instant;
 
-pub fn run(opts: &crate::Opts) -> i32 {
-    let json = opts.json;
-    if !json {
-        println!("S1: §3.2 rendezvous server scaling\n");
-    }
+pub fn run(_: &crate::Opts) -> i32 {
+    println!("S1: §3.2 rendezvous server scaling\n");
     let rv_operator = Keypair::from_seed(&[1; 32]);
     let experimenter = Keypair::from_seed(&[2; 32]);
-    let mut scale_rows: Vec<(usize, u32, usize, f64)> = Vec::new();
 
     // One authorization chain reused across publishes.
     let deleg = Certificate::sign(
@@ -24,13 +21,13 @@ pub fn run(opts: &crate::Opts) -> i32 {
         Restrictions::none(),
     );
 
-    if !json {
-        println!(
-            "{:>12} {:>12} {:>16} {:>18}",
-            "subscribers", "publishes", "fan-out msgs", "publish rate"
-        );
-        println!("{}", "-".repeat(62));
-    }
+    println!(
+        "{:>12} {:>12} {:>16}",
+        "subscribers", "publishes", "fan-out msgs"
+    );
+    println!("{}", "-".repeat(42));
+    eprintln!("{:>12} {:>18}", "subscribers", "publish rate");
+    eprintln!("{}", "-".repeat(31));
     for n_subs in [10usize, 100, 1_000, 10_000] {
         let mut server =
             RendezvousServer::new(vec![KeyHash::of(&rv_operator.public)], 1_700_000_000);
@@ -68,17 +65,13 @@ pub fn run(opts: &crate::Opts) -> i32 {
         }
         let elapsed = start.elapsed();
         let rate = publishes as f64 / elapsed.as_secs_f64();
-        if !json {
-            println!("{n_subs:>12} {publishes:>12} {fanout:>16} {rate:>13.1}/s");
-        }
+        println!("{n_subs:>12} {publishes:>12} {fanout:>16}");
+        eprintln!("{n_subs:>12} {rate:>16.1}/s");
         assert_eq!(fanout, n_subs * publishes as usize);
-        scale_rows.push((n_subs, publishes, fanout, rate));
     }
 
     // Late-subscriber replay cost.
-    if !json {
-        println!("\nlate-subscriber replay (existing experiments resent on subscribe):");
-    }
+    println!("\nlate-subscriber replay (existing experiments resent on subscribe):");
     let mut server = RendezvousServer::new(vec![KeyHash::of(&rv_operator.public)], 1_700_000_000);
     for i in 0..1_000u32 {
         let descriptor = ExperimentDescriptor {
@@ -109,34 +102,16 @@ pub fn run(opts: &crate::Opts) -> i32 {
     let replay_elapsed = start.elapsed();
     assert_eq!(replay.len(), 1_000);
 
-    if json {
-        let mut out = String::from("{\n  \"bench\": \"rendezvous\",\n  \"scaling\": [\n");
-        for (i, (n_subs, publishes, fanout, rate)) in scale_rows.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"subscribers\": {n_subs}, \"publishes\": {publishes}, \
-                 \"fanout_msgs\": {fanout}, \"publishes_per_sec\": {rate:.1}}}{}\n",
-                if i + 1 < scale_rows.len() { "," } else { "" }
-            ));
-        }
-        out.push_str(&format!(
-            "  ],\n  \"late_subscriber_replay\": {{\"experiments\": {}, \"wall_ns\": {}}}\n}}\n",
-            replay.len(),
-            replay_elapsed.as_nanos()
-        ));
-        print!("{out}");
-        return 0;
-    }
-
-    println!(
-        "  {} retained experiments replayed in {:.2?}",
-        replay.len(),
-        replay_elapsed
+    println!("  {} retained experiments replayed", replay.len());
+    eprintln!(
+        "\nlate-subscriber replay: {} retained experiments in {replay_elapsed:.2?}",
+        replay.len()
     );
 
     println!(
         "\nShape check: fan-out is exactly subscribers × publishes and the\n\
-         publish rate stays in the hundreds-per-second range even at 10k\n\
-         subscribers — consistent with the paper's claim that a couple of\n\
+         publish rate (stderr) stays in the hundreds-per-second range even at\n\
+         10k subscribers — consistent with the paper's claim that a couple of\n\
          community-run rendezvous servers suffice."
     );
     0

@@ -1,17 +1,13 @@
 //! T1 — Table 1 reproduction: exercise every endpoint operation over the
 //! full stack and report per-operation control-channel cost (virtual
-//! round trips) and wall-clock implementation cost. `--json` emits the
-//! same rows as a machine-readable object on stdout.
+//! round trips) on stdout, and wall-clock implementation cost on stderr.
 
 use packetlab::controller::{experiments, ControlPlane};
 use plab_bench::{build_world, connect};
 use std::time::Instant;
 
-pub fn run(opts: &crate::Opts) -> i32 {
-    let json = opts.json;
-    if !json {
-        println!("T1: Table 1 endpoint operations, end-to-end\n");
-    }
+pub fn run(_: &crate::Opts) -> i32 {
+    println!("T1: Table 1 endpoint operations, end-to-end\n");
     let world = build_world(10, 0, 2);
     let mut ctrl = connect(&world);
     let src = ctrl.endpoint_addr().unwrap();
@@ -58,32 +54,13 @@ pub fn run(opts: &crate::Opts) -> i32 {
     op!("nclose", ctrl.nclose(2).unwrap());
     op!("yield", ctrl.yield_endpoint().unwrap());
 
-    if json {
-        let rendered: Vec<String> = rows
-            .iter()
-            .map(|(name, vms, wall)| {
-                format!(
-                    "{{\"op\": \"{}\", \"virtual_ms\": {}, \"wall_ns\": {}}}",
-                    plab_obs::export::json_escape(name),
-                    plab_bench::reportjson::json_f(*vms),
-                    wall.as_nanos(),
-                )
-            })
-            .collect();
-        print!(
-            "{{\n  \"bench\": \"table1\",\n  \"ops\": [\n{}\n  ]\n}}\n",
-            plab_bench::reportjson::json_rows(&rendered, "    ")
-        );
-        return 0;
-    }
-
-    println!(
-        "{:<24} {:>16} {:>14}",
-        "operation", "virtual time", "host wall time"
-    );
-    println!("{}", "-".repeat(58));
+    println!("{:<24} {:>16}", "operation", "virtual time");
+    println!("{}", "-".repeat(41));
+    eprintln!("{:<24} {:>14}", "operation", "host wall time");
+    eprintln!("{}", "-".repeat(39));
     for (name, vms, wall) in &rows {
-        println!("{:<24} {:>13.1} ms {:>14.2?}", name, vms, wall);
+        println!("{name:<24} {vms:>13.1} ms");
+        eprintln!("{name:<24} {wall:>14.2?}");
     }
 
     println!(

@@ -6,8 +6,7 @@
 //! replayed whole, for send and for recv (functions of the chain and the
 //! packet alone).
 //!
-//! `--json` prints the same JSON report on stdout (the file is still
-//! written). `--secs` stretches or shrinks the per-measurement budget
+//! The counts go to stdout and the rates to stderr. `--secs` stretches or shrinks the per-measurement budget
 //! (default 0.5 s; CI smoke uses 0.05).
 
 use packetlab::monitor::MonitorSet;
@@ -91,18 +90,15 @@ fn pump_round(sim: &mut Sim, h: NodeId, src: Ipv4Addr, dst: Ipv4Addr) -> u64 {
 use plab_bench::reportjson::json_f;
 
 pub fn run(opts: &crate::Opts) -> i32 {
-    let json = opts.json;
     let budget = opts.secs.unwrap_or(Duration::from_millis(500));
 
     let (encoded, probe, info) = plab_bench::figure2_fixture();
     let reply = plab_bench::figure2_reply();
 
-    if !json {
-        println!(
-            "throughput snapshot ({} ms per measurement)\n",
-            budget.as_millis()
-        );
-    }
+    println!(
+        "throughput snapshot ({} ms per measurement)\n",
+        budget.as_millis()
+    );
 
     // Monitor chains: adjudications per second through the fused engine
     // (the default) and the sequential one-Vm-per-monitor reference walk.
@@ -124,21 +120,19 @@ pub fn run(opts: &crate::Opts) -> i32 {
         let mut seq = chain_sequential(n, &encoded, &info);
         let (seq_send, _) = measure(budget, || u64::from(seq.allow_send(&probe, &info)));
         let (seq_recv, _) = measure(budget, || u64::from(seq.allow_recv(&reply, &info)));
-        if !json {
-            println!(
-                "monitor chain x{n}: fused {:.2} M send / {:.2} M recv adjudications/s, \
-                 sequential {:.2} M send / {:.2} M recv",
-                send_rate / 1e6,
-                recv_rate / 1e6,
-                seq_send / 1e6,
-                seq_recv / 1e6
-            );
-            println!(
-                "  per adjudication, sections executed / outcomes replayed: \
-                 send {} / {}, recv {} / {}",
-                send_shape.0, send_shape.1, recv_shape.0, recv_shape.1
-            );
-        }
+        println!(
+            "monitor chain x{n}: per adjudication, sections executed / outcomes replayed: \
+             send {} / {}, recv {} / {}",
+            send_shape.0, send_shape.1, recv_shape.0, recv_shape.1
+        );
+        eprintln!(
+            "monitor chain x{n}: fused {:.2} M send / {:.2} M recv adjudications/s, \
+             sequential {:.2} M send / {:.2} M recv",
+            send_rate / 1e6,
+            recv_rate / 1e6,
+            seq_send / 1e6,
+            seq_recv / 1e6
+        );
         shapes.push((send_shape, recv_shape));
         send_rates.push((n, send_rate));
         recv_rates.push((n, recv_rate));
@@ -157,15 +151,13 @@ pub fn run(opts: &crate::Opts) -> i32 {
         pump_round(&mut sim, h, src, dst)
     });
     let events_per_sec = rounds_per_sec * events_per_round as f64;
-    if !json {
-        println!(
-            "netsim multihop: {events_per_round} events/round, {:.2} M events/s \
-             (pool: {} taken, {} recycled after calibration round)",
-            events_per_sec / 1e6,
-            cal.pool().taken(),
-            cal.pool().recycled()
-        );
-    }
+    println!(
+        "netsim multihop: {events_per_round} events/round \
+         (pool: {} taken, {} recycled after calibration round)",
+        cal.pool().taken(),
+        cal.pool().recycled()
+    );
+    eprintln!("netsim multihop: {:.2} M events/s", events_per_sec / 1e6);
 
     let mut out =
         format!("  \"budget_ms\": {},\n  \"monitor_chains\": [\n", budget.as_millis());
@@ -215,6 +207,6 @@ pub fn run(opts: &crate::Opts) -> i32 {
         cal.pool().taken(),
         cal.pool().recycled()
     ));
-    plab_bench::reportjson::emit_report("throughput", "BENCH_throughput.json", &out, json);
+    plab_bench::reportjson::emit_report("throughput", "BENCH_throughput.json", &out);
     0
 }

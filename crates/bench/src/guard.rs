@@ -738,7 +738,8 @@ pub fn exit_code(reports: &[Report]) -> i32 {
 /// and the command's body supplies its default.
 #[derive(Default)]
 pub struct Opts {
-    /// `--json`: the machine-readable report on stdout, the text one suppressed.
+    /// `guard --json`: the machine-readable report on stdout, the text one
+    /// suppressed.
     pub json: bool,
     /// `--trace`: run under the flight recorder and write its artifacts.
     pub trace: bool,
@@ -810,7 +811,7 @@ pub static COMMANDS: [Command; 16] = [
     },
     Command {
         name: "bwest",
-        args: &["--json"],
+        args: &[],
     },
     Command {
         name: "chaos",
@@ -820,7 +821,6 @@ pub static COMMANDS: [Command; 16] = [
             "--sweep N",
             "--base N",
             "--trace",
-            "--json",
         ],
     },
     Command {
@@ -829,7 +829,7 @@ pub static COMMANDS: [Command; 16] = [
     },
     Command {
         name: "ctrl_scale",
-        args: &["--json"],
+        args: &[],
     },
     Command {
         name: "fig1",
@@ -841,11 +841,11 @@ pub static COMMANDS: [Command; 16] = [
     },
     Command {
         name: "fleet",
-        args: &["--sweep PAIRS,..", "--json"],
+        args: &["--sweep PAIRS,.."],
     },
     Command {
         name: "fuzz",
-        args: &["--target NAME", "--seed N", "--iters N", "--json"],
+        args: &["--target NAME", "--seed N", "--iters N"],
     },
     Command {
         name: "guard",
@@ -853,11 +853,11 @@ pub static COMMANDS: [Command; 16] = [
     },
     Command {
         name: "netsim_scale",
-        args: &["--rounds N", "--json"],
+        args: &["--rounds N"],
     },
     Command {
         name: "rendezvous",
-        args: &["--json"],
+        args: &[],
     },
     Command {
         name: "rtt_limitation",
@@ -865,11 +865,11 @@ pub static COMMANDS: [Command; 16] = [
     },
     Command {
         name: "table1",
-        args: &["--json"],
+        args: &[],
     },
     Command {
         name: "throughput",
-        args: &["--secs S", "--json"],
+        args: &["--secs S"],
     },
     Command {
         name: "traceroute",
@@ -1148,6 +1148,7 @@ mod tests {
             "throughput --secs soon",
             "netsim_scale --rounds",
             "table1 --secs 1",
+            "table1 --json",
             "guard ctrl --min-ratio 0.2",
         ] {
             let usage = format!("usage: repro {}", line.split(' ').next().unwrap());

@@ -897,9 +897,9 @@ pub mod bwest {
     }
 }
 
-/// Shared `--json` report plumbing for the `repro` commands: the
-/// finite-float formatter, trailing-comma row joining, the machine
-/// header and the BENCH-file write + stdout convention live here once.
+/// Shared JSON plumbing for the `repro` commands' `BENCH_*.json` records
+/// and `guard --json`: the finite-float formatter, trailing-comma row
+/// joining, the machine header and the record write live here once.
 pub mod reportjson {
     /// A float for a JSON report: one decimal when finite, `null`
     /// otherwise (JSON has no NaN/inf).
@@ -947,21 +947,16 @@ pub mod reportjson {
         format!("\"cores\": {cores}, \"profile\": \"{profile}\", \"commit\": \"{commit}\"")
     }
 
-    /// Emit a finished report per the `repro` convention: open it with
-    /// its name and the machine members, always write the `BENCH_*`
-    /// record, then either print the report itself (`--json`) or a
-    /// human note saying where it went. `members` is the rest of the
-    /// object, from its first member's indent to the closing brace.
-    pub fn emit_report(bench: &str, path: &str, members: &str, json: bool) {
+    /// Write a finished `BENCH_*` record, opened with its name and the
+    /// machine members, and say on stdout where it went. `members` is the
+    /// rest of the object, from its first member's indent to the closing
+    /// brace.
+    pub fn emit_report(bench: &str, path: &str, members: &str) {
         let report = format!(
             "{{\n  \"bench\": \"{bench}\",\n  {},\n{members}",
             machine_members()
         );
         std::fs::write(path, &report).unwrap_or_else(|e| panic!("write {path}: {e}"));
-        if json {
-            print!("{report}");
-        } else {
-            println!("wrote {path}");
-        }
+        println!("wrote {path}");
     }
 }

@@ -123,14 +123,15 @@ fn every_documented_command_parses_and_no_replaced_spelling_remains() {
             seen += 1;
         }
 
-        // `results/repro_<name>.txt` is where a command's output is
-        // committed, not a way to run it.
+        // `results/repro_<name>.txt` is where a command's stdout is
+        // committed (`.wall.txt` its stderr), not a way to run it.
         let mut rest = text.as_str();
         while let Some((before, after)) = rest.split_once("repro_") {
             let word = |c: char| c.is_ascii_alphanumeric() || c == '_';
             let name = &after[..after.find(|c| !word(c)).unwrap_or(after.len())];
+            let ext = &after[name.len()..];
             let is_result = before.ends_with("results/")
-                && after[name.len()..].starts_with(".txt")
+                && (ext.starts_with(".txt") || ext.starts_with(".wall.txt"))
                 && COMMANDS.iter().any(|c| c.name == name);
             if !is_result {
                 wrong.push(format!(
