@@ -162,14 +162,17 @@ fn paired(
     mut a: impl FnMut() -> f64,
     mut b: impl FnMut() -> f64,
 ) -> ([f64; 2], u32) {
-    min_over_rounds(budget, min_rounds, |round| {
-        if round % 2 == 0 {
-            let b = b();
-            [a(), b]
-        } else {
-            [a(), b()]
-        }
-    })
+    min_over_rounds(budget, min_rounds, |round| alternate(round, &mut a, &mut b))
+}
+
+/// The times of `a` and `b` in round `round`: `b` runs first in even rounds.
+fn alternate(round: u32, a: &mut impl FnMut() -> f64, b: &mut impl FnMut() -> f64) -> [f64; 2] {
+    if round.is_multiple_of(2) {
+        let b = b();
+        [a(), b]
+    } else {
+        [a(), b()]
+    }
 }
 
 /// Wall seconds for `batch` calls of `op`.
@@ -240,9 +243,11 @@ fn throughput(budget: Duration) -> Vec<Check> {
     ]
 }
 
-/// Two identical bare engines read 0.954-1.029 against each other at
-/// `obs`'s batch length (twenty runs, EXPERIMENTS P7): the bar sits just
-/// under the lowest.
+/// Two identical bare engines read 0.940-1.019 against each other by the
+/// median of paired rounds over twenty runs (EXPERIMENTS G15), one of them
+/// under the bar; by the minimum of each side they read 0.923-1.085, two
+/// under it. A wrapper that adjudicates 5 % more reads 0.896-0.950 by the
+/// median, all twenty under the bar, and 0.784-1.040 by the minima.
 const MIN_OBS_RATIO: f64 = 0.95;
 
 /// Disabled instrumentation costs (effectively) nothing on the PFVM hot
@@ -252,12 +257,14 @@ const MIN_OBS_RATIO: f64 = 0.95;
 /// builds, called directly (plab-filter carries no instrumentation, so the
 /// twin is the same engine minus the `MonitorSet` wrapper and its
 /// `obs_on` test). The bar is what wall time can resolve here: two
-/// identical twins read as low as 0.954 against each other, so a
+/// identical twins read as low as 0.940 against each other, so a
 /// wrapper that costs what its one test costs passes, and one that costs
 /// 5 % of a 53 ns adjudication does not. Here `--secs` is the length of
-/// one batch, not of the run: min-of-batches is robust to noise only if
-/// each batch amortizes the timer (at 0.2 s the twins read 0.968-1.052
-/// and the guard 0.937-1.054), so the batch is 0.5 s and the rounds 24.
+/// one batch, not of the run (at 0.2 s the twins read 0.968-1.052), so
+/// the batch is 0.5 s and the rounds 24. The reading is the median of
+/// each round's quotient, not a quotient of minima: the two halves of a
+/// round see the same machine, and one lucky batch of either side does
+/// not decide it.
 fn obs(budget: Duration) -> Vec<Check> {
     assert!(!plab_obs::enabled(), "guard measures the disabled path");
     let (encoded, probe, info) = figure2_fixture();
@@ -275,20 +282,21 @@ fn obs(budget: Duration) -> Vec<Check> {
     // A batch sized so one takes roughly the budget.
     let per_call = time_batch(100_000, &mut inst_op) / 1e5;
     let batch = ((budget.as_secs_f64() / per_call) as u64).clamp(1, 50_000_000);
-    let ([inst, twin], rounds) = paired(
-        Duration::ZERO,
-        24,
-        || time_batch(batch, &mut inst_op),
-        || time_batch(batch, &mut twin_op),
+    let mut inst = || time_batch(batch, &mut inst_op);
+    let mut twin = || time_batch(batch, &mut twin_op);
+    let mut quotients: Vec<f64> = (0..24)
+        .map(|round| {
+            let [inst, twin] = alternate(round, &mut inst, &mut twin);
+            twin / inst
+        })
+        .collect();
+    quotients.sort_by(f64::total_cmp);
+    let median = (quotients[11] + quotients[12]) / 2.0;
+    let detail = format!(
+        "depth-1 adjudications/s, MonitorSet over its bare FusedVm: {median:.3} \
+         (bar {MIN_OBS_RATIO}, median over 24 paired rounds)"
     );
-    let what = "depth-1 adjudications/s, MonitorSet over its bare FusedVm";
-    vec![Check::quotient(
-        "ratio",
-        what,
-        twin / inst,
-        MIN_OBS_RATIO,
-        rounds,
-    )]
+    vec![Check::new("ratio", median >= MIN_OBS_RATIO, detail)]
 }
 
 /// Events, pool takes, frames recycled and copy-on-write copies of one
