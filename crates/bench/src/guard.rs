@@ -246,7 +246,7 @@ fn throughput(budget: Duration) -> Vec<Check> {
 /// Two identical bare engines read 0.940-1.019 against each other by the
 /// median of paired rounds over twenty runs (EXPERIMENTS G15), one of them
 /// under the bar; by the minimum of each side they read 0.923-1.085, two
-/// under it. A wrapper that adjudicates 5 % more reads 0.896-0.950 by the
+/// under it. A wrapper that adjudicates 5 % more reads 0.896-0.9498 by the
 /// median, all twenty under the bar, and 0.784-1.040 by the minima.
 const MIN_OBS_RATIO: f64 = 0.95;
 
