@@ -77,7 +77,7 @@ pub fn run(opts: &crate::Opts) -> i32 {
             [secs]
         });
         let (events, sim) = last.expect("at least one round");
-        let pool = sim.pool();
+        let pool = &sim.pools()[0];
         let row = Row {
             hosts: n,
             events,
@@ -151,7 +151,7 @@ pub fn run(opts: &crate::Opts) -> i32 {
                 [secs]
             });
             let (events, world) = last.expect("at least one round");
-            for (i, pool) in world.sim.pool_handles().iter().enumerate() {
+            for (i, pool) in world.sim.pools().iter().enumerate() {
                 assert_eq!(
                     pool.taken(),
                     pool.recycled(),

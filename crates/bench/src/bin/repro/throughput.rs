@@ -154,8 +154,8 @@ pub fn run(opts: &crate::Opts) -> i32 {
     println!(
         "netsim multihop: {events_per_round} events/round \
          (pool: {} taken, {} recycled after calibration round)",
-        cal.pool().taken(),
-        cal.pool().recycled()
+        cal.pools()[0].taken(),
+        cal.pools()[0].recycled()
     );
     eprintln!("netsim multihop: {:.2} M events/s", events_per_sec / 1e6);
 
@@ -204,8 +204,8 @@ pub fn run(opts: &crate::Opts) -> i32 {
     ));
     out.push_str(&format!(
         "    \"pool_taken\": {},\n    \"pool_recycled\": {}\n  }}\n}}\n",
-        cal.pool().taken(),
-        cal.pool().recycled()
+        cal.pools()[0].taken(),
+        cal.pools()[0].recycled()
     ));
     plab_bench::reportjson::emit_report("throughput", "BENCH_throughput.json", &out);
     0

@@ -323,7 +323,7 @@ fn netsim(budget: Duration) -> Vec<Check> {
     // 64 rounds of 16 hosts are 20,480 events, a round of 1,024 282,624.
     const SIZES: [(usize, u32); 2] = [(16, 64), (1024, 1)];
     let (events, _, sim) = netsim_scale::round(128);
-    let pool = sim.pool();
+    let pool = &sim.pools()[0];
     let got = [events, pool.taken(), pool.recycled(), pool.cow_copies()];
     let counts = Check::counts(
         "counts",
@@ -411,7 +411,7 @@ fn netsim_shard(budget: Duration) -> Vec<Check> {
     // (what `paired` keeps the minimum of), and the round's counts.
     let per_event = |hosts: usize, shards: usize, threads: usize| {
         let (ev, secs, world) = netsim_scale::round_pods(hosts, shards, threads);
-        for pool in world.sim.pool_handles() {
+        for pool in world.sim.pools() {
             assert_eq!(pool.taken(), pool.recycled(), "pool leak in shard world");
         }
         (

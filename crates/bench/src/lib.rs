@@ -389,7 +389,7 @@ pub mod netsim_scale {
     // Sharded pod worlds (10k–100k hosts)
     // ------------------------------------------------------------------
 
-    use plab_netsim::{ShardedSim, SECOND};
+    use plab_netsim::SECOND;
 
     /// Hosts per pod in the sharded scale world. Small enough that a
     /// pod's working set stays cache-resident, large enough that the
@@ -417,7 +417,7 @@ pub mod netsim_scale {
     /// 2 ms uplink, so shards advance in 2 ms windows.
     pub struct PodWorld {
         /// The sharded simulator.
-        pub sim: ShardedSim,
+        pub sim: Sim,
         /// All host nodes, pod-major order.
         pub hosts: Vec<NodeId>,
         /// Raw-socket handle per host.
@@ -638,7 +638,7 @@ pub mod netsim_scale {
             const EVENTS: u64 = 22_272;
             for threads in [1, 2] {
                 let (events, _, world) = super::round_pods(1024, 4, threads);
-                for (shard, pool) in world.sim.pool_handles().iter().enumerate() {
+                for (shard, pool) in world.sim.pools().iter().enumerate() {
                     assert!(pool.taken() > 0, "shard {shard} moved no packet");
                     assert_eq!(
                         pool.taken(),

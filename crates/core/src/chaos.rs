@@ -178,7 +178,7 @@ fn build_world(linger_ns: u64, shards: usize) -> ChaosWorld {
     let access_link = sim.link_between(endpoint, racc).unwrap();
     let path_link = sim.link_between(racc, r1).unwrap();
 
-    let mut net = SimNet::new_sharded(sim);
+    let mut net = SimNet::new(sim);
     net.add_endpoint(
         endpoint,
         EndpointConfig {
@@ -449,7 +449,7 @@ pub fn run_sharded(scenario: Scenario, seed: u64, shards: usize) -> ChaosOutcome
     // Keep handles on every shard's pool, then tear the world down so
     // queued and inboxed frames reach end-of-life before the counters are
     // read. The leak invariant holds per shard; the outcome reports sums.
-    let pools = world.net.borrow().sim.pool_handles();
+    let pools = world.net.borrow().sim.pools();
     drop(world);
     ChaosOutcome {
         seed,

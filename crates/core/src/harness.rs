@@ -27,7 +27,7 @@ use crate::netstack::SimStack;
 use crate::reactor::EndpointReactor;
 use crate::rendezvous::{RendezvousServer, RvMessage};
 use crate::wire::{FrameDecoder, Message};
-use plab_netsim::{Frame, NodeId, NodeTransition, RawDisposition, ShardedSim, Sim, SimTime};
+use plab_netsim::{Frame, NodeId, NodeTransition, RawDisposition, Sim, SimTime};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
@@ -142,10 +142,10 @@ impl EndpointId {
 
 /// The simulation harness.
 pub struct SimNet {
-    /// The underlying simulator. A plain [`Sim`] wraps into a single-shard
-    /// [`ShardedSim`], which delegates every call straight through — the
-    /// harness drives sharded and sequential worlds identically.
-    pub sim: ShardedSim,
+    /// The underlying simulator, of one shard or several: every node
+    /// operation runs at the node's owner, so the harness drives both
+    /// alike.
+    pub sim: Sim,
     endpoints: Vec<EndpointHost>,
     rendezvous: Vec<RvHost>,
     tcp_sinks: Vec<TcpSinkHost>,
@@ -166,17 +166,12 @@ pub struct SimNet {
 }
 
 impl SimNet {
-    /// Wrap a built simulator.
-    pub fn new(sim: Sim) -> Self {
-        SimNet::new_sharded(ShardedSim::single(sim))
-    }
-
-    /// Wrap a sharded simulator (see
+    /// Wrap a built simulator, of one shard or several (see
     /// [`plab_netsim::TopologyBuilder::build_sharded`]). The harness
     /// services agents between events, so it advances via the
-    /// deterministic global-merge [`ShardedSim::step`]; chaos digests for
-    /// a fixed `(seed, shard_count)` replay bit-for-bit.
-    pub fn new_sharded(mut sim: ShardedSim) -> Self {
+    /// deterministic global-merge [`Sim::step`]; chaos digests for a
+    /// fixed `(seed, shard_count)` replay bit-for-bit.
+    pub fn new(mut sim: Sim) -> Self {
         sim.set_track_dirty();
         SimNet {
             sim,
@@ -428,7 +423,7 @@ impl SimNet {
     /// One event between two `process()` passes (the sparse contract,
     /// RUNNER.md), and then every following event strictly before
     /// `before` for as long as the simulator stays quiet
-    /// ([`ShardedSim::quiet`]: the events so far marked
+    /// ([`Sim::quiet`]: the events so far marked
     /// no node, fired no timer, crashed nothing — router hops, four
     /// events in five of a fleet pass), servicing agents once at the end
     /// rather than twice per hop. For a driver with nothing of its own to
@@ -728,12 +723,12 @@ impl SimNet {
         self.flush_endpoint(i);
     }
 
-    /// Endpoint `i`'s reactor and the [`SimStack`] it runs over: its node's
-    /// shard, with the endpoint's NAT address and raw-socket capability.
+    /// Endpoint `i`'s reactor and the [`SimStack`] it runs over: its node,
+    /// with the endpoint's NAT address and raw-socket capability.
     fn endpoint_io(&mut self, i: usize) -> (&mut EndpointReactor, SimStack<'_>) {
         let ep = &mut self.endpoints[i];
         let stack = SimStack {
-            sim: self.sim.shard_mut(ep.node),
+            sim: &mut self.sim,
             node: ep.node,
             ext_addr: ep.ext_addr,
             raw_ok: ep.raw_ok,
@@ -907,7 +902,7 @@ impl Wait {
     /// Does the world, seen from controller host `node`, satisfy this
     /// wait at this instant?
     #[inline]
-    pub fn holds(self, sim: &ShardedSim, node: NodeId) -> bool {
+    pub fn holds(self, sim: &Sim, node: NodeId) -> bool {
         let now = sim.now();
         match self {
             Wait::Data { conn, deadline } => {
@@ -1038,7 +1033,7 @@ impl<D: Driver> SimHost<D> {
     }
 
     /// Run `op` on the simulator and this host's node, or answer `gave_up`.
-    fn with<T>(&self, gave_up: T, op: impl FnOnce(&mut ShardedSim, NodeId) -> T) -> T {
+    fn with<T>(&self, gave_up: T, op: impl FnOnce(&mut Sim, NodeId) -> T) -> T {
         self.drive.with(gave_up, |n| op(&mut n.sim, self.node))
     }
 

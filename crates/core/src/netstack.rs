@@ -124,8 +124,10 @@ impl<'a> SimStack<'a> {
 }
 
 impl NetStack for SimStack<'_> {
+    /// The clock of the node's shard, which may lag the world's frontier
+    /// inside a multi-shard step.
     fn clock(&self) -> u64 {
-        self.sim.now()
+        self.sim.now_at(self.node)
     }
 
     fn local_addr(&self) -> Ipv4Addr {

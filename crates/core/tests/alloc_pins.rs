@@ -36,7 +36,7 @@ use packetlab::netstack::MemStack;
 use packetlab::reactor::EndpointReactor;
 use packetlab::wire::{Command, ErrCode, FrameDecoder, Message, Response};
 use plab_crypto::{KeyHash, Keypair};
-use plab_netsim::{LinkParams, ShardedSim, TopologyBuilder};
+use plab_netsim::{LinkParams, Sim, TopologyBuilder};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::{Cell, RefCell};
 use std::net::Ipv4Addr;
@@ -109,7 +109,7 @@ fn bulk_transfer_allocations(shard_of: &[usize]) -> u64 {
     sim.run_until(sim.now() + 50 * plab_netsim::MILLISECOND);
     let c2 = sim.tcp_accept(h2, 80).expect("accepted");
     let data = vec![0x5a; SEGMENTS * plab_netsim::tcp::MSS];
-    let transfer = |sim: &mut ShardedSim| {
+    let transfer = |sim: &mut Sim| {
         sim.tcp_send(h1, c1, &data);
         let mut got = 0;
         while got < data.len() {
@@ -119,7 +119,7 @@ fn bulk_transfer_allocations(shard_of: &[usize]) -> u64 {
             }
         }
         sim.run_until(sim.now() + 50 * plab_netsim::MILLISECOND);
-        let backlog = sim.shard_mut(h1).tcp_send_backlog(h1, c1);
+        let backlog = sim.tcp_send_backlog(h1, c1);
         assert_eq!(backlog, 0, "every byte acknowledged");
     };
     // The first transfer grows every ring, queue and free list to size.

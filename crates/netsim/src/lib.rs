@@ -30,9 +30,13 @@
 //!   loss, and endpoint crash/restart, all replayable from a seed
 //!   ([`fault`]).
 //!
-//! The simulator is single-threaded and runs in lockstep with the code
-//! driving it: [`Sim::step`] processes one event, [`Sim::run_until`] pumps
-//! to a deadline. Endpoint agents integrate via socket inboxes, scheduled
+//! One type, [`Sim`], is the world. Its nodes are dealt to one or more
+//! shards, each an event engine of its own, that advance under
+//! conservative lookahead ([`sim`] has the argument); every node
+//! operation is written once and runs at the node's owner. The simulator
+//! runs in lockstep with the code driving it: [`Sim::step`] processes one
+//! event, [`Sim::run_until`] pumps to a deadline (in windows, on threads
+//! when asked). Endpoint agents integrate via socket inboxes, scheduled
 //! sends, and named timers ([`Sim::schedule_timer`]).
 
 #![forbid(unsafe_code)]
@@ -46,7 +50,7 @@ pub mod node;
 pub mod pool;
 pub mod roster;
 pub mod routing;
-pub mod shard;
+mod shard;
 pub mod sim;
 pub mod tcp;
 pub mod time;
@@ -57,7 +61,6 @@ pub use fault::{FaultAction, GilbertElliott, ScheduledFault};
 pub use link::LinkParams;
 pub use node::{NodeId, RawDisposition};
 pub use pool::{BufPool, Frame};
-pub use shard::ShardedSim;
 pub use sim::{DropReason, NodeTransition, Sim};
 pub use time::{SimTime, MICROSECOND, MILLISECOND, SECOND};
 pub use topology::TopologyBuilder;

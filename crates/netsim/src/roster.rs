@@ -20,7 +20,6 @@
 use crate::fault::{FaultAction, GilbertElliott};
 use crate::link::LinkParams;
 use crate::node::NodeId;
-use crate::shard::ShardedSim;
 use crate::sim::Sim;
 use crate::time::MILLISECOND;
 use crate::topology::TopologyBuilder;
@@ -39,7 +38,7 @@ pub const UPLINK_MS: u64 = 2;
 pub struct RosterSpec {
     /// Number of controller/endpoint pairs.
     pub pairs: usize,
-    /// Shard count for the [`ShardedSim`].
+    /// Shard count for the [`Sim`].
     pub shards: usize,
     /// OS threads for the windowed advance (1 = sequential; the result
     /// is bit-identical either way).
@@ -67,7 +66,7 @@ pub struct RosterPair {
 /// A built roster world.
 pub struct RosterWorld {
     /// The sharded simulator.
-    pub sim: ShardedSim,
+    pub sim: Sim,
     /// All pairs, in roster order.
     pub pairs: Vec<RosterPair>,
     /// Pods per side (controller pods == endpoint pods).
@@ -244,7 +243,7 @@ pub struct BwTopoSpec {
     pub seed: u64,
 }
 
-/// A built bwest world (sequential [`Sim`]; these are five-node worlds).
+/// A built bwest world (a [`Sim`] of one shard; these are five-node worlds).
 pub struct BwWorld {
     /// The simulator.
     pub sim: Sim,

@@ -1,63 +1,32 @@
-//! Conservative-lookahead sharding: partition the world across cores.
+//! One shard's event engine: the wheel, forwarding, delivery and the host
+//! stacks of the nodes it owns.
 //!
-//! A [`ShardedSim`] splits a topology into N shards. Each shard is a
-//! [`Sim`] over a partition: it allocates host stacks, route tables,
-//! NAT tables and link queues only for the nodes it owns (and the links
+//! A [`Shard`] holds state only for the nodes it owns (and the links
 //! that touch them) and keeps every other id as a ghost — a slot entry
-//! that says "not mine" (see `world.rs`). What no one changes
-//! after build — the name index, who owns which node — is held once and
-//! shared. A shard never needs a foreign node's state: a packet toward
-//! one is diverted at the link into a per-destination outbox and
-//! exchanged at window boundaries, and the owner does the rest.
-//!
-//! # Why determinism survives (see DESIGN.md for the full argument)
-//!
-//! - **Lookahead.** The window `L` is the minimum latency over links
-//!   whose endpoints live in different shards. An event processed at
-//!   time `t` can only produce a cross-shard arrival at `t + latency +
-//!   serialization + jitter ≥ t + L` (serialization and jitter only add
-//!   delay), so everything a shard does inside window `(w, w+L]` lands
-//!   in foreign shards strictly after `w + L` — nothing a peer is
-//!   concurrently processing can be affected. Shards therefore advance
-//!   the window `(w, w+L]` *in parallel with no communication*, and the
-//!   barrier exchange at `w + L` is safe.
-//! - **Deterministic merge.** Outboxes are drained in `(source shard,
-//!   destination shard)` order, packets in send order; each injection
-//!   allocates the destination's next `seq`, so the merged `(time, seq)`
-//!   order is a pure function of `(seed, shard_count)` — independent of
-//!   thread scheduling, because shards share no mutable state between
-//!   barriers (each has its own RNG, pool, wheel, and drop counters).
-//! - **Boundary equality.** An arrival can be at or behind the
-//!   destination's clock after a barrier (equality at the first window,
-//!   ties after a `SetDelay` shrink). [`crate::event::EventQueue`]
-//!   accepts past-clock pushes and pops them first in `(time, seq)`
-//!   order, so the merge never panics and never reorders what a shard
-//!   already scheduled.
-//! - **One shard is the sequential engine.** With one shard there are no
-//!   foreign nodes: no divert, no windows, the same seed drives the same
-//!   single wheel — bit-identical to the unsharded simulator by
-//!   construction (pinned across the chaos corpus).
-//!
-//! Threading is an execution detail: with `threads > 1` the per-window
-//! advance runs under `std::thread::scope`, otherwise shards advance in
-//! index order on the caller's thread. Both produce identical results —
-//! windows are communication-free — which is itself asserted by the
-//! shard equivalence tests.
+//! that says "not mine" (see `world.rs`). A packet toward a foreign node
+//! is diverted at the link into a per-destination outbox, which the
+//! world ([`crate::Sim`]) drains at window boundaries; the owner does
+//! the rest. A world of one shard has no foreign nodes: no divert, no
+//! windows, one wheel.
 
+use crate::event::{EventKind, EventQueue};
 use crate::fault::FaultAction;
-use crate::link::Link;
-use crate::node::{Node, NodeId};
+use crate::link::{Link, Offer};
+use crate::node::{Node, NodeId, NodeKind};
 use crate::pool::{BufPool, Frame};
-use crate::sim::{NodeTransition, Sim};
+use crate::sim::{DropReason, NodeTransition};
+use crate::tcp::TcpOut;
 use crate::time::SimTime;
 use crate::world::{Owned, World};
-use fxhash::FxHashMap;
+use plab_packet::{builder, icmp, ipv4, proto, udp};
+use rand::rngs::StdRng;
+use rand::{Rng, RngCore, SeedableRng};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
 /// splitmix64: derives per-shard RNG seeds from the world seed. Shard 0
-/// keeps the world seed itself so 1-shard runs replay the sequential
-/// engine exactly.
+/// keeps the world seed itself, so a 1-shard world draws what the
+/// world's seed says.
 fn shard_seed(seed: u64, shard: usize) -> u64 {
     if shard == 0 {
         return seed;
@@ -65,767 +34,791 @@ fn shard_seed(seed: u64, shard: usize) -> u64 {
     plab_obs::export::splitmix64(&mut (seed ^ (shard as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)))
 }
 
-/// A sharded simulator: N [`Sim`] partitions advancing under conservative
-/// lookahead. Mirrors the [`Sim`] driving API (sockets, timers, faults,
-/// `step`/`run_until`) by routing each call to the owning shard, so a
-/// harness written against `Sim` drives a `ShardedSim` unchanged.
-pub struct ShardedSim {
-    shards: Vec<Sim>,
-    /// The fixed part every shard shares: name index, owner per node.
-    world: Arc<World>,
-    /// Conservative lookahead: minimum cross-shard link latency.
-    /// `SimTime::MAX` when single-sharded or no link crosses shards.
-    window: SimTime,
-    /// Advance shards on OS threads when > 1 (results are identical
-    /// either way; see module docs).
-    threads: usize,
-    /// Window barriers executed (metrics).
-    windows_run: u64,
-    /// [`ShardedSim::handoffs`] as of the last exchange: while it still
-    /// reads the same, every outbox is empty.
-    exchanged: u64,
+/// A packet diverted toward a node owned by a foreign shard, handed over
+/// at the world's outbox exchange. Frames are per-shard, so the buffer
+/// leaves the sending shard's pool at the divert point
+/// ([`Frame::hand_off`]: moved when the frame is unique and whole,
+/// copied otherwise) and the destination shard's pool adopts it; each
+/// pool's `taken == recycled` accounting stays exact.
+#[derive(Debug)]
+pub(crate) struct CrossPacket {
+    /// Arrival time at the far end of the link (includes serialization
+    /// and jitter, both computed on the sending shard).
+    pub arrival: SimTime,
+    /// Link index.
+    pub link: usize,
+    /// Direction: 0 = a→b, 1 = b→a.
+    pub dir: usize,
+    /// The datagram's buffer, on no pool's books while in the outbox.
+    pub buf: Arc<Vec<u8>>,
 }
 
-impl ShardedSim {
-    /// Wrap an existing sequential [`Sim`] as a single-shard world: every
-    /// operation delegates straight through — bit-identical behaviour.
-    pub fn single(sim: Sim) -> ShardedSim {
-        ShardedSim {
-            world: sim.world.clone(),
-            shards: vec![sim],
-            window: SimTime::MAX,
-            threads: 1,
-            windows_run: 0,
-            exchanged: 0,
-        }
-    }
+/// Per-shard context of a world of several: which shard this is
+/// (`World::shard_of` says who owns which node), and the
+/// per-destination outboxes the world drains at window boundaries.
+#[derive(Debug)]
+struct ShardCtx {
+    /// This shard's index.
+    index: usize,
+    /// Diverted packets keyed by destination shard.
+    outbox: Vec<Vec<CrossPacket>>,
+    /// Total cross-shard handoffs originated here.
+    handoffs: u64,
+}
 
-    /// Build from assembled topology parts (see
-    /// [`crate::TopologyBuilder::build_sharded`]).
-    pub(crate) fn from_parts(
-        nodes: Vec<Node>,
-        links: Vec<Link>,
+/// How many places down the same-instant batch each stage of
+/// [`Shard::warm_ahead`] reads. Three, because the addresses depend on one
+/// another: the link names the node; node and packet, the route and the
+/// out-link. Constants: they decide what is cached, never what is computed.
+const AHEAD_LINK: usize = 10;
+const AHEAD_NODE: usize = 5;
+const AHEAD_ROUTE: usize = 2;
+
+/// One partition of a world and its event engine. The world's node
+/// operations reach into the owner's fields directly.
+pub(crate) struct Shard {
+    /// This shard's clock. It may lag the world's frontier inside a
+    /// window; a node operation reads its owner's.
+    pub time: SimTime,
+    pub events: EventQueue,
+    /// Nodes by [`NodeId`]: state for the ones this shard owns (all of
+    /// them in a 1-shard world), ghosts for the rest.
+    pub nodes: Owned<Node>,
+    /// Links by index: state for those with an end on an owned node.
+    pub links: Owned<Link>,
+    /// The world's fixed part, shared with the other shards.
+    world: Arc<World>,
+    rng: StdRng,
+    /// Drops by reason (indexed by `DropReason as usize`). A flat array:
+    /// drop accounting sits on the per-packet path, so it must not pay a
+    /// hash per record.
+    pub drop_counts: [u64; 8],
+    pub fired_timers: Vec<(NodeId, u64)>,
+    pub send_log: Vec<(NodeId, u64, SimTime)>,
+    pub node_transitions: Vec<NodeTransition>,
+    /// Recycled packet buffers (see [`crate::pool`]).
+    pub pool: BufPool,
+    /// What the last TCP call emitted, drained by [`Shard::dispatch_tcp`].
+    pub tcp_out: TcpOut,
+    /// Cross-shard context; `None` in a world of one shard (the hot path
+    /// pays one `Option` check per transmit/arrival).
+    shard: Option<ShardCtx>,
+    /// Events processed by [`Shard::step`] (throughput accounting for
+    /// windowed advances, where the driver never sees individual steps).
+    pub processed: u64,
+    /// Opt-in dirty-node tracking for fleet-scale harnesses: when
+    /// enabled, event processing records which nodes it touched so a
+    /// driver servicing thousands of hosts can visit only those instead
+    /// of scanning the whole roster per event.
+    pub track_dirty: bool,
+    pub dirty_nodes: Vec<usize>,
+    pub dirty_mark: Vec<bool>,
+    /// Items and bytes handed to or taken from a harness (see
+    /// [`crate::Sim::activity`]).
+    pub handed: u64,
+}
+
+impl Shard {
+    /// Shard `index` of `count`, over the nodes and links dealt to it.
+    pub fn new(
+        nodes: Owned<Node>,
+        links: Owned<Link>,
         seed: u64,
-        names: FxHashMap<String, usize>,
-        shard_of: &[usize],
-        threads: usize,
-    ) -> ShardedSim {
-        assert_eq!(shard_of.len(), nodes.len(), "one shard entry per node");
-        let count = shard_of.iter().copied().max().map_or(0, |m| m + 1).max(1);
-        assert!(count <= u8::MAX as usize, "at most 255 shards");
-        let mut window = SimTime::MAX;
-        for l in &links {
-            if shard_of[l.a.0] != shard_of[l.b.0] {
-                assert!(
-                    l.params.latency > 0,
-                    "cross-shard links need non-zero latency (lookahead)"
-                );
-                window = window.min(l.params.latency);
-            }
-        }
-        // Deal every node to its owner, every link to the owner of each
-        // end (a cross-shard link lives in both, as two half-used copies:
-        // each side queues and paces only the direction it transmits).
-        let mut parts: Vec<_> = (0..count)
-            .map(|_| (Owned::ghosts(nodes.len()), Owned::ghosts(links.len())))
-            .collect();
-        for (id, node) in nodes.into_iter().enumerate() {
-            parts[shard_of[id]].0.own(id, node);
-        }
-        for (id, link) in links.into_iter().enumerate() {
-            let (a, b) = (shard_of[link.a.0], shard_of[link.b.0]);
-            if a != b {
-                parts[b].1.own(id, link.clone());
-            }
-            parts[a].1.own(id, link);
-        }
-        let world = Arc::new(World {
-            names,
-            shard_of: shard_of.iter().map(|&s| s as u8).collect(),
-        });
-        let shards = parts
-            .into_iter()
-            .enumerate()
-            .map(|(i, (nodes, links))| {
-                let mut sim = Sim::from_parts(nodes, links, shard_seed(seed, i), world.clone());
-                if count > 1 {
-                    sim.enable_sharding(i, count);
-                }
-                sim
-            })
-            .collect();
-        ShardedSim {
-            shards,
+        world: Arc<World>,
+        (index, count): (usize, usize),
+    ) -> Self {
+        let pool = BufPool::new();
+        Shard {
+            time: 0,
+            events: EventQueue::new(),
+            nodes,
+            links,
             world,
-            window,
-            threads: threads.max(1),
-            windows_run: 0,
-            exchanged: 0,
+            rng: StdRng::seed_from_u64(shard_seed(seed, index)),
+            drop_counts: [0; 8],
+            fired_timers: Vec::new(),
+            send_log: Vec::new(),
+            node_transitions: Vec::new(),
+            tcp_out: TcpOut::new(pool.clone()),
+            pool,
+            shard: (count > 1).then(|| ShardCtx {
+                index,
+                outbox: (0..count).map(|_| Vec::new()).collect(),
+                handoffs: 0,
+            }),
+            processed: 0,
+            track_dirty: false,
+            dirty_nodes: Vec::new(),
+            dirty_mark: Vec::new(),
+            handed: 0,
         }
     }
 
-    /// Owning shard of `node`.
-    fn shard_of(&self, node: NodeId) -> usize {
-        self.world.shard_of[node.0] as usize
+    #[inline]
+    fn mark_dirty(&mut self, node: usize) {
+        if self.track_dirty && !self.dirty_mark[node] {
+            self.dirty_mark[node] = true;
+            self.dirty_nodes.push(node);
+        }
     }
 
-    /// Mutable access to the shard that owns `node` (the harness builds
-    /// its per-node `NetStack` views over this).
-    pub fn shard_mut(&mut self, node: NodeId) -> &mut Sim {
-        let s = self.shard_of(node);
-        &mut self.shards[s]
+    /// The outbox of packets bound for shard `dest`.
+    pub fn outbox(&mut self, dest: usize) -> &mut Vec<CrossPacket> {
+        let ctx = self
+            .shard
+            .as_mut()
+            .expect("only shards of several exchange");
+        &mut ctx.outbox[dest]
     }
 
-    fn shard(&self, node: NodeId) -> &Sim {
-        &self.shards[self.shard_of(node)]
+    /// Accept a packet handed over from a foreign shard: this shard's
+    /// pool adopts the buffer, and the arrival is scheduled. The event
+    /// time may lie behind this shard's clock (see [`EventQueue`]).
+    pub fn inject_cross(&mut self, p: CrossPacket) {
+        let packet = self.pool.receive(p.buf);
+        self.events.push(
+            p.arrival,
+            EventKind::LinkArrival {
+                link: p.link,
+                dir: p.dir,
+                packet,
+            },
+        );
     }
 
-    /// `link` as a shard that holds it sees it (holders agree on
-    /// everything faults can set, and on where it runs).
-    fn link(&self, link: usize) -> &Link {
-        let held = self.shards.iter().find_map(|s| s.links.get(link));
-        held.expect("every link has an owned end")
-    }
-
-    /// Every shard's buffer pool, for aggregate leak accounting
-    /// (`taken == recycled` must hold per shard at teardown).
-    pub fn pool_handles(&self) -> Vec<BufPool> {
-        self.shards.iter().map(|s| s.pool().clone()).collect()
-    }
-
-    /// Total cross-shard packet handoffs.
+    /// Total cross-shard handoffs this shard originated.
     pub fn handoffs(&self) -> u64 {
-        self.shards.iter().map(|s| s.handoffs()).sum()
+        self.shard.as_ref().map_or(0, |c| c.handoffs)
     }
 
-    /// Total events processed across shards.
-    pub fn events_processed(&self) -> u64 {
-        self.shards.iter().map(|s| s.events_processed()).sum()
-    }
-
-    /// See [`Sim::install_route`]. Only `node`'s owner has its table.
-    pub fn install_route(&mut self, node: NodeId, dst: Ipv4Addr, iface: usize) {
-        self.shard_mut(node).install_route(node, dst, iface);
-    }
-
-    /// See [`Sim::set_default_route`].
-    pub fn set_default_route(&mut self, node: NodeId, iface: usize) {
-        self.shard_mut(node).set_default_route(node, iface);
-    }
-
-    /// Window barriers executed so far.
-    pub fn windows_run(&self) -> u64 {
-        self.windows_run
+    /// Schedule `kind` at `time`, or now if `time` has passed.
+    pub fn schedule(&mut self, time: SimTime, kind: EventKind) {
+        self.events.push(time.max(self.time), kind);
     }
 
     // ------------------------------------------------------------------
     // Event loop
     // ------------------------------------------------------------------
 
-    /// Current virtual time: the maximum over shard clocks (shards may
-    /// lag inside a window; the frontier is what drivers observe).
-    pub fn now(&self) -> SimTime {
-        self.shards.iter().map(|s| s.now()).max().unwrap_or(0)
-    }
-
-    /// Earliest pending event time across shards.
-    pub fn next_event_time(&self) -> Option<SimTime> {
-        self.shards.iter().filter_map(|s| s.next_event_time()).min()
-    }
-
-    /// Process the single globally earliest event (ties break toward the
-    /// lower shard index), then exchange if anything has been diverted
-    /// since the last exchange — by this event, or by a socket call the
-    /// driver made between steps. Most events divert nothing, and then
-    /// the outboxes are not walked. This is the fine-grained sequential
-    /// merge — used by drivers that must react between events;
-    /// `run_until` is the windowed parallel path.
+    /// Process the single earliest event. Returns false when idle.
     pub fn step(&mut self) -> bool {
-        if self.shards.len() == 1 {
-            return self.shards[0].step();
-        }
-        let Some((_, idx)) = self
-            .shards
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.next_event_time().map(|t| (t, i)))
-            .min()
-        else {
+        let Some((t, kind)) = self.events.pop() else {
             return false;
         };
-        self.shards[idx].step();
-        if self.handoffs() != self.exchanged {
-            self.exchange();
+        self.warm_ahead();
+        self.processed += 1;
+        // Cross-shard injection at a window boundary can pop behind the
+        // local clock (see `EventQueue` docs); the clock only ratchets
+        // forward so observables stay monotone.
+        self.time = self.time.max(t);
+        if plab_obs::enabled() {
+            // Stamp the observability clock so every event recorded while
+            // handling this sim event carries the virtual time.
+            plab_obs::set_virtual_time(self.time);
+        }
+        match kind {
+            EventKind::LinkArrival { link, dir, packet } => {
+                // One bounds-checked borrow for the whole arm; `rng` and
+                // `drop_counts` are disjoint fields.
+                let l = &mut self.links[link];
+                // Cross-shard arrivals: the sending shard owns the queue
+                // accounting (it processes the matching `CrossDeparted`);
+                // releasing here too would double-free queue bytes.
+                let foreign_src = self
+                    .shard
+                    .as_ref()
+                    .is_some_and(|c| self.world.shard_of[l.src_node(dir)] as usize != c.index);
+                if !foreign_src {
+                    l.departed(dir, packet.len());
+                }
+                let dst = l.dst_node(dir);
+                if !l.up {
+                    // A flap kills what is in flight on the wire.
+                    self.trace_drop(dst, DropReason::LinkDown);
+                    return true;
+                }
+                // Loss decisions are integer comparisons on rolls drawn
+                // from the single seeded RNG — bit-for-bit reproducible
+                // across runs and platforms.
+                let lost = l.lossy() && {
+                    let rolls = [self.rng.next_u64(), self.rng.next_u64()];
+                    self.links[link].sample_loss(dir, rolls)
+                };
+                if lost {
+                    self.trace_drop(dst, DropReason::RandomLoss);
+                    drop(packet);
+                } else {
+                    self.deliver(dst, packet);
+                }
+            }
+            EventKind::ScheduledSend {
+                node,
+                logged,
+                packet,
+                tag,
+            } => {
+                let node = node as usize;
+                if self.nodes[node].crashed {
+                    self.trace_drop(node, DropReason::NodeDown);
+                    return true;
+                }
+                self.mark_dirty(node);
+                if logged {
+                    self.send_log.push((NodeId(node), tag, self.time));
+                }
+                self.send_from(NodeId(node), packet);
+            }
+            EventKind::TcpTick { node, conn } => {
+                if self.nodes[node].crashed {
+                    return true;
+                }
+                self.mark_dirty(node);
+                let now = self.time;
+                let tcp = &mut self.nodes[node].host_mut().tcp;
+                tcp.tick(now, conn, &mut self.tcp_out);
+                self.dispatch_tcp(NodeId(node));
+            }
+            EventKind::Timer { node, key } => {
+                self.mark_dirty(node);
+                self.fired_timers.push((NodeId(node), key));
+            }
+            EventKind::Fault { action } => {
+                self.apply_fault(action);
+            }
+            EventKind::CrossDeparted { link, dir, len } => {
+                // The handed-over packet finished serializing out of this
+                // shard's side of the link; release its queue occupancy.
+                self.links[link].departed(dir, len);
+            }
         }
         true
     }
 
-    /// Process all events up to and including `deadline`, then advance
-    /// every shard's clock to `deadline`. Multi-shard worlds advance in
-    /// conservative-lookahead windows, in parallel when `threads > 1`.
-    pub fn run_until(&mut self, deadline: SimTime) {
-        if self.shards.len() == 1 {
-            return self.shards[0].run_until(deadline);
-        }
-        loop {
-            let boundary = self.next_boundary(deadline);
-            self.advance_window(boundary);
-            if boundary >= deadline {
-                break;
+    /// Read what the events a few places down the wheel's same-instant
+    /// batch will read first, so that those misses overlap one another
+    /// and the event in hand instead of stalling theirs one by one: at
+    /// 51,200 hosts an event costs the latency of its first touch of a
+    /// link, a node, a packet and an out-link, and the batch (thousands
+    /// deep in pod worlds) says which those will be. Reads only, through
+    /// `&self`, and no `Frame` is cloned or kept: no event, refcount, RNG
+    /// draw or counter can differ for it. A batch shorter than the nearest
+    /// stage (every fleet and bwest step) returns at the first line.
+    #[inline]
+    fn warm_ahead(&self) {
+        let Some(near) = self.events.ahead(AHEAD_ROUTE) else {
+            return;
+        };
+        /// The node an event acts on, and its packet.
+        fn lands<'a>(sim: &'a Shard, e: &'a EventKind) -> Option<(&'a Node, &'a Frame)> {
+            match e {
+                EventKind::LinkArrival { link, dir, packet } => {
+                    let dst = sim.links.get(*link)?.dst_node(*dir);
+                    Some((sim.nodes.get(dst)?, packet))
+                }
+                EventKind::ScheduledSend { node, packet, .. } => {
+                    Some((sim.nodes.get(*node as usize)?, packet))
+                }
+                _ => None,
             }
         }
-    }
-
-    /// The next window boundary toward `deadline` from the current
-    /// frontier.
-    fn next_boundary(&self, deadline: SimTime) -> SimTime {
-        if self.window == SimTime::MAX {
-            return deadline;
-        }
-        self.now().saturating_add(self.window).min(deadline)
-    }
-
-    /// Advance every shard to `boundary` (its safe horizon), then
-    /// exchange cross-shard packets at the barrier. Communication-free
-    /// inside the window, so the shard loop runs on OS threads when
-    /// configured — with identical results either way.
-    fn advance_window(&mut self, boundary: SimTime) {
-        if self.threads > 1 && self.shards.len() > 1 {
-            std::thread::scope(|scope| {
-                for shard in &mut self.shards {
-                    scope.spawn(move || shard.run_until(boundary));
-                }
-            });
-        } else {
-            for shard in &mut self.shards {
-                shard.run_until(boundary);
+        // A field on each line of a `Link`: `ge` and `params.loss`
+        // (`lossy`), both directions' queues (`departed`, `offer`), the
+        // ends (`dst_node`, `dir_from`) and `up`.
+        let link_lines = |l: &Link| {
+            let queued = l.dirs[0].queued_bytes + l.dirs[1].queued_bytes;
+            l.lossy() as usize + queued + l.a.0 + l.b.0 + l.up as usize
+        };
+        let mut seen = 0usize;
+        // Stage one, addresses from the event itself. `step`:
+        // `let l = &mut self.links[link]` and `packet.len()` (the buffer's
+        // header, where the count `pool::release` decrements also is); for
+        // a send, `self.nodes[node].crashed`.
+        match self.events.ahead(AHEAD_LINK) {
+            Some(EventKind::LinkArrival { link, packet, .. }) => {
+                seen += self.links.get(*link).map_or(0, link_lines) + packet.len();
             }
-        }
-        self.windows_run += 1;
-        static WINDOWS: plab_obs::metrics::Counter =
-            plab_obs::metrics::Counter::new("netsim.shard.windows");
-        WINDOWS.inc();
-        self.exchange();
-    }
-
-    /// Drain every outbox in `(source, destination)` shard order and
-    /// inject the packets — the deterministic merge point.
-    fn exchange(&mut self) {
-        self.exchanged = self.handoffs();
-        let n = self.shards.len();
-        let mut moved = 0u64;
-        for src in 0..n {
-            for dst in 0..n {
-                // A shard's outbox toward itself stays empty.
-                let outbox = self.shards[src].outbox(dst);
-                if outbox.is_empty() {
-                    continue;
-                }
-                // Drained in place and handed back: an outbox keeps its
-                // capacity from one exchange to the next.
-                let mut pkts = std::mem::take(outbox);
-                moved += pkts.len() as u64;
-                for p in pkts.drain(..) {
-                    self.shards[dst].inject_cross(p);
-                }
-                *self.shards[src].outbox(dst) = pkts;
-            }
-        }
-        if moved > 0 {
-            static HANDOFFS: plab_obs::metrics::Counter =
-                plab_obs::metrics::Counter::new("netsim.shard.handoffs");
-            HANDOFFS.add(moved);
-            static BATCH: plab_obs::metrics::Histogram =
-                plab_obs::metrics::Histogram::new("netsim.shard.exchange_batch");
-            BATCH.observe(moved);
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Delegated driving API (routes to the owning shard)
-    // ------------------------------------------------------------------
-
-    /// Find a node by name. O(1): backed by the shared index the builder
-    /// checked names against (they are fixed once the topology is built).
-    pub fn node_by_name(&self, name: &str) -> Option<NodeId> {
-        self.world.names.get(name).copied().map(NodeId)
-    }
-
-    /// See [`Sim::addr_of`].
-    pub fn addr_of(&self, node: NodeId) -> Ipv4Addr {
-        self.shard(node).addr_of(node)
-    }
-
-    /// See [`Sim::link_between`]. `a`'s owner holds every link of `a`.
-    pub fn link_between(&self, a: NodeId, b: NodeId) -> Option<usize> {
-        self.shard(a).link_between(a, b)
-    }
-
-    /// See [`Sim::schedule_timer`].
-    pub fn schedule_timer(&mut self, node: NodeId, key: u64, time: SimTime) {
-        self.shard_mut(node).schedule_timer(node, key, time);
-    }
-
-    /// Drain a per-shard log onto `out`, concatenated in shard order — so
-    /// the merged sequence is a pure function of `(seed, shard_count)`
-    /// like every other cross-shard observable. Onto the caller's buffer:
-    /// the harness drains around every event, and a drain must allocate
-    /// nothing once that buffer has grown.
-    fn gather<T>(&mut self, out: &mut Vec<T>, drain: impl Fn(&mut Sim, &mut Vec<T>)) {
-        self.shards.iter_mut().for_each(|s| drain(s, out));
-    }
-
-    /// Fired timers across shards onto `out`, in shard order.
-    pub fn drain_fired_timers(&mut self, out: &mut Vec<(NodeId, u64)>) {
-        self.gather(out, Sim::drain_fired_timers)
-    }
-
-    /// See [`Sim::set_track_dirty`]. Applied to every shard.
-    pub fn set_track_dirty(&mut self) {
-        for s in &mut self.shards {
-            s.set_track_dirty();
-        }
-    }
-
-    /// See [`Sim::quiet`]: every shard is.
-    pub fn quiet(&self) -> bool {
-        self.shards.iter().all(Sim::quiet)
-    }
-
-    /// See [`Sim::activity`]: summed over shards.
-    pub fn activity(&self) -> u64 {
-        self.shards.iter().map(Sim::activity).sum()
-    }
-
-    /// See [`Sim::drain_dirty_nodes`]. Concatenated in shard order.
-    pub fn drain_dirty_nodes(&mut self, out: &mut Vec<NodeId>) {
-        self.gather(out, Sim::drain_dirty_nodes)
-    }
-
-    /// See [`Sim::schedule_send`].
-    pub fn schedule_send(&mut self, node: NodeId, time: SimTime, packet: Vec<u8>, tag: u64) {
-        self.shard_mut(node).schedule_send(node, time, packet, tag);
-    }
-
-    /// Schedule a fault: node faults go to the owning shard; link faults
-    /// go to every shard (each applies it at the same virtual time in its
-    /// own timeline; only the shards holding the link have anything to
-    /// change). A `SetDelay` that lowers a cross-shard latency below the
-    /// current window conservatively shrinks the window immediately — at
-    /// schedule time, deterministically — so the lookahead stays sound
-    /// from the moment the new latency can matter.
-    pub fn schedule_fault(&mut self, at: SimTime, action: FaultAction) {
-        match action {
-            FaultAction::TcpReset { node }
-            | FaultAction::NodeCrash { node }
-            | FaultAction::NodeRestart { node } => {
-                return self.shard_mut(NodeId(node)).schedule_fault(at, action);
-            }
-            FaultAction::SetDelay { link, latency, .. } if self.shards.len() > 1 => {
-                let l = self.link(link);
-                let crosses = self.world.shard_of[l.a.0] != self.world.shard_of[l.b.0];
-                if crosses && latency < self.window {
-                    self.window = latency.max(1);
-                }
+            Some(EventKind::ScheduledSend { node, packet, .. }) => {
+                let crashed = self
+                    .nodes
+                    .get(*node as usize)
+                    .map_or(0, |n| n.crashed as usize);
+                seen += crashed + packet.len();
             }
             _ => {}
         }
-        for s in &mut self.shards {
-            s.schedule_fault(at, action.clone());
+        // Stage two, link and buffer header now in cache. `deliver`:
+        // `nodes[node].crashed` and `.kind`, the packet bytes
+        // `Ipv4View::new_unchecked` opens, and the node's other lines:
+        // `ifaces` (`owns_addr`), `host.raw` and `defer_os`
+        // (`host_receive`), `routes` (`transmit`).
+        if let Some((n, packet)) = self.events.ahead(AHEAD_NODE).and_then(|e| lands(self, e)) {
+            seen += n.crashed as usize + n.kind as usize + n.ifaces.len();
+            seen += n.routes.default_iface.unwrap_or(0);
+            seen += n
+                .host
+                .as_ref()
+                .map_or(0, |h| h.raw.len() + h.defer_os as usize);
+            seen += packet.first().map_or(0, |&b| b as usize);
+        }
+        // Stage three, node and packet now readable: the blocks the node
+        // points to. `owns_addr`: the `ifaces` block. `host_receive`: the
+        // tail of each raw socket's inbox, where `push_back` writes. For a
+        // router's arrival or a host's send, `transmit`:
+        // `routes.lookup(dst)`, `ifaces[iface_idx].link`, `links[link_idx]`.
+        if let Some((n, packet)) = lands(self, near) {
+            seen += u32::from(n.addr()) as usize;
+            let arrival = matches!(near, EventKind::LinkArrival { .. });
+            if let (true, Some(host)) = (arrival, &n.host) {
+                for raw in host.raw.values() {
+                    seen += raw.inbox.back().map_or(0, |(t, _)| *t as usize);
+                }
+            } else if let Ok(view) = ipv4::Ipv4View::new_unchecked(packet) {
+                let iface = n.routes.lookup(view.dst()).and_then(|i| n.ifaces.get(i));
+                seen += iface
+                    .and_then(|i| self.links.get(i.link?))
+                    .map_or(0, link_lines);
+            }
+        }
+        std::hint::black_box(seen);
+    }
+
+    /// Process all events up to and including `deadline`, then advance the
+    /// clock to `deadline`.
+    pub fn run_until(&mut self, deadline: SimTime) {
+        while self
+            .events
+            .peek_time()
+            .map(|t| t <= deadline)
+            .unwrap_or(false)
+        {
+            self.step();
+        }
+        self.time = self.time.max(deadline);
+        if plab_obs::enabled() {
+            plab_obs::set_virtual_time(self.time);
         }
     }
 
-    /// Node transitions across shards onto `out`, in shard order.
-    pub fn drain_node_transitions(&mut self, out: &mut Vec<NodeTransition>) {
-        self.gather(out, Sim::drain_node_transitions)
+    // ------------------------------------------------------------------
+    // Fault injection (see `crate::fault`)
+    // ------------------------------------------------------------------
+
+    /// Apply a fault now. A link fault reaches every shard of a world;
+    /// one that owns neither end holds no state for the link and has
+    /// nothing to change.
+    pub fn apply_fault(&mut self, action: FaultAction) {
+        if plab_obs::enabled() {
+            static FAULTS: plab_obs::metrics::Counter =
+                plab_obs::metrics::Counter::new("netsim.faults");
+            FAULTS.inc();
+            let (kind, target) = match &action {
+                FaultAction::LinkDown { link } => (0u64, *link as u64),
+                FaultAction::LinkUp { link } => (1, *link as u64),
+                FaultAction::SetLoss { link, .. } => (2, *link as u64),
+                FaultAction::SetBurstLoss { link, .. } => (3, *link as u64),
+                FaultAction::SetDelay { link, .. } => (4, *link as u64),
+                FaultAction::TcpReset { node } => (5, *node as u64),
+                FaultAction::NodeCrash { node } => (6, *node as u64),
+                FaultAction::NodeRestart { node } => (7, *node as u64),
+            };
+            plab_obs::obs_event!(
+                plab_obs::Component::Netsim,
+                "fault",
+                "kind" = kind,
+                "target" = target
+            );
+        }
+        match action {
+            FaultAction::LinkDown { link } => self.on_link(link, |l| l.up = false),
+            FaultAction::LinkUp { link } => self.on_link(link, |l| l.up = true),
+            FaultAction::SetLoss { link, loss } => self.on_link(link, |l| l.params.loss = loss),
+            FaultAction::SetBurstLoss { link, model } => self.on_link(link, |l| l.ge = model),
+            FaultAction::SetDelay {
+                link,
+                latency,
+                jitter,
+            } => self.on_link(link, |l| {
+                l.params.latency = latency;
+                l.params.jitter = jitter;
+            }),
+            FaultAction::TcpReset { node } => {
+                let n = &mut self.nodes[node];
+                if let Some(host) = n.host.as_mut() {
+                    host.tcp.reset_conns();
+                }
+                // The node's sockets changed state with no packet
+                // delivered: whoever watches dirty nodes must look.
+                self.mark_dirty(node);
+            }
+            FaultAction::NodeCrash { node } => self.crash_node(NodeId(node)),
+            FaultAction::NodeRestart { node } => self.restart_node(NodeId(node)),
+        }
     }
 
-    /// See [`Sim::raw_open`].
-    pub fn raw_open(&mut self, node: NodeId) -> u64 {
-        self.shard_mut(node).raw_open(node)
+    fn on_link(&mut self, link: usize, f: impl FnOnce(&mut Link)) {
+        if let Some(l) = self.links.get_mut(link) {
+            f(l);
+        }
     }
 
-    /// See [`Sim::raw_send`].
-    pub fn raw_send(&mut self, node: NodeId, packet: Vec<u8>) {
-        self.shard_mut(node).raw_send(node, packet);
+    /// Crash a host: the socket stack (raw/UDP/TCP, pending OS packets) is
+    /// wiped and deliveries drop with [`DropReason::NodeDown`] until
+    /// it restarts. No-op on non-hosts or already-crashed nodes.
+    fn crash_node(&mut self, node: NodeId) {
+        let n = &mut self.nodes[node.0];
+        if n.host.is_none() || n.crashed {
+            return;
+        }
+        n.crashed = true;
+        n.host = Some(Default::default());
+        plab_obs::obs_event!(plab_obs::Component::Netsim, "node.crash", "node" = node.0);
+        self.mark_dirty(node.0);
+        self.node_transitions.push(NodeTransition::Crashed(node));
     }
 
-    /// See [`Sim::raw_recv`].
-    pub fn raw_recv(&mut self, node: NodeId, sock: u64) -> Vec<(SimTime, Frame)> {
-        self.shard_mut(node).raw_recv(node, sock)
+    /// Restart a crashed host with a fresh, empty socket stack. The
+    /// harness must re-establish listeners (see
+    /// [`crate::Sim::drain_node_transitions`]).
+    fn restart_node(&mut self, node: NodeId) {
+        let n = &mut self.nodes[node.0];
+        if n.host.is_none() || !n.crashed {
+            return;
+        }
+        n.crashed = false;
+        n.host = Some(Default::default());
+        plab_obs::obs_event!(plab_obs::Component::Netsim, "node.restart", "node" = node.0);
+        self.mark_dirty(node.0);
+        self.node_transitions.push(NodeTransition::Restarted(node));
     }
 
-    /// See [`Sim::set_defer_os`].
-    pub fn set_defer_os(&mut self, node: NodeId) {
-        self.shard_mut(node).set_defer_os(node);
+    // ------------------------------------------------------------------
+    // Forwarding internals
+    // ------------------------------------------------------------------
+
+    /// Schedule the ticks and send the segments the last TCP call left in
+    /// `tcp_out`. A loopback segment re-enters TCP while the list is out
+    /// being sent: the nested call fills and drains a list of its own.
+    pub fn dispatch_tcp(&mut self, node: NodeId) {
+        for (t, conn) in self.tcp_out.ticks.drain(..) {
+            self.events
+                .push(t.max(self.time), EventKind::TcpTick { node: node.0, conn });
+        }
+        let mut segments = std::mem::take(&mut self.tcp_out.segments);
+        for seg in segments.drain(..) {
+            self.send_from(node, seg);
+        }
+        self.tcp_out.segments = segments;
     }
 
-    /// See [`Sim::drain_pending_os`].
-    pub fn drain_pending_os(&mut self, node: NodeId, out: &mut Vec<(SimTime, Frame)>) {
-        self.shard_mut(node).drain_pending_os(node, out)
+    fn trace_drop(&mut self, node: usize, reason: DropReason) {
+        self.drop_counts[reason as usize] += 1;
+        static DROPS: plab_obs::metrics::Counter = plab_obs::metrics::Counter::new("netsim.drops");
+        DROPS.inc();
+        plab_obs::obs_event!(
+            plab_obs::Component::Netsim,
+            "drop",
+            "reason" = reason as u8,
+            "node" = node
+        );
     }
 
-    /// See [`Sim::os_process`].
-    pub fn os_process(&mut self, node: NodeId, packet: &Frame) {
-        self.shard_mut(node).os_process(node, packet);
+    /// Inject a packet originating at `node` into the network.
+    pub fn send_from(&mut self, node: NodeId, packet: Frame) {
+        let Ok(view) = ipv4::Ipv4View::new_unchecked(&packet) else {
+            self.trace_drop(node.0, DropReason::Malformed);
+            return;
+        };
+        let dst = view.dst();
+        if self.nodes[node.0].owns_addr(dst) {
+            // Loopback.
+            self.deliver(node.0, packet);
+            return;
+        }
+        self.transmit(node.0, packet, dst);
     }
 
-    /// See [`Sim::udp_bind`].
-    pub fn udp_bind(&mut self, node: NodeId, port: u16) -> bool {
-        self.shard_mut(node).udp_bind(node, port)
+    /// Route `packet` out of `node` toward `dst`.
+    fn transmit(&mut self, node: usize, mut packet: Frame, dst: Ipv4Addr) {
+        let Some(iface_idx) = self.nodes[node].routes.lookup(dst) else {
+            self.trace_drop(node, DropReason::NoRoute);
+            return;
+        };
+        // NAT egress: traffic leaving a NAT node through its external
+        // interface gets source-translated.
+        if self.nodes[node].kind == NodeKind::Nat
+            && iface_idx != self.nodes[node].nat_internal_iface
+        {
+            let is_internal_src = {
+                let Ok(view) = ipv4::Ipv4View::new_unchecked(&packet) else {
+                    return;
+                };
+                // Only translate packets not already from the NAT itself.
+                !self.nodes[node].owns_addr(view.src())
+            };
+            if is_internal_src {
+                let nat = self.nodes[node].nat.as_mut().expect("nat node has table");
+                // Copy-on-write: the rewrite copies only if the buffer
+                // is shared (e.g. a raw socket captured it upstream).
+                if !nat.translate_outbound(packet.make_mut()) {
+                    self.trace_drop(node, DropReason::Malformed);
+                    return;
+                }
+            }
+        }
+        let Some(link_idx) = self.nodes[node].ifaces[iface_idx].link else {
+            self.trace_drop(node, DropReason::NoRoute);
+            return;
+        };
+        if !self.links[link_idx].up {
+            self.trace_drop(node, DropReason::LinkDown);
+            return;
+        }
+        let jitter_ceiling = self.links[link_idx].params.jitter;
+        let jitter_sample = if jitter_ceiling > 0 {
+            self.rng.gen_range(0..=jitter_ceiling)
+        } else {
+            0
+        };
+        let link = &mut self.links[link_idx];
+        let dir = link.dir_from(node).expect("link attached to node");
+        match link.offer(dir, self.time, packet.len(), jitter_sample) {
+            Offer::Accepted { arrival } => {
+                static QUEUE_DEPTH: plab_obs::metrics::Histogram =
+                    plab_obs::metrics::Histogram::new("netsim.link.queued_bytes");
+                QUEUE_DEPTH.observe(link.dirs[dir].queued_bytes as u64);
+                let dst_node = link.dst_node(dir);
+                if let Some(ctx) = &mut self.shard {
+                    let dest = self.world.shard_of[dst_node] as usize;
+                    if dest != ctx.index {
+                        // Foreign destination: hand the packet over at the
+                        // next window boundary, and keep a local event to
+                        // release the link queue at departure time.
+                        ctx.handoffs += 1;
+                        let len = packet.len();
+                        ctx.outbox[dest].push(CrossPacket {
+                            arrival,
+                            link: link_idx,
+                            dir,
+                            buf: packet.hand_off(),
+                        });
+                        self.events.push(
+                            arrival,
+                            EventKind::CrossDeparted {
+                                link: link_idx,
+                                dir,
+                                len,
+                            },
+                        );
+                        return;
+                    }
+                }
+                self.events.push(
+                    arrival,
+                    EventKind::LinkArrival {
+                        link: link_idx,
+                        dir,
+                        packet,
+                    },
+                );
+            }
+            Offer::QueueFull => {
+                self.trace_drop(node, DropReason::QueueFull);
+                drop(packet);
+            }
+        }
     }
 
-    /// See [`Sim::udp_send`].
-    pub fn udp_send(
-        &mut self,
-        node: NodeId,
-        src_port: u16,
-        dst: Ipv4Addr,
-        dst_port: u16,
-        payload: &[u8],
-    ) {
-        self.shard_mut(node)
-            .udp_send(node, src_port, dst, dst_port, payload);
+    /// A packet has arrived at `node`.
+    fn deliver(&mut self, node: usize, mut packet: Frame) {
+        if self.nodes[node].crashed {
+            self.trace_drop(node, DropReason::NodeDown);
+            return;
+        }
+        let Ok(view) = ipv4::Ipv4View::new_unchecked(&packet) else {
+            self.trace_drop(node, DropReason::Malformed);
+            return;
+        };
+        let dst = view.dst();
+
+        match self.nodes[node].kind {
+            NodeKind::Host => {
+                if !self.nodes[node].owns_addr(dst) {
+                    self.trace_drop(node, DropReason::WrongHost);
+                    return;
+                }
+                self.host_receive(node, packet);
+            }
+            NodeKind::Router | NodeKind::Nat => {
+                // NAT ingress: packets addressed to the external address
+                // are translated back to the internal flow and forwarded.
+                if self.nodes[node].kind == NodeKind::Nat {
+                    let ext_ip = self.nodes[node].nat.as_ref().unwrap().external_ip;
+                    if dst == ext_ip {
+                        let nat = self.nodes[node].nat.as_mut().unwrap();
+                        if nat.translate_inbound(packet.make_mut()) {
+                            let new_dst = ipv4::Ipv4View::new_unchecked(&packet)
+                                .expect("translated packet valid")
+                                .dst();
+                            self.forward(node, packet, new_dst);
+                        } else {
+                            // Unsolicited or untranslatable: the NAT itself
+                            // may still answer pings to its address.
+                            self.router_local(node, packet);
+                        }
+                        return;
+                    }
+                }
+                if self.nodes[node].owns_addr(dst) {
+                    self.router_local(node, packet);
+                    return;
+                }
+                self.forward(node, packet, dst);
+            }
+        }
     }
 
-    /// See [`Sim::udp_recv`].
-    pub fn udp_recv(&mut self, node: NodeId, port: u16) -> Vec<(SimTime, Ipv4Addr, u16, Frame)> {
-        self.shard_mut(node).udp_recv(node, port)
+    /// Router TTL handling and next-hop forwarding.
+    fn forward(&mut self, node: usize, mut packet: Frame, dst: Ipv4Addr) {
+        let view = ipv4::Ipv4View::new_unchecked(&packet).expect("checked by deliver");
+        let src = view.src();
+        if view.ttl() <= 1 {
+            // TTL expired: ICMP Time Exceeded back to the source, from this
+            // router's address (§4's traceroute depends on this).
+            self.trace_drop(node, DropReason::TtlExpired);
+            let router_addr = self.nodes[node].addr();
+            let mut te = self.pool.take();
+            builder::icmp_time_exceeded_into(router_addr, src, &packet, te.make_mut());
+            drop(packet);
+            self.send_from(NodeId(node), te);
+            return;
+        }
+        // Copy-on-write: in-place for the common unshared case.
+        ipv4::decrement_ttl(packet.make_mut());
+        self.transmit(node, packet, dst);
     }
 
-    /// See [`Sim::tcp_listen`].
-    pub fn tcp_listen(&mut self, node: NodeId, port: u16) {
-        self.shard_mut(node).tcp_listen(node, port);
+    /// A packet addressed to the router itself: answer pings. Consumes the
+    /// packet (its buffer returns to the pool).
+    fn router_local(&mut self, node: usize, packet: Frame) {
+        let mut reply = None;
+        if let Ok(view) = ipv4::Ipv4View::new_unchecked(&packet) {
+            if view.protocol() == proto::ICMP {
+                if let Ok(icmp::IcmpMessage::EchoRequest {
+                    ident,
+                    seq,
+                    payload,
+                }) = icmp::parse(view.payload())
+                {
+                    let mut buf = self.pool.take();
+                    builder::icmp_echo_reply_into(
+                        view.dst(),
+                        view.src(),
+                        ident,
+                        seq,
+                        payload,
+                        buf.make_mut(),
+                    );
+                    reply = Some(buf);
+                }
+            }
+        }
+        drop(packet);
+        if let Some(reply) = reply {
+            self.send_from(NodeId(node), reply);
+        }
     }
 
-    /// See [`Sim::tcp_accept`].
-    pub fn tcp_accept(&mut self, node: NodeId, port: u16) -> Option<u64> {
-        self.shard_mut(node).tcp_accept(node, port)
+    /// Host-side packet delivery: raw sockets, then OS or deferred OS.
+    fn host_receive(&mut self, node: usize, packet: Frame) {
+        self.mark_dirty(node);
+        let now = self.time;
+        let host = self.nodes[node].host_mut();
+        for raw in host.raw.values_mut() {
+            // Zero-copy capture: each socket's inbox entry is a refcount
+            // bump on the arriving frame, not a buffer copy.
+            raw.inbox.push_back((now, packet.clone()));
+        }
+        if host.defer_os {
+            host.pending_os.push_back((now, packet));
+        } else {
+            self.os_process(node, &packet);
+        }
     }
 
-    /// See [`Sim::tcp_acceptable`].
-    pub fn tcp_acceptable(&self, node: NodeId, port: u16) -> bool {
-        self.shard(node).tcp_acceptable(node, port)
-    }
-
-    /// See [`Sim::tcp_connect`].
-    pub fn tcp_connect(&mut self, node: NodeId, dst: Ipv4Addr, dst_port: u16) -> u64 {
-        self.shard_mut(node).tcp_connect(node, dst, dst_port)
-    }
-
-    /// See [`Sim::tcp_send`].
-    pub fn tcp_send(&mut self, node: NodeId, conn: u64, data: &[u8]) {
-        self.shard_mut(node).tcp_send(node, conn, data);
-    }
-
-    /// See [`Sim::tcp_recv`].
-    pub fn tcp_recv(&mut self, node: NodeId, conn: u64, max: usize) -> Vec<u8> {
-        self.shard_mut(node).tcp_recv(node, conn, max)
-    }
-
-    /// See [`Sim::tcp_readable`].
-    pub fn tcp_readable(&self, node: NodeId, conn: u64) -> usize {
-        self.shard(node).tcp_readable(node, conn)
-    }
-
-    /// See [`Sim::tcp_established`].
-    pub fn tcp_established(&self, node: NodeId, conn: u64) -> bool {
-        self.shard(node).tcp_established(node, conn)
-    }
-
-    /// See [`Sim::tcp_closed`].
-    pub fn tcp_closed(&self, node: NodeId, conn: u64) -> bool {
-        self.shard(node).tcp_closed(node, conn)
-    }
-
-    /// See [`Sim::tcp_peer_done`].
-    pub fn tcp_peer_done(&self, node: NodeId, conn: u64) -> bool {
-        self.shard(node).tcp_peer_done(node, conn)
-    }
-
-    /// See [`Sim::tcp_close`].
-    pub fn tcp_close(&mut self, node: NodeId, conn: u64) {
-        self.shard_mut(node).tcp_close(node, conn);
+    /// Normal OS behaviour for an arriving packet.
+    pub fn os_process(&mut self, node: usize, packet: &Frame) {
+        let now = self.time;
+        let Ok(view) = ipv4::Ipv4View::new_unchecked(packet) else {
+            return;
+        };
+        let src = view.src();
+        let dst = view.dst();
+        match view.protocol() {
+            proto::ICMP => {
+                if let Ok(icmp::IcmpMessage::EchoRequest {
+                    ident,
+                    seq,
+                    payload,
+                }) = icmp::parse(view.payload())
+                {
+                    if self.nodes[node].host_ref().echo_responder {
+                        let mut reply = self.pool.take();
+                        builder::icmp_echo_reply_into(
+                            dst,
+                            src,
+                            ident,
+                            seq,
+                            payload,
+                            reply.make_mut(),
+                        );
+                        self.send_from(NodeId(node), reply);
+                    }
+                }
+                // Other ICMP is informational; raw sockets already saw it.
+            }
+            proto::UDP => {
+                if let Ok(u) = udp::parse(src, dst, view.payload()) {
+                    // Zero-copy payload delivery: the inbox frame is a
+                    // sub-range view of the arriving datagram.
+                    let payload_off = view.header_len() + udp::HEADER_LEN;
+                    let payload_len = u.payload.len();
+                    let src_port = u.src_port;
+                    let dst_port = u.dst_port;
+                    let host = self.nodes[node].host_mut();
+                    if let Some(sock) = host.udp.get_mut(&dst_port) {
+                        sock.inbox.push_back((
+                            now,
+                            src,
+                            src_port,
+                            packet.slice(payload_off, payload_len),
+                        ));
+                    } else {
+                        // Port unreachable.
+                        let mut pu = self.pool.take();
+                        builder::icmp_dest_unreachable_into(
+                            dst,
+                            src,
+                            icmp::CODE_PORT_UNREACHABLE,
+                            packet,
+                            pu.make_mut(),
+                        );
+                        self.send_from(NodeId(node), pu);
+                    }
+                }
+            }
+            proto::TCP => {
+                let tcp = &mut self.nodes[node].host_mut().tcp;
+                tcp.on_segment(now, src, dst, view.payload(), &mut self.tcp_out);
+                self.dispatch_tcp(NodeId(node));
+            }
+            _ => {}
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::link::LinkParams;
-    use crate::time::{MILLISECOND, SECOND};
-    use crate::topology::TopologyBuilder;
-
-    fn addr(x: u8, y: u8) -> Ipv4Addr {
-        Ipv4Addr::new(10, 0, x, y)
-    }
-
-    /// h1 -- r -- h2 with 5 ms links; h1+r on shard 0, h2 on shard 1
-    /// (when sharded).
-    fn world(shard_of: &[usize], threads: usize) -> (ShardedSim, NodeId, NodeId) {
-        let mut t = TopologyBuilder::new();
-        t.seed(7);
-        let h1 = t.host("h1", addr(0, 1));
-        let r = t.router("r", addr(0, 254));
-        let h2 = t.host("h2", addr(1, 1));
-        t.link(h1, r, LinkParams::new(5, 0));
-        t.link(r, h2, LinkParams::new(5, 0));
-        let net = t.build_sharded(shard_of, threads);
-        (net, h1, h2)
-    }
-
-    fn observe(net: &mut ShardedSim, h1: NodeId, h2: NodeId) -> Vec<(SimTime, u8)> {
-        net.udp_bind(h2, 7);
-        for i in 0..20u8 {
-            net.udp_send(h1, 5000, addr(1, 1), 7, &[i]);
-        }
-        net.run_until(SECOND);
-        net.udp_recv(h2, 7)
-            .iter()
-            .map(|(t, _, _, p)| (*t, p[0]))
-            .collect()
-    }
-
-    #[test]
-    fn single_shard_matches_sequential_sim() {
-        let (mut sharded, h1, h2) = world(&[0, 0, 0], 1);
-        let got = observe(&mut sharded, h1, h2);
-
-        let mut t = TopologyBuilder::new();
-        t.seed(7);
-        let a1 = t.host("h1", addr(0, 1));
-        let r = t.router("r", addr(0, 254));
-        let a2 = t.host("h2", addr(1, 1));
-        t.link(a1, r, LinkParams::new(5, 0));
-        t.link(r, a2, LinkParams::new(5, 0));
-        let mut sim = t.build();
-        sim.udp_bind(a2, 7);
-        for i in 0..20u8 {
-            sim.udp_send(a1, 5000, addr(1, 1), 7, &[i]);
-        }
-        sim.run_until(SECOND);
-        let want: Vec<(SimTime, u8)> = sim
-            .udp_recv(a2, 7)
-            .iter()
-            .map(|(t, _, _, p)| (*t, p[0]))
-            .collect();
-        assert_eq!(got, want, "1-shard == sequential, bit for bit");
-    }
-
-    #[test]
-    fn cross_shard_delivery_matches_sequential_timing() {
-        // Lossless, jitterless: sharded timing must equal sequential.
-        let (mut seq, s1, s2) = world(&[0, 0, 0], 1);
-        let want = observe(&mut seq, s1, s2);
-        let (mut sharded, h1, h2) = world(&[0, 0, 1], 1);
-        assert_eq!(sharded.window, 5 * MILLISECOND);
-        let got = observe(&mut sharded, h1, h2);
-        assert_eq!(got, want, "cross-shard arrivals keep exact times");
-        assert!(sharded.handoffs() >= 20, "every packet crossed the cut");
-        assert!(sharded.windows_run() > 0);
-    }
-
-    #[test]
-    fn threaded_advance_is_bit_identical_to_unthreaded() {
-        let (mut one, a1, a2) = world(&[0, 0, 1], 1);
-        let (mut two, b1, b2) = world(&[0, 0, 1], 2);
-        assert_eq!(
-            observe(&mut one, a1, a2),
-            observe(&mut two, b1, b2),
-            "threads are an execution detail, not an observable"
-        );
-    }
-
-    #[test]
-    fn step_mode_merges_shards_in_global_time_order() {
-        let (mut net, h1, h2) = world(&[0, 0, 1], 1);
-        net.udp_bind(h2, 7);
-        net.udp_send(h1, 5000, addr(1, 1), 7, b"x");
-        let mut last = 0;
-        while net.step() {
-            let t = net.now();
-            assert!(t >= last, "global frontier is monotone");
-            last = t;
-            if last > SECOND {
-                break;
-            }
-        }
-        assert_eq!(net.udp_recv(h2, 7).len(), 1);
-    }
-
-    #[test]
-    fn step_exchanges_what_a_socket_call_diverted_between_steps() {
-        // h2's only link crosses the cut, so its send is diverted inside
-        // `udp_send`, not inside any `step`. The next step must hand it
-        // over even though the event it processes diverts nothing.
-        let (mut net, h1, h2) = world(&[0, 0, 1], 1);
-        net.udp_bind(h1, 7);
-        net.udp_send(h2, 5000, addr(0, 1), 7, b"x");
-        assert_eq!(net.handoffs(), 1);
-        while net.step() {}
-        assert_eq!(net.udp_recv(h1, 7).len(), 1);
-    }
-
-    #[test]
-    fn quiet_holds_across_router_hops_and_ends_where_a_host_is_touched() {
-        let (mut net, h1, h2) = world(&[0, 0, 1], 1);
-        net.udp_bind(h2, 7);
-        assert!(!net.quiet(), "nobody records touches until tracking is on");
-        net.set_track_dirty();
-        net.udp_send(h1, 5000, addr(1, 1), 7, b"x");
-        assert!(net.quiet());
-        // Arrival at the router (forwarded, diverted), the queue release
-        // behind the handoff: nothing a harness could see.
-        for _ in 0..2 {
-            assert!(net.step());
-            assert!(net.quiet());
-        }
-        assert!(net.step(), "the arrival at h2");
-        assert!(!net.quiet());
-        let mut dirty = Vec::new();
-        net.drain_dirty_nodes(&mut dirty);
-        assert_eq!(dirty, vec![h2]);
-        assert!(net.quiet());
-        net.schedule_timer(h1, 9, net.now() + MILLISECOND);
-        assert!(net.step());
-        assert!(!net.quiet(), "a fired timer waits to be taken");
-    }
-
-    #[test]
-    fn per_shard_pools_stay_symmetric() {
-        let (mut net, h1, h2) = world(&[0, 0, 1], 1);
-        let _ = observe(&mut net, h1, h2);
-        let pools = net.pool_handles();
-        drop(net);
-        for (i, pool) in pools.iter().enumerate() {
-            assert_eq!(pool.taken(), pool.recycled(), "shard {i} leaked frames");
-        }
-    }
-
-    #[test]
-    fn a_handoff_moves_a_unique_buffer_and_copies_a_shared_one() {
-        // h2's only link crosses the cut: what it sends is handed to
-        // shard 0 inside `send_from`, and h1's raw socket captures the
-        // arrival (the router's TTL decrement is in place on a unique
-        // frame).
-        let (mut net, h1, h2) = world(&[0, 0, 1], 1);
-        let sock = net.raw_open(h1);
-        net.udp_bind(h1, 7);
-        let pkt = plab_packet::builder::udp_datagram(addr(1, 1), addr(0, 1), 5000, 7, b"x");
-        let cow_copies =
-            |net: &ShardedSim| -> u64 { net.pool_handles().iter().map(BufPool::cow_copies).sum() };
-        let cross = |net: &mut ShardedSim, frame: Frame| {
-            net.shard_mut(h2).send_from(h2, frame);
-            while net.step() {}
-            let mut got = net.raw_recv(h1, sock);
-            assert_eq!(got.len(), 1);
-            got.pop().expect("one arrival").1
-        };
-
-        let unique = net.shard_mut(h2).pool().take_copy(&pkt);
-        let sent = unique.as_ptr();
-        let arrived = cross(&mut net, unique);
-        assert_eq!(arrived.as_ptr(), sent, "the buffer itself crossed the cut");
-        assert_eq!(cow_copies(&net), 0);
-
-        // A capture on the sending node still holds the frame: the
-        // handoff copies the bytes and leaves the capture's buffer alone.
-        let shared = net.shard_mut(h2).pool().take_copy(&pkt);
-        let capture = shared.clone();
-        let copied = cross(&mut net, shared);
-        assert_ne!(
-            copied.as_ptr(),
-            capture.as_ptr(),
-            "a shared frame is copied"
-        );
-        assert_eq!(cow_copies(&net), 0, "at the handoff, not at the router");
-        assert_eq!(capture, pkt, "the capture is untouched");
-        assert_eq!(copied, arrived, "the copy carries the same datagram");
-
-        let pools = net.pool_handles();
-        drop((arrived, capture, copied, net));
-        for (i, pool) in pools.iter().enumerate() {
-            assert_eq!(pool.taken(), pool.recycled(), "shard {i} leaked frames");
-        }
-    }
-
-    #[test]
-    fn node_faults_route_to_owner_and_link_faults_broadcast() {
-        let (mut net, h1, h2) = world(&[0, 0, 1], 1);
-        net.udp_bind(h2, 7);
-        let link = net
-            .link_between(net.node_by_name("r").unwrap(), h2)
-            .unwrap();
-        net.schedule_fault(MILLISECOND, FaultAction::LinkDown { link });
-        net.schedule_fault(40 * MILLISECOND, FaultAction::NodeCrash { node: h2.0 });
-        net.udp_send(h1, 5000, addr(1, 1), 7, b"x");
-        net.run_until(SECOND);
-        assert!(!net.link(link).up);
-        assert_eq!(net.udp_recv(h2, 7).len(), 0, "blackholed behind the cut");
-        let mut transitions = Vec::new();
-        net.drain_node_transitions(&mut transitions);
-        assert_eq!(transitions, vec![NodeTransition::Crashed(h2)]);
-        let _ = h1;
-    }
-
-    #[test]
-    fn pod_world_lookups_reach_every_shard_and_routes_land_at_the_owner() {
-        use crate::roster::{build_roster, RosterSpec};
-        let spec = RosterSpec {
-            pairs: 256,
-            shards: 4,
-            threads: 1,
-            seed: 1,
-            access_mbps: 0,
-        };
-        let mut w = build_roster(&spec);
-        let mut seen = [false; 4];
-        for (i, p) in w.pairs.iter().enumerate() {
-            for (name, node, addr) in [
-                (format!("c{i}"), p.controller, p.controller_addr),
-                (format!("e{i}"), p.endpoint, p.endpoint_addr),
-            ] {
-                seen[w.sim.shard_of(node)] = true;
-                assert_eq!(w.sim.node_by_name(&name), Some(node));
-                assert_eq!(w.sim.addr_of(node), addr);
-            }
-            let pod = w.sim.node_by_name(&format!("epod{}", i / 64)).unwrap();
-            let link = w.sim.link_between(p.endpoint, pod).expect("access link");
-            assert_eq!(w.sim.link_between(pod, p.endpoint), Some(link));
-            assert!(w.sim.link(link).up);
-            assert_eq!(w.sim.link_between(p.endpoint, p.controller), None);
-        }
-        assert_eq!(seen, [true; 4], "the roster spans every shard");
-
-        // A route installed after build exists at the owner and nowhere
-        // else: the other shards hold a ghost, not a table.
-        let pod = w.sim.node_by_name("epod2").unwrap();
-        let (owner, dst) = (w.sim.shard_of(pod), addr(9, 9));
-        w.sim.install_route(pod, dst, 3);
-        for (i, shard) in w.sim.shards.iter().enumerate() {
-            let table = shard.nodes.get(pod.0).map(|n| n.routes.lookup(dst));
-            assert_eq!(table, (i == owner).then_some(Some(3)), "shard {i}");
-        }
-    }
-
-    #[test]
-    fn set_delay_below_window_shrinks_it() {
-        let (mut net, h1, h2) = world(&[0, 0, 1], 1);
-        let link = net
-            .link_between(net.node_by_name("r").unwrap(), h2)
-            .unwrap();
-        assert_eq!(net.window, 5 * MILLISECOND);
-        net.schedule_fault(
-            MILLISECOND,
-            FaultAction::SetDelay {
-                link,
-                latency: MILLISECOND,
-                jitter: 0,
-            },
-        );
-        assert_eq!(net.window, MILLISECOND, "window shrinks at schedule time");
-        let _ = (h1, h2);
-    }
+    use super::shard_seed;
 
     #[test]
     fn shard_seeds_differ_but_shard0_keeps_world_seed() {

@@ -5,10 +5,8 @@ use crate::nat::NatTable;
 use crate::node::{HostState, Iface, Node, NodeId, NodeKind};
 use crate::routing::{compute_routes, Adjacency, RouteTable};
 use crate::sim::Sim;
-use crate::world::{Owned, World};
 use fxhash::FxHashMap;
 use std::net::Ipv4Addr;
-use std::sync::Arc;
 
 /// Builder for simulation topologies.
 ///
@@ -59,7 +57,7 @@ impl TopologyBuilder {
 
     /// Skip automatic (all-pairs BFS) route computation. The caller
     /// installs routes after `build` with [`Sim::install_route`] and
-    /// [`Sim::set_default_route`] (or their `ShardedSim` namesakes) —
+    /// [`Sim::set_default_route`] —
     /// required for very large worlds where O(nodes²) routing is
     /// infeasible (hosts still get their single-link default route).
     pub fn manual_routes(&mut self) -> &mut Self {
@@ -141,28 +139,25 @@ impl TopologyBuilder {
         self.links.len() - 1
     }
 
-    /// Finalize: allocate interfaces, compute routes, return the sim.
+    /// Finalize: allocate interfaces, compute routes, return the sim: a
+    /// world of one shard.
     pub fn build(self) -> Sim {
-        let (nodes, links, seed, names) = self.assemble();
-        let world = World {
-            names,
-            shard_of: vec![0; nodes.len()],
-        };
-        Sim::from_parts(Owned::all(nodes), Owned::all(links), seed, Arc::new(world))
+        let n = self.nodes.len();
+        self.build_sharded(&vec![0; n], 1)
     }
 
-    /// Finalize into a sharded simulator: `shard_of[node]` assigns each
-    /// node to a shard, and `threads > 1` advances shards on OS threads
-    /// under conservative-lookahead windows (see [`crate::shard`]).
-    /// Every cross-shard link must have non-zero latency — the minimum
-    /// such latency is the lookahead window.
-    pub fn build_sharded(self, shard_of: &[usize], threads: usize) -> crate::shard::ShardedSim {
+    /// Finalize into a sharded world: `shard_of[node]` assigns each node
+    /// to a shard, and `threads > 1` advances shards on OS threads under
+    /// conservative-lookahead windows (see [`crate::sim`]). Every
+    /// cross-shard link must have non-zero latency — the minimum such
+    /// latency is the lookahead window.
+    pub fn build_sharded(self, shard_of: &[usize], threads: usize) -> Sim {
         let (nodes, links, seed, names) = self.assemble();
-        crate::shard::ShardedSim::from_parts(nodes, links, seed, names, shard_of, threads)
+        Sim::from_parts(nodes, links, seed, names, shard_of, threads)
     }
 
-    /// Allocate interfaces and routes, producing the parts a [`Sim`] (or
-    /// a sharded world's partitions) is constructed from.
+    /// Allocate interfaces and routes, producing the parts a [`Sim`]'s
+    /// shards are dealt from.
     fn assemble(mut self) -> (Vec<Node>, Vec<Link>, u64, FxHashMap<String, usize>) {
         let mut links = Vec::new();
         for (a, b, params) in std::mem::take(&mut self.links) {
@@ -618,7 +613,7 @@ mod tests {
             t.link(h, nat, LinkParams::default());
         }
         let sim = t.build();
-        let ifaces = &sim.nodes[nat.0].ifaces;
+        let ifaces = &sim.owner(nat).nodes[nat.0].ifaces;
         let links: Vec<_> = ifaces.iter().map(|i| i.link).collect();
         assert_eq!(links, [Some(0), Some(1), Some(2)]);
         assert_eq!(
@@ -919,6 +914,6 @@ mod fault_tests {
         let (sim, h1, h2, link) = pair(1, LinkParams::new(1, 0));
         assert_eq!(sim.link_between(h1, h2), Some(link));
         assert_eq!(sim.link_between(h2, h1), Some(link));
-        assert!(sim.link_up(link));
+        assert!(sim.link(link).up);
     }
 }

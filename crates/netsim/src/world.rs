@@ -9,7 +9,7 @@ use std::ops::{Index, IndexMut};
 pub(crate) struct World {
     /// Name → node index: the one name index.
     pub names: FxHashMap<String, usize>,
-    /// Owning shard per node index (all zero in a sequential world).
+    /// Owning shard per node index (all zero in a 1-shard world).
     pub shard_of: Vec<u8>,
 }
 
@@ -27,15 +27,6 @@ pub(crate) struct Owned<T> {
 }
 
 impl<T> Owned<T> {
-    /// Every id owned: the sequential engine and 1-shard worlds.
-    pub fn all(items: Vec<T>) -> Self {
-        assert!(items.len() < GHOST as usize, "too many ids for a slot");
-        Owned {
-            slot: (0..items.len() as u32).collect(),
-            items,
-        }
-    }
-
     /// `ids` ghosts, to be filled by [`Owned::own`].
     pub fn ghosts(ids: usize) -> Self {
         assert!(ids < GHOST as usize, "too many ids for a slot");

@@ -204,7 +204,7 @@ pub struct FleetWorld {
 /// of `(roster, operator)`.
 pub fn build_fleet(roster: &RosterSpec, operator: &Keypair) -> FleetWorld {
     let world = build_roster(roster);
-    let mut net = SimNet::new_sharded(world.sim);
+    let mut net = SimNet::new(world.sim);
     net.set_sparse();
     let cfg = EndpointConfig {
         trusted_keys: vec![KeyHash::of(&operator.public)],

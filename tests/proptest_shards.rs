@@ -2,9 +2,9 @@
 //! sequential engine.
 //!
 //! Random worlds — topology, UDP traffic, a TCP stream, timers, and a
-//! fault schedule, all derived from one seed — run under the sequential
-//! [`plab_netsim::Sim`] and under [`plab_netsim::ShardedSim`] at shard
-//! counts {1, 2, 4, 8} (plus a threaded 4-shard run). Every engine must
+//! fault schedule, all derived from one seed — run on a
+//! [`plab_netsim::Sim`] from `build` and from `build_sharded` at shard
+//! counts {1, 2, 4, 8} (plus a threaded 4-shard run). Every world must
 //! produce identical observables: per-host datagram deliveries (arrival
 //! time, source, payload bytes), the TCP server's accepted byte stream,
 //! connection state, and per-node fired-timer sequences.
@@ -20,9 +20,7 @@
 //! specific), so each delivery list is sorted by its full record before
 //! comparison.
 
-use plab_netsim::{
-    FaultAction, LinkParams, NodeId, ShardedSim, Sim, TopologyBuilder, MILLISECOND, SECOND,
-};
+use plab_netsim::{FaultAction, LinkParams, NodeId, Sim, TopologyBuilder, MILLISECOND, SECOND};
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
 
@@ -212,139 +210,133 @@ struct Obs {
     end: u64,
 }
 
-/// Drive one engine through the spec. Duck-typed over `Sim` and
-/// `ShardedSim` (identical driving APIs).
-macro_rules! drive {
-    ($sim:expr, $spec:expr, $hosts:expr, $nodes:expr) => {{
-        let sim = $sim;
-        let spec = $spec;
-        let hosts: &Vec<NodeId> = $hosts;
-        for &h in hosts.iter() {
-            sim.udp_bind(h, UDP_PORT);
-        }
-        let tcp_conn = if spec.tcp {
-            sim.tcp_listen(hosts[1], TCP_PORT);
-            Some(sim.tcp_connect(hosts[0], host_addr(1), TCP_PORT))
-        } else {
-            None
-        };
-        for &(t, node, key) in &spec.timers {
-            sim.schedule_timer($nodes[node], key, t);
-        }
-        for (t, f) in &spec.faults {
-            match f {
-                Fault::Flap { host, down_ms } => {
-                    let link = *host; // host i's access link is created i-th after router links
-                    let link = link + spec.router_links_ms.len();
-                    sim.schedule_fault(*t, FaultAction::LinkDown { link });
-                    sim.schedule_fault(*t + down_ms * MILLISECOND, FaultAction::LinkUp { link });
-                }
-                Fault::Delay { host, latency_ms } => {
-                    let link = *host + spec.router_links_ms.len();
-                    sim.schedule_fault(
-                        *t,
-                        FaultAction::SetDelay {
-                            link,
-                            latency: latency_ms * MILLISECOND,
-                            jitter: 0,
-                        },
-                    );
-                }
-                Fault::TcpReset { node } => {
-                    sim.schedule_fault(
-                        *t,
-                        FaultAction::TcpReset {
-                            node: hosts[*node].0,
-                        },
-                    );
-                }
-                Fault::CrashRestart { host, down_ms } => {
-                    sim.schedule_fault(
-                        *t,
-                        FaultAction::NodeCrash {
-                            node: hosts[*host].0,
-                        },
-                    );
-                    sim.schedule_fault(
-                        *t + down_ms * MILLISECOND,
-                        FaultAction::NodeRestart {
-                            node: hosts[*host].0,
-                        },
-                    );
-                }
+/// Drive one world through the spec.
+fn drive(sim: &mut Sim, spec: &Spec, hosts: &[NodeId], nodes: &[NodeId]) -> Obs {
+    for &h in hosts {
+        sim.udp_bind(h, UDP_PORT);
+    }
+    let tcp_conn = if spec.tcp {
+        sim.tcp_listen(hosts[1], TCP_PORT);
+        Some(sim.tcp_connect(hosts[0], host_addr(1), TCP_PORT))
+    } else {
+        None
+    };
+    for &(t, node, key) in &spec.timers {
+        sim.schedule_timer(nodes[node], key, t);
+    }
+    for (t, f) in &spec.faults {
+        match f {
+            Fault::Flap { host, down_ms } => {
+                let link = *host; // host i's access link is created i-th after router links
+                let link = link + spec.router_links_ms.len();
+                sim.schedule_fault(*t, FaultAction::LinkDown { link });
+                sim.schedule_fault(*t + down_ms * MILLISECOND, FaultAction::LinkUp { link });
+            }
+            Fault::Delay { host, latency_ms } => {
+                let link = *host + spec.router_links_ms.len();
+                sim.schedule_fault(
+                    *t,
+                    FaultAction::SetDelay {
+                        link,
+                        latency: latency_ms * MILLISECOND,
+                        jitter: 0,
+                    },
+                );
+            }
+            Fault::TcpReset { node } => {
+                sim.schedule_fault(
+                    *t,
+                    FaultAction::TcpReset {
+                        node: hosts[*node].0,
+                    },
+                );
+            }
+            Fault::CrashRestart { host, down_ms } => {
+                sim.schedule_fault(
+                    *t,
+                    FaultAction::NodeCrash {
+                        node: hosts[*host].0,
+                    },
+                );
+                sim.schedule_fault(
+                    *t + down_ms * MILLISECOND,
+                    FaultAction::NodeRestart {
+                        node: hosts[*host].0,
+                    },
+                );
             }
         }
-        let mut fired: Vec<(NodeId, u64)> = Vec::new();
-        for (t, action) in &spec.actions {
-            sim.run_until(*t);
-            sim.drain_fired_timers(&mut fired);
-            match action {
-                Action::Udp { src, dst, payload } => {
-                    sim.udp_send(hosts[*src], UDP_PORT, host_addr(*dst), UDP_PORT, payload);
-                }
-                Action::TcpChunk { bytes } => {
-                    if let Some(conn) = tcp_conn {
-                        sim.tcp_send(hosts[0], conn, bytes);
-                    }
-                }
-            }
-        }
-        sim.run_until(END);
+    }
+    let mut fired: Vec<(NodeId, u64)> = Vec::new();
+    for (t, action) in &spec.actions {
+        sim.run_until(*t);
         sim.drain_fired_timers(&mut fired);
-
-        let mut udp = Vec::new();
-        for &h in hosts.iter() {
-            let mut got: Vec<(u64, Ipv4Addr, u16, Vec<u8>)> = sim
-                .udp_recv(h, UDP_PORT)
-                .into_iter()
-                .map(|(t, a, p, d)| (t, a, p, d.to_vec()))
-                .collect();
-            got.sort();
-            udp.push(got);
-        }
-        let tcp = tcp_conn.map(|_| {
-            let accepted = sim.tcp_accept(hosts[1], TCP_PORT);
-            let mut stream = Vec::new();
-            if let Some(conn) = accepted {
-                loop {
-                    let data = sim.tcp_recv(hosts[1], conn, 65536);
-                    if data.is_empty() {
-                        break;
-                    }
-                    stream.extend_from_slice(&data);
+        match action {
+            Action::Udp { src, dst, payload } => {
+                sim.udp_send(hosts[*src], UDP_PORT, host_addr(*dst), UDP_PORT, payload);
+            }
+            Action::TcpChunk { bytes } => {
+                if let Some(conn) = tcp_conn {
+                    sim.tcp_send(hosts[0], conn, bytes);
                 }
             }
-            (accepted.is_some(), stream)
-        });
-        let tcp_client_established = tcp_conn.is_some_and(|c| sim.tcp_established(hosts[0], c));
-        let mut timers = vec![Vec::new(); $nodes.len()];
-        for (node, key) in fired {
-            timers[node.0].push(key);
         }
-        Obs {
-            udp,
-            tcp,
-            tcp_client_established,
-            timers,
-            end: sim.now(),
+    }
+    sim.run_until(END);
+    sim.drain_fired_timers(&mut fired);
+
+    let mut udp = Vec::new();
+    for &h in hosts {
+        let mut got: Vec<(u64, Ipv4Addr, u16, Vec<u8>)> = sim
+            .udp_recv(h, UDP_PORT)
+            .into_iter()
+            .map(|(t, a, p, d)| (t, a, p, d.to_vec()))
+            .collect();
+        got.sort();
+        udp.push(got);
+    }
+    let tcp = tcp_conn.map(|_| {
+        let accepted = sim.tcp_accept(hosts[1], TCP_PORT);
+        let mut stream = Vec::new();
+        if let Some(conn) = accepted {
+            loop {
+                let data = sim.tcp_recv(hosts[1], conn, 65536);
+                if data.is_empty() {
+                    break;
+                }
+                stream.extend_from_slice(&data);
+            }
         }
-    }};
+        (accepted.is_some(), stream)
+    });
+    let tcp_client_established = tcp_conn.is_some_and(|c| sim.tcp_established(hosts[0], c));
+    let mut timers = vec![Vec::new(); nodes.len()];
+    for (node, key) in fired {
+        timers[node.0].push(key);
+    }
+    Obs {
+        udp,
+        tcp,
+        tcp_client_established,
+        timers,
+        end: sim.now(),
+    }
 }
 
 fn run_sequential(spec: &Spec) -> Obs {
     let (t, routers, hosts) = build_topology(spec);
     let mut sim: Sim = t.build();
     let nodes: Vec<NodeId> = routers.iter().chain(hosts.iter()).copied().collect();
-    drive!(&mut sim, spec, &hosts, nodes)
+    drive(&mut sim, spec, &hosts, &nodes)
 }
 
 fn run_sharded(spec: &Spec, shards: usize, threads: usize) -> Obs {
     let (t, routers, hosts) = build_topology(spec);
     let n = spec.routers + spec.hosts;
     let shard_of: Vec<usize> = (0..n).map(|i| i % shards).collect();
-    let mut sim: ShardedSim = t.build_sharded(&shard_of, threads);
+    let mut sim: Sim = t.build_sharded(&shard_of, threads);
     let nodes: Vec<NodeId> = routers.iter().chain(hosts.iter()).copied().collect();
-    drive!(&mut sim, spec, &hosts, nodes)
+    drive(&mut sim, spec, &hosts, &nodes)
 }
 
 proptest! {
