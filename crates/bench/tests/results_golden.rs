@@ -8,7 +8,7 @@
 
 use std::process::{Command, Stdio};
 
-const PINNED: [&str; 7] = [
+const PINNED: [&str; 8] = [
     "table1",
     "fig1",
     "fig2",
@@ -16,6 +16,7 @@ const PINNED: [&str; 7] = [
     "traceroute",
     "rtt_limitation",
     "contention",
+    "chaos",
 ];
 
 #[test]

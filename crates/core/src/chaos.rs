@@ -112,20 +112,27 @@ pub struct ChaosOutcome {
 
 impl ChaosOutcome {
     /// One-line report, used by the corpus test on failure and by
-    /// `repro chaos`.
+    /// `repro chaos`: every field but `pool_recycled`, the finish time
+    /// in ns, so `results/repro_chaos.txt` pins what the corpus digest
+    /// of `tests/chaos.rs` folds.
     pub fn report(&self) -> String {
+        let s = &self.stats;
         format!(
-            "seed={:#018x} scenario={} verdict={:?} digest={:#018x} t_end={}ms \
-             connects={} replays={} timeouts={} faults={}",
+            "seed={:#018x} scenario={} verdict={:?} digest={:#018x} t_end={}ns \
+             connects={} failed_dials={} timeouts={} replays={} suspended_waits={} \
+             faults={} pool_taken={}",
             self.seed,
             self.scenario.name(),
             self.verdict,
             self.digest,
-            self.finished_at / MILLISECOND,
-            self.stats.connects,
-            self.stats.replays,
-            self.stats.timeouts,
+            self.finished_at,
+            s.connects,
+            s.failed_dials,
+            s.timeouts,
+            s.replays,
+            s.suspended_waits,
             self.fault_count,
+            self.pool_taken,
         )
     }
 }

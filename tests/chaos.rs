@@ -80,14 +80,14 @@ fn chaos_corpus_is_deterministic_and_never_hangs() {
     );
     assert_eq!(
         corpus_digest, CORPUS_DIGEST,
-        "the corpus outcomes moved: run `repro chaos` here and on the parent and diff"
+        "the corpus outcomes moved: diff `repro chaos` against results/repro_chaos.txt"
     );
 }
 
 /// Every field of every first-run outcome of the corpus, folded in corpus
-/// order by [`fold_outcome`]. `report()` is not enough: it leaves out
-/// `failed_dials`, `suspended_waits` and `finished_at` below the
-/// millisecond, which is where a backoff change shows first.
+/// order by [`fold_outcome`]. `report()` prints the same fields, so when
+/// this moves, `results/repro_chaos.txt` (held by `results_golden`) names
+/// the seed and the field.
 const CORPUS_DIGEST: u64 = 0x5458_5576_e64e_180d;
 
 /// FNV-1a over one outcome: seed, scenario, verdict text, observables
