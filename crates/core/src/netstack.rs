@@ -388,4 +388,18 @@ mod tests {
         sim.drain_fired_timers(&mut fired);
         assert_eq!(fired, vec![(a, 77)]);
     }
+
+    #[test]
+    fn clock_is_the_node_shards_not_the_frontier() {
+        let mut t = TopologyBuilder::new();
+        let a = t.host("a", "10.0.0.1".parse().unwrap());
+        let b = t.host("b", "10.0.0.2".parse().unwrap());
+        t.link(a, b, LinkParams::new(5, 0));
+        let mut sim = t.build_sharded(&[0, 1], 1);
+        sim.schedule_timer(a, 1, 3_000);
+        assert!(sim.step(), "the timer on a's shard");
+        assert_eq!(sim.now(), 3_000, "the frontier moved");
+        assert_eq!(SimStack::new(&mut sim, a).clock(), 3_000);
+        assert_eq!(SimStack::new(&mut sim, b).clock(), 0, "b's shard has not");
+    }
 }
