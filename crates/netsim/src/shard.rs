@@ -125,7 +125,8 @@ impl Shard {
         links: Owned<Link>,
         seed: u64,
         world: Arc<World>,
-        (index, count): (usize, usize),
+        index: usize,
+        count: usize,
     ) -> Self {
         let pool = BufPool::new();
         Shard {

@@ -153,7 +153,7 @@ impl Sim {
         let shards = parts
             .into_iter()
             .enumerate()
-            .map(|(i, (nodes, links))| Shard::new(nodes, links, seed, world.clone(), (i, count)))
+            .map(|(i, (nodes, links))| Shard::new(nodes, links, seed, world.clone(), i, count))
             .collect();
         Sim {
             shards,
