@@ -12,6 +12,7 @@ pub mod point;
 pub mod scalar;
 
 use crate::sha512;
+pub use point::Ladder;
 use point::Point;
 use scalar::Scalar;
 
@@ -153,10 +154,21 @@ fn decode(
 }
 
 /// Verify a signature (RFC 8032 §5.1.7, cofactorless): `[s]B == R + [k]A`,
-/// checked as `[s]B − [k]A == R` so both products share one ladder.
+/// checked as `[s]B − [k]A == R` so both products share one ladder, the
+/// one [`Ladder::detect`] picks.
 pub fn verify(public: &PublicKey, msg: &[u8], sig: &Signature) -> bool {
+    verify_on(Ladder::detect(), public, msg, sig)
+}
+
+/// [`verify`] on a given ladder: the same verdict on every ladder.
+///
+/// # Panics
+///
+/// If this CPU does not run the ladder ([`Ladder::is_supported`]).
+pub fn verify_on(ladder: Ladder, public: &PublicKey, msg: &[u8], sig: &Signature) -> bool {
+    assert!(ladder.is_supported(), "this CPU does not run {ladder:?}");
     decode(public, msg, sig)
-        .is_some_and(|(s, a, r, k)| point::mul_base_sub(&s, &k, &a).eq_point(&r))
+        .is_some_and(|(s, a, r, k)| ladder.mul_base_sub(&s, &k, &a).eq_point(&r))
 }
 
 /// The verification equation as written, on two binary ladders: the
@@ -347,16 +359,104 @@ mod tests {
         assert_eq!(kp.sign(b"m").0, kp.sign(b"m").0);
     }
 
-    /// `verify` and the retained reference must agree; returns the verdict.
+    /// `verify`, each ladder this CPU runs and the retained reference must
+    /// agree; returns the verdict.
     fn agree(public: [u8; 32], msg: &[u8], sig: [u8; 64]) -> bool {
         let (public, sig) = (PublicKey(public), Signature(sig));
-        let got = verify(&public, msg, &sig);
-        assert_eq!(
-            got,
-            verify_reference(&public, msg, &sig),
-            "{public:?} {sig:?} {msg:02x?}"
+        let expect = verify_reference(&public, msg, &sig);
+        let case = format!("{public:?} {sig:?} {msg:02x?}");
+        assert_eq!(verify(&public, msg, &sig), expect, "verify: {case}");
+        for ladder in point::ladders() {
+            assert_eq!(
+                verify_on(ladder, &public, msg, &sig),
+                expect,
+                "{ladder:?}: {case}"
+            );
+        }
+        expect
+    }
+
+    #[test]
+    fn verify_takes_the_vector_ladder_exactly_when_both_features_are_reported() {
+        #[cfg(target_arch = "x86_64")]
+        let both = is_x86_feature_detected!("avx512ifma") && is_x86_feature_detected!("avx512vl");
+        #[cfg(not(target_arch = "x86_64"))]
+        let both = false;
+        let expect = if both { Ladder::Ifma } else { Ladder::Scalar };
+        assert_eq!(Ladder::detect(), expect);
+        assert_eq!(Ladder::Ifma.is_supported(), both);
+        assert!(Ladder::Scalar.is_supported());
+    }
+
+    /// `Σ d·2^(w·i)` over `digits`, least significant first: a scalar
+    /// whose width-`w` NAF is exactly those digits.
+    fn from_naf_digits(w: u32, digits: &[i8]) -> Scalar {
+        let radix = Scalar([1 << w, 0, 0, 0]);
+        digits.iter().rev().fold(Scalar::ZERO, |acc, &d| {
+            let d = match d {
+                0.. => Scalar([d as u64, 0, 0, 0]),
+                _ => Scalar([
+                    scalar::L[0] - u64::from(d.unsigned_abs()),
+                    scalar::L[1],
+                    0,
+                    scalar::L[3],
+                ]),
+            };
+            acc.mul_add(&radix, &d)
+        })
+    }
+
+    /// Both ladders against the binary ones on the scalars at the edges of
+    /// the digit schedule: 0, 1, L − 1, 2^252, a nonzero digit at every
+    /// `w`-th position (largest magnitude, alternating sign) and the
+    /// largest top digit alone, for either window width; and `A` the base
+    /// point, the identity and each small-order point.
+    #[test]
+    fn ladders_agree_on_edge_scalars_and_points() {
+        let dense = |w: u32, n: usize| {
+            let top = ((1u8 << (w - 1)) - 1) as i8;
+            let digits: Vec<i8> = (0..n)
+                .map(|i| if i % 2 == 0 { top } else { -top })
+                .collect();
+            // The top digit is positive and outweighs the rest, so no wrap.
+            let s = from_naf_digits(w, &digits);
+            assert_eq!(s.naf(w).iter().filter(|&&d| d != 0).count(), n, "w={w}");
+            s
+        };
+        let top_alone = |w: u32, pos: u32| {
+            let mut digits = vec![0i8; pos as usize / w as usize + 1];
+            digits[pos as usize / w as usize] = ((1u8 << (w - 1)) - 1) as i8;
+            from_naf_digits(w, &digits)
+        };
+        let l = scalar::L;
+        let scalars = [
+            Scalar::ZERO,
+            Scalar([1, 0, 0, 0]),
+            Scalar([l[0] - 1, l[1], l[2], l[3]]),
+            Scalar([0, 0, 0, 1 << 60]),
+            dense(8, 31),
+            dense(5, 49),
+            top_alone(8, 240),
+            top_alone(5, 245),
+        ];
+        let mut points = vec![Point::BASE];
+        points.extend(
+            small_order_points()
+                .iter()
+                .map(|e| Point::decompress(e).unwrap()),
         );
-        got
+        for point_a in &points {
+            for s in &scalars {
+                let sb = Point::BASE.mul_scalar(s);
+                for k in &scalars {
+                    let ka = point_a.mul_scalar(k);
+                    for ladder in point::ladders() {
+                        let r = ladder.mul_base_sub(s, k, point_a);
+                        assert!(r.add(&ka).eq_point(&sb), "{ladder:?} s={s:?} k={k:?}");
+                    }
+                }
+            }
+        }
     }
 
     fn splitmix(mut state: u64) -> impl FnMut() -> u64 {

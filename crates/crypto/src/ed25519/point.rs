@@ -20,9 +20,17 @@
 //!   signed sliding window of [`mul_base_sub`] (verify), which computes
 //!   `[s]B − [k]A` on one shared doubling ladder with a width-5 window
 //!   over eight odd multiples of `A` built per call.
+//!
+//! [`mul_base_sub`] runs on one of two [`Ladder`]s, the same digits on
+//! each: this module's radix-2^51 code, or, on a CPU that reports AVX-512
+//! IFMA, the vector code of `ifma`, which works on all four coordinates
+//! of a point at once.
 
 use super::field::Fe;
 use super::scalar::Scalar;
+
+#[cfg(target_arch = "x86_64")]
+mod ifma;
 
 /// A point on the Ed25519 curve in extended coordinates.
 #[derive(Clone, Copy, Debug)]
@@ -353,11 +361,65 @@ pub fn mul_base(k: &Scalar) -> Point {
     add_digits(odd.double().double().double().double(), 0)
 }
 
-/// `[s]B − [k]A` (the verification equation's `R`) on one doubling ladder
-/// shared by both scalars, each in signed sliding-window form. The ladder
-/// starts at the highest non-zero digit of either, and a doubling that no
-/// digit follows is left without its `T`.
+/// An implementation of [`mul_base_sub`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Ladder {
+    /// Radix-2^51 field arithmetic on one point at a time: every CPU.
+    Scalar,
+    /// A point's four coordinates in the lanes of one vector, on AVX-512
+    /// IFMA (x86_64 with `avx512ifma` and `avx512vl`).
+    Ifma,
+}
+
+impl Ladder {
+    /// The ladder [`mul_base_sub`] takes on this CPU: [`Ladder::Ifma`]
+    /// when it reports both `avx512ifma` and `avx512vl`.
+    pub fn detect() -> Ladder {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx512ifma") && is_x86_feature_detected!("avx512vl") {
+            return Ladder::Ifma;
+        }
+        Ladder::Scalar
+    }
+
+    /// Whether this CPU runs this ladder.
+    pub fn is_supported(self) -> bool {
+        self == Ladder::Scalar || Ladder::detect() == Ladder::Ifma
+    }
+
+    /// `[s]B − [k]A` on this ladder; the same point on every ladder.
+    ///
+    /// # Panics
+    ///
+    /// If this CPU does not run the ladder ([`Ladder::is_supported`]).
+    pub fn mul_base_sub(self, s: &Scalar, k: &Scalar, point_a: &Point) -> Point {
+        match self {
+            Ladder::Scalar => mul_base_sub_scalar(s, k, point_a),
+            #[cfg(target_arch = "x86_64")]
+            Ladder::Ifma if self.is_supported() => {
+                #[allow(unsafe_code)]
+                // SAFETY: the CPU reports `avx512ifma` and `avx512vl`, the
+                // only features `ifma::mul_base_sub` is compiled for.
+                unsafe {
+                    ifma::mul_base_sub(s, k, point_a)
+                }
+            }
+            Ladder::Ifma => panic!("this CPU lacks avx512ifma or avx512vl"),
+        }
+    }
+}
+
+/// `[s]B − [k]A` (the verification equation's `R`) on the ladder this CPU
+/// runs fastest ([`Ladder::detect`]).
 pub fn mul_base_sub(s: &Scalar, k: &Scalar, point_a: &Point) -> Point {
+    Ladder::detect().mul_base_sub(s, k, point_a)
+}
+
+/// `[s]B − [k]A` on one doubling ladder shared by both scalars, each in
+/// signed sliding-window form. The ladder starts at the highest non-zero
+/// digit of either, and a doubling that no digit follows is left without
+/// its `T`.
+fn mul_base_sub_scalar(s: &Scalar, k: &Scalar, point_a: &Point) -> Point {
     let s_naf = s.naf(8);
     let k_naf = k.naf(5);
     let a_odd: [Cached; 8] = odd_multiples(point_a);
@@ -382,6 +444,23 @@ pub fn mul_base_sub(s: &Scalar, k: &Scalar, point_a: &Point) -> Point {
     }
     // The caller may add to the result, so the last doubling keeps its T.
     add_digits(acc.double(), 0)
+}
+
+/// The ladders this CPU runs. A test that runs them all says once, on
+/// stderr, which one it skips, so a CPU without IFMA does not pass the
+/// vector cases silently.
+#[cfg(test)]
+pub(super) fn ladders() -> Vec<Ladder> {
+    static SKIPPED: std::sync::Once = std::sync::Once::new();
+    let (run, skip): (Vec<_>, Vec<_>) = [Ladder::Scalar, Ladder::Ifma]
+        .into_iter()
+        .partition(|l| l.is_supported());
+    SKIPPED.call_once(|| {
+        for ladder in &skip {
+            eprintln!("skipped: this CPU does not run the {ladder:?} ladder");
+        }
+    });
+    run
 }
 
 #[cfg(test)]
@@ -527,16 +606,18 @@ mod tests {
     #[test]
     fn mul_base_sub_matches_binary_ladders() {
         let ks = scalars();
-        for (i, s) in ks.iter().enumerate() {
-            let k = &ks[(i * 7 + 3) % ks.len()];
-            let point_a = mul_base(&ks[(i * 5 + 1) % ks.len()]);
-            let fast = mul_base_sub(s, k, &point_a);
-            let slow = Point::BASE.mul_scalar(s);
-            // fast + [k]A == [s]B
-            assert!(
-                fast.add(&point_a.mul_scalar(k)).eq_point(&slow),
-                "s={s:?} k={k:?}"
-            );
+        for ladder in ladders() {
+            for (i, s) in ks.iter().enumerate() {
+                let k = &ks[(i * 7 + 3) % ks.len()];
+                let point_a = mul_base(&ks[(i * 5 + 1) % ks.len()]);
+                let fast = ladder.mul_base_sub(s, k, &point_a);
+                let slow = Point::BASE.mul_scalar(s);
+                // fast + [k]A == [s]B
+                assert!(
+                    fast.add(&point_a.mul_scalar(k)).eq_point(&slow),
+                    "{ladder:?} s={s:?} k={k:?}"
+                );
+            }
         }
     }
 

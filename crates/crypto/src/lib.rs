@@ -22,7 +22,7 @@
 //! raw speed; they are *not* hardened against timing side channels and should
 //! not be lifted into unrelated production systems.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ed25519;

@@ -14,13 +14,17 @@
 //!   covered by its signature);
 //! - memo exactness: an endpoint's `SigMemo`, warm from every bundle the
 //!   run has verified so far or empty, returns `verify_chain`'s verdict
-//!   and error.
+//!   and error;
+//! - ladder agreement: every certificate's signature, checked under each
+//!   fixture key, gets one verdict from every Ed25519 ladder this CPU runs
+//!   (the scalar one always, the AVX-512 IFMA one where detected).
 
 use crate::mutate::mutate;
 use crate::{exec_one, Exec, Report};
 use packetlab::cert::{
     verify_cert_set, verify_chain, CertPayload, Certificate, Restrictions, SigMemo,
 };
+use plab_crypto::ed25519::{verify_on, Ladder};
 use plab_crypto::{sha256, KeyHash, Keypair, PublicKey};
 use plab_packet::codec::{Reader, Writer};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -97,6 +101,22 @@ fn check_against(fx: &Fixture, warm: &mut SigMemo, bytes: &[u8]) -> Result<Exec,
         match Certificate::decode(&c.encode()) {
             Ok(c2) if c2 == *c => {}
             other => return Err(format!("cert encode/decode not a fixed point: {other:?}")),
+        }
+    }
+    // Both ladders give each signature one verdict. A certificate's
+    // encoding is the bytes its signature covers, then the signature.
+    for c in &certs {
+        let encoded = c.encode();
+        let body = &encoded[..encoded.len() - 64];
+        for key in fx.keys.values() {
+            let verdicts: Vec<bool> = [Ladder::Scalar, Ladder::Ifma]
+                .into_iter()
+                .filter(|l| l.is_supported())
+                .map(|l| verify_on(l, key, body, &c.signature))
+                .collect();
+            if verdicts.iter().any(|&v| v != verdicts[0]) {
+                return Err(format!("ladders disagree on a signature: {verdicts:?}"));
+            }
         }
     }
     // Verification must never panic, whatever the bundle shape.
