@@ -5,7 +5,9 @@
 //! in plain, auditable Rust: radix-2^51 field arithmetic, extended-coordinate
 //! group law straight from RFC 8032, windowed scalar multiplication over
 //! tables computed at compile time (see [`point`]), and scalars reduced by
-//! folding at 2^252 (see [`scalar`]).
+//! folding at 2^252 (see [`scalar`]). On a CPU with AVX-512 IFMA,
+//! [`verify`] runs the same ladder on all four coordinates of a point at
+//! once ([`Ladder`]).
 
 pub mod field;
 pub mod point;
