@@ -56,7 +56,7 @@ pub static GUARDS: [Guard; 7] = [
         secs: 2.0,
         checks: netsim,
     },
-    // At 2 s `scale_decay` cannot separate the two engines (EXPERIMENTS G7).
+    // `windowed` and `threaded` take half the budget each.
     Guard {
         name: "netsim-shard",
         secs: 4.0,
@@ -357,6 +357,11 @@ const SHARDS: usize = 4;
 /// probes and replies crossing a pod boundary.
 const SHARD_COUNTS: [u64; 3] = [22_272, 500, 768];
 
+/// Events of one 10,240-host round on 4 shards and one thread, and how
+/// many of them the look-ahead read past. Deleting the look-ahead reads
+/// the second as 0 (EXPERIMENTS G17).
+const LOOK_AHEAD_COUNTS: [u64; 2] = [222_720, 221_844];
+
 /// Events/s on 4 shards over 1 shard, one thread, 1,024 hosts. Twenty
 /// runs on two cores read 0.90-0.97, and 0.09-0.13 with a thread scope
 /// opened per window at one thread (EXPERIMENTS G10).
@@ -379,15 +384,15 @@ const MIN_THREADED: f64 = 0.95;
 /// two threads lose to one on two cores (0.57-0.73) and a serialised
 /// advance reads the same (0.27-0.61). Two cores are its ceiling: four
 /// shards share them, and each window ends at a barrier.
-/// `scale_decay`: one-thread events/s at 10,240 hosts over events/s at
-/// 1,024, both sizes in every round of one process, over the whole
-/// budget. What a tenfold world loses is the latency of first touches,
-/// and `Sim::step`'s look-ahead (DESIGN "Netsim") is what hides it:
-/// twenty runs at 4 s on two cores read 0.535-0.676 with it (median
-/// 0.619) and 0.383-0.531 without (median 0.452), so the bound sits
-/// between; at 2 s the ranges overlap. Both levels move between sittings
-/// (medians 0.56-0.62 with it), so a slow day can still miss (EXPERIMENTS
-/// G7). `build_growth`, `build_rss`: world construction
+/// `scale_decay`, a count: what a tenfold world loses is the latency of
+/// first touches, and `Sim::step`'s look-ahead (DESIGN "Netsim") is what
+/// hides it, so the check pins the 10,240-host round's
+/// [`LOOK_AHEAD_COUNTS`]. It was a quotient, events/s at 10,240 hosts over
+/// 1,024, but that no longer separated the code from a pump without the
+/// look-ahead on two cores: twenty runs each read 0.433-0.670 and
+/// 0.368-0.489 by the median of paired rounds, and 0.366-0.574 and
+/// 0.289-0.420 at 40,960 hosts (EXPERIMENTS G17). `build_growth`,
+/// `build_rss`: world construction
 /// is outside every event timing, so it has bounds of its own, each
 /// measured in a fresh process ([`netsim_scale::build_cost`]): 102,400
 /// hosts may take at most 20x as long to build as 10,240 (linear is 10; a
@@ -400,7 +405,6 @@ fn netsim_shard(budget: Duration) -> Vec<Check> {
     const BUILD_HOSTS: [usize; 2] = [10_240, 102_400];
     const MAX_BUILD_GROWTH: f64 = 20.0;
     const MAX_RSS_GROWTH: f64 = 2.0;
-    const MIN_SCALE_DECAY: f64 = 0.525;
 
     // Builds first: a child spawned right after a threaded round of this
     // size reads 0.3-1.0 s against 0.2 s otherwise (EXPERIMENTS P1 addendum).
@@ -453,20 +457,12 @@ fn netsim_shard(budget: Duration) -> Vec<Check> {
         );
         Check::quotient("threaded", &what, one / many, MIN_THREADED, rounds)
     };
-    // Both sizes in every round, so a machine that changes speed between
-    // rounds changes both readings.
-    let mut events = [0; 2];
-    let (secs, _): ([f64; 2], _) = min_over_rounds(budget, 4, |_| {
-        std::array::from_fn(|i| {
-            let (ev, secs, _) = netsim_scale::round_pods([1024, 10_240][i], SHARDS, 1);
-            events[i] = ev;
-            secs
-        })
-    });
-    let decay = (events[1] as f64 / secs[1]) / (events[0] as f64 / secs[0]);
-    let decay_detail = format!(
-        "one thread, 10,240 hosts run at {decay:.3} of the events/s of 1,024 \
-         (bound {MIN_SCALE_DECAY})"
+    let (events, _, world) = netsim_scale::round_pods(10_240, SHARDS, 1);
+    let scale_decay = Check::counts(
+        "scale_decay",
+        "one thread, 10,240 hosts: events, events the look-ahead read past",
+        [events, world.sim.warmed()],
+        LOOK_AHEAD_COUNTS,
     );
     let growth = large.secs / small.secs;
     // Without procfs both readings are 0 and the ratio is NaN.
@@ -490,7 +486,7 @@ fn netsim_shard(budget: Duration) -> Vec<Check> {
         windowed,
         windows,
         threaded,
-        Check::new("scale_decay", decay >= MIN_SCALE_DECAY, decay_detail),
+        scale_decay,
         Check::new("build_growth", growth <= MAX_BUILD_GROWTH, build_detail),
         build_rss,
     ]

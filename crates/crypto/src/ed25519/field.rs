@@ -177,31 +177,15 @@ impl Fe {
         (0..n).fold(*self, |x, _| x.square())
     }
 
-    /// (a^(2^250 − 1), a^11): the addition chain `invert` and `pow_p58`
-    /// share (11 multiplications, 249 squarings).
-    fn pow_2_250_m1(&self) -> (Fe, Fe) {
-        let x2 = self.square();
-        let x9 = x2.square_n(2).mul(self);
-        let x11 = x9.mul(&x2);
-        let e5 = x11.square().mul(&x9); // exponent 2^5 − 1
-        let e10 = e5.square_n(5).mul(&e5); // 2^10 − 1, and so on
-        let e20 = e10.square_n(10).mul(&e10);
-        let e40 = e20.square_n(20).mul(&e20);
-        let e50 = e40.square_n(10).mul(&e10);
-        let e100 = e50.square_n(50).mul(&e50);
-        let e200 = e100.square_n(100).mul(&e100);
-        (e200.square_n(50).mul(&e50), x11)
-    }
-
     /// Multiplicative inverse via Fermat: a^(p−2) = a^(2^255 − 21).
     pub fn invert(&self) -> Fe {
-        let (e250, x11) = self.pow_2_250_m1();
+        let (e250, x11) = pow_2_250_m1(self, Fe::square, Fe::mul);
         e250.square_n(5).mul(&x11)
     }
 
     /// a^((p−5)/8) = a^(2^252 − 3), used in square-root extraction.
     pub fn pow_p58(&self) -> Fe {
-        let (e250, _) = self.pow_2_250_m1();
+        let (e250, _) = pow_2_250_m1(self, Fe::square, Fe::mul);
         e250.square_n(2).mul(self)
     }
 
@@ -237,6 +221,30 @@ impl Fe {
     pub fn ct_eq(&self, other: &Fe) -> bool {
         self.to_bytes() == other.to_bytes()
     }
+}
+
+/// (a^(2^250 − 1), a^11): the addition chain `invert` and `pow_p58` share
+/// (11 multiplications, 249 squarings), written once for any form of a
+/// field element, given its squaring and multiplication: one [`Fe`], or
+/// the lanes of a vector of them.
+#[inline(always)]
+pub(super) fn pow_2_250_m1<T: Copy>(
+    a: &T,
+    square: impl Fn(&T) -> T,
+    mul: impl Fn(&T, &T) -> T,
+) -> (T, T) {
+    let square_n = |x: &T, n: u32| (0..n).fold(*x, |x, _| square(&x));
+    let x2 = square(a);
+    let x9 = mul(&square_n(&x2, 2), a);
+    let x11 = mul(&x9, &x2);
+    let e5 = mul(&square(&x11), &x9); // exponent 2^5 − 1
+    let e10 = mul(&square_n(&e5, 5), &e5); // 2^10 − 1, and so on
+    let e20 = mul(&square_n(&e10, 10), &e10);
+    let e40 = mul(&square_n(&e20, 20), &e20);
+    let e50 = mul(&square_n(&e40, 10), &e10);
+    let e100 = mul(&square_n(&e50, 50), &e50);
+    let e200 = mul(&square_n(&e100, 100), &e100);
+    (mul(&square_n(&e200, 50), &e50), x11)
 }
 
 /// 64×64 → 128-bit limb product.

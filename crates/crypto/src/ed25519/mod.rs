@@ -5,9 +5,10 @@
 //! in plain, auditable Rust: radix-2^51 field arithmetic, extended-coordinate
 //! group law straight from RFC 8032, windowed scalar multiplication over
 //! tables computed at compile time (see [`point`]), and scalars reduced by
-//! folding at 2^252 (see [`scalar`]). On a CPU with AVX-512 IFMA,
-//! [`verify`] runs the same ladder on all four coordinates of a point at
-//! once ([`Ladder`]).
+//! folding at 2^252 (see [`scalar`]). On a CPU with AVX-512 IFMA, signing's
+//! fixed-base comb and verification's ladder run the same schedule on all
+//! four coordinates of a point at once, and verification decompresses `A`
+//! and `R` on one vector chain ([`Ladder`]).
 
 pub mod field;
 pub mod point;
@@ -109,19 +110,29 @@ impl Keypair {
     /// Deterministically derive a keypair from a 32-byte seed.
     pub fn from_seed(seed: &[u8; 32]) -> Keypair {
         let (a, _) = expand_seed(seed);
-        let public_point = point::mul_base(&a);
+        let public_point = Ladder::detect().mul_base(&a);
         Keypair {
             secret: SecretKey(*seed),
             public: PublicKey(public_point.compress()),
         }
     }
 
-    /// Sign a message (RFC 8032 §5.1.6).
+    /// Sign a message (RFC 8032 §5.1.6) on the ladder [`Ladder::detect`]
+    /// picks.
     pub fn sign(&self, msg: &[u8]) -> Signature {
+        self.sign_on(Ladder::detect(), msg)
+    }
+
+    /// [`Keypair::sign`] on a given ladder: the same bytes on every ladder.
+    ///
+    /// # Panics
+    ///
+    /// If this CPU does not run the ladder ([`Ladder::is_supported`]).
+    pub fn sign_on(&self, ladder: Ladder, msg: &[u8]) -> Signature {
         let (a, prefix) = expand_seed(&self.secret.0);
         let r_wide = sha512::digest_parts(&[&prefix, msg]).0;
         let r = Scalar::from_wide_bytes_mod_order(&r_wide);
-        let r_point = point::mul_base(&r);
+        let r_point = ladder.mul_base(&r);
         let r_enc = r_point.compress();
         let k_wide = sha512::digest_parts(&[&r_enc, &self.public.0, msg]).0;
         let k = Scalar::from_wide_bytes_mod_order(&k_wide);
@@ -136,7 +147,9 @@ impl Keypair {
 /// The decoded parts of a verification: `(s, A, R, k)`, or `None` when an
 /// encoding is refused — non-canonical `s` (mandatory for malleability
 /// resistance), or an `A` or `R` that is not a canonical curve point.
+/// Both points are decompressed on `ladder`.
 fn decode(
+    ladder: Ladder,
     public: &PublicKey,
     msg: &[u8],
     sig: &Signature,
@@ -144,8 +157,8 @@ fn decode(
     let r_enc: [u8; 32] = sig.0[..32].try_into().unwrap();
     let s_enc: [u8; 32] = sig.0[32..].try_into().unwrap();
     let s = Scalar::from_canonical_bytes(&s_enc)?;
-    let a_point = Point::decompress(&public.0)?;
-    let r_point = Point::decompress(&r_enc)?;
+    let [a_point, r_point] = ladder.decompress_pair([&public.0, &r_enc]);
+    let (a_point, r_point) = (a_point?, r_point?);
     let k_wide = sha512::digest_parts(&[&r_enc, &public.0, msg]).0;
     Some((
         s,
@@ -157,7 +170,7 @@ fn decode(
 
 /// Verify a signature (RFC 8032 §5.1.7, cofactorless): `[s]B == R + [k]A`,
 /// checked as `[s]B − [k]A == R` so both products share one ladder, the
-/// one [`Ladder::detect`] picks.
+/// one [`Ladder::detect`] picks, which also decompresses `A` and `R`.
 pub fn verify(public: &PublicKey, msg: &[u8], sig: &Signature) -> bool {
     verify_on(Ladder::detect(), public, msg, sig)
 }
@@ -169,7 +182,7 @@ pub fn verify(public: &PublicKey, msg: &[u8], sig: &Signature) -> bool {
 /// If this CPU does not run the ladder ([`Ladder::is_supported`]).
 pub fn verify_on(ladder: Ladder, public: &PublicKey, msg: &[u8], sig: &Signature) -> bool {
     assert!(ladder.is_supported(), "this CPU does not run {ladder:?}");
-    decode(public, msg, sig)
+    decode(ladder, public, msg, sig)
         .is_some_and(|(s, a, r, k)| ladder.mul_base_sub(&s, &k, &a).eq_point(&r))
 }
 
@@ -177,7 +190,7 @@ pub fn verify_on(ladder: Ladder, public: &PublicKey, msg: &[u8], sig: &Signature
 /// reference whose accept set [`verify`] must match case for case.
 #[cfg(test)]
 fn verify_reference(public: &PublicKey, msg: &[u8], sig: &Signature) -> bool {
-    decode(public, msg, sig).is_some_and(|(s, a, r, k)| {
+    decode(Ladder::Scalar, public, msg, sig).is_some_and(|(s, a, r, k)| {
         Point::BASE
             .mul_scalar(&s)
             .eq_point(&r.add(&a.mul_scalar(&k)))
@@ -561,6 +574,127 @@ mod tests {
             "eight distinct points"
         );
         points
+    }
+
+    /// Both ladders' comb on 0, 1, L − 1, 2^252, scalars whose radix-16
+    /// digits are all of the largest magnitude either sign reaches (−8,
+    /// +7: the digits are in [−8, 8)) in 256 sign patterns, and 4,096
+    /// seeded scalars.
+    #[test]
+    fn mul_base_agrees_on_every_ladder() {
+        let l = scalar::L;
+        let mut scalars = vec![
+            Scalar::ZERO,
+            Scalar([1, 0, 0, 0]),
+            Scalar([l[0] - 1, l[1], l[2], l[3]]),
+            Scalar([0, 0, 0, 1 << 60]),
+        ];
+        let mut next = splitmix(0xc0b);
+        for pattern in 0..256u64 {
+            // Four periodic patterns, then seeded ones.
+            let bits = match pattern {
+                0..=3 => {
+                    [0, u64::MAX, 0x5555_5555_5555_5555, 0x3333_3333_3333_3333][pattern as usize]
+                }
+                _ => next(),
+            };
+            let mut digits: Vec<i8> = (0..62).map(|i| [7, -8][(bits >> i) as usize & 1]).collect();
+            // A top digit of 7 outweighs the rest, so no wrap past L.
+            digits.extend([7, 0]);
+            let k = from_naf_digits(4, &digits);
+            assert_eq!(k.radix16().to_vec(), digits, "pattern {bits:#x}");
+            scalars.push(k);
+        }
+        scalars.extend((0..4096).map(|_| {
+            let mut wide = [0u8; 64];
+            wide.iter_mut().for_each(|b| *b = next() as u8);
+            Scalar::from_wide_bytes_mod_order(&wide)
+        }));
+        for k in &scalars {
+            let expect = Ladder::Scalar.mul_base(k);
+            for ladder in point::ladders() {
+                assert!(ladder.mul_base(k).eq_point(&expect), "{ladder:?} {k:?}");
+            }
+        }
+    }
+
+    /// Byte-identical signatures from every ladder: the RFC 8032 vectors
+    /// and 1,024 seeded (seed, message) pairs.
+    #[test]
+    fn signatures_are_byte_identical_on_every_ladder() {
+        for (i, v) in VECTORS.iter().enumerate() {
+            let kp = Keypair::from_seed(&hex::decode_array::<32>(v.seed).unwrap());
+            let msg = hex::decode(&clean(v.msg)).unwrap();
+            for ladder in point::ladders() {
+                let sig = hex::encode(&kp.sign_on(ladder, &msg).0);
+                assert_eq!(sig, clean(v.sig), "{ladder:?} vector {i}");
+            }
+        }
+        let mut next = splitmix(0x51_6e);
+        for case in 0..1024 {
+            let mut seed = [0u8; 32];
+            seed.iter_mut().for_each(|b| *b = next() as u8);
+            let mut msg = vec![0u8; next() as usize % 160];
+            msg.iter_mut().for_each(|b| *b = next() as u8);
+            let kp = Keypair::from_seed(&seed);
+            let expect = kp.sign_on(Ladder::Scalar, &msg);
+            for ladder in point::ladders() {
+                assert!(kp.sign_on(ladder, &msg) == expect, "{ladder:?} case {case}");
+            }
+        }
+    }
+
+    /// Both ladders' paired decompression against `Point::decompress`, in
+    /// both lanes: 8,192 seeded strings with each sign bit, y = p − 1,
+    /// y ≥ p, x = 0 with the sign bit set and the 8 small-order points;
+    /// the seeded strings take both branches of the root (`v·x² = ±u`).
+    #[test]
+    fn decompression_agrees_on_every_ladder() {
+        use field::Fe;
+        let mut encs = small_order_points();
+        let mut p_minus_1 = P_BYTES;
+        p_minus_1[0] = 0xec;
+        let mut one = [0u8; 32];
+        one[0] = 1;
+        let mut p_plus_1 = P_BYTES;
+        p_plus_1[0] = 0xee;
+        encs.extend([P_BYTES, p_plus_1, [0xff; 32], p_minus_1, one]);
+        let mut next = splitmix(0xdec0);
+        encs.extend((0..8192).map(|_| {
+            let mut e = [0u8; 32];
+            e.iter_mut().for_each(|b| *b = next() as u8);
+            e
+        }));
+        let mut branches = [0; 2];
+        for (i, e) in encs.iter().enumerate() {
+            // Each string in the first lane, and with its sign bit
+            // flipped in the second lane beside its predecessor.
+            let mut flipped = encs[(i + 1) % encs.len()];
+            flipped[31] ^= 0x80;
+            let expect = [e, &flipped].map(|e| Point::decompress(e).map(|p| p.compress()));
+            for ladder in point::ladders() {
+                let got = ladder.decompress_pair([e, &flipped]);
+                assert_eq!(
+                    got.map(|p| p.map(|p| p.compress())),
+                    expect,
+                    "{ladder:?} {e:02x?}"
+                );
+            }
+            // Which branch the root took: v·x² = u, or −u (times √−1).
+            let mut y = *e;
+            y[31] &= 0x7f;
+            let yy = Fe::from_bytes(&y).square();
+            let (u, v) = (yy.sub(&Fe::ONE), yy.mul(&Fe::D).add(&Fe::ONE));
+            let v3 = v.square().mul(&v);
+            let x = u.mul(&v3).mul(&u.mul(&v3.square().mul(&v)).pow_p58());
+            if expect[0].is_some() {
+                branches[usize::from(!v.mul(&x.square()).ct_eq(&u))] += 1;
+            }
+        }
+        assert!(
+            branches.iter().all(|&n| n > 0),
+            "root branches {branches:?}"
+        );
     }
 
     /// Cofactorless verification accepts `s = 0`, `R = −[k]A` for a

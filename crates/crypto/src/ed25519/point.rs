@@ -12,19 +12,21 @@
 //! `const fn` at compile time (no hand-entered table data) and held as
 //! [`Cached`] addends of 160 bytes:
 //!
-//! - `BASE_COMB[i][j] = (j+1)·256^i·B`, 32 × 8 entries (40 KiB):
-//!   [`mul_base`] (keygen, sign) writes the scalar in 64 signed radix-16
-//!   digits and adds one entry per digit, the odd-position digits first
-//!   and four doublings between the two halves.
+//! - `BASE_COMB[i][j] = (j+1)·256^i·B`, 32 × 8 entries (40 KiB): the
+//!   fixed-base comb of [`Ladder::mul_base`] (keygen, sign) writes the
+//!   scalar in 64 signed radix-16 digits and adds one entry per digit, the
+//!   odd-position digits first and four doublings between the two halves.
 //! - `BASE_ODD[i] = (2i+1)·B`, 64 entries (10 KiB): the width-8
-//!   signed sliding window of [`mul_base_sub`] (verify), which computes
-//!   `[s]B − [k]A` on one shared doubling ladder with a width-5 window
-//!   over eight odd multiples of `A` built per call.
+//!   signed sliding window of [`Ladder::mul_base_sub`] (verify), which
+//!   computes `[s]B − [k]A` on one shared doubling ladder with a width-5
+//!   window over eight odd multiples of `A` built per call.
 //!
-//! [`mul_base_sub`] runs on one of two [`Ladder`]s, the same digits on
-//! each: this module's radix-2^51 code, or, on a CPU that reports AVX-512
-//! IFMA, the vector code of `ifma`, which works on all four coordinates
-//! of a point at once.
+//! Both, and the exponentiation of point decompression
+//! ([`Ladder::decompress_pair`], the `A` and `R` of a verification), run
+//! on one of two [`Ladder`]s, the same schedule on each: this module's
+//! radix-2^51 code, or, on a CPU that reports AVX-512 IFMA, the vector
+//! code of `ifma`, which works on all four coordinates of a point, or on
+//! two exponentiations, at once.
 
 use super::field::Fe;
 use super::scalar::Scalar;
@@ -248,42 +250,8 @@ impl Point {
     /// Decompress an encoded point; `None` if the encoding is invalid
     /// (not on the curve, or x = 0 with sign bit set).
     pub fn decompress(enc: &[u8; 32]) -> Option<Point> {
-        let sign = enc[31] >> 7;
-        let mut y_bytes = *enc;
-        y_bytes[31] &= 0x7f;
-        let y = Fe::from_bytes(&y_bytes);
-        // Reject non-canonical y (>= p): re-encode and compare.
-        if y.to_bytes() != y_bytes {
-            return None;
-        }
-        // x² = (y² − 1) / (d·y² + 1)
-        let yy = y.square();
-        let u = yy.sub(&Fe::ONE);
-        let v = yy.mul(&Fe::D).add(&Fe::ONE);
-        // Candidate root: x = u·v³ · (u·v⁷)^((p−5)/8)  (RFC 8032 §5.1.3).
-        let v3 = v.square().mul(&v);
-        let v7 = v3.square().mul(&v);
-        let mut x = u.mul(&v3).mul(&u.mul(&v7).pow_p58());
-        let vxx = v.mul(&x.square());
-        if vxx.ct_eq(&u) {
-            // x is correct.
-        } else if vxx.ct_eq(&u.neg()) {
-            x = x.mul(&Fe::SQRT_M1);
-        } else {
-            return None;
-        }
-        if x.is_zero() && sign == 1 {
-            return None;
-        }
-        if x.is_negative() != (sign == 1) {
-            x = x.neg();
-        }
-        Some(Point {
-            x,
-            y,
-            z: Fe::ONE,
-            t: x.mul(&y),
-        })
+        let d = Decoding::new(enc)?;
+        d.finish(&d.uv7.pow_p58())
     }
 
     /// Affine equality.
@@ -299,6 +267,72 @@ impl Point {
     /// True iff this is the identity element.
     pub fn is_identity(&self) -> bool {
         self.eq_point(&Point::IDENTITY)
+    }
+}
+
+/// A decompression up to its one exponentiation, `(u·v⁷)^((p−5)/8)`,
+/// which a [`Ladder`] may take for two encodings at once.
+#[derive(Clone, Copy)]
+struct Decoding {
+    sign: u8,
+    y: Fe,
+    u: Fe,
+    v: Fe,
+    uv3: Fe,
+    uv7: Fe,
+}
+
+impl Decoding {
+    /// `None` for a non-canonical y (≥ p).
+    fn new(enc: &[u8; 32]) -> Option<Decoding> {
+        let sign = enc[31] >> 7;
+        let mut y_bytes = *enc;
+        y_bytes[31] &= 0x7f;
+        let y = Fe::from_bytes(&y_bytes);
+        // Reject non-canonical y (>= p): re-encode and compare.
+        if y.to_bytes() != y_bytes {
+            return None;
+        }
+        // x² = (y² − 1) / (d·y² + 1)
+        let yy = y.square();
+        let u = yy.sub(&Fe::ONE);
+        let v = yy.mul(&Fe::D).add(&Fe::ONE);
+        let v3 = v.square().mul(&v);
+        let v7 = v3.square().mul(&v);
+        Some(Decoding {
+            sign,
+            y,
+            u,
+            v,
+            uv3: u.mul(&v3),
+            uv7: u.mul(&v7),
+        })
+    }
+
+    /// The point, given `p58 = (u·v⁷)^((p−5)/8)`: the candidate root is
+    /// x = u·v³·p58 (RFC 8032 §5.1.3).
+    fn finish(&self, p58: &Fe) -> Option<Point> {
+        let mut x = self.uv3.mul(p58);
+        let vxx = self.v.mul(&x.square());
+        if vxx.ct_eq(&self.u) {
+            // x is correct.
+        } else if vxx.ct_eq(&self.u.neg()) {
+            x = x.mul(&Fe::SQRT_M1);
+        } else {
+            return None;
+        }
+        if x.is_zero() && self.sign == 1 {
+            return None;
+        }
+        if x.is_negative() != (self.sign == 1) {
+            x = x.neg();
+        }
+        Some(Point {
+            x,
+            y: self.y,
+            z: Fe::ONE,
+            t: x.mul(&self.y),
+        })
     }
 }
 
@@ -345,7 +379,7 @@ static BASE_COMB: [[Cached; 8]; 32] = {
 /// digits d: `Σ d[2i+1]·256^i·B`, times 16 (the only four doublings), plus
 /// `Σ d[2i]·256^i·B`. One table addition per digit, the identity for a
 /// zero digit, so every scalar takes the same schedule.
-pub fn mul_base(k: &Scalar) -> Point {
+fn mul_base_scalar(k: &Scalar) -> Point {
     let digits = k.radix16();
     let add_digits = |mut acc: Point, parity: usize| {
         for (row, d) in BASE_COMB.iter().zip(digits.iter().skip(parity).step_by(2)) {
@@ -361,7 +395,9 @@ pub fn mul_base(k: &Scalar) -> Point {
     add_digits(odd.double().double().double().double(), 0)
 }
 
-/// An implementation of [`mul_base_sub`].
+/// An implementation of the comb, the verification ladder and point
+/// decompression. A method panics on a ladder this CPU does not run
+/// ([`Ladder::is_supported`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Ladder {
     /// Radix-2^51 field arithmetic on one point at a time: every CPU.
@@ -372,8 +408,8 @@ pub enum Ladder {
 }
 
 impl Ladder {
-    /// The ladder [`mul_base_sub`] takes on this CPU: [`Ladder::Ifma`]
-    /// when it reports both `avx512ifma` and `avx512vl`.
+    /// The fastest ladder on this CPU: [`Ladder::Ifma`] when it reports
+    /// both `avx512ifma` and `avx512vl`.
     pub fn detect() -> Ladder {
         #[cfg(target_arch = "x86_64")]
         if is_x86_feature_detected!("avx512ifma") && is_x86_feature_detected!("avx512vl") {
@@ -387,32 +423,58 @@ impl Ladder {
         self == Ladder::Scalar || Ladder::detect() == Ladder::Ifma
     }
 
-    /// `[s]B − [k]A` on this ladder; the same point on every ladder.
-    ///
-    /// # Panics
-    ///
-    /// If this CPU does not run the ladder ([`Ladder::is_supported`]).
+    /// `entry(args)`, an entry point of `ifma`, on [`Ladder::Ifma`].
+    #[cfg(target_arch = "x86_64")]
+    fn ifma<A, T>(self, entry: unsafe fn(A) -> T, args: A) -> T {
+        assert!(self.is_supported(), "this CPU lacks avx512ifma or avx512vl");
+        #[allow(unsafe_code)]
+        // SAFETY: the CPU reports `avx512ifma` and `avx512vl`, and every
+        // `entry` is an `ifma` function compiled for those features only.
+        unsafe {
+            entry(args)
+        }
+    }
+
+    /// `[k]B` on this ladder; the same point on every ladder. Every
+    /// scalar takes the same schedule of additions.
+    pub fn mul_base(self, k: &Scalar) -> Point {
+        match self {
+            Ladder::Scalar => mul_base_scalar(k),
+            #[cfg(target_arch = "x86_64")]
+            Ladder::Ifma => self.ifma(ifma::mul_base, k),
+            #[cfg(not(target_arch = "x86_64"))]
+            Ladder::Ifma => panic!("this CPU lacks avx512ifma or avx512vl"),
+        }
+    }
+
+    /// `[s]B − [k]A` (the verification equation's `R`) on this ladder;
+    /// the same point on every ladder.
     pub fn mul_base_sub(self, s: &Scalar, k: &Scalar, point_a: &Point) -> Point {
         match self {
             Ladder::Scalar => mul_base_sub_scalar(s, k, point_a),
             #[cfg(target_arch = "x86_64")]
-            Ladder::Ifma if self.is_supported() => {
-                #[allow(unsafe_code)]
-                // SAFETY: the CPU reports `avx512ifma` and `avx512vl`, the
-                // only features `ifma::mul_base_sub` is compiled for.
-                unsafe {
-                    ifma::mul_base_sub(s, k, point_a)
-                }
-            }
+            Ladder::Ifma => self.ifma(ifma::mul_base_sub, (s, k, point_a)),
+            #[cfg(not(target_arch = "x86_64"))]
             Ladder::Ifma => panic!("this CPU lacks avx512ifma or avx512vl"),
         }
     }
-}
 
-/// `[s]B − [k]A` (the verification equation's `R`) on the ladder this CPU
-/// runs fastest ([`Ladder::detect`]).
-pub fn mul_base_sub(s: &Scalar, k: &Scalar, point_a: &Point) -> Point {
-    Ladder::detect().mul_base_sub(s, k, point_a)
+    /// [`Point::decompress`] of two encodings; the same answers on every
+    /// ladder. On [`Ladder::Ifma`] their two exponentiations share one
+    /// vector chain.
+    pub fn decompress_pair(self, encs: [&[u8; 32]; 2]) -> [Option<Point>; 2] {
+        let parts = encs.map(Decoding::new);
+        // A refused encoding's lane exponentiates 1.
+        let uv7 = parts.map(|d| d.map_or(Fe::ONE, |d| d.uv7));
+        let p58 = match self {
+            Ladder::Scalar => uv7.map(|w| w.pow_p58()),
+            #[cfg(target_arch = "x86_64")]
+            Ladder::Ifma => self.ifma(ifma::pow_p58_pair, uv7),
+            #[cfg(not(target_arch = "x86_64"))]
+            Ladder::Ifma => panic!("this CPU lacks avx512ifma or avx512vl"),
+        };
+        [0, 1].map(|i| parts[i]?.finish(&p58[i]))
+    }
 }
 
 /// `[s]B − [k]A` on one doubling ladder shared by both scalars, each in
@@ -515,8 +577,8 @@ mod tests {
         // (a+b)*B == a*B + b*B
         let a = sc(1234);
         let b = sc(5678);
-        let lhs = mul_base(&a.add(&b));
-        let rhs = mul_base(&a).add(&mul_base(&b));
+        let lhs = mul_base_scalar(&a.add(&b));
+        let rhs = mul_base_scalar(&a).add(&mul_base_scalar(&b));
         assert!(lhs.eq_point(&rhs));
     }
 
@@ -540,7 +602,7 @@ mod tests {
             limbs[0] -= 1;
             limbs
         });
-        let almost = mul_base(&l_minus_1);
+        let almost = mul_base_scalar(&l_minus_1);
         assert!(almost.add(&Point::BASE).is_identity());
     }
 
@@ -599,7 +661,10 @@ mod tests {
     #[test]
     fn mul_base_matches_binary_ladder() {
         for k in scalars() {
-            assert!(mul_base(&k).eq_point(&Point::BASE.mul_scalar(&k)), "{k:?}");
+            let slow = Point::BASE.mul_scalar(&k);
+            for ladder in ladders() {
+                assert!(ladder.mul_base(&k).eq_point(&slow), "{ladder:?} {k:?}");
+            }
         }
     }
 
@@ -609,7 +674,7 @@ mod tests {
         for ladder in ladders() {
             for (i, s) in ks.iter().enumerate() {
                 let k = &ks[(i * 7 + 3) % ks.len()];
-                let point_a = mul_base(&ks[(i * 5 + 1) % ks.len()]);
+                let point_a = mul_base_scalar(&ks[(i * 5 + 1) % ks.len()]);
                 let fast = ladder.mul_base_sub(s, k, &point_a);
                 let slow = Point::BASE.mul_scalar(s);
                 // fast + [k]A == [s]B

@@ -1,10 +1,10 @@
-//! [`mul_base_sub`] on AVX-512 IFMA: a point's four coordinates are the
-//! four 64-bit lanes of a vector, so one vector multiply is four field
-//! products, and the doubling and the cached-point addition are the 4-way
-//! parallel extended-coordinate formulas of Hisil, Wong, Carter and
-//! Dawson ("Twisted Edwards curves revisited", 2008) — two vector
-//! multiplies each, in the lane order of de Valence's IFMA backend for
-//! curve25519-dalek (2018).
+//! The [`super::Ladder::Ifma`] entry points on AVX-512 IFMA: a point's
+//! four coordinates are the four 64-bit lanes of a vector, so one vector
+//! multiply is four field products, and the doubling and the cached-point
+//! addition are the 4-way parallel extended-coordinate formulas of Hisil,
+//! Wong, Carter and Dawson ("Twisted Edwards curves revisited", 2008) — two
+//! vector multiplies each, in the lane order of de Valence's IFMA backend
+//! for curve25519-dalek (2018).
 //!
 //! Each lane holds a field element in the radix-2^51 limbs of [`Fe`], so
 //! points convert limb for limb. `vpmadd52{lo,hi}uq` form the low and
@@ -13,16 +13,15 @@
 //! counts twice, and 2^255 ≡ 19 folds the upper five columns onto the
 //! lower five. Every vector fed to a multiply has limbs below 2^52: a
 //! product or a sum is carried ([`Fe4::carry`], below 2^51 + 2^18), and
-//! a table entry holds the carried limbs of an [`Fe`].
+//! a table entry or a loaded element holds the limbs of an [`Fe`].
 //!
-//! The schedule is the scalar ladder's: the width-8 NAF of `s` over
-//! `BASE_ODD` (as [`BASE_ODD_LANES`], built by `const fn` when the crate
-//! compiles) and the width-5 NAF of `k` over eight odd multiples of `A`.
-//! The group law is complete, so both ladders reach the same point.
+//! Each schedule is the scalar one's, over the same tables in lane order
+//! (built by `const fn` when the crate compiles), so both ladders reach
+//! the same point (the group law is complete) and the same root.
 
-use super::super::field::Fe;
+use super::super::field::{pow_2_250_m1, Fe};
 use super::super::scalar::Scalar;
-use super::{odd_multiples, Cached, Point, BASE_ODD};
+use super::{odd_multiples, Cached, Point, BASE_COMB, BASE_ODD};
 use core::arch::x86_64::*;
 
 /// Lane masks: lane `j` holds coordinate `j` of (X, Y, Z, T).
@@ -236,6 +235,12 @@ struct Point4(Fe4);
 struct Cached4(Fe4);
 
 impl Point4 {
+    #[inline]
+    #[target_feature(enable = "avx512ifma,avx512vl")]
+    fn from_point(p: &Point) -> Point4 {
+        Point4(Fe4::load(&lanes_of([&p.x, &p.y, &p.z, &p.t])))
+    }
+
     #[target_feature(enable = "avx512ifma,avx512vl")]
     fn to_point(self) -> Point {
         let [x, y, z, t] = self.0.lanes();
@@ -274,55 +279,57 @@ impl Point4 {
 }
 
 impl Cached4 {
-    /// `d·P` from `odd[i] = (2i+1)·P`, for odd `d`.
+    /// A table entry as an addend, negated for a negative digit: −Q swaps
+    /// Y − X with Y + X and negates T.
     #[inline]
     #[target_feature(enable = "avx512ifma,avx512vl")]
-    fn odd_multiple(odd: &[Limbs], d: i8) -> Cached4 {
-        let entry = Fe4::load(&odd[usize::from(d.unsigned_abs() / 2)]);
-        if d > 0 {
-            return Cached4(entry);
+    fn signed(entry: &Limbs, negative: bool) -> Cached4 {
+        let q = Fe4::load(entry);
+        if !negative {
+            return Cached4(q);
         }
-        // −Q: (x, y) ↦ (−x, y) swaps Y − X with Y + X and negates T.
-        let q = entry.shuffle::<BACD>();
+        let q = q.shuffle::<BACD>();
         Cached4(q.blend(&Fe4::zero().sub(&q), T))
     }
 }
 
-/// A [`Cached`] addend in [`Cached4`]'s lane order.
-const fn limbs(c: &Cached) -> Limbs {
-    let z2 = c.z.add(&c.z);
+/// Four field elements, one a lane.
+const fn lanes_of(fe: [&Fe; 4]) -> Limbs {
     let mut l = [[0; 4]; 5];
     let mut i = 0;
     while i < 5 {
-        l[i] = [c.ymx.0[i], c.ypx.0[i], z2.0[i], c.t2d.0[i]];
+        l[i] = [fe[0].0[i], fe[1].0[i], fe[2].0[i], fe[3].0[i]];
         i += 1;
     }
     l
 }
 
-/// `BASE_ODD` in [`Cached4`]'s lane order.
-static BASE_ODD_LANES: [Limbs; 64] = {
-    let mut table = [[[0; 4]; 5]; 64];
+/// A [`Cached`] addend in [`Cached4`]'s lane order.
+const fn limbs(c: &Cached) -> Limbs {
+    lanes_of([&c.ymx, &c.ypx, &c.z.add(&c.z), &c.t2d])
+}
+
+/// `table` in [`Cached4`]'s lane order.
+const fn lane_order<const N: usize>(table: &[Cached]) -> [Limbs; N] {
+    let mut out = [[[0; 4]; 5]; N];
     let mut i = 0;
-    while i < 64 {
-        table[i] = limbs(&BASE_ODD[i]);
+    while i < N {
+        out[i] = limbs(&table[i]);
         i += 1;
     }
-    table
-};
+    out
+}
 
-/// The identity (0, 1, 1, 0).
-const IDENTITY: Limbs = {
-    let mut l = [[0; 4]; 5];
-    l[0] = [0, 1, 1, 0];
-    l
-};
+static BASE_ODD_LANES: [Limbs; 64] = lane_order(&BASE_ODD);
 
-/// `[s]B − [k]A` on the vector ladder: the scalar ladder's point. One
-/// call site each for the doubling and the addition, so both inline
-/// into the loop.
+/// `BASE_COMB`, row after row.
+static BASE_COMB_LANES: [Limbs; 256] = lane_order(BASE_COMB.as_flattened());
+
+/// `[s]B − [k]A` on the vector ladder: the scalar ladder's point. The
+/// loop is the doubling's one call site, so it inlines there, as the
+/// addition does.
 #[target_feature(enable = "avx512ifma,avx512vl")]
-pub(super) fn mul_base_sub(s: &Scalar, k: &Scalar, point_a: &Point) -> Point {
+pub(super) fn mul_base_sub((s, k, point_a): (&Scalar, &Scalar, &Point)) -> Point {
     let s_naf = s.naf(8);
     let k_naf = k.naf(5);
     let a_odd = odd_multiples::<8>(point_a).map(|c| limbs(&c));
@@ -330,14 +337,51 @@ pub(super) fn mul_base_sub(s: &Scalar, k: &Scalar, point_a: &Point) -> Point {
         .rev()
         .find(|&i| s_naf[i] != 0 || k_naf[i] != 0)
         .unwrap_or(0);
-    let mut acc = Point4(Fe4::load(&IDENTITY));
+    let mut acc = Point4::from_point(&Point::IDENTITY);
     for i in (0..=top).rev() {
         acc = acc.double();
         for (odd, d) in [(&BASE_ODD_LANES[..], s_naf[i]), (&a_odd[..], -k_naf[i])] {
+            // `odd[i] = (2i+1)·P`, and `d` is odd.
             if d != 0 {
-                acc = acc.add(&Cached4::odd_multiple(odd, d));
+                acc = acc.add(&Cached4::signed(
+                    &odd[usize::from(d.unsigned_abs() / 2)],
+                    d < 0,
+                ));
             }
         }
     }
     acc.to_point()
+}
+
+/// `[k]B` by the scalar comb's schedule: the same radix-16 digits, one
+/// addition each (of the identity for a zero digit), and four doublings.
+#[target_feature(enable = "avx512ifma,avx512vl")]
+pub(super) fn mul_base(k: &Scalar) -> Point {
+    let digits = k.radix16();
+    let zero = const { limbs(&Cached::IDENTITY) };
+    let add_digits = |mut acc: Point4, parity: usize| {
+        let rows = BASE_COMB_LANES.chunks_exact(8);
+        for (row, &d) in rows.zip(digits.iter().skip(parity).step_by(2)) {
+            let entry = match d.unsigned_abs() {
+                0 => &zero,
+                m => &row[usize::from(m - 1)],
+            };
+            acc = acc.add(&Cached4::signed(entry, d < 0));
+        }
+        acc
+    };
+    let odd = add_digits(Point4::from_point(&Point::IDENTITY), 1).to_point();
+    // Doubled on the scalar side: `Point4::double` keeps its one call
+    // site, in `mul_base_sub`'s loop, which it must inline into.
+    let sixteen = odd.double().double().double().double();
+    add_digits(Point4::from_point(&sixteen), 0).to_point()
+}
+
+/// `w^((p−5)/8)` of two elements, in two lanes of one chain.
+#[target_feature(enable = "avx512ifma,avx512vl")]
+pub(super) fn pow_p58_pair(w: [Fe; 2]) -> [Fe; 2] {
+    let x = Fe4::load(&lanes_of([&w[0], &w[1], &Fe::ONE, &Fe::ONE]));
+    let (e250, _) = pow_2_250_m1(&x, |a| a.square(), |a, b| a.mul(b));
+    let [p0, p1, _, _] = e250.square().square().mul(&x).lanes();
+    [p0, p1]
 }

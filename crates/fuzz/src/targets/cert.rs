@@ -17,7 +17,8 @@
 //!   and error;
 //! - ladder agreement: every certificate's signature, checked under each
 //!   fixture key, gets one verdict from every Ed25519 ladder this CPU runs
-//!   (the scalar one always, the AVX-512 IFMA one where detected).
+//!   (the scalar one always, the AVX-512 IFMA one where detected), and its
+//!   body, re-signed with each fixture key, the same bytes.
 
 use crate::mutate::mutate;
 use crate::{exec_one, Exec, Report};
@@ -40,6 +41,8 @@ struct Fixture {
     descriptor_hash: sha256::Digest256,
     /// The correctly signed chain, root first.
     pristine: Vec<Certificate>,
+    /// The root's and the delegate's keys.
+    signers: [Keypair; 2],
 }
 
 fn fixture() -> Fixture {
@@ -68,6 +71,7 @@ fn fixture() -> Fixture {
         trusted: vec![KeyHash::of(&root.public)],
         descriptor_hash,
         pristine: vec![c0, c1],
+        signers: [root, mid],
     }
 }
 
@@ -103,19 +107,27 @@ fn check_against(fx: &Fixture, warm: &mut SigMemo, bytes: &[u8]) -> Result<Exec,
             other => return Err(format!("cert encode/decode not a fixed point: {other:?}")),
         }
     }
-    // Both ladders give each signature one verdict. A certificate's
-    // encoding is the bytes its signature covers, then the signature.
+    // Both ladders give each signature one verdict, and sign each body
+    // alike. A certificate's encoding is the bytes its signature covers,
+    // then the signature.
+    let ladders = [Ladder::Scalar, Ladder::Ifma].map(|l| l.is_supported().then_some(l));
+    let ladders: Vec<Ladder> = ladders.into_iter().flatten().collect();
     for c in &certs {
         let encoded = c.encode();
         let body = &encoded[..encoded.len() - 64];
         for key in fx.keys.values() {
-            let verdicts: Vec<bool> = [Ladder::Scalar, Ladder::Ifma]
-                .into_iter()
-                .filter(|l| l.is_supported())
-                .map(|l| verify_on(l, key, body, &c.signature))
+            let verdicts: Vec<bool> = ladders
+                .iter()
+                .map(|&l| verify_on(l, key, body, &c.signature))
                 .collect();
             if verdicts.iter().any(|&v| v != verdicts[0]) {
                 return Err(format!("ladders disagree on a signature: {verdicts:?}"));
+            }
+        }
+        for kp in &fx.signers {
+            let sigs: Vec<_> = ladders.iter().map(|&l| kp.sign_on(l, body)).collect();
+            if sigs.iter().any(|s| *s != sigs[0]) {
+                return Err(format!("ladders sign a body differently: {sigs:?}"));
             }
         }
     }

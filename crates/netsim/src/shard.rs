@@ -106,6 +106,9 @@ pub(crate) struct Shard {
     /// Events processed by [`Shard::step`] (throughput accounting for
     /// windowed advances, where the driver never sees individual steps).
     pub processed: u64,
+    /// Events [`Shard::warm_ahead`] read past: those with a successor
+    /// [`AHEAD_ROUTE`] places down the same-instant batch.
+    pub warmed: u64,
     /// Opt-in dirty-node tracking for fleet-scale harnesses: when
     /// enabled, event processing records which nodes it touched so a
     /// driver servicing thousands of hosts can visit only those instead
@@ -148,6 +151,7 @@ impl Shard {
                 handoffs: 0,
             }),
             processed: 0,
+            warmed: 0,
             track_dirty: false,
             dirty_nodes: Vec::new(),
             dirty_mark: Vec::new(),
@@ -206,7 +210,7 @@ impl Shard {
         let Some((t, kind)) = self.events.pop() else {
             return false;
         };
-        self.warm_ahead();
+        self.warmed += u64::from(self.warm_ahead());
         self.processed += 1;
         // Cross-shard injection at a window boundary can pop behind the
         // local clock (see `EventQueue` docs); the clock only ratchets
@@ -302,12 +306,13 @@ impl Shard {
     /// link, a node, a packet and an out-link, and the batch (thousands
     /// deep in pod worlds) says which those will be. Reads only, through
     /// `&self`, and no `Frame` is cloned or kept: no event, refcount, RNG
-    /// draw or counter can differ for it. A batch shorter than the nearest
-    /// stage (every fleet and bwest step) returns at the first line.
+    /// draw or other counter can differ for it. A batch shorter than the
+    /// nearest stage (every fleet and bwest step) returns false at the
+    /// first line; true counts in [`Shard::warmed`].
     #[inline]
-    fn warm_ahead(&self) {
+    fn warm_ahead(&self) -> bool {
         let Some(near) = self.events.ahead(AHEAD_ROUTE) else {
-            return;
+            return false;
         };
         /// The node an event acts on, and its packet.
         fn lands<'a>(sim: &'a Shard, e: &'a EventKind) -> Option<(&'a Node, &'a Frame)> {
@@ -381,6 +386,7 @@ impl Shard {
             }
         }
         std::hint::black_box(seen);
+        true
     }
 
     /// Process all events up to and including `deadline`, then advance the

@@ -207,6 +207,11 @@ impl Sim {
         self.shards.iter().map(|s| s.processed).sum()
     }
 
+    /// Events the look-ahead read past, summed over shards.
+    pub fn warmed(&self) -> u64 {
+        self.shards.iter().map(|s| s.warmed).sum()
+    }
+
     /// Window barriers executed so far.
     pub fn windows_run(&self) -> u64 {
         self.windows_run
