@@ -308,17 +308,22 @@ impl ScaleWorld {
 /// with (`Credentials::issue`: delegation, experiment).
 pub const CHAIN_LEN: u64 = 2;
 
-/// Curve verifications (`endpoint.auth.sig_verified`) run in building
-/// `worlds` worlds of `sessions` sessions: each world is one agent, and
-/// every session on it authenticates with the same chain.
-pub fn auth_verifications(worlds: usize, sessions: usize) -> u64 {
+/// Curve verifications (`endpoint.auth.sig_verified`), and those under a
+/// key's table (`sig_prepared`), run in building `worlds` worlds of
+/// `sessions` sessions: each world is one agent, and every session on it
+/// authenticates with the same chain.
+pub fn auth_verifications(worlds: usize, sessions: usize) -> (u64, u64) {
     plab_obs::enable();
     plab_obs::reset();
     for _ in 0..worlds {
         ScaleWorld::new(sessions);
     }
     plab_obs::disable();
-    plab_obs::metrics::counter("endpoint.auth.sig_verified")
+    let read = plab_obs::metrics::counter;
+    (
+        read("endpoint.auth.sig_verified"),
+        read("endpoint.auth.sig_prepared"),
+    )
 }
 
 /// Build a world of `sessions` and run one phase of `ops_per_session`

@@ -631,12 +631,15 @@ const MIN_SESSION_SCALE: f64 = 0.3;
 /// `verify_once`, a count: N authentications of one chain on
 /// one agent run N + chain_len curve verifications (each possession
 /// proof, the chain once), and N agents authenticating it once each run
-/// N x (chain_len + 1).
+/// N x (chain_len + 1). `prepared`, a count: a 4,096-session world's
+/// set-up verifies three possession proofs cold and the rest under the
+/// experimenter key's comb table; the 64 agents prepare nothing.
 fn ctrl_mux(budget: Duration) -> Vec<Check> {
     const SCALE_SESSIONS: [usize; 2] = [64, 4096];
     const IDLE_SESSIONS: usize = 4096;
     const IDLE_MAX_OVER_PROBES: f64 = 2.0;
     const AUTHS: u64 = 64;
+    const COLD_PROOFS: u64 = 3;
     let per_op = |sessions| {
         let p = ctrl::point(sessions, CTRL_OPS);
         p.wall_secs / p.ops as f64
@@ -661,13 +664,21 @@ fn ctrl_mux(budget: Duration) -> Vec<Check> {
         "an idle turn costs {idle:.2}x its {IDLE_SESSIONS} readiness probes \
          (bound {IDLE_MAX_OVER_PROBES}x)"
     );
-    let one_agent = ctrl::auth_verifications(1, AUTHS as usize);
-    let apart = ctrl::auth_verifications(AUTHS as usize, 1);
+    let (one_agent, _) = ctrl::auth_verifications(1, AUTHS as usize);
+    let (apart, apart_prepared) = ctrl::auth_verifications(AUTHS as usize, 1);
     let want = (AUTHS + ctrl::CHAIN_LEN, AUTHS * (ctrl::CHAIN_LEN + 1));
     let verify_detail = format!(
         "{AUTHS} authentications of one chain verify {one_agent} signatures on one agent \
          (exactly {}), {apart} on {AUTHS} agents (exactly {})",
         want.0, want.1
+    );
+    let (verified, prepared) = ctrl::auth_verifications(1, IDLE_SESSIONS);
+    let cold = verified.saturating_sub(ctrl::CHAIN_LEN + prepared);
+    let split = (cold, prepared, apart_prepared);
+    let want_split = (COLD_PROOFS, IDLE_SESSIONS as u64 - COLD_PROOFS, 0);
+    let split_detail = format!(
+        "(cold, prepared) proofs of {IDLE_SESSIONS} sessions on one agent, and prepared \
+         on {AUTHS} agents: {split:?} (exactly {want_split:?})"
     );
     let what = "wall ops/s at 4,096 sessions over 64";
     vec![
@@ -676,6 +687,7 @@ fn ctrl_mux(budget: Duration) -> Vec<Check> {
         Check::pinned("pinned", &passes.map(|p| p.digest), PINNED_CTRL_DIGEST),
         Check::new("idle_cheap", idle <= IDLE_MAX_OVER_PROBES, idle_detail),
         Check::new("verify_once", (one_agent, apart) == want, verify_detail),
+        Check::new("prepared", split == want_split, split_detail),
     ]
 }
 

@@ -11,6 +11,7 @@
 //! chain (they can only tighten): validity period, experiment monitor,
 //! buffer space limit, and maximum priority — exactly the paper's list.
 
+use plab_crypto::ed25519::{Ladder, PreparedKey};
 use plab_crypto::{sha256, KeyHash, Keypair, PublicKey, Signature};
 use plab_packet::codec::{Reader, WireError, Writer};
 use std::collections::HashMap;
@@ -355,21 +356,32 @@ fn walk_chain(
     Ok(effective)
 }
 
-/// How many verified signatures a [`SigMemo`] holds. A constant, not a
-/// setting: it bounds an endpoint's memory at 512 bytes whatever arrives,
-/// and an endpoint serves a handful of operators and experimenters at a
-/// time — past sixteen the oldest is forgotten and verified again.
+/// How many verified signatures a [`SigMemo`] holds, and how many keys it
+/// counts passing proofs under. A constant, not a setting: it bounds an
+/// endpoint's memory at 512 bytes whatever arrives, and an endpoint serves
+/// a handful of operators and experimenters at a time — past sixteen the
+/// oldest is forgotten and verified again.
 const SIG_MEMO_SLOTS: usize = 16;
 
-pub(crate) static M_SIG_VERIFIED: plab_obs::metrics::Counter =
+/// Proofs that pass under a key before the next verification under it
+/// builds its table, and how many tables (40 KiB each) a memo keeps: the
+/// ski-rental threshold and the memory bound of DESIGN deviation 10.
+const PREPARE_AFTER: u32 = 3;
+const PREPARED_KEYS: usize = 4;
+
+static M_SIG_VERIFIED: plab_obs::metrics::Counter =
     plab_obs::metrics::Counter::new("endpoint.auth.sig_verified");
 static M_SIG_MEMO_HITS: plab_obs::metrics::Counter =
     plab_obs::metrics::Counter::new("endpoint.auth.sig_memo_hits");
+static M_SIG_PREPARED: plab_obs::metrics::Counter =
+    plab_obs::metrics::Counter::new("endpoint.auth.sig_prepared");
 
-/// The certificate signatures an endpoint has already verified, so that the
-/// delegation arriving again with an experimenter's next session costs one
-/// hash in place of a curve verification (§3.3 re-verifies the chain on
-/// every session; Figure 1's delegations are long-lived by design).
+/// The one place an endpoint verifies signatures. It remembers the
+/// certificate signatures it has already verified, so that the delegation
+/// arriving again with an experimenter's next session costs one hash in
+/// place of a curve verification (§3.3 re-verifies the chain on every
+/// session; Figure 1's delegations are long-lived by design), and keeps the
+/// [`PreparedKey`] of a key it keeps verifying possession proofs under.
 ///
 /// An entry is `SHA-256(signer key ‖ signature ‖ signed bytes)`: a hit
 /// means these exact bytes passed [`plab_crypto::ed25519::verify`] under
@@ -378,12 +390,16 @@ static M_SIG_MEMO_HITS: plab_obs::metrics::Counter =
 /// first, and nothing else about a chain is remembered:
 /// [`SigMemo::verify_chain`] is [`verify_chain`]'s walk, so trust root,
 /// chain shape, descriptor binding and validity window are evaluated on
-/// every call.
+/// every call. A prepared key gives the cold verdict, so it too changes
+/// only the cost.
 #[derive(Default)]
 pub struct SigMemo {
-    verified: [[u8; 32]; SIG_MEMO_SLOTS],
-    /// Entries filled so far, then the FIFO cursor modulo the slot count.
-    inserted: usize,
+    /// Entries, the oldest first.
+    verified: Vec<[u8; 32]>,
+    /// Passing proofs under keys without a table, the oldest key first.
+    passes: Vec<(PublicKey, u32)>,
+    /// Keys with a table, the oldest first.
+    prepared: Vec<PreparedKey>,
 }
 
 impl SigMemo {
@@ -410,18 +426,58 @@ impl SigMemo {
 
     fn verify(&mut self, key: &PublicKey, body: &[u8], signature: &Signature) -> bool {
         let id = sha256::digest_parts(&[key.as_bytes(), signature.as_bytes(), body]).0;
-        if self.verified[..self.inserted.min(SIG_MEMO_SLOTS)].contains(&id) {
+        if self.verified.contains(&id) {
             M_SIG_MEMO_HITS.inc();
             return true;
         }
-        M_SIG_VERIFIED.inc();
-        let ok = plab_crypto::ed25519::verify(key, body, signature);
+        let ok = self.curve(key, body, signature);
         if ok {
-            self.verified[self.inserted % SIG_MEMO_SLOTS] = id;
-            self.inserted += 1;
+            push_bounded(&mut self.verified, SIG_MEMO_SLOTS, id);
         }
         ok
     }
+
+    /// A possession proof, which signs a fresh nonce and so is never
+    /// remembered. A pass counts toward preparing `key`, and the
+    /// verification after its third builds the key's table.
+    pub fn verify_fresh(&mut self, key: &PublicKey, body: &[u8], signature: &Signature) -> bool {
+        let ready = |&(k, n): &(PublicKey, u32)| k == *key && n == PREPARE_AFTER;
+        if let Some(at) = self.passes.iter().position(ready) {
+            self.passes.remove(at);
+            if let Some(table) = PreparedKey::new(Ladder::detect(), key) {
+                push_bounded(&mut self.prepared, PREPARED_KEYS, table);
+            }
+        }
+        let cold = !self.prepared.iter().any(|p| p.public() == key);
+        let ok = self.curve(key, body, signature);
+        if ok && cold {
+            match self.passes.iter_mut().find(|(k, _)| k == key) {
+                Some((_, n)) => *n += 1,
+                None => push_bounded(&mut self.passes, SIG_MEMO_SLOTS, (*key, 1)),
+            }
+        }
+        ok
+    }
+
+    /// The curve equation, under `key`'s table if the memo holds one.
+    fn curve(&self, key: &PublicKey, body: &[u8], signature: &Signature) -> bool {
+        M_SIG_VERIFIED.inc();
+        match self.prepared.iter().find(|p| p.public() == key) {
+            Some(prepared) => {
+                M_SIG_PREPARED.inc();
+                prepared.verify(body, signature)
+            }
+            None => plab_crypto::ed25519::verify(key, body, signature),
+        }
+    }
+}
+
+/// Push `item`, first dropping the oldest if `v` holds `cap`.
+fn push_bounded<T>(v: &mut Vec<T>, cap: usize, item: T) {
+    if v.len() == cap {
+        v.remove(0);
+    }
+    v.push(item);
 }
 
 /// Convenience: build the key map an `Auth` message carries.

@@ -30,6 +30,13 @@ uint32_t recv(const union packet *pkt, uint32_t len) {
 }
 "#;
 
+/// [`ICMP_CAPTURE_FILTER`], compiled once per process.
+fn icmp_capture_program() -> Vec<u8> {
+    static PROGRAM: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
+    let compile = || plab_cpf::compile(ICMP_CAPTURE_FILTER).expect("it compiles");
+    PROGRAM.get_or_init(|| compile().encode()).clone()
+}
+
 /// ICMP ident used by the measurement library ("PL").
 pub const PING_IDENT: u16 = 0x504c;
 
@@ -355,7 +362,7 @@ pub mod aio {
         let sync = ctrl.sync_clock(4).await?;
         let src = ctrl.endpoint_addr().await?;
         ctrl.nopen_raw(SKT).await?;
-        ctrl.ncap_cpf(SKT, u64::MAX, ICMP_CAPTURE_FILTER).await?;
+        ctrl.ncap(SKT, u64::MAX, icmp_capture_program()).await?;
 
         // Schedule all probes slightly in the future so control traffic does
         // not contend with the measurement (§3.1's rationale for nsend times).
@@ -429,7 +436,7 @@ pub mod aio {
         let sync = ctrl.sync_clock(4).await?;
         let src = ctrl.endpoint_addr().await?;
         ctrl.nopen_raw(SKT).await?;
-        ctrl.ncap_cpf(SKT, u64::MAX, ICMP_CAPTURE_FILTER).await?;
+        ctrl.ncap(SKT, u64::MAX, icmp_capture_program()).await?;
 
         let mut hops: Vec<Hop> = Vec::new();
         let mut reached = false;

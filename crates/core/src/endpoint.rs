@@ -427,9 +427,8 @@ impl EndpointAgent {
         let mut signed = Vec::with_capacity(64);
         signed.extend_from_slice(nonce);
         signed.extend_from_slice(&dhash.0);
-        // A fresh nonce every time: nothing about the proof is remembered.
-        cert::M_SIG_VERIFIED.inc();
-        if !plab_crypto::ed25519::verify(leaf_key, &signed, &Signature::from_bytes(proof)) {
+        let proof = Signature::from_bytes(proof);
+        if !self.sig_memo.verify_fresh(leaf_key, &signed, &proof) {
             return Err("possession proof invalid".into());
         }
         // Priority ceiling (§3.3: "this priority must not exceed the

@@ -16,6 +16,7 @@
 //!   fixed-base comb of [`Ladder::mul_base`] (keygen, sign) writes the
 //!   scalar in 64 signed radix-16 digits and adds one entry per digit, the
 //!   odd-position digits first and four doublings between the two halves.
+//!   [`Ladder::prepare`] builds a key's table by the same `const fn`.
 //! - `BASE_ODD[i] = (2i+1)·B`, 64 entries (10 KiB): the width-8
 //!   signed sliding window of [`Ladder::mul_base_sub`] (verify), which
 //!   computes `[s]B − [k]A` on one shared doubling ladder with a width-5
@@ -352,9 +353,10 @@ const fn odd_multiples<const N: usize>(p: &Point) -> [Cached; N] {
 
 static BASE_ODD: [Cached; 64] = odd_multiples(&Point::BASE);
 
-static BASE_COMB: [[Cached; 8]; 32] = {
+/// `P`'s comb: `table[i][j] = (j+1)·256^i·P`, 32 rows of 8 entries.
+const fn comb_table(p: &Point) -> [[Cached; 8]; 32] {
     let mut comb = [[Cached::IDENTITY; 8]; 32];
-    let mut p = Point::BASE; // 256^i · B
+    let mut p = *p; // 256^i · P
     let mut i = 0;
     while i < 32 {
         let step = p.cached();
@@ -373,16 +375,18 @@ static BASE_COMB: [[Cached; 8]; 32] = {
         i += 1;
     }
     comb
-};
+}
 
-/// Fixed-base scalar multiplication `k * B` over 64 signed radix-16
-/// digits d: `Σ d[2i+1]·256^i·B`, times 16 (the only four doublings), plus
-/// `Σ d[2i]·256^i·B`. One table addition per digit, the identity for a
-/// zero digit, so every scalar takes the same schedule.
-fn mul_base_scalar(k: &Scalar) -> Point {
+static BASE_COMB: [[Cached; 8]; 32] = comb_table(&Point::BASE);
+
+/// Fixed-base scalar multiplication `k * P` over `P`'s [`comb_table`] and
+/// 64 signed radix-16 digits d: `Σ d[2i+1]·256^i·P`, times 16 (the only
+/// four doublings), plus `Σ d[2i]·256^i·P`. One table addition per digit,
+/// the identity for a zero digit, so every scalar takes the same schedule.
+fn comb_scalar(table: &[[Cached; 8]; 32], k: &Scalar) -> Point {
     let digits = k.radix16();
     let add_digits = |mut acc: Point, parity: usize| {
-        for (row, d) in BASE_COMB.iter().zip(digits.iter().skip(parity).step_by(2)) {
+        for (row, d) in table.iter().zip(digits.iter().skip(parity).step_by(2)) {
             let entry = match d.unsigned_abs() {
                 0 => Cached::IDENTITY,
                 m => row[usize::from(m - 1)],
@@ -439,9 +443,9 @@ impl Ladder {
     /// scalar takes the same schedule of additions.
     pub fn mul_base(self, k: &Scalar) -> Point {
         match self {
-            Ladder::Scalar => mul_base_scalar(k),
+            Ladder::Scalar => comb_scalar(&BASE_COMB, k),
             #[cfg(target_arch = "x86_64")]
-            Ladder::Ifma => self.ifma(ifma::mul_base, k),
+            Ladder::Ifma => self.ifma(ifma::comb, (&ifma::BASE_COMB_LANES, k)),
             #[cfg(not(target_arch = "x86_64"))]
             Ladder::Ifma => panic!("this CPU lacks avx512ifma or avx512vl"),
         }
@@ -454,6 +458,18 @@ impl Ladder {
             Ladder::Scalar => mul_base_sub_scalar(s, k, point_a),
             #[cfg(target_arch = "x86_64")]
             Ladder::Ifma => self.ifma(ifma::mul_base_sub, (s, k, point_a)),
+            #[cfg(not(target_arch = "x86_64"))]
+            Ladder::Ifma => panic!("this CPU lacks avx512ifma or avx512vl"),
+        }
+    }
+
+    /// `point`'s comb table for this ladder, built as `B`'s is.
+    pub fn prepare(self, point: &Point) -> Prepared {
+        let table = comb_table(point);
+        match self {
+            Ladder::Scalar => Prepared::Scalar(Box::new(table)),
+            #[cfg(target_arch = "x86_64")]
+            Ladder::Ifma => Prepared::Ifma(Box::new(ifma::lane_order(table.as_flattened()))),
             #[cfg(not(target_arch = "x86_64"))]
             Ladder::Ifma => panic!("this CPU lacks avx512ifma or avx512vl"),
         }
@@ -474,6 +490,28 @@ impl Ladder {
             Ladder::Ifma => panic!("this CPU lacks avx512ifma or avx512vl"),
         };
         [0, 1].map(|i| parts[i]?.finish(&p58[i]))
+    }
+}
+
+/// A point's comb table in the layout of the ladder that reads it.
+pub enum Prepared {
+    /// For [`Ladder::Scalar`].
+    Scalar(Box<[[Cached; 8]; 32]>),
+    /// For [`Ladder::Ifma`].
+    #[cfg(target_arch = "x86_64")]
+    Ifma(Box<[ifma::Limbs; 256]>),
+}
+
+impl Prepared {
+    /// [`Ladder::mul_base_sub`]'s point for the prepared `A`, as two
+    /// combs: `[s]B` over `B`'s table and `[k]A` over `A`'s.
+    pub fn mul_base_sub(&self, s: &Scalar, k: &Scalar) -> Point {
+        let (ladder, ka) = match self {
+            Prepared::Scalar(table) => (Ladder::Scalar, comb_scalar(table, k)),
+            #[cfg(target_arch = "x86_64")]
+            Prepared::Ifma(table) => (Ladder::Ifma, Ladder::Ifma.ifma(ifma::comb, (table, k))),
+        };
+        ladder.mul_base(s).add_cached(&ka.cached().neg())
     }
 }
 
@@ -577,8 +615,10 @@ mod tests {
         // (a+b)*B == a*B + b*B
         let a = sc(1234);
         let b = sc(5678);
-        let lhs = mul_base_scalar(&a.add(&b));
-        let rhs = mul_base_scalar(&a).add(&mul_base_scalar(&b));
+        let lhs = Ladder::Scalar.mul_base(&a.add(&b));
+        let rhs = Ladder::Scalar
+            .mul_base(&a)
+            .add(&Ladder::Scalar.mul_base(&b));
         assert!(lhs.eq_point(&rhs));
     }
 
@@ -602,7 +642,7 @@ mod tests {
             limbs[0] -= 1;
             limbs
         });
-        let almost = mul_base_scalar(&l_minus_1);
+        let almost = Ladder::Scalar.mul_base(&l_minus_1);
         assert!(almost.add(&Point::BASE).is_identity());
     }
 
@@ -674,14 +714,16 @@ mod tests {
         for ladder in ladders() {
             for (i, s) in ks.iter().enumerate() {
                 let k = &ks[(i * 7 + 3) % ks.len()];
-                let point_a = mul_base_scalar(&ks[(i * 5 + 1) % ks.len()]);
-                let fast = ladder.mul_base_sub(s, k, &point_a);
+                let point_a = Ladder::Scalar.mul_base(&ks[(i * 5 + 1) % ks.len()]);
                 let slow = Point::BASE.mul_scalar(s);
-                // fast + [k]A == [s]B
-                assert!(
-                    fast.add(&point_a.mul_scalar(k)).eq_point(&slow),
-                    "{ladder:?} s={s:?} k={k:?}"
-                );
+                let ka = point_a.mul_scalar(k);
+                for fast in [
+                    ladder.mul_base_sub(s, k, &point_a),
+                    ladder.prepare(&point_a).mul_base_sub(s, k),
+                ] {
+                    // fast + [k]A == [s]B
+                    assert!(fast.add(&ka).eq_point(&slow), "{ladder:?} s={s:?} k={k:?}");
+                }
             }
         }
     }

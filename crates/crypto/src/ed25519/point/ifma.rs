@@ -61,7 +61,7 @@ const TWO_P: [u64; 5] = [
 struct Fe4([__m256i; 5]);
 
 /// The four lanes of each of the five limbs, as loaded into an [`Fe4`].
-type Limbs = [[u64; 4]; 5];
+pub(super) type Limbs = [[u64; 4]; 5];
 
 impl Fe4 {
     #[inline]
@@ -310,7 +310,7 @@ const fn limbs(c: &Cached) -> Limbs {
 }
 
 /// `table` in [`Cached4`]'s lane order.
-const fn lane_order<const N: usize>(table: &[Cached]) -> [Limbs; N] {
+pub(super) const fn lane_order<const N: usize>(table: &[Cached]) -> [Limbs; N] {
     let mut out = [[[0; 4]; 5]; N];
     let mut i = 0;
     while i < N {
@@ -323,7 +323,7 @@ const fn lane_order<const N: usize>(table: &[Cached]) -> [Limbs; N] {
 static BASE_ODD_LANES: [Limbs; 64] = lane_order(&BASE_ODD);
 
 /// `BASE_COMB`, row after row.
-static BASE_COMB_LANES: [Limbs; 256] = lane_order(BASE_COMB.as_flattened());
+pub(super) static BASE_COMB_LANES: [Limbs; 256] = lane_order(BASE_COMB.as_flattened());
 
 /// `[s]B − [k]A` on the vector ladder: the scalar ladder's point. The
 /// loop is the doubling's one call site, so it inlines there, as the
@@ -353,14 +353,15 @@ pub(super) fn mul_base_sub((s, k, point_a): (&Scalar, &Scalar, &Point)) -> Point
     acc.to_point()
 }
 
-/// `[k]B` by the scalar comb's schedule: the same radix-16 digits, one
-/// addition each (of the identity for a zero digit), and four doublings.
+/// `[k]P` over `P`'s comb table in lane order (row after row), by the
+/// scalar comb's schedule: the same radix-16 digits, one addition each
+/// (of the identity for a zero digit), and four doublings.
 #[target_feature(enable = "avx512ifma,avx512vl")]
-pub(super) fn mul_base(k: &Scalar) -> Point {
+pub(super) fn comb((table, k): (&[Limbs; 256], &Scalar)) -> Point {
     let digits = k.radix16();
     let zero = const { limbs(&Cached::IDENTITY) };
     let add_digits = |mut acc: Point4, parity: usize| {
-        let rows = BASE_COMB_LANES.chunks_exact(8);
+        let rows = table.chunks_exact(8);
         for (row, &d) in rows.zip(digits.iter().skip(parity).step_by(2)) {
             let entry = match d.unsigned_abs() {
                 0 => &zero,

@@ -17,15 +17,16 @@
 //!   and error;
 //! - ladder agreement: every certificate's signature, checked under each
 //!   fixture key, gets one verdict from every Ed25519 ladder this CPU runs
-//!   (the scalar one always, the AVX-512 IFMA one where detected), and its
-//!   body, re-signed with each fixture key, the same bytes.
+//!   (the scalar one always, the AVX-512 IFMA one where detected) and from
+//!   that key's `PreparedKey` on each, and its body, re-signed with each
+//!   fixture key, the same bytes.
 
 use crate::mutate::mutate;
 use crate::{exec_one, Exec, Report};
 use packetlab::cert::{
     verify_cert_set, verify_chain, CertPayload, Certificate, Restrictions, SigMemo,
 };
-use plab_crypto::ed25519::{verify_on, Ladder};
+use plab_crypto::ed25519::{verify_on, Ladder, PreparedKey};
 use plab_crypto::{sha256, KeyHash, Keypair, PublicKey};
 use plab_packet::codec::{Reader, Writer};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -43,6 +44,9 @@ struct Fixture {
     pristine: Vec<Certificate>,
     /// The root's and the delegate's keys.
     signers: [Keypair; 2],
+    /// Every ladder this CPU runs, and both keys prepared on each.
+    ladders: Vec<Ladder>,
+    prepared: Vec<PreparedKey>,
 }
 
 fn fixture() -> Fixture {
@@ -66,12 +70,21 @@ fn fixture() -> Fixture {
         CertPayload::Experiment(descriptor_hash),
         Restrictions::none(),
     );
+    let ladders = [Ladder::Scalar, Ladder::Ifma].map(|l| l.is_supported().then_some(l));
+    let ladders: Vec<Ladder> = ladders.into_iter().flatten().collect();
+    let prepared = ladders
+        .iter()
+        .flat_map(|&l| [&root, &mid].map(|kp| PreparedKey::new(l, &kp.public)))
+        .map(|p| p.expect("a fixture key decodes"))
+        .collect();
     Fixture {
         keys: packetlab::cert::key_map(&[root.public, mid.public]),
         trusted: vec![KeyHash::of(&root.public)],
         descriptor_hash,
         pristine: vec![c0, c1],
         signers: [root, mid],
+        ladders,
+        prepared,
     }
 }
 
@@ -107,25 +120,27 @@ fn check_against(fx: &Fixture, warm: &mut SigMemo, bytes: &[u8]) -> Result<Exec,
             other => return Err(format!("cert encode/decode not a fixed point: {other:?}")),
         }
     }
-    // Both ladders give each signature one verdict, and sign each body
-    // alike. A certificate's encoding is the bytes its signature covers,
-    // then the signature.
-    let ladders = [Ladder::Scalar, Ladder::Ifma].map(|l| l.is_supported().then_some(l));
-    let ladders: Vec<Ladder> = ladders.into_iter().flatten().collect();
+    // Both ladders, cold and under a prepared key, give each signature
+    // one verdict, and sign each body alike. A certificate's encoding is
+    // the bytes its signature covers, then the signature.
     for c in &certs {
         let encoded = c.encode();
         let body = &encoded[..encoded.len() - 64];
         for key in fx.keys.values() {
-            let verdicts: Vec<bool> = ladders
+            let cold = fx
+                .ladders
                 .iter()
-                .map(|&l| verify_on(l, key, body, &c.signature))
+                .map(|&l| verify_on(l, key, body, &c.signature));
+            let prepared = fx.prepared.iter().filter(|p| p.public() == key);
+            let verdicts: Vec<bool> = cold
+                .chain(prepared.map(|p| p.verify(body, &c.signature)))
                 .collect();
             if verdicts.iter().any(|&v| v != verdicts[0]) {
-                return Err(format!("ladders disagree on a signature: {verdicts:?}"));
+                return Err(format!("cold, then prepared, disagree: {verdicts:?}"));
             }
         }
         for kp in &fx.signers {
-            let sigs: Vec<_> = ladders.iter().map(|&l| kp.sign_on(l, body)).collect();
+            let sigs: Vec<_> = fx.ladders.iter().map(|&l| kp.sign_on(l, body)).collect();
             if sigs.iter().any(|s| *s != sigs[0]) {
                 return Err(format!("ladders sign a body differently: {sigs:?}"));
             }

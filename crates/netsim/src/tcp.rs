@@ -303,7 +303,7 @@ impl TcpHost {
         if matches!(c.state, TcpState::Closed | TcpState::Reset) || c.fin_queued {
             return;
         }
-        c.send_buf.extend(data.iter().copied());
+        c.send_buf.extend(data);
         Self::pump_send(c, id, now, out);
     }
 
@@ -577,7 +577,7 @@ impl TcpHost {
             let mut should_ack = false;
             if !seg.payload.is_empty() {
                 if h.seq == c.rcv_nxt && c.recv_buf.len() + seg.payload.len() <= c.recv_capacity {
-                    c.recv_buf.extend(seg.payload.iter().copied());
+                    c.recv_buf.extend(seg.payload);
                     c.rcv_nxt = c.rcv_nxt.wrapping_add(seg.payload.len() as u32);
                 }
                 // Always ack what we have (dup-ack for gaps/overflow).

@@ -26,16 +26,27 @@ impl Checksum {
         self.add_u16(v as u16)
     }
 
-    /// Add raw bytes (padded with a zero byte if odd length).
+    /// Add raw bytes (padded with a zero byte if odd length), as
+    /// little-endian 32-bit words in four 64-bit lanes: a 32-bit word is
+    /// two 16-bit ones modulo 2^16 − 1, and the little-endian sum is the
+    /// big-endian one byte-swapped (RFC 1071 §2(B)).
     pub fn add_bytes(&mut self, data: &[u8]) -> &mut Self {
-        let mut chunks = data.chunks_exact(2);
-        for c in &mut chunks {
-            self.add_u16(u16::from_be_bytes([c[0], c[1]]));
+        let mut lanes = [0u64; 4];
+        let mut add = |block: &[u8]| {
+            for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(4)) {
+                *lane += u64::from(u32::from_le_bytes(word.try_into().unwrap()));
+            }
+        };
+        let mut blocks = data.chunks_exact(16);
+        blocks.by_ref().for_each(&mut add);
+        let mut last = [0u8; 16];
+        last[..blocks.remainder().len()].copy_from_slice(blocks.remainder());
+        add(&last);
+        let mut sum: u64 = lanes.iter().map(|l| (l & 0xffff_ffff) + (l >> 32)).sum();
+        while sum > 0xffff {
+            sum = (sum & 0xffff) + (sum >> 16);
         }
-        if let [last] = chunks.remainder() {
-            self.add_u16(u16::from_be_bytes([*last, 0]));
-        }
-        self
+        self.add_u16((sum as u16).swap_bytes())
     }
 
     /// Fold carries and return the ones-complement result.
@@ -75,6 +86,56 @@ pub fn verify(data: &[u8]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The sum as RFC 1071 writes it: big-endian byte pairs, an odd last
+    /// byte padded with zero.
+    fn add_byte_pairs(c: &mut Checksum, data: &[u8]) {
+        let mut pairs = data.chunks_exact(2);
+        for p in &mut pairs {
+            c.add_u16(u16::from_be_bytes([p[0], p[1]]));
+        }
+        if let [last] = pairs.remainder() {
+            c.add_u16(u16::from_be_bytes([*last, 0]));
+        }
+    }
+
+    /// `add_bytes` against the byte-pair sum on every length 0–1,500 at
+    /// start offsets 0–3, over all-zero, all-0xff and seeded bytes, whole
+    /// and split at odd offsets (each piece an odd-length call, so padded),
+    /// after a word that leaves the accumulator non-zero.
+    #[test]
+    fn add_bytes_matches_the_byte_pair_sum() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let seeded: Vec<u8> = (0..1504)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state as u8
+            })
+            .collect();
+        for data in [vec![0; 1504], vec![0xff; 1504], seeded] {
+            for offset in 0..4 {
+                for len in 0..=1500 {
+                    let bytes = &data[offset..offset + len];
+                    let splits = [len, (len / 2) | 1, (len / 3) | 1, 1];
+                    for split in splits.into_iter().filter(|&at| at <= len) {
+                        let (head, tail) = bytes.split_at(split);
+                        let mut fast = Checksum::new();
+                        fast.add_u16(0x1234).add_bytes(head).add_bytes(tail);
+                        let mut slow = Checksum::new();
+                        slow.add_u16(0x1234);
+                        add_byte_pairs(&mut slow, head);
+                        add_byte_pairs(&mut slow, tail);
+                        assert_eq!(fast.finish(), slow.finish(), "{offset}+{len} at {split}");
+                    }
+                    let mut slow = Checksum::new();
+                    add_byte_pairs(&mut slow, bytes);
+                    assert_eq!(checksum(bytes), slow.finish(), "{offset}+{len}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn rfc1071_example() {

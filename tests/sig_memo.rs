@@ -31,6 +31,11 @@ fn counters() -> (u64, u64) {
     )
 }
 
+/// Curve verifications made under a key's comb table.
+fn prepared() -> u64 {
+    plab_obs::metrics::counter("endpoint.auth.sig_prepared")
+}
+
 fn watch_counters() {
     plab_obs::enable();
     plab_obs::reset();
@@ -264,6 +269,36 @@ fn a_failing_signature_never_enters() {
     }
 }
 
+/// Four fresh passes under each of five keys: three cold, then the fourth
+/// builds the key's table. The fifth table evicts the first key's, which
+/// is cold again until it has passed three more times.
+#[test]
+fn a_fifth_prepared_key_evicts_the_oldest() {
+    watch_counters();
+    let keys: Vec<Keypair> = (70..75u8).map(|s| Keypair::from_seed(&[s; 32])).collect();
+    let mut memo = SigMemo::default();
+    let mut fresh = |key: usize, round: u8| {
+        let body = [round; 40];
+        assert!(memo.verify_fresh(&keys[key].public, &body, &keys[key].sign(&body)));
+        prepared()
+    };
+    for key in 0..5 {
+        for round in 0..3 {
+            assert_eq!(fresh(key, round), key as u64, "key {key} is cold");
+        }
+        assert_eq!(fresh(key, 3), key as u64 + 1, "key {key} is prepared");
+    }
+    for key in 1..5 {
+        assert_eq!(fresh(key, 4), 5 + key as u64, "key {key} kept its table");
+    }
+    for round in 5..8 {
+        assert_eq!(fresh(0, round), 9, "the first key's table was evicted");
+    }
+    assert_eq!(fresh(0, 8), 10, "and is built again");
+    assert_eq!(fresh(1, 9), 10, "in place of the second's");
+    assert_eq!(counters(), (29, 0), "every verification a curve one");
+}
+
 // --- through the agent: Figure 1's refusals, twice ---
 
 /// The endpoint's wall clock (EndpointConfig default).
@@ -421,6 +456,39 @@ fn refusals_read_the_same_through_a_warm_memo() {
             .session_count(),
         0
     );
+}
+
+/// 64 sessions under one experimenter's key, with four forged proofs
+/// after the second: three proofs verify cold, and from the fourth every
+/// proof verifies under the key's table. A proof that fails never counts
+/// toward preparing it.
+#[test]
+fn an_experimenter_seen_again_verifies_under_its_table() {
+    watch_counters();
+    let w = world();
+    let experimenter = Keypair::from_seed(&[61; 32]);
+    let creds = Credentials::issue(
+        &w.operator,
+        &experimenter,
+        descriptor(&experimenter),
+        Restrictions::none(),
+        10,
+    );
+    let forged = Credentials {
+        signing_key: Keypair::from_seed(&[62; 32]),
+        ..creds.clone()
+    };
+    for session in 0..64 {
+        if session == 2 {
+            for _ in 0..4 {
+                let refusal = connect(&w, &forged).expect_err("a forged proof");
+                assert!(refusal.1.contains("possession proof"), "{refusal:?}");
+            }
+        }
+        connect(&w, &creds).expect("valid credentials");
+    }
+    assert_eq!(prepared(), 61, "3 cold proofs, then 61 under the table");
+    assert_eq!(counters(), (2 + 4 + 64, 2 * (4 + 63)));
 }
 
 #[test]
