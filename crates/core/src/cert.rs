@@ -357,10 +357,11 @@ fn walk_chain(
 }
 
 /// How many verified signatures a [`SigMemo`] holds, and how many keys it
-/// counts passing proofs under. A constant, not a setting: it bounds an
-/// endpoint's memory at 512 bytes whatever arrives, and an endpoint serves
-/// a handful of operators and experimenters at a time — past sixteen the
-/// oldest is forgotten and verified again.
+/// counts passing proofs under. A constant, not a setting: it bounds what
+/// an endpoint keeps (512 bytes of hashes, sixteen counts) whatever
+/// arrives, and an endpoint serves a handful of operators and
+/// experimenters at a time — past sixteen the oldest is forgotten and
+/// verified again.
 const SIG_MEMO_SLOTS: usize = 16;
 
 /// Proofs that pass under a key before the next verification under it
@@ -437,8 +438,8 @@ impl SigMemo {
         ok
     }
 
-    /// A possession proof, which signs a fresh nonce and so is never
-    /// remembered. A pass counts toward preparing `key`, and the
+    /// Verify a possession proof, which signs a fresh nonce and so is
+    /// never remembered. A pass counts toward preparing `key`, and the
     /// verification after its third builds the key's table.
     pub fn verify_fresh(&mut self, key: &PublicKey, body: &[u8], signature: &Signature) -> bool {
         let ready = |&(k, n): &(PublicKey, u32)| k == *key && n == PREPARE_AFTER;
