@@ -17,8 +17,11 @@
 //! themselves until an operation is done, so their `async fn`s never
 //! suspend and both carry the blocking shells
 //! ([`crate::controller::ControlChannel`] and friends); the fleet runner's
-//! driver parks its task on a [`Wait`] instead. Under both a dial ends when
-//! its wait holds; only the fleet's data wait also ends at a close.
+//! driver parks its task on a [`Wait`] instead. Under both a wait ends
+//! when [`Wait::holds`]: a data wait at readable bytes, a close or its
+//! deadline. Two differences remain: the harness runs the world 1 s after
+//! a close ([`Driver::closed`]), and its dial gives up at the last event
+//! due by the deadline rather than at the deadline.
 
 use crate::controller::robust::Dialer;
 use crate::controller::{aio, probe_seq, ControlChannel, SinkHost};
@@ -941,8 +944,6 @@ pub trait Driver: Clone {
     /// Wait until the world, seen from `node`, satisfies `wait`. False if
     /// the driver gave up instead.
     async fn until(&self, node: NodeId, wait: Wait) -> bool;
-    /// After a frame was sent.
-    fn sent(&self) {}
     /// After a connection was closed.
     fn closed(&self) {}
 }
@@ -954,41 +955,27 @@ impl Driver for Rc<RefCell<SimNet>> {
         op(&mut self.borrow_mut())
     }
 
-    /// A data wait steps one event at a time while one is due by the
-    /// deadline, and a close does not end it; at the deadline it runs the
-    /// world there and gives up, so the caller reads once more. A dial
-    /// steps while the wait does not hold (established, closed or past
-    /// its deadline) and an event is due by the deadline.
+    /// Ends when [`Wait::holds`], the fleet's rule too: it steps one event
+    /// at a time while one is due by the wait's deadline, and then runs
+    /// the world to the deadline. A dial is the one exception, below.
+    /// False if there is no event and no deadline: nothing will arrive.
     async fn until(&self, node: NodeId, wait: Wait) -> bool {
         let n = &mut *self.borrow_mut();
-        match wait {
-            Wait::Data { conn, deadline } => {
-                while n.sim.tcp_readable(node, conn) == 0 {
-                    match (n.sim.next_event_time(), deadline) {
-                        (Some(t), d) if d.is_none_or(|d| t <= d) => n.step(),
-                        (_, Some(d)) => {
-                            n.run_until(d);
-                            return false;
-                        }
-                        // No event and no deadline: nothing will arrive.
-                        _ => return false,
-                    };
-                }
-            }
-            Wait::Established { deadline, .. } => {
-                while !wait.holds(&n.sim, node)
-                    && n.sim.next_event_time().is_some_and(|t| t <= deadline)
-                {
+        while !wait.holds(&n.sim, node) {
+            match (n.sim.next_event_time(), wait.deadline()) {
+                (Some(t), d) if d.is_none_or(|d| t <= d) => {
                     n.step();
                 }
+                // A dial gives up at its last event due by the deadline,
+                // not at the deadline: running on to it moves the bwest
+                // trace off 0x8786bdd8f1e0d476 (ROADMAP "Dropped on
+                // evidence").
+                _ if matches!(wait, Wait::Established { .. }) => break,
+                (_, Some(d)) => n.run_until(d),
+                (_, None) => return false,
             }
-            Wait::Until(t) => n.run_until(t),
         }
         true
-    }
-
-    fn sent(&self) {
-        self.borrow_mut().process();
     }
 
     /// Run the world 1 s, so the endpoint tears the session down.
@@ -1178,7 +1165,6 @@ impl<D: Driver> aio::Channel for SimChannel<D> {
         self.host.with((), |sim, node| {
             sim.tcp_send(node, self.conn, &msg.to_frame())
         });
-        self.host.drive.sent();
     }
 
     async fn recv(&mut self, deadline: Option<u64>) -> Option<Message> {

@@ -14,7 +14,8 @@
 
 use packetlab::cert::Restrictions;
 use packetlab::chaos::{self, ChaosVerdict, Scenario};
-use packetlab::controller::robust::{RetryStats, RobustController};
+use packetlab::controller::aio;
+use packetlab::controller::robust::{Dialer, RetryStats, RobustController};
 use packetlab::controller::{ControlPlane, Controller, ControllerError, Credentials};
 use packetlab::descriptor::ExperimentDescriptor;
 use packetlab::endpoint::EndpointConfig;
@@ -287,6 +288,72 @@ fn control_disconnect_without_linger_is_a_typed_error() {
     assert!(ctrl.stats.connects >= 2);
 }
 
+/// `SimDialer`, noting the virtual instant of every dial.
+struct NotedDialer {
+    inner: SimDialer,
+    dials: Rc<RefCell<Vec<u64>>>,
+}
+
+impl aio::Dialer for NotedDialer {
+    type Chan = SimChannel;
+
+    async fn dial(&mut self) -> Option<SimChannel> {
+        self.dials.borrow_mut().push(self.inner.now());
+        self.inner.dial().await
+    }
+
+    fn now(&self) -> u64 {
+        self.inner.now()
+    }
+
+    async fn wait_until(&mut self, time: u64) {
+        self.inner.wait_until(time).await
+    }
+}
+
+impl Dialer for NotedDialer {}
+
+/// A control connection reset while a request is outstanding is redialed
+/// once the reset reaches the controller, not after the 2 s request
+/// timeout: a data wait ends at a close, as the fleet's does (the fix of
+/// bandwidth seed `0x5eeeb333`, whose controller sat on a reset
+/// connection until a crash wiped its session).
+#[test]
+fn a_reset_control_connection_is_redialed_at_the_reset() {
+    let w = small_world(60 * SECOND);
+    let dials = Rc::new(RefCell::new(Vec::new()));
+    let dialer = NotedDialer {
+        inner: SimDialer::new(&w.net, w.ctrl_node, w.ep_addr),
+        dials: Rc::clone(&dials),
+    };
+    let mut ctrl = RobustController::connect(dialer, small_creds(&w), chaos::chaos_policy(0xfeed))
+        .expect("connect");
+    // The request leaves now and reaches the endpoint 10 ms later; the
+    // reset lands while it is on the wire.
+    let sent = ControlPlane::now(&ctrl);
+    w.net.borrow_mut().sim.schedule_fault(
+        sent + 5 * MILLISECOND,
+        FaultAction::TcpReset { node: w.ep_node.0 },
+    );
+    assert!(ctrl.read_clock().expect("answered after the redial") > 0);
+    // The endpoint answers the request with a RST at 70 ms, which reaches
+    // the controller at 80 ms; dropping the dead channel runs the world
+    // 1 s more (`Driver::closed`), so the redial is at 1.08 s. Waiting
+    // out the request timeout instead redials at 3.06 s.
+    let redial = dials.borrow()[1];
+    assert_eq!((sent, redial), (60_000_000, 1_080_000_000));
+    assert_eq!(
+        ctrl.stats,
+        RetryStats {
+            connects: 2,
+            failed_dials: 0,
+            timeouts: 1,
+            replays: 1,
+            suspended_waits: 0,
+        }
+    );
+}
+
 /// DESIGN deviation 12: a fresh controller that adopts its predecessor's
 /// lingering session numbers from 1 again. Today its `mwrite` is answered
 /// from the predecessor's replay cache and never runs.
@@ -365,9 +432,9 @@ fn crash_without_restart_aborts_within_budget() {
         "abort took {spent} ns, budget was {}",
         policy.unreachable_budget,
     );
-    // Exactly: under `SimDialer` a failed dial steps the world up to its
-    // 10 s handshake grace, and dropping the half-open channel runs 1 s
-    // more, so three dials fill the 25 s budget. `plab-runner`'s
+    // Exactly: under `SimDialer` a failed dial steps the world to its last
+    // SYN retransmission due by its 10 s handshake grace, and dropping the
+    // half-open channel runs 1 s more, so three dials fill the 25 s budget. `plab-runner`'s
     // `fleet_chaos` pins the same crash under the fleet's dial.
     let stats = RetryStats {
         connects: 1,
