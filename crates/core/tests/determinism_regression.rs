@@ -16,8 +16,10 @@ use packetlab::chaos::{self, ChaosVerdict, Scenario};
 /// Digest of the §4-style traceroute schedule at the corpus base seed,
 /// captured from the `BinaryHeap` scheduler before the timer-wheel swap.
 const TRACEROUTE_BASE_DIGEST: u64 = 0x6c76_7bdc_b133_64f4;
-/// Bandwidth scenario at the base seed, same provenance.
-const BANDWIDTH_BASE_DIGEST: u64 = 0x5674_0ce5_93c1_39fd;
+/// Bandwidth scenario at the base seed, same provenance; re-pinned when
+/// the harness driver's data wait came to end at a close (EXPERIMENTS
+/// G18).
+const BANDWIDTH_BASE_DIGEST: u64 = 0x330d_d781_e245_03f8;
 /// Conformance scenario at the base seed, same provenance.
 const CONFORMANCE_BASE_DIGEST: u64 = 0x1901_1287_d862_c52f;
 
@@ -112,9 +114,9 @@ const TRACEROUTE_SHARD_DIGESTS: [(usize, u64); 3] = [
     (8, 0x6c76_7bdc_b133_64f4),
 ];
 const BANDWIDTH_SHARD_DIGESTS: [(usize, u64); 3] = [
-    (2, 0x5674_0ce5_93c1_39fd),
-    (4, 0xfe1e_bfab_1242_e70c),
-    (8, 0xfe1e_bfab_1242_e70c),
+    (2, 0x330d_d781_e245_03f8),
+    (4, 0x9634_514c_6efa_26d5),
+    (8, 0x9634_514c_6efa_26d5),
 ];
 const CONFORMANCE_SHARD_DIGESTS: [(usize, u64); 3] = [
     (2, 0x1901_1287_d862_c52f),
