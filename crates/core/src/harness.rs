@@ -17,11 +17,9 @@
 //! themselves until an operation is done, so their `async fn`s never
 //! suspend and both carry the blocking shells
 //! ([`crate::controller::ControlChannel`] and friends); the fleet runner's
-//! driver parks its task on a [`Wait`] instead. Under both a wait ends
-//! when [`Wait::holds`]: a data wait at readable bytes, a close or its
-//! deadline. Two differences remain: the harness runs the world 1 s after
-//! a close ([`Driver::closed`]), and its dial gives up at the last event
-//! due by the deadline rather than at the deadline.
+//! driver parks its task on a [`Wait`] instead. Under both a wait ends when
+//! it [`Wait::holds`]; only the harness runs 1 s past a close, and gives up
+//! a dial at its last event due by the grace.
 
 use crate::controller::robust::Dialer;
 use crate::controller::{aio, probe_seq, ControlChannel, SinkHost};
@@ -966,10 +964,8 @@ impl Driver for Rc<RefCell<SimNet>> {
                 (Some(t), d) if d.is_none_or(|d| t <= d) => {
                     n.step();
                 }
-                // A dial gives up at its last event due by the deadline,
-                // not at the deadline: running on to it moves the bwest
-                // trace off 0x8786bdd8f1e0d476 (ROADMAP "Dropped on
-                // evidence").
+                // A dial gives up at its last event due by the grace: running
+                // on to it moves the bwest pin (ROADMAP "Dropped on evidence").
                 _ if matches!(wait, Wait::Established { .. }) => break,
                 (_, Some(d)) => n.run_until(d),
                 (_, None) => return false,
