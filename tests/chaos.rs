@@ -14,8 +14,7 @@
 
 use packetlab::cert::Restrictions;
 use packetlab::chaos::{self, ChaosVerdict, Scenario};
-use packetlab::controller::aio;
-use packetlab::controller::robust::{Dialer, RetryStats, RobustController};
+use packetlab::controller::robust::{RetryStats, RobustController};
 use packetlab::controller::{ControlPlane, Controller, ControllerError, Credentials};
 use packetlab::descriptor::ExperimentDescriptor;
 use packetlab::endpoint::EndpointConfig;
@@ -23,6 +22,7 @@ use packetlab::harness::{SimChannel, SimDialer, SimNet};
 use plab_crypto::{KeyHash, Keypair};
 use plab_netsim::{FaultAction, LinkParams, TopologyBuilder, MILLISECOND, SECOND};
 use plab_obs::export::{fnv1a, FNV_OFFSET};
+use plab_obs::Component;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -288,31 +288,6 @@ fn control_disconnect_without_linger_is_a_typed_error() {
     assert!(ctrl.stats.connects >= 2);
 }
 
-/// `SimDialer`, noting the virtual instant of every dial.
-struct NotedDialer {
-    inner: SimDialer,
-    dials: Rc<RefCell<Vec<u64>>>,
-}
-
-impl aio::Dialer for NotedDialer {
-    type Chan = SimChannel;
-
-    async fn dial(&mut self) -> Option<SimChannel> {
-        self.dials.borrow_mut().push(self.inner.now());
-        self.inner.dial().await
-    }
-
-    fn now(&self) -> u64 {
-        self.inner.now()
-    }
-
-    async fn wait_until(&mut self, time: u64) {
-        self.inner.wait_until(time).await
-    }
-}
-
-impl Dialer for NotedDialer {}
-
 /// A control connection reset while a request is outstanding is redialed
 /// once the reset reaches the controller, not after the 2 s request
 /// timeout: a data wait ends at a close, as the fleet's does (the fix of
@@ -320,12 +295,10 @@ impl Dialer for NotedDialer {}
 /// connection until a crash wiped its session).
 #[test]
 fn a_reset_control_connection_is_redialed_at_the_reset() {
+    plab_obs::enable();
+    plab_obs::reset();
     let w = small_world(60 * SECOND);
-    let dials = Rc::new(RefCell::new(Vec::new()));
-    let dialer = NotedDialer {
-        inner: SimDialer::new(&w.net, w.ctrl_node, w.ep_addr),
-        dials: Rc::clone(&dials),
-    };
+    let dialer = SimDialer::new(&w.net, w.ctrl_node, w.ep_addr);
     let mut ctrl = RobustController::connect(dialer, small_creds(&w), chaos::chaos_policy(0xfeed))
         .expect("connect");
     // The request leaves now and reaches the endpoint 10 ms later; the
@@ -338,10 +311,21 @@ fn a_reset_control_connection_is_redialed_at_the_reset() {
     assert!(ctrl.read_clock().expect("answered after the redial") > 0);
     // The endpoint answers the request with a RST at 70 ms, which reaches
     // the controller at 80 ms; dropping the dead channel runs the world
-    // 1 s more (`Driver::closed`), so the redial is at 1.08 s. Waiting
-    // out the request timeout instead redials at 3.06 s.
-    let redial = dials.borrow()[1];
-    assert_eq!((sent, redial), (60_000_000, 1_080_000_000));
+    // 1 s more (`Driver::closed`), and the redial connects at 1.14 s.
+    // Waiting out the request timeout instead gave up at 2.06 s.
+    let events: Vec<(&str, u64)> = plab_obs::tail_for(Component::Controller, 8)
+        .iter()
+        .map(|e| (e.name, e.t))
+        .collect();
+    assert_eq!(
+        events,
+        [
+            ("connect", 60_000_000),
+            ("timeout", 80_000_000),
+            ("connect", 1_140_000_000),
+            ("replay", 1_140_000_000),
+        ]
+    );
     assert_eq!(
         ctrl.stats,
         RetryStats {
